@@ -109,34 +109,6 @@ fn bench_delta_vs_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-/// The price of evicting the score memo: delta ingest over resident
-/// state whose memo is unbounded vs capped vs zero. An evicted score
-/// recomputes when next needed, so the cells read as "recompute cost
-/// bought back per byte of residency" — `memo_hits` in the delta report
-/// is the other side of the same coin.
-fn bench_eviction_budgets(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_eviction");
-    group.sample_size(10);
-    let corpus_n = 887usize;
-    let corpus = records(0..corpus_n);
-    let delta = records(corpus_n..corpus_n + 128);
-    for (label, memo_budget) in
-        [("memo_unbounded", None), ("memo_512", Some(512usize)), ("memo_0", Some(0))]
-    {
-        let mut base = IncrementalConsolidator::new(blocker(), scorer(), THRESHOLD)
-            .with_memo_budget(memo_budget);
-        base.ingest(&corpus);
-        group.throughput(Throughput::Elements(delta.len() as u64));
-        group.bench_with_input(BenchmarkId::new(label, corpus_n), &delta, |b, delta| {
-            b.iter(|| {
-                let mut inc = base.clone();
-                black_box(inc.ingest(delta))
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Restart cost: replaying a session's logged delta batches through a
 /// fresh consolidator vs re-consolidating the concatenated corpus from
 /// scratch. Replay reads the checksummed frames and ingests them as one
@@ -177,5 +149,5 @@ fn bench_replay_vs_reseed(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_delta_vs_rebuild, bench_eviction_budgets, bench_replay_vs_reseed);
+criterion_group!(benches, bench_delta_vs_rebuild, bench_replay_vs_reseed);
 criterion_main!(benches);

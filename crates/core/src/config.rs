@@ -98,12 +98,6 @@ pub struct DataTamerConfig {
     pub fusion_resolvers: RegistryConfig,
     /// Whether the ML text cleaner filters fragments before parsing.
     pub clean_text: bool,
-    /// Cap on the resident fused-entity cache
-    /// [`crate::DataTamer::consolidate_delta`] keeps between deltas, in
-    /// entities (`None` = unbounded). Eviction is LRU; a missing entry
-    /// re-resolves deterministically, so any budget — including 0 —
-    /// preserves byte-identical fused output.
-    pub fused_cache_budget: Option<usize>,
     /// Append accepted delta batches to a persistent log so a restarted
     /// system replays them (see [`DeltaLogConfig`]). `None` keeps the
     /// session memory-only.
@@ -122,7 +116,6 @@ impl Default for DataTamerConfig {
             grouping: GroupingStrategy::CanonicalName,
             fusion_resolvers: RegistryConfig::broadway(),
             clean_text: true,
-            fused_cache_budget: None,
             delta_log: None,
         }
     }

@@ -80,16 +80,6 @@ pub struct BlockedErConfig {
     /// difference is that [`crate::DataTamer::consolidate_delta`] can then
     /// keep feeding the same resident state O(delta) batches.
     pub incremental: bool,
-    /// Cap on the resident score memo, in entries (`None` = unbounded).
-    /// Any value — including 0 — preserves byte-identical clusters; an
-    /// evicted score simply recomputes when next needed (see
-    /// [`IncrementalConsolidator::with_memo_budget`]).
-    pub memo_budget: Option<usize>,
-    /// Cap on the resident accepted-window pairs across all slots
-    /// (`None` = unbounded). Evicted slots regenerate wholesale on the
-    /// next delta, so any value — including 0 — preserves byte-identical
-    /// clusters (see [`IncrementalConsolidator::with_window_budget`]).
-    pub window_budget: Option<usize>,
 }
 
 impl Default for BlockedErConfig {
@@ -101,8 +91,6 @@ impl Default for BlockedErConfig {
             scorer: ScorerSpec::default(),
             accept_threshold: 0.75,
             incremental: false,
-            memo_budget: None,
-            window_budget: None,
         }
     }
 }
@@ -120,8 +108,6 @@ impl BlockedErConfig {
             self.scorer.build(),
             self.accept_threshold,
         )
-        .with_memo_budget(self.memo_budget)
-        .with_window_budget(self.window_budget)
     }
 }
 
@@ -230,21 +216,21 @@ fn blocked_groups(
 /// lacking the key attribute form no group (they never pair, so they can
 /// only be singletons here), and each group's key is the canonical form of
 /// its first member's key value.
-pub(crate) fn clusters_to_groups(
+fn clusters_to_groups(
     records: &[Record],
     clusters: impl Iterator<Item = Vec<usize>>,
     config: &BlockedErConfig,
 ) -> Vec<FusionGroup> {
-    let mut groups: Vec<FusionGroup> = Vec::new();
-    for cluster in clusters {
-        let Some(name) = records[cluster[0]].get_text(&config.key_attr) else { continue };
-        let key = canonical_name(&name);
-        if key.is_empty() {
-            continue;
-        }
-        groups.push((key, cluster));
-    }
-    groups
+    clusters
+        .filter_map(|cluster| Some((cluster_key(&records[cluster[0]], config)?, cluster)))
+        .collect()
+}
+
+/// The group key of a cluster whose first member is `first`; `None` when
+/// the cluster forms no group (no key value, or a canonically empty one).
+pub(crate) fn cluster_key(first: &Record, config: &BlockedErConfig) -> Option<String> {
+    let key = canonical_name(&first.get_text(&config.key_attr)?);
+    (!key.is_empty()).then_some(key)
 }
 
 #[cfg(test)]

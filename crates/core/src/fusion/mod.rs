@@ -228,19 +228,18 @@ pub fn merge_groups_with(
     groups: &[FusionGroup],
     registry: &ResolverRegistry,
 ) -> Vec<FusedEntity> {
-    groups
-        .par_iter()
-        .map(|(key, members)| {
-            let refs: Vec<&Record> = members.iter().map(|&i| &records[i]).collect();
-            let (record, confidence) = resolve_group_with_confidence(&refs, registry);
-            FusedEntity {
-                key: key.clone(),
-                record,
-                member_count: members.len(),
-                confidence,
-            }
-        })
-        .collect()
+    groups.par_iter().map(|group| merge_group(records, group, registry)).collect()
+}
+
+/// Collapse one candidate group into its composite entity.
+pub(crate) fn merge_group(
+    records: &[Record],
+    (key, members): &FusionGroup,
+    registry: &ResolverRegistry,
+) -> FusedEntity {
+    let refs: Vec<&Record> = members.iter().map(|&i| &records[i]).collect();
+    let (record, confidence) = resolve_group_with_confidence(&refs, registry);
+    FusedEntity { key: key.clone(), record, member_count: members.len(), confidence }
 }
 
 /// [`merge_groups_with`] under the standard Broadway registry

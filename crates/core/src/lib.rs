@@ -33,6 +33,7 @@ pub mod fusion;
 pub mod ingest;
 pub mod pipeline;
 pub mod query;
+mod resident;
 pub mod stage;
 
 pub use catalog::{Catalog, SourceInfo, SourceKind};

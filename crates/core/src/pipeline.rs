@@ -19,30 +19,28 @@
 //! batched shard inserts, group merging — are rayon-parallel with
 //! deterministic output at any thread count.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use datatamer_clean::CleaningReport;
-use datatamer_entity::incremental::{DeltaReport, IncrementalConsolidator};
+use datatamer_entity::incremental::DeltaReport;
 use datatamer_model::{doc, DtError, Record, Value};
 use datatamer_schema::integrate::EscalationResolver;
 use datatamer_schema::IntegrationReport;
-use datatamer_storage::{Collection, CollectionStats, DeltaLog, Store};
+use datatamer_storage::{Collection, CollectionStats, Store};
 use datatamer_text::normalize::canonical_name;
 use datatamer_text::DomainParser;
-use rayon::prelude::*;
 
 use crate::catalog::Catalog;
 use crate::config::DataTamerConfig;
 use crate::fusion::{
-    merge_groups_with, resolve_group_with_confidence, BlockedErConfig, FusedEntity, FusionGroup,
-    GroupingReport, GroupingStrategy, RegistryConfig, ResolverRegistry,
+    merge_groups_with, FusedEntity, GroupingStrategy, RegistryConfig, ResolverRegistry,
 };
 use crate::ingest::IngestStats;
 use crate::query::{entity_type_histogram, top_discussed_award_winning, DiscussedShow};
+use crate::resident::ResidentSession;
 use crate::stage::{
-    run_stages, stage_names, CleaningStage, EntityConsolidationStage, FusionStage, IngestStage,
-    PipelineContext, PipelineStage, SchemaIntegrationStage, StageReport, TextIngestJob,
+    run_stages, CleaningStage, EntityConsolidationStage, FusionStage, IngestStage,
+    PipelineContext, PipelineStage, SchemaIntegrationStage, TextIngestJob,
 };
 
 /// Name of the collection holding integrated (mapped + cleaned) records.
@@ -99,63 +97,17 @@ impl<'a> PipelinePlan<'a> {
     }
 }
 
-/// Resident entity-resolution state carried between
-/// [`DataTamer::consolidate_delta`] calls: the incremental consolidator
-/// (blocking indices, scoring context, score memo, persistent union-find)
-/// plus a fused-entity cache keyed by stable cluster id (the cluster's
-/// smallest member index), so only dirty clusters re-resolve.
-struct ResidentEr {
-    consolidator: IncrementalConsolidator,
-    /// The blocked-ER configuration the consolidator was built from; a
-    /// change in the grouping-in-effect invalidates the whole state.
-    config: BlockedErConfig,
-    /// The resolver routing the cache was resolved under; a routing change
-    /// keeps the consolidator (clusters are routing-independent) but
-    /// invalidates the fused-entity cache.
-    resolvers: RegistryConfig,
-    /// `cluster id (smallest member) → (fused entity, batch it was last
-    /// re-resolved in)` from the previous delta, reused verbatim for
-    /// clusters the ingest left untouched. Bounded by
-    /// [`DataTamerConfig::fused_cache_budget`]: least-recently-refreshed
-    /// entries evict first, and a miss only costs a deterministic
-    /// re-resolution.
-    cache: HashMap<usize, (FusedEntity, u64)>,
-    /// Monotone delta-batch counter — the clock behind the cache's
-    /// last-refreshed stamps.
-    batch_seq: u64,
-    /// Context record counts at seed time — if `register_structured` /
-    /// `run` / `ingest_webtext` grew them since, the resident corpus is
-    /// stale and the next delta reseeds (replaying the delta batches).
-    seeded_structured: usize,
-    seeded_text: usize,
-    /// Accepted delta batches the persistent log does *not* hold: all of
-    /// them when no log is configured, and every batch after the first
-    /// failed append when one is ([`ResidentEr::log_failed`]). A reseed
-    /// replays the log's batches first, then these, preserving arrival
-    /// order. With a healthy log this stays empty — the log *is* the
-    /// replay source, so the session no longer pins a second in-memory
-    /// copy of every delta record.
-    delta_records: Vec<Record>,
-    /// The write-ahead delta log ([`crate::config::DeltaLogConfig`]):
-    /// each accepted batch is appended *before* it is consolidated, so a
-    /// restarted system replays exactly the accepted batches.
-    log: Option<DeltaLog>,
-    /// An append failed; the log is frozen (no further appends, but its
-    /// existing frames still replay) and batches fall back to
-    /// [`ResidentEr::delta_records`].
-    log_failed: bool,
-}
-
 /// The Data Tamer system: a [`PipelineContext`] plus stage assembly.
 pub struct DataTamer {
     ctx: PipelineContext,
-    resident_er: Option<ResidentEr>,
+    /// Resident ER state between [`DataTamer::consolidate_delta`] calls.
+    resident: Option<ResidentSession>,
 }
 
 impl DataTamer {
     /// Build a system from a configuration.
     pub fn new(config: DataTamerConfig) -> Self {
-        DataTamer { ctx: PipelineContext::new(config), resident_er: None }
+        DataTamer { ctx: PipelineContext::new(config), resident: None }
     }
 
     /// Default-configured system.
@@ -341,248 +293,47 @@ impl DataTamer {
     /// resident pairwise state to be incremental against); anything else is
     /// a [`DtError::Config`].
     ///
-    /// The first call seeds the resident state by ingesting the current
-    /// corpus (integrated structured records, then text show records); each
-    /// call then ingests `batch` through the
-    /// [`IncrementalConsolidator`]: the scoring context and blocking
-    /// indices extend in place, only buckets the batch touched are probed
-    /// (never old-vs-old), accepted pairs merge into the persistent
-    /// union-find, and fused entities re-resolve **only for dirty
-    /// clusters** — untouched clusters reuse the cached composite
-    /// verbatim. The context's `fusion_groups` / `fused` are replaced with
-    /// the updated view, and consolidation + fusion stage runs are logged
-    /// with [`StageReport::EntityConsolidation::delta`] carrying the
-    /// [`DeltaReport`].
+    /// The first call seeds the resident session over the current corpus
+    /// (integrated structured records, then text show records); each call
+    /// then ingests `batch` through the
+    /// [`datatamer_entity::incremental::IncrementalConsolidator`] — only
+    /// buckets the batch touched are probed, never old-vs-old — and fused
+    /// entities re-resolve **only for dirty clusters**: the composites of
+    /// untouched clusters are moved over from the context's previous
+    /// `fused` vector, the only copy kept. `fusion_groups` / `fused` are
+    /// replaced, and the delta is logged as a consolidation + fusion stage
+    /// run pair carrying the [`DeltaReport`] (consecutive deltas overwrite
+    /// each other's pair, so the run log does not grow with them).
     ///
-    /// Correctness pin (held by `tests/incremental_equivalence.rs` at any
-    /// thread count): after any sequence of delta batches, `ctx.fused` is
-    /// byte-identical to a from-scratch full run over the concatenated
-    /// corpus.
+    /// Correctness pin (`tests/incremental_equivalence.rs`, any thread
+    /// count): after any sequence of delta batches, `ctx.fused` is
+    /// byte-identical to a from-scratch run over the concatenated corpus.
     ///
-    /// Interleaving with the batch entry points stays consistent: if
-    /// `register_structured` / `ingest_webtext` / `run` grew the base
-    /// corpus since seeding, the next delta reseeds from the refreshed
-    /// corpus and replays all prior delta batches (an O(corpus) catch-up,
-    /// after which ingest is O(delta) again). A resolver-routing change
-    /// invalidates only the fused-entity cache, not the consolidator.
+    /// If `register_structured` / `ingest_webtext` / `run` grew the base
+    /// corpus since seeding, the next delta reseeds from it and replays
+    /// all prior delta batches (an O(corpus) catch-up). A staged run that
+    /// only replaced `ctx.fused`, or a resolver-routing change, keeps the
+    /// session and makes the next delta re-resolve every cluster.
+    ///
+    /// With a [`crate::DeltaLogConfig`] the batch is logged before it is
+    /// consolidated; a persistence failure is returned as `Err` *after*
+    /// the batch is consolidated and installed — do not re-submit it.
     pub fn consolidate_delta(&mut self, batch: &[Record]) -> datatamer_model::Result<DeltaReport> {
-        let config = match &self.ctx.grouping {
-            GroupingStrategy::BlockedEr(config) => config.clone(),
-            GroupingStrategy::CanonicalName => {
-                return Err(DtError::Config(
-                    "consolidate_delta requires GroupingStrategy::BlockedEr; the \
-                     canonical-name scan has no resident ER state to be incremental against"
-                        .to_owned(),
-                ))
-            }
+        let GroupingStrategy::BlockedEr(config) = &self.ctx.grouping else {
+            return Err(DtError::Config(
+                "consolidate_delta requires GroupingStrategy::BlockedEr; the \
+                 canonical-name scan has no resident ER state to be incremental against"
+                    .to_owned(),
+            ));
         };
-
-        // (Re)seed when there is no resident state, the blocked-ER config
-        // changed, or the base corpus grew behind our back.
-        let stale = match &self.resident_er {
-            Some(r) => {
-                r.config != config
-                    || r.seeded_structured != self.ctx.structured_records.len()
-                    || r.seeded_text != self.ctx.text_show_records.len()
-            }
-            None => true,
-        };
-        if stale {
-            let (delta_records, mut log, log_failed) = match self.resident_er.take() {
-                Some(r) => (r.delta_records, r.log, r.log_failed),
-                None => (Vec::new(), None, false),
-            };
-            // First seed of this process: adopt the configured log. A log
-            // left by an earlier process holds that session's accepted
-            // batches — they replay below, on top of the rebuilt base
-            // corpus, instead of being lost to the restart.
-            if log.is_none() {
-                if let Some(log_config) = &self.ctx.config().delta_log {
-                    log = Some(DeltaLog::open(&log_config.path)?);
-                }
-            }
-            let mut consolidator = config.build_incremental();
-            let mut corpus = Vec::with_capacity(
-                self.ctx.structured_records.len() + self.ctx.text_show_records.len(),
-            );
-            corpus.extend(self.ctx.structured_records.iter().cloned());
-            corpus.extend(self.ctx.text_show_records.iter().cloned());
-            if !corpus.is_empty() {
-                consolidator.ingest(&corpus);
-            }
-            // Replay, in arrival order: the log's persisted batches, then
-            // whatever never reached the log. Replay never re-appends.
-            let mut replay: Vec<Record> = match &log {
-                Some(log) => log.replay_records()?,
-                None => Vec::new(),
-            };
-            replay.extend(delta_records.iter().cloned());
-            if !replay.is_empty() {
-                consolidator.ingest(&replay);
-            }
-            self.resident_er = Some(ResidentEr {
-                consolidator,
-                config: config.clone(),
-                resolvers: self.ctx.fusion_resolvers.clone(),
-                cache: HashMap::new(),
-                batch_seq: 0,
-                seeded_structured: self.ctx.structured_records.len(),
-                seeded_text: self.ctx.text_show_records.len(),
-                delta_records,
-                log,
-                log_failed,
-            });
+        // (Re)seed when there is no session, the blocked-ER config changed,
+        // or the base corpus grew behind its back; the accepted-batch
+        // journal carries over and replays on top of the rebuilt corpus.
+        if self.resident.as_ref().is_none_or(|s| s.is_stale(&self.ctx, config)) {
+            let journal = self.resident.take().map(ResidentSession::into_journal);
+            self.resident = Some(ResidentSession::seed(&self.ctx, config.clone(), journal)?);
         }
-        let registry = self.ctx.fusion_resolvers.build();
-        let fused_cache_budget = self.ctx.config().fused_cache_budget;
-        let compact_after = self.ctx.config().delta_log.as_ref().map(|c| c.compact_after_frames);
-        let resident = self.resident_er.as_mut().expect("seeded above");
-        if resident.resolvers != self.ctx.fusion_resolvers {
-            // Clusters are routing-independent; only the composites are
-            // stale under a new routing.
-            resident.cache.clear();
-            resident.resolvers = self.ctx.fusion_resolvers.clone();
-        }
-
-        // Write-ahead: persist the accepted batch before consolidating it,
-        // so a crash between the two replays the batch instead of losing
-        // it. An append failure freezes the log (its existing frames still
-        // replay) and routes this and later batches to the in-memory
-        // fallback; the session stays consistent and the error surfaces
-        // after the batch is fully consolidated — do not re-submit it.
-        let mut log_error: Option<DtError> = None;
-        if !batch.is_empty() {
-            if let Some(log) = resident.log.as_mut().filter(|_| !resident.log_failed) {
-                match log.append(batch) {
-                    Ok(()) => {
-                        if log.frames() > compact_after.unwrap_or(usize::MAX) {
-                            // Compaction failure leaves the multi-frame log
-                            // valid on disk; report it, keep appending.
-                            log_error = log.compact().err();
-                        }
-                    }
-                    Err(e) => {
-                        resident.log_failed = true;
-                        log_error = Some(e);
-                    }
-                }
-            }
-        }
-
-        let mut delta = resident.consolidator.ingest(batch);
-        if resident.log.is_none() || resident.log_failed {
-            resident.delta_records.extend(batch.iter().cloned());
-        }
-
-        // Rebuild the group list (same contract as the batch path: keyless
-        // or canonically-empty clusters form no group) and fuse — clean
-        // clusters reuse their cached composite, dirty ones re-resolve in
-        // parallel.
-        let records = resident.consolidator.records();
-        let mut groups: Vec<FusionGroup> = Vec::new();
-        let mut reusable: Vec<Option<FusedEntity>> = Vec::new();
-        for (cluster, &dirty) in
-            resident.consolidator.clusters().iter().zip(resident.consolidator.dirty())
-        {
-            let Some(name) = records[cluster[0]].get_text(&config.key_attr) else { continue };
-            let key = canonical_name(&name);
-            if key.is_empty() {
-                continue;
-            }
-            let hit = if dirty {
-                None
-            } else {
-                resident.cache.get(&cluster[0]).map(|(e, _)| e.clone())
-            };
-            reusable.push(hit);
-            groups.push((key, cluster.clone()));
-        }
-        let fused: Vec<FusedEntity> = (0..groups.len())
-            .into_par_iter()
-            .map(|gi| {
-                if let Some(entity) = &reusable[gi] {
-                    return entity.clone();
-                }
-                let (key, members) = &groups[gi];
-                let refs: Vec<&Record> = members.iter().map(|&i| &records[i]).collect();
-                let (record, confidence) = resolve_group_with_confidence(&refs, &registry);
-                FusedEntity { key: key.clone(), record, member_count: members.len(), confidence }
-            })
-            .collect();
-        // Rebuild the cache with refresh stamps: a re-resolved cluster is
-        // stamped with this batch, a reused one keeps the stamp of the
-        // batch that last resolved it. Under a budget the stalest stamps
-        // evict first (ties broken by cluster id, so eviction — like
-        // everything else on this path — is thread-count deterministic);
-        // an evicted clean cluster simply re-resolves on its next delta.
-        resident.batch_seq += 1;
-        let seq = resident.batch_seq;
-        let mut cache: HashMap<usize, (FusedEntity, u64)> = groups
-            .iter()
-            .zip(fused.iter())
-            .enumerate()
-            .map(|(gi, ((_, members), entity))| {
-                let stamp = match &reusable[gi] {
-                    Some(_) => resident.cache.get(&members[0]).map(|(_, s)| *s).unwrap_or(seq),
-                    None => seq,
-                };
-                (members[0], (entity.clone(), stamp))
-            })
-            .collect();
-        let mut fused_cache_evicted = 0;
-        if let Some(budget) = fused_cache_budget {
-            if cache.len() > budget {
-                let mut order: Vec<(u64, usize)> =
-                    // dtlint::allow(map-iter, reason = "eviction order is decided by the sort_unstable below, not map order")
-                    cache.iter().map(|(k, (_, s))| (*s, *k)).collect();
-                order.sort_unstable();
-                for &(_, k) in order.iter().take(cache.len() - budget) {
-                    cache.remove(&k);
-                    fused_cache_evicted += 1;
-                }
-            }
-        }
-        delta.fused_cache_entries = cache.len();
-        delta.fused_cache_evicted = fused_cache_evicted;
-        resident.cache = cache;
-
-        // Log the delta as consolidation + fusion stage runs (delta-scope
-        // pair counts, corpus-scope group counts) and install the updated
-        // view, exactly as a staged run would.
-        let multi = groups.iter().filter(|(_, m)| m.len() > 1).count();
-        let largest = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
-        self.ctx.push_run(
-            stage_names::ENTITY_CONSOLIDATION,
-            StageReport::EntityConsolidation {
-                records: delta.total_records,
-                groups: groups.len(),
-                multi_member_groups: multi,
-                largest_group: largest,
-                blocking: GroupingReport {
-                    candidate_pairs: delta.candidate_pairs,
-                    accepted_pairs: delta.accepted_pairs,
-                    degraded_buckets: delta.degraded_buckets,
-                },
-                delta: Some(delta),
-            },
-        );
-        let members = fused.iter().map(|f| f.member_count).sum();
-        self.ctx
-            .push_run(stage_names::FUSION, StageReport::Fusion { entities: fused.len(), members });
-        // Hand downstream views the exact dirty set: `reusable[gi]` is
-        // `None` precisely when group `gi` was re-resolved this delta, so
-        // index maintenance can reindex only those clusters.
-        let dirty: Vec<bool> = reusable.iter().map(Option::is_none).collect();
-        self.ctx.fusion_groups = groups;
-        self.ctx.fused = fused;
-        self.ctx.fused_revision += 1;
-        self.ctx.fused_changed = Some(dirty);
-        // The in-memory session is fully updated either way; a deferred
-        // log error now tells the caller persistence degraded.
-        match log_error {
-            Some(e) => Err(e),
-            None => Ok(delta),
-        }
+        self.resident.as_mut().expect("seeded above").apply(&mut self.ctx, batch)
     }
 
     /// Look up one show in a fused entity set by (canonicalised) name.
@@ -1067,8 +818,9 @@ mod tests {
         assert!(d2.reused_clusters >= 19, "{d2:?}");
         assert!(d2.reused_context_fraction > 0.9, "{d2:?}");
 
-        // Each delta logs consolidation + fusion runs, with the report.
-        assert_eq!(inc.context().runs().len(), runs_before + 4);
+        // The deltas log one consolidation + fusion pair between them (the
+        // second overwrote the first's), carrying the latest report.
+        assert_eq!(inc.context().runs().len(), runs_before + 2);
         match inc.context().report_of(stage_names::ENTITY_CONSOLIDATION).unwrap() {
             StageReport::EntityConsolidation { delta, records, .. } => {
                 assert_eq!(*delta, Some(d2));
@@ -1086,6 +838,24 @@ mod tests {
         full.run(PipelinePlan::new().structured("s1", &all)).unwrap();
         assert_eq!(fingerprints(&inc.context().fused), fingerprints(&full.context().fused));
         assert_eq!(inc.context().fusion_groups, full.context().fusion_groups);
+    }
+
+    #[test]
+    fn empty_deltas_do_not_grow_the_run_log() {
+        let mut config = small_config();
+        config.grouping = GroupingStrategy::BlockedEr(crate::fusion::BlockedErConfig::default());
+        let mut dt = DataTamer::new(config);
+        dt.run(PipelinePlan::new().structured("s1", &[show(0, "Matilda", "$27")])).unwrap();
+        dt.consolidate_delta(&[]).unwrap();
+        let runs = dt.context().runs().len();
+        for _ in 0..100 {
+            dt.consolidate_delta(&[]).unwrap();
+        }
+        assert_eq!(dt.context().runs().len(), runs);
+        // A staged run still appends, and the delta after it starts a new pair.
+        dt.run(PipelinePlan::new()).unwrap();
+        dt.consolidate_delta(&[]).unwrap();
+        assert_eq!(dt.context().runs().len(), runs + 5 + 2);
     }
 
     #[test]

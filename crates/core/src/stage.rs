@@ -187,10 +187,13 @@ pub struct PipelineContext {
     /// staleness cheaply.
     pub fused_revision: u64,
     /// For the most recent `fused` installation: `Some(dirty)` with one
-    /// flag per fusion group when the delta path re-resolved only part of
-    /// the output (`dirty[i]` = group `i` changed since the previous
-    /// revision); `None` after a batch run, meaning "assume everything
-    /// changed". Index maintenance keys incremental syncs off this.
+    /// flag per fusion group when the delta path installed it (`dirty[i]`
+    /// = group `i` was re-resolved); `None` after a batch run, meaning
+    /// "assume everything changed". The flags are relative to the
+    /// **immediately preceding** revision only: a view last synced at
+    /// `fused_revision - 1` may reindex just the dirty groups, one that
+    /// skipped a revision must rebuild (a group dirtied by the skipped
+    /// delta reads clean here).
     pub fused_changed: Option<Vec<bool>>,
     /// The truth-discovery routing currently in effect: the system
     /// configuration's, until a run's `PipelinePlan` overrides it. Ad-hoc
@@ -256,11 +259,25 @@ impl PipelineContext {
         self.runs.iter().filter(|r| r.stage == stage).count()
     }
 
-    /// Record a stage execution performed outside [`run_stages`] — the
-    /// delta-ingest path runs consolidation + fusion against resident
-    /// state but still logs them like any staged run.
-    pub(crate) fn push_run(&mut self, stage: &'static str, report: StageReport) {
-        self.runs.push(StageRun { stage, report });
+    /// Record one delta's consolidation + fusion executions — the
+    /// delta-ingest path runs them against resident state, outside
+    /// [`run_stages`]. A delta directly following another overwrites its
+    /// pair instead of appending, so a long-lived serving session's log
+    /// stays bounded; staged runs always append, and
+    /// [`PipelineContext::report_of`] sees the latest delta either way.
+    pub(crate) fn record_delta_runs(&mut self, consolidation: StageReport, fusion: StageReport) {
+        let n = self.runs.len();
+        let follows_delta = n >= 2
+            && self.runs[n - 1].stage == stage_names::FUSION
+            && matches!(
+                self.runs[n - 2].report,
+                StageReport::EntityConsolidation { delta: Some(_), .. }
+            );
+        if follows_delta {
+            self.runs.truncate(n - 2);
+        }
+        self.runs.push(StageRun { stage: stage_names::ENTITY_CONSOLIDATION, report: consolidation });
+        self.runs.push(StageRun { stage: stage_names::FUSION, report: fusion });
     }
 }
 

@@ -44,21 +44,19 @@
 //!   retracts a previously accepted pair, the union-find is rebuilt from
 //!   the ledger (rare); otherwise the new pairs union in place.
 //!
-//! ## Bounded residency
+//! ## What is resident, and why none of it is budgeted
 //!
-//! The resident state is budgetable. The score memo is a **pure cache**:
-//! any pair re-scores bit-identically (append-only context), so entries
-//! can be dropped wholesale without affecting results — only future
-//! re-scoring cost. [`IncrementalConsolidator::with_memo_budget`] caps it
-//! with a generational policy (this batch's candidates are the hot set;
-//! everything colder goes first). Window sets are *not* pure cache — they
-//! feed the accepted union every batch — but they are **re-derivable**
-//! from the resident bucket members and sort axis, so
-//! [`IncrementalConsolidator::with_window_budget`] evicts whole slots
-//! (largest first) and marks them for wholesale regeneration on the next
-//! ingest. Both budgets preserve byte-identity at any setting, including
-//! zero; the [`DeltaReport`] occupancy and eviction counters expose the
-//! cost shift.
+//! Everything above stays resident for the life of the consolidator: the
+//! records' prepared features (the records themselves stay with the
+//! caller, so the corpus exists once), the bucket membership lists, the
+//! core ledger and per-bucket window sets (one entry per *accepted*
+//! pair), and the score memo (one `f64` per candidate pair ever examined
+//! — what lets a regenerated window skip its old-old pairs;
+//! [`DeltaReport::memo_hits`] counts them). All of it is O(corpus +
+//! candidates), the same order as the records it derives from, so a cap
+//! on any one store bounds nothing the corpus does not already occupy,
+//! while evicting would cost a scan per batch and, for window slots,
+//! wholesale regeneration on the next one.
 //!
 //! The batch pipeline stays the oracle: `tests/incremental_equivalence.rs`
 //! pins incremental-vs-full byte equality over random corpora, random
@@ -108,26 +106,9 @@ pub struct DeltaReport {
     /// Buckets currently over the cap (same meaning as
     /// [`crate::BlockingOutcome::degraded_buckets`]).
     pub degraded_buckets: usize,
-    /// Pair scores resident in the memo after this batch's eviction pass.
-    pub memo_entries: usize,
-    /// Memoized scores dropped at this batch's commit under the memo
-    /// budget. Dropping is always sound — a dropped pair re-scores
-    /// bit-identically — it only costs future re-scoring.
-    pub memo_evicted: usize,
     /// Candidate pairs this batch answered from the memo instead of
     /// scoring (`candidate_pairs - scored_pairs`).
     pub memo_hits: usize,
-    /// Accepted window pairs resident across all retractable-window slots
-    /// after this batch's eviction pass.
-    pub window_entries: usize,
-    /// Window pairs dropped at this batch's commit under the window
-    /// budget; their slots regenerate wholesale on the next ingest.
-    pub window_evicted: usize,
-    /// Fused entities resident in the pipeline's per-cluster cache.
-    /// Filled by the pipeline layer; always 0 from the consolidator.
-    pub fused_cache_entries: usize,
-    /// Fused entities the pipeline cache evicted this batch (ditto).
-    pub fused_cache_evicted: usize,
 }
 
 /// Entity resolution with resident state: feed record batches with
@@ -135,13 +116,14 @@ pub struct DeltaReport {
 /// changed) after each. Configuration mirrors the batch path — same
 /// [`Blocker`], same [`PairScorer`], same threshold — and the final
 /// clusters are byte-identical to one batch run over the concatenation.
+/// The consolidator keeps prepared features, not the records: cluster
+/// members are positions in the concatenation of every batch ingested,
+/// which the caller holds.
 #[derive(Debug, Clone)]
 pub struct IncrementalConsolidator {
     blocker: Blocker,
     threshold: f64,
 
-    /// The corpus so far, in ingest order (cluster members index into it).
-    records: Vec<Record>,
     /// Prepared scoring features, grown in place per batch.
     ctx: ScoringContext,
     /// Lowercased blocking keys per record — the progressive /
@@ -155,12 +137,8 @@ pub struct IncrementalConsolidator {
     lsh: Option<(MinHasher, MinHashLsh<usize>)>,
 
     /// Memoized pair scores, keyed by packed `(i, j)` — valid forever
-    /// because context growth never changes a prepared feature, but
-    /// droppable at will (pure cache): entries beyond `memo_budget` are
-    /// evicted at each batch commit.
+    /// because context growth never changes a prepared feature.
     scores: HashMap<u64, f64>,
-    /// Cap on resident memo entries (`None` = unbounded).
-    memo_budget: Option<usize>,
     /// Monotone accepted pairs (quadratic cores, LSH co-bucketing):
     /// sorted, deduplicated, append-only across batches.
     core_accepted: Vec<u64>,
@@ -171,13 +149,6 @@ pub struct IncrementalConsolidator {
     window_soundex: HashMap<String, Vec<u64>>,
     /// Same for the global sorted-neighborhood window.
     window_sn: Vec<u64>,
-    /// Cap on resident window pairs across all slots (`None` = unbounded).
-    window_budget: Option<usize>,
-    /// Token-bucket window slots evicted at the last commit, awaiting
-    /// wholesale regeneration on the next ingest (sorted).
-    evicted_token: Vec<usize>,
-    /// Soundex window slots evicted at the last commit (sorted).
-    evicted_soundex: Vec<String>,
     /// Union of ledger + window sets after the last batch (sorted,
     /// deduplicated) — the superset check against its successor decides
     /// whether the union-find can grow in place.
@@ -204,7 +175,6 @@ impl IncrementalConsolidator {
         IncrementalConsolidator {
             blocker,
             threshold,
-            records: Vec::new(),
             ctx,
             sort_keys: Vec::new(),
             token_ids: TokenInterner::new(),
@@ -212,14 +182,10 @@ impl IncrementalConsolidator {
             soundex_buckets: HashMap::new(),
             lsh,
             scores: HashMap::new(),
-            memo_budget: None,
             core_accepted: Vec::new(),
             window_token: HashMap::new(),
             window_soundex: HashMap::new(),
             window_sn: Vec::new(),
-            window_budget: None,
-            evicted_token: Vec::new(),
-            evicted_soundex: Vec::new(),
             accepted: Vec::new(),
             uf: UnionFind::new(0),
             clusters: Vec::new(),
@@ -228,41 +194,14 @@ impl IncrementalConsolidator {
         }
     }
 
-    /// Cap the score memo at `budget` resident entries (`None` =
-    /// unbounded). Eviction is generational, at each batch commit: the
-    /// batch's own candidates are the hot set, everything colder goes
-    /// first, and whatever still exceeds the budget is trimmed
-    /// deterministically (smallest packed pair first). Any budget —
-    /// including 0 — preserves byte-identical clusters; evicted pairs
-    /// simply re-score when next needed.
-    pub fn with_memo_budget(mut self, budget: Option<usize>) -> Self {
-        self.memo_budget = budget;
-        self
-    }
-
-    /// Cap the resident accepted-window pairs at `budget` across all
-    /// slots (`None` = unbounded). Whole slots are evicted largest-first
-    /// at each batch commit and regenerated wholesale on the next ingest
-    /// from the resident bucket members and sort axis, so any budget —
-    /// including 0 — preserves byte-identical clusters.
-    pub fn with_window_budget(mut self, budget: Option<usize>) -> Self {
-        self.window_budget = budget;
-        self
-    }
-
-    /// Corpus records in ingest order.
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
     /// Number of records ingested so far.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.sort_keys.len()
     }
 
     /// True before the first batch.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.sort_keys.is_empty()
     }
 
     /// The resident scoring context (grows with every batch).
@@ -301,9 +240,8 @@ impl IncrementalConsolidator {
     /// strategies (the global sorted-neighborhood strategy re-windows its
     /// axis, which is O(corpus) enumeration but still O(delta) scoring).
     pub fn ingest(&mut self, batch: &[Record]) -> DeltaReport {
-        let old_n = self.records.len();
-        self.records.extend_from_slice(batch);
-        let n = self.records.len();
+        let old_n = self.len();
+        let n = old_n + batch.len();
 
         // 1. Grow the scoring context and the sort axis in place.
         self.ctx.extend(batch);
@@ -330,8 +268,8 @@ impl IncrementalConsolidator {
                 // first new position per touched bucket, this batch.
                 let mut touched: HashMap<usize, usize> = HashMap::new();
                 let mut ids: Vec<u32> = Vec::new();
-                for i in old_n..n {
-                    if let Some(key) = self.records[i].get_text(&self.blocker.key_attr) {
+                for (i, record) in (old_n..).zip(batch) {
+                    if let Some(key) = record.get_text(&self.blocker.key_attr) {
                         ids.clear();
                         for_each_token(&key, |tok| ids.push(self.token_ids.intern(tok)));
                         ids.sort_unstable();
@@ -345,12 +283,6 @@ impl IncrementalConsolidator {
                             self.token_buckets[id].push(i);
                         }
                     }
-                }
-                // Fold in slots evicted at the last commit: with
-                // `first_new` past the end they contribute no core pairs,
-                // only the wholesale window regeneration they owe.
-                for id in std::mem::take(&mut self.evicted_token) {
-                    touched.entry(id).or_insert_with(|| self.token_buckets[id].len());
                 }
                 probed_buckets = touched.len();
                 // dtlint::allow(map-iter, reason = "collected into a Vec and sort_unstable'd on the next line")
@@ -369,8 +301,8 @@ impl IncrementalConsolidator {
             }
             BlockingStrategy::Soundex => {
                 let mut touched: HashMap<String, usize> = HashMap::new();
-                for i in old_n..n {
-                    if let Some(key) = self.records[i].get_text(&self.blocker.key_attr) {
+                for (i, record) in (old_n..).zip(batch) {
+                    if let Some(key) = record.get_text(&self.blocker.key_attr) {
                         let first_word = key.split_whitespace().next().unwrap_or("");
                         if let Some(code) = soundex(first_word) {
                             let bucket = self.soundex_buckets.entry(code.clone()).or_default();
@@ -378,10 +310,6 @@ impl IncrementalConsolidator {
                             bucket.push(i);
                         }
                     }
-                }
-                for code in std::mem::take(&mut self.evicted_soundex) {
-                    let end = self.soundex_buckets[&code].len();
-                    touched.entry(code).or_insert(end);
                 }
                 probed_buckets = touched.len();
                 // dtlint::allow(map-iter, reason = "collected into a Vec and sort_unstable'd on the next line")
@@ -416,8 +344,8 @@ impl IncrementalConsolidator {
                 // union over batches is the full run's candidate set.
                 let (hasher, lsh) =
                     self.lsh.as_mut().expect("LSH state exists for the LSH strategy");
-                for i in old_n..n {
-                    if let Some(key) = self.records[i].get_text(&self.blocker.key_attr) {
+                for (i, record) in (old_n..).zip(batch) {
+                    if let Some(key) = record.get_text(&self.blocker.key_attr) {
                         let sig = hasher.signature(&tokenize(&key));
                         let mut mates = lsh.candidates(&sig);
                         if lsh.insert(i, &sig) {
@@ -523,69 +451,6 @@ impl IncrementalConsolidator {
             .collect();
         let dirty_clusters = self.dirty.iter().filter(|d| **d).count();
 
-        // 7. Commit-point eviction under the configured budgets.
-        //
-        //    Memo (pure cache): keep this batch's candidates — the hot
-        //    generation — up to the budget, in packed-pair order; evicted
-        //    pairs re-score bit-identically when next needed. Windows
-        //    (re-derivable state): drop whole slots largest-first and
-        //    mark them, so the next ingest regenerates them from the
-        //    resident bucket members and sort axis before the accepted
-        //    union is rebuilt.
-        let mut memo_evicted = 0;
-        if let Some(budget) = self.memo_budget {
-            if self.scores.len() > budget {
-                let before = self.scores.len();
-                let keep: std::collections::HashSet<u64> =
-                    candidates.iter().copied().take(budget).collect();
-                self.scores.retain(|k, _| keep.contains(k));
-                memo_evicted = before - self.scores.len();
-            }
-        }
-        let mut window_evicted = 0;
-        if let Some(budget) = self.window_budget {
-            let total = self.window_entries();
-            if total > budget {
-                let mut slots: Vec<(usize, WindowSlot)> = self
-                    .window_token
-                    .iter() // dtlint::allow(map-iter, reason = "slots are sorted with a full tie-break before eviction below")
-                    .map(|(id, v)| (v.len(), WindowSlot::Token(*id)))
-                    .chain(
-                        self.window_soundex
-                            .iter() // dtlint::allow(map-iter, reason = "slots are sorted with a full tie-break before eviction below")
-                            .map(|(c, v)| (v.len(), WindowSlot::Soundex(c.clone()))),
-                    )
-                    .collect();
-                if !self.window_sn.is_empty() {
-                    slots.push((self.window_sn.len(), WindowSlot::Sn));
-                }
-                slots.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-                let mut remaining = total;
-                for (len, slot) in slots {
-                    if remaining <= budget || len == 0 {
-                        break;
-                    }
-                    remaining -= len;
-                    window_evicted += len;
-                    match slot {
-                        WindowSlot::Token(id) => {
-                            self.window_token.remove(&id);
-                            self.evicted_token.push(id);
-                        }
-                        WindowSlot::Soundex(code) => {
-                            self.window_soundex.remove(&code);
-                            self.evicted_soundex.push(code);
-                        }
-                        // The global axis regenerates every ingest anyway;
-                        // no marking needed.
-                        WindowSlot::Sn => self.window_sn.clear(),
-                    }
-                }
-                self.evicted_token.sort_unstable();
-                self.evicted_soundex.sort_unstable();
-            }
-        }
-
         self.last_report = DeltaReport {
             batch_records: batch.len(),
             total_records: n,
@@ -597,22 +462,9 @@ impl IncrementalConsolidator {
             reused_clusters: self.clusters.len() - dirty_clusters,
             reused_context_fraction: if n == 0 { 0.0 } else { old_n as f64 / n as f64 },
             degraded_buckets: self.degraded_buckets(),
-            memo_entries: self.scores.len(),
-            memo_evicted,
             memo_hits: candidate_pairs - scored_pairs,
-            window_entries: self.window_entries(),
-            window_evicted,
-            fused_cache_entries: 0,
-            fused_cache_evicted: 0,
         };
         self.last_report
-    }
-
-    /// Total accepted window pairs resident across all slots.
-    fn window_entries(&self) -> usize {
-        self.window_token.values().map(Vec::len).sum::<usize>() // dtlint::allow(map-iter, reason = "commutative integer sum; order cannot affect the result")
-            + self.window_soundex.values().map(Vec::len).sum::<usize>() // dtlint::allow(map-iter, reason = "commutative integer sum; order cannot affect the result")
-            + self.window_sn.len()
     }
 
     /// Delta candidates for one touched bucket: monotone quadratic-core
@@ -676,10 +528,8 @@ impl IncrementalConsolidator {
     }
 }
 
-/// Which retractable-window set a regenerated pair list replaces. The
-/// derived order (token id, then Soundex code, then the global axis)
-/// breaks eviction ties deterministically.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// Which retractable-window set a regenerated pair list replaces.
+#[derive(Debug)]
 enum WindowSlot {
     Token(usize),
     Soundex(String),
@@ -829,11 +679,15 @@ mod tests {
                 PairScorer::Rules(RecordSimilarity::default()),
                 0.85,
             );
+            let mut memo_hits = 0;
             for chunk in records.chunks(batch) {
-                inc.ingest(chunk);
+                memo_hits += inc.ingest(chunk).memo_hits;
             }
             assert_eq!(inc.clusters(), full.as_slice(), "batch size {batch}");
             assert!(inc.last_report().degraded_buckets >= 1);
+            // A regenerated window re-proposes its old-old pairs; the memo
+            // answers them, so only a single-batch run never hits it.
+            assert_eq!(memo_hits > 0, batch < records.len(), "batch size {batch}");
         }
     }
 
@@ -905,137 +759,6 @@ mod tests {
         let report = inc.ingest(&[keyless]);
         assert_eq!(report.candidate_pairs, 0);
         assert_eq!(inc.clusters(), &[vec![0]]);
-    }
-
-    #[test]
-    fn zero_budgets_still_match_full_run() {
-        // Budget 0 on both caches is the adversarial extreme: the memo
-        // clears at every commit (every batch re-scores all its
-        // candidates) and every window slot is evicted and regenerated
-        // each ingest — yet clusters must stay byte-identical. Each name
-        // appears exactly twice, with its twin ~30 insertions away:
-        // adjacent on the sorted axis but far outside the quadratic core,
-        // so the accepted pairs live in the retractable windows.
-        let names: Vec<String> =
-            (0..60).map(|i| format!("show number {:02}", (i * 13) % 30)).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let records = corpus(&refs);
-        let blocker = Blocker::new("name", BlockingStrategy::Token).with_bucket_cap(8);
-        let full = {
-            let scorer = PairScorer::Rules(RecordSimilarity::default());
-            let ctx = scorer.prepare(&records);
-            let outcome = blocker
-                .candidates_with_report_keyed(&records, &|| ctx.sort_keys("name").unwrap());
-            let accepted = ctx.accepted_pairs(&outcome.pairs, 0.85);
-            crate::cluster::cluster_pairs(records.len(), &accepted)
-        };
-        for batch in [1, 7, 13] {
-            let mut inc = IncrementalConsolidator::new(
-                blocker.clone(),
-                PairScorer::Rules(RecordSimilarity::default()),
-                0.85,
-            )
-            .with_memo_budget(Some(0))
-            .with_window_budget(Some(0));
-            let mut memo_evicted = 0;
-            let mut window_evicted = 0;
-            for chunk in records.chunks(batch) {
-                let report = inc.ingest(chunk);
-                memo_evicted += report.memo_evicted;
-                window_evicted += report.window_evicted;
-                assert_eq!(report.memo_entries, 0, "budget 0 clears the memo");
-                assert_eq!(report.window_entries, 0, "budget 0 clears every slot");
-            }
-            assert_eq!(inc.clusters(), full.as_slice(), "batch size {batch}");
-            assert!(memo_evicted > 0, "eviction must actually fire");
-            assert!(window_evicted > 0, "window eviction must actually fire");
-        }
-    }
-
-    #[test]
-    fn small_budgets_bound_occupancy_and_match_unbounded() {
-        let names: Vec<String> = (0..60)
-            .map(|i| format!("show {:02} name{}", (i * 7) % 60, i % 3))
-            .collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let records = corpus(&refs);
-        let blocker = Blocker::new("name", BlockingStrategy::Token).with_bucket_cap(8);
-        let build = |memo: Option<usize>, window: Option<usize>| {
-            let mut inc = IncrementalConsolidator::new(
-                blocker.clone(),
-                PairScorer::Rules(RecordSimilarity::default()),
-                0.85,
-            )
-            .with_memo_budget(memo)
-            .with_window_budget(window);
-            for chunk in records.chunks(9) {
-                let report = inc.ingest(chunk);
-                if let Some(b) = memo {
-                    assert!(report.memo_entries <= b, "memo over budget");
-                }
-                if let Some(b) = window {
-                    assert!(report.window_entries <= b, "windows over budget");
-                }
-            }
-            inc
-        };
-        let unbounded = build(None, None);
-        assert!(unbounded.last_report().memo_evicted == 0);
-        for (memo, window) in [(Some(40), None), (None, Some(10)), (Some(25), Some(5))] {
-            let bounded = build(memo, window);
-            assert_eq!(
-                bounded.clusters(),
-                unbounded.clusters(),
-                "memo {memo:?} window {window:?}"
-            );
-        }
-        // The unbounded run memoizes across batches; a bounded run trades
-        // that for re-scoring, never for different answers.
-        assert!(unbounded.last_report().memo_hits > 0);
-    }
-
-    #[test]
-    fn soundex_windows_survive_eviction() {
-        // Force oversized Soundex buckets (shared first word) so the
-        // Soundex retractable-window slots exist, then evict them all.
-        // Each name appears twice, twins far apart in insertion order.
-        let names: Vec<String> =
-            (0..30).map(|i| format!("robert show {:02}", ((i * 11) % 30) / 2)).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let records = corpus(&refs);
-        let blocker = Blocker::new("name", BlockingStrategy::Soundex).with_bucket_cap(4);
-        let full = {
-            let scorer = PairScorer::Rules(RecordSimilarity::default());
-            let ctx = scorer.prepare(&records);
-            let outcome = blocker
-                .candidates_with_report_keyed(&records, &|| ctx.sort_keys("name").unwrap());
-            let accepted = ctx.accepted_pairs(&outcome.pairs, 0.85);
-            crate::cluster::cluster_pairs(records.len(), &accepted)
-        };
-        let mut inc = IncrementalConsolidator::new(
-            blocker,
-            PairScorer::Rules(RecordSimilarity::default()),
-            0.85,
-        )
-        .with_window_budget(Some(0));
-        for chunk in records.chunks(6) {
-            inc.ingest(chunk);
-        }
-        assert_eq!(inc.clusters(), full.as_slice());
-    }
-
-    #[test]
-    fn eviction_is_idle_under_no_budget() {
-        let names = names();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let records = corpus(&refs);
-        let mut inc = consolidator(BlockingStrategy::Token);
-        for chunk in records.chunks(10) {
-            let report = inc.ingest(chunk);
-            assert_eq!(report.memo_evicted, 0);
-            assert_eq!(report.window_evicted, 0);
-        }
-        assert!(inc.last_report().memo_entries > 0);
     }
 
     #[test]

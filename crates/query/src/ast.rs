@@ -1,9 +1,8 @@
 //! The typed query AST: predicates, aggregates, and the [`Query`] struct.
 //!
 //! One predicate language serves every execution surface — index probes,
-//! columnar scans, full entity scans, and the legacy document-store bridge
-//! ([`crate::legacy`]) — so a query means the same thing no matter which
-//! plan runs it. Equality and ordering are *canonical*: values compare by
+//! columnar scans and full entity scans — so a query means the same thing
+//! no matter which plan runs it. Equality and ordering are *canonical*: values compare by
 //! [`Value::total_cmp`], so `Int(3)` matches `Eq(attr, Float(3.0))` and
 //! NaN equals itself, exactly the semantics the index keys
 //! ([`crate::key::AttrKey`]) use — an index probe can therefore never

@@ -31,10 +31,6 @@
 //!    Ingest publishes immutable snapshots through [`http::SharedViews`]
 //!    by swapping an `Arc`, so concurrent readers never see a torn view.
 //!
-//! The [`legacy`] module routes the document-store `storage::Query`
-//! through this same engine, so there is exactly one predicate
-//! evaluator in the workspace.
-//!
 //! ```
 //! use datatamer_query::prelude::*;
 //! use datatamer_core::fusion::FusedEntity;
@@ -76,7 +72,6 @@ pub mod exec;
 pub mod http;
 pub mod index;
 pub mod key;
-pub mod legacy;
 pub mod view;
 
 pub use ast::{

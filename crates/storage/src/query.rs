@@ -155,12 +155,9 @@ pub enum SortOrder {
 
 /// A declarative query: filter + projection + sort + pagination.
 ///
-/// Legacy document-store entry point. The typed AST in `datatamer-query`
-/// is the one query engine going forward; its `legacy` module converts
-/// this struct (via `predicate_from`) and runs it through the same
-/// planner/evaluator used for fused-entity queries, with an equivalence
-/// test pinning the two paths together. Prefer that path for new code;
-/// `execute` stays for existing callers.
+/// The document-store query. Fused entities are queried through the typed
+/// AST in `datatamer-query` instead; this struct serves the raw
+/// collections only.
 #[derive(Debug, Clone)]
 pub struct Query {
     /// Predicate; `Filter::True` scans everything.

@@ -100,8 +100,9 @@ impl ThreadPoolBuilder {
 
 /// A "pool" fixing the parallel width for closures run via [`Self::install`].
 ///
-/// Threads are spawned per parallel call (scoped), not kept warm; what the
-/// pool really carries is the width.
+/// Threads are spawned per parallel call (scoped, one fewer than the width:
+/// the caller works a chunk too), not kept warm; what the pool really
+/// carries is the width.
 #[derive(Debug)]
 pub struct ThreadPool {
     width: usize,
@@ -128,7 +129,11 @@ impl ThreadPool {
 }
 
 /// Run the pipeline `p` over its index space: one contiguous chunk per
-/// worker, outputs concatenated in chunk order (order-preserving).
+/// worker, outputs concatenated in chunk order (order-preserving). The
+/// calling thread is worker 0 — it takes the first chunk instead of idling
+/// in `join`, so a width-`n` call spawns `n - 1` threads, and its share of
+/// the output is allocated on the caller's own allocator arena rather than
+/// a short-lived thread's.
 fn execute<P: ParallelIterator>(p: P) -> Vec<P::Item> {
     let len = p.pipeline_len();
     let threads = current_num_threads().max(1);
@@ -142,25 +147,27 @@ fn execute<P: ParallelIterator>(p: P) -> Vec<P::Item> {
     let workers = threads.min(len);
     let chunk = len.div_ceil(workers);
     let p = &p;
+    let run = move |w: usize, out: &mut Vec<P::Item>| {
+        for i in w * chunk..((w + 1) * chunk).min(len) {
+            p.produce(i, out);
+        }
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..workers)
             .map(|w| {
-                let lo = w * chunk;
-                let hi = (lo + chunk).min(len);
                 scope.spawn(move || {
                     // Nested parallel calls inside a worker run inline —
                     // the team is already saturated (real rayon shares one
                     // pool; spawning width² threads would oversubscribe).
                     INSTALLED_WIDTH.with(|width| width.set(1));
                     let mut out = Vec::new();
-                    for i in lo..hi {
-                        p.produce(i, &mut out);
-                    }
+                    run(w, &mut out);
                     out
                 })
             })
             .collect();
         let mut out = Vec::with_capacity(len);
+        ThreadPool { width: 1 }.install(|| run(0, &mut out));
         for h in handles {
             out.extend(h.join().expect("parallel worker panicked"));
         }
@@ -543,8 +550,10 @@ fn execute_mut<T: Send, R: Send>(
     let chunk = len.div_ceil(threads.min(len));
     let per_chunk = &per_chunk;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
+        // As in execute(): the caller works the first chunk itself.
+        let mut parts = items.chunks_mut(chunk);
+        let first = parts.next().expect("len > 1, so there is a first chunk");
+        let handles: Vec<_> = parts
             .map(|part| {
                 scope.spawn(move || {
                     // See execute(): nested calls in workers run inline.
@@ -553,7 +562,7 @@ fn execute_mut<T: Send, R: Send>(
                 })
             })
             .collect();
-        let mut out = Vec::with_capacity(len);
+        let mut out = ThreadPool { width: 1 }.install(|| per_chunk(first));
         for h in handles {
             out.extend(h.join().expect("parallel worker panicked"));
         }
@@ -634,6 +643,19 @@ mod tests {
         let want: Vec<i64> =
             (0..500).map(|x| x + 1).filter(|x| x % 3 == 0).map(|x| x * 10).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn the_caller_works_the_first_chunk_and_keeps_its_width() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let me = std::thread::current().id();
+        pool.install(|| {
+            let ran_on: Vec<_> =
+                (0..8).into_par_iter().map(|_| std::thread::current().id()).collect();
+            assert_eq!(ran_on[..2], [me, me]);
+            assert!(ran_on[2..].iter().all(|&t| t != me), "{ran_on:?}");
+            assert_eq!(current_num_threads(), 4, "the inline chunk's width 1 was restored");
+        });
     }
 
     #[test]

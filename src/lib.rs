@@ -396,18 +396,16 @@
 //! assert_eq!(merged.member_count, 2);
 //! ```
 //!
-//! ### Bounded residency and restart
+//! ### What stays resident, and restart
 //!
-//! The resident state above would otherwise grow without bound: every
-//! score ever computed, every accepted window pair, every fused entity,
-//! and a full second copy of every delta record. Three budgets cap it —
-//! `BlockedErConfig::memo_budget` (score memo entries),
-//! `BlockedErConfig::window_budget` (retractable accepted-window pairs),
-//! and [`core::DataTamerConfig::fused_cache_budget`] (cached fused
-//! entities) — and all three treat their store as a *pure cache*: an
-//! evicted entry recomputes deterministically when next needed, so any
-//! budget, including zero, preserves byte-identical fused output. Each
-//! [`core::DeltaReport`] carries the occupancy and eviction counters.
+//! Between deltas one `ResidentSession` (in `core`) owns the consolidator
+//! (prepared features, bucket lists, accepted-pair ledgers, the score
+//! memo), the only copy of the records it has ingested, and the journal.
+//! There is no fused-entity cache beside it: the context's previous
+//! `fused` vector is the cache, and the next delta *moves* every clean
+//! cluster's composite out of it into the new vector. None of this is
+//! budgeted: every store is the same order as the corpus it derives from,
+//! so a cap would bound nothing the records do not already occupy.
 //!
 //! Durability comes from [`core::DeltaLogConfig`]: every accepted batch
 //! appends to a checksummed write-ahead log
@@ -416,7 +414,7 @@
 //! path replays the logged batches and converges on the same bytes. The
 //! log compacts once replay would cross `compact_after_frames`, and a
 //! failed append freezes the log (the error surfaces to the caller) while
-//! the in-memory session falls back to resident replay records.
+//! the session's journal falls back to keeping later batches in memory.
 //!
 //! ```
 //! use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy};
@@ -437,11 +435,8 @@
 //! let config = DataTamerConfig {
 //!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
 //!         incremental: true,
-//!         memo_budget: Some(64),   // score memo capped at 64 entries
-//!         window_budget: Some(16), // accepted-window pairs capped at 16
 //!         ..Default::default()
 //!     }),
-//!     fused_cache_budget: Some(32), // resident fused entities capped at 32
 //!     delta_log: Some(DeltaLogConfig::at(dir.join("delta.log"))),
 //!     ..Default::default()
 //! };
@@ -453,7 +448,7 @@
 //!     let mut dt = DataTamer::new(config.clone());
 //!     dt.run(PipelinePlan::new().structured("listings", &corpus)).expect("seed");
 //!     let delta = dt.consolidate_delta(&[show(100, "Unique7 Show7")]).expect("delta");
-//!     assert!(delta.memo_entries <= 64 && delta.fused_cache_entries <= 32);
+//!     assert_eq!(delta.dirty_clusters, 1);
 //! } // killed here — only the log survives
 //!
 //! // Second life: same log, same corpus seed; the batch replays and the

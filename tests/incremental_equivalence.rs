@@ -7,11 +7,15 @@
 //! The resident state this guards: the scoring context and blocking
 //! indices extend in place, only touched buckets are probed (never
 //! old-vs-old), accepted pairs merge into a persistent union-find, and
-//! fused entities re-resolve only for dirty clusters.
+//! fused entities re-resolve only for dirty clusters — clean ones are
+//! moved over from the previous fused vector, which the reuse-safety tests
+//! at the bottom guard against every way that vector can go stale.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy, CHEAPEST_PRICE, SHOW_NAME};
+use datatamer::core::fusion::{
+    BlockedErConfig, GroupingStrategy, RegistryConfig, ResolverSpec, CHEAPEST_PRICE, SHOW_NAME,
+};
 use datatamer::core::{DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan};
 use datatamer::model::{Record, RecordId, SourceId, Value};
 use proptest::prelude::*;
@@ -33,34 +37,18 @@ fn show(id: u64, name: &str, price: &str) -> Record {
 }
 
 fn config() -> DataTamerConfig {
-    DataTamerConfig {
-        extent_size: 64 * 1024,
-        shards: 2,
-        grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
-            ..Default::default()
-        }),
-        ..Default::default()
-    }
+    config_with(None)
 }
 
-/// `(memo, window, fused-cache)` residency budgets.
-type Budgets = (Option<usize>, Option<usize>, Option<usize>);
-
-/// Like [`config`], but with residency budgets and (optionally) a
-/// persistent delta log.
-fn config_with(budgets: Budgets, delta_log: Option<DeltaLogConfig>) -> DataTamerConfig {
-    let (memo_budget, window_budget, fused_cache_budget) = budgets;
+/// Like [`config`], but (optionally) with a persistent delta log.
+fn config_with(delta_log: Option<DeltaLogConfig>) -> DataTamerConfig {
     DataTamerConfig {
         extent_size: 64 * 1024,
         shards: 2,
         grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
             incremental: true,
-            memo_budget,
-            window_budget,
             ..Default::default()
         }),
-        fused_cache_budget,
         delta_log,
         ..Default::default()
     }
@@ -98,7 +86,11 @@ fn incremental_run(
 
 /// From-scratch run over the whole corpus as one structured source.
 fn full_run(corpus: &[Record]) -> (String, String) {
-    let mut dt = DataTamer::new(config());
+    full_run_with(config(), corpus)
+}
+
+fn full_run_with(config: DataTamerConfig, corpus: &[Record]) -> (String, String) {
+    let mut dt = DataTamer::new(config);
     let mut plan = PipelinePlan::new();
     if !corpus.is_empty() {
         plan = plan.structured("s1", corpus);
@@ -110,14 +102,12 @@ fn full_run(corpus: &[Record]) -> (String, String) {
 /// Seed with `prefix`, consolidate `batches[..kill_after]`, then *drop the
 /// whole system* — the kill. Reopen over the same delta log, reseed from
 /// the same prefix, consolidate the remaining batches, and return the
-/// final fingerprint. Only the log survives the kill; the resident
-/// consolidator, score memo, and fused cache are all lost with the first
-/// instance.
+/// final fingerprint. Only the log survives the kill; the resident session
+/// is lost with the first instance.
 fn restarted_run(
     prefix: &[Record],
     batches: &[&[Record]],
     kill_after: usize,
-    budgets: Budgets,
     compact_after_frames: usize,
 ) -> (String, String) {
     let seq = LOG_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -127,7 +117,7 @@ fn restarted_run(
         path: dir.join("delta.log"),
         compact_after_frames,
     };
-    let cfg = config_with(budgets, Some(log));
+    let cfg = config_with(Some(log));
 
     {
         let mut dt = DataTamer::new(cfg.clone());
@@ -223,16 +213,14 @@ proptest! {
         prop_assert_eq!(reports_wide, reports_serial, "delta reports are thread-count dependent");
     }
 
-    // The PR-7 pin: kill the system at *any* batch boundary, under *any*
-    // residency budget (including zero everywhere), reopen it over the
-    // same delta log — and the final fused output is still byte-identical
-    // to a from-scratch rebuild, at 1 and 8 threads.
+    // The PR-7 pin: kill the system at *any* batch boundary, reopen it
+    // over the same delta log — and the final fused output is still
+    // byte-identical to a from-scratch rebuild, at 1 and 8 threads.
     #[test]
     fn kill_restart_at_any_boundary_matches_a_full_rebuild(
         corpus in corpus_strategy(),
         cut_bytes in prop::collection::vec(any::<u8>(), 1..4),
         kill_byte in any::<u8>(),
-        budget_sel in 0usize..4,
         compact_sel in 0usize..2,
     ) {
         let mut cuts: Vec<usize> = cut_bytes
@@ -248,12 +236,6 @@ proptest! {
         batches.push(&corpus[*cuts.last().unwrap()..]);
         // 0 = killed before any delta landed; len = killed after the last.
         let kill_after = (usize::from(kill_byte) * (batches.len() + 1)) / 256;
-        let budgets: Budgets = [
-            (None, None, None),
-            (Some(0), Some(0), Some(0)),
-            (Some(16), Some(4), Some(8)),
-            (Some(1), None, Some(2)),
-        ][budget_sel];
         // 0 compacts the log after every append; 64 never compacts here.
         let compact_after_frames = [0usize, 64][compact_sel];
 
@@ -261,78 +243,20 @@ proptest! {
         let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
 
         let full = serial.install(|| full_run(&corpus));
-        let rs = serial.install(|| {
-            restarted_run(prefix, &batches, kill_after, budgets, compact_after_frames)
-        });
+        let rs = serial
+            .install(|| restarted_run(prefix, &batches, kill_after, compact_after_frames));
         prop_assert_eq!(
             &rs, &full,
-            "restart-and-replay (serial) diverged from the full rebuild \
-             (kill_after={}, budgets={:?})", kill_after, budgets
+            "restart-and-replay (serial) diverged from the full rebuild (kill_after={})",
+            kill_after
         );
-        let rw = wide.install(|| {
-            restarted_run(prefix, &batches, kill_after, budgets, compact_after_frames)
-        });
+        let rw =
+            wide.install(|| restarted_run(prefix, &batches, kill_after, compact_after_frames));
         prop_assert_eq!(
             &rw, &full,
-            "restart-and-replay (wide) diverged (kill_after={}, budgets={:?})",
-            kill_after, budgets
+            "restart-and-replay (wide) diverged (kill_after={})", kill_after
         );
     }
-}
-
-/// Zero residency budgets everywhere: every counter must fire, occupancy
-/// must pin at zero after every batch, fused output must stay
-/// byte-identical to the unbounded rebuild, and the per-batch reports must
-/// be thread-count independent.
-#[test]
-fn zero_budgets_evict_everything_and_stay_byte_identical() {
-    // One stopword-like token ("common") shared by every record blows the
-    // 256-member bucket cap, so the blocker degrades it and accepted pairs
-    // land in the retractable *window* sets — the state the window budget
-    // governs. The numbered tail tokens pair duplicates up in core blocks.
-    let corpus: Vec<Record> = (0..280)
-        .map(|i| show(i, &format!("common show{:02}", i % 90), "$10"))
-        .collect();
-    let prefix = &corpus[..120];
-    let batches: Vec<&[Record]> = vec![&corpus[120..200], &corpus[200..260], &corpus[260..]];
-
-    let run = |threads: usize| {
-        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        pool.install(|| {
-            let mut dt = DataTamer::new(config_with((Some(0), Some(0), Some(0)), None));
-            dt.run(PipelinePlan::new().structured("s1", prefix)).expect("seed run");
-            let reports: Vec<DeltaReport> = batches
-                .iter()
-                .map(|b| dt.consolidate_delta(b).expect("delta ingest"))
-                .collect();
-            (fingerprint(&dt), reports)
-        })
-    };
-
-    let (fp_serial, reports_serial) = run(1);
-    let (fp_wide, reports_wide) = run(8);
-
-    assert_eq!(fp_serial, full_run(&corpus), "zero budgets changed the fused output");
-    assert_eq!(fp_wide, fp_serial, "zero-budget run is thread-count dependent");
-    assert_eq!(reports_wide, reports_serial, "reports are thread-count dependent");
-
-    for (i, r) in reports_serial.iter().enumerate() {
-        assert_eq!(r.memo_entries, 0, "batch {i} left memo entries: {r:?}");
-        assert_eq!(r.window_entries, 0, "batch {i} left window entries: {r:?}");
-        assert_eq!(r.fused_cache_entries, 0, "batch {i} left cached entities: {r:?}");
-    }
-    assert!(
-        reports_serial.iter().any(|r| r.memo_evicted > 0),
-        "memo eviction never fired: {reports_serial:?}"
-    );
-    assert!(
-        reports_serial.iter().any(|r| r.window_evicted > 0),
-        "window eviction never fired: {reports_serial:?}"
-    );
-    assert!(
-        reports_serial.iter().any(|r| r.fused_cache_evicted > 0),
-        "fused-cache eviction never fired: {reports_serial:?}"
-    );
 }
 
 #[test]
@@ -358,4 +282,151 @@ fn only_dirty_clusters_reresolve() {
     let mut all = corpus.clone();
     all.push(show(100, "Unique7 Show7", "$10"));
     assert_eq!(fingerprint(&dt), full_run(&all));
+}
+
+// ---------------------------------------------------------------------
+// Reuse safety. A delta moves clean clusters' composites out of the
+// context's previous `fused` vector instead of re-resolving them; each
+// test below makes that vector stale (or nearly so) in a different way
+// and checks the result against a from-scratch rebuild at 1 and 8 threads.
+
+/// Run `scenario` on a serial and an 8-wide pool; the two must agree.
+fn at_1_and_8_threads<T: PartialEq + std::fmt::Debug>(scenario: impl Fn() -> T + Sync) -> T {
+    let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
+    let out = serial.install(&scenario);
+    assert_eq!(wide.install(&scenario), out, "scenario is thread-count dependent");
+    out
+}
+
+fn all_changed(dt: &DataTamer) -> bool {
+    dt.context().fused_changed.as_ref().is_some_and(|c| c.iter().all(|&d| d))
+}
+
+#[test]
+fn staged_run_between_deltas_reseeds_and_replays() {
+    let s1: Vec<Record> =
+        (0..12).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
+    let s2: Vec<Record> =
+        (0..6).map(|i| show(50 + i, &format!("Betashow{i} Two{i}"), "$20")).collect();
+    let b1 = vec![show(100, "Alphashow2 One2", "$9")];
+    let b2 = vec![show(101, "Betashow1 Two1", "$20"), show(102, "Alphashow2 One2", "$8")];
+
+    let inc = at_1_and_8_threads(|| {
+        let mut dt = DataTamer::new(config());
+        dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
+        dt.consolidate_delta(&b1).expect("first delta");
+        // The staged run replaces `fused` (revision bumped by the fusion
+        // stage, no dirty set) and grows the corpus behind the session.
+        dt.run(PipelinePlan::new().structured("s2", &s2)).expect("second source");
+        assert!(dt.context().fused_changed.is_none());
+        let d = dt.consolidate_delta(&b2).expect("delta after the run");
+        assert_eq!(d.total_records, 21, "s1 + s2 + the replayed first delta + this one");
+        assert!(all_changed(&dt), "nothing of the staged run's output may be reused");
+        fingerprint(&dt)
+    });
+    let all: Vec<Record> = [s1, s2, b1, b2].concat();
+    assert_eq!(inc, full_run(&all));
+}
+
+#[test]
+fn staged_run_over_the_same_corpus_invalidates_reuse() {
+    // A fresher duplicate at a higher price: the broadway routing keeps
+    // the numeric minimum, `LatestWins` the freshest record's price.
+    let s1: Vec<Record> =
+        (0..12).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
+    let b1 = vec![show(100, "Alphashow2 One2", "$11")];
+    let b2 = vec![show(101, "Alphashow7 One7", "$10")];
+    let all: Vec<Record> = [s1.clone(), b1.clone(), b2.clone()].concat();
+    let latest_wins = RegistryConfig::broadway().with(CHEAPEST_PRICE, ResolverSpec::LatestWins);
+
+    // No new source either way, so the session survives the run — but the
+    // run's `fused` lacks the delta records, and under an override the
+    // session's own composites predate the routing.
+    let mut outputs = Vec::new();
+    for routing in [None, Some(latest_wins)] {
+        let inc = at_1_and_8_threads(|| {
+            let mut dt = DataTamer::new(config());
+            dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
+            dt.consolidate_delta(&b1).expect("first delta");
+            let mut plan = PipelinePlan::new();
+            if let Some(routing) = &routing {
+                plan = plan.resolvers(routing.clone());
+            }
+            dt.run(plan).expect("staged run between the deltas");
+            let d = dt.consolidate_delta(&b2).expect("delta after the run");
+            assert_eq!(d.dirty_clusters, 1, "the consolidator itself was kept: {d:?}");
+            assert!(all_changed(&dt), "no composite in the context may be reused");
+            fingerprint(&dt)
+        });
+        let mut rebuilt = config();
+        if let Some(routing) = routing {
+            rebuilt.fusion_resolvers = routing;
+        }
+        assert_eq!(inc, full_run_with(rebuilt, &all));
+        outputs.push(inc);
+    }
+    assert_ne!(outputs[0], outputs[1], "the routings must disagree for the override to matter");
+}
+
+#[test]
+fn a_failed_log_append_keeps_the_batch_through_a_reseed() {
+    let seq = LOG_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dt_logfail_{}_{seq}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("delta.log");
+    let s1: Vec<Record> =
+        (0..8).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
+    let s2: Vec<Record> =
+        (0..4).map(|i| show(50 + i, &format!("Betashow{i} Two{i}"), "$20")).collect();
+    let [b1, b2, b3] = [100, 101, 102].map(|id| vec![show(id, "Alphashow2 One2", "$10")]);
+
+    let mut dt = DataTamer::new(config_with(Some(DeltaLogConfig::at(&path))));
+    dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
+    dt.consolidate_delta(&b1).expect("logged delta");
+    // Break the log under the session: a directory where the file was.
+    std::fs::remove_file(&path).unwrap();
+    std::fs::create_dir(&path).unwrap();
+    dt.consolidate_delta(&b2).expect_err("the append fails and is reported");
+    assert_eq!(fingerprint(&dt), full_run(&[s1.clone(), b1.clone(), b2.clone()].concat()));
+
+    // The base corpus grows: the reseed must replay both accepted batches,
+    // the one the log never got included, and the frozen log stays quiet.
+    dt.register_structured("s2", &s2).expect("second source");
+    dt.consolidate_delta(&b3).expect("no further appends are attempted");
+    assert_eq!(fingerprint(&dt), full_run(&[s1, s2, b1, b2, b3].concat()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn merging_two_clean_clusters_then_an_empty_delta() {
+    // "Midnight Harbor" and "Harbor Lights" score under the accept
+    // threshold against each other and over it against the bridge, so the
+    // bridge merges two clusters that were both clean until then.
+    let mut corpus: Vec<Record> =
+        (0..10).map(|i| show(i, &format!("Unique{i} Show{i}"), "$10")).collect();
+    corpus.insert(3, show(20, "Midnight Harbor", "$10"));
+    corpus.insert(7, show(21, "Harbor Lights", "$10"));
+    let bridge = vec![show(100, "Midnight Harbor Lights", "$10")];
+
+    let inc = at_1_and_8_threads(|| {
+        let mut dt = DataTamer::new(config());
+        dt.run(PipelinePlan::new().structured("s1", &corpus)).expect("seed run");
+        dt.consolidate_delta(&[]).expect("seeding delta");
+        assert_eq!(dt.context().fused.len(), 12);
+
+        dt.consolidate_delta(&bridge).expect("bridging delta");
+        let changed = dt.context().fused_changed.clone().expect("delta path sets it");
+        assert_eq!(changed.len(), 11, "the later cluster vanished into the earlier one");
+        assert_eq!(changed.iter().filter(|&&d| d).count(), 1, "{changed:?}");
+        let merged = fingerprint(&dt);
+
+        dt.consolidate_delta(&[]).expect("empty delta");
+        let changed = dt.context().fused_changed.clone().expect("delta path sets it");
+        assert!(changed.iter().all(|&d| !d), "{changed:?}");
+        assert_eq!(fingerprint(&dt), merged, "an empty delta moved every composite verbatim");
+        merged
+    });
+    let all: Vec<Record> = [corpus, bridge].concat();
+    assert_eq!(inc, full_run(&all));
 }
