@@ -1,13 +1,14 @@
 //! Query & serving benches: plan cost and serving throughput.
 //!
 //! `query/probe_vs_scan/{4000,12000}` — the same selective predicate
-//! (one GENRE value, 1/40 of the rows) executed three ways over one
-//! snapshot: the planner's hash-probe, a forced columnar scan, and a
-//! forced row-at-a-time full scan. The probe touches only the posting
-//! list, so its cell should be roughly flat across corpus sizes while
-//! both scans grow linearly — that separation is the reason the index
-//! layer exists. All three produce byte-identical results (pinned in
-//! `tests/query_oracle.rs`); these cells price the equivalence.
+//! (one genre value, 1/40 of the rows) executed twice over one snapshot
+//! through `execute`: on the hash-indexed `GENRE` the planner probes, and
+//! on `GENRE_UNINDEXED` (an unindexed copy of the same values) it scans.
+//! The probe touches only the posting list, so its cell should be roughly
+//! flat across corpus sizes while the scan grows linearly — that
+//! separation is the reason the index layer exists. Both produce the same
+//! result (every plan is pinned to the oracle in `tests/query_oracle.rs`);
+//! these cells price the equivalence.
 //!
 //! `query/qps/{1,4,8}` — loopback HTTP round-trips per second with 1, 4,
 //! and 8 concurrent client threads, while a background ingest thread
@@ -27,10 +28,11 @@ use datatamer_core::fusion::FusedEntity;
 use datatamer_model::{Record, RecordId, SourceId, Value};
 use datatamer_query::http::{QueryServer, ServerConfig, SharedViews};
 use datatamer_query::view::IndexSpec;
-use datatamer_query::{Aggregate, CollectionSnapshot, Predicate, Query, ScanMode};
+use datatamer_query::{Aggregate, CollectionSnapshot, PlanKind, Predicate, Query};
 
 /// Synthetic fused entities with a 40-way categorical attribute (probe
-/// target), a numeric attribute, and a short text attribute.
+/// target) and its unindexed copy (scan target), a numeric attribute, and
+/// a short text attribute.
 fn entities(n: usize) -> Vec<FusedEntity> {
     (0..n)
         .map(|i| FusedEntity {
@@ -40,6 +42,7 @@ fn entities(n: usize) -> Vec<FusedEntity> {
                 RecordId(i as u64),
                 vec![
                     ("GENRE", Value::from(format!("g{}", i % 40))),
+                    ("GENRE_UNINDEXED", Value::from(format!("g{}", i % 40))),
                     ("PRICE", Value::Int((i % 97) as i64)),
                     ("NAME", Value::from(format!("show number {i}"))),
                 ],
@@ -57,18 +60,19 @@ fn spec() -> IndexSpec {
 fn bench_probe_vs_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("query/probe_vs_scan");
     group.sample_size(10);
-    let q = Query::filtered(Predicate::Eq("GENRE".into(), Value::from("g17")))
-        .aggregate(Aggregate::Count);
+    let count_g17 = |attr: &str| {
+        Query::filtered(Predicate::Eq(attr.into(), Value::from("g17"))).aggregate(Aggregate::Count)
+    };
     for &n in &[4000usize, 12000] {
         let snap = CollectionSnapshot::from_entities(entities(n), spec());
         group.throughput(Throughput::Elements(n as u64));
-        for (label, mode) in [
-            ("probe", ScanMode::Auto),
-            ("columnar", ScanMode::Columnar),
-            ("full_scan", ScanMode::FullScan),
+        for (label, q, plan) in [
+            ("probe", count_g17("GENRE"), PlanKind::HashProbe),
+            ("full_scan", count_g17("GENRE_UNINDEXED"), PlanKind::FullScan),
         ] {
+            assert_eq!(snap.execute(&q).plan, plan, "{label} cell must run its plan");
             group.bench_with_input(BenchmarkId::new(label, n), &snap, |b, snap| {
-                b.iter(|| black_box(snap.execute_as(&q, mode).result))
+                b.iter(|| black_box(snap.execute(&q).result))
             });
         }
     }

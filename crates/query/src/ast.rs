@@ -1,14 +1,13 @@
 //! The typed query AST: predicates, aggregates, and the [`Query`] struct.
 //!
-//! One predicate language serves every execution surface — index probes,
-//! columnar scans and full entity scans — so a query means the same thing
-//! no matter which plan runs it. Equality and ordering are *canonical*: values compare by
-//! [`Value::total_cmp`], so `Int(3)` matches `Eq(attr, Float(3.0))` and
-//! NaN equals itself, exactly the semantics the index keys
-//! ([`crate::key::AttrKey`]) use — an index probe can therefore never
-//! return fewer rows than the predicate accepts. Ordering predicates only
-//! match within a type family (numbers, strings, booleans), mirroring the
-//! storage engine's filter semantics.
+//! One predicate language serves every execution surface — index probes
+//! and full entity scans — so a query means the same thing no matter
+//! which plan runs it. Equality and ordering are *canonical*: values
+//! compare by [`Value::total_cmp`], so `Int(3)` matches
+//! `Eq(attr, Float(3.0))` and NaN equals itself, exactly the semantics the
+//! index keys ([`crate::key::AttrKey`]) use — an index probe can therefore
+//! never return fewer rows than the predicate accepts. Ordering predicates
+//! only match within a type family (numbers, strings, booleans).
 
 use datatamer_core::fusion::FusedEntity;
 use datatamer_model::{Document, Value};
@@ -52,7 +51,7 @@ pub enum Predicate {
     Not(Box<Predicate>),
 }
 
-/// A source of attribute values: fused entities, documents, columnar rows.
+/// A source of attribute values: fused entities and documents.
 ///
 /// `attr_values` pushes every value reachable at `attr` — array values
 /// contribute each element (multikey), scalars contribute themselves.
@@ -61,9 +60,9 @@ pub trait AttrSource {
     fn attr_values(&self, attr: &str, out: &mut Vec<Value>);
 }
 
-/// Flatten one level of arrays into leaf values, matching the storage
-/// engine's multikey semantics.
-pub fn push_leaves(v: &Value, out: &mut Vec<Value>) {
+/// Flatten one level of arrays into leaf values (multikey semantics, as
+/// the storage engine's secondary indexes extract keys).
+fn push_leaves(v: &Value, out: &mut Vec<Value>) {
     match v {
         Value::Array(items) => out.extend(items.iter().cloned()),
         other => out.push(other.clone()),
@@ -90,7 +89,7 @@ impl AttrSource for FusedEntity {
 
 impl AttrSource for Document {
     /// Dotted-path, multikey resolution matching the storage engine's
-    /// filter semantics: `a.b` descends nested documents, arrays are
+    /// index-key extraction: `a.b` descends nested documents, arrays are
     /// traversed element-wise (with numeric segments as positional
     /// indexes), and a terminal array contributes each element.
     fn attr_values(&self, attr: &str, out: &mut Vec<Value>) {

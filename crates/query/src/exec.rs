@@ -1,12 +1,11 @@
 //! Query planning and execution over an immutable collection snapshot.
 //!
-//! The planner picks, in order: a **hash probe** (an equality/`In`
-//! conjunct on a hash-indexed attribute), an **ordered probe** (a
-//! comparison conjunct on an ordered-indexed attribute), or a
-//! **columnar scan**; [`ScanMode`] can force the scan paths. Probes only
-//! ever produce a candidate *superset* — every candidate is re-checked
-//! against the full predicate — so plan choice can change work done but
-//! never results.
+//! The planner picks from the predicate alone, in order: a **hash probe**
+//! (an equality/`In` conjunct on a hash-indexed attribute), an **ordered
+//! probe** (a comparison conjunct on an ordered-indexed attribute), or a
+//! **full scan** over the fused entities. Probes only ever produce a
+//! candidate *superset* — every candidate is re-checked against the full
+//! predicate — so plan choice can change work done but never results.
 //!
 //! Determinism: scans fan out with rayon over row ranges (the shim's
 //! order-preserving fork-join keeps positions ascending), while
@@ -27,20 +26,8 @@ use crate::ast::{
     Aggregate, AttrSource, Order, Predicate, Query, QueryResult, Row, CONFIDENCE_ATTR, KEY_ATTR,
     MEMBERS_ATTR,
 };
-use crate::columnar::Columnar;
 use crate::index::{EntityIndexes, IndexMaintenance};
 use crate::key::AttrKey;
-
-/// How [`CollectionSnapshot::execute_as`] is allowed to plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Planner's choice: index probe when possible, else columnar scan.
-    Auto,
-    /// Force a columnar scan (no index probes).
-    Columnar,
-    /// Force a full scan over the fused entities themselves.
-    FullScan,
-}
 
 /// Which plan actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +36,9 @@ pub enum PlanKind {
     HashProbe,
     /// Candidates from an ordered-index range probe.
     OrderedProbe,
-    /// Row-parallel scan over the columnar projection.
+    /// No longer produced: snapshots carry no columnar projection. Kept
+    /// so consumers that enumerate every plan name keep compiling (and
+    /// report a zero share for it).
     ColumnarScan,
     /// Row-parallel scan over the fused entities.
     FullScan,
@@ -91,9 +80,9 @@ pub struct SnapshotStats {
     pub counters: Vec<(String, u64)>,
 }
 
-/// An immutable, query-ready copy of a collection: entities + secondary
-/// indexes + columnar projection. Cheap to share behind an `Arc`; readers
-/// never block ingest.
+/// An immutable, query-ready copy of a collection: entities + their
+/// cluster ids + secondary indexes. Cheap to share behind an `Arc`;
+/// readers never block ingest.
 #[derive(Debug, Clone)]
 pub struct CollectionSnapshot {
     entities: Vec<FusedEntity>,
@@ -101,12 +90,11 @@ pub struct CollectionSnapshot {
     /// cluster id → row position; probed only, never iterated.
     pos: HashMap<usize, u32, FnvBuildHasher>,
     indexes: EntityIndexes,
-    columns: Columnar,
     stats: SnapshotStats,
 }
 
 impl CollectionSnapshot {
-    /// Assemble from view parts, building the columnar projection.
+    /// Assemble from view parts.
     pub(crate) fn assemble(
         entities: Vec<FusedEntity>,
         cluster_ids: Vec<usize>,
@@ -114,8 +102,7 @@ impl CollectionSnapshot {
         indexes: EntityIndexes,
         stats: SnapshotStats,
     ) -> Self {
-        let columns = Columnar::build(&entities);
-        CollectionSnapshot { entities, cluster_ids, pos, indexes, columns, stats }
+        CollectionSnapshot { entities, cluster_ids, pos, indexes, stats }
     }
 
     /// A snapshot straight from entities, with default point-lookup
@@ -143,11 +130,6 @@ impl CollectionSnapshot {
         &self.indexes
     }
 
-    /// The columnar projection.
-    pub fn columnar(&self) -> &Columnar {
-        &self.columns
-    }
-
     /// Snapshot stats.
     pub fn stats(&self) -> &SnapshotStats {
         &self.stats
@@ -169,16 +151,26 @@ impl CollectionSnapshot {
         self.entities.iter().find(|e| e.key == key)
     }
 
-    /// Execute with the planner free to probe indexes.
+    /// Plan and run `q`: an index probe when a conjunct allows one, else
+    /// a row-parallel full scan.
     pub fn execute(&self, q: &Query) -> Executed {
-        self.execute_as(q, ScanMode::Auto)
-    }
-
-    /// Execute under an explicit scan mode.
-    pub fn execute_as(&self, q: &Query, mode: ScanMode) -> Executed {
-        let n = self.entities.len();
-        match mode {
-            ScanMode::FullScan => {
+        match self.plan_probe(&q.filter) {
+            Some((plan, cids)) => {
+                // Translate stable cluster ids to row positions, then
+                // re-check the full predicate in ascending row order.
+                let mut rows: Vec<usize> = cids
+                    .iter()
+                    .filter_map(|cid| self.pos.get(cid))
+                    .map(|&r| r as usize)
+                    .collect();
+                rows.sort_unstable();
+                rows.dedup();
+                let candidates = rows.len();
+                rows.retain(|&i| q.filter.matches(&self.entities[i]));
+                Executed { result: finish(q, &rows, &self.entities), plan, candidates }
+            }
+            None => {
+                let n = self.entities.len();
                 let positions: Vec<usize> = (0..n)
                     .into_par_iter()
                     .filter(|&i| q.filter.matches(&self.entities[i]))
@@ -189,36 +181,6 @@ impl CollectionSnapshot {
                     candidates: n,
                 }
             }
-            ScanMode::Columnar => self.columnar_scan(q, n),
-            ScanMode::Auto => match self.plan_probe(&q.filter) {
-                Some((plan, cids)) => {
-                    // Translate stable cluster ids to row positions, then
-                    // re-check the full predicate in ascending row order.
-                    let mut rows: Vec<usize> = cids
-                        .iter()
-                        .filter_map(|cid| self.pos.get(cid))
-                        .map(|&r| r as usize)
-                        .collect();
-                    rows.sort_unstable();
-                    rows.dedup();
-                    let candidates = rows.len();
-                    rows.retain(|&i| q.filter.matches(&self.entities[i]));
-                    Executed { result: finish(q, &rows, &self.entities), plan, candidates }
-                }
-                None => self.columnar_scan(q, n),
-            },
-        }
-    }
-
-    fn columnar_scan(&self, q: &Query, n: usize) -> Executed {
-        let positions: Vec<usize> = (0..n)
-            .into_par_iter()
-            .filter(|&i| q.filter.matches(&self.columns.row(i)))
-            .collect();
-        Executed {
-            result: finish(q, &positions, &self.entities),
-            plan: PlanKind::ColumnarScan,
-            candidates: n,
         }
     }
 
@@ -464,15 +426,11 @@ mod tests {
     fn plans_agree_and_probe_is_used() {
         let s = snap();
         let q = Query::filtered(Predicate::Eq("KIND".into(), "musical".into()));
-        let auto = s.execute(&q);
-        assert_eq!(auto.plan, PlanKind::HashProbe);
-        assert_eq!(auto.candidates, 2);
-        let col = s.execute_as(&q, ScanMode::Columnar);
-        let full = s.execute_as(&q, ScanMode::FullScan);
+        let probe = s.execute(&q);
+        assert_eq!(probe.plan, PlanKind::HashProbe);
+        assert_eq!(probe.candidates, 2);
         let oracle = execute_oracle(s.entities(), &q);
-        assert_eq!(auto.result, oracle);
-        assert_eq!(col.result, oracle);
-        assert_eq!(full.result, oracle);
+        assert_eq!(probe.result, oracle);
         assert_eq!(rows_keys(&oracle), vec!["a", "c"]);
     }
 
@@ -519,11 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_filters_fall_back_to_columnar() {
+    fn unindexed_filters_fall_back_to_full_scan() {
         let s = snap();
         let q = Query::filtered(Predicate::Contains("KIND".into(), "usic".into()));
         let run = s.execute(&q);
-        assert_eq!(run.plan, PlanKind::ColumnarScan);
+        assert_eq!(run.plan, PlanKind::FullScan);
+        assert_eq!(run.candidates, s.entities().len());
         assert_eq!(run.result, execute_oracle(s.entities(), &q));
     }
 }

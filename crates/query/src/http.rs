@@ -20,9 +20,9 @@
 //! ops `>=` `<=` `!=` `==` `=` `~=` (contains) `>` `<`, plus `has:attr`),
 //! `project` (comma-separated attrs), `order` (`attr` or `attr:desc`),
 //! `limit`, `agg` (`count` | `sum:attr` | `min:attr` | `max:attr` |
-//! `group:attr`), `mode` (`auto` | `columnar` | `full`). Values parse as
-//! JSON-ish scalars (`null`, booleans, numbers, else strings; quotes
-//! optional). Responses are `application/json`, rendered with a
+//! `group:attr`); any other parameter is a 400 — the planner alone picks
+//! probe vs scan. Values parse as JSON-ish scalars (`null`, booleans,
+//! numbers, else strings; quotes optional). Responses are `application/json`, rendered with a
 //! deterministic serializer so equal results are byte-equal bodies.
 
 use parking_lot::{Mutex, RwLock};
@@ -36,7 +36,7 @@ use std::time::Duration;
 use datatamer_model::Value;
 
 use crate::ast::{Aggregate, Order, Predicate, Query, QueryResult};
-use crate::exec::{CollectionSnapshot, ScanMode};
+use crate::exec::CollectionSnapshot;
 
 /// Tunables for [`QueryServer`].
 #[derive(Debug, Clone)]
@@ -228,8 +228,8 @@ fn route(target: &str, views: &SharedViews) -> Vec<u8> {
                     None => error_response(404, &format!("no entity {key:?}")),
                 },
                 [q] if q == "query" => match parse_query(query_string) {
-                    Ok((query, mode)) => {
-                        let run = snap.execute_as(&query, mode);
+                    Ok(query) => {
+                        let run = snap.execute(&query);
                         ok_response(&render_result(&run.result, run.plan.name(), run.candidates))
                     }
                     Err(e) => error_response(400, &e),
@@ -341,9 +341,8 @@ fn parse_clause(clause: &str) -> Result<Predicate, String> {
     Err(format!("no operator in clause {c:?}"))
 }
 
-fn parse_query(qs: &str) -> Result<(Query, ScanMode), String> {
+fn parse_query(qs: &str) -> Result<Query, String> {
     let mut q = Query::default();
-    let mut mode = ScanMode::Auto;
     for (k, v) in query_params(qs) {
         match k.as_str() {
             "where" => {
@@ -387,18 +386,10 @@ fn parse_query(qs: &str) -> Result<(Query, ScanMode), String> {
                     _ => return Err(format!("bad agg {v:?}")),
                 });
             }
-            "mode" => {
-                mode = match v.as_str() {
-                    "auto" => ScanMode::Auto,
-                    "columnar" => ScanMode::Columnar,
-                    "full" => ScanMode::FullScan,
-                    other => return Err(format!("bad mode {other:?}")),
-                };
-            }
             other => return Err(format!("unknown parameter {other:?}")),
         }
     }
-    Ok((q, mode))
+    Ok(q)
 }
 
 // -------------------------------------------------------------- rendering
@@ -583,9 +574,7 @@ mod tests {
 
     #[test]
     fn query_string_parsing() {
-        let (q, mode) =
-            parse_query("where=PRICE>10,KIND=play&order=PRICE:desc&limit=3&mode=columnar")
-                .unwrap();
+        let q = parse_query("where=PRICE>10,KIND=play&order=PRICE:desc&limit=3").unwrap();
         assert_eq!(
             q.filter,
             Predicate::And(vec![
@@ -595,10 +584,25 @@ mod tests {
         );
         assert_eq!(q.order_by, Some(("PRICE".to_string(), Order::Desc)));
         assert_eq!(q.limit, Some(3));
-        assert_eq!(mode, ScanMode::Columnar);
         assert!(parse_query("nope=1").is_err());
-        let (q, _) = parse_query("agg=group:KIND").unwrap();
+        let q = parse_query("agg=group:KIND").unwrap();
         assert_eq!(q.aggregate, Some(Aggregate::GroupBy("KIND".into())));
+
+        // The planner alone chooses the plan: the old scan-mode override is
+        // an unknown parameter like any other.
+        let views = SharedViews::new();
+        views.publish(
+            "c",
+            CollectionSnapshot::from_entities(Vec::new(), crate::view::IndexSpec::default()),
+        );
+        for mode in ["columnar", "full"] {
+            let qs = format!("where=KIND=play&mode={mode}");
+            assert!(parse_query(&qs).is_err());
+            let resp = route(&format!("/collections/c/query?{qs}"), &views);
+            assert!(resp.starts_with(b"HTTP/1.1 400 "), "mode={mode} must be rejected");
+        }
+        let ok = route("/collections/c/query?where=KIND=play", &views);
+        assert!(ok.starts_with(b"HTTP/1.1 200 "));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Two flavours share the [`AttrKey`] canonical key:
 //!
-//! * [`HashIndex`] — equality probes. Postings live in insertion-ordered
-//!   slots (a `HashMap` only *locates* the slot, it is never iterated),
-//!   so index contents and iteration order are byte-deterministic.
+//! * [`HashIndex`] — equality probes. A `HashMap` from key to sorted
+//!   postings that is only ever probed, never iterated, so nothing
+//!   observable depends on its order; keys whose postings empty are
+//!   dropped rather than kept as tombstones.
 //! * [`OrderedIndex`] — `BTreeMap`-backed range probes in `total_cmp`
 //!   key order.
 //!
@@ -63,50 +64,42 @@ impl IndexMaintenance {
 /// Equality index: key → sorted cluster-id postings.
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
-    /// Locates the slot for a key; never iterated.
-    map: HashMap<AttrKey, u32, FnvBuildHasher>,
-    /// `(key, postings)` in first-insertion order; postings sorted.
-    /// Emptied slots stay as tombstones to keep slot ids stable.
-    slots: Vec<(AttrKey, Vec<usize>)>,
+    /// Only live keys: a key whose postings empty is removed. Probed,
+    /// never iterated.
+    map: HashMap<AttrKey, Vec<usize>, FnvBuildHasher>,
 }
 
 impl HashIndex {
     fn insert(&mut self, key: AttrKey, cid: usize) {
-        let slot = match self.map.get(&key) {
-            Some(&i) => i as usize,
-            None => {
-                let i = self.slots.len();
-                self.map.insert(key.clone(), i as u32);
-                self.slots.push((key, Vec::new()));
-                i
-            }
-        };
-        let postings = &mut self.slots[slot].1;
+        let postings = self.map.entry(key).or_default();
         if let Err(pos) = postings.binary_search(&cid) {
             postings.insert(pos, cid);
         }
     }
 
     fn remove(&mut self, key: &AttrKey, cid: usize) {
-        if let Some(&i) = self.map.get(key) {
-            let postings = &mut self.slots[i as usize].1;
-            if let Ok(pos) = postings.binary_search(&cid) {
-                postings.remove(pos);
+        let emptied = match self.map.get_mut(key) {
+            Some(postings) => {
+                if let Ok(pos) = postings.binary_search(&cid) {
+                    postings.remove(pos);
+                }
+                postings.is_empty()
             }
+            None => false,
+        };
+        if emptied {
+            self.map.remove(key);
         }
     }
 
     /// Sorted cluster ids equal to `key` (empty when unseen).
     pub fn lookup(&self, key: &Value) -> &[usize] {
-        match self.map.get(&AttrKey(key.clone())) {
-            Some(&i) => &self.slots[i as usize].1,
-            None => &[],
-        }
+        self.map.get(&AttrKey(key.clone())).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct live keys.
     pub fn keys(&self) -> usize {
-        self.slots.iter().filter(|(_, p)| !p.is_empty()).count()
+        self.map.len()
     }
 }
 
@@ -354,6 +347,7 @@ mod tests {
         ix.insert_cluster(3, &entity("a2", 99));
         assert!(ix.hash_index("_key").unwrap().lookup(&Value::from("a")).is_empty());
         assert_eq!(ix.hash_index("_key").unwrap().lookup(&Value::from("a2")), &[3]);
+        assert_eq!(ix.hash_index("_key").unwrap().keys(), 1, "emptied key is dropped");
         let all = ix
             .ordered_index("PRICE")
             .unwrap()

@@ -3,7 +3,7 @@
 //! Everything before this crate *produces* the consolidated view — the
 //! staged pipeline ingests, deduplicates, and fuses records into a
 //! `Vec<FusedEntity>`. This crate is what makes that view a served
-//! artifact rather than something callers scan by hand, in four layers:
+//! artifact rather than something callers scan by hand, in three layers:
 //!
 //! 1. **Secondary indexes** ([`index`]) — a hash index for equality and a
 //!    `BTreeMap`-backed ordered index for ranges, over any entity
@@ -15,17 +15,15 @@
 //!    `consolidate_delta`'s dirty-cluster set — counters on
 //!    [`index::IndexMaintenance`] prove no full rebuilds happen during
 //!    delta ingest.
-//! 2. **Columnar projection** ([`columnar`]) — per-attribute typed vectors
-//!    with presence bitmaps and `TokenInterner`-backed string
-//!    dictionaries, for analytic scans that never touch whole entities.
-//! 3. **Typed query AST + planner** ([`ast`], [`exec`]) — `Query { filter,
-//!    project, aggregate, order_by, limit }`, planned into a hash probe,
-//!    ordered probe, or columnar scan, executed with rayon. Every plan
-//!    funnels through one shared result-shaping routine which is also the
-//!    whole body of [`exec::execute_oracle`], so planned results are
-//!    byte-identical to the naive full scan at any thread count — pinned
-//!    by proptest in `tests/query_oracle.rs`.
-//! 4. **HTTP/1.1 front end** ([`http`]) — hand-rolled request parsing on
+//! 2. **Typed query AST + planner** ([`ast`], [`exec`]) — `Query { filter,
+//!    project, aggregate, order_by, limit }`, planned from the predicate
+//!    alone into a hash probe, ordered probe, or row-parallel full scan
+//!    over the entities. Every plan funnels through one shared
+//!    result-shaping routine which is also the whole body of
+//!    [`exec::execute_oracle`], so planned results are byte-identical to
+//!    the naive sequential scan at any thread count — pinned by proptest
+//!    in `tests/query_oracle.rs`.
+//! 3. **HTTP/1.1 front end** ([`http`]) — hand-rolled request parsing on
 //!    `std::net::TcpListener` (no registry deps), a bounded worker pool,
 //!    and per-collection routes for point lookup, query, and stats.
 //!    Ingest publishes immutable snapshots through [`http::SharedViews`]
@@ -67,7 +65,6 @@
 //! ```
 
 pub mod ast;
-pub mod columnar;
 pub mod exec;
 pub mod http;
 pub mod index;
@@ -78,8 +75,7 @@ pub use ast::{
     Aggregate, AttrSource, Order, Predicate, Query, QueryResult, Row, CONFIDENCE_ATTR, KEY_ATTR,
     MEMBERS_ATTR,
 };
-pub use columnar::{Column, ColumnData, Columnar};
-pub use exec::{execute_oracle, CollectionSnapshot, Executed, PlanKind, ScanMode, SnapshotStats};
+pub use exec::{execute_oracle, CollectionSnapshot, Executed, PlanKind, SnapshotStats};
 pub use http::{QueryServer, ServerConfig, SharedViews};
 pub use index::{EntityIndexes, HashIndex, IndexMaintenance, OrderedIndex};
 pub use key::AttrKey;
@@ -88,7 +84,7 @@ pub use view::{CollectionView, IndexSpec};
 /// One-line import for the common query surface.
 pub mod prelude {
     pub use crate::ast::{Aggregate, Order, Predicate, Query, QueryResult, Row};
-    pub use crate::exec::{execute_oracle, CollectionSnapshot, PlanKind, ScanMode};
+    pub use crate::exec::{execute_oracle, CollectionSnapshot, PlanKind};
     pub use crate::http::{QueryServer, ServerConfig, SharedViews};
     pub use crate::view::{CollectionView, IndexSpec};
 }

@@ -103,25 +103,15 @@ pub trait ShardBackend: Send + Sync {
         encoded.iter().map(|e| self.append(e)).collect()
     }
 
-    /// Decode the live document at `(extent, slot)`, if any. Point reads
-    /// deliberately fold "not live" and "unreadable" into `None` (the
-    /// lookup contract callers already hold); bulk reads ([`Self::visit`])
-    /// surface I/O failure as an error instead, because a silent skip
-    /// there would drop whole extents from scan output.
-    fn get(&self, extent: u32, slot: u32) -> Option<Document>;
+    /// Decode the live document at `(extent, slot)`. `Ok(None)` strictly
+    /// means "no live document there"; an unreadable extent is an error,
+    /// exactly as for bulk reads ([`Self::visit`]) — a `None` would hide a
+    /// lost extent behind "deleted".
+    fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>>;
 
-    /// Like [`Self::get`], but an unreadable extent is an error instead of
-    /// `None`: `Ok(None)` strictly means "not live". Query paths use this
-    /// so index probes cannot silently drop documents whose extent failed
-    /// to read. The default suits fully resident backends, where reads
-    /// cannot fail.
-    fn try_get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
-        Ok(self.get(extent, slot))
-    }
-
-    /// Tombstone `(extent, slot)`; returns the document when it was live
-    /// (same `None` folding as [`Self::get`] on the read side). A failed
-    /// tombstone *write-back* is an error — swallowing it would leave the
+    /// Tombstone `(extent, slot)`; returns the document when it was live.
+    /// Like [`Self::get`], an unreadable extent is an error, and so is a
+    /// failed tombstone *write-back* — swallowing it would leave the
     /// caller's count/indexes agreeing with neither the old nor the new
     /// on-disk state, and aborting the process (the old behaviour) turns
     /// one torn extent into an outage.
@@ -285,10 +275,10 @@ impl ShardBackend for MemoryBackend {
             .collect())
     }
 
-    fn get(&self, extent: u32, slot: u32) -> Option<Document> {
+    fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
         let extents = self.extents.read();
-        let slot_read = extents.get(extent as usize)?.get(slot);
-        fold_decode(&self.decode_errors, slot_read)
+        let Some(e) = extents.get(extent as usize) else { return Ok(None) };
+        Ok(fold_decode(&self.decode_errors, e.get(slot)))
     }
 
     fn delete(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
@@ -415,15 +405,16 @@ pub struct FileBackend {
 
 impl FileBackend {
     /// Open (or create) a file-backed shard at `dir` with the default
-    /// extent-cache budget ([`DEFAULT_EXTENT_CACHE_BUDGET`] — see
-    /// [`FileBackend::open_with_cache`] to choose one). An existing chain —
-    /// `ext000000`, `ext000001`, … — is adopted: all extents start flushed
-    /// and the tail is re-loaded on the first append. Each flushed extent
-    /// carries a small `.meta` sidecar (data length + live/used/capacity),
-    /// so adoption reads O(extent count) bytes, not the whole collection;
-    /// a missing, corrupt, or length-mismatched sidecar falls back to
-    /// decoding that one extent (see [`read_meta_sidecar`] for the one
-    /// crash window the length check cannot cover).
+    /// extent-cache budget ([`crate::cache::DEFAULT_EXTENT_CACHE_BUDGET`] —
+    /// see [`FileBackend::open_with_cache`] to choose one). An existing
+    /// chain — `ext000000`, `ext000001`, … — is adopted: all extents start
+    /// flushed and the tail is re-loaded on the first append. Each flushed
+    /// extent carries a small `.meta` sidecar (data length +
+    /// live/used/capacity), so adoption reads O(extent count) bytes, not
+    /// the whole collection; a missing, corrupt, or length-mismatched
+    /// sidecar falls back to decoding that one extent (the private
+    /// `read_meta_sidecar` documents the one crash window the length check
+    /// cannot cover).
     pub fn open(dir: impl Into<PathBuf>, extent_size: usize) -> Result<Self> {
         Self::open_with_cache(dir, extent_size, Some(crate::cache::DEFAULT_EXTENT_CACHE_BUDGET))
     }
@@ -657,30 +648,17 @@ impl ShardBackend for FileBackend {
         encoded.iter().map(|e| self.append_locked(&mut slots, e)).collect()
     }
 
-    fn get(&self, extent: u32, slot: u32) -> Option<Document> {
-        let slots = self.slots.read();
-        match slots.get(extent as usize)? {
-            ExtentSlot::Loaded(e) => fold_decode(&self.decode_errors, e.get(slot)),
-            ExtentSlot::Flushed(_) => {
-                // Through the cache: a warm extent makes this a map probe
-                // instead of a whole-extent decode; a cold one loads once
-                // and stays resident for the next same-extent read.
-                let shared = self.cached_extent(extent).ok()?;
-                fold_decode(&self.decode_errors, shared.get(slot))
-            }
-        }
-    }
-
-    fn try_get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
+    fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
         let slots = self.slots.read();
         match slots.get(extent as usize) {
             None => Ok(None),
-            Some(ExtentSlot::Loaded(e)) => {
-                Ok(fold_decode(&self.decode_errors, e.get(slot)))
-            }
+            Some(ExtentSlot::Loaded(e)) => Ok(fold_decode(&self.decode_errors, e.get(slot))),
             Some(ExtentSlot::Flushed(_)) => {
-                // Unlike `get`, an unreadable extent propagates: the query
-                // layer must distinguish "tombstoned" from "lost an extent".
+                // Through the cache: a warm extent makes this a map probe
+                // instead of a whole-extent decode; a cold one loads once
+                // and stays resident for the next same-extent read. An
+                // unreadable extent propagates: "tombstoned" and "lost an
+                // extent" must stay distinguishable.
                 let shared = self.cached_extent(extent)?;
                 Ok(fold_decode(&self.decode_errors, shared.get(slot)))
             }
@@ -700,13 +678,13 @@ impl ShardBackend for FileBackend {
             }
             Some(ExtentSlot::Flushed(_)) => {
                 // Read-modify-write: the tombstone must reach the file, or
-                // a reopen would resurrect the document. The read side
-                // folds "unreadable" into `None` like `get`; the
-                // write-back surfaces its error — swallowing it would
-                // leave the caller's count/indexes agreeing with neither
-                // the old nor the new on-disk state. The cached copy is
-                // replaced in place so cache and file never disagree.
-                let Ok(shared) = self.cached_extent(extent) else { return Ok(None) };
+                // a reopen would resurrect the document. Both an
+                // unreadable extent (like `get`) and a failed write-back
+                // surface as errors — swallowing either would leave the
+                // caller's count/indexes agreeing with neither the old nor
+                // the new on-disk state. The cached copy is replaced in
+                // place so cache and file never disagree.
+                let shared = self.cached_extent(extent)?;
                 let Some(doc) = fold_decode(&self.decode_errors, shared.get(slot)) else {
                     return Ok(None);
                 };
@@ -973,7 +951,7 @@ mod tests {
         file.sync().unwrap();
         let reopened = FileBackend::open(&dir, 96).unwrap();
         assert_eq!(reopened.len(), 8, "tombstones survive reopen");
-        assert!(reopened.get(fe, fs_).is_none());
+        assert!(reopened.get(fe, fs_).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1093,7 +1071,7 @@ mod tests {
         assert!(first_extent.len() > 1, "need several docs in extent 0");
         for _ in 0..5 {
             for (e, s) in &first_extent {
-                assert!(file.get(*e, *s).is_some());
+                assert!(file.get(*e, *s).unwrap().is_some());
             }
         }
         assert_eq!(
@@ -1104,7 +1082,7 @@ mod tests {
         // Reads spanning every extent still load each at most once.
         for _ in 0..3 {
             for (e, s) in &spots {
-                assert!(file.get(*e, *s).is_some());
+                assert!(file.get(*e, *s).unwrap().is_some());
             }
         }
         assert_eq!(

@@ -36,7 +36,7 @@
 //!
 //! * **Plan-time resolution.** A scan resolves every extent's hit-or-miss
 //!   under one lock, in extent order, *before* fanning out
-//!   ([`ExtentCache::plan_scan`]); hits are pinned (`Arc` cloned) so
+//!   (the crate-private `ExtentCache::plan_scan`); hits are pinned (`Arc` cloned) so
 //!   mid-scan eviction cannot retroactively turn a planned hit into a
 //!   load.
 //! * **Pre-assigned stamps.** Recency stamps are drawn from a monotone

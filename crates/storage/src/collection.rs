@@ -217,20 +217,16 @@ impl Collection {
         Ok(ids)
     }
 
-    /// Fetch a document by id.
-    pub fn get(&self, id: DocId) -> Option<Document> {
+    /// Fetch a document by id. `Ok(None)` strictly means "no live
+    /// document at that id"; an unreadable extent is the error, so a
+    /// lookup cannot silently drop a document on a torn extent.
+    pub fn get(&self, id: DocId) -> Result<Option<Document>> {
         self.coordinator.get(id)
     }
 
-    /// Fetch a document by id, surfacing unreadable extents as errors
-    /// instead of folding them into `None`. Query execution uses this so
-    /// an index probe cannot silently drop documents on a torn extent.
-    pub fn try_get(&self, id: DocId) -> Result<Option<Document>> {
-        self.coordinator.try_get(id)
-    }
-
-    /// Delete a document by id. Returns whether it was live; a failed
-    /// tombstone write-back on a file shard is the error.
+    /// Delete a document by id. Returns whether it was live; an
+    /// unreadable extent or a failed tombstone write-back on a file shard
+    /// is the error.
     pub fn delete(&self, id: DocId) -> Result<bool> {
         let Some(doc) = self.coordinator.delete(id)? else {
             return Ok(false);
@@ -427,9 +423,9 @@ mod tests {
         let c = small();
         let d = doc! {"show" => "Matilda", "price" => 27i64};
         let id = c.insert(&d).unwrap();
-        assert_eq!(c.get(id), Some(d));
+        assert_eq!(c.get(id).unwrap(), Some(d));
         assert_eq!(c.len(), 1);
-        assert!(c.get(DocId::pack(0, 9, 9)).is_none());
+        assert!(c.get(DocId::pack(0, 9, 9)).unwrap().is_none());
     }
 
     #[test]
@@ -452,7 +448,7 @@ mod tests {
         assert!(c.delete(id).unwrap());
         assert!(!c.delete(id).unwrap());
         assert_eq!(c.len(), 0);
-        assert!(c.get(id).is_none());
+        assert!(c.get(id).unwrap().is_none());
     }
 
     #[test]
@@ -471,6 +467,23 @@ mod tests {
         let persons = c.with_index("by_type", |i| i.lookup(&Value::from("Person"))).unwrap();
         assert!(persons.is_empty());
         assert!(c.create_index(IndexSpec::new("by_type", "type")).is_err());
+    }
+
+    #[test]
+    fn index_and_scan_agree() {
+        let c = small();
+        for kind in ["musical", "play", "musical", "opera", "musical"] {
+            c.insert(&doc! {"kind" => kind}).unwrap();
+        }
+        c.create_index(IndexSpec::new("by_kind", "kind")).unwrap();
+        let musical = Value::from("musical");
+        let mut scan =
+            c.parallel_scan(|id, d| (d.get("kind") == Some(&musical)).then_some(id)).unwrap();
+        let mut indexed = c.with_index("by_kind", |i| i.lookup(&musical)).unwrap();
+        scan.sort_unstable();
+        indexed.sort_unstable();
+        assert_eq!(scan.len(), 3);
+        assert_eq!(scan, indexed);
     }
 
     #[test]
@@ -542,7 +555,7 @@ mod tests {
         assert_eq!(one_by_one, batched, "batch routing must match repeated inserts");
         assert_eq!(b.len(), 37);
         for (id, d) in batched.iter().zip(&docs) {
-            assert_eq!(b.get(*id).as_ref(), Some(d));
+            assert_eq!(b.get(*id).unwrap().as_ref(), Some(d));
         }
     }
 
@@ -597,7 +610,7 @@ mod tests {
             let col = Collection::new("shows", config.clone()).unwrap();
             let ids = col.insert_many(&docs).unwrap();
             assert_eq!(col.len(), 40);
-            assert_eq!(col.get(ids[7]).as_ref(), Some(&docs[7]));
+            assert_eq!(col.get(ids[7]).unwrap().as_ref(), Some(&docs[7]));
             col.sync().unwrap();
             ids
         };
@@ -605,11 +618,46 @@ mod tests {
         let reopened = Collection::new("shows", config).unwrap();
         assert_eq!(reopened.len(), 40);
         for (id, d) in ids.iter().zip(&docs) {
-            assert_eq!(reopened.get(*id).as_ref(), Some(d));
+            assert_eq!(reopened.get(*id).unwrap().as_ref(), Some(d));
         }
         let report = reopened.storage_report();
         assert_eq!(report.shards.len(), 3);
         assert!(report.shards.iter().all(|s| s.backend == crate::backend::BackendKind::File));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn get_on_an_unreadable_extent_is_an_error() {
+        // Regression: a point read used to fold an unreadable flushed
+        // extent into `None`, indistinguishable from a deleted document.
+        // The cache is disabled so every read goes to the real file.
+        let dir = tempdir("torn_get");
+        let col = Collection::new(
+            "torn",
+            CollectionConfig {
+                extent_size: 96,
+                shards: 1,
+                backend: BackendConfig::File { dir: dir.clone() },
+                extent_cache_budget: Some(0),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let docs: Vec<Document> =
+            (0..10i64).map(|i| doc! {"i" => i, "pad" => "x".repeat(24)}).collect();
+        let ids = col.insert_many(&docs).unwrap();
+        col.sync().unwrap();
+        let victim = ids[0];
+        assert_eq!(victim.extent(), 0);
+        assert!(ids.iter().any(|id| id.extent() > 0), "extent 0 must be flushed");
+        assert_eq!(col.get(victim).unwrap().as_ref(), Some(&docs[0]));
+
+        let shard_dir = dir.join("torn").join("shard000");
+        std::fs::write(shard_dir.join("ext000000"), b"torn").unwrap();
+        let _ = std::fs::remove_file(shard_dir.join("ext000000.meta"));
+        assert!(col.get(victim).is_err(), "a lost extent must not read as a deleted document");
+        assert!(col.delete(victim).is_err(), "nor delete as one");
+        assert_eq!(col.len(), 10, "a failed delete changes nothing");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

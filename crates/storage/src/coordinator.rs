@@ -209,22 +209,19 @@ impl ShardCoordinator {
         Ok(ids)
     }
 
-    /// Point read: exactly one shard is touched.
-    pub fn get(&self, id: DocId) -> Option<Document> {
-        self.backends.get(id.shard() as usize)?.get(id.extent(), id.slot())
-    }
-
-    /// Point read that surfaces unreadable extents as errors; `Ok(None)`
-    /// strictly means "no live document at that id".
-    pub fn try_get(&self, id: DocId) -> Result<Option<Document>> {
+    /// Point read: exactly one shard is touched. `Ok(None)` strictly
+    /// means "no live document at that id"; an unreadable extent is the
+    /// error.
+    pub fn get(&self, id: DocId) -> Result<Option<Document>> {
         match self.backends.get(id.shard() as usize) {
             None => Ok(None),
-            Some(b) => b.try_get(id.extent(), id.slot()),
+            Some(b) => b.get(id.extent(), id.slot()),
         }
     }
 
-    /// Tombstone a document, returning it when it was live. A failed
-    /// tombstone write-back on a file shard surfaces as the error.
+    /// Tombstone a document, returning it when it was live. An unreadable
+    /// extent or a failed tombstone write-back on a file shard surfaces as
+    /// the error.
     pub fn delete(&self, id: DocId) -> Result<Option<Document>> {
         match self.backends.get(id.shard() as usize) {
             None => Ok(None),

@@ -8,7 +8,6 @@
 //! report is measured, not estimated.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 use datatamer_model::{Document, Value};
 
@@ -113,17 +112,6 @@ impl Index {
             .unwrap_or_default()
     }
 
-    /// Ids whose key falls within the given bounds.
-    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<DocId> {
-        let lo = map_bound(lo);
-        let hi = map_bound(hi);
-        let mut out = Vec::new();
-        for ids in self.entries.range((lo, hi)).map(|(_, v)| v) {
-            out.extend_from_slice(ids);
-        }
-        out
-    }
-
     /// Distinct keys in order.
     pub fn keys(&self) -> impl Iterator<Item = &Value> {
         self.entries.keys().map(|k| &k.0)
@@ -151,14 +139,6 @@ impl Index {
     /// Measured index size in bytes (keys + per-entry overhead).
     pub fn size_bytes(&self) -> usize {
         self.key_bytes + self.entry_count * ENTRY_OVERHEAD
-    }
-}
-
-fn map_bound(b: Bound<&Value>) -> Bound<IndexKey> {
-    match b {
-        Bound::Included(v) => Bound::Included(IndexKey(v.clone())),
-        Bound::Excluded(v) => Bound::Excluded(IndexKey(v.clone())),
-        Bound::Unbounded => Bound::Unbounded,
     }
 }
 
@@ -269,18 +249,6 @@ mod tests {
         idx.insert(id(1), &doc! {"y" => 1i64});
         assert!(idx.is_empty());
         assert_eq!(idx.size_bytes(), 0);
-    }
-
-    #[test]
-    fn range_queries_use_value_order() {
-        let mut idx = Index::new(IndexSpec::new("by_n", "n"));
-        for i in 0..10i64 {
-            idx.insert(id(i as u64), &doc! {"n" => i});
-        }
-        let got = idx.range(Bound::Included(&Value::Int(3)), Bound::Excluded(&Value::Int(6)));
-        assert_eq!(got, vec![id(3), id(4), id(5)]);
-        let all = idx.range(Bound::Unbounded, Bound::Unbounded);
-        assert_eq!(all.len(), 10);
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //!   secondary indexes, stats, and the packed `(shard, extent, slot)`
 //!   [`DocId`] scheme.
 //! * [`index`] — ordered secondary indexes (optionally multikey) over dotted
-//!   paths, with byte-accurate size accounting.
-//! * [`query`] — filters, projections, sorts, index selection, and parallel
-//!   shard scans.
+//!   paths, with byte-accurate size accounting. Point lookups go through
+//!   [`Collection::with_index`]; everything else is a
+//!   [`Collection::parallel_scan`]. Fused entities are queried through the
+//!   typed AST of the `datatamer-query` crate, not here.
 //! * [`stats`] — the `db.<coll>.stats()` report of Tables I and II.
 //! * [`store`] — a namespace ("dt") holding collections. Collection names
 //!   are validated at creation: path separators, `..`, and NUL are
@@ -51,7 +52,6 @@ pub mod encode;
 pub mod extent;
 pub mod index;
 pub mod persist;
-pub mod query;
 pub mod routing;
 pub mod stats;
 pub mod store;
@@ -62,7 +62,6 @@ pub use collection::{Collection, CollectionConfig, DocId};
 pub use delta_log::DeltaLog;
 pub use coordinator::{ShardCoordinator, ShardStorage, StorageReport};
 pub use index::IndexSpec;
-pub use query::{Filter, Query, SortOrder};
 pub use routing::RoutingPolicy;
 pub use stats::CollectionStats;
 pub use store::Store;

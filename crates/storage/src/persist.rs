@@ -167,7 +167,6 @@ pub fn load_store(namespace: &str, dir: &Path) -> Result<Store> {
 mod tests {
     use super::*;
     use crate::index::IndexSpec;
-    use crate::query::{Filter, Query};
     use datatamer_model::{doc, Value};
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -197,10 +196,13 @@ mod tests {
         let restored = load_collection("shows", &dir).unwrap();
         assert_eq!(restored.len(), 30);
         assert_eq!(restored.index_count(), 1);
-        let evens = Query::filtered(Filter::Eq("kind".into(), "even".into()))
-            .execute(&restored)
-            .unwrap();
+        let even = Value::from("even");
+        let evens = restored.with_index("by_kind", |i| i.lookup(&even)).unwrap();
         assert_eq!(evens.len(), 15);
+        for id in evens {
+            let doc = restored.get(id).unwrap().expect("indexed id is live");
+            assert_eq!(doc.get("kind"), Some(&even));
+        }
         let stats = restored.stats("dt");
         assert_eq!(stats.count, 30);
         assert!(stats.total_index_size > 0);

@@ -1,11 +1,12 @@
 //! Property tests for the storage engine: encode/decode roundtrips over
-//! arbitrary documents, extent persistence, and index-vs-scan equivalence.
+//! arbitrary documents, extent persistence, and index postings vs scan
+//! filters.
 
 use proptest::prelude::*;
 
 use datatamer_model::{Document, Value};
 use datatamer_storage::encode::{decode_document, encode_document, encoded_len};
-use datatamer_storage::{Collection, CollectionConfig, Filter, IndexSpec, Query};
+use datatamer_storage::{Collection, CollectionConfig, IndexSpec};
 
 /// Strategy for arbitrary scalar values.
 fn scalar() -> impl Strategy<Value = Value> {
@@ -70,39 +71,51 @@ proptest! {
         ).unwrap();
         let ids: Vec<_> = docs.iter().map(|d| col.insert(d).unwrap()).collect();
         for (id, doc) in ids.iter().zip(&docs) {
-            let fetched = col.get(*id);
+            let fetched = col.get(*id).unwrap();
             prop_assert_eq!(fetched.as_ref(), Some(doc));
         }
         prop_assert_eq!(col.len(), docs.len() as u64);
     }
 
+    // Index maintenance across inserts, deletes and a late `create_index`
+    // backfill: every key's postings are exactly the ids a scan filter
+    // finds for that key.
     #[test]
     fn indexed_query_equals_scan(
         keys in prop::collection::vec(0i64..5, 1..40),
-        probe in 0i64..5,
+        delete_mask in prop::collection::vec(any::<bool>(), 40),
+        index_first in any::<bool>(),
     ) {
-        let plain = Collection::new("scan", CollectionConfig::default()).unwrap();
-        let indexed = Collection::new("idx", CollectionConfig::default()).unwrap();
-        indexed.create_index(IndexSpec::new("by_k", "k")).unwrap();
-        for (i, k) in keys.iter().enumerate() {
+        let col = Collection::new(
+            "idx",
+            CollectionConfig { extent_size: 256, shards: 3, ..Default::default() },
+        ).unwrap();
+        if index_first {
+            col.create_index(IndexSpec::new("by_k", "k")).unwrap();
+        }
+        let docs: Vec<Document> = keys.iter().map(|k| {
             let mut d = Document::new();
             d.set("k", Value::Int(*k));
-            d.set("i", Value::Int(i as i64));
-            plain.insert(&d).unwrap();
-            indexed.insert(&d).unwrap();
+            d
+        }).collect();
+        let ids = col.insert_many(&docs).unwrap();
+        for (id, del) in ids.iter().zip(&delete_mask) {
+            if *del {
+                col.delete(*id).unwrap();
+            }
         }
-        let q = Query::filtered(Filter::Eq("k".into(), Value::Int(probe)));
-        let mut scan: Vec<i64> = q.execute(&plain).unwrap()
-            .into_iter()
-            .filter_map(|(_, d)| d.get("i").and_then(Value::as_int))
-            .collect();
-        let mut via_index: Vec<i64> = q.execute(&indexed).unwrap()
-            .into_iter()
-            .filter_map(|(_, d)| d.get("i").and_then(Value::as_int))
-            .collect();
-        scan.sort_unstable();
-        via_index.sort_unstable();
-        prop_assert_eq!(scan, via_index);
+        if !index_first {
+            col.create_index(IndexSpec::new("by_k", "k")).unwrap();
+        }
+        for probe in 0i64..5 {
+            let key = Value::Int(probe);
+            let mut scan = col.parallel_scan(|id, d| (d.get("k") == Some(&key)).then_some(id))
+                .unwrap();
+            let mut via_index = col.with_index("by_k", |i| i.lookup(&key)).unwrap();
+            scan.sort_unstable();
+            via_index.sort_unstable();
+            prop_assert_eq!(scan, via_index, "key {}", probe);
+        }
     }
 
     #[test]

@@ -625,7 +625,7 @@ pub mod prop {
             HashSetStrategy { element, size: size.into() }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         #[derive(Debug)]
         pub struct VecStrategy<S> {
             element: S,

@@ -119,7 +119,7 @@
 //! col.sync().unwrap();
 //! let reopened = Collection::new("listings", config).unwrap();
 //! assert_eq!(reopened.len(), 60);
-//! assert_eq!(reopened.get(ids[7]), Some(docs[7].clone()));
+//! assert_eq!(reopened.get(ids[7]).unwrap(), Some(docs[7].clone()));
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!
@@ -466,10 +466,9 @@
 //! Everything above ends in `dt.context().fused` — a `Vec<FusedEntity>`.
 //! The [`query`] crate gives that vector a real read path: secondary
 //! indexes (hash for equality, ordered for ranges) over any entity
-//! attribute, a columnar projection for analytic scans, a typed
-//! [`query::Query`] AST with a planner that picks index probe vs
-//! columnar scan, and a hand-rolled HTTP/1.1 front end on
-//! `std::net::TcpListener`. Two contracts hold throughout: every plan's
+//! attribute, a typed [`query::Query`] AST with a planner that picks an
+//! index probe or a row-parallel scan from the predicate alone, and a
+//! hand-rolled HTTP/1.1 front end on `std::net::TcpListener`. Two contracts hold throughout: every plan's
 //! result is byte-identical to the naive full-scan oracle at any thread
 //! count (proptest-pinned in `tests/query_oracle.rs`), and after
 //! [`core::DataTamer::consolidate_delta`] the indexes are maintained

@@ -1,6 +1,6 @@
 //! The query-subsystem correctness pin: every plan the executor can pick
-//! (hash probe, ordered probe, columnar scan, full scan) must produce a
-//! result byte-identical to the naive sequential full-scan oracle, over
+//! (hash probe, ordered probe, full scan) must produce a result
+//! byte-identical to the naive sequential full-scan oracle, over
 //! random corpora and random predicates, at any thread count — and a
 //! [`CollectionView`] kept in sync *incrementally* across
 //! `consolidate_delta` batches must serve exactly what a from-scratch
@@ -21,13 +21,14 @@ fn fp(r: &QueryResult) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Part A: random synthetic entities, random queries, every scan mode.
+// Part A: random synthetic entities, random queries, whichever plan the
+// planner picks.
 // ---------------------------------------------------------------------
 
 /// One entity from a compact spec. The per-attribute pools deliberately
 /// mix types (GENRE is mostly strings but sometimes an int, RATING is
-/// mostly floats but sometimes an int) so columns exercise both the
-/// typed and the `Mixed` layouts, and NaN/Null/absent are all reachable.
+/// mostly floats but sometimes an int) so index keys and predicates meet
+/// cross-type comparisons, and NaN/Null/absent are all reachable.
 fn entity(i: usize, spec: (u8, u8, u8, u8, u8, u8)) -> FusedEntity {
     let (g, p, r, t, c, m) = spec;
     let mut pairs: Vec<(&str, Value)> = Vec::new();
@@ -167,25 +168,18 @@ proptest! {
 
         for threads in [1usize, 8] {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let got: Vec<(String, String)> = pool.install(|| {
-                // Snapshot assembly itself is parallel (columnar build,
-                // index extraction) — run it inside the pool too.
+            let (plan, have) = pool.install(|| {
+                // Snapshot assembly itself is parallel (index extraction)
+                // — run it inside the pool too.
                 let snap = CollectionSnapshot::from_entities(entities.clone(), spec.clone());
-                [ScanMode::Auto, ScanMode::Columnar, ScanMode::FullScan]
-                    .into_iter()
-                    .map(|mode| {
-                        let ex = snap.execute_as(&q, mode);
-                        (format!("{mode:?}"), fp(&ex.result))
-                    })
-                    .collect()
+                let ex = snap.execute(&q);
+                (ex.plan, fp(&ex.result))
             });
-            for (mode, have) in got {
-                prop_assert_eq!(
-                    &have, &want,
-                    "{} plan diverged from the oracle at {} threads (query: {:?})",
-                    mode, threads, q
-                );
-            }
+            prop_assert_eq!(
+                &have, &want,
+                "{:?} plan diverged from the oracle at {} threads (query: {:?})",
+                plan, threads, q
+            );
         }
     }
 }
@@ -234,8 +228,10 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Record>> {
     })
 }
 
-/// The fixed query battery run against every snapshot pair: one per
-/// plan family (ordered probe, hash probe, columnar, aggregation, sort).
+/// The fixed query battery run against every snapshot pair: an ordered
+/// probe, a hash probe with a sort, and three full scans (a filter, a
+/// group-by and a top-k sort). The test asserts each plan family shows up,
+/// so a planner regression that turns probes into scans fails it.
 fn battery() -> Vec<Query> {
     vec![
         Query::filtered(Predicate::Gte("_members".into(), Value::Int(2)))
@@ -311,16 +307,20 @@ proptest! {
 
         let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
+        let mut plans = Vec::new();
         for q in battery() {
             let want = fp(&execute_oracle(ctx.fused.as_slice(), &q));
-            for mode in [ScanMode::Auto, ScanMode::Columnar, ScanMode::FullScan] {
-                let a = serial.install(|| fp(&inc_snap.execute_as(&q, mode).result));
-                let b = wide.install(|| fp(&inc_snap.execute_as(&q, mode).result));
-                let c = wide.install(|| fp(&fresh_snap.execute_as(&q, mode).result));
-                prop_assert_eq!(&a, &want, "incremental {:?} (serial) diverged: {:?}", mode, q);
-                prop_assert_eq!(&b, &want, "incremental {:?} (wide) diverged: {:?}", mode, q);
-                prop_assert_eq!(&c, &want, "fresh {:?} diverged: {:?}", mode, q);
-            }
+            let a = serial.install(|| inc_snap.execute(&q));
+            let b = wide.install(|| inc_snap.execute(&q));
+            let c = wide.install(|| fresh_snap.execute(&q));
+            prop_assert_eq!(fp(&a.result), want, "incremental (serial) diverged: {:?}", q);
+            prop_assert_eq!(fp(&b.result), want, "incremental (wide) diverged: {:?}", q);
+            prop_assert_eq!(fp(&c.result), want, "fresh diverged: {:?}", q);
+            prop_assert_eq!(a.plan, c.plan, "plan depends on the predicate alone: {:?}", q);
+            plans.push(a.plan);
+        }
+        for family in [PlanKind::HashProbe, PlanKind::OrderedProbe, PlanKind::FullScan] {
+            prop_assert!(plans.contains(&family), "no {:?} in the battery: {:?}", family, plans);
         }
     }
 }
