@@ -1,18 +1,16 @@
 //! Blocking ablation: candidate generation across bucket-size
-//! distributions and oversize fallbacks.
+//! distributions and strategies.
 //!
 //! The interesting axis is the bucket-size distribution. Uniform small
 //! buckets are blocking's best case; a Zipf-like head token funnels most
-//! records into one giant bucket, which is exactly where the oversize
-//! fallback decides both cost (quadratic vs windowed) and recall
-//! (truncation cliff vs progressive recovery). The progressive-vs-truncate
-//! pair over the same corpus measures the price of recovering beyond-cap
-//! recall.
+//! records into one giant bucket, which is exactly where the progressive
+//! oversize fallback (in-cap quadratic core plus a full-key window) sets
+//! the cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use datatamer_entity::{Blocker, BlockingStrategy, OversizeFallback};
+use datatamer_entity::{Blocker, BlockingStrategy};
 use datatamer_model::{Record, RecordId, SourceId, Value};
 
 const N: usize = 2000;
@@ -55,11 +53,6 @@ fn bench_blocking(c: &mut Criterion) {
     });
     group.bench_function("token_zipf_progressive", |b| {
         let blocker = Blocker::new("name", BlockingStrategy::Token);
-        b.iter(|| black_box(blocker.candidates_with_report(&zipf).pairs.len()))
-    });
-    group.bench_function("token_zipf_truncate", |b| {
-        let blocker = Blocker::new("name", BlockingStrategy::Token)
-            .with_fallback(OversizeFallback::Truncate);
         b.iter(|| black_box(blocker.candidates_with_report(&zipf).pairs.len()))
     });
     group.bench_function("sorted_neighborhood_zipf", |b| {

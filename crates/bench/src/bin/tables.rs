@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Experiment ids (DESIGN.md §4): t1 t2 t3 t4 t5 t6 f1 f2 f3 m1 m2, or
-//! `all`. Options: `--scale <f64>` (fraction of paper volume, default
-//! 1/5000), `--seed <u64>`.
+//! `all`. Options: `--scale <f64>` (fraction of paper volume, finite and
+//! positive, default 1/5000), `--seed <u64>`. A bad argument prints the
+//! usage line to stderr and exits with status 2.
 
 use std::collections::HashSet;
 
@@ -19,33 +20,58 @@ use datatamer_bench::{
 };
 use datatamer_corpus::ftables::{self, FtablesConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Every experiment id; `all` (or no id at all) selects them all.
+const EXPERIMENTS: [&str; 11] = ["t1", "t2", "t3", "t4", "t5", "t6", "f1", "f2", "f3", "m1", "m2"];
+
+const USAGE: &str =
+    "usage: tables [all | t1..t6 | f1..f3 | m1 | m2]... [--scale <f64 > 0>] [--seed <u64>]";
+
+/// Parse the command line (without the program name) into the selected
+/// experiment ids and the harness configuration.
+fn parse_args(args: &[String]) -> Result<(HashSet<String>, HarnessConfig), String> {
     let mut wanted: HashSet<String> = HashSet::new();
     let mut config = HarnessConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                config.scale = args[i].parse().expect("--scale takes a float");
+                let value = args.next().ok_or("--scale needs a value")?;
+                config.scale = value
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("--scale takes a finite number > 0, got {value:?}"))?;
             }
             "--seed" => {
-                i += 1;
-                config.seed = args[i].parse().expect("--seed takes an integer");
+                let value = args.next().ok_or("--seed needs a value")?;
+                config.seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed takes an unsigned integer, got {value:?}"))?;
             }
             id => {
-                wanted.insert(id.to_lowercase());
+                let id = id.to_lowercase();
+                if id != "all" && !EXPERIMENTS.contains(&id.as_str()) {
+                    return Err(format!("unknown experiment id or option {arg:?}"));
+                }
+                wanted.insert(id);
             }
         }
-        i += 1;
     }
     if wanted.is_empty() || wanted.contains("all") {
-        wanted = ["t1", "t2", "t3", "t4", "t5", "t6", "f1", "f2", "f3", "m1", "m2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
+    Ok((wanted, config))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (wanted, config) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("tables: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     println!("# Data Tamer reproduction — paper tables & figures");
     println!(
@@ -242,4 +268,48 @@ fn print_stats_comparison(cmp: &datatamer_bench::StatsComparison) {
 
 fn quoted(v: &str) -> String {
     format!("\"{v}\"")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(HashSet<String>, HarnessConfig), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_trailing_option_without_its_value_is_rejected() {
+        assert!(parse(&["t1", "--scale"]).is_err());
+        assert!(parse(&["--seed"]).is_err());
+    }
+
+    #[test]
+    fn a_non_numeric_value_is_rejected() {
+        assert!(parse(&["--scale", "small"]).is_err());
+        assert!(parse(&["--seed", "-3"]).is_err());
+    }
+
+    #[test]
+    fn a_zero_negative_or_non_finite_scale_is_rejected() {
+        for scale in ["0", "-0.5", "inf", "NaN"] {
+            assert!(parse(&["--scale", scale]).is_err(), "{scale}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_id_is_rejected() {
+        assert!(parse(&["t1", "t7"]).is_err());
+        assert!(parse(&["--verbose"]).is_err());
+    }
+
+    #[test]
+    fn a_valid_mixed_argument_list_parses() {
+        let (wanted, config) = parse(&["T1", "--scale", "0.001", "f2", "--seed", "7", "m1"]).unwrap();
+        let mut ids: Vec<&str> = wanted.iter().map(String::as_str).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, ["f2", "m1", "t1"]);
+        assert_eq!((config.scale, config.seed), (0.001, 7));
+        assert_eq!(parse(&[]).unwrap().0.len(), EXPERIMENTS.len(), "no ids selects all");
+    }
 }

@@ -73,12 +73,10 @@ pub struct BlockedErConfig {
     pub scorer: ScorerSpec,
     /// Pairs scoring at or above this are duplicates.
     pub accept_threshold: f64,
-    /// Run consolidation through the resident-state
-    /// [`IncrementalConsolidator`] instead of the batch path. Inside one
-    /// staged run the two are byte-identical (the pin
-    /// `tests/incremental_equivalence.rs` holds at any thread count); the
-    /// difference is that [`crate::DataTamer::consolidate_delta`] can then
-    /// keep feeding the same resident state O(delta) batches.
+    /// Ignored: a staged run always consolidates through the batch
+    /// engine and [`crate::DataTamer::consolidate_delta`] always through
+    /// the resident [`IncrementalConsolidator`]. Kept only so existing
+    /// struct literals that set it still compile.
     pub incremental: bool,
 }
 
@@ -171,20 +169,6 @@ fn blocked_groups(
     records: &[Record],
     config: &BlockedErConfig,
 ) -> (Vec<FusionGroup>, GroupingReport) {
-    if config.incremental {
-        // One-shot incremental run: the whole corpus as a single delta
-        // batch against fresh resident state. Same clusters, same counts
-        // (everything is new, so the delta candidate set is the full one).
-        let mut inc = config.build_incremental();
-        let delta = inc.ingest(records);
-        let groups = clusters_to_groups(records, inc.clusters().iter().cloned(), config);
-        let report = GroupingReport {
-            candidate_pairs: delta.candidate_pairs,
-            accepted_pairs: delta.accepted_pairs,
-            degraded_buckets: delta.degraded_buckets,
-        };
-        return (groups, report);
-    }
     let blocker = config.build_blocker();
     let scorer = config.scorer.build();
     // Prepare the scoring context once — before the rayon fan-out — so
@@ -203,7 +187,7 @@ fn blocked_groups(
     });
     let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
     let clusters = cluster_pairs(records.len(), &accepted);
-    let groups = clusters_to_groups(records, clusters.into_iter(), config);
+    let groups = clusters_to_groups(records, clusters, config);
     let report = GroupingReport {
         candidate_pairs: outcome.pairs.len(),
         accepted_pairs: accepted.len(),
@@ -218,10 +202,11 @@ fn blocked_groups(
 /// its first member's key value.
 fn clusters_to_groups(
     records: &[Record],
-    clusters: impl Iterator<Item = Vec<usize>>,
+    clusters: Vec<Vec<usize>>,
     config: &BlockedErConfig,
 ) -> Vec<FusionGroup> {
     clusters
+        .into_iter()
         .filter_map(|cluster| Some((cluster_key(&records[cluster[0]], config)?, cluster)))
         .collect()
 }
@@ -309,10 +294,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_flag_matches_the_batch_path() {
-        // One staged run through the resident-state consolidator must
-        // produce the same groups AND the same health counters as the
-        // batch path — the two are different engines over the same math.
+    fn resident_engine_matches_the_batch_path() {
+        // The whole corpus as one delta into fresh resident state must
+        // produce the same clusters AND the same health counters as the
+        // batch path — two engines over the same math.
         let mut records = vec![
             rec(0, "Walking Dead", "$27"),
             rec(1, "Dead Walking", "$27"),
@@ -321,15 +306,17 @@ mod tests {
         // Enough shared-token records to blow the bucket cap and exercise
         // the degraded-window path on both sides.
         records.extend((3..300).map(|i| rec(i, &format!("common unique{i}"), "$1")));
-        let batch = GroupingStrategy::BlockedEr(BlockedErConfig::default())
-            .groups_with_report(&records, 0.88);
-        let incremental = GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
-            ..Default::default()
-        })
-        .groups_with_report(&records, 0.88);
-        assert_eq!(incremental, batch);
-        assert!(batch.1.degraded_buckets >= 1, "the 'common' bucket must degrade");
+        let config = BlockedErConfig::default();
+        let (groups, report) =
+            GroupingStrategy::BlockedEr(config.clone()).groups_with_report(&records, 0.88);
+        let mut resident = config.build_incremental();
+        let delta = resident.ingest(&records);
+        assert_eq!(clusters_to_groups(&records, resident.clusters().to_vec(), &config), groups);
+        assert_eq!(
+            (delta.candidate_pairs, delta.accepted_pairs, delta.degraded_buckets),
+            (report.candidate_pairs, report.accepted_pairs, report.degraded_buckets)
+        );
+        assert!(report.degraded_buckets >= 1, "the 'common' bucket must degrade");
     }
 
     #[test]

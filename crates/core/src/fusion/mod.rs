@@ -19,8 +19,11 @@
 //! Built-in resolvers: [`MajorityVote`], [`SourceReliability`] (iterative
 //! accu-style source weighting), [`LatestWins`] (record-provenance
 //! freshness), [`MultiTruth`] (keeps all values above a support threshold),
-//! and [`PolicyResolver`] wrapping the classic order-sensitive
-//! [`ConflictPolicy`] table. Registries are configured declaratively via
+//! and [`PolicyResolver`] wrapping one order-sensitive
+//! [`ConflictPolicy`](datatamer_entity::consolidate::ConflictPolicy).
+//! Every composite is built by
+//! [`merge_composite`](datatamer_entity::consolidate::merge_composite)
+//! driven by the registry. Registries are configured declaratively via
 //! [`RegistryConfig`] on `DataTamerConfig` or per run on a `PipelinePlan`.
 //! Group merging stays rayon-parallel and byte-deterministic at any thread
 //! count.
@@ -40,7 +43,6 @@ pub use resolve::{
 
 use std::collections::HashMap;
 
-use datatamer_entity::consolidate::{ConflictPolicy, MergePolicy};
 use datatamer_ml::DedupClassifier;
 use datatamer_model::{Record, Value};
 use datatamer_sim as sim;
@@ -54,29 +56,6 @@ pub const PERFORMANCE: &str = "PERFORMANCE";
 pub const TEXT_FEED: &str = "TEXT_FEED";
 pub const CHEAPEST_PRICE: &str = "CHEAPEST_PRICE";
 pub const FIRST: &str = "FIRST";
-
-/// How fused attributes resolve conflicts across sources.
-///
-/// * `CHEAPEST_PRICE` is the *cheapest* price seen — `NumericMin`.
-/// * `TEXT_FEED`, `THEATER`, `PERFORMANCE`, `FIRST` take the first source's
-///   value (source-priority resolution: the seed source is the cleanest).
-/// * Everything else majority-votes.
-///
-/// This is the legacy closed-table form of the routing; the open registry
-/// equivalent is [`RegistryConfig::broadway`], which the pipeline now uses.
-pub fn fusion_merge_policy() -> MergePolicy {
-    MergePolicy {
-        per_attribute: vec![
-            (CHEAPEST_PRICE.to_owned(), ConflictPolicy::NumericMin),
-            (TEXT_FEED.to_owned(), ConflictPolicy::First),
-            (THEATER.to_owned(), ConflictPolicy::First),
-            (PERFORMANCE.to_owned(), ConflictPolicy::First),
-            (FIRST.to_owned(), ConflictPolicy::First),
-            (SHOW_NAME.to_owned(), ConflictPolicy::MajorityVote),
-        ],
-        default: ConflictPolicy::MajorityVote,
-    }
-}
 
 /// How candidate records are matched into the same fused entity.
 pub enum FusionPolicy {
@@ -129,7 +108,7 @@ pub type FusionGroup = (String, Vec<usize>);
 ///
 /// The scan is inherently sequential (each record may attach to a group an
 /// earlier record created), but it is cheap: the quadratic part — merging
-/// — happens per group in [`merge_groups`].
+/// — happens per group in [`merge_groups_with`].
 pub fn group_records(records: &[Record], policy: &FusionPolicy) -> Vec<FusionGroup> {
     let mut groups: Vec<FusionGroup> = Vec::new();
     let mut by_key: HashMap<String, usize> = HashMap::new();
@@ -165,8 +144,8 @@ pub fn group_records(records: &[Record], policy: &FusionPolicy) -> Vec<FusionGro
 /// Resolve one candidate group into a composite record through a resolver
 /// registry.
 ///
-/// Shares the composite contract with the classic merge
-/// ([`datatamer_entity::consolidate::merge_composite`]): identity from the
+/// The composite is built by
+/// [`datatamer_entity::consolidate::merge_composite`]: identity from the
 /// first member, first-seen attribute order, null values never reaching a
 /// resolver, all-null attributes staying [`Value::Null`]. Each attribute's
 /// non-null values are tagged with provenance (source id, record id,
@@ -240,13 +219,6 @@ pub(crate) fn merge_group(
     let refs: Vec<&Record> = members.iter().map(|&i| &records[i]).collect();
     let (record, confidence) = resolve_group_with_confidence(&refs, registry);
     FusedEntity { key: key.clone(), record, member_count: members.len(), confidence }
-}
-
-/// [`merge_groups_with`] under the standard Broadway registry
-/// ([`ResolverRegistry::broadway`]) — byte-compatible with the historic
-/// `MergePolicy`-based merge.
-pub fn merge_groups(records: &[Record], groups: &[FusionGroup]) -> Vec<FusedEntity> {
-    merge_groups_with(records, groups, &ResolverRegistry::broadway())
 }
 
 /// Fuse records (text-derived + structured, already renamed to canonical
@@ -393,25 +365,6 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(fuse_records(&[], &fuzzy()).is_empty());
-    }
-
-    #[test]
-    fn registry_merge_matches_legacy_policy_merge() {
-        // The broadway registry must reproduce the MergePolicy-based merge
-        // byte for byte, including null handling and attribute order.
-        let records = vec![
-            rec(0, 0, vec![(SHOW_NAME, "Annie"), (CHEAPEST_PRICE, "$45"), (THEATER, "Palace")]),
-            rec(1, 1, vec![(SHOW_NAME, "annie"), (CHEAPEST_PRICE, "$39"), (TEXT_FEED, "feed")]),
-            rec(2, 2, vec![(SHOW_NAME, "Annie"), (THEATER, "Gershwin")]),
-        ];
-        let groups = group_records(&records, &fuzzy());
-        let legacy = fusion_merge_policy();
-        for (key, members) in &groups {
-            let refs: Vec<&Record> = members.iter().map(|&i| &records[i]).collect();
-            let via_policy = datatamer_entity::consolidate::merge_cluster(&refs, &legacy);
-            let via_registry = resolve_group(&refs, &ResolverRegistry::broadway());
-            assert_eq!(via_policy, via_registry, "group {key}");
-        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The resolver registry: per-attribute truth-discovery dispatch.
 //!
 //! A [`ResolverRegistry`] maps attribute names to boxed [`ValueResolver`]s
-//! with a default fallback — the open counterpart of the closed
-//! `MergePolicy` enum table. Registries are built either directly (boxing
+//! with a default fallback. Registries are built either directly (boxing
 //! resolvers) or from a [`RegistryConfig`], a clonable declarative spec
 //! that can live in `DataTamerConfig` and travel on a `PipelinePlan`.
 
@@ -76,10 +75,7 @@ impl ResolverRegistry {
         (rows, self.default.name())
     }
 
-    /// The classic Broadway-demo routing (see
-    /// [`crate::fusion::fusion_merge_policy`]): cheapest price takes the
-    /// numeric minimum, curated-first attributes take source priority, and
-    /// everything else majority-votes with first-seen tie breaks.
+    /// The Broadway-demo routing, built from [`RegistryConfig::broadway`].
     pub fn broadway() -> Self {
         RegistryConfig::broadway().build()
     }
@@ -171,18 +167,25 @@ impl RegistryConfig {
         self
     }
 
-    /// The classic Broadway-demo routing, derived directly from the legacy
-    /// [`crate::fusion::fusion_merge_policy`] table (one source of truth)
-    /// and therefore byte-compatible with the pre-registry merge.
+    /// The Broadway-demo routing: `CHEAPEST_PRICE` is the cheapest price
+    /// seen (`NumericMin`); `TEXT_FEED`, `THEATER`, `PERFORMANCE` and
+    /// `FIRST` take the first source's value (source priority: the seed
+    /// source is the cleanest); `SHOW_NAME` and everything else
+    /// majority-vote with first-seen tie breaks.
     pub fn broadway() -> Self {
-        let legacy = super::fusion_merge_policy();
+        use super::{CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, TEXT_FEED, THEATER};
+        let first = ResolverSpec::Policy(ConflictPolicy::First);
+        let majority = ResolverSpec::Policy(ConflictPolicy::MajorityVote);
         RegistryConfig {
-            per_attribute: legacy
-                .per_attribute
-                .into_iter()
-                .map(|(attr, policy)| (attr, ResolverSpec::Policy(policy)))
-                .collect(),
-            default: ResolverSpec::Policy(legacy.default),
+            per_attribute: vec![
+                (CHEAPEST_PRICE.to_owned(), ResolverSpec::Policy(ConflictPolicy::NumericMin)),
+                (TEXT_FEED.to_owned(), first.clone()),
+                (THEATER.to_owned(), first.clone()),
+                (PERFORMANCE.to_owned(), first.clone()),
+                (FIRST.to_owned(), first),
+                (SHOW_NAME.to_owned(), majority.clone()),
+            ],
+            default: majority,
         }
     }
 

@@ -14,10 +14,11 @@
 //! * [`expert_bridge`] — expert panels answering escalated schema matches.
 //! * [`fusion`] — fusing text-derived and structured records over the
 //!   global schema (the Matilda enrichment of Tables V–VI). Two levels:
-//!   [`fusion::FusionPolicy`] groups records into entities, and a
+//!   a [`fusion::GroupingStrategy`] groups records into entities, and a
 //!   [`fusion::ResolverRegistry`] dispatches each attribute's conflicting
 //!   values to a [`fusion::ValueResolver`] (majority vote, source
-//!   reliability, latest-wins, multi-truth, or classic merge policies).
+//!   reliability, latest-wins, multi-truth, or one order-sensitive
+//!   conflict policy through [`fusion::PolicyResolver`]).
 //! * [`query`] — demo queries: show lookup and top-k most-discussed
 //!   award-winning titles (Table IV).
 //! * [`stage`] — the staged pipeline: [`stage::PipelineStage`] (ingest →

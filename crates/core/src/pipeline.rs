@@ -390,7 +390,7 @@ pub fn record_to_doc(r: &Record) -> datatamer_model::Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::{CHEAPEST_PRICE, SHOW_NAME, TEXT_FEED};
+    use crate::fusion::{BlockedErConfig, GroupingReport, CHEAPEST_PRICE, SHOW_NAME, TEXT_FEED};
     use crate::stage::{stage_names, StageReport};
     use datatamer_model::{RecordId, SourceId};
     use datatamer_text::{EntityType, Gazetteer};
@@ -886,6 +886,89 @@ mod tests {
         let mut full = DataTamer::new(config);
         full.run(PipelinePlan::new().structured("s1", &all)).unwrap();
         assert_eq!(fingerprints(&inc.context().fused), fingerprints(&full.context().fused));
+    }
+
+    /// A staged blocked-ER run over canonical-shape records, plus the
+    /// consolidation stage's blocking counters.
+    fn blocked_run(records: &[Record], accept_threshold: f64) -> (DataTamer, GroupingReport) {
+        let mut config = small_config();
+        config.grouping =
+            GroupingStrategy::BlockedEr(BlockedErConfig { accept_threshold, ..Default::default() });
+        let mut dt = DataTamer::new(config);
+        dt.run(PipelinePlan::new().structured("s1", records)).unwrap();
+        let report = match dt.context().report_of(stage_names::ENTITY_CONSOLIDATION) {
+            Some(StageReport::EntityConsolidation { blocking, .. }) => *blocking,
+            other => panic!("wrong report variant: {other:?}"),
+        };
+        (dt, report)
+    }
+
+    fn duplicates_sample() -> Vec<Record> {
+        [("Matilda", "$27"), ("matilda", "$27"), ("Wicked", "$99"), ("WICKED", "$98"), ("Annie", "$45")]
+            .iter()
+            .enumerate()
+            .map(|(i, (s, p))| show(i as u64, s, p))
+            .collect()
+    }
+
+    fn group_members(dt: &DataTamer) -> Vec<Vec<usize>> {
+        dt.context().fusion_groups.iter().map(|(_, m)| m.clone()).collect()
+    }
+
+    #[test]
+    fn pipeline_clusters_duplicates() {
+        let (dt, report) = blocked_run(&duplicates_sample(), 0.75);
+        assert_eq!(group_members(&dt), vec![vec![0, 1], vec![2, 3], vec![4]]);
+        assert_eq!(dt.context().fused.len(), 3);
+        assert!(report.accepted_pairs >= 2);
+        assert_eq!(report.degraded_buckets, 0, "tiny buckets never degrade");
+    }
+
+    #[test]
+    fn oversized_buckets_surface_in_the_stage_report() {
+        let records: Vec<Record> =
+            (0..400).map(|i| show(i, &format!("common unique{i}"), "$1")).collect();
+        let (_, report) = blocked_run(&records, 0.75);
+        assert_eq!(report.degraded_buckets, 1, "the 'common' bucket blew the cap");
+    }
+
+    #[test]
+    fn composites_carry_merged_values() {
+        let (dt, _) = blocked_run(&duplicates_sample(), 0.75);
+        let matilda = DataTamer::lookup(&dt.context().fused, "Matilda").unwrap();
+        assert_eq!(matilda.member_count, 2);
+        assert_eq!(matilda.record.get_text(CHEAPEST_PRICE).as_deref(), Some("$27"));
+    }
+
+    #[test]
+    fn high_threshold_separates_everything() {
+        let (dt, report) = blocked_run(&duplicates_sample(), 1.01);
+        assert_eq!(group_members(&dt).len(), 5);
+        assert_eq!(report.accepted_pairs, 0);
+        assert!(dt.context().fused.iter().all(|f| f.member_count == 1));
+    }
+
+    #[test]
+    fn empty_input() {
+        let (dt, report) = blocked_run(&[], 0.75);
+        assert!(dt.context().fusion_groups.is_empty());
+        assert!(dt.context().fused.is_empty());
+        assert_eq!(report, GroupingReport::default());
+    }
+
+    #[test]
+    fn blocking_saves_comparisons_at_scale() {
+        // Names share tokens only within small groups — the realistic case
+        // blocking exploits (a universally shared token would defeat it).
+        let records: Vec<Record> =
+            (0..200).map(|i| show(i, &format!("Unique{i} Group{}", i % 7), "$10")).collect();
+        let (_, report) = blocked_run(&records, 0.75);
+        let all_pairs = 200 * 199 / 2;
+        assert!(
+            report.candidate_pairs * 2 < all_pairs,
+            "blocking must prune most pairs: {} of {all_pairs}",
+            report.candidate_pairs
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@ use rayon::prelude::*;
 use crate::catalog::{Catalog, SourceKind};
 use crate::config::DataTamerConfig;
 use crate::fusion::{
-    group_records, merge_groups_with, FusedEntity, FusionGroup, FusionPolicy, GroupingReport,
-    GroupingStrategy, ResolverRegistry, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
+    merge_groups_with, FusedEntity, FusionGroup, GroupingReport, GroupingStrategy,
+    ResolverRegistry, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
 };
 use crate::ingest::{IngestStats, TextIngestor};
 use crate::pipeline::{record_to_doc, GLOBAL_RECORDS_COLLECTION};
@@ -614,33 +614,20 @@ impl PipelineStage for CleaningStage {
 /// Grouping dispatches on a [`GroupingStrategy`]: the classic
 /// canonical-name scan, or similarity-based blocked ER (blocking →
 /// rayon-parallel pair scoring → union-find) for fuzzy duplicates the name
-/// key cannot reach. Built with an explicit strategy or policy, or, by
-/// default, reading the context's strategy-in-effect
+/// key cannot reach. Built with an explicit strategy, or, by default,
+/// reading the context's strategy-in-effect
 /// ([`PipelineContext::grouping`]) at run time — mirroring
 /// [`FusionStage`]'s relationship to the resolver routing.
 #[derive(Default)]
 pub struct EntityConsolidationStage {
-    mode: Option<ConsolidationMode>,
-}
-
-enum ConsolidationMode {
-    /// An explicit fusion policy (covers the non-declarative
-    /// [`FusionPolicy::Classifier`] variant).
-    Policy(FusionPolicy),
-    /// An explicit declarative strategy.
-    Strategy(GroupingStrategy),
+    strategy: Option<GroupingStrategy>,
 }
 
 impl EntityConsolidationStage {
-    /// Group with the given fusion policy (canonical-name scan).
-    pub fn new(policy: FusionPolicy) -> Self {
-        EntityConsolidationStage { mode: Some(ConsolidationMode::Policy(policy)) }
-    }
-
-    /// Group with an explicit declarative strategy instead of the
-    /// context's strategy-in-effect.
+    /// Group with an explicit strategy instead of the context's
+    /// strategy-in-effect.
     pub fn with_strategy(strategy: GroupingStrategy) -> Self {
-        EntityConsolidationStage { mode: Some(ConsolidationMode::Strategy(strategy)) }
+        EntityConsolidationStage { strategy: Some(strategy) }
     }
 }
 
@@ -657,15 +644,8 @@ impl PipelineStage for EntityConsolidationStage {
         input.extend(ctx.text_show_records.iter().cloned());
 
         let threshold = ctx.config().fusion_threshold;
-        let (groups, blocking) = match &self.mode {
-            Some(ConsolidationMode::Policy(policy)) => {
-                (group_records(&input, policy), GroupingReport::default())
-            }
-            Some(ConsolidationMode::Strategy(strategy)) => {
-                strategy.groups_with_report(&input, threshold)
-            }
-            None => ctx.grouping.groups_with_report(&input, threshold),
-        };
+        let strategy = self.strategy.as_ref().unwrap_or(&ctx.grouping);
+        let (groups, blocking) = strategy.groups_with_report(&input, threshold);
 
         let multi = groups.iter().filter(|(_, m)| m.len() > 1).count();
         let largest = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0);

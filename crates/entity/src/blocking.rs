@@ -8,11 +8,11 @@
 //! ## Oversized buckets: progressive blocking, not truncation
 //!
 //! Bucket strategies (`Token`, `Soundex`) hit a wall on stopword-like keys:
-//! a bucket of 100k members would expand to ~5·10⁹ pairs. The historic
-//! answer was to cut the bucket at [`BUCKET_CAP`] — bounded cost, but a
-//! *recall cliff*: every duplicate past the cap was silently unreachable.
+//! a bucket of 100k members would expand to ~5·10⁹ pairs. Cutting the
+//! bucket at [`BUCKET_CAP`] bounds the cost but is a *recall cliff*: every
+//! duplicate past the cap becomes silently unreachable.
 //!
-//! The default is now **progressive blocking**
+//! Blocking uses **progressive blocking** instead
 //! ([`OversizeFallback::Progressive`]): an oversized bucket keeps the full
 //! quadratic expansion over its first [`BUCKET_CAP`] members (so nothing
 //! the cap used to find is ever lost) and *additionally* sorts the entire
@@ -24,8 +24,7 @@
 //! Buckets handled this way are counted in
 //! [`BlockingOutcome::degraded_buckets`]: degraded means "window recall
 //! instead of exhaustive recall inside this bucket", never "records
-//! dropped". The legacy cliff survives only as the opt-in
-//! [`OversizeFallback::Truncate`], kept for recall-ablation comparisons.
+//! dropped".
 
 use std::collections::HashMap;
 
@@ -65,12 +64,6 @@ pub const ADAPTIVE_WINDOW_MAX: usize = 128;
 /// What a bucket strategy does with a bucket larger than the cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OversizeFallback {
-    /// Legacy behaviour: cut the bucket to the cap and expand only the
-    /// survivors — bounded cost, but every duplicate pair past the cap is
-    /// unreachable (the recall cliff). Kept for ablation comparisons; the
-    /// progressive fallback's candidate set is always a superset of this
-    /// one, so its recall on any truth set is at least as high.
-    Truncate,
     /// Progressive blocking: keep the quadratic expansion over the first
     /// cap members *and* sort the whole bucket by the records' full key,
     /// sliding a window of `window` over that order so every member still
@@ -88,8 +81,8 @@ pub enum OversizeFallback {
     /// instead of cliff-like — while the candidate count stays
     /// `O(cap² + |bucket| · window)` with `window ≤ max`. The candidate
     /// set always contains the fixed-`base` progressive set (the window
-    /// can only grow), so the recall-dominance invariant extends:
-    /// adaptive ⊇ progressive(base) ⊇ truncated.
+    /// can only grow), so its recall on any truth set is at least as high:
+    /// adaptive ⊇ progressive(base).
     ProgressiveAdaptive {
         /// Window at the smallest oversize (at least 2).
         base: usize,
@@ -132,11 +125,8 @@ pub struct BlockingOutcome {
     /// Candidate index pairs `(i, j)` with `i < j`, sorted, deduplicated.
     pub pairs: Vec<(usize, usize)>,
     /// Buckets whose membership exceeded the blocker's cap and fell back
-    /// to the configured [`OversizeFallback`]. Under
-    /// [`OversizeFallback::Progressive`] this means windowed (not
-    /// exhaustive) recall inside those buckets; under
-    /// [`OversizeFallback::Truncate`] it means beyond-cap members were
-    /// dropped entirely — a recall hazard the caller must surface.
+    /// to the configured [`OversizeFallback`]: windowed (not exhaustive)
+    /// recall inside those buckets, never dropped members.
     pub degraded_buckets: usize,
 }
 
@@ -330,19 +320,11 @@ impl Blocker {
         let buckets: Vec<Vec<usize>> = buckets.into_iter().collect();
         // dtlint::allow(map-iter, reason = "Vec receiver; `buckets` is rebound to Vec<Vec<usize>> on the previous line")
         let degraded_buckets = buckets.iter().filter(|m| m.len() > cap).count();
-        // The full-key sort axis is only read by the progressive arm, so
+        // The full-key sort axis is only read inside oversized buckets, so
         // the thunk (an O(n) key clone + lowercase pass on the unkeyed
         // path) is never invoked on the common no-degradation path.
-        let sort_keys: Vec<Option<String>> = if degraded_buckets > 0
-            && matches!(
-                self.fallback,
-                OversizeFallback::Progressive { .. }
-                    | OversizeFallback::ProgressiveAdaptive { .. }
-            ) {
-            sort_keys()
-        } else {
-            Vec::new()
-        };
+        let sort_keys: Vec<Option<String>> =
+            if degraded_buckets > 0 { sort_keys() } else { Vec::new() };
         let mut packed: Vec<u64> = buckets
             .par_iter()
             .flat_map(|members| {
@@ -350,9 +332,6 @@ impl Blocker {
                     return quadratic_pairs(members);
                 }
                 let window = match self.fallback {
-                    OversizeFallback::Truncate => {
-                        return quadratic_pairs(&members[..cap]);
-                    }
                     OversizeFallback::Progressive { window } => window.max(2),
                     OversizeFallback::ProgressiveAdaptive { base, max } => {
                         adaptive_window(base, max, members.len(), cap)
@@ -475,7 +454,7 @@ mod tests {
     /// planted duplicates have *near-identical* full keys (as real
     /// near-duplicates do) but distinct secondary tokens, so only the
     /// shared giant bucket can reach them — the structure the progressive
-    /// full-key sort exploits and token truncation cannot.
+    /// full-key sort exploits and a cut at the cap cannot.
     fn oversized_corpus() -> (Vec<Record>, Vec<(usize, usize)>) {
         let mut names: Vec<String> = (0..600).map(|i| format!("show number{i:03}")).collect();
         names[10] = "show aadupa1".to_owned();
@@ -655,11 +634,9 @@ mod tests {
     #[test]
     fn oversized_bucket_blocking_recall_regression() {
         // One bucket of 600 (shared token) with known duplicates inside the
-        // cap, straddling it, and fully beyond it. The legacy cap
-        // necessarily lost the beyond-cap pairs; progressive blocking must
-        // recover all of them — this test pins the recovery, where it used
-        // to pin the loss — while staying O(cap² + bucket · window), not
-        // quadratic.
+        // cap, straddling it, and fully beyond it. A cut at the cap would
+        // lose the beyond-cap pairs; progressive blocking must recover all
+        // of them while staying O(cap² + bucket · window), not quadratic.
         let (rs, truth) = oversized_corpus();
         let outcome =
             Blocker::new("name", BlockingStrategy::Token).candidates_with_report(&rs);
@@ -672,17 +649,6 @@ mod tests {
         let bound = BUCKET_CAP * (BUCKET_CAP - 1) / 2 + 600 * (PROGRESSIVE_WINDOW - 1) + 600;
         assert!(outcome.pairs.len() <= bound, "{} > {bound}", outcome.pairs.len());
 
-        // The legacy truncating fallback still loses everything past the
-        // cap on the same corpus — the cliff progressive blocking replaces.
-        let truncated = Blocker::new("name", BlockingStrategy::Token)
-            .with_fallback(OversizeFallback::Truncate)
-            .candidates_with_report(&rs);
-        let recall = blocking_recall(&truncated.pairs, &truth);
-        assert!(
-            (recall - 1.0 / 3.0).abs() < 1e-12,
-            "truncation keeps only the in-cap pair: {recall}"
-        );
-        assert_eq!(truncated.degraded_buckets, 1);
 
         // A small bucket keeps perfect recall over the same truth shape.
         let small: Vec<String> = (0..100).map(|i| format!("show number{i}")).collect();
@@ -695,18 +661,22 @@ mod tests {
 
     #[test]
     fn progressive_candidates_superset_truncated() {
+        // Progressive blocking keeps every pair a bucket cut at the cap
+        // would produce — the quadratic core over its first `BUCKET_CAP`
+        // members, which for the 'show' bucket are records 0..BUCKET_CAP —
+        // and adds beyond-cap pairs on top.
         let (rs, _) = oversized_corpus();
         let progressive =
             Blocker::new("name", BlockingStrategy::Token).candidates(&rs);
-        let truncated = Blocker::new("name", BlockingStrategy::Token)
-            .with_fallback(OversizeFallback::Truncate)
-            .candidates(&rs);
         let set: std::collections::HashSet<_> = progressive.iter().copied().collect();
         assert!(
-            truncated.iter().all(|p| set.contains(p)),
+            (0..BUCKET_CAP).all(|i| (i + 1..BUCKET_CAP).all(|j| set.contains(&(i, j)))),
             "progressive must never lose a pair the cap found"
         );
-        assert!(progressive.len() > truncated.len(), "and must add beyond-cap pairs");
+        assert!(
+            progressive.iter().any(|&(_, j)| j >= BUCKET_CAP),
+            "and must add beyond-cap pairs"
+        );
     }
 
     #[test]

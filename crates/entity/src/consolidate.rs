@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use datatamer_model::{Record, RecordId, SourceId, Value};
+use datatamer_model::{Record, Value};
 
 /// Conflict resolution policy for merging one attribute's values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,41 +25,24 @@ pub enum ConflictPolicy {
     NumericMax,
 }
 
-/// Per-attribute policies with a default.
-#[derive(Debug, Clone)]
-pub struct MergePolicy {
-    /// `(attribute, policy)` overrides.
-    pub per_attribute: Vec<(String, ConflictPolicy)>,
-    /// Policy for attributes without an override.
-    pub default: ConflictPolicy,
-}
-
-impl Default for MergePolicy {
-    fn default() -> Self {
-        MergePolicy { per_attribute: Vec::new(), default: ConflictPolicy::MajorityVote }
-    }
-}
-
-impl MergePolicy {
-    /// Policy for an attribute.
-    pub fn policy_of(&self, attr: &str) -> ConflictPolicy {
-        self.per_attribute
-            .iter()
-            .find(|(a, _)| a == attr)
-            .map(|(_, p)| *p)
-            .unwrap_or(self.default)
-    }
-}
-
 impl ConflictPolicy {
     /// Resolve one attribute's non-null values (cluster order) to a single
     /// surviving value under this policy. Panics on an empty slice.
     ///
-    /// This is the merge primitive of [`merge_cluster`], exposed so
-    /// higher-level truth-discovery resolvers (the fusion registry in
-    /// `datatamer-core`) can delegate to the classic policies.
+    /// The fusion registry in `datatamer-core` delegates to this through
+    /// its `PolicyResolver`, inside [`merge_composite`].
     pub fn resolve_values(&self, values: &[&Value]) -> Value {
-        resolve(values, *self)
+        match self {
+            ConflictPolicy::First => (*values[0]).clone(),
+            ConflictPolicy::Longest => (*values
+                .iter()
+                .max_by_key(|v| v.to_text().len())
+                .expect("non-empty"))
+            .clone(),
+            ConflictPolicy::MajorityVote => majority(values),
+            ConflictPolicy::NumericMin => numeric_extreme(values, true),
+            ConflictPolicy::NumericMax => numeric_extreme(values, false),
+        }
     }
 }
 
@@ -71,8 +54,7 @@ impl ConflictPolicy {
 ///
 /// `resolve` receives the attribute name and its non-null values as
 /// `(member index, value)` pairs in cluster order, and returns the
-/// surviving value. [`merge_cluster`] instantiates it with the classic
-/// [`MergePolicy`] table; the fusion resolver registry in `datatamer-core`
+/// surviving value. The fusion resolver registry in `datatamer-core`
 /// instantiates it with provenance-aware truth discovery.
 pub fn merge_composite<F>(records: &[&Record], mut resolve: F) -> Record
 where
@@ -103,30 +85,6 @@ where
         composite.set(attr, resolved);
     }
     composite
-}
-
-/// Merge a cluster of records into one composite record under per-attribute
-/// [`ConflictPolicy`] resolution (see [`merge_composite`] for the shared
-/// composite contract).
-pub fn merge_cluster(records: &[&Record], policy: &MergePolicy) -> Record {
-    merge_composite(records, |attr, values| {
-        let plain: Vec<&Value> = values.iter().map(|(_, v)| *v).collect();
-        policy.policy_of(attr).resolve_values(&plain)
-    })
-}
-
-fn resolve(values: &[&Value], policy: ConflictPolicy) -> Value {
-    match policy {
-        ConflictPolicy::First => (*values[0]).clone(),
-        ConflictPolicy::Longest => (*values
-            .iter()
-            .max_by_key(|v| v.to_text().len())
-            .expect("non-empty"))
-        .clone(),
-        ConflictPolicy::MajorityVote => majority(values),
-        ConflictPolicy::NumericMin => numeric_extreme(values, true),
-        ConflictPolicy::NumericMax => numeric_extreme(values, false),
-    }
 }
 
 fn majority(values: &[&Value]) -> Value {
@@ -176,15 +134,10 @@ fn numeric_of(v: &Value) -> Option<f64> {
         .or_else(|| datatamer_model::infer::parse_decimal(&text))
 }
 
-/// Assign composite record ids: `(source, id)` of each cluster's first
-/// member, preserved for provenance back-tracking.
-pub fn composite_identity(cluster: &[&Record]) -> (SourceId, RecordId) {
-    cluster[0].key()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datatamer_model::{RecordId, SourceId};
 
     fn rec(id: u64, fields: Vec<(&str, &str)>) -> Record {
         Record::from_pairs(
@@ -194,6 +147,15 @@ mod tests {
         )
     }
 
+    /// Merge with every attribute resolved under `policy`.
+    fn merge(records: &[Record], policy: ConflictPolicy) -> Record {
+        let refs: Vec<&Record> = records.iter().collect();
+        merge_composite(&refs, |_, values| {
+            let plain: Vec<&Value> = values.iter().map(|&(_, v)| v).collect();
+            policy.resolve_values(&plain)
+        })
+    }
+
     #[test]
     fn majority_vote_picks_common_spelling() {
         let rs = [
@@ -201,8 +163,7 @@ mod tests {
             rec(1, vec![("name", "MATILDA")]),
             rec(2, vec![("name", "Matilda")]),
         ];
-        let refs: Vec<&Record> = rs.iter().collect();
-        let merged = merge_cluster(&refs, &MergePolicy::default());
+        let merged = merge(&rs, ConflictPolicy::MajorityVote);
         assert_eq!(merged.get_text("name").as_deref(), Some("Matilda"));
     }
 
@@ -212,12 +173,7 @@ mod tests {
             rec(0, vec![("venue", "Shubert")]),
             rec(1, vec![("venue", "Shubert 225 W. 44th St between 7th and 8th")]),
         ];
-        let refs: Vec<&Record> = rs.iter().collect();
-        let policy = MergePolicy {
-            per_attribute: vec![("venue".into(), ConflictPolicy::Longest)],
-            default: ConflictPolicy::MajorityVote,
-        };
-        let merged = merge_cluster(&refs, &policy);
+        let merged = merge(&rs, ConflictPolicy::Longest);
         assert!(merged.get_text("venue").unwrap().contains("225 W. 44th"));
     }
 
@@ -228,28 +184,18 @@ mod tests {
             rec(1, vec![("price", "$27")]),
             rec(2, vec![("price", "$99.50")]),
         ];
-        let refs: Vec<&Record> = rs.iter().collect();
-        let policy = MergePolicy {
-            per_attribute: vec![("price".into(), ConflictPolicy::NumericMin)],
-            default: ConflictPolicy::MajorityVote,
-        };
-        let merged = merge_cluster(&refs, &policy);
+        let merged = merge(&rs, ConflictPolicy::NumericMin);
         assert_eq!(merged.get_text("price").as_deref(), Some("$27"));
     }
 
     #[test]
     fn numeric_max_and_fallback() {
         let rs = [rec(0, vec![("cap", "1460")]), rec(1, vec![("cap", "900")])];
-        let refs: Vec<&Record> = rs.iter().collect();
-        let policy = MergePolicy {
-            per_attribute: vec![("cap".into(), ConflictPolicy::NumericMax)],
-            default: ConflictPolicy::MajorityVote,
-        };
-        assert_eq!(merge_cluster(&refs, &policy).get_text("cap").as_deref(), Some("1460"));
+        let max = ConflictPolicy::NumericMax;
+        assert_eq!(merge(&rs, max).get_text("cap").as_deref(), Some("1460"));
         // Non-numeric values under a numeric policy fall back to majority.
         let rs = [rec(0, vec![("cap", "big")]), rec(1, vec![("cap", "big")])];
-        let refs: Vec<&Record> = rs.iter().collect();
-        assert_eq!(merge_cluster(&refs, &policy).get_text("cap").as_deref(), Some("big"));
+        assert_eq!(merge(&rs, max).get_text("cap").as_deref(), Some("big"));
     }
 
     #[test]
@@ -258,29 +204,22 @@ mod tests {
             rec(0, vec![("name", "Matilda")]),
             rec(1, vec![("name", "Matilda"), ("price", "$27")]),
         ];
-        let refs: Vec<&Record> = rs.iter().collect();
-        let merged = merge_cluster(&refs, &MergePolicy::default());
+        let merged = merge(&rs, ConflictPolicy::MajorityVote);
         assert_eq!(merged.get_text("price").as_deref(), Some("$27"));
         assert_eq!(merged.len(), 2);
         // Identity comes from the first member.
-        assert_eq!(merged.id, RecordId(0));
-        assert_eq!(composite_identity(&refs), (SourceId(0), RecordId(0)));
+        assert_eq!(merged.key(), (SourceId(0), RecordId(0)));
     }
 
     #[test]
     fn first_policy_respects_order() {
         let rs = [rec(0, vec![("x", "a")]), rec(1, vec![("x", "b")])];
-        let refs: Vec<&Record> = rs.iter().collect();
-        let policy = MergePolicy {
-            per_attribute: vec![("x".into(), ConflictPolicy::First)],
-            default: ConflictPolicy::MajorityVote,
-        };
-        assert_eq!(merge_cluster(&refs, &policy).get_text("x").as_deref(), Some("a"));
+        assert_eq!(merge(&rs, ConflictPolicy::First).get_text("x").as_deref(), Some("a"));
     }
 
     #[test]
     #[should_panic(expected = "empty cluster")]
     fn empty_cluster_panics() {
-        merge_cluster(&[], &MergePolicy::default());
+        merge(&[], ConflictPolicy::MajorityVote);
     }
 }

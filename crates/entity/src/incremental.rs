@@ -468,8 +468,8 @@ impl IncrementalConsolidator {
     }
 
     /// Delta candidates for one touched bucket: monotone quadratic-core
-    /// pairs for new members landing under the cap, plus (for the
-    /// progressive fallbacks) the bucket's full regenerated window set.
+    /// pairs for new members landing under the cap, plus (once the bucket
+    /// is oversized) its full regenerated window set.
     fn bucket_delta(
         &self,
         members: &[usize],
@@ -492,7 +492,6 @@ impl IncrementalConsolidator {
             return;
         }
         let window = match self.blocker.fallback {
-            OversizeFallback::Truncate => return,
             OversizeFallback::Progressive { window } => window.max(2),
             OversizeFallback::ProgressiveAdaptive { base, max } => {
                 adaptive_window(base, max, members.len(), cap)

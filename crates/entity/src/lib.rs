@@ -3,10 +3,11 @@
 //! Data Tamer's entity-consolidation module finds "records from different
 //! data sources which describe the same entity" and consolidates them into
 //! composite entity records. At web scale all-pairs comparison is
-//! impossible, so the pipeline is: **block** (candidate generation) →
+//! impossible, so consolidation is: **block** (candidate generation) →
 //! **score** pairs (rule-based or the ML dedup classifier) → **cluster**
 //! (union-find over accepted pairs) → **merge** into composite records with
-//! conflict resolution.
+//! conflict resolution. The staged pipeline in `datatamer-core` chains the
+//! batch primitives below; delta batches go through [`incremental`].
 //!
 //! * [`blocking`] — token, Soundex, sorted-neighbourhood, and MinHash-LSH
 //!   candidate generation; oversized buckets degrade to progressive
@@ -18,8 +19,8 @@
 //!   sorted interned token ids) are normalised once per run, so each of
 //!   the millions of candidate pairs scores allocation-free.
 //! * [`cluster`] — union-find clustering of accepted pairs.
-//! * [`consolidate`] — composite-record merge with conflict resolution.
-//! * [`pipeline`] — the end-to-end consolidation pipeline with statistics.
+//! * [`consolidate`] — the composite-record scaffolding ([`merge_composite`])
+//!   and the classic per-attribute [`ConflictPolicy`] values.
 //! * [`incremental`] — delta ER with resident blocking indices, scoring
 //!   context, score memo, and persistent union-find: ingest scales with
 //!   the batch, not the corpus, while clusters stay byte-identical to a
@@ -30,7 +31,6 @@ pub mod cluster;
 pub mod consolidate;
 pub mod incremental;
 pub mod pairsim;
-pub mod pipeline;
 
 pub use blocking::{
     blocking_recall, Blocker, BlockingOutcome, BlockingStrategy, OversizeFallback,
@@ -38,9 +38,5 @@ pub use blocking::{
 };
 pub use cluster::UnionFind;
 pub use incremental::{DeltaReport, IncrementalConsolidator};
-pub use consolidate::{merge_cluster, merge_composite, ConflictPolicy, MergePolicy};
-pub use pairsim::{
-    accepted_pairs, accepted_pairs_prepared, score_pairs, score_pairs_prepared, PairScorer,
-    PrepareStats, RecordSimilarity, ScoringContext,
-};
-pub use pipeline::{ConsolidationPipeline, ConsolidationResult, PipelineConfig};
+pub use consolidate::{merge_composite, ConflictPolicy};
+pub use pairsim::{PairScorer, PrepareStats, RecordSimilarity, ScoringContext};

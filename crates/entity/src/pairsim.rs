@@ -489,49 +489,6 @@ impl ScoringContext {
     }
 }
 
-/// Score candidate pairs against a prepared context, preserving pair order
-/// (free-function form of [`ScoringContext::score_pairs`]).
-pub fn score_pairs_prepared(ctx: &ScoringContext, pairs: &[(usize, usize)]) -> Vec<f64> {
-    ctx.score_pairs(pairs)
-}
-
-/// Filter candidate pairs at `threshold` against a prepared context in one
-/// fused parallel pass (free-function form of
-/// [`ScoringContext::accepted_pairs`]).
-pub fn accepted_pairs_prepared(
-    ctx: &ScoringContext,
-    pairs: &[(usize, usize)],
-    threshold: f64,
-) -> Vec<(usize, usize)> {
-    ctx.accepted_pairs(pairs, threshold)
-}
-
-/// Score candidate pairs in parallel, preserving pair order.
-///
-/// Prepares a [`ScoringContext`] internally (one pass over `records`) and
-/// scores through it — callers holding the same records across several
-/// candidate sets should call [`PairScorer::prepare`] themselves and reuse
-/// the context.
-pub fn score_pairs(
-    scorer: &PairScorer,
-    records: &[Record],
-    pairs: &[(usize, usize)],
-) -> Vec<f64> {
-    scorer.prepare(records).score_pairs(pairs)
-}
-
-/// Score candidate pairs in parallel and keep those at or above
-/// `threshold` (order preserved). Prepares once, then filters in a single
-/// fused pass — see [`ScoringContext::accepted_pairs`].
-pub fn accepted_pairs(
-    scorer: &PairScorer,
-    records: &[Record],
-    pairs: &[(usize, usize)],
-    threshold: f64,
-) -> Vec<(usize, usize)> {
-    scorer.prepare(records).accepted_pairs(pairs, threshold)
-}
-
 /// Type-aware scalar similarity (the naive, per-call form; the prepared
 /// path hoists every normalisation here into [`PairScorer::prepare`]).
 pub fn value_similarity(a: &Value, b: &Value) -> f64 {
@@ -666,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_free_functions_and_wrappers_agree() {
+    fn batch_scoring_matches_score_pair() {
         let records = vec![
             rec(vec![("name", "Wicked"), ("price", "$99")]),
             rec(vec![("name", "WICKED"), ("price", "$98")]),
@@ -675,14 +632,9 @@ mod tests {
         let scorer = PairScorer::Rules(RecordSimilarity::default());
         let pairs = vec![(0, 1), (0, 2), (1, 2)];
         let ctx = scorer.prepare(&records);
-        let via_ctx = score_pairs_prepared(&ctx, &pairs);
-        let via_wrapper = score_pairs(&scorer, &records, &pairs);
-        assert_eq!(via_ctx, via_wrapper);
-        assert_eq!(
-            accepted_pairs_prepared(&ctx, &pairs, 0.75),
-            accepted_pairs(&scorer, &records, &pairs, 0.75),
-        );
-        assert_eq!(accepted_pairs_prepared(&ctx, &pairs, 0.75), vec![(0, 1)]);
+        let one_by_one: Vec<f64> = pairs.iter().map(|&(i, j)| ctx.score_pair(i, j)).collect();
+        assert_eq!(ctx.score_pairs(&pairs), one_by_one);
+        assert_eq!(ctx.accepted_pairs(&pairs, 0.75), vec![(0, 1)]);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 
 use proptest::prelude::*;
 
-use datatamer_entity::pairsim::{
-    accepted_pairs_prepared, score_pairs_prepared, PairScorer, RecordSimilarity,
-};
+use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
 use datatamer_ml::logreg::LogRegConfig;
 use datatamer_ml::DedupClassifier;
 use datatamer_model::{Record, RecordId, SourceId, Value};
@@ -87,7 +85,7 @@ proptest! {
         let scorer = PairScorer::Rules(similarity);
         let ctx = scorer.prepare(&records);
 
-        let prepared = score_pairs_prepared(&ctx, &pairs);
+        let prepared = ctx.score_pairs(&pairs);
         prop_assert_eq!(prepared.len(), pairs.len());
         for (k, &(i, j)) in pairs.iter().enumerate() {
             let naive = scorer.score(&records[i], &records[j]);
@@ -100,7 +98,7 @@ proptest! {
         }
 
         // The fused accept filter equals the naive score-then-filter.
-        let accepted = accepted_pairs_prepared(&ctx, &pairs, threshold);
+        let accepted = ctx.accepted_pairs(&pairs, threshold);
         let expected: Vec<(usize, usize)> = pairs
             .iter()
             .copied()
@@ -133,8 +131,8 @@ proptest! {
         // Scoring any number of pairs must not re-prepare anything.
         let pairs: Vec<(usize, usize)> =
             (0..pair_count).map(|k| (k % n, (k * 7 + 1) % n)).collect();
-        let _ = score_pairs_prepared(&ctx, &pairs);
-        let _ = accepted_pairs_prepared(&ctx, &pairs, 0.5);
+        let _ = ctx.score_pairs(&pairs);
+        let _ = ctx.accepted_pairs(&pairs, 0.5);
         prop_assert_eq!(ctx.stats(), stats);
     }
 }

@@ -1,8 +1,9 @@
 //! Property tests for entity consolidation: union-find matches a naive
 //! transitive closure, cluster merges preserve attribute coverage, the
-//! pipeline never invents or loses records, and blocking holds its output
-//! invariants (sorted, deduplicated, ordered pairs; progressive recall
-//! dominating the truncating cap) for every strategy.
+//! batch primitives (block → score → cluster) never invent or lose
+//! records, and blocking holds its output invariants (sorted, deduplicated,
+//! ordered pairs; the adaptive window's recall dominating the fixed
+//! window's) for every strategy.
 
 use proptest::prelude::*;
 
@@ -10,8 +11,8 @@ use datatamer_entity::blocking::{
     blocking_recall, Blocker, BlockingStrategy, OversizeFallback,
 };
 use datatamer_entity::cluster::{cluster_pairs, UnionFind};
-use datatamer_entity::consolidate::{merge_cluster, MergePolicy};
-use datatamer_entity::pipeline::{ConsolidationPipeline, PipelineConfig};
+use datatamer_entity::consolidate::{merge_composite, ConflictPolicy};
+use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
 use datatamer_model::{Record, RecordId, SourceId, Value};
 
 /// Records with a `name` attribute from generated strings.
@@ -48,10 +49,8 @@ fn strategy_fallback_pairs() -> Vec<(BlockingStrategy, OversizeFallback)> {
     vec![
         (BlockingStrategy::Token, progressive),
         (BlockingStrategy::Token, adaptive),
-        (BlockingStrategy::Token, OversizeFallback::Truncate),
         (BlockingStrategy::Soundex, progressive),
         (BlockingStrategy::Soundex, adaptive),
-        (BlockingStrategy::Soundex, OversizeFallback::Truncate),
         (BlockingStrategy::SortedNeighborhood { window: 3 }, progressive),
         (BlockingStrategy::MinHashLsh { bands: 4, rows: 4 }, progressive),
     ]
@@ -138,7 +137,10 @@ proptest! {
             })
             .collect();
         let refs: Vec<&Record> = records.iter().collect();
-        let merged = merge_cluster(&refs, &MergePolicy::default());
+        let merged = merge_composite(&refs, |_, values| {
+            let plain: Vec<&Value> = values.iter().map(|&(_, v)| v).collect();
+            ConflictPolicy::MajorityVote.resolve_values(&plain)
+        });
         // Every attribute present in any member appears in the composite.
         for r in &records {
             for name in r.field_names() {
@@ -197,13 +199,13 @@ proptest! {
     }
 
     #[test]
-    fn progressive_recall_dominates_truncation(
+    fn adaptive_recall_dominates_fixed_window(
         names in prop::collection::vec("[abc ]{1,6}", 2..50),
         raw_truth in prop::collection::vec((0usize..50, 0usize..50), 1..12),
     ) {
-        // On ANY truth set, progressive blocking's candidate set is a
-        // superset of the truncating cap's, so its recall can never be
-        // lower — the invariant that replaces the recall cliff.
+        // The adaptive window only ever widens from the same base, so on
+        // ANY truth set its candidate set is a superset of the fixed
+        // window's and its recall can never be lower.
         let n = names.len();
         let truth: Vec<(usize, usize)> = raw_truth
             .into_iter()
@@ -215,23 +217,6 @@ proptest! {
         let progressive = base()
             .with_fallback(OversizeFallback::Progressive { window: 3 })
             .candidates(&records);
-        let truncated = base()
-            .with_fallback(OversizeFallback::Truncate)
-            .candidates(&records);
-        let progressive_set: std::collections::HashSet<(usize, usize)> =
-            progressive.iter().copied().collect();
-        prop_assert!(
-            truncated.iter().all(|p| progressive_set.contains(p)),
-            "progressive candidates must be a superset of truncated ones"
-        );
-        prop_assert!(
-            blocking_recall(&progressive, &truth)
-                >= blocking_recall(&truncated, &truth) - 1e-12,
-            "progressive recall must dominate"
-        );
-        // The adaptive window only ever widens from the same base, so its
-        // candidate set dominates the fixed window's the same way the fixed
-        // window dominates truncation: adaptive ⊇ progressive ⊇ truncated.
         let adaptive = base()
             .with_fallback(OversizeFallback::ProgressiveAdaptive { base: 3, max: 12 })
             .candidates(&records);
@@ -250,31 +235,21 @@ proptest! {
 
     #[test]
     fn pipeline_clusters_partition_input(names in prop::collection::vec("[a-f]{2,6}", 1..30)) {
-        let records: Vec<Record> = names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                Record::from_pairs(
-                    SourceId(0),
-                    RecordId(i as u64),
-                    vec![("name", Value::from(name.clone()))],
-                )
-            })
-            .collect();
-        let pipeline = ConsolidationPipeline::new(PipelineConfig::rules_default("name"));
-        let result = pipeline.run(&records);
+        let records = named_records(&names);
+        let candidates = Blocker::new("name", BlockingStrategy::Token).candidates(&records);
+        let ctx = PairScorer::Rules(RecordSimilarity::default()).prepare(&records);
+        let clusters = cluster_pairs(records.len(), &ctx.accepted_pairs(&candidates, 0.75));
         // Clusters partition 0..n.
-        let mut all: Vec<usize> = result.clusters.iter().flatten().copied().collect();
+        let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();
         all.sort_unstable();
         let expected: Vec<usize> = (0..records.len()).collect();
         prop_assert_eq!(all, expected);
-        prop_assert_eq!(result.composites.len(), result.clusters.len());
         // Identical names always cluster together (token blocking + score 1).
         for (i, a) in names.iter().enumerate() {
             for (j, b) in names.iter().enumerate().skip(i + 1) {
                 if a == b {
-                    let ca = result.clusters.iter().position(|c| c.contains(&i));
-                    let cb = result.clusters.iter().position(|c| c.contains(&j));
+                    let ca = clusters.iter().position(|c| c.contains(&i));
+                    let cb = clusters.iter().position(|c| c.contains(&j));
                     prop_assert_eq!(ca, cb, "identical names split: {}", a);
                 }
             }

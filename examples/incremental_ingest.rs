@@ -1,8 +1,8 @@
 //! Incremental consolidation end to end: seed a corpus through the staged
 //! pipeline, ingest two delta batches through `DataTamer::consolidate_delta`
 //! (printing each `DeltaReport`), then prove the resident-state shortcut
-//! changed nothing — the fused output byte-matches a from-scratch rebuild
-//! over the concatenated corpus. Run with `RAYON_NUM_THREADS=1` vs `=16`
+//! changed nothing — the fused output byte-matches a from-scratch batch
+//! rebuild over the concatenated corpus. Run with `RAYON_NUM_THREADS=1` vs `=16`
 //! to see the output is thread-count independent too.
 use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy, CHEAPEST_PRICE, SHOW_NAME};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
@@ -18,10 +18,7 @@ fn show(id: u64, name: &str, price: &str) -> Record {
 
 fn config() -> DataTamerConfig {
     DataTamerConfig {
-        grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
-            ..Default::default()
-        }),
+        grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
         ..Default::default()
     }
 }

@@ -10,10 +10,11 @@
 //! cargo run --release --example webtext_dedup
 //! ```
 
+use datatamer::core::fusion::{resolve_group, PolicyResolver, ResolverRegistry};
 use datatamer::corpus::truth::{labeled_pairs, labeled_pairs_with, PairDifficulty, DEDUP_EVAL_TYPES};
 use datatamer::entity::blocking::BlockingStrategy;
-use datatamer::entity::pipeline::{ConsolidationPipeline, PipelineConfig};
-use datatamer::entity::{Blocker, PairScorer};
+use datatamer::entity::cluster::cluster_pairs;
+use datatamer::entity::{Blocker, ConflictPolicy, PairScorer};
 use datatamer::ml::dedup::{crossval_dedup, DedupClassifier};
 use datatamer::ml::logreg::LogRegConfig;
 use datatamer::model::{Record, RecordId, SourceId, Value};
@@ -62,23 +63,26 @@ fn main() {
             )
         })
         .collect();
-    let pipeline = ConsolidationPipeline::new(PipelineConfig {
-        blocker: Blocker::new("name", BlockingStrategy::Soundex),
-        scorer: PairScorer::Classifier { key_attr: "name".into(), model },
-        accept_threshold: 0.5,
-        merge: Default::default(),
-    });
-    let result = pipeline.run(&records);
+    let candidates = Blocker::new("name", BlockingStrategy::Soundex).candidates(&records);
+    let scorer = PairScorer::Classifier { key_attr: "name".into(), model };
+    let accepted = scorer.prepare(&records).accepted_pairs(&candidates, 0.5);
+    let clusters = cluster_pairs(records.len(), &accepted);
+    let all_pairs = records.len() * (records.len() - 1) / 2;
     println!(
         "\nconsolidated {} dirty person records into {} entities \
          ({} candidate pairs from blocking, {:.0}% of all-pairs work avoided):",
         records.len(),
-        result.clusters.len(),
-        result.candidate_pairs,
-        result.comparisons_saved() * 100.0
+        clusters.len(),
+        candidates.len(),
+        (1.0 - candidates.len() as f64 / all_pairs as f64) * 100.0
     );
-    for (cluster, composite) in result.clusters.iter().zip(&result.composites) {
-        let members: Vec<&str> = cluster.iter().map(|&i| dirty[i]).collect();
-        println!("  {members:?} -> \"{}\"", composite.get_text("name").unwrap_or_default());
+    // Majority vote with first-seen tie breaks: the cluster's earliest
+    // spelling wins a 1–1 split.
+    let registry = ResolverRegistry::new(Box::new(PolicyResolver(ConflictPolicy::MajorityVote)));
+    for cluster in &clusters {
+        let members: Vec<&Record> = cluster.iter().map(|&i| &records[i]).collect();
+        let composite = resolve_group(&members, &registry);
+        let names: Vec<&str> = cluster.iter().map(|&i| dirty[i]).collect();
+        println!("  {names:?} -> \"{}\"", composite.get_text("name").unwrap_or_default());
     }
 }

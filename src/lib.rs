@@ -177,8 +177,11 @@
 //! id, record id, cluster rank) to a `ValueResolver`. Built-ins cover
 //! majority vote, iterative accu-style source-reliability weighting,
 //! freshness (`LatestWins` over record provenance), multi-truth attributes
-//! (every value above a support threshold survives, as an array), and the
-//! classic order-sensitive merge policies. Routing is declarative
+//! (every value above a support threshold survives, as an array), and
+//! `PolicyResolver`, which applies one order-sensitive conflict policy
+//! (`First`, `Longest`, numeric min/max, first-seen-tie majority).
+//! Every composite is built by one routine, `merge_composite`, driven by
+//! the registry. Routing is declarative
 //! ([`core::fusion::RegistryConfig`]) — set it system-wide on
 //! `DataTamerConfig::fusion_resolvers` or per run on a `PipelinePlan`:
 //!
@@ -261,7 +264,6 @@
 //! (pinned by proptest), so determinism guarantees ride along unchanged:
 //!
 //! ```
-//! use datatamer::entity::pairsim::{accepted_pairs_prepared, score_pairs_prepared};
 //! use datatamer::entity::{PairScorer, RecordSimilarity};
 //! use datatamer::model::{Record, RecordId, SourceId, Value};
 //!
@@ -284,13 +286,13 @@
 //!
 //! // …then any number of candidate pairs scores against the shared context.
 //! let pairs = [(0, 1), (0, 2), (1, 2)];
-//! let scores = score_pairs_prepared(&ctx, &pairs);
+//! let scores = ctx.score_pairs(&pairs);
 //! assert!(scores[0] > 0.95, "case + currency-format damage still matches");
 //! assert!(scores[1] < 0.6);
 //! // Bit-identical to the naive per-pair oracle.
 //! assert_eq!(scores[0].to_bits(), scorer.score(&records[0], &records[1]).to_bits());
 //! // The accept filter is one fused parallel pass — no score vector.
-//! assert_eq!(accepted_pairs_prepared(&ctx, &pairs, 0.75), vec![(0, 1)]);
+//! assert_eq!(ctx.accepted_pairs(&pairs, 0.75), vec![(0, 1)]);
 //! ```
 //!
 //! How the staged pipeline *groups* records for fusion is itself
@@ -372,12 +374,9 @@
 //!     )
 //! }
 //!
-//! // Consolidation runs through the resident-state incremental engine.
+//! // The staged run consolidates in batch; deltas seed the resident engine.
 //! let mut dt = DataTamer::new(DataTamerConfig {
-//!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-//!         incremental: true,
-//!         ..Default::default()
-//!     }),
+//!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
 //!     ..Default::default()
 //! });
 //! let corpus: Vec<Record> =
@@ -433,10 +432,7 @@
 //! let _ = std::fs::remove_dir_all(&dir);
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let config = DataTamerConfig {
-//!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-//!         incremental: true,
-//!         ..Default::default()
-//!     }),
+//!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
 //!     delta_log: Some(DeltaLogConfig::at(dir.join("delta.log"))),
 //!     ..Default::default()
 //! };

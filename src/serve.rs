@@ -118,10 +118,7 @@ mod tests {
     #[test]
     fn a_publish_that_skipped_a_revision_reindexes_the_skipped_delta() {
         let mut dt = DataTamer::new(DataTamerConfig {
-            grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-                incremental: true,
-                ..Default::default()
-            }),
+            grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
             ..Default::default()
         });
         let corpus: Vec<Record> =

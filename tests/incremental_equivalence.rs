@@ -2,7 +2,10 @@
 //! any prefix + any sequence of delta batches and feeding it through
 //! [`DataTamer::consolidate_delta`] must produce byte-identical fused
 //! entities and cluster membership to a from-scratch full run over the
-//! concatenated corpus — at any thread count.
+//! concatenated corpus — at any thread count. The full run is a staged
+//! `DataTamer::run`, which consolidates through the batch engine (block →
+//! prepare → accept → cluster), so every comparison here checks the
+//! resident engine against the batch one.
 //!
 //! The resident state this guards: the scoring context and blocking
 //! indices extend in place, only touched buckets are probed (never
@@ -45,10 +48,7 @@ fn config_with(delta_log: Option<DeltaLogConfig>) -> DataTamerConfig {
     DataTamerConfig {
         extent_size: 64 * 1024,
         shards: 2,
-        grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
-            ..Default::default()
-        }),
+        grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
         delta_log,
         ..Default::default()
     }

@@ -255,7 +255,7 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
 
 #[test]
 fn parallel_scan_and_consolidation_are_thread_count_invariant() {
-    use datatamer::entity::{accepted_pairs, Blocker, BlockingStrategy, PairScorer, RecordSimilarity};
+    use datatamer::entity::{Blocker, BlockingStrategy, PairScorer, RecordSimilarity};
     use datatamer::model::{Record, RecordId, SourceId, Value};
 
     let records: Vec<Record> = (0..300u64)
@@ -272,7 +272,7 @@ fn parallel_scan_and_consolidation_are_thread_count_invariant() {
 
     let job = || {
         let candidates = blocker.candidates(&records);
-        let accepted = accepted_pairs(&scorer, &records, &candidates, 0.75);
+        let accepted = scorer.prepare(&records).accepted_pairs(&candidates, 0.75);
         (candidates, accepted)
     };
     let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(job);

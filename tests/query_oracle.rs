@@ -200,10 +200,7 @@ fn config() -> DataTamerConfig {
     DataTamerConfig {
         extent_size: 64 * 1024,
         shards: 2,
-        grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
-            ..Default::default()
-        }),
+        grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
         ..Default::default()
     }
 }
