@@ -1,16 +1,14 @@
-//! Blocking ablation: candidate generation across bucket-size
-//! distributions and strategies.
+//! Token blocking across bucket-size distributions.
 //!
 //! The interesting axis is the bucket-size distribution. Uniform small
 //! buckets are blocking's best case; a Zipf-like head token funnels most
-//! records into one giant bucket, which is exactly where the progressive
-//! oversize fallback (in-cap quadratic core plus a full-key window) sets
-//! the cost.
+//! records into one giant bucket, which is exactly where progressive
+//! blocking (in-cap quadratic core plus a full-key window) sets the cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use datatamer_entity::{Blocker, BlockingStrategy};
+use datatamer_entity::Blocker;
 use datatamer_model::{Record, RecordId, SourceId, Value};
 
 const N: usize = 2000;
@@ -47,22 +45,11 @@ fn bench_blocking(c: &mut Criterion) {
     group.sample_size(15);
     group.throughput(Throughput::Elements(N as u64));
 
+    let blocker = Blocker::new("name");
     group.bench_function("token_uniform", |b| {
-        let blocker = Blocker::new("name", BlockingStrategy::Token);
         b.iter(|| black_box(blocker.candidates_with_report(&uniform).pairs.len()))
     });
     group.bench_function("token_zipf_progressive", |b| {
-        let blocker = Blocker::new("name", BlockingStrategy::Token);
-        b.iter(|| black_box(blocker.candidates_with_report(&zipf).pairs.len()))
-    });
-    group.bench_function("sorted_neighborhood_zipf", |b| {
-        let blocker =
-            Blocker::new("name", BlockingStrategy::SortedNeighborhood { window: 16 });
-        b.iter(|| black_box(blocker.candidates_with_report(&zipf).pairs.len()))
-    });
-    group.bench_function("minhash_lsh_zipf", |b| {
-        let blocker =
-            Blocker::new("name", BlockingStrategy::MinHashLsh { bands: 8, rows: 4 });
         b.iter(|| black_box(blocker.candidates_with_report(&zipf).pairs.len()))
     });
     group.finish();

@@ -1,17 +1,14 @@
-//! Dedup benches — experiment M1 and the blocking ablation.
+//! Dedup benches — experiment M1.
 //!
-//! Times pair featurisation, classifier training, the full 10-fold
-//! cross-validation protocol, and compares candidate generation across the
-//! four blocking strategies (the design-choice ablation of DESIGN.md).
+//! Times pair featurisation, classifier training and the full 10-fold
+//! cross-validation protocol.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use datatamer_corpus::truth::labeled_pairs;
-use datatamer_entity::blocking::{Blocker, BlockingStrategy};
 use datatamer_ml::dedup::{crossval_dedup, DedupClassifier, PairFeatures};
 use datatamer_ml::logreg::LogRegConfig;
-use datatamer_model::{Record, RecordId, SourceId, Value};
 use datatamer_text::EntityType;
 
 fn pairs(n: usize) -> Vec<(String, String, bool)> {
@@ -51,48 +48,9 @@ fn bench_crossval(c: &mut Criterion) {
     });
 }
 
-fn show_records(n: usize) -> Vec<Record> {
-    let base = labeled_pairs(EntityType::Movie, n, 7, 0.5, false);
-    base.into_iter()
-        .enumerate()
-        .flat_map(|(i, p)| {
-            [
-                Record::from_pairs(
-                    SourceId(0),
-                    RecordId(2 * i as u64),
-                    vec![("name", Value::from(p.a))],
-                ),
-                Record::from_pairs(
-                    SourceId(1),
-                    RecordId(2 * i as u64 + 1),
-                    vec![("name", Value::from(p.b))],
-                ),
-            ]
-        })
-        .collect()
-}
-
-fn bench_blocking_strategies(c: &mut Criterion) {
-    let records = show_records(500); // 1000 records
-    let mut group = c.benchmark_group("blocking_ablation");
-    group.throughput(Throughput::Elements(records.len() as u64));
-    for (label, strategy) in [
-        ("token", BlockingStrategy::Token),
-        ("soundex", BlockingStrategy::Soundex),
-        ("sorted_neighborhood_w5", BlockingStrategy::SortedNeighborhood { window: 5 }),
-        ("minhash_lsh_8x4", BlockingStrategy::MinHashLsh { bands: 8, rows: 4 }),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &strategy, |b, s| {
-            let blocker = Blocker::new("name", *s);
-            b.iter(|| black_box(blocker.candidates(&records)).len())
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(12);
-    targets = bench_featurize, bench_train, bench_crossval, bench_blocking_strategies
+    targets = bench_featurize, bench_train, bench_crossval
 );
 criterion_main!(benches);

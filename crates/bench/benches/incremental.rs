@@ -22,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use datatamer_entity::blocking::{Blocker, BlockingStrategy};
+use datatamer_entity::blocking::Blocker;
 use datatamer_entity::cluster::cluster_pairs;
 use datatamer_entity::incremental::IncrementalConsolidator;
 use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
@@ -51,7 +51,7 @@ fn records(range: std::ops::Range<usize>) -> Vec<Record> {
 }
 
 fn blocker() -> Blocker {
-    Blocker::new("name", BlockingStrategy::Token)
+    Blocker::new("name")
 }
 
 fn scorer() -> PairScorer {

@@ -15,7 +15,7 @@
 //! strategies produce the same [`FusionGroup`] shape, so the merge half
 //! (rayon-parallel, byte-deterministic) is untouched downstream.
 
-use datatamer_entity::blocking::{Blocker, BlockingStrategy, OversizeFallback};
+use datatamer_entity::blocking::Blocker;
 use datatamer_entity::cluster::cluster_pairs;
 use datatamer_entity::incremental::IncrementalConsolidator;
 use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
@@ -57,18 +57,13 @@ impl ScorerSpec {
 }
 
 /// Configuration of similarity-based blocked entity resolution: which
-/// attribute blocks, how candidates are generated, how pairs are scored,
-/// and the acceptance threshold.
+/// attribute token blocking keys on, how pairs are scored, and the
+/// acceptance threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockedErConfig {
     /// The attribute driving blocking (canonical spelling — records are
     /// already mapped onto the global schema when consolidation runs).
     pub key_attr: String,
-    /// Candidate generation strategy.
-    pub strategy: BlockingStrategy,
-    /// Oversized-bucket handling (progressive by default — see
-    /// [`OversizeFallback`]).
-    pub fallback: OversizeFallback,
     /// Pair scoring.
     pub scorer: ScorerSpec,
     /// Pairs scoring at or above this are duplicates.
@@ -84,8 +79,6 @@ impl Default for BlockedErConfig {
     fn default() -> Self {
         BlockedErConfig {
             key_attr: SHOW_NAME.to_owned(),
-            strategy: BlockingStrategy::Token,
-            fallback: OversizeFallback::default(),
             scorer: ScorerSpec::default(),
             accept_threshold: 0.75,
             incremental: false,
@@ -96,7 +89,7 @@ impl Default for BlockedErConfig {
 impl BlockedErConfig {
     /// The [`Blocker`] this configuration describes.
     pub fn build_blocker(&self) -> Blocker {
-        Blocker::new(self.key_attr.clone(), self.strategy).with_fallback(self.fallback)
+        Blocker::new(self.key_attr.clone())
     }
 
     /// A fresh resident-state consolidator matching this configuration.
@@ -176,8 +169,8 @@ fn blocked_groups(
     // numerics, lowercased text) are normalised exactly once no matter how
     // many candidate pairs blocking put it in; the parallel filter then
     // scores allocation-free against the shared context. The same context
-    // hands blocking its full-key sort axis (progressive fallback and
-    // sorted-neighborhood order), replacing what used to be a second
+    // hands blocking the full-key sort axis its progressive windows read
+    // inside oversized buckets, replacing what used to be a second
     // render + lowercase pass over the raw records.
     let prepared = scorer.prepare(records);
     let outcome = blocker.candidates_with_report_keyed(records, &|| {

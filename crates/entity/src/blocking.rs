@@ -2,169 +2,78 @@
 //!
 //! Comparing all `n²/2` record pairs is intractable at the paper's scale
 //! (173M entities); blocking restricts comparisons to records sharing a
-//! cheap key. Strategies trade recall against candidate volume — the
-//! ablation bench sweeps them (`blocking/*` in `datatamer-bench`).
+//! cheap key. There is one generator, **token blocking**: records sharing
+//! any normalised token of the key attribute land in the same bucket, and
+//! each bucket expands to its member pairs. The resident engine in
+//! [`crate::incremental`] keeps the same buckets across delta batches and
+//! ends with the same accepted pairs.
 //!
 //! ## Oversized buckets: progressive blocking, not truncation
 //!
-//! Bucket strategies (`Token`, `Soundex`) hit a wall on stopword-like keys:
-//! a bucket of 100k members would expand to ~5·10⁹ pairs. Cutting the
-//! bucket at [`BUCKET_CAP`] bounds the cost but is a *recall cliff*: every
-//! duplicate past the cap becomes silently unreachable.
+//! Token buckets hit a wall on stopword-like keys: a bucket of 100k members
+//! would expand to ~5·10⁹ pairs. Cutting the bucket at [`BUCKET_CAP`]
+//! bounds the cost but is a *recall cliff*: every duplicate past the cap
+//! becomes silently unreachable.
 //!
-//! Blocking uses **progressive blocking** instead
-//! ([`OversizeFallback::Progressive`]): an oversized bucket keeps the full
-//! quadratic expansion over its first [`BUCKET_CAP`] members (so nothing
-//! the cap used to find is ever lost) and *additionally* sorts the entire
-//! membership by the records' full key and slides a window over that order,
-//! so every member — including those past the cap — still meets its
-//! lexicographic neighbours. True duplicates have near-identical full keys
-//! and sort adjacent, so the window recovers them at
-//! `O(cap² + |bucket| · window)` candidates instead of `O(|bucket|²)`.
-//! Buckets handled this way are counted in
-//! [`BlockingOutcome::degraded_buckets`]: degraded means "window recall
-//! instead of exhaustive recall inside this bucket", never "records
-//! dropped".
-
-use std::collections::HashMap;
+//! Blocking uses **progressive blocking** instead: an oversized bucket
+//! keeps the full quadratic expansion over its first [`BUCKET_CAP`]
+//! members (so nothing the cap used to find is ever lost) and
+//! *additionally* sorts the entire membership by the records' full key and
+//! slides a window of [`PROGRESSIVE_WINDOW`] over that order, so every
+//! member — including those past the cap — still meets its lexicographic
+//! neighbours. True duplicates have near-identical full keys and sort
+//! adjacent, so the window recovers them at `O(cap² + |bucket| · window)`
+//! candidates instead of `O(|bucket|²)`. Buckets handled this way are
+//! counted in [`BlockingOutcome::degraded_buckets`]: degraded means
+//! "window recall instead of exhaustive recall inside this bucket", never
+//! "records dropped".
 
 use datatamer_model::Record;
-use datatamer_sim::{for_each_token, soundex, tokenize, MinHashLsh, MinHasher, TokenInterner};
+use datatamer_sim::{for_each_token, TokenInterner};
 use rayon::prelude::*;
 
-/// Available blocking strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockingStrategy {
-    /// Records sharing any normalised token of the key attribute.
-    Token,
-    /// Records sharing the Soundex code of the key attribute's first word.
-    Soundex,
-    /// Sort by the key attribute; every pair within a window of `w`.
-    SortedNeighborhood { window: usize },
-    /// MinHash LSH over key-attribute tokens (bands × rows hash functions).
-    MinHashLsh { bands: usize, rows: usize },
-}
-
-/// Bucket-based strategies treat buckets above this many members
-/// (stopword-like tokens) as oversized and apply the configured
-/// [`OversizeFallback`] to bound the quadratic blowup. Oversize handling is
-/// never silent: it is reported as [`BlockingOutcome::degraded_buckets`].
+/// Buckets above this many members (stopword-like tokens) are oversized
+/// and expand progressively to bound the quadratic blowup. Oversize
+/// handling is never silent: it is reported as
+/// [`BlockingOutcome::degraded_buckets`].
 pub const BUCKET_CAP: usize = 256;
 
-/// Default sorted-neighborhood window for
-/// [`OversizeFallback::Progressive`]: each member of an oversized bucket
-/// meets this many lexicographic neighbours (minus one) on each side of the
+/// Progressive-blocking window: each member of an oversized bucket meets
+/// this many lexicographic neighbours (minus one) on each side of the
 /// full-key sort order.
 pub const PROGRESSIVE_WINDOW: usize = 16;
-
-/// Default clamp for [`OversizeFallback::ProgressiveAdaptive`]: however
-/// oversized the bucket, the per-member window never exceeds this.
-pub const ADAPTIVE_WINDOW_MAX: usize = 128;
-
-/// What a bucket strategy does with a bucket larger than the cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OversizeFallback {
-    /// Progressive blocking: keep the quadratic expansion over the first
-    /// cap members *and* sort the whole bucket by the records' full key,
-    /// sliding a window of `window` over that order so every member still
-    /// gets candidates. `O(cap² + |bucket| · window)` pairs per bucket.
-    Progressive {
-        /// Sorted-neighborhood window width (at least 2).
-        window: usize,
-    },
-    /// Progressive blocking with a window that *scales with bucket size*:
-    /// `window = base · ⌈log₂(|bucket| / cap)⌉`, clamped to
-    /// `[base, max]`. A bucket just over the cap gets the base window
-    /// (identical to [`OversizeFallback::Progressive`] at `base`); each
-    /// doubling of the overflow widens the window by another `base`, so
-    /// recall inside stopword-sized buckets degrades logarithmically
-    /// instead of cliff-like — while the candidate count stays
-    /// `O(cap² + |bucket| · window)` with `window ≤ max`. The candidate
-    /// set always contains the fixed-`base` progressive set (the window
-    /// can only grow), so its recall on any truth set is at least as high:
-    /// adaptive ⊇ progressive(base).
-    ProgressiveAdaptive {
-        /// Window at the smallest oversize (at least 2).
-        base: usize,
-        /// Hard ceiling on the scaled window.
-        max: usize,
-    },
-}
-
-impl Default for OversizeFallback {
-    fn default() -> Self {
-        OversizeFallback::Progressive { window: PROGRESSIVE_WINDOW }
-    }
-}
-
-impl OversizeFallback {
-    /// The default adaptive configuration: base [`PROGRESSIVE_WINDOW`],
-    /// clamped at [`ADAPTIVE_WINDOW_MAX`].
-    pub fn adaptive() -> Self {
-        OversizeFallback::ProgressiveAdaptive {
-            base: PROGRESSIVE_WINDOW,
-            max: ADAPTIVE_WINDOW_MAX,
-        }
-    }
-}
-
-/// The adaptive window for one oversized bucket:
-/// `base · ⌈log₂(bucket / cap)⌉` clamped into `[base, max]` (see
-/// [`OversizeFallback::ProgressiveAdaptive`]). Only called for
-/// `bucket > cap`, where the multiplier is at least 1.
-pub(crate) fn adaptive_window(base: usize, max: usize, bucket: usize, cap: usize) -> usize {
-    let base = base.max(2);
-    let ratio = bucket as f64 / cap.max(1) as f64;
-    let doublings = ratio.log2().ceil().max(1.0) as usize;
-    (base.saturating_mul(doublings)).clamp(base, max.max(base))
-}
 
 /// Candidate generation plus blocking-health counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockingOutcome {
     /// Candidate index pairs `(i, j)` with `i < j`, sorted, deduplicated.
     pub pairs: Vec<(usize, usize)>,
-    /// Buckets whose membership exceeded the blocker's cap and fell back
-    /// to the configured [`OversizeFallback`]: windowed (not exhaustive)
-    /// recall inside those buckets, never dropped members.
+    /// Buckets whose membership exceeded the blocker's cap and expanded
+    /// progressively: windowed (not exhaustive) recall inside those
+    /// buckets, never dropped members.
     pub degraded_buckets: usize,
 }
 
-/// Generates candidate pairs from records using one strategy.
+/// Generates candidate pairs from records by token blocking.
 #[derive(Debug, Clone)]
 pub struct Blocker {
     /// The attribute whose value drives blocking.
     pub key_attr: String,
-    /// The chosen strategy.
-    pub strategy: BlockingStrategy,
-    /// Bucket size above which the fallback kicks in ([`BUCKET_CAP`] by
-    /// default; only the bucket strategies consult it).
+    /// Bucket size above which a bucket expands progressively
+    /// ([`BUCKET_CAP`] by default).
     pub bucket_cap: usize,
-    /// What to do with oversized buckets (progressive by default).
-    pub fallback: OversizeFallback,
 }
 
 impl Blocker {
-    /// Create a blocker on an attribute with the default bucket cap and
-    /// progressive oversize fallback.
-    pub fn new(key_attr: impl Into<String>, strategy: BlockingStrategy) -> Self {
-        Blocker {
-            key_attr: key_attr.into(),
-            strategy,
-            bucket_cap: BUCKET_CAP,
-            fallback: OversizeFallback::default(),
-        }
+    /// Create a blocker on an attribute with the default bucket cap.
+    pub fn new(key_attr: impl Into<String>) -> Self {
+        Blocker { key_attr: key_attr.into(), bucket_cap: BUCKET_CAP }
     }
 
-    /// Builder: override the bucket cap (testing and ablation knob).
+    /// Builder: override the bucket cap (lets tests reach the oversized
+    /// path with a handful of records).
     pub fn with_bucket_cap(mut self, cap: usize) -> Self {
         self.bucket_cap = cap.max(2);
-        self
-    }
-
-    /// Builder: override the oversized-bucket fallback.
-    pub fn with_fallback(mut self, fallback: OversizeFallback) -> Self {
-        self.fallback = fallback;
         self
     }
 
@@ -174,11 +83,14 @@ impl Blocker {
         self.candidates_with_report(records).pairs
     }
 
-    /// [`Blocker::candidates`] plus the degradation counter. Only the
-    /// bucket-based strategies (`Token`, `Soundex`) can degrade; the
-    /// windowed and LSH strategies always report zero.
+    /// [`Blocker::candidates`] plus the degradation counter.
     pub fn candidates_with_report(&self, records: &[Record]) -> BlockingOutcome {
-        self.candidates_with_report_keyed(records, &|| self.sort_keys(records))
+        self.candidates_with_report_keyed(records, &|| {
+            records
+                .iter()
+                .map(|r| r.get_text(&self.key_attr).map(|k| k.to_lowercase()))
+                .collect()
+        })
     }
 
     /// [`Blocker::candidates_with_report`] with the full-key sort axis
@@ -187,42 +99,12 @@ impl Blocker {
     /// text inside its prepared `ScoringContext`, so threading it through
     /// here removes a second rendering + lowercasing pass over the corpus.
     ///
-    /// `sort_keys` is a thunk because only the sorted-neighborhood strategy
-    /// and the progressive oversize fallbacks read the axis — the common
-    /// no-degradation bucket path never invokes it. It must return one
-    /// entry per record, byte-identical to
+    /// `sort_keys` is a thunk because only oversized buckets read the axis
+    /// — the common no-degradation path never invokes it. It must return
+    /// one entry per record, byte-identical to
     /// `record.get_text(key_attr).map(|k| k.to_lowercase())`; the candidate
     /// output is then byte-identical to the unkeyed form.
     pub fn candidates_with_report_keyed(
-        &self,
-        records: &[Record],
-        sort_keys: &(dyn Fn() -> Vec<Option<String>> + Sync),
-    ) -> BlockingOutcome {
-        match self.strategy {
-            BlockingStrategy::Token => self.token_blocks(records, sort_keys),
-            BlockingStrategy::Soundex => self.soundex_blocks(records, sort_keys),
-            BlockingStrategy::SortedNeighborhood { window } => BlockingOutcome {
-                pairs: sorted_neighborhood_pairs(&sort_keys(), window),
-                degraded_buckets: 0,
-            },
-            BlockingStrategy::MinHashLsh { bands, rows } => BlockingOutcome {
-                pairs: self.lsh_blocks(records, bands, rows),
-                degraded_buckets: 0,
-            },
-        }
-    }
-
-    fn key_of(&self, r: &Record) -> Option<String> {
-        r.get_text(&self.key_attr)
-    }
-
-    /// Lowercased full keys, indexed like `records` — the sort axis for
-    /// progressive expansion inside oversized buckets.
-    fn sort_keys(&self, records: &[Record]) -> Vec<Option<String>> {
-        records.iter().map(|r| self.key_of(r).map(|k| k.to_lowercase())).collect()
-    }
-
-    fn token_blocks(
         &self,
         records: &[Record],
         sort_keys: &(dyn Fn() -> Vec<Option<String>> + Sync),
@@ -237,15 +119,8 @@ impl Blocker {
         let mut buckets: Vec<Vec<usize>> = Vec::new();
         let mut ids: Vec<u32> = Vec::new();
         for (i, r) in records.iter().enumerate() {
-            if let Some(key) = self.key_of(r) {
-                // Distinct tokens only: a repeated token ("La La Land")
-                // must not enter the record into its bucket twice, which
-                // would emit a self-pair `(i, i)` and inflate bucket sizes
-                // toward the cap.
-                ids.clear();
-                for_each_token(&key, |tok| ids.push(interner.intern(tok)));
-                ids.sort_unstable();
-                ids.dedup();
+            if let Some(key) = r.get_text(&self.key_attr) {
+                distinct_token_ids(&mut interner, &key, &mut ids);
                 for &id in &ids {
                     while buckets.len() <= id as usize {
                         buckets.push(Vec::new());
@@ -257,68 +132,22 @@ impl Blocker {
         self.pairs_from_buckets(buckets, sort_keys)
     }
 
-    fn soundex_blocks(
-        &self,
-        records: &[Record],
-        sort_keys: &(dyn Fn() -> Vec<Option<String>> + Sync),
-    ) -> BlockingOutcome {
-        let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, r) in records.iter().enumerate() {
-            if let Some(key) = self.key_of(r) {
-                let first_word = key.split_whitespace().next().unwrap_or("");
-                if let Some(code) = soundex(first_word) {
-                    buckets.entry(code).or_default().push(i);
-                }
-            }
-        }
-        // dtlint::allow(map-iter, reason = "pairs_from_buckets sorts and dedups the expanded pair list")
-        self.pairs_from_buckets(buckets.into_values(), sort_keys)
-    }
-
-    fn lsh_blocks(&self, records: &[Record], bands: usize, rows: usize) -> Vec<(usize, usize)> {
-        let hasher = MinHasher::new(bands * rows, 0x1357_9bdf);
-        let mut lsh: MinHashLsh<usize> = MinHashLsh::new(bands, rows);
-        for (i, r) in records.iter().enumerate() {
-            if let Some(key) = self.key_of(r) {
-                // Empty token sets are rejected inside `insert` (their
-                // all-MAX signatures would band-collide with each other).
-                lsh.insert(i, &hasher.signature(&tokenize(&key)));
-            }
-        }
-        // `candidate_pairs` is sorted and self-pair-free; re-normalising
-        // here keeps the byte-determinism contract local to this function
-        // instead of inherited, so a future index swap cannot silently
-        // reintroduce HashMap iteration order into the output.
-        let mut pairs: Vec<(usize, usize)> = lsh
-            .candidate_pairs()
-            .into_iter()
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| (a.min(b), a.max(b)))
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-
     /// Expand buckets into pairs. Pair expansion is independent across
     /// buckets — it fans out over the thread team while the final order
     /// stays deterministic (globally sorted, deduplicated). Buckets at or
-    /// under the cap expand quadratically; oversized buckets apply the
-    /// configured [`OversizeFallback`] and are counted as degraded.
+    /// under the cap expand quadratically; oversized buckets expand
+    /// progressively and are counted as degraded.
     ///
     /// Pairs travel as packed `u64`s (`i` in the high half, `j` in the
     /// low) until the final unpack: packed order equals tuple order, so
     /// the dominant sort + dedup runs over half the bytes with single-word
     /// compares while the emitted pair list stays byte-identical.
-    fn pairs_from_buckets<I: IntoIterator<Item = Vec<usize>>>(
+    fn pairs_from_buckets(
         &self,
-        buckets: I,
+        buckets: Vec<Vec<usize>>,
         sort_keys: &(dyn Fn() -> Vec<Option<String>> + Sync),
     ) -> BlockingOutcome {
         let cap = self.bucket_cap;
-        // dtlint::allow(map-iter, reason = "generic IntoIterator param shares the name of a map local elsewhere in this file; output is sorted + deduped before return")
-        let buckets: Vec<Vec<usize>> = buckets.into_iter().collect();
-        // dtlint::allow(map-iter, reason = "Vec receiver; `buckets` is rebound to Vec<Vec<usize>> on the previous line")
         let degraded_buckets = buckets.iter().filter(|m| m.len() > cap).count();
         // The full-key sort axis is only read inside oversized buckets, so
         // the thunk (an O(n) key clone + lowercase pass on the unkeyed
@@ -331,25 +160,11 @@ impl Blocker {
                 if members.len() <= cap {
                     return quadratic_pairs(members);
                 }
-                let window = match self.fallback {
-                    OversizeFallback::Progressive { window } => window.max(2),
-                    OversizeFallback::ProgressiveAdaptive { base, max } => {
-                        adaptive_window(base, max, members.len(), cap)
-                    }
-                };
                 // The quadratic core preserves everything the cap used to
                 // find; the windowed pass over the full-key sort order is
                 // what recovers beyond-cap duplicates.
                 let mut local = quadratic_pairs(&members[..cap]);
-                let mut sorted = members.clone();
-                sorted.sort_unstable_by(|&a, &b| {
-                    sort_keys[a].cmp(&sort_keys[b]).then(a.cmp(&b))
-                });
-                for i in 0..sorted.len() {
-                    for j in (i + 1)..(i + window).min(sorted.len()) {
-                        local.push(pack_pair(sorted[i], sorted[j]));
-                    }
-                }
+                local.extend(window_pairs(members, &sort_keys));
                 local
             })
             .collect();
@@ -360,37 +175,31 @@ impl Blocker {
     }
 }
 
-/// Sorted-neighborhood expansion over a prepared key axis: sort the keyed
-/// records by `(key, index)` and emit every pair within `window` of each
-/// other in that order. Records with no key (`None`) never pair. Shared by
-/// the batch strategy and the incremental consolidator (which re-windows
-/// the *current* axis per delta batch).
-pub fn sorted_neighborhood_pairs(
-    keys: &[Option<String>],
-    window: usize,
-) -> Vec<(usize, usize)> {
-    let window = window.max(2);
-    let mut keyed: Vec<(&str, usize)> = keys
-        .iter()
-        .enumerate()
-        .filter_map(|(i, k)| k.as_deref().map(|k| (k, i)))
-        .collect();
-    keyed.sort();
-    // Window expansion is independent per anchor index — rayon it.
-    let mut out: Vec<(usize, usize)> = (0..keyed.len())
-        .into_par_iter()
-        .flat_map(|i| {
-            let mut local = Vec::with_capacity(window - 1);
-            for j in (i + 1)..(i + window).min(keyed.len()) {
-                let (a, b) = (keyed[i].1, keyed[j].1);
-                local.push((a.min(b), a.max(b)));
-            }
-            local
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+/// The distinct interned token ids of one blocking key, ascending, written
+/// into `ids` (cleared first). Distinct because a repeated token ("La La
+/// Land") must not enter the record into its bucket twice, which would
+/// emit a self-pair `(i, i)` and inflate bucket sizes toward the cap.
+pub(crate) fn distinct_token_ids(interner: &mut TokenInterner, key: &str, ids: &mut Vec<u32>) {
+    ids.clear();
+    for_each_token(key, |tok| ids.push(interner.intern(tok)));
+    ids.sort_unstable();
+    ids.dedup();
+}
+
+/// The progressive window over one oversized bucket: sort the members by
+/// `(full key, index)` and pair each with the next
+/// `PROGRESSIVE_WINDOW - 1` members of that order. Both engines call it;
+/// the resident one regenerates a touched bucket's window every batch.
+pub(crate) fn window_pairs(members: &[usize], sort_keys: &[Option<String>]) -> Vec<u64> {
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable_by(|&a, &b| sort_keys[a].cmp(&sort_keys[b]).then(a.cmp(&b)));
+    let mut pairs = Vec::with_capacity(sorted.len() * (PROGRESSIVE_WINDOW - 1));
+    for i in 0..sorted.len() {
+        for j in (i + 1)..(i + PROGRESSIVE_WINDOW).min(sorted.len()) {
+            pairs.push(pack_pair(sorted[i], sorted[j]));
+        }
+    }
+    pairs
 }
 
 /// Pack an unordered index pair into one word, smaller index high — packed
@@ -407,7 +216,7 @@ pub(crate) fn unpack_pair(p: u64) -> (usize, usize) {
     ((p >> 32) as usize, (p & u32::MAX as u64) as usize)
 }
 
-pub(crate) fn quadratic_pairs(members: &[usize]) -> Vec<u64> {
+fn quadratic_pairs(members: &[usize]) -> Vec<u64> {
     let mut local = Vec::with_capacity(members.len().saturating_sub(1) * members.len() / 2);
     for i in 0..members.len() {
         for j in (i + 1)..members.len() {
@@ -469,84 +278,12 @@ mod tests {
     #[test]
     fn token_blocking_pairs_shared_tokens() {
         let rs = records(&["Matilda Musical", "Matilda Show", "Wicked Show", "Annie"]);
-        let b = Blocker::new("name", BlockingStrategy::Token);
+        let b = Blocker::new("name");
         let pairs = b.candidates(&rs);
         assert!(pairs.contains(&(0, 1)), "share 'matilda'");
         assert!(pairs.contains(&(1, 2)), "share 'show'");
         assert!(!pairs.contains(&(0, 3)));
         assert!(!pairs.contains(&(2, 3)));
-    }
-
-    #[test]
-    fn soundex_blocking_groups_homophones() {
-        let rs = records(&["Smith John", "Smyth Jon", "Jones Mary"]);
-        let b = Blocker::new("name", BlockingStrategy::Soundex);
-        let pairs = b.candidates(&rs);
-        assert_eq!(pairs, vec![(0, 1)]);
-    }
-
-    #[test]
-    fn sorted_neighborhood_window() {
-        let rs = records(&["aaa", "aab", "aac", "zzz"]);
-        let b = Blocker::new("name", BlockingStrategy::SortedNeighborhood { window: 2 });
-        let pairs = b.candidates(&rs);
-        assert!(pairs.contains(&(0, 1)));
-        assert!(pairs.contains(&(1, 2)));
-        assert!(pairs.contains(&(2, 3)), "window slides over the sorted order");
-        assert!(!pairs.contains(&(0, 3)));
-        assert!(!pairs.contains(&(0, 2)), "window 2 means adjacent only");
-    }
-
-    #[test]
-    fn lsh_blocking_finds_similar_names() {
-        let rs = records(&[
-            "The Walking Dead Season Finale Review",
-            "The Walking Dead Finale Season Review",
-            "Completely Different Topic Entirely Here",
-        ]);
-        let b = Blocker::new("name", BlockingStrategy::MinHashLsh { bands: 8, rows: 4 });
-        let pairs = b.candidates(&rs);
-        assert!(pairs.contains(&(0, 1)), "{pairs:?}");
-        assert!(!pairs.contains(&(0, 2)));
-    }
-
-    #[test]
-    fn lsh_blocking_output_is_sorted_dedup_and_stable_across_indexes() {
-        // The LSH band tables are RandomState-seeded HashMaps, and every
-        // Blocker run builds fresh ones with fresh seeds — so any leak of
-        // table iteration order into the output shows up as two differing
-        // runs. The output must also be sorted, deduplicated, and free of
-        // self-pairs, like every other strategy.
-        let names: Vec<String> = (0..120)
-            .map(|i| format!("the walking dead season {} review extra words", i % 7))
-            .collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let rs = records(&refs);
-        let strategy = BlockingStrategy::MinHashLsh { bands: 8, rows: 4 };
-        let first = Blocker::new("name", strategy).candidates(&rs);
-        let second = Blocker::new("name", strategy).candidates(&rs);
-        assert_eq!(first, second, "fresh hash seeds must not change the output");
-        assert!(!first.is_empty());
-        let mut normalized = first.clone();
-        normalized.sort_unstable();
-        normalized.dedup();
-        assert_eq!(first, normalized, "output must arrive sorted and deduplicated");
-        assert!(first.iter().all(|(a, b)| a < b), "no self-pairs, ordered endpoints");
-    }
-
-    #[test]
-    fn lsh_empty_keys_never_pair_with_each_other() {
-        // Empty key values tokenize to nothing: their all-MAX signatures
-        // used to band-collide pairwise, pairing every empty-keyed record
-        // with every other.
-        let rs = records(&["", "", "", "The Walking Dead Show", "Walking Dead The Show"]);
-        let b = Blocker::new("name", BlockingStrategy::MinHashLsh { bands: 8, rows: 4 });
-        let pairs = b.candidates(&rs);
-        assert!(
-            pairs.iter().all(|(a, b)| *a >= 3 && *b >= 3),
-            "empty-keyed records must never pair: {pairs:?}"
-        );
-        assert!(pairs.contains(&(3, 4)));
     }
 
     #[test]
@@ -557,25 +294,14 @@ mod tests {
             RecordId(9),
             vec![("other", Value::from("Matilda"))],
         ));
-        for strategy in [
-            BlockingStrategy::Token,
-            BlockingStrategy::Soundex,
-            BlockingStrategy::SortedNeighborhood { window: 3 },
-            BlockingStrategy::MinHashLsh { bands: 4, rows: 4 },
-        ] {
-            let pairs = Blocker::new("name", strategy).candidates(&rs);
-            assert!(
-                pairs.iter().all(|(a, b)| *a < 2 && *b < 2),
-                "{strategy:?}: {pairs:?}"
-            );
-        }
+        let pairs = Blocker::new("name").candidates(&rs);
+        assert_eq!(pairs, vec![(0, 1)]);
     }
 
     #[test]
     fn repeated_tokens_never_emit_self_pairs() {
         let rs = records(&["La La Land", "La Strada", "Unrelated Title"]);
-        let outcome =
-            Blocker::new("name", BlockingStrategy::Token).candidates_with_report(&rs);
+        let outcome = Blocker::new("name").candidates_with_report(&rs);
         assert!(
             outcome.pairs.iter().all(|(a, b)| a < b),
             "pairs must have distinct ordered endpoints: {:?}",
@@ -597,8 +323,7 @@ mod tests {
         // 600 records all sharing a token: uncapped would be ~180k pairs.
         // Progressive blocking bounds the bucket at cap² core + window pass.
         let (rs, _) = oversized_corpus();
-        let outcome =
-            Blocker::new("name", BlockingStrategy::Token).candidates_with_report(&rs);
+        let outcome = Blocker::new("name").candidates_with_report(&rs);
         let bound = BUCKET_CAP * (BUCKET_CAP - 1) / 2 + 600 * (PROGRESSIVE_WINDOW - 1);
         assert!(
             outcome.pairs.len() <= bound + 600, // small buckets contribute a little
@@ -620,15 +345,7 @@ mod tests {
     #[test]
     fn small_buckets_report_no_degradation() {
         let rs = records(&["Matilda Musical", "Matilda Show", "Wicked Show", "Annie"]);
-        for strategy in [
-            BlockingStrategy::Token,
-            BlockingStrategy::Soundex,
-            BlockingStrategy::SortedNeighborhood { window: 3 },
-            BlockingStrategy::MinHashLsh { bands: 4, rows: 4 },
-        ] {
-            let outcome = Blocker::new("name", strategy).candidates_with_report(&rs);
-            assert_eq!(outcome.degraded_buckets, 0, "{strategy:?}");
-        }
+        assert_eq!(Blocker::new("name").candidates_with_report(&rs).degraded_buckets, 0);
     }
 
     #[test]
@@ -638,8 +355,7 @@ mod tests {
         // lose the beyond-cap pairs; progressive blocking must recover all
         // of them while staying O(cap² + bucket · window), not quadratic.
         let (rs, truth) = oversized_corpus();
-        let outcome =
-            Blocker::new("name", BlockingStrategy::Token).candidates_with_report(&rs);
+        let outcome = Blocker::new("name").candidates_with_report(&rs);
         assert_eq!(
             blocking_recall(&outcome.pairs, &truth),
             1.0,
@@ -649,12 +365,10 @@ mod tests {
         let bound = BUCKET_CAP * (BUCKET_CAP - 1) / 2 + 600 * (PROGRESSIVE_WINDOW - 1) + 600;
         assert!(outcome.pairs.len() <= bound, "{} > {bound}", outcome.pairs.len());
 
-
         // A small bucket keeps perfect recall over the same truth shape.
         let small: Vec<String> = (0..100).map(|i| format!("show number{i}")).collect();
         let small_refs: Vec<&str> = small.iter().map(String::as_str).collect();
-        let small_outcome = Blocker::new("name", BlockingStrategy::Token)
-            .candidates_with_report(&records(&small_refs));
+        let small_outcome = Blocker::new("name").candidates_with_report(&records(&small_refs));
         assert_eq!(blocking_recall(&small_outcome.pairs, &[(0, 1), (10, 90)]), 1.0);
         assert_eq!(small_outcome.degraded_buckets, 0);
     }
@@ -666,8 +380,7 @@ mod tests {
         // members, which for the 'show' bucket are records 0..BUCKET_CAP —
         // and adds beyond-cap pairs on top.
         let (rs, _) = oversized_corpus();
-        let progressive =
-            Blocker::new("name", BlockingStrategy::Token).candidates(&rs);
+        let progressive = Blocker::new("name").candidates(&rs);
         let set: std::collections::HashSet<_> = progressive.iter().copied().collect();
         assert!(
             (0..BUCKET_CAP).all(|i| (i + 1..BUCKET_CAP).all(|j| set.contains(&(i, j)))),
@@ -680,49 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_window_scales_logarithmically_and_clamps() {
-        // Just over the cap: one doubling, base window.
-        assert_eq!(adaptive_window(16, 128, 257, 256), 16);
-        assert_eq!(adaptive_window(16, 128, 512, 256), 16, "exactly one doubling");
-        // Each further doubling of the overflow adds another base.
-        assert_eq!(adaptive_window(16, 128, 513, 256), 32);
-        assert_eq!(adaptive_window(16, 128, 1025, 256), 48);
-        // Stopword-sized buckets clamp at max.
-        assert_eq!(adaptive_window(16, 128, 1 << 20, 256), 128);
-        // Degenerate configs degrade instead of exploding.
-        assert_eq!(adaptive_window(1, 0, 1000, 256), 2, "base floors at 2, max at base");
-    }
-
-    #[test]
-    fn adaptive_candidates_superset_fixed_progressive() {
-        let (rs, truth) = oversized_corpus();
-        let base = || Blocker::new("name", BlockingStrategy::Token);
-        let fixed = base()
-            .with_fallback(OversizeFallback::Progressive { window: PROGRESSIVE_WINDOW })
-            .candidates(&rs);
-        let adaptive = base()
-            .with_fallback(OversizeFallback::adaptive())
-            .candidates_with_report(&rs);
-        let set: std::collections::HashSet<_> = adaptive.pairs.iter().copied().collect();
-        assert!(
-            fixed.iter().all(|p| set.contains(p)),
-            "the adaptive window can only widen, never narrow"
-        );
-        // 600 members over cap 256 is two doublings: window 32 > 16, so
-        // the adaptive pass genuinely adds neighbours.
-        assert!(adaptive.pairs.len() > fixed.len());
-        assert_eq!(blocking_recall(&adaptive.pairs, &truth), 1.0);
-        assert_eq!(adaptive.degraded_buckets, 1, "degradation still announced");
-        // And stays nowhere near quadratic.
-        assert!(adaptive.pairs.len() < 600 * 599 / 2 / 3);
-    }
-
-    #[test]
     fn bucket_cap_override_triggers_fallback_early() {
         let rs = records(&["show a", "show b", "show c", "show d", "show e"]);
-        let outcome = Blocker::new("name", BlockingStrategy::Token)
-            .with_bucket_cap(3)
-            .candidates_with_report(&rs);
+        let outcome = Blocker::new("name").with_bucket_cap(3).candidates_with_report(&rs);
         assert_eq!(outcome.degraded_buckets, 1, "5-member 'show' bucket over cap 3");
         // Window pass over the sorted bucket still connects neighbours
         // beyond the cap boundary.

@@ -3,15 +3,15 @@
 //! Every batch consolidation run re-blocks and re-scores the whole corpus,
 //! so steady-state ingest cost grows with corpus size. This module keeps
 //! the expensive state **resident between runs** — the prepared
-//! [`ScoringContext`], the blocking indices (interned token-id buckets,
-//! Soundex buckets, LSH band tables, the sorted-neighborhood key axis), a
+//! [`ScoringContext`], the token blocking index (interned token-id
+//! buckets plus the full-key sort axis their progressive windows read), a
 //! memo of every pair score ever computed, and a persistent [`UnionFind`]
 //! — so ingesting a delta batch costs O(delta), not O(corpus):
 //!
 //! 1. the batch extends the scoring context in place
 //!    ([`ScoringContext::extend`]: interners and arenas grow append-only,
 //!    existing ids and features untouched);
-//! 2. candidate generation probes only the buckets/bands the batch's own
+//! 2. candidate generation probes only the buckets the batch's own
 //!    records touch — new-vs-new and new-vs-old pairs, never old-vs-old;
 //! 3. accepted pairs merge into the persistent union-find, and only
 //!    **dirty** clusters (membership changed this batch) need their fused
@@ -28,8 +28,8 @@
 //!   memoized pair score) are bit-identical under every later extension.
 //! * **Core candidates are monotone.** Bucket membership is insertion
 //!   order, so the quadratic core over a bucket's first `cap` members only
-//!   gains pairs as the bucket grows; LSH co-bucketing never retracts.
-//!   These pairs go into an append-only *core ledger*.
+//!   gains pairs as the bucket grows. These pairs go into an append-only
+//!   *core ledger*.
 //! * **Window candidates are retractable but re-derivable.** Progressive
 //!   windows over a sorted axis can drop a pair when an insertion pushes
 //!   two members apart — but the distance between two fixed members in a
@@ -37,10 +37,10 @@
 //!   inside the *current* window was inside the window (or the quadratic
 //!   core) of some earlier batch and its score is already memoized. Each
 //!   batch therefore regenerates the window pair set of just the touched
-//!   buckets (and the global sorted-neighborhood axis), scores only the
-//!   pairs the memo lacks, and *replaces* the per-bucket accepted-window
-//!   sets. The total accepted set is the core ledger ∪ the window sets:
-//!   exactly the accepted set a full run computes. When a replacement
+//!   oversized buckets, scores only the pairs the memo lacks, and
+//!   *replaces* those buckets' accepted-window sets. The total accepted
+//!   set is the core ledger ∪ the window sets: exactly the accepted set a
+//!   full run computes. When a replacement
 //!   retracts a previously accepted pair, the union-find is rebuilt from
 //!   the ledger (rare); otherwise the new pairs union in place.
 //!
@@ -65,13 +65,10 @@
 use std::collections::HashMap;
 
 use datatamer_model::Record;
-use datatamer_sim::{for_each_token, soundex, tokenize, MinHashLsh, MinHasher, TokenInterner};
+use datatamer_sim::TokenInterner;
 use rayon::prelude::*;
 
-use crate::blocking::{
-    adaptive_window, pack_pair, sorted_neighborhood_pairs, unpack_pair, Blocker,
-    BlockingStrategy, OversizeFallback,
-};
+use crate::blocking::{distinct_token_ids, pack_pair, unpack_pair, window_pairs, Blocker};
 use crate::cluster::UnionFind;
 use crate::pairsim::{PairScorer, ScoringContext};
 
@@ -83,9 +80,7 @@ pub struct DeltaReport {
     pub batch_records: usize,
     /// Corpus size after the batch.
     pub total_records: usize,
-    /// Blocking buckets / band tables / sort axes this batch probed
-    /// (buckets gaining a member; LSH band insertions; 1 for the global
-    /// sorted-neighborhood axis).
+    /// Token buckets this batch probed (buckets gaining a member).
     pub probed_buckets: usize,
     /// Distinct candidate pairs examined this batch (new core pairs plus
     /// the regenerated windows of touched buckets).
@@ -126,29 +121,24 @@ pub struct IncrementalConsolidator {
 
     /// Prepared scoring features, grown in place per batch.
     ctx: ScoringContext,
-    /// Lowercased blocking keys per record — the progressive /
-    /// sorted-neighborhood sort axis, extended from the context per batch.
+    /// Lowercased blocking keys per record — the progressive-window sort
+    /// axis, extended from the context per batch.
     sort_keys: Vec<Option<String>>,
 
-    // Resident blocking indices (only the configured strategy's are used).
+    /// Resident token blocking index: bucket `id` lists, in insertion
+    /// order, the records whose key contains interned token `id`.
     token_ids: TokenInterner,
     token_buckets: Vec<Vec<usize>>,
-    soundex_buckets: HashMap<String, Vec<usize>>,
-    lsh: Option<(MinHasher, MinHashLsh<usize>)>,
 
     /// Memoized pair scores, keyed by packed `(i, j)` — valid forever
     /// because context growth never changes a prepared feature.
     scores: HashMap<u64, f64>,
-    /// Monotone accepted pairs (quadratic cores, LSH co-bucketing):
-    /// sorted, deduplicated, append-only across batches.
+    /// Monotone accepted pairs (quadratic cores): sorted, deduplicated,
+    /// append-only across batches.
     core_accepted: Vec<u64>,
     /// Accepted pairs of each oversized token bucket's current window
     /// (replaced wholesale when the bucket is touched).
     window_token: HashMap<usize, Vec<u64>>,
-    /// Same for Soundex buckets.
-    window_soundex: HashMap<String, Vec<u64>>,
-    /// Same for the global sorted-neighborhood window.
-    window_sn: Vec<u64>,
     /// Union of ledger + window sets after the last batch (sorted,
     /// deduplicated) — the superset check against its successor decides
     /// whether the union-find can grow in place.
@@ -164,28 +154,16 @@ impl IncrementalConsolidator {
     /// An empty consolidator; `threshold` is the pair-acceptance score
     /// bound, as in the batch path.
     pub fn new(blocker: Blocker, scorer: PairScorer, threshold: f64) -> Self {
-        let ctx = scorer.prepare(&[]);
-        let lsh = match blocker.strategy {
-            BlockingStrategy::MinHashLsh { bands, rows } => Some((
-                MinHasher::new(bands * rows, 0x1357_9bdf),
-                MinHashLsh::new(bands, rows),
-            )),
-            _ => None,
-        };
         IncrementalConsolidator {
             blocker,
             threshold,
-            ctx,
+            ctx: scorer.prepare(&[]),
             sort_keys: Vec::new(),
             token_ids: TokenInterner::new(),
             token_buckets: Vec::new(),
-            soundex_buckets: HashMap::new(),
-            lsh,
             scores: HashMap::new(),
             core_accepted: Vec::new(),
             window_token: HashMap::new(),
-            window_soundex: HashMap::new(),
-            window_sn: Vec::new(),
             accepted: Vec::new(),
             uf: UnionFind::new(0),
             clusters: Vec::new(),
@@ -236,9 +214,9 @@ impl IncrementalConsolidator {
     }
 
     /// Ingest a batch: extend the resident state, resolve the delta, and
-    /// report what it cost. O(delta) candidate work for the bucket and LSH
-    /// strategies (the global sorted-neighborhood strategy re-windows its
-    /// axis, which is O(corpus) enumeration but still O(delta) scoring).
+    /// report what it cost. Candidate work is O(delta) outside oversized
+    /// buckets; a touched oversized bucket re-windows its whole membership
+    /// (O(bucket) enumeration, still O(delta) scoring).
     pub fn ingest(&mut self, batch: &[Record]) -> DeltaReport {
         let old_n = self.len();
         let n = old_n + batch.len();
@@ -259,103 +237,31 @@ impl IncrementalConsolidator {
         self.sort_keys.extend(tail);
         debug_assert_eq!(self.sort_keys.len(), n);
 
-        // 2. Probe the blocking indices with the new records only.
-        let mut probed_buckets = 0usize;
+        // 2. Probe the token buckets with the new records only, noting the
+        //    first new position per touched bucket.
+        let mut touched: HashMap<usize, usize> = HashMap::new();
+        let mut ids: Vec<u32> = Vec::new();
+        for (i, record) in (old_n..).zip(batch) {
+            if let Some(key) = record.get_text(&self.blocker.key_attr) {
+                distinct_token_ids(&mut self.token_ids, &key, &mut ids);
+                for &id in &ids {
+                    let id = id as usize;
+                    while self.token_buckets.len() <= id {
+                        self.token_buckets.push(Vec::new());
+                    }
+                    touched.entry(id).or_insert(self.token_buckets[id].len());
+                    self.token_buckets[id].push(i);
+                }
+            }
+        }
+        let probed_buckets = touched.len();
+        // dtlint::allow(map-iter, reason = "collected into a Vec and sort_unstable'd on the next line")
+        let mut touched_sorted: Vec<(usize, usize)> = touched.into_iter().collect();
+        touched_sorted.sort_unstable();
         let mut new_core: Vec<u64> = Vec::new();
-        let mut window_updates: Vec<(WindowSlot, Vec<u64>)> = Vec::new();
-        match self.blocker.strategy {
-            BlockingStrategy::Token => {
-                // first new position per touched bucket, this batch.
-                let mut touched: HashMap<usize, usize> = HashMap::new();
-                let mut ids: Vec<u32> = Vec::new();
-                for (i, record) in (old_n..).zip(batch) {
-                    if let Some(key) = record.get_text(&self.blocker.key_attr) {
-                        ids.clear();
-                        for_each_token(&key, |tok| ids.push(self.token_ids.intern(tok)));
-                        ids.sort_unstable();
-                        ids.dedup();
-                        for &id in &ids {
-                            let id = id as usize;
-                            while self.token_buckets.len() <= id {
-                                self.token_buckets.push(Vec::new());
-                            }
-                            touched.entry(id).or_insert(self.token_buckets[id].len());
-                            self.token_buckets[id].push(i);
-                        }
-                    }
-                }
-                probed_buckets = touched.len();
-                // dtlint::allow(map-iter, reason = "collected into a Vec and sort_unstable'd on the next line")
-                let mut touched_sorted: Vec<(usize, usize)> = touched.into_iter().collect();
-                touched_sorted.sort_unstable();
-                for (id, first_new) in touched_sorted {
-                    let members = &self.token_buckets[id];
-                    self.bucket_delta(
-                        members,
-                        first_new,
-                        &mut new_core,
-                        &mut window_updates,
-                        WindowSlot::Token(id),
-                    );
-                }
-            }
-            BlockingStrategy::Soundex => {
-                let mut touched: HashMap<String, usize> = HashMap::new();
-                for (i, record) in (old_n..).zip(batch) {
-                    if let Some(key) = record.get_text(&self.blocker.key_attr) {
-                        let first_word = key.split_whitespace().next().unwrap_or("");
-                        if let Some(code) = soundex(first_word) {
-                            let bucket = self.soundex_buckets.entry(code.clone()).or_default();
-                            touched.entry(code).or_insert(bucket.len());
-                            bucket.push(i);
-                        }
-                    }
-                }
-                probed_buckets = touched.len();
-                // dtlint::allow(map-iter, reason = "collected into a Vec and sort_unstable'd on the next line")
-                let mut touched_sorted: Vec<(String, usize)> = touched.into_iter().collect();
-                touched_sorted.sort_unstable();
-                for (code, first_new) in touched_sorted {
-                    let members = &self.soundex_buckets[&code];
-                    self.bucket_delta(
-                        members,
-                        first_new,
-                        &mut new_core,
-                        &mut window_updates,
-                        WindowSlot::Soundex(code.clone()),
-                    );
-                }
-            }
-            BlockingStrategy::SortedNeighborhood { window } => {
-                // One global retractable window: regenerate over the
-                // current axis. Old-old pairs are memoized (the sorted
-                // distance between fixed members never shrinks), so only
-                // batch-involving pairs get scored below.
-                probed_buckets = 1;
-                let pairs = sorted_neighborhood_pairs(&self.sort_keys, window);
-                window_updates.push((
-                    WindowSlot::Sn,
-                    pairs.into_iter().map(|(a, b)| pack_pair(a, b)).collect(),
-                ));
-            }
-            BlockingStrategy::MinHashLsh { bands, .. } => {
-                // Query-then-insert per new record, in index order: record
-                // j meets every co-bucketed i < j exactly once, so the
-                // union over batches is the full run's candidate set.
-                let (hasher, lsh) =
-                    self.lsh.as_mut().expect("LSH state exists for the LSH strategy");
-                for (i, record) in (old_n..).zip(batch) {
-                    if let Some(key) = record.get_text(&self.blocker.key_attr) {
-                        let sig = hasher.signature(&tokenize(&key));
-                        let mut mates = lsh.candidates(&sig);
-                        if lsh.insert(i, &sig) {
-                            probed_buckets += bands;
-                            mates.sort_unstable();
-                            new_core.extend(mates.into_iter().map(|m| pack_pair(m, i)));
-                        }
-                    }
-                }
-            }
+        let mut window_updates: Vec<(usize, Vec<u64>)> = Vec::new();
+        for (id, first_new) in touched_sorted {
+            self.bucket_delta(id, first_new, &mut new_core, &mut window_updates);
         }
         new_core.sort_unstable();
         new_core.dedup();
@@ -391,25 +297,15 @@ impl IncrementalConsolidator {
         self.core_accepted.extend(new_core.iter().filter(|p| accept(&self.scores, p)));
         self.core_accepted.sort_unstable();
         self.core_accepted.dedup();
-        for (slot, pairs) in window_updates {
+        for (id, pairs) in window_updates {
             let kept: Vec<u64> =
                 pairs.into_iter().filter(|p| accept(&self.scores, p)).collect();
-            match slot {
-                WindowSlot::Token(id) => {
-                    self.window_token.insert(id, kept);
-                }
-                WindowSlot::Soundex(code) => {
-                    self.window_soundex.insert(code, kept);
-                }
-                WindowSlot::Sn => self.window_sn = kept,
-            }
+            self.window_token.insert(id, kept);
         }
         let mut accepted: Vec<u64> = self
             .core_accepted
             .iter()
             .chain(self.window_token.values().flatten()) // dtlint::allow(map-iter, reason = "chained into `accepted`, which is sorted + deduped immediately below")
-            .chain(self.window_soundex.values().flatten()) // dtlint::allow(map-iter, reason = "chained into `accepted`, which is sorted + deduped immediately below")
-            .chain(self.window_sn.iter())
             .copied()
             .collect();
         accepted.sort_unstable();
@@ -467,17 +363,17 @@ impl IncrementalConsolidator {
         self.last_report
     }
 
-    /// Delta candidates for one touched bucket: monotone quadratic-core
-    /// pairs for new members landing under the cap, plus (once the bucket
-    /// is oversized) its full regenerated window set.
+    /// Delta candidates for touched token bucket `id`: monotone
+    /// quadratic-core pairs for new members landing under the cap, plus
+    /// (once the bucket is oversized) its full regenerated window set.
     fn bucket_delta(
         &self,
-        members: &[usize],
+        id: usize,
         first_new: usize,
         new_core: &mut Vec<u64>,
-        window_updates: &mut Vec<(WindowSlot, Vec<u64>)>,
-        slot: WindowSlot,
+        window_updates: &mut Vec<(usize, Vec<u64>)>,
     ) {
+        let members = &self.token_buckets[id];
         let cap = self.blocker.bucket_cap;
         // Core: each new member within the first `cap` positions pairs
         // with every earlier member — exactly the pairs the full run's
@@ -491,48 +387,16 @@ impl IncrementalConsolidator {
         if members.len() <= cap {
             return;
         }
-        let window = match self.blocker.fallback {
-            OversizeFallback::Progressive { window } => window.max(2),
-            OversizeFallback::ProgressiveAdaptive { base, max } => {
-                adaptive_window(base, max, members.len(), cap)
-            }
-        };
-        let mut sorted = members.to_vec();
-        sorted.sort_unstable_by(|&a, &b| {
-            self.sort_keys[a].cmp(&self.sort_keys[b]).then(a.cmp(&b))
-        });
-        let mut pairs = Vec::with_capacity(sorted.len() * (window - 1));
-        for i in 0..sorted.len() {
-            for j in (i + 1)..(i + window).min(sorted.len()) {
-                pairs.push(pack_pair(sorted[i], sorted[j]));
-            }
-        }
+        let mut pairs = window_pairs(members, &self.sort_keys);
         pairs.sort_unstable();
         pairs.dedup();
-        window_updates.push((slot, pairs));
+        window_updates.push((id, pairs));
     }
 
     fn degraded_buckets(&self) -> usize {
         let cap = self.blocker.bucket_cap;
-        match self.blocker.strategy {
-            BlockingStrategy::Token => {
-                self.token_buckets.iter().filter(|m| m.len() > cap).count()
-            }
-            BlockingStrategy::Soundex => {
-                // dtlint::allow(map-iter, reason = "order-independent count of oversize buckets")
-                self.soundex_buckets.values().filter(|m| m.len() > cap).count()
-            }
-            _ => 0,
-        }
+        self.token_buckets.iter().filter(|m| m.len() > cap).count()
     }
-}
-
-/// Which retractable-window set a regenerated pair list replaces.
-#[derive(Debug)]
-enum WindowSlot {
-    Token(usize),
-    Soundex(String),
-    Sn,
 }
 
 /// `a ⊇ b` for sorted, deduplicated slices, in one merge pass.
@@ -565,17 +429,17 @@ mod tests {
         names.iter().enumerate().map(|(i, n)| rec(i as u64, n)).collect()
     }
 
-    fn consolidator(strategy: BlockingStrategy) -> IncrementalConsolidator {
+    fn consolidator() -> IncrementalConsolidator {
         IncrementalConsolidator::new(
-            Blocker::new("name", strategy),
+            Blocker::new("name"),
             PairScorer::Rules(RecordSimilarity::default()),
             0.85,
         )
     }
 
     /// From-scratch oracle: block + score + cluster in one batch run.
-    fn full_run(strategy: BlockingStrategy, records: &[Record]) -> Vec<Vec<usize>> {
-        let blocker = Blocker::new("name", strategy);
+    fn full_run(records: &[Record]) -> Vec<Vec<usize>> {
+        let blocker = Blocker::new("name");
         let scorer = PairScorer::Rules(RecordSimilarity::default());
         let ctx = scorer.prepare(records);
         let outcome = blocker
@@ -603,50 +467,29 @@ mod tests {
     }
 
     #[test]
-    fn single_batch_matches_full_run_per_strategy() {
+    fn single_batch_matches_full_run() {
         let names = names();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let records = corpus(&refs);
-        for strategy in [
-            BlockingStrategy::Token,
-            BlockingStrategy::Soundex,
-            BlockingStrategy::SortedNeighborhood { window: 4 },
-            BlockingStrategy::MinHashLsh { bands: 8, rows: 4 },
-        ] {
-            let mut inc = consolidator(strategy);
-            inc.ingest(&records);
-            assert_eq!(
-                inc.clusters(),
-                full_run(strategy, &records).as_slice(),
-                "{strategy:?}"
-            );
-        }
+        let mut inc = consolidator();
+        inc.ingest(&records);
+        assert_eq!(inc.clusters(), full_run(&records).as_slice());
     }
 
     #[test]
-    fn split_batches_match_full_run_per_strategy() {
+    fn split_batches_match_full_run() {
         let names = names();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let records = corpus(&refs);
-        for strategy in [
-            BlockingStrategy::Token,
-            BlockingStrategy::Soundex,
-            BlockingStrategy::SortedNeighborhood { window: 4 },
-            BlockingStrategy::MinHashLsh { bands: 8, rows: 4 },
-        ] {
-            for splits in [vec![10, 30, 40], vec![1, 2, 3, 40], vec![39, 40]] {
-                let mut inc = consolidator(strategy);
-                let mut start = 0;
-                for end in splits.clone() {
-                    inc.ingest(&records[start..end]);
-                    start = end;
-                }
-                assert_eq!(
-                    inc.clusters(),
-                    full_run(strategy, &records).as_slice(),
-                    "{strategy:?} {splits:?}"
-                );
+        let full = full_run(&records);
+        for splits in [vec![10, 30, 40], vec![1, 2, 3, 40], vec![39, 40]] {
+            let mut inc = consolidator();
+            let mut start = 0;
+            for end in splits.clone() {
+                inc.ingest(&records[start..end]);
+                start = end;
             }
+            assert_eq!(inc.clusters(), full.as_slice(), "{splits:?}");
         }
     }
 
@@ -662,8 +505,7 @@ mod tests {
             .collect();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let records = corpus(&refs);
-        let strategy = BlockingStrategy::Token;
-        let blocker = Blocker::new("name", strategy).with_bucket_cap(8);
+        let blocker = Blocker::new("name").with_bucket_cap(8);
         let full = {
             let scorer = PairScorer::Rules(RecordSimilarity::default());
             let ctx = scorer.prepare(&records);
@@ -695,7 +537,7 @@ mod tests {
         let names = names();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let records = corpus(&refs);
-        let mut inc = consolidator(BlockingStrategy::Token);
+        let mut inc = consolidator();
         let first = inc.ingest(&records[..38]);
         assert!(first.scored_pairs > 0);
         assert_eq!(first.reused_context_fraction, 0.0);
@@ -725,7 +567,7 @@ mod tests {
     #[test]
     fn dirty_flags_track_membership_changes_exactly() {
         let records = corpus(&["matilda musical", "wicked broadway", "annie show"]);
-        let mut inc = consolidator(BlockingStrategy::Token);
+        let mut inc = consolidator();
         inc.ingest(&records);
         let before: Vec<Vec<usize>> = inc.clusters().to_vec();
         assert!(inc.dirty().iter().all(|d| *d), "first batch: everything new");
@@ -744,7 +586,7 @@ mod tests {
 
     #[test]
     fn empty_and_keyless_batches_are_harmless() {
-        let mut inc = consolidator(BlockingStrategy::Token);
+        let mut inc = consolidator();
         let report = inc.ingest(&[]);
         assert_eq!(report.total_records, 0);
         assert_eq!(report.reused_context_fraction, 0.0);

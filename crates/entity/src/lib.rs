@@ -9,10 +9,10 @@
 //! conflict resolution. The staged pipeline in `datatamer-core` chains the
 //! batch primitives below; delta batches go through [`incremental`].
 //!
-//! * [`blocking`] — token, Soundex, sorted-neighbourhood, and MinHash-LSH
-//!   candidate generation; oversized buckets degrade to progressive
-//!   (sorted-neighborhood) expansion instead of truncating, so blocking
-//!   never silently drops a record's candidates.
+//! * [`blocking`] — token-blocking candidate generation; oversized buckets
+//!   degrade to a progressive window over the full-key sort order instead
+//!   of truncating, so blocking never silently drops a record's
+//!   candidates.
 //! * [`pairsim`] — weighted per-attribute record-pair similarity with a
 //!   prepare-once / score-many layer ([`ScoringContext`]): per-record
 //!   features (interned attributes, parsed numerics, lowercased text,
@@ -32,10 +32,7 @@ pub mod consolidate;
 pub mod incremental;
 pub mod pairsim;
 
-pub use blocking::{
-    blocking_recall, Blocker, BlockingOutcome, BlockingStrategy, OversizeFallback,
-    ADAPTIVE_WINDOW_MAX, BUCKET_CAP, PROGRESSIVE_WINDOW,
-};
+pub use blocking::{blocking_recall, Blocker, BlockingOutcome, BUCKET_CAP, PROGRESSIVE_WINDOW};
 pub use cluster::UnionFind;
 pub use incremental::{DeltaReport, IncrementalConsolidator};
 pub use consolidate::{merge_composite, ConflictPolicy};

@@ -1,15 +1,13 @@
 //! Property tests for entity consolidation: union-find matches a naive
 //! transitive closure, cluster merges preserve attribute coverage, the
 //! batch primitives (block → score → cluster) never invent or lose
-//! records, and blocking holds its output invariants (sorted, deduplicated,
-//! ordered pairs; the adaptive window's recall dominating the fixed
-//! window's) for every strategy.
+//! records, and token blocking holds its output invariants (sorted,
+//! deduplicated, ordered pairs, independent of run state) on both the
+//! quadratic and the progressive-window path.
 
 use proptest::prelude::*;
 
-use datatamer_entity::blocking::{
-    blocking_recall, Blocker, BlockingStrategy, OversizeFallback,
-};
+use datatamer_entity::blocking::Blocker;
 use datatamer_entity::cluster::{cluster_pairs, UnionFind};
 use datatamer_entity::consolidate::{merge_composite, ConflictPolicy};
 use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
@@ -28,32 +26,6 @@ fn named_records(names: &[String]) -> Vec<Record> {
             )
         })
         .collect()
-}
-
-/// Every blocking strategy under test.
-fn all_strategies() -> Vec<BlockingStrategy> {
-    vec![
-        BlockingStrategy::Token,
-        BlockingStrategy::Soundex,
-        BlockingStrategy::SortedNeighborhood { window: 3 },
-        BlockingStrategy::MinHashLsh { bands: 4, rows: 4 },
-    ]
-}
-
-/// Every distinct `(strategy, fallback)` behaviour: only the bucket-based
-/// strategies consult the oversize fallback, so the windowed/LSH
-/// strategies run once instead of twice.
-fn strategy_fallback_pairs() -> Vec<(BlockingStrategy, OversizeFallback)> {
-    let progressive = OversizeFallback::Progressive { window: 3 };
-    let adaptive = OversizeFallback::ProgressiveAdaptive { base: 3, max: 12 };
-    vec![
-        (BlockingStrategy::Token, progressive),
-        (BlockingStrategy::Token, adaptive),
-        (BlockingStrategy::Soundex, progressive),
-        (BlockingStrategy::Soundex, adaptive),
-        (BlockingStrategy::SortedNeighborhood { window: 3 }, progressive),
-        (BlockingStrategy::MinHashLsh { bands: 4, rows: 4 }, progressive),
-    ]
 }
 
 /// Naive transitive closure for comparison.
@@ -159,84 +131,38 @@ proptest! {
 
     #[test]
     fn blocking_pairs_are_sorted_dedup_and_ordered(
-        // A tiny alphabet with optional extra words forces shared tokens,
-        // shared Soundex codes, and (under a small cap) oversized buckets.
+        // A tiny alphabet with optional extra words forces shared tokens
+        // and (under a small cap) oversized buckets.
         names in prop::collection::vec("[abcd ]{1,8}", 1..40),
     ) {
         let records = named_records(&names);
-        for (strategy, fallback) in strategy_fallback_pairs() {
-            let pairs = Blocker::new("name", strategy)
-                .with_bucket_cap(4)
-                .with_fallback(fallback)
-                .candidates(&records);
-            for &(a, b) in &pairs {
-                prop_assert!(a < b, "{strategy:?}/{fallback:?}: unordered pair ({a},{b})");
-                prop_assert!(b < records.len(), "{strategy:?}: index out of range");
-            }
-            let mut normalized = pairs.clone();
-            normalized.sort_unstable();
-            normalized.dedup();
-            prop_assert_eq!(
-                &pairs, &normalized,
-                "{:?}/{:?}: output must be sorted and deduplicated", strategy, fallback
-            );
+        let pairs = Blocker::new("name").with_bucket_cap(4).candidates(&records);
+        for &(a, b) in &pairs {
+            prop_assert!(a < b, "unordered pair ({a},{b})");
+            prop_assert!(b < records.len(), "index out of range");
         }
+        let mut normalized = pairs.clone();
+        normalized.sort_unstable();
+        normalized.dedup();
+        prop_assert_eq!(&pairs, &normalized, "output must be sorted and deduplicated");
     }
 
     #[test]
     fn blocking_is_deterministic_across_fresh_blockers(
         names in prop::collection::vec("[abcd ]{1,8}", 1..30),
     ) {
-        // Two independently built blockers (fresh LSH tables, fresh hash
-        // seeds) must emit identical candidates — the byte-determinism
-        // contract every strategy upholds.
+        // Two independently built blockers (fresh token interners) must
+        // emit identical candidates — the byte-determinism contract.
         let records = named_records(&names);
-        for strategy in all_strategies() {
-            let first = Blocker::new("name", strategy).with_bucket_cap(4).candidates(&records);
-            let second = Blocker::new("name", strategy).with_bucket_cap(4).candidates(&records);
-            prop_assert_eq!(first, second, "{:?} must not depend on run state", strategy);
-        }
-    }
-
-    #[test]
-    fn adaptive_recall_dominates_fixed_window(
-        names in prop::collection::vec("[abc ]{1,6}", 2..50),
-        raw_truth in prop::collection::vec((0usize..50, 0usize..50), 1..12),
-    ) {
-        // The adaptive window only ever widens from the same base, so on
-        // ANY truth set its candidate set is a superset of the fixed
-        // window's and its recall can never be lower.
-        let n = names.len();
-        let truth: Vec<(usize, usize)> = raw_truth
-            .into_iter()
-            .map(|(a, b)| (a % n, b % n))
-            .filter(|(a, b)| a != b)
-            .collect();
-        let records = named_records(&names);
-        let base = || Blocker::new("name", BlockingStrategy::Token).with_bucket_cap(4);
-        let progressive = base()
-            .with_fallback(OversizeFallback::Progressive { window: 3 })
-            .candidates(&records);
-        let adaptive = base()
-            .with_fallback(OversizeFallback::ProgressiveAdaptive { base: 3, max: 12 })
-            .candidates(&records);
-        let adaptive_set: std::collections::HashSet<(usize, usize)> =
-            adaptive.iter().copied().collect();
-        prop_assert!(
-            progressive.iter().all(|p| adaptive_set.contains(p)),
-            "adaptive candidates must be a superset of fixed-window ones"
-        );
-        prop_assert!(
-            blocking_recall(&adaptive, &truth)
-                >= blocking_recall(&progressive, &truth) - 1e-12,
-            "adaptive recall must dominate the fixed window"
-        );
+        let first = Blocker::new("name").with_bucket_cap(4).candidates(&records);
+        let second = Blocker::new("name").with_bucket_cap(4).candidates(&records);
+        prop_assert_eq!(first, second, "blocking must not depend on run state");
     }
 
     #[test]
     fn pipeline_clusters_partition_input(names in prop::collection::vec("[a-f]{2,6}", 1..30)) {
         let records = named_records(&names);
-        let candidates = Blocker::new("name", BlockingStrategy::Token).candidates(&records);
+        let candidates = Blocker::new("name").candidates(&records);
         let ctx = PairScorer::Rules(RecordSimilarity::default()).prepare(&records);
         let clusters = cluster_pairs(records.len(), &ctx.accepted_pairs(&candidates, 0.75));
         // Clusters partition 0..n.

@@ -317,8 +317,10 @@ fn parse_clause(clause: &str) -> Result<Predicate, String> {
     if let Some(attr) = c.strip_prefix("has:") {
         return Ok(Predicate::Exists(attr.trim().to_string()));
     }
-    // Two-char operators first so `>=` does not parse as `>` + `=...`.
-    for (op, make) in [
+    // The clause splits at its leftmost operator, so an operand may itself
+    // contain operator characters (`TITLE=a<b`). Two-char operators are
+    // listed first so that at one position `>=` wins over `>` + `=...`.
+    let ops = [
         (">=", Predicate::Gte as fn(String, Value) -> Predicate),
         ("<=", Predicate::Lte),
         ("!=", Predicate::Ne),
@@ -327,18 +329,18 @@ fn parse_clause(clause: &str) -> Result<Predicate, String> {
         (">", Predicate::Gt),
         ("<", Predicate::Lt),
         ("=", Predicate::Eq),
-    ] {
-        if let Some(idx) = c.find(op) {
-            let (attr, rest) = c.split_at(idx);
-            let attr = attr.trim();
-            let operand = &rest[op.len()..];
-            if attr.is_empty() {
-                return Err(format!("missing attribute in clause {c:?}"));
-            }
-            return Ok(make(attr.to_string(), parse_operand(operand)));
-        }
+    ];
+    let split = c.char_indices().find_map(|(idx, _)| {
+        ops.iter().find(|(op, _)| c[idx..].starts_with(op)).map(|&(op, make)| (idx, op, make))
+    });
+    let Some((idx, op, make)) = split else {
+        return Err(format!("no operator in clause {c:?}"));
+    };
+    let attr = c[..idx].trim();
+    if attr.is_empty() {
+        return Err(format!("missing attribute in clause {c:?}"));
     }
-    Err(format!("no operator in clause {c:?}"))
+    Ok(make(attr.to_string(), parse_operand(&c[idx + op.len()..])))
 }
 
 fn parse_query(qs: &str) -> Result<Query, String> {
@@ -570,6 +572,36 @@ mod tests {
         );
         assert_eq!(parse_clause("has:PRICE").unwrap(), Predicate::Exists("PRICE".into()));
         assert!(parse_clause("PRICE").is_err());
+        assert!(parse_clause("=x").is_err());
+
+        // The leftmost operator splits the clause; operator characters
+        // later on belong to the operand.
+        assert_eq!(
+            parse_clause("TITLE=a<b").unwrap(),
+            Predicate::Eq("TITLE".into(), Value::from("a<b")),
+        );
+        assert_eq!(
+            parse_clause("NAME=x>=y").unwrap(),
+            Predicate::Eq("NAME".into(), Value::from("x>=y")),
+        );
+        assert_eq!(
+            parse_clause("NAME=a~=b").unwrap(),
+            Predicate::Eq("NAME".into(), Value::from("a~=b")),
+        );
+
+        // The clause shapes the benchmark client sends.
+        assert_eq!(
+            parse_clause("GENRE=musical").unwrap(),
+            Predicate::Eq("GENRE".into(), Value::from("musical")),
+        );
+        assert_eq!(
+            parse_clause("PRICE>=40").unwrap(),
+            Predicate::Gte("PRICE".into(), Value::Int(40)),
+        );
+        assert_eq!(
+            parse_clause("SHOW_NAME~=matilda").unwrap(),
+            Predicate::Contains("SHOW_NAME".into(), "matilda".into()),
+        );
     }
 
     #[test]

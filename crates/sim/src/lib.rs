@@ -10,7 +10,6 @@ pub mod cosine;
 pub mod jaccard;
 pub mod jaro;
 pub mod levenshtein;
-pub mod minhash;
 pub mod ngram;
 pub mod numeric;
 pub mod soundex;
@@ -20,7 +19,6 @@ pub use cosine::{CosineModel, TfIdfWeights};
 pub use jaccard::{jaccard, jaccard_sorted, weighted_jaccard};
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{bounded_levenshtein, levenshtein, levenshtein_similarity};
-pub use minhash::{MinHashLsh, MinHasher, Signature};
 pub use ngram::{char_ngrams, ngram_similarity};
 pub use numeric::{overlap_fraction, relative_diff_similarity, stats_similarity};
 pub use soundex::soundex;

@@ -48,7 +48,7 @@ pub fn for_each_token(text: &str, mut f: impl FnMut(String)) {
 ///
 /// The loop is deliberately duplicated from [`for_each_token`] rather than
 /// delegated to it: the direct-push form optimises measurably better, and
-/// this function sits on the LSH/blocking hot paths.
+/// this function sits on the similarity hot paths.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut cur = String::new();
@@ -78,21 +78,6 @@ pub fn tokenize_into(text: &str, out: &mut Vec<String>) {
     for_each_token(text, |tok| out.push(tok));
 }
 
-/// FNV-1a offset basis — the canonical 64-bit starting state.
-pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a absorption step over `bytes` from state `h` — the shared
-/// core of [`FnvHasher`] and the seeded MinHash functions
-/// (`crate::minhash`), so the constants live in exactly one place.
-#[inline]
-pub(crate) fn fnv1a_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a, the interner's hash: tiny state, one multiply per byte — far
 /// cheaper than SipHash on short token strings. Non-cryptographic is safe
 /// here because the interner never iterates its map (ids are dense and
@@ -103,7 +88,8 @@ pub struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> Self {
-        FnvHasher(FNV_OFFSET_BASIS)
+        // The canonical 64-bit FNV-1a offset basis.
+        FnvHasher(0xcbf2_9ce4_8422_2325)
     }
 }
 
@@ -113,7 +99,10 @@ impl std::hash::Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a_step(self.0, bytes);
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
     }
 }
 

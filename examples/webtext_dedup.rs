@@ -12,7 +12,6 @@
 
 use datatamer::core::fusion::{resolve_group, PolicyResolver, ResolverRegistry};
 use datatamer::corpus::truth::{labeled_pairs, labeled_pairs_with, PairDifficulty, DEDUP_EVAL_TYPES};
-use datatamer::entity::blocking::BlockingStrategy;
 use datatamer::entity::cluster::cluster_pairs;
 use datatamer::entity::{Blocker, ConflictPolicy, PairScorer};
 use datatamer::ml::dedup::{crossval_dedup, DedupClassifier};
@@ -63,7 +62,7 @@ fn main() {
             )
         })
         .collect();
-    let candidates = Blocker::new("name", BlockingStrategy::Soundex).candidates(&records);
+    let candidates = Blocker::new("name").candidates(&records);
     let scorer = PairScorer::Classifier { key_attr: "name".into(), model };
     let accepted = scorer.prepare(&records).accepted_pairs(&candidates, 0.5);
     let clusters = cluster_pairs(records.len(), &accepted);

@@ -230,23 +230,21 @@
 //! ## Blocking at scale: progressive, never a recall cliff
 //!
 //! Comparing all `n²/2` record pairs is intractable at the paper's scale
-//! (173M entities), so consolidation blocks first: token, Soundex,
-//! sorted-neighbourhood, or MinHash-LSH candidate generation
-//! ([`entity::blocking`]). Bucket strategies used to *truncate* giant
-//! buckets (stopword-like keys) at [`entity::BUCKET_CAP`] members — every
-//! duplicate past the cap was silently unreachable. The default is now
-//! **progressive blocking** ([`entity::OversizeFallback::Progressive`]):
-//! an oversized bucket keeps its in-cap quadratic expansion *and* sorts
-//! the whole membership by the records' full key, sliding a window over
-//! that order, so every record still gets candidates at
+//! (173M entities), so consolidation blocks first, with one candidate
+//! generator: token blocking ([`entity::blocking`]), which pairs records
+//! sharing a normalised token of the key attribute. Blocking used to
+//! *truncate* giant buckets (stopword-like keys) at [`entity::BUCKET_CAP`]
+//! members — every duplicate past the cap was silently unreachable. It now
+//! uses **progressive blocking**: an oversized bucket keeps its in-cap
+//! quadratic expansion *and* sorts the whole membership by the records'
+//! full key, sliding a window of [`entity::PROGRESSIVE_WINDOW`] over that
+//! order, so every record still gets candidates at
 //! `O(cap² + bucket · window)` cost. Degradation is reported
 //! (`BlockingOutcome::degraded_buckets`), never silent, and the candidate
 //! set is always a superset of the old truncating cap's — recall can only
-//! go up. Every strategy emits sorted, deduplicated `(i, j)` pairs with
-//! `i < j`, byte-identical across runs and thread counts (the LSH band
-//! tables are hash-seeded per process; their iteration order never leaks
-//! into the output). The `blocking/*` bench group sweeps the strategies
-//! across bucket-size distributions.
+//! go up. Blocking emits sorted, deduplicated `(i, j)` pairs with `i < j`,
+//! byte-identical across runs and thread counts. The `blocking/*` bench
+//! group measures it on uniform and Zipf-headed bucket-size distributions.
 //!
 //! ## Pair scoring: prepare once, score many
 //!

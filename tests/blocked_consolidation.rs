@@ -6,7 +6,6 @@
 use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy, ScorerSpec};
 use datatamer::core::stage::{stage_names, StageReport};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
-use datatamer::entity::BlockingStrategy;
 use datatamer::model::{Record, RecordId, SourceId, Value};
 
 fn config_with(grouping: GroupingStrategy) -> DataTamerConfig {
@@ -110,7 +109,7 @@ fn config_level_blocked_er_consolidates_fuzzy_duplicates_end_to_end() {
 fn oversized_bucket_stays_connected_through_the_staged_pipeline() {
     // Every show shares the token "show", blowing the 256-member bucket
     // cap, with one duplicate pair planted entirely beyond it. Progressive
-    // blocking (the default fallback) must still consolidate the pair, and
+    // blocking must still consolidate the pair, and
     // the degradation must surface in the stage report. The venue is
     // unique per show except for the planted pair, and the scorer weights
     // it heavily, so only the true duplicates clear the threshold.
@@ -136,7 +135,6 @@ fn oversized_bucket_stays_connected_through_the_staged_pipeline() {
 
     let grouping = GroupingStrategy::BlockedEr(BlockedErConfig {
         key_attr: "SHOW_NAME".to_owned(),
-        strategy: BlockingStrategy::Token,
         scorer: ScorerSpec::Rules {
             weights: vec![("VENUE".to_owned(), 5.0)],
             default_weight: 1.0,
