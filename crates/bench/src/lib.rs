@@ -1,12 +1,13 @@
 //! Shared harness for the paper-reproduction experiments.
 //!
-//! Every table and figure of the paper maps to a function here (see
-//! DESIGN.md §4 for the experiment index); the `tables` binary prints them
-//! and the criterion benches time them. Everything is deterministic given
-//! the seeds in [`HarnessConfig`].
+//! Every table and figure of the paper maps to a function here, and the
+//! `tables` binary prints them by experiment id (`t1`..`t6`, `f1`..`f3`,
+//! `m1`, `m2`). Everything is deterministic given the seeds in [`HarnessConfig`],
+//! except the wall-clock columns of F1 and M2. Regression timing lives in
+//! the separate `dtbench` package, not here.
 
-// The bench harness exists to measure wall time; clippy.toml disallows
-// the clock constructors in every other crate.
+// F1 and M2 report wall time; clippy.toml disallows the clock constructors
+// in every other crate.
 #![allow(clippy::disallowed_methods)]
 
 pub mod experiments;

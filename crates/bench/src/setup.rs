@@ -1,7 +1,6 @@
-//! Scaled system construction shared by the table printers and benches.
+//! Scaled system construction shared by the experiments the `tables`
+//! binary prints.
 
-use datatamer_core::config::StorageConfig;
-use datatamer_core::fusion::GroupingStrategy;
 use datatamer_core::{DataTamer, DataTamerConfig};
 use datatamer_corpus::ftables::{self, FtablesConfig, GeneratedSource};
 use datatamer_corpus::webtext::{WebTextConfig, WebTextCorpus};
@@ -45,17 +44,6 @@ pub struct HarnessConfig {
     /// Padding sentences per fragment (pushes instance docs toward the
     /// paper's large web-page excerpts).
     pub padding_sentences: usize,
-    /// How the consolidation stage groups records (`CanonicalName` keeps
-    /// the classic scan; `BlockedEr` routes fusion through blocking +
-    /// prepared pair scoring — the hot path the `pair_scoring/*` bench
-    /// group measures in isolation).
-    pub grouping: GroupingStrategy,
-    /// Storage substrate for every collection the system creates: backend
-    /// (memory vs out-of-core file), shard routing, and the extent-cache
-    /// byte budget for file-backed shards. The default (memory, round
-    /// robin) keeps the classic in-process cells; the `pipeline_end_to_end`
-    /// file cells point this at a temp directory.
-    pub storage: StorageConfig,
 }
 
 impl Default for HarnessConfig {
@@ -69,8 +57,6 @@ impl Default for HarnessConfig {
             // (WEBINSTANCE at 242 extents vs WEBENTITIES at 56 despite 10×
             // fewer documents).
             padding_sentences: 24,
-            grouping: GroupingStrategy::CanonicalName,
-            storage: StorageConfig::default(),
         }
     }
 }
@@ -121,8 +107,6 @@ impl ScaledSystem {
         );
         let mut dt = DataTamer::new(DataTamerConfig {
             extent_size: config.extent_size(),
-            grouping: config.grouping.clone(),
-            storage: config.storage.clone(),
             ..Default::default()
         });
         for s in &sources {
@@ -144,8 +128,6 @@ impl ScaledSystem {
         let sources = Vec::new();
         let mut dt = DataTamer::new(DataTamerConfig {
             extent_size: config.extent_size(),
-            grouping: config.grouping.clone(),
-            storage: config.storage.clone(),
             ..Default::default()
         });
         let parser = DomainParser::with_gazetteer(corpus.gazetteer.clone());

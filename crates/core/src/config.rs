@@ -3,9 +3,7 @@
 use std::path::PathBuf;
 
 use datatamer_schema::IntegrationConfig;
-use datatamer_storage::{
-    BackendConfig, CollectionConfig, RoutingPolicy, DEFAULT_EXTENT_CACHE_BUDGET,
-};
+use datatamer_storage::{BackendConfig, CollectionConfig, DEFAULT_EXTENT_CACHE_BUDGET};
 
 use crate::fusion::{GroupingStrategy, RegistryConfig};
 
@@ -32,19 +30,16 @@ impl DeltaLogConfig {
     }
 }
 
-/// Where collections live and how documents route to shards — the
-/// system-level face of the storage crate's shard coordinator. The default
-/// (in-process memory, round robin) is byte-compatible with the
-/// pre-coordinator engine; switching to [`BackendConfig::File`] makes every
-/// collection out-of-core (tail extents resident, recently-read extents
-/// held by a byte-budget cache), and a keyed [`RoutingPolicy`] co-locates
-/// equal-keyed records per shard.
+/// Where collections live — the system-level face of the storage crate's
+/// shard coordinator. The default (in-process memory) is byte-compatible
+/// with the pre-coordinator engine; switching to [`BackendConfig::File`]
+/// makes every collection out-of-core (tail extents resident,
+/// recently-read extents held by a byte-budget cache). Documents are
+/// always placed round robin across shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageConfig {
     /// Shard substrate for every collection the pipeline creates.
     pub backend: BackendConfig,
-    /// Shard-routing policy for every collection the pipeline creates.
-    pub routing: RoutingPolicy,
     /// Per-shard extent-cache byte budget for file-backed collections:
     /// `None` = unbounded, `Some(0)` = disabled (every read loads from
     /// disk — byte-identical output, pre-cache performance), `Some(n)` =
@@ -58,7 +53,6 @@ impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
             backend: BackendConfig::default(),
-            routing: RoutingPolicy::default(),
             extent_cache_budget: Some(DEFAULT_EXTENT_CACHE_BUDGET),
         }
     }
@@ -75,7 +69,7 @@ pub struct DataTamerConfig {
     pub extent_size: usize,
     /// Shards per collection.
     pub shards: usize,
-    /// Shard backend and routing for every collection (see
+    /// Shard backend and extent-cache budget for every collection (see
     /// [`StorageConfig`]).
     pub storage: StorageConfig,
     /// Schema-integration thresholds.
@@ -128,7 +122,6 @@ impl DataTamerConfig {
             extent_size: self.extent_size,
             shards: self.shards,
             backend: self.storage.backend.clone(),
-            routing: self.storage.routing.clone(),
             extent_cache_budget: self.storage.extent_cache_budget,
         }
     }
@@ -158,7 +151,6 @@ mod tests {
         assert_eq!(cc.extent_size, c.extent_size);
         assert_eq!(cc.shards, 8);
         assert_eq!(cc.backend, BackendConfig::Memory);
-        assert_eq!(cc.routing, RoutingPolicy::RoundRobin);
     }
 
     #[test]
@@ -167,14 +159,13 @@ mod tests {
         let c = DataTamerConfig {
             storage: StorageConfig {
                 backend: BackendConfig::File { dir: dir.clone() },
-                routing: RoutingPolicy::HashKey { attr: "SHOW_NAME".into() },
-                ..Default::default()
+                extent_cache_budget: Some(4096),
             },
             ..Default::default()
         };
         let cc = c.collection_config();
         assert_eq!(cc.backend, BackendConfig::File { dir });
-        assert_eq!(cc.routing, RoutingPolicy::HashKey { attr: "SHOW_NAME".into() });
+        assert_eq!(cc.extent_cache_budget, Some(4096));
     }
 
     #[test]

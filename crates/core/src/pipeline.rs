@@ -517,7 +517,6 @@ mod tests {
                 let names: Vec<&str> =
                     storage.iter().map(|s| s.collection.as_str()).collect();
                 assert_eq!(names, vec!["instance", "entity"]);
-                assert!(storage.iter().all(|s| s.routing == "round_robin"));
                 assert_eq!(storage[0].docs(), 1);
             }
             other => panic!("wrong report variant: {other:?}"),

@@ -78,7 +78,7 @@ pub enum StageReport {
         text: Option<IngestStats>,
         /// Shard-distribution reports of the collections this stage wrote,
         /// in the fixed write order `instance` then `entity`: per-shard
-        /// doc/extent counts, backend kind, routing, and flush traffic.
+        /// doc/extent counts, backend kind, and flush traffic.
         storage: Vec<StorageReport>,
     },
     /// [`stage_names::SCHEMA_INTEGRATION`].

@@ -1,5 +1,5 @@
 //! Index-key wrapper giving [`Value`] the total equality/order/hash triple
-//! the secondary indexes need.
+//! that map keys need.
 //!
 //! `Value` itself deliberately has no `Hash` impl and a non-total float
 //! `PartialEq` (NaN ≠ NaN), which would make `HashMap`-backed index buckets
@@ -8,11 +8,13 @@
 //! otherwise), and the hash is derived so that `a == b ⇒ hash(a) ==
 //! hash(b)` — in particular `Int(3)` and `Float(3.0)` compare `Equal`
 //! under `total_cmp`, so both hash through the same `f64` bit pattern.
+//! The storage engine's secondary indexes and `count_by`, and the query
+//! crate's indexes and group-by, all key on it.
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
-use datatamer_model::Value;
+use crate::Value;
 
 /// A [`Value`] usable as a hash- or tree-index key.
 #[derive(Debug, Clone)]
@@ -116,7 +118,7 @@ mod tests {
 
     #[test]
     fn order_matches_total_cmp() {
-        let mut keys = vec![
+        let mut keys = [
             AttrKey(Value::from("b")),
             AttrKey(Value::Int(5)),
             AttrKey(Value::Null),

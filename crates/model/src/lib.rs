@@ -5,7 +5,8 @@
 //! hierarchical data into flat [`Record`]s (the paper's prerequisite before
 //! any Data Tamer processing), per-source schemas with statistical attribute
 //! profiles ([`SourceSchema`], [`AttributeProfile`]), and lexical type
-//! inference ([`infer::LexicalType`]).
+//! inference ([`infer::LexicalType`]), plus [`AttrKey`], the
+//! total-order key every index and group-by uses.
 //!
 //! Everything downstream — the sharded storage engine, the schema-integration
 //! facility, entity consolidation, cleaning, and fusion — is built on these
@@ -15,6 +16,7 @@ pub mod document;
 pub mod error;
 pub mod flatten;
 pub mod infer;
+pub mod key;
 pub mod record;
 pub mod schema;
 pub mod value;
@@ -23,6 +25,7 @@ pub use document::Document;
 pub use error::{DtError, Result};
 pub use flatten::{flatten, ArrayMode, FlattenOptions};
 pub use infer::LexicalType;
+pub use key::AttrKey;
 pub use record::{AttrId, Record, RecordId, SourceId};
 pub use schema::{AttributeDef, AttributeProfile, SourceSchema};
 pub use value::Value;

@@ -5,7 +5,7 @@
 //! which plan runs it. Equality and ordering are *canonical*: values
 //! compare by [`Value::total_cmp`], so `Int(3)` matches
 //! `Eq(attr, Float(3.0))` and NaN equals itself, exactly the semantics the
-//! index keys ([`crate::key::AttrKey`]) use — an index probe can therefore
+//! index keys ([`datatamer_model::AttrKey`]) use — an index probe can therefore
 //! never return fewer rows than the predicate accepts. Ordering predicates
 //! only match within a type family (numbers, strings, booleans).
 

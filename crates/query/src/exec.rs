@@ -15,7 +15,7 @@
 //! [`execute_oracle`]: the oracle and the planned paths cannot drift.
 
 use datatamer_core::fusion::FusedEntity;
-use datatamer_model::Value;
+use datatamer_model::{AttrKey, Value};
 use datatamer_sim::FnvBuildHasher;
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -27,7 +27,6 @@ use crate::ast::{
     MEMBERS_ATTR,
 };
 use crate::index::{EntityIndexes, IndexMaintenance};
-use crate::key::AttrKey;
 
 /// Which plan actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -274,19 +274,27 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// `key=value&key=value` → decoded pairs.
-fn query_params(qs: &str) -> Vec<(String, String)> {
+/// `key=value&key=value` → (decoded key, still-encoded value) pairs. The
+/// value stays raw so list parameters can split on a literal `,` before
+/// decoding: an encoded `%2C` then stays inside its item.
+fn query_params(qs: &str) -> Vec<(String, &str)> {
     qs.split('&')
         .filter(|p| !p.is_empty())
-        .map(|p| match p.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(p), String::new()),
+        .map(|p| {
+            let (k, v) = p.split_once('=').unwrap_or((p, ""));
+            (percent_decode(k), v)
         })
         .collect()
 }
 
-/// Parse a scalar operand: `null`, booleans, integers, floats, else a
-/// string (surrounding quotes stripped).
+/// The non-blank items of a raw comma-separated parameter, each decoded.
+fn decoded_items(raw: &str) -> impl Iterator<Item = String> + '_ {
+    raw.split(',').map(percent_decode).filter(|item| !item.trim().is_empty())
+}
+
+/// Parse a scalar operand: `null`, booleans, integers, finite floats, else
+/// a string (surrounding quotes stripped). JSON has no infinities or NaN,
+/// so `inf`, `Infinity` and `nan` stay strings.
 fn parse_operand(raw: &str) -> Value {
     let s = raw.trim();
     match s {
@@ -298,7 +306,7 @@ fn parse_operand(raw: &str) -> Value {
     if let Ok(i) = s.parse::<i64>() {
         return Value::Int(i);
     }
-    if let Ok(f) = s.parse::<f64>() {
+    if let Some(f) = s.parse::<f64>().ok().filter(|f| f.is_finite()) {
         return Value::Float(f);
     }
     let unquoted = s
@@ -345,12 +353,13 @@ fn parse_clause(clause: &str) -> Result<Predicate, String> {
 
 fn parse_query(qs: &str) -> Result<Query, String> {
     let mut q = Query::default();
-    for (k, v) in query_params(qs) {
+    for (k, raw) in query_params(qs) {
+        let v = percent_decode(raw);
         match k.as_str() {
             "where" => {
                 let mut clauses = Vec::new();
-                for part in v.split(',').filter(|p| !p.trim().is_empty()) {
-                    clauses.push(parse_clause(part)?);
+                for part in decoded_items(raw) {
+                    clauses.push(parse_clause(&part)?);
                 }
                 q.filter = match clauses.len() {
                     0 => Predicate::True,
@@ -359,8 +368,7 @@ fn parse_query(qs: &str) -> Result<Query, String> {
                 };
             }
             "project" => {
-                q.project =
-                    v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
+                q.project = decoded_items(raw).map(|item| item.trim().to_string()).collect();
             }
             "order" => {
                 let (attr, dir) = match v.split_once(':') {
@@ -562,6 +570,10 @@ mod tests {
         assert_eq!(parse_operand("null"), Value::Null);
         assert_eq!(parse_operand("\"42\""), Value::from("42"));
         assert_eq!(parse_operand("musical"), Value::from("musical"));
+        // JSON has no non-finite numbers: these words stay strings.
+        assert_eq!(parse_operand("Infinity"), Value::from("Infinity"));
+        assert_eq!(parse_operand("nan"), Value::from("nan"));
+        assert_eq!(parse_operand("-inf"), Value::from("-inf"));
         assert_eq!(
             parse_clause("PRICE>=20").unwrap(),
             Predicate::Gte("PRICE".into(), Value::Int(20)),
@@ -619,6 +631,12 @@ mod tests {
         assert!(parse_query("nope=1").is_err());
         let q = parse_query("agg=group:KIND").unwrap();
         assert_eq!(q.aggregate, Some(Aggregate::GroupBy("KIND".into())));
+
+        // An encoded comma belongs to its clause; only a literal one splits.
+        let q = parse_query("where=NAME=Smith%2C%20John").unwrap();
+        assert_eq!(q.filter, Predicate::Eq("NAME".into(), Value::from("Smith, John")));
+        let q = parse_query("project=A%2CB,C").unwrap();
+        assert_eq!(q.project, vec!["A,B".to_string(), "C".to_string()]);
 
         // The planner alone chooses the plan: the old scan-mode override is
         // an unknown parameter like any other.

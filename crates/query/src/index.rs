@@ -17,14 +17,13 @@
 //! which the owning view translates to current row positions.
 
 use datatamer_core::fusion::FusedEntity;
-use datatamer_model::Value;
+use datatamer_model::{AttrKey, Value};
 use datatamer_sim::FnvBuildHasher;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use crate::ast::AttrSource;
-use crate::key::AttrKey;
 
 /// Counters describing how indexes have been maintained — surfaced on the
 /// stats endpoint so "no full rebuilds during delta ingest" is observable.

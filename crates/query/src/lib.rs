@@ -8,7 +8,7 @@
 //! 1. **Secondary indexes** ([`index`]) — a hash index for equality and a
 //!    `BTreeMap`-backed ordered index for ranges, over any entity
 //!    attribute (including the `_key` / `_members` / `_confidence`
-//!    pseudo-attributes). Keys use [`key::AttrKey`], whose equality,
+//!    pseudo-attributes). Keys use [`datatamer_model::AttrKey`], whose equality,
 //!    ordering, and hashing all derive from `Value::total_cmp`. Builds
 //!    fan out with rayon but insert in a fixed order, and
 //!    [`view::CollectionView::sync`] maintains them *incrementally* from
@@ -68,7 +68,6 @@ pub mod ast;
 pub mod exec;
 pub mod http;
 pub mod index;
-pub mod key;
 pub mod view;
 
 pub use ast::{
@@ -78,7 +77,6 @@ pub use ast::{
 pub use exec::{execute_oracle, CollectionSnapshot, Executed, PlanKind, SnapshotStats};
 pub use http::{QueryServer, ServerConfig, SharedViews};
 pub use index::{EntityIndexes, HashIndex, IndexMaintenance, OrderedIndex};
-pub use key::AttrKey;
 pub use view::{CollectionView, IndexSpec};
 
 /// One-line import for the common query surface.

@@ -1,26 +1,23 @@
 //! Sharded collections of documents.
 //!
-//! A collection is a [`crate::coordinator::ShardCoordinator`] — routing
-//! plus one [`crate::backend::ShardBackend`] per shard — wrapped with
-//! secondary indexes and stats. Each shard owns a chain of fixed-size
+//! A collection is a [`crate::coordinator::ShardCoordinator`] — round-robin
+//! placement over one [`crate::backend::ShardBackend`] per shard — wrapped
+//! with secondary indexes and stats. Each shard owns a chain of fixed-size
 //! extents, in process ([`BackendConfig::Memory`]) or out of core on files
 //! ([`BackendConfig::File`]), so concurrent ingest scales with shard count
 //! — the in-process analogue of the paper's distributed 2 GB-extent
 //! collections. Document ids pack `(shard, extent, slot)` so point reads
-//! touch exactly one shard with no id→location map. Routing is declarative
-//! ([`RoutingPolicy`]): round robin, key hashing (co-locate equal keys for
-//! blocking locality), or byte-range partitioning.
+//! touch exactly one shard with no id→location map.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use datatamer_model::{Document, DtError, Result, Value};
+use datatamer_model::{AttrKey, Document, DtError, Result, Value};
 
 use crate::backend::{BackendConfig, FileBackend, MemoryBackend, ShardBackend};
 use crate::coordinator::{ShardCoordinator, StorageReport};
 use crate::index::{Index, IndexSpec};
-use crate::routing::RoutingPolicy;
 use crate::stats::CollectionStats;
 
 /// Packed document id: `shard (8) | extent (24) | slot (32)`.
@@ -62,8 +59,6 @@ pub struct CollectionConfig {
     /// default, or one file per flushed extent for out-of-core
     /// collections).
     pub backend: BackendConfig,
-    /// How documents route to shards (round robin by default).
-    pub routing: RoutingPolicy,
     /// Per-shard extent-cache byte budget for file-backed shards (`None` =
     /// unbounded, `Some(0)` = disabled — load-per-read, byte-identical to
     /// the uncached behaviour). Ignored by memory backends, whose extents
@@ -77,7 +72,6 @@ impl Default for CollectionConfig {
             extent_size: 2 * 1024 * 1024,
             shards: 8,
             backend: BackendConfig::Memory,
-            routing: RoutingPolicy::RoundRobin,
             extent_cache_budget: Some(crate::cache::DEFAULT_EXTENT_CACHE_BUDGET),
         }
     }
@@ -137,7 +131,7 @@ impl Collection {
                 }
             });
         }
-        let coordinator = ShardCoordinator::new(backends, config.routing.clone());
+        let coordinator = ShardCoordinator::new(backends);
         // A reopened file backend may already hold documents.
         let count = AtomicU64::new(coordinator.len());
         Ok(Collection {
@@ -187,15 +181,15 @@ impl Collection {
     /// Insert a batch, returning ids in input order.
     ///
     /// The batch path is what makes ingest scale: the coordinator encodes
-    /// documents in parallel across the rayon team, routes the batch in
+    /// documents in parallel across the rayon team, places the batch in
     /// input order (round robin reserves its window with one atomic bump),
     /// and appends each shard's documents under a single lock acquisition
     /// (shards proceed in parallel) instead of one lock round-trip per
-    /// document. Shard routing is identical to repeated [`Self::insert`]
-    /// calls under every [`RoutingPolicy`]. Backend I/O failure surfaces
-    /// as the error (shards that already appended keep their documents —
-    /// the count and indexes then exclude them, matching what a reopen
-    /// would adopt only after a `sync`).
+    /// document. Shard placement is identical to repeated [`Self::insert`]
+    /// calls. Backend I/O failure surfaces as the error (shards that
+    /// already appended keep their documents — the count and indexes then
+    /// exclude them, matching what a reopen would adopt only after a
+    /// `sync`).
     pub fn insert_many<'a, I: IntoIterator<Item = &'a Document>>(
         &self,
         docs: I,
@@ -297,7 +291,7 @@ impl Collection {
     }
 
     /// Per-shard distribution report: backend kind, doc/extent counts,
-    /// routing policy, and flush traffic.
+    /// and flush traffic.
     pub fn storage_report(&self) -> StorageReport {
         self.coordinator.report(&self.name)
     }
@@ -311,10 +305,10 @@ impl Collection {
             return Ok(counts);
         }
         let values = self.parallel_scan(|_, doc| doc.get_path(path).cloned())?;
-        let mut counts: std::collections::BTreeMap<crate::index::IndexKey, u64> =
+        let mut counts: std::collections::BTreeMap<AttrKey, u64> =
             std::collections::BTreeMap::new();
         for v in values {
-            *counts.entry(crate::index::IndexKey(v)).or_insert(0) += 1;
+            *counts.entry(AttrKey(v)).or_insert(0) += 1;
         }
         Ok(counts.into_iter().map(|(k, n)| (k.0, n)).collect())
     }
@@ -382,7 +376,6 @@ impl std::fmt::Debug for Collection {
             .field("count", &self.len())
             .field("shards", &self.coordinator.shard_count())
             .field("backend", &self.config.backend.kind())
-            .field("routing", &self.coordinator.routing().name())
             .finish()
     }
 }
@@ -639,7 +632,6 @@ mod tests {
                 shards: 1,
                 backend: BackendConfig::File { dir: dir.clone() },
                 extent_cache_budget: Some(0),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -666,74 +658,29 @@ mod tests {
         let dir = tempdir("mem_vs_file");
         let docs: Vec<Document> =
             (0..60i64).map(|i| doc! {"i" => i, "k" => format!("key{}", i % 7)}).collect();
-        for routing in [
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::HashKey { attr: "k".into() },
-            RoutingPolicy::Range { attr: "k".into() },
-        ] {
-            let mem = Collection::new(
-                "c",
-                CollectionConfig {
-                    extent_size: 512,
-                    shards: 4,
-                    routing: routing.clone(),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let file = Collection::new(
-                "c",
-                CollectionConfig {
-                    extent_size: 512,
-                    shards: 4,
-                    backend: BackendConfig::File {
-                        dir: dir.join(routing.name()),
-                    },
-                    routing: routing.clone(),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mem_ids = mem.insert_many(&docs).unwrap();
-            let file_ids = file.insert_many(&docs).unwrap();
-            assert_eq!(mem_ids, file_ids, "{routing:?}: placement must match");
-            let mem_scan = mem.parallel_scan(|id, d| Some((id, format!("{d:?}")))).unwrap();
-            let file_scan = file.parallel_scan(|id, d| Some((id, format!("{d:?}")))).unwrap();
-            assert_eq!(mem_scan, file_scan, "{routing:?}: scans must be byte-identical");
-            assert_eq!(mem.stats("dt").count, file.stats("dt").count);
-            assert_eq!(mem.stats("dt").num_extents, file.stats("dt").num_extents);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn hash_routing_co_locates_equal_keys_in_collection() {
-        let c = Collection::new(
-            "keyed",
+        let mem = Collection::new(
+            "c",
+            CollectionConfig { extent_size: 512, shards: 4, ..Default::default() },
+        )
+        .unwrap();
+        let file = Collection::new(
+            "c",
             CollectionConfig {
-                extent_size: 1024,
-                shards: 8,
-                routing: RoutingPolicy::HashKey { attr: "show".into() },
+                extent_size: 512,
+                shards: 4,
+                backend: BackendConfig::File { dir: dir.clone() },
                 ..Default::default()
             },
         )
         .unwrap();
-        let docs: Vec<Document> =
-            (0..32i64).map(|i| doc! {"show" => format!("s{}", i % 4), "i" => i}).collect();
-        let ids = c.insert_many(&docs).unwrap();
-        for (i, a) in ids.iter().enumerate() {
-            for (j, b) in ids.iter().enumerate() {
-                if i % 4 == j % 4 {
-                    assert_eq!(a.shard(), b.shard(), "equal keys co-locate");
-                }
-            }
-        }
-        let report = c.storage_report();
-        assert_eq!(report.routing, "hash_key");
-        assert_eq!(report.docs(), 32);
-        assert!(
-            report.shards.iter().filter(|s| s.docs > 0).count() <= 4,
-            "at most one shard per distinct key: {report:?}"
-        );
+        let mem_ids = mem.insert_many(&docs).unwrap();
+        let file_ids = file.insert_many(&docs).unwrap();
+        assert_eq!(mem_ids, file_ids, "placement must match");
+        let mem_scan = mem.parallel_scan(|id, d| Some((id, format!("{d:?}")))).unwrap();
+        let file_scan = file.parallel_scan(|id, d| Some((id, format!("{d:?}")))).unwrap();
+        assert_eq!(mem_scan, file_scan, "scans must be byte-identical");
+        assert_eq!(mem.stats("dt").count, file.stats("dt").count);
+        assert_eq!(mem.stats("dt").num_extents, file.stats("dt").num_extents);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,9 +1,11 @@
-//! The shard coordinator: routing + scatter/gather over pluggable backends.
+//! The shard coordinator: round-robin placement + scatter/gather over
+//! pluggable backends.
 //!
 //! [`ShardCoordinator`] owns one [`ShardBackend`] per shard and a
-//! [`Router`]. It is the layer `Collection` delegates to: single inserts
-//! route and append; batches scatter across shards (encode in parallel,
-//! route in input order, one lock acquisition per shard, shards appending
+//! round-robin cursor. It is the layer `Collection` delegates to: single
+//! inserts take the next shard and append; batches scatter across shards
+//! (encode in parallel, reserve the whole round-robin window with one
+//! atomic bump, one lock acquisition per shard, shards appending
 //! concurrently) and gather `DocId`s back in input order; scans fan out one
 //! rayon task per **(shard, extent)** — flushed extents decode concurrently
 //! — and stitch results back shard-major/extent-major, so output is
@@ -11,6 +13,8 @@
 //! hit/miss resolution happens at plan time, sequentially, in shard order
 //! ([`ShardBackend::begin_extent_scan`]), so the cache counters carried on
 //! [`StorageReport`] are deterministic too.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
@@ -20,7 +24,6 @@ use crate::backend::{BackendKind, ShardBackend};
 use crate::cache::{ExtentCacheStats, ExtentScan};
 use crate::collection::DocId;
 use crate::encode::encode_document;
-use crate::routing::{Router, RoutingPolicy};
 
 /// Per-shard shape of one collection — the unit of [`StorageReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,15 +42,13 @@ pub struct ShardStorage {
     pub cache: Option<ExtentCacheStats>,
 }
 
-/// How one collection's data is distributed: per-shard doc/extent counts,
-/// the routing policy, and flush traffic. Threaded into the pipeline's
-/// stage reports so distribution skew and backend I/O are visible per run.
+/// How one collection's data is distributed: per-shard doc/extent counts
+/// and flush traffic. Threaded into the pipeline's stage reports so
+/// distribution skew and backend I/O are visible per run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageReport {
     /// The collection reported on.
     pub collection: String,
-    /// Routing policy name (`round_robin` / `hash_key` / `range`).
-    pub routing: &'static str,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardStorage>,
     /// Extent writes to stable storage (0 for all-memory collections).
@@ -60,7 +61,7 @@ impl StorageReport {
         self.shards.iter().map(|s| s.docs).sum()
     }
 
-    /// Largest shard's doc count — `max / mean` reads as routing skew.
+    /// Largest shard's doc count — `max / mean` reads as placement skew.
     pub fn largest_shard_docs(&self) -> u64 {
         self.shards.iter().map(|s| s.docs).max().unwrap_or(0)
     }
@@ -116,22 +117,22 @@ impl StorageReport {
     }
 }
 
-/// Routing plus per-shard backends; see the module docs.
+/// Per-shard backends plus the round-robin cursor; see the module docs.
 pub struct ShardCoordinator {
     backends: Vec<Box<dyn ShardBackend>>,
-    router: Router,
+    next: AtomicU64,
 }
 
 impl ShardCoordinator {
     /// Coordinator over `backends` (one per shard, at most 256 — the
-    /// `DocId` shard field is 8 bits) with `routing` in force.
-    pub fn new(backends: Vec<Box<dyn ShardBackend>>, routing: RoutingPolicy) -> Self {
+    /// `DocId` shard field is 8 bits), cursor at shard 0.
+    pub fn new(backends: Vec<Box<dyn ShardBackend>>) -> Self {
         assert!(
             !backends.is_empty() && backends.len() <= 256,
             "shard count {} out of range 1..=256",
             backends.len()
         );
-        ShardCoordinator { backends, router: Router::new(routing) }
+        ShardCoordinator { backends, next: AtomicU64::new(0) }
     }
 
     /// Number of shards.
@@ -139,9 +140,16 @@ impl ShardCoordinator {
         self.backends.len()
     }
 
-    /// The routing policy in force.
-    pub fn routing(&self) -> &RoutingPolicy {
-        self.router.policy()
+    /// Reserve `n` consecutive round-robin positions with one atomic bump
+    /// and return the first. Position `p` lands on shard `p % shards`, so a
+    /// batch reserving its window at once places exactly like the same
+    /// documents inserted one by one.
+    fn reserve(&self, n: usize) -> u64 {
+        self.next.fetch_add(n as u64, Ordering::Relaxed)
+    }
+
+    fn shard_at(&self, position: u64) -> usize {
+        (position % self.backends.len() as u64) as usize
     }
 
     /// Live documents across all shards.
@@ -154,9 +162,9 @@ impl ShardCoordinator {
         self.len() == 0
     }
 
-    /// Route and append one document.
+    /// Append one document to the next shard in round-robin order.
     pub fn insert(&self, doc: &Document) -> Result<DocId> {
-        let shard = self.router.route_one(doc, self.backends.len());
+        let shard = self.shard_at(self.reserve(1));
         let encoded = encode_document(doc);
         let (extent, slot) = self.backends[shard].append(&encoded)?;
         Ok(DocId::pack(shard as u8, extent, slot))
@@ -164,20 +172,20 @@ impl ShardCoordinator {
 
     /// Scatter a batch across shards and gather ids in input order.
     ///
-    /// Documents encode in parallel, the router assigns shards in input
-    /// order (round robin reserves its window with one atomic bump, so the
-    /// assignment matches repeated [`ShardCoordinator::insert`] calls),
-    /// and each shard's documents append under a single lock acquisition
-    /// while shards proceed concurrently.
+    /// Documents encode in parallel, shards are assigned in input order
+    /// from one reserved round-robin window (so the assignment matches
+    /// repeated [`ShardCoordinator::insert`] calls), and each shard's
+    /// documents append under a single lock acquisition while shards
+    /// proceed concurrently.
     pub fn insert_many(&self, docs: &[&Document]) -> Result<Vec<DocId>> {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
         let encoded: Vec<Vec<u8>> = docs.par_iter().map(|d| encode_document(d)).collect();
-        let assignment = self.router.route_many(docs, self.backends.len());
+        let base = self.reserve(docs.len());
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.backends.len()];
-        for (i, &shard) in assignment.iter().enumerate() {
-            per_shard[shard].push(i);
+        for i in 0..docs.len() {
+            per_shard[self.shard_at(base + i as u64)].push(i);
         }
 
         let placed: Vec<Result<Vec<(usize, DocId)>>> = (0..self.backends.len())
@@ -332,7 +340,6 @@ impl ShardCoordinator {
     pub fn report(&self, collection: &str) -> StorageReport {
         StorageReport {
             collection: collection.to_owned(),
-            routing: self.router.policy().name(),
             shards: self
                 .backends
                 .iter()
@@ -353,7 +360,6 @@ impl std::fmt::Debug for ShardCoordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardCoordinator")
             .field("shards", &self.backends.len())
-            .field("routing", self.router.policy())
             .finish()
     }
 }
@@ -364,48 +370,36 @@ mod tests {
     use crate::backend::MemoryBackend;
     use datatamer_model::doc;
 
-    fn memory_coordinator(shards: usize, routing: RoutingPolicy) -> ShardCoordinator {
+    fn memory_coordinator(shards: usize) -> ShardCoordinator {
         let backends: Vec<Box<dyn ShardBackend>> = (0..shards)
             .map(|_| Box::new(MemoryBackend::new(512)) as Box<dyn ShardBackend>)
             .collect();
-        ShardCoordinator::new(backends, routing)
+        ShardCoordinator::new(backends)
     }
 
     #[test]
-    fn hash_routing_co_locates_and_scatter_matches_singles() {
-        let docs: Vec<_> = (0..40i64)
-            .map(|i| doc! {"show" => format!("show{}", i % 5), "i" => i})
-            .collect();
+    fn round_robin_cycles_and_batches_match_singles() {
+        let docs: Vec<_> = (0..7i64).map(|i| doc! {"i" => i}).collect();
         let refs: Vec<&Document> = docs.iter().collect();
-        let routing = RoutingPolicy::HashKey { attr: "show".into() };
-
-        let singles = memory_coordinator(4, routing.clone());
-        let one_by_one: Vec<DocId> =
-            refs.iter().map(|d| singles.insert(d).unwrap()).collect();
-        let batched = memory_coordinator(4, routing);
-        let ids = batched.insert_many(&refs).unwrap();
-        assert_eq!(one_by_one, ids, "keyed batches route like singles");
-
-        // Equal keys share a shard.
-        for (i, a) in ids.iter().enumerate() {
-            for (j, b) in ids.iter().enumerate() {
-                if i % 5 == j % 5 {
-                    assert_eq!(a.shard(), b.shard(), "docs {i} and {j} share a key");
-                }
-            }
-        }
-        assert_eq!(batched.len(), 40);
+        let singles = memory_coordinator(3);
+        let one_by_one: Vec<DocId> = refs.iter().map(|d| singles.insert(d).unwrap()).collect();
+        // A batch continues the cursor where the single insert left it.
+        let mixed = memory_coordinator(3);
+        let mut ids = vec![mixed.insert(refs[0]).unwrap()];
+        ids.extend(mixed.insert_many(&refs[1..]).unwrap());
+        assert_eq!(one_by_one, ids);
+        let shards: Vec<u8> = ids.iter().map(|id| id.shard()).collect();
+        assert_eq!(shards, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
     fn report_shapes_the_distribution() {
-        let coordinator = memory_coordinator(3, RoutingPolicy::RoundRobin);
+        let coordinator = memory_coordinator(3);
         let docs: Vec<_> = (0..9i64).map(|i| doc! {"i" => i}).collect();
         let refs: Vec<&Document> = docs.iter().collect();
         coordinator.insert_many(&refs).unwrap();
         let report = coordinator.report("things");
         assert_eq!(report.collection, "things");
-        assert_eq!(report.routing, "round_robin");
         assert_eq!(report.shards.len(), 3);
         assert!(report.shards.iter().all(|s| s.docs == 3), "{report:?}");
         assert!(report.shards.iter().all(|s| s.backend == BackendKind::Memory));
@@ -417,6 +411,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn zero_shards_panic() {
-        memory_coordinator(0, RoutingPolicy::RoundRobin);
+        memory_coordinator(0);
     }
 }

@@ -1,15 +1,16 @@
 //! Ordered secondary indexes over dotted document paths.
 //!
 //! An index maps extracted key values to document ids. Keys keep full
-//! [`Value`] typing and order by [`Value::total_cmp`]; when the indexed path
-//! resolves to an array, every element is indexed (multikey), matching how
-//! document stores index the paper's `entities` arrays. Index byte sizes are
+//! [`Value`] typing and are [`AttrKey`]s, so they compare, order and hash by
+//! [`Value::total_cmp`]; when the indexed path resolves to an array, every
+//! element is indexed (multikey), matching how document stores index the
+//! paper's `entities` arrays. Index byte sizes are
 //! accounted from real encoded key lengths so `totalIndexSize` in the stats
 //! report is measured, not estimated.
 
 use std::collections::BTreeMap;
 
-use datatamer_model::{Document, Value};
+use datatamer_model::{AttrKey, Document, Value};
 
 use crate::collection::DocId;
 use crate::encode::encoded_len;
@@ -33,28 +34,12 @@ impl IndexSpec {
     }
 }
 
-/// Total-ordered wrapper so `Value` can key a `BTreeMap`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexKey(pub Value);
-
-impl Eq for IndexKey {}
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// One secondary index.
 #[derive(Debug)]
 pub struct Index {
     /// The index declaration.
     pub spec: IndexSpec,
-    entries: BTreeMap<IndexKey, Vec<DocId>>,
+    entries: BTreeMap<AttrKey, Vec<DocId>>,
     key_bytes: usize,
     entry_count: usize,
 }
@@ -80,7 +65,7 @@ impl Index {
     pub fn insert(&mut self, id: DocId, doc: &Document) {
         for key in self.extract_keys(doc) {
             let klen = encoded_len(&key);
-            self.entries.entry(IndexKey(key)).or_default().push(id);
+            self.entries.entry(AttrKey(key)).or_default().push(id);
             self.key_bytes += klen;
             self.entry_count += 1;
         }
@@ -90,7 +75,7 @@ impl Index {
     pub fn remove(&mut self, id: DocId, doc: &Document) {
         for key in self.extract_keys(doc) {
             let klen = encoded_len(&key);
-            let wrapped = IndexKey(key);
+            let wrapped = AttrKey(key);
             if let Some(ids) = self.entries.get_mut(&wrapped) {
                 if let Some(pos) = ids.iter().position(|x| *x == id) {
                     ids.swap_remove(pos);
@@ -107,7 +92,7 @@ impl Index {
     /// Ids whose key equals `key`.
     pub fn lookup(&self, key: &Value) -> Vec<DocId> {
         self.entries
-            .get(&IndexKey(key.clone()))
+            .get(&AttrKey(key.clone()))
             .map(|v| v.to_vec())
             .unwrap_or_default()
     }
@@ -241,6 +226,17 @@ mod tests {
         idx.insert(id(5), &d);
         assert_eq!(idx.lookup(&Value::from("Movie")), vec![id(5)]);
         assert!(idx.lookup(&Value::from("City")).is_empty());
+    }
+
+    #[test]
+    fn total_cmp_equal_keys_share_one_entry() {
+        let mut idx = Index::new(IndexSpec::new("by_n", "n"));
+        idx.insert(id(1), &doc! {"n" => 3i64});
+        idx.insert(id(2), &doc! {"n" => 3.0f64});
+        idx.insert(id(3), &doc! {"n" => f64::NAN});
+        assert_eq!(idx.key_counts().len(), 2);
+        assert_eq!(idx.lookup(&Value::Float(3.0)), vec![id(1), id(2)]);
+        assert_eq!(idx.lookup(&Value::Float(f64::NAN)), vec![id(3)]);
     }
 
     #[test]

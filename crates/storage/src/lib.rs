@@ -18,19 +18,17 @@
 //! * [`cache`] — the [`ExtentCache`]: a byte-budget LRU of decoded extents
 //!   with deterministic hit/miss/eviction accounting, so repeated scans of
 //!   a file-backed collection hit memory instead of disk.
-//! * [`routing`] — declarative shard routing ([`RoutingPolicy`]): round
-//!   robin, key-hash co-location, or byte-range partitioning — pure
-//!   functions of the document (or arrival order), so placement is
-//!   deterministic at any thread count.
 //! * [`coordinator`] — the [`ShardCoordinator`]: one backend per shard
-//!   plus a router, running rayon scatter/gather for batch inserts and
-//!   parallel scans, and reporting per-shard distribution
-//!   ([`StorageReport`]).
+//!   plus a round-robin cursor (a batch reserves its whole window with one
+//!   atomic bump, so it places exactly like repeated single inserts),
+//!   running rayon scatter/gather for batch inserts and parallel scans,
+//!   and reporting per-shard distribution ([`StorageReport`]).
 //! * [`collection`] — sharded collections: a coordinator wrapped with
 //!   secondary indexes, stats, and the packed `(shard, extent, slot)`
 //!   [`DocId`] scheme.
 //! * [`index`] — ordered secondary indexes (optionally multikey) over dotted
-//!   paths, with byte-accurate size accounting. Point lookups go through
+//!   paths, keyed by `datatamer_model::AttrKey`, with byte-accurate size
+//!   accounting. Point lookups go through
 //!   [`Collection::with_index`]; everything else is a
 //!   [`Collection::parallel_scan`]. Fused entities are queried through the
 //!   typed AST of the `datatamer-query` crate, not here.
@@ -52,7 +50,6 @@ pub mod encode;
 pub mod extent;
 pub mod index;
 pub mod persist;
-pub mod routing;
 pub mod stats;
 pub mod store;
 
@@ -62,6 +59,5 @@ pub use collection::{Collection, CollectionConfig, DocId};
 pub use delta_log::DeltaLog;
 pub use coordinator::{ShardCoordinator, ShardStorage, StorageReport};
 pub use index::IndexSpec;
-pub use routing::RoutingPolicy;
 pub use stats::CollectionStats;
 pub use store::Store;

@@ -87,9 +87,10 @@ fn read_manifest(path: &Path) -> Result<Manifest> {
     }
     // The manifest predates the coordinator and stays format-stable: it
     // records extent size and shard count only, so loaded collections come
-    // back on the default backend/routing (in-process, round robin) —
-    // callers wanting a file-backed reopen use the file backend's own
-    // directory adoption instead of this snapshot path.
+    // back on the default in-process backend (placement is always round
+    // robin, so nothing else needs recording). Callers wanting a
+    // file-backed reopen use the file backend's own directory adoption
+    // instead of this snapshot path.
     Ok(Manifest {
         config: CollectionConfig { extent_size, shards, ..Default::default() },
         shard_extent_counts,

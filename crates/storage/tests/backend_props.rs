@@ -1,16 +1,13 @@
 //! Property tests for the shard-coordinator subsystem: the file backend
 //! round-trips byte-identically through flush + reopen, memory- and
-//! file-backed collections are observationally equivalent under every
-//! routing policy, and keyed routing is a pure function of the data —
-//! identical at any rayon pool width.
+//! file-backed collections are observationally equivalent, and the extent
+//! cache never changes a scanned byte at any budget or rayon pool width.
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
 use datatamer_model::{doc, Document};
-use datatamer_storage::{
-    BackendConfig, Collection, CollectionConfig, DocId, RoutingPolicy,
-};
+use datatamer_storage::{BackendConfig, Collection, CollectionConfig, DocId};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -21,21 +18,13 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Documents with a routing key drawn from a small alphabet (forcing
-/// co-location collisions) plus a unique payload.
+/// Documents with a key drawn from a small alphabet plus a unique
+/// payload.
 fn documents(keys: &[String]) -> Vec<Document> {
     keys.iter()
         .enumerate()
         .map(|(i, k)| doc! {"k" => k.clone(), "i" => i as i64, "pad" => "p".repeat(i % 13)})
         .collect()
-}
-
-fn all_routings() -> Vec<RoutingPolicy> {
-    vec![
-        RoutingPolicy::RoundRobin,
-        RoutingPolicy::HashKey { attr: "k".into() },
-        RoutingPolicy::Range { attr: "k".into() },
-    ]
 }
 
 /// The full observable state of a collection: ids with their documents in
@@ -82,64 +71,34 @@ proptest! {
     }
 
     // A memory-backed and a file-backed collection fed the same batch
-    // under the same routing place every document identically and scan
-    // byte-identically — the backend is invisible to every reader.
+    // place every document identically and scan byte-identically — the
+    // backend is invisible to every reader.
     #[test]
     fn memory_and_file_backends_are_equivalent(
         keys in prop::collection::vec("[abcd]{1,4}", 1..50),
     ) {
         let dir = tempdir("equiv");
         let docs = documents(&keys);
-        for routing in all_routings() {
-            let mem = Collection::new("c", CollectionConfig {
-                extent_size: 192,
-                shards: 4,
-                routing: routing.clone(),
-                ..Default::default()
-            }).unwrap();
-            let file = Collection::new("c", CollectionConfig {
-                extent_size: 192,
-                shards: 4,
-                backend: BackendConfig::File { dir: dir.join(routing.name()) },
-                routing: routing.clone(),
-                ..Default::default()
-            }).unwrap();
-            let mem_ids = mem.insert_many(&docs).unwrap();
-            let file_ids = file.insert_many(&docs).unwrap();
-            prop_assert_eq!(&mem_ids, &file_ids, "{:?}: placement must match", routing);
-            prop_assert_eq!(
-                fingerprint(&mem), fingerprint(&file),
-                "{:?}: scans must be byte-identical", routing
-            );
-            let (ms, fs) = (mem.stats("dt"), file.stats("dt"));
-            prop_assert_eq!(ms.count, fs.count);
-            prop_assert_eq!(ms.num_extents, fs.num_extents);
-            prop_assert_eq!(ms.data_size, fs.data_size);
-        }
+        let mem = Collection::new("c", CollectionConfig {
+            extent_size: 192,
+            shards: 4,
+            ..Default::default()
+        }).unwrap();
+        let file = Collection::new("c", CollectionConfig {
+            extent_size: 192,
+            shards: 4,
+            backend: BackendConfig::File { dir: dir.clone() },
+            ..Default::default()
+        }).unwrap();
+        let mem_ids = mem.insert_many(&docs).unwrap();
+        let file_ids = file.insert_many(&docs).unwrap();
+        prop_assert_eq!(&mem_ids, &file_ids, "placement must match");
+        prop_assert_eq!(fingerprint(&mem), fingerprint(&file), "scans must be byte-identical");
+        let (ms, fs) = (mem.stats("dt"), file.stats("dt"));
+        prop_assert_eq!(ms.count, fs.count);
+        prop_assert_eq!(ms.num_extents, fs.num_extents);
+        prop_assert_eq!(ms.data_size, fs.data_size);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    // Keyed routing is deterministic across rayon pool widths: the same
-    // batch inserted under 1-thread and 8-thread pools lands on the same
-    // shards with the same ids and scans identically.
-    #[test]
-    fn hash_routing_is_thread_count_invariant(
-        keys in prop::collection::vec("[ab]{1,3}", 1..40),
-    ) {
-        let docs = documents(&keys);
-        let build = || {
-            let col = Collection::new("c", CollectionConfig {
-                extent_size: 256,
-                shards: 4,
-                routing: RoutingPolicy::HashKey { attr: "k".into() },
-                ..Default::default()
-            }).unwrap();
-            let ids = col.insert_many(&docs).unwrap();
-            (ids, fingerprint(&col))
-        };
-        let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(build);
-        let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap().install(build);
-        prop_assert_eq!(serial, wide, "routing must not depend on the pool width");
     }
 
     // Every extent-cache budget — disabled, one-extent-tight, unbounded —
@@ -173,7 +132,6 @@ proptest! {
                 shards: 3,
                 backend: BackendConfig::File { dir: dir.join(tag) },
                 extent_cache_budget: budget,
-                ..Default::default()
             };
             let before = {
                 let col = Collection::new("c", config.clone()).unwrap();
@@ -212,7 +170,6 @@ proptest! {
                 shards: 2,
                 backend: BackendConfig::File { dir: dir.join(tag) },
                 extent_cache_budget: budget,
-                ..Default::default()
             }).unwrap();
             col.insert_many(&documents(&keys)).unwrap();
             col.sync().unwrap();
@@ -266,7 +223,6 @@ proptest! {
                 shards: 3,
                 backend: BackendConfig::File { dir: dir.join(tag) },
                 extent_cache_budget: Some(768),
-                ..Default::default()
             }).unwrap();
             col.insert_many(&docs).unwrap();
             col.sync().unwrap();
@@ -288,36 +244,4 @@ proptest! {
         prop_assert_eq!(serial.1, wide.1, "cache counters must not depend on pool width");
         std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-/// Non-proptest pin: co-location is real, not just deterministic — every
-/// record sharing a key shares a shard, and the storage report shows it.
-#[test]
-fn hash_key_blocking_locality() {
-    let docs: Vec<Document> = (0..64i64)
-        .map(|i| doc! {"k" => format!("key{}", i % 3), "i" => i})
-        .collect();
-    let col = Collection::new(
-        "c",
-        CollectionConfig {
-            extent_size: 1024,
-            shards: 8,
-            routing: RoutingPolicy::HashKey { attr: "k".into() },
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let ids = col.insert_many(&docs).unwrap();
-    for (i, a) in ids.iter().enumerate() {
-        for (j, b) in ids.iter().enumerate() {
-            if i % 3 == j % 3 {
-                assert_eq!(a.shard(), b.shard(), "records {i},{j} share a key");
-            }
-        }
-    }
-    let report = col.storage_report();
-    assert!(
-        report.shards.iter().filter(|s| s.docs > 0).count() <= 3,
-        "three distinct keys occupy at most three shards: {report:?}"
-    );
 }

@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | [`model`] | `datatamer-model` | values, documents, flattening, records, schema profiles |
 //! | [`sim`] | `datatamer-sim` | string/set/numeric similarity measures |
-//! | [`storage`] | `datatamer-storage` | sharded storage engine: shard coordinator over pluggable memory/file backends, declarative routing, extents, indexes, batched inserts, parallel scans (Tables I–II) |
+//! | [`storage`] | `datatamer-storage` | sharded storage engine: round-robin shard coordinator over pluggable memory/file backends, extents, indexes, batched inserts, parallel scans (Tables I–II) |
 //! | [`text`] | `datatamer-text` | the domain-specific parser (Figure 1's user-defined module) |
 //! | [`corpus`] | `datatamer-corpus` | synthetic WEBINSTANCE / WEBENTITIES / FTABLES generators |
 //! | [`ml`] | `datatamer-ml` | hand-rolled classifiers + 10-fold cross-validation (§IV) |
@@ -68,28 +68,27 @@
 //! (`register_structured`, `ingest_webtext`), which run the same stage
 //! machinery as a prefix and extend the same context.
 //!
-//! ## Sharded storage: coordinator, backends, routing
+//! ## Sharded storage: coordinator and backends
 //!
 //! Collections are sharded: a `ShardCoordinator` ([`storage::coordinator`])
 //! owns one `ShardBackend` per shard and scatter/gathers batched inserts
-//! and parallel scans across the rayon team. The backend is pluggable
-//! ([`storage::BackendConfig`]): `Memory` keeps extents in process (the
-//! default), `File` keeps only each shard's tail extent resident and
-//! flushes full extents to one file each — out-of-core collections whose
-//! resident memory is O(extent) per shard, reopenable from their
-//! directory. Routing is declarative ([`storage::RoutingPolicy`]):
-//! `RoundRobin` spreads load, `HashKey` co-locates records sharing a key
-//! (blocking locality), `Range` partitions the key space. Both backends
-//! and all three policies produce **byte-identical** scan and fusion
-//! results for the same input at any thread count (pinned by proptest and
-//! the pipeline equivalence suite); system-wide selection sits on
-//! `DataTamerConfig::storage`, and each stage report carries a
+//! and parallel scans across the rayon team. Documents are placed round
+//! robin; a batch reserves its whole window at once, so it lands exactly
+//! where the same documents inserted one by one would. The backend is
+//! pluggable ([`storage::BackendConfig`]): `Memory` keeps extents in
+//! process (the default), `File` keeps only each shard's tail extent
+//! resident and flushes full extents to one file each — out-of-core
+//! collections whose resident memory is O(extent) per shard, reopenable
+//! from their directory. Both backends produce **byte-identical** scan and
+//! fusion results for the same input at any thread count (pinned by
+//! proptest and the pipeline equivalence suite). System-wide selection
+//! sits on `DataTamerConfig::storage`, and each stage report carries a
 //! `StorageReport` of per-shard doc/extent counts, backend kind, flush
 //! traffic, decode-error counts, and extent-cache counters.
 //!
 //! ```
 //! use datatamer::model::doc;
-//! use datatamer::storage::{BackendConfig, Collection, CollectionConfig, RoutingPolicy};
+//! use datatamer::storage::{BackendConfig, Collection, CollectionConfig};
 //!
 //! let dir = std::env::temp_dir().join(format!("dt_doctest_shards_{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
@@ -97,7 +96,6 @@
 //!     extent_size: 8 * 1024,
 //!     shards: 4,
 //!     backend: BackendConfig::File { dir: dir.clone() },
-//!     routing: RoutingPolicy::HashKey { attr: "show".into() },
 //!     ..Default::default()
 //! };
 //!
@@ -107,12 +105,13 @@
 //!     .collect();
 //! let ids = col.insert_many(&docs).unwrap();
 //!
-//! // Hash routing co-locates equal keys: seats of one show share a shard.
-//! assert_eq!(ids[0].shard(), ids[6].shard());
+//! // Round robin: consecutive documents take consecutive shards.
+//! assert_eq!(ids[0].shard(), ids[4].shard());
+//! assert_ne!(ids[0].shard(), ids[1].shard());
 //! // The coordinator reports the distribution per shard.
 //! let report = col.storage_report();
 //! assert_eq!(report.docs(), 60);
-//! assert_eq!(report.routing, "hash_key");
+//! assert!(report.shards.iter().all(|s| s.docs == 15));
 //! assert!(report.shards.iter().all(|s| s.backend.name() == "file"));
 //!
 //! // Flush the resident tails and reopen the collection from disk.

@@ -10,7 +10,7 @@ use datatamer::core::fusion::{
     BlockedErConfig, GroupingStrategy, RegistryConfig, ResolverSpec,
 };
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
-use datatamer::storage::{BackendConfig, RoutingPolicy};
+use datatamer::storage::BackendConfig;
 use datatamer::corpus::ftables::{self, FtablesConfig};
 use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer::text::DomainParser;
@@ -32,7 +32,7 @@ fn run_pipeline_fingerprint(
     run_pipeline_fingerprint_on(resolvers, grouping, StorageConfig::default())
 }
 
-/// [`run_pipeline_fingerprint`] with the storage backend/routing under the
+/// [`run_pipeline_fingerprint`] with the storage backend under the
 /// caller's control (the shard-coordinator equivalence tests point it at a
 /// file backend).
 fn run_pipeline_fingerprint_on(
@@ -164,8 +164,8 @@ fn blocked_er_grouping_runs_are_byte_identical() {
 
 #[test]
 fn file_backed_pipeline_matches_memory_at_any_thread_count() {
-    // The whole staged pipeline on a file-backed, hash-routed store must
-    // fuse byte-identically to the in-memory default — and stay
+    // The whole staged pipeline on a file-backed store must fuse
+    // byte-identically to the in-memory default — and stay
     // byte-identical across pool widths. Collection stats (counts,
     // extents, data sizes) are backend-independent by construction, so
     // they participate in the comparison too.
@@ -174,7 +174,6 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
             dir: std::env::temp_dir()
                 .join(format!("dt_file_pipeline_{tag}_{}", std::process::id())),
         },
-        routing: RoutingPolicy::HashKey { attr: "SHOW_NAME".into() },
         ..Default::default()
     };
     let cleanup = |cfg: &StorageConfig| {
@@ -202,17 +201,13 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
     assert_eq!(serial_stats, wide_stats, "collection stats must match");
     assert!(!serial_fused.is_empty(), "the fingerprint must cover real output");
 
-    // Same routing on the memory backend: the backend must be invisible
-    // in every fused byte and every stat.
-    let memory_routing = StorageConfig {
-        backend: BackendConfig::Memory,
-        routing: RoutingPolicy::HashKey { attr: "SHOW_NAME".into() },
-        ..Default::default()
-    };
-    let (memory_fused, memory_stats) =
-        ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(|| {
-            run_pipeline_fingerprint_on(None, None, memory_routing)
-        });
+    // The memory backend: it must be invisible in every fused byte and
+    // every stat.
+    let (memory_fused, memory_stats) = ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| run_pipeline_fingerprint_with(None));
     assert_eq!(serial_fused, memory_fused, "backend must not change fused output");
     assert_eq!(serial_stats, memory_stats, "backend must not change stats");
 
