@@ -168,7 +168,7 @@ fn blocked_groups(
     // each record's features (interned attributes and tokens, parsed
     // numerics, lowercased text) are normalised exactly once no matter how
     // many candidate pairs blocking put it in; the parallel filter then
-    // scores allocation-free against the shared context. The same context
+    // decides each pair against the shared context. The same context
     // hands blocking the full-key sort axis its progressive windows read
     // inside oversized buckets, replacing what used to be a second
     // render + lowercase pass over the raw records.

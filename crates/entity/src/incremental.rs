@@ -5,7 +5,7 @@
 //! the expensive state **resident between runs** — the prepared
 //! [`ScoringContext`], the token blocking index (interned token-id
 //! buckets plus the full-key sort axis their progressive windows read), a
-//! memo of every pair score ever computed, and a persistent [`UnionFind`]
+//! memo of every pair decision ever made, and a persistent [`UnionFind`]
 //! — so ingesting a delta batch costs O(delta), not O(corpus):
 //!
 //! 1. the batch extends the scoring context in place
@@ -23,9 +23,10 @@
 //! batches, the final clusters equal a from-scratch run over the
 //! concatenation at any thread count — rests on three structural facts:
 //!
-//! * **Scores never change.** The context grows append-only with dense
+//! * **Decisions never change.** The context grows append-only with dense
 //!   first-seen ids, so a record's prepared features (and therefore any
-//!   memoized pair score) are bit-identical under every later extension.
+//!   memoized accept decision) are bit-identical under every later
+//!   extension.
 //! * **Core candidates are monotone.** Bucket membership is insertion
 //!   order, so the quadratic core over a bucket's first `cap` members only
 //!   gains pairs as the bucket grows. These pairs go into an append-only
@@ -35,9 +36,9 @@
 //!   two members apart — but the distance between two fixed members in a
 //!   sorted order is non-decreasing under insertion, so every old-old pair
 //!   inside the *current* window was inside the window (or the quadratic
-//!   core) of some earlier batch and its score is already memoized. Each
-//!   batch therefore regenerates the window pair set of just the touched
-//!   oversized buckets, scores only the pairs the memo lacks, and
+//!   core) of some earlier batch and its decision is already memoized.
+//!   Each batch therefore regenerates the window pair set of just the
+//!   touched oversized buckets, decides only the pairs the memo lacks, and
 //!   *replaces* those buckets' accepted-window sets. The total accepted
 //!   set is the core ledger ∪ the window sets: exactly the accepted set a
 //!   full run computes. When a replacement
@@ -50,8 +51,9 @@
 //! records' prepared features (the records themselves stay with the
 //! caller, so the corpus exists once), the bucket membership lists, the
 //! core ledger and per-bucket window sets (one entry per *accepted*
-//! pair), and the score memo (one `f64` per candidate pair ever examined
-//! — what lets a regenerated window skip its old-old pairs;
+//! pair), and the decision memo (one accept/reject `bool` per candidate
+//! pair ever examined — what lets a regenerated window skip its old-old
+//! pairs;
 //! [`DeltaReport::memo_hits`] counts them). All of it is O(corpus +
 //! candidates), the same order as the records it derives from, so a cap
 //! on any one store bounds nothing the corpus does not already occupy,
@@ -130,9 +132,11 @@ pub struct IncrementalConsolidator {
     token_ids: TokenInterner,
     token_buckets: Vec<Vec<usize>>,
 
-    /// Memoized pair scores, keyed by packed `(i, j)` — valid forever
-    /// because context growth never changes a prepared feature.
-    scores: HashMap<u64, f64>,
+    /// Memoized accept decisions ([`ScoringContext::accepts`] at
+    /// `threshold`), keyed by packed `(i, j)` — valid forever because
+    /// context growth never changes a prepared feature. A score is only
+    /// ever compared with the threshold, so the bit is all that is kept.
+    decisions: HashMap<u64, bool>,
     /// Monotone accepted pairs (quadratic cores): sorted, deduplicated,
     /// append-only across batches.
     core_accepted: Vec<u64>,
@@ -161,7 +165,7 @@ impl IncrementalConsolidator {
             sort_keys: Vec::new(),
             token_ids: TokenInterner::new(),
             token_buckets: Vec::new(),
-            scores: HashMap::new(),
+            decisions: HashMap::new(),
             core_accepted: Vec::new(),
             window_token: HashMap::new(),
             accepted: Vec::new(),
@@ -266,7 +270,7 @@ impl IncrementalConsolidator {
         new_core.sort_unstable();
         new_core.dedup();
 
-        // 3. Score what the memo lacks (pure per-pair work → rayon), then
+        // 3. Decide what the memo lacks (pure per-pair work → rayon), then
         //    commit sequentially so the memo stays deterministic.
         let mut candidates: Vec<u64> = new_core
             .iter()
@@ -276,30 +280,28 @@ impl IncrementalConsolidator {
         candidates.sort_unstable();
         candidates.dedup();
         let candidate_pairs = candidates.len();
-        let to_score: Vec<u64> = candidates
+        let to_decide: Vec<u64> = candidates
             .iter()
             .copied()
-            .filter(|p| !self.scores.contains_key(p))
+            .filter(|p| !self.decisions.contains_key(p))
             .collect();
-        let scored: Vec<(u64, f64)> = to_score
+        let decided: Vec<(u64, bool)> = to_decide
             .par_iter()
             .map(|&p| {
                 let (i, j) = unpack_pair(p);
-                (p, self.ctx.score_pair(i, j))
+                (p, self.ctx.accepts(i, j, self.threshold))
             })
             .collect();
-        let scored_pairs = scored.len();
-        self.scores.extend(scored);
+        let scored_pairs = decided.len();
+        self.decisions.extend(decided);
 
         // 4. Fold accepted pairs into the ledger and the window sets.
-        let threshold = self.threshold;
-        let accept = |scores: &HashMap<u64, f64>, p: &u64| scores[p] >= threshold;
-        self.core_accepted.extend(new_core.iter().filter(|p| accept(&self.scores, p)));
+        let decisions = &self.decisions;
+        self.core_accepted.extend(new_core.iter().filter(|p| decisions[p]));
         self.core_accepted.sort_unstable();
         self.core_accepted.dedup();
         for (id, pairs) in window_updates {
-            let kept: Vec<u64> =
-                pairs.into_iter().filter(|p| accept(&self.scores, p)).collect();
+            let kept: Vec<u64> = pairs.into_iter().filter(|p| decisions[p]).collect();
             self.window_token.insert(id, kept);
         }
         let mut accepted: Vec<u64> = self

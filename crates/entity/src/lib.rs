@@ -17,14 +17,16 @@
 //!   prepare-once / score-many layer ([`ScoringContext`]): per-record
 //!   features (interned attributes, parsed numerics, lowercased text,
 //!   sorted interned token ids) are normalised once per run, so each of
-//!   the millions of candidate pairs scores allocation-free.
+//!   the millions of candidate pairs scores without re-deriving them, and
+//!   [`ScoringContext::accepts`] rejects a pair on a float-exact upper
+//!   bound before running Jaro-Winkler on its long texts.
 //! * [`cluster`] — union-find clustering of accepted pairs.
 //! * [`consolidate`] — the composite-record scaffolding ([`merge_composite`])
 //!   and the classic per-attribute [`ConflictPolicy`] values.
 //! * [`incremental`] — delta ER with resident blocking indices, scoring
-//!   context, score memo, and persistent union-find: ingest scales with
-//!   the batch, not the corpus, while clusters stay byte-identical to a
-//!   from-scratch run.
+//!   context, accept-decision memo, and persistent union-find: ingest
+//!   scales with the batch, not the corpus, while clusters stay
+//!   byte-identical to a from-scratch run.
 
 pub mod blocking;
 pub mod cluster;

@@ -17,17 +17,45 @@
 //!   non-null attribute: the interned attribute id, the `as_float` /
 //!   numeric-ish parses, the lowercased text (one shared arena), and the
 //!   token set as a sorted, deduplicated `Vec<u32>` of ids from a global
-//!   [`sim::TokenInterner`]. [`ScoringContext::score_pair`] then runs
-//!   allocation-free: Jaccard by sorted-slice merge
+//!   [`sim::TokenInterner`]. [`ScoringContext::score_pair`] then does no
+//!   per-value normalisation: Jaccard by sorted-slice merge
 //!   ([`sim::jaccard_sorted`]), O(1) attribute-weight lookup through a
 //!   vector indexed by attribute id, and string work reduced to arena
-//!   slices.
+//!   slices. It allocates nothing on ASCII texts of up to 64 symbols; the
+//!   bit-parallel [`sim::jaro()`] takes one scratch vector for a longer
+//!   text and decodes non-ASCII text to `char`s. (Jaro used to build four
+//!   vectors on every call and scan a quadratic match window; on ~400
+//!   character text feeds that was nearly all of the scoring time.)
 //!
 //! Prepared scores are **bit-identical** to the naive path: preparation
 //! only hoists the per-value normalisation (same expressions, same
 //! evaluation order); interning changes equality *lookups*, never a float.
 //! `tests/prepared_equivalence.rs` pins this property, and the
 //! serial-vs-parallel byte-equivalence suite rides on it.
+//!
+//! ## Accept decisions: bound first, Jaro last
+//!
+//! Consolidation only needs `score >= threshold`, and most candidate pairs
+//! are rejected. [`ScoringContext::accepts`] (what
+//! [`ScoringContext::accepted_pairs`] runs) walks the shared fields in
+//! the score's order and computes every cheap similarity exactly: numeric
+//! fields, equal texts, and texts whose longer side fits one 64-bit word.
+//! For each longer text it uses `0.6·1.0 + 0.4·jaccard` in place of
+//! `0.6·jaro_winkler + 0.4·jaccard` (the Jaccard term is exact and cheap
+//! from the prepared token ids). If that weighted bound is below the
+//! threshold the pair is rejected without running Jaro; otherwise the
+//! deferred Jaro-Winkler terms are computed and the score is accumulated
+//! from the cached per-field values, so no field is scored twice.
+//!
+//! The bound needs no epsilon. It is summed in the same order as the
+//! score, over the same weights, from termwise `>=` values. With weights
+//! `>= 0`, IEEE multiplication, addition and division by the (identical)
+//! total weight are monotone under rounding, so the rounded bound is never
+//! below the rounded score. A negative or NaN weight breaks that, so such
+//! a configuration takes the full score; so do records wider than the
+//! stack buffer of cached terms. The decision is therefore exactly
+//! `score_pair(i, j) >= threshold`, which `tests/prepared_equivalence.rs`
+//! pins, including thresholds equal to a pair's score.
 //!
 //! The context is **growable**: [`ScoringContext::extend`] appends a batch
 //! of new records in place — interners, arenas, and weights extend without
@@ -167,9 +195,14 @@ pub struct PrepareStats {
 }
 
 /// One record's slice of the prepared-field arena.
+///
+/// Arena offsets here and in [`PreparedField`] are `usize`: at paper scale
+/// (17.7 M fragments of ~400 bytes) the shared arenas pass 4 GiB, where a
+/// `u32` offset would wrap and slice the wrong text. Lengths stay `u32`;
+/// they count one record's fields or one value's bytes and tokens.
 #[derive(Debug, Clone, Copy)]
 struct PreparedRecord {
-    field_start: u32,
+    field_start: usize,
     field_len: u32,
 }
 
@@ -183,12 +216,58 @@ struct PreparedField {
     /// [`parse_numericish`] of the text rendering (prices, years).
     numericish: Option<f64>,
     /// Lowercased text rendering: byte range into the shared text arena.
-    lo_start: u32,
+    lo_start: usize,
     lo_len: u32,
     /// Sorted, deduplicated interned token ids: range into the token arena.
-    tok_start: u32,
+    tok_start: usize,
     tok_len: u32,
 }
+
+/// One field pair's similarity, held back before the Jaro-Winkler term
+/// when that is all that is left to compute.
+#[derive(Debug, Clone, Copy)]
+enum FieldSim<'a> {
+    /// The final similarity.
+    Exact(f64),
+    /// Two distinct lowercased texts and their (exact) token Jaccard; the
+    /// similarity is `0.6 · jaro_winkler + 0.4 · jaccard`.
+    Text { la: &'a str, lb: &'a str, jaccard: f64 },
+}
+
+impl FieldSim<'_> {
+    /// The similarity [`value_similarity`] returns for this field pair.
+    fn resolve(self) -> f64 {
+        match self {
+            FieldSim::Exact(s) => s,
+            FieldSim::Text { la, lb, jaccard } => 0.6 * sim::jaro_winkler(la, lb) + 0.4 * jaccard,
+        }
+    }
+
+    /// An upper bound on [`FieldSim::resolve`]: Jaro-Winkler is at most
+    /// 1, and every float operation after it is monotone.
+    fn upper(self) -> f64 {
+        match self {
+            FieldSim::Exact(s) => s,
+            FieldSim::Text { jaccard, .. } => 0.6 * 1.0 + 0.4 * jaccard,
+        }
+    }
+
+    /// Resolve now when the longer text fits one 64-bit word: the
+    /// bit-parallel Jaro then costs one word operation per symbol, too
+    /// little to be worth deferring.
+    fn resolve_if_short(self) -> Self {
+        match self {
+            FieldSim::Text { la, lb, .. } if la.len().max(lb.len()) <= 64 => {
+                FieldSim::Exact(self.resolve())
+            }
+            other => other,
+        }
+    }
+}
+
+/// Shared weighted fields [`PreparedRules::accepts`] holds on the stack;
+/// records with more fields take the full score instead.
+const MAX_TERMS: usize = 16;
 
 /// Prepared features for the rules scorer: every per-value normalisation
 /// the naive path recomputes per pair, hoisted into flat arenas. The
@@ -206,6 +285,9 @@ struct PreparedRules {
     /// Attribute weight by interned attribute id — replaces the per-pair
     /// linear scan of `RecordSimilarity::weight_of` with one indexed load.
     weights: Vec<f64>,
+    /// Every configured weight is `>= 0` (so not NaN): the precondition
+    /// of the accept bound in [`PreparedRules::accepts`].
+    nonnegative_weights: bool,
     records: Vec<PreparedRecord>,
     fields: Vec<PreparedField>,
     token_arena: Vec<u32>,
@@ -220,6 +302,8 @@ impl PreparedRules {
             attr_ids: sim::TokenInterner::new(),
             tokens: sim::TokenInterner::new(),
             weights: Vec::new(),
+            nonnegative_weights: rs.default_weight >= 0.0
+                && rs.weights.iter().all(|(_, w)| *w >= 0.0),
             records: Vec::new(),
             fields: Vec::new(),
             token_arena: Vec::new(),
@@ -236,13 +320,7 @@ impl PreparedRules {
     fn extend(&mut self, new_records: &[Record]) {
         let mut tok_buf: Vec<u32> = Vec::new();
         for r in new_records {
-            debug_assert!(
-                self.fields.len() <= u32::MAX as usize
-                    && self.token_arena.len() <= u32::MAX as usize
-                    && self.text_arena.len() <= u32::MAX as usize,
-                "prepared arenas exceed u32 offsets — shard the records first"
-            );
-            let field_start = self.fields.len() as u32;
+            let field_start = self.fields.len();
             for (attr, v) in r.iter() {
                 if v.is_null() {
                     continue;
@@ -259,9 +337,9 @@ impl PreparedRules {
                 sim::for_each_token(&lower, |tok| tok_buf.push(self.tokens.intern(tok)));
                 tok_buf.sort_unstable();
                 tok_buf.dedup();
-                let tok_start = self.token_arena.len() as u32;
+                let tok_start = self.token_arena.len();
                 self.token_arena.extend_from_slice(&tok_buf);
-                let lo_start = self.text_arena.len() as u32;
+                let lo_start = self.text_arena.len();
                 self.text_arena.push_str(&lower);
                 self.fields.push(PreparedField {
                     attr: attr_id,
@@ -276,7 +354,7 @@ impl PreparedRules {
             }
             self.records.push(PreparedRecord {
                 field_start,
-                field_len: self.fields.len() as u32 - field_start,
+                field_len: (self.fields.len() - field_start) as u32,
             });
         }
         self.stats.records = self.records.len();
@@ -286,58 +364,95 @@ impl PreparedRules {
 
     fn fields_of(&self, i: usize) -> &[PreparedField] {
         let r = self.records[i];
-        &self.fields[r.field_start as usize..(r.field_start + r.field_len) as usize]
+        &self.fields[r.field_start..r.field_start + r.field_len as usize]
     }
 
     fn lower_of(&self, f: &PreparedField) -> &str {
-        &self.text_arena[f.lo_start as usize..(f.lo_start + f.lo_len) as usize]
+        &self.text_arena[f.lo_start..f.lo_start + f.lo_len as usize]
     }
 
     fn tokens_of(&self, f: &PreparedField) -> &[u32] {
-        &self.token_arena[f.tok_start as usize..(f.tok_start + f.tok_len) as usize]
+        &self.token_arena[f.tok_start..f.tok_start + f.tok_len as usize]
     }
 
     /// Mirrors [`value_similarity`] over prepared features — same branch
-    /// order, same float expressions, hence bit-identical scores.
-    fn value_similarity(&self, a: &PreparedField, b: &PreparedField) -> f64 {
+    /// order, same float expressions, hence bit-identical scores — stopping
+    /// short of the Jaro-Winkler term so [`PreparedRules::accepts`] can
+    /// bound it first.
+    fn field_sim<'a>(&'a self, a: &PreparedField, b: &PreparedField) -> FieldSim<'a> {
         if let (Some(x), Some(y)) = (a.float, b.float) {
-            return sim::relative_diff_similarity(x, y);
+            return FieldSim::Exact(sim::relative_diff_similarity(x, y));
         }
         if let (Some(x), Some(y)) = (a.numericish, b.numericish) {
-            return sim::relative_diff_similarity(x, y);
+            return FieldSim::Exact(sim::relative_diff_similarity(x, y));
         }
         let la = self.lower_of(a);
         let lb = self.lower_of(b);
         if la == lb {
-            return 1.0;
+            return FieldSim::Exact(1.0);
         }
-        let jw = sim::jaro_winkler(la, lb);
-        let jac = sim::jaccard_sorted(self.tokens_of(a), self.tokens_of(b));
-        0.6 * jw + 0.4 * jac
+        let jaccard = sim::jaccard_sorted(self.tokens_of(a), self.tokens_of(b));
+        FieldSim::Text { la, lb, jaccard }
     }
 
-    /// Mirrors [`RecordSimilarity::score`]: iterate `a`'s fields in record
-    /// order (accumulation order is part of the bit-identical contract),
-    /// match `b`'s field by interned id, weight by indexed lookup.
-    fn score_pair(&self, i: usize, j: usize) -> f64 {
-        let fields_a = self.fields_of(i);
+    /// The weighted fields `i` and `j` share, in `i`'s record order: the
+    /// walk of [`RecordSimilarity::score`] (accumulation order is part of
+    /// the bit-identical contract), matching `j`'s field by interned id and
+    /// weighting by indexed lookup.
+    fn shared_fields(&self, i: usize, j: usize) -> impl Iterator<Item = (f64, FieldSim<'_>)> {
         let fields_b = self.fields_of(j);
+        self.fields_of(i).iter().filter_map(move |fa| {
+            let fb = fields_b.iter().find(|f| f.attr == fa.attr)?;
+            let w = self.weights[fa.attr as usize];
+            (w != 0.0).then(|| (w, self.field_sim(fa, fb)))
+        })
+    }
+
+    /// Mirrors [`RecordSimilarity::score`].
+    fn score_pair(&self, i: usize, j: usize) -> f64 {
         let mut total_weight = 0.0;
         let mut acc = 0.0;
-        for fa in fields_a {
-            let Some(fb) = fields_b.iter().find(|f| f.attr == fa.attr) else { continue };
-            let w = self.weights[fa.attr as usize];
-            if w == 0.0 {
-                continue;
-            }
-            acc += w * self.value_similarity(fa, fb);
+        for (w, s) in self.shared_fields(i, j) {
+            acc += w * s.resolve();
             total_weight += w;
         }
-        if total_weight == 0.0 {
-            0.0
-        } else {
-            acc / total_weight
+        weighted_mean(acc, total_weight)
+    }
+
+    /// `score_pair(i, j) >= threshold`, running Jaro-Winkler on long texts
+    /// only when a float-exact upper bound on the score cannot reject.
+    fn accepts(&self, i: usize, j: usize, threshold: f64) -> bool {
+        if !self.nonnegative_weights || self.records[i].field_len as usize > MAX_TERMS {
+            return self.score_pair(i, j) >= threshold;
         }
+        let mut terms = [(0.0, FieldSim::Exact(0.0)); MAX_TERMS];
+        let mut n = 0;
+        let mut total_weight = 0.0;
+        let mut bound = 0.0;
+        for (w, s) in self.shared_fields(i, j) {
+            let s = s.resolve_if_short();
+            bound += w * s.upper();
+            total_weight += w;
+            terms[n] = (w, s);
+            n += 1;
+        }
+        if weighted_mean(bound, total_weight) < threshold {
+            return false;
+        }
+        let mut acc = 0.0;
+        for &(w, s) in &terms[..n] {
+            acc += w * s.resolve();
+        }
+        weighted_mean(acc, total_weight) >= threshold
+    }
+}
+
+/// `acc / total_weight`, or 0.0 when nothing was comparable.
+fn weighted_mean(acc: f64, total_weight: f64) -> f64 {
+    if total_weight == 0.0 {
+        0.0
+    } else {
+        acc / total_weight
     }
 }
 
@@ -456,8 +571,8 @@ impl ScoringContext {
 
     /// Score one prepared pair in `[0, 1]` — bit-identical to
     /// [`PairScorer::score`] on the same records, allocation-free on the
-    /// rules path and free of per-pair feature re-derivation on the
-    /// classifier path (cached [`PreparedForm`]s).
+    /// rules path for ASCII texts of up to 64 symbols and free of per-pair feature
+    /// re-derivation on the classifier path (cached [`PreparedForm`]s).
     pub fn score_pair(&self, i: usize, j: usize) -> f64 {
         match &self.inner {
             Prepared::Rules(r) => r.score_pair(i, j),
@@ -478,13 +593,25 @@ impl ScoringContext {
         pairs.par_iter().map(|&(i, j)| self.score_pair(i, j)).collect()
     }
 
-    /// Score candidate pairs in parallel and keep those at or above
-    /// `threshold`, in one fused pass (order preserved) — no intermediate
-    /// `Vec<f64>` of scores is ever materialised.
+    /// Whether pair `(i, j)` is accepted at `threshold` — always equal to
+    /// `score_pair(i, j) >= threshold`, but on the rules path a pair whose
+    /// float-exact score upper bound is already below `threshold` is
+    /// rejected without running Jaro-Winkler on its long texts (see the
+    /// module docs).
+    pub fn accepts(&self, i: usize, j: usize, threshold: f64) -> bool {
+        match &self.inner {
+            Prepared::Rules(r) => r.accepts(i, j, threshold),
+            Prepared::Classifier { .. } => self.score_pair(i, j) >= threshold,
+        }
+    }
+
+    /// Decide candidate pairs in parallel and keep the accepted ones, in
+    /// one fused pass (order preserved) — no intermediate `Vec<f64>` of
+    /// scores is ever materialised.
     pub fn accepted_pairs(&self, pairs: &[(usize, usize)], threshold: f64) -> Vec<(usize, usize)> {
         pairs
             .par_iter()
-            .filter_map(|&(i, j)| (self.score_pair(i, j) >= threshold).then_some((i, j)))
+            .filter_map(|&(i, j)| self.accepts(i, j, threshold).then_some((i, j)))
             .collect()
     }
 }
@@ -635,6 +762,34 @@ mod tests {
         let one_by_one: Vec<f64> = pairs.iter().map(|&(i, j)| ctx.score_pair(i, j)).collect();
         assert_eq!(ctx.score_pairs(&pairs), one_by_one);
         assert_eq!(ctx.accepted_pairs(&pairs, 0.75), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn wide_records_decide_like_the_score() {
+        // More shared fields than the cached-term buffer holds, one of
+        // them a long text: the decision falls back to the full score.
+        let feed = |show: &str| format!("{show} grossed 960,998 at the box office {}", "la ".repeat(30));
+        let wide = |show: &str| {
+            let mut fields: Vec<(String, String)> =
+                (0..MAX_TERMS + 4).map(|k| (format!("attr{k}"), format!("v{}", k % 3))).collect();
+            fields.push(("feed".into(), feed(show)));
+            Record::from_pairs(
+                SourceId(0),
+                RecordId(0),
+                fields.into_iter().map(|(k, v)| (k, Value::from(v))).collect(),
+            )
+        };
+        let records = vec![wide("matilda"), wide("wicked"), rec(vec![("feed", &feed("annie"))])];
+        let scorer = PairScorer::Rules(RecordSimilarity::default());
+        let ctx = scorer.prepare(&records);
+        for i in 0..records.len() {
+            for j in 0..records.len() {
+                let score = ctx.score_pair(i, j);
+                for t in [0.5, score, score.next_up()] {
+                    assert_eq!(ctx.accepts(i, j, t), score >= t, "pair ({i},{j}) at {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The prepared scoring layer's load-bearing contract: scores coming out
 //! of a [`ScoringContext`] are **bit-identical** to the naive
 //! [`PairScorer::score`] oracle on the same records — preparation hoists
-//! work, it never moves a float — and preparation visits each record
-//! exactly once no matter how many pairs are scored afterwards.
+//! work, it never moves a float — accept decisions equal the naive
+//! `score >= threshold` even where the bound skips Jaro, and preparation
+//! visits each record exactly once no matter how many pairs are scored
+//! afterwards.
 
 use proptest::prelude::*;
 
@@ -14,19 +16,40 @@ use datatamer_model::{Record, RecordId, SourceId, Value};
 /// Small fixed attribute alphabet so records genuinely share attributes.
 const ATTRS: [&str; 5] = ["name", "price", "year", "venue", "misc"];
 
-/// Values spanning every branch of `value_similarity`: native numerics,
-/// numeric-looking strings (money, years, decimals), free text, empty
-/// strings, and nulls.
+/// Shared vocabulary of the long free texts, so that two of them overlap
+/// in tokens and in characters the way text-feed fragments do (two
+/// non-ASCII words keep the decoded-`char` Jaro path in play).
+const WORDS: [&str; 24] = [
+    "matilda", "musical", "grossed", "broadway", "previews", "the", "and", "award",
+    "winning", "import", "london", "tuesday", "shubert", "theater", "week", "tickets",
+    "show", "critics", "café", "straße", "sold", "out", "of", "revival",
+];
+
+/// Free text of 100–600 characters drawn from [`WORDS`]: longer than one
+/// 64-bit word, so accept decisions bound its Jaro-Winkler term first.
+fn long_text_strategy() -> impl Strategy<Value = String> {
+    (100usize..600, prop::collection::vec(0usize..WORDS.len(), 120)).prop_map(|(len, words)| {
+        let text: Vec<&str> = words.into_iter().map(|w| WORDS[w]).collect();
+        text.join(" ").chars().take(len).collect()
+    })
+}
+
+/// Values spanning every branch of `value_similarity`: native numerics
+/// (NaN included), numeric-looking strings (money, years, decimals), short
+/// and long free text, empty strings, and nulls.
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
         (-5000i64..5000).prop_map(Value::Int),
         (-1.0e4..1.0e4).prop_map(Value::Float),
+        Just(Value::Float(f64::NAN)),
         (0u32..3000).prop_map(|n| Value::from(format!("${n}"))),
         (0u32..3000).prop_map(|n| Value::from(n.to_string())),
         (0u32..300).prop_map(|n| Value::from(format!("{}.{:02}", n, n % 97))),
         "[a-d ]{0,10}".prop_map(Value::from),
         "[A-Za-z0-9_$ .-]{0,12}".prop_map(Value::from),
+        long_text_strategy().prop_map(Value::from),
+        long_text_strategy().prop_map(Value::from),
     ]
 }
 
@@ -34,6 +57,16 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 /// (duplicate names collapse through `Record::set`, as everywhere else).
 fn record_strategy() -> impl Strategy<Value = Vec<(usize, Value)>> {
     prop::collection::vec((0usize..ATTRS.len(), value_strategy()), 0..6)
+}
+
+/// A record that leads with long free text in `name` or `venue`, so most
+/// pairs share at least one field whose Jaro-Winkler term is bounded.
+fn long_record_strategy() -> impl Strategy<Value = Vec<(usize, Value)>> {
+    (0usize..2, long_text_strategy(), record_strategy()).prop_map(|(slot, text, rest)| {
+        let mut fields = vec![(slot * 3, Value::from(text))];
+        fields.extend(rest);
+        fields
+    })
 }
 
 fn build_records(raw: Vec<Vec<(usize, Value)>>) -> Vec<Record> {
@@ -49,16 +82,20 @@ fn build_records(raw: Vec<Vec<(usize, Value)>>) -> Vec<Record> {
         .collect()
 }
 
-/// Weights with duplicates (first entry wins in `weight_of`) and explicit
-/// zeros (skipped attributes), so the indexed weights vector is exercised
-/// against every quirk of the linear-scan original.
+/// Weights with duplicates (first entry wins in `weight_of`), explicit
+/// zeros (skipped attributes) and occasional negatives (which switch the
+/// accept bound off), so the indexed weights vector is exercised against
+/// every quirk of the linear-scan original.
 fn weights_strategy() -> impl Strategy<Value = RecordSimilarity> {
     (
         prop::collection::vec(
-            (0usize..ATTRS.len(), prop_oneof![Just(0.0f64), 0.01f64..4.0]),
+            (
+                0usize..ATTRS.len(),
+                prop_oneof![Just(0.0f64), 0.01f64..4.0, 0.01f64..4.0, 0.01f64..4.0, -2.0f64..-0.01],
+            ),
             0..6,
         ),
-        prop_oneof![Just(1.0f64), Just(0.0), 0.01f64..2.0],
+        prop_oneof![Just(1.0f64), Just(0.0), 0.01f64..2.0, 0.01f64..2.0, -1.0f64..-0.01],
     )
         .prop_map(|(entries, default_weight)| {
             RecordSimilarity::with_weights(
@@ -105,6 +142,33 @@ proptest! {
             .filter(|&(i, j)| scorer.score(&records[i], &records[j]) >= threshold)
             .collect();
         prop_assert_eq!(accepted, expected);
+    }
+
+    #[test]
+    fn accept_decisions_equal_the_naive_threshold_test(
+        raw in prop::collection::vec(long_record_strategy(), 1..8),
+        similarity in weights_strategy(),
+        threshold in 0.0f64..1.0,
+    ) {
+        let records = build_records(raw);
+        let scorer = PairScorer::Rules(similarity);
+        let ctx = scorer.prepare(&records);
+        for i in 0..records.len() {
+            for j in 0..records.len() {
+                let naive = scorer.score(&records[i], &records[j]);
+                // A random threshold, the pair's exact score (the bound
+                // must not reject it) and the next float above it (the
+                // exact test must).
+                for t in [threshold, naive, naive.next_up()] {
+                    prop_assert_eq!(
+                        ctx.accepts(i, j, t),
+                        naive >= t,
+                        "pair ({}, {}) at threshold {}: naive score {}",
+                        i, j, t, naive
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -173,6 +237,7 @@ fn prepared_classifier_scores_are_bit_identical_to_naive() {
             let naive = scorer.score(&records[i], &records[j]);
             let prepared = ctx.score_pair(i, j);
             assert_eq!(prepared.to_bits(), naive.to_bits(), "pair ({i}, {j})");
+            assert_eq!(ctx.accepts(i, j, 0.5), naive >= 0.5, "pair ({i}, {j})");
         }
     }
 }

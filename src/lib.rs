@@ -255,10 +255,15 @@
 //! record and per attribute, the interned attribute id, the parsed
 //! numerics, the lowercased text, and the token set as a sorted,
 //! deduplicated slice of globally interned `u32` token ids. Scoring a pair
-//! is then allocation-free — Jaccard by sorted-slice merge
-//! ([`sim::jaccard_sorted`]), attribute weights by indexed lookup — and
-//! **bit-identical** to the naive [`entity::PairScorer::score`] oracle
-//! (pinned by proptest), so determinism guarantees ride along unchanged:
+//! then re-derives nothing — Jaccard by sorted-slice merge
+//! ([`sim::jaccard_sorted`]), attribute weights by indexed lookup, Jaro by
+//! a bit-parallel kernel — and is **bit-identical** to the naive
+//! [`entity::PairScorer::score`] oracle (pinned by proptest), so
+//! determinism guarantees ride along unchanged. The accept filter goes one
+//! step further: [`entity::ScoringContext::accepts`] rejects a pair whose
+//! float-exact score upper bound is already below the threshold without
+//! running Jaro on its long texts, and decides every pair exactly as
+//! `score >= threshold` would:
 //!
 //! ```
 //! use datatamer::entity::{PairScorer, RecordSimilarity};
@@ -290,6 +295,10 @@
 //! assert_eq!(scores[0].to_bits(), scorer.score(&records[0], &records[1]).to_bits());
 //! // The accept filter is one fused parallel pass — no score vector.
 //! assert_eq!(ctx.accepted_pairs(&pairs, 0.75), vec![(0, 1)]);
+//! // A single decision is exact at the boundary: a score equal to the
+//! // threshold is accepted, the next float above it is not.
+//! assert!(ctx.accepts(0, 2, scores[1]));
+//! assert!(!ctx.accepts(0, 2, scores[1].next_up()));
 //! ```
 //!
 //! How the staged pipeline *groups* records for fusion is itself
