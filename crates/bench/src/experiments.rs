@@ -13,7 +13,7 @@ use datatamer_ml::dedup::crossval_dedup;
 use datatamer_ml::logreg::LogRegConfig;
 use datatamer_ml::BinaryMetrics;
 use datatamer_model::{AttrId, SourceSchema};
-use datatamer_schema::{CompositeMatcher, Decision, IntegrationConfig, SchemaIntegrator};
+use datatamer_schema::{Decision, IntegrationConfig, SchemaIntegrator};
 use datatamer_storage::CollectionStats;
 use datatamer_text::EntityType;
 
@@ -159,10 +159,7 @@ pub fn f2_bootstrap_trajectory(
     expert_accuracy: Option<f64>,
 ) -> Vec<BootstrapStep> {
     let gt = GroundTruth::from_sources(sources);
-    let mut integrator = SchemaIntegrator::new(
-        CompositeMatcher::broadway(),
-        IntegrationConfig::default(),
-    );
+    let mut integrator = SchemaIntegrator::new(IntegrationConfig::default());
     // Global attr id -> canonical identity, maintained from ground truth as
     // the schema grows (used by the expert oracle).
     let mut canon_of_attr: std::collections::HashMap<AttrId, &'static str> = Default::default();
@@ -278,10 +275,7 @@ pub fn f3_threshold_sweep(
 ) -> Vec<SweepPoint> {
     assert!(split >= 1 && split < sources.len(), "split must leave both phases non-empty");
     let gt = GroundTruth::from_sources(sources);
-    let mut integrator = SchemaIntegrator::new(
-        CompositeMatcher::broadway(),
-        IntegrationConfig::default(),
-    );
+    let mut integrator = SchemaIntegrator::new(IntegrationConfig::default());
     let mut canon_of_attr: std::collections::HashMap<AttrId, &'static str> = Default::default();
     for s in &sources[..split] {
         let schema = SourceSchema::profile_records(s.id, &s.name, &s.records);

@@ -212,10 +212,7 @@ pub struct PipelineContext {
 impl PipelineContext {
     /// Fresh context for a configuration.
     pub fn new(config: DataTamerConfig) -> Self {
-        let integrator = SchemaIntegrator::new(
-            datatamer_schema::CompositeMatcher::broadway(),
-            config.integration.clone(),
-        );
+        let integrator = SchemaIntegrator::new(config.integration.clone());
         PipelineContext {
             store: Store::new(config.namespace.clone()),
             fusion_resolvers: config.fusion_resolvers.clone(),

@@ -231,8 +231,11 @@ pub struct NumericStats {
     pub std: f64,
 }
 
+/// The magnitude a numeric observation adds to the moments, when it has a
+/// finite one. A NaN or infinite value still counts toward its lexical type,
+/// but would turn the mean (and every score read from it) into NaN.
 fn numeric_magnitude(v: &Value, ty: LexicalType) -> Option<f64> {
-    match v {
+    let x = match v {
         Value::Int(i) => Some(*i as f64),
         Value::Float(f) => Some(*f),
         Value::Str(s) => match ty {
@@ -247,7 +250,8 @@ fn numeric_magnitude(v: &Value, ty: LexicalType) -> Option<f64> {
             _ => None,
         },
         _ => None,
-    }
+    };
+    x.filter(|x| x.is_finite())
 }
 
 /// One attribute of a source schema.
@@ -383,6 +387,23 @@ mod tests {
         let mean = xs.iter().sum::<f64>() / 4.0;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / 3.0;
         assert!((s.std - var.sqrt()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_values_stay_out_of_numeric_stats() {
+        let p = profile_of(&[
+            Value::Float(f64::NAN),
+            Value::Float(45.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+        ]);
+        assert_eq!(p.type_counts.get(&LexicalType::Decimal), Some(&4), "still typed");
+        let s = p.numeric_stats().unwrap();
+        assert_eq!((s.n, s.min, s.max, s.mean, s.std), (1, 45.0, 45.0, 45.0, 0.0));
+        let mut merged = profile_of(&[Value::Float(f64::NAN)]);
+        assert_eq!(merged.numeric_stats(), None);
+        merged.merge(&p);
+        assert_eq!(merged.numeric_stats(), p.numeric_stats());
     }
 
     #[test]

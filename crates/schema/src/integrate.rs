@@ -10,12 +10,22 @@
 //!   assessment");
 //! * score < `escalate_threshold` → the Fig 2 "no counterpart" alert; the
 //!   attribute is added to the global schema as new.
+//!
+//! Each call prepares the matcher's features once: it fits IDF over the
+//! global schema as the call finds it and prepares every global attribute,
+//! then prepares each source attribute once as the loop reaches it.
+//! [`SchemaIntegrator::integrate_with`] and [`SchemaIntegrator::dry_run`]
+//! rank candidates through the same function. The features prepared at the
+//! start stay exact for the whole call: every global attribute the call
+//! maps onto or adds is claimed at once, and a claimed attribute is never a
+//! candidate again within that call.
 
-use datatamer_model::{AttributeDef, SourceSchema};
+use datatamer_model::{AttrId, AttributeDef, SourceSchema};
 
 use crate::global::GlobalSchema;
-use crate::matchers::CompositeMatcher;
+use crate::matchers::{AttrFeatures, Matcher};
 use crate::suggestion::{Decision, MatchCandidate, MatchSuggestion};
+use crate::synonyms::SynonymDict;
 
 /// Integration thresholds and knobs.
 #[derive(Debug, Clone)]
@@ -99,26 +109,28 @@ impl EscalationResolver for AcceptBest {
     }
 }
 
-/// The integrator: owns the growing global schema and the matcher ensemble.
+/// The integrator: owns the growing global schema and the matcher's
+/// synonym dictionary.
 pub struct SchemaIntegrator {
     global: GlobalSchema,
-    matcher: CompositeMatcher,
+    synonyms: SynonymDict,
     config: IntegrationConfig,
 }
 
 impl SchemaIntegrator {
-    /// Start with an empty global schema (Fig 2's initial state).
-    pub fn new(matcher: CompositeMatcher, config: IntegrationConfig) -> Self {
+    /// Start with an empty global schema (Fig 2's initial state), matching
+    /// with the Broadway synonym dictionary.
+    pub fn new(config: IntegrationConfig) -> Self {
         assert!(
             config.escalate_threshold <= config.accept_threshold,
             "escalate threshold must not exceed accept threshold"
         );
-        SchemaIntegrator { global: GlobalSchema::new(), matcher, config }
+        SchemaIntegrator { global: GlobalSchema::new(), synonyms: SynonymDict::broadway(), config }
     }
 
     /// Default Broadway-domain integrator.
     pub fn broadway() -> Self {
-        Self::new(CompositeMatcher::broadway(), IntegrationConfig::default())
+        Self::new(IntegrationConfig::default())
     }
 
     /// The current global schema.
@@ -148,29 +160,16 @@ impl SchemaIntegrator {
         source: &SourceSchema,
         resolver: &mut dyn EscalationResolver,
     ) -> IntegrationReport {
-        // Refit IDF over the current schema before matching this source.
-        self.matcher.refit_tfidf(&self.global);
+        let (matcher, prepared) = Matcher::fit(&self.synonyms, &self.global);
         let mut suggestions = Vec::with_capacity(source.attributes.len());
         // Attributes of one source are distinct by construction: a global
         // attribute already claimed by this source is excluded from the
         // candidates of its remaining attributes (prevents a source's own
         // columns from collapsing onto each other).
-        let mut claimed: Vec<datatamer_model::AttrId> = Vec::new();
+        let mut claimed: Vec<AttrId> = Vec::new();
         for attr in &source.attributes {
-            let mut candidates: Vec<MatchCandidate> = self
-                .global
-                .iter()
-                .filter(|g| !claimed.contains(&g.id))
-                .map(|g| MatchCandidate {
-                    attr: g.id,
-                    name: g.name.clone(),
-                    score: self.matcher.score(attr, g),
-                })
-                .collect();
-            candidates.sort_by(|a, b| {
-                b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            candidates.truncate(self.config.max_candidates);
+            let features = matcher.prepare(&attr.name, &attr.profile);
+            let candidates = self.rank(&matcher, &prepared, &features, &claimed);
 
             let best = candidates.first().map(|c| c.score).unwrap_or(0.0);
             let no_counterpart_alert = best < self.config.escalate_threshold;
@@ -183,7 +182,9 @@ impl SchemaIntegrator {
                 Decision::NewAttribute
             };
 
-            // Apply the decision to the global schema.
+            // Apply the decision to the global schema. Every attribute this
+            // changes or adds is claimed, so the features prepared before
+            // the loop stay exact for every attribute still ranked.
             match &decision {
                 Decision::AutoAccept { attr: id, .. } | Decision::ExpertAccept { attr: id, .. } => {
                     self.global.map_attribute(*id, source.source, attr);
@@ -208,28 +209,45 @@ impl SchemaIntegrator {
 
     /// Score one source against the current schema *without* mutating it
     /// (powers threshold sweeps: same matching, different thresholds).
-    pub fn dry_run(&mut self, source: &SourceSchema) -> Vec<(String, Vec<MatchCandidate>)> {
-        self.matcher.refit_tfidf(&self.global);
+    pub fn dry_run(&self, source: &SourceSchema) -> Vec<(String, Vec<MatchCandidate>)> {
+        let (matcher, prepared) = Matcher::fit(&self.synonyms, &self.global);
         source
             .attributes
             .iter()
             .map(|attr| {
-                let mut candidates: Vec<MatchCandidate> = self
-                    .global
-                    .iter()
-                    .map(|g| MatchCandidate {
-                        attr: g.id,
-                        name: g.name.clone(),
-                        score: self.matcher.score(attr, g),
-                    })
-                    .collect();
-                candidates.sort_by(|a, b| {
-                    b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal)
-                });
-                candidates.truncate(self.config.max_candidates);
-                (attr.name.clone(), candidates)
+                let features = matcher.prepare(&attr.name, &attr.profile);
+                (attr.name.clone(), self.rank(&matcher, &prepared, &features, &[]))
             })
             .collect()
+    }
+
+    /// The best `max_candidates` unclaimed global attributes for one source
+    /// attribute, best first (ties keep schema order). `prepared` covers the
+    /// schema as [`Matcher::fit`] found it; attributes added since are
+    /// appended after those and claimed, so zipping skips nothing ranked.
+    fn rank(
+        &self,
+        matcher: &Matcher,
+        prepared: &[AttrFeatures],
+        attr: &AttrFeatures,
+        claimed: &[AttrId],
+    ) -> Vec<MatchCandidate> {
+        let mut candidates: Vec<MatchCandidate> = self
+            .global
+            .iter()
+            .zip(prepared)
+            .filter(|(g, _)| !claimed.contains(&g.id))
+            .map(|(g, features)| MatchCandidate {
+                attr: g.id,
+                name: g.name.clone(),
+                score: matcher.score(attr, features),
+            })
+            .collect();
+        candidates.sort_by(|a, b| {
+            b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        candidates.truncate(self.config.max_candidates);
+        candidates
     }
 }
 
@@ -317,6 +335,33 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_price_still_maps_onto_price() {
+        let prices = |id: u32, price_attr: &str, prices: [f64; 2]| {
+            let sid = SourceId(id);
+            let records: Vec<Record> = ["Matilda", "Wicked"]
+                .iter()
+                .zip(prices)
+                .enumerate()
+                .map(|(i, (show, price))| {
+                    Record::from_pairs(
+                        sid,
+                        RecordId(i as u64),
+                        vec![("show_name", Value::from(*show)), (price_attr, Value::Float(price))],
+                    )
+                })
+                .collect();
+            SourceSchema::profile_records(sid, format!("s{id}"), &records)
+        };
+        let mut integ = SchemaIntegrator::broadway();
+        integ.integrate(&prices(1, "price", [27.0, 99.0]));
+        let report = integ.integrate(&prices(2, "cost", [f64::NAN, 45.0]));
+        let cost = &report.suggestions[1];
+        assert!(cost.candidates.iter().all(|c| !c.score.is_nan()), "{:?}", cost.candidates);
+        let price = integ.global().by_name("price").unwrap().id;
+        assert_eq!(cost.decision.mapped_attr(), Some(price), "{:?}", cost.decision);
+    }
+
+    #[test]
     fn escalation_goes_to_resolver() {
         struct CountingResolver(usize);
         impl EscalationResolver for CountingResolver {
@@ -326,7 +371,6 @@ mod tests {
             }
         }
         let mut integ = SchemaIntegrator::new(
-            CompositeMatcher::broadway(),
             // Wide escalation band: everything 0.2..0.99 asks the resolver.
             IntegrationConfig { accept_threshold: 0.99, escalate_threshold: 0.2, max_candidates: 3 },
         );
@@ -350,10 +394,8 @@ mod tests {
     #[test]
     fn human_intervention_drops_as_schema_matures() {
         // Fig 2's narrative: early stages need more intervention.
-        let mut integ = SchemaIntegrator::new(
-            CompositeMatcher::broadway(),
-            IntegrationConfig { accept_threshold: 0.75, ..Default::default() },
-        );
+        let mut integ =
+            SchemaIntegrator::new(IntegrationConfig { accept_threshold: 0.75, ..Default::default() });
         let spellings = [
             ("show_name", "cheapest_price"),
             ("title", "cost"),
@@ -381,18 +423,24 @@ mod tests {
         let mut integ = SchemaIntegrator::broadway();
         integ.integrate(&shows_source(1, "s1", "show_name", "cheapest_price"));
         let before = integ.global().len();
-        let scored = integ.dry_run(&shows_source(2, "s2", "title", "cost"));
+        let s2 = shows_source(2, "s2", "title", "cost");
+        let scored = integ.dry_run(&s2);
         assert_eq!(integ.global().len(), before);
         assert_eq!(scored.len(), 2);
         assert!(scored[0].1.len() <= integ.config().max_candidates);
+        // One ranking: nothing is claimed before the first attribute, so
+        // integrating ranks it exactly as the dry run did.
+        let report = integ.integrate(&s2);
+        assert_eq!(scored[0].1, report.suggestions[0].candidates);
     }
 
     #[test]
     #[should_panic(expected = "escalate threshold")]
     fn inverted_thresholds_panic() {
-        SchemaIntegrator::new(
-            CompositeMatcher::broadway(),
-            IntegrationConfig { accept_threshold: 0.3, escalate_threshold: 0.6, max_candidates: 5 },
-        );
+        SchemaIntegrator::new(IntegrationConfig {
+            accept_threshold: 0.3,
+            escalate_threshold: 0.6,
+            max_candidates: 5,
+        });
     }
 }

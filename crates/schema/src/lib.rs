@@ -9,22 +9,25 @@
 //!
 //! * [`global`] — the growing global schema with per-attribute merged
 //!   profiles and provenance.
-//! * [`synonyms`] — a domain synonym dictionary used by the name matcher.
-//! * [`matchers`] — the matcher ensemble: name, value-overlap,
-//!   distribution, and TF-IDF content matchers plus a weighted composite
-//!   (Data Tamer's "experts").
+//! * [`synonyms`] — a domain synonym dictionary used by the name signal.
+//! * `matchers` (private) — the one attribute scorer (Data Tamer's
+//!   "experts"): name, value-overlap, distribution and TF-IDF signals over
+//!   features prepared once per attribute per integration call. IDF is
+//!   fitted over the global schema as the call finds it.
 //! * [`suggestion`] — match suggestions, scores, and decisions.
 //! * [`integrate`] — the integration loop with accept/escalate thresholds
-//!   and pluggable human resolution.
+//!   and pluggable human resolution. Each call prepares every global and
+//!   source attribute once, and `integrate_with` and `dry_run` share one
+//!   ranking. This is exact because every global attribute a call changes
+//!   is claimed, so no later attribute of that call is scored against it.
 
 pub mod global;
 pub mod integrate;
-pub mod matchers;
+mod matchers;
 pub mod suggestion;
 pub mod synonyms;
 
 pub use global::{GlobalAttribute, GlobalSchema};
 pub use integrate::{IntegrationConfig, IntegrationReport, SchemaIntegrator};
-pub use matchers::{CompositeMatcher, MatcherWeights};
 pub use suggestion::{Decision, MatchCandidate, MatchSuggestion};
 pub use synonyms::SynonymDict;

@@ -1,208 +1,131 @@
-//! The attribute matcher ensemble (Data Tamer's "experts").
+//! The attribute matcher: Data Tamer's ensemble of heuristic "experts".
 //!
-//! Each matcher scores a candidate `(source attribute, global attribute)`
-//! pair in `[0, 1]` from a different signal; the composite combines them.
-//! The per-pair scores these produce are the "heuristic matching scores" the
-//! paper's Figs 2–3 display next to each suggested match target.
+//! Four signals score a `(source attribute, global attribute)` pair in
+//! `[0, 1]`: the names (Jaro-Winkler blended with synonym-aware token
+//! similarity), the overlap of the sampled values (weighted Jaccard), the
+//! value distribution (lexical type plus numeric or length shape) and the
+//! TF-IDF cosine of the value bags. [`Matcher::score`] blends them into the
+//! "heuristic matching scores" the paper's Figs 2–3 display next to each
+//! suggested match target.
+//!
+//! **What is prepared, and when.** Everything a signal reads from one
+//! attribute is prepared once into an [`AttrFeatures`]: the lowercased name
+//! and its tokens, the lowercased sampled values with their counts as a
+//! sorted vector, the TF-IDF vector of the value bag (the sampled values
+//! joined by spaces) as a sorted vector, whether that bag is empty, and the
+//! dominant type, numeric stats and mean length. [`Matcher::fit`] runs at
+//! the start of each integration call: it tokenises every global value bag
+//! once, fits IDF over those tokens (one document per global attribute)
+//! and prepares every global attribute. The call then prepares each source
+//! attribute once, and scoring a pair merge-walks sorted vectors.
+//!
+//! **Why it is exact.** Every signal accumulates over sorted keys, as the
+//! map-based computation it replaced did, and a product of two terms has
+//! the same bits in either operand order, so a prepared score has the same
+//! bits as one computed from the raw profiles (pinned by
+//! `tests::prepared_scores_are_bit_identical_to_the_profile_oracle`).
 
-use std::collections::HashMap;
-
-use datatamer_model::{AttributeDef, LexicalType};
+use datatamer_model::schema::NumericStats;
+use datatamer_model::{AttributeProfile, LexicalType};
 use datatamer_sim as sim;
 
-use crate::global::GlobalAttribute;
+use crate::global::GlobalSchema;
 use crate::synonyms::SynonymDict;
 
-/// A matcher scores source-vs-global attribute pairs.
-pub trait AttributeMatcher {
-    /// Stable matcher name (for score breakdowns).
-    fn name(&self) -> &'static str;
-    /// Score in `[0, 1]`.
-    fn score(&self, source: &AttributeDef, global: &GlobalAttribute) -> f64;
+/// The name-led blend's share of the composite: the name weight plus half
+/// the distribution weight, over the sum of the name (0.42), value-overlap
+/// (0.22), distribution (0.16) and TF-IDF (0.20) weights.
+const NAME_SHARE: f64 = (0.42 + 0.16 / 2.0) / (0.42 + 0.22 + 0.16 + 0.20);
+const CONTENT_SHARE: f64 = 1.0 - NAME_SHARE;
+
+/// One attribute as the four signals read it.
+#[derive(Debug)]
+pub(crate) struct AttrFeatures {
+    /// The name, lowercased.
+    name: String,
+    /// The name's word tokens.
+    name_tokens: Vec<String>,
+    /// Lowercased sampled value → its count, sorted by value. When two
+    /// sampled values lowercase alike, the later one's count is kept.
+    values: Vec<(String, f64)>,
+    /// TF-IDF vector of the value bag, sorted by token.
+    tfidf: Vec<(String, f64)>,
+    /// The value bag is the empty string.
+    empty_bag: bool,
+    dominant: LexicalType,
+    numeric: Option<NumericStats>,
+    mean_len: f64,
 }
 
-/// Name-based matcher: Jaro-Winkler on the raw names blended with
-/// synonym-aware token-set similarity.
-#[derive(Debug, Clone)]
-pub struct NameMatcher {
-    synonyms: SynonymDict,
+/// The matcher for one integration call: the synonym dictionary the name
+/// signal consults, and IDF fitted over the global schema as the call
+/// found it.
+pub(crate) struct Matcher<'a> {
+    synonyms: &'a SynonymDict,
+    idf: sim::CosineModel,
 }
 
-impl NameMatcher {
-    /// With a synonym dictionary.
-    pub fn new(synonyms: SynonymDict) -> Self {
-        NameMatcher { synonyms }
-    }
-}
-
-impl AttributeMatcher for NameMatcher {
-    fn name(&self) -> &'static str {
-        "name"
-    }
-
-    fn score(&self, source: &AttributeDef, global: &GlobalAttribute) -> f64 {
-        let a = source.name.to_lowercase();
-        let b = global.name.to_lowercase();
-        let jw = sim::jaro_winkler(&a, &b);
-        let ta = sim::tokenize(&source.name);
-        let tb = sim::tokenize(&global.name);
-        let syn = self.synonyms.token_similarity(&ta, &tb);
-        jw.max(syn) * 0.85 + jw.min(syn) * 0.15
-    }
-}
-
-/// Value-overlap matcher: weighted Jaccard between sampled value multisets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ValueOverlapMatcher;
-
-impl AttributeMatcher for ValueOverlapMatcher {
-    fn name(&self) -> &'static str {
-        "value_overlap"
+impl<'a> Matcher<'a> {
+    /// Fit IDF over the value bags of `global` and prepare every global
+    /// attribute, in schema order. Each bag is tokenised once, for both.
+    pub(crate) fn fit(
+        synonyms: &'a SynonymDict,
+        global: &GlobalSchema,
+    ) -> (Self, Vec<AttrFeatures>) {
+        let bags: Vec<(bool, Vec<String>)> = global.iter().map(|g| value_bag(&g.profile)).collect();
+        let weights = sim::TfIdfWeights::fit(
+            bags.iter().map(|(_, tokens)| tokens.iter().map(String::as_str)),
+        );
+        let matcher = Matcher { synonyms, idf: sim::CosineModel::new(weights) };
+        let prepared = global
+            .iter()
+            .zip(bags)
+            .map(|(g, bag)| matcher.prepare_bag(&g.name, &g.profile, bag))
+            .collect();
+        (matcher, prepared)
     }
 
-    fn score(&self, source: &AttributeDef, global: &GlobalAttribute) -> f64 {
-        let to_map = |attr: &datatamer_model::AttributeProfile| -> HashMap<String, f64> {
-            attr.sample_values()
-                .iter()
-                .map(|v| (v.to_lowercase(), attr.sample_frequency(v) as f64))
-                .collect()
-        };
-        let a = to_map(&source.profile);
-        let b = to_map(&global.profile);
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        sim::weighted_jaccard(&a, &b)
-    }
-}
-
-/// Distribution matcher: lexical-type agreement plus (for numeric columns)
-/// numeric-shape similarity and (for text) length-profile similarity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DistributionMatcher;
-
-impl AttributeMatcher for DistributionMatcher {
-    fn name(&self) -> &'static str {
-        "distribution"
+    /// Prepare one attribute under this call's IDF.
+    pub(crate) fn prepare(&self, name: &str, profile: &AttributeProfile) -> AttrFeatures {
+        self.prepare_bag(name, profile, value_bag(profile))
     }
 
-    fn score(&self, source: &AttributeDef, global: &GlobalAttribute) -> f64 {
-        let ta = source.profile.dominant_type();
-        let tb = global.profile.dominant_type();
-        if ta == LexicalType::Null || tb == LexicalType::Null {
-            return 0.0;
-        }
-        let type_score = if ta == tb {
-            1.0
-        } else if ta.is_numeric() == tb.is_numeric() {
-            0.4
-        } else {
-            0.0
-        };
-        let shape_score = match (source.profile.numeric_stats(), global.profile.numeric_stats()) {
-            (Some(a), Some(b)) => {
-                sim::stats_similarity(a.mean, a.std, a.min, a.max, b.mean, b.std, b.min, b.max)
+    fn prepare_bag(
+        &self,
+        name: &str,
+        profile: &AttributeProfile,
+        (empty_bag, bag_tokens): (bool, Vec<String>),
+    ) -> AttrFeatures {
+        let mut values: Vec<(String, f64)> = profile
+            .sample_values()
+            .iter()
+            .map(|v| (v.to_lowercase(), profile.sample_frequency(v) as f64))
+            .collect();
+        // A stable sort keeps lowercase collisions in sample order, so the
+        // later one's count survives, as a later map insert would.
+        values.sort_by(|x, y| x.0.cmp(&y.0));
+        values.dedup_by(|later, kept| {
+            let collide = later.0 == kept.0;
+            if collide {
+                kept.1 = later.1;
             }
-            (None, None) => {
-                sim::relative_diff_similarity(source.profile.mean_len(), global.profile.mean_len())
-            }
-            _ => 0.0,
-        };
-        0.55 * type_score + 0.45 * shape_score
-    }
-}
-
-/// TF-IDF content matcher: cosine between the token bags of the sampled
-/// values, with IDF fitted over all attributes seen so far.
-#[derive(Debug, Clone, Default)]
-pub struct TfIdfMatcher {
-    model: sim::CosineModel,
-}
-
-impl TfIdfMatcher {
-    /// Fit IDF weights over attribute value-bags (one "document" per
-    /// attribute). Called by the integrator whenever the global schema grows.
-    pub fn fit(attribute_value_texts: &[String]) -> Self {
-        TfIdfMatcher { model: sim::CosineModel::fit_texts(attribute_value_texts) }
-    }
-}
-
-/// Concatenated sample values as one text per attribute.
-pub fn value_bag(profile: &datatamer_model::AttributeProfile) -> String {
-    profile.sample_values().join(" ")
-}
-
-impl AttributeMatcher for TfIdfMatcher {
-    fn name(&self) -> &'static str {
-        "tfidf"
-    }
-
-    fn score(&self, source: &AttributeDef, global: &GlobalAttribute) -> f64 {
-        let a = value_bag(&source.profile);
-        let b = value_bag(&global.profile);
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        self.model.similarity(&a, &b)
-    }
-}
-
-/// Weights for the composite matcher.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatcherWeights {
-    pub name: f64,
-    pub value_overlap: f64,
-    pub distribution: f64,
-    pub tfidf: f64,
-}
-
-impl Default for MatcherWeights {
-    fn default() -> Self {
-        MatcherWeights { name: 0.42, value_overlap: 0.22, distribution: 0.16, tfidf: 0.20 }
-    }
-}
-
-impl MatcherWeights {
-    fn total(&self) -> f64 {
-        self.name + self.value_overlap + self.distribution + self.tfidf
-    }
-}
-
-/// The weighted ensemble of all matchers.
-pub struct CompositeMatcher {
-    name_matcher: NameMatcher,
-    value_matcher: ValueOverlapMatcher,
-    dist_matcher: DistributionMatcher,
-    tfidf_matcher: TfIdfMatcher,
-    weights: MatcherWeights,
-}
-
-impl CompositeMatcher {
-    /// Build with default weights and the Broadway synonym dictionary.
-    pub fn broadway() -> Self {
-        Self::new(SynonymDict::broadway(), MatcherWeights::default())
-    }
-
-    /// Build with explicit pieces.
-    pub fn new(synonyms: SynonymDict, weights: MatcherWeights) -> Self {
-        assert!(weights.total() > 0.0, "weights must not all be zero");
-        CompositeMatcher {
-            name_matcher: NameMatcher::new(synonyms),
-            value_matcher: ValueOverlapMatcher,
-            dist_matcher: DistributionMatcher,
-            tfidf_matcher: TfIdfMatcher::default(),
-            weights,
+            collide
+        });
+        AttrFeatures {
+            name: name.to_lowercase(),
+            name_tokens: sim::tokenize(name),
+            values,
+            tfidf: self.idf.vectorize(&bag_tokens),
+            empty_bag,
+            dominant: profile.dominant_type(),
+            numeric: profile.numeric_stats(),
+            mean_len: profile.mean_len(),
         }
     }
 
-    /// Refresh the TF-IDF model against the current global schema's value
-    /// bags (IDF drifts as the schema grows bottom-up).
-    pub fn refit_tfidf(&mut self, global: &crate::global::GlobalSchema) {
-        let bags: Vec<String> = global.iter().map(|a| value_bag(&a.profile)).collect();
-        self.tfidf_matcher = TfIdfMatcher::fit(&bags);
-    }
-
-    /// The combined score.
+    /// The combined score of a source attribute against a global one. The
+    /// argument order matters: synonym matching is greedy from the source
+    /// side.
     ///
     /// A pair is credible when **either** the names agree strongly (synonym
     /// dictionaries, abbreviations) **or** the contents overlap strongly
@@ -210,48 +133,86 @@ impl CompositeMatcher {
     /// price columns have near-zero value overlap across sources even when
     /// the names are exact synonyms. The composite therefore takes the max
     /// of a name-led blend and a content-led blend, each seasoned with the
-    /// distribution signal, and then folds in the configured weights as a
-    /// tilt between the two blends.
-    pub fn score(&self, source: &AttributeDef, global: &GlobalAttribute) -> f64 {
-        let name = self.name_matcher.score(source, global);
-        let value = self.value_matcher.score(source, global);
-        let dist = self.dist_matcher.score(source, global);
-        let tfidf = self.tfidf_matcher.score(source, global);
+    /// distribution signal, and the weaker blend contributes in proportion
+    /// to its share.
+    pub(crate) fn score(&self, source: &AttrFeatures, global: &AttrFeatures) -> f64 {
+        let name = name_signal(self.synonyms, source, global);
+        let value = value_overlap(source, global);
+        let dist = distribution(source, global);
+        let tfidf = tfidf(source, global);
         let name_led = 0.80 * name + 0.20 * dist;
         let content_led = 0.45 * value + 0.30 * tfidf + 0.25 * dist;
-        let w = &self.weights;
-        let name_share = (w.name + w.distribution / 2.0) / w.total();
-        let content_share = 1.0 - name_share;
-        // The dominant blend carries the score; the weaker blend
-        // contributes proportionally to its configured share.
         if name_led >= content_led {
-            name_led.max(name_led * name_share + content_led * content_share)
+            name_led.max(name_led * NAME_SHARE + content_led * CONTENT_SHARE)
         } else {
-            content_led.max(content_led * content_share + name_led * name_share)
+            content_led.max(content_led * CONTENT_SHARE + name_led * NAME_SHARE)
         }
     }
+}
 
-    /// Per-matcher score breakdown `(matcher name, score)`.
-    pub fn breakdown(&self, source: &AttributeDef, global: &GlobalAttribute) -> Vec<(&'static str, f64)> {
-        vec![
-            (self.name_matcher.name(), self.name_matcher.score(source, global)),
-            (self.value_matcher.name(), self.value_matcher.score(source, global)),
-            (self.dist_matcher.name(), self.dist_matcher.score(source, global)),
-            (self.tfidf_matcher.name(), self.tfidf_matcher.score(source, global)),
-        ]
-    }
+/// Whether the value bag is empty, and its tokens.
+fn value_bag(profile: &AttributeProfile) -> (bool, Vec<String>) {
+    let bag = profile.sample_values().join(" ");
+    (bag.is_empty(), sim::tokenize(&bag))
+}
 
-    /// The active weights.
-    pub fn weights(&self) -> MatcherWeights {
-        self.weights
+/// Jaro-Winkler on the lowercased names blended with synonym-aware
+/// token-set similarity.
+fn name_signal(synonyms: &SynonymDict, a: &AttrFeatures, b: &AttrFeatures) -> f64 {
+    let jw = sim::jaro_winkler(&a.name, &b.name);
+    let syn = synonyms.token_similarity(&a.name_tokens, &b.name_tokens);
+    jw.max(syn) * 0.85 + jw.min(syn) * 0.15
+}
+
+/// Weighted Jaccard between the sampled value multisets; 0 when either
+/// side has no sample.
+fn value_overlap(a: &AttrFeatures, b: &AttrFeatures) -> f64 {
+    if a.values.is_empty() || b.values.is_empty() {
+        return 0.0;
     }
+    sim::weighted_jaccard(&a.values, &b.values)
+}
+
+/// Lexical-type agreement plus, for numeric columns, numeric-shape
+/// similarity and, for text, length-profile similarity.
+fn distribution(a: &AttrFeatures, b: &AttrFeatures) -> f64 {
+    let (ta, tb) = (a.dominant, b.dominant);
+    if ta == LexicalType::Null || tb == LexicalType::Null {
+        return 0.0;
+    }
+    let type_score = if ta == tb {
+        1.0
+    } else if ta.is_numeric() == tb.is_numeric() {
+        0.4
+    } else {
+        0.0
+    };
+    let shape_score = match (a.numeric, b.numeric) {
+        (Some(a), Some(b)) => {
+            sim::stats_similarity(a.mean, a.std, a.min, a.max, b.mean, b.std, b.min, b.max)
+        }
+        (None, None) => sim::relative_diff_similarity(a.mean_len, b.mean_len),
+        _ => 0.0,
+    };
+    0.55 * type_score + 0.45 * shape_score
+}
+
+/// Cosine between the TF-IDF vectors of the value bags; 0 when either bag
+/// is empty.
+fn tfidf(a: &AttrFeatures, b: &AttrFeatures) -> f64 {
+    if a.empty_bag || b.empty_bag {
+        return 0.0;
+    }
+    sim::cosine(&a.tfidf, &b.tfidf)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
-    use crate::global::GlobalSchema;
-    use datatamer_model::{Record, RecordId, SourceId, SourceSchema, Value};
+    use crate::global::GlobalAttribute;
+    use datatamer_model::{AttributeDef, Record, RecordId, SourceId, SourceSchema, Value};
 
     fn attr(name: &str, values: &[&str]) -> AttributeDef {
         let sid = SourceId(1);
@@ -264,100 +225,344 @@ mod tests {
         schema.attributes[0].clone()
     }
 
-    fn globalize(a: &AttributeDef) -> GlobalAttribute {
+    /// Features of `attrs` with IDF fitted over all of them.
+    fn prepared(synonyms: &SynonymDict, attrs: &[&AttributeDef]) -> Vec<AttrFeatures> {
         let mut g = GlobalSchema::new();
-        let id = g.add_attribute(SourceId(0), a);
-        g.get(id).unwrap().clone()
+        for a in attrs {
+            g.add_attribute(SourceId(0), a);
+        }
+        Matcher::fit(synonyms, &g).1
     }
 
     #[test]
     fn name_matcher_uses_synonyms() {
-        let m = NameMatcher::new(SynonymDict::broadway());
-        let price = attr("price", &["$27"]);
-        let cost = globalize(&attr("cost", &["$30"]));
-        let venue = globalize(&attr("venue", &["Shubert"]));
-        assert!(m.score(&price, &cost) > 0.8, "synonyms must score high");
-        assert!(m.score(&price, &venue) < 0.5);
-        let exact = globalize(&attr("price", &["$1"]));
-        assert!(m.score(&price, &exact) > 0.99);
+        let syn = SynonymDict::broadway();
+        let f = prepared(
+            &syn,
+            &[
+                &attr("price", &["$27"]),
+                &attr("cost", &["$30"]),
+                &attr("venue", &["Shubert"]),
+                &attr("price", &["$1"]),
+            ],
+        );
+        assert!(name_signal(&syn, &f[0], &f[1]) > 0.8, "synonyms must score high");
+        assert!(name_signal(&syn, &f[0], &f[2]) < 0.5);
+        assert!(name_signal(&syn, &f[0], &f[3]) > 0.99);
     }
 
     #[test]
     fn value_overlap_detects_shared_domains() {
-        let m = ValueOverlapMatcher;
-        let a = attr("show", &["Matilda", "Wicked", "Annie", "Pippin"]);
-        let b = globalize(&attr("title", &["Matilda", "Wicked", "Chicago", "Annie"]));
-        let c = globalize(&attr("venue", &["Shubert", "Gershwin", "Palace"]));
-        assert!(m.score(&a, &b) > 0.4, "shared shows overlap");
-        assert_eq!(m.score(&a, &c), 0.0, "disjoint domains");
+        let f = prepared(
+            &SynonymDict::new(),
+            &[
+                &attr("show", &["Matilda", "Wicked", "Annie", "Pippin"]),
+                &attr("title", &["Matilda", "Wicked", "Chicago", "Annie"]),
+                &attr("venue", &["Shubert", "Gershwin", "Palace"]),
+            ],
+        );
+        assert!(value_overlap(&f[0], &f[1]) > 0.4, "shared shows overlap");
+        assert_eq!(value_overlap(&f[0], &f[2]), 0.0, "disjoint domains");
     }
 
     #[test]
     fn distribution_matcher_separates_types() {
-        let m = DistributionMatcher;
-        let price_a = attr("p1", &["$20", "$45", "$99"]);
-        let price_b = globalize(&attr("p2", &["$25", "$50", "$110"]));
-        let text = globalize(&attr("desc", &["a lovely show", "great fun tonight"]));
-        assert!(m.score(&price_a, &price_b) > 0.6);
-        assert!(m.score(&price_a, &text) < 0.3);
-        let empty = AttributeDef {
-            name: "empty".into(),
-            profile: datatamer_model::AttributeProfile::default(),
-        };
-        assert_eq!(m.score(&empty, &price_b), 0.0);
+        let empty = AttributeDef { name: "empty".into(), profile: AttributeProfile::default() };
+        let f = prepared(
+            &SynonymDict::new(),
+            &[
+                &attr("p1", &["$20", "$45", "$99"]),
+                &attr("p2", &["$25", "$50", "$110"]),
+                &attr("desc", &["a lovely show", "great fun tonight"]),
+                &empty,
+            ],
+        );
+        assert!(distribution(&f[0], &f[1]) > 0.6);
+        assert!(distribution(&f[0], &f[2]) < 0.3);
+        assert_eq!(distribution(&f[3], &f[1]), 0.0);
     }
 
     #[test]
     fn distribution_matcher_separates_ranges() {
-        let m = DistributionMatcher;
         // Same lexical type (integer) but disjoint ranges: years vs seats.
-        let years = attr("year", &["2010", "2011", "2012", "2013"]);
-        let seats = globalize(&attr("seats", &["400", "900", "1500", "1800"]));
-        let years2 = globalize(&attr("yr", &["2009", "2012", "2014"]));
-        assert!(m.score(&years, &years2) > m.score(&years, &seats));
+        let f = prepared(
+            &SynonymDict::new(),
+            &[
+                &attr("year", &["2010", "2011", "2012", "2013"]),
+                &attr("seats", &["400", "900", "1500", "1800"]),
+                &attr("yr", &["2009", "2012", "2014"]),
+            ],
+        );
+        assert!(distribution(&f[0], &f[2]) > distribution(&f[0], &f[1]));
     }
 
     #[test]
     fn tfidf_matcher_scores_content() {
-        let a = attr("addr1", &["225 W. 44th St", "219 W. 49th St"]);
-        let b = globalize(&attr("addr2", &["225 W. 44th St", "1634 Broadway"]));
-        let c = globalize(&attr("names", &["Matilda", "Annie"]));
-        let bags = vec![
-            value_bag(&a.profile),
-            value_bag(&b.profile),
-            value_bag(&c.profile),
-        ];
-        let m = TfIdfMatcher::fit(&bags);
-        assert!(m.score(&a, &b) > m.score(&a, &c));
+        let f = prepared(
+            &SynonymDict::new(),
+            &[
+                &attr("addr1", &["225 W. 44th St", "219 W. 49th St"]),
+                &attr("addr2", &["225 W. 44th St", "1634 Broadway"]),
+                &attr("names", &["Matilda", "Annie"]),
+            ],
+        );
+        assert!(tfidf(&f[0], &f[1]) > tfidf(&f[0], &f[2]));
     }
 
     #[test]
     fn composite_prefers_true_match() {
-        let mut composite = CompositeMatcher::broadway();
+        let syn = SynonymDict::broadway();
         let mut g = GlobalSchema::new();
-        let show = attr("show_name", &["Matilda", "Wicked", "Annie"]);
-        let price = attr("cheapest_price", &["$27", "$45", "$99"]);
-        g.add_attribute(SourceId(0), &show);
-        g.add_attribute(SourceId(0), &price);
-        composite.refit_tfidf(&g);
-        let incoming_title = attr("title", &["Matilda", "Pippin", "Wicked"]);
-        let g_show = g.by_name("show_name").unwrap();
-        let g_price = g.by_name("cheapest_price").unwrap();
-        let to_show = composite.score(&incoming_title, g_show);
-        let to_price = composite.score(&incoming_title, g_price);
+        g.add_attribute(SourceId(0), &attr("show_name", &["Matilda", "Wicked", "Annie"]));
+        g.add_attribute(SourceId(0), &attr("cheapest_price", &["$27", "$45", "$99"]));
+        let (matcher, globals) = Matcher::fit(&syn, &g);
+        let incoming = attr("title", &["Matilda", "Pippin", "Wicked"]);
+        let title = matcher.prepare(&incoming.name, &incoming.profile);
+        let to_show = matcher.score(&title, &globals[0]);
+        let to_price = matcher.score(&title, &globals[1]);
         assert!(to_show > to_price, "title→show_name must beat title→price ({to_show} vs {to_price})");
         assert!(to_show > 0.5);
-        let breakdown = composite.breakdown(&incoming_title, g_show);
-        assert_eq!(breakdown.len(), 4);
-        assert!(breakdown.iter().all(|(_, s)| (0.0..=1.0).contains(s)));
+    }
+
+    // ---- The oracle: the map-based matcher bodies these features replace,
+    // kept verbatim apart from taking the synonyms and fitted IDF as
+    // arguments. ----
+
+    fn oracle_weighted_jaccard(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        let mut keys: Vec<&String> = a.keys().chain(b.keys()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for k in keys {
+            let fa = a.get(k).copied().unwrap_or(0.0);
+            let fb = b.get(k).copied().unwrap_or(0.0);
+            num += fa.min(fb);
+            den += fa.max(fb);
+        }
+        if den == 0.0 {
+            return 1.0;
+        }
+        num / den
+    }
+
+    fn oracle_vectorize(idf: &sim::TfIdfWeights, tokens: &[String]) -> HashMap<String, f64> {
+        let mut tf: HashMap<String, f64> = HashMap::new();
+        for t in tokens {
+            *tf.entry(t.clone()).or_insert(0.0) += 1.0;
+        }
+        let mut entries: Vec<(String, f64)> = tf.into_iter().collect();
+        entries.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+        let mut norm = 0.0;
+        for (tok, f) in entries.iter_mut() {
+            *f = (1.0 + f.ln()) * idf.idf(tok);
+            norm += *f * *f;
+        }
+        let norm = norm.sqrt();
+        if norm > 0.0 {
+            for (_, f) in entries.iter_mut() {
+                *f /= norm;
+            }
+        }
+        entries.into_iter().collect()
+    }
+
+    fn oracle_dot(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
+        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let mut terms: Vec<(&String, f64)> = small.iter().map(|(k, v)| (k, *v)).collect();
+        terms.sort_unstable_by(|x, y| x.0.cmp(y.0));
+        terms.into_iter().filter_map(|(k, va)| large.get(k).map(|vb| va * vb)).sum()
+    }
+
+    /// `[name, value overlap, distribution, tfidf, composite]`.
+    fn oracle(
+        synonyms: &SynonymDict,
+        idf: &sim::TfIdfWeights,
+        source: &AttributeDef,
+        global: &GlobalAttribute,
+    ) -> [f64; 5] {
+        let name = {
+            let a = source.name.to_lowercase();
+            let b = global.name.to_lowercase();
+            let jw = sim::jaro_winkler(&a, &b);
+            let ta = sim::tokenize(&source.name);
+            let tb = sim::tokenize(&global.name);
+            let syn = synonyms.token_similarity(&ta, &tb);
+            jw.max(syn) * 0.85 + jw.min(syn) * 0.15
+        };
+        let value = {
+            let to_map = |attr: &AttributeProfile| -> HashMap<String, f64> {
+                attr.sample_values()
+                    .iter()
+                    .map(|v| (v.to_lowercase(), attr.sample_frequency(v) as f64))
+                    .collect()
+            };
+            let a = to_map(&source.profile);
+            let b = to_map(&global.profile);
+            if a.is_empty() || b.is_empty() {
+                0.0
+            } else {
+                oracle_weighted_jaccard(&a, &b)
+            }
+        };
+        let dist = {
+            let ta = source.profile.dominant_type();
+            let tb = global.profile.dominant_type();
+            if ta == LexicalType::Null || tb == LexicalType::Null {
+                0.0
+            } else {
+                let type_score = if ta == tb {
+                    1.0
+                } else if ta.is_numeric() == tb.is_numeric() {
+                    0.4
+                } else {
+                    0.0
+                };
+                let shape_score =
+                    match (source.profile.numeric_stats(), global.profile.numeric_stats()) {
+                        (Some(a), Some(b)) => sim::stats_similarity(
+                            a.mean, a.std, a.min, a.max, b.mean, b.std, b.min, b.max,
+                        ),
+                        (None, None) => sim::relative_diff_similarity(
+                            source.profile.mean_len(),
+                            global.profile.mean_len(),
+                        ),
+                        _ => 0.0,
+                    };
+                0.55 * type_score + 0.45 * shape_score
+            }
+        };
+        let tfidf = {
+            let a = source.profile.sample_values().join(" ");
+            let b = global.profile.sample_values().join(" ");
+            if a.is_empty() || b.is_empty() {
+                0.0
+            } else {
+                let va = oracle_vectorize(idf, &sim::tokenize(&a));
+                let vb = oracle_vectorize(idf, &sim::tokenize(&b));
+                oracle_dot(&va, &vb).clamp(0.0, 1.0)
+            }
+        };
+        // The composite under the default weights.
+        let (w_name, w_value, w_dist, w_tfidf) = (0.42, 0.22, 0.16, 0.20);
+        let name_led = 0.80 * name + 0.20 * dist;
+        let content_led = 0.45 * value + 0.30 * tfidf + 0.25 * dist;
+        let name_share = (w_name + w_dist / 2.0) / (w_name + w_value + w_dist + w_tfidf);
+        let content_share = 1.0 - name_share;
+        let composite = if name_led >= content_led {
+            name_led.max(name_led * name_share + content_led * content_share)
+        } else {
+            content_led.max(content_led * content_share + name_led * name_share)
+        };
+        [name, value, dist, tfidf, composite]
+    }
+
+    /// xorshift64*: a deterministic stream for the randomized profiles.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    const NAMES: &[&str] = &[
+        "show_name", "title", "Show Name", "showName", "cheapest_price", "cost", "PRICE",
+        "venue", "theatre", "Théâtre", "x", "", "runtime_min", "seats", "ticket price",
+    ];
+
+    /// Text values, with case variants that collide after lowercasing, a
+    /// value with no tokens, and values that never reach the sample (`""`,
+    /// blanks and `"null"` profile as nulls).
+    const TEXTS: &[&str] = &[
+        "Matilda", "MATILDA", "matilda", "Wicked", "wicked", "The Lion King", "the lion king",
+        "225 W. 44th St", "W 44th Street", "Shubert Theatre", "shubert", "---", "Straße",
+        "STRASSE", "ÉCOLE", "école", "a", "A", "", "  ", "null", "La La Land", "la la land",
+        "Hamilton at the Richard Rodgers", "the the the",
+    ];
+
+    fn numeric_value(rng: &mut Rng) -> Value {
+        match rng.below(7) {
+            0 => Value::Int(rng.below(3000) as i64 - 50),
+            1 => Value::Float(rng.below(1000) as f64 / 8.0),
+            2 => Value::from(format!("${}", rng.below(200))),
+            3 => Value::from(format!("{}.{}", rng.below(100), rng.below(100))),
+            4 => Value::from(format!("{}%", rng.below(101))),
+            5 => Value::from(format!("{}", 1990 + rng.below(40))),
+            _ => Value::Float(f64::NAN),
+        }
+    }
+
+    /// A numeric, text or mixed column of 0–11 values, repeats likely.
+    fn random_attr(rng: &mut Rng) -> AttributeDef {
+        let kind = rng.below(3);
+        let mut profile = AttributeProfile::default();
+        for _ in 0..rng.below(12) {
+            let numeric = kind == 0 || (kind == 2 && rng.below(2) == 0);
+            let v = if numeric {
+                numeric_value(rng)
+            } else {
+                Value::from(TEXTS[rng.below(TEXTS.len())])
+            };
+            profile.observe(&v);
+        }
+        AttributeDef { name: NAMES[rng.below(NAMES.len())].to_owned(), profile }
     }
 
     #[test]
-    #[should_panic(expected = "weights")]
-    fn zero_weights_panic() {
-        CompositeMatcher::new(
-            SynonymDict::new(),
-            MatcherWeights { name: 0.0, value_overlap: 0.0, distribution: 0.0, tfidf: 0.0 },
-        );
+    fn prepared_scores_are_bit_identical_to_the_profile_oracle() {
+        let synonyms = SynonymDict::broadway();
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut checked = 0;
+        for _ in 0..400 {
+            let mut global = GlobalSchema::new();
+            for _ in 0..rng.below(7) {
+                let id = global.add_attribute(SourceId(0), &random_attr(&mut rng));
+                if rng.below(3) == 0 {
+                    global.map_attribute(id, SourceId(1), &random_attr(&mut rng));
+                }
+            }
+            let bags: Vec<Vec<String>> = global
+                .iter()
+                .map(|g| sim::tokenize(&g.profile.sample_values().join(" ")))
+                .collect();
+            let idf = sim::TfIdfWeights::fit(bags.iter().map(|t| t.iter().map(String::as_str)));
+            let (matcher, prepared) = Matcher::fit(&synonyms, &global);
+            // Fresh source attributes, and each global attribute as a source
+            // (identical bags: every token is shared).
+            let mut sources: Vec<AttributeDef> = (0..3).map(|_| random_attr(&mut rng)).collect();
+            sources.extend(global.iter().map(|g| AttributeDef {
+                name: g.name.clone(),
+                profile: g.profile.clone(),
+            }));
+            for source in &sources {
+                let features = matcher.prepare(&source.name, &source.profile);
+                for (g, gf) in global.iter().zip(&prepared) {
+                    let got = [
+                        name_signal(&synonyms, &features, gf),
+                        value_overlap(&features, gf),
+                        distribution(&features, gf),
+                        tfidf(&features, gf),
+                        matcher.score(&features, gf),
+                    ];
+                    let want = oracle(&synonyms, &idf, source, g);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{:?} vs {:?}: got {got:?}, want {want:?}",
+                        source.name,
+                        g.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 3000, "{checked} pairs checked");
     }
 }

@@ -83,19 +83,19 @@ impl CosineModel {
         CosineModel { weights }
     }
 
-    /// TF-IDF vector of a token slice (L2-normalised).
-    pub fn vectorize(&self, tokens: &[String]) -> HashMap<String, f64> {
-        let mut tf: HashMap<String, f64> = HashMap::new();
-        for t in tokens {
-            *tf.entry(t.clone()).or_insert(0.0) += 1.0;
-        }
-        // The norm is a float accumulation, and float addition is not
-        // associative — summing in HashMap iteration order would leak the
-        // per-process RandomState seed into every cosine score. Damp and
-        // accumulate over the entries sorted by token instead.
-        // dtlint::allow(map-iter, reason = "entries are sorted on the next line before the float accumulation")
-        let mut entries: Vec<(String, f64)> = tf.into_iter().collect();
-        entries.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+    /// TF-IDF vector of a token slice (L2-normalised), as `(token, weight)`
+    /// entries sorted by token with no repeats.
+    ///
+    /// The norm is a float accumulation, and float addition is not
+    /// associative: damping and accumulating in token order makes the
+    /// vector a function of the token multiset alone.
+    pub fn vectorize(&self, tokens: &[String]) -> Vec<(String, f64)> {
+        let mut sorted: Vec<&String> = tokens.iter().collect();
+        sorted.sort_unstable();
+        let mut entries: Vec<(String, f64)> = sorted
+            .chunk_by(|x, y| x == y)
+            .map(|run| (run[0].clone(), run.len() as f64))
+            .collect();
         let mut norm = 0.0;
         for (tok, f) in entries.iter_mut() {
             // Sub-linear TF damping.
@@ -108,37 +108,33 @@ impl CosineModel {
                 *f /= norm;
             }
         }
-        entries.into_iter().collect()
+        entries
     }
 
     /// Cosine similarity of two raw texts under the fitted weights.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        let va = self.vectorize(&tokenize(a));
-        let vb = self.vectorize(&tokenize(b));
-        dot(&va, &vb).clamp(0.0, 1.0)
-    }
-
-    /// Cosine similarity of two pre-tokenised bags.
-    pub fn similarity_tokens(&self, a: &[String], b: &[String]) -> f64 {
-        dot(&self.vectorize(a), &self.vectorize(b)).clamp(0.0, 1.0)
+        cosine(&self.vectorize(&tokenize(a)), &self.vectorize(&tokenize(b)))
     }
 }
 
-fn dot(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
-    // Iterate the smaller map — but in sorted key order: the dot product
-    // is a float accumulation, and summing in HashMap iteration order
-    // would make similarity scores differ run to run.
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut terms: Vec<(&String, f64)> = small.iter().map(|(k, v)| (k, *v)).collect();
-    terms.sort_unstable_by(|x, y| x.0.cmp(y.0));
-    terms.into_iter().filter_map(|(k, va)| large.get(k).map(|vb| va * vb)).sum()
-}
-
-/// Plain (unweighted) cosine similarity between two texts — useful before
-/// any corpus exists to fit IDF on.
-pub fn plain_cosine(a: &str, b: &str) -> f64 {
-    let model = CosineModel::default();
-    model.similarity(a, b)
+/// Cosine similarity of two [`CosineModel::vectorize`] outputs, clamped to
+/// `[0, 1]`: the dot product of the entries both share, merge-joined and
+/// summed in token order so the score repeats bit for bit.
+pub fn cosine(a: &[(String, f64)], b: &[(String, f64)]) -> f64 {
+    let (mut i, mut j) = (0, 0);
+    let shared = std::iter::from_fn(|| loop {
+        let ((ka, va), (kb, vb)) = (a.get(i)?, b.get(j)?);
+        match ka.cmp(kb) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+                return Some(va * vb);
+            }
+        }
+    });
+    shared.sum::<f64>().clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -195,10 +191,5 @@ mod tests {
         let s2 = m.similarity("W 44th Street", "225 W. 44th St");
         assert!((s1 - s2).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&s1));
-    }
-
-    #[test]
-    fn plain_cosine_works_without_fit() {
-        assert!(plain_cosine("show name", "name of show") > 0.5);
     }
 }

@@ -1,6 +1,7 @@
 //! Jaccard set similarity over token sets.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::hash::Hash;
 
 /// Jaccard similarity `|A ∩ B| / |A ∪ B|`; `1.0` when both sets are empty.
@@ -14,24 +15,30 @@ pub fn jaccard<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
 }
 
 /// Weighted (multiset) Jaccard: `Σ min(fa, fb) / Σ max(fa, fb)` over the
-/// union of keys. Robust when token frequency matters (value-overlap
-/// matching between columns with repeated values).
-pub fn weighted_jaccard<T: Eq + Hash + Ord>(a: &HashMap<T, f64>, b: &HashMap<T, f64>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    // Float addition is not associative, so accumulating in HashMap
-    // iteration order (RandomState-seeded per process) would make the
-    // score differ run to run. Walk the key union in sorted order.
-    // dtlint::allow(map-iter, reason = "keys are collected and sorted before any float accumulation")
-    let mut keys: Vec<&T> = a.keys().chain(b.keys()).collect();
-    keys.sort_unstable();
-    keys.dedup();
+/// union of keys, a key missing on one side weighing `0`. Robust when
+/// token frequency matters (value-overlap matching between columns with
+/// repeated values). `1.0` when both sides are empty or every weight is 0.
+///
+/// Both sides are `(key, weight)` entries **sorted by key with no repeated
+/// key** (checked only in debug builds). The sums accumulate in key order,
+/// since float addition is not associative.
+pub fn weighted_jaccard<T: Ord>(a: &[(T, f64)], b: &[(T, f64)]) -> f64 {
+    debug_assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "lhs not sorted/deduped");
+    debug_assert!(b.windows(2).all(|w| w[0].0 < w[1].0), "rhs not sorted/deduped");
+    let (mut i, mut j) = (0usize, 0usize);
     let mut num = 0.0;
     let mut den = 0.0;
-    for k in keys {
-        let fa = a.get(k).copied().unwrap_or(0.0);
-        let fb = b.get(k).copied().unwrap_or(0.0);
+    loop {
+        let order = match (a.get(i), b.get(j)) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        let fa = if order.is_le() { a[i].1 } else { 0.0 };
+        let fb = if order.is_ge() { b[j].1 } else { 0.0 };
+        i += usize::from(order.is_le());
+        j += usize::from(order.is_ge());
         num += fa.min(fb);
         den += fa.max(fb);
     }
@@ -62,9 +69,9 @@ pub fn jaccard_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
                 inter += 1;
                 i += 1;
                 j += 1;
@@ -129,23 +136,19 @@ mod tests {
 
     #[test]
     fn weighted_uses_frequencies() {
-        let mut a = HashMap::new();
-        a.insert("x", 2.0);
-        a.insert("y", 1.0);
-        let mut b = HashMap::new();
-        b.insert("x", 1.0);
-        b.insert("z", 1.0);
+        let a = [("x", 2.0), ("y", 1.0)];
+        let b = [("x", 1.0), ("z", 1.0)];
         // min sums: x->1; max sums: x->2, y->1, z->1 => 1/4
         assert!((weighted_jaccard(&a, &b) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn weighted_empty_and_zero() {
-        let empty: HashMap<&str, f64> = HashMap::new();
+        let empty: [(&str, f64); 0] = [];
         assert_eq!(weighted_jaccard(&empty, &empty), 1.0);
-        let mut z = HashMap::new();
-        z.insert("x", 0.0);
+        let z = [("x", 0.0)];
         assert_eq!(weighted_jaccard(&z, &z), 1.0);
+        assert_eq!(weighted_jaccard(&[("x", 1.0)], &empty), 0.0);
     }
 
     #[test]

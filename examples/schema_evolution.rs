@@ -11,17 +11,12 @@ use datatamer::corpus::ftables::{self, FtablesConfig};
 use datatamer::corpus::truth::GroundTruth;
 use datatamer::core::ExpertPanelResolver;
 use datatamer::model::SourceSchema;
-use datatamer::schema::{
-    CompositeMatcher, Decision, IntegrationConfig, SchemaIntegrator,
-};
+use datatamer::schema::{Decision, IntegrationConfig, SchemaIntegrator};
 
 fn main() {
     let sources = ftables::generate(&FtablesConfig::default(), 0);
     let gt = GroundTruth::from_sources(&sources);
-    let mut integrator = SchemaIntegrator::new(
-        CompositeMatcher::broadway(),
-        IntegrationConfig::default(),
-    );
+    let mut integrator = SchemaIntegrator::new(IntegrationConfig::default());
 
     // --- Figure 2: the first source seeds an empty global schema. ---
     let first = &sources[0];

@@ -6,9 +6,7 @@ use datatamer::core::ExpertPanelResolver;
 use datatamer::corpus::ftables::{self, FtablesConfig};
 use datatamer::corpus::truth::GroundTruth;
 use datatamer::model::{AttrId, SourceSchema};
-use datatamer::schema::{
-    CompositeMatcher, Decision, IntegrationConfig, SchemaIntegrator,
-};
+use datatamer::schema::{Decision, IntegrationConfig, SchemaIntegrator};
 
 fn sources() -> Vec<ftables::GeneratedSource> {
     ftables::generate(&FtablesConfig::default(), 0)
@@ -114,7 +112,7 @@ fn stricter_threshold_trades_recall_for_precision() {
     let lax = IntegrationConfig { accept_threshold: 0.60, escalate_threshold: 0.55, ..Default::default() };
 
     let count_autos = |config: IntegrationConfig| {
-        let mut integ = SchemaIntegrator::new(CompositeMatcher::broadway(), config);
+        let mut integ = SchemaIntegrator::new(config);
         let mut autos = 0usize;
         for s in &srcs {
             let schema = SourceSchema::profile_records(s.id, &s.name, &s.records);
