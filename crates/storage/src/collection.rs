@@ -12,6 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
+use rayon::prelude::*;
 
 use datatamer_model::{AttrKey, Document, DtError, Result, Value};
 
@@ -190,6 +191,12 @@ impl Collection {
     /// already appended keep their documents — the count and indexes then
     /// exclude them, matching what a reopen would adopt only after a
     /// `sync`).
+    ///
+    /// Index maintenance fans out one rayon task per index (a lone index
+    /// is maintained inline on the caller). Each index still takes the
+    /// batch in input order, so every posting list, key count and index
+    /// size is exactly what the same repeated [`Self::insert`] calls would
+    /// leave.
     pub fn insert_many<'a, I: IntoIterator<Item = &'a Document>>(
         &self,
         docs: I,
@@ -201,11 +208,11 @@ impl Collection {
         let ids = self.coordinator.insert_many(&docs)?;
         {
             let mut indexes = self.indexes.write();
-            for idx in indexes.iter_mut() {
+            indexes.par_iter_mut().for_each(|idx| {
                 for (doc, id) in docs.iter().zip(&ids) {
                     idx.insert(*id, doc);
                 }
-            }
+            });
         }
         self.count.fetch_add(docs.len() as u64, Ordering::Relaxed);
         Ok(ids)
@@ -384,7 +391,6 @@ impl std::fmt::Debug for Collection {
 mod tests {
     use super::*;
     use datatamer_model::doc;
-    use rayon::prelude::*;
 
     fn small() -> Collection {
         Collection::new(

@@ -127,7 +127,9 @@ impl Index {
     }
 }
 
-/// Resolve a dotted path allowing multikey traversal through arrays.
+/// Resolve a dotted path allowing multikey traversal through arrays. The
+/// walk starts at the first segment's field, so the document itself is
+/// never copied; only the extracted keys are.
 fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
     fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
         let Some((seg, rest)) = segments.split_first() else {
@@ -163,16 +165,103 @@ fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
         }
     }
     let segments: Vec<&str> = path.split('.').collect();
-    walk(&Value::Doc(doc.clone()), &segments, out);
+    if let Some((first, rest)) = segments.split_first() {
+        if let Some(v) = doc.get(first) {
+            walk(v, rest, out);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use datatamer_model::doc;
+    use proptest::prelude::*;
 
     fn id(n: u64) -> DocId {
         DocId(n)
+    }
+
+    /// The original resolution: wrap a copy of the whole document as the
+    /// walk's root value. [`extract_path`] must extract exactly this.
+    fn extract_path_by_clone(doc: &Document, path: &str) -> Vec<Value> {
+        fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
+            let Some((seg, rest)) = segments.split_first() else {
+                match v {
+                    Value::Array(items) => out.extend(items.iter().cloned()),
+                    other => out.push(other.clone()),
+                }
+                return;
+            };
+            match v {
+                Value::Doc(d) => {
+                    if let Some(inner) = d.get(seg) {
+                        walk(inner, rest, out);
+                    }
+                }
+                Value::Array(items) => {
+                    if let Ok(i) = seg.parse::<usize>() {
+                        if let Some(item) = items.get(i) {
+                            walk(item, rest, out);
+                        }
+                    } else {
+                        for item in items {
+                            walk(item, segments, out);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let segments: Vec<&str> = path.split('.').collect();
+        let mut out = Vec::new();
+        walk(&Value::Doc(doc.clone()), &segments, &mut out);
+        out
+    }
+
+    /// Field names drawn from a vocabulary small enough that generated
+    /// paths usually resolve: letters, numeric segments and `""`.
+    fn field() -> impl Strategy<Value = String> {
+        prop_oneof!["[abc]", "[01]", Just(String::new())]
+    }
+
+    /// Nested values: scalars, arrays (of documents too) and documents.
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0i64..4).prop_map(Value::Int),
+            "[xy]".prop_map(Value::Str),
+            Just(Value::Null),
+        ]
+        .prop_recursive(4, 32, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                prop::collection::vec((field(), inner), 0..4)
+                    .prop_map(|pairs| Value::Doc(Document::from_pairs(pairs))),
+            ]
+        })
+    }
+
+    fn document() -> impl Strategy<Value = Document> {
+        prop::collection::vec((field(), value()), 0..5).prop_map(Document::from_pairs)
+    }
+
+    fn path() -> impl Strategy<Value = String> {
+        prop::collection::vec(field(), 1..5).prop_map(|segments| segments.join("."))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn extract_keys_matches_the_cloning_walk(
+            d in document(),
+            paths in prop::collection::vec(path(), 1..6),
+        ) {
+            for p in paths.iter().map(String::as_str).chain(["", "a", "0", "a.0.b"]) {
+                let idx = Index::new(IndexSpec::new("p", p));
+                prop_assert_eq!(idx.extract_keys(&d), extract_path_by_clone(&d, p), "path {:?}", p);
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,48 @@ proptest! {
         }
     }
 
+    // Batched inserts maintain each index in a task of its own; every
+    // index must end exactly as the same repeated single inserts leave it.
+    #[test]
+    fn insert_many_equals_repeated_insert(
+        docs in prop::collection::vec(
+            prop::collection::vec(("[abc]", value()), 0..4).prop_map(Document::from_pairs),
+            1..30,
+        ),
+    ) {
+        const PATHS: [&str; 5] = ["a", "b", "c", "a.b", "c.a"];
+        let make = || {
+            let col = Collection::new(
+                "m",
+                CollectionConfig { extent_size: 512, shards: 3, ..Default::default() },
+            ).unwrap();
+            for (i, path) in PATHS.iter().enumerate() {
+                col.create_index(IndexSpec::new(format!("i{i}"), *path)).unwrap();
+            }
+            col
+        };
+        let one_by_one = make();
+        let batched = make();
+        let single_ids: Vec<_> = docs.iter().map(|d| one_by_one.insert(d).unwrap()).collect();
+        let batch_ids = rayon::ThreadPoolBuilder::new()
+            .num_threads(8)
+            .build()
+            .unwrap()
+            .install(|| batched.insert_many(&docs).unwrap());
+        prop_assert_eq!(&single_ids, &batch_ids);
+        for (i, path) in PATHS.iter().enumerate() {
+            let view = |col: &Collection| {
+                col.with_index(&format!("i{i}"), |idx| {
+                    let postings: Vec<_> = idx.keys().map(|k| (k.clone(), idx.lookup(k))).collect();
+                    (postings, idx.key_counts(), idx.size_bytes(), idx.len())
+                })
+                .unwrap()
+            };
+            prop_assert_eq!(view(&one_by_one), view(&batched), "index on {}", path);
+        }
+        prop_assert_eq!(one_by_one.stats("dt"), batched.stats("dt"));
+    }
+
     #[test]
     fn stats_count_tracks_inserts_and_deletes(
         docs in prop::collection::vec(document(), 1..15),

@@ -266,11 +266,12 @@ fn run_starts_here(tokens: &[Token], i: usize) -> bool {
 }
 
 /// Drop overlapping mentions: higher confidence wins, then longer span.
+/// Confidences order by `f64::total_cmp`, a total order even over a NaN
+/// from a user gazetteer (the std sort may panic on one that is not).
 fn resolve_overlaps(mut mentions: Vec<Mention>) -> Vec<Mention> {
     mentions.sort_by(|a, b| {
         b.confidence
-            .partial_cmp(&a.confidence)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&a.confidence)
             .then_with(|| (b.end - b.start).cmp(&(a.end - a.start)))
             .then_with(|| a.start.cmp(&b.start))
     });
@@ -416,6 +417,27 @@ mod tests {
             for b in &f.mentions[i + 1..] {
                 assert!(!a.overlaps(b), "{a:?} overlaps {b:?}");
             }
+        }
+    }
+
+    #[test]
+    fn nan_gazetteer_confidence_does_not_panic() {
+        // Regression: overlap resolution sorted with `partial_cmp` mapped
+        // to `Equal`, which is not a total order once a confidence is NaN,
+        // and the std sort panics on such comparators for long inputs.
+        let phrases: Vec<String> = (0..60).map(|i| format!("Phrase{i}")).collect();
+        let mut g = Gazetteer::new();
+        for (i, phrase) in phrases.iter().enumerate() {
+            let confidence = if i % 3 == 0 { f64::NAN } else { 0.5 + (i % 7) as f64 * 0.05 };
+            g.add(phrase, EntityType::Movie, confidence);
+        }
+        let p = DomainParser::with_gazetteer(g);
+        for n in 0..300usize {
+            let words: Vec<&str> =
+                (0..48).map(|k| phrases[(n * 7 + k * 13 + k * k) % 60].as_str()).collect();
+            let f = p.parse(&words.join(" and "));
+            assert_eq!(f.mentions.len(), 48, "fragment {n}");
+            assert!(f.mentions.windows(2).all(|w| w[0].end <= w[1].start));
         }
     }
 

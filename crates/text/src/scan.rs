@@ -48,7 +48,7 @@ const MONEY_CONTEXT: &[&str] = &["grossed", "gross", "earned", "made", "cost", "
 pub fn scan_all(text: &str) -> Vec<Span> {
     let tokens = tokenize(text);
     let mut spans = Vec::new();
-    scan_urls(text, &tokens, &mut spans);
+    scan_urls(text, &mut spans);
     scan_quoted_titles(text, &mut spans);
     scan_money(text, &tokens, &mut spans);
     scan_percent(text, &tokens, &mut spans);
@@ -58,19 +58,9 @@ pub fn scan_all(text: &str) -> Vec<Span> {
     spans
 }
 
-fn scan_urls(_text: &str, tokens: &[Token], out: &mut Vec<Span>) {
-    // URLs survive tokenisation largely intact because '.' and '/' between
-    // alphanumerics are internal; reconstruct by scanning raw token text.
-    for t in tokens {
-        let lower = t.text.to_lowercase();
-        if lower.starts_with("http") || lower.starts_with("www.") {
-            // Tokenizer may have split at "://" — rejoin by slicing the raw
-            // text forward until whitespace.
-            continue;
-        }
-    }
-    // Simpler and more robust: scan the raw text for scheme markers.
-    let raw = _text;
+fn scan_urls(raw: &str, out: &mut Vec<Span>) {
+    // The tokenizer splits at "://", so scan the raw text for scheme
+    // markers and take each URL forward to the next whitespace.
     let mut search = 0usize;
     while search < raw.len() {
         let rest = &raw[search..];
