@@ -7,6 +7,31 @@
 //! candidate *superset* — every candidate is re-checked against the full
 //! predicate — so plan choice can change work done but never results.
 //!
+//! Two push-down rules let a probe stop re-checking early. Both hand
+//! `finish` the same rows it would otherwise keep, so they are exact:
+//!
+//! * **(a) limit** — a probe with `limit` k and neither `order_by` nor an
+//!   aggregate re-checks its sorted, deduplicated candidate rows in
+//!   ascending order and stops after k matches. `finish` keeps the first k
+//!   matches in row order, which are exactly these.
+//! * **(b) ordered top-k** — with `order_by` on an ordered-indexed
+//!   attribute A, a `limit` k, no aggregate and no hash-probe conjunct,
+//!   when the range conjunct the ordered probe would use is on A and
+//!   leaves open the end the order starts from (`>`/`>=` with `Desc`,
+//!   `<`/`<=` with `Asc`), its range is walked key group by key group
+//!   from that open end, each row re-checked once, so it checks a subset
+//!   of the rows the plain probe would. The walk stops after the group
+//!   with key K once k matched rows have a sort key (`first_value(A)`) at
+//!   least as good as K. Every row not yet reached
+//!   has all of its A values strictly worse than K — the range covers
+//!   every key on the walked side of its bound, across type families — so
+//!   it sorts strictly after those k rows and cannot enter the top k. Only
+//!   rows whose *sort key* reached K count: a multi-valued row reached
+//!   through a later value may still sort below an unvisited row.
+//!
+//! Either way [`Executed::candidates`] counts the rows actually
+//! re-checked.
+//!
 //! Determinism: scans fan out with rayon over row ranges (the shim's
 //! order-preserving fork-join keeps positions ascending), while
 //! everything order-sensitive — aggregation folds, sorting, projection —
@@ -19,14 +44,14 @@ use datatamer_model::{AttrKey, Value};
 use datatamer_sim::FnvBuildHasher;
 use rayon::prelude::*;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 
 use crate::ast::{
     Aggregate, AttrSource, Order, Predicate, Query, QueryResult, Row, CONFIDENCE_ATTR, KEY_ATTR,
     MEMBERS_ATTR,
 };
-use crate::index::{EntityIndexes, IndexMaintenance};
+use crate::index::{EntityIndexes, IndexMaintenance, OrderedIndex};
 
 /// Which plan actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +87,9 @@ pub struct Executed {
     pub result: QueryResult,
     /// The plan that ran.
     pub plan: PlanKind,
-    /// Rows the plan had to post-filter (scans: every row).
+    /// Rows the plan had to post-filter: the rows actually re-checked
+    /// against the predicate (scans: every row; a probe that stopped at
+    /// its limit: only those before the stop).
     pub candidates: usize,
 }
 
@@ -153,10 +180,11 @@ impl CollectionSnapshot {
     /// Plan and run `q`: an index probe when a conjunct allows one, else
     /// a row-parallel full scan.
     pub fn execute(&self, q: &Query) -> Executed {
-        match self.plan_probe(&q.filter) {
-            Some((plan, cids)) => {
+        let (plan, rows, candidates) = match self.plan_probe(q) {
+            Some(Probe::Candidates(plan, cids)) => {
                 // Translate stable cluster ids to row positions, then
-                // re-check the full predicate in ascending row order.
+                // re-check the full predicate in ascending row order —
+                // stopping at the limit when nothing reorders the rows.
                 let mut rows: Vec<usize> = cids
                     .iter()
                     .filter_map(|cid| self.pos.get(cid))
@@ -164,9 +192,26 @@ impl CollectionSnapshot {
                     .collect();
                 rows.sort_unstable();
                 rows.dedup();
-                let candidates = rows.len();
-                rows.retain(|&i| q.filter.matches(&self.entities[i]));
-                Executed { result: finish(q, &rows, &self.entities), plan, candidates }
+                let stop_at = match (&q.order_by, &q.aggregate) {
+                    (None, None) => q.limit.unwrap_or(usize::MAX),
+                    _ => usize::MAX,
+                };
+                let mut matched = Vec::new();
+                let mut checked = 0;
+                for &row in &rows {
+                    if matched.len() >= stop_at {
+                        break;
+                    }
+                    checked += 1;
+                    if q.filter.matches(&self.entities[row]) {
+                        matched.push(row);
+                    }
+                }
+                (plan, matched, checked)
+            }
+            Some(Probe::TopK(walk)) => {
+                let (rows, checked) = self.top_k(q, walk);
+                (PlanKind::OrderedProbe, rows, checked)
             }
             None => {
                 let n = self.entities.len();
@@ -174,27 +219,26 @@ impl CollectionSnapshot {
                     .into_par_iter()
                     .filter(|&i| q.filter.matches(&self.entities[i]))
                     .collect();
-                Executed {
-                    result: finish(q, &positions, &self.entities),
-                    plan: PlanKind::FullScan,
-                    candidates: n,
-                }
+                (PlanKind::FullScan, positions, n)
             }
-        }
+        };
+        Executed { result: finish(q, &rows, &self.entities), plan, candidates }
     }
 
-    /// Find an indexable top-level conjunct. Returns the candidate
-    /// cluster-id set — always a superset of the rows the full predicate
-    /// accepts, because probe keys use the same `total_cmp` semantics as
-    /// predicate equality, and range probes over-approximate across type
-    /// families.
-    fn plan_probe(&self, filter: &Predicate) -> Option<(PlanKind, Vec<usize>)> {
-        let conjuncts = filter.conjuncts();
+    /// Find an indexable top-level conjunct. A hash probe wins; else the
+    /// first comparison conjunct on an ordered-indexed attribute, walked
+    /// top-k when the query qualifies (see the module doc) and probed as a
+    /// range otherwise. Candidate sets are always a superset of the rows
+    /// the full predicate accepts, because probe keys use the same
+    /// `total_cmp` semantics as predicate equality, and range probes
+    /// over-approximate across type families.
+    fn plan_probe<'q>(&'q self, q: &'q Query) -> Option<Probe<'q>> {
+        let conjuncts = q.filter.conjuncts();
         for c in &conjuncts {
             match c {
                 Predicate::Eq(attr, v) => {
                     if let Some(ix) = self.indexes.hash_index(attr) {
-                        return Some((PlanKind::HashProbe, ix.lookup(v).to_vec()));
+                        return Some(Probe::Candidates(PlanKind::HashProbe, ix.lookup(v).to_vec()));
                     }
                 }
                 Predicate::In(attr, options) => {
@@ -203,27 +247,103 @@ impl CollectionSnapshot {
                         for v in options {
                             cids.extend_from_slice(ix.lookup(v));
                         }
-                        return Some((PlanKind::HashProbe, cids));
+                        return Some(Probe::Candidates(PlanKind::HashProbe, cids));
                     }
                 }
                 _ => {}
             }
         }
-        for c in &conjuncts {
-            let (attr, lo, hi): (&str, Bound<&Value>, Bound<&Value>) = match c {
-                Predicate::Eq(a, v) => (a, Bound::Included(v), Bound::Included(v)),
-                Predicate::Gt(a, v) => (a, Bound::Excluded(v), Bound::Unbounded),
-                Predicate::Gte(a, v) => (a, Bound::Included(v), Bound::Unbounded),
-                Predicate::Lt(a, v) => (a, Bound::Unbounded, Bound::Excluded(v)),
-                Predicate::Lte(a, v) => (a, Bound::Unbounded, Bound::Included(v)),
-                _ => continue,
+        let (attr, lo, hi, index) = conjuncts.iter().find_map(|c| {
+            let (attr, lo, hi) = range_of(c)?;
+            Some((attr, lo, hi, self.indexes.ordered_index(attr)?))
+        })?;
+        if let (None, Some((by, order)), Some(k)) = (&q.aggregate, &q.order_by, q.limit) {
+            // The walk starts at the end the order starts from, so that end
+            // of the range must be open.
+            let open_start = match order {
+                Order::Asc => matches!(lo, Bound::Unbounded),
+                Order::Desc => matches!(hi, Bound::Unbounded),
             };
-            if let Some(ix) = self.indexes.ordered_index(attr) {
-                return Some((PlanKind::OrderedProbe, ix.range(lo, hi)));
+            if by == attr && open_start {
+                return Some(Probe::TopK(TopKWalk { index, attr, lo, hi, order: *order, k }));
             }
         }
-        None
+        Some(Probe::Candidates(PlanKind::OrderedProbe, index.range(lo, hi)))
     }
+
+    /// Rule (b) of the module doc: walk the ordered index's key groups from
+    /// the end the order starts at, re-check each row once, and stop once
+    /// `k` matched rows sort at least as well as the current key. Returns
+    /// the matched rows in ascending order and how many rows were checked.
+    fn top_k(&self, q: &Query, walk: TopKWalk<'_>) -> (Vec<usize>, usize) {
+        let TopKWalk { index, attr, lo, hi, order, k } = walk;
+        // `cmp_opt(sort_key, Some(key))` — `finish`'s comparator — so "at
+        // least as good" here is exactly "not sorted after" there.
+        let at_least_as_good = |sort_key: &Option<Value>, key: &Value| {
+            let cmp = sort_key.as_ref().map_or(Ordering::Less, |v| v.total_cmp(key));
+            match order {
+                Order::Asc => cmp != Ordering::Greater,
+                Order::Desc => cmp != Ordering::Less,
+            }
+        };
+        let mut checked: HashSet<usize, FnvBuildHasher> = HashSet::default();
+        let mut matched = Vec::new();
+        // Sort keys of matched rows that a not-yet-visited row could still
+        // beat: rows reached through a value other than their first.
+        let mut unsettled: Vec<Option<Value>> = Vec::new();
+        let mut settled = 0;
+        for (key, postings) in index.groups(lo, hi, order) {
+            if settled >= k {
+                break;
+            }
+            for cid in postings {
+                let Some(&row) = self.pos.get(cid) else { continue };
+                let row = row as usize;
+                if checked.insert(row) && q.filter.matches(&self.entities[row]) {
+                    matched.push(row);
+                    unsettled.push(first_value(&self.entities[row], attr));
+                }
+            }
+            unsettled.retain(|sort_key| {
+                let settles = at_least_as_good(sort_key, key);
+                settled += usize::from(settles);
+                !settles
+            });
+        }
+        matched.sort_unstable();
+        (matched, checked.len())
+    }
+}
+
+/// What [`CollectionSnapshot::plan_probe`] chose.
+enum Probe<'q> {
+    /// Candidate cluster ids to re-check: a superset of the matches.
+    Candidates(PlanKind, Vec<usize>),
+    /// An ordered top-k walk over one index.
+    TopK(TopKWalk<'q>),
+}
+
+/// The inputs of an ordered top-k walk: the index on the `order_by`
+/// attribute, the range conjunct's bounds on it, the order and the limit.
+struct TopKWalk<'q> {
+    index: &'q OrderedIndex,
+    attr: &'q str,
+    lo: Bound<&'q Value>,
+    hi: Bound<&'q Value>,
+    order: Order,
+    k: usize,
+}
+
+/// The `(attr, lo, hi)` key range a comparison conjunct probes.
+fn range_of(c: &Predicate) -> Option<(&str, Bound<&Value>, Bound<&Value>)> {
+    Some(match c {
+        Predicate::Eq(a, v) => (a, Bound::Included(v), Bound::Included(v)),
+        Predicate::Gt(a, v) => (a, Bound::Excluded(v), Bound::Unbounded),
+        Predicate::Gte(a, v) => (a, Bound::Included(v), Bound::Unbounded),
+        Predicate::Lt(a, v) => (a, Bound::Unbounded, Bound::Excluded(v)),
+        Predicate::Lte(a, v) => (a, Bound::Unbounded, Bound::Included(v)),
+        _ => return None,
+    })
 }
 
 /// Execute `q` the dumb way: sequential filter over every entity, then the
@@ -444,6 +564,63 @@ mod tests {
         assert_eq!(run.plan, PlanKind::OrderedProbe);
         assert_eq!(run.result, execute_oracle(s.entities(), &q));
         assert_eq!(rows_keys(&run.result), vec!["d", "a"]);
+    }
+
+    #[test]
+    fn limits_push_down_into_probes() {
+        let s = snap();
+        // (a): the first match in row order ends the hash probe's re-check.
+        let q = Query::filtered(Predicate::Eq("KIND".into(), "musical".into())).take(1);
+        let run = s.execute(&q);
+        assert_eq!((run.plan, run.candidates), (PlanKind::HashProbe, 1));
+        assert_eq!(rows_keys(&run.result), vec!["a"]);
+        // (b): the walk from the top of PRICE stops at the second key.
+        let q = Query::filtered(Predicate::Gt("PRICE".into(), Value::Int(0)))
+            .order_by("PRICE", Order::Desc)
+            .take(2);
+        let run = s.execute(&q);
+        assert_eq!((run.plan, run.candidates), (PlanKind::OrderedProbe, 2));
+        assert_eq!(run.result, execute_oracle(s.entities(), &q));
+        // A bounded start end is not walked: the plain probe checks all.
+        let q = Query::filtered(Predicate::Lt("PRICE".into(), Value::Int(100)))
+            .order_by("PRICE", Order::Desc)
+            .take(2);
+        assert_eq!(s.execute(&q).candidates, 4);
+    }
+
+    #[test]
+    fn top_k_counts_only_rows_whose_sort_key_reached_the_walk() {
+        let with_prices = |key: &str, prices: Vec<Value>| FusedEntity {
+            key: key.to_string(),
+            record: Record::from_pairs(
+                SourceId(0),
+                RecordId(0),
+                vec![("PRICE", Value::Array(prices))],
+            ),
+            member_count: 1,
+            confidence: None,
+        };
+        // `a` is reached first (through 100) but sorts by its first value,
+        // 1; `b` (50) must still win the top spot, and in ascending order
+        // `c` (reached through -100, sorting by 5) must lose to `b` (0).
+        let es = vec![
+            with_prices("a", vec![Value::Int(1), Value::Int(100)]),
+            with_prices("b", vec![Value::Int(50), Value::Int(0)]),
+            with_prices("c", vec![Value::Int(5), Value::Int(-100)]),
+            with_prices("d", vec![Value::from("zz"), Value::Int(7)]),
+        ];
+        let s = CollectionSnapshot::from_entities(es, IndexSpec::default().ordered_on("PRICE"));
+        for (pred, order, k) in [
+            (Predicate::Gte("PRICE".into(), Value::Int(0)), Order::Desc, 2),
+            (Predicate::Gte("PRICE".into(), Value::Int(0)), Order::Desc, 3),
+            (Predicate::Lt("PRICE".into(), Value::Int(60)), Order::Asc, 1),
+            (Predicate::Lte("PRICE".into(), Value::Float(1.0)), Order::Asc, 2),
+        ] {
+            let q = Query::filtered(pred).order_by("PRICE", order).take(k);
+            let run = s.execute(&q);
+            assert_eq!(run.plan, PlanKind::OrderedProbe);
+            assert_eq!(run.result, execute_oracle(s.entities(), &q), "{q:?}");
+        }
     }
 
     #[test]

@@ -7,6 +7,27 @@
 //! `Arc` load — ingest publishes a *new* snapshot atomically, so readers
 //! never observe a torn view and never block the pipeline.
 //!
+//! Connection lifecycle. A worker serves requests on one connection in a
+//! loop (`TCP_NODELAY` set):
+//!
+//! * **Keep-alive.** HTTP/1.1 connections stay open unless the client
+//!   sends `Connection: close`; HTTP/1.0 ones close unless it sends
+//!   `Connection: keep-alive`. A request with a body closes (bodies are
+//!   never read). Every response says `Connection: keep-alive` or
+//!   `Connection: close`, and the server does what it says.
+//! * **Pipelining.** Bytes read past one request head are the start of
+//!   the next; responses go out in request order.
+//! * **Incomplete heads are never routed.** A head cut off by EOF or not
+//!   complete within `read_timeout` gets `400`, one larger than
+//!   `max_request_bytes` gets `431`, both with `Connection: close`.
+//! * **Yielding.** Between requests the worker reads in 20 ms slices and
+//!   gives the connection up when the server is stopping or another
+//!   accepted connection is waiting for a worker (one `AtomicUsize`
+//!   counts those). A response written while one waits says `Connection:
+//!   close`, so no worker holds a connection while another waits.
+//! * **Idle limit.** A connection silent for longer than
+//!   [`ServerConfig::read_timeout`] between requests is closed.
+//!
 //! Routes (GET only):
 //!
 //! | route | payload |
@@ -27,11 +48,11 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use datatamer_model::Value;
 
@@ -43,9 +64,12 @@ use crate::exec::CollectionSnapshot;
 pub struct ServerConfig {
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Per-read socket timeout (slow clients are dropped, not waited on).
+    /// How long a connection may stay silent between requests (the
+    /// keep-alive idle limit), and how long one request head may take to
+    /// arrive; also the write timeout. Slow clients are dropped, not
+    /// waited on.
     pub read_timeout: Duration,
-    /// Hard cap on request size in bytes.
+    /// Hard cap on a request head's size in bytes.
     pub max_request_bytes: usize,
 }
 
@@ -97,6 +121,27 @@ pub struct QueryServer {
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
+/// Between requests a worker reads in slices this long, so it notices
+/// within one slice that the server is stopping or that an accepted
+/// connection is waiting for a worker.
+const READ_SLICE: Duration = Duration::from_millis(20);
+
+/// What every worker shares with the accept loop.
+struct Worker {
+    views: SharedViews,
+    cfg: ServerConfig,
+    stop: Arc<AtomicBool>,
+    /// Accepted connections not yet taken by a worker.
+    waiting: Arc<AtomicUsize>,
+}
+
+impl Worker {
+    /// Whether the current connection should be given up for another.
+    fn should_yield(&self) -> bool {
+        self.stop.load(Ordering::SeqCst) || self.waiting.load(Ordering::SeqCst) > 0
+    }
+}
+
 impl QueryServer {
     /// Bind and start serving `views` on `addr` (use port 0 for an
     /// ephemeral port; the bound address is [`QueryServer::addr`]).
@@ -108,18 +153,26 @@ impl QueryServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        let waiting = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::with_capacity(cfg.workers + 1);
         for _ in 0..cfg.workers.max(1) {
             let rx = Arc::clone(&rx);
-            let views = views.clone();
-            let cfg = cfg.clone();
+            let worker = Worker {
+                views: views.clone(),
+                cfg: cfg.clone(),
+                stop: Arc::clone(&stop),
+                waiting: Arc::clone(&waiting),
+            };
             // dtlint::allow(thread-spawn, reason = "serving worker pool; request handling is read-only over immutable snapshots and never feeds back into pipeline output")
             threads.push(std::thread::spawn(move || loop {
                 let next = rx.lock().recv();
                 match next {
-                    Ok(stream) => serve_connection(stream, &views, &cfg),
+                    Ok(stream) => {
+                        worker.waiting.fetch_sub(1, Ordering::SeqCst);
+                        serve_connection(stream, &worker);
+                    }
                     Err(_) => break,
                 }
             }));
@@ -132,6 +185,7 @@ impl QueryServer {
                     break;
                 }
                 if let Ok(stream) = stream {
+                    waiting.fetch_add(1, Ordering::SeqCst);
                     if tx.send(stream).is_err() {
                         break;
                     }
@@ -146,7 +200,8 @@ impl QueryServer {
         self.addr
     }
 
-    /// Stop accepting, drain workers, and join every thread.
+    /// Stop accepting, drain workers, and join every thread. Idle
+    /// keep-alive connections are closed within one read slice.
     pub fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
@@ -157,57 +212,155 @@ impl QueryServer {
     }
 }
 
-// Wall-clock here is intentional and serving-only: socket timeouts and the
-// drip-feed deadline bound how long a slow client can hold a worker. The
-// clock never influences which rows a query returns.
+// Wall-clock here is intentional and serving-only: the idle limit and the
+// head deadline bound how long a silent or drip-feeding client can hold a
+// worker. The clock never influences which rows a query returns.
 #[allow(clippy::disallowed_methods)]
-fn serve_connection(mut stream: TcpStream, views: &SharedViews, cfg: &ServerConfig) {
-    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(cfg.read_timeout));
-    // dtlint::allow(wall-clock, reason = "connection read deadline against drip-feeding clients; never influences query results")
-    let started = std::time::Instant::now();
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
-    // Read until the end of the request head; the per-read socket timeout
-    // bounds each read and the deadline bounds the whole request, so a
-    // stalled or drip-feeding client is dropped instead of waited on.
+fn now() -> Instant {
+    // dtlint::allow(wall-clock, reason = "connection idle limit and head deadline against slow clients; never influences query results")
+    Instant::now()
+}
+
+/// Serve requests on one connection until either side ends it.
+fn serve_connection(mut stream: TcpStream, worker: &Worker) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_SLICE));
+    let _ = stream.set_write_timeout(Some(worker.cfg.read_timeout));
+    // Bytes read but not yet consumed: the start of the next request head,
+    // and with pipelining possibly more requests after it.
+    let mut buf = Vec::with_capacity(1024);
     loop {
-        if buf.windows(4).any(|w| w == b"\r\n\r\n")
-            || buf.len() > cfg.max_request_bytes
-            || started.elapsed() > cfg.read_timeout.saturating_mul(2)
-        {
-            break;
+        let (reply, wants_keep_alive) = match next_head(&mut stream, &mut buf, worker) {
+            Ok(None) => return,
+            Ok(Some(len)) => {
+                let reply = match parse_head(&buf[..len]) {
+                    Ok(head) if head.method == "GET" => {
+                        (route(head.target, &worker.views), head.keep_alive)
+                    }
+                    Ok(_) => (Reply::error(405, "only GET is supported"), false),
+                    Err(why) => (Reply::error(400, why), false),
+                };
+                buf.drain(..len);
+                reply
+            }
+            Err(reply) => (reply, false),
+        };
+        let keep_alive = wants_keep_alive && !worker.should_yield();
+        if stream.write_all(&reply.to_bytes(keep_alive)).is_err() {
+            return;
         }
+        if !keep_alive {
+            // Half-close, then discard what the client still sends (one
+            // slice, bounded), so unread input does not turn the close into
+            // a reset that destroys the response in flight.
+            let _ = stream.shutdown(Shutdown::Write);
+            let mut sink = [0u8; 4096];
+            let mut budget = worker.cfg.max_request_bytes;
+            while let Ok(n @ 1..) = stream.read(&mut sink) {
+                budget = budget.saturating_sub(n);
+                if budget == 0 {
+                    break;
+                }
+            }
+            return;
+        }
+    }
+}
+
+/// Read until `buf` starts with a complete request head and return the
+/// head's length. `Ok(None)` ends the connection quietly: the client
+/// closed it or went silent between requests, or the worker yields it.
+/// `Err` is the reply for a head that cannot complete — cut off by EOF,
+/// larger than `max_request_bytes`, or slower than `read_timeout`.
+fn next_head(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    worker: &Worker,
+) -> Result<Option<usize>, Reply> {
+    let cfg = &worker.cfg;
+    let incomplete = || Reply::error(400, "incomplete request head");
+    // Idle since, while `buf` is empty; else when this head began.
+    let mut since = now();
+    let mut scanned = 0;
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(at) = buf[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+            let len = scanned + at + 4;
+            if len > cfg.max_request_bytes {
+                return Err(Reply::error(431, "request head too large"));
+            }
+            return Ok(Some(len));
+        }
+        if buf.len() > cfg.max_request_bytes {
+            return Err(Reply::error(431, "request head too large"));
+        }
+        scanned = buf.len().saturating_sub(3);
         match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
+            Ok(0) if buf.is_empty() => return Ok(None),
+            Ok(0) => return Err(incomplete()),
+            Ok(n) => {
+                if buf.is_empty() {
+                    since = now();
+                }
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if (buf.is_empty() && worker.should_yield()) || worker.stop.load(Ordering::SeqCst) {
+                    return Ok(None);
+                }
+            }
+            Err(_) => return Ok(None),
+        }
+        if since.elapsed() > cfg.read_timeout {
+            return if buf.is_empty() { Ok(None) } else { Err(incomplete()) };
         }
     }
-    let response = match parse_request(&buf) {
-        Some((method, target)) if method == "GET" => route(&target, views),
-        Some(_) => error_response(405, "only GET is supported"),
-        None => error_response(400, "malformed request"),
+}
+
+/// The parts of a request head the server acts on.
+struct Head<'a> {
+    method: &'a str,
+    target: &'a str,
+    /// Whether the client lets the connection stay open after the reply:
+    /// HTTP/1.1 unless it sent `Connection: close`, HTTP/1.0 only with
+    /// `Connection: keep-alive`, and never for a request with a body
+    /// (bodies are not read, so their bytes would pose as the next head).
+    keep_alive: bool,
+}
+
+/// Parse a complete head (request line, header lines, blank line).
+fn parse_head(head: &[u8]) -> Result<Head<'_>, &'static str> {
+    let text = std::str::from_utf8(head).map_err(|_| "request head is not UTF-8")?;
+    let mut lines = text.split("\r\n");
+    let mut parts = lines.next().unwrap_or_default().split_whitespace();
+    let (Some(method), Some(target), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err("malformed request line");
     };
-    let _ = stream.write_all(&response);
-    let _ = stream.flush();
-}
-
-/// Extract `(method, target)` from the request line.
-fn parse_request(buf: &[u8]) -> Option<(String, String)> {
-    let head = buf.split(|&b| b == b'\r').next()?;
-    let line = std::str::from_utf8(head).ok()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let target = parts.next()?.to_string();
-    let version = parts.next()?;
     if !version.starts_with("HTTP/1.") {
-        return None;
+        return Err("unsupported protocol version");
     }
-    Some((method, target))
+    let (mut close, mut asked_keep_alive, mut has_body) = (false, false, false);
+    for line in lines.filter(|l| !l.is_empty()) {
+        let (name, value) = line.split_once(':').ok_or("malformed header line")?;
+        let name = name.trim();
+        if name.eq_ignore_ascii_case("connection") {
+            for token in value.split(',').map(str::trim) {
+                close |= token.eq_ignore_ascii_case("close");
+                asked_keep_alive |= token.eq_ignore_ascii_case("keep-alive");
+            }
+        } else if name.eq_ignore_ascii_case("transfer-encoding")
+            || (name.eq_ignore_ascii_case("content-length") && value.trim() != "0")
+        {
+            has_body = true;
+        }
+    }
+    let keep_alive = !close && !has_body && (version != "HTTP/1.0" || asked_keep_alive);
+    Ok(Head { method, target, keep_alive })
 }
 
-fn route(target: &str, views: &SharedViews) -> Vec<u8> {
+fn route(target: &str, views: &SharedViews) -> Reply {
     let (path, query_string) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
@@ -215,29 +368,29 @@ fn route(target: &str, views: &SharedViews) -> Vec<u8> {
     let segs: Vec<String> =
         path.split('/').filter(|s| !s.is_empty()).map(percent_decode).collect();
     match segs.as_slice() {
-        [] => ok_response(&render_collections(views)),
-        [c] if c == "collections" => ok_response(&render_collections(views)),
+        [] => Reply::ok(render_collections(views)),
+        [c] if c == "collections" => Reply::ok(render_collections(views)),
         [c, name, tail @ ..] if c == "collections" => {
             let Some(snap) = views.get(name) else {
-                return error_response(404, &format!("no collection {name:?}"));
+                return Reply::error(404, &format!("no collection {name:?}"));
             };
             match tail {
-                [s] if s == "stats" => ok_response(&render_stats(name, &snap)),
+                [s] if s == "stats" => Reply::ok(render_stats(name, &snap)),
                 [e, key] if e == "entity" => match snap.point_lookup(key) {
-                    Some(entity) => ok_response(&render_entity(entity)),
-                    None => error_response(404, &format!("no entity {key:?}")),
+                    Some(entity) => Reply::ok(render_entity(entity)),
+                    None => Reply::error(404, &format!("no entity {key:?}")),
                 },
                 [q] if q == "query" => match parse_query(query_string) {
                     Ok(query) => {
                         let run = snap.execute(&query);
-                        ok_response(&render_result(&run.result, run.plan.name(), run.candidates))
+                        Reply::ok(render_result(&run.result, run.plan.name(), run.candidates))
                     }
-                    Err(e) => error_response(400, &e),
+                    Err(e) => Reply::error(400, &e),
                 },
-                _ => error_response(404, "unknown route"),
+                _ => Reply::error(404, "unknown route"),
             }
         }
-        _ => error_response(404, "unknown route"),
+        _ => Reply::error(404, "unknown route"),
     }
 }
 
@@ -532,31 +685,46 @@ pub fn render_result(result: &QueryResult, plan: &str, candidates: usize) -> Str
     }
 }
 
-fn http_response(status: u16, reason: &str, body: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 128);
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len(),
-        )
-        .as_bytes(),
-    );
-    out.extend_from_slice(body.as_bytes());
-    out
+/// A response before its head is rendered: whether the connection stays
+/// open is decided only when it is written.
+struct Reply {
+    status: u16,
+    body: String,
 }
 
-fn ok_response(body: &str) -> Vec<u8> {
-    http_response(200, "OK", body)
-}
+impl Reply {
+    fn ok(body: String) -> Reply {
+        Reply { status: 200, body }
+    }
 
-fn error_response(status: u16, message: &str) -> Vec<u8> {
-    let reason = match status {
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        _ => "Error",
-    };
-    http_response(status, reason, &format!("{{\"error\":\"{}\"}}", json_escape(message)))
+    fn error(status: u16, message: &str) -> Reply {
+        Reply { status, body: format!("{{\"error\":\"{}\"}}", json_escape(message)) }
+    }
+
+    /// The bytes on the wire; `Connection` says truthfully whether the
+    /// server keeps the connection open after this response.
+    fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+        let reason = match self.status {
+            200 => "OK",
+            400 => "Bad Request",
+            404 => "Not Found",
+            405 => "Method Not Allowed",
+            431 => "Request Header Fields Too Large",
+            _ => "Error",
+        };
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        let mut out = Vec::with_capacity(self.body.len() + 128);
+        out.extend_from_slice(
+            format!(
+                "HTTP/1.1 {} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+                self.status,
+                self.body.len(),
+            )
+            .as_bytes(),
+        );
+        out.extend_from_slice(self.body.as_bytes());
+        out
+    }
 }
 
 #[cfg(test)]
@@ -649,10 +817,28 @@ mod tests {
             let qs = format!("where=KIND=play&mode={mode}");
             assert!(parse_query(&qs).is_err());
             let resp = route(&format!("/collections/c/query?{qs}"), &views);
-            assert!(resp.starts_with(b"HTTP/1.1 400 "), "mode={mode} must be rejected");
+            assert_eq!(resp.status, 400, "mode={mode} must be rejected");
         }
         let ok = route("/collections/c/query?where=KIND=play", &views);
-        assert!(ok.starts_with(b"HTTP/1.1 200 "));
+        assert_eq!(ok.status, 200);
+    }
+
+    #[test]
+    fn heads_decide_keep_alive() {
+        let keeps = |head: &str| parse_head(head.as_bytes()).map(|h| h.keep_alive);
+        assert_eq!(keeps("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), Ok(true));
+        assert_eq!(keeps("GET / HTTP/1.1\r\nConnection: Close\r\n\r\n"), Ok(false));
+        assert_eq!(keeps("GET / HTTP/1.0\r\n\r\n"), Ok(false));
+        assert_eq!(keeps("GET / HTTP/1.0\r\nconnection: keep-alive\r\n\r\n"), Ok(true));
+        assert_eq!(keeps("GET / HTTP/1.0\r\nConnection: close, keep-alive\r\n\r\n"), Ok(false));
+        assert_eq!(keeps("GET / HTTP/1.1\r\nContent-Length: 3\r\n\r\n"), Ok(false));
+        assert_eq!(keeps("GET / HTTP/1.1\r\nContent-Length: 0\r\n\r\n"), Ok(true));
+        assert!(keeps("GET / HTTP/2\r\n\r\n").is_err());
+        assert!(keeps("GET /\r\n\r\n").is_err());
+        assert!(keeps("GET / HTTP/1.1\r\nno colon\r\n\r\n").is_err());
+        let reply = Reply::error(431, "too large").to_bytes(false);
+        assert!(reply.starts_with(b"HTTP/1.1 431 Request Header Fields Too Large\r\n"));
+        assert!(reply.windows(19).any(|w| w == b"Connection: close\r\n"));
     }
 
     #[test]

@@ -20,10 +20,10 @@ use datatamer_core::fusion::FusedEntity;
 use datatamer_model::{AttrKey, Value};
 use datatamer_sim::FnvBuildHasher;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::ops::Bound;
 
-use crate::ast::AttrSource;
+use crate::ast::{AttrSource, Order};
 
 /// Counters describing how indexes have been maintained — surfaced on the
 /// stats endpoint so "no full rebuilds during delta ingest" is observable.
@@ -131,20 +131,39 @@ impl OrderedIndex {
         }
     }
 
-    /// Cluster ids whose key falls in the bounds, in key order (sorted
-    /// within each key). The caller dedups across keys.
-    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<usize> {
+    fn span(
+        &self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> btree_map::Range<'_, AttrKey, Vec<usize>> {
         let wrap = |b: Bound<&Value>| match b {
             Bound::Included(v) => Bound::Included(AttrKey(v.clone())),
             Bound::Excluded(v) => Bound::Excluded(AttrKey(v.clone())),
             Bound::Unbounded => Bound::Unbounded,
         };
-        let (lo, hi) = (wrap(lo), wrap(hi));
-        let mut out = Vec::new();
-        for (_, postings) in self.map.range((lo, hi)) {
-            out.extend_from_slice(postings);
+        self.map.range((wrap(lo), wrap(hi)))
+    }
+
+    /// Cluster ids whose key falls in the bounds, in key order (sorted
+    /// within each key). The caller dedups across keys.
+    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<usize> {
+        self.span(lo, hi).flat_map(|(_, postings)| postings.iter().copied()).collect()
+    }
+
+    /// The keys in the bounds with their sorted cluster-id postings, one
+    /// group per key, walked lazily from the low end (`Asc`) or the high
+    /// end (`Desc`).
+    pub fn groups<'a>(
+        &'a self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+        order: Order,
+    ) -> Box<dyn Iterator<Item = (&'a Value, &'a [usize])> + 'a> {
+        let span = self.span(lo, hi).map(|(key, postings)| (key.value(), postings.as_slice()));
+        match order {
+            Order::Asc => Box::new(span),
+            Order::Desc => Box::new(span.rev()),
         }
-        out
     }
 
     /// Number of distinct keys.
@@ -334,6 +353,15 @@ mod tests {
             Bound::Unbounded,
         );
         assert_eq!(range, vec![7]);
+        let ordered = ix.ordered_index("PRICE").unwrap();
+        let walk = |order| -> Vec<(Value, Vec<usize>)> {
+            ordered
+                .groups(Bound::Unbounded, Bound::Included(&Value::Int(20)), order)
+                .map(|(k, p)| (k.clone(), p.to_vec()))
+                .collect()
+        };
+        assert_eq!(walk(Order::Asc), vec![(Value::Int(10), vec![0]), (Value::Int(20), vec![7])]);
+        assert_eq!(walk(Order::Desc), vec![(Value::Int(20), vec![7]), (Value::Int(10), vec![0])]);
         assert!(ix.remove_cluster(0));
         assert_eq!(ix.hash_index("KIND").unwrap().lookup(&Value::from("show")), &[7]);
         assert!(!ix.remove_cluster(0), "second removal is a no-op");

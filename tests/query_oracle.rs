@@ -28,7 +28,11 @@ fn fp(r: &QueryResult) -> String {
 /// One entity from a compact spec. The per-attribute pools deliberately
 /// mix types (GENRE is mostly strings but sometimes an int, RATING is
 /// mostly floats but sometimes an int) so index keys and predicates meet
-/// cross-type comparisons, and NaN/Null/absent are all reachable.
+/// cross-type comparisons, and NaN/Null/absent are all reachable. PRICE
+/// and RATING are sometimes arrays — whose first element (the sort key)
+/// lies outside a probe's range, or is a string beside numbers — and tie
+/// heavily, `Int(3)` beside `Float(3.0)`, so ordered top-k walks meet
+/// rows reached through a value that is not their sort key.
 fn entity(i: usize, spec: (u8, u8, u8, u8, u8, u8)) -> FusedEntity {
     let (g, p, r, t, c, m) = spec;
     let mut pairs: Vec<(&str, Value)> = Vec::new();
@@ -44,12 +48,19 @@ fn entity(i: usize, spec: (u8, u8, u8, u8, u8, u8)) -> FusedEntity {
         0 => {}
         1..=5 => pairs.push(("PRICE", Value::Int(i64::from(p) * 3 - 6))),
         6 => pairs.push(("PRICE", Value::Float(2.5))),
-        _ => pairs.push(("PRICE", Value::Float(f64::NAN))),
+        7 => pairs.push(("PRICE", Value::Float(f64::NAN))),
+        8 => pairs.push(("PRICE", Value::Array(vec![Value::Int(-6), Value::Int(9)]))),
+        9 => pairs.push(("PRICE", Value::Array(vec![Value::Int(12), Value::Float(0.5)]))),
+        10 => pairs.push(("PRICE", Value::Array(vec![Value::from("alpha"), Value::Int(3)]))),
+        _ => pairs.push(("PRICE", Value::Float(3.0))),
     }
     match r {
         0 => {}
         1..=4 => pairs.push(("RATING", Value::Float(f64::from(r) / 2.0))),
-        _ => pairs.push(("RATING", Value::Int(3))),
+        5 => pairs.push(("RATING", Value::Int(3))),
+        6 => pairs.push(("RATING", Value::Float(3.0))),
+        7 => pairs.push(("RATING", Value::Array(vec![Value::Float(0.5), Value::Int(3)]))),
+        _ => pairs.push(("RATING", Value::Array(vec![Value::from("Beta"), Value::Float(1.0)]))),
     }
     match t {
         0 => {}
@@ -142,12 +153,20 @@ fn query(filter: Predicate, agg: u8, order: u8, limit: u8, project: u8) -> Query
     }
 }
 
+fn entity_specs(max: usize) -> impl Strategy<Value = Vec<(u8, u8, u8, u8, u8, u8)>> {
+    prop::collection::vec((0u8..6, 0u8..12, 0u8..9, 0u8..5, 0u8..4, 1u8..4), 0..max)
+}
+
+fn index_spec() -> IndexSpec {
+    IndexSpec::default().hash_on("GENRE").ordered_on("PRICE").ordered_on("RATING")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn every_plan_matches_the_oracle_at_any_thread_count(
-        specs in prop::collection::vec((0u8..6, 0u8..8, 0u8..6, 0u8..5, 0u8..4, 1u8..4), 0..50),
+        specs in entity_specs(50),
         leaves in prop::collection::vec((0u8..14, 0u8..10, 0u8..9), 1..4),
         shape in 0u8..5,
         agg_sel in 0u8..6,
@@ -158,10 +177,7 @@ proptest! {
         let entities: Vec<FusedEntity> =
             specs.into_iter().enumerate().map(|(i, s)| entity(i, s)).collect();
         let q = query(predicate(&leaves, shape), agg_sel, order_sel, limit_sel, project_sel);
-        let spec = IndexSpec::default()
-            .hash_on("GENRE")
-            .ordered_on("PRICE")
-            .ordered_on("RATING");
+        let spec = index_spec();
 
         // The oracle: sequential filter over the raw entity slice.
         let want = fp(&execute_oracle(&entities, &q));
@@ -179,6 +195,72 @@ proptest! {
                 &have, &want,
                 "{:?} plan diverged from the oracle at {} threads (query: {:?})",
                 plan, threads, q
+            );
+        }
+    }
+}
+
+// Limited queries only — plain `limit`, and `order` + `limit` on an
+// ordered-indexed attribute beside a range conjunct on it — so the limit
+// and top-k push-downs run, over the multi-valued and tied keys of
+// `entity`. Collections stay small so that a limit often ends a walk
+// right where a multi-valued row could be ranked wrongly. A push-down may
+// only ever check fewer rows.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn limit_and_top_k_push_down_match_the_oracle(
+        specs in entity_specs(16),
+        range in (0u8..2, 0u8..4, 0u8..9),
+        extra in prop::collection::vec((0u8..14, 0u8..10, 0u8..9), 0..2),
+        order_sel in 0u8..10,
+        limit in 0usize..8,
+    ) {
+        let entities: Vec<FusedEntity> =
+            specs.into_iter().enumerate().map(|(i, s)| entity(i, s)).collect();
+        let (attr_sel, op_sel, val_sel) = range;
+        let (attr, other) = if attr_sel == 0 { ("PRICE", "RATING") } else { ("RATING", "PRICE") };
+        let (a, v) = (attr.to_string(), operand(val_sel));
+        let mut conjuncts = vec![match op_sel {
+            0 => Predicate::Gt(a, v),
+            1 => Predicate::Gte(a, v),
+            2 => Predicate::Lt(a, v),
+            _ => Predicate::Lte(a, v),
+        }];
+        conjuncts.extend(extra.iter().map(|&l| leaf(l)));
+        let filter = match conjuncts.len() {
+            1 => conjuncts.remove(0),
+            _ => Predicate::And(conjuncts),
+        };
+        // Mostly ordered by the range's own attribute: the walked case.
+        let unlimited = match order_sel {
+            0 => Query::filtered(filter),
+            1..=3 => Query::filtered(filter).order_by(attr, Order::Asc),
+            4..=6 => Query::filtered(filter).order_by(attr, Order::Desc),
+            7 => Query::filtered(filter).order_by(other, Order::Asc),
+            8 => Query::filtered(filter).order_by(other, Order::Desc),
+            _ => Query::filtered(filter).order_by("_key", Order::Asc),
+        };
+        let q = unlimited.clone().take(limit);
+        let want = fp(&execute_oracle(&entities, &q));
+
+        for threads in [1usize, 8] {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let (limited, all) = pool.install(|| {
+                let snap = CollectionSnapshot::from_entities(entities.clone(), index_spec());
+                (snap.execute(&q), snap.execute(&unlimited))
+            });
+            prop_assert_eq!(
+                fp(&limited.result), want.clone(),
+                "{:?} plan diverged from the oracle at {} threads (query: {:?})",
+                limited.plan, threads, q
+            );
+            prop_assert_eq!(limited.plan, all.plan, "a limit changed the plan: {:?}", q);
+            prop_assert!(
+                limited.candidates <= all.candidates,
+                "{} rows checked with the limit, {} without (query: {:?})",
+                limited.candidates, all.candidates, q
             );
         }
     }

@@ -33,16 +33,68 @@ fn config() -> DataTamerConfig {
     }
 }
 
-/// One blocking GET; returns `(status_line, body)`. The server sends
-/// `Connection: close`, so reading to EOF terminates.
+/// One blocking GET on a fresh connection; returns `(status_line, body)`.
+/// It asks for `Connection: close`, so reading to EOF terminates.
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: loopback\r\n\r\n").expect("send");
+    send(&mut stream, &format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"));
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("recv");
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
     let status = head.lines().next().unwrap_or_default().to_string();
     (status, body.to_string())
+}
+
+/// Write a whole request in one call (several small writes would meet
+/// Nagle's algorithm and delayed ACKs on a kept connection).
+fn send(stream: &mut TcpStream, request: &str) {
+    stream.write_all(request.as_bytes()).expect("send");
+}
+
+/// One response read off a connection that may stay open: the head, then
+/// exactly `Content-Length` body bytes. Bytes past the response stay in
+/// `pending` for the next call. Returns `(head, body)`.
+fn read_response(stream: &mut TcpStream, pending: &mut Vec<u8>) -> (String, String) {
+    let mut chunk = [0u8; 4096];
+    let head_end = loop {
+        if let Some(at) = pending.windows(4).position(|w| w == b"\r\n\r\n") {
+            break at + 4;
+        }
+        let n = stream.read(&mut chunk).expect("recv head");
+        assert!(n > 0, "connection closed before the response head ended");
+        pending.extend_from_slice(&chunk[..n]);
+    };
+    let head = String::from_utf8(pending[..head_end].to_vec()).expect("UTF-8 head");
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("Content-Length");
+    while pending.len() < head_end + len {
+        let n = stream.read(&mut chunk).expect("recv body");
+        assert!(n > 0, "connection closed inside the body");
+        pending.extend_from_slice(&chunk[..n]);
+    }
+    let body = String::from_utf8(pending[head_end..head_end + len].to_vec()).expect("UTF-8");
+    pending.drain(..head_end + len);
+    (head, body)
+}
+
+/// True once the server has closed `stream` (a read sees EOF or a reset).
+fn closed_by_server(stream: &mut TcpStream) -> bool {
+    let mut byte = [0u8; 1];
+    matches!(stream.read(&mut byte), Ok(0) | Err(_))
+}
+
+/// A session serving a two-show collection as `shows`.
+fn two_show_session(cfg: ServerConfig) -> (ServeSession, String) {
+    let mut dt = DataTamer::new(config());
+    let shows = [show(0, "Solo Show", "$9"), show(1, "Other Play", "$12")];
+    dt.run(PipelinePlan::new().structured("s1", &shows)).expect("seed run");
+    let mut session = ServeSession::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    session.publish("shows", &dt, IndexSpec::default().hash_on("CHEAPEST_PRICE"));
+    let key = dt.context().fused[0].key.replace(' ', "%20");
+    (session, format!("/collections/shows/entity/{key}"))
 }
 
 #[test]
@@ -199,4 +251,130 @@ fn malformed_and_unknown_requests_get_clean_errors() {
     assert!(body.contains("Solo Show"), "{body}");
 
     session.stop();
+}
+
+#[test]
+fn heads_that_never_complete_are_refused_not_routed() {
+    let (session, _) = two_show_session(ServerConfig::default());
+    let addr = session.addr();
+    let oversized = format!("GET /collections HTTP/1.1\r\nX-Pad: {}", "a".repeat(20 * 1024));
+    let cases: [(&str, &str); 4] = [
+        (&oversized, "HTTP/1.1 431 "),
+        ("GET /collections HTTP/1.1\r\nHost: x\r\n", "HTTP/1.1 400 "),
+        ("GET /collections HTTP/1.1\r\n", "HTTP/1.1 400 "),
+        ("GET /collections HTTP/1.1", "HTTP/1.1 400 "),
+    ];
+    for (sent, want) in cases {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(sent.as_bytes()).expect("send");
+        // Only the oversized head is still open: the others end at EOF.
+        if sent.len() < 1024 {
+            stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+        }
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("recv");
+        let shown = &sent[..sent.len().min(40)];
+        assert!(raw.starts_with(want), "{shown:?}: {raw}");
+        assert!(raw.contains("Connection: close\r\n"), "{shown:?}: {raw}");
+        assert!(!raw.contains("\"collections\""), "{shown:?} was routed: {raw}");
+    }
+    session.stop();
+}
+
+#[test]
+fn keep_alive_serves_many_requests_per_connection() {
+    let (session, entity_path) = two_show_session(ServerConfig::default());
+    let addr = session.addr();
+    let routes = [
+        "/collections".to_string(),
+        "/collections/shows/stats".to_string(),
+        "/collections/shows/query?agg=count".to_string(),
+        "/collections/shows/query?where=CHEAPEST_PRICE=$9&limit=1".to_string(),
+        entity_path,
+    ];
+    let fresh: Vec<String> = routes.iter().map(|p| http_get(addr, p).1).collect();
+
+    // 100 requests on one connection: the same bodies as fresh ones.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut pending = Vec::new();
+    for i in 0..100 {
+        let k = i % routes.len();
+        send(&mut stream, &format!("GET {} HTTP/1.1\r\nHost: loopback\r\n\r\n", routes[k]));
+        let (head, body) = read_response(&mut stream, &mut pending);
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+        assert_eq!(body, fresh[k], "request {i} on a kept connection");
+    }
+
+    // Two requests pipelined in one write: two responses, in order.
+    let two = format!(
+        "GET {} HTTP/1.1\r\nHost: x\r\n\r\nGET {} HTTP/1.1\r\nHost: x\r\n\r\n",
+        routes[2], routes[0]
+    );
+    stream.write_all(two.as_bytes()).expect("send pipelined");
+    assert_eq!(read_response(&mut stream, &mut pending).1, fresh[2]);
+    assert_eq!(read_response(&mut stream, &mut pending).1, fresh[0]);
+
+    // `Connection: close` is honoured, said, and done.
+    send(&mut stream, &format!("GET {} HTTP/1.1\r\nConnection: close\r\n\r\n", routes[0]));
+    let (head, body) = read_response(&mut stream, &mut pending);
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    assert_eq!(body, fresh[0]);
+    assert!(closed_by_server(&mut stream), "connection left open after close");
+
+    // HTTP/1.0 closes by default and stays open only when asked to.
+    for (extra, keeps) in [("", false), ("Connection: keep-alive\r\n", true)] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut pending = Vec::new();
+        send(&mut stream, &format!("GET {} HTTP/1.0\r\n{extra}\r\n", routes[0]));
+        let (head, body) = read_response(&mut stream, &mut pending);
+        assert_eq!(body, fresh[0]);
+        let said = if keeps { "keep-alive" } else { "close" };
+        assert!(head.contains(&format!("Connection: {said}\r\n")), "{head}");
+        if keeps {
+            send(&mut stream, &format!("GET {} HTTP/1.0\r\n\r\n", routes[2]));
+            assert_eq!(read_response(&mut stream, &mut pending).1, fresh[2]);
+        }
+        assert!(closed_by_server(&mut stream), "HTTP/1.0 connection left open");
+    }
+    session.stop();
+}
+
+// Timing the server from outside is the point of this test; the clock
+// never feeds a served byte.
+#[allow(clippy::disallowed_methods)]
+#[test]
+fn idle_keep_alive_connections_never_pin_workers() {
+    use std::time::{Duration, Instant};
+    // An idle limit far beyond the assertions: only yielding can pass.
+    let cfg =
+        ServerConfig { workers: 4, read_timeout: Duration::from_secs(30), ..Default::default() };
+    let (session, _) = two_show_session(cfg);
+    let addr = session.addr();
+
+    // Four clients, one per worker, each left idle after one request.
+    let idle: Vec<TcpStream> = (0..4)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            send(&mut stream, "GET /collections HTTP/1.1\r\n\r\n");
+            let (head, _) = read_response(&mut stream, &mut Vec::new());
+            assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+            stream
+        })
+        .collect();
+
+    // A fifth client is served at once: an idle worker yields to it.
+    let started = Instant::now();
+    let (status, body) = http_get(addr, "/collections");
+    let waited = started.elapsed();
+    assert!(status.contains("200 OK"), "{status}");
+    assert_eq!(body, "{\"collections\":[\"shows\"]}");
+    assert!(waited < Duration::from_secs(1), "fifth client waited {waited:?}");
+
+    // Stopping does not wait for the idle clients to leave.
+    let started = Instant::now();
+    session.stop();
+    let stopping = started.elapsed();
+    assert!(stopping < Duration::from_secs(1), "stop took {stopping:?}");
+    drop(idle);
 }
