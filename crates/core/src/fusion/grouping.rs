@@ -16,7 +16,6 @@
 //! (rayon-parallel, byte-deterministic) is untouched downstream.
 
 use datatamer_entity::blocking::Blocker;
-use datatamer_entity::cluster::cluster_pairs;
 use datatamer_entity::incremental::IncrementalConsolidator;
 use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
 use datatamer_model::Record;
@@ -68,10 +67,9 @@ pub struct BlockedErConfig {
     pub scorer: ScorerSpec,
     /// Pairs scoring at or above this are duplicates.
     pub accept_threshold: f64,
-    /// Ignored: a staged run always consolidates through the batch
-    /// engine and [`crate::DataTamer::consolidate_delta`] always through
-    /// the resident [`IncrementalConsolidator`]. Kept only so existing
-    /// struct literals that set it still compile.
+    /// Ignored: staged runs and [`crate::DataTamer::consolidate_delta`]
+    /// both consolidate through the resident [`IncrementalConsolidator`].
+    /// Kept only so existing struct literals that set it still compile.
     pub incremental: bool,
 }
 
@@ -148,45 +146,34 @@ impl GroupingStrategy {
                 let policy = FusionPolicy::Fuzzy { threshold: fuzzy_threshold };
                 (group_records(records, &policy), GroupingReport::default())
             }
-            GroupingStrategy::BlockedEr(config) => blocked_groups(records, config),
+            GroupingStrategy::BlockedEr(config) => {
+                let (_, groups, report) = blocked_er(records, config);
+                (groups, report)
+            }
         }
     }
 }
 
-/// The blocked-ER grouping path: every step is deterministic at any thread
-/// count (blocking output is sorted/deduplicated, scoring preserves pair
-/// order, union-find clusters are ordered by smallest member), so the
-/// group list — and therefore the fused output — is byte-identical across
-/// pool widths.
-fn blocked_groups(
+/// The blocked-ER grouping path: one ingest of the whole corpus into a
+/// fresh resident consolidator — the engine every delta extends, which is
+/// returned so a staged run can leave it for the delta path to adopt.
+/// Every step is deterministic at any thread count (candidates are sorted
+/// and deduplicated, decisions are per pair, clusters are ordered by
+/// smallest member), so the group list — and therefore the fused output —
+/// is byte-identical across pool widths.
+pub(crate) fn blocked_er(
     records: &[Record],
     config: &BlockedErConfig,
-) -> (Vec<FusionGroup>, GroupingReport) {
-    let blocker = config.build_blocker();
-    let scorer = config.scorer.build();
-    // Prepare the scoring context once — before the rayon fan-out — so
-    // each record's features (interned attributes and tokens, parsed
-    // numerics, lowercased text) are normalised exactly once no matter how
-    // many candidate pairs blocking put it in; the parallel filter then
-    // decides each pair against the shared context. The same context
-    // hands blocking the full-key sort axis its progressive windows read
-    // inside oversized buckets, replacing what used to be a second
-    // render + lowercase pass over the raw records.
-    let prepared = scorer.prepare(records);
-    let outcome = blocker.candidates_with_report_keyed(records, &|| {
-        prepared
-            .sort_keys(&config.key_attr)
-            .expect("a rules scoring context serves any attribute's sort keys")
-    });
-    let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
-    let clusters = cluster_pairs(records.len(), &accepted);
-    let groups = clusters_to_groups(records, clusters, config);
+) -> (IncrementalConsolidator, Vec<FusionGroup>, GroupingReport) {
+    let mut consolidator = config.build_incremental();
+    let delta = consolidator.ingest(records);
+    let groups = clusters_to_groups(records, consolidator.clusters(), config);
     let report = GroupingReport {
-        candidate_pairs: outcome.pairs.len(),
-        accepted_pairs: accepted.len(),
-        degraded_buckets: outcome.degraded_buckets,
+        candidate_pairs: delta.candidate_pairs,
+        accepted_pairs: delta.accepted_pairs,
+        degraded_buckets: delta.degraded_buckets,
     };
-    (groups, report)
+    (consolidator, groups, report)
 }
 
 /// Keep the FusionGroup contract of the canonical-name path: records
@@ -195,12 +182,12 @@ fn blocked_groups(
 /// its first member's key value.
 fn clusters_to_groups(
     records: &[Record],
-    clusters: Vec<Vec<usize>>,
+    clusters: &[Vec<usize>],
     config: &BlockedErConfig,
 ) -> Vec<FusionGroup> {
     clusters
-        .into_iter()
-        .filter_map(|cluster| Some((cluster_key(&records[cluster[0]], config)?, cluster)))
+        .iter()
+        .filter_map(|cluster| Some((cluster_key(&records[cluster[0]], config)?, cluster.clone())))
         .collect()
 }
 
@@ -288,9 +275,9 @@ mod tests {
 
     #[test]
     fn resident_engine_matches_the_batch_path() {
-        // The whole corpus as one delta into fresh resident state must
-        // produce the same clusters AND the same health counters as the
-        // batch path — two engines over the same math.
+        // The staged path is one ingest into fresh resident state. It must
+        // produce the same groups AND the same health counters as the
+        // batch engine (block → prepare → accept → cluster), the oracle.
         let mut records = vec![
             rec(0, "Walking Dead", "$27"),
             rec(1, "Dead Walking", "$27"),
@@ -302,11 +289,16 @@ mod tests {
         let config = BlockedErConfig::default();
         let (groups, report) =
             GroupingStrategy::BlockedEr(config.clone()).groups_with_report(&records, 0.88);
-        let mut resident = config.build_incremental();
-        let delta = resident.ingest(&records);
-        assert_eq!(clusters_to_groups(&records, resident.clusters().to_vec(), &config), groups);
+
+        let prepared = config.scorer.build().prepare(&records);
+        let outcome = config.build_blocker().candidates_with_report_keyed(&records, &|| {
+            prepared.sort_keys(&config.key_attr).expect("rules contexts key any attribute")
+        });
+        let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
+        let clusters = datatamer_entity::cluster::cluster_pairs(records.len(), &accepted);
+        assert_eq!(clusters_to_groups(&records, &clusters, &config), groups);
         assert_eq!(
-            (delta.candidate_pairs, delta.accepted_pairs, delta.degraded_buckets),
+            (outcome.pairs.len(), accepted.len(), outcome.degraded_buckets),
             (report.candidate_pairs, report.accepted_pairs, report.degraded_buckets)
         );
         assert!(report.degraded_buckets >= 1, "the 'common' bucket must degrade");

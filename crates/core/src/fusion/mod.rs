@@ -207,18 +207,19 @@ pub fn merge_groups_with(
     groups: &[FusionGroup],
     registry: &ResolverRegistry,
 ) -> Vec<FusedEntity> {
-    groups.par_iter().map(|group| merge_group(records, group, registry)).collect()
+    groups.par_iter().map(|group| merge_group(|i| &records[i], group, registry)).collect()
 }
 
-/// Collapse one candidate group into its composite entity.
-pub(crate) fn merge_group(
-    records: &[Record],
+/// Collapse one candidate group into its composite entity; `record`
+/// resolves a member index to its record.
+pub(crate) fn merge_group<'r>(
+    record: impl Fn(usize) -> &'r Record,
     (key, members): &FusionGroup,
     registry: &ResolverRegistry,
 ) -> FusedEntity {
-    let refs: Vec<&Record> = members.iter().map(|&i| &records[i]).collect();
-    let (record, confidence) = resolve_group_with_confidence(&refs, registry);
-    FusedEntity { key: key.clone(), record, member_count: members.len(), confidence }
+    let refs: Vec<&Record> = members.iter().map(|&i| record(i)).collect();
+    let (composite, confidence) = resolve_group_with_confidence(&refs, registry);
+    FusedEntity { key: key.clone(), record: composite, member_count: members.len(), confidence }
 }
 
 /// Fuse records (text-derived + structured, already renamed to canonical

@@ -207,6 +207,12 @@ impl DataTamer {
         if let Some(strategy) = override_grouping {
             self.ctx.grouping = strategy;
         }
+        // The fusion stage just resolved `fused` from the staged ER state's
+        // clusters under the routing now in effect, so a delta session that
+        // adopts the state may reuse those composites.
+        if let Some(staged) = &mut self.ctx.staged_er {
+            staged.installed_revision = Some(self.ctx.fused_revision);
+        }
         Ok(&self.ctx.fused)
     }
 
@@ -294,16 +300,21 @@ impl DataTamer {
     /// a [`DtError::Config`].
     ///
     /// The first call seeds the resident session over the current corpus
-    /// (integrated structured records, then text show records); each call
-    /// then ingests `batch` through the
+    /// (integrated structured records, then text show records). When the
+    /// latest staged [`DataTamer::run`] consolidated exactly that corpus
+    /// under the same blocked-ER configuration, the seed adopts that run's
+    /// ER state instead of consolidating again, and the composites the run
+    /// installed count as this session's own. Each call then ingests
+    /// `batch` (after any log tail the seed replayed) through the
     /// [`datatamer_entity::incremental::IncrementalConsolidator`] — only
     /// buckets the batch touched are probed, never old-vs-old — and fused
-    /// entities re-resolve **only for dirty clusters**: the composites of
-    /// untouched clusters are moved over from the context's previous
-    /// `fused` vector, the only copy kept. `fusion_groups` / `fused` are
-    /// replaced, and the delta is logged as a consolidation + fusion stage
-    /// run pair carrying the [`DeltaReport`] (consecutive deltas overwrite
-    /// each other's pair, so the run log does not grow with them).
+    /// entities re-resolve **only for clusters whose membership changed**
+    /// since the installed composites: the others are moved over from the
+    /// context's previous `fused` vector, the only copy kept.
+    /// `fusion_groups` / `fused` are replaced, and the delta is logged as a
+    /// consolidation + fusion stage run pair carrying the [`DeltaReport`]
+    /// (consecutive deltas overwrite each other's pair, so the run log does
+    /// not grow with them).
     ///
     /// Correctness pin (`tests/incremental_equivalence.rs`, any thread
     /// count): after any sequence of delta batches, `ctx.fused` is
@@ -329,9 +340,13 @@ impl DataTamer {
         // (Re)seed when there is no session, the blocked-ER config changed,
         // or the base corpus grew behind its back; the accepted-batch
         // journal carries over and replays on top of the rebuilt corpus.
+        // The latest staged run's ER state is adopted by that seed, or
+        // dropped: a live session already holds everything it has.
+        let staged = self.ctx.staged_er.take();
         if self.resident.as_ref().is_none_or(|s| s.is_stale(&self.ctx, config)) {
             let journal = self.resident.take().map(ResidentSession::into_journal);
-            self.resident = Some(ResidentSession::seed(&self.ctx, config.clone(), journal)?);
+            self.resident =
+                Some(ResidentSession::seed(&self.ctx, config.clone(), staged, journal)?);
         }
         self.resident.as_mut().expect("seeded above").apply(&mut self.ctx, batch)
     }
@@ -837,6 +852,33 @@ mod tests {
         full.run(PipelinePlan::new().structured("s1", &all)).unwrap();
         assert_eq!(fingerprints(&inc.context().fused), fingerprints(&full.context().fused));
         assert_eq!(inc.context().fusion_groups, full.context().fusion_groups);
+    }
+
+    #[test]
+    fn the_first_delta_adopts_the_staged_er_state() {
+        let mut config = small_config();
+        let corpus: Vec<Record> =
+            (0..8).map(|i| show(i, &format!("Unique{i} Show{i}"), "$10")).collect();
+
+        // A canonical-name run leaves no ER state behind.
+        let mut dt = DataTamer::new(config.clone());
+        dt.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
+        assert!(dt.ctx.staged_er.is_none());
+
+        config.grouping = GroupingStrategy::BlockedEr(crate::fusion::BlockedErConfig::default());
+        let mut dt = DataTamer::new(config);
+        dt.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
+        let staged = dt.ctx.staged_er.as_ref().expect("a blocked-ER run leaves its state");
+        assert_eq!((staged.structured, staged.text), (8, 0));
+        assert_eq!(staged.installed_revision, Some(dt.ctx.fused_revision));
+        assert_eq!(staged.consolidator.len(), 8);
+
+        // The seed takes it over: nothing is consolidated again, and every
+        // composite the run installed is carried over unresolved.
+        let d = dt.consolidate_delta(&[]).unwrap();
+        assert!(dt.ctx.staged_er.is_none());
+        assert_eq!((d.batch_records, d.total_records, d.candidate_pairs), (0, 8, 0));
+        assert_eq!(dt.ctx.fused_changed, Some(vec![false; 8]));
     }
 
     #[test]

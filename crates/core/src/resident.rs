@@ -1,18 +1,26 @@
 //! Resident delta state: the one owner of everything
 //! [`crate::DataTamer::consolidate_delta`] carries between calls.
 //!
-//! A [`ResidentSession`] holds the incremental consolidator, the only copy
-//! of the records it has ingested, the configuration it was built under,
-//! the write-ahead [`Journal`], and the `fused_revision` it last
-//! installed. There is no fused-entity cache: the context's previous
-//! `fused` / `fusion_groups` vectors *are* the cache. Both are ordered by
-//! stable cluster id (smallest member), as are the consolidator's
-//! clusters, so [`ResidentSession::apply`] merge-walks the two and
-//! **moves** every clean cluster's group and composite into the new
-//! vectors, resolving only dirty and new clusters — provided the context
-//! still holds what this session installed, under the routing it was
-//! resolved with. Otherwise (first delta after a seed, a staged run bumped
-//! the revision, the routing changed) every cluster re-resolves.
+//! A [`ResidentSession`] holds the incremental consolidator, the accepted
+//! delta batches (the context's structured and text records are the rest
+//! of its corpus), the configuration it was built under, the write-ahead
+//! [`Journal`], and the `fused_revision` it last installed. There is no
+//! fused-entity cache: the context's previous `fused` / `fusion_groups`
+//! vectors *are* the cache. Both are ordered by stable cluster id
+//! (smallest member), as are the consolidator's clusters, so
+//! [`ResidentSession::apply`] merge-walks the two and **moves** the group
+//! and composite of every cluster whose membership is unchanged into the
+//! new vectors, resolving only the others — provided the context still
+//! holds what this session installed, under the routing it was resolved
+//! with. Otherwise (a staged run bumped the revision, the routing changed)
+//! every cluster re-resolves.
+//!
+//! **One ER pass.** A staged blocked-ER run consolidates through the same
+//! resident engine and leaves its consolidator behind as a [`StagedEr`].
+//! Seeding adopts it instead of consolidating the corpus a second time,
+//! and when the staged run also installed the context's composites, the
+//! first delta reuses them. A restart therefore pays for the base run and
+//! the log tail, not for the base corpus twice.
 
 use datatamer_entity::incremental::{DeltaReport, IncrementalConsolidator};
 use datatamer_model::{DtError, Record, Result};
@@ -27,9 +35,9 @@ use crate::fusion::{
 use crate::stage::{PipelineContext, StageReport};
 
 /// The durable half of the accepted-batch journal: the write-ahead log
-/// ([`DeltaLogConfig`]), when configured. The in-memory half is the tail
-/// of [`ResidentSession::records`] past the seeded corpus, which is what a
-/// reseed replays; the log is only read on a process's first seed.
+/// ([`DeltaLogConfig`]), when configured. The in-memory half is
+/// [`ResidentSession::accepted`], which is what a reseed replays; the log
+/// is only read on a process's first seed.
 pub(crate) struct Journal {
     /// The log and the frame count past which it compacts.
     log: Option<(DeltaLog, usize)>,
@@ -76,13 +84,31 @@ impl Journal {
     }
 }
 
+/// The resident ER state a staged blocked-ER run leaves in the context
+/// for the next seed to adopt (see the module docs).
+pub(crate) struct StagedEr {
+    /// The consolidator after one ingest of the staged corpus.
+    pub(crate) consolidator: IncrementalConsolidator,
+    /// The blocked-ER configuration it was built from.
+    pub(crate) config: BlockedErConfig,
+    /// Context record counts it consolidated (structured, then text).
+    pub(crate) structured: usize,
+    pub(crate) text: usize,
+    /// The `fused_revision` whose composites were resolved from exactly
+    /// these clusters, under the routing in effect — set by
+    /// [`crate::DataTamer::run`] once its fusion stage installed them.
+    pub(crate) installed_revision: Option<u64>,
+}
+
 /// Resident entity-resolution state between deltas (see the module docs).
 pub(crate) struct ResidentSession {
     consolidator: IncrementalConsolidator,
-    /// Every record the consolidator has ingested, in ingest order — what
-    /// cluster members index: the seeded corpus, then every accepted delta
-    /// batch (replayed or applied).
-    records: Vec<Record>,
+    /// Every accepted delta batch (replayed or applied), in arrival order.
+    /// Cluster members index the context's first `seeded_structured`
+    /// structured records, then its first `seeded_text` text records, then
+    /// these. A replayed tail the consolidator has not ingested yet is
+    /// ingested by the next [`ResidentSession::apply`].
+    accepted: Vec<Record>,
     /// The blocked-ER configuration the consolidator was built from; a
     /// change in the grouping-in-effect makes the session stale.
     config: BlockedErConfig,
@@ -96,10 +122,33 @@ pub(crate) struct ResidentSession {
     seeded_structured: usize,
     seeded_text: usize,
     journal: Journal,
-    /// The `fused_revision` this session last installed; the context's
-    /// `fused` is this session's previous output only while it still
-    /// carries that revision.
+    /// The `fused_revision` this session last installed (or adopted from
+    /// a staged run); the context's `fused` is this session's previous
+    /// output only while it still carries that revision.
     installed_revision: Option<u64>,
+}
+
+/// The consolidator's corpus by member index: the context's seeded
+/// structured records, then its seeded text records, then the accepted
+/// batches.
+struct Corpus<'a> {
+    structured: &'a [Record],
+    text: &'a [Record],
+    accepted: &'a [Record],
+}
+
+impl<'a> Corpus<'a> {
+    fn get(&self, i: usize) -> &'a Record {
+        let text_at = self.structured.len();
+        let accepted_at = text_at + self.text.len();
+        if i < text_at {
+            &self.structured[i]
+        } else if i < accepted_at {
+            &self.text[i - text_at]
+        } else {
+            &self.accepted[i - accepted_at]
+        }
+    }
 }
 
 impl ResidentSession {
@@ -113,19 +162,21 @@ impl ResidentSession {
 
     /// What the session replacing this stale one carries over: the log
     /// handle and every accepted batch.
-    pub(crate) fn into_journal(mut self) -> (Journal, Vec<Record>) {
-        let accepted = self.records.split_off(self.seeded_structured + self.seeded_text);
-        (self.journal, accepted)
+    pub(crate) fn into_journal(self) -> (Journal, Vec<Record>) {
+        (self.journal, self.accepted)
     }
 
     /// Build a session over the context's current corpus (integrated
-    /// structured records, then text show records) and replay the accepted
-    /// batches on top — `carried` from the stale session being replaced,
-    /// or, on the first seed of a process, whatever the configured log
-    /// holds. Replay never re-appends.
+    /// structured records, then text show records) with the accepted
+    /// batches queued on top — `carried` from the stale session being
+    /// replaced, or, on the first seed of a process, whatever the
+    /// configured log holds. `staged` is adopted when it was built over
+    /// exactly this corpus and configuration; otherwise the corpus is
+    /// consolidated here. Replay never re-appends.
     pub(crate) fn seed(
         ctx: &PipelineContext,
         config: BlockedErConfig,
+        staged: Option<StagedEr>,
         carried: Option<(Journal, Vec<Record>)>,
     ) -> Result<ResidentSession> {
         let (journal, accepted) = match carried {
@@ -136,44 +187,52 @@ impl ResidentSession {
                 (journal, accepted)
             }
         };
-        let mut consolidator = config.build_incremental();
-        let mut records =
-            Vec::with_capacity(ctx.structured_records.len() + ctx.text_show_records.len());
-        records.extend(ctx.structured_records.iter().cloned());
-        records.extend(ctx.text_show_records.iter().cloned());
-        if !records.is_empty() {
-            consolidator.ingest(&records);
-        }
-        if !accepted.is_empty() {
-            consolidator.ingest(&accepted);
-            records.extend(accepted);
-        }
+        let (structured, text) = (&ctx.structured_records, &ctx.text_show_records);
+        let (consolidator, installed_revision) = match staged {
+            Some(s)
+                if s.config == config
+                    && (s.structured, s.text) == (structured.len(), text.len()) =>
+            {
+                (s.consolidator, s.installed_revision)
+            }
+            _ => {
+                let mut consolidator = config.build_incremental();
+                for part in [structured, text] {
+                    if !part.is_empty() {
+                        consolidator.ingest(part);
+                    }
+                }
+                (consolidator, None)
+            }
+        };
         Ok(ResidentSession {
             consolidator,
-            records,
+            accepted,
             config,
             resolvers: ctx.fusion_resolvers.clone(),
-            seeded_structured: ctx.structured_records.len(),
-            seeded_text: ctx.text_show_records.len(),
+            seeded_structured: structured.len(),
+            seeded_text: text.len(),
             journal,
-            installed_revision: None,
+            installed_revision,
         })
     }
 
-    /// Journal and consolidate `batch`, then install the updated groups
-    /// and composites in `ctx` (bumping `fused_revision`, setting
-    /// `fused_changed` to the exact re-resolved set) and log the delta as
-    /// consolidation + fusion stage runs. The in-memory session is fully
-    /// updated even when `Err` reports that persistence degraded — do not
-    /// re-submit the batch.
+    /// Journal and consolidate `batch` (after any replayed tail not yet
+    /// ingested), then install the updated groups and composites in `ctx`
+    /// (bumping `fused_revision`, setting `fused_changed` to the exact
+    /// re-resolved set) and log the delta as consolidation + fusion stage
+    /// runs. The in-memory session is fully updated even when `Err`
+    /// reports that persistence degraded — do not re-submit the batch.
     pub(crate) fn apply(
         &mut self,
         ctx: &mut PipelineContext,
         batch: &[Record],
     ) -> Result<DeltaReport> {
         let log_error = self.journal.accept(batch);
-        let delta = self.consolidator.ingest(batch);
-        self.records.extend_from_slice(batch);
+        let base = self.seeded_structured + self.seeded_text;
+        let ingested = self.consolidator.len() - base;
+        self.accepted.extend_from_slice(batch);
+        let delta = self.consolidator.ingest(&self.accepted[ingested..]);
 
         let mut reuse = self.installed_revision == Some(ctx.fused_revision);
         if self.resolvers != ctx.fusion_resolvers {
@@ -190,24 +249,29 @@ impl ResidentSession {
         debug_assert_eq!(prev_groups.len(), prev_fused.len());
         let mut prev = prev_groups.into_iter().zip(prev_fused).peekable();
 
-        // A clean cluster kept its membership and first member, hence its
-        // key: it carries over exactly when it formed a group last time.
-        let records = &self.records;
+        // A cluster whose membership is unchanged since the installed
+        // revision has the same first member, hence the same key: it carries
+        // over exactly when it formed a group then. Comparing members (not
+        // the last ingest's dirty flags) keeps this exact across a replayed
+        // tail and any number of ingests since.
+        let corpus = Corpus {
+            structured: &ctx.structured_records[..self.seeded_structured],
+            text: &ctx.text_show_records[..self.seeded_text],
+            accepted: &self.accepted,
+        };
         let clusters = self.consolidator.clusters();
         let mut groups: Vec<FusionGroup> = Vec::with_capacity(clusters.len());
         let mut slots: Vec<Option<FusedEntity>> = Vec::with_capacity(clusters.len());
-        for (cluster, &dirty) in clusters.iter().zip(self.consolidator.dirty()) {
+        for cluster in clusters {
             let id = cluster[0];
             // Previous groups below this id were merged away or re-keyed.
             while prev.next_if(|((_, members), _)| members[0] < id).is_some() {}
-            if reuse && !dirty {
-                if let Some((group, entity)) = prev.next_if(|((_, m), _)| m[0] == id) {
-                    groups.push(group);
-                    slots.push(Some(entity));
-                }
+            if let Some((group, entity)) = prev.next_if(|((_, m), _)| m == cluster) {
+                groups.push(group);
+                slots.push(Some(entity));
                 continue;
             }
-            let Some(key) = cluster_key(&records[id], &self.config) else {
+            let Some(key) = cluster_key(corpus.get(id), &self.config) else {
                 continue;
             };
             groups.push((key, cluster.clone()));
@@ -223,7 +287,7 @@ impl ResidentSession {
             .collect();
         let mut resolved = todo
             .par_iter()
-            .map(|g| merge_group(records, g, &registry))
+            .map(|g| merge_group(|i| corpus.get(i), g, &registry))
             .collect::<Vec<_>>()
             .into_iter();
         let fused: Vec<FusedEntity> = slots

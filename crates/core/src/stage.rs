@@ -28,12 +28,14 @@ use rayon::prelude::*;
 
 use crate::catalog::{Catalog, SourceKind};
 use crate::config::DataTamerConfig;
+use crate::fusion::grouping::blocked_er;
 use crate::fusion::{
     merge_groups_with, FusedEntity, FusionGroup, GroupingReport, GroupingStrategy,
     ResolverRegistry, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
 };
 use crate::ingest::{IngestStats, TextIngestor};
 use crate::pipeline::{record_to_doc, GLOBAL_RECORDS_COLLECTION};
+use crate::resident::StagedEr;
 
 /// Canonical stage names, in canonical order.
 pub mod stage_names {
@@ -206,6 +208,10 @@ pub struct PipelineContext {
     /// replaces it, so ad-hoc re-fusion groups the way the context's fused
     /// output was grouped.
     pub grouping: GroupingStrategy,
+    /// The resident ER state the most recent staged blocked-ER
+    /// consolidation left for [`crate::DataTamer::consolidate_delta`] to
+    /// adopt; taken by the next delta, cleared by any other consolidation.
+    pub(crate) staged_er: Option<StagedEr>,
     runs: Vec<StageRun>,
 }
 
@@ -232,6 +238,7 @@ impl PipelineContext {
             fused: Vec::new(),
             fused_revision: 0,
             fused_changed: None,
+            staged_er: None,
             runs: Vec::new(),
         }
     }
@@ -614,7 +621,10 @@ impl PipelineStage for CleaningStage {
 /// key cannot reach. Built with an explicit strategy, or, by default,
 /// reading the context's strategy-in-effect
 /// ([`PipelineContext::grouping`]) at run time — mirroring
-/// [`FusionStage`]'s relationship to the resolver routing.
+/// [`FusionStage`]'s relationship to the resolver routing. Blocked ER is
+/// one ingest of the resident engine, which the stage leaves in the
+/// context for the next [`crate::DataTamer::consolidate_delta`] to adopt
+/// instead of consolidating the same corpus again.
 #[derive(Default)]
 pub struct EntityConsolidationStage {
     strategy: Option<GroupingStrategy>,
@@ -642,7 +652,24 @@ impl PipelineStage for EntityConsolidationStage {
 
         let threshold = ctx.config().fusion_threshold;
         let strategy = self.strategy.as_ref().unwrap_or(&ctx.grouping);
-        let (groups, blocking) = strategy.groups_with_report(&input, threshold);
+        let (groups, blocking) = match strategy {
+            GroupingStrategy::BlockedEr(config) => {
+                let (consolidator, groups, report) = blocked_er(&input, config);
+                ctx.staged_er = Some(StagedEr {
+                    consolidator,
+                    config: config.clone(),
+                    structured: ctx.structured_records.len(),
+                    text: ctx.text_show_records.len(),
+                    installed_revision: None,
+                });
+                (groups, report)
+            }
+            canonical => {
+                let grouped = canonical.groups_with_report(&input, threshold);
+                ctx.staged_er = None;
+                grouped
+            }
+        };
 
         let multi = groups.iter().filter(|(_, m)| m.len() > 1).count();
         let largest = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0);

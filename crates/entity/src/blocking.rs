@@ -181,7 +181,7 @@ impl Blocker {
 /// emit a self-pair `(i, i)` and inflate bucket sizes toward the cap.
 pub(crate) fn distinct_token_ids(interner: &mut TokenInterner, key: &str, ids: &mut Vec<u32>) {
     ids.clear();
-    for_each_token(key, |tok| ids.push(interner.intern(tok)));
+    for_each_token(key, |tok| ids.push(interner.intern_str(tok)));
     ids.sort_unstable();
     ids.dedup();
 }

@@ -5,7 +5,8 @@
 //! the expensive state **resident between runs** — the prepared
 //! [`ScoringContext`], the token blocking index (interned token-id
 //! buckets plus the full-key sort axis their progressive windows read), a
-//! memo of every pair decision ever made, and a persistent [`UnionFind`]
+//! memo of every decision a progressive window asked for, and a persistent
+//! [`UnionFind`]
 //! — so ingesting a delta batch costs O(delta), not O(corpus):
 //!
 //! 1. the batch extends the scoring context in place
@@ -36,9 +37,9 @@
 //!   two members apart — but the distance between two fixed members in a
 //!   sorted order is non-decreasing under insertion, so every old-old pair
 //!   inside the *current* window was inside the window (or the quadratic
-//!   core) of some earlier batch and its decision is already memoized.
-//!   Each batch therefore regenerates the window pair set of just the
-//!   touched oversized buckets, decides only the pairs the memo lacks, and
+//!   core) of some earlier batch, and decisions never change. Each batch
+//!   therefore regenerates the window pair set of just the touched
+//!   oversized buckets, decides only the pairs the memo lacks, and
 //!   *replaces* those buckets' accepted-window sets. The total accepted
 //!   set is the core ledger ∪ the window sets: exactly the accepted set a
 //!   full run computes. When a replacement
@@ -51,18 +52,24 @@
 //! records' prepared features (the records themselves stay with the
 //! caller, so the corpus exists once), the bucket membership lists, the
 //! core ledger and per-bucket window sets (one entry per *accepted*
-//! pair), and the decision memo (one accept/reject `bool` per candidate
-//! pair ever examined — what lets a regenerated window skip its old-old
-//! pairs;
-//! [`DeltaReport::memo_hits`] counts them). All of it is O(corpus +
-//! candidates), the same order as the records it derives from, so a cap
-//! on any one store bounds nothing the corpus does not already occupy,
-//! while evicting would cost a scan per batch and, for window slots,
-//! wholesale regeneration on the next one.
+//! pair), and the decision memo (one accept/reject `bool` per pair a
+//! progressive window ever proposed — what lets a regenerated window skip
+//! its old-old pairs; [`DeltaReport::memo_hits`] counts them). Core pairs
+//! are not memoized: each involves a record new to its batch, so none is
+//! proposed twice, except by a window once its bucket outgrows the cap —
+//! which decides its old-old pairs once, at |bucket| · window cost. All of
+//! it is O(corpus + candidates), the same order as the records it derives
+//! from, so a cap on any one store bounds nothing the corpus does not
+//! already occupy, while evicting would cost a scan per batch and, for
+//! window slots, wholesale regeneration on the next one.
 //!
-//! The batch pipeline stays the oracle: `tests/incremental_equivalence.rs`
-//! pins incremental-vs-full byte equality over random corpora, random
-//! batch splits, serial and 8-thread pools.
+//! A staged blocked-ER run is one [`IncrementalConsolidator::ingest`] of
+//! its whole corpus, and the delta path adopts that consolidator, so the
+//! batch engine ([`Blocker::candidates_with_report_keyed`] → prepare →
+//! accept → cluster) is the oracle: `tests/incremental_equivalence.rs`
+//! pins incremental-vs-full byte equality, and the full run's clusters
+//! against the batch engine, over random corpora, random batch splits,
+//! serial and 8-thread pools.
 
 use std::collections::HashMap;
 
@@ -78,7 +85,8 @@ use crate::pairsim::{PairScorer, ScoringContext};
 /// ingest work scaled with the batch, not the corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeltaReport {
-    /// Records in this batch.
+    /// Records in this batch. Through `DataTamer::consolidate_delta`, the
+    /// first call after a restart also counts the log tail it replays.
     pub batch_records: usize,
     /// Corpus size after the batch.
     pub total_records: usize,
@@ -109,7 +117,7 @@ pub struct DeltaReport {
 }
 
 /// Entity resolution with resident state: feed record batches with
-/// [`IncrementalConsolidator::ingest`], read the clusters (and which ones
+/// [`IncrementalConsolidator::ingest`], read the clusters (and how many
 /// changed) after each. Configuration mirrors the batch path — same
 /// [`Blocker`], same [`PairScorer`], same threshold — and the final
 /// clusters are byte-identical to one batch run over the concatenation.
@@ -133,9 +141,11 @@ pub struct IncrementalConsolidator {
     token_buckets: Vec<Vec<usize>>,
 
     /// Memoized accept decisions ([`ScoringContext::accepts`] at
-    /// `threshold`), keyed by packed `(i, j)` — valid forever because
-    /// context growth never changes a prepared feature. A score is only
-    /// ever compared with the threshold, so the bit is all that is kept.
+    /// `threshold`) of every pair a progressive window has proposed, keyed
+    /// by packed `(i, j)` — valid forever because context growth never
+    /// changes a prepared feature. Only a regenerated window proposes a
+    /// pair twice, so no other pair is kept; a score is only ever compared
+    /// with the threshold, so the bit is all that is kept.
     decisions: HashMap<u64, bool>,
     /// Monotone accepted pairs (quadratic cores): sorted, deduplicated,
     /// append-only across batches.
@@ -150,7 +160,6 @@ pub struct IncrementalConsolidator {
 
     uf: UnionFind,
     clusters: Vec<Vec<usize>>,
-    dirty: Vec<bool>,
     last_report: DeltaReport,
 }
 
@@ -171,7 +180,6 @@ impl IncrementalConsolidator {
             accepted: Vec::new(),
             uf: UnionFind::new(0),
             clusters: Vec::new(),
-            dirty: Vec::new(),
             last_report: DeltaReport::default(),
         }
     }
@@ -197,13 +205,6 @@ impl IncrementalConsolidator {
     /// A cluster's stable id is its smallest member index.
     pub fn clusters(&self) -> &[Vec<usize>] {
         &self.clusters
-    }
-
-    /// Parallel to [`IncrementalConsolidator::clusters`]: true when that
-    /// cluster's membership changed in the last batch (its fused entity
-    /// must be re-resolved; clean clusters can reuse the previous one).
-    pub fn dirty(&self) -> &[bool] {
-        &self.dirty
     }
 
     /// The last batch's [`DeltaReport`].
@@ -270,13 +271,12 @@ impl IncrementalConsolidator {
         new_core.sort_unstable();
         new_core.dedup();
 
-        // 3. Decide what the memo lacks (pure per-pair work → rayon), then
-        //    commit sequentially so the memo stays deterministic.
-        let mut candidates: Vec<u64> = new_core
-            .iter()
-            .chain(window_updates.iter().flat_map(|(_, pairs)| pairs.iter()))
-            .copied()
-            .collect();
+        // 3. Decide what the memo lacks (pure per-pair work → rayon).
+        let mut windowed: Vec<u64> =
+            window_updates.iter().flat_map(|(_, pairs)| pairs.iter().copied()).collect();
+        windowed.sort_unstable();
+        windowed.dedup();
+        let mut candidates: Vec<u64> = new_core.iter().chain(&windowed).copied().collect();
         candidates.sort_unstable();
         candidates.dedup();
         let candidate_pairs = candidates.len();
@@ -285,6 +285,7 @@ impl IncrementalConsolidator {
             .copied()
             .filter(|p| !self.decisions.contains_key(p))
             .collect();
+        // Sorted by pair, as `to_decide` is.
         let decided: Vec<(u64, bool)> = to_decide
             .par_iter()
             .map(|&p| {
@@ -293,17 +294,25 @@ impl IncrementalConsolidator {
             })
             .collect();
         let scored_pairs = decided.len();
-        self.decisions.extend(decided);
 
         // 4. Fold accepted pairs into the ledger and the window sets.
-        let decisions = &self.decisions;
-        self.core_accepted.extend(new_core.iter().filter(|p| decisions[p]));
+        let memo = &self.decisions;
+        let accepts = |p: &u64| match decided.binary_search_by_key(p, |&(q, _)| q) {
+            Ok(k) => decided[k].1,
+            Err(_) => memo[p],
+        };
+        self.core_accepted.extend(new_core.iter().filter(|p| accepts(p)));
         self.core_accepted.sort_unstable();
         self.core_accepted.dedup();
         for (id, pairs) in window_updates {
-            let kept: Vec<u64> = pairs.into_iter().filter(|p| decisions[p]).collect();
+            let kept: Vec<u64> = pairs.into_iter().filter(|p| accepts(p)).collect();
             self.window_token.insert(id, kept);
         }
+        // Memoize window pairs only: a core pair involves a record new to
+        // this batch, so no later batch proposes it again except inside a
+        // regenerated window, where it is decided once more and kept.
+        self.decisions
+            .extend(decided.into_iter().filter(|(p, _)| windowed.binary_search(p).is_ok()));
         let mut accepted: Vec<u64> = self
             .core_accepted
             .iter()
@@ -337,17 +346,18 @@ impl IncrementalConsolidator {
         }
         self.accepted = accepted;
 
-        // 6. Re-materialise clusters; mark dirty where membership changed
-        //    (stable id = smallest member).
-        let prev: HashMap<usize, Vec<usize>> =
-            self.clusters.drain(..).map(|c| (c[0], c)).collect();
-        self.clusters = self.uf.clusters();
-        self.dirty = self
+        // 6. Re-materialise clusters; count those whose membership changed,
+        //    merge-walking both lists in stable-id (smallest member) order.
+        let prev = std::mem::replace(&mut self.clusters, self.uf.clusters());
+        let mut prev = prev.iter().peekable();
+        let dirty_clusters = self
             .clusters
             .iter()
-            .map(|c| prev.get(&c[0]) != Some(c))
-            .collect();
-        let dirty_clusters = self.dirty.iter().filter(|d| **d).count();
+            .filter(|c| {
+                while prev.next_if(|p| p[0] < c[0]).is_some() {}
+                prev.next_if(|p| p == c).is_none()
+            })
+            .count();
 
         self.last_report = DeltaReport {
             batch_records: batch.len(),
@@ -535,6 +545,32 @@ mod tests {
     }
 
     #[test]
+    fn only_window_pairs_are_memoized() {
+        // No bucket outgrows the default cap: no pair can be proposed
+        // twice, so nothing is kept.
+        let names = names();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut inc = consolidator();
+        assert!(inc.ingest(&corpus(&refs)).candidate_pairs > 0);
+        assert!(inc.decisions.is_empty());
+
+        // One oversized bucket whose first members lie far apart in the
+        // sort axis: its window pairs are kept, the other core pairs not.
+        let names: Vec<String> = (0..40).map(|i| format!("show {:02}", (i * 7) % 40)).collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut inc = IncrementalConsolidator::new(
+            Blocker::new("name").with_bucket_cap(8),
+            PairScorer::Rules(RecordSimilarity::default()),
+            0.85,
+        );
+        let report = inc.ingest(&corpus(&refs));
+        let windows = 40 * (crate::blocking::PROGRESSIVE_WINDOW - 1)
+            - (crate::blocking::PROGRESSIVE_WINDOW - 1) * crate::blocking::PROGRESSIVE_WINDOW / 2;
+        assert_eq!(inc.decisions.len(), windows, "{report:?}");
+        assert!(report.candidate_pairs > windows, "the core adds pairs: {report:?}");
+    }
+
+    #[test]
     fn delta_probes_only_touched_buckets_and_reuses_scores() {
         let names = names();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -570,20 +606,17 @@ mod tests {
     fn dirty_flags_track_membership_changes_exactly() {
         let records = corpus(&["matilda musical", "wicked broadway", "annie show"]);
         let mut inc = consolidator();
-        inc.ingest(&records);
+        assert_eq!(inc.ingest(&records).dirty_clusters, 3, "first batch: everything new");
         let before: Vec<Vec<usize>> = inc.clusters().to_vec();
-        assert!(inc.dirty().iter().all(|d| *d), "first batch: everything new");
 
         // A near-duplicate of "matilda musical" joins cluster 0; the
         // other clusters must come back clean.
-        inc.ingest(&[rec(3, "Matilda Musical")]);
+        let delta = inc.ingest(&[rec(3, "Matilda Musical")]);
         let after = inc.clusters();
         assert!(after[0].contains(&3), "{after:?}");
-        for (c, d) in after.iter().zip(inc.dirty()) {
-            let changed = !before.contains(c);
-            assert_eq!(*d, changed, "cluster {c:?}");
-        }
-        assert!(inc.dirty().iter().filter(|d| **d).count() < after.len());
+        let changed = after.iter().filter(|c| !before.contains(c)).count();
+        assert_eq!((delta.dirty_clusters, delta.reused_clusters), (changed, after.len() - changed));
+        assert!(changed < after.len());
     }
 
     #[test]

@@ -334,7 +334,7 @@ impl PreparedRules {
                 let numericish = parse_numericish(&text);
                 let lower = text.to_lowercase();
                 tok_buf.clear();
-                sim::for_each_token(&lower, |tok| tok_buf.push(self.tokens.intern(tok)));
+                sim::for_each_token(&lower, |tok| tok_buf.push(self.tokens.intern_str(tok)));
                 tok_buf.sort_unstable();
                 tok_buf.dedup();
                 let tok_start = self.token_arena.len();

@@ -46,6 +46,7 @@ use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::ast::{
     Aggregate, AttrSource, Order, Predicate, Query, QueryResult, Row, CONFIDENCE_ATTR, KEY_ATTR,
@@ -106,15 +107,16 @@ pub struct SnapshotStats {
     pub counters: Vec<(String, u64)>,
 }
 
-/// An immutable, query-ready copy of a collection: entities + their
-/// cluster ids + secondary indexes. Cheap to share behind an `Arc`;
-/// readers never block ingest.
+/// An immutable, query-ready state of a collection: entities + their
+/// cluster ids + secondary indexes, shared with the view it was taken
+/// from rather than copied (see [`crate::view`]). Cheap to share behind an
+/// `Arc`; readers never block ingest.
 #[derive(Debug, Clone)]
 pub struct CollectionSnapshot {
-    entities: Vec<FusedEntity>,
-    cluster_ids: Vec<usize>,
+    entities: Arc<[FusedEntity]>,
+    cluster_ids: Arc<[usize]>,
     /// cluster id → row position; probed only, never iterated.
-    pos: HashMap<usize, u32, FnvBuildHasher>,
+    pos: Arc<HashMap<usize, u32, FnvBuildHasher>>,
     indexes: EntityIndexes,
     stats: SnapshotStats,
 }
@@ -122,9 +124,9 @@ pub struct CollectionSnapshot {
 impl CollectionSnapshot {
     /// Assemble from view parts.
     pub(crate) fn assemble(
-        entities: Vec<FusedEntity>,
-        cluster_ids: Vec<usize>,
-        pos: HashMap<usize, u32, FnvBuildHasher>,
+        entities: Arc<[FusedEntity]>,
+        cluster_ids: Arc<[usize]>,
+        pos: Arc<HashMap<usize, u32, FnvBuildHasher>>,
         indexes: EntityIndexes,
         stats: SnapshotStats,
     ) -> Self {

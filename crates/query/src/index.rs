@@ -6,8 +6,7 @@
 //!   postings that is only ever probed, never iterated, so nothing
 //!   observable depends on its order; keys whose postings empty are
 //!   dropped rather than kept as tombstones.
-//! * [`OrderedIndex`] — `BTreeMap`-backed range probes in `total_cmp`
-//!   key order.
+//! * [`OrderedIndex`] — range probes over keys in `total_cmp` order.
 //!
 //! [`EntityIndexes`] bundles one index per configured attribute and keeps
 //! a reverse map from cluster id to the exact entries it contributed, so
@@ -15,13 +14,23 @@
 //! O(its own entries) — no rebuild. Postings store *cluster ids* (stable
 //! across delta ingests: the smallest member record index of the group),
 //! which the owning view translates to current row positions.
+//!
+//! **Shared, not copied.** Every map here lives in `Arc`-shared segments:
+//! the hash-keyed maps in 256 segments chosen by key hash, the ordered
+//! index in runs of at most 128 consecutive keys. Cloning an
+//! [`EntityIndexes`] — what a snapshot does — copies segment pointers, and
+//! a later write copies only the segments it touches while a snapshot
+//! still shares them (`Arc::make_mut`). A delta that reindexes a few dozen
+//! clusters therefore copies a few dozen small segments, not the indexes.
 
 use datatamer_core::fusion::FusedEntity;
 use datatamer_model::{AttrKey, Value};
 use datatamer_sim::FnvBuildHasher;
 use rayon::prelude::*;
-use std::collections::{btree_map, BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::ast::{AttrSource, Order};
 
@@ -31,9 +40,9 @@ use crate::ast::{AttrSource, Order};
 pub struct IndexMaintenance {
     /// From-scratch builds (initial sync, or shape changes).
     pub full_builds: u64,
-    /// Incremental syncs driven by a dirty-cluster set.
+    /// Incremental syncs (every sync after the first).
     pub delta_syncs: u64,
-    /// Clusters unindexed + reindexed because a delta dirtied them.
+    /// Clusters unindexed + reindexed because their entries changed.
     pub clusters_reindexed: u64,
     /// Clusters dropped because they vanished from the fused set.
     pub clusters_removed: u64,
@@ -60,34 +69,96 @@ impl IndexMaintenance {
     }
 }
 
+/// Segments per hash-keyed map: a delta's few dozen touched keys land in
+/// as many small segments, so a write behind a live snapshot copies ~1/256
+/// of the map per touched key.
+const SEGMENTS: usize = 256;
+
+/// A hash map split into `SEGMENTS` `Arc`-shared segments by key hash
+/// (bits 32..40 of the FNV hash: the low bits pick buckets and the top
+/// bits tag slots inside each segment's own table). Probed, never
+/// iterated, so nothing observable depends on segment or slot order.
+#[derive(Debug, Clone)]
+struct SegmentedMap<K, V> {
+    segments: Vec<Segment<K, V>>,
+}
+
+/// One shared segment of a [`SegmentedMap`].
+type Segment<K, V> = Arc<HashMap<K, V, FnvBuildHasher>>;
+
+impl<K: Hash + Eq + Clone, V: Clone> SegmentedMap<K, V> {
+    fn new() -> Self {
+        // One empty map shared by every segment until its first write.
+        let empty: Segment<K, V> = Arc::default();
+        SegmentedMap { segments: vec![empty; SEGMENTS] }
+    }
+
+    fn segment(key: &K) -> usize {
+        (FnvBuildHasher::default().hash_one(key) >> 32) as usize % SEGMENTS
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        self.segments[Self::segment(key)].get(key)
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
+        self.segments[Self::segment(key)].contains_key(key)
+    }
+
+    /// The segment holding `key`, unshared first (copied if a snapshot
+    /// still holds it).
+    fn segment_mut(&mut self, key: &K) -> &mut HashMap<K, V, FnvBuildHasher> {
+        Arc::make_mut(&mut self.segments[Self::segment(key)])
+    }
+
+    fn insert(&mut self, key: K, value: V) {
+        self.segment_mut(&key).insert(key, value);
+    }
+
+    /// Remove `key`; its segment is only copied when it holds the key.
+    fn remove(&mut self, key: &K) -> Option<V> {
+        if !self.contains_key(key) {
+            return None;
+        }
+        self.segment_mut(key).remove(key)
+    }
+
+    fn len(&self) -> usize {
+        self.segments.iter().map(|s| s.len()).sum()
+    }
+}
+
 /// Equality index: key → sorted cluster-id postings.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HashIndex {
-    /// Only live keys: a key whose postings empty is removed. Probed,
-    /// never iterated.
-    map: HashMap<AttrKey, Vec<usize>, FnvBuildHasher>,
+    /// Only live keys: a key whose postings empty is removed.
+    map: SegmentedMap<AttrKey, Vec<usize>>,
+}
+
+impl Default for HashIndex {
+    fn default() -> Self {
+        HashIndex { map: SegmentedMap::new() }
+    }
 }
 
 impl HashIndex {
     fn insert(&mut self, key: AttrKey, cid: usize) {
-        let postings = self.map.entry(key).or_default();
+        let postings = self.map.segment_mut(&key).entry(key).or_default();
         if let Err(pos) = postings.binary_search(&cid) {
             postings.insert(pos, cid);
         }
     }
 
+    /// Only a segment that holds `(key, cid)` is unshared.
     fn remove(&mut self, key: &AttrKey, cid: usize) {
-        let emptied = match self.map.get_mut(key) {
-            Some(postings) => {
-                if let Ok(pos) = postings.binary_search(&cid) {
-                    postings.remove(pos);
-                }
-                postings.is_empty()
-            }
-            None => false,
+        let Some(pos) = self.map.get(key).and_then(|p| p.binary_search(&cid).ok()) else {
+            return;
         };
-        if emptied {
-            self.map.remove(key);
+        let segment = self.map.segment_mut(key);
+        let postings = segment.get_mut(key).expect("held above");
+        postings.remove(pos);
+        if postings.is_empty() {
+            segment.remove(key);
         }
     }
 
@@ -102,46 +173,108 @@ impl HashIndex {
     }
 }
 
-/// Ordered index: `BTreeMap` in `total_cmp` key order for range probes.
+/// Keys per ordered-index chunk after a split; a chunk splits when it
+/// passes twice this.
+const CHUNK_KEYS: usize = 64;
+
+/// One run of consecutive keys with their sorted postings.
+type Chunk = Vec<(AttrKey, Vec<usize>)>;
+
+/// Ordered index: keys in `total_cmp` order for range probes, stored as a
+/// sorted run of `Arc`-shared chunks (never empty) — a two-level B-tree
+/// whose leaves a snapshot shares.
 #[derive(Debug, Clone, Default)]
 pub struct OrderedIndex {
-    map: BTreeMap<AttrKey, Vec<usize>>,
+    chunks: Vec<Arc<Chunk>>,
 }
 
 impl OrderedIndex {
+    /// The chunk `key` belongs in: the first whose last key is not below
+    /// it, else the last chunk.
+    fn chunk_of(&self, key: &AttrKey) -> usize {
+        let i = self.chunks.partition_point(|c| c[c.len() - 1].0 < *key);
+        i.min(self.chunks.len().saturating_sub(1))
+    }
+
     fn insert(&mut self, key: AttrKey, cid: usize) {
-        let postings = self.map.entry(key).or_default();
-        if let Err(pos) = postings.binary_search(&cid) {
-            postings.insert(pos, cid);
+        if self.chunks.is_empty() {
+            self.chunks.push(Arc::new(vec![(key, vec![cid])]));
+            return;
+        }
+        let i = self.chunk_of(&key);
+        let chunk = Arc::make_mut(&mut self.chunks[i]);
+        match chunk.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(at) => {
+                let postings = &mut chunk[at].1;
+                if let Err(pos) = postings.binary_search(&cid) {
+                    postings.insert(pos, cid);
+                }
+            }
+            Err(at) => {
+                chunk.insert(at, (key, vec![cid]));
+                if chunk.len() > 2 * CHUNK_KEYS {
+                    let upper = chunk.split_off(chunk.len() / 2);
+                    self.chunks.insert(i + 1, Arc::new(upper));
+                }
+            }
         }
     }
 
     fn remove(&mut self, key: &AttrKey, cid: usize) {
-        let emptied = match self.map.get_mut(key) {
-            Some(postings) => {
-                if let Ok(pos) = postings.binary_search(&cid) {
-                    postings.remove(pos);
-                }
-                postings.is_empty()
-            }
-            None => false,
+        if self.chunks.is_empty() {
+            return;
+        }
+        let i = self.chunk_of(key);
+        let Ok(at) = self.chunks[i].binary_search_by(|(k, _)| k.cmp(key)) else {
+            return;
         };
-        if emptied {
-            self.map.remove(key);
+        let Ok(pos) = self.chunks[i][at].1.binary_search(&cid) else {
+            return;
+        };
+        let chunk = Arc::make_mut(&mut self.chunks[i]);
+        chunk[at].1.remove(pos);
+        if chunk[at].1.is_empty() {
+            chunk.remove(at);
+            if chunk.is_empty() {
+                self.chunks.remove(i);
+            }
         }
     }
 
-    fn span(
-        &self,
+    /// Where the first key not satisfying `before` sits, as (chunk,
+    /// offset); `before` must hold for a prefix of the keys in order.
+    fn position(&self, before: impl Fn(&AttrKey) -> bool) -> (usize, usize) {
+        let ci = self.chunks.partition_point(|c| before(&c[c.len() - 1].0));
+        match self.chunks.get(ci) {
+            Some(c) => (ci, c.partition_point(|(k, _)| before(k))),
+            None => (ci, 0),
+        }
+    }
+
+    fn span<'a>(
+        &'a self,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
-    ) -> btree_map::Range<'_, AttrKey, Vec<usize>> {
-        let wrap = |b: Bound<&Value>| match b {
-            Bound::Included(v) => Bound::Included(AttrKey(v.clone())),
-            Bound::Excluded(v) => Bound::Excluded(AttrKey(v.clone())),
-            Bound::Unbounded => Bound::Unbounded,
+    ) -> impl DoubleEndedIterator<Item = &'a (AttrKey, Vec<usize>)> + 'a {
+        let cmp = |k: &AttrKey, v: &Value| k.value().total_cmp(v);
+        let start = match lo {
+            Bound::Included(v) => self.position(|k| cmp(k, v).is_lt()),
+            Bound::Excluded(v) => self.position(|k| cmp(k, v).is_le()),
+            Bound::Unbounded => (0, 0),
         };
-        self.map.range((wrap(lo), wrap(hi)))
+        let end = match hi {
+            Bound::Included(v) => self.position(|k| cmp(k, v).is_le()),
+            Bound::Excluded(v) => self.position(|k| cmp(k, v).is_lt()),
+            Bound::Unbounded => (self.chunks.len(), 0),
+        };
+        let ((si, so), (ei, eo)) = (start, end);
+        let n = self.chunks.len();
+        self.chunks[si.min(n)..(ei + 1).min(n)].iter().enumerate().flat_map(move |(j, c)| {
+            let j = j + si;
+            let from = if j == si { so } else { 0 };
+            let to = if j == ei { eo } else { c.len() };
+            c[from.min(to)..to].iter()
+        })
     }
 
     /// Cluster ids whose key falls in the bounds, in key order (sorted
@@ -168,7 +301,7 @@ impl OrderedIndex {
 
     /// Number of distinct keys.
     pub fn keys(&self) -> usize {
-        self.map.len()
+        self.chunks.iter().map(|c| c.len()).sum()
     }
 }
 
@@ -181,22 +314,23 @@ enum Family {
 
 /// One `(index, key)` contribution of a cluster — remembered for exact
 /// removal when the cluster dirties.
-#[derive(Debug, Clone)]
-struct IndexEntry {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct IndexEntry {
     family: Family,
     idx: u32,
     key: AttrKey,
 }
 
-/// All secondary indexes of one collection view.
-#[derive(Debug, Clone, Default)]
+/// All secondary indexes of one collection view. Cloning copies segment
+/// pointers, not entries (see the module docs).
+#[derive(Debug, Clone)]
 pub struct EntityIndexes {
     hash_attrs: Vec<String>,
     ordered_attrs: Vec<String>,
     hash: Vec<HashIndex>,
     ordered: Vec<OrderedIndex>,
     /// cluster id → entries it contributed; never iterated, only probed.
-    entries: HashMap<usize, Vec<IndexEntry>, FnvBuildHasher>,
+    entries: SegmentedMap<usize, Vec<IndexEntry>>,
     maint: IndexMaintenance,
 }
 
@@ -210,7 +344,7 @@ impl EntityIndexes {
             ordered_attrs,
             hash,
             ordered,
-            entries: HashMap::default(),
+            entries: SegmentedMap::new(),
             maint: IndexMaintenance::default(),
         }
     }
@@ -237,7 +371,7 @@ impl EntityIndexes {
     /// Every entry `entity` contributes, extracted once (multikey: each
     /// array element becomes its own key). Pure, so views run it
     /// rayon-parallel across entities before inserting sequentially.
-    fn extract(&self, entity: &FusedEntity) -> Vec<IndexEntry> {
+    pub(crate) fn extract(&self, entity: &FusedEntity) -> Vec<IndexEntry> {
         let mut out = Vec::new();
         let mut vals = Vec::new();
         for (i, attr) in self.hash_attrs.iter().enumerate() {
@@ -270,8 +404,19 @@ impl EntityIndexes {
 
     /// Index a cluster's entity (replacing any previous contribution).
     pub fn insert_cluster(&mut self, cid: usize, entity: &FusedEntity) {
+        self.refresh_cluster(cid, self.extract(entity));
+    }
+
+    /// Replace the cluster's entries with `extracted` (from
+    /// [`EntityIndexes::extract`]) unless they are already exactly those;
+    /// returns whether anything was rewritten.
+    pub(crate) fn refresh_cluster(&mut self, cid: usize, extracted: Vec<IndexEntry>) -> bool {
+        if self.entries.get(&cid) == Some(&extracted) {
+            return false;
+        }
         self.remove_cluster(cid);
-        self.apply(cid, self.extract(entity));
+        self.apply(cid, extracted);
+        true
     }
 
     /// Drop every entry the cluster contributed. Returns whether it was
@@ -319,6 +464,8 @@ impl EntityIndexes {
 mod tests {
     use super::*;
     use datatamer_model::{Record, RecordId, SourceId};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn entity(key: &str, price: i64) -> FusedEntity {
         FusedEntity {
@@ -404,5 +551,142 @@ mod tests {
             inc.ordered_index("PRICE").unwrap().range(Bound::Unbounded, Bound::Unbounded),
             full.ordered_index("PRICE").unwrap().range(Bound::Unbounded, Bound::Unbounded),
         );
+    }
+
+    #[test]
+    fn empty_and_inverted_ranges_are_empty_not_a_panic() {
+        let mut ix = OrderedIndex::default();
+        for k in 0..300 {
+            ix.insert(AttrKey(Value::Int(k)), k as usize);
+        }
+        let (five, nine) = (Value::Int(5), Value::Int(9));
+        assert!(ix.range(Bound::Excluded(&five), Bound::Excluded(&five)).is_empty());
+        assert!(ix.range(Bound::Included(&nine), Bound::Included(&five)).is_empty());
+        assert_eq!(ix.groups(Bound::Excluded(&nine), Bound::Excluded(&five), Order::Desc).count(), 0);
+        assert_eq!(ix.range(Bound::Included(&five), Bound::Included(&five)), vec![5]);
+    }
+
+    #[test]
+    fn segments_spread_sequential_cluster_ids() {
+        // Cluster ids are small consecutive integers; bits 32..40 of their
+        // FNV hash must still spread them, or one segment takes every write.
+        let mut hit = vec![0usize; SEGMENTS];
+        for cid in 0..8_000usize {
+            hit[SegmentedMap::<usize, ()>::segment(&cid)] += 1;
+        }
+        assert!(hit.iter().all(|&n| n > 0 && n < 8_000 / SEGMENTS * 3), "{hit:?}");
+    }
+
+    /// Model of both index kinds: key → sorted, deduplicated cluster ids.
+    type Model = BTreeMap<AttrKey, BTreeSet<usize>>;
+
+    fn key_of(k: u16) -> AttrKey {
+        // Ints, floats that tie with them (`Int(3)` = `Float(3.0)`), and a
+        // second type family.
+        AttrKey(match k % 5 {
+            0 | 1 => Value::Int(i64::from(k / 5)),
+            2 => Value::Float(f64::from(k / 5)),
+            3 => Value::Float(f64::from(k / 5) + 0.5),
+            _ => Value::from(format!("s{:03}", k / 5)),
+        })
+    }
+
+    fn bound(b: u8, v: &Value) -> Bound<&Value> {
+        match b % 3 {
+            0 => Bound::Included(v),
+            1 => Bound::Excluded(v),
+            _ => Bound::Unbounded,
+        }
+    }
+
+    fn model_groups(model: &Model, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<(Value, Vec<usize>)> {
+        let inside = |k: &AttrKey| {
+            let above = match lo {
+                Bound::Included(v) => k.value().total_cmp(v).is_ge(),
+                Bound::Excluded(v) => k.value().total_cmp(v).is_gt(),
+                Bound::Unbounded => true,
+            };
+            let below = match hi {
+                Bound::Included(v) => k.value().total_cmp(v).is_le(),
+                Bound::Excluded(v) => k.value().total_cmp(v).is_lt(),
+                Bound::Unbounded => true,
+            };
+            above && below
+        };
+        model
+            .iter()
+            .filter(|(k, _)| inside(k))
+            .map(|(k, cids)| (k.value().clone(), cids.iter().copied().collect()))
+            .collect()
+    }
+
+    fn check(ordered: &OrderedIndex, hash: &HashIndex, model: &Model, probes: &[(u16, u8, u16, u8)]) {
+        assert_eq!(ordered.keys(), model.len());
+        assert_eq!(hash.keys(), model.len());
+        assert!(ordered.chunks.iter().all(|c| !c.is_empty() && c.len() <= 2 * CHUNK_KEYS));
+        for (k, cids) in model {
+            assert_eq!(hash.lookup(k.value()), cids.iter().copied().collect::<Vec<_>>());
+        }
+        for &(a, ab, b, bb) in probes {
+            let (va, vb) = (key_of(a).0, key_of(b).0);
+            let (lo, hi) = (bound(ab, &va), bound(bb, &vb));
+            if matches!((lo, hi), (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) if x.total_cmp(y).is_gt())
+            {
+                continue; // an inverted range, which no planner emits
+            }
+            let want = model_groups(model, lo, hi);
+            let walk = |order| -> Vec<(Value, Vec<usize>)> {
+                ordered.groups(lo, hi, order).map(|(k, p)| (k.clone(), p.to_vec())).collect()
+            };
+            assert_eq!(walk(Order::Asc), want);
+            let mut desc = walk(Order::Desc);
+            desc.reverse();
+            assert_eq!(desc, want);
+            let flat: Vec<usize> = want.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+            assert_eq!(ordered.range(lo, hi), flat);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Both index kinds equal a `BTreeMap` model under random inserts
+        // and removals — through chunk splits and emptied chunks — and a
+        // clone taken midway (what a snapshot holds) keeps answering as of
+        // that moment while the original goes on changing under it.
+        #[test]
+        fn indexes_match_a_model_and_clones_are_isolated(
+            ops in prop::collection::vec((any::<bool>(), 0u16..1_500, 0usize..40), 1..1_200),
+            split in any::<u16>(),
+            probes in prop::collection::vec((0u16..1_500, any::<u8>(), 0u16..1_500, any::<u8>()), 8),
+        ) {
+            let (mut ordered, mut hash) = (OrderedIndex::default(), HashIndex::default());
+            let mut model = Model::new();
+            let mid = usize::from(split) % ops.len();
+            let mut frozen = None;
+            for (i, &(insert, k, cid)) in ops.iter().enumerate() {
+                if i == mid {
+                    frozen = Some((ordered.clone(), hash.clone(), model.clone()));
+                }
+                let key = key_of(k);
+                if insert {
+                    ordered.insert(key.clone(), cid);
+                    hash.insert(key.clone(), cid);
+                    model.entry(key).or_default().insert(cid);
+                } else {
+                    ordered.remove(&key, cid);
+                    hash.remove(&key, cid);
+                    if let Some(cids) = model.get_mut(&key) {
+                        cids.remove(&cid);
+                        if cids.is_empty() {
+                            model.remove(&key);
+                        }
+                    }
+                }
+            }
+            check(&ordered, &hash, &model, &probes);
+            let (ordered, hash, model) = frozen.expect("mid < ops.len()");
+            check(&ordered, &hash, &model, &probes);
+        }
     }
 }

@@ -4,23 +4,31 @@
 //! [`CollectionView`] owns the entities, their stable cluster ids, and the
 //! secondary indexes. [`CollectionView::sync`] accepts the pipeline's
 //! current `(fused, fusion_groups)` plus an optional per-group dirty
-//! bitmap (`changed`): with a bitmap, only dirtied and vanished clusters
-//! are reindexed — the common delta-ingest case — and untouched clusters
-//! keep their index entries verbatim; without one, the view rebuilds.
+//! bitmap (`changed`): with a bitmap, only dirtied, new and vanished
+//! clusters are looked at — the common delta-ingest case — and untouched
+//! clusters keep their index entries verbatim; without one (a batch run,
+//! a publish that skipped revisions), every cluster's entries are
+//! compared with the stored ones. Only the first sync builds from scratch.
 //! Cluster id = smallest member record index of the group, which
 //! `IncrementalConsolidator` keeps stable across deltas.
 //!
-//! [`CollectionView::snapshot`] clones the current state into an immutable
-//! [`CollectionSnapshot`] (entities +
-//! cluster ids + indexes) that readers query without locks while the view
-//! keeps ingesting.
+//! [`CollectionView::snapshot`] hands readers an immutable
+//! [`CollectionSnapshot`] (entities + cluster ids + indexes) that they
+//! query without locks while the view keeps ingesting. It shares instead
+//! of copying: the entity rows, cluster ids and position map are `Arc`s
+//! that each sync replaces wholesale, and the indexes live in `Arc`-shared
+//! segments that the next sync copies only where it writes (see
+//! [`crate::index`]). A snapshot costs O(index segments) pointer copies,
+//! whatever the collection size.
 
 use datatamer_core::fusion::{FusedEntity, FusionGroup};
 use datatamer_sim::FnvBuildHasher;
+use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::exec::{CollectionSnapshot, SnapshotStats};
-use crate::index::EntityIndexes;
+use crate::index::{EntityIndexes, IndexEntry};
 
 /// Which attributes get which index flavour.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,11 +64,11 @@ impl IndexSpec {
 #[derive(Debug, Clone)]
 pub struct CollectionView {
     spec: IndexSpec,
-    entities: Vec<FusedEntity>,
+    entities: Arc<[FusedEntity]>,
     /// Stable cluster id per row (parallel to `entities`).
-    cluster_ids: Vec<usize>,
+    cluster_ids: Arc<[usize]>,
     /// cluster id → row position; probed, never iterated.
-    pos: HashMap<usize, u32, FnvBuildHasher>,
+    pos: Arc<HashMap<usize, u32, FnvBuildHasher>>,
     indexes: EntityIndexes,
     revision: u64,
 }
@@ -71,9 +79,9 @@ impl CollectionView {
         let indexes = EntityIndexes::new(spec.hash.clone(), spec.ordered.clone());
         CollectionView {
             spec,
-            entities: Vec::new(),
-            cluster_ids: Vec::new(),
-            pos: HashMap::default(),
+            entities: Arc::new([]),
+            cluster_ids: Arc::new([]),
+            pos: Arc::default(),
             indexes,
             revision: 0,
         }
@@ -101,11 +109,15 @@ impl CollectionView {
 
     /// Bring the view up to date with the pipeline's fused output.
     ///
-    /// `changed[i]` says group `i` was re-resolved since the last sync
-    /// (the delta path's dirty set). `None` — or a bitmap whose length
-    /// does not match `groups` — forces a full rebuild. Incremental sync
-    /// removes vanished clusters, reindexes dirty or new ones, and counts
-    /// the rest as reused without touching their entries.
+    /// The first sync builds the indexes. Every later one is incremental:
+    /// it removes vanished clusters and rewrites the index entries of a
+    /// cluster only when they differ from the ones it holds. `changed[i]`
+    /// says group `i` was re-resolved since the last sync (the delta path's
+    /// dirty set), so only those and new clusters are examined; `None` — or
+    /// a bitmap whose length does not match `groups`, as after a publish
+    /// that skipped revisions — examines every cluster: each entity's
+    /// entries are extracted and compared with the stored ones, which is
+    /// exact because a cluster's entries are all the indexes hold for it.
     pub fn sync(
         &mut self,
         fused: &[FusedEntity],
@@ -116,56 +128,54 @@ impl CollectionView {
         let n = fused.len().min(groups.len());
         let cids: Vec<usize> =
             groups[..n].iter().map(|(_, members)| members.first().copied().unwrap_or(0)).collect();
+        let mut pos: HashMap<usize, u32, FnvBuildHasher> = HashMap::default();
+        for (row, &cid) in cids.iter().enumerate() {
+            pos.insert(cid, row as u32);
+        }
 
-        match changed {
-            Some(dirty) if dirty.len() == n && self.revision > 0 => {
-                self.indexes.maint_mut().delta_syncs += 1;
-                // Drop clusters that no longer exist, scanning the *previous*
-                // id vector (deterministic order; the pos map is never iterated).
-                let mut live: Vec<bool> = vec![false; self.cluster_ids.len()];
-                let mut new_pos: HashMap<usize, u32, FnvBuildHasher> = HashMap::default();
-                for (row, &cid) in cids.iter().enumerate() {
-                    new_pos.insert(cid, row as u32);
+        if self.revision == 0 {
+            self.indexes.maint_mut().full_builds += 1;
+            let pairs: Vec<(usize, &FusedEntity)> =
+                cids.iter().copied().zip(fused[..n].iter()).collect();
+            self.indexes.rebuild(&pairs);
+        } else {
+            self.indexes.maint_mut().delta_syncs += 1;
+            // Drop clusters that no longer exist, scanning the *previous*
+            // id vector (deterministic order; the pos map is never iterated).
+            for &cid in self.cluster_ids.iter() {
+                if !pos.contains_key(&cid) && self.indexes.remove_cluster(cid) {
+                    self.indexes.maint_mut().clusters_removed += 1;
                 }
-                for (old_row, &cid) in self.cluster_ids.iter().enumerate() {
-                    live[old_row] = new_pos.contains_key(&cid);
-                }
-                for (old_row, &cid) in self.cluster_ids.iter().enumerate() {
-                    if !live[old_row] && self.indexes.remove_cluster(cid) {
-                        self.indexes.maint_mut().clusters_removed += 1;
-                    }
-                }
-                for (i, &cid) in cids.iter().enumerate() {
-                    if dirty[i] || !self.indexes.contains_cluster(cid) {
-                        self.indexes.insert_cluster(cid, &fused[i]);
-                        self.indexes.maint_mut().clusters_reindexed += 1;
-                    } else {
-                        self.indexes.maint_mut().clusters_reused += 1;
-                    }
-                }
-                self.pos = new_pos;
             }
-            _ => {
-                self.indexes.maint_mut().full_builds += 1;
-                let pairs: Vec<(usize, &FusedEntity)> =
-                    cids.iter().copied().zip(fused[..n].iter()).collect();
-                self.indexes.rebuild(&pairs);
-                let mut pos: HashMap<usize, u32, FnvBuildHasher> = HashMap::default();
-                for (row, &cid) in cids.iter().enumerate() {
-                    pos.insert(cid, row as u32);
+            let dirty = changed.filter(|d| d.len() == n);
+            let indexes = &self.indexes;
+            let fresh: Vec<Option<Vec<IndexEntry>>> = (0..n)
+                .into_par_iter()
+                .map(|i| {
+                    let examine =
+                        dirty.is_none_or(|d| d[i] || !indexes.contains_cluster(cids[i]));
+                    examine.then(|| indexes.extract(&fused[i]))
+                })
+                .collect();
+            for (&cid, entries) in cids.iter().zip(fresh) {
+                if entries.is_some_and(|e| self.indexes.refresh_cluster(cid, e)) {
+                    self.indexes.maint_mut().clusters_reindexed += 1;
+                } else {
+                    self.indexes.maint_mut().clusters_reused += 1;
                 }
-                self.pos = pos;
             }
         }
 
-        self.entities = fused[..n].to_vec();
-        self.cluster_ids = cids;
+        self.pos = Arc::new(pos);
+        self.entities = fused[..n].iter().cloned().collect();
+        self.cluster_ids = cids.into();
         self.revision += 1;
     }
 
-    /// Clone the current state into an immutable snapshot, tagged with
+    /// Share the current state as an immutable snapshot, tagged with
     /// `counters` (storage/delta numbers the serving layer wants on its
-    /// stats endpoint).
+    /// stats endpoint). Nothing the view holds is copied: the snapshot
+    /// takes references to the rows, ids, positions and index segments.
     pub fn snapshot(&self, counters: Vec<(String, u64)>) -> CollectionSnapshot {
         let stats = SnapshotStats {
             entities: self.entities.len(),
@@ -235,6 +245,32 @@ mod tests {
             .unwrap()
             .lookup(&Value::from("a"))
             .is_empty());
+    }
+
+    #[test]
+    fn snapshots_share_rows_and_keep_answering_as_of_their_revision() {
+        let mut view = CollectionView::new(IndexSpec::default().ordered_on("PRICE"));
+        let groups = vec![group("a", vec![0]), group("b", vec![1])];
+        view.sync(&[entity("a", 1), entity("b", 2)], &groups, None);
+        let before = view.snapshot(Vec::new());
+        assert!(std::ptr::eq(before.entities(), view.entities()), "rows are shared, not copied");
+
+        // A delta re-resolves cluster 0 as "a2" at a new price; the sync
+        // writes into index segments the old snapshot still holds.
+        view.sync(&[entity("a2", 9), entity("b", 2)], &groups, Some(&[true, false]));
+        let after = view.snapshot(Vec::new());
+        let key = |s: &CollectionSnapshot, k: &str| s.point_lookup(k).map(|e| e.key.clone());
+        let prices = |s: &CollectionSnapshot| {
+            s.indexes()
+                .ordered_index("PRICE")
+                .unwrap()
+                .range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
+        };
+        assert_eq!((key(&before, "a"), key(&before, "a2")), (Some("a".into()), None));
+        assert_eq!((key(&after, "a"), key(&after, "a2")), (None, Some("a2".into())));
+        assert_eq!(prices(&before), vec![0, 1]);
+        assert_eq!(prices(&after), vec![1, 0]);
+        assert_eq!(before.entities()[0].key, "a");
     }
 
     #[test]

@@ -22,15 +22,26 @@ pub fn normalize_token(raw: &str) -> Option<String> {
 /// look at each token once (bucket insertion, interning, counting) call it
 /// directly and skip the per-call `Vec` — the hot-loop shape blocking and
 /// prepared pair scoring rely on. Token boundaries and normalisation are
-/// exactly [`tokenize`]'s.
-pub fn for_each_token(text: &str, mut f: impl FnMut(String)) {
+/// exactly [`tokenize`]'s. Each token is lent to `f` from one reused
+/// buffer: an ASCII token is lowercased in place (what `to_lowercase`
+/// does to ASCII), so only a non-ASCII token allocates.
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     let mut cur = String::new();
+    let mut flush = |cur: &mut String| {
+        if cur.is_ascii() {
+            cur.make_ascii_lowercase();
+            f(cur);
+        } else {
+            f(&cur.to_lowercase());
+        }
+        cur.clear();
+    };
     let mut prev_lower = false;
     for c in text.chars() {
         let is_word = c.is_alphanumeric();
         let camel_break = c.is_uppercase() && prev_lower;
         if (!is_word || camel_break) && !cur.is_empty() {
-            f(std::mem::take(&mut cur).to_lowercase());
+            flush(&mut cur);
         }
         if is_word {
             cur.push(c);
@@ -38,7 +49,7 @@ pub fn for_each_token(text: &str, mut f: impl FnMut(String)) {
         prev_lower = c.is_lowercase() || c.is_ascii_digit();
     }
     if !cur.is_empty() {
-        f(cur.to_lowercase());
+        flush(&mut cur);
     }
 }
 
@@ -75,7 +86,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// buffer-reuse form of [`tokenize`] for callers tokenising many values in
 /// a loop (`out.clear()` between values keeps the allocation).
 pub fn tokenize_into(text: &str, out: &mut Vec<String>) {
-    for_each_token(text, |tok| out.push(tok));
+    for_each_token(text, |tok| out.push(tok.to_owned()));
 }
 
 /// FNV-1a, the interner's hash: tiny state, one multiply per byte — far
@@ -127,13 +138,6 @@ impl TokenInterner {
     /// An empty interner.
     pub fn new() -> Self {
         TokenInterner::default()
-    }
-
-    /// Intern an owned token (no allocation either way: the string is
-    /// stored on first sight, dropped on a repeat).
-    pub fn intern(&mut self, token: String) -> u32 {
-        let next = self.ids.len() as u32;
-        *self.ids.entry(token).or_insert(next)
     }
 
     /// Intern a borrowed token, allocating only on first sight.
@@ -189,10 +193,18 @@ mod tests {
 
     #[test]
     fn streaming_and_buffered_forms_match_tokenize() {
-        for text in ["show_name", "La La Land", "44th St", "", "--- ...", "ΣΊΣΥΦΟΣ camelCase"] {
+        for text in [
+            "show_name",
+            "La La Land",
+            "44th St",
+            "",
+            "--- ...",
+            "ΣΊΣΥΦΟΣ camelCase",
+            "İstanbul ÉCOLE Straße",
+        ] {
             let expected = tokenize(text);
             let mut streamed = Vec::new();
-            for_each_token(text, |t| streamed.push(t));
+            for_each_token(text, |t| streamed.push(t.to_owned()));
             assert_eq!(streamed, expected, "{text:?}");
             let mut buffered = vec!["seed".to_owned()];
             tokenize_into(text, &mut buffered);
@@ -205,11 +217,11 @@ mod tests {
     fn interner_assigns_dense_first_seen_ids() {
         let mut interner = TokenInterner::new();
         assert!(interner.is_empty());
-        let a = interner.intern("show".to_owned());
+        let a = interner.intern_str("show");
         let b = interner.intern_str("name");
         assert_eq!((a, b), (0, 1));
         assert_eq!(interner.intern_str("show"), 0, "repeat hits the same id");
-        assert_eq!(interner.intern("name".to_owned()), 1);
+        assert_eq!(interner.intern_str("name"), 1);
         assert_eq!(interner.get("name"), Some(1));
         assert_eq!(interner.get("absent"), None);
         assert_eq!(interner.len(), 2);

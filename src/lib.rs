@@ -356,10 +356,10 @@
 //! context and blocking indices extend in place (token/attribute interning
 //! is append-only, so features prepared before a growth step stay
 //! bit-identical after it), only buckets the batch touched are probed —
-//! new-vs-new and new-vs-old, never old-vs-old — every score lands in a
-//! memo that stays valid forever, accepted pairs merge into a persistent
-//! union-find with stable cluster ids, and fused entities re-resolve only
-//! for clusters the batch dirtied. The correctness pin
+//! new-vs-new and new-vs-old, never old-vs-old — every decision a
+//! progressive window asks for lands in a memo that stays valid forever,
+//! accepted pairs merge into a persistent union-find with stable cluster
+//! ids, and fused entities re-resolve only for clusters the batch dirtied. The correctness pin
 //! (`tests/incremental_equivalence.rs`): **any** prefix + delta split
 //! produces byte-identical fused output to a from-scratch run over the
 //! concatenation, at any thread count. Each delta returns a
@@ -380,7 +380,8 @@
 //!     )
 //! }
 //!
-//! // The staged run consolidates in batch; deltas seed the resident engine.
+//! // The staged run is one pass of the resident engine; the first delta
+//! // adopts its state instead of consolidating the corpus again.
 //! let mut dt = DataTamer::new(DataTamerConfig {
 //!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
 //!     ..Default::default()
@@ -404,11 +405,14 @@
 //! ### What stays resident, and restart
 //!
 //! Between deltas one `ResidentSession` (in `core`) owns the consolidator
-//! (prepared features, bucket lists, accepted-pair ledgers, the score
-//! memo), the only copy of the records it has ingested, and the journal.
-//! There is no fused-entity cache beside it: the context's previous
-//! `fused` vector is the cache, and the next delta *moves* every clean
-//! cluster's composite out of it into the new vector. None of this is
+//! (prepared features, bucket lists, accepted-pair ledgers, the window
+//! decision memo), the accepted delta batches (the base records stay in
+//! the context), and the journal. A staged blocked-ER run leaves its
+//! consolidator behind, and the first delta's seed adopts it together
+//! with the composites the run installed, so a restart consolidates only
+//! the log tail. There is no fused-entity cache beside it: the context's
+//! previous `fused` vector is the cache, and the next delta *moves* every
+//! unchanged cluster's composite out of it into the new vector. None of this is
 //! budgeted: every store is the same order as the corpus it derives from,
 //! so a cap would bound nothing the records do not already occupy.
 //!
@@ -476,6 +480,8 @@
 //! [`core::DataTamer::consolidate_delta`] the indexes are maintained
 //! *incrementally* from the delta's dirty-cluster set — the
 //! [`query::IndexMaintenance`] counters prove no full rebuild happened.
+//! A published snapshot shares the view's rows and index segments instead
+//! of copying them; the next sync copies only the segments it writes.
 //!
 //! The facade's [`serve`] module ties it together: bind a server, run
 //! the pipeline, publish — concurrent readers see complete snapshots

@@ -6,9 +6,9 @@
 //! then [`ServeSession::publish`] — which syncs the named view from the
 //! pipeline context (using the delta path's dirty-cluster set for
 //! incremental index maintenance when the view is exactly one fused
-//! revision behind, rebuilding otherwise), stamps the snapshot with the run's
-//! `DeltaReport` and `StorageReport` counters, and atomically swaps it
-//! into the server's shared registry. Readers hitting the HTTP routes in
+//! revision behind, comparing index entries otherwise), stamps the
+//! snapshot with the run's `DeltaReport` and `StorageReport` counters, and
+//! atomically swaps it into the server's shared registry. Readers hitting the HTTP routes in
 //! between always see a complete snapshot — old or new, never torn.
 
 use std::collections::BTreeMap;
@@ -47,12 +47,15 @@ impl ServeSession {
     }
 
     /// Sync `name`'s view from the pipeline's current fused output and
-    /// publish an immutable snapshot. The first publish (or a batch run)
-    /// builds indexes from scratch; after one `consolidate_delta`, only
-    /// dirty clusters reindex; a publish that skipped a revision (two
-    /// deltas, one publish) rebuilds, because `fused_changed` only covers
-    /// the last one. The snapshot carries `delta.*` / `storage.*` counters
-    /// from the run's reports for the stats endpoint.
+    /// publish an immutable snapshot. The first publish builds indexes
+    /// from scratch; after one `consolidate_delta`, only dirty clusters are
+    /// examined; a publish that skipped a revision (two deltas, one
+    /// publish, or a batch run) compares every cluster's index entries
+    /// instead, because `fused_changed` only covers the last revision —
+    /// either way only clusters whose entries changed are rewritten, and
+    /// the snapshot shares everything else with the one it replaces. The
+    /// snapshot carries `delta.*` / `storage.*` counters from the run's
+    /// reports for the stats endpoint.
     pub fn publish(&mut self, name: &str, dt: &DataTamer, spec: IndexSpec) {
         let ctx = dt.context();
         let (view, synced) = self
@@ -140,6 +143,10 @@ mod tests {
         assert_eq!(run.plan, PlanKind::HashProbe);
         assert_eq!(run.result, execute_oracle(&dt.context().fused, &q));
         assert!(matches!(&run.result, QueryResult::Rows(rows) if rows.len() == 1), "{:?}", run.result);
+        // No rebuild: the skipped delta's cluster and the new one are the
+        // only clusters whose index entries were rewritten.
+        let m = session.view("shows").expect("published").maintenance();
+        assert_eq!((m.full_builds, m.delta_syncs, m.clusters_reindexed), (1, 1, 2), "{m:?}");
         session.stop();
     }
 }

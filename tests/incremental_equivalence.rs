@@ -3,14 +3,16 @@
 //! [`DataTamer::consolidate_delta`] must produce byte-identical fused
 //! entities and cluster membership to a from-scratch full run over the
 //! concatenated corpus — at any thread count. The full run is a staged
-//! `DataTamer::run`, which consolidates through the batch engine (block →
-//! prepare → accept → cluster), so every comparison here checks the
-//! resident engine against the batch one.
+//! `DataTamer::run`, which consolidates the whole corpus in one ingest of
+//! the same resident engine; the split proptest also pins its clusters to
+//! the batch engine (block → prepare → accept → cluster), so the oracle
+//! itself is anchored outside the engine under test.
 //!
 //! The resident state this guards: the scoring context and blocking
 //! indices extend in place, only touched buckets are probed (never
-//! old-vs-old), accepted pairs merge into a persistent union-find, and
-//! fused entities re-resolve only for dirty clusters — clean ones are
+//! old-vs-old), accepted pairs merge into a persistent union-find, a seed
+//! adopts the ER state of the staged run it follows, and fused entities
+//! re-resolve only for clusters whose membership changed — the others are
 //! moved over from the previous fused vector, which the reuse-safety tests
 //! at the bottom guard against every way that vector can go stale.
 
@@ -20,6 +22,7 @@ use datatamer::core::fusion::{
     BlockedErConfig, GroupingStrategy, RegistryConfig, ResolverSpec, CHEAPEST_PRICE, SHOW_NAME,
 };
 use datatamer::core::{DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan};
+use datatamer::entity::cluster::cluster_pairs;
 use datatamer::model::{Record, RecordId, SourceId, Value};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -97,6 +100,25 @@ fn full_run_with(config: DataTamerConfig, corpus: &[Record]) -> (String, String)
     }
     dt.run(plan).expect("full run");
     fingerprint(&dt)
+}
+
+/// The batch engine's clusters over `corpus` (every record of these
+/// corpora has a show name, so every cluster forms a group).
+fn batch_engine_clusters(corpus: &[Record]) -> Vec<Vec<usize>> {
+    let config = BlockedErConfig::default();
+    let prepared = config.scorer.build().prepare(corpus);
+    let outcome = config.build_blocker().candidates_with_report_keyed(corpus, &|| {
+        prepared.sort_keys(&config.key_attr).expect("rules contexts key any attribute")
+    });
+    let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
+    cluster_pairs(corpus.len(), &accepted)
+}
+
+/// The members of every group a staged run over `corpus` forms.
+fn staged_clusters(corpus: &[Record]) -> Vec<Vec<usize>> {
+    let mut dt = DataTamer::new(config());
+    dt.run(PipelinePlan::new().structured("s1", corpus)).expect("full run");
+    dt.context().fusion_groups.iter().map(|(_, members)| members.clone()).collect()
 }
 
 /// Seed with `prefix`, consolidate `batches[..kill_after]`, then *drop the
@@ -199,6 +221,11 @@ proptest! {
         let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
 
         let full_serial = serial.install(|| full_run(&corpus));
+        prop_assert_eq!(
+            serial.install(|| staged_clusters(&corpus)),
+            batch_engine_clusters(&corpus),
+            "the staged run's clusters diverged from the batch engine"
+        );
         let (inc_serial, reports_serial) =
             serial.install(|| incremental_run(prefix, &batches));
         prop_assert_eq!(
@@ -322,7 +349,12 @@ fn staged_run_between_deltas_reseeds_and_replays() {
         assert!(dt.context().fused_changed.is_none());
         let d = dt.consolidate_delta(&b2).expect("delta after the run");
         assert_eq!(d.total_records, 21, "s1 + s2 + the replayed first delta + this one");
-        assert!(all_changed(&dt), "nothing of the staged run's output may be reused");
+        assert_eq!(d.batch_records, 3, "the replayed first delta, then this one");
+        // The reseed adopts the run's ER state, and the run's composites
+        // are reused for every cluster neither delta touched: only
+        // Alphashow2's and Betashow1's clusters re-resolve.
+        let changed = dt.context().fused_changed.clone().expect("delta path sets it");
+        assert_eq!((changed.len(), changed.iter().filter(|&&c| c).count()), (18, 2));
         fingerprint(&dt)
     });
     let all: Vec<Record> = [s1, s2, b1, b2].concat();
@@ -429,4 +461,68 @@ fn merging_two_clean_clusters_then_an_empty_delta() {
     });
     let all: Vec<Record> = [corpus, bridge].concat();
     assert_eq!(inc, full_run(&all));
+}
+
+// ---------------------------------------------------------------------
+// One ER pass. A seed adopts the ER state of the staged run it follows,
+// so a restart consolidates the log tail, not the base corpus again, and
+// reuses the run's composites for every cluster the tail leaves alone.
+
+#[test]
+fn a_restart_consolidates_only_the_log_tail() {
+    let seq = LOG_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dt_tail_{}_{seq}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = config_with(Some(DeltaLogConfig::at(dir.join("delta.log"))));
+    let base: Vec<Record> =
+        (0..40).map(|i| show(i, &format!("Unique{i} Show{i}"), "$10")).collect();
+    let batches = [
+        vec![show(100, "Unique3 Show3", "$9")],
+        vec![show(101, "Brand New", "$12"), show(102, "Unique8 Show8", "$10")],
+    ];
+    {
+        let mut dt = DataTamer::new(cfg.clone());
+        dt.run(PipelinePlan::new().structured("s1", &base)).expect("seed run");
+        for b in &batches {
+            dt.consolidate_delta(b).expect("logged delta");
+        }
+    }
+
+    let (fp, report, changed) = at_1_and_8_threads(|| {
+        let mut dt = DataTamer::new(cfg.clone());
+        dt.run(PipelinePlan::new().structured("s1", &base)).expect("restart run");
+        let report = dt.consolidate_delta(&[]).expect("replaying delta");
+        let changed = dt.context().fused_changed.clone().expect("delta path sets it");
+        (fingerprint(&dt), report, changed)
+    });
+    assert_eq!((report.batch_records, report.total_records), (3, 43), "{report:?}");
+    assert!(report.scored_pairs <= 6, "only tail pairs are decided: {report:?}");
+    // Unique3's and Unique8's clusters grew and "Brand New" is new: three
+    // of 41 groups re-resolve; the staged run's other composites carry over.
+    assert_eq!((changed.len(), changed.iter().filter(|&&c| c).count()), (41, 3));
+    assert_eq!(fp, full_run(&[base, batches.concat()].concat()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_staged_run_is_adopted_only_over_the_corpus_it_consolidated() {
+    let s1: Vec<Record> =
+        (0..10).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
+    let s2: Vec<Record> =
+        (0..5).map(|i| show(50 + i, &format!("Betashow{i} Two{i}"), "$20")).collect();
+    let b1 = vec![show(100, "Alphashow2 One2", "$9")];
+
+    let inc = at_1_and_8_threads(|| {
+        let mut dt = DataTamer::new(config());
+        dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
+        // The corpus grows after the run: its ER state and composites cover
+        // s1 only, so the seed consolidates s1 + s2 itself and re-resolves
+        // every cluster.
+        dt.register_structured("s2", &s2).expect("second source");
+        let d = dt.consolidate_delta(&b1).expect("delta");
+        assert_eq!(d.total_records, 16, "{d:?}");
+        assert!(all_changed(&dt), "the run's composites predate s2");
+        fingerprint(&dt)
+    });
+    assert_eq!(inc, full_run(&[s1, s2, b1].concat()));
 }

@@ -355,21 +355,33 @@ proptest! {
         dt.run(plan).expect("seed run");
 
         // The long-lived view: one full build at seed time, then strictly
-        // incremental syncs driven by each delta's dirty-cluster set.
+        // incremental syncs driven by each delta's dirty-cluster set. A
+        // second view skips every other delta and syncs without a bitmap,
+        // as a publish that fell behind does. A snapshot taken at seed time
+        // must keep answering as of then while both views write on.
         let mut view = CollectionView::new(spec.clone());
-        {
+        let mut skipping = CollectionView::new(spec.clone());
+        let seed_fused = {
             let ctx = dt.context();
             view.sync(&ctx.fused, &ctx.fusion_groups, ctx.fused_changed.as_deref());
-        }
-        for b in &batches {
+            skipping.sync(&ctx.fused, &ctx.fusion_groups, ctx.fused_changed.as_deref());
+            ctx.fused.clone()
+        };
+        let seed_snap = view.snapshot(Vec::new());
+        for (k, b) in batches.iter().enumerate() {
             dt.consolidate_delta(b).expect("delta ingest");
             let ctx = dt.context();
             view.sync(&ctx.fused, &ctx.fusion_groups, ctx.fused_changed.as_deref());
+            if k % 2 == 1 || k + 1 == batches.len() {
+                skipping.sync(&ctx.fused, &ctx.fusion_groups, None);
+            }
         }
 
         let m = view.maintenance();
         prop_assert_eq!(m.full_builds, 1, "delta syncs must never rebuild: {:?}", m);
         prop_assert_eq!(m.delta_syncs, batches.len() as u64, "{:?}", m);
+        let m = skipping.maintenance();
+        prop_assert_eq!(m.full_builds, 1, "a sync that skipped revisions must not rebuild: {:?}", m);
 
         // A control view built from scratch over the final fused output.
         let mut fresh = CollectionView::new(spec);
@@ -378,6 +390,7 @@ proptest! {
 
         let inc_snap = view.snapshot(Vec::new());
         let fresh_snap = fresh.snapshot(Vec::new());
+        let skip_snap = skipping.snapshot(Vec::new());
         prop_assert_eq!(
             format!("{:?}", inc_snap.entities()),
             format!("{:?}", fresh_snap.entities()),
@@ -392,6 +405,12 @@ proptest! {
             let a = serial.install(|| inc_snap.execute(&q));
             let b = wide.install(|| inc_snap.execute(&q));
             let c = wide.install(|| fresh_snap.execute(&q));
+            prop_assert_eq!(fp(&skip_snap.execute(&q).result), want, "skipping view diverged: {:?}", q);
+            prop_assert_eq!(
+                fp(&seed_snap.execute(&q).result),
+                fp(&execute_oracle(&seed_fused, &q)),
+                "the seed-time snapshot changed under later syncs: {:?}", q
+            );
             prop_assert_eq!(fp(&a.result), want, "incremental (serial) diverged: {:?}", q);
             prop_assert_eq!(fp(&b.result), want, "incremental (wide) diverged: {:?}", q);
             prop_assert_eq!(fp(&c.result), want, "fresh diverged: {:?}", q);
