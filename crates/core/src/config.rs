@@ -79,16 +79,15 @@ pub struct DataTamerConfig {
     /// How entity consolidation forms candidate groups: the classic
     /// canonical-name scan ([`GroupingStrategy::CanonicalName`], the
     /// default) or similarity-based blocked ER
-    /// ([`GroupingStrategy::BlockedEr`]). Same override discipline as
-    /// [`DataTamerConfig::fusion_resolvers`]: a successful run whose
-    /// `PipelinePlan` carries an override replaces the strategy in effect
-    /// from that run onward.
+    /// ([`GroupingStrategy::BlockedEr`]). The one source of the strategy
+    /// for a [`crate::DataTamer`]: every staged run, ad-hoc fusion and
+    /// delta consolidation groups under it, for the life of the system.
     pub grouping: GroupingStrategy,
     /// Per-attribute truth-discovery routing for the fusion stage. The
-    /// default mirrors the paper demo ([`RegistryConfig::broadway`]). A
-    /// successful run whose `PipelinePlan` carries an override *replaces*
-    /// the routing in effect from that run onward, so ad-hoc fusion and
-    /// later runs stay consistent with the fused output in the context.
+    /// default mirrors the paper demo ([`RegistryConfig::broadway`]). Like
+    /// [`DataTamerConfig::grouping`], the one source of the routing for
+    /// the life of a [`crate::DataTamer`], so every fused entity it
+    /// produces was resolved under the same routing.
     pub fusion_resolvers: RegistryConfig,
     /// Whether the ML text cleaner filters fragments before parsing.
     pub clean_text: bool,

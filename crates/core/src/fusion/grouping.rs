@@ -2,17 +2,16 @@
 //!
 //! The consolidation half of fusion historically had exactly one shape:
 //! canonical-name grouping with fuzzy attachment ([`super::group_records`]
-//! under a [`FusionPolicy`]). That finds case damage and typos in the show
-//! name but cannot consolidate duplicates whose names diverge further —
-//! while the full ER machinery in `datatamer-entity` (blocking → pair
+//! at a Jaro-Winkler threshold). That finds case damage and typos in the
+//! show name but cannot consolidate duplicates whose names diverge further
+//! — while the full ER machinery in `datatamer-entity` (blocking → pair
 //! scoring → union-find clustering) sat outside the staged pipeline.
 //!
 //! [`GroupingStrategy`] is the seam that closes the gap: a declarative,
-//! clonable choice between the two, living on
-//! [`crate::config::DataTamerConfig::grouping`] (system default) with a
-//! per-run override on `PipelinePlan::grouping` — the same
-//! configuration-travel pattern as the fusion resolver registry. Both
-//! strategies produce the same [`FusionGroup`] shape, so the merge half
+//! clonable choice between the two, set once on
+//! [`crate::config::DataTamerConfig::grouping`] and fixed for the life of
+//! the system, like the fusion resolver routing beside it. Both strategies
+//! produce the same [`FusionGroup`] shape, so the merge half
 //! (rayon-parallel, byte-deterministic) is untouched downstream.
 
 use datatamer_entity::blocking::Blocker;
@@ -21,7 +20,7 @@ use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
 use datatamer_model::Record;
 use datatamer_text::normalize::canonical_name;
 
-use super::{group_records, FusionGroup, FusionPolicy, SHOW_NAME};
+use super::{group_records, FusionGroup, SHOW_NAME};
 
 /// Declarative pair-scorer choice for blocked ER — the configuration-level
 /// mirror of [`PairScorer`] (the trained-classifier variant is not
@@ -143,8 +142,7 @@ impl GroupingStrategy {
     ) -> (Vec<FusionGroup>, GroupingReport) {
         match self {
             GroupingStrategy::CanonicalName => {
-                let policy = FusionPolicy::Fuzzy { threshold: fuzzy_threshold };
-                (group_records(records, &policy), GroupingReport::default())
+                (group_records(records, fuzzy_threshold), GroupingReport::default())
             }
             GroupingStrategy::BlockedEr(config) => {
                 let (_, groups, report) = blocked_er(records, config);
@@ -219,7 +217,7 @@ mod tests {
             rec(2, "Wicked", "$99"),
         ];
         let (groups, report) = GroupingStrategy::CanonicalName.groups_with_report(&records, 0.88);
-        let legacy = group_records(&records, &FusionPolicy::Fuzzy { threshold: 0.88 });
+        let legacy = group_records(&records, 0.88);
         assert_eq!(groups, legacy);
         assert_eq!(report, GroupingReport::default());
     }

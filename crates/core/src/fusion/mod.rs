@@ -9,7 +9,7 @@
 //!
 //! * **Grouping** — a [`GroupingStrategy`] decides which records describe
 //!   the same entity: either the classic canonical-name scan
-//!   ([`FusionPolicy`] via [`group_records`]) or similarity-based blocked
+//!   ([`group_records`] at a fuzzy threshold) or similarity-based blocked
 //!   ER (blocking → pair scoring → union-find, wired in from
 //!   `datatamer-entity` — see the [`grouping`] module).
 //! * **Truth discovery** — a [`ResolverRegistry`] maps each attribute to a
@@ -24,7 +24,7 @@
 //! Every composite is built by
 //! [`merge_composite`](datatamer_entity::consolidate::merge_composite)
 //! driven by the registry. Registries are configured declaratively via
-//! [`RegistryConfig`] on `DataTamerConfig` or per run on a `PipelinePlan`.
+//! [`RegistryConfig`] on `DataTamerConfig`.
 //! Group merging stays rayon-parallel and byte-deterministic at any thread
 //! count.
 
@@ -43,7 +43,6 @@ pub use resolve::{
 
 use std::collections::HashMap;
 
-use datatamer_ml::DedupClassifier;
 use datatamer_model::{Record, Value};
 use datatamer_sim as sim;
 use datatamer_text::normalize::canonical_name;
@@ -56,30 +55,6 @@ pub const PERFORMANCE: &str = "PERFORMANCE";
 pub const TEXT_FEED: &str = "TEXT_FEED";
 pub const CHEAPEST_PRICE: &str = "CHEAPEST_PRICE";
 pub const FIRST: &str = "FIRST";
-
-/// How candidate records are matched into the same fused entity.
-pub enum FusionPolicy {
-    /// Exact canonical-name grouping plus fuzzy attachment at a threshold.
-    Fuzzy { threshold: f64 },
-    /// ML dedup classifier on `SHOW_NAME` (probability ≥ 0.5 attaches).
-    Classifier(DedupClassifier),
-}
-
-impl FusionPolicy {
-    /// Both arguments are already canonicalised — the grouping scan
-    /// canonicalises each name once, not once per existing group.
-    fn matches(&self, canon_key: &str, canon_b: &str) -> bool {
-        if canon_key == canon_b {
-            return true;
-        }
-        match self {
-            FusionPolicy::Fuzzy { threshold } => {
-                sim::jaro_winkler(canon_key, canon_b) >= *threshold
-            }
-            FusionPolicy::Classifier(model) => model.is_duplicate(canon_key, canon_b),
-        }
-    }
-}
 
 /// One fused entity with provenance counts.
 #[derive(Debug, Clone)]
@@ -103,13 +78,14 @@ pub struct FusedEntity {
 pub type FusionGroup = (String, Vec<usize>);
 
 /// Entity-consolidation half of fusion: group record indexes by the
-/// canonical form of `SHOW_NAME`, attaching near-miss names (typos, case
-/// damage) to an existing group via `policy`.
+/// canonical form of `SHOW_NAME`, attaching a near-miss name (typos, case
+/// damage) to the first existing group whose key it matches at Jaro-Winkler
+/// ≥ `threshold`.
 ///
 /// The scan is inherently sequential (each record may attach to a group an
 /// earlier record created), but it is cheap: the quadratic part — merging
 /// — happens per group in [`merge_groups_with`].
-pub fn group_records(records: &[Record], policy: &FusionPolicy) -> Vec<FusionGroup> {
+pub fn group_records(records: &[Record], threshold: f64) -> Vec<FusionGroup> {
     let mut groups: Vec<FusionGroup> = Vec::new();
     let mut by_key: HashMap<String, usize> = HashMap::new();
     for (i, r) in records.iter().enumerate() {
@@ -121,8 +97,11 @@ pub fn group_records(records: &[Record], policy: &FusionPolicy) -> Vec<FusionGro
         let group_idx = match by_key.get(&canon) {
             Some(g) => *g,
             None => {
-                // Fuzzy attachment against existing group keys.
-                let attach = groups.iter().position(|(key, _)| policy.matches(key, &canon));
+                // Fuzzy attachment against existing group keys (both sides
+                // canonicalised once, not once per comparison).
+                let attach = groups.iter().position(|(key, _)| {
+                    *key == canon || sim::jaro_winkler(key, &canon) >= threshold
+                });
                 match attach {
                     Some(g) => {
                         by_key.insert(canon.clone(), g);
@@ -229,19 +208,15 @@ pub(crate) fn merge_group<'r>(
 /// Record order matters twice: earlier records win order-sensitive
 /// resolvers (e.g. `Policy(First)`), and grouping attaches fuzzily to the
 /// earliest matching group — so callers pass the cleanest source first.
-/// This is [`group_records`] followed by [`merge_groups_with`]; the staged
-/// pipeline runs the halves as separate stages.
+/// This is [`group_records`] at `threshold` followed by
+/// [`merge_groups_with`]; the staged pipeline runs the halves as separate
+/// stages.
 pub fn fuse_records_with(
     records: &[Record],
-    policy: &FusionPolicy,
+    threshold: f64,
     registry: &ResolverRegistry,
 ) -> Vec<FusedEntity> {
-    merge_groups_with(records, &group_records(records, policy), registry)
-}
-
-/// [`fuse_records_with`] under the standard Broadway registry.
-pub fn fuse_records(records: &[Record], policy: &FusionPolicy) -> Vec<FusedEntity> {
-    fuse_records_with(records, policy, &ResolverRegistry::broadway())
+    merge_groups_with(records, &group_records(records, threshold), registry)
 }
 
 #[cfg(test)]
@@ -257,8 +232,11 @@ mod tests {
         )
     }
 
-    fn fuzzy() -> FusionPolicy {
-        FusionPolicy::Fuzzy { threshold: 0.88 }
+    const FUZZY: f64 = 0.88;
+
+    /// [`fuse_records_with`] under the standard Broadway registry.
+    fn fuse_broadway(records: &[Record]) -> Vec<FusedEntity> {
+        fuse_records_with(records, FUZZY, &ResolverRegistry::broadway())
     }
 
     #[test]
@@ -287,7 +265,7 @@ mod tests {
                 (TEXT_FEED, "..And Matilda an award-winning import from London, grossed 960,998.."),
             ],
         );
-        let fused = fuse_records(&[structured, text], &fuzzy());
+        let fused = fuse_broadway(&[structured, text]);
         assert_eq!(fused.len(), 1);
         let r = &fused[0].record;
         assert_eq!(fused[0].member_count, 2);
@@ -302,7 +280,7 @@ mod tests {
     fn cheapest_price_takes_numeric_min_across_sources() {
         let a = rec(0, 0, vec![(SHOW_NAME, "Wicked"), (CHEAPEST_PRICE, "$99")]);
         let b = rec(1, 1, vec![(SHOW_NAME, "wicked"), (CHEAPEST_PRICE, "$45")]);
-        let fused = fuse_records(&[a, b], &fuzzy());
+        let fused = fuse_broadway(&[a, b]);
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].record.get_text(CHEAPEST_PRICE).as_deref(), Some("$45"));
     }
@@ -312,7 +290,7 @@ mod tests {
         let a = rec(0, 0, vec![(SHOW_NAME, "Goodfellas"), (CHEAPEST_PRICE, "$30")]);
         let b = rec(1, 1, vec![(SHOW_NAME, "Goodfelas"), (TEXT_FEED, "typo feed")]);
         let c = rec(2, 2, vec![(SHOW_NAME, "Annie"), (CHEAPEST_PRICE, "$50")]);
-        let fused = fuse_records(&[a, b, c], &fuzzy());
+        let fused = fuse_broadway(&[a, b, c]);
         assert_eq!(fused.len(), 2, "{:?}", fused.iter().map(|f| &f.key).collect::<Vec<_>>());
         let good = fused.iter().find(|f| f.key == "goodfellas").unwrap();
         assert_eq!(good.member_count, 2);
@@ -323,7 +301,7 @@ mod tests {
     fn articles_and_case_unify() {
         let a = rec(0, 0, vec![(SHOW_NAME, "The Walking Dead")]);
         let b = rec(1, 1, vec![(SHOW_NAME, "WALKING DEAD")]);
-        let fused = fuse_records(&[a, b], &fuzzy());
+        let fused = fuse_broadway(&[a, b]);
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].key, "walking dead");
     }
@@ -332,40 +310,22 @@ mod tests {
     fn records_without_show_name_are_skipped() {
         let a = rec(0, 0, vec![("other", "x")]);
         let b = rec(1, 1, vec![(SHOW_NAME, "Annie")]);
-        let fused = fuse_records(&[a, b], &fuzzy());
+        let fused = fuse_broadway(&[a, b]);
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].key, "annie");
-    }
-
-    #[test]
-    fn classifier_policy_attaches_duplicates() {
-        let pairs = vec![
-            ("matilda".to_owned(), "matilda!".to_owned(), true),
-            ("goodfellas".to_owned(), "goodfelas".to_owned(), true),
-            ("annie".to_owned(), "anni".to_owned(), true),
-            ("matilda".to_owned(), "wicked".to_owned(), false),
-            ("annie".to_owned(), "pippin".to_owned(), false),
-            ("goodfellas".to_owned(), "written".to_owned(), false),
-        ];
-        let model = DedupClassifier::train(&pairs, &Default::default());
-        let policy = FusionPolicy::Classifier(model);
-        let a = rec(0, 0, vec![(SHOW_NAME, "Goodfellas")]);
-        let b = rec(1, 1, vec![(SHOW_NAME, "Goodfelas")]);
-        let fused = fuse_records(&[a, b], &policy);
-        assert_eq!(fused.len(), 1);
     }
 
     #[test]
     fn first_policy_prefers_earlier_records() {
         let a = rec(0, 0, vec![(SHOW_NAME, "Annie"), (THEATER, "Palace 1564 Broadway")]);
         let b = rec(1, 1, vec![(SHOW_NAME, "Annie"), (THEATER, "Gershwin 222 W. 51st St much longer string")]);
-        let fused = fuse_records(&[a, b], &fuzzy());
+        let fused = fuse_broadway(&[a, b]);
         assert!(fused[0].record.get_text(THEATER).unwrap().starts_with("Palace"));
     }
 
     #[test]
     fn empty_input() {
-        assert!(fuse_records(&[], &fuzzy()).is_empty());
+        assert!(fuse_broadway(&[]).is_empty());
     }
 
     #[test]
@@ -378,7 +338,7 @@ mod tests {
             rec(1, 1, vec![(SHOW_NAME, "Pippin"), ("RATING", "PG-13"), ("STATUS", "open")]),
             rec(2, 2, vec![(SHOW_NAME, "Pippin"), ("RATING", "PG"), ("STATUS", "open")]),
         ];
-        let fused = fuse_records_with(&records, &fuzzy(), &registry);
+        let fused = fuse_records_with(&records, FUZZY, &registry);
         assert_eq!(fused.len(), 1);
         let r = &fused[0].record;
         // MultiTruth keeps both ratings (support-major order) as an array.
@@ -416,7 +376,7 @@ mod tests {
                 rec(0, 0, vec![(SHOW_NAME, "Cats"), ("DOOMED", "x")]),
                 rec(1, 1, vec![(SHOW_NAME, "Cats"), ("DOOMED", "y")]),
             ];
-            let fused = fuse_records_with(&records, &fuzzy(), &registry);
+            let fused = fuse_records_with(&records, FUZZY, &registry);
             assert_eq!(
                 fused[0].record.get("DOOMED"),
                 Some(&Value::Null),
@@ -435,7 +395,7 @@ mod tests {
             rec(1, 1, vec![(SHOW_NAME, "Annie"), ("STATUS", "open")]),
             rec(2, 2, vec![(SHOW_NAME, "Annie"), ("STATUS", "closed")]),
         ];
-        let fused = fuse_records_with(&records, &fuzzy(), &registry);
+        let fused = fuse_records_with(&records, FUZZY, &registry);
         assert_eq!(fused.len(), 1);
         let expected = (1.0 + 2.0 / 3.0) / 2.0;
         let got = fused[0].confidence.expect("majority vote reports confidence");
@@ -451,7 +411,7 @@ mod tests {
             rec(0, 0, vec![(SHOW_NAME, "Annie"), (CHEAPEST_PRICE, "$45")]),
             rec(1, 1, vec![(SHOW_NAME, "Annie"), (CHEAPEST_PRICE, "$39")]),
         ];
-        let fused = fuse_records(&records, &fuzzy());
+        let fused = fuse_broadway(&records);
         assert_eq!(fused[0].confidence, None);
 
         // Mixed routing: only the majority-voted attribute contributes.
@@ -459,7 +419,7 @@ mod tests {
             datatamer_entity::consolidate::ConflictPolicy::First,
         )))
         .with(SHOW_NAME, Box::new(MajorityVote));
-        let fused = fuse_records_with(&records, &fuzzy(), &registry);
+        let fused = fuse_records_with(&records, FUZZY, &registry);
         assert_eq!(fused[0].confidence, Some(1.0), "only SHOW_NAME reports, unanimously");
     }
 
@@ -470,7 +430,7 @@ mod tests {
         let b = rec(1, 1, vec![(SHOW_NAME, "Cats")]);
         let fused = fuse_records_with(
             &[a, b],
-            &fuzzy(),
+            FUZZY,
             &ResolverRegistry::new(Box::new(MajorityVote)),
         );
         assert_eq!(fused.len(), 1);

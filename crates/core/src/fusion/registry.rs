@@ -3,7 +3,8 @@
 //! A [`ResolverRegistry`] maps attribute names to boxed [`ValueResolver`]s
 //! with a default fallback. Registries are built either directly (boxing
 //! resolvers) or from a [`RegistryConfig`], a clonable declarative spec
-//! that can live in `DataTamerConfig` and travel on a `PipelinePlan`.
+//! that lives in `DataTamerConfig::fusion_resolvers`, the one routing a
+//! system fuses under.
 
 use datatamer_entity::consolidate::ConflictPolicy;
 
@@ -135,8 +136,7 @@ impl ResolverSpec {
 }
 
 /// A whole registry as declarative config: `(attribute, spec)` overrides
-/// plus a default spec. Lives in `DataTamerConfig` (system default) and
-/// optionally on a `PipelinePlan` (per-run override).
+/// plus a default spec. Lives in `DataTamerConfig::fusion_resolvers`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegistryConfig {
     /// Per-attribute resolver overrides.

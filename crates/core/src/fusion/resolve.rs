@@ -1,8 +1,8 @@
 //! Per-attribute truth discovery: the [`ValueResolver`] trait and the
 //! order-independent built-in resolvers.
 //!
-//! Fusion has two levels. [`crate::fusion::FusionPolicy`] decides *grouping*
-//! — which records describe the same entity. A `ValueResolver` decides
+//! Fusion has two levels. A [`crate::fusion::GroupingStrategy`] decides
+//! *grouping* — which records describe the same entity. A `ValueResolver` decides
 //! *truth* — which of a group's conflicting values for one attribute
 //! survive into the composite. Resolvers see full provenance
 //! ([`ProvenancedValue`]: value + source id + record id + cluster rank), so

@@ -41,9 +41,8 @@ pub use catalog::{Catalog, SourceInfo, SourceKind};
 pub use config::{DataTamerConfig, DeltaLogConfig, StorageConfig};
 pub use expert_bridge::ExpertPanelResolver;
 pub use fusion::{
-    fuse_records, fuse_records_with, FusionPolicy, LatestWins, MajorityVote, MultiTruth,
-    PolicyResolver, ProvenancedValue, RegistryConfig, Resolved, ResolverRegistry, ResolverSpec,
-    SourceReliability, ValueResolver,
+    fuse_records_with, LatestWins, MajorityVote, MultiTruth, PolicyResolver, ProvenancedValue,
+    RegistryConfig, Resolved, ResolverRegistry, ResolverSpec, SourceReliability, ValueResolver,
 };
 pub use datatamer_entity::incremental::{DeltaReport, IncrementalConsolidator};
 pub use ingest::{IngestStats, TextIngestor};

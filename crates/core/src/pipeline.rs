@@ -32,9 +32,7 @@ use datatamer_text::DomainParser;
 
 use crate::catalog::Catalog;
 use crate::config::DataTamerConfig;
-use crate::fusion::{
-    merge_groups_with, FusedEntity, GroupingStrategy, RegistryConfig, ResolverRegistry,
-};
+use crate::fusion::{merge_groups_with, FusedEntity, GroupingStrategy};
 use crate::ingest::IngestStats;
 use crate::query::{entity_type_histogram, top_discussed_award_winning, DiscussedShow};
 use crate::resident::ResidentSession;
@@ -46,24 +44,15 @@ use crate::stage::{
 /// Name of the collection holding integrated (mapped + cleaned) records.
 pub const GLOBAL_RECORDS_COLLECTION: &str = "global_records";
 
-/// Inputs for one full pipeline run (see [`DataTamer::run`]).
+/// Inputs for one full pipeline run (see [`DataTamer::run`]). How the run
+/// groups and fuses them is the system's configuration
+/// ([`DataTamerConfig::grouping`], [`DataTamerConfig::fusion_resolvers`]).
 #[derive(Default)]
 pub struct PipelinePlan<'a> {
     /// Structured sources: `(name, records)`.
     pub structured: Vec<(String, Vec<Record>)>,
     /// Web text to ingest through the domain parser.
     pub text: Option<TextIngestJob<'a>>,
-    /// Truth-discovery routing override. `None` keeps the routing in
-    /// effect (initially [`DataTamerConfig::fusion_resolvers`]); `Some`
-    /// replaces it for this run *and* for later ad-hoc fusion, so
-    /// [`DataTamer::fuse`] never disagrees with the run that filled
-    /// the context.
-    pub resolvers: Option<RegistryConfig>,
-    /// Entity-consolidation grouping override. Same discipline as
-    /// [`PipelinePlan::resolvers`]: `None` keeps the strategy in effect
-    /// (initially [`DataTamerConfig::grouping`]); `Some` replaces it for
-    /// this run and for later ad-hoc fusion.
-    pub grouping: Option<GroupingStrategy>,
 }
 
 impl<'a> PipelinePlan<'a> {
@@ -81,18 +70,6 @@ impl<'a> PipelinePlan<'a> {
     /// Set the web-text job.
     pub fn webtext(mut self, parser: DomainParser, fragments: Vec<(&'a str, &'a str)>) -> Self {
         self.text = Some(TextIngestJob { parser, fragments });
-        self
-    }
-
-    /// Override the fusion stage's resolver routing for this run.
-    pub fn resolvers(mut self, config: RegistryConfig) -> Self {
-        self.resolvers = Some(config);
-        self
-    }
-
-    /// Override the entity-consolidation grouping strategy for this run.
-    pub fn grouping(mut self, strategy: GroupingStrategy) -> Self {
-        self.grouping = Some(strategy);
         self
     }
 }
@@ -155,15 +132,12 @@ impl DataTamer {
         &self.ctx.text_show_records
     }
 
-    /// The registry for the routing currently in effect (the system
-    /// configuration's, or the most recent run's plan override).
-    fn resolver_registry(&self) -> ResolverRegistry {
-        self.ctx.fusion_resolvers.build()
-    }
-
-    /// Group records under the grouping strategy currently in effect.
-    fn group_in_effect(&self, records: &[Record]) -> Vec<crate::fusion::FusionGroup> {
-        self.ctx.grouping.groups(records, self.ctx.config().fusion_threshold)
+    /// Group and fuse `records` under the configured grouping strategy and
+    /// resolver routing.
+    fn fuse_configured(&self, records: &[Record]) -> Vec<FusedEntity> {
+        let config = self.ctx.config();
+        let groups = config.grouping.groups(records, config.fusion_threshold);
+        merge_groups_with(records, &groups, &config.fusion_resolvers.build())
     }
 
     /// Run the full canonical pipeline — ingest → schema integration →
@@ -174,42 +148,17 @@ impl DataTamer {
     /// Incremental state is honoured: sources registered earlier stay in
     /// the global schema and participate in consolidation/fusion.
     pub fn run(&mut self, plan: PipelinePlan<'_>) -> datatamer_model::Result<&[FusedEntity]> {
-        let override_config = plan.resolvers;
-        let registry = match &override_config {
-            Some(config) => config.build(),
-            None => self.resolver_registry(),
-        };
-        let override_grouping = plan.grouping;
-        // No grouping override → the default stage, which reads the
-        // context's strategy-in-effect at run time (one source of truth).
-        let consolidation: Box<dyn PipelineStage + '_> = match &override_grouping {
-            Some(strategy) => {
-                Box::new(EntityConsolidationStage::with_strategy(strategy.clone()))
-            }
-            None => Box::<EntityConsolidationStage>::default(),
-        };
         let mut stages: Vec<Box<dyn PipelineStage + '_>> = vec![
             Box::new(IngestStage::new(plan.structured, plan.text)),
             Box::new(SchemaIntegrationStage::auto()),
             Box::new(CleaningStage),
-            consolidation,
-            Box::new(FusionStage::new(registry)),
+            Box::<EntityConsolidationStage>::default(),
+            Box::<FusionStage>::default(),
         ];
         run_stages(&mut self.ctx, &mut stages)?;
-        // Only a *successful* run installs its overrides as the routing /
-        // grouping in effect: ctx.fused was produced under them, so later
-        // ad-hoc fusion (`fuse`, `fuse_text_only`) agrees with the
-        // context. A failed run leaves the fused output, the routing, and
-        // the grouping untouched.
-        if let Some(config) = override_config {
-            self.ctx.fusion_resolvers = config;
-        }
-        if let Some(strategy) = override_grouping {
-            self.ctx.grouping = strategy;
-        }
         // The fusion stage just resolved `fused` from the staged ER state's
-        // clusters under the routing now in effect, so a delta session that
-        // adopts the state may reuse those composites.
+        // clusters, so a delta session that adopts the state may reuse
+        // those composites.
         if let Some(staged) = &mut self.ctx.staged_er {
             staged.installed_revision = Some(self.ctx.fused_revision);
         }
@@ -271,46 +220,44 @@ impl DataTamer {
     }
 
     /// Fuse structured + text show records into composite entities through
-    /// the grouping strategy and resolver registry currently in effect.
-    /// Structured records come first so source-priority (order-sensitive)
-    /// resolvers favour the curated sources.
+    /// the configured grouping strategy and resolver routing. Structured
+    /// records come first so source-priority (order-sensitive) resolvers
+    /// favour the curated sources.
     pub fn fuse(&self) -> Vec<FusedEntity> {
         let ctx = &self.ctx;
         let mut all: Vec<Record> =
             Vec::with_capacity(ctx.structured_records.len() + ctx.text_show_records.len());
         all.extend(ctx.structured_records.iter().cloned());
         all.extend(ctx.text_show_records.iter().cloned());
-        let groups = self.group_in_effect(&all);
-        merge_groups_with(&all, &groups, &self.resolver_registry())
+        self.fuse_configured(&all)
     }
 
     /// Fuse only text-derived records (the Table V "before" state).
     pub fn fuse_text_only(&self) -> Vec<FusedEntity> {
-        let records = &self.ctx.text_show_records;
-        let groups = self.group_in_effect(records);
-        merge_groups_with(records, &groups, &self.resolver_registry())
+        self.fuse_configured(&self.ctx.text_show_records)
     }
 
     /// Consolidate a delta batch against resident ER state — work scales
     /// with the batch, not the corpus.
     ///
-    /// Requires the grouping strategy in effect to be
-    /// [`GroupingStrategy::BlockedEr`] (the canonical-name scan has no
-    /// resident pairwise state to be incremental against); anything else is
-    /// a [`DtError::Config`].
+    /// Requires the configured grouping strategy
+    /// ([`DataTamerConfig::grouping`]) to be [`GroupingStrategy::BlockedEr`]
+    /// (the canonical-name scan has no resident pairwise state to be
+    /// incremental against); anything else is a [`DtError::Config`].
     ///
     /// The first call seeds the resident session over the current corpus
     /// (integrated structured records, then text show records). When the
-    /// latest staged [`DataTamer::run`] consolidated exactly that corpus
-    /// under the same blocked-ER configuration, the seed adopts that run's
-    /// ER state instead of consolidating again, and the composites the run
-    /// installed count as this session's own. Each call then ingests
-    /// `batch` (after any log tail the seed replayed) through the
-    /// [`datatamer_entity::incremental::IncrementalConsolidator`] — only
-    /// buckets the batch touched are probed, never old-vs-old — and fused
-    /// entities re-resolve **only for clusters whose membership changed**
-    /// since the installed composites: the others are moved over from the
-    /// context's previous `fused` vector, the only copy kept.
+    /// latest staged [`DataTamer::run`] consolidated exactly that corpus,
+    /// the seed adopts that run's ER state instead of consolidating again,
+    /// and the composites the run installed count as this session's own.
+    /// Each call then ingests `batch` (after any log tail the seed replayed)
+    /// through the [`datatamer_entity::incremental::IncrementalConsolidator`]
+    /// — only buckets the batch touched are probed, never old-vs-old — and
+    /// fused entities re-resolve **only for clusters whose membership
+    /// changed** since the installed composites: the others are moved over
+    /// from the context's previous `fused` vector, the only copy kept.
+    /// Routing and grouping come from the configuration, which is fixed for
+    /// the life of the system, so a composite never predates them.
     /// `fusion_groups` / `fused` are replaced, and the delta is logged as a
     /// consolidation + fusion stage run pair carrying the [`DeltaReport`]
     /// (consecutive deltas overwrite each other's pair, so the run log does
@@ -323,30 +270,29 @@ impl DataTamer {
     /// If `register_structured` / `ingest_webtext` / `run` grew the base
     /// corpus since seeding, the next delta reseeds from it and replays
     /// all prior delta batches (an O(corpus) catch-up). A staged run that
-    /// only replaced `ctx.fused`, or a resolver-routing change, keeps the
-    /// session and makes the next delta re-resolve every cluster.
+    /// only replaced `ctx.fused` keeps the session and makes the next delta
+    /// re-resolve every cluster.
     ///
     /// With a [`crate::DeltaLogConfig`] the batch is logged before it is
     /// consolidated; a persistence failure is returned as `Err` *after*
     /// the batch is consolidated and installed — do not re-submit it.
     pub fn consolidate_delta(&mut self, batch: &[Record]) -> datatamer_model::Result<DeltaReport> {
-        let GroupingStrategy::BlockedEr(config) = &self.ctx.grouping else {
+        // The latest staged run's ER state is adopted by a (re)seed, or
+        // dropped: a live session already holds everything it has.
+        let staged = self.ctx.staged_er.take();
+        let GroupingStrategy::BlockedEr(config) = &self.ctx.config().grouping else {
             return Err(DtError::Config(
                 "consolidate_delta requires GroupingStrategy::BlockedEr; the \
                  canonical-name scan has no resident ER state to be incremental against"
                     .to_owned(),
             ));
         };
-        // (Re)seed when there is no session, the blocked-ER config changed,
-        // or the base corpus grew behind its back; the accepted-batch
-        // journal carries over and replays on top of the rebuilt corpus.
-        // The latest staged run's ER state is adopted by that seed, or
-        // dropped: a live session already holds everything it has.
-        let staged = self.ctx.staged_er.take();
-        if self.resident.as_ref().is_none_or(|s| s.is_stale(&self.ctx, config)) {
+        // (Re)seed when there is no session or the base corpus grew behind
+        // its back; the accepted-batch journal carries over and replays on
+        // top of the rebuilt corpus.
+        if self.resident.as_ref().is_none_or(|s| s.is_stale(&self.ctx)) {
             let journal = self.resident.take().map(ResidentSession::into_journal);
-            self.resident =
-                Some(ResidentSession::seed(&self.ctx, config.clone(), staged, journal)?);
+            self.resident = Some(ResidentSession::seed(&self.ctx, config, staged, journal)?);
         }
         self.resident.as_mut().expect("seeded above").apply(&mut self.ctx, batch)
     }
@@ -611,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_level_resolver_override_reaches_the_fusion_stage() {
+    fn configured_resolver_routing_reaches_the_fusion_stage() {
         use crate::fusion::{RegistryConfig, ResolverSpec};
         // The provenance-later record (id 1) carries the HIGHER price, so
         // LatestWins and the broadway NumericMin must disagree.
@@ -636,28 +582,26 @@ mod tests {
             Some("$45")
         );
 
-        // Plan override: the freshest record's price survives instead.
-        let mut dt = DataTamer::new(small_config());
-        let plan = PipelinePlan::new().structured("s1", &rows).resolvers(
-            RegistryConfig::broadway().with(CHEAPEST_PRICE, ResolverSpec::LatestWins),
-        );
-        dt.run(plan).unwrap();
+        // Configured LatestWins: the freshest record's price survives instead.
+        let mut config = small_config();
+        config.fusion_resolvers =
+            RegistryConfig::broadway().with(CHEAPEST_PRICE, ResolverSpec::LatestWins);
+        let mut dt = DataTamer::new(config);
+        dt.run(PipelinePlan::new().structured("s1", &rows)).unwrap();
         assert_eq!(
             dt.context().fused[0].record.get_text(CHEAPEST_PRICE).as_deref(),
             Some("$99")
         );
-        // Ad-hoc re-fusion uses the routing that produced ctx.fused, not
-        // the stale system default.
+        // Ad-hoc re-fusion resolves under the same configured routing.
         assert_eq!(dt.fuse()[0].record.get_text(CHEAPEST_PRICE).as_deref(), Some("$99"));
     }
 
     #[test]
     fn default_fusion_stage_reads_the_contexts_routing() {
-        use crate::fusion::{group_records, FusionPolicy, RegistryConfig, ResolverSpec};
+        use crate::fusion::{group_records, RegistryConfig, ResolverSpec};
         use crate::stage::FusionStage;
         // A manually assembled stage list with FusionStage::default() must
-        // fuse under the context's routing-in-effect, keeping ctx.fused and
-        // ctx.fusion_resolvers in agreement by construction.
+        // fuse under the context's configured routing.
         let mut config = small_config();
         config.fusion_resolvers =
             RegistryConfig::broadway().with(CHEAPEST_PRICE, ResolverSpec::LatestWins);
@@ -674,7 +618,7 @@ mod tests {
                 vec![(SHOW_NAME, Value::from("Wicked")), (CHEAPEST_PRICE, Value::from("$99"))],
             ),
         ];
-        ctx.fusion_groups = group_records(&records, &FusionPolicy::Fuzzy { threshold: 0.88 });
+        ctx.fusion_groups = group_records(&records, 0.88);
         ctx.fusion_input = records;
         let mut stages: Vec<Box<dyn crate::stage::PipelineStage + '_>> =
             vec![Box::<FusionStage>::default()];
@@ -682,13 +626,12 @@ mod tests {
         assert_eq!(
             ctx.fused[0].record.get_text(CHEAPEST_PRICE).as_deref(),
             Some("$99"),
-            "context routing (LatestWins), not the broadway default"
+            "configured routing (LatestWins), not the broadway default"
         );
     }
 
     #[test]
-    fn blocked_er_grouping_override_reaches_the_stage_and_sticks() {
-        use crate::fusion::{BlockedErConfig, GroupingStrategy};
+    fn configured_blocked_er_grouping_reaches_the_stage_and_fuse() {
         // Word-order damaged duplicates: Jaro-Winkler on the canonical
         // names is far under the fusion threshold, so the canonical-name
         // scan splits them — blocked ER's token-aware record similarity
@@ -717,13 +660,12 @@ mod tests {
         dt.run(PipelinePlan::new().structured("s1", &rows)).unwrap();
         assert_eq!(dt.context().fused.len(), 2);
 
-        // Blocked-ER plan override: one consolidated entity, with the
-        // blocking health surfaced in the stage report.
-        let mut dt = DataTamer::new(small_config());
-        let plan = PipelinePlan::new()
-            .structured("s1", &rows)
-            .grouping(GroupingStrategy::BlockedEr(BlockedErConfig::default()));
-        dt.run(plan).unwrap();
+        // Configured blocked ER: one consolidated entity, with the blocking
+        // health surfaced in the stage report.
+        let mut config = small_config();
+        config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
+        let mut dt = DataTamer::new(config);
+        dt.run(PipelinePlan::new().structured("s1", &rows)).unwrap();
         assert_eq!(dt.context().fused.len(), 1);
         assert_eq!(dt.context().fused[0].member_count, 2);
         match dt.context().report_of(stage_names::ENTITY_CONSOLIDATION).unwrap() {
@@ -734,19 +676,16 @@ mod tests {
             }
             other => panic!("wrong report variant: {other:?}"),
         }
-        // Ad-hoc re-fusion groups the way the run that filled the context
-        // grouped — the override stuck.
+        // Ad-hoc re-fusion groups under the same configured strategy.
         assert_eq!(dt.fuse().len(), 1);
     }
 
     #[test]
     fn default_consolidation_stage_reads_the_contexts_grouping() {
-        use crate::fusion::{BlockedErConfig, GroupingStrategy};
         use crate::stage::EntityConsolidationStage;
         // A manually assembled stage list with the default stage must
-        // group under the context's strategy-in-effect, keeping
-        // ctx.fusion_groups and ctx.grouping in agreement by construction
-        // (mirroring FusionStage's relationship to the resolver routing).
+        // group under the context's configured strategy (mirroring
+        // FusionStage's relationship to the resolver routing).
         let mut config = small_config();
         config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
         let mut ctx = crate::stage::PipelineContext::new(config);
@@ -774,7 +713,7 @@ mod tests {
         assert_eq!(
             ctx.fusion_groups.len(),
             1,
-            "context grouping (BlockedEr), not the canonical-name default: {:?}",
+            "configured grouping (BlockedEr), not the canonical-name default: {:?}",
             ctx.fusion_groups
         );
         assert_eq!(ctx.fusion_groups[0].1, vec![0, 1]);
@@ -808,7 +747,7 @@ mod tests {
     #[test]
     fn consolidate_delta_matches_full_rebuild_and_reuses_clean_clusters() {
         let mut config = small_config();
-        config.grouping = GroupingStrategy::BlockedEr(crate::fusion::BlockedErConfig::default());
+        config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
 
         // Token-unique names: every record blocks alone, so the corpus
         // settles into one cluster per distinct name and a delta can only
@@ -865,7 +804,7 @@ mod tests {
         dt.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
         assert!(dt.ctx.staged_er.is_none());
 
-        config.grouping = GroupingStrategy::BlockedEr(crate::fusion::BlockedErConfig::default());
+        config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
         let mut dt = DataTamer::new(config);
         dt.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
         let staged = dt.ctx.staged_er.as_ref().expect("a blocked-ER run leaves its state");
@@ -884,7 +823,7 @@ mod tests {
     #[test]
     fn empty_deltas_do_not_grow_the_run_log() {
         let mut config = small_config();
-        config.grouping = GroupingStrategy::BlockedEr(crate::fusion::BlockedErConfig::default());
+        config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
         let mut dt = DataTamer::new(config);
         dt.run(PipelinePlan::new().structured("s1", &[show(0, "Matilda", "$27")])).unwrap();
         dt.consolidate_delta(&[]).unwrap();
@@ -902,7 +841,7 @@ mod tests {
     #[test]
     fn consolidate_delta_reseeds_after_the_base_corpus_grows() {
         let mut config = small_config();
-        config.grouping = GroupingStrategy::BlockedEr(crate::fusion::BlockedErConfig::default());
+        config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
 
         let s1: Vec<Record> =
             (0..6).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();

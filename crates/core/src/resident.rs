@@ -3,17 +3,18 @@
 //!
 //! A [`ResidentSession`] holds the incremental consolidator, the accepted
 //! delta batches (the context's structured and text records are the rest
-//! of its corpus), the configuration it was built under, the write-ahead
-//! [`Journal`], and the `fused_revision` it last installed. There is no
-//! fused-entity cache: the context's previous `fused` / `fusion_groups`
-//! vectors *are* the cache. Both are ordered by stable cluster id
-//! (smallest member), as are the consolidator's clusters, so
+//! of its corpus), the blocked-ER configuration it was built from, the
+//! write-ahead [`Journal`], and the `fused_revision` it last installed.
+//! There is no fused-entity cache: the context's previous `fused` /
+//! `fusion_groups` vectors *are* the cache. Both are ordered by stable
+//! cluster id (smallest member), as are the consolidator's clusters, so
 //! [`ResidentSession::apply`] merge-walks the two and **moves** the group
 //! and composite of every cluster whose membership is unchanged into the
 //! new vectors, resolving only the others — provided the context still
-//! holds what this session installed, under the routing it was resolved
-//! with. Otherwise (a staged run bumped the revision, the routing changed)
-//! every cluster re-resolves.
+//! holds what this session installed. Otherwise (a staged run bumped the
+//! revision) every cluster re-resolves. Grouping and resolver routing are
+//! the context's configuration, fixed for its life, so a session never
+//! has to track either: only corpus growth makes it stale.
 //!
 //! **One ER pass.** A staged blocked-ER run consolidates through the same
 //! resident engine and leaves its consolidator behind as a [`StagedEr`].
@@ -29,9 +30,7 @@ use rayon::prelude::*;
 
 use crate::config::DeltaLogConfig;
 use crate::fusion::grouping::cluster_key;
-use crate::fusion::{
-    merge_group, BlockedErConfig, FusedEntity, FusionGroup, GroupingReport, RegistryConfig,
-};
+use crate::fusion::{merge_group, BlockedErConfig, FusedEntity, FusionGroup, GroupingReport};
 use crate::stage::{PipelineContext, StageReport};
 
 /// The durable half of the accepted-batch journal: the write-ahead log
@@ -89,14 +88,12 @@ impl Journal {
 pub(crate) struct StagedEr {
     /// The consolidator after one ingest of the staged corpus.
     pub(crate) consolidator: IncrementalConsolidator,
-    /// The blocked-ER configuration it was built from.
-    pub(crate) config: BlockedErConfig,
     /// Context record counts it consolidated (structured, then text).
     pub(crate) structured: usize,
     pub(crate) text: usize,
     /// The `fused_revision` whose composites were resolved from exactly
-    /// these clusters, under the routing in effect — set by
-    /// [`crate::DataTamer::run`] once its fusion stage installed them.
+    /// these clusters — set by [`crate::DataTamer::run`] once its fusion
+    /// stage installed them.
     pub(crate) installed_revision: Option<u64>,
 }
 
@@ -109,13 +106,9 @@ pub(crate) struct ResidentSession {
     /// these. A replayed tail the consolidator has not ingested yet is
     /// ingested by the next [`ResidentSession::apply`].
     accepted: Vec<Record>,
-    /// The blocked-ER configuration the consolidator was built from; a
-    /// change in the grouping-in-effect makes the session stale.
+    /// The configured blocked-ER grouping the consolidator was built from
+    /// (it keys the groups of new clusters).
     config: BlockedErConfig,
-    /// The routing the installed composites were resolved under. Clusters
-    /// are routing-independent, so a change keeps the consolidator and
-    /// only forfeits reuse of the previous composites.
-    resolvers: RegistryConfig,
     /// Context record counts at seed time — if `register_structured` /
     /// `run` / `ingest_webtext` grew them since, the resident corpus is
     /// stale and the next delta reseeds (replaying the accepted batches).
@@ -152,11 +145,9 @@ impl<'a> Corpus<'a> {
 }
 
 impl ResidentSession {
-    /// True when the grouping-in-effect changed or the base corpus grew
-    /// since seeding.
-    pub(crate) fn is_stale(&self, ctx: &PipelineContext, config: &BlockedErConfig) -> bool {
-        self.config != *config
-            || self.seeded_structured != ctx.structured_records.len()
+    /// True when the base corpus grew since seeding.
+    pub(crate) fn is_stale(&self, ctx: &PipelineContext) -> bool {
+        self.seeded_structured != ctx.structured_records.len()
             || self.seeded_text != ctx.text_show_records.len()
     }
 
@@ -171,11 +162,12 @@ impl ResidentSession {
     /// batches queued on top — `carried` from the stale session being
     /// replaced, or, on the first seed of a process, whatever the
     /// configured log holds. `staged` is adopted when it was built over
-    /// exactly this corpus and configuration; otherwise the corpus is
-    /// consolidated here. Replay never re-appends.
+    /// exactly this corpus; otherwise the corpus is consolidated here under
+    /// `config`, the context's configured blocked-ER grouping. Replay never
+    /// re-appends.
     pub(crate) fn seed(
         ctx: &PipelineContext,
-        config: BlockedErConfig,
+        config: &BlockedErConfig,
         staged: Option<StagedEr>,
         carried: Option<(Journal, Vec<Record>)>,
     ) -> Result<ResidentSession> {
@@ -189,10 +181,7 @@ impl ResidentSession {
         };
         let (structured, text) = (&ctx.structured_records, &ctx.text_show_records);
         let (consolidator, installed_revision) = match staged {
-            Some(s)
-                if s.config == config
-                    && (s.structured, s.text) == (structured.len(), text.len()) =>
-            {
+            Some(s) if (s.structured, s.text) == (structured.len(), text.len()) => {
                 (s.consolidator, s.installed_revision)
             }
             _ => {
@@ -208,8 +197,7 @@ impl ResidentSession {
         Ok(ResidentSession {
             consolidator,
             accepted,
-            config,
-            resolvers: ctx.fusion_resolvers.clone(),
+            config: config.clone(),
             seeded_structured: structured.len(),
             seeded_text: text.len(),
             journal,
@@ -234,15 +222,10 @@ impl ResidentSession {
         self.accepted.extend_from_slice(batch);
         let delta = self.consolidator.ingest(&self.accepted[ingested..]);
 
-        let mut reuse = self.installed_revision == Some(ctx.fused_revision);
-        if self.resolvers != ctx.fusion_resolvers {
-            self.resolvers = ctx.fusion_resolvers.clone();
-            reuse = false;
-        }
         // Stale output is dropped before its replacement is built.
         let mut prev_groups = std::mem::take(&mut ctx.fusion_groups);
         let mut prev_fused = std::mem::take(&mut ctx.fused);
-        if !reuse {
+        if self.installed_revision != Some(ctx.fused_revision) {
             prev_groups.clear();
             prev_fused.clear();
         }
@@ -279,7 +262,7 @@ impl ResidentSession {
         }
 
         let changed: Vec<bool> = slots.iter().map(Option::is_none).collect();
-        let registry = ctx.fusion_resolvers.build();
+        let registry = ctx.config().fusion_resolvers.build();
         let todo: Vec<&FusionGroup> = groups
             .iter()
             .zip(&changed)

@@ -197,17 +197,6 @@ pub struct PipelineContext {
     /// skipped a revision must rebuild (a group dirtied by the skipped
     /// delta reads clean here).
     pub fused_changed: Option<Vec<bool>>,
-    /// The truth-discovery routing currently in effect: the system
-    /// configuration's, until a run's `PipelinePlan` overrides it. Ad-hoc
-    /// re-fusion (`DataTamer::fuse`) uses this, so it always agrees with
-    /// the routing that produced [`PipelineContext::fused`].
-    pub fusion_resolvers: crate::fusion::RegistryConfig,
-    /// The grouping strategy currently in effect for entity consolidation
-    /// — same override discipline as [`PipelineContext::fusion_resolvers`]:
-    /// the system configuration's, until a successful run's `PipelinePlan`
-    /// replaces it, so ad-hoc re-fusion groups the way the context's fused
-    /// output was grouped.
-    pub grouping: GroupingStrategy,
     /// The resident ER state the most recent staged blocked-ER
     /// consolidation left for [`crate::DataTamer::consolidate_delta`] to
     /// adopt; taken by the next delta, cleared by any other consolidation.
@@ -221,8 +210,6 @@ impl PipelineContext {
         let integrator = SchemaIntegrator::new(config.integration.clone());
         PipelineContext {
             store: Store::new(config.namespace.clone()),
-            fusion_resolvers: config.fusion_resolvers.clone(),
-            grouping: config.grouping.clone(),
             config,
             catalog: Catalog::new(),
             integrator,
@@ -618,10 +605,10 @@ impl PipelineStage for CleaningStage {
 /// Grouping dispatches on a [`GroupingStrategy`]: the classic
 /// canonical-name scan, or similarity-based blocked ER (blocking →
 /// rayon-parallel pair scoring → union-find) for fuzzy duplicates the name
-/// key cannot reach. Built with an explicit strategy, or, by default,
-/// reading the context's strategy-in-effect
-/// ([`PipelineContext::grouping`]) at run time — mirroring
-/// [`FusionStage`]'s relationship to the resolver routing. Blocked ER is
+/// key cannot reach. The default stage groups under the context's
+/// configured strategy ([`DataTamerConfig::grouping`]), which is what
+/// [`crate::DataTamer::run`] uses; [`EntityConsolidationStage::with_strategy`]
+/// names one explicitly for a hand-assembled stage list. Blocked ER is
 /// one ingest of the resident engine, which the stage leaves in the
 /// context for the next [`crate::DataTamer::consolidate_delta`] to adopt
 /// instead of consolidating the same corpus again.
@@ -631,8 +618,8 @@ pub struct EntityConsolidationStage {
 }
 
 impl EntityConsolidationStage {
-    /// Group with an explicit strategy instead of the context's
-    /// strategy-in-effect.
+    /// Group with an explicit strategy instead of the context's configured
+    /// one.
     pub fn with_strategy(strategy: GroupingStrategy) -> Self {
         EntityConsolidationStage { strategy: Some(strategy) }
     }
@@ -651,13 +638,12 @@ impl PipelineStage for EntityConsolidationStage {
         input.extend(ctx.text_show_records.iter().cloned());
 
         let threshold = ctx.config().fusion_threshold;
-        let strategy = self.strategy.as_ref().unwrap_or(&ctx.grouping);
+        let strategy = self.strategy.as_ref().unwrap_or(&ctx.config.grouping);
         let (groups, blocking) = match strategy {
             GroupingStrategy::BlockedEr(config) => {
                 let (consolidator, groups, report) = blocked_er(&input, config);
                 ctx.staged_er = Some(StagedEr {
                     consolidator,
-                    config: config.clone(),
                     structured: ctx.structured_records.len(),
                     text: ctx.text_show_records.len(),
                     installed_revision: None,
@@ -695,11 +681,10 @@ impl PipelineStage for EntityConsolidationStage {
 /// resolver registry (groups merge in parallel; the registry's resolvers
 /// are deterministic, so output is byte-identical at any thread count).
 ///
-/// Built with an explicit registry ([`FusionStage::new`]) or, by default,
-/// resolving through the context's routing-in-effect
-/// ([`PipelineContext::fusion_resolvers`]) at run time — so a manually
-/// assembled stage list keeps the context's fused output and routing in
-/// agreement by construction.
+/// The default stage resolves through the context's configured routing
+/// ([`DataTamerConfig::fusion_resolvers`]), which is what
+/// [`crate::DataTamer::run`] uses; [`FusionStage::new`] names an explicit
+/// registry for a hand-assembled stage list.
 #[derive(Debug, Default)]
 pub struct FusionStage {
     registry: Option<ResolverRegistry>,
@@ -707,7 +692,7 @@ pub struct FusionStage {
 
 impl FusionStage {
     /// Resolve conflicts through `registry` instead of the context's
-    /// routing.
+    /// configured routing.
     pub fn new(registry: ResolverRegistry) -> Self {
         FusionStage { registry: Some(registry) }
     }
@@ -723,7 +708,7 @@ impl PipelineStage for FusionStage {
         let registry = match &self.registry {
             Some(registry) => registry,
             None => {
-                from_ctx = ctx.fusion_resolvers.build();
+                from_ctx = ctx.config.fusion_resolvers.build();
                 &from_ctx
             }
         };

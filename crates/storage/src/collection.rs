@@ -18,7 +18,7 @@ use datatamer_model::{AttrKey, Document, DtError, Result, Value};
 
 use crate::backend::{BackendConfig, FileBackend, MemoryBackend, ShardBackend};
 use crate::coordinator::{ShardCoordinator, StorageReport};
-use crate::index::{Index, IndexSpec};
+use crate::index::{extract_path, Index, IndexSpec};
 use crate::stats::CollectionStats;
 
 /// Packed document id: `shard (8) | extent (24) | slot (32)`.
@@ -304,17 +304,23 @@ impl Collection {
     }
 
     /// Group-by over a path: `(value, count)` in value order. Uses an index
-    /// on the path when one exists, otherwise a parallel scan.
+    /// on the path when one exists, otherwise a parallel scan that extracts
+    /// keys exactly as an index would (an array counts each element), so
+    /// both answers agree.
     pub fn count_by(&self, path: &str) -> Result<Vec<(Value, u64)>> {
         if let Some(counts) = self.with_index_on_path(path, |idx| {
             idx.key_counts().into_iter().map(|(k, n)| (k, n as u64)).collect::<Vec<_>>()
         }) {
             return Ok(counts);
         }
-        let values = self.parallel_scan(|_, doc| doc.get_path(path).cloned())?;
+        let per_doc = self.parallel_scan(|_, doc| {
+            let mut keys = Vec::new();
+            extract_path(doc, path, &mut keys);
+            (!keys.is_empty()).then_some(keys)
+        })?;
         let mut counts: std::collections::BTreeMap<AttrKey, u64> =
             std::collections::BTreeMap::new();
-        for v in values {
+        for v in per_doc.into_iter().flatten() {
             *counts.entry(AttrKey(v)).or_insert(0) += 1;
         }
         Ok(counts.into_iter().map(|(k, n)| (k.0, n)).collect())
@@ -498,18 +504,33 @@ mod tests {
 
     #[test]
     fn count_by_with_and_without_index() {
+        // A scalar path, an array path and an array-of-documents path: the
+        // scan must count every key the index holds (each element of an
+        // array, not the array as one key).
         let c = small();
-        for ty in ["Person", "Person", "Movie"] {
-            c.insert(&doc! {"type" => ty}).unwrap();
+        let entity = |ty: &str| Value::Doc(doc! {"type" => ty});
+        for (ty, tags, entities) in [
+            ("Person", vec!["a"], vec!["Movie", "City"]),
+            ("Person", vec!["a", "b"], vec!["Movie"]),
+            ("Movie", vec![], vec![]),
+        ] {
+            c.insert(&doc! {
+                "type" => ty,
+                "tags" => Value::Array(tags.into_iter().map(Value::from).collect()),
+                "entities" => Value::Array(entities.into_iter().map(entity).collect())
+            })
+            .unwrap();
         }
-        let scan_counts = c.count_by("type").unwrap();
-        c.create_index(IndexSpec::new("by_type", "type")).unwrap();
-        let index_counts = c.count_by("type").unwrap();
-        assert_eq!(scan_counts, index_counts);
-        assert_eq!(
-            scan_counts,
-            vec![(Value::from("Movie"), 1), (Value::from("Person"), 2)]
-        );
+        for (path, expected) in [
+            ("type", vec![(Value::from("Movie"), 1), (Value::from("Person"), 2)]),
+            ("tags", vec![(Value::from("a"), 2), (Value::from("b"), 1)]),
+            ("entities.type", vec![(Value::from("City"), 1), (Value::from("Movie"), 2)]),
+        ] {
+            let scan_counts = c.count_by(path).unwrap();
+            c.create_index(IndexSpec::new(format!("by_{path}"), path)).unwrap();
+            assert_eq!(c.count_by(path).unwrap(), scan_counts, "{path}");
+            assert_eq!(scan_counts, expected, "{path}");
+        }
     }
 
     #[test]

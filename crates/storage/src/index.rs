@@ -130,7 +130,7 @@ impl Index {
 /// Resolve a dotted path allowing multikey traversal through arrays. The
 /// walk starts at the first segment's field, so the document itself is
 /// never copied; only the extracted keys are.
-fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
+pub(crate) fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
     fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
         let Some((seg, rest)) = segments.split_first() else {
             match v {

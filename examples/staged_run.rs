@@ -1,7 +1,8 @@
-//! One staged pipeline run, end to end: build a plan from generated
-//! sources + web text, route two attributes to non-default truth-discovery
-//! resolvers, execute the canonical stage list, and print each stage's
-//! report, the resolver routing, and the Matilda enrichment.
+//! One staged pipeline run, end to end: configure a system that routes two
+//! attributes to non-default truth-discovery resolvers, build a plan from
+//! generated sources + web text, execute the canonical stage list, and
+//! print the resolver routing, the Matilda enrichment and each stage's
+//! report.
 //!
 //! ```text
 //! cargo run --release --example staged_run
@@ -41,9 +42,9 @@ fn main() {
         println!("  {attr:<16} -> {resolver}");
     }
     println!("  (default)        -> {default}\n");
-    plan = plan.resolvers(resolvers);
 
-    let mut dt = DataTamer::new(DataTamerConfig::default());
+    let mut dt =
+        DataTamer::new(DataTamerConfig { fusion_resolvers: resolvers, ..Default::default() });
     let fused = dt.run(plan).expect("pipeline runs");
     let matilda = DataTamer::lookup(fused, "Matilda").expect("Matilda fused");
     println!(

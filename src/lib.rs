@@ -170,10 +170,11 @@
 //!
 //! ## Fusion: grouping + per-attribute truth discovery
 //!
-//! Fusion is two-level. A `FusionPolicy` decides *grouping* — which records
-//! describe the same entity — and a `ResolverRegistry` decides *truth*: it
-//! routes each attribute's conflicting, provenance-tagged values (source
-//! id, record id, cluster rank) to a `ValueResolver`. Built-ins cover
+//! Fusion is two-level. A `GroupingStrategy` decides *grouping* — which
+//! records describe the same entity — and a `ResolverRegistry` decides
+//! *truth*: it routes each attribute's conflicting, provenance-tagged
+//! values (source id, record id, cluster rank) to a `ValueResolver`.
+//! Built-ins cover
 //! majority vote, iterative accu-style source-reliability weighting,
 //! freshness (`LatestWins` over record provenance), multi-truth attributes
 //! (every value above a support threshold survives, as an array), and
@@ -181,12 +182,14 @@
 //! (`First`, `Longest`, numeric min/max, first-seen-tie majority).
 //! Every composite is built by one routine, `merge_composite`, driven by
 //! the registry. Routing is declarative
-//! ([`core::fusion::RegistryConfig`]) — set it system-wide on
-//! `DataTamerConfig::fusion_resolvers` or per run on a `PipelinePlan`:
+//! ([`core::fusion::RegistryConfig`]) and set once, on
+//! `DataTamerConfig::fusion_resolvers`: a system fuses every run, ad-hoc
+//! re-fusion and delta under that one routing. The halves also compose
+//! directly over a record slice:
 //!
 //! ```
 //! use datatamer::core::fusion::{
-//!     fuse_records_with, FusionPolicy, RegistryConfig, ResolverSpec,
+//!     fuse_records_with, RegistryConfig, ResolverSpec,
 //! };
 //! use datatamer::model::{Record, RecordId, SourceId, Value};
 //!
@@ -214,11 +217,8 @@
 //! let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
 //!     .with("RATING", ResolverSpec::MultiTruth { min_support: 0.3 })
 //!     .build();
-//! let fused = fuse_records_with(
-//!     &records,
-//!     &FusionPolicy::Fuzzy { threshold: 0.88 },
-//!     &registry,
-//! );
+//! // Names join at Jaro-Winkler ≥ 0.88 on their canonical form.
+//! let fused = fuse_records_with(&records, 0.88, &registry);
 //! assert_eq!(fused[0].record.get_text("STATUS").as_deref(), Some("open"));
 //! assert_eq!(
 //!     fused[0].record.get("RATING"),
@@ -302,9 +302,9 @@
 //! ```
 //!
 //! How the staged pipeline *groups* records for fusion is itself
-//! configurable through the [`core::fusion::GroupingStrategy`] seam — on
-//! `DataTamerConfig::grouping` system-wide or per run on a
-//! `PipelinePlan`. `CanonicalName` is the classic demo scan;
+//! configurable through the [`core::fusion::GroupingStrategy`] seam, set
+//! once on `DataTamerConfig::grouping` for the life of the system.
+//! `CanonicalName` is the classic demo scan;
 //! `BlockedEr` runs the full ER machinery (blocking → prepared,
 //! rayon-parallel pair scoring → union-find clustering) inside the
 //! consolidation stage — the scoring context is built once, before the
@@ -337,10 +337,11 @@
 //!         ],
 //!     ),
 //! ];
-//! let mut dt = DataTamer::new(DataTamerConfig::default());
-//! let plan = PipelinePlan::new()
-//!     .structured("listings", &rows)
-//!     .grouping(GroupingStrategy::BlockedEr(BlockedErConfig::default()));
+//! let mut dt = DataTamer::new(DataTamerConfig {
+//!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
+//!     ..Default::default()
+//! });
+//! let plan = PipelinePlan::new().structured("listings", &rows);
 //! let fused = dt.run(plan).expect("pipeline runs");
 //! assert_eq!(fused.len(), 1, "one consolidated entity");
 //! assert_eq!(fused[0].member_count, 2);

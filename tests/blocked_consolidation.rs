@@ -69,9 +69,8 @@ fn config_level_blocked_er_consolidates_fuzzy_duplicates_end_to_end() {
         .unwrap();
     assert_eq!(dt.context().fused.len(), 3);
 
-    // Blocked ER configured system-wide (no plan override needed): the
-    // damaged duplicate joins its entity, and the cheapest price across
-    // both sources survives fusion.
+    // Blocked ER configured on the system: the damaged duplicate joins its
+    // entity, and the cheapest price across both sources survives fusion.
     let mut dt = DataTamer::new(config_with(GroupingStrategy::BlockedEr(
         BlockedErConfig::default(),
     )));

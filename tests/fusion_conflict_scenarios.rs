@@ -6,9 +6,7 @@
 //! pinned. A second half drives the same registry machinery through the
 //! full staged pipeline to assert per-attribute dispatch end to end.
 
-use datatamer::core::fusion::{
-    fuse_records_with, FusionPolicy, RegistryConfig, ResolverRegistry, ResolverSpec,
-};
+use datatamer::core::fusion::{fuse_records_with, RegistryConfig, ResolverSpec};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
 use datatamer::entity::ConflictPolicy;
 use datatamer::model::{Record, RecordId, SourceId, Value};
@@ -145,8 +143,7 @@ fn conflict_corpus_resolves_as_pinned() {
             .with(ATTR, s.resolver.clone())
             .build();
         let records = scenario_records(&s);
-        let fused =
-            fuse_records_with(&records, &FusionPolicy::Fuzzy { threshold: 0.88 }, &registry);
+        let fused = fuse_records_with(&records, 0.88, &registry);
         assert_eq!(fused.len(), 1, "{}: one conflicted entity", s.name);
         assert_eq!(fused[0].member_count, s.values.len(), "{}", s.name);
         assert_eq!(
@@ -180,8 +177,7 @@ fn resolution_is_insensitive_to_record_order_for_order_free_resolvers() {
             .build();
         let mut records = scenario_records(&s);
         records.reverse();
-        let fused =
-            fuse_records_with(&records, &FusionPolicy::Fuzzy { threshold: 0.88 }, &registry);
+        let fused = fuse_records_with(&records, 0.88, &registry);
         assert_eq!(
             fused[0].record.get(ATTR),
             Some(&expected_value(&s.expect)),
@@ -231,7 +227,7 @@ fn registry_dispatches_each_attribute_to_its_own_resolver() {
         mk(2, 2, "open", "PG", "$99", "Musik Box"),
         mk(3, 3, "open", "PG-13", "$31", "Music Box"),
     ];
-    let fused = fuse_records_with(&records, &FusionPolicy::Fuzzy { threshold: 0.88 }, &registry);
+    let fused = fuse_records_with(&records, 0.88, &registry);
     assert_eq!(fused.len(), 1);
     let r = &fused[0].record;
     assert_eq!(r.get_text("STATUS").as_deref(), Some("open"), "latest record wins");
@@ -251,7 +247,7 @@ fn registry_dispatches_each_attribute_to_its_own_resolver() {
 
 #[test]
 fn per_attribute_dispatch_survives_the_full_staged_pipeline() {
-    // Same registry idea, but configured on the PipelinePlan and pushed
+    // Same registry idea, but configured on the system and pushed
     // through ingest → schema integration → cleaning → consolidation →
     // fusion. Source attributes arrive lowercase and are canonicalised to
     // upper case by schema integration, so the registry routes the
@@ -273,16 +269,12 @@ fn per_attribute_dispatch_survives_the_full_staged_pipeline() {
     let mut dt = DataTamer::new(DataTamerConfig {
         extent_size: 64 * 1024,
         shards: 2,
+        fusion_resolvers: RegistryConfig::broadway()
+            .with("STATUS", ResolverSpec::LatestWins)
+            .with("RATING", ResolverSpec::MultiTruth { min_support: 0.4 }),
         ..Default::default()
     });
-    let plan = PipelinePlan::new()
-        .structured("season_a", &a)
-        .structured("season_b", &b)
-        .resolvers(
-            RegistryConfig::broadway()
-                .with("STATUS", ResolverSpec::LatestWins)
-                .with("RATING", ResolverSpec::MultiTruth { min_support: 0.4 }),
-        );
+    let plan = PipelinePlan::new().structured("season_a", &a).structured("season_b", &b);
     dt.run(plan).expect("pipeline runs");
 
     let fused = &dt.context().fused;
@@ -299,24 +291,4 @@ fn per_attribute_dispatch_survives_the_full_staged_pipeline() {
         "multi-truth attribute keeps both ratings through the pipeline"
     );
     assert_eq!(r.get_text("SHOW_NAME").as_deref(), Some("Pippin"));
-}
-
-#[test]
-fn default_registry_without_override_matches_legacy_fusion() {
-    use datatamer::core::fusion::fuse_records;
-    for s in scenarios() {
-        let records = scenario_records(&s);
-        let policy = FusionPolicy::Fuzzy { threshold: 0.88 };
-        let legacy = fuse_records(&records, &policy);
-        let via_registry = fuse_records_with(&records, &policy, &ResolverRegistry::broadway());
-        let legacy_blob: Vec<String> = legacy
-            .iter()
-            .map(|f| format!("{}|{}|{:?}", f.key, f.member_count, f.record))
-            .collect();
-        let registry_blob: Vec<String> = via_registry
-            .iter()
-            .map(|f| format!("{}|{}|{:?}", f.key, f.member_count, f.record))
-            .collect();
-        assert_eq!(legacy_blob, registry_blob, "{}", s.name);
-    }
 }

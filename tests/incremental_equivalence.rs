@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use datatamer::core::fusion::{
-    BlockedErConfig, GroupingStrategy, RegistryConfig, ResolverSpec, CHEAPEST_PRICE, SHOW_NAME,
+    BlockedErConfig, GroupingStrategy, CHEAPEST_PRICE, SHOW_NAME,
 };
 use datatamer::core::{DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan};
 use datatamer::entity::cluster::cluster_pairs;
@@ -89,11 +89,7 @@ fn incremental_run(
 
 /// From-scratch run over the whole corpus as one structured source.
 fn full_run(corpus: &[Record]) -> (String, String) {
-    full_run_with(config(), corpus)
-}
-
-fn full_run_with(config: DataTamerConfig, corpus: &[Record]) -> (String, String) {
-    let mut dt = DataTamer::new(config);
+    let mut dt = DataTamer::new(config());
     let mut plan = PipelinePlan::new();
     if !corpus.is_empty() {
         plan = plan.structured("s1", corpus);
@@ -363,42 +359,25 @@ fn staged_run_between_deltas_reseeds_and_replays() {
 
 #[test]
 fn staged_run_over_the_same_corpus_invalidates_reuse() {
-    // A fresher duplicate at a higher price: the broadway routing keeps
-    // the numeric minimum, `LatestWins` the freshest record's price.
     let s1: Vec<Record> =
         (0..12).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
     let b1 = vec![show(100, "Alphashow2 One2", "$11")];
     let b2 = vec![show(101, "Alphashow7 One7", "$10")];
     let all: Vec<Record> = [s1.clone(), b1.clone(), b2.clone()].concat();
-    let latest_wins = RegistryConfig::broadway().with(CHEAPEST_PRICE, ResolverSpec::LatestWins);
 
-    // No new source either way, so the session survives the run — but the
-    // run's `fused` lacks the delta records, and under an override the
-    // session's own composites predate the routing.
-    let mut outputs = Vec::new();
-    for routing in [None, Some(latest_wins)] {
-        let inc = at_1_and_8_threads(|| {
-            let mut dt = DataTamer::new(config());
-            dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
-            dt.consolidate_delta(&b1).expect("first delta");
-            let mut plan = PipelinePlan::new();
-            if let Some(routing) = &routing {
-                plan = plan.resolvers(routing.clone());
-            }
-            dt.run(plan).expect("staged run between the deltas");
-            let d = dt.consolidate_delta(&b2).expect("delta after the run");
-            assert_eq!(d.dirty_clusters, 1, "the consolidator itself was kept: {d:?}");
-            assert!(all_changed(&dt), "no composite in the context may be reused");
-            fingerprint(&dt)
-        });
-        let mut rebuilt = config();
-        if let Some(routing) = routing {
-            rebuilt.fusion_resolvers = routing;
-        }
-        assert_eq!(inc, full_run_with(rebuilt, &all));
-        outputs.push(inc);
-    }
-    assert_ne!(outputs[0], outputs[1], "the routings must disagree for the override to matter");
+    // No new source, so the session survives the run — but the run's
+    // `fused` lacks the delta records.
+    let inc = at_1_and_8_threads(|| {
+        let mut dt = DataTamer::new(config());
+        dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
+        dt.consolidate_delta(&b1).expect("first delta");
+        dt.run(PipelinePlan::new()).expect("staged run between the deltas");
+        let d = dt.consolidate_delta(&b2).expect("delta after the run");
+        assert_eq!(d.dirty_clusters, 1, "the consolidator itself was kept: {d:?}");
+        assert!(all_changed(&dt), "no composite in the context may be reused");
+        fingerprint(&dt)
+    });
+    assert_eq!(inc, full_run(&all));
 }
 
 #[test]

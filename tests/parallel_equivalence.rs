@@ -16,30 +16,14 @@ use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer::text::DomainParser;
 use rayon::ThreadPoolBuilder;
 
-/// Build the full system through `DataTamer::run` and flatten every
-/// observable output into one comparable byte blob. `resolvers` overrides
-/// the fusion stage's truth-discovery routing when given.
-fn run_pipeline_fingerprint_with(resolvers: Option<RegistryConfig>) -> (String, Vec<String>) {
-    run_pipeline_fingerprint(resolvers, None)
+/// The configuration every run below starts from.
+fn config() -> DataTamerConfig {
+    DataTamerConfig { extent_size: 64 * 1024, shards: 4, ..Default::default() }
 }
 
-/// [`run_pipeline_fingerprint_with`] plus an optional entity-consolidation
-/// grouping override.
-fn run_pipeline_fingerprint(
-    resolvers: Option<RegistryConfig>,
-    grouping: Option<GroupingStrategy>,
-) -> (String, Vec<String>) {
-    run_pipeline_fingerprint_on(resolvers, grouping, StorageConfig::default())
-}
-
-/// [`run_pipeline_fingerprint`] with the storage backend under the
-/// caller's control (the shard-coordinator equivalence tests point it at a
-/// file backend).
-fn run_pipeline_fingerprint_on(
-    resolvers: Option<RegistryConfig>,
-    grouping: Option<GroupingStrategy>,
-    storage: StorageConfig,
-) -> (String, Vec<String>) {
+/// Build the full system through `DataTamer::run` under `config` and
+/// flatten every observable output into one comparable byte blob.
+fn run_pipeline_fingerprint(config: DataTamerConfig) -> (String, Vec<String>) {
     let corpus = WebTextCorpus::generate(&WebTextConfig {
         num_fragments: 400,
         background_mentions: 4,
@@ -47,12 +31,7 @@ fn run_pipeline_fingerprint_on(
         ..Default::default()
     });
     let sources = ftables::generate(&FtablesConfig::default(), 1000);
-    let mut dt = DataTamer::new(DataTamerConfig {
-        extent_size: 64 * 1024,
-        shards: 4,
-        storage,
-        ..Default::default()
-    });
+    let mut dt = DataTamer::new(config);
     let mut plan = PipelinePlan::new();
     for s in &sources {
         plan = plan.structured(&s.name, &s.records);
@@ -60,12 +39,6 @@ fn run_pipeline_fingerprint_on(
     let frags: Vec<(&str, &str)> =
         corpus.fragments.iter().map(|f| (f.text.as_str(), f.kind.label())).collect();
     plan = plan.webtext(DomainParser::with_gazetteer(corpus.gazetteer.clone()), frags);
-    if let Some(config) = resolvers {
-        plan = plan.resolvers(config);
-    }
-    if let Some(strategy) = grouping {
-        plan = plan.grouping(strategy);
-    }
 
     let fused = dt.run(plan).expect("pipeline runs");
     // Byte-exact fingerprint of the fused output: key, member count, and
@@ -89,10 +62,10 @@ fn run_pipeline_fingerprint_on(
 fn serial_and_parallel_runs_are_byte_identical() {
     let serial_pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let (serial_fused, serial_stats) =
-        serial_pool.install(|| run_pipeline_fingerprint_with(None));
+        serial_pool.install(|| run_pipeline_fingerprint(config()));
 
     let wide_pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-    let (wide_fused, wide_stats) = wide_pool.install(|| run_pipeline_fingerprint_with(None));
+    let (wide_fused, wide_stats) = wide_pool.install(|| run_pipeline_fingerprint(config()));
 
     assert_eq!(
         serial_fused, wide_fused,
@@ -107,20 +80,19 @@ fn custom_resolver_registry_runs_are_byte_identical() {
     // A non-default registry exercising every truth-discovery resolver —
     // including the float-iterating SourceReliability — must stay
     // byte-deterministic across pool widths.
-    let registry = || {
-        RegistryConfig::uniform(ResolverSpec::MajorityVote)
+    let custom = || DataTamerConfig {
+        fusion_resolvers: RegistryConfig::uniform(ResolverSpec::MajorityVote)
             .with("CHEAPEST_PRICE", ResolverSpec::SourceReliability { iterations: 5 })
             .with("THEATER", ResolverSpec::MultiTruth { min_support: 0.25 })
             .with("PERFORMANCE", ResolverSpec::LatestWins)
-            .with("FIRST", ResolverSpec::LatestWins)
+            .with("FIRST", ResolverSpec::LatestWins),
+        ..config()
     };
     let serial_pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let (serial_fused, serial_stats) =
-        serial_pool.install(|| run_pipeline_fingerprint_with(Some(registry())));
+    let (serial_fused, serial_stats) = serial_pool.install(|| run_pipeline_fingerprint(custom()));
 
     let wide_pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-    let (wide_fused, wide_stats) =
-        wide_pool.install(|| run_pipeline_fingerprint_with(Some(registry())));
+    let (wide_fused, wide_stats) = wide_pool.install(|| run_pipeline_fingerprint(custom()));
 
     assert_eq!(
         serial_fused, wide_fused,
@@ -132,7 +104,7 @@ fn custom_resolver_registry_runs_are_byte_identical() {
     // And the routing genuinely changed the output relative to the default.
     let (default_fused, _) =
         ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(|| {
-            run_pipeline_fingerprint_with(None)
+            run_pipeline_fingerprint(config())
         });
     assert_ne!(
         serial_fused, default_fused,
@@ -145,14 +117,15 @@ fn blocked_er_grouping_runs_are_byte_identical() {
     // The blocked-ER consolidation path — blocking, rayon-parallel pair
     // scoring, union-find clustering — must produce byte-identical fused
     // output at any pool width, like the canonical-name path it joins.
-    let grouping = || GroupingStrategy::BlockedEr(BlockedErConfig::default());
+    let blocked = || DataTamerConfig {
+        grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
+        ..config()
+    };
     let serial_pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let (serial_fused, serial_stats) =
-        serial_pool.install(|| run_pipeline_fingerprint(None, Some(grouping())));
+    let (serial_fused, serial_stats) = serial_pool.install(|| run_pipeline_fingerprint(blocked()));
 
     let wide_pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-    let (wide_fused, wide_stats) =
-        wide_pool.install(|| run_pipeline_fingerprint(None, Some(grouping())));
+    let (wide_fused, wide_stats) = wide_pool.install(|| run_pipeline_fingerprint(blocked()));
 
     assert_eq!(
         serial_fused, wide_fused,
@@ -185,14 +158,16 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
     let serial_cfg = storage("serial");
     cleanup(&serial_cfg);
     let serial_pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let (serial_fused, serial_stats) = serial_pool
-        .install(|| run_pipeline_fingerprint_on(None, None, serial_cfg.clone()));
+    let (serial_fused, serial_stats) = serial_pool.install(|| {
+        run_pipeline_fingerprint(DataTamerConfig { storage: serial_cfg.clone(), ..config() })
+    });
 
     let wide_cfg = storage("wide");
     cleanup(&wide_cfg);
     let wide_pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-    let (wide_fused, wide_stats) =
-        wide_pool.install(|| run_pipeline_fingerprint_on(None, None, wide_cfg.clone()));
+    let (wide_fused, wide_stats) = wide_pool.install(|| {
+        run_pipeline_fingerprint(DataTamerConfig { storage: wide_cfg.clone(), ..config() })
+    });
 
     assert_eq!(
         serial_fused, wide_fused,
@@ -207,7 +182,7 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
         .num_threads(1)
         .build()
         .unwrap()
-        .install(|| run_pipeline_fingerprint_with(None));
+        .install(|| run_pipeline_fingerprint(config()));
     assert_eq!(serial_fused, memory_fused, "backend must not change fused output");
     assert_eq!(serial_stats, memory_stats, "backend must not change stats");
 
