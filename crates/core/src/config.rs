@@ -89,8 +89,6 @@ pub struct DataTamerConfig {
     /// the life of a [`crate::DataTamer`], so every fused entity it
     /// produces was resolved under the same routing.
     pub fusion_resolvers: RegistryConfig,
-    /// Whether the ML text cleaner filters fragments before parsing.
-    pub clean_text: bool,
     /// Append accepted delta batches to a persistent log so a restarted
     /// system replays them (see [`DeltaLogConfig`]). `None` keeps the
     /// session memory-only.
@@ -108,7 +106,6 @@ impl Default for DataTamerConfig {
             fusion_threshold: 0.82,
             grouping: GroupingStrategy::CanonicalName,
             fusion_resolvers: RegistryConfig::broadway(),
-            clean_text: true,
             delta_log: None,
         }
     }

@@ -62,18 +62,13 @@ pub struct IngestStats {
 /// Ingests raw fragments through the cleaner and parser into a store.
 pub struct TextIngestor {
     parser: DomainParser,
-    cleaner: Option<TextCleaner>,
+    cleaner: TextCleaner,
 }
 
 impl TextIngestor {
     /// With a parser and the built-in ML cleaner.
     pub fn new(parser: DomainParser) -> Self {
-        TextIngestor { parser, cleaner: Some(TextCleaner::with_builtin_seeds()) }
-    }
-
-    /// With a parser and no cleaning (ablation mode).
-    pub fn without_cleaner(parser: DomainParser) -> Self {
-        TextIngestor { parser, cleaner: None }
+        TextIngestor { parser, cleaner: TextCleaner::with_builtin_seeds() }
     }
 
     /// Ensure the `instance` and `entity` collections exist with the
@@ -131,7 +126,7 @@ impl TextIngestor {
             let kept: Vec<Kept> = chunk
                 .par_iter()
                 .filter_map(|&(fragment, label)| {
-                    if self.cleaner.as_ref().is_some_and(|c| c.is_junk(fragment)) {
+                    if self.cleaner.is_junk(fragment) {
                         return None;
                     }
                     let parsed = self.parser.parse(fragment);
@@ -276,19 +271,6 @@ mod tests {
         assert_eq!(stats.instances, 1);
     }
 
-    #[test]
-    fn without_cleaner_keeps_everything() {
-        let store = Store::new("dt");
-        let mut g = Gazetteer::new();
-        g.add("Matilda", EntityType::Movie, 0.9);
-        let ing = TextIngestor::without_cleaner(DomainParser::with_gazetteer(g));
-        let fragments =
-            [("click here to subscribe accept cookies buy now free shipping", "spam")];
-        let (stats, _) = ing.ingest(&store, cfg(), SourceId(0), fragments).unwrap();
-        assert_eq!(stats.fragments_dropped, 0);
-        assert_eq!(stats.instances, 1);
-    }
-
     /// The fragment-at-a-time loop the chunked path replaced: one insert
     /// per instance and one per mention. The chunked path must leave
     /// exactly what this leaves.
@@ -305,11 +287,9 @@ mod tests {
         let mut next_record = 0u64;
         for (fragment, label) in fragments {
             stats.fragments_seen += 1;
-            if let Some(cleaner) = &ing.cleaner {
-                if cleaner.is_junk(fragment) {
-                    stats.fragments_dropped += 1;
-                    continue;
-                }
+            if ing.cleaner.is_junk(fragment) {
+                stats.fragments_dropped += 1;
+                continue;
             }
             let parsed = ing.parser.parse(fragment);
             let mut instance_doc = parsed.to_instance_doc();
@@ -351,8 +331,7 @@ mod tests {
 
     fn image(store: &Store, name: &str) -> CollectionImage {
         let col = store.collection(name).unwrap();
-        let mut docs = Vec::new();
-        col.for_each(|id, d| docs.push((id, d.clone()))).unwrap();
+        let docs = col.parallel_scan(|id, d| Some((id, d.clone()))).unwrap();
         let indexes = col
             .index_specs()
             .into_iter()
@@ -403,35 +382,28 @@ mod tests {
         // 3 shards: a shard count that does not divide the chunk size.
         let config =
             CollectionConfig { extent_size: 16 * 1024, shards: 3, ..Default::default() };
-        for ing in [
-            TextIngestor::new(DomainParser::with_gazetteer(g.clone())),
-            TextIngestor::without_cleaner(DomainParser::with_gazetteer(g.clone())),
-        ] {
-            let want_store = Store::new("dt");
-            let want =
-                ingest_sequential(&ing, &want_store, config.clone(), SourceId(3), fragments())
-                    .unwrap();
-            if ing.cleaner.is_some() {
-                assert!(want.0.fragments_dropped > 0, "{:?}", want.0);
-            }
-            let want_instances = image(&want_store, INSTANCE_COLLECTION);
-            assert!(
-                want_instances.docs.iter().any(|(_, d)| d.get("entities").is_none()),
-                "some kept fragment must have no mentions"
-            );
-            let want_entities = image(&want_store, ENTITY_COLLECTION);
-            for threads in [1, 8] {
-                let store = Store::new("dt");
-                let got = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap()
-                    .install(|| ing.ingest(&store, config.clone(), SourceId(3), fragments()))
-                    .unwrap();
-                assert_eq!(got, want, "stats and show records at {threads} threads");
-                assert!(image(&store, INSTANCE_COLLECTION) == want_instances, "{threads}");
-                assert!(image(&store, ENTITY_COLLECTION) == want_entities, "{threads}");
-            }
+        let ing = TextIngestor::new(DomainParser::with_gazetteer(g));
+        let want_store = Store::new("dt");
+        let want =
+            ingest_sequential(&ing, &want_store, config.clone(), SourceId(3), fragments()).unwrap();
+        assert!(want.0.fragments_dropped > 0, "{:?}", want.0);
+        let want_instances = image(&want_store, INSTANCE_COLLECTION);
+        assert!(
+            want_instances.docs.iter().any(|(_, d)| d.get("entities").is_none()),
+            "some kept fragment must have no mentions"
+        );
+        let want_entities = image(&want_store, ENTITY_COLLECTION);
+        for threads in [1, 8] {
+            let store = Store::new("dt");
+            let got = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| ing.ingest(&store, config.clone(), SourceId(3), fragments()))
+                .unwrap();
+            assert_eq!(got, want, "stats and show records at {threads} threads");
+            assert!(image(&store, INSTANCE_COLLECTION) == want_instances, "{threads}");
+            assert!(image(&store, ENTITY_COLLECTION) == want_entities, "{threads}");
         }
     }
 

@@ -342,12 +342,7 @@ impl PipelineStage for IngestStage<'_> {
         let mut storage = Vec::new();
         if let Some(job) = self.text.take() {
             let source_id = ctx.catalog.register("webtext", SourceKind::Text);
-            let ingestor = if ctx.config.clean_text {
-                TextIngestor::new(job.parser)
-            } else {
-                TextIngestor::without_cleaner(job.parser)
-            };
-            let (stats, shows) = ingestor.ingest(
+            let (stats, shows) = TextIngestor::new(job.parser).ingest(
                 &ctx.store,
                 ctx.config.collection_config(),
                 source_id,

@@ -113,6 +113,50 @@ impl Document {
         Some(cur)
     }
 
+    /// Append every value reachable at a dotted path to `out`, multikey:
+    /// arrays are traversed element-wise (a segment that parses as an
+    /// integer indexes one element instead), and a terminal array
+    /// contributes each element. A missing path contributes nothing. This
+    /// is the one resolution the storage indexes' keys, their scan
+    /// fallback and the query predicates share, so an index probe and a
+    /// scan can never disagree on which values a document holds.
+    pub fn path_values(&self, path: &str, out: &mut Vec<Value>) {
+        fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
+            let Some((seg, rest)) = segments.split_first() else {
+                match v {
+                    Value::Array(items) => out.extend(items.iter().cloned()),
+                    other => out.push(other.clone()),
+                }
+                return;
+            };
+            match v {
+                Value::Doc(d) => {
+                    if let Some(inner) = d.get(seg) {
+                        walk(inner, rest, out);
+                    }
+                }
+                Value::Array(items) => {
+                    if let Ok(i) = seg.parse::<usize>() {
+                        if let Some(item) = items.get(i) {
+                            walk(item, rest, out);
+                        }
+                    } else {
+                        for item in items {
+                            walk(item, segments, out);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let segments: Vec<&str> = path.split('.').collect();
+        if let Some((first, rest)) = segments.split_first() {
+            if let Some(v) = self.get(first) {
+                walk(v, rest, out);
+            }
+        }
+    }
+
     /// Set a value at a dotted path, creating intermediate documents as
     /// needed. Array segments are not auto-created; setting through an array
     /// requires the element to already exist.

@@ -54,7 +54,10 @@ pub enum Predicate {
 /// A source of attribute values: fused entities and documents.
 ///
 /// `attr_values` pushes every value reachable at `attr` — array values
-/// contribute each element (multikey), scalars contribute themselves.
+/// contribute each element (multikey), scalars contribute themselves. A
+/// fused entity resolves `attr` as one record field (or a pseudo-attribute
+/// such as [`KEY_ATTR`]); a document resolves it as a dotted path through
+/// [`Document::path_values`], the one walk the storage indexes also use.
 pub trait AttrSource {
     /// Append the values at `attr` to `out` (cleared by the caller).
     fn attr_values(&self, attr: &str, out: &mut Vec<Value>);
@@ -88,40 +91,11 @@ impl AttrSource for FusedEntity {
 }
 
 impl AttrSource for Document {
-    /// Dotted-path, multikey resolution matching the storage engine's
-    /// index-key extraction: `a.b` descends nested documents, arrays are
-    /// traversed element-wise (with numeric segments as positional
-    /// indexes), and a terminal array contributes each element.
+    /// [`Document::path_values`]: the storage indexes' own key walk, so a
+    /// predicate over a stored document sees exactly the values an index
+    /// on the same path holds.
     fn attr_values(&self, attr: &str, out: &mut Vec<Value>) {
-        fn walk(v: &Value, segs: &[&str], out: &mut Vec<Value>) {
-            let Some((seg, rest)) = segs.split_first() else {
-                push_leaves(v, out);
-                return;
-            };
-            match v {
-                Value::Doc(d) => {
-                    if let Some(inner) = d.get(seg) {
-                        walk(inner, rest, out);
-                    }
-                }
-                Value::Array(items) => {
-                    if let Ok(i) = seg.parse::<usize>() {
-                        if let Some(item) = items.get(i) {
-                            walk(item, rest, out);
-                        }
-                    } else {
-                        for item in items {
-                            walk(item, segs, out);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let segs: Vec<&str> = attr.split('.').collect();
-        if let Some(first) = segs.first().and_then(|s| self.get(s)) {
-            walk(first, &segs[1..], out);
-        }
+        self.path_values(attr, out);
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! A shard is a chain of fixed-size extents. Historically that chain was an
 //! in-process `Vec<Extent>` behind a lock inside `Collection`; the
-//! [`ShardBackend`] trait lifts it into an interface — append, point read,
-//! ordered scan, tombstone delete, snapshot/restore — so the coordinator
-//! can place shards on different substrates:
+//! [`ShardBackend`] trait lifts it into an interface — batch append, point
+//! read, extent scan, tombstone delete, snapshot/restore — so the
+//! coordinator can place shards on different substrates:
 //!
 //! * [`MemoryBackend`] — the extracted in-process shard: everything on the
 //!   heap, zero I/O. Byte-compatible with the pre-coordinator collection.
@@ -19,13 +19,16 @@
 //!   behaviour), and reopening a backend over the same directory resumes
 //!   the chain.
 //!
-//! Both backends produce byte-identical scan output for the same append
-//! sequence — the coordinator's equivalence contract, pinned by tests —
-//! at any cache budget. Scans can also run extent-parallel: a scan is
-//! prepared with [`ShardBackend::begin_extent_scan`] (which resolves
-//! cache hits deterministically, in extent order, before any fan-out) and
-//! each extent is then visited independently via
-//! [`ShardBackend::visit_extent`].
+//! Each operation has one entry point. Appends arrive as a batch
+//! ([`ShardBackend::append`]; a single insert is a one-element batch) and
+//! land under one lock acquisition. The one scan is extent-wise: it is
+//! prepared with [`ShardBackend::begin_extent_scan`] (which resolves cache
+//! hits deterministically, in extent order, before any fan-out) and each
+//! extent is then visited independently via [`ShardBackend::visit_extent`],
+//! so the coordinator can fan extents out across the rayon team. Both
+//! backends produce byte-identical scan output for the same append
+//! sequence — the coordinator's equivalence contract, pinned by tests — at
+//! any cache budget.
 
 use std::fs;
 use std::io::{Read, Write};
@@ -94,19 +97,15 @@ pub trait ShardBackend: Send + Sync {
     /// Which substrate this backend is.
     fn kind(&self) -> BackendKind;
 
-    /// Append one encoded document, chaining a new extent when the tail is
-    /// full. Returns `(extent_index, slot)`.
-    fn append(&self, encoded: &[u8]) -> Result<(u32, u32)>;
-
-    /// Append a batch under a single lock acquisition, in order.
-    fn append_batch(&self, encoded: &[&[u8]]) -> Result<Vec<(u32, u32)>> {
-        encoded.iter().map(|e| self.append(e)).collect()
-    }
+    /// Append a batch of encoded documents in order, under a single lock
+    /// acquisition, chaining a new extent whenever the tail is full.
+    /// Returns one `(extent_index, slot)` per document, in input order.
+    fn append(&self, encoded: &[&[u8]]) -> Result<Vec<(u32, u32)>>;
 
     /// Decode the live document at `(extent, slot)`. `Ok(None)` strictly
     /// means "no live document there"; an unreadable extent is an error,
-    /// exactly as for bulk reads ([`Self::visit`]) — a `None` would hide a
-    /// lost extent behind "deleted".
+    /// exactly as for scans ([`Self::visit_extent`]) — a `None` would hide
+    /// a lost extent behind "deleted".
     fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>>;
 
     /// Tombstone `(extent, slot)`; returns the document when it was live.
@@ -117,15 +116,6 @@ pub trait ShardBackend: Send + Sync {
     /// one torn extent into an outage.
     fn delete(&self, extent: u32, slot: u32) -> Result<Option<Document>>;
 
-    /// Visit every live document in `(extent, slot)` order — the scan
-    /// order every backend must share for byte-identical results. An
-    /// unreadable extent aborts the scan with an error rather than being
-    /// skipped (a skip would silently drop every document in it) or
-    /// panicking (the pre-PR-7 behaviour). Individual documents that fail
-    /// to decode are skipped but counted ([`Self::decode_errors`]) — never
-    /// silently dropped.
-    fn visit(&self, f: &mut dyn FnMut(u32, u32, &Document)) -> Result<()>;
-
     /// Prepare an extent-parallel scan over this shard. For cached
     /// backends this resolves every extent's hit-or-miss **sequentially,
     /// in extent order, before any fan-out** and pins the hits — so cache
@@ -135,11 +125,15 @@ pub trait ShardBackend: Send + Sync {
         ExtentScan::resident(self.extent_count())
     }
 
-    /// Visit the live documents of one extent (`f` receives `(slot,
-    /// doc)`), as part of a scan prepared by [`Self::begin_extent_scan`].
-    /// Extents past the plan (or tombstoned away) visit nothing; an
-    /// unreadable extent is an error, and per-document decode failures
-    /// count into [`Self::decode_errors`] exactly like [`Self::visit`].
+    /// Visit the live documents of one extent in slot order (`f` receives
+    /// `(slot, doc)`), as part of a scan prepared by
+    /// [`Self::begin_extent_scan`]. Visiting extents in index order gives
+    /// the `(extent, slot)` order every backend must share for
+    /// byte-identical results. Extents past the plan (or tombstoned away)
+    /// visit nothing. An unreadable extent is an error rather than being
+    /// skipped (a skip would silently drop every document in it);
+    /// individual documents that fail to decode are skipped but counted
+    /// ([`Self::decode_errors`]) — never silently dropped.
     fn visit_extent(
         &self,
         scan: &ExtentScan,
@@ -262,12 +256,7 @@ impl ShardBackend for MemoryBackend {
         BackendKind::Memory
     }
 
-    fn append(&self, encoded: &[u8]) -> Result<(u32, u32)> {
-        let mut extents = self.extents.write();
-        Ok(Self::append_to(&mut extents, encoded, self.extent_size))
-    }
-
-    fn append_batch(&self, encoded: &[&[u8]]) -> Result<Vec<(u32, u32)>> {
+    fn append(&self, encoded: &[&[u8]]) -> Result<Vec<(u32, u32)>> {
         let mut extents = self.extents.write();
         Ok(encoded
             .iter()
@@ -288,16 +277,6 @@ impl ShardBackend for MemoryBackend {
             return Ok(None);
         };
         Ok(e.delete(slot).then_some(doc))
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(u32, u32, &Document)) -> Result<()> {
-        let extents = self.extents.read();
-        for (idx, extent) in extents.iter().enumerate() {
-            visit_live(extent, &self.decode_errors, &mut |slot, doc| {
-                f(idx as u32, slot, doc);
-            });
-        }
-        Ok(())
     }
 
     fn visit_extent(
@@ -457,16 +436,6 @@ impl FileBackend {
             disk_loads: AtomicU64::new(fallback_loads),
             decode_errors: AtomicU64::new(0),
         })
-    }
-
-    /// The directory holding this shard's extent files.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
-    /// The extent cache's configured byte budget.
-    pub fn cache_budget(&self) -> Option<usize> {
-        self.cache.budget()
     }
 
     fn path_of(&self, index: usize) -> PathBuf {
@@ -638,12 +607,7 @@ impl ShardBackend for FileBackend {
         BackendKind::File
     }
 
-    fn append(&self, encoded: &[u8]) -> Result<(u32, u32)> {
-        let mut slots = self.slots.write();
-        self.append_locked(&mut slots, encoded)
-    }
-
-    fn append_batch(&self, encoded: &[&[u8]]) -> Result<Vec<(u32, u32)>> {
+    fn append(&self, encoded: &[&[u8]]) -> Result<Vec<(u32, u32)>> {
         let mut slots = self.slots.write();
         encoded.iter().map(|e| self.append_locked(&mut slots, e)).collect()
     }
@@ -701,33 +665,6 @@ impl ShardBackend for FileBackend {
                 Ok(Some(doc))
             }
         }
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(u32, u32, &Document)) -> Result<()> {
-        let slots = self.slots.read();
-        for (index, slot_state) in slots.iter().enumerate() {
-            match slot_state {
-                ExtentSlot::Loaded(e) => {
-                    visit_live(e, &self.decode_errors, &mut |slot, doc| {
-                        f(index as u32, slot, doc);
-                    });
-                }
-                // An error here, like the write path: silently skipping an
-                // unreadable extent would drop every document in it from
-                // scans — wrong fused output with no error. The cache
-                // bounds residency: at most one loaded extent is held here
-                // beyond what the budget retains.
-                ExtentSlot::Flushed(_) => {
-                    let shared = self.cached_extent(index as u32).map_err(|e| {
-                        DtError::Io(format!("shard extent {index} unreadable: {e}"))
-                    })?;
-                    visit_live(&shared, &self.decode_errors, &mut |slot, doc| {
-                        f(index as u32, slot, doc);
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
     fn begin_extent_scan(&self) -> ExtentScan {
@@ -892,6 +829,22 @@ mod tests {
         encode_document(&doc! {"i" => i, "pad" => "x".repeat(24)})
     }
 
+    /// Append one document as a one-element batch.
+    fn append_one(b: &dyn ShardBackend, encoded: &[u8]) -> (u32, u32) {
+        b.append(&[encoded]).unwrap()[0]
+    }
+
+    /// Every live document in `(extent, slot)` order, through the one
+    /// scan: a plan, then each extent in index order.
+    fn scan(b: &dyn ShardBackend) -> Result<Vec<(u32, u32, Document)>> {
+        let plan = b.begin_extent_scan();
+        let mut out = Vec::new();
+        for extent in 0..plan.extent_count() as u32 {
+            b.visit_extent(&plan, extent, &mut |slot, d| out.push((extent, slot, d.clone())))?;
+        }
+        Ok(out)
+    }
+
     #[test]
     fn memory_and_file_append_identically() {
         let dir = tempdir("ident");
@@ -899,16 +852,12 @@ mod tests {
         let file = FileBackend::open(&dir, 128).unwrap();
         for i in 0..20i64 {
             let e = encoded(i);
-            assert_eq!(mem.append(&e).unwrap(), file.append(&e).unwrap(), "doc {i}");
+            assert_eq!(append_one(&mem, &e), append_one(&file, &e), "doc {i}");
         }
         assert_eq!(mem.len(), file.len());
         assert_eq!(mem.extent_count(), file.extent_count());
         assert_eq!(mem.used_bytes(), file.used_bytes());
-        let mut mem_seen = Vec::new();
-        mem.visit(&mut |e, s, d| mem_seen.push((e, s, format!("{d:?}")))).unwrap();
-        let mut file_seen = Vec::new();
-        file.visit(&mut |e, s, d| file_seen.push((e, s, format!("{d:?}")))).unwrap();
-        assert_eq!(mem_seen, file_seen, "scan order and content must match");
+        assert_eq!(scan(&mem).unwrap(), scan(&file).unwrap(), "scan order and content must match");
         assert!(file.flushes() > 0, "rolled extents were written out");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -919,17 +868,15 @@ mod tests {
         {
             let file = FileBackend::open(&dir, 128).unwrap();
             for i in 0..12i64 {
-                file.append(&encoded(i)).unwrap();
+                append_one(&file, &encoded(i));
             }
             file.sync().unwrap();
         }
         let reopened = FileBackend::open(&dir, 128).unwrap();
         assert_eq!(reopened.len(), 12);
-        let mut seen = Vec::new();
-        reopened.visit(&mut |_, _, d| seen.push(d.get("i").cloned().unwrap())).unwrap();
-        assert_eq!(seen.len(), 12);
+        assert_eq!(scan(&reopened).unwrap().len(), 12);
         // And the chain keeps growing from where it left off.
-        let (ext, _) = reopened.append(&encoded(99)).unwrap();
+        let (ext, _) = append_one(&reopened, &encoded(99));
         assert!(ext as usize >= reopened.extent_count() - 1);
         assert_eq!(reopened.len(), 13);
         fs::remove_dir_all(&dir).unwrap();
@@ -940,7 +887,7 @@ mod tests {
         let dir = tempdir("del");
         let file = FileBackend::open(&dir, 96).unwrap();
         let spots: Vec<(u32, u32)> =
-            (0..10i64).map(|i| file.append(&encoded(i)).unwrap()).collect();
+            (0..10i64).map(|i| append_one(&file, &encoded(i))).collect();
         // Delete one doc from a rolled (flushed) extent and one from the tail.
         let (fe, fs_) = spots[0];
         assert!(file.delete(fe, fs_).unwrap().is_some());
@@ -964,7 +911,7 @@ mod tests {
         let long_snapshot = {
             let file = FileBackend::open(&dir, 96).unwrap();
             for i in 0..20i64 {
-                file.append(&encoded(i)).unwrap();
+                append_one(&file, &encoded(i));
             }
             file.sync().unwrap();
             assert!(file.extent_count() > 2, "need a multi-extent chain");
@@ -991,7 +938,7 @@ mod tests {
         {
             let file = FileBackend::open(&dir, 96).unwrap();
             for i in 0..12i64 {
-                file.append(&encoded(i)).unwrap();
+                append_one(&file, &encoded(i));
             }
             file.sync().unwrap();
         }
@@ -1011,16 +958,16 @@ mod tests {
         let dir = tempdir("snap");
         let file = FileBackend::open(&dir, 128).unwrap();
         for i in 0..15i64 {
-            file.append(&encoded(i)).unwrap();
+            append_one(&file, &encoded(i));
         }
         let snap = file.snapshot().unwrap();
         let mem = MemoryBackend::new(128);
         assert_eq!(mem.restore(snap).unwrap(), 15);
-        let mut a = Vec::new();
-        file.visit(&mut |e, s, d| a.push((e, s, format!("{d:?}")))).unwrap();
-        let mut b = Vec::new();
-        mem.visit(&mut |e, s, d| b.push((e, s, format!("{d:?}")))).unwrap();
-        assert_eq!(a, b, "a file snapshot restores byte-identically into memory");
+        assert_eq!(
+            scan(&file).unwrap(),
+            scan(&mem).unwrap(),
+            "a file snapshot restores byte-identically into memory"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1030,23 +977,19 @@ mod tests {
         {
             let file = FileBackend::open(&dir, 96).unwrap();
             for i in 0..12i64 {
-                file.append(&encoded(i)).unwrap();
+                append_one(&file, &encoded(i));
             }
             file.sync().unwrap();
         }
         // A cold (freshly-opened, unbounded-cache) backend: the first scan
         // loads every extent from disk, the second and third load nothing.
         let file = FileBackend::open_with_cache(&dir, 96, None).unwrap();
-        let scan = |f: &FileBackend| {
-            let mut n = 0u64;
-            f.visit(&mut |_, _, _| n += 1).unwrap();
-            n
-        };
-        assert_eq!(scan(&file), 12);
+        let count = |f: &FileBackend| scan(f).unwrap().len();
+        assert_eq!(count(&file), 12);
         let loads_after_first = file.cache_stats().unwrap().disk_loads;
         assert_eq!(loads_after_first, file.extent_count() as u64, "cold scan reads each extent once");
-        assert_eq!(scan(&file), 12);
-        assert_eq!(scan(&file), 12);
+        assert_eq!(count(&file), 12);
+        assert_eq!(count(&file), 12);
         let stats = file.cache_stats().unwrap();
         assert_eq!(
             stats.disk_loads, loads_after_first,
@@ -1061,7 +1004,7 @@ mod tests {
         let dir = tempdir("pointget");
         let spots: Vec<(u32, u32)> = {
             let file = FileBackend::open(&dir, 96).unwrap();
-            let spots = (0..12i64).map(|i| file.append(&encoded(i)).unwrap()).collect();
+            let spots = (0..12i64).map(|i| append_one(&file, &encoded(i))).collect();
             file.sync().unwrap();
             spots
         };
@@ -1096,26 +1039,23 @@ mod tests {
     #[test]
     fn decode_errors_are_counted_not_silently_dropped() {
         let mem = MemoryBackend::new(256);
-        mem.append(&encoded(1)).unwrap();
-        mem.append(b"\xff\xffgarbage that is not a document").unwrap();
-        mem.append(&encoded(2)).unwrap();
-        let mut seen = 0u64;
-        mem.visit(&mut |_, _, _| seen += 1).unwrap();
-        assert_eq!(seen, 2, "the two well-formed documents still scan");
+        let garbage: &[u8] = b"\xff\xffgarbage that is not a document";
+        mem.append(&[&encoded(1), garbage, &encoded(2)]).unwrap();
+        assert_eq!(scan(&mem).unwrap().len(), 2, "the two well-formed documents still scan");
         assert_eq!(mem.decode_errors(), 1, "the corrupt one is counted, not dropped");
     }
 
     #[test]
     fn torn_extent_is_an_error_not_a_crash() {
-        // Regression: an unreadable flushed extent used to panic! inside
-        // visit (and the tombstone write-back likewise aborted). Both now
+        // Regression: an unreadable flushed extent used to panic! inside a
+        // scan (and the tombstone write-back likewise aborted). Both now
         // surface as Err so the pipeline can report them. A *warm* cache
         // legitimately keeps serving its resident copy, so this backend
-        // runs with the cache disabled — every visit reads the real file.
+        // runs with the cache disabled — every scan reads the real file.
         let dir = tempdir("torn");
         let file = FileBackend::open_with_cache(&dir, 96, Some(0)).unwrap();
         for i in 0..10i64 {
-            file.append(&encoded(i)).unwrap();
+            append_one(&file, &encoded(i));
         }
         file.sync().unwrap();
         assert!(file.extent_count() > 1, "need a flushed extent");
@@ -1123,7 +1063,7 @@ mod tests {
         // the damage).
         fs::write(dir.join("ext000000"), b"torn").unwrap();
         let _ = fs::remove_file(dir.join("ext000000.meta"));
-        let err = file.visit(&mut |_, _, _| {}).unwrap_err();
+        let err = scan(&file).unwrap_err();
         assert!(format!("{err}").contains("extent 0"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }

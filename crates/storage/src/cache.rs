@@ -169,11 +169,6 @@ impl ExtentCache {
         }
     }
 
-    /// The configured budget.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
-    }
-
     /// True when the cache retains nothing (budget `Some(0)`).
     fn disabled(&self) -> bool {
         self.budget == Some(0)
@@ -316,11 +311,6 @@ impl ExtentCache {
         }
     }
 
-    /// Peek without touching counters or stamps (snapshot serving).
-    pub fn peek(&self, index: u32) -> Option<Arc<Extent>> {
-        self.inner.lock().entries.get(&index).map(|e| e.extent.clone())
-    }
-
     /// Drop every entry (restore replaces the whole chain). Counters keep
     /// their cumulative values; dropped entries are not evictions.
     pub fn clear(&self) {
@@ -456,8 +446,7 @@ mod tests {
             for &i in &order {
                 cache.admit_scanned(&scan, i, extents[i as usize].clone());
             }
-            let survivors: Vec<u32> =
-                (0..4).filter(|&i| cache.peek(i).is_some()).collect();
+            let survivors: Vec<u32> = cache.inner.lock().entries.keys().copied().collect();
             outcomes.push((survivors, cache.stats().evictions));
         }
         assert_eq!(outcomes[0], outcomes[1], "admission order must not matter");

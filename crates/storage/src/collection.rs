@@ -8,6 +8,11 @@
 //! — the in-process analogue of the paper's distributed 2 GB-extent
 //! collections. Document ids pack `(shard, extent, slot)` so point reads
 //! touch exactly one shard with no id→location map.
+//!
+//! Every read of the whole collection is one [`Collection::parallel_scan`]
+//! — [`Collection::count_by`]'s fallback and the [`Collection::create_index`]
+//! backfill included — and every key a document contributes, to an index
+//! or to a group-by, comes from [`Document::path_values`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,7 +23,7 @@ use datatamer_model::{AttrKey, Document, DtError, Result, Value};
 
 use crate::backend::{BackendConfig, FileBackend, MemoryBackend, ShardBackend};
 use crate::coordinator::{ShardCoordinator, StorageReport};
-use crate::index::{extract_path, Index, IndexSpec};
+use crate::index::{Index, IndexSpec};
 use crate::stats::CollectionStats;
 
 /// Packed document id: `shard (8) | extent (24) | slot (32)`.
@@ -117,6 +122,14 @@ impl Collection {
         }
         if config.extent_size == 0 {
             return Err(DtError::Config("extent_size must be positive".into()));
+        }
+        // Slot offsets inside an extent are `u32`: a larger extent would
+        // wrap them silently.
+        if u32::try_from(config.extent_size).is_err() {
+            return Err(DtError::Config(format!(
+                "extent_size {} exceeds the u32 slot-offset range",
+                config.extent_size
+            )));
         }
         let mut backends: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(config.shards);
         for shard_no in 0..config.shards {
@@ -241,7 +254,11 @@ impl Collection {
         Ok(true)
     }
 
-    /// Create a secondary index, back-filling existing documents.
+    /// Create a secondary index, back-filling existing documents. Keys
+    /// are extracted during a [`Self::parallel_scan`] and inserted in its
+    /// output order (shard-major, then extent, then slot), so every
+    /// posting list is the one sequential per-document inserts in that
+    /// order would build.
     pub fn create_index(&self, spec: IndexSpec) -> Result<()> {
         {
             let indexes = self.indexes.read();
@@ -250,7 +267,13 @@ impl Collection {
             }
         }
         let mut idx = Index::new(spec);
-        self.for_each(|id, doc| idx.insert(id, doc))?;
+        let keyed = self.parallel_scan(|id, doc| {
+            let keys = idx.extract_keys(doc);
+            (!keys.is_empty()).then_some((id, keys))
+        })?;
+        for (id, keys) in keyed {
+            idx.insert_keys(id, keys);
+        }
         self.indexes.write().push(idx);
         Ok(())
     }
@@ -270,12 +293,6 @@ impl Collection {
     pub fn with_index_on_path<T>(&self, path: &str, f: impl FnOnce(&Index) -> T) -> Option<T> {
         let indexes = self.indexes.read();
         indexes.iter().find(|i| i.spec.path == path).map(f)
-    }
-
-    /// Sequentially visit every live document. An unreadable extent stops
-    /// the walk with its error.
-    pub fn for_each(&self, f: impl FnMut(DocId, &Document)) -> Result<()> {
-        self.coordinator.for_each(f)
     }
 
     /// Scan all shards in parallel via rayon, collecting `f`'s non-`None`
@@ -315,7 +332,7 @@ impl Collection {
         }
         let per_doc = self.parallel_scan(|_, doc| {
             let mut keys = Vec::new();
-            extract_path(doc, path, &mut keys);
+            doc.path_values(path, &mut keys);
             (!keys.is_empty()).then_some(keys)
         })?;
         let mut counts: std::collections::BTreeMap<AttrKey, u64> =
@@ -600,6 +617,7 @@ mod tests {
         assert!(Collection::new("x", cfg(0, 1)).is_err());
         assert!(Collection::new("x", cfg(10, 0)).is_err());
         assert!(Collection::new("x", cfg(10, 257)).is_err());
+        assert!(Collection::new("x", cfg(u32::MAX as usize + 1, 1)).is_err());
     }
 
     #[test]

@@ -2,23 +2,27 @@
 //! pluggable backends.
 //!
 //! [`ShardCoordinator`] owns one [`ShardBackend`] per shard and a
-//! round-robin cursor. It is the layer `Collection` delegates to: single
-//! inserts take the next shard and append; batches scatter across shards
-//! (encode in parallel, reserve the whole round-robin window with one
-//! atomic bump, one lock acquisition per shard, shards appending
-//! concurrently) and gather `DocId`s back in input order; scans fan out one
-//! rayon task per **(shard, extent)** — flushed extents decode concurrently
-//! — and stitch results back shard-major/extent-major, so output is
-//! byte-identical at any thread count and under any backend mix. Cache
-//! hit/miss resolution happens at plan time, sequentially, in shard order
-//! ([`ShardBackend::begin_extent_scan`]), so the cache counters carried on
-//! [`StorageReport`] are deterministic too.
+//! round-robin cursor. It is the layer `Collection` delegates to, and each
+//! operation has one path through it:
+//!
+//! * **Append.** A single insert appends a one-element batch to the next
+//!   shard, inline on the caller. A batch scatters across shards (encode in
+//!   parallel, reserve the whole round-robin window with one atomic bump,
+//!   one [`ShardBackend::append`] per shard, shards appending concurrently)
+//!   and gathers `DocId`s back in input order.
+//! * **Scan.** [`ShardCoordinator::parallel_scan`] fans out one rayon task
+//!   per **(shard, extent)** — flushed extents decode concurrently — and
+//!   stitches results back shard-major/extent-major, so output is
+//!   byte-identical at any thread count and under any backend mix. Cache
+//!   hit/miss resolution happens at plan time, sequentially, in shard order
+//!   ([`ShardBackend::begin_extent_scan`]), so the cache counters carried
+//!   on [`StorageReport`] are deterministic too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
-use datatamer_model::{Document, Result};
+use datatamer_model::{Document, DtError, Result};
 
 use crate::backend::{BackendKind, ShardBackend};
 use crate::cache::{ExtentCacheStats, ExtentScan};
@@ -166,7 +170,10 @@ impl ShardCoordinator {
     pub fn insert(&self, doc: &Document) -> Result<DocId> {
         let shard = self.shard_at(self.reserve(1));
         let encoded = encode_document(doc);
-        let (extent, slot) = self.backends[shard].append(&encoded)?;
+        let spots = self.backends[shard].append(&[&encoded])?;
+        let Some(&(extent, slot)) = spots.first() else {
+            return Err(DtError::Io(format!("shard {shard} placed no document")));
+        };
         Ok(DocId::pack(shard as u8, extent, slot))
     }
 
@@ -197,7 +204,7 @@ impl ShardCoordinator {
                 }
                 let batch: Vec<&[u8]> =
                     doc_indexes.iter().map(|&i| encoded[i].as_slice()).collect();
-                let spots = self.backends[shard_no].append_batch(&batch)?;
+                let spots = self.backends[shard_no].append(&batch)?;
                 Ok(doc_indexes
                     .iter()
                     .zip(spots)
@@ -235,17 +242,6 @@ impl ShardCoordinator {
             None => Ok(None),
             Some(b) => b.delete(id.extent(), id.slot()),
         }
-    }
-
-    /// Sequentially visit every live document, shard-major. An unreadable
-    /// extent stops the walk with its error.
-    pub fn for_each(&self, mut f: impl FnMut(DocId, &Document)) -> Result<()> {
-        for (shard_no, backend) in self.backends.iter().enumerate() {
-            backend.visit(&mut |extent, slot, doc| {
-                f(DocId::pack(shard_no as u8, extent, slot), doc);
-            })?;
-        }
-        Ok(())
     }
 
     /// Scatter/gather scan: one rayon task per **(shard, extent)** —

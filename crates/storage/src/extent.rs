@@ -135,7 +135,9 @@ impl Extent {
         out
     }
 
-    /// Restore an extent serialised by [`Extent::to_bytes`].
+    /// Restore an extent serialised by [`Extent::to_bytes`]. Slot offsets
+    /// that decrease or point past the data are a decode error, so a
+    /// corrupt file can never make a later slot read slice out of range.
     pub fn from_bytes(mut bytes: &[u8]) -> Result<Self> {
         use crate::encode::get_varint;
         use bytes::Buf;
@@ -157,6 +159,15 @@ impl Extent {
         let dlen = get_varint(&mut bytes)? as usize;
         if bytes.len() < dlen {
             return Err(DtError::Decode("extent: truncated data".into()));
+        }
+        let mut prev = 0u32;
+        for &off in &offsets {
+            if off < prev || off as usize > dlen {
+                return Err(DtError::Decode(format!(
+                    "extent: slot offset {off} out of order or past {dlen} data bytes"
+                )));
+            }
+            prev = off;
         }
         let data = bytes[..dlen].to_vec();
         let live = dead.iter().filter(|d| !**d).count();
@@ -252,8 +263,22 @@ mod tests {
     fn corrupt_persistence_errors() {
         let mut e = Extent::new(64);
         append_document(&mut e, &doc! {"a" => 1i64}).unwrap();
+        append_document(&mut e, &doc! {"b" => 2i64}).unwrap();
         let bytes = e.to_bytes();
         assert!(Extent::from_bytes(&bytes[..bytes.len() - 2]).is_err());
         assert!(Extent::from_bytes(&[]).is_err());
+        // A slot offset past the data or below its predecessor used to
+        // decode fine and then panic on the first read of the slot. Every
+        // header field is a one-byte varint here: the first offset is byte
+        // 2 and the second byte 4.
+        assert_eq!((bytes[2], u32::from(bytes[4])), (0, e.offsets[1]));
+        let mut past_end = bytes.clone();
+        past_end[4] = 100;
+        let mut decreasing = bytes;
+        decreasing.swap(2, 4);
+        for bad in [past_end, decreasing] {
+            let err = Extent::from_bytes(&bad).unwrap_err();
+            assert!(matches!(err, datatamer_model::DtError::Decode(_)), "{err}");
+        }
     }
 }

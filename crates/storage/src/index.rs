@@ -50,20 +50,27 @@ impl Index {
         Index { spec, entries: BTreeMap::new(), key_bytes: 0, entry_count: 0 }
     }
 
-    /// Extract the keys a document contributes under this index's path.
-    /// Arrays are multikey: each element becomes its own key. Missing paths
-    /// contribute nothing (sparse index semantics).
+    /// Extract the keys a document contributes under this index's path
+    /// ([`Document::path_values`]): arrays are multikey, each element
+    /// becoming its own key, and "entities.type" indexes every element's
+    /// `type`. Missing paths contribute nothing (sparse index semantics).
     pub fn extract_keys(&self, doc: &Document) -> Vec<Value> {
-        // Support both "a.b" direct resolution and multikey through arrays
-        // of documents ("entities.type" indexing every element's `type`).
         let mut keys = Vec::new();
-        extract_path(doc, &self.spec.path, &mut keys);
+        doc.path_values(&self.spec.path, &mut keys);
         keys
     }
 
     /// Index a document under its id.
     pub fn insert(&mut self, id: DocId, doc: &Document) {
-        for key in self.extract_keys(doc) {
+        self.insert_keys(id, self.extract_keys(doc));
+    }
+
+    /// Index keys already extracted by [`Self::extract_keys`] under `id`.
+    /// Postings keep insertion order, so a backfill that extracts in
+    /// parallel and inserts in scan order builds the same index as
+    /// sequential [`Self::insert`] calls.
+    pub fn insert_keys(&mut self, id: DocId, keys: Vec<Value>) {
+        for key in keys {
             let klen = encoded_len(&key);
             self.entries.entry(AttrKey(key)).or_default().push(id);
             self.key_bytes += klen;
@@ -127,51 +134,6 @@ impl Index {
     }
 }
 
-/// Resolve a dotted path allowing multikey traversal through arrays. The
-/// walk starts at the first segment's field, so the document itself is
-/// never copied; only the extracted keys are.
-pub(crate) fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
-    fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
-        let Some((seg, rest)) = segments.split_first() else {
-            match v {
-                Value::Array(items) => {
-                    for item in items {
-                        out.push(item.clone());
-                    }
-                }
-                other => out.push(other.clone()),
-            }
-            return;
-        };
-        match v {
-            Value::Doc(d) => {
-                if let Some(inner) = d.get(seg) {
-                    walk(inner, rest, out);
-                }
-            }
-            Value::Array(items) => {
-                // Numeric segment indexes; otherwise descend into each element.
-                if let Ok(i) = seg.parse::<usize>() {
-                    if let Some(item) = items.get(i) {
-                        walk(item, rest, out);
-                    }
-                } else {
-                    for item in items {
-                        walk(item, segments, out);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let segments: Vec<&str> = path.split('.').collect();
-    if let Some((first, rest)) = segments.split_first() {
-        if let Some(v) = doc.get(first) {
-            walk(v, rest, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +145,7 @@ mod tests {
     }
 
     /// The original resolution: wrap a copy of the whole document as the
-    /// walk's root value. [`extract_path`] must extract exactly this.
+    /// walk's root value. [`Index::extract_keys`] must extract exactly this.
     fn extract_path_by_clone(doc: &Document, path: &str) -> Vec<Value> {
         fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
             let Some((seg, rest)) = segments.split_first() else {

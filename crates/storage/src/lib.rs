@@ -14,22 +14,27 @@
 //!   trait: [`backend::MemoryBackend`] (in-process extents) and
 //!   [`backend::FileBackend`] (out-of-core: only the tail extent resident,
 //!   full extents flushed to one file each and served back through the
-//!   extent cache).
+//!   extent cache). The trait has one append (a batch; a single insert is
+//!   a one-element batch) and one scan (a plan, then one visit per
+//!   extent).
 //! * [`cache`] — the [`ExtentCache`]: a byte-budget LRU of decoded extents
 //!   with deterministic hit/miss/eviction accounting, so repeated scans of
 //!   a file-backed collection hit memory instead of disk.
 //! * [`coordinator`] — the [`ShardCoordinator`]: one backend per shard
 //!   plus a round-robin cursor (a batch reserves its whole window with one
 //!   atomic bump, so it places exactly like repeated single inserts),
-//!   running rayon scatter/gather for batch inserts and parallel scans,
-//!   and reporting per-shard distribution ([`StorageReport`]).
+//!   running rayon scatter/gather for batch inserts and the one scan, the
+//!   extent-parallel [`ShardCoordinator::parallel_scan`], and reporting
+//!   per-shard distribution ([`StorageReport`]).
 //! * [`collection`] — sharded collections: a coordinator wrapped with
 //!   secondary indexes, stats, and the packed `(shard, extent, slot)`
 //!   [`DocId`] scheme.
 //! * [`index`] — ordered secondary indexes (optionally multikey) over dotted
 //!   paths, keyed by `datatamer_model::AttrKey`, with byte-accurate size
-//!   accounting. Point lookups go through
-//!   [`Collection::with_index`]; everything else is a
+//!   accounting. Keys come from `datatamer_model::Document::path_values`,
+//!   the dotted-path walk the query crate's predicates share. Point
+//!   lookups go through [`Collection::with_index`]; everything else —
+//!   group-bys and index backfills too — is a
 //!   [`Collection::parallel_scan`]. Fused entities are queried through the
 //!   typed AST of the `datatamer-query` crate, not here.
 //! * [`stats`] — the `db.<coll>.stats()` report of Tables I and II.

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
-use datatamer_model::{doc, Document};
-use datatamer_storage::{BackendConfig, Collection, CollectionConfig, DocId};
+use datatamer_model::{doc, Document, Value};
+use datatamer_storage::{BackendConfig, Collection, CollectionConfig, DocId, IndexSpec};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -31,6 +31,18 @@ fn documents(keys: &[String]) -> Vec<Document> {
 /// deterministic scan order.
 fn fingerprint(col: &Collection) -> Vec<(DocId, String)> {
     col.parallel_scan(|id, d| Some((id, format!("{d:?}")))).unwrap()
+}
+
+/// Key counts and per-key posting lists of a fresh index on `k`, built
+/// by the create-index backfill over whatever the collection holds.
+type IndexImage = (Vec<(Value, usize)>, Vec<(Value, Vec<DocId>)>);
+
+fn backfilled_index(col: &Collection) -> IndexImage {
+    col.create_index(IndexSpec::new("by_k", "k")).unwrap();
+    col.with_index("by_k", |idx| {
+        (idx.key_counts(), idx.keys().map(|k| (k.clone(), idx.lookup(k))).collect())
+    })
+    .unwrap()
 }
 
 proptest! {
@@ -103,8 +115,10 @@ proptest! {
 
     // Every extent-cache budget — disabled, one-extent-tight, unbounded —
     // scans byte-identically to the in-memory backend and to every other
-    // budget, through tombstones and a flush + reopen. The budget is a
-    // pure performance knob; it must never be visible in any byte of
+    // budget, through tombstones and a flush + reopen, and an index
+    // backfilled over the reopened chain (read through the cache's scan
+    // plan) holds the memory collection's keys and postings. The budget is
+    // a pure performance knob; it must never be visible in any byte of
     // output.
     #[test]
     fn cache_budget_never_changes_scan_bytes(
@@ -113,7 +127,7 @@ proptest! {
     ) {
         let dir = tempdir("budgets");
         let docs = documents(&keys);
-        let reference = {
+        let (reference, reference_index) = {
             let mem = Collection::new("c", CollectionConfig {
                 extent_size: 256,
                 shards: 3,
@@ -123,7 +137,7 @@ proptest! {
             for id in ids.iter().step_by(delete_every) {
                 prop_assert!(mem.delete(*id).unwrap());
             }
-            fingerprint(&mem)
+            (fingerprint(&mem), backfilled_index(&mem))
         };
         // Some(256) ≈ one extent: constant eviction pressure.
         for (tag, budget) in [("zero", Some(0)), ("one", Some(256)), ("unbounded", None)] {
@@ -151,6 +165,8 @@ proptest! {
             let reopened = Collection::new("c", config).unwrap();
             prop_assert_eq!(fingerprint(&reopened), reference.clone(),
                 "budget {:?}: reopened scan must match memory", budget);
+            prop_assert_eq!(backfilled_index(&reopened), reference_index.clone(),
+                "budget {:?}: backfilled index must match memory", budget);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
