@@ -121,8 +121,55 @@ mod tests {
     #[test]
     fn unknown_vocabulary_defaults_reasonably() {
         let cleaner = TextCleaner::with_builtin_seeds();
-        // Entirely out-of-vocabulary text: must not panic; either class ok.
-        let _ = cleaner.is_junk("zzz qqq xxx yyy");
+        // With no vocabulary word the count vector is empty and the
+        // balanced seed sets give equal priors: a tie, which
+        // `NaiveBayes::predict` resolves to the last class, content.
+        for fragment in ["", "zzz qqq xxx yyy", " ,.; \u{201c}\u{201d} "] {
+            let scores = cleaner.model.scores(&cleaner.vocab.counts(fragment));
+            assert_eq!(scores[0].to_bits(), scores[1].to_bits(), "{fragment:?} ties");
+            assert!(!cleaner.is_junk(fragment), "{fragment:?} is kept as content");
+        }
+    }
+
+    /// The class scores as they were before `Vocabulary::counts` streamed
+    /// its tokens: `tokenize`'s `String`s, looked up one by one.
+    fn oracle_scores(cleaner: &TextCleaner, fragment: &str) -> Vec<f64> {
+        let pairs = datatamer_sim::tokens::tokenize(fragment)
+            .into_iter()
+            .filter_map(|t| cleaner.vocab.id_of(&t).map(|id| (id, 1.0)))
+            .collect();
+        cleaner.model.scores(&SparseVec::from_pairs(pairs))
+    }
+
+    #[test]
+    fn junk_decisions_are_bit_identical_to_the_tokenize_oracle() {
+        use datatamer_corpus::{WebTextConfig, WebTextCorpus};
+        let cleaner = TextCleaner::with_builtin_seeds();
+        for seed in [0xDA7A_7A3E, 7] {
+            let corpus = WebTextCorpus::generate(&WebTextConfig {
+                num_fragments: 250,
+                seed,
+                padding_sentences: 2,
+                ..Default::default()
+            });
+            let mut fragments: Vec<String> =
+                corpus.fragments.iter().map(|f| f.text.clone()).collect();
+            // Junk-leaning and mixed inputs, so both classes are decided.
+            for (k, junk) in JUNK_SEEDS.iter().enumerate() {
+                fragments.push(junk.to_uppercase());
+                fragments.push(format!("{junk} {}", corpus.fragments[k].text));
+            }
+            let mut junk = 0;
+            for f in &fragments {
+                let got = cleaner.model.scores(&cleaner.vocab.counts(f));
+                let want = oracle_scores(&cleaner, f);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{f:?}");
+                junk += usize::from(cleaner.is_junk(f));
+            }
+            assert!(junk >= JUNK_SEEDS.len(), "seed {seed}: {junk} junk");
+            assert!(junk < fragments.len() / 2, "seed {seed}: {junk} junk");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use datatamer_sim::tokens::tokenize;
+use datatamer_sim::tokens::{for_each_token, tokenize, FnvBuildHasher};
 
 /// A sparse feature vector: sorted `(index, value)` pairs.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -105,9 +105,12 @@ impl HashingVectorizer {
 
 /// Vocabulary-based bag-of-words with document-frequency tracking (backs
 /// both naive Bayes and TF-IDF weighting).
+///
+/// Term ids are dense and first-seen ordered, and the index is never
+/// iterated, so its FNV hasher cannot reach any output.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
-    index: HashMap<String, u32>,
+    index: HashMap<String, u32, FnvBuildHasher>,
     doc_freq: Vec<u32>,
     num_docs: u32,
 }
@@ -155,12 +158,17 @@ impl Vocabulary {
         self.index.get(token).copied()
     }
 
-    /// Count vector (unknown terms dropped).
+    /// Count vector (unknown terms dropped). Tokens stream through
+    /// [`for_each_token`] — exactly [`tokenize`]'s tokens, without a
+    /// `String` per token — so this is the junk filter's allocation-light
+    /// path: one `Vec` of the known terms' ids.
     pub fn counts(&self, text: &str) -> SparseVec {
-        let pairs = tokenize(text)
-            .into_iter()
-            .filter_map(|t| self.index.get(&t).map(|id| (*id, 1.0)))
-            .collect();
+        let mut pairs = Vec::new();
+        for_each_token(text, |t| {
+            if let Some(id) = self.index.get(t) {
+                pairs.push((*id, 1.0));
+            }
+        });
         SparseVec::from_pairs(pairs)
     }
 
@@ -183,6 +191,69 @@ impl Vocabulary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `tokenize`-based count vector `Vocabulary::counts` replaced: one
+    /// `String` per token, looked up after the fact.
+    fn oracle_counts(v: &Vocabulary, text: &str) -> SparseVec {
+        let pairs = tokenize(text)
+            .into_iter()
+            .filter_map(|t| v.id_of(&t).map(|id| (id, 1.0)))
+            .collect();
+        SparseVec::from_pairs(pairs)
+    }
+
+    /// Pieces the count proptest glues into adversarial strings: camelCase,
+    /// snake and kebab case, non-ASCII letters that change length or
+    /// meaning when lowercased, digits, and punctuation.
+    const PIECES: &[&str] = &[
+        "show", "Show", "SHOW", "showName", "show_name", "Show-Name", "grossed", "GROSSED",
+        "the", "The", "ΑΣ", "σ", ":", "Β", "İstanbul", "\u{212a}elvin", "café", "CAFÉ", "ß",
+        "ǅ", "Ⅻ", "x\u{301}", "960,998", "2013", "3/4", "camelCaseWord", "XMLHttp", " ", "  ",
+        "\t", ".", ",", "'", "\"", "\u{201c}", "-", "_", "🎭", "日本", "k",
+    ];
+
+    fn vocab_fixture() -> Vocabulary {
+        let mut v = Vocabulary::new();
+        for doc in [
+            "the show grossed well",
+            "show name café ας istanbul",
+            "σ β ß xml http camel case word 960 998 2013 kelvin",
+        ] {
+            v.fit_doc(doc);
+        }
+        v
+    }
+
+    proptest! {
+        #[test]
+        fn counts_equal_the_tokenize_oracle(
+            picks in prop::collection::vec(0..PIECES.len(), 0..24),
+            glue in prop::collection::vec(0..3usize, 0..24),
+        ) {
+            let mut text = String::new();
+            for (k, p) in picks.iter().enumerate() {
+                text.push_str(PIECES[*p]);
+                text.push_str(["", " ", ","][glue.get(k).copied().unwrap_or(0)]);
+            }
+            let v = vocab_fixture();
+            prop_assert_eq!(v.counts(&text), oracle_counts(&v, &text), "{:?}", text);
+        }
+
+        #[test]
+        fn counts_equal_the_oracle_on_arbitrary_unicode(
+            code_points in prop::collection::vec((any::<bool>(), 0u32..0x11_0000), 0..40),
+        ) {
+            // Half ASCII (so words and camelCase boundaries form), half any
+            // scalar value.
+            let text: String = code_points
+                .iter()
+                .filter_map(|&(ascii, c)| char::from_u32(if ascii { c % 128 } else { c }))
+                .collect();
+            let v = vocab_fixture();
+            prop_assert_eq!(v.counts(&text), oracle_counts(&v, &text), "{:?}", text);
+        }
+    }
 
     #[test]
     fn sparse_from_pairs_sorts_and_sums() {

@@ -269,16 +269,37 @@ impl SimpleDate {
     }
 }
 
+/// Month number of a full English month name or its three-letter
+/// abbreviation, ASCII case-insensitively (`march`, `Mar`, `MARCH`).
 fn month_from_name(name: &str) -> Option<u8> {
-    let lower = name.to_ascii_lowercase();
     MONTHS
         .iter()
-        .position(|m| *m == lower || (lower.len() >= 3 && m.starts_with(&lower[..3]) && lower.len() == 3))
+        .position(|m| m.eq_ignore_ascii_case(name) || (name.len() == 3 && m[..3].eq_ignore_ascii_case(name)))
         .map(|i| i as u8 + 1)
 }
 
+/// True when `word` names a month the way [`parse_date`]'s month-name
+/// forms accept it: the full English name or its three-letter
+/// abbreviation, in any ASCII case. A scanner can test the first word of
+/// a candidate with this before paying for [`parse_date`].
+pub fn is_month_name(word: &str) -> bool {
+    month_from_name(word).is_some()
+}
+
+fn days_in_month(year: u16, month: u8) -> u8 {
+    match month {
+        2 if year.is_multiple_of(4) && (!year.is_multiple_of(100) || year.is_multiple_of(400)) => 29,
+        2 => 28,
+        4 | 6 | 9 | 11 => 30,
+        _ => 31,
+    }
+}
+
 fn valid_date(year: u16, month: u8, day: u8) -> Option<SimpleDate> {
-    if !(1..=12).contains(&month) || !(1..=31).contains(&day) || !(1000..=3000).contains(&year) {
+    if !(1..=12).contains(&month)
+        || !(1000..=3000).contains(&year)
+        || !(1..=days_in_month(year, month)).contains(&day)
+    {
         return None;
     }
     Some(SimpleDate { year, month, day })
@@ -293,15 +314,19 @@ pub fn parse_date(s: &str) -> Option<SimpleDate> {
         let parts: Vec<&str> = s.split(sep).collect();
         if parts.len() == 3 && parts.iter().all(|p| p.bytes().all(|b| b.is_ascii_digit()) && !p.is_empty()) {
             let nums: Vec<u32> = parts.iter().map(|p| p.parse().unwrap_or(0)).collect();
-            // YYYY-MM-DD
-            if parts[0].len() == 4 {
-                return valid_date(nums[0] as u16, nums[1] as u8, nums[2] as u8);
-            }
-            // M/D/YYYY
-            if parts[2].len() == 4 {
-                return valid_date(nums[2] as u16, nums[0] as u8, nums[1] as u8);
-            }
-            return None;
+            let (year, month, day) = if parts[0].len() == 4 {
+                (nums[0], nums[1], nums[2]) // YYYY-MM-DD
+            } else if parts[2].len() == 4 {
+                (nums[2], nums[0], nums[1]) // M/D/YYYY
+            } else {
+                return None;
+            };
+            // A month or day past 255 must not wrap into range.
+            return valid_date(
+                u16::try_from(year).ok()?,
+                u8::try_from(month).ok()?,
+                u8::try_from(day).ok()?,
+            );
         }
     }
     // Month-name forms.
@@ -415,6 +440,40 @@ mod tests {
         assert_eq!(parse_date("Mar 4 2013"), Some(d));
         assert_eq!(parse_date("13/40/2013"), None);
         assert_eq!(parse_date("not a date"), None);
+        // Days that do not exist in their month.
+        for bad in [
+            "2/31/2013",
+            "2/29/2013",
+            "February 30, 2013",
+            "April 31 2013",
+            "2013-02-30",
+            "257/1/2013",
+            "2013-01-257",
+        ] {
+            assert_eq!(parse_date(bad), None, "{bad}");
+        }
+        // The Gregorian leap rule: 2012 and 2000 are leap years, 1900 is not.
+        assert_eq!(
+            parse_date("2/29/2012"),
+            Some(SimpleDate { year: 2012, month: 2, day: 29 })
+        );
+        assert!(parse_date("2000-02-29").is_some());
+        assert_eq!(parse_date("1900-02-29"), None);
+        assert!(parse_date("12/31/2013").is_some());
+    }
+
+    #[test]
+    fn month_names() {
+        for m in ["march", "Mar", "MARCH", "may", "Sep", "september"] {
+            assert!(is_month_name(m), "{m}");
+        }
+        for w in ["Marc", "Ma", "", "Matilda", "Septembre", "M\u{e4}r"] {
+            assert!(!is_month_name(w), "{w}");
+        }
+        // A non-ASCII word whose third byte falls inside a character
+        // neither matches nor panics.
+        assert!(!is_month_name("Ma\u{e9}"));
+        assert_eq!(parse_date("Ma\u{e9} 4, 2013"), None);
     }
 
     #[test]

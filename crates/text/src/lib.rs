@@ -13,6 +13,13 @@
 //!   scanners, and contextual heuristics to emit hierarchical instance and
 //!   entity documents ready for ingestion and flattening.
 //! * [`mention`] — typed entity mentions with spans and confidences.
+//!
+//! Parsing a fragment is one pass of token work. [`DomainParser::parse`]
+//! tokenises the fragment once and hands that token stream to the
+//! scanners ([`scan::scan_tokens`]); it lowercases each word token once,
+//! into one buffer ([`tokenize::Words`]), which the gazetteer's trie walk
+//! ([`Gazetteer::find_words`]) and the contextual heuristics both read.
+//! No extractor tokenises again or allocates a `String` per token.
 
 pub mod gazetteer;
 pub mod mention;

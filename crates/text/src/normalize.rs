@@ -53,7 +53,7 @@ pub fn canonical_name(name: &str) -> String {
 pub fn content_tokens(text: &str) -> Vec<String> {
     crate::tokenize::tokenize(text)
         .iter()
-        .filter(|t| t.text.chars().any(char::is_alphanumeric))
+        .filter(|t| t.is_word())
         .map(|t| t.text.to_lowercase())
         .filter(|t| !is_stopword(t))
         .collect()
