@@ -1,22 +1,20 @@
-//! Index-key wrapper giving [`Value`] the total equality/order/hash triple
-//! that map keys need.
+//! Index-key wrapper giving [`Value`] the total equality and order that
+//! sorted map keys need.
 //!
-//! `Value` itself deliberately has no `Hash` impl and a non-total float
-//! `PartialEq` (NaN ≠ NaN), which would make `HashMap`-backed index buckets
-//! unsound. [`AttrKey`] closes that gap: equality and order come from
-//! [`Value::total_cmp`] (IEEE total order for floats, cross-type rank
-//! otherwise), and the hash is derived so that `a == b ⇒ hash(a) ==
-//! hash(b)` — in particular `Int(3)` and `Float(3.0)` compare `Equal`
-//! under `total_cmp`, so both hash through the same `f64` bit pattern.
-//! The storage engine's secondary indexes and `count_by`, and the query
-//! crate's indexes and group-by, all key on it.
+//! `Value`'s own `PartialEq` is structural and not total over floats
+//! (NaN ≠ NaN, `Int(3)` ≠ `Float(3.0)`). [`AttrKey`] takes both equality
+//! and order from [`Value::total_cmp`] instead: IEEE total order for
+//! floats, an exact comparison between `Int` and `Float` (so `Int(3)`
+//! equals `Float(3.0)`, and `Int(2^53 + 1)` sits above `Float(2^53)`), and
+//! type rank across types. It has no `Hash`: every map keyed on it is
+//! sorted — the storage engine's secondary indexes and `count_by`, and the
+//! query crate's indexes and group-by.
 
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
 
 use crate::Value;
 
-/// A [`Value`] usable as a hash- or tree-index key.
+/// A [`Value`] usable as a sorted-index key.
 #[derive(Debug, Clone)]
 pub struct AttrKey(pub Value);
 
@@ -45,65 +43,18 @@ impl Ord for AttrKey {
     }
 }
 
-impl Hash for AttrKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        hash_value(&self.0, state);
-    }
-}
-
-/// Hash consistent with [`Value::total_cmp`]-equality: numerics hash their
-/// `f64` total-order bit pattern (so `Int(3)` and `Float(3.0)` collide into
-/// the same bucket, as required — ints beyond 2^53 may share a bucket with
-/// a neighbouring float, which is a plain hash collision, not an equality
-/// error).
-fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
-    match v {
-        Value::Null => state.write_u8(0),
-        Value::Bool(b) => {
-            state.write_u8(1);
-            state.write_u8(u8::from(*b));
-        }
-        Value::Int(i) => {
-            state.write_u8(2);
-            state.write_u64((*i as f64).to_bits());
-        }
-        Value::Float(f) => {
-            state.write_u8(2);
-            state.write_u64(f.to_bits());
-        }
-        Value::Str(s) => {
-            state.write_u8(3);
-            state.write(s.as_bytes());
-        }
-        Value::Array(items) => {
-            state.write_u8(4);
-            state.write_usize(items.len());
-            for item in items {
-                hash_value(item, state);
-            }
-        }
-        Value::Doc(d) => {
-            state.write_u8(5);
-            state.write_usize(d.len());
-            for (k, inner) in d.iter() {
-                state.write(k.as_bytes());
-                hash_value(inner, state);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
-    fn int_and_float_share_bucket() {
-        let mut m: HashMap<AttrKey, u32> = HashMap::new();
-        m.insert(AttrKey(Value::Int(3)), 1);
-        assert_eq!(m.get(&AttrKey(Value::Float(3.0))), Some(&1));
-        assert_eq!(m.get(&AttrKey(Value::Float(3.5))), None);
+    fn int_and_float_keys_compare_equal() {
+        let three = AttrKey(Value::Int(3));
+        assert_eq!(three, AttrKey(Value::Float(3.0)));
+        assert_eq!(three.cmp(&AttrKey(Value::Float(3.0))), Ordering::Equal);
+        assert!(three < AttrKey(Value::Float(3.5)));
+        let big = 1i64 << 53;
+        assert!(AttrKey(Value::Float(big as f64)) < AttrKey(Value::Int(big + 1)));
     }
 
     #[test]
@@ -111,9 +62,8 @@ mod tests {
         let a = AttrKey(Value::Float(f64::NAN));
         let b = AttrKey(Value::Float(f64::NAN));
         assert_eq!(a, b);
-        let mut m: HashMap<AttrKey, u32> = HashMap::new();
-        m.insert(a, 7);
-        assert_eq!(m.get(&b), Some(&7));
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        assert!(AttrKey(Value::Float(f64::INFINITY)) < a, "NaN sorts after every number");
     }
 
     #[test]

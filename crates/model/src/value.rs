@@ -156,7 +156,9 @@ impl Value {
     /// Total ordering across all values, suitable for index keys.
     ///
     /// Floats order by IEEE total-order semantics (NaN sorts last among
-    /// numbers); cross-type comparisons order by type rank.
+    /// numbers); an `Int` and a `Float` compare exactly, by the numbers
+    /// they denote, even beyond 2^53 where `i as f64` rounds; cross-type
+    /// comparisons order by type rank.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         let (ra, rb) = (self.type_rank(), other.type_rank());
         if ra != rb {
@@ -167,8 +169,8 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Array(a), Value::Array(b)) => {
                 for (x, y) in a.iter().zip(b.iter()) {
@@ -190,6 +192,19 @@ impl Value {
             }
             _ => unreachable!("same type rank implies comparable variants"),
         }
+    }
+}
+
+/// `i` against `f`, exactly. Rounding `i` to `f64` is monotone, so an
+/// unequal result already holds for `i` itself; a tie means `f` is an
+/// integer in `[-2^63, 2^63]`, settled in `i64` (2^63 is above every
+/// `i64`). `Int(0)` therefore equals `+0.0` and sits above `-0.0`, and the
+/// NaNs stay at the ends.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    match (i as f64).total_cmp(&f) {
+        Ordering::Equal if f >= 9_223_372_036_854_775_808.0 => Ordering::Less,
+        Ordering::Equal => i.cmp(&(f as i64)),
+        unequal => unequal,
     }
 }
 
@@ -331,6 +346,45 @@ mod tests {
         assert_eq!(Value::Int(2).total_cmp(&Value::Float(2.5)), Ordering::Less);
         assert_eq!(Value::Float(3.0).total_cmp(&Value::Int(3)), Ordering::Equal);
         assert_eq!(Value::Float(f64::NAN).total_cmp(&Value::Int(i64::MAX)), Ordering::Greater);
+    }
+
+    #[test]
+    fn total_cmp_is_a_total_order_over_numeric_edge_values() {
+        // `Int(2^53 + 1)` rounds to `2^53` as an `f64`: comparing through
+        // that rounding made `Int(2^53) == Float(2^53) == Int(2^53 + 1)`
+        // while `Int(2^53) < Int(2^53 + 1)`.
+        let p53 = 1i64 << 53;
+        let mut vals = Vec::new();
+        for i in [i64::MIN, i64::MAX, p53, -p53, p53 + 1, -p53 - 1, 0] {
+            vals.push(Value::Int(i));
+            vals.push(Value::Float(i as f64));
+        }
+        for f in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN] {
+            vals.push(Value::Float(f));
+        }
+        for a in &vals {
+            for b in &vals {
+                let ab = a.total_cmp(b);
+                assert_eq!(ab, b.total_cmp(a).reverse(), "antisymmetry: {a:?} vs {b:?}");
+                for c in &vals {
+                    let (bc, ac) = (b.total_cmp(c), a.total_cmp(c));
+                    if ab == Ordering::Equal {
+                        assert_eq!(ac, bc, "equality: {a:?} = {b:?} but not against {c:?}");
+                    }
+                    if ab != Ordering::Greater && bc != Ordering::Greater {
+                        assert_ne!(
+                            ac,
+                            Ordering::Greater,
+                            "transitivity: {a:?} ≤ {b:?} ≤ {c:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(Value::Int(p53).total_cmp(&Value::Int(p53 + 1)), Ordering::Less);
+        assert_eq!(Value::Int(p53 + 1).total_cmp(&Value::Float(p53 as f64)), Ordering::Greater);
+        assert_eq!(Value::Int(i64::MAX).total_cmp(&Value::Float(i64::MAX as f64)), Ordering::Less);
+        assert_eq!(Value::Int(0).total_cmp(&Value::Float(-0.0)), Ordering::Greater);
     }
 
     #[test]

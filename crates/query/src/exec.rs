@@ -1,11 +1,17 @@
 //! Query planning and execution over an immutable collection snapshot.
 //!
 //! The planner picks from the predicate alone, in order: a **hash probe**
-//! (an equality/`In` conjunct on a hash-indexed attribute), an **ordered
-//! probe** (a comparison conjunct on an ordered-indexed attribute), or a
-//! **full scan** over the fused entities. Probes only ever produce a
-//! candidate *superset* — every candidate is re-checked against the full
-//! predicate — so plan choice can change work done but never results.
+//! (an equality/`In` conjunct on an
+//! [`IndexSpec::hash`](crate::IndexSpec::hash) attribute: each operand's
+//! postings, looked up in that attribute's index), an **ordered probe**
+//! (a comparison conjunct on an
+//! [`IndexSpec::ordered`](crate::IndexSpec::ordered) attribute: the
+//! postings of every key in range), or a **full scan** over the fused
+//! entities. Both probes read the one posting structure,
+//! [`OrderedIndex`]; the plan names say which lookup ran. Probes only
+//! ever produce a candidate *superset* — every candidate is re-checked
+//! against the full predicate — so plan choice can change work done but
+//! never results.
 //!
 //! Two push-down rules let a probe stop re-checking early. Both hand
 //! `finish` the same rows it would otherwise keep, so they are exact:
@@ -57,7 +63,7 @@ use crate::index::{EntityIndexes, IndexMaintenance, OrderedIndex};
 /// Which plan actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
-    /// Candidates from a hash-index equality probe.
+    /// Candidates from an equality probe: each operand's postings.
     HashProbe,
     /// Candidates from an ordered-index range probe.
     OrderedProbe,
@@ -163,7 +169,7 @@ impl CollectionSnapshot {
         &self.stats
     }
 
-    /// Point lookup by entity key, through the `_key` hash index when
+    /// Point lookup by entity key, through the `_key` equality index when
     /// present (falls back to a linear scan).
     pub fn point_lookup(&self, key: &str) -> Option<&FusedEntity> {
         let needle = Value::from(key);

@@ -5,15 +5,17 @@
 //! `Vec<FusedEntity>`. This crate is what makes that view a served
 //! artifact rather than something callers scan by hand, in three layers:
 //!
-//! 1. **Secondary indexes** ([`index`]) — a hash index for equality and a
-//!    `BTreeMap`-backed ordered index for ranges, over any entity
-//!    attribute (including the `_key` / `_members` / `_confidence`
-//!    pseudo-attributes). Keys use [`datatamer_model::AttrKey`], whose equality,
-//!    ordering, and hashing all derive from `Value::total_cmp`. Builds
+//! 1. **Secondary indexes** ([`index`]) — one posting structure, the
+//!    chunked [`index::OrderedIndex`], serves both equality probes (one
+//!    key, binary-searched) and range probes, over any entity attribute
+//!    (including the `_key` / `_members` / `_confidence`
+//!    pseudo-attributes). Keys use [`datatamer_model::AttrKey`], whose
+//!    equality and ordering both derive from `Value::total_cmp`. Builds
 //!    fan out with rayon but insert in a fixed order, and
 //!    [`view::CollectionView::sync`] maintains them *incrementally* from
-//!    `consolidate_delta`'s dirty-cluster set — counters on
-//!    [`index::IndexMaintenance`] prove no full rebuilds happen during
+//!    `consolidate_delta`'s dirty-cluster set, taking a cluster's old
+//!    entries from its previous row rather than a stored log — counters
+//!    on [`index::IndexMaintenance`] prove no full rebuilds happen during
 //!    delta ingest.
 //! 2. **Typed query AST + planner** ([`ast`], [`exec`]) — `Query { filter,
 //!    project, aggregate, order_by, limit }`, planned from the predicate
@@ -76,7 +78,7 @@ pub use ast::{
 };
 pub use exec::{execute_oracle, CollectionSnapshot, Executed, PlanKind, SnapshotStats};
 pub use http::{QueryServer, ServerConfig, SharedViews};
-pub use index::{EntityIndexes, HashIndex, IndexMaintenance, OrderedIndex};
+pub use index::{EntityIndexes, IndexMaintenance, OrderedIndex};
 pub use view::{CollectionView, IndexSpec};
 
 /// One-line import for the common query surface.

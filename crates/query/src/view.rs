@@ -7,18 +7,20 @@
 //! bitmap (`changed`): with a bitmap, only dirtied, new and vanished
 //! clusters are looked at — the common delta-ingest case — and untouched
 //! clusters keep their index entries verbatim; without one (a batch run,
-//! a publish that skipped revisions), every cluster's entries are
-//! compared with the stored ones. Only the first sync builds from scratch.
-//! Cluster id = smallest member record index of the group, which
-//! `IncrementalConsolidator` keeps stable across deltas.
+//! a publish that skipped revisions), every cluster is looked at. A
+//! looked-at cluster's old index entries are not stored anywhere: they
+//! are re-extracted from its row in the previous sync, and it is rewritten
+//! only when they differ from its new row's. Only the first sync builds
+//! from scratch. Cluster id = smallest member record index of the group,
+//! which `IncrementalConsolidator` keeps stable across deltas.
 //!
 //! [`CollectionView::snapshot`] hands readers an immutable
 //! [`CollectionSnapshot`] (entities + cluster ids + indexes) that they
 //! query without locks while the view keeps ingesting. It shares instead
 //! of copying: the entity rows, cluster ids and position map are `Arc`s
 //! that each sync replaces wholesale, and the indexes live in `Arc`-shared
-//! segments that the next sync copies only where it writes (see
-//! [`crate::index`]). A snapshot costs O(index segments) pointer copies,
+//! chunks that the next sync copies only where it writes (see
+//! [`crate::index`]). A snapshot costs O(index chunks) pointer copies,
 //! whatever the collection size.
 
 use datatamer_core::fusion::{FusedEntity, FusionGroup};
@@ -30,12 +32,14 @@ use std::sync::Arc;
 use crate::exec::{CollectionSnapshot, SnapshotStats};
 use crate::index::{EntityIndexes, IndexEntry};
 
-/// Which attributes get which index flavour.
+/// Which attributes are indexed for which probe. Every index is an
+/// [`crate::OrderedIndex`]; the lists decide which conjuncts the planner
+/// probes it for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexSpec {
-    /// Equality (hash) indexed attributes.
+    /// Attributes probed for equality/`In` conjuncts (a hash probe).
     pub hash: Vec<String>,
-    /// Range (ordered) indexed attributes.
+    /// Attributes probed for range conjuncts (an ordered probe).
     pub ordered: Vec<String>,
 }
 
@@ -47,18 +51,22 @@ impl Default for IndexSpec {
 }
 
 impl IndexSpec {
-    /// Add a hash-indexed attribute.
+    /// Add an attribute probed for equality.
     pub fn hash_on(mut self, attr: impl Into<String>) -> Self {
         self.hash.push(attr.into());
         self
     }
 
-    /// Add an ordered-indexed attribute.
+    /// Add an attribute probed for ranges.
     pub fn ordered_on(mut self, attr: impl Into<String>) -> Self {
         self.ordered.push(attr.into());
         self
     }
 }
+
+/// A cluster's index entries to take off (`None` for a new cluster) and
+/// to put on.
+type Rewrite = (Option<Vec<IndexEntry>>, Vec<IndexEntry>);
 
 /// A mutable, incrementally maintained view over fused entities.
 #[derive(Debug, Clone)]
@@ -111,13 +119,15 @@ impl CollectionView {
     ///
     /// The first sync builds the indexes. Every later one is incremental:
     /// it removes vanished clusters and rewrites the index entries of a
-    /// cluster only when they differ from the ones it holds. `changed[i]`
-    /// says group `i` was re-resolved since the last sync (the delta path's
-    /// dirty set), so only those and new clusters are examined; `None` — or
+    /// cluster only when they differ from the ones it holds — which are
+    /// exactly what its previous row extracts to, since a cluster's
+    /// entries are all the indexes hold for it. `changed[i]` says group
+    /// `i` was re-resolved since the last sync (the delta path's dirty
+    /// set), so only those and new clusters are examined, and a clean
+    /// cluster's previous row is taken to equal its new one; `None` — or
     /// a bitmap whose length does not match `groups`, as after a publish
-    /// that skipped revisions — examines every cluster: each entity's
-    /// entries are extracted and compared with the stored ones, which is
-    /// exact because a cluster's entries are all the indexes hold for it.
+    /// that skipped revisions — examines every cluster, comparing the
+    /// entries of its previous row with those of its new one.
     pub fn sync(
         &mut self,
         fused: &[FusedEntity],
@@ -140,29 +150,41 @@ impl CollectionView {
             self.indexes.rebuild(&pairs);
         } else {
             self.indexes.maint_mut().delta_syncs += 1;
-            // Drop clusters that no longer exist, scanning the *previous*
-            // id vector (deterministic order; the pos map is never iterated).
-            for &cid in self.cluster_ids.iter() {
-                if !pos.contains_key(&cid) && self.indexes.remove_cluster(cid) {
+            // What the indexes hold for a cluster is what its previous row
+            // extracts to. Drop clusters that no longer exist, scanning the
+            // previous rows (deterministic order; the pos map is never
+            // iterated).
+            for (old, &cid) in self.entities.iter().zip(self.cluster_ids.iter()) {
+                if !pos.contains_key(&cid) {
+                    let entries = self.indexes.extract(old);
+                    self.indexes.remove_entries(cid, &entries);
                     self.indexes.maint_mut().clusters_removed += 1;
                 }
             }
             let dirty = changed.filter(|d| d.len() == n);
-            let indexes = &self.indexes;
-            let fresh: Vec<Option<Vec<IndexEntry>>> = (0..n)
+            let (indexes, old_pos, old_rows) = (&self.indexes, &self.pos, &self.entities);
+            let rewrites: Vec<Option<Rewrite>> = (0..n)
                 .into_par_iter()
                 .map(|i| {
-                    let examine =
-                        dirty.is_none_or(|d| d[i] || !indexes.contains_cluster(cids[i]));
-                    examine.then(|| indexes.extract(&fused[i]))
+                    let old = old_pos.get(&cids[i]).map(|&row| &old_rows[row as usize]);
+                    if old.is_some() && dirty.is_some_and(|d| !d[i]) {
+                        return None;
+                    }
+                    let old = old.map(|e| indexes.extract(e));
+                    let new = indexes.extract(&fused[i]);
+                    (old.as_ref() != Some(&new)).then_some((old, new))
                 })
                 .collect();
-            for (&cid, entries) in cids.iter().zip(fresh) {
-                if entries.is_some_and(|e| self.indexes.refresh_cluster(cid, e)) {
-                    self.indexes.maint_mut().clusters_reindexed += 1;
-                } else {
+            for (&cid, rewrite) in cids.iter().zip(rewrites) {
+                let Some((old, new)) = rewrite else {
                     self.indexes.maint_mut().clusters_reused += 1;
+                    continue;
+                };
+                if let Some(old) = old {
+                    self.indexes.remove_entries(cid, &old);
                 }
+                self.indexes.insert_entries(cid, &new);
+                self.indexes.maint_mut().clusters_reindexed += 1;
             }
         }
 
@@ -175,7 +197,7 @@ impl CollectionView {
     /// Share the current state as an immutable snapshot, tagged with
     /// `counters` (storage/delta numbers the serving layer wants on its
     /// stats endpoint). Nothing the view holds is copied: the snapshot
-    /// takes references to the rows, ids, positions and index segments.
+    /// takes references to the rows, ids, positions and index chunks.
     pub fn snapshot(&self, counters: Vec<(String, u64)>) -> CollectionSnapshot {
         let stats = SnapshotStats {
             entities: self.entities.len(),
@@ -256,7 +278,7 @@ mod tests {
         assert!(std::ptr::eq(before.entities(), view.entities()), "rows are shared, not copied");
 
         // A delta re-resolves cluster 0 as "a2" at a new price; the sync
-        // writes into index segments the old snapshot still holds.
+        // writes into index chunks the old snapshot still holds.
         view.sync(&[entity("a2", 9), entity("b", 2)], &groups, Some(&[true, false]));
         let after = view.snapshot(Vec::new());
         let key = |s: &CollectionSnapshot, k: &str| s.point_lookup(k).map(|e| e.key.clone());

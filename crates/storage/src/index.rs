@@ -1,7 +1,7 @@
 //! Ordered secondary indexes over dotted document paths.
 //!
 //! An index maps extracted key values to document ids. Keys keep full
-//! [`Value`] typing and are [`AttrKey`]s, so they compare, order and hash by
+//! [`Value`] typing and are [`AttrKey`]s, so they compare and order by
 //! [`Value::total_cmp`]; when the indexed path resolves to an array, every
 //! element is indexed (multikey), matching how document stores index the
 //! paper's `entities` arrays. Index byte sizes are

@@ -8,10 +8,11 @@
 
 use datatamer::core::fusion::{BlockedErConfig, FusedEntity, GroupingStrategy};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
-use datatamer::model::{Record, RecordId, SourceId, Value};
+use datatamer::model::{AttrKey, Record, RecordId, SourceId, Value};
 use datatamer::query::prelude::*;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
+use std::ops::Bound;
 
 /// Byte-exact fingerprint of a result: Debug is total (NaN prints as
 /// `NaN`), whereas `Value`'s `PartialEq` is not (NaN != NaN), so equal
@@ -266,6 +267,65 @@ proptest! {
     }
 }
 
+/// `Int(2^53 + 1)` rounds to `2^53` as an `f64`, so comparing through
+/// that rounding would make these three values a cycle rather than a
+/// total order. Indexed in any insertion order, under either index kind,
+/// every probe must still answer what the oracle answers.
+#[test]
+fn integers_beyond_2_pow_53_probe_like_the_oracle() {
+    let big = 1i64 << 53;
+    let xs = [Value::Int(big), Value::Int(big + 1), Value::Float(big as f64)];
+    let x = || "X".to_string();
+    let specs = [
+        (IndexSpec::default().hash_on("X"), PlanKind::HashProbe),
+        (IndexSpec::default().ordered_on("X"), PlanKind::OrderedProbe),
+    ];
+    for (spec, plan) in &specs {
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let entities: Vec<FusedEntity> = order
+                .iter()
+                .enumerate()
+                .map(|(i, &j)| FusedEntity {
+                    key: format!("k{i}"),
+                    record: Record::from_pairs(
+                        SourceId(0),
+                        RecordId(i as u64),
+                        vec![("X", xs[j].clone())],
+                    ),
+                    member_count: 1,
+                    confidence: None,
+                })
+                .collect();
+            let snap = CollectionSnapshot::from_entities(entities.clone(), spec.clone());
+            for v in &xs {
+                let filters = match plan {
+                    PlanKind::HashProbe => vec![
+                        Predicate::Eq(x(), v.clone()),
+                        Predicate::In(x(), vec![v.clone(), Value::Int(0)]),
+                    ],
+                    _ => vec![
+                        Predicate::Gt(x(), v.clone()),
+                        Predicate::Gte(x(), v.clone()),
+                        Predicate::Lt(x(), v.clone()),
+                        Predicate::Lte(x(), v.clone()),
+                    ],
+                };
+                for filter in filters {
+                    let q = Query::filtered(filter);
+                    let ex = snap.execute(&q);
+                    assert_eq!(ex.plan, *plan, "{q:?}");
+                    assert_eq!(
+                        fp(&ex.result),
+                        fp(&execute_oracle(&entities, &q)),
+                        "{:?} diverged from the oracle, insertion order {order:?}: {q:?}",
+                        ex.plan
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Part B: pipeline-fed views synced incrementally across delta batches.
 // ---------------------------------------------------------------------
@@ -323,6 +383,26 @@ fn battery() -> Vec<Query> {
         Query::filtered(Predicate::True).aggregate(Aggregate::GroupBy("CHEAPEST_PRICE".into())),
         Query::filtered(Predicate::True).order_by("_members", Order::Desc).take(5),
     ]
+}
+
+/// Every index of `snap` as `(attribute, key, postings)`, one per key,
+/// listed by the same key walk a range probe uses. Keys compare as
+/// `AttrKey`s: which of two `total_cmp`-equal values an index holds as
+/// the key depends on insertion order, and is never observable.
+fn index_listing(
+    snap: &CollectionSnapshot,
+    spec: &IndexSpec,
+) -> Vec<(String, AttrKey, Vec<usize>)> {
+    let ix = snap.indexes();
+    let hash = spec.hash.iter().map(|a| (a, ix.hash_index(a)));
+    let ordered = spec.ordered.iter().map(|a| (a, ix.ordered_index(a)));
+    hash.chain(ordered)
+        .flat_map(|(attr, index)| {
+            let index = index.expect("every configured attribute is indexed");
+            let keys = index.groups(Bound::Unbounded, Bound::Unbounded, Order::Asc);
+            keys.map(move |(key, cids)| (attr.clone(), AttrKey(key.clone()), cids.to_vec()))
+        })
+        .collect()
 }
 
 proptest! {
@@ -397,6 +477,13 @@ proptest! {
             "incrementally synced view holds different entities"
         );
 
+        // Every candidate is re-checked, so a stale posting would not show
+        // in a result: compare the indexes themselves, key by key.
+        let want_listing = index_listing(&fresh_snap, fresh.spec());
+        let listing = |snap: &CollectionSnapshot| index_listing(snap, fresh.spec());
+        prop_assert_eq!(&listing(&inc_snap), &want_listing, "incremental view's indexes");
+        prop_assert_eq!(&listing(&skip_snap), &want_listing, "skipping view's indexes");
+
         let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
         let mut plans = Vec::new();
@@ -405,7 +492,8 @@ proptest! {
             let a = serial.install(|| inc_snap.execute(&q));
             let b = wide.install(|| inc_snap.execute(&q));
             let c = wide.install(|| fresh_snap.execute(&q));
-            prop_assert_eq!(fp(&skip_snap.execute(&q).result), want, "skipping view diverged: {:?}", q);
+            let skip = skip_snap.execute(&q);
+            prop_assert_eq!(fp(&skip.result), want, "skipping view diverged: {:?}", q);
             prop_assert_eq!(
                 fp(&seed_snap.execute(&q).result),
                 fp(&execute_oracle(&seed_fused, &q)),
@@ -415,6 +503,11 @@ proptest! {
             prop_assert_eq!(fp(&b.result), want, "incremental (wide) diverged: {:?}", q);
             prop_assert_eq!(fp(&c.result), want, "fresh diverged: {:?}", q);
             prop_assert_eq!(a.plan, c.plan, "plan depends on the predicate alone: {:?}", q);
+            prop_assert_eq!(
+                (a.candidates, b.candidates, skip.candidates),
+                (c.candidates, c.candidates, c.candidates),
+                "rows checked differ from the fresh view's: {:?}", q
+            );
             plans.push(a.plan);
         }
         for family in [PlanKind::HashProbe, PlanKind::OrderedProbe, PlanKind::FullScan] {
