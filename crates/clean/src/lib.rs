@@ -9,7 +9,6 @@
 //!   (EUR→USD, the paper's canonical example), date normalisation, unit
 //!   stripping, whitespace repair.
 //! * [`nulls`] — canonicalising the many spellings of "missing".
-//! * [`outliers`] — robust (median/MAD) numeric outlier detection & repair.
 //! * [`rules`] — the per-attribute cleaning rule engine with change
 //!   accounting.
 //! * [`textclean`] — the ML fragment cleaner: a naive-Bayes junk /
@@ -17,12 +16,10 @@
 //!   step for web text).
 
 pub mod nulls;
-pub mod outliers;
 pub mod rules;
 pub mod textclean;
 pub mod transforms;
 
-pub use outliers::{detect_outliers, OutlierReport};
 pub use rules::{clean_sources_parallel, CleaningEngine, CleaningReport, Rule};
 pub use textclean::TextCleaner;
 pub use transforms::Transform;

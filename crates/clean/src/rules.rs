@@ -74,11 +74,6 @@ impl CleaningEngine {
         e
     }
 
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Clean one record in place; counts land in `report`.
     pub fn clean_record(&self, record: &mut Record, report: &mut CleaningReport) {
         report.records += 1;
@@ -105,19 +100,10 @@ impl CleaningEngine {
         }
     }
 
-    /// Clean a batch, returning the report.
-    pub fn clean_all(&self, records: &mut [Record]) -> CleaningReport {
-        let mut report = CleaningReport::default();
-        for r in records.iter_mut() {
-            self.clean_record(r, &mut report);
-        }
-        report
-    }
-
     /// Clean a batch with the records fanned out across the rayon thread
     /// team. Record mutations are per-record (no cross-record state), so
-    /// the cleaned values are identical to [`Self::clean_all`] at any
-    /// thread count; per-chunk reports merge into one.
+    /// the cleaned values are identical to cleaning each record in turn,
+    /// at any thread count; per-chunk reports merge into one.
     pub fn clean_all_parallel(&self, records: &mut [Record]) -> CleaningReport {
         let chunk_reports: Vec<CleaningReport> = records
             .par_iter_mut()
@@ -178,7 +164,7 @@ mod tests {
             rec(vec![("price", "$27"), ("first", "3/4/2013"), ("venue", "Gershwin")]),
             rec(vec![("price", "N/A"), ("first", "-"), ("venue", "Palace")]),
         ];
-        let report = engine.clean_all(&mut records);
+        let report = engine.clean_all_parallel(&mut records);
         assert_eq!(records[0].get_text("price").as_deref(), Some("$39"));
         assert_eq!(records[0].get_text("first").as_deref(), Some("3/4/2013"));
         assert_eq!(records[0].get_text("venue").as_deref(), Some("Shubert Theatre"));
@@ -203,7 +189,6 @@ mod tests {
         engine.clean_record(&mut r, &mut report);
         assert_eq!(r.get_text("x").as_deref(), Some("A B"));
         assert_eq!(report.values_transformed, 2);
-        assert_eq!(engine.rule_count(), 2);
     }
 
     #[test]

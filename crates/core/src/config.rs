@@ -121,15 +121,6 @@ impl DataTamerConfig {
             extent_cache_budget: self.storage.extent_cache_budget,
         }
     }
-
-    /// A configuration scaled relative to the paper's deployment: `scale`
-    /// of 0.001 gives 2 MB extents (vs 2 GB). Counts scale in the callers;
-    /// extent size scales here so extent *counts* stay comparable.
-    pub fn at_scale(scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        let extent_size = ((2.0 * 1024.0 * 1024.0 * 1024.0) * scale).max(4096.0) as usize;
-        DataTamerConfig { extent_size, ..Default::default() }
-    }
 }
 
 #[cfg(test)]
@@ -162,24 +153,5 @@ mod tests {
         let cc = c.collection_config();
         assert_eq!(cc.backend, BackendConfig::File { dir });
         assert_eq!(cc.extent_cache_budget, Some(4096));
-    }
-
-    #[test]
-    fn at_scale_scales_extents() {
-        // 2 GiB × scale, so 0.001 lands within 3% of 2 MiB.
-        let milli = DataTamerConfig::at_scale(0.001);
-        let two_mib = 2 * 1024 * 1024;
-        assert!((milli.extent_size as i64 - two_mib as i64).unsigned_abs() < two_mib / 32);
-        let centi = DataTamerConfig::at_scale(0.01);
-        let ratio = centi.extent_size as f64 / milli.extent_size as f64;
-        assert!((ratio - 10.0).abs() < 0.01, "extent size scales linearly: {ratio}");
-        let tiny = DataTamerConfig::at_scale(1e-9);
-        assert_eq!(tiny.extent_size, 4096, "floor keeps extents usable");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_scale_panics() {
-        DataTamerConfig::at_scale(0.0);
     }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use rayon::prelude::*;
 
 use datatamer_clean::TextCleaner;
-use datatamer_model::{doc, Document, Record, RecordId, Result, SourceId, Value};
+use datatamer_model::{Document, Record, RecordId, Result, SourceId, Value};
 use datatamer_storage::{Collection, IndexSpec, Store};
 use datatamer_text::{DomainParser, EntityType, ParsedFragment};
 
@@ -177,23 +177,6 @@ impl TextIngestor {
         }
         stats.show_records = show_records.len();
         Ok((stats, show_records))
-    }
-}
-
-/// Flatten one stored instance document into curation records (exposed for
-/// pipelines that run Data Tamer stages over text-derived data directly).
-pub fn flatten_instance(docd: &Document, source: SourceId, base: RecordId) -> Vec<Record> {
-    datatamer_model::flatten(docd, source, base, &datatamer_model::FlattenOptions::default())
-}
-
-/// Build a tiny instance document (used in tests and docs).
-pub fn example_instance() -> Document {
-    doc! {
-        "fragment" => "Matilda grossed 960,998",
-        "chars" => 23i64,
-        "entities" => Value::Array(vec![Value::Doc(doc! {
-            "type" => "Movie", "name" => "Matilda", "canonical" => "matilda"
-        })])
     }
 }
 
@@ -405,14 +388,5 @@ mod tests {
             assert!(image(&store, INSTANCE_COLLECTION) == want_instances, "{threads}");
             assert!(image(&store, ENTITY_COLLECTION) == want_entities, "{threads}");
         }
-    }
-
-    #[test]
-    fn flatten_instance_explodes_entities() {
-        let d = example_instance();
-        let recs = flatten_instance(&d, SourceId(1), RecordId(0));
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].get_text("entities.name").as_deref(), Some("Matilda"));
-        assert_eq!(recs[0].get_text("entities.type").as_deref(), Some("Movie"));
     }
 }

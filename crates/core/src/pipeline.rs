@@ -87,11 +87,6 @@ impl DataTamer {
         DataTamer { ctx: PipelineContext::new(config), resident: None }
     }
 
-    /// Default-configured system.
-    pub fn with_defaults() -> Self {
-        Self::new(DataTamerConfig::default())
-    }
-
     /// The staged-pipeline context (stage reports, run log, record state).
     pub fn context(&self) -> &PipelineContext {
         &self.ctx

@@ -173,11 +173,6 @@ impl WebTextCorpus {
 
         WebTextCorpus { fragments, gazetteer, type_counts, discussion_counts }
     }
-
-    /// Total embedded mentions across fragments.
-    pub fn total_mentions(&self) -> u64 {
-        self.type_counts.values().sum()
-    }
 }
 
 fn primary_sentence(rng: &mut StdRng, show: &str, kind: FragmentKind, award: bool) -> String {
@@ -399,7 +394,7 @@ mod tests {
     #[test]
     fn type_mix_tracks_table_iii_proportions() {
         let c = corpus(4_000, 11);
-        let total = c.total_mentions() as f64;
+        let total = c.type_counts.values().sum::<u64>() as f64;
         let persons = *c.type_counts.get(&EntityType::Person).unwrap_or(&0) as f64;
         let movies = *c.type_counts.get(&EntityType::Movie).unwrap_or(&0) as f64;
         // Person is the most common background type in the paper (~26%);
@@ -457,7 +452,7 @@ mod tests {
                 / c.fragments.len() as f64
         };
         assert!(mean(&b) > mean(&a) * 2.0, "{} vs {}", mean(&a), mean(&b));
-        assert_eq!(a.total_mentions(), b.total_mentions(), "padding adds no entities");
+        assert_eq!(a.type_counts, b.type_counts, "padding adds no entities");
     }
 
     #[test]

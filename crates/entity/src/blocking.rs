@@ -226,23 +226,23 @@ fn quadratic_pairs(members: &[usize]) -> Vec<u64> {
     local
 }
 
-/// Recall of a candidate set against known duplicate pairs.
-pub fn blocking_recall(candidates: &[(usize, usize)], truth: &[(usize, usize)]) -> f64 {
-    if truth.is_empty() {
-        return 1.0;
-    }
-    let set: std::collections::HashSet<(usize, usize)> = candidates.iter().copied().collect();
-    let hit = truth
-        .iter()
-        .filter(|(a, b)| set.contains(&(*a.min(b), *a.max(b))))
-        .count();
-    hit as f64 / truth.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use datatamer_model::{RecordId, SourceId, Value};
+
+    /// Recall of a candidate set against known duplicate pairs.
+    fn blocking_recall(candidates: &[(usize, usize)], truth: &[(usize, usize)]) -> f64 {
+        if truth.is_empty() {
+            return 1.0;
+        }
+        let set: std::collections::HashSet<(usize, usize)> = candidates.iter().copied().collect();
+        let hit = truth
+            .iter()
+            .filter(|(a, b)| set.contains(&(*a.min(b), *a.max(b))))
+            .count();
+        hit as f64 / truth.len() as f64
+    }
 
     fn records(names: &[&str]) -> Vec<Record> {
         names

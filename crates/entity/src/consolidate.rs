@@ -113,7 +113,7 @@ fn numeric_extreme(values: &[&Value], min: bool) -> Value {
     let (idx, _) = parsed
         .into_iter()
         .min_by(|(_, a), (_, b)| {
-            let ord = a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+            let ord = a.total_cmp(b);
             if min {
                 ord
             } else {
@@ -124,14 +124,19 @@ fn numeric_extreme(values: &[&Value], min: bool) -> Value {
     (*values[idx]).clone()
 }
 
+/// A value's number, when it has a finite one: a NaN or an infinity takes
+/// no part in a numeric choice.
 fn numeric_of(v: &Value) -> Option<f64> {
-    if let Some(x) = v.as_float() {
-        return Some(x);
-    }
-    let text = v.to_text();
-    datatamer_model::infer::parse_money(&text)
-        .map(|m| m.amount)
-        .or_else(|| datatamer_model::infer::parse_decimal(&text))
+    let x = match v.as_float() {
+        Some(x) => x,
+        None => {
+            let text = v.to_text();
+            datatamer_model::infer::parse_money(&text)
+                .map(|m| m.amount)
+                .or_else(|| datatamer_model::infer::parse_decimal(&text))?
+        }
+    };
+    x.is_finite().then_some(x)
 }
 
 #[cfg(test)]
@@ -186,6 +191,29 @@ mod tests {
         ];
         let merged = merge(&rs, ConflictPolicy::NumericMin);
         assert_eq!(merged.get_text("price").as_deref(), Some("$27"));
+    }
+
+    #[test]
+    fn numeric_extremes_ignore_nan_in_any_position() {
+        let long = format!("0.{}", "5".repeat(320));
+        let cases = [
+            [Value::Float(f64::NAN), Value::Int(5), Value::Int(3)],
+            [Value::from(long.as_str()), Value::from("0.9"), Value::from("0.3")],
+        ];
+        for [odd, high, low] in cases {
+            let orders = [
+                [&odd, &high, &low],
+                [&odd, &low, &high],
+                [&high, &odd, &low],
+                [&high, &low, &odd],
+                [&low, &odd, &high],
+                [&low, &high, &odd],
+            ];
+            for values in orders {
+                assert_eq!(ConflictPolicy::NumericMin.resolve_values(&values), low, "{values:?}");
+                assert_eq!(ConflictPolicy::NumericMax.resolve_values(&values), high, "{values:?}");
+            }
+        }
     }
 
     #[test]

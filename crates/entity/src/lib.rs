@@ -34,7 +34,7 @@ pub mod consolidate;
 pub mod incremental;
 pub mod pairsim;
 
-pub use blocking::{blocking_recall, Blocker, BlockingOutcome, BUCKET_CAP, PROGRESSIVE_WINDOW};
+pub use blocking::{Blocker, BlockingOutcome, BUCKET_CAP, PROGRESSIVE_WINDOW};
 pub use cluster::UnionFind;
 pub use incremental::{DeltaReport, IncrementalConsolidator};
 pub use consolidate::{merge_composite, ConflictPolicy};

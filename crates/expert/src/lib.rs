@@ -7,7 +7,7 @@
 //!
 //! * [`task`] — task kinds (schema-match confirmation, duplicate
 //!   confirmation), ids, priorities.
-//! * [`queue`] — a priority task queue with domain routing.
+//! * [`queue`] — a priority task queue.
 //! * [`oracle`] — simulated experts with configurable accuracy and response
 //!   cost, answering from generator ground truth.
 //! * [`resolve`] — weighted-majority aggregation of expert responses.

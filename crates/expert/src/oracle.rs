@@ -65,11 +65,6 @@ impl SimulatedExpert {
     pub fn answered(&self) -> u64 {
         self.answered
     }
-
-    /// Total cost incurred so far.
-    pub fn total_cost(&self) -> f64 {
-        self.answered as f64 * self.cost_per_task
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +78,6 @@ mod tests {
             assert_eq!(e.answer(truth), truth);
         }
         assert_eq!(e.answered(), 3);
-        assert_eq!(e.total_cost(), 6.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Priority task queue with domain routing.
+//! Priority task queue.
 
 use std::collections::BinaryHeap;
 
@@ -24,8 +24,7 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// A queue of expert tasks, popped highest-priority first (FIFO on ties),
-/// optionally filtered by expert domain.
+/// A queue of expert tasks, popped highest-priority first (FIFO on ties).
 #[derive(Debug, Default)]
 pub struct ExpertQueue {
     heap: BinaryHeap<QueueEntry>,
@@ -63,41 +62,8 @@ impl ExpertQueue {
 
     /// Pop the highest-priority pending task.
     pub fn pop(&mut self) -> Option<ExpertTask> {
-        while let Some(entry) = self.heap.pop() {
-            if let Some(task) = self.tasks.remove(&entry.id) {
-                return Some(task);
-            }
-            // Stale heap entry for a cancelled task: skip.
-        }
-        None
-    }
-
-    /// Pop the highest-priority task an expert of `domain` can answer.
-    pub fn pop_for_domain(&mut self, domain: &str) -> Option<ExpertTask> {
-        // Drain into a side buffer until a matching task appears, then
-        // restore the skipped ones.
-        let mut skipped = Vec::new();
-        let mut found = None;
-        while let Some(entry) = self.heap.pop() {
-            match self.tasks.get(&entry.id) {
-                Some(task) if task.kind.domain() == domain => {
-                    let task = self.tasks.remove(&entry.id).expect("present");
-                    found = Some(task);
-                    break;
-                }
-                Some(_) => skipped.push(entry),
-                None => {} // stale
-            }
-        }
-        for e in skipped {
-            self.heap.push(e);
-        }
-        found
-    }
-
-    /// Cancel a pending task. Returns whether it existed.
-    pub fn cancel(&mut self, id: TaskId) -> bool {
-        self.tasks.remove(&id).is_some()
+        let entry = self.heap.pop()?;
+        self.tasks.remove(&entry.id)
     }
 }
 
@@ -107,10 +73,6 @@ mod tests {
 
     fn dup(a: &str) -> TaskKind {
         TaskKind::DupConfirm { a: a.into(), b: "x".into() }
-    }
-
-    fn schema(attr: &str) -> TaskKind {
-        TaskKind::SchemaMatch { source_attr: attr.into(), candidate: "g".into(), score: 0.5 }
     }
 
     #[test]
@@ -128,34 +90,5 @@ mod tests {
             .collect();
         assert_eq!(order, vec!["high", "mid_first", "mid_second", "low"]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn domain_routing_skips_other_kinds() {
-        let mut q = ExpertQueue::new();
-        q.submit(dup("d1"), 9);
-        q.submit(schema("s1"), 5);
-        q.submit(dup("d2"), 1);
-        let t = q.pop_for_domain("schema").unwrap();
-        assert_eq!(t.kind.domain(), "schema");
-        assert_eq!(q.len(), 2, "skipped tasks restored");
-        // Next schema pop finds nothing.
-        assert!(q.pop_for_domain("schema").is_none());
-        assert_eq!(q.len(), 2);
-        // Dedup pops still honour priority.
-        let t = q.pop_for_domain("dedup").unwrap();
-        assert!(matches!(t.kind, TaskKind::DupConfirm { ref a, .. } if a == "d1"));
-    }
-
-    #[test]
-    fn cancel_makes_heap_entry_stale() {
-        let mut q = ExpertQueue::new();
-        let id = q.submit(dup("gone"), 9);
-        q.submit(dup("stays"), 1);
-        assert!(q.cancel(id));
-        assert!(!q.cancel(id));
-        let t = q.pop().unwrap();
-        assert!(matches!(t.kind, TaskKind::DupConfirm { ref a, .. } if a == "stays"));
-        assert!(q.pop().is_none());
     }
 }

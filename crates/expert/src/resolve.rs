@@ -37,42 +37,6 @@ pub fn resolve_votes(votes: &[Vote]) -> (bool, f64) {
     }
 }
 
-/// Minimum number of experts to consult for a target confidence, assuming
-/// homogeneous accuracy `p` and simple majority — the budget planner used
-/// by the expert-sourcing ablation.
-pub fn experts_needed(p: f64, target_confidence: f64) -> usize {
-    assert!(p > 0.5 && p < 1.0, "expert accuracy must be in (0.5, 1)");
-    assert!((0.5..1.0).contains(&target_confidence), "target in [0.5, 1)");
-    // Probability a majority of n experts is correct (n odd): increase n
-    // until it clears the target.
-    let mut n = 1usize;
-    loop {
-        let prob = majority_correct_prob(p, n);
-        if prob >= target_confidence || n >= 99 {
-            return n;
-        }
-        n += 2;
-    }
-}
-
-fn majority_correct_prob(p: f64, n: usize) -> f64 {
-    // Sum over k > n/2 of C(n,k) p^k (1-p)^(n-k).
-    let mut total = 0.0;
-    for k in (n / 2 + 1)..=n {
-        total += binomial(n, k) * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32);
-    }
-    total
-}
-
-fn binomial(n: usize, k: usize) -> f64 {
-    let k = k.min(n - k);
-    let mut acc = 1.0;
-    for i in 0..k {
-        acc = acc * (n - i) as f64 / (i + 1) as f64;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,29 +65,5 @@ mod tests {
         assert_eq!(resolve_votes(&[]), (false, 0.5));
         assert_eq!(resolve_votes(&[v(true, 1.0), v(false, 1.0)]), (false, 0.5));
         assert_eq!(resolve_votes(&[v(true, 0.0)]), (false, 0.5), "zero-weight only");
-    }
-
-    #[test]
-    fn experts_needed_grows_with_target() {
-        let cheap = experts_needed(0.8, 0.8);
-        let strict = experts_needed(0.8, 0.99);
-        assert!(strict > cheap, "{cheap} vs {strict}");
-        assert_eq!(experts_needed(0.9, 0.85), 1, "one good expert suffices");
-        // Odd panel sizes only.
-        assert_eq!(strict % 2, 1);
-    }
-
-    #[test]
-    fn majority_probability_sanity() {
-        assert!((majority_correct_prob(0.8, 1) - 0.8).abs() < 1e-12);
-        // 3 experts at 0.8: p^3 + 3 p^2 (1-p) = 0.512 + 0.384 = 0.896
-        assert!((majority_correct_prob(0.8, 3) - 0.896).abs() < 1e-9);
-        assert!(majority_correct_prob(0.8, 5) > majority_correct_prob(0.8, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "accuracy")]
-    fn planner_rejects_coin_flippers() {
-        experts_needed(0.5, 0.9);
     }
 }

@@ -14,16 +14,6 @@ pub enum TaskKind {
     DupConfirm { a: String, b: String },
 }
 
-impl TaskKind {
-    /// Routing domain for the task (experts declare domains they cover).
-    pub fn domain(&self) -> &'static str {
-        match self {
-            TaskKind::SchemaMatch { .. } => "schema",
-            TaskKind::DupConfirm { .. } => "dedup",
-        }
-    }
-}
-
 /// A queued expert task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpertTask {
@@ -46,18 +36,6 @@ impl ExpertTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn domains_route_by_kind() {
-        let s = TaskKind::SchemaMatch {
-            source_attr: "cost".into(),
-            candidate: "cheapest_price".into(),
-            score: 0.6,
-        };
-        assert_eq!(s.domain(), "schema");
-        let d = TaskKind::DupConfirm { a: "Matilda".into(), b: "matilda".into() };
-        assert_eq!(d.domain(), "dedup");
-    }
 
     #[test]
     fn construction() {

@@ -11,7 +11,9 @@
 //!
 //! Comments are not discarded entirely: `// dtlint::allow(rule, reason =
 //! "…")` waiver directives are parsed out of line comments and returned
-//! alongside the tokens (see [`Waiver`]).
+//! alongside the tokens (see [`Waiver`]), and the fenced code blocks of
+//! `///` / `//!` doc comments are kept as text ([`Lexed::doc_code`]) —
+//! a doctest calls code just as a test does.
 
 /// Token classification — just enough structure for sequence matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +76,9 @@ pub struct Waiver {
 pub struct Lexed {
     pub toks: Vec<Tok>,
     pub waivers: Vec<Waiver>,
+    /// The lines inside ```` ``` ```` fences of line doc comments, one per
+    /// line, doc markers stripped (unlexed).
+    pub doc_code: String,
 }
 
 fn is_ident_start(b: u8) -> bool {
@@ -92,12 +97,14 @@ pub fn lex(src: &str) -> Lexed {
     let mut i = 0usize;
     let mut line = 1u32;
     let mut line_has_code = false;
+    let mut in_doc_fence = false;
     let mut out = Lexed::default();
 
     macro_rules! push {
         ($kind:expr, $text:expr) => {{
             out.toks.push(Tok { kind: $kind, text: $text, line });
             line_has_code = true;
+            in_doc_fence = false;
         }};
     }
 
@@ -121,7 +128,16 @@ pub fn lex(src: &str) -> Lexed {
             while j < n && b[j] != b'\n' {
                 j += 1;
             }
-            if let Some(w) = parse_waiver(&src[start..j], line, line_has_code) {
+            let body = &src[start..j];
+            if let Some(doc) = body.strip_prefix('/').or_else(|| body.strip_prefix('!')) {
+                if doc.trim_start().starts_with("```") {
+                    in_doc_fence = !in_doc_fence;
+                } else if in_doc_fence {
+                    out.doc_code.push_str(doc);
+                    out.doc_code.push('\n');
+                }
+            }
+            if let Some(w) = parse_waiver(body, line, line_has_code) {
                 out.waivers.push(w);
             }
             i = j;
@@ -488,6 +504,17 @@ mod tests {
             toks.iter().filter(|t| t.kind == TokKind::Int).map(|t| t.text.clone()).collect();
         assert_eq!(ints, vec!["0", "10", "3", "0usize"]);
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Float).count(), 2);
+    }
+
+    #[test]
+    fn doc_code_keeps_fenced_doc_lines_only() {
+        let src = "/// Prose `not_code()`.\n///\n/// ```\n/// let x = in_fence();\n/// ```\n\
+                   //! ```\n//! inner_doc();\n//! ```\n// ```\n// plain_comment();\n\
+                   /// ```\n/// unclosed();\nfn f() {}\n/// after_code();\n";
+        let l = lex(src);
+        // Code ends an unclosed fence.
+        assert_eq!(l.doc_code, " let x = in_fence();\n inner_doc();\n unclosed();\n");
+        assert!(!l.toks.iter().any(|t| t.is_ident("in_fence")));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 pub use config::Config;
 pub use report::Report;
-pub use rules::{lint_source, Finding};
+pub use rules::{lint_source, Finding, NameIndex};
 
 /// Directories never descended into during the workspace walk.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "node_modules"];
@@ -57,14 +57,27 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
     Ok(())
 }
 
+/// Every `.rs` file under `root` as `(workspace-relative path, source)`,
+/// in [`collect_rs_files`] order.
+pub fn read_workspace(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    collect_rs_files(root)?
+        .into_iter()
+        .map(|rel| {
+            let source = std::fs::read_to_string(root.join(&rel))?;
+            Ok((rel.to_string_lossy().replace('\\', "/"), source))
+        })
+        .collect()
+}
+
 /// Lint the whole workspace under `root` with `cfg`; returns the
-/// finalized report.
+/// finalized report. The name index is built over every file before the
+/// first is linted.
 pub fn run_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
+    let files = read_workspace(root)?;
+    let names = NameIndex::build(&files);
     let mut report = Report::default();
-    for rel in collect_rs_files(root)? {
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let source = std::fs::read_to_string(root.join(&rel))?;
-        report.push_file(lint_source(&rel_str, &source, cfg));
+    for (rel, source) in &files {
+        report.push_file(lint_source(rel, source, cfg, &names));
     }
     report.finalize();
     Ok(report)

@@ -12,7 +12,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use datatamer_lint::{lint_source, load_config, rules, run_workspace, Config, Report};
+use datatamer_lint::{
+    lint_source, load_config, read_workspace, rules, run_workspace, Config, NameIndex, Report,
+};
 
 struct Args {
     root: PathBuf,
@@ -68,7 +70,7 @@ fn main() -> ExitCode {
     };
     if args.list_rules {
         for (rule, desc) in rules::RULES {
-            println!("{rule:14} {desc}");
+            println!("{rule:17} {desc}");
         }
         return ExitCode::SUCCESS;
     }
@@ -101,6 +103,14 @@ fn main() -> ExitCode {
             }
         }
     } else {
+        // `dead-pub` needs the whole workspace's names, not just these files'.
+        let names = match read_workspace(&args.root) {
+            Ok(files) => NameIndex::build(&files),
+            Err(e) => {
+                eprintln!("dtlint: {e}");
+                return ExitCode::from(2);
+            }
+        };
         let mut report = Report::default();
         for f in &args.files {
             let rel = f
@@ -109,7 +119,7 @@ fn main() -> ExitCode {
                 .to_string_lossy()
                 .replace('\\', "/");
             match std::fs::read_to_string(f) {
-                Ok(src) => report.push_file(lint_source(&rel, &src, &cfg)),
+                Ok(src) => report.push_file(lint_source(&rel, &src, &cfg, &names)),
                 Err(e) => {
                     eprintln!("dtlint: {}: {e}", f.display());
                     return ExitCode::from(2);

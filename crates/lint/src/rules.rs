@@ -1,6 +1,7 @@
 //! The rule engine: token-sequence rules over one lexed file.
 //!
-//! Three rule families, all keyed off `dtlint.toml` path prefixes:
+//! Three rule families keyed off `dtlint.toml` path prefixes, and two
+//! rules with a fixed scope:
 //!
 //! * **determinism** — `map-iter` (order-dependent iteration over
 //!   identifiers declared as `HashMap`/`HashSet` in the same file),
@@ -15,10 +16,23 @@
 //! * **unsafe-audit** — `unsafe-block`: `unsafe` anywhere outside the
 //!   config allowlist (checked in test code too — an audit, not a style
 //!   rule).
+//! * `partial-cmp-equal`, everywhere: `partial_cmp(…).unwrap_or(Equal)`
+//!   calls NaN equal to everything, so a sort may panic on the non-total
+//!   order and a `min_by` keeps whichever value came first; `total_cmp`
+//!   is the comparator.
+//! * `dead-pub`, the one workspace-wide rule: a `pub fn` in a library
+//!   crate's non-test code (`crates/` minus the `lint` and `bench` tool
+//!   crates) whose name no other file mentions outside a `use`
+//!   declaration, and its own file mentions only in test code. Doc
+//!   comments' fenced code counts as a mention (a doctest is a caller).
+//!   It reads a [`NameIndex`] built over every file before any file is
+//!   linted. Names, not paths, are matched: two functions sharing a name
+//!   keep each other alive.
 //!
-//! Test code is exempt from the first two families: `#[cfg(test)]` /
-//! `#[test]` items, `mod tests` blocks, and whole files under `tests/`,
-//! `benches/`, or `examples/` directories. Any finding can be waived
+//! Test code is exempt from every rule but `unsafe-block` and
+//! `bad-waiver`: `#[cfg(test)]` / `#[test]` items, `mod tests` blocks, and
+//! whole files under `tests/`, `benches/`, or `examples/` directories.
+//! (`dead-pub` still reads test code as callers.) Any finding can be waived
 //! inline with `// dtlint::allow(<rule>, reason = "…")` — the reason is
 //! mandatory (`bad-waiver` fires otherwise) — or path-scoped via
 //! `[[allow]]` entries in `dtlint.toml`.
@@ -32,7 +46,7 @@
 //! another file escape it — the runtime equivalence suites remain the
 //! backstop; dtlint makes the *local* hazard impossible to miss.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::{path_under, Config};
 use crate::lexer::{lex, Lexed, Tok, TokKind};
@@ -45,6 +59,8 @@ pub const RULES: &[(&str, &str)] = &[
     ("env-read", "environment read (env::var*, env::temp_dir) in a pipeline crate"),
     ("panic-path", "unwrap/expect/panic!/unreachable!/indexing-by-literal on a panic-free path"),
     ("unsafe-block", "`unsafe` outside the dtlint.toml allowlist"),
+    ("partial-cmp-equal", "partial_cmp(…).unwrap_or(Equal): no total order on NaN (use total_cmp)"),
+    ("dead-pub", "pub fn in a library crate that nothing outside its own file's tests calls"),
     ("bad-waiver", "malformed dtlint::allow directive (unknown rule or missing reason)"),
 ];
 
@@ -64,9 +80,63 @@ pub struct Finding {
     pub waived: Option<String>,
 }
 
+/// Which files name each identifier: every identifier of a file's code
+/// outside `use` declarations (a re-export is not a call), test code
+/// included, and of its doc comments' fenced code blocks. A `dead-pub`
+/// candidate is cleared by any file other than its own.
+#[derive(Debug, Default)]
+pub struct NameIndex {
+    files: Vec<String>,
+    names: BTreeMap<String, BTreeSet<usize>>,
+}
+
+impl NameIndex {
+    /// Index `(workspace-relative path, source)` pairs.
+    pub fn build(files: &[(String, String)]) -> Self {
+        let mut index = NameIndex::default();
+        for (rel, source) in files {
+            let id = index.files.len();
+            index.files.push(rel.clone());
+            let lexed = lex(source);
+            let mut idents = doc_code_idents(&lexed);
+            idents_outside_use(lexed.toks, &mut idents);
+            for name in idents {
+                index.names.entry(name).or_default().insert(id);
+            }
+        }
+        index
+    }
+
+    fn named_outside(&self, name: &str, rel: &str) -> bool {
+        self.names.get(name).is_some_and(|ids| ids.iter().any(|&id| self.files[id] != rel))
+    }
+}
+
+/// Identifiers in the fenced code blocks of a file's doc comments.
+fn doc_code_idents(lexed: &Lexed) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    idents_outside_use(lex(&lexed.doc_code).toks, &mut out);
+    out
+}
+
+/// Add the identifiers of `toks` that sit outside `use` declarations.
+fn idents_outside_use(toks: Vec<Tok>, out: &mut BTreeSet<String>) {
+    let mut in_use = false;
+    for t in toks {
+        if t.is_ident("use") {
+            in_use = true;
+        } else if in_use && t.is_punct(';') {
+            in_use = false;
+        } else if !in_use && t.kind == TokKind::Ident {
+            out.insert(t.text);
+        }
+    }
+}
+
 /// Lint one file's source. `rel` is the workspace-relative path (used for
-/// family scoping and reported spans).
-pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
+/// family scoping and reported spans); `names` indexes the workspace for
+/// `dead-pub`.
+pub fn lint_source(rel: &str, source: &str, cfg: &Config, names: &NameIndex) -> Vec<Finding> {
     let lexed = lex(source);
     let toks = &lexed.toks;
     let test_mask = test_region_mask(toks);
@@ -111,6 +181,16 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
 
         if in_test {
             continue;
+        }
+
+        if t.is_ident("partial_cmp") && partial_cmp_or_equal_at(toks, i) {
+            push(
+                "partial-cmp-equal",
+                t.line,
+                "`partial_cmp(…).unwrap_or(Equal)` is not a total order on NaN — use \
+                 `total_cmp`"
+                    .to_owned(),
+            );
         }
 
         // --- determinism family ---
@@ -190,9 +270,102 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         }
     }
 
+    if !file_is_test && dead_pub_scope(rel) {
+        let doc_idents = doc_code_idents(&lexed);
+        for (def, name) in pub_fn_names(toks, &test_mask) {
+            let called = names.named_outside(&name.text, rel)
+                || doc_idents.contains(&name.text)
+                || toks
+                    .iter()
+                    .enumerate()
+                    .any(|(k, t)| k != def && !test_mask[k] && t.is_ident(&name.text));
+            if !called {
+                push(
+                    "dead-pub",
+                    name.line,
+                    format!(
+                        "`pub fn {}` has no caller outside its own file's tests — delete it, \
+                         or waive with a reason",
+                        name.text
+                    ),
+                );
+            }
+        }
+    }
+
     apply_waivers(&mut findings, &lexed, toks, rel, cfg);
     findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
     findings
+}
+
+/// `partial_cmp ( … ) . unwrap_or ( [path ::] Equal )`; `i` points at
+/// `partial_cmp`.
+fn partial_cmp_or_equal_at(toks: &[Tok], i: usize) -> bool {
+    if !matches!(toks.get(i + 1), Some(t) if t.is_punct('(')) {
+        return false;
+    }
+    let mut depth = 0usize;
+    let mut j = i + 1;
+    while let Some(t) = toks.get(j) {
+        if t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        }
+        j += 1;
+    }
+    if !(matches!(toks.get(j + 1), Some(t) if t.is_punct('.'))
+        && matches!(toks.get(j + 2), Some(t) if t.is_ident("unwrap_or"))
+        && matches!(toks.get(j + 3), Some(t) if t.is_punct('(')))
+    {
+        return false;
+    }
+    // A path of identifiers and `::` whose last segment is `Equal`.
+    let mut last = None;
+    for t in &toks[(j + 4).min(toks.len())..] {
+        if t.is_punct(')') {
+            return last == Some("Equal");
+        }
+        match t.kind {
+            TokKind::Ident => last = Some(t.text.as_str()),
+            TokKind::Punct if t.is_punct(':') => {}
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// `dead-pub` covers the library crates: everything under `crates/` but
+/// the `lint` and `bench` tool crates.
+fn dead_pub_scope(rel: &str) -> bool {
+    path_under(rel, "crates") && !path_under(rel, "crates/lint") && !path_under(rel, "crates/bench")
+}
+
+/// Non-test `pub [const|async|unsafe|extern "…"] fn name` definitions:
+/// the index of the name token, and the token. `pub(crate)` and other
+/// restricted visibilities are not `pub`.
+fn pub_fn_names<'a>(toks: &'a [Tok], test_mask: &[bool]) -> Vec<(usize, &'a Tok)> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if test_mask[i] || !toks[i].is_ident("pub") {
+            continue;
+        }
+        let mut j = i + 1;
+        while matches!(toks.get(j), Some(t) if t.kind == TokKind::Str
+            || ["const", "async", "unsafe", "extern"].iter().any(|q| t.is_ident(q)))
+        {
+            j += 1;
+        }
+        if matches!(toks.get(j), Some(t) if t.is_ident("fn")) {
+            if let Some(name) = toks.get(j + 1).filter(|t| t.kind == TokKind::Ident) {
+                out.push((j + 1, name));
+            }
+        }
+    }
+    out
 }
 
 /// Whole files under test/bench/example directories are test context.

@@ -6,11 +6,11 @@
 //! storage panic-freedom family, exempt dirs) is exercised for real.
 
 use datatamer_lint::rules::lint_source;
-use datatamer_lint::Config;
+use datatamer_lint::{Config, NameIndex};
 
 /// Active (unwaived) rule names for `source` linted as `rel`.
 fn active(rel: &str, source: &str) -> Vec<&'static str> {
-    lint_source(rel, source, &Config::default())
+    lint_source(rel, source, &Config::default(), &NameIndex::default())
         .iter()
         .filter(|f| f.waived.is_none())
         .map(|f| f.rule)
@@ -18,7 +18,7 @@ fn active(rel: &str, source: &str) -> Vec<&'static str> {
 }
 
 fn active_lines(rel: &str, source: &str, rule: &str) -> Vec<u32> {
-    lint_source(rel, source, &Config::default())
+    lint_source(rel, source, &Config::default(), &NameIndex::default())
         .iter()
         .filter(|f| f.waived.is_none() && f.rule == rule)
         .map(|f| f.line)
@@ -143,7 +143,8 @@ fn f(m: &HashMap<u32, u32>) -> usize {
     m.values().count() // dtlint::allow(map-iter, reason = "order-independent count")
 }
 "#;
-    let findings = lint_source("crates/core/src/x.rs", src, &Config::default());
+    let findings =
+        lint_source("crates/core/src/x.rs", src, &Config::default(), &NameIndex::default());
     assert_eq!(findings.len(), 1);
     assert!(findings[0].waived.is_some(), "trailing waiver must apply: {findings:?}");
 }
@@ -161,7 +162,8 @@ fn f(m: HashMap<u32, u32>) -> Vec<(u32, u32)> {
     v
 }
 "#;
-    let findings = lint_source("crates/core/src/x.rs", src, &Config::default());
+    let findings =
+        lint_source("crates/core/src/x.rs", src, &Config::default(), &NameIndex::default());
     assert_eq!(findings.len(), 1);
     assert!(findings[0].waived.is_some(), "standalone waiver must apply: {findings:?}");
 }
@@ -230,11 +232,11 @@ reason = "grandfathered; tracked in the determinism backlog"
 use std::collections::HashMap;
 fn f(m: &HashMap<u32, u32>) -> usize { m.values().count() }
 "#;
-    let findings = lint_source("crates/core/src/legacy.rs", src, &cfg);
+    let findings = lint_source("crates/core/src/legacy.rs", src, &cfg, &NameIndex::default());
     assert_eq!(findings.len(), 1);
     assert!(findings[0].waived.as_deref().unwrap_or("").contains("dtlint.toml"));
     // A different file is untouched by the baseline entry.
-    let other = lint_source("crates/core/src/other.rs", src, &cfg);
+    let other = lint_source("crates/core/src/other.rs", src, &cfg, &NameIndex::default());
     assert!(other[0].waived.is_none());
 }
 
@@ -340,12 +342,159 @@ allow = ["shims/parking_lot"]
     )
     .unwrap();
     let src = "fn f(p: *const u32) -> u32 { unsafe { *p } }";
-    assert!(lint_source("shims/parking_lot/src/lib.rs", src, &cfg)
+    assert!(lint_source("shims/parking_lot/src/lib.rs", src, &cfg, &NameIndex::default())
         .iter()
         .all(|f| f.rule != "unsafe-block"));
-    assert!(lint_source("crates/core/src/x.rs", src, &cfg)
+    assert!(lint_source("crates/core/src/x.rs", src, &cfg, &NameIndex::default())
         .iter()
         .any(|f| f.rule == "unsafe-block"));
+}
+
+// --- partial-cmp-equal ---------------------------------------------------
+
+#[test]
+fn partial_cmp_equal_fires_on_both_spellings() {
+    let src = r#"
+use std::cmp::Ordering;
+fn f(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+    xs.sort_by(|a, b| b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal));
+}
+fn g(xs: &[(u32, f64)]) -> Option<&(u32, f64)> {
+    use std::cmp::Ordering::Equal;
+    xs.iter().max_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(Equal))
+}
+"#;
+    // Workspace-wide: outside every configured family too.
+    assert_eq!(active_lines("crates/model/src/x.rs", src, "partial-cmp-equal"), vec![4, 5, 9]);
+    assert_eq!(active_lines("crates/bench/src/x.rs", src, "partial-cmp-equal"), vec![4, 5, 9]);
+}
+
+#[test]
+fn partial_cmp_equal_quiet_on_total_cmp_other_fallbacks_and_tests() {
+    let src = r#"
+fn f(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    let _ = xs[0].partial_cmp(&xs[1]).unwrap_or(std::cmp::Ordering::Less);
+    let _ = xs[0].partial_cmp(&xs[1]).is_some();
+}
+impl PartialOrd for K {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> { Some(self.cmp(other)) }
+}
+#[cfg(test)]
+mod tests {
+    fn t(xs: &mut [f64]) {
+        xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    }
+}
+"#;
+    assert!(active("crates/model/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn partial_cmp_equal_takes_a_reasoned_waiver() {
+    let src = r#"
+fn f(a: f64, b: f64) -> std::cmp::Ordering {
+    // dtlint::allow(partial-cmp-equal, reason = "inputs are finite by construction")
+    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
+}
+"#;
+    let findings =
+        lint_source("crates/model/src/x.rs", src, &Config::default(), &NameIndex::default());
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].waived.is_some(), "{findings:?}");
+}
+
+// --- dead-pub -------------------------------------------------------------
+
+/// Active `dead-pub` names when `files[0]` is linted against an index of
+/// every file.
+fn dead_pub(files: &[(&str, &str)]) -> Vec<String> {
+    let owned: Vec<(String, String)> =
+        files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
+    let names = NameIndex::build(&owned);
+    let (rel, src) = files[0];
+    lint_source(rel, src, &Config::default(), &names)
+        .into_iter()
+        .filter(|f| f.rule == "dead-pub" && f.waived.is_none())
+        .map(|f| f.message.split('`').nth(1).unwrap_or("").to_owned())
+        .collect()
+}
+
+const LIB: &str = r#"
+pub fn helper() -> u32 { 1 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    #[test]
+    fn t() { assert_eq!(helper(), 1); }
+}
+"#;
+
+#[test]
+fn dead_pub_fires_when_only_own_tests_call() {
+    assert_eq!(dead_pub(&[("crates/model/src/lib.rs", LIB)]), vec!["pub fn helper"]);
+    // A name in another file's string or plain comment is not a caller.
+    let prose = "// helper()\nfn f() -> &'static str { \"helper\" }\n";
+    assert_eq!(
+        dead_pub(&[("crates/model/src/lib.rs", LIB), ("src/main.rs", prose)]),
+        vec!["pub fn helper"]
+    );
+}
+
+#[test]
+fn dead_pub_quiet_when_another_files_test_calls() {
+    let caller = "#[test]\nfn t() { assert_eq!(datatamer_model::helper(), 1); }\n";
+    assert!(dead_pub(&[("crates/model/src/lib.rs", LIB), ("tests/x.rs", caller)]).is_empty());
+    // …but a re-export alone is not a call.
+    let reexport = "pub use crate::helper;\npub use crate::{other, helper as h};\n";
+    assert_eq!(
+        dead_pub(&[("crates/model/src/lib.rs", LIB), ("crates/model/src/re.rs", reexport)]),
+        vec!["pub fn helper"]
+    );
+}
+
+#[test]
+fn dead_pub_quiet_when_a_doc_code_block_calls() {
+    let doc = "//! ```\n//! assert_eq!(datatamer_model::helper(), 1);\n//! ```\npub mod m {}\n";
+    assert!(dead_pub(&[("crates/model/src/lib.rs", LIB), ("src/lib.rs", doc)]).is_empty());
+    // Doc prose outside a fence is not code.
+    let prose = "//! Call `helper()` for one.\npub mod m {}\n";
+    assert_eq!(
+        dead_pub(&[("crates/model/src/lib.rs", LIB), ("src/lib.rs", prose)]),
+        vec!["pub fn helper"]
+    );
+}
+
+#[test]
+fn dead_pub_quiet_when_own_non_test_code_calls() {
+    let src = "pub fn helper() -> u32 { 1 }\npub(crate) fn two() -> u32 { helper() + 1 }\n";
+    assert!(dead_pub(&[("crates/model/src/lib.rs", src)]).is_empty());
+    // `pub(crate)` is not `pub`, so `two` is out of scope; qualifiers are in.
+    let src = "pub const fn one() -> u32 { 1 }\n";
+    assert_eq!(dead_pub(&[("crates/model/src/lib.rs", src)]), vec!["pub fn one"]);
+}
+
+#[test]
+fn dead_pub_scope_is_the_library_crates() {
+    for rel in [
+        "crates/bench/src/lib.rs",
+        "crates/lint/src/lib.rs",
+        "crates/model/tests/x.rs",
+        "crates/model/examples/x.rs",
+        "src/lib.rs",
+        "dtbench/src/main.rs",
+    ] {
+        assert!(dead_pub(&[(rel, LIB)]).is_empty(), "{rel} is out of scope");
+    }
+}
+
+#[test]
+fn dead_pub_takes_a_reasoned_waiver() {
+    let src =
+        "// dtlint::allow(dead-pub, reason = \"deliberate API\")\npub fn helper() -> u32 { 1 }\n";
+    assert!(dead_pub(&[("crates/model/src/lib.rs", src)]).is_empty());
 }
 
 // --- spans -------------------------------------------------------------

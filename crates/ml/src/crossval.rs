@@ -61,11 +61,6 @@ impl CrossValReport {
     pub fn metrics(&self) -> BinaryMetrics {
         self.pooled().metrics()
     }
-
-    /// Per-fold metrics.
-    pub fn fold_metrics(&self) -> Vec<BinaryMetrics> {
-        self.fold_matrices.iter().map(ConfusionMatrix::metrics).collect()
-    }
 }
 
 /// Run k-fold cross-validation.

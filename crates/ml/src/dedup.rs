@@ -199,11 +199,6 @@ impl DedupClassifier {
         self.model.predict_proba(&PairFeatures::extract_prepared(a, b))
     }
 
-    /// Hard duplicate decision at threshold 0.5.
-    pub fn is_duplicate(&self, a: &str, b: &str) -> bool {
-        self.proba(a, b) >= 0.5
-    }
-
     /// Access the underlying linear model.
     pub fn model(&self) -> &LogisticRegression {
         &self.model
@@ -348,9 +343,9 @@ mod tests {
     fn classifier_learns_toy_data() {
         let pairs = toy_pairs();
         let clf = DedupClassifier::train(&pairs, &LogRegConfig::default());
-        assert!(clf.is_duplicate("Matilda", "matilda"));
-        assert!(clf.is_duplicate("Trees Lounge", "Trees Lounge"));
-        assert!(!clf.is_duplicate("Matilda", "The Lion King"));
+        assert!(clf.proba("Matilda", "matilda") >= 0.5);
+        assert!(clf.proba("Trees Lounge", "Trees Lounge") >= 0.5);
+        assert!(clf.proba("Matilda", "The Lion King") < 0.5);
         let p_dup = clf.proba("Goodfellas", "Goodfelas");
         let p_far = clf.proba("Goodfellas", "Annie");
         assert!(p_dup > p_far);

@@ -95,12 +95,6 @@ impl HashingVectorizer {
             .collect();
         SparseVec::from_pairs(pairs)
     }
-
-    /// Transform pre-tokenised input.
-    pub fn transform_tokens<S: AsRef<str>>(&self, tokens: &[S]) -> SparseVec {
-        let pairs = tokens.iter().map(|t| (self.bucket(t.as_ref()), 1.0)).collect();
-        SparseVec::from_pairs(pairs)
-    }
 }
 
 /// Vocabulary-based bag-of-words with document-frequency tracking (backs

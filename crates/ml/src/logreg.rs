@@ -88,11 +88,6 @@ impl LogisticRegression {
         self.predict_proba(x) >= 0.5
     }
 
-    /// Hard decision at a custom threshold.
-    pub fn predict_at(&self, x: &[f64], threshold: f64) -> bool {
-        self.predict_proba(x) >= threshold
-    }
-
     /// Learned weights (for ablation inspection).
     pub fn weights(&self) -> &[f64] {
         &self.weights
@@ -179,16 +174,6 @@ mod tests {
         );
         let norm = |w: &[f64]| w.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!(norm(tight.weights()) < norm(loose.weights()));
-    }
-
-    #[test]
-    fn custom_threshold_changes_decisions() {
-        let (xs, ys) = linearly_separable(200);
-        let model = LogisticRegression::train(&xs, &ys, &LogRegConfig::default());
-        let x = vec![0.55, 0.55];
-        let p = model.predict_proba(&x);
-        assert!(model.predict_at(&x, p - 0.01));
-        assert!(!model.predict_at(&x, p + 0.01));
     }
 
     #[test]

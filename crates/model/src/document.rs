@@ -92,27 +92,6 @@ impl Document {
         self.fields.iter().map(|(k, _)| k.as_str())
     }
 
-    /// Resolve a dotted path such as `"entities.0.name"`.
-    ///
-    /// Path segments that parse as integers index into arrays; all other
-    /// segments are field names on nested documents.
-    pub fn get_path(&self, path: &str) -> Option<&Value> {
-        let mut segments = path.split('.');
-        let first = segments.next()?;
-        let mut cur = self.get(first)?;
-        for seg in segments {
-            cur = match cur {
-                Value::Doc(d) => d.get(seg)?,
-                Value::Array(a) => {
-                    let idx: usize = seg.parse().ok()?;
-                    a.get(idx)?
-                }
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
-
     /// Append every value reachable at a dotted path to `out`, multikey:
     /// arrays are traversed element-wise (a segment that parses as an
     /// integer indexes one element instead), and a terminal array
@@ -154,29 +133,6 @@ impl Document {
             if let Some(v) = self.get(first) {
                 walk(v, rest, out);
             }
-        }
-    }
-
-    /// Set a value at a dotted path, creating intermediate documents as
-    /// needed. Array segments are not auto-created; setting through an array
-    /// requires the element to already exist.
-    pub fn set_path(&mut self, path: &str, value: impl Into<Value>) {
-        let segments: Vec<&str> = path.split('.').collect();
-        self.set_path_segments(&segments, value.into());
-    }
-
-    fn set_path_segments(&mut self, segments: &[&str], value: Value) {
-        debug_assert!(!segments.is_empty());
-        if segments.len() == 1 {
-            self.set(segments[0], value);
-            return;
-        }
-        let head = segments[0];
-        if !matches!(self.get(head), Some(Value::Doc(_))) {
-            self.set(head, Value::Doc(Document::new()));
-        }
-        if let Some(Value::Doc(d)) = self.get_mut(head) {
-            d.set_path_segments(&segments[1..], value);
         }
     }
 
@@ -293,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn get_path_traverses_docs_and_arrays() {
+    fn path_values_traverses_docs_and_arrays() {
         let d = doc! {
             "show" => "Matilda",
             "entities" => Value::Array(vec![
@@ -301,26 +257,17 @@ mod tests {
                 Value::Doc(doc! {"type" => "City", "name" => "NYC"}),
             ])
         };
-        assert_eq!(d.get_path("show"), Some(&Value::Str("Matilda".into())));
-        assert_eq!(
-            d.get_path("entities.1.name"),
-            Some(&Value::Str("NYC".into()))
-        );
-        assert_eq!(d.get_path("entities.2.name"), None);
-        assert_eq!(d.get_path("entities.x"), None);
-        assert_eq!(d.get_path("missing.path"), None);
-    }
-
-    #[test]
-    fn set_path_creates_intermediates() {
-        let mut d = Document::new();
-        d.set_path("a.b.c", 7i64);
-        assert_eq!(d.get_path("a.b.c"), Some(&Value::Int(7)));
-        d.set_path("a.b.c", 8i64);
-        assert_eq!(d.get_path("a.b.c"), Some(&Value::Int(8)));
-        // Setting through an existing scalar replaces it with a document.
-        d.set_path("a.b.c.d", 9i64);
-        assert_eq!(d.get_path("a.b.c.d"), Some(&Value::Int(9)));
+        let at = |path: &str| {
+            let mut out = Vec::new();
+            d.path_values(path, &mut out);
+            out
+        };
+        assert_eq!(at("show"), vec![Value::Str("Matilda".into())]);
+        assert_eq!(at("entities.1.name"), vec![Value::Str("NYC".into())]);
+        assert_eq!(at("entities.name"), vec![Value::from("Ann"), Value::from("NYC")]);
+        assert!(at("entities.2.name").is_empty());
+        assert!(at("entities.x").is_empty());
+        assert!(at("missing.path").is_empty());
     }
 
     #[test]

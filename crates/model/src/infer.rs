@@ -160,8 +160,12 @@ pub fn parse_decimal(s: &str) -> Option<f64> {
             parse_integer(int_part)? as f64
         };
         let neg = int_part.starts_with('-');
-        let frac_val = frac.bytes().fold(0f64, |acc, b| acc * 10.0 + (b - b'0') as f64)
-            / 10f64.powi(frac.len() as i32);
+        // Digits past the 22nd move the value by under 1e-22 and are
+        // dropped, so the fold stays finite at any length; 10^22 is the
+        // largest power of ten an f64 holds exactly.
+        let digits = &frac.as_bytes()[..frac.len().min(22)];
+        let frac_val = digits.iter().fold(0f64, |acc, b| acc * 10.0 + (b - b'0') as f64)
+            / 10f64.powi(digits.len() as i32);
         Some(if neg { int_val - frac_val } else { int_val + frac_val })
     } else {
         parse_integer(s).map(|i| i as f64)
@@ -411,6 +415,14 @@ mod tests {
         assert_eq!(parse_decimal("-0.5"), Some(-0.5));
         assert_eq!(parse_decimal("1."), None);
         assert_eq!(parse_decimal("a.5"), None);
+    }
+
+    #[test]
+    fn long_fractions_parse_finite() {
+        let x = parse_decimal(&format!("0.{}", "5".repeat(320))).unwrap();
+        assert!((x - 0.5556).abs() < 1e-4, "{x}");
+        let x = parse_decimal(&format!("-12.{}", "9".repeat(400))).unwrap();
+        assert!((x + 13.0).abs() < 1e-9, "{x}");
     }
 
     #[test]

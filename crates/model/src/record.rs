@@ -133,11 +133,6 @@ impl Record {
         nulls as f64 / self.fields.len() as f64
     }
 
-    /// Consume into the underlying field vector.
-    pub fn into_fields(self) -> Vec<(String, Value)> {
-        self.fields
-    }
-
     /// Globally unique key `(source, id)` pair.
     pub fn key(&self) -> (SourceId, RecordId) {
         (self.source, self.id)

@@ -114,12 +114,6 @@ impl AttributeProfile {
         }
     }
 
-    /// Distinct values seen, lower-bounded by the sample (exact until the
-    /// sample overflows).
-    pub fn distinct_at_least(&self) -> usize {
-        self.sample.len()
-    }
-
     /// The retained distinct-value sample, in first-seen order.
     pub fn sample_values(&self) -> &[String] {
         &self.sample
@@ -138,16 +132,6 @@ impl AttributeProfile {
             .max_by_key(|(ty, n)| (**n, std::cmp::Reverse(**ty)))
             .map(|(ty, _)| *ty)
             .unwrap_or(LexicalType::Null)
-    }
-
-    /// Fraction of non-null values having the dominant type.
-    pub fn type_purity(&self) -> f64 {
-        let nn = self.non_null();
-        if nn == 0 {
-            return 0.0;
-        }
-        let max = self.type_counts.values().copied().max().unwrap_or(0);
-        max as f64 / nn as f64
     }
 
     /// Mean text length of non-null values.
@@ -364,7 +348,8 @@ mod tests {
             Value::from("cheap"),
         ]);
         assert_eq!(p.dominant_type(), LexicalType::Money);
-        assert!((p.type_purity() - 0.75).abs() < 1e-12);
+        // Three of the four non-null values have the dominant type.
+        assert_eq!(p.type_counts.get(&LexicalType::Money), Some(&3));
     }
 
     #[test]
@@ -414,7 +399,6 @@ mod tests {
         }
         assert_eq!(p.sample_values().len(), 3);
         assert!(p.sample_overflow);
-        assert_eq!(p.distinct_at_least(), 3);
         assert_eq!(p.sample_frequency("0"), 1);
     }
 

@@ -75,35 +75,11 @@ impl Value {
         }
     }
 
-    /// Integer view, if the value is an int.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Numeric view: ints widen to floats.
     pub fn as_float(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Borrow as array slice.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(a) => Some(a),
             _ => None,
         }
     }
@@ -302,13 +278,11 @@ mod tests {
 
     #[test]
     fn accessors_match_variants() {
-        assert_eq!(Value::from(3i64).as_int(), Some(3));
         assert_eq!(Value::from(3i64).as_float(), Some(3.0));
         assert_eq!(Value::from(2.5).as_float(), Some(2.5));
         assert_eq!(Value::from("x").as_str(), Some("x"));
-        assert_eq!(Value::from(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
-        assert!(Value::Null.as_int().is_none());
+        assert!(Value::Null.as_float().is_none());
         assert!(Value::from("x").as_float().is_none());
     }
 

@@ -87,9 +87,11 @@ proptest! {
     }
 
     #[test]
-    fn get_path_agrees_with_leaves(doc in document()) {
+    fn path_values_agree_with_leaves(doc in document()) {
         for (path, leaf) in doc.leaves() {
-            prop_assert_eq!(doc.get_path(&path), Some(leaf), "path {}", path);
+            let mut found = Vec::new();
+            doc.path_values(&path, &mut found);
+            prop_assert_eq!(found, vec![leaf.clone()], "path {}", path);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Hand-rolled HTTP/1.1 front end over published collection snapshots.
 //!
 //! No registry dependencies: requests are parsed byte-by-byte off a
-//! `std::net::TcpListener`, like the persist encoding hand-rolls its
+//! `std::net::TcpListener`, like the storage encoding hand-rolls its
 //! framing. A bounded worker pool serves connections, and every response
 //! is rendered from an immutable [`CollectionSnapshot`] grabbed via one
 //! `Arc` load — ingest publishes a *new* snapshot atomically, so readers

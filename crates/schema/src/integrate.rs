@@ -138,11 +138,6 @@ impl SchemaIntegrator {
         &self.global
     }
 
-    /// Mutable access (used by curation steps like display renames).
-    pub fn global_mut(&mut self) -> &mut GlobalSchema {
-        &mut self.global
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &IntegrationConfig {
         &self.config
@@ -243,9 +238,7 @@ impl SchemaIntegrator {
                 score: matcher.score(attr, features),
             })
             .collect();
-        candidates.sort_by(|a, b| {
-            b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        candidates.sort_by(|a, b| b.score.total_cmp(&a.score));
         candidates.truncate(self.config.max_candidates);
         candidates
     }

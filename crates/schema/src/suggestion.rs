@@ -63,13 +63,6 @@ pub struct MatchSuggestion {
     pub decision: Decision,
 }
 
-impl MatchSuggestion {
-    /// Best candidate score (0.0 when none).
-    pub fn best_score(&self) -> f64 {
-        self.candidates.first().map(|c| c.score).unwrap_or(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,24 +78,5 @@ mod tests {
         assert_eq!(Decision::NewAttribute.mapped_attr(), None);
         assert!(Decision::ExpertNewAttribute.required_human());
         assert!(!Decision::Ignore.required_human());
-    }
-
-    #[test]
-    fn best_score_defaults_to_zero() {
-        let s = MatchSuggestion {
-            source_attr: "x".into(),
-            candidates: vec![],
-            no_counterpart_alert: true,
-            decision: Decision::NewAttribute,
-        };
-        assert_eq!(s.best_score(), 0.0);
-        let s2 = MatchSuggestion {
-            candidates: vec![
-                MatchCandidate { attr: AttrId(0), name: "a".into(), score: 0.8 },
-                MatchCandidate { attr: AttrId(1), name: "b".into(), score: 0.3 },
-            ],
-            ..s
-        };
-        assert_eq!(s2.best_score(), 0.8);
     }
 }

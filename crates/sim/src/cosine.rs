@@ -73,16 +73,6 @@ impl CosineModel {
         CosineModel { weights }
     }
 
-    /// Fit IDF weights over raw text documents.
-    pub fn fit_texts<S: AsRef<str>>(texts: &[S]) -> Self {
-        let tokenized: Vec<Vec<String>> =
-            texts.iter().map(|t| tokenize(t.as_ref())).collect();
-        let weights = TfIdfWeights::fit(
-            tokenized.iter().map(|toks| toks.iter().map(String::as_str)),
-        );
-        CosineModel { weights }
-    }
-
     /// TF-IDF vector of a token slice (L2-normalised), as `(token, weight)`
     /// entries sorted by token with no repeats.
     ///
@@ -141,9 +131,15 @@ pub fn cosine(a: &[(String, f64)], b: &[(String, f64)]) -> f64 {
 mod tests {
     use super::*;
 
+    /// A model whose IDF weights are fitted over the tokens of `texts`.
+    fn fitted(texts: &[&str]) -> CosineModel {
+        let docs: Vec<Vec<String>> = texts.iter().map(|t| tokenize(t)).collect();
+        CosineModel::new(TfIdfWeights::fit(docs.iter().map(|d| d.iter().map(String::as_str))))
+    }
+
     #[test]
     fn identical_texts_score_one() {
-        let m = CosineModel::fit_texts(&["the shubert theatre", "broadway shows"]);
+        let m = fitted(&["the shubert theatre", "broadway shows"]);
         assert!((m.similarity("Matilda at the Shubert", "Matilda at the Shubert") - 1.0).abs() < 1e-9);
     }
 
@@ -169,7 +165,7 @@ mod tests {
             "gershwin theatre",
             "matilda theatre",
         ];
-        let m = CosineModel::fit_texts(&docs);
+        let m = fitted(&docs);
         // Sharing only the common token scores below sharing the rare one.
         let common_only = m.similarity("shubert theatre", "gershwin theatre");
         let rare_shared = m.similarity("matilda musical", "matilda show");
@@ -178,7 +174,7 @@ mod tests {
 
     #[test]
     fn unseen_tokens_get_max_idf() {
-        let m = CosineModel::fit_texts(&["a b", "a c"]);
+        let m = fitted(&["a b", "a c"]);
         let w = m.weights.idf("zzz");
         assert!(w >= m.weights.idf("a"));
         assert_eq!(m.weights.num_docs(), 2);
@@ -186,7 +182,7 @@ mod tests {
 
     #[test]
     fn symmetry_and_bounds() {
-        let m = CosineModel::fit_texts(&["w 44th st", "b'way and 53rd"]);
+        let m = fitted(&["w 44th st", "b'way and 53rd"]);
         let s1 = m.similarity("225 W. 44th St", "W 44th Street");
         let s2 = m.similarity("W 44th Street", "225 W. 44th St");
         assert!((s1 - s2).abs() < 1e-12);

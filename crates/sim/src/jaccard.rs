@@ -82,13 +82,6 @@ pub fn jaccard_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Convenience: Jaccard over the token sets of two strings.
-pub fn token_jaccard(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = crate::tokens::tokenize(a).into_iter().collect();
-    let sb: HashSet<String> = crate::tokens::tokenize(b).into_iter().collect();
-    jaccard(&sa, &sb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,12 +142,5 @@ mod tests {
         let z = [("x", 0.0)];
         assert_eq!(weighted_jaccard(&z, &z), 1.0);
         assert_eq!(weighted_jaccard(&[("x", 1.0)], &empty), 0.0);
-    }
-
-    #[test]
-    fn token_jaccard_normalizes_case_and_punct() {
-        assert_eq!(token_jaccard("Show Name", "show_name"), 1.0);
-        assert!(token_jaccard("cheapest price", "price") > 0.4);
-        assert_eq!(token_jaccard("abc", "xyz"), 0.0);
     }
 }

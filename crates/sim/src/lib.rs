@@ -22,7 +22,4 @@ pub use levenshtein::{bounded_levenshtein, levenshtein, levenshtein_similarity};
 pub use ngram::{char_ngrams, ngram_similarity};
 pub use numeric::{overlap_fraction, relative_diff_similarity, stats_similarity};
 pub use soundex::soundex;
-pub use tokens::{
-    for_each_token, normalize_token, tokenize, tokenize_into, FnvBuildHasher, FnvHasher,
-    TokenInterner,
-};
+pub use tokens::{for_each_token, tokenize, FnvBuildHasher, FnvHasher, TokenInterner};

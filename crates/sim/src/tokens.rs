@@ -4,17 +4,6 @@
 //! `datatamer-text`: similarity tokenisation must be cheap (it runs on every
 //! candidate pair) and stable (scores must not drift with parser changes).
 
-/// Lowercase a token and strip non-alphanumeric edges.
-///
-/// Returns `None` when nothing alphanumeric remains.
-pub fn normalize_token(raw: &str) -> Option<String> {
-    let trimmed = raw.trim_matches(|c: char| !c.is_alphanumeric());
-    if trimmed.is_empty() {
-        return None;
-    }
-    Some(trimmed.to_lowercase())
-}
-
 /// Visit every normalised word token of `text` in order, without
 /// materialising a vector.
 ///
@@ -80,13 +69,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
         out.push(cur.to_lowercase());
     }
     out
-}
-
-/// Append the tokens of `text` to `out`, reusing its capacity — the
-/// buffer-reuse form of [`tokenize`] for callers tokenising many values in
-/// a loop (`out.clear()` between values keeps the allocation).
-pub fn tokenize_into(text: &str, out: &mut Vec<String>) {
-    for_each_token(text, |tok| out.push(tok.to_owned()));
 }
 
 /// FNV-1a, the interner's hash: tiny state, one multiply per byte — far
@@ -192,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_buffered_forms_match_tokenize() {
+    fn streaming_form_matches_tokenize() {
         for text in [
             "show_name",
             "La La Land",
@@ -206,10 +188,6 @@ mod tests {
             let mut streamed = Vec::new();
             for_each_token(text, |t| streamed.push(t.to_owned()));
             assert_eq!(streamed, expected, "{text:?}");
-            let mut buffered = vec!["seed".to_owned()];
-            tokenize_into(text, &mut buffered);
-            assert_eq!(buffered[0], "seed", "tokenize_into must append, not clear");
-            assert_eq!(&buffered[1..], expected.as_slice(), "{text:?}");
         }
     }
 
@@ -225,12 +203,5 @@ mod tests {
         assert_eq!(interner.get("name"), Some(1));
         assert_eq!(interner.get("absent"), None);
         assert_eq!(interner.len(), 2);
-    }
-
-    #[test]
-    fn normalize_strips_edges() {
-        assert_eq!(normalize_token("\"Matilda\","), Some("matilda".into()));
-        assert_eq!(normalize_token("..."), None);
-        assert_eq!(normalize_token("$27"), Some("27".into()));
     }
 }

@@ -3,15 +3,15 @@
 //! A shard is a chain of fixed-size extents. Historically that chain was an
 //! in-process `Vec<Extent>` behind a lock inside `Collection`; the
 //! [`ShardBackend`] trait lifts it into an interface — batch append, point
-//! read, extent scan, tombstone delete, snapshot/restore — so the
+//! read, extent scan, tombstone delete — so the
 //! coordinator can place shards on different substrates:
 //!
 //! * [`MemoryBackend`] — the extracted in-process shard: everything on the
 //!   heap, zero I/O. Byte-compatible with the pre-coordinator collection.
 //! * [`FileBackend`] — out-of-core shards: only the tail extent (the one
 //!   taking appends) stays in memory; a full extent is flushed to its own
-//!   file (the [`crate::extent::Extent::to_bytes`] persist encoding, one
-//!   file per extent exactly like [`crate::persist`]) and served back
+//!   file (the [`crate::extent::Extent::to_bytes`] encoding, one file
+//!   per extent) and served back
 //!   through a per-shard [`ExtentCache`] — a byte-budget LRU of decoded
 //!   extents, so repeated scans hit memory instead of disk. Resident
 //!   memory is O(extent_size + cache budget) per shard regardless of
@@ -157,12 +157,6 @@ pub trait ShardBackend: Send + Sync {
 
     /// Capacity of the last extent, or 0 when the chain is empty.
     fn last_extent_capacity(&self) -> usize;
-
-    /// Serialise every extent in chain order (persist encoding).
-    fn snapshot(&self) -> Result<Vec<Vec<u8>>>;
-
-    /// Replace the chain with restored extents; returns the live count.
-    fn restore(&self, extents: Vec<Vec<u8>>) -> Result<u64>;
 
     /// Flush volatile state to stable storage (no-op for memory).
     fn sync(&self) -> Result<()> {
@@ -311,22 +305,6 @@ impl ShardBackend for MemoryBackend {
     fn last_extent_capacity(&self) -> usize {
         self.extents.read().last().map_or(0, Extent::capacity)
     }
-
-    fn snapshot(&self) -> Result<Vec<Vec<u8>>> {
-        Ok(self.extents.read().iter().map(Extent::to_bytes).collect())
-    }
-
-    fn restore(&self, serialized: Vec<Vec<u8>>) -> Result<u64> {
-        let mut extents = self.extents.write();
-        extents.clear();
-        let mut live = 0u64;
-        for bytes in serialized {
-            let e = Extent::from_bytes(&bytes)?;
-            live += e.live_count() as u64;
-            extents.push(e);
-        }
-        Ok(live)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +355,7 @@ pub struct FileBackend {
     /// it. Lock order: `slots` before `cache`, never the reverse.
     cache: ExtentCache,
     flushes: AtomicU64,
-    /// Extent files actually read (decoded loads + raw snapshot reads).
+    /// Extent files actually read.
     disk_loads: AtomicU64,
     decode_errors: AtomicU64,
 }
@@ -446,15 +424,12 @@ impl FileBackend {
         self.dir.join(meta_file(index))
     }
 
-    fn write_extent_bytes(&self, index: usize, bytes: &[u8], meta: ExtentMeta) -> Result<()> {
-        fs::File::create(self.path_of(index))?.write_all(bytes)?;
-        write_meta_sidecar(&self.meta_path_of(index), meta, bytes.len() as u64)?;
+    fn write_extent(&self, index: usize, extent: &Extent) -> Result<()> {
+        let bytes = extent.to_bytes();
+        fs::File::create(self.path_of(index))?.write_all(&bytes)?;
+        write_meta_sidecar(&self.meta_path_of(index), ExtentMeta::of(extent), bytes.len() as u64)?;
         self.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    fn write_extent(&self, index: usize, extent: &Extent) -> Result<()> {
-        self.write_extent_bytes(index, &extent.to_bytes(), ExtentMeta::of(extent))
     }
 
     fn load_extent(&self, index: usize) -> Result<Extent> {
@@ -472,25 +447,6 @@ impl FileBackend {
         let shared = Arc::new(self.load_extent(index as usize)?);
         self.cache.admit(index, shared.clone());
         Ok(shared)
-    }
-
-    /// Remove any `extN` / `extN.meta` files at or past `from` — restore
-    /// shrinking a chain must not leave surplus extents behind for the
-    /// next [`FileBackend::open`] to resurrect.
-    fn remove_extent_files_from(&self, from: usize) -> Result<()> {
-        let mut index = from;
-        loop {
-            let path = self.path_of(index);
-            if !path.exists() {
-                return Ok(());
-            }
-            fs::remove_file(&path)?;
-            let meta = self.meta_path_of(index);
-            if meta.exists() {
-                fs::remove_file(&meta)?;
-            }
-            index += 1;
-        }
     }
 
     /// Make the tail extent resident (taking it from the cache when it is
@@ -577,7 +533,7 @@ fn write_meta_sidecar(path: &std::path::Path, meta: ExtentMeta, file_len: u64) -
 /// recorded data-file length that no longer matches the extent file)
 /// returns `None` and the caller decodes the extent itself instead. The
 /// length check catches the common crash window — an extent rewritten
-/// (append roll, restore) without its sidecar reaching disk. A crash
+/// (append roll) without its sidecar reaching disk. A crash
 /// between a *tombstone* write-through and its sidecar is the one case
 /// this cannot detect (tombstoning flips a flag byte, leaving the length
 /// unchanged), so `live`/`used` may then overcount until the extent is
@@ -734,53 +690,6 @@ impl ShardBackend for FileBackend {
         self.slots.read().last().map_or(0, |s| s.meta().capacity)
     }
 
-    fn snapshot(&self) -> Result<Vec<Vec<u8>>> {
-        let slots = self.slots.read();
-        slots
-            .iter()
-            .enumerate()
-            .map(|(index, s)| match s {
-                ExtentSlot::Loaded(e) => Ok(e.to_bytes()),
-                // Flushed extents already hold the persist encoding — a
-                // cached decoded copy re-serialises to exactly the file
-                // bytes (the file was written from `to_bytes`), so a warm
-                // extent never touches disk.
-                ExtentSlot::Flushed(_) => {
-                    if let Some(shared) = self.cache.lookup(index as u32) {
-                        return Ok(shared.to_bytes());
-                    }
-                    self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                    let path = self.path_of(index);
-                    let mut bytes = Vec::new();
-                    fs::File::open(&path)
-                        .map_err(|e| DtError::Io(format!("{}: {e}", path.display())))?
-                        .read_to_end(&mut bytes)?;
-                    Ok(bytes)
-                }
-            })
-            .collect()
-    }
-
-    fn restore(&self, serialized: Vec<Vec<u8>>) -> Result<u64> {
-        let mut slots = self.slots.write();
-        // The whole chain is being replaced — every cached extent is stale.
-        self.cache.clear();
-        slots.clear();
-        let mut live = 0u64;
-        for (index, bytes) in serialized.iter().enumerate() {
-            let e = Extent::from_bytes(bytes)?;
-            live += e.live_count() as u64;
-            let meta = ExtentMeta::of(&e);
-            self.write_extent_bytes(index, bytes, meta)?;
-            slots.push(ExtentSlot::Flushed(meta));
-        }
-        // A restore that shrinks the chain must clear the old tail's
-        // files, or the next open would adopt them and resurrect stale
-        // documents past the restored chain.
-        self.remove_extent_files_from(serialized.len())?;
-        Ok(live)
-    }
-
     fn sync(&self) -> Result<()> {
         let mut slots = self.slots.write();
         if let Some(index) = slots.len().checked_sub(1) {
@@ -903,36 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_shrinking_the_chain_clears_surplus_files() {
-        // Regression: restore() used to rewrite only the restored prefix,
-        // leaving old extent files behind — the next open() adopted them
-        // and resurrected stale documents past the restored chain.
-        let dir = tempdir("shrink");
-        let long_snapshot = {
-            let file = FileBackend::open(&dir, 96).unwrap();
-            for i in 0..20i64 {
-                append_one(&file, &encoded(i));
-            }
-            file.sync().unwrap();
-            assert!(file.extent_count() > 2, "need a multi-extent chain");
-            file.snapshot().unwrap()
-        };
-        let short_snapshot = long_snapshot[..2].to_vec();
-        let short_live: u64 = short_snapshot
-            .iter()
-            .map(|b| Extent::from_bytes(b).unwrap().live_count() as u64)
-            .sum();
-
-        let file = FileBackend::open(&dir, 96).unwrap();
-        assert_eq!(file.restore(short_snapshot).unwrap(), short_live);
-        assert_eq!(file.extent_count(), 2);
-        let reopened = FileBackend::open(&dir, 96).unwrap();
-        assert_eq!(reopened.extent_count(), 2, "surplus extent files must be gone");
-        assert_eq!(reopened.len(), short_live, "no resurrected documents");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn open_uses_meta_sidecars_and_survives_their_absence() {
         let dir = tempdir("sidecar");
         {
@@ -950,24 +829,6 @@ mod tests {
         fs::write(dir.join("ext000001.meta"), b"garbage").unwrap();
         let reopened = FileBackend::open(&dir, 96).unwrap();
         assert_eq!(reopened.len(), 12);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip_across_backends() {
-        let dir = tempdir("snap");
-        let file = FileBackend::open(&dir, 128).unwrap();
-        for i in 0..15i64 {
-            append_one(&file, &encoded(i));
-        }
-        let snap = file.snapshot().unwrap();
-        let mem = MemoryBackend::new(128);
-        assert_eq!(mem.restore(snap).unwrap(), 15);
-        assert_eq!(
-            scan(&file).unwrap(),
-            scan(&mem).unwrap(),
-            "a file snapshot restores byte-identically into memory"
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

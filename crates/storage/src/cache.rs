@@ -311,14 +311,6 @@ impl ExtentCache {
         }
     }
 
-    /// Drop every entry (restore replaces the whole chain). Counters keep
-    /// their cumulative values; dropped entries are not evictions.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.occupancy = 0;
-    }
-
     /// Resolve a whole scan deterministically: reserve one stamp per
     /// extent, then — under one lock, in extent order — classify each
     /// extent as a pinned hit, a miss (the visitor will load + admit at
@@ -366,7 +358,7 @@ impl ExtentCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extent::append_document;
+    use crate::encode::encode_document;
     use datatamer_model::doc;
 
     /// Extents of identical byte size regardless of `tag` (the tag rides
@@ -375,10 +367,9 @@ mod tests {
     fn extent_of(n: usize, tag: i64) -> Arc<Extent> {
         let mut e = Extent::new(1 << 20);
         for i in 0..n as i64 {
-            append_document(
-                &mut e,
+            e.append(&encode_document(
                 &doc! {"i" => i, "tag" => format!("t{tag:03}"), "pad" => "x".repeat(16)},
-            );
+            ));
         }
         Arc::new(e)
     }

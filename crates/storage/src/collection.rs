@@ -84,8 +84,8 @@ impl Default for CollectionConfig {
 }
 
 /// Reject collection names that would be unsafe as on-disk directory names
-/// (the persist layout and the file backend both interpolate the name into
-/// a path) or that are plain nonsense as identifiers.
+/// (the file backend interpolates the name into a path) or that are plain
+/// nonsense as identifiers.
 pub(crate) fn validate_collection_name(name: &str) -> Result<()> {
     if name.is_empty() {
         return Err(DtError::Config("collection name must not be empty".into()));
@@ -365,34 +365,6 @@ impl Collection {
         }
     }
 
-    /// Access for persistence: snapshot extents per shard.
-    pub(crate) fn snapshot_extents(&self) -> Result<Vec<Vec<Vec<u8>>>> {
-        self.coordinator.snapshot_extents()
-    }
-
-    /// Restore a collection from persisted extents and index specs.
-    pub(crate) fn restore(
-        name: String,
-        config: CollectionConfig,
-        shard_extents: Vec<Vec<Vec<u8>>>,
-        index_specs: Vec<IndexSpec>,
-    ) -> Result<Self> {
-        if shard_extents.len() != config.shards {
-            return Err(DtError::Decode(format!(
-                "expected {} shards, found {}",
-                config.shards,
-                shard_extents.len()
-            )));
-        }
-        let col = Collection::new(name, config)?;
-        let total = col.coordinator.restore_extents(shard_extents)?;
-        col.count.store(total, Ordering::Relaxed);
-        for spec in index_specs {
-            col.create_index(spec)?;
-        }
-        Ok(col)
-    }
-
     /// Index specs currently defined, in creation order.
     pub fn index_specs(&self) -> Vec<IndexSpec> {
         self.indexes.read().iter().map(|i| i.spec.clone()).collect()
@@ -514,7 +486,12 @@ mod tests {
         let ids: Vec<DocId> =
             (0..50i64).map(|i| c.insert(&doc! {"i" => i}).unwrap()).collect();
         c.delete(ids[10]).unwrap();
-        let seen = c.parallel_scan(|_, d| d.get("i").and_then(|v| v.as_int())).unwrap();
+        let seen = c
+            .parallel_scan(|_, d| match d.get("i") {
+                Some(Value::Int(i)) => Some(*i),
+                _ => None,
+            })
+            .unwrap();
         assert_eq!(seen.len(), 49);
         assert!(!seen.contains(&10));
     }

@@ -310,20 +310,6 @@ impl ShardCoordinator {
             .unwrap_or(0)
     }
 
-    /// Serialise every shard's chain (persist encoding), shard order.
-    pub fn snapshot_extents(&self) -> Result<Vec<Vec<Vec<u8>>>> {
-        self.backends.iter().map(|b| b.snapshot()).collect()
-    }
-
-    /// Replace every shard's chain from a snapshot; returns total live.
-    pub fn restore_extents(&self, shard_extents: Vec<Vec<Vec<u8>>>) -> Result<u64> {
-        let mut live = 0u64;
-        for (backend, extents) in self.backends.iter().zip(shard_extents) {
-            live += backend.restore(extents)?;
-        }
-        Ok(live)
-    }
-
     /// Flush every backend's volatile tail to stable storage.
     pub fn sync(&self) -> Result<()> {
         for backend in &self.backends {

@@ -3,9 +3,8 @@
 //! Every delta batch a resident consolidation session accepts is appended
 //! here as one *frame*; a restarted process rebuilds the resident state by
 //! replaying the frames over the base corpus instead of re-consolidating
-//! from scratch. The file format follows the [`crate::persist`] idiom —
-//! a magic header and varint-framed payloads — with two additions that a
-//! crash-tolerant log needs:
+//! from scratch. The file format is a magic header and varint-framed
+//! payloads, with two additions that a crash-tolerant log needs:
 //!
 //! * **Per-frame checksum.** Each frame carries an FNV-1a 64 of its
 //!   payload, so a torn or bit-rotted frame is detected on open rather
@@ -100,7 +99,6 @@ fn decode_records(mut buf: &[u8]) -> Result<Vec<Record>> {
 pub struct DeltaLog {
     path: PathBuf,
     frames: usize,
-    records: u64,
     /// End of the last valid frame — appends go here.
     end: u64,
 }
@@ -133,7 +131,6 @@ impl DeltaLog {
             )));
         }
         let mut frames = 0usize;
-        let mut records = 0u64;
         let mut end = LOG_MAGIC.len() as u64;
         // Walk frames; the first incomplete or checksum-failing frame marks
         // the torn tail and everything from there is discarded.
@@ -151,16 +148,17 @@ impl DeltaLog {
             if fnv1a64(payload) != sum {
                 break;
             }
-            let Ok(batch) = decode_records(payload) else { break };
+            if decode_records(payload).is_err() {
+                break;
+            }
             frames += 1;
-            records += batch.len() as u64;
             end += (header + len) as u64;
         }
         if end < bytes.len() as u64 {
             let f = fs::OpenOptions::new().write(true).open(&path)?;
             f.set_len(end)?;
         }
-        Ok(DeltaLog { path, frames, records, end })
+        Ok(DeltaLog { path, frames, end })
     }
 
     /// The file this log lives in.
@@ -171,11 +169,6 @@ impl DeltaLog {
     /// Completed frames (= accepted batches since the last compaction).
     pub fn frames(&self) -> usize {
         self.frames
-    }
-
-    /// Records across all frames.
-    pub fn records_len(&self) -> u64 {
-        self.records
     }
 
     /// Append one accepted batch as a frame and flush it to the OS. An
@@ -199,7 +192,6 @@ impl DeltaLog {
         f.flush()?;
         self.end += frame.len() as u64;
         self.frames += 1;
-        self.records += records.len() as u64;
         Ok(())
     }
 
@@ -254,7 +246,6 @@ impl DeltaLog {
         fs::File::create(&tmp)?.write_all(&bytes)?;
         fs::rename(&tmp, &self.path)?;
         self.frames = 1;
-        self.records = all.len() as u64;
         self.end = bytes.len() as u64;
         Ok(())
     }
@@ -296,7 +287,7 @@ mod tests {
                 log.append(b).unwrap();
             }
             assert_eq!(log.frames(), 2, "empty batches write no frame");
-            assert_eq!(log.records_len(), 7);
+            assert_eq!(log.replay_records().unwrap().len(), 7);
         }
         let log = DeltaLog::open(&path).unwrap();
         assert_eq!(log.frames(), 2);

@@ -8,7 +8,7 @@
 
 use datatamer_model::{Document, Result};
 
-use crate::encode::{decode_document, encode_document};
+use crate::encode::decode_document;
 
 /// One fixed-capacity extent.
 #[derive(Debug, Clone)]
@@ -52,11 +52,6 @@ impl Extent {
         self.data.extend_from_slice(encoded);
         self.live += 1;
         Some(slot)
-    }
-
-    /// Number of slots (live + dead).
-    pub fn slot_count(&self) -> usize {
-        self.offsets.len()
     }
 
     /// Number of live documents.
@@ -120,7 +115,7 @@ impl Extent {
         (0..self.offsets.len() as u32).filter_map(move |s| self.slot_bytes(s).map(|b| (s, b)))
     }
 
-    /// Serialise the extent for persistence (capacity, slot table, data).
+    /// Serialise the extent for its file (capacity, slot table, data).
     pub fn to_bytes(&self) -> Vec<u8> {
         use crate::encode::put_varint;
         let mut out = Vec::with_capacity(self.data.len() + self.offsets.len() * 5 + 32);
@@ -175,14 +170,10 @@ impl Extent {
     }
 }
 
-/// Helper: encode and append a document.
-pub fn append_document(extent: &mut Extent, doc: &Document) -> Option<u32> {
-    extent.append(&encode_document(doc))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::encode_document;
     use datatamer_model::doc;
 
     #[test]
@@ -190,11 +181,11 @@ mod tests {
         let mut e = Extent::new(1024);
         let d1 = doc! {"a" => 1i64};
         let d2 = doc! {"b" => "two"};
-        let s1 = append_document(&mut e, &d1).unwrap();
-        let s2 = append_document(&mut e, &d2).unwrap();
+        let s1 = e.append(&encode_document(&d1)).unwrap();
+        let s2 = e.append(&encode_document(&d2)).unwrap();
         assert_eq!(e.get(s1).unwrap().unwrap(), d1);
         assert_eq!(e.get(s2).unwrap().unwrap(), d2);
-        assert_eq!(e.slot_count(), 2);
+        assert_eq!(e.offsets.len(), 2);
         assert_eq!(e.live_count(), 2);
     }
 
@@ -203,9 +194,9 @@ mod tests {
         let d = doc! {"k" => "0123456789"};
         let sz = encode_document(&d).len();
         let mut e = Extent::new(sz * 2);
-        assert!(append_document(&mut e, &d).is_some());
-        assert!(append_document(&mut e, &d).is_some());
-        assert!(append_document(&mut e, &d).is_none(), "third must overflow");
+        assert!(e.append(&encode_document(&d)).is_some());
+        assert!(e.append(&encode_document(&d)).is_some());
+        assert!(e.append(&encode_document(&d)).is_none(), "third must overflow");
         assert_eq!(e.used_bytes(), sz * 2);
     }
 
@@ -213,19 +204,19 @@ mod tests {
     fn jumbo_document_fits_empty_extent_only() {
         let big = doc! {"blob" => "x".repeat(100)};
         let mut e = Extent::new(16);
-        assert!(append_document(&mut e, &big).is_some(), "jumbo allowed when empty");
-        assert!(append_document(&mut e, &doc! {"a" => 1i64}).is_none());
+        assert!(e.append(&encode_document(&big)).is_some(), "jumbo allowed when empty");
+        assert!(e.append(&encode_document(&doc! {"a" => 1i64})).is_none());
     }
 
     #[test]
     fn delete_tombstones() {
         let mut e = Extent::new(1024);
-        let s = append_document(&mut e, &doc! {"a" => 1i64}).unwrap();
+        let s = e.append(&encode_document(&doc! {"a" => 1i64})).unwrap();
         assert!(e.delete(s));
         assert!(!e.delete(s), "double delete is a no-op");
         assert!(e.get(s).is_none());
         assert_eq!(e.live_count(), 0);
-        assert_eq!(e.slot_count(), 1);
+        assert_eq!(e.offsets.len(), 1);
         assert!(!e.delete(99), "unknown slot");
     }
 
@@ -233,7 +224,7 @@ mod tests {
     fn iter_live_skips_dead() {
         let mut e = Extent::new(4096);
         let docs: Vec<_> = (0..5i64).map(|i| doc! {"i" => i}).collect();
-        let slots: Vec<u32> = docs.iter().map(|d| append_document(&mut e, d).unwrap()).collect();
+        let slots: Vec<u32> = docs.iter().map(|d| e.append(&encode_document(d)).unwrap()).collect();
         e.delete(slots[1]);
         e.delete(slots[3]);
         let live: Vec<u32> = e.iter_live().map(|(s, _)| s).collect();
@@ -244,13 +235,13 @@ mod tests {
     fn persistence_roundtrip() {
         let mut e = Extent::new(512);
         for i in 0..4i64 {
-            append_document(&mut e, &doc! {"i" => i, "s" => format!("row{i}")}).unwrap();
+            e.append(&encode_document(&doc! {"i" => i, "s" => format!("row{i}")})).unwrap();
         }
         e.delete(2);
         let bytes = e.to_bytes();
         let restored = Extent::from_bytes(&bytes).unwrap();
         assert_eq!(restored.capacity(), 512);
-        assert_eq!(restored.slot_count(), 4);
+        assert_eq!(restored.offsets.len(), 4);
         assert_eq!(restored.live_count(), 3);
         assert!(restored.get(2).is_none());
         assert_eq!(
@@ -262,8 +253,8 @@ mod tests {
     #[test]
     fn corrupt_persistence_errors() {
         let mut e = Extent::new(64);
-        append_document(&mut e, &doc! {"a" => 1i64}).unwrap();
-        append_document(&mut e, &doc! {"b" => 2i64}).unwrap();
+        e.append(&encode_document(&doc! {"a" => 1i64})).unwrap();
+        e.append(&encode_document(&doc! {"b" => 2i64})).unwrap();
         let bytes = e.to_bytes();
         assert!(Extent::from_bytes(&bytes[..bytes.len() - 2]).is_err());
         assert!(Extent::from_bytes(&[]).is_err());

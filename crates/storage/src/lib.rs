@@ -41,7 +41,6 @@
 //! * [`store`] — a namespace ("dt") holding collections. Collection names
 //!   are validated at creation: path separators, `..`, and NUL are
 //!   rejected before a name can become an on-disk directory.
-//! * [`persist`] — save/load a store to a directory of extent files.
 //! * [`delta_log`] — checksummed, torn-tail-tolerant append-only log of
 //!   accepted delta batches, so a restarted consolidation session replays
 //!   instead of re-consolidating.
@@ -54,7 +53,6 @@ pub mod delta_log;
 pub mod encode;
 pub mod extent;
 pub mod index;
-pub mod persist;
 pub mod stats;
 pub mod store;
 

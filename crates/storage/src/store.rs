@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use datatamer_model::{DtError, Result};
+use datatamer_model::Result;
 
 use crate::collection::{Collection, CollectionConfig};
 use crate::stats::CollectionStats;
@@ -27,27 +27,6 @@ impl Store {
         &self.namespace
     }
 
-    /// Create a collection; errors when the name is taken or unsafe.
-    ///
-    /// Names become on-disk directory names (the persist layout and the
-    /// file backend both interpolate them into paths), so names containing
-    /// path separators, `..`, or NUL are rejected here — before they can
-    /// ever reach a filesystem call.
-    pub fn create_collection(
-        &self,
-        name: impl Into<String>,
-        config: CollectionConfig,
-    ) -> Result<Arc<Collection>> {
-        let name = name.into();
-        let mut cols = self.collections.write();
-        if cols.contains_key(&name) {
-            return Err(DtError::AlreadyExists(format!("collection {name}")));
-        }
-        let col = Arc::new(Collection::new(name.clone(), config)?);
-        cols.insert(name, col.clone());
-        Ok(col)
-    }
-
     /// Fetch a collection handle.
     pub fn collection(&self, name: &str) -> Option<Arc<Collection>> {
         self.collections.read().get(name).cloned()
@@ -61,7 +40,10 @@ impl Store {
     ///
     /// Errors when the collection does not already exist and `config` is
     /// invalid (zero extent size / bad shard count), the name is
-    /// path-hostile, or a file backend fails to open its directory.
+    /// path-hostile, or a file backend fails to open its directory. Names
+    /// become directory names under a file backend's root, so
+    /// [`Collection::new`] rejects path separators, `..` and NUL before a
+    /// name can reach a filesystem call.
     pub fn collection_or_create(
         &self,
         name: &str,
@@ -79,11 +61,6 @@ impl Store {
         Ok(col)
     }
 
-    /// Drop a collection. Returns whether it existed.
-    pub fn drop_collection(&self, name: &str) -> bool {
-        self.collections.write().remove(name).is_some()
-    }
-
     /// Collection names in order.
     pub fn collection_names(&self) -> Vec<String> {
         self.collections.read().keys().cloned().collect()
@@ -92,17 +69,6 @@ impl Store {
     /// Stats for one collection, namespaced like `dt.instance`.
     pub fn stats(&self, name: &str) -> Option<CollectionStats> {
         self.collection(name).map(|c| c.stats(&self.namespace))
-    }
-
-    /// Stats for every collection.
-    pub fn all_stats(&self) -> Vec<CollectionStats> {
-        let cols = self.collections.read();
-        cols.values().map(|c| c.stats(&self.namespace)).collect()
-    }
-
-    /// Internal: insert a restored collection (persistence path).
-    pub(crate) fn adopt(&self, name: String, col: Collection) {
-        self.collections.write().insert(name, Arc::new(col));
     }
 }
 
@@ -121,44 +87,40 @@ mod tests {
     use datatamer_model::doc;
 
     #[test]
-    fn create_get_drop() {
+    fn create_and_get() {
         let store = Store::new("dt");
-        let c = store.create_collection("instance", CollectionConfig::default()).unwrap();
+        let c = store.collection_or_create("instance", CollectionConfig::default()).unwrap();
         c.insert(&doc! {"a" => 1i64}).unwrap();
         assert!(store.collection("instance").is_some());
-        assert!(store.create_collection("instance", CollectionConfig::default()).is_err());
+        assert!(store.collection("missing").is_none());
         assert_eq!(store.collection_names(), vec!["instance"]);
-        assert!(store.drop_collection("instance"));
-        assert!(!store.drop_collection("instance"));
-        assert!(store.collection("instance").is_none());
     }
 
     #[test]
     fn stats_are_namespaced() {
         let store = Store::new("dt");
-        let c = store.create_collection("entity", CollectionConfig::default()).unwrap();
+        let c = store.collection_or_create("entity", CollectionConfig::default()).unwrap();
         c.insert(&doc! {"type" => "Person"}).unwrap();
         let stats = store.stats("entity").unwrap();
         assert_eq!(stats.ns, "dt.entity");
         assert_eq!(stats.count, 1);
         assert!(store.stats("missing").is_none());
-        assert_eq!(store.all_stats().len(), 1);
     }
 
     #[test]
     fn path_hostile_names_never_become_collections() {
-        // These names would previously have been interpolated unchecked
-        // into `<dir>/<collection>/` by the persist layer.
+        // Names become directories under a file backend's root; these
+        // would escape or break it.
         let store = Store::new("dt");
         for bad in ["../escape", "nested/dir", "back\\slash", "..", "", "nul\0byte"] {
             assert!(
-                store.create_collection(bad, CollectionConfig::default()).is_err(),
+                store.collection_or_create(bad, CollectionConfig::default()).is_err(),
                 "{bad:?} must be rejected"
             );
         }
         assert!(store.collection_names().is_empty(), "nothing was created");
         // Benign punctuation still works.
-        assert!(store.create_collection("shows.2026-v1", CollectionConfig::default()).is_ok());
+        assert!(store.collection_or_create("shows.2026-v1", CollectionConfig::default()).is_ok());
     }
 
     #[test]

@@ -103,13 +103,6 @@ impl Gazetteer {
         self.len += 1;
     }
 
-    /// Bulk-add phrases of one type.
-    pub fn add_all<S: AsRef<str>>(&mut self, phrases: &[S], entity_type: EntityType, confidence: f64) {
-        for p in phrases {
-            self.add(p.as_ref(), entity_type, confidence);
-        }
-    }
-
     /// Find all gazetteer mentions in `text` (greedy, non-overlapping,
     /// longest-match-first at each position).
     pub fn find(&self, text: &str) -> Vec<Mention> {

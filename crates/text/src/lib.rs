@@ -4,7 +4,7 @@
 //! domain-specific parser to turn ~1 TB of raw web text into hierarchical
 //! entity/instance data. This crate is that module, built from scratch:
 //!
-//! * [`tokenize`] — word/sentence tokenisation with byte spans.
+//! * [`tokenize`] — word tokenisation with byte spans.
 //! * [`normalize`] — case folding, stopword filtering, whitespace cleanup.
 //! * [`scan`] — hand-rolled pattern scanners (money, percentages, dates,
 //!   times, URLs, quoted titles). No regex engine anywhere.

@@ -49,16 +49,6 @@ pub fn canonical_name(name: &str) -> String {
     lower
 }
 
-/// Lowercased content tokens (stopwords removed) of a text.
-pub fn content_tokens(text: &str) -> Vec<String> {
-    crate::tokenize::tokenize(text)
-        .iter()
-        .filter(|t| t.is_word())
-        .map(|t| t.text.to_lowercase())
-        .filter(|t| !is_stopword(t))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,11 +82,5 @@ mod tests {
         assert_eq!(canonical_name("  THE  WOLVERINE "), "wolverine");
         assert_eq!(canonical_name("The"), "the", "bare article stays");
         assert_eq!(canonical_name("A Chorus Line"), "chorus line");
-    }
-
-    #[test]
-    fn content_tokens_drop_stopwords_and_punct() {
-        let toks = content_tokens("The Wolverine is an award-winning import from London.");
-        assert_eq!(toks, vec!["wolverine", "award-winning", "import", "london"]);
     }
 }

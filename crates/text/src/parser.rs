@@ -147,11 +147,6 @@ impl DomainParser {
         DomainParser { gazetteer }
     }
 
-    /// Mutable access to the gazetteer for incremental seeding.
-    pub fn gazetteer_mut(&mut self) -> &mut Gazetteer {
-        &mut self.gazetteer
-    }
-
     /// Parse one fragment.
     pub fn parse(&self, text: &str) -> ParsedFragment {
         let tokens = tokenize(text);
@@ -383,14 +378,15 @@ mod tests {
         let d = f.to_instance_doc();
         assert!(d.get("fragment").is_some());
         assert!(d.get("entities").is_some());
-        let amounts = d.get("amounts").unwrap().as_array().unwrap();
-        assert_eq!(amounts[0], Value::from("960,998"));
-        let dates = d.get("dates").unwrap().as_array().unwrap();
-        assert_eq!(dates[0], Value::from("3/4/2013"));
-        let pcts = d.get("percents").unwrap().as_array().unwrap();
-        assert_eq!(pcts[0], Value::from("93 percent"));
+        let array = |key: &str| match d.get(key) {
+            Some(Value::Array(items)) => items.clone(),
+            other => panic!("{key} is not an array: {other:?}"),
+        };
+        assert_eq!(array("amounts")[0], Value::from("960,998"));
+        assert_eq!(array("dates")[0], Value::from("3/4/2013"));
+        assert_eq!(array("percents")[0], Value::from("93 percent"));
         // Entity subdocument carries canonical name.
-        let ents = d.get("entities").unwrap().as_array().unwrap();
+        let ents = array("entities");
         let first = ents[0].as_doc().unwrap();
         assert_eq!(first.get("canonical"), Some(&Value::from("matilda")));
     }

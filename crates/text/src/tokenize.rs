@@ -1,4 +1,4 @@
-//! Word and sentence tokenisation with byte spans.
+//! Word tokenisation with byte spans.
 
 /// A token with its byte span in the original text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,20 +21,6 @@ impl Token<'_> {
     /// True when the token starts with an uppercase letter.
     pub fn is_capitalized(&self) -> bool {
         self.text.chars().next().is_some_and(|c| c.is_uppercase())
-    }
-
-    /// True when every alphabetic char is uppercase (e.g. acronyms).
-    pub fn is_all_caps(&self) -> bool {
-        let mut any = false;
-        for c in self.text.chars() {
-            if c.is_alphabetic() {
-                if c.is_lowercase() {
-                    return false;
-                }
-                any = true;
-            }
-        }
-        any
     }
 
     /// True when the token is purely numeric (digits, commas, periods).
@@ -158,55 +144,6 @@ impl<'a> Words<'a> {
     }
 }
 
-/// Split text into sentences on `.`, `!`, `?` followed by whitespace and an
-/// uppercase letter (or end of input). Abbreviation-ish single-letter
-/// periods (`W. 44th`) do not split.
-pub fn sentences(text: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let chars: Vec<(usize, char)> = text.char_indices().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let (pos, c) = chars[i];
-        if matches!(c, '.' | '!' | '?') {
-            // Do not split on "W." style initials: previous alnum run length 1.
-            let prev_word_len = {
-                let mut n = 0;
-                let mut j = i;
-                while j > 0 {
-                    let (_, pc) = chars[j - 1];
-                    if pc.is_alphanumeric() {
-                        n += 1;
-                        j -= 1;
-                    } else {
-                        break;
-                    }
-                }
-                n
-            };
-            let next_ws = chars.get(i + 1).is_none_or(|(_, nc)| nc.is_whitespace());
-            let upper_after = chars[i + 1..]
-                .iter()
-                .find(|(_, nc)| !nc.is_whitespace())
-                .is_none_or(|(_, nc)| nc.is_uppercase() || nc.is_ascii_digit() || *nc == '"');
-            if next_ws && upper_after && (c != '.' || prev_word_len != 1) {
-                let end = pos + c.len_utf8();
-                let s = text[start..end].trim();
-                if !s.is_empty() {
-                    out.push(s);
-                }
-                start = end;
-            }
-        }
-        i += 1;
-    }
-    let tail = text[start..].trim();
-    if !tail.is_empty() {
-        out.push(tail);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,13 +180,10 @@ mod tests {
     #[test]
     fn token_predicates() {
         let ts = tokenize("NYC Matilda 960,998 inc");
-        assert!(ts[0].is_all_caps());
         assert!(ts[0].is_capitalized());
         assert!(ts[1].is_capitalized());
-        assert!(!ts[1].is_all_caps());
         assert!(ts[2].is_numeric());
         assert!(!ts[3].is_capitalized());
-        assert!(!ts[2].is_all_caps());
     }
 
     #[test]
@@ -277,29 +211,5 @@ mod tests {
     fn empty_and_whitespace() {
         assert!(tokenize("").is_empty());
         assert!(tokenize("   \t\n").is_empty());
-    }
-
-    #[test]
-    fn sentence_splitting() {
-        let text = "The show grossed well. Matilda is an import from London! Is it good?";
-        let ss = sentences(text);
-        assert_eq!(ss.len(), 3);
-        assert!(ss[0].ends_with("well."));
-        assert!(ss[1].starts_with("Matilda"));
-    }
-
-    #[test]
-    fn initials_do_not_split_sentences() {
-        let text = "Shubert 225 W. 44th St is the venue. Tickets from $27.";
-        let ss = sentences(text);
-        assert_eq!(ss.len(), 2, "{ss:?}");
-    }
-
-    #[test]
-    fn lowercase_continuation_does_not_split() {
-        let text = "It grossed 960,998. or 93 percent of the maximum";
-        // '.' followed by lowercase: treated as continuation.
-        let ss = sentences(text);
-        assert_eq!(ss.len(), 1);
     }
 }

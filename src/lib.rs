@@ -561,6 +561,13 @@
 //!   storage fallibility is typed (`DtError`), not control flow.
 //! * **unsafe audit** — `unsafe` is denied outside a `dtlint.toml`
 //!   allowlist (currently empty: the workspace is 100% safe Rust).
+//! * **total order** — `partial_cmp(…).unwrap_or(Equal)` is flagged
+//!   anywhere: NaN compares equal to everything, so a sort may panic and
+//!   a min/max keeps whichever value came first. `total_cmp` replaces it.
+//! * **dead surface** — a `pub fn` in a library crate that no other file
+//!   calls (tests, examples, doc-comment code and the benchmark count;
+//!   a `use` re-export does not) is flagged, so unused API is deleted
+//!   rather than kept.
 //!
 //! Waive a finding inline with
 //! `// dtlint::allow(<rule>, reason = "…")` — the reason is mandatory
