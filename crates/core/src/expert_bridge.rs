@@ -67,7 +67,7 @@ impl ExpertPanelResolver {
         // Queue then immediately serve the task: the simulated experts are
         // always available. Priority: most ambiguous (closest to 0.5) first.
         let priority = (1000.0 * (1.0 - (score - 0.5).abs())) as u32;
-        let id = self.queue.submit(
+        self.queue.submit(
             TaskKind::SchemaMatch {
                 source_attr: source_attr.to_owned(),
                 candidate: candidate.to_owned(),
@@ -75,8 +75,7 @@ impl ExpertPanelResolver {
             },
             priority,
         );
-        let _task = self.queue.pop().expect("just queued");
-        let _ = id;
+        let _ = self.queue.pop();
         let truth = (self.truth)(source_attr, candidate);
         let votes: Vec<Vote> = self
             .experts

@@ -22,38 +22,6 @@ use datatamer_text::normalize::canonical_name;
 
 use super::{group_records, FusionGroup, SHOW_NAME};
 
-/// Declarative pair-scorer choice for blocked ER — the configuration-level
-/// mirror of [`PairScorer`] (the trained-classifier variant is not
-/// expressible as clonable config and stays on the imperative
-/// `datatamer-entity` API).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScorerSpec {
-    /// Weighted per-attribute rule similarity ([`RecordSimilarity`]).
-    Rules {
-        /// `(attribute, weight)` overrides.
-        weights: Vec<(String, f64)>,
-        /// Weight of attributes not explicitly listed.
-        default_weight: f64,
-    },
-}
-
-impl Default for ScorerSpec {
-    fn default() -> Self {
-        ScorerSpec::Rules { weights: Vec::new(), default_weight: 1.0 }
-    }
-}
-
-impl ScorerSpec {
-    /// Instantiate the scorer this spec describes.
-    pub fn build(&self) -> PairScorer {
-        match self {
-            ScorerSpec::Rules { weights, default_weight } => PairScorer::Rules(
-                RecordSimilarity::with_weights(weights.clone(), *default_weight),
-            ),
-        }
-    }
-}
-
 /// Configuration of similarity-based blocked entity resolution: which
 /// attribute token blocking keys on, how pairs are scored, and the
 /// acceptance threshold.
@@ -62,8 +30,8 @@ pub struct BlockedErConfig {
     /// The attribute driving blocking (canonical spelling — records are
     /// already mapped onto the global schema when consolidation runs).
     pub key_attr: String,
-    /// Pair scoring.
-    pub scorer: ScorerSpec,
+    /// Pair scoring: weighted per-attribute rule similarity.
+    pub scorer: RecordSimilarity,
     /// Pairs scoring at or above this are duplicates.
     pub accept_threshold: f64,
     /// Ignored: staged runs and [`crate::DataTamer::consolidate_delta`]
@@ -76,7 +44,7 @@ impl Default for BlockedErConfig {
     fn default() -> Self {
         BlockedErConfig {
             key_attr: SHOW_NAME.to_owned(),
-            scorer: ScorerSpec::default(),
+            scorer: RecordSimilarity::default(),
             accept_threshold: 0.75,
             incremental: false,
         }
@@ -93,7 +61,7 @@ impl BlockedErConfig {
     pub fn build_incremental(&self) -> IncrementalConsolidator {
         IncrementalConsolidator::new(
             self.build_blocker(),
-            self.scorer.build(),
+            PairScorer::Rules(self.scorer.clone()),
             self.accept_threshold,
         )
     }
@@ -185,7 +153,10 @@ fn clusters_to_groups(
 ) -> Vec<FusionGroup> {
     clusters
         .iter()
-        .filter_map(|cluster| Some((cluster_key(&records[cluster[0]], config)?, cluster.clone())))
+        .filter_map(|cluster| {
+            let first = &records[*cluster.first()?];
+            Some((cluster_key(first, config)?, cluster.clone()))
+        })
         .collect()
 }
 
@@ -288,7 +259,7 @@ mod tests {
         let (groups, report) =
             GroupingStrategy::BlockedEr(config.clone()).groups_with_report(&records, 0.88);
 
-        let prepared = config.scorer.build().prepare(&records);
+        let prepared = PairScorer::Rules(config.scorer.clone()).prepare(&records);
         let outcome = config.build_blocker().candidates_with_report_keyed(&records, &|| {
             prepared.sort_keys(&config.key_attr).expect("rules contexts key any attribute")
         });
@@ -300,21 +271,5 @@ mod tests {
             (report.candidate_pairs, report.accepted_pairs, report.degraded_buckets)
         );
         assert!(report.degraded_buckets >= 1, "the 'common' bucket must degrade");
-    }
-
-    #[test]
-    fn scorer_spec_builds_weighted_rules() {
-        let spec = ScorerSpec::Rules {
-            weights: vec![(SHOW_NAME.to_owned(), 10.0)],
-            default_weight: 0.5,
-        };
-        let scorer = spec.build();
-        let a = rec(0, "Matilda", "$27");
-        let b = rec(1, "Matilda", "$99");
-        let uniform = ScorerSpec::default().build();
-        assert!(
-            scorer.score(&a, &b) > uniform.score(&a, &b),
-            "name-heavy weighting must dominate the price mismatch"
-        );
     }
 }

@@ -12,38 +12,32 @@
 //!   ([`group_records`] at a fuzzy threshold) or similarity-based blocked
 //!   ER (blocking → pair scoring → union-find, wired in from
 //!   `datatamer-entity` — see the [`grouping`] module).
-//! * **Truth discovery** — a [`ResolverRegistry`] maps each attribute to a
-//!   [`ValueResolver`] that picks the surviving value(s) from a group's
-//!   conflicting, provenance-tagged candidates ([`merge_groups_with`]).
+//! * **Truth discovery** — a [`RegistryConfig`] routes each attribute to a
+//!   [`ResolverSpec`], which picks the surviving value(s) from a group's
+//!   conflicting, provenance-tagged candidates ([`resolve_group`]).
 //!
-//! Built-in resolvers: [`MajorityVote`], [`SourceReliability`] (iterative
-//! accu-style source weighting), [`LatestWins`] (record-provenance
-//! freshness), [`MultiTruth`] (keeps all values above a support threshold),
-//! and [`PolicyResolver`] wrapping one order-sensitive
-//! [`ConflictPolicy`](datatamer_entity::consolidate::ConflictPolicy).
-//! Every composite is built by
-//! [`merge_composite`](datatamer_entity::consolidate::merge_composite)
-//! driven by the registry. Registries are configured declaratively via
-//! [`RegistryConfig`] on `DataTamerConfig`.
-//! Group merging stays rayon-parallel and byte-deterministic at any thread
-//! count.
+//! `ResolverSpec` is the one resolver type: majority vote, iterative
+//! accu-style source reliability, latest-wins (record-provenance
+//! freshness), multi-truth (every value above a support threshold), or one
+//! order-sensitive [`ConflictPolicy`] applied in cluster order. The routing
+//! is set once, on `DataTamerConfig::fusion_resolvers`, and fusion borrows
+//! it. Group merging stays rayon-parallel and byte-deterministic at any
+//! thread count.
 
 pub mod grouping;
+mod policy;
 mod registry;
 mod reliability;
 mod resolve;
 
-pub use grouping::{BlockedErConfig, GroupingReport, GroupingStrategy, ScorerSpec};
-pub use registry::{RegistryConfig, ResolverRegistry, ResolverSpec};
-pub use reliability::SourceReliability;
-pub use resolve::{
-    LatestWins, MajorityVote, MultiTruth, PolicyResolver, ProvenancedValue, Resolved,
-    ValueResolver,
-};
+pub use grouping::{BlockedErConfig, GroupingReport, GroupingStrategy};
+pub use policy::ConflictPolicy;
+pub use registry::RegistryConfig;
+pub use resolve::{ProvenancedValue, Resolved, ResolverSpec};
 
 use std::collections::HashMap;
 
-use datatamer_model::{Record, Value};
+use datatamer_model::{Record, RecordId, SourceId, Value};
 use datatamer_sim as sim;
 use datatamer_text::normalize::canonical_name;
 use rayon::prelude::*;
@@ -66,10 +60,10 @@ pub struct FusedEntity {
     /// Input records merged into it.
     pub member_count: usize,
     /// Mean per-attribute resolution confidence, when any dispatched
-    /// resolver reported one (e.g. [`MajorityVote`]'s support fraction,
-    /// [`SourceReliability`]'s winning weight share). `None` when no
-    /// resolver in the routing quantifies confidence — distinct from a
-    /// measured low confidence.
+    /// resolver reported one (e.g. [`ResolverSpec::MajorityVote`]'s support
+    /// fraction, [`ResolverSpec::SourceReliability`]'s winning weight
+    /// share). `None` when no resolver in the routing quantifies
+    /// confidence — distinct from a measured low confidence.
     pub confidence: Option<f64>,
 }
 
@@ -121,70 +115,68 @@ pub fn group_records(records: &[Record], threshold: f64) -> Vec<FusionGroup> {
 }
 
 /// Resolve one candidate group into a composite record through a resolver
-/// registry.
+/// routing, plus the mean per-attribute confidence across the attributes
+/// whose dispatched resolver reported one (`None` when no resolver did).
 ///
-/// The composite is built by
-/// [`datatamer_entity::consolidate::merge_composite`]: identity from the
-/// first member, first-seen attribute order, null values never reaching a
-/// resolver, all-null attributes staying [`Value::Null`]. Each attribute's
-/// non-null values are tagged with provenance (source id, record id,
-/// cluster rank) and handed to the registry's dispatched resolver. A
-/// [`Resolved::Multi`] survivor set lands as a [`Value::Array`] (a single
-/// survivor as the scalar, an empty set as null, same as
-/// [`Resolved::None`]).
-pub fn resolve_group(members: &[&Record], registry: &ResolverRegistry) -> Record {
-    resolve_group_with_confidence(members, registry).0
-}
-
-/// [`resolve_group`] plus the mean per-attribute confidence across the
-/// attributes whose dispatched resolver reported one (`None` when no
-/// resolver did). Attributes resolve in first-seen order sequentially, so
-/// the mean is a deterministic float summation at any thread count.
-pub fn resolve_group_with_confidence(
-    members: &[&Record],
-    registry: &ResolverRegistry,
-) -> (Record, Option<f64>) {
+/// The composite's identity is the first member's `(source, id)`; every
+/// attribute present in any member appears in first-seen order. Each
+/// attribute's non-null values are tagged with provenance (source id,
+/// record id, cluster rank) and handed to the resolver `registry` routes
+/// it to; null values never reach a resolver, so an all-null attribute
+/// resolves to no survivor. A [`Resolved::Multi`] survivor set lands as a
+/// [`Value::Array`], a single survivor as the scalar, and no survivor as
+/// [`Value::Null`]. Attributes resolve sequentially in first-seen order, so
+/// the mean confidence is a deterministic float summation at any thread
+/// count. An empty group resolves to an empty composite with identity
+/// `(0, 0)`; fusion never forms one.
+pub fn resolve_group(members: &[&Record], registry: &RegistryConfig) -> (Record, Option<f64>) {
+    let (source, id) = members.first().map_or((SourceId(0), RecordId(0)), |r| r.key());
+    let mut composite = Record::new(source, id);
+    let mut attr_order: Vec<&str> = Vec::new();
+    for r in members {
+        for name in r.field_names() {
+            if !attr_order.contains(&name) {
+                attr_order.push(name);
+            }
+        }
+    }
     let mut confidence_sum = 0.0;
     let mut confidence_count = 0usize;
-    let record = datatamer_entity::consolidate::merge_composite(members, |attr, values| {
-        let provenanced: Vec<ProvenancedValue<'_>> = values
+    for attr in attr_order {
+        let values: Vec<ProvenancedValue<'_>> = members
             .iter()
-            .map(|&(rank, value)| ProvenancedValue {
-                value,
-                source: members[rank].source,
-                record: members[rank].id,
-                rank,
+            .enumerate()
+            .filter_map(|(rank, r)| {
+                let value = r.get(attr).filter(|v| !v.is_null())?;
+                Some(ProvenancedValue { value, source: r.source, record: r.id, rank })
             })
             .collect();
-        let (resolved, confidence) = registry.resolve_with_confidence(attr, &provenanced);
+        let (resolved, confidence) = registry.resolver_of(attr).resolve(&values);
         if let Some(c) = confidence {
             confidence_sum += c;
             confidence_count += 1;
         }
-        match resolved {
+        let value = match resolved {
             Resolved::Single(v) => v,
-            Resolved::Multi(mut vs) => match vs.len() {
-                0 => Value::Null,
-                1 => vs.remove(0),
-                _ => Value::Array(vs),
-            },
-            Resolved::None => Value::Null,
-        }
-    });
+            Resolved::Multi(mut vs) if vs.len() <= 1 => vs.pop().unwrap_or(Value::Null),
+            Resolved::Multi(vs) => Value::Array(vs),
+        };
+        composite.set(attr, value);
+    }
     let confidence = (confidence_count > 0)
         .then(|| confidence_sum / confidence_count as f64);
-    (record, confidence)
+    (composite, confidence)
 }
 
 /// Merge half of fusion: collapse each candidate group into one composite
-/// entity through a resolver registry. Groups merge independently, so this
+/// entity through a resolver routing. Groups merge independently, so this
 /// fans out across the rayon team; output order is group order at any
 /// thread count, and every built-in resolver is deterministic, so the
 /// output is byte-identical at any pool width.
 pub fn merge_groups_with(
     records: &[Record],
     groups: &[FusionGroup],
-    registry: &ResolverRegistry,
+    registry: &RegistryConfig,
 ) -> Vec<FusedEntity> {
     groups.par_iter().map(|group| merge_group(|i| &records[i], group, registry)).collect()
 }
@@ -194,10 +186,10 @@ pub fn merge_groups_with(
 pub(crate) fn merge_group<'r>(
     record: impl Fn(usize) -> &'r Record,
     (key, members): &FusionGroup,
-    registry: &ResolverRegistry,
+    registry: &RegistryConfig,
 ) -> FusedEntity {
     let refs: Vec<&Record> = members.iter().map(|&i| record(i)).collect();
-    let (composite, confidence) = resolve_group_with_confidence(&refs, registry);
+    let (composite, confidence) = resolve_group(&refs, registry);
     FusedEntity { key: key.clone(), record: composite, member_count: members.len(), confidence }
 }
 
@@ -214,7 +206,7 @@ pub(crate) fn merge_group<'r>(
 pub fn fuse_records_with(
     records: &[Record],
     threshold: f64,
-    registry: &ResolverRegistry,
+    registry: &RegistryConfig,
 ) -> Vec<FusedEntity> {
     merge_groups_with(records, &group_records(records, threshold), registry)
 }
@@ -234,9 +226,9 @@ mod tests {
 
     const FUZZY: f64 = 0.88;
 
-    /// [`fuse_records_with`] under the standard Broadway registry.
+    /// [`fuse_records_with`] under the standard Broadway routing.
     fn fuse_broadway(records: &[Record]) -> Vec<FusedEntity> {
-        fuse_records_with(records, FUZZY, &ResolverRegistry::broadway())
+        fuse_records_with(records, FUZZY, &RegistryConfig::broadway())
     }
 
     #[test]
@@ -330,9 +322,9 @@ mod tests {
 
     #[test]
     fn fuse_records_with_routes_attributes_to_their_resolvers() {
-        let registry = ResolverRegistry::new(Box::new(MajorityVote))
-            .with("RATING", Box::new(MultiTruth { min_support: 0.3 }))
-            .with("STATUS", Box::new(LatestWins));
+        let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
+            .with("RATING", ResolverSpec::MultiTruth { min_support: 0.3 })
+            .with("STATUS", ResolverSpec::LatestWins);
         let records = vec![
             rec(0, 0, vec![(SHOW_NAME, "Pippin"), ("RATING", "PG"), ("STATUS", "previews")]),
             rec(1, 1, vec![(SHOW_NAME, "Pippin"), ("RATING", "PG-13"), ("STATUS", "open")]),
@@ -353,43 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_multi_and_none_both_resolve_to_null() {
-        // A custom resolver that filters every candidate out must behave
-        // the same whether it reports Multi(vec![]) or None.
-        struct DropAll(bool);
-        impl ValueResolver for DropAll {
-            fn name(&self) -> &'static str {
-                "drop_all"
-            }
-            fn resolve(&self, _attr: &str, _values: &[ProvenancedValue<'_>]) -> Resolved {
-                if self.0 {
-                    Resolved::Multi(Vec::new())
-                } else {
-                    Resolved::None
-                }
-            }
-        }
-        for empty_multi in [true, false] {
-            let registry = ResolverRegistry::new(Box::new(MajorityVote))
-                .with("DOOMED", Box::new(DropAll(empty_multi)));
-            let records = vec![
-                rec(0, 0, vec![(SHOW_NAME, "Cats"), ("DOOMED", "x")]),
-                rec(1, 1, vec![(SHOW_NAME, "Cats"), ("DOOMED", "y")]),
-            ];
-            let fused = fuse_records_with(&records, FUZZY, &registry);
-            assert_eq!(
-                fused[0].record.get("DOOMED"),
-                Some(&Value::Null),
-                "empty_multi={empty_multi}"
-            );
-        }
-    }
-
-    #[test]
     fn fused_confidence_averages_reporting_attributes() {
         // Two attributes under MajorityVote: SHOW_NAME unanimous (1.0),
         // STATUS split 2-vs-1 (2/3) — the entity confidence is their mean.
-        let registry = ResolverRegistry::new(Box::new(MajorityVote));
+        let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote);
         let records = vec![
             rec(0, 0, vec![(SHOW_NAME, "Annie"), ("STATUS", "open")]),
             rec(1, 1, vec![(SHOW_NAME, "Annie"), ("STATUS", "open")]),
@@ -404,8 +363,8 @@ mod tests {
 
     #[test]
     fn policy_only_routing_reports_no_confidence() {
-        // The broadway registry is all order-sensitive PolicyResolvers,
-        // which have no confidence notion — the channel stays None rather
+        // The broadway routing is all order-sensitive policies, which have
+        // no confidence notion — the channel stays None rather
         // than faking a number.
         let records = vec![
             rec(0, 0, vec![(SHOW_NAME, "Annie"), (CHEAPEST_PRICE, "$45")]),
@@ -415,10 +374,8 @@ mod tests {
         assert_eq!(fused[0].confidence, None);
 
         // Mixed routing: only the majority-voted attribute contributes.
-        let registry = ResolverRegistry::new(Box::new(PolicyResolver(
-            datatamer_entity::consolidate::ConflictPolicy::First,
-        )))
-        .with(SHOW_NAME, Box::new(MajorityVote));
+        let registry = RegistryConfig::uniform(ResolverSpec::Policy(ConflictPolicy::First))
+            .with(SHOW_NAME, ResolverSpec::MajorityVote);
         let fused = fuse_records_with(&records, FUZZY, &registry);
         assert_eq!(fused[0].confidence, Some(1.0), "only SHOW_NAME reports, unanimously");
     }
@@ -431,9 +388,28 @@ mod tests {
         let fused = fuse_records_with(
             &[a, b],
             FUZZY,
-            &ResolverRegistry::new(Box::new(MajorityVote)),
+            &RegistryConfig::uniform(ResolverSpec::MajorityVote),
         );
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].record.get("GONE"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn union_of_attributes_with_nulls() {
+        let a = rec(3, 7, vec![("name", "Matilda")]);
+        let b = rec(1, 1, vec![("name", "Matilda"), ("price", "$27")]);
+        let registry = RegistryConfig::uniform(ResolverSpec::Policy(ConflictPolicy::MajorityVote));
+        let (merged, _) = resolve_group(&[&a, &b], &registry);
+        assert_eq!(merged.get_text("price").as_deref(), Some("$27"));
+        assert_eq!(merged.len(), 2);
+        // Identity comes from the first member.
+        assert_eq!(merged.key(), (SourceId(3), RecordId(7)));
+    }
+
+    #[test]
+    fn empty_group_resolves_to_an_empty_composite() {
+        let (merged, confidence) = resolve_group(&[], &RegistryConfig::broadway());
+        assert!(merged.is_empty());
+        assert_eq!(confidence, None);
     }
 }

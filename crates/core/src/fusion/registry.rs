@@ -1,142 +1,15 @@
-//! The resolver registry: per-attribute truth-discovery dispatch.
+//! The resolver routing: per-attribute truth-discovery dispatch.
 //!
-//! A [`ResolverRegistry`] maps attribute names to boxed [`ValueResolver`]s
-//! with a default fallback. Registries are built either directly (boxing
-//! resolvers) or from a [`RegistryConfig`], a clonable declarative spec
-//! that lives in `DataTamerConfig::fusion_resolvers`, the one routing a
-//! system fuses under.
+//! A [`RegistryConfig`] maps attribute names to [`ResolverSpec`]s with a
+//! default fallback. It is clonable configuration that lives in
+//! `DataTamerConfig::fusion_resolvers`, the one routing a system fuses
+//! under, and fusion borrows it as is.
 
-use datatamer_entity::consolidate::ConflictPolicy;
+use super::policy::ConflictPolicy;
+use super::resolve::ResolverSpec;
 
-use super::resolve::{
-    LatestWins, MajorityVote, MultiTruth, PolicyResolver, ProvenancedValue, Resolved,
-    ValueResolver,
-};
-use super::reliability::SourceReliability;
-
-/// Per-attribute resolver dispatch with a default fallback.
-pub struct ResolverRegistry {
-    per_attribute: Vec<(String, Box<dyn ValueResolver>)>,
-    default: Box<dyn ValueResolver>,
-}
-
-impl ResolverRegistry {
-    /// Registry resolving every attribute with `default`.
-    pub fn new(default: Box<dyn ValueResolver>) -> Self {
-        ResolverRegistry { per_attribute: Vec::new(), default }
-    }
-
-    /// Builder form of [`ResolverRegistry::register`].
-    pub fn with(mut self, attr: impl Into<String>, resolver: Box<dyn ValueResolver>) -> Self {
-        self.register(attr, resolver);
-        self
-    }
-
-    /// Route `attr` to `resolver` (replacing an earlier registration).
-    pub fn register(&mut self, attr: impl Into<String>, resolver: Box<dyn ValueResolver>) {
-        let attr = attr.into();
-        match self.per_attribute.iter_mut().find(|(a, _)| *a == attr) {
-            Some((_, slot)) => *slot = resolver,
-            None => self.per_attribute.push((attr, resolver)),
-        }
-    }
-
-    /// The resolver dispatched for an attribute.
-    pub fn resolver_of(&self, attr: &str) -> &dyn ValueResolver {
-        self.per_attribute
-            .iter()
-            .find(|(a, _)| a == attr)
-            .map(|(_, r)| r.as_ref())
-            .unwrap_or(self.default.as_ref())
-    }
-
-    /// Resolve one attribute's values through the dispatched resolver.
-    pub fn resolve(&self, attr: &str, values: &[ProvenancedValue<'_>]) -> Resolved {
-        self.resolver_of(attr).resolve(attr, values)
-    }
-
-    /// [`ResolverRegistry::resolve`] plus the dispatched resolver's
-    /// confidence, when it reports one.
-    pub fn resolve_with_confidence(
-        &self,
-        attr: &str,
-        values: &[ProvenancedValue<'_>],
-    ) -> (Resolved, Option<f64>) {
-        self.resolver_of(attr).resolve_with_confidence(attr, values)
-    }
-
-    /// `(attribute, resolver name)` routing table plus the default's name —
-    /// what tests assert dispatch against.
-    pub fn dispatch_table(&self) -> (Vec<(&str, &'static str)>, &'static str) {
-        let rows = self
-            .per_attribute
-            .iter()
-            .map(|(a, r)| (a.as_str(), r.name()))
-            .collect();
-        (rows, self.default.name())
-    }
-
-    /// The Broadway-demo routing, built from [`RegistryConfig::broadway`].
-    pub fn broadway() -> Self {
-        RegistryConfig::broadway().build()
-    }
-}
-
-impl Default for ResolverRegistry {
-    fn default() -> Self {
-        Self::broadway()
-    }
-}
-
-impl std::fmt::Debug for ResolverRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (rows, default) = self.dispatch_table();
-        f.debug_struct("ResolverRegistry")
-            .field("per_attribute", &rows)
-            .field("default", &default)
-            .finish()
-    }
-}
-
-/// Declarative, clonable resolver choice — the configuration-level mirror
-/// of the built-in [`ValueResolver`] implementations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResolverSpec {
-    /// Permutation-invariant majority vote ([`MajorityVote`]).
-    MajorityVote,
-    /// Iterative accu-style source weighting ([`SourceReliability`]).
-    SourceReliability {
-        /// Fixpoint rounds.
-        iterations: usize,
-    },
-    /// Freshest record's value wins ([`LatestWins`]).
-    LatestWins,
-    /// Keep every value at or above a support fraction ([`MultiTruth`]).
-    MultiTruth {
-        /// Minimum support fraction in `(0, 1]`.
-        min_support: f64,
-    },
-    /// A classic order-sensitive merge policy ([`PolicyResolver`]).
-    Policy(ConflictPolicy),
-}
-
-impl ResolverSpec {
-    /// Instantiate the resolver this spec describes.
-    pub fn build(&self) -> Box<dyn ValueResolver> {
-        match *self {
-            ResolverSpec::MajorityVote => Box::new(MajorityVote),
-            ResolverSpec::SourceReliability { iterations } => {
-                Box::new(SourceReliability { iterations, ..Default::default() })
-            }
-            ResolverSpec::LatestWins => Box::new(LatestWins),
-            ResolverSpec::MultiTruth { min_support } => Box::new(MultiTruth { min_support }),
-            ResolverSpec::Policy(policy) => Box::new(PolicyResolver(policy)),
-        }
-    }
-}
-
-/// A whole registry as declarative config: `(attribute, spec)` overrides
-/// plus a default spec. Lives in `DataTamerConfig::fusion_resolvers`.
+/// A whole resolver routing: `(attribute, spec)` overrides plus a default
+/// spec. Lives in `DataTamerConfig::fusion_resolvers`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegistryConfig {
     /// Per-attribute resolver overrides.
@@ -167,6 +40,14 @@ impl RegistryConfig {
         self
     }
 
+    /// The resolver dispatched for an attribute.
+    pub fn resolver_of(&self, attr: &str) -> &ResolverSpec {
+        self.per_attribute
+            .iter()
+            .find(|(a, _)| a == attr)
+            .map_or(&self.default, |(_, spec)| spec)
+    }
+
     /// The Broadway-demo routing: `CHEAPEST_PRICE` is the cheapest price
     /// seen (`NumericMin`); `TEXT_FEED`, `THEATER`, `PERFORMANCE` and
     /// `FIRST` take the first source's value (source priority: the seed
@@ -189,20 +70,21 @@ impl RegistryConfig {
         }
     }
 
-    /// Instantiate the registry this config describes.
-    pub fn build(&self) -> ResolverRegistry {
-        let mut registry = ResolverRegistry::new(self.default.build());
-        for (attr, spec) in &self.per_attribute {
-            registry.register(attr.clone(), spec.build());
-        }
-        registry
+    /// A clone of this routing. Fusion borrows a `RegistryConfig` directly;
+    /// this exists only because the `dtbench` benchmark names it when it
+    /// assembles a [`crate::stage::FusionStage`].
+    pub fn build(&self) -> RegistryConfig {
+        self.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::{CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, TEXT_FEED, THEATER};
+    use crate::fusion::{
+        ProvenancedValue, Resolved, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, TEXT_FEED,
+        THEATER,
+    };
     use datatamer_model::{RecordId, SourceId, Value};
 
     fn pv(value: &Value, i: usize) -> ProvenancedValue<'_> {
@@ -216,38 +98,37 @@ mod tests {
 
     #[test]
     fn dispatch_falls_back_to_default() {
-        let registry = ResolverRegistry::new(Box::new(MajorityVote))
-            .with("FRESH", Box::new(LatestWins));
+        let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
+            .with("FRESH", ResolverSpec::LatestWins);
         assert_eq!(registry.resolver_of("FRESH").name(), "latest_wins");
         assert_eq!(registry.resolver_of("ANYTHING").name(), "majority_vote");
-        let (rows, default) = registry.dispatch_table();
-        assert_eq!(rows, vec![("FRESH", "latest_wins")]);
-        assert_eq!(default, "majority_vote");
+        assert_eq!(registry.per_attribute, vec![("FRESH".to_owned(), ResolverSpec::LatestWins)]);
     }
 
     #[test]
     fn register_replaces_existing_route() {
-        let mut registry = ResolverRegistry::new(Box::new(MajorityVote));
-        registry.register("A", Box::new(LatestWins));
-        registry.register("A", Box::new(MultiTruth::default()));
+        let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
+            .with("A", ResolverSpec::LatestWins)
+            .with("A", ResolverSpec::MultiTruth { min_support: 0.25 });
         assert_eq!(registry.resolver_of("A").name(), "multi_truth");
-        assert_eq!(registry.dispatch_table().0.len(), 1);
+        assert_eq!(registry.per_attribute.len(), 1);
     }
 
     #[test]
     fn registry_resolve_routes_per_attribute() {
-        let registry = ResolverRegistry::new(Box::new(MajorityVote))
-            .with("FRESH", Box::new(LatestWins));
+        let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
+            .with("FRESH", ResolverSpec::LatestWins);
         let vals: Vec<Value> = ["old", "old", "new"].iter().map(|s| Value::from(*s)).collect();
         let provs: Vec<ProvenancedValue<'_>> =
             vals.iter().enumerate().map(|(i, v)| pv(v, i)).collect();
-        assert_eq!(registry.resolve("FRESH", &provs), Resolved::Single(Value::from("new")));
-        assert_eq!(registry.resolve("OTHER", &provs), Resolved::Single(Value::from("old")));
+        let resolve = |attr: &str| registry.resolver_of(attr).resolve(&provs).0;
+        assert_eq!(resolve("FRESH"), Resolved::Single(Value::from("new")));
+        assert_eq!(resolve("OTHER"), Resolved::Single(Value::from("old")));
     }
 
     #[test]
     fn broadway_config_mirrors_legacy_policy_table() {
-        let registry = RegistryConfig::broadway().build();
+        let registry = RegistryConfig::broadway();
         assert_eq!(registry.resolver_of(CHEAPEST_PRICE).name(), "policy:numeric_min");
         for attr in [TEXT_FEED, THEATER, PERFORMANCE, FIRST] {
             assert_eq!(registry.resolver_of(attr).name(), "policy:first");
@@ -263,8 +144,8 @@ mod tests {
             .with("A", ResolverSpec::MultiTruth { min_support: 0.5 })
             .with("B", ResolverSpec::SourceReliability { iterations: 3 });
         assert_eq!(config.per_attribute.len(), 2);
-        let registry = config.build();
-        assert_eq!(registry.resolver_of("A").name(), "multi_truth");
-        assert_eq!(registry.resolver_of("B").name(), "source_reliability");
+        assert_eq!(config.resolver_of("A").name(), "multi_truth");
+        assert_eq!(config.resolver_of("B").name(), "source_reliability");
+        assert_eq!(config.build(), config);
     }
 }

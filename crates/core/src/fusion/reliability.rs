@@ -17,139 +17,114 @@ use std::collections::BTreeMap;
 
 use datatamer_model::{RecordId, SourceId, Value};
 
-use super::resolve::{ProvenancedValue, Resolved, ValueResolver};
+use super::resolve::ProvenancedValue;
 
-/// Iterative source-reliability resolver.
+/// Additive weight floor applied when reweighting sources: it keeps every
+/// source's weight strictly positive, so a unanimous minority can still win
+/// an attribute where the "majority" is split.
+const SMOOTHING: f64 = 0.1;
+
+/// Iterative source-reliability resolution
+/// ([`super::ResolverSpec::SourceReliability`]): the winning value and its
+/// weight share, `None` for an empty slice.
 ///
 /// Every *source* casts one claim per attribute (its internal majority, so
 /// duplicate records within a source never corroborate themselves). Each
-/// round recomputes candidate scores as the sum of their claiming sources'
-/// weights, then reassigns every source the (normalised) score of the
-/// candidate it claimed. A few rounds amplify agreeing sources and damp
-/// lone dissenters; `smoothing` keeps every source's weight strictly
-/// positive so a unanimous minority can still win an attribute where the
-/// "majority" is split.
-#[derive(Debug, Clone, Copy)]
-pub struct SourceReliability {
-    /// Fixpoint rounds (a handful suffices; scores stabilise geometrically).
-    pub iterations: usize,
-    /// Additive weight floor applied when reweighting sources. Clamped
-    /// into `[0, 1)` at resolution time (NaN behaves as `0`): values at or
-    /// above 1 would freeze or invert the reinforcement loop, so a
-    /// misconfigured floor degrades to near-pure majority weighting
-    /// instead of producing nonsense.
-    pub smoothing: f64,
-}
-
-impl Default for SourceReliability {
-    fn default() -> Self {
-        SourceReliability { iterations: 5, smoothing: 0.1 }
+/// of `iterations` rounds recomputes candidate scores as the sum of their
+/// claiming sources' weights, then reassigns every source the (normalised,
+/// `SMOOTHING`-floored) score of the candidate it claimed. A few rounds
+/// amplify agreeing sources and damp lone dissenters.
+///
+/// Confidence is the winner's *weight share* at the fixpoint: the winning
+/// candidate's score over the sum of all candidate scores — 1.0 when every
+/// source claims the winner, shrinking as credible dissent survives the
+/// reinforcement rounds.
+pub(super) fn source_reliability(
+    values: &[ProvenancedValue<'_>],
+    iterations: usize,
+) -> Option<(Value, Option<f64>)> {
+    // One claim per SOURCE, not per record: a source contributing many
+    // records must not corroborate itself, so each source's claim is its
+    // internal majority (ties to the smaller text), represented by the
+    // provenance-smallest value carrying that text. BTreeMaps keep every
+    // iteration order (and therefore every float summation order)
+    // input-order-free.
+    let mut by_source: BTreeMap<SourceId, BTreeMap<String, (usize, RecordId, &Value)>> =
+        BTreeMap::new();
+    for pv in values {
+        let tally = by_source.entry(pv.source).or_default();
+        let e = tally.entry(pv.text()).or_insert((0, pv.record, pv.value));
+        e.0 += 1;
+        if pv.record < e.1 {
+            e.1 = pv.record;
+            e.2 = pv.value;
+        }
     }
-}
-
-impl ValueResolver for SourceReliability {
-    fn name(&self) -> &'static str {
-        "source_reliability"
+    // One claim per source, in source order; `weights` below is parallel.
+    let mut votes: Vec<(String, &Value)> = Vec::with_capacity(by_source.len());
+    for tally in by_source.values() {
+        // Text-ascending iteration + strictly-greater keeps the smallest
+        // text among count ties.
+        let mut claim: Option<(&String, usize, &Value)> = None;
+        for (text, (count, _, value)) in tally {
+            match claim {
+                Some((_, best, _)) if *count <= best => {}
+                _ => claim = Some((text, *count, value)),
+            }
+        }
+        if let Some((text, _, value)) = claim {
+            votes.push((text.clone(), value));
+        }
     }
 
-    fn resolve(&self, attr: &str, values: &[ProvenancedValue<'_>]) -> Resolved {
-        self.resolve_with_confidence(attr, values).0
-    }
-
-    /// Confidence is the winner's *weight share* at the fixpoint: the
-    /// winning candidate's score over the sum of all candidate scores —
-    /// 1.0 when every source claims the winner, shrinking as credible
-    /// dissent survives the reinforcement rounds.
-    fn resolve_with_confidence(
-        &self,
-        _attr: &str,
-        values: &[ProvenancedValue<'_>],
-    ) -> (Resolved, Option<f64>) {
-        // One claim per SOURCE, not per record: a source contributing many
-        // records must not corroborate itself, so each source's claim is
-        // its internal majority (ties to the smaller text), represented by
-        // the provenance-smallest value carrying that text. BTreeMaps keep
-        // every iteration order (and therefore every float summation
-        // order) input-order-free.
-        let mut by_source: BTreeMap<SourceId, BTreeMap<String, (usize, RecordId, &Value)>> =
-            BTreeMap::new();
-        for pv in values {
-            let tally = by_source.entry(pv.source).or_default();
-            let e = tally.entry(pv.text()).or_insert((0, pv.record, pv.value));
-            e.0 += 1;
-            if pv.record < e.1 {
-                e.1 = pv.record;
-                e.2 = pv.value;
-            }
+    let mut weights = vec![1.0; votes.len()];
+    let mut scores: BTreeMap<&str, f64> = BTreeMap::new();
+    for _ in 0..iterations.max(1) {
+        // Candidate score = sum of claiming sources' weights (sorted
+        // orders).
+        scores.clear();
+        for ((text, _), weight) in votes.iter().zip(&weights) {
+            *scores.entry(text.as_str()).or_insert(0.0) += weight;
         }
-        let mut votes: BTreeMap<SourceId, (String, &Value)> = BTreeMap::new();
-        for (source, tally) in &by_source {
-            // Text-ascending iteration + strictly-greater keeps the
-            // smallest text among count ties.
-            let mut claim: Option<(&String, usize, &Value)> = None;
-            for (text, (count, _, value)) in tally {
-                match claim {
-                    Some((_, best, _)) if *count <= best => {}
-                    _ => claim = Some((text, *count, value)),
-                }
-            }
-            let (text, _, value) = claim.expect("source has at least one value");
-            votes.insert(*source, (text.clone(), value));
-        }
-
-        let smoothing = if self.smoothing.is_nan() {
-            0.0
-        } else {
-            self.smoothing.clamp(0.0, 1.0 - f64::EPSILON)
-        };
-        let mut weights: BTreeMap<SourceId, f64> = votes.keys().map(|k| (*k, 1.0)).collect();
-        let mut scores: BTreeMap<&str, f64> = BTreeMap::new();
-        for _ in 0..self.iterations.max(1) {
-            // Candidate score = sum of claiming sources' weights (sorted
-            // orders).
-            scores.clear();
-            for (source, (text, _)) in &votes {
-                *scores.entry(text.as_str()).or_insert(0.0) += weights[source];
-            }
-            let total: f64 = scores.values().sum();
-            if total <= 0.0 {
-                break;
-            }
-            // Source weight = normalised score of its claim, floored.
-            for (source, (text, _)) in &votes {
-                let w = weights.get_mut(source).expect("source registered");
-                *w = smoothing + (1.0 - smoothing) * scores[text.as_str()] / total;
-            }
-        }
-
-        // Winner: maximal score; ties break to the smaller text. Scores of
-        // tied-support candidates are bit-identical (same sorted summation),
-        // so strict comparison is safe.
-        let mut best: Option<(&str, f64)> = None;
-        for (text, score) in &scores {
-            match best {
-                Some((_, bs)) if *score <= bs => {}
-                _ => best = Some((text, *score)),
-            }
-        }
-        let (winner, winner_score) = best.expect("resolver input is never empty");
-        let value = votes
-            .values()
-            .find(|(t, _)| t == winner)
-            .expect("winner came from the vote table")
-            .1;
-        // Weight share of the winning claim. Tied-support scores are
-        // bit-identical (same sorted summation), so the share is a pure
-        // function of the input multiset like the winner itself.
         let total: f64 = scores.values().sum();
-        let confidence = if total > 0.0 { Some(winner_score / total) } else { None };
-        (Resolved::Single(value.clone()), confidence)
+        if total <= 0.0 {
+            break;
+        }
+        // Source weight = normalised score of its claim, floored.
+        for ((text, _), weight) in votes.iter().zip(&mut weights) {
+            *weight = SMOOTHING + (1.0 - SMOOTHING) * scores[text.as_str()] / total;
+        }
     }
+
+    // Winner: maximal score; ties break to the smaller text. Scores of
+    // tied-support candidates are bit-identical (same sorted summation),
+    // so strict comparison is safe.
+    let mut best: Option<(&str, f64)> = None;
+    for (text, score) in &scores {
+        match best {
+            Some((_, bs)) if *score <= bs => {}
+            _ => best = Some((text, *score)),
+        }
+    }
+    let (winner, winner_score) = best?;
+    let (_, value) = votes.iter().find(|(t, _)| t == winner)?;
+    // Weight share of the winning claim. Tied-support scores are
+    // bit-identical (same sorted summation), so the share is a pure
+    // function of the input multiset like the winner itself.
+    let total: f64 = scores.values().sum();
+    let confidence = if total > 0.0 { Some(winner_score / total) } else { None };
+    Some(((*value).clone(), confidence))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fusion::{Resolved, ResolverSpec};
+
+    /// The resolver at its usual five rounds.
+    fn resolve(values: &[ProvenancedValue<'_>]) -> (Resolved, Option<f64>) {
+        ResolverSpec::SourceReliability { iterations: 5 }.resolve(values)
+    }
 
     fn pv(value: &Value, source: u32, record: u64, rank: usize) -> ProvenancedValue<'_> {
         ProvenancedValue {
@@ -165,7 +140,7 @@ mod tests {
         let vals: Vec<Value> = ["$27", "$27", "$99"].iter().map(|s| Value::from(*s)).collect();
         let provs: Vec<ProvenancedValue<'_>> =
             vals.iter().enumerate().map(|(i, v)| pv(v, i as u32, i as u64, i)).collect();
-        let r = SourceReliability::default().resolve("price", &provs);
+        let r = resolve(&provs).0;
         assert_eq!(r, Resolved::Single(Value::from("$27")));
     }
 
@@ -175,20 +150,18 @@ mod tests {
         let provs: Vec<ProvenancedValue<'_>> =
             vals.iter().enumerate().map(|(i, v)| pv(v, i as u32, i as u64, i)).collect();
         for iters in [1, 3, 8] {
-            let r = SourceReliability { iterations: iters, smoothing: 0.1 }
-                .resolve("x", &provs);
+            let (r, _) = ResolverSpec::SourceReliability { iterations: iters }.resolve(&provs);
             assert_eq!(r, Resolved::Single(Value::from("b")), "at {iters} iterations");
         }
     }
 
     #[test]
     fn confidence_is_winning_weight_share() {
-        use super::super::resolve::Resolved;
         // Unanimity: the winner holds the entire weight mass.
         let vals: Vec<Value> = ["$27", "$27"].iter().map(|s| Value::from(*s)).collect();
         let provs: Vec<ProvenancedValue<'_>> =
             vals.iter().enumerate().map(|(i, v)| pv(v, i as u32, i as u64, i)).collect();
-        let (r, c) = SourceReliability::default().resolve_with_confidence("price", &provs);
+        let (r, c) = resolve(&provs);
         assert_eq!(r, Resolved::Single(Value::from("$27")));
         assert!((c.unwrap() - 1.0).abs() < 1e-12, "unanimous share: {c:?}");
 
@@ -197,14 +170,14 @@ mod tests {
         let vals: Vec<Value> = ["$27", "$27", "$99"].iter().map(|s| Value::from(*s)).collect();
         let provs: Vec<ProvenancedValue<'_>> =
             vals.iter().enumerate().map(|(i, v)| pv(v, i as u32, i as u64, i)).collect();
-        let (_, c) = SourceReliability::default().resolve_with_confidence("price", &provs);
+        let (_, c) = resolve(&provs);
         let share = c.unwrap();
         assert!(share > 2.0 / 3.0 && share < 1.0, "amplified but not unanimous: {share}");
 
         // Confidence is permutation-invariant like the winner.
         let mut rev = provs.clone();
         rev.reverse();
-        let (_, c_rev) = SourceReliability::default().resolve_with_confidence("price", &rev);
+        let (_, c_rev) = resolve(&rev);
         assert_eq!(c, c_rev);
     }
 
@@ -213,7 +186,7 @@ mod tests {
         let vals: Vec<Value> = ["zeta", "alpha"].iter().map(|s| Value::from(*s)).collect();
         let provs: Vec<ProvenancedValue<'_>> =
             vals.iter().enumerate().map(|(i, v)| pv(v, i as u32, i as u64, i)).collect();
-        let r = SourceReliability::default().resolve("x", &provs);
+        let r = resolve(&provs).0;
         assert_eq!(r, Resolved::Single(Value::from("alpha")));
     }
 
@@ -226,10 +199,10 @@ mod tests {
             ["x", "y", "y", "z", "z", "z"].iter().map(|s| Value::from(*s)).collect();
         let provs: Vec<ProvenancedValue<'_>> =
             vals.iter().enumerate().map(|(i, v)| pv(v, (i % 3) as u32, i as u64, i)).collect();
-        let forward = SourceReliability::default().resolve("x", &provs);
+        let forward = resolve(&provs).0;
         let mut rev = provs.clone();
         rev.reverse();
-        let backward = SourceReliability::default().resolve("x", &rev);
+        let backward = resolve(&rev).0;
         assert_eq!(forward, backward);
         assert_eq!(forward, Resolved::Single(Value::from("y")));
     }
@@ -249,19 +222,8 @@ mod tests {
             pv(&vals[3], 1, 0, 3),
             pv(&vals[4], 2, 0, 4),
         ];
-        let r = SourceReliability::default().resolve("price", &provs);
+        let r = resolve(&provs).0;
         assert_eq!(r, Resolved::Single(Value::from("$27")));
-    }
-
-    #[test]
-    fn out_of_range_smoothing_is_clamped() {
-        let vals: Vec<Value> = ["$27", "$27", "$99"].iter().map(|s| Value::from(*s)).collect();
-        let provs: Vec<ProvenancedValue<'_>> =
-            vals.iter().enumerate().map(|(i, v)| pv(v, i as u32, i as u64, i)).collect();
-        for smoothing in [1.0, 5.0, -2.0, f64::NAN] {
-            let r = SourceReliability { iterations: 5, smoothing }.resolve("x", &provs);
-            assert_eq!(r, Resolved::Single(Value::from("$27")), "smoothing {smoothing}");
-        }
     }
 
     #[test]
@@ -270,8 +232,8 @@ mod tests {
         let b = Value::from("b");
         let one = [pv(&a, 0, 0, 0), pv(&b, 0, 0, 1)];
         let two = [pv(&b, 0, 0, 0), pv(&a, 0, 0, 1)];
-        let r1 = SourceReliability::default().resolve("x", &one);
-        let r2 = SourceReliability::default().resolve("x", &two);
+        let r1 = resolve(&one).0;
+        let r2 = resolve(&two).0;
         assert_eq!(r1, r2);
         assert_eq!(r1, Resolved::Single(Value::from("a")));
     }

@@ -1,26 +1,30 @@
-//! Per-attribute truth discovery: the [`ValueResolver`] trait and the
-//! order-independent built-in resolvers.
+//! Per-attribute truth discovery: [`ResolverSpec`], the one resolver type.
 //!
 //! Fusion has two levels. A [`crate::fusion::GroupingStrategy`] decides
-//! *grouping* — which records describe the same entity. A `ValueResolver` decides
-//! *truth* — which of a group's conflicting values for one attribute
-//! survive into the composite. Resolvers see full provenance
+//! *grouping* — which records describe the same entity. A `ResolverSpec`
+//! decides *truth* — which of a group's conflicting values for one
+//! attribute survive into the composite. It is a clonable configuration
+//! value and resolves values itself: [`ResolverSpec::resolve`] matches on
+//! the variant and runs that resolver. Resolvers see full provenance
 //! ([`ProvenancedValue`]: value + source id + record id + cluster rank), so
 //! they can weight sources, prefer fresh records, or keep several values.
 //!
-//! Every built-in resolver is deterministic **and** permutation-invariant:
-//! feeding the same multiset of provenanced values in any order yields the
-//! same [`Resolved`]. Ties never break on input position — they break on
-//! value text, then on provenance — so the fusion stage stays byte-identical
-//! at any rayon thread count (and under any upstream reordering). The one
-//! exception is [`PolicyResolver`], which deliberately preserves the classic
-//! order-sensitive [`ConflictPolicy`] semantics (`First`, first-seen tie
-//! breaks) for source-priority fusion.
+//! Every resolver but `Policy` is deterministic **and**
+//! permutation-invariant: feeding the same multiset of provenanced values
+//! in any order yields the same [`Resolved`]. Ties never break on input
+//! position — they break on value text, then on provenance — so the fusion
+//! stage stays byte-identical at any rayon thread count (and under any
+//! upstream reordering). [`ResolverSpec::Policy`] deliberately keeps the
+//! classic order-sensitive [`ConflictPolicy`] semantics (`First`,
+//! first-seen tie breaks) for source-priority fusion; it reads cluster
+//! order from each value's rank, not from the slice.
 
 use std::collections::HashMap;
 
-use datatamer_entity::consolidate::ConflictPolicy;
 use datatamer_model::{RecordId, SourceId, Value};
+
+use super::policy::ConflictPolicy;
+use super::reliability::source_reliability;
 
 /// One attribute value with its provenance: where it came from and where it
 /// sits in the cluster's source-priority order.
@@ -55,10 +59,9 @@ pub enum Resolved {
     /// Exactly one value survives (the single-truth case).
     Single(Value),
     /// Several values survive (genuine multi-truth attributes). The merge
-    /// writes one value as a scalar and two or more as a [`Value::Array`].
+    /// writes one value as a scalar, two or more as a [`Value::Array`],
+    /// and none (an attribute with no non-null value) as [`Value::Null`].
     Multi(Vec<Value>),
-    /// No value survives; the composite attribute stays null.
-    None,
 }
 
 impl Resolved {
@@ -67,35 +70,100 @@ impl Resolved {
         match self {
             Resolved::Single(v) => std::slice::from_ref(v),
             Resolved::Multi(vs) => vs,
-            Resolved::None => &[],
         }
     }
 }
 
-/// A truth-discovery policy for one attribute's conflicting values.
-///
-/// Implementations must be `Send + Sync`: the fusion stage resolves groups
-/// across the rayon team with one shared registry.
-pub trait ValueResolver: Send + Sync {
-    /// Stable resolver name (reports, dispatch assertions, benches).
-    fn name(&self) -> &'static str;
+/// A truth-discovery resolver for one attribute's conflicting values —
+/// the declarative, clonable choice a [`super::RegistryConfig`] routes
+/// attributes to, and the code that resolves them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResolverSpec {
+    /// Majority vote over text renderings. Ties break to the
+    /// lexicographically smallest text (not first-seen), keeping
+    /// resolution permutation-invariant.
+    MajorityVote,
+    /// Iterative accu-style source weighting (see the `reliability`
+    /// module).
+    SourceReliability {
+        /// Fixpoint rounds (a handful suffices; scores stabilise
+        /// geometrically).
+        iterations: usize,
+    },
+    /// Freshness proxy: the value from the record-provenance-greatest
+    /// record — the maximal `(record id, source id)` pair — wins.
+    ///
+    /// Record ids are source-local and assigned in arrival order, so
+    /// *within a source* this resolves stale-vs-fresh conflicts to the most
+    /// recently ingested value. *Across sources* it is only a deterministic
+    /// proxy: a source with more records outranks a genuinely fresher
+    /// source with fewer. True cross-source freshness needs record
+    /// timestamps (a ROADMAP follow-up); until then route attributes here
+    /// when one source owns their updates or the record-id ordering is
+    /// meaningful across the corpus.
+    LatestWins,
+    /// Multi-truth: keeps every distinct value whose support (fraction of
+    /// the group's non-null values agreeing on it) reaches `min_support`.
+    ///
+    /// Survivors are ordered by descending support, then text, so the
+    /// composite is deterministic. When nothing reaches the threshold the
+    /// best-supported value still survives (an attribute with values never
+    /// resolves to null).
+    MultiTruth {
+        /// Minimum support fraction for a value to survive. Clamped into
+        /// `(0, 1]` at resolution time: non-positive or NaN behaves as
+        /// "any support" (every distinct value survives), above 1 as
+        /// "unanimity only" — a misconfigured threshold degrades
+        /// gracefully instead of producing nonsense.
+        min_support: f64,
+    },
+    /// A classic order-sensitive merge policy, applied in cluster order.
+    Policy(ConflictPolicy),
+}
 
-    /// Resolve one attribute's non-null values. `values` is never empty.
-    fn resolve(&self, attr: &str, values: &[ProvenancedValue<'_>]) -> Resolved;
+impl ResolverSpec {
+    /// Stable resolver name (reports, routing assertions, benches).
+    pub fn name(&self) -> &'static str {
+        match self {
+            ResolverSpec::MajorityVote => "majority_vote",
+            ResolverSpec::SourceReliability { .. } => "source_reliability",
+            ResolverSpec::LatestWins => "latest_wins",
+            ResolverSpec::MultiTruth { .. } => "multi_truth",
+            ResolverSpec::Policy(ConflictPolicy::MajorityVote) => "policy:majority_vote",
+            ResolverSpec::Policy(ConflictPolicy::Longest) => "policy:longest",
+            ResolverSpec::Policy(ConflictPolicy::First) => "policy:first",
+            ResolverSpec::Policy(ConflictPolicy::NumericMin) => "policy:numeric_min",
+            ResolverSpec::Policy(ConflictPolicy::NumericMax) => "policy:numeric_max",
+        }
+    }
 
-    /// [`ValueResolver::resolve`] plus a confidence in `[0, 1]` when the
-    /// resolver can quantify how contested the decision was (e.g. the
-    /// winner's support fraction). Resolvers with no meaningful notion of
-    /// confidence — order-sensitive policies, freshness proxies — keep the
-    /// default `None`, so downstream consumers can distinguish "fully
-    /// contested" from "not measured". The confidence must be a pure
+    /// Resolve one attribute's non-null values, plus a confidence in
+    /// `[0, 1]` when the resolver can quantify how contested the decision
+    /// was: `MajorityVote`'s winning support fraction, `SourceReliability`'s
+    /// winning weight share. The others have no meaningful notion of
+    /// confidence and report `None`, so downstream consumers can tell
+    /// "fully contested" from "not measured". The confidence is a pure
     /// function of the input multiset, like the resolution itself.
-    fn resolve_with_confidence(
-        &self,
-        attr: &str,
-        values: &[ProvenancedValue<'_>],
-    ) -> (Resolved, Option<f64>) {
-        (self.resolve(attr, values), None)
+    ///
+    /// An empty slice resolves to no survivor (`Multi(vec![])`) and no
+    /// confidence.
+    pub fn resolve(&self, values: &[ProvenancedValue<'_>]) -> (Resolved, Option<f64>) {
+        let resolved = match *self {
+            ResolverSpec::MajorityVote => {
+                majority_vote(values).map(|(v, c)| (Resolved::Single(v), Some(c)))
+            }
+            ResolverSpec::SourceReliability { iterations } => {
+                source_reliability(values, iterations).map(|(v, c)| (Resolved::Single(v), c))
+            }
+            ResolverSpec::LatestWins => latest_wins(values).map(|v| (Resolved::Single(v), None)),
+            ResolverSpec::MultiTruth { min_support } => {
+                multi_truth(values, min_support).map(|r| (r, None))
+            }
+            ResolverSpec::Policy(policy) => {
+                by_policy(policy, values).map(|v| (Resolved::Single(v), None))
+            }
+        };
+        resolved.unwrap_or((Resolved::Multi(Vec::new()), None))
     }
 }
 
@@ -103,9 +171,7 @@ pub trait ValueResolver: Send + Sync {
 /// `(text, count, representative)` sorted by text. The representative is
 /// the provenance-smallest value with that text, so the output is fully
 /// determined by the input multiset.
-pub(crate) fn support_by_text<'a>(
-    values: &[ProvenancedValue<'a>],
-) -> Vec<(String, usize, &'a Value)> {
+fn support_by_text<'a>(values: &[ProvenancedValue<'a>]) -> Vec<(String, usize, &'a Value)> {
     let mut by_text: HashMap<String, (usize, ProvenancedValue<'a>)> = HashMap::new();
     for pv in values {
         let e = by_text.entry(pv.text()).or_insert((0, *pv));
@@ -121,163 +187,71 @@ pub(crate) fn support_by_text<'a>(
     out
 }
 
-/// Majority vote over text renderings. Ties break to the lexicographically
-/// smallest text (not first-seen), keeping resolution permutation-invariant.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MajorityVote;
-
-impl ValueResolver for MajorityVote {
-    fn name(&self) -> &'static str {
-        "majority_vote"
-    }
-
-    fn resolve(&self, attr: &str, values: &[ProvenancedValue<'_>]) -> Resolved {
-        self.resolve_with_confidence(attr, values).0
-    }
-
-    /// Confidence is the winner's support fraction: votes agreeing with
-    /// the surviving value over all non-null votes (1.0 when unanimous,
-    /// approaching `1/k` for a k-way split).
-    fn resolve_with_confidence(
-        &self,
-        _attr: &str,
-        values: &[ProvenancedValue<'_>],
-    ) -> (Resolved, Option<f64>) {
-        let tally = support_by_text(values);
-        // Sorted by text, so max_by_key's "last max wins" would pick the
-        // lexicographically largest among ties; scan keeps the smallest.
-        let mut best = &tally[0];
-        for cand in &tally[1..] {
-            if cand.1 > best.1 {
-                best = cand;
-            }
-        }
-        let confidence = best.1 as f64 / values.len() as f64;
-        (Resolved::Single(best.2.clone()), Some(confidence))
-    }
-}
-
-/// Freshness-proxy resolver: the value from the record-provenance-greatest
-/// record — the maximal `(record id, source id)` pair — wins.
-///
-/// Record ids are source-local and assigned in arrival order, so *within a
-/// source* this resolves stale-vs-fresh conflicts to the most recently
-/// ingested value. *Across sources* it is only a deterministic proxy: a
-/// source with more records outranks a genuinely fresher source with
-/// fewer. True cross-source freshness needs record timestamps (a ROADMAP
-/// follow-up); until then route attributes here when one source owns their
-/// updates or the record-id ordering is meaningful across the corpus.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatestWins;
-
-impl ValueResolver for LatestWins {
-    fn name(&self) -> &'static str {
-        "latest_wins"
-    }
-
-    fn resolve(&self, _attr: &str, values: &[ProvenancedValue<'_>]) -> Resolved {
-        // Pick by (record, source); compare texts (allocating) only on an
-        // exact provenance tie, which real groups never produce — one
-        // record contributes at most one value per attribute.
-        let latest = values
-            .iter()
-            .max_by(|a, b| {
-                (a.record, a.source)
-                    .cmp(&(b.record, b.source))
-                    .then_with(|| a.text().cmp(&b.text()))
-            })
-            .expect("resolver input is never empty");
-        Resolved::Single(latest.value.clone())
-    }
-}
-
-/// Multi-truth resolver: keeps every distinct value whose support (fraction
-/// of the group's non-null values agreeing on it) reaches `min_support`.
-///
-/// Survivors are ordered by descending support, then text, so the composite
-/// is deterministic. When nothing reaches the threshold the best-supported
-/// value still survives (an attribute with values never resolves to null).
-#[derive(Debug, Clone, Copy)]
-pub struct MultiTruth {
-    /// Minimum support fraction for a value to survive. Clamped into
-    /// `(0, 1]` at resolution time: non-positive or NaN behaves as "any
-    /// support" (every distinct value survives), above 1 as "unanimity
-    /// only" — a misconfigured threshold degrades gracefully instead of
-    /// producing nonsense.
-    pub min_support: f64,
-}
-
-impl Default for MultiTruth {
-    /// A quarter of the group must agree — permissive enough to keep
-    /// genuine alternative truths, strict enough to drop lone outliers in
-    /// large groups.
-    fn default() -> Self {
-        MultiTruth { min_support: 0.25 }
-    }
-}
-
-impl ValueResolver for MultiTruth {
-    fn name(&self) -> &'static str {
-        "multi_truth"
-    }
-
-    fn resolve(&self, _attr: &str, values: &[ProvenancedValue<'_>]) -> Resolved {
-        let min_support = if self.min_support.is_nan() {
-            f64::MIN_POSITIVE
-        } else {
-            self.min_support.clamp(f64::MIN_POSITIVE, 1.0)
-        };
-        let total = values.len() as f64;
-        let mut tally = support_by_text(values);
-        // Descending support, then ascending text.
-        tally.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let kept: Vec<Value> = tally
-            .iter()
-            .filter(|(_, count, _)| *count as f64 / total >= min_support)
-            .map(|(_, _, v)| (*v).clone())
-            .collect();
-        match kept.len() {
-            0 => Resolved::Single(tally[0].2.clone()),
-            1 => Resolved::Single(kept.into_iter().next().expect("len checked")),
-            _ => Resolved::Multi(kept),
+/// [`ResolverSpec::MajorityVote`]: the winner and its support fraction —
+/// votes agreeing with it over all non-null votes (1.0 when unanimous,
+/// approaching `1/k` for a k-way split).
+fn majority_vote(values: &[ProvenancedValue<'_>]) -> Option<(Value, f64)> {
+    let tally = support_by_text(values);
+    // Sorted by text, so max_by_key's "last max wins" would pick the
+    // lexicographically largest among ties; scan keeps the smallest.
+    let (mut best, rest) = tally.split_first()?;
+    for cand in rest {
+        if cand.1 > best.1 {
+            best = cand;
         }
     }
+    Some((best.2.clone(), best.1 as f64 / values.len() as f64))
 }
 
-/// Adapter giving the classic [`ConflictPolicy`] merge primitives (`First`,
-/// `Longest`, `NumericMin`, …) a seat in the resolver registry.
-///
-/// Unlike the truth-discovery resolvers this preserves the policies'
-/// order-sensitive semantics — `First` *means* cluster order, and majority
-/// ties break first-seen — which is exactly what source-priority fusion
-/// (curated sources listed first) relies on.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyResolver(pub ConflictPolicy);
+/// [`ResolverSpec::LatestWins`].
+fn latest_wins(values: &[ProvenancedValue<'_>]) -> Option<Value> {
+    // Pick by (record, source); compare texts (allocating) only on an
+    // exact provenance tie, which real groups never produce — one record
+    // contributes at most one value per attribute.
+    let latest = values.iter().max_by(|a, b| {
+        (a.record, a.source)
+            .cmp(&(b.record, b.source))
+            .then_with(|| a.text().cmp(&b.text()))
+    })?;
+    Some(latest.value.clone())
+}
 
-impl ValueResolver for PolicyResolver {
-    fn name(&self) -> &'static str {
-        match self.0 {
-            ConflictPolicy::MajorityVote => "policy:majority_vote",
-            ConflictPolicy::Longest => "policy:longest",
-            ConflictPolicy::First => "policy:first",
-            ConflictPolicy::NumericMin => "policy:numeric_min",
-            ConflictPolicy::NumericMax => "policy:numeric_max",
-        }
+/// [`ResolverSpec::MultiTruth`].
+fn multi_truth(values: &[ProvenancedValue<'_>], min_support: f64) -> Option<Resolved> {
+    let min_support = if min_support.is_nan() {
+        f64::MIN_POSITIVE
+    } else {
+        min_support.clamp(f64::MIN_POSITIVE, 1.0)
+    };
+    let total = values.len() as f64;
+    let mut tally = support_by_text(values);
+    // Descending support, then ascending text.
+    tally.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut kept: Vec<Value> = tally
+        .iter()
+        .filter(|(_, count, _)| *count as f64 / total >= min_support)
+        .map(|(_, _, v)| (*v).clone())
+        .collect();
+    match kept.len() {
+        0 => tally.first().map(|(_, _, v)| Resolved::Single((*v).clone())),
+        1 => kept.pop().map(Resolved::Single),
+        _ => Some(Resolved::Multi(kept)),
     }
+}
 
-    fn resolve(&self, _attr: &str, values: &[ProvenancedValue<'_>]) -> Resolved {
-        // ConflictPolicy semantics are defined over cluster order. The
-        // merge path always supplies rank order already, so only a
-        // hand-shuffled slice pays for the restoring sort.
-        let plain: Vec<&Value> = if values.windows(2).all(|w| w[0].rank <= w[1].rank) {
-            values.iter().map(|pv| pv.value).collect()
-        } else {
-            let mut ordered: Vec<&ProvenancedValue<'_>> = values.iter().collect();
-            ordered.sort_by_key(|pv| pv.rank);
-            ordered.iter().map(|pv| pv.value).collect()
-        };
-        Resolved::Single(self.0.resolve_values(&plain))
-    }
+/// [`ResolverSpec::Policy`]: the policy over the values in cluster order.
+fn by_policy(policy: ConflictPolicy, values: &[ProvenancedValue<'_>]) -> Option<Value> {
+    // ConflictPolicy semantics are defined over cluster order. The merge
+    // path always supplies rank order already, so only a hand-shuffled
+    // slice pays for the restoring sort.
+    let plain: Vec<&Value> = if values.is_sorted_by_key(|pv| pv.rank) {
+        values.iter().map(|pv| pv.value).collect()
+    } else {
+        let mut ordered: Vec<&ProvenancedValue<'_>> = values.iter().collect();
+        ordered.sort_by_key(|pv| pv.rank);
+        ordered.iter().map(|pv| pv.value).collect()
+    };
+    policy.resolve_values(&plain)
 }
 
 #[cfg(test)]
@@ -304,25 +278,29 @@ mod tests {
             .collect()
     }
 
+    fn multi_truth(min_support: f64) -> ResolverSpec {
+        ResolverSpec::MultiTruth { min_support }
+    }
+
     #[test]
     fn majority_vote_counts_support() {
         let vals = texts(&["a", "b", "b"]);
-        let r = MajorityVote.resolve("x", &pvs(&vals));
+        let (r, _) = ResolverSpec::MajorityVote.resolve(&pvs(&vals));
         assert_eq!(r, Resolved::Single(Value::from("b")));
     }
 
     #[test]
     fn majority_vote_confidence_is_support_fraction() {
         let vals = texts(&["a", "b", "b", "b"]);
-        let (r, c) = MajorityVote.resolve_with_confidence("x", &pvs(&vals));
+        let (r, c) = ResolverSpec::MajorityVote.resolve(&pvs(&vals));
         assert_eq!(r, Resolved::Single(Value::from("b")));
         assert_eq!(c, Some(0.75));
         let unanimous = texts(&["z", "z"]);
-        let (_, c) = MajorityVote.resolve_with_confidence("x", &pvs(&unanimous));
+        let (_, c) = ResolverSpec::MajorityVote.resolve(&pvs(&unanimous));
         assert_eq!(c, Some(1.0));
         // A 3-way split still reports the (low) winning fraction.
         let split = texts(&["a", "b", "c"]);
-        let (_, c) = MajorityVote.resolve_with_confidence("x", &pvs(&split));
+        let (_, c) = ResolverSpec::MajorityVote.resolve(&pvs(&split));
         assert!((c.unwrap() - 1.0 / 3.0).abs() < 1e-12);
     }
 
@@ -330,23 +308,40 @@ mod tests {
     fn resolvers_without_confidence_report_none() {
         let vals = texts(&["x", "y"]);
         let provs = pvs(&vals);
-        assert_eq!(LatestWins.resolve_with_confidence("a", &provs).1, None);
-        assert_eq!(
-            PolicyResolver(ConflictPolicy::First).resolve_with_confidence("a", &provs).1,
-            None
-        );
-        assert_eq!(MultiTruth::default().resolve_with_confidence("a", &provs).1, None);
-        // The default method must agree with resolve().
-        assert_eq!(
-            LatestWins.resolve_with_confidence("a", &provs).0,
-            LatestWins.resolve("a", &provs)
-        );
+        for spec in [
+            ResolverSpec::LatestWins,
+            ResolverSpec::Policy(ConflictPolicy::First),
+            multi_truth(0.25),
+        ] {
+            assert_eq!(spec.resolve(&provs).1, None, "{}", spec.name());
+        }
+    }
+
+    #[test]
+    fn every_resolver_resolves_an_empty_slice_to_no_survivor() {
+        let policies = [
+            ConflictPolicy::MajorityVote,
+            ConflictPolicy::Longest,
+            ConflictPolicy::First,
+            ConflictPolicy::NumericMin,
+            ConflictPolicy::NumericMax,
+        ]
+        .map(ResolverSpec::Policy);
+        let others = [
+            ResolverSpec::MajorityVote,
+            ResolverSpec::SourceReliability { iterations: 5 },
+            ResolverSpec::LatestWins,
+            multi_truth(0.25),
+        ];
+        for spec in others.into_iter().chain(policies) {
+            assert_eq!(spec.resolve(&[]), (Resolved::Multi(Vec::new()), None), "{}", spec.name());
+        }
     }
 
     #[test]
     fn majority_vote_tie_breaks_lexicographically() {
         let vals = texts(&["beta", "alpha"]);
-        let r = MajorityVote.resolve("x", &pvs(&vals));
+        let (r, _) = ResolverSpec::MajorityVote.resolve(&pvs(&vals));
         assert_eq!(r, Resolved::Single(Value::from("alpha")), "not first-seen");
     }
 
@@ -354,23 +349,24 @@ mod tests {
     fn latest_wins_takes_max_record_provenance() {
         let vals = texts(&["stale", "fresh", "mid"]);
         let provs = vec![pv(&vals[0], 0, 3, 0), pv(&vals[1], 0, 9, 1), pv(&vals[2], 1, 5, 2)];
-        assert_eq!(LatestWins.resolve("x", &provs), Resolved::Single(Value::from("fresh")));
+        let (r, _) = ResolverSpec::LatestWins.resolve(&provs);
+        assert_eq!(r, Resolved::Single(Value::from("fresh")));
     }
 
     #[test]
     fn multi_truth_keeps_supported_values() {
         let vals = texts(&["red", "red", "blue", "blue", "green"]);
-        let r = MultiTruth { min_support: 0.4 }.resolve("x", &pvs(&vals));
+        let (r, _) = multi_truth(0.4).resolve(&pvs(&vals));
         assert_eq!(r, Resolved::Multi(vec![Value::from("blue"), Value::from("red")]));
         // Everything qualifies at a tiny threshold; ordering is support-major.
-        let all = MultiTruth { min_support: 0.1 }.resolve("x", &pvs(&vals));
+        let (all, _) = multi_truth(0.1).resolve(&pvs(&vals));
         assert_eq!(all.values().len(), 3);
     }
 
     #[test]
     fn multi_truth_never_resolves_to_none() {
         let vals = texts(&["a", "b", "c"]);
-        let r = MultiTruth { min_support: 0.9 }.resolve("x", &pvs(&vals));
+        let (r, _) = multi_truth(0.9).resolve(&pvs(&vals));
         assert_eq!(r, Resolved::Single(Value::from("a")), "best-supported survives");
     }
 
@@ -379,7 +375,7 @@ mod tests {
         let vals = texts(&["a", "a", "b"]);
         // Non-positive / NaN = any support: both distinct values survive.
         for degenerate in [0.0, -3.0, f64::NAN] {
-            let r = MultiTruth { min_support: degenerate }.resolve("x", &pvs(&vals));
+            let (r, _) = multi_truth(degenerate).resolve(&pvs(&vals));
             assert_eq!(
                 r,
                 Resolved::Multi(vec![Value::from("a"), Value::from("b")]),
@@ -387,10 +383,10 @@ mod tests {
             );
         }
         // Above 1 = unanimity only: the split collapses to the best.
-        let r = MultiTruth { min_support: 7.5 }.resolve("x", &pvs(&vals));
+        let (r, _) = multi_truth(7.5).resolve(&pvs(&vals));
         assert_eq!(r, Resolved::Single(Value::from("a")));
         let unanimous = texts(&["z", "z"]);
-        let r = MultiTruth { min_support: 7.5 }.resolve("x", &pvs(&unanimous));
+        let (r, _) = multi_truth(7.5).resolve(&pvs(&unanimous));
         assert_eq!(r, Resolved::Single(Value::from("z")));
     }
 
@@ -399,13 +395,13 @@ mod tests {
         let vals = texts(&["second", "first"]);
         // Slice order disagrees with rank order; `First` must follow rank.
         let provs = vec![pv(&vals[0], 1, 1, 1), pv(&vals[1], 0, 0, 0)];
-        let r = PolicyResolver(ConflictPolicy::First).resolve("x", &provs);
+        let (r, _) = ResolverSpec::Policy(ConflictPolicy::First).resolve(&provs);
         assert_eq!(r, Resolved::Single(Value::from("first")));
     }
 
     #[test]
     fn resolved_values_views() {
-        assert_eq!(Resolved::None.values().len(), 0);
+        assert_eq!(Resolved::Multi(Vec::new()).values().len(), 0);
         assert_eq!(Resolved::Single(Value::Int(1)).values(), &[Value::Int(1)]);
         assert_eq!(
             Resolved::Multi(vec![Value::Int(1), Value::Int(2)]).values().len(),

@@ -15,10 +15,10 @@
 //! * [`fusion`] — fusing text-derived and structured records over the
 //!   global schema (the Matilda enrichment of Tables V–VI). Two levels:
 //!   a [`fusion::GroupingStrategy`] groups records into entities, and a
-//!   [`fusion::ResolverRegistry`] dispatches each attribute's conflicting
-//!   values to a [`fusion::ValueResolver`] (majority vote, source
-//!   reliability, latest-wins, multi-truth, or one order-sensitive
-//!   conflict policy through [`fusion::PolicyResolver`]).
+//!   [`fusion::RegistryConfig`] routes each attribute's conflicting values
+//!   to a [`fusion::ResolverSpec`] (majority vote, source reliability,
+//!   latest-wins, multi-truth, or one order-sensitive
+//!   [`fusion::ConflictPolicy`]).
 //! * [`query`] — demo queries: show lookup and top-k most-discussed
 //!   award-winning titles (Table IV).
 //! * [`stage`] — the staged pipeline: [`stage::PipelineStage`] (ingest →
@@ -41,8 +41,7 @@ pub use catalog::{Catalog, SourceInfo, SourceKind};
 pub use config::{DataTamerConfig, DeltaLogConfig, StorageConfig};
 pub use expert_bridge::ExpertPanelResolver;
 pub use fusion::{
-    fuse_records_with, LatestWins, MajorityVote, MultiTruth, PolicyResolver, ProvenancedValue,
-    RegistryConfig, Resolved, ResolverRegistry, ResolverSpec, SourceReliability, ValueResolver,
+    fuse_records_with, ConflictPolicy, ProvenancedValue, RegistryConfig, Resolved, ResolverSpec,
 };
 pub use datatamer_entity::incremental::{DeltaReport, IncrementalConsolidator};
 pub use ingest::{IngestStats, TextIngestor};

@@ -132,7 +132,7 @@ impl DataTamer {
     fn fuse_configured(&self, records: &[Record]) -> Vec<FusedEntity> {
         let config = self.ctx.config();
         let groups = config.grouping.groups(records, config.fusion_threshold);
-        merge_groups_with(records, &groups, &config.fusion_resolvers.build())
+        merge_groups_with(records, &groups, &config.fusion_resolvers)
     }
 
     /// Run the full canonical pipeline — ingest → schema integration →
@@ -187,11 +187,9 @@ impl DataTamer {
             Box::new(CleaningStage),
         ];
         run_stages(&mut self.ctx, &mut stages)?;
-        let (_, report) = self
-            .ctx
-            .integration_reports
-            .last()
-            .expect("schema integration stage records a report");
+        let (_, report) = self.ctx.integration_reports.last().ok_or_else(|| {
+            DtError::Invalid("the schema integration stage recorded no report".to_owned())
+        })?;
         Ok(report.clone())
     }
 
@@ -285,11 +283,14 @@ impl DataTamer {
         // (Re)seed when there is no session or the base corpus grew behind
         // its back; the accepted-batch journal carries over and replays on
         // top of the rebuilt corpus.
-        if self.resident.as_ref().is_none_or(|s| s.is_stale(&self.ctx)) {
-            let journal = self.resident.take().map(ResidentSession::into_journal);
-            self.resident = Some(ResidentSession::seed(&self.ctx, config, staged, journal)?);
-        }
-        self.resident.as_mut().expect("seeded above").apply(&mut self.ctx, batch)
+        let session = match self.resident.take() {
+            Some(session) if !session.is_stale(&self.ctx) => session,
+            stale => {
+                let journal = stale.map(ResidentSession::into_journal);
+                ResidentSession::seed(&self.ctx, config, staged, journal)?
+            }
+        };
+        self.resident.insert(session).apply(&mut self.ctx, batch)
     }
 
     /// Look up one show in a fused entity set by (canonicalised) name.

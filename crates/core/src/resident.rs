@@ -246,9 +246,9 @@ impl ResidentSession {
         let mut groups: Vec<FusionGroup> = Vec::with_capacity(clusters.len());
         let mut slots: Vec<Option<FusedEntity>> = Vec::with_capacity(clusters.len());
         for cluster in clusters {
-            let id = cluster[0];
+            let Some(&id) = cluster.first() else { continue };
             // Previous groups below this id were merged away or re-keyed.
-            while prev.next_if(|((_, members), _)| members[0] < id).is_some() {}
+            while prev.next_if(|((_, members), _)| members.first() < Some(&id)).is_some() {}
             if let Some((group, entity)) = prev.next_if(|((_, m), _)| m == cluster) {
                 groups.push(group);
                 slots.push(Some(entity));
@@ -262,7 +262,7 @@ impl ResidentSession {
         }
 
         let changed: Vec<bool> = slots.iter().map(Option::is_none).collect();
-        let registry = ctx.config().fusion_resolvers.build();
+        let registry = &ctx.config().fusion_resolvers;
         let todo: Vec<&FusionGroup> = groups
             .iter()
             .zip(&changed)
@@ -270,16 +270,13 @@ impl ResidentSession {
             .collect();
         let mut resolved = todo
             .par_iter()
-            .map(|g| merge_group(|i| corpus.get(i), g, &registry))
+            .map(|g| merge_group(|i| corpus.get(i), g, registry))
             .collect::<Vec<_>>()
             .into_iter();
-        let fused: Vec<FusedEntity> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.or_else(|| resolved.next())
-                    .expect("one resolution per empty slot")
-            })
-            .collect();
+        // One resolution per empty slot, in slot order.
+        let fused: Vec<FusedEntity> =
+            slots.into_iter().filter_map(|slot| slot.or_else(|| resolved.next())).collect();
+        debug_assert_eq!(fused.len(), groups.len());
 
         // Delta-scope pair counts, corpus-scope group counts.
         ctx.record_delta_runs(

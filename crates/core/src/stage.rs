@@ -31,7 +31,7 @@ use crate::config::DataTamerConfig;
 use crate::fusion::grouping::blocked_er;
 use crate::fusion::{
     merge_groups_with, FusedEntity, FusionGroup, GroupingReport, GroupingStrategy,
-    ResolverRegistry, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
+    RegistryConfig, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
 };
 use crate::ingest::{IngestStats, TextIngestor};
 use crate::pipeline::{record_to_doc, GLOBAL_RECORDS_COLLECTION};
@@ -673,22 +673,22 @@ impl PipelineStage for EntityConsolidationStage {
 // ---------------------------------------------------------------------------
 
 /// Stage 5: merge each candidate group into one composite entity through a
-/// resolver registry (groups merge in parallel; the registry's resolvers
-/// are deterministic, so output is byte-identical at any thread count).
+/// resolver routing (groups merge in parallel; every resolver is
+/// deterministic, so output is byte-identical at any thread count).
 ///
-/// The default stage resolves through the context's configured routing
+/// The default stage borrows the context's configured routing
 /// ([`DataTamerConfig::fusion_resolvers`]), which is what
 /// [`crate::DataTamer::run`] uses; [`FusionStage::new`] names an explicit
-/// registry for a hand-assembled stage list.
+/// routing for a hand-assembled stage list.
 #[derive(Debug, Default)]
 pub struct FusionStage {
-    registry: Option<ResolverRegistry>,
+    registry: Option<RegistryConfig>,
 }
 
 impl FusionStage {
     /// Resolve conflicts through `registry` instead of the context's
     /// configured routing.
-    pub fn new(registry: ResolverRegistry) -> Self {
+    pub fn new(registry: RegistryConfig) -> Self {
         FusionStage { registry: Some(registry) }
     }
 }
@@ -699,14 +699,7 @@ impl PipelineStage for FusionStage {
     }
 
     fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
-        let from_ctx;
-        let registry = match &self.registry {
-            Some(registry) => registry,
-            None => {
-                from_ctx = ctx.config.fusion_resolvers.build();
-                &from_ctx
-            }
-        };
+        let registry = self.registry.as_ref().unwrap_or(&ctx.config.fusion_resolvers);
         // Consume the consolidation snapshot: it exists only to hand the
         // grouped records from the previous stage to this one, and keeping
         // a full record clone alive in the context would double resident

@@ -1,15 +1,17 @@
 //! Property tests for the truth-discovery resolvers: resolution is
-//! permutation-invariant in input order, majority winners carry maximal
-//! support, multi-truth survivors are a subset of the inputs, and
-//! latest-wins follows record-provenance order exactly.
+//! permutation-invariant in input order (the order-sensitive policies read
+//! cluster order from each value's rank, so they are invariant to slice
+//! order), majority winners carry maximal support, multi-truth survivors
+//! are a subset of the inputs, latest-wins follows record-provenance order
+//! exactly, and a resolved group covers every member attribute with values
+//! that came from the members.
 
 use proptest::prelude::*;
 
 use datatamer_core::fusion::{
-    LatestWins, MajorityVote, MultiTruth, ProvenancedValue, Resolved, SourceReliability,
-    ValueResolver,
+    resolve_group, ConflictPolicy, ProvenancedValue, RegistryConfig, Resolved, ResolverSpec,
 };
-use datatamer_model::{RecordId, SourceId, Value};
+use datatamer_model::{Record, RecordId, SourceId, Value};
 
 /// A conflict group: `(text, source, record)` triples. The tight alphabet
 /// forces agreement clusters and ties; the tight id ranges force shared
@@ -37,15 +39,47 @@ fn provenanced<'a>(
         .collect()
 }
 
-/// The order-free built-in resolvers under test.
-fn resolvers() -> Vec<(&'static str, Box<dyn ValueResolver>)> {
+/// Like [`provenanced`], but each value keeps its rank — its index in
+/// `entries` — wherever `order` puts it in the slice.
+fn ranked<'a>(
+    values: &'a [Value],
+    entries: &[(String, u32, u64)],
+    order: &[usize],
+) -> Vec<ProvenancedValue<'a>> {
+    order
+        .iter()
+        .map(|&i| ProvenancedValue {
+            value: &values[i],
+            source: SourceId(entries[i].1),
+            record: RecordId(entries[i].2),
+            rank: i,
+        })
+        .collect()
+}
+
+/// The order-free resolvers under test.
+fn resolvers() -> Vec<(&'static str, ResolverSpec)> {
     vec![
-        ("majority_vote", Box::new(MajorityVote)),
-        ("source_reliability", Box::new(SourceReliability::default())),
-        ("latest_wins", Box::new(LatestWins)),
-        ("multi_truth_0.25", Box::new(MultiTruth { min_support: 0.25 })),
-        ("multi_truth_0.6", Box::new(MultiTruth { min_support: 0.6 })),
+        ("majority_vote", ResolverSpec::MajorityVote),
+        ("source_reliability", ResolverSpec::SourceReliability { iterations: 5 }),
+        ("latest_wins", ResolverSpec::LatestWins),
+        ("multi_truth_0.25", ResolverSpec::MultiTruth { min_support: 0.25 }),
+        ("multi_truth_0.6", ResolverSpec::MultiTruth { min_support: 0.6 }),
     ]
+}
+
+/// Every order-sensitive policy.
+fn policies() -> Vec<ResolverSpec> {
+    [
+        ConflictPolicy::MajorityVote,
+        ConflictPolicy::Longest,
+        ConflictPolicy::First,
+        ConflictPolicy::NumericMin,
+        ConflictPolicy::NumericMax,
+    ]
+    .into_iter()
+    .map(ResolverSpec::Policy)
+    .collect()
 }
 
 proptest! {
@@ -66,9 +100,9 @@ proptest! {
         reversed.reverse();
 
         for (name, resolver) in resolvers() {
-            let base = resolver.resolve("X", &provenanced(&values, &entries, &forward));
+            let base = resolver.resolve(&provenanced(&values, &entries, &forward));
             for (label, order) in [("rotated", &rotated), ("reversed", &reversed)] {
-                let permuted = resolver.resolve("X", &provenanced(&values, &entries, order));
+                let permuted = resolver.resolve(&provenanced(&values, &entries, order));
                 prop_assert_eq!(
                     &base, &permuted,
                     "{} must be {}-invariant", name, label
@@ -82,7 +116,7 @@ proptest! {
         let values: Vec<Value> =
             entries.iter().map(|(t, _, _)| Value::from(t.as_str())).collect();
         let order: Vec<usize> = (0..entries.len()).collect();
-        let resolved = MajorityVote.resolve("X", &provenanced(&values, &entries, &order));
+        let (resolved, _) = ResolverSpec::MajorityVote.resolve(&provenanced(&values, &entries, &order));
         let Resolved::Single(winner) = resolved else {
             return Err(TestCaseError::fail("majority vote resolves to a single value"));
         };
@@ -107,8 +141,8 @@ proptest! {
         let values: Vec<Value> =
             entries.iter().map(|(t, _, _)| Value::from(t.as_str())).collect();
         let order: Vec<usize> = (0..entries.len()).collect();
-        let resolver = MultiTruth { min_support: f64::from(support_pct) / 100.0 };
-        let resolved = resolver.resolve("X", &provenanced(&values, &entries, &order));
+        let resolver = ResolverSpec::MultiTruth { min_support: f64::from(support_pct) / 100.0 };
+        let (resolved, _) = resolver.resolve(&provenanced(&values, &entries, &order));
         let survivors = resolved.values();
         prop_assert!(!survivors.is_empty(), "an attribute with values never empties");
         let mut seen: Vec<String> = Vec::new();
@@ -128,7 +162,7 @@ proptest! {
         let values: Vec<Value> =
             entries.iter().map(|(t, _, _)| Value::from(t.as_str())).collect();
         let order: Vec<usize> = (0..entries.len()).collect();
-        let resolved = LatestWins.resolve("X", &provenanced(&values, &entries, &order));
+        let (resolved, _) = ResolverSpec::LatestWins.resolve(&provenanced(&values, &entries, &order));
         let expected = entries
             .iter()
             .map(|(t, s, r)| (*r, *s, t.clone()))
@@ -147,8 +181,74 @@ proptest! {
         let entries: Vec<(String, u32, u64)> =
             (0..n).map(|i| (text.clone(), i as u32, i as u64)).collect();
         let order: Vec<usize> = (0..n).collect();
-        let resolved =
-            SourceReliability::default().resolve("X", &provenanced(&values, &entries, &order));
+        let spec = ResolverSpec::SourceReliability { iterations: 5 };
+        let (resolved, _) = spec.resolve(&provenanced(&values, &entries, &order));
         prop_assert_eq!(resolved, Resolved::Single(Value::from(text.as_str())));
+    }
+
+    #[test]
+    fn policies_follow_rank_not_slice_order(
+        // Digits and `$` make numeric, money and non-numeric texts of
+        // tied lengths, so every policy's tie break is exercised.
+        entries in prop::collection::vec(("[a1-3$]{1,3}", 0u32..4, 0u64..8), 1..10),
+        rot in 0usize..16,
+    ) {
+        let values: Vec<Value> =
+            entries.iter().map(|(t, _, _)| Value::from(t.as_str())).collect();
+        let n = entries.len();
+        let forward: Vec<usize> = (0..n).collect();
+        let mut rotated = forward.clone();
+        rotated.rotate_left(rot % n);
+        let mut reversed = forward.clone();
+        reversed.reverse();
+
+        for policy in policies() {
+            let base = policy.resolve(&ranked(&values, &entries, &forward));
+            for (label, order) in [("rotated", &rotated), ("reversed", &reversed)] {
+                let permuted = policy.resolve(&ranked(&values, &entries, order));
+                prop_assert_eq!(
+                    &base, &permuted,
+                    "{} must follow rank, not {} slice order", policy.name(), label
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_covers_union_of_attributes(
+        cluster in prop::collection::vec(
+            prop::collection::vec(("[a-c]", "[a-z]{1,6}"), 1..4),
+            1..5,
+        ),
+    ) {
+        let records: Vec<Record> = cluster
+            .iter()
+            .enumerate()
+            .map(|(i, fields)| {
+                Record::from_pairs(
+                    SourceId(0),
+                    RecordId(i as u64),
+                    fields.iter().map(|(k, v)| (k.clone(), Value::from(v.clone()))).collect(),
+                )
+            })
+            .collect();
+        let refs: Vec<&Record> = records.iter().collect();
+        let registry =
+            RegistryConfig::uniform(ResolverSpec::Policy(ConflictPolicy::MajorityVote));
+        let (merged, _) = resolve_group(&refs, &registry);
+        // Every attribute present in any member appears in the composite.
+        for r in &records {
+            for name in r.field_names() {
+                prop_assert!(merged.get(name).is_some(), "lost attribute {}", name);
+            }
+        }
+        // Majority vote picks an existing value.
+        for (name, v) in merged.iter() {
+            if v.is_null() {
+                continue;
+            }
+            let seen = records.iter().any(|r| r.get(name) == Some(v));
+            prop_assert!(seen, "invented value for {}", name);
+        }
     }
 }

@@ -91,7 +91,7 @@ impl UnionFind {
         for c in &mut out {
             c.sort_unstable();
         }
-        out.sort_by_key(|c| c[0]);
+        out.sort_by_key(|c| c.first().copied());
         out
     }
 }

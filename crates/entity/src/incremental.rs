@@ -354,7 +354,7 @@ impl IncrementalConsolidator {
             .clusters
             .iter()
             .filter(|c| {
-                while prev.next_if(|p| p[0] < c[0]).is_some() {}
+                while prev.next_if(|p| p.first() < c.first()).is_some() {}
                 prev.next_if(|p| p == c).is_none()
             })
             .count();

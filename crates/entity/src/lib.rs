@@ -6,8 +6,10 @@
 //! impossible, so consolidation is: **block** (candidate generation) →
 //! **score** pairs (rule-based or the ML dedup classifier) → **cluster**
 //! (union-find over accepted pairs) → **merge** into composite records with
-//! conflict resolution. The staged pipeline in `datatamer-core` chains the
-//! batch primitives below; delta batches go through [`incremental`].
+//! conflict resolution. This crate owns block, score and cluster; the merge
+//! is `datatamer-core`'s fusion. The staged pipeline in `datatamer-core`
+//! chains the batch primitives below; delta batches go through
+//! [`incremental`].
 //!
 //! * [`blocking`] — token-blocking candidate generation; oversized buckets
 //!   degrade to a progressive window over the full-key sort order instead
@@ -21,8 +23,6 @@
 //!   [`ScoringContext::accepts`] rejects a pair on a float-exact upper
 //!   bound before running Jaro-Winkler on its long texts.
 //! * [`cluster`] — union-find clustering of accepted pairs.
-//! * [`consolidate`] — the composite-record scaffolding ([`merge_composite`])
-//!   and the classic per-attribute [`ConflictPolicy`] values.
 //! * [`incremental`] — delta ER with resident blocking indices, scoring
 //!   context, accept-decision memo, and persistent union-find: ingest
 //!   scales with the batch, not the corpus, while clusters stay
@@ -30,12 +30,10 @@
 
 pub mod blocking;
 pub mod cluster;
-pub mod consolidate;
 pub mod incremental;
 pub mod pairsim;
 
 pub use blocking::{Blocker, BlockingOutcome, BUCKET_CAP, PROGRESSIVE_WINDOW};
 pub use cluster::UnionFind;
 pub use incremental::{DeltaReport, IncrementalConsolidator};
-pub use consolidate::{merge_composite, ConflictPolicy};
 pub use pairsim::{PairScorer, PrepareStats, RecordSimilarity, ScoringContext};

@@ -127,7 +127,7 @@ impl PairScorer {
 /// result is the weighted mean over compared attributes. Attributes missing
 /// on either side contribute nothing (curated sources are sparse — absence
 /// is not evidence of difference).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordSimilarity {
     /// `(attribute, weight)`; attributes not listed get `default_weight`.
     pub weights: Vec<(String, f64)>,
@@ -145,6 +145,13 @@ impl RecordSimilarity {
     /// Build with explicit attribute weights.
     pub fn with_weights(weights: Vec<(String, f64)>, default_weight: f64) -> Self {
         RecordSimilarity { weights, default_weight }
+    }
+
+    /// This similarity as a [`PairScorer::Rules`]. It exists only because
+    /// the `dtbench` benchmark names it (`BlockedErConfig::scorer.build()`);
+    /// the library wraps the similarity in `PairScorer::Rules` directly.
+    pub fn build(&self) -> PairScorer {
+        PairScorer::Rules(self.clone())
     }
 
     fn weight_of(&self, attr: &str) -> f64 {

@@ -1,7 +1,6 @@
 //! Property tests for entity consolidation: union-find matches a naive
-//! transitive closure, cluster merges preserve attribute coverage, the
-//! batch primitives (block → score → cluster) never invent or lose
-//! records, and token blocking holds its output invariants (sorted,
+//! transitive closure, the batch primitives (block → score → cluster)
+//! never invent or lose records, and token blocking holds its output invariants (sorted,
 //! deduplicated, ordered pairs, independent of run state) on both the
 //! quadratic and the progressive-window path.
 
@@ -9,7 +8,6 @@ use proptest::prelude::*;
 
 use datatamer_entity::blocking::Blocker;
 use datatamer_entity::cluster::{cluster_pairs, UnionFind};
-use datatamer_entity::consolidate::{merge_composite, ConflictPolicy};
 use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
 use datatamer_model::{Record, RecordId, SourceId, Value};
 
@@ -87,45 +85,6 @@ proptest! {
             for j in 0..n {
                 prop_assert_eq!(uf.connected(i, j), uf.connected(j, i), "symmetric");
             }
-        }
-    }
-
-    #[test]
-    fn merge_covers_union_of_attributes(
-        cluster in prop::collection::vec(
-            prop::collection::vec(("[a-c]", "[a-z]{1,6}"), 1..4),
-            1..5,
-        ),
-    ) {
-        let records: Vec<Record> = cluster
-            .iter()
-            .enumerate()
-            .map(|(i, fields)| {
-                Record::from_pairs(
-                    SourceId(0),
-                    RecordId(i as u64),
-                    fields.iter().map(|(k, v)| (k.clone(), Value::from(v.clone()))).collect(),
-                )
-            })
-            .collect();
-        let refs: Vec<&Record> = records.iter().collect();
-        let merged = merge_composite(&refs, |_, values| {
-            let plain: Vec<&Value> = values.iter().map(|&(_, v)| v).collect();
-            ConflictPolicy::MajorityVote.resolve_values(&plain)
-        });
-        // Every attribute present in any member appears in the composite.
-        for r in &records {
-            for name in r.field_names() {
-                prop_assert!(merged.get(name).is_some(), "lost attribute {}", name);
-            }
-        }
-        // Majority vote picks an existing value.
-        for (name, v) in merged.iter() {
-            if v.is_null() {
-                continue;
-            }
-            let seen = records.iter().any(|r| r.get(name) == Some(v));
-            prop_assert!(seen, "invented value for {}", name);
         }
     }
 

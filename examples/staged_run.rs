@@ -36,12 +36,10 @@ fn main() {
         .with("THEATER", ResolverSpec::SourceReliability { iterations: 5 })
         .with("FIRST", ResolverSpec::LatestWins);
     println!("fusion resolver routing:");
-    let registry = resolvers.build();
-    let (routes, default) = registry.dispatch_table();
-    for (attr, resolver) in routes {
-        println!("  {attr:<16} -> {resolver}");
+    for (attr, resolver) in &resolvers.per_attribute {
+        println!("  {attr:<16} -> {}", resolver.name());
     }
-    println!("  (default)        -> {default}\n");
+    println!("  (default)        -> {}\n", resolvers.default.name());
 
     let mut dt =
         DataTamer::new(DataTamerConfig { fusion_resolvers: resolvers, ..Default::default() });

@@ -10,10 +10,10 @@
 //! cargo run --release --example webtext_dedup
 //! ```
 
-use datatamer::core::fusion::{resolve_group, PolicyResolver, ResolverRegistry};
+use datatamer::core::fusion::{resolve_group, ConflictPolicy, RegistryConfig, ResolverSpec};
 use datatamer::corpus::truth::{labeled_pairs, labeled_pairs_with, PairDifficulty, DEDUP_EVAL_TYPES};
 use datatamer::entity::cluster::cluster_pairs;
-use datatamer::entity::{Blocker, ConflictPolicy, PairScorer};
+use datatamer::entity::{Blocker, PairScorer};
 use datatamer::ml::dedup::{crossval_dedup, DedupClassifier};
 use datatamer::ml::logreg::LogRegConfig;
 use datatamer::model::{Record, RecordId, SourceId, Value};
@@ -77,10 +77,10 @@ fn main() {
     );
     // Majority vote with first-seen tie breaks: the cluster's earliest
     // spelling wins a 1–1 split.
-    let registry = ResolverRegistry::new(Box::new(PolicyResolver(ConflictPolicy::MajorityVote)));
+    let registry = RegistryConfig::uniform(ResolverSpec::Policy(ConflictPolicy::MajorityVote));
     for cluster in &clusters {
         let members: Vec<&Record> = cluster.iter().map(|&i| &records[i]).collect();
-        let composite = resolve_group(&members, &registry);
+        let (composite, _) = resolve_group(&members, &registry);
         let names: Vec<&str> = cluster.iter().map(|&i| dirty[i]).collect();
         println!("  {names:?} -> \"{}\"", composite.get_text("name").unwrap_or_default());
     }

@@ -175,21 +175,20 @@
 //! ## Fusion: grouping + per-attribute truth discovery
 //!
 //! Fusion is two-level. A `GroupingStrategy` decides *grouping* — which
-//! records describe the same entity — and a `ResolverRegistry` decides
-//! *truth*: it routes each attribute's conflicting, provenance-tagged
-//! values (source id, record id, cluster rank) to a `ValueResolver`.
-//! Built-ins cover
-//! majority vote, iterative accu-style source-reliability weighting,
-//! freshness (`LatestWins` over record provenance), multi-truth attributes
-//! (every value above a support threshold survives, as an array), and
-//! `PolicyResolver`, which applies one order-sensitive conflict policy
-//! (`First`, `Longest`, numeric min/max, first-seen-tie majority).
-//! Every composite is built by one routine, `merge_composite`, driven by
-//! the registry. Routing is declarative
-//! ([`core::fusion::RegistryConfig`]) and set once, on
-//! `DataTamerConfig::fusion_resolvers`: a system fuses every run, ad-hoc
-//! re-fusion and delta under that one routing. The halves also compose
-//! directly over a record slice:
+//! records describe the same entity — and a [`core::fusion::RegistryConfig`]
+//! decides *truth*: it routes each attribute's conflicting,
+//! provenance-tagged values (source id, record id, cluster rank) to a
+//! [`core::fusion::ResolverSpec`], the one resolver type, which resolves
+//! them itself. Its variants cover majority vote, iterative accu-style
+//! source-reliability weighting, freshness (`LatestWins` over record
+//! provenance), multi-truth attributes (every value above a support
+//! threshold survives, as an array), and `Policy`, which applies one
+//! order-sensitive `ConflictPolicy` in cluster order (`First`, `Longest`,
+//! numeric min/max, first-seen-tie majority). Every composite is built by
+//! one routine, `resolve_group`. The routing is set once, on
+//! `DataTamerConfig::fusion_resolvers`, and fusion borrows it: a system
+//! fuses every run, ad-hoc re-fusion and delta under that one routing. The
+//! halves also compose directly over a record slice:
 //!
 //! ```
 //! use datatamer::core::fusion::{
@@ -219,8 +218,7 @@
 //!
 //! // STATUS majority-votes; RATING keeps every well-supported truth.
 //! let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
-//!     .with("RATING", ResolverSpec::MultiTruth { min_support: 0.3 })
-//!     .build();
+//!     .with("RATING", ResolverSpec::MultiTruth { min_support: 0.3 });
 //! // Names join at Jaro-Winkler ≥ 0.88 on their canonical form.
 //! let fused = fuse_records_with(&records, 0.88, &registry);
 //! assert_eq!(fused[0].record.get_text("STATUS").as_deref(), Some("open"));

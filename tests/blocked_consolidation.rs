@@ -3,9 +3,10 @@
 //! pair scoring → union-find), with blocking health surfaced in the stage
 //! report and progressive blocking keeping oversized buckets connected.
 
-use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy, ScorerSpec};
+use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy};
 use datatamer::core::stage::{stage_names, StageReport};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
+use datatamer::entity::RecordSimilarity;
 use datatamer::model::{Record, RecordId, SourceId, Value};
 
 fn config_with(grouping: GroupingStrategy) -> DataTamerConfig {
@@ -134,10 +135,7 @@ fn oversized_bucket_stays_connected_through_the_staged_pipeline() {
 
     let grouping = GroupingStrategy::BlockedEr(BlockedErConfig {
         key_attr: "SHOW_NAME".to_owned(),
-        scorer: ScorerSpec::Rules {
-            weights: vec![("VENUE".to_owned(), 5.0)],
-            default_weight: 1.0,
-        },
+        scorer: RecordSimilarity::with_weights(vec![("VENUE".to_owned(), 5.0)], 1.0),
         accept_threshold: 0.8,
         ..Default::default()
     });

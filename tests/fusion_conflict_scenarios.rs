@@ -1,14 +1,13 @@
-//! Conflict-scenario corpus for the truth-discovery resolver registry.
+//! Conflict-scenario corpus for the truth-discovery resolver routing.
 //!
 //! A table of canonical conflict shapes — agreeing sources, 2-vs-1 splits,
 //! stale-vs-fresh values, genuine multi-truth attributes — each resolved by
 //! the built-in resolver the shape exercises, with the expected survivor(s)
-//! pinned. A second half drives the same registry machinery through the
+//! pinned. A second half drives the same routing through the
 //! full staged pipeline to assert per-attribute dispatch end to end.
 
-use datatamer::core::fusion::{fuse_records_with, RegistryConfig, ResolverSpec};
+use datatamer::core::fusion::{fuse_records_with, ConflictPolicy, RegistryConfig, ResolverSpec};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
-use datatamer::entity::ConflictPolicy;
 use datatamer::model::{Record, RecordId, SourceId, Value};
 
 /// What a scenario expects to survive for the conflicted attribute.
@@ -140,8 +139,7 @@ fn expected_value(expect: &Expect) -> Value {
 fn conflict_corpus_resolves_as_pinned() {
     for s in scenarios() {
         let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
-            .with(ATTR, s.resolver.clone())
-            .build();
+            .with(ATTR, s.resolver.clone());
         let records = scenario_records(&s);
         let fused = fuse_records_with(&records, 0.88, &registry);
         assert_eq!(fused.len(), 1, "{}: one conflicted entity", s.name);
@@ -173,8 +171,7 @@ fn resolution_is_insensitive_to_record_order_for_order_free_resolvers() {
             continue; // classic policies are deliberately order-sensitive
         }
         let registry = RegistryConfig::uniform(ResolverSpec::MajorityVote)
-            .with(ATTR, s.resolver.clone())
-            .build();
+            .with(ATTR, s.resolver.clone());
         let mut records = scenario_records(&s);
         records.reverse();
         let fused = fuse_records_with(&records, 0.88, &registry);
@@ -194,9 +191,9 @@ fn registry_dispatches_each_attribute_to_its_own_resolver() {
         .with("STATUS", ResolverSpec::LatestWins)
         .with("RATING", ResolverSpec::MultiTruth { min_support: 0.4 })
         .with("PRICE", ResolverSpec::Policy(ConflictPolicy::NumericMin))
-        .with("VENUE", ResolverSpec::SourceReliability { iterations: 5 })
-        .build();
-    let (rows, default) = registry.dispatch_table();
+        .with("VENUE", ResolverSpec::SourceReliability { iterations: 5 });
+    let rows: Vec<(&str, &str)> =
+        registry.per_attribute.iter().map(|(attr, spec)| (attr.as_str(), spec.name())).collect();
     assert_eq!(
         rows,
         vec![
@@ -206,7 +203,7 @@ fn registry_dispatches_each_attribute_to_its_own_resolver() {
             ("VENUE", "source_reliability"),
         ]
     );
-    assert_eq!(default, "majority_vote");
+    assert_eq!(registry.default.name(), "majority_vote");
 
     let mk = |src: u32, id: u64, status: &str, rating: &str, price: &str, venue: &str| {
         Record::from_pairs(

@@ -23,6 +23,7 @@ use datatamer::core::fusion::{
 };
 use datatamer::core::{DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan};
 use datatamer::entity::cluster::cluster_pairs;
+use datatamer::entity::PairScorer;
 use datatamer::model::{Record, RecordId, SourceId, Value};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -102,7 +103,7 @@ fn full_run(corpus: &[Record]) -> (String, String) {
 /// corpora has a show name, so every cluster forms a group).
 fn batch_engine_clusters(corpus: &[Record]) -> Vec<Vec<usize>> {
     let config = BlockedErConfig::default();
-    let prepared = config.scorer.build().prepare(corpus);
+    let prepared = PairScorer::Rules(config.scorer.clone()).prepare(corpus);
     let outcome = config.build_blocker().candidates_with_report_keyed(corpus, &|| {
         prepared.sort_keys(&config.key_attr).expect("rules contexts key any attribute")
     });
