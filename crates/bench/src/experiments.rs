@@ -3,10 +3,15 @@
 use std::time::{Duration, Instant};
 
 use datatamer_core::fusion::{
-    CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, TEXT_FEED, THEATER,
+    merge_groups_with, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, TEXT_FEED, THEATER,
 };
-use datatamer_core::query::DiscussedShow;
-use datatamer_core::{DataTamer, ExpertPanelResolver};
+use datatamer_core::ingest::INSTANCE_COLLECTION;
+use datatamer_core::query::{top_discussed_award_winning, DiscussedShow};
+use datatamer_core::stage::{
+    run_stages, CleaningStage, EntityConsolidationStage, FusionStage, IngestStage,
+    PipelineContext, PipelineStage, SchemaIntegrationStage, TextIngestJob,
+};
+use datatamer_core::{DataTamer, DataTamerConfig, ExpertPanelResolver};
 use datatamer_corpus::truth::{labeled_pairs_with, GroundTruth, PairDifficulty, DEDUP_EVAL_TYPES};
 use datatamer_corpus::{ftables, names};
 use datatamer_ml::dedup::crossval_dedup;
@@ -114,9 +119,14 @@ fn render_fused(record: &datatamer_model::Record, attrs: &[&str]) -> QueryRows {
         .collect()
 }
 
-/// T5 — Table V: Matilda from web text only (`SHOW_NAME`, `TEXT_FEED`).
+/// T5 — Table V: Matilda from web text only (`SHOW_NAME`, `TEXT_FEED`):
+/// the text show records fused alone, under the system's configured
+/// grouping and resolver routing.
 pub fn t5_matilda_text_only(sys: &ScaledSystem) -> QueryRows {
-    let fused = sys.dt.fuse_text_only();
+    let text = sys.dt.text_show_records();
+    let cfg = sys.dt.context().config();
+    let groups = cfg.grouping.groups(text, cfg.fusion_threshold);
+    let fused = merge_groups_with(text, &groups, &cfg.fusion_resolvers);
     match DataTamer::lookup(&fused, "Matilda") {
         Some(f) => render_fused(
             &f.record,
@@ -128,8 +138,7 @@ pub fn t5_matilda_text_only(sys: &ScaledSystem) -> QueryRows {
 
 /// T6 — Table VI: Matilda after fusing FTABLES (enriched).
 pub fn t6_matilda_fused(sys: &ScaledSystem) -> QueryRows {
-    let fused = sys.dt.fuse();
-    match DataTamer::lookup(&fused, "Matilda") {
+    match DataTamer::lookup(&sys.dt.context().fused, "Matilda") {
         Some(f) => render_fused(
             &f.record,
             &[SHOW_NAME, THEATER, PERFORMANCE, TEXT_FEED, CHEAPEST_PRICE, FIRST],
@@ -381,12 +390,13 @@ pub struct ThroughputPoint {
     pub dropped: usize,
 }
 
-/// M2 — time the clean→parse→store path over the corpus.
+/// M2 — time the clean→parse→store path over the corpus: the ingest stage
+/// alone, without consolidation or fusion.
 pub fn m2_text_preprocess_throughput(sys_config: crate::HarnessConfig) -> ThroughputPoint {
     let corpus = datatamer_corpus::webtext::WebTextCorpus::generate(&sys_config.webtext_config());
     let parser =
         datatamer_text::DomainParser::with_gazetteer(corpus.gazetteer.clone());
-    let mut dt = DataTamer::new(datatamer_core::DataTamerConfig {
+    let mut ctx = PipelineContext::new(DataTamerConfig {
         extent_size: sys_config.extent_size(),
         ..Default::default()
     });
@@ -395,9 +405,12 @@ pub fn m2_text_preprocess_throughput(sys_config: crate::HarnessConfig) -> Throug
         .iter()
         .map(|f| (f.text.as_str(), f.kind.label()))
         .collect();
+    let job = TextIngestJob { parser, fragments: frags };
+    let mut ingest: [Box<dyn PipelineStage>; 1] = [Box::new(IngestStage::new(Vec::new(), Some(job)))];
     let start = Instant::now();
-    let stats = dt.ingest_webtext(parser, frags).expect("in-memory store");
+    run_stages(&mut ctx, &mut ingest).expect("in-memory store");
     let elapsed = start.elapsed();
+    let stats = &ctx.text_stats;
     ThroughputPoint {
         fragments: stats.fragments_seen,
         elapsed,
@@ -417,7 +430,9 @@ pub struct StageTimings {
     pub query: Duration,
 }
 
-/// F1 — run the whole pipeline, timing each architecture stage.
+/// F1 — run the whole pipeline, timing each architecture stage: the
+/// public stages run in three timed `run_stages` calls over one context,
+/// then the demo queries.
 pub fn f1_pipeline_stages(config: crate::HarnessConfig) -> StageTimings {
     let t0 = Instant::now();
     let corpus = datatamer_corpus::webtext::WebTextCorpus::generate(&config.webtext_config());
@@ -427,33 +442,39 @@ pub fn f1_pipeline_stages(config: crate::HarnessConfig) -> StageTimings {
     );
     let generate = t0.elapsed();
 
-    let mut dt = DataTamer::new(datatamer_core::DataTamerConfig {
+    let mut ctx = PipelineContext::new(DataTamerConfig {
         extent_size: config.extent_size(),
         ..Default::default()
     });
-    let t1 = Instant::now();
-    for s in &sources {
-        dt.register_structured(&s.name, &s.records).expect("in-memory store");
-    }
-    let structured_integration = t1.elapsed();
-
+    let structured = sources.into_iter().map(|s| (s.name, s.records)).collect();
     let parser = datatamer_text::DomainParser::with_gazetteer(corpus.gazetteer.clone());
     let frags: Vec<(&str, &str)> = corpus
         .fragments
         .iter()
         .map(|f| (f.text.as_str(), f.kind.label()))
         .collect();
-    let t2 = Instant::now();
-    dt.ingest_webtext(parser, frags).expect("in-memory store");
-    let text_ingest = t2.elapsed();
-
-    let t3 = Instant::now();
-    let fused = dt.fuse();
-    let fusion = t3.elapsed();
+    let text = TextIngestJob { parser, fragments: frags };
+    let mut timed = |mut stages: Vec<Box<dyn PipelineStage + '_>>| {
+        let start = Instant::now();
+        run_stages(&mut ctx, &mut stages).expect("in-memory store");
+        start.elapsed()
+    };
+    let structured_integration = timed(vec![
+        Box::new(IngestStage::new(structured, None)),
+        Box::new(SchemaIntegrationStage),
+        Box::new(CleaningStage),
+    ]);
+    let text_ingest = timed(vec![Box::new(IngestStage::new(Vec::new(), Some(text)))]);
+    let fusion = timed(vec![
+        Box::<EntityConsolidationStage>::default(),
+        Box::<FusionStage>::default(),
+    ]);
 
     let t4 = Instant::now();
-    let _ = DataTamer::lookup(&fused, "Matilda");
-    let _ = dt.top_discussed(10);
+    let _ = DataTamer::lookup(&ctx.fused, "Matilda");
+    if let Some(instances) = ctx.store.collection(INSTANCE_COLLECTION) {
+        let _ = top_discussed_award_winning(&instances, 10);
+    }
     let query = t4.elapsed();
 
     StageTimings { generate, structured_integration, text_ingest, fusion, query }

@@ -1,7 +1,7 @@
 //! Scaled system construction shared by the experiments the `tables`
 //! binary prints.
 
-use datatamer_core::{DataTamer, DataTamerConfig};
+use datatamer_core::{DataTamer, DataTamerConfig, PipelinePlan};
 use datatamer_corpus::ftables::{self, FtablesConfig, GeneratedSource};
 use datatamer_corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer_text::DomainParser;
@@ -92,13 +92,14 @@ pub struct ScaledSystem {
     pub corpus: WebTextCorpus,
     /// The 20 FTABLES sources.
     pub sources: Vec<GeneratedSource>,
-    /// Data Tamer with everything registered, ingested, and integrated.
+    /// Data Tamer after one run over everything: sources integrated, text
+    /// ingested, entities fused.
     pub dt: DataTamer,
 }
 
 impl ScaledSystem {
-    /// Build the full system: generate datasets, register all 20 structured
-    /// sources, ingest the web text.
+    /// Build the full system: generate datasets, then one pipeline run over
+    /// all 20 structured sources and the web text.
     pub fn build(config: HarnessConfig) -> Self {
         let corpus = WebTextCorpus::generate(&config.webtext_config());
         let sources = ftables::generate(
@@ -109,8 +110,9 @@ impl ScaledSystem {
             extent_size: config.extent_size(),
             ..Default::default()
         });
+        let mut plan = PipelinePlan::new();
         for s in &sources {
-            dt.register_structured(&s.name, &s.records).expect("store accepts records");
+            plan = plan.structured(&s.name, &s.records);
         }
         let parser = DomainParser::with_gazetteer(corpus.gazetteer.clone());
         let frags: Vec<(&str, &str)> = corpus
@@ -118,25 +120,7 @@ impl ScaledSystem {
             .iter()
             .map(|f| (f.text.as_str(), f.kind.label()))
             .collect();
-        dt.ingest_webtext(parser, frags).expect("store accepts documents");
-        ScaledSystem { config, corpus, sources, dt }
-    }
-
-    /// Build with text only (no structured sources) — the Table V state.
-    pub fn build_text_only(config: HarnessConfig) -> Self {
-        let corpus = WebTextCorpus::generate(&config.webtext_config());
-        let sources = Vec::new();
-        let mut dt = DataTamer::new(DataTamerConfig {
-            extent_size: config.extent_size(),
-            ..Default::default()
-        });
-        let parser = DomainParser::with_gazetteer(corpus.gazetteer.clone());
-        let frags: Vec<(&str, &str)> = corpus
-            .fragments
-            .iter()
-            .map(|f| (f.text.as_str(), f.kind.label()))
-            .collect();
-        dt.ingest_webtext(parser, frags).expect("store accepts documents");
+        dt.run(plan.webtext(parser, frags)).expect("store accepts records and documents");
         ScaledSystem { config, corpus, sources, dt }
     }
 }
@@ -166,7 +150,6 @@ mod tests {
         assert_eq!(sys.sources.len(), 20);
         assert!(sys.dt.text_stats().instances > 0);
         assert!(sys.dt.global_schema().len() >= 3);
-        let fused = sys.dt.fuse();
-        assert!(!fused.is_empty());
+        assert!(!sys.dt.context().fused.is_empty());
     }
 }

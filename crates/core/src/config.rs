@@ -80,8 +80,8 @@ pub struct DataTamerConfig {
     /// canonical-name scan ([`GroupingStrategy::CanonicalName`], the
     /// default) or similarity-based blocked ER
     /// ([`GroupingStrategy::BlockedEr`]). The one source of the strategy
-    /// for a [`crate::DataTamer`]: every staged run, ad-hoc fusion and
-    /// delta consolidation groups under it, for the life of the system.
+    /// for a [`crate::DataTamer`]: every staged run and delta
+    /// consolidation groups under it, for the life of the system.
     pub grouping: GroupingStrategy,
     /// Per-attribute truth-discovery routing for the fusion stage. The
     /// default mirrors the paper demo ([`RegistryConfig::broadway`]). Like

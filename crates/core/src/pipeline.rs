@@ -11,28 +11,27 @@
 //!
 //! Every phase above is a [`crate::stage::PipelineStage`] executed over a
 //! [`crate::stage::PipelineContext`] (which owns the `Store`, `Catalog`,
-//! global schema, and per-stage reports). [`DataTamer`] assembles stage
-//! lists: [`DataTamer::run`] executes the whole canonical sequence in one
-//! call, while the incremental entry points ([`DataTamer::register_structured`],
-//! [`DataTamer::ingest_webtext`]) run the prefix stages so sources can
-//! arrive over time. Hot paths — record mapping, per-source cleaning,
-//! batched shard inserts, group merging — are rayon-parallel with
-//! deterministic output at any thread count.
+//! global schema, and per-stage reports). [`DataTamer::run`] is the one
+//! entry point: it executes the whole canonical sequence over a
+//! [`PipelinePlan`], and sources that arrive over time are further runs
+//! over the same context. [`DataTamer::consolidate_delta`] consolidates
+//! record batches against the resident ER state that runs leave behind.
+//! Hot paths — record mapping, per-source cleaning, batched shard
+//! inserts, group merging — are rayon-parallel with deterministic output
+//! at any thread count.
 
 use std::sync::Arc;
 
 use datatamer_clean::CleaningReport;
 use datatamer_entity::incremental::DeltaReport;
 use datatamer_model::{doc, DtError, Record, Value};
-use datatamer_schema::integrate::EscalationResolver;
-use datatamer_schema::IntegrationReport;
 use datatamer_storage::{Collection, CollectionStats, Store};
 use datatamer_text::normalize::canonical_name;
 use datatamer_text::DomainParser;
 
 use crate::catalog::Catalog;
 use crate::config::DataTamerConfig;
-use crate::fusion::{merge_groups_with, FusedEntity, GroupingStrategy};
+use crate::fusion::{FusedEntity, GroupingStrategy};
 use crate::ingest::IngestStats;
 use crate::query::{entity_type_histogram, top_discussed_award_winning, DiscussedShow};
 use crate::resident::ResidentSession;
@@ -127,21 +126,17 @@ impl DataTamer {
         &self.ctx.text_show_records
     }
 
-    /// Group and fuse `records` under the configured grouping strategy and
-    /// resolver routing.
-    fn fuse_configured(&self, records: &[Record]) -> Vec<FusedEntity> {
-        let config = self.ctx.config();
-        let groups = config.grouping.groups(records, config.fusion_threshold);
-        merge_groups_with(records, &groups, &config.fusion_resolvers)
-    }
-
     /// Run the full canonical pipeline — ingest → schema integration →
     /// cleaning → entity consolidation → fusion — over a plan, returning
     /// the fused entities. Each stage's report lands in the context
     /// ([`PipelineContext::report_of`]).
     ///
-    /// Incremental state is honoured: sources registered earlier stay in
-    /// the global schema and participate in consolidation/fusion.
+    /// This is the only way data enters the system. Sources that arrive
+    /// over time are further runs: sources from earlier runs stay in the
+    /// global schema and take part in consolidation and fusion. When a
+    /// [`DataTamer::consolidate_delta`] session is live, the run ends by
+    /// re-installing through it, so `fused` keeps every accepted delta
+    /// batch on top of the grown corpus.
     pub fn run(&mut self, plan: PipelinePlan<'_>) -> datatamer_model::Result<&[FusedEntity]> {
         let mut stages: Vec<Box<dyn PipelineStage + '_>> = vec![
             Box::new(IngestStage::new(plan.structured, plan.text)),
@@ -157,77 +152,10 @@ impl DataTamer {
         if let Some(staged) = &mut self.ctx.staged_er {
             staged.installed_revision = Some(self.ctx.fused_revision);
         }
+        if self.resident.is_some() {
+            self.consolidate_delta(&[])?;
+        }
         Ok(&self.ctx.fused)
-    }
-
-    /// Register and integrate a structured source; thresholds only.
-    pub fn register_structured(
-        &mut self,
-        name: &str,
-        records: &[Record],
-    ) -> datatamer_model::Result<IntegrationReport> {
-        let mut resolver = datatamer_schema::integrate::AcceptBest;
-        self.register_structured_with(name, records, &mut resolver)
-    }
-
-    /// Register and integrate a structured source, routing escalations
-    /// through `resolver` (e.g. an expert panel). Runs the ingest →
-    /// schema integration → cleaning stage prefix for this source; a
-    /// storage failure while persisting the curated records surfaces here
-    /// instead of panicking.
-    pub fn register_structured_with(
-        &mut self,
-        name: &str,
-        records: &[Record],
-        resolver: &mut dyn EscalationResolver,
-    ) -> datatamer_model::Result<IntegrationReport> {
-        let mut stages: Vec<Box<dyn PipelineStage + '_>> = vec![
-            Box::new(IngestStage::new(vec![(name.to_owned(), records.to_vec())], None)),
-            Box::new(SchemaIntegrationStage::with_resolver(resolver)),
-            Box::new(CleaningStage),
-        ];
-        run_stages(&mut self.ctx, &mut stages)?;
-        let (_, report) = self.ctx.integration_reports.last().ok_or_else(|| {
-            DtError::Invalid("the schema integration stage recorded no report".to_owned())
-        })?;
-        Ok(report.clone())
-    }
-
-    /// Ingest web-text fragments through the domain parser into the
-    /// `instance` / `entity` collections and collect fusion show records
-    /// (the ingest stage alone). Storage failures while writing the
-    /// collections surface here instead of panicking.
-    pub fn ingest_webtext<'a, I>(
-        &mut self,
-        parser: DomainParser,
-        fragments: I,
-    ) -> datatamer_model::Result<IngestStats>
-    where
-        I: IntoIterator<Item = (&'a str, &'a str)>,
-    {
-        let job = TextIngestJob { parser, fragments: fragments.into_iter().collect() };
-        let mut stages: Vec<Box<dyn PipelineStage + '_>> =
-            vec![Box::new(IngestStage::new(Vec::new(), Some(job)))];
-        run_stages(&mut self.ctx, &mut stages)?;
-        Ok(self.ctx.text_stats.clone())
-    }
-
-    /// Fuse structured + text show records into composite entities through
-    /// the configured grouping strategy and resolver routing. Structured
-    /// records come first so source-priority (order-sensitive) resolvers
-    /// favour the curated sources.
-    pub fn fuse(&self) -> Vec<FusedEntity> {
-        let ctx = &self.ctx;
-        let mut all: Vec<Record> =
-            Vec::with_capacity(ctx.structured_records.len() + ctx.text_show_records.len());
-        all.extend(ctx.structured_records.iter().cloned());
-        all.extend(ctx.text_show_records.iter().cloned());
-        self.fuse_configured(&all)
-    }
-
-    /// Fuse only text-derived records (the Table V "before" state).
-    pub fn fuse_text_only(&self) -> Vec<FusedEntity> {
-        self.fuse_configured(&self.ctx.text_show_records)
     }
 
     /// Consolidate a delta batch against resident ER state — work scales
@@ -257,14 +185,14 @@ impl DataTamer {
     /// not grow with them).
     ///
     /// Correctness pin (`tests/incremental_equivalence.rs`, any thread
-    /// count): after any sequence of delta batches, `ctx.fused` is
-    /// byte-identical to a from-scratch run over the concatenated corpus.
+    /// count): after any interleaving of runs and delta batches, `ctx.fused`
+    /// is byte-identical to a from-scratch run over the concatenated corpus.
     ///
-    /// If `register_structured` / `ingest_webtext` / `run` grew the base
-    /// corpus since seeding, the next delta reseeds from it and replays
-    /// all prior delta batches (an O(corpus) catch-up). A staged run that
-    /// only replaced `ctx.fused` keeps the session and makes the next delta
-    /// re-resolve every cluster.
+    /// A [`DataTamer::run`] after the session exists ends with an empty
+    /// delta. When the run grew the base corpus, that delta reseeds from it
+    /// (adopting the run's ER state) and replays all prior delta batches —
+    /// an O(corpus) catch-up. A run that added no record keeps the session,
+    /// and its empty delta re-resolves every cluster once.
     ///
     /// With a [`crate::DeltaLogConfig`] the batch is logged before it is
     /// consolidated; a persistence failure is returned as `Err` *after*
@@ -384,11 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn register_structured_maps_cleans_and_stores() {
+    fn structured_sources_are_mapped_cleaned_and_stored() {
         let mut dt = DataTamer::new(small_config());
-        let r1 = dt.register_structured("s1", &structured_rows(0, "show_name", "cheapest_price")).unwrap();
+        let s1 = structured_rows(0, "show_name", "cheapest_price");
+        dt.run(PipelinePlan::new().structured("s1", &s1)).unwrap();
+        dt.run(PipelinePlan::new().structured("s2", &structured_rows(1, "title", "cost"))).unwrap();
+        let [(_, r1), (_, r2)] = &dt.context().integration_reports[..] else {
+            panic!("one integration report per source");
+        };
         assert_eq!(r1.new_attributes(), 2);
-        let r2 = dt.register_structured("s2", &structured_rows(1, "title", "cost")).unwrap();
         assert_eq!(dt.global_schema().len(), 2, "{:?}", dt.global_schema().attribute_names());
         assert!(r2.auto_accepted() + r2.human_interventions() == 2);
 
@@ -408,27 +340,26 @@ mod tests {
     #[test]
     fn webtext_ingest_and_table_v_vi_flow() {
         let mut dt = DataTamer::new(small_config());
-        dt.register_structured("ftable", &structured_rows(0, "show_name", "cheapest_price")).unwrap();
-        let fragments = [
+        let fragments = vec![
             (
                 "And Matilda an award-winning import from London, grossed 960,998, or 93 percent of the maximum.",
                 "news",
             ),
             ("Wicked still sells out nightly on Broadway", "blog"),
         ];
-        let stats = dt.ingest_webtext(parser(), fragments).unwrap();
-        assert_eq!(stats.instances, 2);
-        assert_eq!(stats.show_records, 2);
+        let text_only = dt.run(PipelinePlan::new().webtext(parser(), fragments)).unwrap();
 
         // Table V: text-only lookup has the feed but no price.
-        let text_only = dt.fuse_text_only();
-        let matilda = DataTamer::lookup(&text_only, "Matilda").unwrap();
+        let matilda = DataTamer::lookup(text_only, "Matilda").unwrap();
         assert!(matilda.record.get_text(TEXT_FEED).unwrap().contains("960,998"));
         assert!(matilda.record.get(CHEAPEST_PRICE).is_none());
+        assert_eq!(dt.text_stats().instances, 2);
+        assert_eq!(dt.text_stats().show_records, 2);
 
-        // Table VI: fused lookup is enriched.
-        let fused = dt.fuse();
-        let matilda = DataTamer::lookup(&fused, "Matilda").unwrap();
+        // Table VI: FTABLES arrive in a second run, and the lookup is enriched.
+        let ftable = structured_rows(0, "show_name", "cheapest_price");
+        let fused = dt.run(PipelinePlan::new().structured("ftable", &ftable)).unwrap();
+        let matilda = DataTamer::lookup(fused, "Matilda").unwrap();
         assert_eq!(matilda.record.get_text(CHEAPEST_PRICE).as_deref(), Some("$27"));
         assert!(matilda.record.get_text(TEXT_FEED).unwrap().contains("960,998"));
         assert_eq!(matilda.member_count, 2);
@@ -513,43 +444,19 @@ mod tests {
     }
 
     #[test]
-    fn run_agrees_with_incremental_api() {
-        let rows = structured_rows(0, "show_name", "cheapest_price");
-        let fragments = vec![("Matilda grossed 960,998 in London", "news")];
-
-        let mut staged = DataTamer::new(small_config());
-        staged
-            .run(PipelinePlan::new().structured("s1", &rows).webtext(parser(), fragments.clone()))
-            .unwrap();
-        let via_run: Vec<String> = staged
-            .context()
-            .fused
-            .iter()
-            .map(|f| format!("{}/{}/{:?}", f.key, f.member_count, f.record))
-            .collect();
-
-        let mut imperative = DataTamer::new(small_config());
-        imperative.register_structured("s1", &rows).unwrap();
-        imperative.ingest_webtext(parser(), fragments).unwrap();
-        let via_fuse: Vec<String> = imperative
-            .fuse()
-            .iter()
-            .map(|f| format!("{}/{}/{:?}", f.key, f.member_count, f.record))
-            .collect();
-
-        assert_eq!(via_run, via_fuse, "staged run and imperative flow fuse identically");
-    }
-
-    #[test]
     fn incremental_calls_append_stage_runs() {
         let mut dt = DataTamer::new(small_config());
-        dt.register_structured("s1", &structured_rows(0, "show_name", "cheapest_price")).unwrap();
-        dt.ingest_webtext(parser(), [("Annie tickets on sale", "news")]).unwrap();
+        let s1 = structured_rows(0, "show_name", "cheapest_price");
+        dt.run(PipelinePlan::new().structured("s1", &s1)).unwrap();
+        dt.run(PipelinePlan::new().webtext(parser(), vec![("Annie tickets on sale", "news")]))
+            .unwrap();
         let ctx = dt.context();
-        assert_eq!(ctx.run_count(stage_names::INGEST), 2, "one per entry point");
-        assert_eq!(ctx.run_count(stage_names::SCHEMA_INTEGRATION), 1);
-        assert_eq!(ctx.run_count(stage_names::CLEANING), 1);
-        assert_eq!(ctx.run_count(stage_names::FUSION), 0, "no fusion requested yet");
+        for stage in stage_names::CANONICAL_ORDER {
+            assert_eq!(ctx.run_count(stage), 2, "{stage} runs once per arrival");
+        }
+        // The second run fuses the whole corpus, not just its own input.
+        let fusion = ctx.report_of(stage_names::FUSION);
+        assert!(matches!(fusion, Some(StageReport::Fusion { members: 4, .. })), "{fusion:?}");
     }
 
     #[test]
@@ -588,8 +495,6 @@ mod tests {
             dt.context().fused[0].record.get_text(CHEAPEST_PRICE).as_deref(),
             Some("$99")
         );
-        // Ad-hoc re-fusion resolves under the same configured routing.
-        assert_eq!(dt.fuse()[0].record.get_text(CHEAPEST_PRICE).as_deref(), Some("$99"));
     }
 
     #[test]
@@ -672,8 +577,6 @@ mod tests {
             }
             other => panic!("wrong report variant: {other:?}"),
         }
-        // Ad-hoc re-fusion groups under the same configured strategy.
-        assert_eq!(dt.fuse().len(), 1);
     }
 
     #[test]
@@ -849,8 +752,9 @@ mod tests {
         inc.run(PipelinePlan::new().structured("s1", &s1)).unwrap();
         inc.consolidate_delta(&batch).unwrap();
         // A new structured source arrives mid-stream: the resident corpus
-        // is stale, so the next delta reseeds and replays the prior batch.
-        inc.register_structured("s2", &s2).unwrap();
+        // is stale, so the run ends by reseeding and replaying the prior
+        // batch.
+        inc.run(PipelinePlan::new().structured("s2", &s2)).unwrap();
         let batch2 = vec![show(101, "Betashow1 Two1", "$20")];
         let d = inc.consolidate_delta(&batch2).unwrap();
         assert_eq!(d.total_records, 12, "s1 + s2 + both deltas");
@@ -862,6 +766,38 @@ mod tests {
         let mut full = DataTamer::new(config);
         full.run(PipelinePlan::new().structured("s1", &all)).unwrap();
         assert_eq!(fingerprints(&inc.context().fused), fingerprints(&full.context().fused));
+    }
+
+    #[test]
+    fn a_seed_adopts_no_er_state_over_a_corpus_grown_since() {
+        let mut config = small_config();
+        config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
+        let s1: Vec<Record> =
+            (0..10).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
+        let s2: Vec<Record> =
+            (0..5).map(|i| show(50 + i, &format!("Betashow{i} Two{i}"), "$20")).collect();
+        let b1 = vec![show(100, "Alphashow2 One2", "$9")];
+
+        let mut dt = DataTamer::new(config.clone());
+        dt.run(PipelinePlan::new().structured("s1", &s1)).unwrap();
+        // The corpus grows through the stage prefix after the run, as a run
+        // whose cleaning-stage storage write fails part way would leave it:
+        // the run's ER state and composites cover s1 only, so the seed
+        // consolidates s1 + s2 itself and re-resolves every cluster.
+        let mut prefix: Vec<Box<dyn PipelineStage + '_>> = vec![
+            Box::new(IngestStage::new(vec![("s2".to_owned(), s2.clone())], None)),
+            Box::new(SchemaIntegrationStage),
+            Box::new(CleaningStage),
+        ];
+        run_stages(&mut dt.ctx, &mut prefix).unwrap();
+        let d = dt.consolidate_delta(&b1).unwrap();
+        assert_eq!(d.total_records, 16, "{d:?}");
+        let changed = dt.context().fused_changed.clone().expect("the delta path sets it");
+        assert!(changed.iter().all(|&c| c), "the run's composites predate s2");
+
+        let mut full = DataTamer::new(config);
+        full.run(PipelinePlan::new().structured("s1", &[s1, s2, b1].concat())).unwrap();
+        assert_eq!(fingerprints(&dt.context().fused), fingerprints(&full.context().fused));
     }
 
     /// A staged blocked-ER run over canonical-shape records, plus the
@@ -1007,7 +943,8 @@ mod tests {
     #[test]
     fn collection_stats_shape() {
         let mut dt = DataTamer::new(small_config());
-        dt.ingest_webtext(parser(), [("Matilda at the theatre tonight", "news")]).unwrap();
+        dt.run(PipelinePlan::new().webtext(parser(), vec![("Matilda at the theatre tonight", "news")]))
+            .unwrap();
         let stats = dt.collection_stats("instance").unwrap();
         assert_eq!(stats.ns, "dt.instance");
         assert_eq!(stats.count, 1);

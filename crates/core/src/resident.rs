@@ -109,9 +109,9 @@ pub(crate) struct ResidentSession {
     /// The configured blocked-ER grouping the consolidator was built from
     /// (it keys the groups of new clusters).
     config: BlockedErConfig,
-    /// Context record counts at seed time — if `register_structured` /
-    /// `run` / `ingest_webtext` grew them since, the resident corpus is
-    /// stale and the next delta reseeds (replaying the accepted batches).
+    /// Context record counts at seed time — if a staged run grew them
+    /// since, the resident corpus is stale and the delta that run ends with
+    /// reseeds (replaying the accepted batches).
     seeded_structured: usize,
     seeded_text: usize,
     journal: Journal,

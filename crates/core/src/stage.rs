@@ -20,7 +20,6 @@
 
 use datatamer_clean::{clean_sources_parallel, CleaningEngine, CleaningReport};
 use datatamer_model::{Record, Result, SourceId, SourceSchema};
-use datatamer_schema::integrate::{AcceptBest, EscalationResolver};
 use datatamer_schema::{IntegrationReport, SchemaIntegrator};
 use datatamer_storage::{StorageReport, Store};
 use datatamer_text::DomainParser;
@@ -377,20 +376,18 @@ impl PipelineStage for IngestStage<'_> {
 ///
 /// Integration itself is sequential (the global schema grows source by
 /// source — that ordering *is* the paper's bottom-up bootstrap); the
-/// per-record rename mapping fans out across the rayon team.
-pub struct SchemaIntegrationStage<'r> {
-    resolver: Option<&'r mut dyn EscalationResolver>,
-}
+/// per-record rename mapping fans out across the rayon team. Escalations
+/// resolve by thresholds only ([`SchemaIntegrator::integrate`]); routing
+/// them to experts is [`SchemaIntegrator::integrate_with`] with an
+/// [`crate::ExpertPanelResolver`], outside the pipeline.
+#[derive(Debug, Default)]
+pub struct SchemaIntegrationStage;
 
-impl<'r> SchemaIntegrationStage<'r> {
-    /// Escalations resolved by thresholds only ([`AcceptBest`]).
+impl SchemaIntegrationStage {
+    /// The stage. It exists beside the unit value only because the
+    /// benchmark harness names it.
     pub fn auto() -> Self {
-        SchemaIntegrationStage { resolver: None }
-    }
-
-    /// Escalations routed to `resolver` (e.g. an expert panel).
-    pub fn with_resolver(resolver: &'r mut dyn EscalationResolver) -> Self {
-        SchemaIntegrationStage { resolver: Some(resolver) }
+        SchemaIntegrationStage
     }
 }
 
@@ -443,24 +440,19 @@ fn map_record(r: &Record, mapping: &[(String, Option<String>)]) -> (Record, usiz
     (out, collisions)
 }
 
-impl PipelineStage for SchemaIntegrationStage<'_> {
+impl PipelineStage for SchemaIntegrationStage {
     fn name(&self) -> &'static str {
         stage_names::SCHEMA_INTEGRATION
     }
 
     fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
-        let mut fallback = AcceptBest;
         let (mut sources, mut auto_accepted, mut human, mut new_attrs) = (0, 0, 0, 0);
         let mut case_collisions = 0;
         for source in std::mem::take(&mut ctx.pending_sources) {
             // 1. Profile and integrate the schema.
             let schema =
                 SourceSchema::profile_records(source.id, &source.name, &source.records);
-            let resolver: &mut dyn EscalationResolver = match self.resolver.as_deref_mut() {
-                Some(r) => r,
-                None => &mut fallback,
-            };
-            let report = ctx.integrator.integrate_with(&schema, resolver);
+            let report = ctx.integrator.integrate(&schema);
 
             // 2. Build the source-attr → canonical-name mapping from the
             //    decisions.

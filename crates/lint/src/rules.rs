@@ -20,13 +20,12 @@
 //!   calls NaN equal to everything, so a sort may panic on the non-total
 //!   order and a `min_by` keeps whichever value came first; `total_cmp`
 //!   is the comparator.
-//! * `dead-pub`, the one workspace-wide rule: a `pub fn` in a library
-//!   crate's non-test code (`crates/` minus the `lint` and `bench` tool
-//!   crates) whose name no other file mentions outside a `use`
-//!   declaration, and its own file mentions only in test code. Doc
-//!   comments' fenced code counts as a mention (a doctest is a caller).
-//!   It reads a [`NameIndex`] built over every file before any file is
-//!   linted. Names, not paths, are matched: two functions sharing a name
+//! * `dead-pub`, the one workspace-wide rule: a `pub fn` in a crate's
+//!   non-test code (`crates/` minus the `lint` tool crate) whose name no
+//!   other file mentions outside a `use` declaration, and its own file
+//!   mentions only in test code. Doc comments' fenced code counts as a
+//!   mention (a doctest is a caller). It reads a [`NameIndex`] built over
+//!   every file before any file is linted. Names, not paths, are matched: two functions sharing a name
 //!   keep each other alive.
 //!
 //! Test code is exempt from every rule but `unsafe-block` and
@@ -60,7 +59,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("panic-path", "unwrap/expect/panic!/unreachable!/indexing-by-literal on a panic-free path"),
     ("unsafe-block", "`unsafe` outside the dtlint.toml allowlist"),
     ("partial-cmp-equal", "partial_cmp(…).unwrap_or(Equal): no total order on NaN (use total_cmp)"),
-    ("dead-pub", "pub fn in a library crate that nothing outside its own file's tests calls"),
+    ("dead-pub", "pub fn under crates/ that nothing outside its own file's tests calls"),
     ("bad-waiver", "malformed dtlint::allow directive (unknown rule or missing reason)"),
 ];
 
@@ -338,10 +337,9 @@ fn partial_cmp_or_equal_at(toks: &[Tok], i: usize) -> bool {
     false
 }
 
-/// `dead-pub` covers the library crates: everything under `crates/` but
-/// the `lint` and `bench` tool crates.
+/// `dead-pub` covers everything under `crates/` but the `lint` tool crate.
 fn dead_pub_scope(rel: &str) -> bool {
-    path_under(rel, "crates") && !path_under(rel, "crates/lint") && !path_under(rel, "crates/bench")
+    path_under(rel, "crates") && !path_under(rel, "crates/lint")
 }
 
 /// Non-test `pub [const|async|unsafe|extern "…"] fn name` definitions:

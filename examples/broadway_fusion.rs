@@ -2,16 +2,16 @@
 //! show at the best price.
 //!
 //! Reproduces the complete flow: generate the synthetic WEBINSTANCE corpus
-//! and 20 FTABLES sources, ingest everything, then
+//! and 20 FTABLES sources, run the pipeline over the web text, then
 //! 1. find the top-10 most discussed award-winning shows (Table IV),
 //! 2. query Matilda from web text only (Table V),
-//! 3. fuse with FTABLES and query again — enriched (Table VI).
+//! 3. run again as FTABLES arrive and query again — enriched (Table VI).
 //!
 //! ```text
 //! cargo run --release --example broadway_fusion
 //! ```
 
-use datatamer::core::{DataTamer, DataTamerConfig};
+use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
 use datatamer::corpus::ftables::{self, FtablesConfig};
 use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer::text::DomainParser;
@@ -29,7 +29,7 @@ fn main() -> datatamer::model::Result<()> {
         sources.len()
     );
 
-    // Ingest web text first — the user starts from the text side.
+    // Run over the web text first — the user starts from the text side.
     let mut dt = DataTamer::new(DataTamerConfig::default());
     let parser = DomainParser::with_gazetteer(corpus.gazetteer.clone());
     let frags: Vec<(&str, &str)> = corpus
@@ -37,7 +37,8 @@ fn main() -> datatamer::model::Result<()> {
         .iter()
         .map(|f| (f.text.as_str(), f.kind.label()))
         .collect();
-    let stats = dt.ingest_webtext(parser, frags)?;
+    dt.run(PipelinePlan::new().webtext(parser, frags))?;
+    let stats = dt.text_stats();
     println!(
         "ingested: {} instances, {} entities ({} junk fragments dropped)\n",
         stats.instances, stats.entities, stats.fragments_dropped
@@ -50,8 +51,7 @@ fn main() -> datatamer::model::Result<()> {
     }
 
     // Step 2 — Table V: the user picks Matilda; text-only lookup.
-    let text_only = dt.fuse_text_only();
-    let matilda = DataTamer::lookup(&text_only, "Matilda").expect("Matilda discussed");
+    let matilda = DataTamer::lookup(&dt.context().fused, "Matilda").expect("Matilda discussed");
     println!("\nQUERY \"Matilda\" FROM WEB-TEXT ONLY (no theaters, pricing or schedules):");
     for attr in ["SHOW_NAME", "TEXT_FEED"] {
         if let Some(v) = matilda.record.get_text(attr) {
@@ -59,17 +59,19 @@ fn main() -> datatamer::model::Result<()> {
         }
     }
 
-    // Step 3 — import FTABLES, schema-match, fuse: Table VI.
+    // Step 3 — FTABLES arrive: one more run schema-matches and fuses them
+    // with the text (Table VI).
+    let mut plan = PipelinePlan::new();
     for s in &sources {
-        dt.register_structured(&s.name, &s.records)?;
+        plan = plan.structured(&s.name, &s.records);
     }
+    dt.run(plan)?;
     println!(
         "\nintegrated {} structured sources; global schema: {:?}",
         sources.len(),
         dt.global_schema().attribute_names()
     );
-    let fused = dt.fuse();
-    let matilda = DataTamer::lookup(&fused, "Matilda").expect("Matilda fused");
+    let matilda = DataTamer::lookup(&dt.context().fused, "Matilda").expect("Matilda fused");
     println!("\nENRICHED QUERY RESULT AFTER FUSION (paper Table VI):");
     for attr in ["SHOW_NAME", "THEATER", "PERFORMANCE", "TEXT_FEED", "CHEAPEST_PRICE", "FIRST"] {
         if let Some(v) = matilda.record.get_text(attr) {

@@ -1,11 +1,11 @@
-//! Quickstart: stand up Data Tamer, integrate a structured source, ingest a
-//! few web-text fragments, fuse, and query.
+//! Quickstart: stand up Data Tamer, run it over a structured source, run it
+//! again as a few web-text fragments arrive, and query the fused result.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
-use datatamer::core::{DataTamer, DataTamerConfig};
+use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
 use datatamer::model::{Record, RecordId, SourceId, Value};
 use datatamer::text::{DomainParser, EntityType, Gazetteer};
 
@@ -34,9 +34,11 @@ fn main() -> datatamer::model::Result<()> {
         })
         .collect();
 
-    // 2. Data Tamer: register the source (schema integration + cleaning).
+    // 2. Data Tamer: one run over the source (schema integration, cleaning,
+    //    consolidation, fusion).
     let mut dt = DataTamer::new(DataTamerConfig::default());
-    let report = dt.register_structured("broadway_listings", &records)?;
+    dt.run(PipelinePlan::new().structured("broadway_listings", &records))?;
+    let (_, report) = &dt.context().integration_reports[0];
     println!(
         "integrated source: {} attributes ({} new, {} auto-mapped)",
         report.suggestions.len(),
@@ -52,14 +54,14 @@ fn main() -> datatamer::model::Result<()> {
         .expect("wicked registered");
     println!("Wicked price after EUR→USD cleaning: {:?}", wicked.get_text("CHEAPEST_PRICE"));
 
-    // 3. Web text through the domain-specific parser.
+    // 3. Web text arrives: a second run, through the domain-specific parser.
     let mut gazetteer = Gazetteer::new();
     for (show, ..) in &rows {
         gazetteer.add(show, EntityType::Movie, 0.95);
     }
     gazetteer.add("London", EntityType::City, 0.9);
     let parser = DomainParser::with_gazetteer(gazetteer);
-    let fragments = [
+    let fragments = vec![
         (
             "..which began previews on Tuesday, grossed 659,391, or...And Matilda an \
              award-winning import from London, grossed 960,998, or 93 percent of the maximum.",
@@ -67,15 +69,15 @@ fn main() -> datatamer::model::Result<()> {
         ),
         ("Just saw Wicked! Tickets from $99, totally worth it.", "twitter"),
     ];
-    let stats = dt.ingest_webtext(parser, fragments)?;
+    dt.run(PipelinePlan::new().webtext(parser, fragments))?;
+    let stats = dt.text_stats();
     println!(
         "ingested text: {} fragments -> {} instances, {} entities",
         stats.fragments_seen, stats.instances, stats.entities
     );
 
-    // 4. Fuse text with structured data and run the paper's demo query.
-    let fused = dt.fuse();
-    let matilda = DataTamer::lookup(&fused, "Matilda").expect("Matilda fused");
+    // 4. The run fused text with structured data: the paper's demo query.
+    let matilda = DataTamer::lookup(&dt.context().fused, "Matilda").expect("Matilda fused");
     println!("\nEnriched query result for \"Matilda\" (paper Table VI):");
     for attr in ["SHOW_NAME", "THEATER", "PERFORMANCE", "TEXT_FEED", "CHEAPEST_PRICE", "FIRST"] {
         if let Some(v) = matilda.record.get_text(attr) {

@@ -64,9 +64,11 @@
 //! assert_eq!(dt.context().run_count(stage_names::FUSION), 1);
 //! ```
 //!
-//! Sources arriving over time use the incremental entry points
-//! (`register_structured`, `ingest_webtext`), which run the same stage
-//! machinery as a prefix and extend the same context.
+//! `run` is the only way data enters the system. Sources that arrive over
+//! time are further runs over the same context: each integrates its new
+//! sources into the global schema built so far and re-fuses the whole
+//! corpus. Record batches against resident entity-resolution state go
+//! through `DataTamer::consolidate_delta`, and a later run keeps them.
 //!
 //! ## Sharded storage: coordinator and backends
 //!

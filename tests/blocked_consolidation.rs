@@ -100,9 +100,6 @@ fn config_level_blocked_er_consolidates_fuzzy_duplicates_end_to_end() {
         }
         other => panic!("wrong report variant: {other:?}"),
     }
-
-    // Ad-hoc re-fusion agrees with the configured grouping.
-    assert_eq!(dt.fuse().len(), 2);
 }
 
 #[test]

@@ -1,35 +1,41 @@
 //! End-to-end integration test of the paper's demo scenario (§V):
 //! Tables IV, V and VI from generated data through the full pipeline.
 
-use datatamer::core::{DataTamer, DataTamerConfig};
+use datatamer::core::fusion::FusedEntity;
+use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
 use datatamer::corpus::ftables::{self, FtablesConfig};
 use datatamer::corpus::names::TABLE_IV_SHOWS;
 use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus, MATILDA_FEED};
 use datatamer::text::DomainParser;
 
-fn build() -> DataTamer {
+/// The demo's order: a run over the web text (the Table V state, whose
+/// fused entities are returned beside the system), then a run over the
+/// FTABLES sources (Table VI).
+fn build() -> (DataTamer, Vec<FusedEntity>) {
     let corpus = WebTextCorpus::generate(&WebTextConfig {
         num_fragments: 2_500,
         ..Default::default()
     });
     let sources = ftables::generate(&FtablesConfig::default(), 1000);
     let mut dt = DataTamer::new(DataTamerConfig::default());
-    for s in &sources {
-        dt.register_structured(&s.name, &s.records).unwrap();
-    }
     let parser = DomainParser::with_gazetteer(corpus.gazetteer.clone());
     let frags: Vec<(&str, &str)> = corpus
         .fragments
         .iter()
         .map(|f| (f.text.as_str(), f.kind.label()))
         .collect();
-    dt.ingest_webtext(parser, frags).unwrap();
-    dt
+    let text_only = dt.run(PipelinePlan::new().webtext(parser, frags)).unwrap().to_vec();
+    let mut plan = PipelinePlan::new();
+    for s in &sources {
+        plan = plan.structured(&s.name, &s.records);
+    }
+    dt.run(plan).unwrap();
+    (dt, text_only)
 }
 
 #[test]
 fn table_iv_v_vi_reproduce() {
-    let dt = build();
+    let (dt, text_only) = build();
 
     // Table IV: top-10 most discussed award-winning shows overlaps the paper.
     let top = dt.top_discussed(10).unwrap();
@@ -45,7 +51,6 @@ fn table_iv_v_vi_reproduce() {
     }
 
     // Table V: text-only Matilda — feed text, no structured attributes.
-    let text_only = dt.fuse_text_only();
     let matilda = DataTamer::lookup(&text_only, "Matilda").expect("matilda in text");
     assert_eq!(
         matilda.record.get_text("TEXT_FEED").as_deref(),
@@ -56,8 +61,7 @@ fn table_iv_v_vi_reproduce() {
     assert!(matilda.record.get("CHEAPEST_PRICE").is_none());
 
     // Table VI: fused Matilda carries the paper's exact enrichment values.
-    let fused = dt.fuse();
-    let matilda = DataTamer::lookup(&fused, "Matilda").expect("matilda fused");
+    let matilda = DataTamer::lookup(&dt.context().fused, "Matilda").expect("matilda fused");
     let rec = &matilda.record;
     assert_eq!(
         rec.get_text("THEATER").as_deref(),
@@ -75,9 +79,8 @@ fn table_iv_v_vi_reproduce() {
 
 #[test]
 fn fusion_enriches_most_shows_not_just_matilda() {
-    let dt = build();
-    let text_only = dt.fuse_text_only();
-    let fused = dt.fuse();
+    let (dt, text_only) = build();
+    let fused = &dt.context().fused;
     let mut enriched = 0;
     let mut checked = 0;
     for entity in &text_only {
@@ -100,7 +103,7 @@ fn fusion_enriches_most_shows_not_just_matilda() {
 
 #[test]
 fn global_schema_converges_to_canonical_attributes() {
-    let dt = build();
+    let (dt, _) = build();
     let n = dt.global_schema().len();
     // 12 canonical attributes; a couple of stray spellings are tolerable.
     assert!(
@@ -123,7 +126,7 @@ fn global_schema_converges_to_canonical_attributes() {
 
 #[test]
 fn cleaning_transforms_applied_during_registration() {
-    let dt = build();
+    let (dt, _) = build();
     let reports = dt.cleaning_reports();
     assert_eq!(reports.len(), 20);
     let total_transformed: usize = reports.iter().map(|(_, r)| r.values_transformed).sum();

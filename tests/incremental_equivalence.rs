@@ -191,6 +191,45 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Record>> {
     })
 }
 
+/// Map raw cut bytes onto sorted positions in `corpus`: the segments
+/// between them are a prefix and one batch per byte (empty segments
+/// included — an empty delta must be a no-op).
+fn split<'a>(corpus: &'a [Record], cut_bytes: &[u8]) -> (&'a [Record], Vec<&'a [Record]>) {
+    let mut cuts: Vec<usize> =
+        cut_bytes.iter().map(|&b| (usize::from(b) * corpus.len()) / 256).collect();
+    cuts.sort_unstable();
+    let ends = cuts.iter().skip(1).copied().chain([corpus.len()]);
+    let batches = cuts.iter().zip(ends).map(|(&from, to)| &corpus[from..to]).collect();
+    (&corpus[..cuts[0]], batches)
+}
+
+/// After a run over `base`, apply each `(kind, segment)` step: 0 runs over
+/// the segment as a new structured source (an empty plan when it is
+/// empty), 1 consolidates it as a delta, 2 runs over an empty plan and
+/// drops it. After the base run and every step, returns the fingerprint
+/// beside a from-scratch run over the sources so far, then the accepted
+/// batches so far.
+fn interleaved(base: &[Record], steps: &[(u8, &[Record])]) -> Vec<[(String, String); 2]> {
+    let mut dt = DataTamer::new(config());
+    let (mut sources, mut batches) = (Vec::new(), Vec::new());
+    let mut states = Vec::new();
+    for (i, &(kind, segment)) in [(0, base)].iter().chain(steps).enumerate() {
+        if kind == 1 {
+            dt.consolidate_delta(segment).expect("delta");
+            batches.extend_from_slice(segment);
+        } else {
+            let mut plan = PipelinePlan::new();
+            if kind == 0 && !segment.is_empty() {
+                plan = plan.structured(format!("s{i}"), segment);
+                sources.extend_from_slice(segment);
+            }
+            dt.run(plan).expect("run");
+        }
+        states.push([fingerprint(&dt), full_run(&[&sources[..], &batches].concat())]);
+    }
+    states
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -199,21 +238,7 @@ proptest! {
         corpus in corpus_strategy(),
         cut_bytes in prop::collection::vec(any::<u8>(), 1..5),
     ) {
-        // Map the raw cut bytes onto sorted positions in the corpus; the
-        // segments between them are the prefix and 1..=5 delta batches
-        // (empty segments included — an empty delta must be a no-op).
-        let mut cuts: Vec<usize> = cut_bytes
-            .iter()
-            .map(|&b| (usize::from(b) * corpus.len()) / 256)
-            .collect();
-        cuts.sort_unstable();
-        let prefix = &corpus[..cuts[0]];
-        let mut batches: Vec<&[Record]> = Vec::new();
-        for w in cuts.windows(2) {
-            batches.push(&corpus[w[0]..w[1]]);
-        }
-        batches.push(&corpus[*cuts.last().unwrap()..]);
-
+        let (prefix, batches) = split(&corpus, &cut_bytes);
         let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
 
@@ -247,17 +272,7 @@ proptest! {
         kill_byte in any::<u8>(),
         compact_sel in 0usize..2,
     ) {
-        let mut cuts: Vec<usize> = cut_bytes
-            .iter()
-            .map(|&b| (usize::from(b) * corpus.len()) / 256)
-            .collect();
-        cuts.sort_unstable();
-        let prefix = &corpus[..cuts[0]];
-        let mut batches: Vec<&[Record]> = Vec::new();
-        for w in cuts.windows(2) {
-            batches.push(&corpus[w[0]..w[1]]);
-        }
-        batches.push(&corpus[*cuts.last().unwrap()..]);
+        let (prefix, batches) = split(&corpus, &cut_bytes);
         // 0 = killed before any delta landed; len = killed after the last.
         let kill_after = (usize::from(kill_byte) * (batches.len() + 1)) / 256;
         // 0 compacts the log after every append; 64 never compacts here.
@@ -279,6 +294,31 @@ proptest! {
         prop_assert_eq!(
             &rw, &full,
             "restart-and-replay (wide) diverged (kill_after={})", kill_after
+        );
+    }
+
+    // Runs and deltas in any order: after every step, the fused output and
+    // cluster membership equal a from-scratch run over the sources and the
+    // accepted batches, at 1 and 8 threads.
+    #[test]
+    fn interleaved_runs_and_deltas_match_a_full_rebuild_after_every_step(
+        corpus in corpus_strategy(),
+        steps in prop::collection::vec((0u8..3, any::<u8>()), 1..7),
+    ) {
+        let cut_bytes: Vec<u8> = steps.iter().map(|&(_, b)| b).collect();
+        let (base, segments) = split(&corpus, &cut_bytes);
+        let steps: Vec<(u8, &[Record])> =
+            steps.iter().map(|&(kind, _)| kind).zip(segments).collect();
+
+        let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
+        let states = serial.install(|| interleaved(base, &steps));
+        for (k, [got, want]) in states.iter().enumerate() {
+            let shape: Vec<(u8, usize)> = steps.iter().map(|&(kind, s)| (kind, s.len())).collect();
+            prop_assert_eq!(got, want, "diverged after step {} of {:?}", k, shape);
+        }
+        prop_assert_eq!(
+            wide.install(|| interleaved(base, &steps)), states, "thread-count dependent"
         );
     }
 }
@@ -340,16 +380,19 @@ fn staged_run_between_deltas_reseeds_and_replays() {
         let mut dt = DataTamer::new(config());
         dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
         dt.consolidate_delta(&b1).expect("first delta");
-        // The staged run replaces `fused` (revision bumped by the fusion
-        // stage, no dirty set) and grows the corpus behind the session.
+        // The staged run grows the corpus behind the session, so it ends by
+        // reseeding and replaying the first delta: its `fused` already
+        // holds every accepted record. The reseed adopts the run's ER
+        // state, and the run's composites are reused for every cluster the
+        // replay leaves alone: only Alphashow2's re-resolves.
         dt.run(PipelinePlan::new().structured("s2", &s2)).expect("second source");
-        assert!(dt.context().fused_changed.is_none());
+        assert_eq!(fingerprint(&dt), full_run(&[&s1[..], &s2, &b1].concat()));
+        let changed = dt.context().fused_changed.clone().expect("the run ends on the delta path");
+        assert_eq!((changed.len(), changed.iter().filter(|&&c| c).count()), (18, 1));
         let d = dt.consolidate_delta(&b2).expect("delta after the run");
         assert_eq!(d.total_records, 21, "s1 + s2 + the replayed first delta + this one");
-        assert_eq!(d.batch_records, 3, "the replayed first delta, then this one");
-        // The reseed adopts the run's ER state, and the run's composites
-        // are reused for every cluster neither delta touched: only
-        // Alphashow2's and Betashow1's clusters re-resolve.
+        assert_eq!(d.batch_records, 2, "the run already replayed the first delta");
+        // Only Alphashow2's and Betashow1's clusters re-resolve.
         let changed = dt.context().fused_changed.clone().expect("delta path sets it");
         assert_eq!((changed.len(), changed.iter().filter(|&&c| c).count()), (18, 2));
         fingerprint(&dt)
@@ -366,16 +409,18 @@ fn staged_run_over_the_same_corpus_invalidates_reuse() {
     let b2 = vec![show(101, "Alphashow7 One7", "$10")];
     let all: Vec<Record> = [s1.clone(), b1.clone(), b2.clone()].concat();
 
-    // No new source, so the session survives the run — but the run's
-    // `fused` lacks the delta records.
+    // No new source, so the session survives the run — but the run's own
+    // fusion stage installed composites that lack the delta records, so the
+    // run ends by re-resolving every cluster through the session.
     let inc = at_1_and_8_threads(|| {
         let mut dt = DataTamer::new(config());
         dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
         dt.consolidate_delta(&b1).expect("first delta");
         dt.run(PipelinePlan::new()).expect("staged run between the deltas");
+        assert!(all_changed(&dt), "no composite in the context may be reused");
+        assert_eq!(fingerprint(&dt), full_run(&[&s1[..], &b1].concat()));
         let d = dt.consolidate_delta(&b2).expect("delta after the run");
         assert_eq!(d.dirty_clusters, 1, "the consolidator itself was kept: {d:?}");
-        assert!(all_changed(&dt), "no composite in the context may be reused");
         fingerprint(&dt)
     });
     assert_eq!(inc, full_run(&all));
@@ -402,9 +447,11 @@ fn a_failed_log_append_keeps_the_batch_through_a_reseed() {
     dt.consolidate_delta(&b2).expect_err("the append fails and is reported");
     assert_eq!(fingerprint(&dt), full_run(&[s1.clone(), b1.clone(), b2.clone()].concat()));
 
-    // The base corpus grows: the reseed must replay both accepted batches,
-    // the one the log never got included, and the frozen log stays quiet.
-    dt.register_structured("s2", &s2).expect("second source");
+    // The base corpus grows: the reseed the run ends with must replay both
+    // accepted batches, the one the log never got included, and the frozen
+    // log stays quiet.
+    dt.run(PipelinePlan::new().structured("s2", &s2)).expect("second source");
+    assert_eq!(fingerprint(&dt), full_run(&[&s1[..], &s2, &b1, &b2].concat()));
     dt.consolidate_delta(&b3).expect("no further appends are attempted");
     assert_eq!(fingerprint(&dt), full_run(&[s1, s2, b1, b2, b3].concat()));
     std::fs::remove_dir_all(&dir).ok();
@@ -495,13 +542,16 @@ fn a_staged_run_is_adopted_only_over_the_corpus_it_consolidated() {
     let inc = at_1_and_8_threads(|| {
         let mut dt = DataTamer::new(config());
         dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
-        // The corpus grows after the run: its ER state and composites cover
-        // s1 only, so the seed consolidates s1 + s2 itself and re-resolves
-        // every cluster.
-        dt.register_structured("s2", &s2).expect("second source");
+        // A second run grows the corpus: the first run's ER state covers s1
+        // only and is replaced by the second's, which the seed adopts with
+        // its composites — only the cluster the delta touches re-resolves.
+        // (A corpus grown behind a run's state is not adopted; see
+        // `pipeline::tests::a_seed_adopts_no_er_state_over_a_corpus_grown_since`.)
+        dt.run(PipelinePlan::new().structured("s2", &s2)).expect("second source");
         let d = dt.consolidate_delta(&b1).expect("delta");
         assert_eq!(d.total_records, 16, "{d:?}");
-        assert!(all_changed(&dt), "the run's composites predate s2");
+        let changed = dt.context().fused_changed.clone().expect("delta path sets it");
+        assert_eq!((changed.len(), changed.iter().filter(|&&c| c).count()), (15, 1));
         fingerprint(&dt)
     });
     assert_eq!(inc, full_run(&[s1, s2, b1].concat()));

@@ -1,7 +1,7 @@
 //! Integration test for the Tables I–III shape claims at reduced scale:
 //! collection statistics ratios and the entity-type histogram.
 
-use datatamer::core::{DataTamer, DataTamerConfig};
+use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
 use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer::text::{DomainParser, EntityType};
 
@@ -22,7 +22,7 @@ fn build(fragments: usize, background: usize) -> DataTamer {
         .iter()
         .map(|f| (f.text.as_str(), f.kind.label()))
         .collect();
-    dt.ingest_webtext(parser, frags).unwrap();
+    dt.run(PipelinePlan::new().webtext(parser, frags)).unwrap();
     dt
 }
 
@@ -120,7 +120,8 @@ fn text_cleaning_is_observable_in_stats() {
     }
     let mut dt = DataTamer::new(DataTamerConfig::default());
     let parser = DomainParser::with_gazetteer(corpus.gazetteer.clone());
-    let stats = dt.ingest_webtext(parser, frags).unwrap();
+    dt.run(PipelinePlan::new().webtext(parser, frags)).unwrap();
+    let stats = dt.text_stats();
     assert!(stats.fragments_dropped >= 3, "junk dropped: {}", stats.fragments_dropped);
     assert_eq!(
         stats.instances as usize,
