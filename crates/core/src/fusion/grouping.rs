@@ -16,7 +16,7 @@
 
 use datatamer_entity::blocking::Blocker;
 use datatamer_entity::incremental::IncrementalConsolidator;
-use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
+use datatamer_entity::pairsim::RecordSimilarity;
 use datatamer_model::Record;
 use datatamer_text::normalize::canonical_name;
 
@@ -61,7 +61,7 @@ impl BlockedErConfig {
     pub fn build_incremental(&self) -> IncrementalConsolidator {
         IncrementalConsolidator::new(
             self.build_blocker(),
-            PairScorer::Rules(self.scorer.clone()),
+            self.scorer.clone(),
             self.accept_threshold,
         )
     }
@@ -259,10 +259,10 @@ mod tests {
         let (groups, report) =
             GroupingStrategy::BlockedEr(config.clone()).groups_with_report(&records, 0.88);
 
-        let prepared = PairScorer::Rules(config.scorer.clone()).prepare(&records);
-        let outcome = config.build_blocker().candidates_with_report_keyed(&records, &|| {
-            prepared.sort_keys(&config.key_attr).expect("rules contexts key any attribute")
-        });
+        let prepared = config.scorer.prepare(&records);
+        let outcome = config
+            .build_blocker()
+            .candidates_with_report_keyed(&records, &|| prepared.sort_keys_from(&config.key_attr, 0));
         let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
         let clusters = datatamer_entity::cluster::cluster_pairs(records.len(), &accepted);
         assert_eq!(clusters_to_groups(&records, &clusters, &config), groups);

@@ -79,7 +79,7 @@ use rayon::prelude::*;
 
 use crate::blocking::{distinct_token_ids, pack_pair, unpack_pair, window_pairs, Blocker};
 use crate::cluster::UnionFind;
-use crate::pairsim::{PairScorer, ScoringContext};
+use crate::pairsim::{RecordSimilarity, ScoringContext};
 
 /// What one delta batch cost and touched — the observable proof that
 /// ingest work scaled with the batch, not the corpus.
@@ -119,7 +119,7 @@ pub struct DeltaReport {
 /// Entity resolution with resident state: feed record batches with
 /// [`IncrementalConsolidator::ingest`], read the clusters (and how many
 /// changed) after each. Configuration mirrors the batch path — same
-/// [`Blocker`], same [`PairScorer`], same threshold — and the final
+/// [`Blocker`], same [`RecordSimilarity`], same threshold — and the final
 /// clusters are byte-identical to one batch run over the concatenation.
 /// The consolidator keeps prepared features, not the records: cluster
 /// members are positions in the concatenation of every batch ingested,
@@ -166,7 +166,7 @@ pub struct IncrementalConsolidator {
 impl IncrementalConsolidator {
     /// An empty consolidator; `threshold` is the pair-acceptance score
     /// bound, as in the batch path.
-    pub fn new(blocker: Blocker, scorer: PairScorer, threshold: f64) -> Self {
+    pub fn new(blocker: Blocker, scorer: RecordSimilarity, threshold: f64) -> Self {
         IncrementalConsolidator {
             blocker,
             threshold,
@@ -228,18 +228,7 @@ impl IncrementalConsolidator {
 
         // 1. Grow the scoring context and the sort axis in place.
         self.ctx.extend(batch);
-        let tail = self
-            .ctx
-            .sort_keys_from(&self.blocker.key_attr, old_n)
-            .unwrap_or_else(|| {
-                // Classifier context keyed on a different attribute:
-                // derive the axis from the raw records instead.
-                batch
-                    .iter()
-                    .map(|r| r.get_text(&self.blocker.key_attr).map(|k| k.to_lowercase()))
-                    .collect()
-            });
-        self.sort_keys.extend(tail);
+        self.sort_keys.extend(self.ctx.sort_keys_from(&self.blocker.key_attr, old_n));
         debug_assert_eq!(self.sort_keys.len(), n);
 
         // 2. Probe the token buckets with the new records only, noting the
@@ -430,7 +419,6 @@ fn is_sorted_superset(a: &[u64], b: &[u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairsim::RecordSimilarity;
     use datatamer_model::{RecordId, SourceId, Value};
 
     fn rec(i: u64, name: &str) -> Record {
@@ -442,20 +430,15 @@ mod tests {
     }
 
     fn consolidator() -> IncrementalConsolidator {
-        IncrementalConsolidator::new(
-            Blocker::new("name"),
-            PairScorer::Rules(RecordSimilarity::default()),
-            0.85,
-        )
+        IncrementalConsolidator::new(Blocker::new("name"), RecordSimilarity::default(), 0.85)
     }
 
     /// From-scratch oracle: block + score + cluster in one batch run.
     fn full_run(records: &[Record]) -> Vec<Vec<usize>> {
         let blocker = Blocker::new("name");
-        let scorer = PairScorer::Rules(RecordSimilarity::default());
-        let ctx = scorer.prepare(records);
+        let ctx = RecordSimilarity::default().prepare(records);
         let outcome = blocker
-            .candidates_with_report_keyed(records, &|| ctx.sort_keys("name").unwrap());
+            .candidates_with_report_keyed(records, &|| ctx.sort_keys_from("name", 0));
         let accepted = ctx.accepted_pairs(&outcome.pairs, 0.85);
         crate::cluster::cluster_pairs(records.len(), &accepted)
     }
@@ -519,19 +502,15 @@ mod tests {
         let records = corpus(&refs);
         let blocker = Blocker::new("name").with_bucket_cap(8);
         let full = {
-            let scorer = PairScorer::Rules(RecordSimilarity::default());
-            let ctx = scorer.prepare(&records);
+            let ctx = RecordSimilarity::default().prepare(&records);
             let outcome = blocker
-                .candidates_with_report_keyed(&records, &|| ctx.sort_keys("name").unwrap());
+                .candidates_with_report_keyed(&records, &|| ctx.sort_keys_from("name", 0));
             let accepted = ctx.accepted_pairs(&outcome.pairs, 0.85);
             crate::cluster::cluster_pairs(records.len(), &accepted)
         };
         for batch in [1, 7, 13, 60] {
-            let mut inc = IncrementalConsolidator::new(
-                blocker.clone(),
-                PairScorer::Rules(RecordSimilarity::default()),
-                0.85,
-            );
+            let mut inc =
+                IncrementalConsolidator::new(blocker.clone(), RecordSimilarity::default(), 0.85);
             let mut memo_hits = 0;
             for chunk in records.chunks(batch) {
                 memo_hits += inc.ingest(chunk).memo_hits;
@@ -560,7 +539,7 @@ mod tests {
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let mut inc = IncrementalConsolidator::new(
             Blocker::new("name").with_bucket_cap(8),
-            PairScorer::Rules(RecordSimilarity::default()),
+            RecordSimilarity::default(),
             0.85,
         );
         let report = inc.ingest(&corpus(&refs));

@@ -4,7 +4,7 @@
 //! data sources which describe the same entity" and consolidates them into
 //! composite entity records. At web scale all-pairs comparison is
 //! impossible, so consolidation is: **block** (candidate generation) →
-//! **score** pairs (rule-based or the ML dedup classifier) → **cluster**
+//! **score** pairs (weighted per-attribute rules) → **cluster**
 //! (union-find over accepted pairs) → **merge** into composite records with
 //! conflict resolution. This crate owns block, score and cluster; the merge
 //! is `datatamer-core`'s fusion. The staged pipeline in `datatamer-core`
@@ -36,4 +36,4 @@ pub mod pairsim;
 pub use blocking::{Blocker, BlockingOutcome, BUCKET_CAP, PROGRESSIVE_WINDOW};
 pub use cluster::UnionFind;
 pub use incremental::{DeltaReport, IncrementalConsolidator};
-pub use pairsim::{PairScorer, PrepareStats, RecordSimilarity, ScoringContext};
+pub use pairsim::{PrepareStats, RecordSimilarity, ScoringContext};

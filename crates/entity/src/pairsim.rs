@@ -9,10 +9,10 @@
 //!
 //! The module is therefore layered in two:
 //!
-//! * **Naive scorers** — [`PairScorer::score`] / [`RecordSimilarity::score`]
-//!   compute everything from the raw [`Record`]s on every call. They are
-//!   the *semantic definition* of pair similarity and the test oracle.
-//! * **Prepared scoring** — [`PairScorer::prepare`] runs one pass over the
+//! * **Naive scoring** — [`RecordSimilarity::score`] computes everything
+//!   from the raw [`Record`]s on every call. It is the *semantic
+//!   definition* of pair similarity and the test oracle.
+//! * **Prepared scoring** — [`RecordSimilarity::prepare`] runs one pass over the
 //!   records and builds a [`ScoringContext`] holding, per record and per
 //!   non-null attribute: the interned attribute id, the `as_float` /
 //!   numeric-ish parses, the lowercased text (one shared arena), and the
@@ -65,61 +65,9 @@
 //! consolidator ([`crate::incremental`]) keep one context resident across
 //! delta batches instead of re-preparing the corpus per run.
 
-use datatamer_ml::{DedupClassifier, PairFeatures, PreparedForm};
 use datatamer_model::{Record, Value};
 use datatamer_sim as sim;
 use rayon::prelude::*;
-
-/// How a pair of records is scored.
-#[derive(Debug, Clone)]
-pub enum PairScorer {
-    /// Rule-based weighted attribute similarity with an accept threshold.
-    Rules(RecordSimilarity),
-    /// The trained ML dedup classifier applied to a key attribute
-    /// (probability ≥ 0.5 accepts).
-    Classifier { key_attr: String, model: DedupClassifier },
-}
-
-impl PairScorer {
-    /// Score a pair in `[0, 1]` from the raw records — the naive path.
-    ///
-    /// Normalises both sides from scratch on every call; fine for a
-    /// handful of pairs, quadratic waste on a candidate set. Batch callers
-    /// go through [`PairScorer::prepare`]; this stays as the oracle the
-    /// prepared path is pinned against.
-    pub fn score(&self, a: &Record, b: &Record) -> f64 {
-        match self {
-            PairScorer::Rules(rs) => rs.score(a, b),
-            PairScorer::Classifier { key_attr, model } => {
-                match (a.get_text(key_attr), b.get_text(key_attr)) {
-                    (Some(x), Some(y)) => model.proba(&x, &y),
-                    _ => 0.0,
-                }
-            }
-        }
-    }
-
-    /// Build a [`ScoringContext`] for `records`: one normalisation pass
-    /// (each record visited exactly once), after which any number of pairs
-    /// score without re-deriving features. The context is self-contained
-    /// (the classifier variant stores a clone of the model), so it can
-    /// outlive the scorer and stay resident across incremental runs.
-    pub fn prepare(&self, records: &[Record]) -> ScoringContext {
-        let inner = match self {
-            PairScorer::Rules(rs) => Prepared::Rules(PreparedRules::empty(rs)),
-            PairScorer::Classifier { key_attr, model } => Prepared::Classifier {
-                model: model.clone(),
-                key_attr: key_attr.clone(),
-                keys: Vec::new(),
-                forms: Vec::new(),
-                stats: PrepareStats { distinct_attrs: 1, ..PrepareStats::default() },
-            },
-        };
-        let mut ctx = ScoringContext { inner };
-        ctx.extend(records);
-        ctx
-    }
-}
 
 /// Weighted per-attribute record similarity.
 ///
@@ -147,11 +95,33 @@ impl RecordSimilarity {
         RecordSimilarity { weights, default_weight }
     }
 
-    /// This similarity as a [`PairScorer::Rules`]. It exists only because
-    /// the `dtbench` benchmark names it (`BlockedErConfig::scorer.build()`);
-    /// the library wraps the similarity in `PairScorer::Rules` directly.
-    pub fn build(&self) -> PairScorer {
-        PairScorer::Rules(self.clone())
+    /// A clone of this similarity. It exists only because the `dtbench`
+    /// benchmark names it (`BlockedErConfig::scorer.build()`); the library
+    /// calls [`RecordSimilarity::prepare`] on the similarity directly.
+    pub fn build(&self) -> RecordSimilarity {
+        self.clone()
+    }
+
+    /// Build a [`ScoringContext`] for `records`: one normalisation pass
+    /// (each record visited exactly once), after which any number of pairs
+    /// score without re-deriving features. The context owns a clone of
+    /// this configuration, so it can stay resident across incremental runs.
+    pub fn prepare(&self, records: &[Record]) -> ScoringContext {
+        let mut ctx = ScoringContext {
+            rs: self.clone(),
+            attr_ids: sim::TokenInterner::new(),
+            tokens: sim::TokenInterner::new(),
+            weights: Vec::new(),
+            nonnegative_weights: self.default_weight >= 0.0
+                && self.weights.iter().all(|(_, w)| *w >= 0.0),
+            records: Vec::new(),
+            fields: Vec::new(),
+            token_arena: Vec::new(),
+            text_arena: String::new(),
+            stats: PrepareStats::default(),
+        };
+        ctx.extend(records);
+        ctx
     }
 
     fn weight_of(&self, attr: &str) -> f64 {
@@ -163,6 +133,11 @@ impl RecordSimilarity {
     }
 
     /// Similarity in `[0, 1]`; 0.0 when no attribute is comparable.
+    ///
+    /// Normalises both sides from scratch on every call; fine for a
+    /// handful of pairs, quadratic waste on a candidate set. Batch callers
+    /// go through [`RecordSimilarity::prepare`]; this stays as the oracle
+    /// the prepared path is pinned against.
     pub fn score(&self, a: &Record, b: &Record) -> f64 {
         let mut total_weight = 0.0;
         let mut acc = 0.0;
@@ -186,14 +161,14 @@ impl RecordSimilarity {
     }
 }
 
-/// Counters from one [`PairScorer::prepare`] pass — the observable proof
+/// Counters from one [`RecordSimilarity::prepare`] pass — the observable proof
 /// of its prepare-once contract (each record contributes to `records` and
 /// `values` exactly once; scoring never mutates them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrepareStats {
     /// Records visited (always the full input length).
     pub records: usize,
-    /// Non-null values normalised (for the classifier: key texts found).
+    /// Non-null values normalised.
     pub values: usize,
     /// Distinct attribute names interned.
     pub distinct_attrs: usize,
@@ -272,20 +247,22 @@ impl FieldSim<'_> {
     }
 }
 
-/// Shared weighted fields [`PreparedRules::accepts`] holds on the stack;
+/// Shared weighted fields [`ScoringContext::accepts`] holds on the stack;
 /// records with more fields take the full score instead.
 const MAX_TERMS: usize = 16;
 
-/// Prepared features for the rules scorer: every per-value normalisation
-/// the naive path recomputes per pair, hoisted into flat arenas. The
-/// interners stay live so [`PreparedRules::extend`] can keep assigning
-/// consistent first-seen ids to later batches.
+/// Per-run scoring context built by [`RecordSimilarity::prepare`]: every
+/// per-value normalisation the naive path recomputes per pair, hoisted
+/// into flat arenas once per record and shared (immutably, hence freely
+/// across threads) by every pair scored afterwards. The interners stay
+/// live so [`ScoringContext::extend`] can keep assigning consistent
+/// first-seen ids to later batches.
 #[derive(Debug, Clone)]
-struct PreparedRules {
+pub struct ScoringContext {
     /// The scorer configuration, kept so extension can weight attributes
     /// first seen in a later batch.
     rs: RecordSimilarity,
-    /// Attribute-name interner (ids index [`PreparedRules::weights`]).
+    /// Attribute-name interner (ids index [`ScoringContext::weights`]).
     attr_ids: sim::TokenInterner,
     /// Value-token interner (ids fill the token arena).
     tokens: sim::TokenInterner,
@@ -293,7 +270,7 @@ struct PreparedRules {
     /// linear scan of `RecordSimilarity::weight_of` with one indexed load.
     weights: Vec<f64>,
     /// Every configured weight is `>= 0` (so not NaN): the precondition
-    /// of the accept bound in [`PreparedRules::accepts`].
+    /// of the accept bound in [`ScoringContext::accepts`].
     nonnegative_weights: bool,
     records: Vec<PreparedRecord>,
     fields: Vec<PreparedField>,
@@ -302,29 +279,29 @@ struct PreparedRules {
     stats: PrepareStats,
 }
 
-impl PreparedRules {
-    fn empty(rs: &RecordSimilarity) -> Self {
-        PreparedRules {
-            rs: rs.clone(),
-            attr_ids: sim::TokenInterner::new(),
-            tokens: sim::TokenInterner::new(),
-            weights: Vec::new(),
-            nonnegative_weights: rs.default_weight >= 0.0
-                && rs.weights.iter().all(|(_, w)| *w >= 0.0),
-            records: Vec::new(),
-            fields: Vec::new(),
-            token_arena: Vec::new(),
-            text_arena: String::new(),
-            stats: PrepareStats::default(),
-        }
+impl ScoringContext {
+    /// Number of prepared records (pair indexes must stay below this).
+    pub fn len(&self) -> usize {
+        self.records.len()
     }
 
-    /// Append a batch: every structure grows strictly by appending (the
-    /// interners assign dense first-seen ids over the concatenated
-    /// stream), so the result is structurally identical to building from
-    /// the concatenation in one pass — the invariant the incremental
-    /// equivalence suite pins.
-    fn extend(&mut self, new_records: &[Record]) {
+    /// True when no records were prepared.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Counters from the prepare pass.
+    pub fn stats(&self) -> PrepareStats {
+        self.stats
+    }
+
+    /// Append a batch of records to the context in place. Every structure
+    /// grows strictly by appending and every id already handed out is
+    /// preserved (the interners assign dense first-seen ids over the
+    /// concatenated stream), so `prepare(A)` followed by `extend(B)`
+    /// scores bit-identically to `prepare(A∥B)` — the contract incremental
+    /// consolidation rests on, pinned by the incremental equivalence suite.
+    pub fn extend(&mut self, new_records: &[Record]) {
         let mut tok_buf: Vec<u32> = Vec::new();
         for r in new_records {
             let field_start = self.fields.len();
@@ -382,9 +359,35 @@ impl PreparedRules {
         &self.token_arena[f.tok_start..f.tok_start + f.tok_len as usize]
     }
 
+    /// The blocking sort axis for `attr` — each record's lowercased value,
+    /// byte-identical to `Record::get_text(attr).to_lowercase()` but read
+    /// from the prepared text arena instead of re-rendering and
+    /// re-lowercasing every record. Always `Some`: the `Option` remains
+    /// only because the `dtbench` benchmark unwraps it.
+    pub fn sort_keys(&self, attr: &str) -> Option<Vec<Option<String>>> {
+        Some(self.sort_keys_from(attr, 0))
+    }
+
+    /// [`ScoringContext::sort_keys`] restricted to records `start..len` —
+    /// the incremental consolidator calls this with the previous corpus
+    /// length after an [`ScoringContext::extend`], so growing its resident
+    /// sort axis costs O(delta), not O(corpus).
+    pub fn sort_keys_from(&self, attr: &str, start: usize) -> Vec<Option<String>> {
+        let id = self.attr_ids.get(attr);
+        (start..self.records.len())
+            .map(|i| {
+                let id = id?;
+                self.fields_of(i)
+                    .iter()
+                    .find(|f| f.attr == id)
+                    .map(|f| self.lower_of(f).to_owned())
+            })
+            .collect()
+    }
+
     /// Mirrors [`value_similarity`] over prepared features — same branch
     /// order, same float expressions, hence bit-identical scores — stopping
-    /// short of the Jaro-Winkler term so [`PreparedRules::accepts`] can
+    /// short of the Jaro-Winkler term so [`ScoringContext::accepts`] can
     /// bound it first.
     fn field_sim<'a>(&'a self, a: &PreparedField, b: &PreparedField) -> FieldSim<'a> {
         if let (Some(x), Some(y)) = (a.float, b.float) {
@@ -415,8 +418,10 @@ impl PreparedRules {
         })
     }
 
-    /// Mirrors [`RecordSimilarity::score`].
-    fn score_pair(&self, i: usize, j: usize) -> f64 {
+    /// Score one prepared pair in `[0, 1]` — bit-identical to
+    /// [`RecordSimilarity::score`] on the same records, and allocation-free
+    /// for ASCII texts of up to 64 symbols.
+    pub fn score_pair(&self, i: usize, j: usize) -> f64 {
         let mut total_weight = 0.0;
         let mut acc = 0.0;
         for (w, s) in self.shared_fields(i, j) {
@@ -426,9 +431,11 @@ impl PreparedRules {
         weighted_mean(acc, total_weight)
     }
 
-    /// `score_pair(i, j) >= threshold`, running Jaro-Winkler on long texts
-    /// only when a float-exact upper bound on the score cannot reject.
-    fn accepts(&self, i: usize, j: usize, threshold: f64) -> bool {
+    /// Whether pair `(i, j)` is accepted at `threshold` — always equal to
+    /// `score_pair(i, j) >= threshold`, but a pair whose float-exact score
+    /// upper bound is already below `threshold` is rejected without running
+    /// Jaro-Winkler on its long texts (see the module docs).
+    pub fn accepts(&self, i: usize, j: usize, threshold: f64) -> bool {
         if !self.nonnegative_weights || self.records[i].field_len as usize > MAX_TERMS {
             return self.score_pair(i, j) >= threshold;
         }
@@ -452,165 +459,6 @@ impl PreparedRules {
         }
         weighted_mean(acc, total_weight) >= threshold
     }
-}
-
-/// `acc / total_weight`, or 0.0 when nothing was comparable.
-fn weighted_mean(acc: f64, total_weight: f64) -> f64 {
-    if total_weight == 0.0 {
-        0.0
-    } else {
-        acc / total_weight
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Prepared {
-    Rules(PreparedRules),
-    Classifier {
-        /// Owned model clone, so the context is self-contained and can
-        /// stay resident between runs.
-        model: DedupClassifier,
-        /// The attribute the classifier reads.
-        key_attr: String,
-        /// Key-attribute text per record, hoisted out of the pair loop
-        /// (the naive path re-allocates both strings per pair); also the
-        /// source of blocking sort keys on this path.
-        keys: Vec<Option<String>>,
-        /// Per-record classifier features ([`PairFeatures::prepare`]):
-        /// canonical form, token/ngram sets, Soundex, prefix — so pair
-        /// scoring stops re-deriving the `get_text` features per pair.
-        forms: Vec<Option<PreparedForm>>,
-        stats: PrepareStats,
-    },
-}
-
-/// Per-run scoring context built by [`PairScorer::prepare`]: normalised
-/// features for every record, computed once, shared (immutably, hence
-/// freely across threads) by every pair scored afterwards. Growable in
-/// place via [`ScoringContext::extend`] for incremental runs.
-#[derive(Debug, Clone)]
-pub struct ScoringContext {
-    inner: Prepared,
-}
-
-impl ScoringContext {
-    /// Number of prepared records (pair indexes must stay below this).
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Prepared::Rules(r) => r.records.len(),
-            Prepared::Classifier { keys, .. } => keys.len(),
-        }
-    }
-
-    /// True when no records were prepared.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Counters from the prepare pass.
-    pub fn stats(&self) -> PrepareStats {
-        match &self.inner {
-            Prepared::Rules(r) => r.stats,
-            Prepared::Classifier { stats, .. } => *stats,
-        }
-    }
-
-    /// Append a batch of records to the context in place. Existing
-    /// prepared features are untouched and every id already handed out is
-    /// preserved (interners are append-only, first-seen dense), so
-    /// `prepare(A)` followed by `extend(B)` scores bit-identically to
-    /// `prepare(A∥B)` — the contract incremental consolidation rests on.
-    pub fn extend(&mut self, new_records: &[Record]) {
-        match &mut self.inner {
-            Prepared::Rules(r) => r.extend(new_records),
-            Prepared::Classifier { key_attr, keys, forms, stats, .. } => {
-                for r in new_records {
-                    let key = r.get_text(key_attr);
-                    if key.is_some() {
-                        stats.values += 1;
-                    }
-                    forms.push(key.as_deref().map(PairFeatures::prepare));
-                    keys.push(key);
-                }
-                stats.records = keys.len();
-            }
-        }
-    }
-
-    /// The blocking sort axis for `attr` — each record's lowercased value,
-    /// byte-identical to `Record::get_text(attr).to_lowercase()` but read
-    /// from the prepared text arena instead of re-rendering and
-    /// re-lowercasing every record. `None` when this context cannot derive
-    /// the axis (a classifier context asked about anything but its key
-    /// attribute); callers then fall back to the raw records.
-    pub fn sort_keys(&self, attr: &str) -> Option<Vec<Option<String>>> {
-        self.sort_keys_from(attr, 0)
-    }
-
-    /// [`ScoringContext::sort_keys`] restricted to records `start..len` —
-    /// the incremental consolidator calls this with the previous corpus
-    /// length after an [`ScoringContext::extend`], so growing its resident
-    /// sort axis costs O(delta), not O(corpus).
-    pub fn sort_keys_from(&self, attr: &str, start: usize) -> Option<Vec<Option<String>>> {
-        match &self.inner {
-            Prepared::Rules(r) => {
-                let id = r.attr_ids.get(attr);
-                Some(
-                    (start..r.records.len())
-                        .map(|i| {
-                            let id = id?;
-                            r.fields_of(i)
-                                .iter()
-                                .find(|f| f.attr == id)
-                                .map(|f| r.lower_of(f).to_owned())
-                        })
-                        .collect(),
-                )
-            }
-            Prepared::Classifier { key_attr, keys, .. } => (attr == key_attr).then(|| {
-                keys[start.min(keys.len())..]
-                    .iter()
-                    .map(|k| k.as_ref().map(|s| s.to_lowercase()))
-                    .collect()
-            }),
-        }
-    }
-
-    /// Score one prepared pair in `[0, 1]` — bit-identical to
-    /// [`PairScorer::score`] on the same records, allocation-free on the
-    /// rules path for ASCII texts of up to 64 symbols and free of per-pair feature
-    /// re-derivation on the classifier path (cached [`PreparedForm`]s).
-    pub fn score_pair(&self, i: usize, j: usize) -> f64 {
-        match &self.inner {
-            Prepared::Rules(r) => r.score_pair(i, j),
-            Prepared::Classifier { model, forms, .. } => match (&forms[i], &forms[j]) {
-                (Some(x), Some(y)) => model.proba_prepared(x, y),
-                _ => 0.0,
-            },
-        }
-    }
-
-    /// Score candidate pairs in parallel, preserving pair order.
-    ///
-    /// This is the consolidation hot path — at paper scale the candidate
-    /// set runs to millions of pairs, each scoring independently against
-    /// the shared context, so the work is embarrassingly parallel. Output
-    /// index `k` is the score of `pairs[k]` regardless of thread count.
-    pub fn score_pairs(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        pairs.par_iter().map(|&(i, j)| self.score_pair(i, j)).collect()
-    }
-
-    /// Whether pair `(i, j)` is accepted at `threshold` — always equal to
-    /// `score_pair(i, j) >= threshold`, but on the rules path a pair whose
-    /// float-exact score upper bound is already below `threshold` is
-    /// rejected without running Jaro-Winkler on its long texts (see the
-    /// module docs).
-    pub fn accepts(&self, i: usize, j: usize, threshold: f64) -> bool {
-        match &self.inner {
-            Prepared::Rules(r) => r.accepts(i, j, threshold),
-            Prepared::Classifier { .. } => self.score_pair(i, j) >= threshold,
-        }
-    }
 
     /// Decide candidate pairs in parallel and keep the accepted ones, in
     /// one fused pass (order preserved) — no intermediate `Vec<f64>` of
@@ -623,8 +471,17 @@ impl ScoringContext {
     }
 }
 
+/// `acc / total_weight`, or 0.0 when nothing was comparable.
+fn weighted_mean(acc: f64, total_weight: f64) -> f64 {
+    if total_weight == 0.0 {
+        0.0
+    } else {
+        acc / total_weight
+    }
+}
+
 /// Type-aware scalar similarity (the naive, per-call form; the prepared
-/// path hoists every normalisation here into [`PairScorer::prepare`]).
+/// path hoists every normalisation here into [`RecordSimilarity::prepare`]).
 pub fn value_similarity(a: &Value, b: &Value) -> f64 {
     if let (Some(x), Some(y)) = (a.as_float(), b.as_float()) { return sim::relative_diff_similarity(x, y) }
     let (ta, tb) = (a.to_text(), b.to_text());
@@ -657,7 +514,6 @@ fn parse_numericish(s: &str) -> Option<f64> {
 mod tests {
     use super::*;
     use datatamer_model::{RecordId, SourceId};
-    use datatamer_ml::logreg::LogRegConfig;
 
     fn rec(fields: Vec<(&str, &str)>) -> Record {
         Record::from_pairs(
@@ -711,26 +567,7 @@ mod tests {
         assert!(value_similarity(&Value::from("1900"), &Value::from("1901")) > 0.99);
         assert!(value_similarity(&Value::from("$20"), &Value::from("$200")) < 0.2);
         assert_eq!(value_similarity(&Value::Int(5), &Value::Int(5)), 1.0);
-    }
-
-    #[test]
-    fn classifier_scorer_uses_key_attribute() {
-        let pairs = vec![
-            ("Matilda".to_owned(), "matilda".to_owned(), true),
-            ("Matilda".to_owned(), "Wicked".to_owned(), false),
-            ("Annie".to_owned(), "Annie!".to_owned(), true),
-            ("Annie".to_owned(), "Pippin".to_owned(), false),
-            ("Goodfellas".to_owned(), "Goodfelas".to_owned(), true),
-            ("Goodfellas".to_owned(), "Written".to_owned(), false),
-        ];
-        let model = DedupClassifier::train(&pairs, &LogRegConfig::default());
-        let scorer = PairScorer::Classifier { key_attr: "name".into(), model };
-        let a = rec(vec![("name", "Matilda")]);
-        let b = rec(vec![("name", "matilda ")]);
-        let c = rec(vec![("name", "Rock of Ages")]);
-        assert!(scorer.score(&a, &b) > scorer.score(&a, &c));
-        let no_key = rec(vec![("other", "x")]);
-        assert_eq!(scorer.score(&a, &no_key), 0.0);
+        assert_eq!(value_similarity(&Value::Float(f64::NAN), &Value::Int(0)), 0.0);
     }
 
     #[test]
@@ -742,10 +579,10 @@ mod tests {
             rec(vec![("other", "x")]),
             rec(vec![]),
         ];
-        let scorer = PairScorer::Rules(RecordSimilarity::with_weights(
+        let scorer = RecordSimilarity::with_weights(
             vec![("name".into(), 3.0), ("venue".into(), 0.0)],
             1.0,
-        ));
+        );
         let ctx = scorer.prepare(&records);
         for i in 0..records.len() {
             for j in 0..records.len() {
@@ -763,12 +600,13 @@ mod tests {
             rec(vec![("name", "WICKED"), ("price", "$98")]),
             rec(vec![("name", "Annie"), ("price", "$45")]),
         ];
-        let scorer = PairScorer::Rules(RecordSimilarity::default());
+        let scorer = RecordSimilarity::default();
         let pairs = vec![(0, 1), (0, 2), (1, 2)];
         let ctx = scorer.prepare(&records);
-        let one_by_one: Vec<f64> = pairs.iter().map(|&(i, j)| ctx.score_pair(i, j)).collect();
-        assert_eq!(ctx.score_pairs(&pairs), one_by_one);
-        assert_eq!(ctx.accepted_pairs(&pairs, 0.75), vec![(0, 1)]);
+        let one_by_one: Vec<(usize, usize)> =
+            pairs.iter().copied().filter(|&(i, j)| ctx.score_pair(i, j) >= 0.75).collect();
+        assert_eq!(ctx.accepted_pairs(&pairs, 0.75), one_by_one);
+        assert_eq!(one_by_one, vec![(0, 1)]);
     }
 
     #[test]
@@ -787,7 +625,7 @@ mod tests {
             )
         };
         let records = vec![wide("matilda"), wide("wicked"), rec(vec![("feed", &feed("annie"))])];
-        let scorer = PairScorer::Rules(RecordSimilarity::default());
+        let scorer = RecordSimilarity::default();
         let ctx = scorer.prepare(&records);
         for i in 0..records.len() {
             for j in 0..records.len() {
@@ -807,14 +645,14 @@ mod tests {
             rec(vec![]),
         ];
         records[1].set("venue", Value::Null);
-        let scorer = PairScorer::Rules(RecordSimilarity::default());
+        let scorer = RecordSimilarity::default();
         let ctx = scorer.prepare(&records);
         let stats = ctx.stats();
         assert_eq!(stats.records, 3);
         assert_eq!(stats.values, 3, "nulls and empty records add nothing");
         assert_eq!(stats.distinct_attrs, 2, "name + price (null venue skipped)");
         // Scoring must not re-prepare: stats are immutable after the pass.
-        let _ = ctx.score_pairs(&[(0, 1), (1, 2), (0, 2)]);
+        let _ = ctx.accepted_pairs(&[(0, 1), (1, 2), (0, 2)], 0.5);
         assert_eq!(ctx.stats(), stats);
     }
 }

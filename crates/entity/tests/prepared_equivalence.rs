@@ -1,16 +1,15 @@
 //! The prepared scoring layer's load-bearing contract: scores coming out
-//! of a [`ScoringContext`] are **bit-identical** to the naive
-//! [`PairScorer::score`] oracle on the same records — preparation hoists
-//! work, it never moves a float — accept decisions equal the naive
-//! `score >= threshold` even where the bound skips Jaro, and preparation
+//! of a `ScoringContext` are **bit-identical** to the naive
+//! [`RecordSimilarity::score`] oracle on the same records — preparation
+//! hoists work, it never moves a float — accept decisions equal the naive
+//! `score >= threshold` even where the bound skips Jaro, preparation
 //! visits each record exactly once no matter how many pairs are scored
-//! afterwards.
+//! afterwards, and the blocking sort axis read from the context is
+//! byte-identical to the one derived from the raw records.
 
 use proptest::prelude::*;
 
-use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
-use datatamer_ml::logreg::LogRegConfig;
-use datatamer_ml::DedupClassifier;
+use datatamer_entity::pairsim::RecordSimilarity;
 use datatamer_model::{Record, RecordId, SourceId, Value};
 
 /// Small fixed attribute alphabet so records genuinely share attributes.
@@ -111,7 +110,7 @@ proptest! {
     #[test]
     fn prepared_rules_scores_are_bit_identical_to_naive(
         raw in prop::collection::vec(record_strategy(), 1..12),
-        similarity in weights_strategy(),
+        scorer in weights_strategy(),
         raw_pairs in prop::collection::vec((0usize..12, 0usize..12), 0..30),
         threshold in 0.0f64..1.0,
     ) {
@@ -119,18 +118,16 @@ proptest! {
         let n = records.len();
         let pairs: Vec<(usize, usize)> =
             raw_pairs.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-        let scorer = PairScorer::Rules(similarity);
         let ctx = scorer.prepare(&records);
 
-        let prepared = ctx.score_pairs(&pairs);
-        prop_assert_eq!(prepared.len(), pairs.len());
-        for (k, &(i, j)) in pairs.iter().enumerate() {
+        for &(i, j) in &pairs {
+            let prepared = ctx.score_pair(i, j);
             let naive = scorer.score(&records[i], &records[j]);
             prop_assert_eq!(
-                prepared[k].to_bits(),
+                prepared.to_bits(),
                 naive.to_bits(),
                 "pair ({}, {}): prepared {} vs naive {}",
-                i, j, prepared[k], naive
+                i, j, prepared, naive
             );
         }
 
@@ -147,11 +144,10 @@ proptest! {
     #[test]
     fn accept_decisions_equal_the_naive_threshold_test(
         raw in prop::collection::vec(long_record_strategy(), 1..8),
-        similarity in weights_strategy(),
+        scorer in weights_strategy(),
         threshold in 0.0f64..1.0,
     ) {
         let records = build_records(raw);
-        let scorer = PairScorer::Rules(similarity);
         let ctx = scorer.prepare(&records);
         for i in 0..records.len() {
             for j in 0..records.len() {
@@ -175,11 +171,15 @@ proptest! {
     fn preparation_visits_each_record_exactly_once(
         raw in prop::collection::vec(record_strategy(), 1..10),
         pair_count in 0usize..40,
+        split in 0usize..10,
     ) {
         let records = build_records(raw);
         let n = records.len();
-        let scorer = PairScorer::Rules(RecordSimilarity::default());
-        let ctx = scorer.prepare(&records);
+        // A prefix prepared, the rest appended: the same context as one
+        // pass over all of them.
+        let split = split.min(n);
+        let mut ctx = RecordSimilarity::default().prepare(&records[..split]);
+        ctx.extend(&records[split..]);
         let stats = ctx.stats();
 
         // One visit per record, one prepared value per non-null field —
@@ -195,49 +195,22 @@ proptest! {
         // Scoring any number of pairs must not re-prepare anything.
         let pairs: Vec<(usize, usize)> =
             (0..pair_count).map(|k| (k % n, (k * 7 + 1) % n)).collect();
-        let _ = ctx.score_pairs(&pairs);
+        for &(i, j) in &pairs {
+            let _ = ctx.score_pair(i, j);
+        }
         let _ = ctx.accepted_pairs(&pairs, 0.5);
         prop_assert_eq!(ctx.stats(), stats);
-    }
-}
 
-#[test]
-fn prepared_classifier_scores_are_bit_identical_to_naive() {
-    let training = vec![
-        ("Matilda".to_owned(), "matilda".to_owned(), true),
-        ("Matilda".to_owned(), "Wicked".to_owned(), false),
-        ("Annie".to_owned(), "Annie!".to_owned(), true),
-        ("Annie".to_owned(), "Pippin".to_owned(), false),
-        ("Goodfellas".to_owned(), "Goodfelas".to_owned(), true),
-        ("Goodfellas".to_owned(), "Written".to_owned(), false),
-    ];
-    let model = DedupClassifier::train(&training, &LogRegConfig::default());
-    let scorer = PairScorer::Classifier { key_attr: "name".into(), model };
-
-    let rec = |id: u64, fields: Vec<(&str, &str)>| {
-        Record::from_pairs(
-            SourceId(0),
-            RecordId(id),
-            fields.into_iter().map(|(k, v)| (k, Value::from(v))).collect(),
-        )
-    };
-    let records = vec![
-        rec(0, vec![("name", "Matilda"), ("price", "$27")]),
-        rec(1, vec![("name", "matilda ")]),
-        rec(2, vec![("name", "Rock of Ages")]),
-        rec(3, vec![("other", "no key here")]),
-        rec(4, vec![]),
-    ];
-    let ctx = scorer.prepare(&records);
-    assert_eq!(ctx.len(), records.len());
-    assert_eq!(ctx.stats().records, records.len());
-    assert_eq!(ctx.stats().values, 3, "three records carry the key attribute");
-    for i in 0..records.len() {
-        for j in 0..records.len() {
-            let naive = scorer.score(&records[i], &records[j]);
-            let prepared = ctx.score_pair(i, j);
-            assert_eq!(prepared.to_bits(), naive.to_bits(), "pair ({i}, {j})");
-            assert_eq!(ctx.accepts(i, j, 0.5), naive >= 0.5, "pair ({i}, {j})");
+        // The blocking sort axis, for every attribute and one no record
+        // has, is byte-identical to the raw records' lowercased text, and
+        // its suffix from any position is the incremental tail.
+        for attr in ATTRS.iter().copied().chain(["absent"]) {
+            let expected: Vec<Option<String>> =
+                records.iter().map(|r| r.get_text(attr).map(|k| k.to_lowercase())).collect();
+            prop_assert_eq!(ctx.sort_keys(attr), Some(expected.clone()), "attr {}", attr);
+            for k in 0..=n {
+                prop_assert_eq!(ctx.sort_keys_from(attr, k), expected[k..].to_vec(), "attr {} from {}", attr, k);
+            }
         }
     }
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use datatamer_entity::blocking::Blocker;
 use datatamer_entity::cluster::{cluster_pairs, UnionFind};
-use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
+use datatamer_entity::pairsim::RecordSimilarity;
 use datatamer_model::{Record, RecordId, SourceId, Value};
 
 /// Records with a `name` attribute from generated strings.
@@ -122,7 +122,7 @@ proptest! {
     fn pipeline_clusters_partition_input(names in prop::collection::vec("[a-f]{2,6}", 1..30)) {
         let records = named_records(&names);
         let candidates = Blocker::new("name").candidates(&records);
-        let ctx = PairScorer::Rules(RecordSimilarity::default()).prepare(&records);
+        let ctx = RecordSimilarity::default().prepare(&records);
         let clusters = cluster_pairs(records.len(), &ctx.accepted_pairs(&candidates, 0.75));
         // Clusters partition 0..n.
         let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();

@@ -5,6 +5,11 @@
 //! regression. Evaluated with stratified 10-fold cross-validation per entity
 //! type, this is the experiment behind the paper's "89/90% precision/recall
 //! ... on several different types of entities" claim (experiment M1).
+//!
+//! The classifier is M1's evaluation model, not a consolidation scorer:
+//! entity consolidation scores pairs with the weighted attribute rules of
+//! `datatamer-entity`'s `RecordSimilarity`. Callers that want the model's
+//! verdict on a pair ask [`DedupClassifier::proba`] directly.
 
 use datatamer_sim as sim;
 
@@ -70,82 +75,6 @@ impl PairFeatures {
             f64::from(u8::from(ca == cb)),
         ]
     }
-
-    /// Normalise one surface form into a [`PreparedForm`]: everything
-    /// [`PairFeatures::extract`] derives from a single side — the
-    /// canonical spelling, token / bigram / trigram sets, char count,
-    /// Soundex code, 4-char prefix — computed once. Batch scorers cache
-    /// one form per record so a record in `k` candidate pairs pays its
-    /// normalisation once instead of `k` times.
-    pub fn prepare(s: &str) -> PreparedForm {
-        let canonical = canonical(s);
-        let sorted_set = |mut v: Vec<String>| {
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        PreparedForm {
-            tokens: sorted_set(sim::tokenize(&canonical)),
-            bigrams: sorted_set(sim::char_ngrams(&canonical, 2)),
-            trigrams: sorted_set(sim::char_ngrams(&canonical, 3)),
-            chars: canonical.chars().count() as f64,
-            soundex: sim::soundex(&canonical),
-            prefix4: canonical.chars().take(4).collect(),
-            canonical,
-        }
-    }
-
-    /// [`PairFeatures::extract`] over two cached [`PreparedForm`]s —
-    /// bit-identical output (same expressions over the same canonical
-    /// forms; the set similarities run on sorted slices, whose
-    /// intersection/union counts equal the hash-set counts).
-    pub fn extract_prepared(a: &PreparedForm, b: &PreparedForm) -> Vec<f64> {
-        let len_ratio = if a.chars.max(b.chars) == 0.0 {
-            1.0
-        } else {
-            a.chars.min(b.chars) / a.chars.max(b.chars)
-        };
-        let soundex_eq = match (&a.soundex, &b.soundex) {
-            (Some(x), Some(y)) => f64::from(u8::from(x == y)),
-            _ => 0.0,
-        };
-        let prefix4 = f64::from(u8::from(!a.prefix4.is_empty() && a.prefix4 == b.prefix4));
-        vec![
-            sim::jaro_winkler(&a.canonical, &b.canonical),
-            sim::levenshtein_similarity(&a.canonical, &b.canonical),
-            sim::jaccard_sorted(&a.tokens, &b.tokens),
-            sim::jaccard_sorted(&a.bigrams, &b.bigrams),
-            sim::jaccard_sorted(&a.trigrams, &b.trigrams),
-            soundex_eq,
-            len_ratio,
-            prefix4,
-            f64::from(u8::from(a.canonical == b.canonical)),
-        ]
-    }
-}
-
-/// One surface form's per-record half of the pair features: the cached
-/// output of [`PairFeatures::prepare`]. Set features are stored as sorted,
-/// deduplicated vectors so pair-time similarity runs through
-/// [`sim::jaccard_sorted`] (merge intersection, no hashing, no
-/// allocation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedForm {
-    /// Canonicalised spelling (lowercased, whitespace-squeezed,
-    /// article-stripped).
-    pub canonical: String,
-    /// Sorted, deduplicated word tokens of the canonical form.
-    pub tokens: Vec<String>,
-    /// Sorted, deduplicated padded character bigrams.
-    pub bigrams: Vec<String>,
-    /// Sorted, deduplicated padded character trigrams.
-    pub trigrams: Vec<String>,
-    /// `char` count of the canonical form.
-    pub chars: f64,
-    /// Soundex code of the canonical form, when it has one.
-    pub soundex: Option<String>,
-    /// First four `char`s of the canonical form.
-    pub prefix4: String,
 }
 
 /// Canonicalise a surface form for comparison.
@@ -188,15 +117,6 @@ impl DedupClassifier {
     /// Probability the pair is a duplicate.
     pub fn proba(&self, a: &str, b: &str) -> f64 {
         self.model.predict_proba(&PairFeatures::extract(a, b))
-    }
-
-    /// [`DedupClassifier::proba`] over cached [`PreparedForm`]s —
-    /// bit-identical to the string form (see
-    /// [`PairFeatures::extract_prepared`]), with the per-record
-    /// normalisation (canonicalisation, token/ngram sets, Soundex) already
-    /// paid at prepare time.
-    pub fn proba_prepared(&self, a: &PreparedForm, b: &PreparedForm) -> f64 {
-        self.model.predict_proba(&PairFeatures::extract_prepared(a, b))
     }
 
     /// Access the underlying linear model.
@@ -276,50 +196,6 @@ mod tests {
         for (name, v) in PairFeatures::NAMES.iter().zip(&f) {
             assert!((0.0..=1.0).contains(v), "{name}={v}");
         }
-    }
-
-    #[test]
-    fn prepared_features_are_bit_identical_to_extract() {
-        // The prepared path feeds the same logistic model, so any drift in
-        // any feature bit would drift classifier probabilities — pin exact
-        // equality across tricky shapes: case damage, articles, repeated
-        // tokens, whitespace runs, empty and punctuation-only forms.
-        let forms = [
-            "Matilda",
-            "matilda!",
-            "The Walking Dead",
-            "Walking  Dead ",
-            "La La Land",
-            "the THE the",
-            "",
-            "---",
-            "W. 44th St",
-        ];
-        for a in forms {
-            for b in forms {
-                let naive = PairFeatures::extract(a, b);
-                let cached = PairFeatures::extract_prepared(
-                    &PairFeatures::prepare(a),
-                    &PairFeatures::prepare(b),
-                );
-                assert_eq!(naive.len(), cached.len());
-                for (k, (x, y)) in naive.iter().zip(&cached).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "feature {} differs on ({a:?}, {b:?})",
-                        PairFeatures::NAMES[k]
-                    );
-                }
-            }
-        }
-        let model = DedupClassifier::train(&toy_pairs(), &LogRegConfig::default());
-        let (pa, pb) =
-            (PairFeatures::prepare("Matilda"), PairFeatures::prepare("matilda "));
-        assert_eq!(
-            model.proba("Matilda", "matilda ").to_bits(),
-            model.proba_prepared(&pa, &pb).to_bits()
-        );
     }
 
     #[test]

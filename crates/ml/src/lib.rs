@@ -21,7 +21,7 @@ pub mod metrics;
 pub mod nb;
 
 pub use crossval::{stratified_kfold, CrossValReport};
-pub use dedup::{DedupClassifier, PairFeatures, PreparedForm};
+pub use dedup::{DedupClassifier, PairFeatures};
 pub use logreg::LogisticRegression;
 pub use metrics::{BinaryMetrics, ConfusionMatrix};
 pub use nb::NaiveBayes;

@@ -6,8 +6,6 @@
 
 use std::collections::HashMap;
 
-use crate::tokens::tokenize;
-
 /// Inverse document frequency weights learned from a corpus of documents
 /// (each document = one token bag).
 #[derive(Debug, Clone, Default)]
@@ -100,11 +98,6 @@ impl CosineModel {
         }
         entries
     }
-
-    /// Cosine similarity of two raw texts under the fitted weights.
-    pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        cosine(&self.vectorize(&tokenize(a)), &self.vectorize(&tokenize(b)))
-    }
 }
 
 /// Cosine similarity of two [`CosineModel::vectorize`] outputs, clamped to
@@ -130,6 +123,7 @@ pub fn cosine(a: &[(String, f64)], b: &[(String, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokens::tokenize;
 
     /// A model whose IDF weights are fitted over the tokens of `texts`.
     fn fitted(texts: &[&str]) -> CosineModel {
@@ -137,23 +131,28 @@ mod tests {
         CosineModel::new(TfIdfWeights::fit(docs.iter().map(|d| d.iter().map(String::as_str))))
     }
 
+    /// Cosine similarity of two raw texts under `m`'s fitted weights.
+    fn similarity(m: &CosineModel, a: &str, b: &str) -> f64 {
+        cosine(&m.vectorize(&tokenize(a)), &m.vectorize(&tokenize(b)))
+    }
+
     #[test]
     fn identical_texts_score_one() {
         let m = fitted(&["the shubert theatre", "broadway shows"]);
-        assert!((m.similarity("Matilda at the Shubert", "Matilda at the Shubert") - 1.0).abs() < 1e-9);
+        assert!((similarity(&m, "Matilda at the Shubert", "Matilda at the Shubert") - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn disjoint_texts_score_zero() {
         let m = CosineModel::default();
-        assert_eq!(m.similarity("alpha beta", "gamma delta"), 0.0);
+        assert_eq!(similarity(&m, "alpha beta", "gamma delta"), 0.0);
     }
 
     #[test]
     fn empty_inputs() {
         let m = CosineModel::default();
-        assert_eq!(m.similarity("", ""), 0.0);
-        assert_eq!(m.similarity("x", ""), 0.0);
+        assert_eq!(similarity(&m, "", ""), 0.0);
+        assert_eq!(similarity(&m, "x", ""), 0.0);
     }
 
     #[test]
@@ -167,8 +166,8 @@ mod tests {
         ];
         let m = fitted(&docs);
         // Sharing only the common token scores below sharing the rare one.
-        let common_only = m.similarity("shubert theatre", "gershwin theatre");
-        let rare_shared = m.similarity("matilda musical", "matilda show");
+        let common_only = similarity(&m, "shubert theatre", "gershwin theatre");
+        let rare_shared = similarity(&m, "matilda musical", "matilda show");
         assert!(rare_shared > common_only, "{rare_shared} vs {common_only}");
     }
 
@@ -183,8 +182,8 @@ mod tests {
     #[test]
     fn symmetry_and_bounds() {
         let m = fitted(&["w 44th st", "b'way and 53rd"]);
-        let s1 = m.similarity("225 W. 44th St", "W 44th Street");
-        let s2 = m.similarity("W 44th Street", "225 W. 44th St");
+        let s1 = similarity(&m, "225 W. 44th St", "W 44th Street");
+        let s2 = similarity(&m, "W 44th Street", "225 W. 44th St");
         assert!((s1 - s2).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&s1));
     }

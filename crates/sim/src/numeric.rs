@@ -1,8 +1,14 @@
 //! Numeric similarity measures for values and attribute distributions.
 
 /// Similarity of two scalars based on relative difference:
-/// `1 - |a-b| / max(|a|, |b|)`, with `1.0` when both are zero.
+/// `1 - |a-b| / max(|a|, |b|)`, with `1.0` when both are zero and `0.0`
+/// when either is NaN.
 pub fn relative_diff_similarity(a: f64, b: f64) -> f64 {
+    // `f64::max` drops a NaN, so without this `(NaN, 0.0)` would take the
+    // both-zero branch below and score a perfect match.
+    if a.is_nan() || b.is_nan() {
+        return 0.0;
+    }
     if a == b {
         return 1.0;
     }
@@ -79,6 +85,15 @@ mod tests {
         assert_eq!(relative_diff_similarity(0.0, 0.0), 1.0);
         assert!((relative_diff_similarity(10.0, 5.0) - 0.5).abs() < 1e-12);
         assert_eq!(relative_diff_similarity(10.0, -10.0), 0.0);
+        for (a, b) in [
+            (f64::NAN, 0.0),
+            (0.0, f64::NAN),
+            (f64::NAN, -0.0),
+            (f64::NAN, f64::NAN),
+            (f64::NAN, 5.0),
+        ] {
+            assert_eq!(relative_diff_similarity(a, b), 0.0, "({a}, {b})");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use datatamer::core::fusion::{resolve_group, ConflictPolicy, RegistryConfig, ResolverSpec};
 use datatamer::corpus::truth::{labeled_pairs, labeled_pairs_with, PairDifficulty, DEDUP_EVAL_TYPES};
 use datatamer::entity::cluster::cluster_pairs;
-use datatamer::entity::{Blocker, PairScorer};
+use datatamer::entity::Blocker;
 use datatamer::ml::dedup::{crossval_dedup, DedupClassifier};
 use datatamer::ml::logreg::LogRegConfig;
 use datatamer::model::{Record, RecordId, SourceId, Value};
@@ -63,8 +63,11 @@ fn main() {
         })
         .collect();
     let candidates = Blocker::new("name").candidates(&records);
-    let scorer = PairScorer::Classifier { key_attr: "name".into(), model };
-    let accepted = scorer.prepare(&records).accepted_pairs(&candidates, 0.5);
+    let accepted: Vec<(usize, usize)> = candidates
+        .iter()
+        .copied()
+        .filter(|&(i, j)| model.proba(dirty[i], dirty[j]) >= 0.5)
+        .collect();
     let clusters = cluster_pairs(records.len(), &accepted);
     let all_pairs = records.len() * (records.len() - 1) / 2;
     println!(

@@ -254,7 +254,7 @@
 //! Blocking hands the scorer *millions* of candidate pairs, and the same
 //! record appears in many of them — so per-pair normalisation (text
 //! rendering, money/decimal parsing, lowercasing, tokenising into a fresh
-//! hash set) is the consolidation bottleneck. [`entity::PairScorer::prepare`]
+//! hash set) is the consolidation bottleneck. [`entity::RecordSimilarity::prepare`]
 //! hoists all of it into one pass: a [`entity::ScoringContext`] stores, per
 //! record and per attribute, the interned attribute id, the parsed
 //! numerics, the lowercased text, and the token set as a sorted,
@@ -262,7 +262,7 @@
 //! then re-derives nothing — Jaccard by sorted-slice merge
 //! ([`sim::jaccard_sorted`]), attribute weights by indexed lookup, Jaro by
 //! a bit-parallel kernel — and is **bit-identical** to the naive
-//! [`entity::PairScorer::score`] oracle (pinned by proptest), so
+//! [`entity::RecordSimilarity::score`] oracle (pinned by proptest), so
 //! determinism guarantees ride along unchanged. The accept filter goes one
 //! step further: [`entity::ScoringContext::accepts`] rejects a pair whose
 //! float-exact score upper bound is already below the threshold without
@@ -270,7 +270,7 @@
 //! `score >= threshold` would:
 //!
 //! ```
-//! use datatamer::entity::{PairScorer, RecordSimilarity};
+//! use datatamer::entity::RecordSimilarity;
 //! use datatamer::model::{Record, RecordId, SourceId, Value};
 //!
 //! let records: Vec<Record> = [("Matilda", "$27"), ("matilda", "27 USD"), ("Wicked", "$99")]
@@ -286,13 +286,13 @@
 //!     .collect();
 //!
 //! // One normalisation pass over the records…
-//! let scorer = PairScorer::Rules(RecordSimilarity::default());
+//! let scorer = RecordSimilarity::default();
 //! let ctx = scorer.prepare(&records);
 //! assert_eq!(ctx.stats().records, 3);
 //!
 //! // …then any number of candidate pairs scores against the shared context.
 //! let pairs = [(0, 1), (0, 2), (1, 2)];
-//! let scores = ctx.score_pairs(&pairs);
+//! let scores: Vec<f64> = pairs.iter().map(|&(i, j)| ctx.score_pair(i, j)).collect();
 //! assert!(scores[0] > 0.95, "case + currency-format damage still matches");
 //! assert!(scores[1] < 0.6);
 //! // Bit-identical to the naive per-pair oracle.

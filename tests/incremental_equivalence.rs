@@ -23,7 +23,6 @@ use datatamer::core::fusion::{
 };
 use datatamer::core::{DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan};
 use datatamer::entity::cluster::cluster_pairs;
-use datatamer::entity::PairScorer;
 use datatamer::model::{Record, RecordId, SourceId, Value};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -103,10 +102,10 @@ fn full_run(corpus: &[Record]) -> (String, String) {
 /// corpora has a show name, so every cluster forms a group).
 fn batch_engine_clusters(corpus: &[Record]) -> Vec<Vec<usize>> {
     let config = BlockedErConfig::default();
-    let prepared = PairScorer::Rules(config.scorer.clone()).prepare(corpus);
-    let outcome = config.build_blocker().candidates_with_report_keyed(corpus, &|| {
-        prepared.sort_keys(&config.key_attr).expect("rules contexts key any attribute")
-    });
+    let prepared = config.scorer.prepare(corpus);
+    let outcome = config
+        .build_blocker()
+        .candidates_with_report_keyed(corpus, &|| prepared.sort_keys_from(&config.key_attr, 0));
     let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
     cluster_pairs(corpus.len(), &accepted)
 }

@@ -192,7 +192,7 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
 
 #[test]
 fn parallel_scan_and_consolidation_are_thread_count_invariant() {
-    use datatamer::entity::{Blocker, PairScorer, RecordSimilarity, BUCKET_CAP};
+    use datatamer::entity::{Blocker, RecordSimilarity, BUCKET_CAP};
     use datatamer::model::{Record, RecordId, SourceId, Value};
 
     // Every name shares the leading token "show", so its bucket of 300
@@ -209,7 +209,7 @@ fn parallel_scan_and_consolidation_are_thread_count_invariant() {
         .collect();
     assert!(records.len() > BUCKET_CAP);
     let blocker = Blocker::new("name");
-    let scorer = PairScorer::Rules(RecordSimilarity::default());
+    let scorer = RecordSimilarity::default();
 
     let job = || {
         let outcome = blocker.candidates_with_report(&records);
