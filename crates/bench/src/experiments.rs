@@ -46,7 +46,11 @@ impl StatsComparison {
 /// T1 — Table I: WEBINSTANCE collection statistics.
 pub fn t1_instance_stats(sys: &ScaledSystem) -> StatsComparison {
     StatsComparison {
-        measured: sys.dt.collection_stats("instance").expect("instance ingested"),
+        measured: sys
+            .dt
+            .collection_stats("instance")
+            .expect("in-memory store")
+            .expect("instance ingested"),
         paper: (
             paper::INSTANCE_COUNT,
             paper::INSTANCE_EXTENTS,
@@ -61,7 +65,11 @@ pub fn t1_instance_stats(sys: &ScaledSystem) -> StatsComparison {
 /// T2 — Table II: WEBENTITIES collection statistics.
 pub fn t2_entity_stats(sys: &ScaledSystem) -> StatsComparison {
     StatsComparison {
-        measured: sys.dt.collection_stats("entity").expect("entities ingested"),
+        measured: sys
+            .dt
+            .collection_stats("entity")
+            .expect("in-memory store")
+            .expect("entities ingested"),
         paper: (
             paper::ENTITY_COUNT,
             paper::ENTITY_EXTENTS,

@@ -13,9 +13,10 @@
 //! entity documents (which need their instance's id as `fragment_ref`) are
 //! built in parallel and stored with a second one, and the show records are
 //! numbered sequentially. `insert_many` places a batch exactly as repeated
-//! single inserts in input order would, so every document id, posting
-//! list, stored byte and show record is the one a fragment-at-a-time loop
-//! produces, at any thread count.
+//! single inserts in input order would, so every document id, stored byte,
+//! reported stat and show record is the one a fragment-at-a-time loop
+//! produces, at any thread count. The indexes are declarations: storing a
+//! document does no index work, and `Collection::stats` measures them.
 
 use std::sync::Arc;
 
@@ -31,6 +32,21 @@ use crate::fusion::{SHOW_NAME, TEXT_FEED};
 /// Collection names used by the text side.
 pub const INSTANCE_COLLECTION: &str = "instance";
 pub const ENTITY_COLLECTION: &str = "entity";
+
+/// The `instance` collection's one index, `(name, path)`.
+const INSTANCE_INDEXES: [(&str, &str); 1] = [("by_entity_canonical", "entities.canonical")];
+
+/// The `entity` collection's eight indexes, `(name, path)`.
+const ENTITY_INDEXES: [(&str, &str); 8] = [
+    ("by_type", "type"),
+    ("by_name", "name"),
+    ("by_canonical", "canonical"),
+    ("by_confidence", "confidence"),
+    ("by_fragment", "fragment_ref"),
+    ("by_source", "source"),
+    ("by_chars", "chars"),
+    ("by_context", "context"),
+];
 
 /// Fragments parsed and stored per batch: bounds the parse output held at
 /// once while giving every parallel step enough work to spread.
@@ -79,23 +95,12 @@ impl TextIngestor {
         config: datatamer_storage::CollectionConfig,
     ) -> Result<(Arc<Collection>, Arc<Collection>)> {
         let instance = store.collection_or_create(INSTANCE_COLLECTION, config.clone())?;
-        if instance.index_count() == 0 {
-            instance
-                .create_index(IndexSpec::new("by_entity_canonical", "entities.canonical"))?;
-        }
         let entity = store.collection_or_create(ENTITY_COLLECTION, config)?;
-        if entity.index_count() == 0 {
-            for (name, path) in [
-                ("by_type", "type"),
-                ("by_name", "name"),
-                ("by_canonical", "canonical"),
-                ("by_confidence", "confidence"),
-                ("by_fragment", "fragment_ref"),
-                ("by_source", "source"),
-                ("by_chars", "chars"),
-                ("by_context", "context"),
-            ] {
-                entity.create_index(IndexSpec::new(name, path))?;
+        for (col, indexes) in [(&instance, &INSTANCE_INDEXES[..]), (&entity, &ENTITY_INDEXES[..])] {
+            if col.index_count() == 0 {
+                for (name, path) in indexes {
+                    col.create_index(IndexSpec::new(*name, *path))?;
+                }
             }
         }
         Ok((instance, entity))
@@ -234,11 +239,9 @@ mod tests {
         assert_eq!(instance.len(), 2);
         let entity = store.collection(ENTITY_COLLECTION).unwrap();
         assert_eq!(entity.len(), stats.entities);
-        // Entity docs are queryable by type via the index.
-        let movies = entity
-            .with_index("by_type", |i| i.lookup(&Value::from("Movie")))
-            .unwrap();
-        assert_eq!(movies.len(), 2);
+        // Entity docs group by their indexed type.
+        let by_type = entity.count_by("type").unwrap();
+        assert!(by_type.contains(&(Value::from("Movie"), 2)), "{by_type:?}");
     }
 
     #[test]
@@ -300,33 +303,22 @@ mod tests {
         Ok((stats, show_records))
     }
 
-    /// An index's name, key counts and per-key postings in posting order.
-    type IndexImage = (String, Vec<(Value, usize)>, Vec<(Value, Vec<DocId>)>);
-
-    /// Everything a collection exposes: documents with their ids, every
-    /// index, stats.
+    /// Everything a collection exposes: documents with their ids, the
+    /// group-by on every indexed path, stats.
     #[derive(Debug, PartialEq)]
     struct CollectionImage {
         docs: Vec<(DocId, Document)>,
-        indexes: Vec<IndexImage>,
+        groups: Vec<Vec<(Value, u64)>>,
         stats: CollectionStats,
     }
 
     fn image(store: &Store, name: &str) -> CollectionImage {
         let col = store.collection(name).unwrap();
         let docs = col.parallel_scan(|id, d| Some((id, d.clone()))).unwrap();
-        let indexes = col
-            .index_specs()
-            .into_iter()
-            .map(|spec| {
-                col.with_index(&spec.name, |idx| {
-                    let postings = idx.keys().map(|k| (k.clone(), idx.lookup(k))).collect();
-                    (spec.name.clone(), idx.key_counts(), postings)
-                })
-                .unwrap()
-            })
-            .collect();
-        CollectionImage { docs, indexes, stats: col.stats("dt") }
+        let indexes: &[(&str, &str)] =
+            if name == INSTANCE_COLLECTION { &INSTANCE_INDEXES } else { &ENTITY_INDEXES };
+        let groups = indexes.iter().map(|(_, path)| col.count_by(path).unwrap()).collect();
+        CollectionImage { docs, groups, stats: col.stats("dt").unwrap() }
     }
 
     /// 600 fragments — two full chunks and a partial one — mixing mention-

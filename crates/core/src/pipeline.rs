@@ -249,8 +249,10 @@ impl DataTamer {
         }
     }
 
-    /// Tables I/II: stats of a named collection.
-    pub fn collection_stats(&self, name: &str) -> Option<CollectionStats> {
+    /// Tables I/II: stats of a named collection (`Ok(None)` when it does
+    /// not exist). Each call scans the collection once to measure its
+    /// index sizes.
+    pub fn collection_stats(&self, name: &str) -> datatamer_model::Result<Option<CollectionStats>> {
         self.ctx.store.stats(name)
     }
 
@@ -929,7 +931,7 @@ mod tests {
             dt.collection(GLOBAL_RECORDS_COLLECTION).is_none(),
             "no structured sources cleaned, so the collection must not exist"
         );
-        assert!(dt.collection_stats(GLOBAL_RECORDS_COLLECTION).is_none());
+        assert!(dt.collection_stats(GLOBAL_RECORDS_COLLECTION).unwrap().is_none());
     }
 
     #[test]
@@ -937,7 +939,7 @@ mod tests {
         let dt = DataTamer::new(small_config());
         assert!(dt.top_discussed(5).unwrap().is_empty());
         assert!(dt.entity_histogram().unwrap().is_empty());
-        assert!(dt.collection_stats("instance").is_none());
+        assert!(dt.collection_stats("instance").unwrap().is_none());
     }
 
     #[test]
@@ -945,11 +947,11 @@ mod tests {
         let mut dt = DataTamer::new(small_config());
         dt.run(PipelinePlan::new().webtext(parser(), vec![("Matilda at the theatre tonight", "news")]))
             .unwrap();
-        let stats = dt.collection_stats("instance").unwrap();
+        let stats = dt.collection_stats("instance").unwrap().unwrap();
         assert_eq!(stats.ns, "dt.instance");
         assert_eq!(stats.count, 1);
         assert_eq!(stats.nindexes, 1);
-        let estats = dt.collection_stats("entity").unwrap();
+        let estats = dt.collection_stats("entity").unwrap().unwrap();
         assert_eq!(estats.nindexes, 8);
         assert_eq!(dt.text_stats().instances, 1);
     }

@@ -146,11 +146,6 @@ impl Document {
             .unwrap_or(0)
     }
 
-    /// Approximate in-memory footprint (see [`Value::approx_size`]).
-    pub fn approx_size(&self) -> usize {
-        Value::Doc(self.clone()).approx_size()
-    }
-
     /// Collect every `(dotted_path, scalar)` leaf pair in order.
     pub fn leaves(&self) -> Vec<(String, &Value)> {
         let mut out = Vec::new();

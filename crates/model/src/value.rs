@@ -101,24 +101,6 @@ impl Value {
         }
     }
 
-    /// Approximate in-memory footprint in bytes, used for extent accounting
-    /// before binary encoding is available.
-    pub fn approx_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 2,
-            Value::Int(_) | Value::Float(_) => 9,
-            Value::Str(s) => 5 + s.len(),
-            Value::Array(a) => 5 + a.iter().map(Value::approx_size).sum::<usize>(),
-            Value::Doc(d) => {
-                5 + d
-                    .iter()
-                    .map(|(k, v)| 1 + k.len() + v.approx_size())
-                    .sum::<usize>()
-            }
-        }
-    }
-
     /// Canonical string rendering used for tokenisation and matching.
     ///
     /// Unlike `Display`, strings are rendered without quotes.
@@ -372,14 +354,6 @@ mod tests {
             ),
         ]);
         assert_eq!(Value::Doc(d).leaf_count(), 4);
-    }
-
-    #[test]
-    fn approx_size_scales_with_content() {
-        let small = Value::from("ab").approx_size();
-        let big = Value::from("abcdefghij").approx_size();
-        assert!(big > small);
-        assert!(Value::Null.approx_size() >= 1);
     }
 
     #[test]

@@ -110,10 +110,9 @@ pub trait ShardBackend: Send + Sync {
 
     /// Tombstone `(extent, slot)`; returns the document when it was live.
     /// Like [`Self::get`], an unreadable extent is an error, and so is a
-    /// failed tombstone *write-back* — swallowing it would leave the
-    /// caller's count/indexes agreeing with neither the old nor the new
-    /// on-disk state, and aborting the process (the old behaviour) turns
-    /// one torn extent into an outage.
+    /// failed tombstone *write-back* — swallowing it would report a delete
+    /// that a reopen undoes, and aborting the process (the old behaviour)
+    /// turns one torn extent into an outage.
     fn delete(&self, extent: u32, slot: u32) -> Result<Option<Document>>;
 
     /// Prepare an extent-parallel scan over this shard. For cached
@@ -600,10 +599,9 @@ impl ShardBackend for FileBackend {
                 // Read-modify-write: the tombstone must reach the file, or
                 // a reopen would resurrect the document. Both an
                 // unreadable extent (like `get`) and a failed write-back
-                // surface as errors — swallowing either would leave the
-                // caller's count/indexes agreeing with neither the old nor
-                // the new on-disk state. The cached copy is replaced in
-                // place so cache and file never disagree.
+                // surface as errors — swallowing either would report a
+                // delete that a reopen undoes. The cached copy is replaced
+                // in place so cache and file never disagree.
                 let shared = self.cached_extent(extent)?;
                 let Some(doc) = fold_decode(&self.decode_errors, shared.get(slot)) else {
                     return Ok(None);

@@ -2,7 +2,7 @@
 //!
 //! A collection is a [`crate::coordinator::ShardCoordinator`] — round-robin
 //! placement over one [`crate::backend::ShardBackend`] per shard — wrapped
-//! with secondary indexes and stats. Each shard owns a chain of fixed-size
+//! with index declarations and stats. Each shard owns a chain of fixed-size
 //! extents, in process ([`BackendConfig::Memory`]) or out of core on files
 //! ([`BackendConfig::File`]), so concurrent ingest scales with shard count
 //! — the in-process analogue of the paper's distributed 2 GB-extent
@@ -10,20 +10,17 @@
 //! touch exactly one shard with no id→location map.
 //!
 //! Every read of the whole collection is one [`Collection::parallel_scan`]
-//! — [`Collection::count_by`]'s fallback and the [`Collection::create_index`]
-//! backfill included — and every key a document contributes, to an index
-//! or to a group-by, comes from [`Document::path_values`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! — [`Collection::count_by`] and the index sizes of [`Collection::stats`]
+//! included — and every key a document contributes, to an index or to a
+//! group-by, comes from [`Document::path_values`].
 
 use parking_lot::RwLock;
-use rayon::prelude::*;
 
 use datatamer_model::{AttrKey, Document, DtError, Result, Value};
 
 use crate::backend::{BackendConfig, FileBackend, MemoryBackend, ShardBackend};
 use crate::coordinator::{ShardCoordinator, StorageReport};
-use crate::index::{Index, IndexSpec};
+use crate::index::IndexSpec;
 use crate::stats::CollectionStats;
 
 /// Packed document id: `shard (8) | extent (24) | slot (32)`.
@@ -99,13 +96,12 @@ pub(crate) fn validate_collection_name(name: &str) -> Result<()> {
     Ok(())
 }
 
-/// A sharded document collection with secondary indexes.
+/// A sharded document collection with declared secondary indexes.
 pub struct Collection {
     name: String,
     config: CollectionConfig,
     coordinator: ShardCoordinator,
-    indexes: RwLock<Vec<Index>>,
-    count: AtomicU64,
+    indexes: RwLock<Vec<IndexSpec>>,
 }
 
 impl Collection {
@@ -145,15 +141,11 @@ impl Collection {
                 }
             });
         }
-        let coordinator = ShardCoordinator::new(backends);
-        // A reopened file backend may already hold documents.
-        let count = AtomicU64::new(coordinator.len());
         Ok(Collection {
             name,
             config,
-            coordinator,
+            coordinator: ShardCoordinator::new(backends),
             indexes: RwLock::new(Vec::new()),
-            count,
         })
     }
 
@@ -167,9 +159,10 @@ impl Collection {
         &self.config
     }
 
-    /// Number of live documents.
+    /// Number of live documents, counted from the shards (so a reopened
+    /// file backend's documents count too).
     pub fn len(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.coordinator.len()
     }
 
     /// True when no live documents exist.
@@ -179,17 +172,9 @@ impl Collection {
 
     /// Insert a document, returning its id. Backend I/O failure
     /// (file-backed shards only — the in-memory default never fails) is
-    /// the error; nothing was stored and no index was touched.
+    /// the error; nothing was stored.
     pub fn insert(&self, doc: &Document) -> Result<DocId> {
-        let id = self.coordinator.insert(doc)?;
-        {
-            let mut indexes = self.indexes.write();
-            for idx in indexes.iter_mut() {
-                idx.insert(id, doc);
-            }
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
+        self.coordinator.insert(doc)
     }
 
     /// Insert a batch, returning ids in input order.
@@ -200,16 +185,11 @@ impl Collection {
     /// and appends each shard's documents under a single lock acquisition
     /// (shards proceed in parallel) instead of one lock round-trip per
     /// document. Shard placement is identical to repeated [`Self::insert`]
-    /// calls. Backend I/O failure surfaces as the error (shards that
-    /// already appended keep their documents — the count and indexes then
-    /// exclude them, matching what a reopen would adopt only after a
-    /// `sync`).
-    ///
-    /// Index maintenance fans out one rayon task per index (a lone index
-    /// is maintained inline on the caller). Each index still takes the
-    /// batch in input order, so every posting list, key count and index
-    /// size is exactly what the same repeated [`Self::insert`] calls would
-    /// leave.
+    /// calls. Backend I/O failure surfaces as the error; shards that
+    /// already appended keep their documents, and every reader — the
+    /// count, scans, group-bys and stats alike — sees them. Declared
+    /// indexes cost nothing here: their sizes are measured by
+    /// [`Self::stats`].
     pub fn insert_many<'a, I: IntoIterator<Item = &'a Document>>(
         &self,
         docs: I,
@@ -218,17 +198,7 @@ impl Collection {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        let ids = self.coordinator.insert_many(&docs)?;
-        {
-            let mut indexes = self.indexes.write();
-            indexes.par_iter_mut().for_each(|idx| {
-                for (doc, id) in docs.iter().zip(&ids) {
-                    idx.insert(*id, doc);
-                }
-            });
-        }
-        self.count.fetch_add(docs.len() as u64, Ordering::Relaxed);
-        Ok(ids)
+        self.coordinator.insert_many(&docs)
     }
 
     /// Fetch a document by id. `Ok(None)` strictly means "no live
@@ -242,57 +212,24 @@ impl Collection {
     /// unreadable extent or a failed tombstone write-back on a file shard
     /// is the error.
     pub fn delete(&self, id: DocId) -> Result<bool> {
-        let Some(doc) = self.coordinator.delete(id)? else {
-            return Ok(false);
-        };
-        let mut indexes = self.indexes.write();
-        for idx in indexes.iter_mut() {
-            idx.remove(id, &doc);
-        }
-        drop(indexes);
-        self.count.fetch_sub(1, Ordering::Relaxed);
-        Ok(true)
+        Ok(self.coordinator.delete(id)?.is_some())
     }
 
-    /// Create a secondary index, back-filling existing documents. Keys
-    /// are extracted during a [`Self::parallel_scan`] and inserted in its
-    /// output order (shard-major, then extent, then slot), so every
-    /// posting list is the one sequential per-document inserts in that
-    /// order would build.
+    /// Declare a secondary index. Nothing is built: [`Self::stats`]
+    /// measures the index over whatever the collection holds when it is
+    /// called. A name already declared is an error.
     pub fn create_index(&self, spec: IndexSpec) -> Result<()> {
-        {
-            let indexes = self.indexes.read();
-            if indexes.iter().any(|i| i.spec.name == spec.name) {
-                return Err(DtError::AlreadyExists(format!("index {}", spec.name)));
-            }
+        let mut indexes = self.indexes.write();
+        if indexes.iter().any(|i| i.name == spec.name) {
+            return Err(DtError::AlreadyExists(format!("index {}", spec.name)));
         }
-        let mut idx = Index::new(spec);
-        let keyed = self.parallel_scan(|id, doc| {
-            let keys = idx.extract_keys(doc);
-            (!keys.is_empty()).then_some((id, keys))
-        })?;
-        for (id, keys) in keyed {
-            idx.insert_keys(id, keys);
-        }
-        self.indexes.write().push(idx);
+        indexes.push(spec);
         Ok(())
     }
 
-    /// Number of indexes.
+    /// Number of declared indexes.
     pub fn index_count(&self) -> usize {
         self.indexes.read().len()
-    }
-
-    /// Run `f` against an index by name.
-    pub fn with_index<T>(&self, name: &str, f: impl FnOnce(&Index) -> T) -> Option<T> {
-        let indexes = self.indexes.read();
-        indexes.iter().find(|i| i.spec.name == name).map(f)
-    }
-
-    /// Find an index covering `path`, applying `f` to it.
-    pub fn with_index_on_path<T>(&self, path: &str, f: impl FnOnce(&Index) -> T) -> Option<T> {
-        let indexes = self.indexes.read();
-        indexes.iter().find(|i| i.spec.path == path).map(f)
     }
 
     /// Scan all shards in parallel via rayon, collecting `f`'s non-`None`
@@ -320,16 +257,12 @@ impl Collection {
         self.coordinator.report(&self.name)
     }
 
-    /// Group-by over a path: `(value, count)` in value order. Uses an index
-    /// on the path when one exists, otherwise a parallel scan that extracts
-    /// keys exactly as an index would (an array counts each element), so
-    /// both answers agree.
+    /// Group-by over a path: `(value, count)` in value order, from one
+    /// parallel scan that extracts keys exactly as an index measures them
+    /// (an array counts each element). Keys equal under
+    /// [`Value::total_cmp`] share a group, reported under the first key in
+    /// scan order.
     pub fn count_by(&self, path: &str) -> Result<Vec<(Value, u64)>> {
-        if let Some(counts) = self.with_index_on_path(path, |idx| {
-            idx.key_counts().into_iter().map(|(k, n)| (k, n as u64)).collect::<Vec<_>>()
-        }) {
-            return Ok(counts);
-        }
         let per_doc = self.parallel_scan(|_, doc| {
             let mut keys = Vec::new();
             doc.path_values(path, &mut keys);
@@ -344,16 +277,32 @@ impl Collection {
     }
 
     /// Statistics in the shape of the paper's Tables I–II.
-    pub fn stats(&self, namespace: &str) -> CollectionStats {
+    ///
+    /// `total_index_size` is measured, not maintained: one
+    /// [`Self::parallel_scan`] per call sums every declared index's entries
+    /// over the live documents (no scan when no index is declared). Like
+    /// any scan, on a file backend it reads extents through the extent
+    /// cache and moves its counters; an unreadable extent is the error.
+    pub fn stats(&self, namespace: &str) -> Result<CollectionStats> {
+        let indexes = self.indexes.read().clone();
+        let total_index_size = if indexes.is_empty() {
+            0
+        } else {
+            let per_doc = self.parallel_scan(|_, doc| {
+                let mut keys = Vec::new();
+                let bytes: usize =
+                    indexes.iter().map(|spec| spec.entry_bytes(doc, &mut keys)).sum();
+                (bytes > 0).then_some(bytes)
+            })?;
+            per_doc.into_iter().sum()
+        };
         let num_extents = self.coordinator.extent_count();
         let data_bytes = self.coordinator.used_bytes();
         // The "last" extent convention: the byte size of the final extent
         // of the last shard that has one.
         let last_extent_size = self.coordinator.last_extent_capacity();
-        let indexes = self.indexes.read();
-        let total_index_size = indexes.iter().map(|i| i.size_bytes()).sum();
         let count = self.len();
-        CollectionStats {
+        Ok(CollectionStats {
             ns: format!("{namespace}.{}", self.name),
             count,
             num_extents,
@@ -362,12 +311,7 @@ impl Collection {
             total_index_size,
             data_size: data_bytes,
             avg_obj_size: if count == 0 { 0.0 } else { data_bytes as f64 / count as f64 },
-        }
-    }
-
-    /// Index specs currently defined, in creation order.
-    pub fn index_specs(&self) -> Vec<IndexSpec> {
-        self.indexes.read().iter().map(|i| i.spec.clone()).collect()
+        })
     }
 }
 
@@ -386,6 +330,7 @@ impl std::fmt::Debug for Collection {
 mod tests {
     use super::*;
     use datatamer_model::doc;
+    use rayon::prelude::*;
 
     fn small() -> Collection {
         Collection::new(
@@ -429,7 +374,7 @@ mod tests {
             c.insert(&doc! {"i" => i, "pad" => "x".repeat(40)}).unwrap();
         }
         assert_eq!(c.len(), 100);
-        let stats = c.stats("dt");
+        let stats = c.stats("dt").unwrap();
         assert!(stats.num_extents > 4, "tiny extents must chain: {}", stats.num_extents);
         assert_eq!(stats.count, 100);
         assert_eq!(stats.last_extent_size, 256);
@@ -447,37 +392,42 @@ mod tests {
 
     #[test]
     fn index_backfills_and_maintains() {
+        // An index declared after a document counts it; later inserts and
+        // deletes are reflected without any index maintenance.
         let c = small();
-        let d1 = doc! {"type" => "Person"};
-        let d2 = doc! {"type" => "City"};
-        let id1 = c.insert(&d1).unwrap();
+        let id1 = c.insert(&doc! {"type" => "Person"}).unwrap();
         c.create_index(IndexSpec::new("by_type", "type")).unwrap();
-        let id2 = c.insert(&d2).unwrap();
-        let persons = c.with_index("by_type", |i| i.lookup(&Value::from("Person"))).unwrap();
-        assert_eq!(persons, vec![id1]);
-        let cities = c.with_index("by_type", |i| i.lookup(&Value::from("City"))).unwrap();
-        assert_eq!(cities, vec![id2]);
+        let person = c.stats("dt").unwrap().total_index_size;
+        assert!(person > 0);
+        c.insert(&doc! {"type" => "City"}).unwrap();
+        assert_eq!(c.count_by("type").unwrap().len(), 2);
+        let both = c.stats("dt").unwrap().total_index_size;
+        assert!(both > person);
         c.delete(id1).unwrap();
-        let persons = c.with_index("by_type", |i| i.lookup(&Value::from("Person"))).unwrap();
-        assert!(persons.is_empty());
+        assert_eq!(c.count_by("type").unwrap(), vec![(Value::from("City"), 1)]);
+        assert_eq!(c.stats("dt").unwrap().total_index_size, both - person);
         assert!(c.create_index(IndexSpec::new("by_type", "type")).is_err());
+        assert_eq!(c.index_count(), 1, "a rejected duplicate declares nothing");
     }
 
     #[test]
     fn index_and_scan_agree() {
+        // The measured index size is the per-document sum a plain scan
+        // computes, and the group-by on the indexed path is a filter scan.
         let c = small();
         for kind in ["musical", "play", "musical", "opera", "musical"] {
             c.insert(&doc! {"kind" => kind}).unwrap();
         }
         c.create_index(IndexSpec::new("by_kind", "kind")).unwrap();
+        let per_doc = c
+            .parallel_scan(|_, d| d.get("kind").map(crate::encode::encoded_len))
+            .unwrap();
+        let want: usize = per_doc.iter().map(|n| n + crate::index::ENTRY_OVERHEAD).sum();
+        assert_eq!(c.stats("dt").unwrap().total_index_size, want);
         let musical = Value::from("musical");
-        let mut scan =
-            c.parallel_scan(|id, d| (d.get("kind") == Some(&musical)).then_some(id)).unwrap();
-        let mut indexed = c.with_index("by_kind", |i| i.lookup(&musical)).unwrap();
-        scan.sort_unstable();
-        indexed.sort_unstable();
+        let scan = c.parallel_scan(|_, d| (d.get("kind") == Some(&musical)).then_some(())).unwrap();
         assert_eq!(scan.len(), 3);
-        assert_eq!(scan, indexed);
+        assert!(c.count_by("kind").unwrap().contains(&(musical, 3)));
     }
 
     #[test]
@@ -533,10 +483,10 @@ mod tests {
         for i in 0..20i64 {
             c.insert(&doc! {"n" => i}).unwrap();
         }
-        let before = c.stats("dt").total_index_size;
+        let before = c.stats("dt").unwrap().total_index_size;
         assert_eq!(before, 0);
         c.create_index(IndexSpec::new("by_n", "n")).unwrap();
-        let after = c.stats("dt");
+        let after = c.stats("dt").unwrap();
         assert!(after.total_index_size > 0);
         assert_eq!(after.nindexes, 1);
         assert_eq!(after.ns, "dt.test");
@@ -575,13 +525,21 @@ mod tests {
 
     #[test]
     fn insert_many_maintains_indexes() {
-        let c = small();
-        c.create_index(IndexSpec::new("by_type", "type")).unwrap();
         let docs = vec![doc! {"type" => "Person"}, doc! {"type" => "City"}, doc! {"type" => "Person"}];
-        let ids = c.insert_many(&docs).unwrap();
-        let persons = c.with_index("by_type", |i| i.lookup(&Value::from("Person"))).unwrap();
-        assert_eq!(persons, vec![ids[0], ids[2]]);
-        assert!(c.insert_many(std::iter::empty()).unwrap().is_empty());
+        let (batched, one_by_one) = (small(), small());
+        for c in [&batched, &one_by_one] {
+            c.create_index(IndexSpec::new("by_type", "type")).unwrap();
+        }
+        batched.insert_many(&docs).unwrap();
+        for d in &docs {
+            one_by_one.insert(d).unwrap();
+        }
+        assert_eq!(
+            batched.count_by("type").unwrap(),
+            vec![(Value::from("City"), 1), (Value::from("Person"), 2)]
+        );
+        assert_eq!(batched.stats("dt").unwrap(), one_by_one.stats("dt").unwrap());
+        assert!(batched.insert_many(std::iter::empty()).unwrap().is_empty());
     }
 
     #[test]
@@ -701,8 +659,9 @@ mod tests {
         let mem_scan = mem.parallel_scan(|id, d| Some((id, format!("{d:?}")))).unwrap();
         let file_scan = file.parallel_scan(|id, d| Some((id, format!("{d:?}")))).unwrap();
         assert_eq!(mem_scan, file_scan, "scans must be byte-identical");
-        assert_eq!(mem.stats("dt").count, file.stats("dt").count);
-        assert_eq!(mem.stats("dt").num_extents, file.stats("dt").num_extents);
+        let (ms, fs) = (mem.stats("dt").unwrap(), file.stats("dt").unwrap());
+        assert_eq!(ms.count, fs.count);
+        assert_eq!(ms.num_extents, fs.num_extents);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -95,15 +95,18 @@ pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
                 encode_value(buf, item);
             }
         }
-        Value::Doc(d) => {
-            buf.put_u8(TAG_DOC);
-            put_varint(buf, d.len() as u64);
-            for (k, val) in d.iter() {
-                put_varint(buf, k.len() as u64);
-                buf.put_slice(k.as_bytes());
-                encode_value(buf, val);
-            }
-        }
+        Value::Doc(d) => encode_doc(buf, d),
+    }
+}
+
+/// Append one `Doc`-tagged document (the `Doc` arm of [`encode_value`]).
+fn encode_doc(buf: &mut impl BufMut, d: &Document) {
+    buf.put_u8(TAG_DOC);
+    put_varint(buf, d.len() as u64);
+    for (k, val) in d.iter() {
+        put_varint(buf, k.len() as u64);
+        buf.put_slice(k.as_bytes());
+        encode_value(buf, val);
     }
 }
 
@@ -162,10 +165,10 @@ fn get_string(buf: &mut impl Buf) -> Result<String> {
     String::from_utf8(bytes).map_err(|e| DtError::Decode(format!("string: invalid utf8: {e}")))
 }
 
-/// Encode a document to a fresh byte vector.
+/// Encode a document to a fresh byte vector of exactly its encoded length.
 pub fn encode_document(doc: &Document) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(doc.approx_size());
-    encode_value(&mut buf, &Value::Doc(doc.clone()));
+    let mut buf = Vec::with_capacity(encoded_doc_len(doc));
+    encode_doc(&mut buf, doc);
     buf
 }
 
@@ -188,13 +191,16 @@ pub fn encoded_len(v: &Value) -> usize {
             1 + varint_len(items.len() as u64)
                 + items.iter().map(encoded_len).sum::<usize>()
         }
-        Value::Doc(d) => {
-            1 + varint_len(d.len() as u64)
-                + d.iter()
-                    .map(|(k, val)| varint_len(k.len() as u64) + k.len() + encoded_len(val))
-                    .sum::<usize>()
-        }
+        Value::Doc(d) => encoded_doc_len(d),
     }
+}
+
+/// Exact encoded size of a document (the `Doc` arm of [`encoded_len`]).
+fn encoded_doc_len(d: &Document) -> usize {
+    1 + varint_len(d.len() as u64)
+        + d.iter()
+            .map(|(k, val)| varint_len(k.len() as u64) + k.len() + encoded_len(val))
+            .sum::<usize>()
 }
 
 #[cfg(test)]

@@ -1,22 +1,23 @@
-//! Ordered secondary indexes over dotted document paths.
+//! Secondary-index declarations over dotted document paths.
 //!
-//! An index maps extracted key values to document ids. Keys keep full
-//! [`Value`] typing and are [`AttrKey`]s, so they compare and order by
-//! [`Value::total_cmp`]; when the indexed path resolves to an array, every
-//! element is indexed (multikey), matching how document stores index the
-//! paper's `entities` arrays. Index byte sizes are
-//! accounted from real encoded key lengths so `totalIndexSize` in the stats
-//! report is measured, not estimated.
+//! A collection keeps only the [`IndexSpec`]s declared on it; the write
+//! path does no index work. What the paper's Tables I–II report of its
+//! indexes, `nindexes` and `totalIndexSize`, is measured on demand by
+//! [`crate::Collection::stats`]. Keys come from [`Document::path_values`]
+//! and keep full [`Value`] typing: when the indexed path resolves to an
+//! array every element is a key (multikey, as document stores index the
+//! paper's `entities` arrays), and a missing path contributes nothing
+//! (sparse). Each `(document, key)` entry costs the key's real encoded
+//! length plus a fixed 24-byte overhead, so the reported size is a sum
+//! over entries and cannot depend on insert order, batching, or when the
+//! index was declared.
 
-use std::collections::BTreeMap;
+use datatamer_model::{Document, Value};
 
-use datatamer_model::{AttrKey, Document, Value};
-
-use crate::collection::DocId;
 use crate::encode::encoded_len;
 
 /// Per-entry bookkeeping overhead (tree node amortised cost + docid).
-const ENTRY_OVERHEAD: usize = 24;
+pub(crate) const ENTRY_OVERHEAD: usize = 24;
 
 /// Declaration of a secondary index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,120 +33,48 @@ impl IndexSpec {
     pub fn new(name: impl Into<String>, path: impl Into<String>) -> Self {
         IndexSpec { name: name.into(), path: path.into() }
     }
-}
 
-/// One secondary index.
-#[derive(Debug)]
-pub struct Index {
-    /// The index declaration.
-    pub spec: IndexSpec,
-    entries: BTreeMap<AttrKey, Vec<DocId>>,
-    key_bytes: usize,
-    entry_count: usize,
-}
-
-impl Index {
-    /// Create an empty index for a spec.
-    pub fn new(spec: IndexSpec) -> Self {
-        Index { spec, entries: BTreeMap::new(), key_bytes: 0, entry_count: 0 }
-    }
-
-    /// Extract the keys a document contributes under this index's path
-    /// ([`Document::path_values`]): arrays are multikey, each element
-    /// becoming its own key, and "entities.type" indexes every element's
-    /// `type`. Missing paths contribute nothing (sparse index semantics).
-    pub fn extract_keys(&self, doc: &Document) -> Vec<Value> {
-        let mut keys = Vec::new();
-        doc.path_values(&self.spec.path, &mut keys);
-        keys
-    }
-
-    /// Index a document under its id.
-    pub fn insert(&mut self, id: DocId, doc: &Document) {
-        self.insert_keys(id, self.extract_keys(doc));
-    }
-
-    /// Index keys already extracted by [`Self::extract_keys`] under `id`.
-    /// Postings keep insertion order, so a backfill that extracts in
-    /// parallel and inserts in scan order builds the same index as
-    /// sequential [`Self::insert`] calls.
-    pub fn insert_keys(&mut self, id: DocId, keys: Vec<Value>) {
-        for key in keys {
-            let klen = encoded_len(&key);
-            self.entries.entry(AttrKey(key)).or_default().push(id);
-            self.key_bytes += klen;
-            self.entry_count += 1;
-        }
-    }
-
-    /// Remove a document's entries.
-    pub fn remove(&mut self, id: DocId, doc: &Document) {
-        for key in self.extract_keys(doc) {
-            let klen = encoded_len(&key);
-            let wrapped = AttrKey(key);
-            if let Some(ids) = self.entries.get_mut(&wrapped) {
-                if let Some(pos) = ids.iter().position(|x| *x == id) {
-                    ids.swap_remove(pos);
-                    self.key_bytes -= klen;
-                    self.entry_count -= 1;
-                    if ids.is_empty() {
-                        self.entries.remove(&wrapped);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Ids whose key equals `key`.
-    pub fn lookup(&self, key: &Value) -> Vec<DocId> {
-        self.entries
-            .get(&AttrKey(key.clone()))
-            .map(|v| v.to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Distinct keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &Value> {
-        self.entries.keys().map(|k| &k.0)
-    }
-
-    /// `(key, number of docs)` pairs in key order — powers group-by-type
-    /// statistics like the paper's Table III.
-    pub fn key_counts(&self) -> Vec<(Value, usize)> {
-        self.entries
-            .iter()
-            .map(|(k, ids)| (k.0.clone(), ids.len()))
-            .collect()
-    }
-
-    /// Number of `(key, id)` entries.
-    pub fn len(&self) -> usize {
-        self.entry_count
-    }
-
-    /// True when the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entry_count == 0
-    }
-
-    /// Measured index size in bytes (keys + per-entry overhead).
-    pub fn size_bytes(&self) -> usize {
-        self.key_bytes + self.entry_count * ENTRY_OVERHEAD
+    /// Bytes `doc`'s entries take in this index: each key under the path
+    /// costs its encoded length plus [`ENTRY_OVERHEAD`]. `keys` is scratch
+    /// space, cleared first.
+    pub(crate) fn entry_bytes(&self, doc: &Document, keys: &mut Vec<Value>) -> usize {
+        keys.clear();
+        doc.path_values(&self.path, keys);
+        keys.iter().map(|k| encoded_len(k) + ENTRY_OVERHEAD).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection::{Collection, CollectionConfig, DocId};
     use datatamer_model::doc;
     use proptest::prelude::*;
 
-    fn id(n: u64) -> DocId {
-        DocId(n)
+    /// A one-shard collection declaring one index on `path`, holding `docs`
+    /// (one shard, so scan order is insertion order).
+    fn indexed(path: &str, docs: &[Document]) -> (Collection, Vec<DocId>) {
+        let c = Collection::new(
+            "i",
+            CollectionConfig { extent_size: 256, shards: 1, ..Default::default() },
+        )
+        .unwrap();
+        c.create_index(IndexSpec::new("i", path)).unwrap();
+        let ids = c.insert_many(docs).unwrap();
+        (c, ids)
+    }
+
+    fn size(c: &Collection) -> usize {
+        c.stats("dt").unwrap().total_index_size
+    }
+
+    /// Measured size of one entry per key.
+    fn entries(keys: &[Value]) -> usize {
+        keys.iter().map(|k| encoded_len(k) + ENTRY_OVERHEAD).sum()
     }
 
     /// The original resolution: wrap a copy of the whole document as the
-    /// walk's root value. [`Index::extract_keys`] must extract exactly this.
+    /// walk's root value. The keys an index measures must be exactly these.
     fn extract_path_by_clone(doc: &Document, path: &str) -> Vec<Value> {
         fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
             let Some((seg, rest)) = segments.split_first() else {
@@ -219,109 +148,89 @@ mod tests {
             d in document(),
             paths in prop::collection::vec(path(), 1..6),
         ) {
+            let mut keys = Vec::new();
             for p in paths.iter().map(String::as_str).chain(["", "a", "0", "a.0.b"]) {
-                let idx = Index::new(IndexSpec::new("p", p));
-                prop_assert_eq!(idx.extract_keys(&d), extract_path_by_clone(&d, p), "path {:?}", p);
+                let want = extract_path_by_clone(&d, p);
+                let bytes = IndexSpec::new("p", p).entry_bytes(&d, &mut keys);
+                prop_assert_eq!(&keys, &want, "path {:?}", p);
+                let want_bytes: usize = want.iter().map(|k| encoded_len(k) + ENTRY_OVERHEAD).sum();
+                prop_assert_eq!(bytes, want_bytes, "path {:?}", p);
             }
         }
     }
 
     #[test]
-    fn insert_lookup_remove() {
-        let mut idx = Index::new(IndexSpec::new("by_type", "type"));
-        let d1 = doc! {"type" => "Person", "name" => "Ann"};
-        let d2 = doc! {"type" => "Person", "name" => "Bob"};
-        let d3 = doc! {"type" => "City", "name" => "NYC"};
-        idx.insert(id(1), &d1);
-        idx.insert(id(2), &d2);
-        idx.insert(id(3), &d3);
-        assert_eq!(idx.lookup(&Value::from("Person")).len(), 2);
-        assert_eq!(idx.lookup(&Value::from("City")), vec![id(3)]);
-        assert!(idx.lookup(&Value::from("Movie")).is_empty());
-        idx.remove(id(1), &d1);
-        assert_eq!(idx.lookup(&Value::from("Person")), vec![id(2)]);
-        assert_eq!(idx.len(), 2);
-    }
-
-    #[test]
     fn multikey_indexes_array_elements() {
-        let mut idx = Index::new(IndexSpec::new("by_tag", "tags"));
         let d = doc! {"tags" => Value::Array(vec!["a".into(), "b".into()])};
-        idx.insert(id(7), &d);
-        assert_eq!(idx.lookup(&Value::from("a")), vec![id(7)]);
-        assert_eq!(idx.lookup(&Value::from("b")), vec![id(7)]);
-        assert_eq!(idx.len(), 2);
-        idx.remove(id(7), &d);
-        assert!(idx.is_empty());
+        let (c, ids) = indexed("tags", &[d]);
+        assert_eq!(
+            c.count_by("tags").unwrap(),
+            vec![(Value::from("a"), 1), (Value::from("b"), 1)]
+        );
+        assert_eq!(size(&c), entries(&["a".into(), "b".into()]));
+        c.delete(ids[0]).unwrap();
+        assert_eq!(size(&c), 0);
     }
 
     #[test]
     fn multikey_descends_arrays_of_docs() {
-        let mut idx = Index::new(IndexSpec::new("by_ent_type", "entities.type"));
         let d = doc! {"entities" => Value::Array(vec![
             Value::Doc(doc! {"type" => "Movie", "name" => "Matilda"}),
             Value::Doc(doc! {"type" => "City", "name" => "London"}),
         ])};
-        idx.insert(id(5), &d);
-        assert_eq!(idx.lookup(&Value::from("Movie")), vec![id(5)]);
-        assert_eq!(idx.lookup(&Value::from("City")), vec![id(5)]);
+        let (c, _) = indexed("entities.type", &[d]);
+        assert_eq!(
+            c.count_by("entities.type").unwrap(),
+            vec![(Value::from("City"), 1), (Value::from("Movie"), 1)]
+        );
+        assert_eq!(size(&c), entries(&["Movie".into(), "City".into()]));
     }
 
     #[test]
     fn numeric_segment_indexes_one_element() {
-        let mut idx = Index::new(IndexSpec::new("first_ent", "entities.0.type"));
         let d = doc! {"entities" => Value::Array(vec![
             Value::Doc(doc! {"type" => "Movie"}),
             Value::Doc(doc! {"type" => "City"}),
         ])};
-        idx.insert(id(5), &d);
-        assert_eq!(idx.lookup(&Value::from("Movie")), vec![id(5)]);
-        assert!(idx.lookup(&Value::from("City")).is_empty());
+        let (c, _) = indexed("entities.0.type", &[d]);
+        assert_eq!(c.count_by("entities.0.type").unwrap(), vec![(Value::from("Movie"), 1)]);
+        assert_eq!(size(&c), entries(&["Movie".into()]));
     }
 
     #[test]
     fn total_cmp_equal_keys_share_one_entry() {
-        let mut idx = Index::new(IndexSpec::new("by_n", "n"));
-        idx.insert(id(1), &doc! {"n" => 3i64});
-        idx.insert(id(2), &doc! {"n" => 3.0f64});
-        idx.insert(id(3), &doc! {"n" => f64::NAN});
-        assert_eq!(idx.key_counts().len(), 2);
-        assert_eq!(idx.lookup(&Value::Float(3.0)), vec![id(1), id(2)]);
-        assert_eq!(idx.lookup(&Value::Float(f64::NAN)), vec![id(3)]);
+        let docs = [doc! {"n" => 3i64}, doc! {"n" => 3.0f64}, doc! {"n" => f64::NAN}];
+        let (c, _) = indexed("n", &docs);
+        // `Int(3)` and `Float(3.0)` group together under the first key the
+        // scan met; every entry is still sized by its own key.
+        let counts = c.count_by("n").unwrap();
+        assert_eq!(counts.len(), 2, "{counts:?}");
+        assert!(matches!(counts[0], (Value::Int(3), 2)), "{counts:?}");
+        assert!(matches!(counts[1], (Value::Float(f), 1) if f.is_nan()), "{counts:?}");
+        assert_eq!(size(&c), entries(&[Value::Int(3), Value::Float(3.0), Value::Float(f64::NAN)]));
     }
 
     #[test]
     fn missing_path_is_sparse() {
-        let mut idx = Index::new(IndexSpec::new("by_x", "x"));
-        idx.insert(id(1), &doc! {"y" => 1i64});
-        assert!(idx.is_empty());
-        assert_eq!(idx.size_bytes(), 0);
-    }
-
-    #[test]
-    fn key_counts_group_by() {
-        let mut idx = Index::new(IndexSpec::new("by_type", "type"));
-        for (i, ty) in ["Person", "Person", "City", "Movie", "Person"].iter().enumerate() {
-            idx.insert(id(i as u64), &doc! {"type" => *ty});
-        }
-        let counts = idx.key_counts();
-        let person = counts.iter().find(|(k, _)| k == &Value::from("Person")).unwrap();
-        assert_eq!(person.1, 3);
-        assert_eq!(counts.len(), 3);
+        let (c, _) = indexed("x", &[doc! {"y" => 1i64}]);
+        assert!(c.count_by("x").unwrap().is_empty());
+        let stats = c.stats("dt").unwrap();
+        assert_eq!((stats.nindexes, stats.total_index_size), (1, 0));
     }
 
     #[test]
     fn size_accounting_grows_and_shrinks() {
-        let mut idx = Index::new(IndexSpec::new("by_name", "name"));
+        let (c, _) = indexed("name", &[]);
         let d = doc! {"name" => "The Walking Dead"};
-        assert_eq!(idx.size_bytes(), 0);
-        idx.insert(id(1), &d);
-        let sz = idx.size_bytes();
+        assert_eq!(size(&c), 0);
+        let first = c.insert(&d).unwrap();
+        let sz = size(&c);
         assert!(sz > ENTRY_OVERHEAD);
-        idx.insert(id(2), &d);
-        assert!(idx.size_bytes() > sz);
-        idx.remove(id(1), &d);
-        idx.remove(id(2), &d);
-        assert_eq!(idx.size_bytes(), 0);
+        let second = c.insert(&d).unwrap();
+        assert_eq!(size(&c), 2 * sz);
+        c.delete(first).unwrap();
+        assert_eq!(size(&c), sz);
+        c.delete(second).unwrap();
+        assert_eq!(size(&c), 0);
     }
 }

@@ -27,16 +27,16 @@
 //!   extent-parallel [`ShardCoordinator::parallel_scan`], and reporting
 //!   per-shard distribution ([`StorageReport`]).
 //! * [`collection`] — sharded collections: a coordinator wrapped with
-//!   secondary indexes, stats, and the packed `(shard, extent, slot)`
-//!   [`DocId`] scheme.
-//! * [`index`] — ordered secondary indexes (optionally multikey) over dotted
-//!   paths, keyed by `datatamer_model::AttrKey`, with byte-accurate size
-//!   accounting. Keys come from `datatamer_model::Document::path_values`,
-//!   the dotted-path walk the query crate's predicates share. Point
-//!   lookups go through [`Collection::with_index`]; everything else —
-//!   group-bys and index backfills too — is a
-//!   [`Collection::parallel_scan`]. Fused entities are queried through the
-//!   typed AST of the `datatamer-query` crate, not here.
+//!   declared secondary indexes, stats, and the packed
+//!   `(shard, extent, slot)` [`DocId`] scheme.
+//! * [`index`] — secondary-index declarations ([`IndexSpec`]: a name and
+//!   a dotted path, optionally multikey). Nothing is maintained on the
+//!   write path: [`Collection::stats`] measures `totalIndexSize` from real
+//!   encoded key lengths in one [`Collection::parallel_scan`], and
+//!   [`Collection::count_by`] is a scan too. Keys come from
+//!   `datatamer_model::Document::path_values`, the dotted-path walk the
+//!   query crate's predicates share. Fused entities are queried through
+//!   the typed AST (and indexes) of the `datatamer-query` crate, not here.
 //! * [`stats`] — the `db.<coll>.stats()` report of Tables I and II.
 //! * [`store`] — a namespace ("dt") holding collections. Collection names
 //!   are validated at creation: path separators, `..`, and NUL are

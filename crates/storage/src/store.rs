@@ -66,9 +66,11 @@ impl Store {
         self.collections.read().keys().cloned().collect()
     }
 
-    /// Stats for one collection, namespaced like `dt.instance`.
-    pub fn stats(&self, name: &str) -> Option<CollectionStats> {
-        self.collection(name).map(|c| c.stats(&self.namespace))
+    /// Stats for one collection, namespaced like `dt.instance`
+    /// (`Ok(None)` when no such collection exists; see
+    /// [`Collection::stats`] for the scan it runs).
+    pub fn stats(&self, name: &str) -> Result<Option<CollectionStats>> {
+        self.collection(name).map(|c| c.stats(&self.namespace)).transpose()
     }
 }
 
@@ -101,10 +103,10 @@ mod tests {
         let store = Store::new("dt");
         let c = store.collection_or_create("entity", CollectionConfig::default()).unwrap();
         c.insert(&doc! {"type" => "Person"}).unwrap();
-        let stats = store.stats("entity").unwrap();
+        let stats = store.stats("entity").unwrap().unwrap();
         assert_eq!(stats.ns, "dt.entity");
         assert_eq!(stats.count, 1);
-        assert!(store.stats("missing").is_none());
+        assert!(store.stats("missing").unwrap().is_none());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the storage engine: encode/decode roundtrips over
-//! arbitrary documents, extent persistence, and index postings vs scan
-//! filters.
+//! arbitrary documents, extent persistence, and measured index stats and
+//! group-bys that no insert, delete or declaration history can change.
 
 use proptest::prelude::*;
 
-use datatamer_model::{Document, Value};
+use datatamer_model::{AttrKey, Document, Value};
 use datatamer_storage::encode::{decode_document, encode_document, encoded_len};
-use datatamer_storage::{Collection, CollectionConfig, IndexSpec};
+use datatamer_storage::{BackendConfig, Collection, CollectionConfig, DocId, IndexSpec};
 
 /// Strategy for arbitrary scalar values.
 fn scalar() -> impl Strategy<Value = Value> {
@@ -37,6 +37,77 @@ fn value() -> impl Strategy<Value = Value> {
 fn document() -> impl Strategy<Value = Document> {
     prop::collection::vec(("[a-z_]{1,10}", value()), 0..6)
         .prop_map(Document::from_pairs)
+}
+
+/// Paths the index-stats property declares indexes on.
+const INDEXED_PATHS: [&str; 4] = ["a", "b", "a.c", "c"];
+
+/// Documents over the field names of [`INDEXED_PATHS`], so paths resolve,
+/// descend arrays of documents, or are missing; keys include `Int(3)` and
+/// `Float(3.0)` (equal under `total_cmp`) and NaN.
+fn indexable_document() -> impl Strategy<Value = Document> {
+    let key = prop_oneof![
+        Just(Value::Int(3)),
+        Just(Value::Float(3.0)),
+        Just(Value::Float(f64::NAN)),
+        (0i64..3).prop_map(Value::Int),
+        "[xy]{0,3}".prop_map(Value::Str),
+    ];
+    let value = key.prop_recursive(2, 12, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..3).prop_map(Value::Array),
+            prop::collection::vec(("[abc]", inner), 0..3)
+                .prop_map(|pairs| Value::Doc(Document::from_pairs(pairs))),
+        ]
+    });
+    prop::collection::vec(("[abc]", value), 0..4).prop_map(Document::from_pairs)
+}
+
+/// What a collection reports of its indexes: live count, `nindexes`,
+/// `total_index_size`, and the group-by on every indexed path (keys
+/// compared under `total_cmp`, so NaN equals itself).
+type IndexReport = (u64, usize, usize, Vec<Vec<(AttrKey, u64)>>);
+
+fn index_report(col: &Collection) -> IndexReport {
+    let stats = col.stats("dt").unwrap();
+    let groups = INDEXED_PATHS
+        .iter()
+        .map(|p| col.count_by(p).unwrap().into_iter().map(|(k, n)| (AttrKey(k), n)).collect())
+        .collect();
+    (stats.count, stats.nindexes, stats.total_index_size, groups)
+}
+
+fn declare_indexes(col: &Collection) {
+    for (i, path) in INDEXED_PATHS.iter().enumerate() {
+        col.create_index(IndexSpec::new(format!("i{i}"), *path)).unwrap();
+    }
+}
+
+/// A collection holding `docs`, its indexes declared before or after the
+/// inserts, which go in one batch or one at a time.
+fn indexed_collection(
+    docs: &[Document],
+    backend: BackendConfig,
+    declare_first: bool,
+    batched: bool,
+) -> (Collection, Vec<DocId>) {
+    let col = Collection::new(
+        "x",
+        CollectionConfig { extent_size: 256, shards: 3, backend, ..Default::default() },
+    )
+    .unwrap();
+    if declare_first {
+        declare_indexes(&col);
+    }
+    let ids = if batched {
+        col.insert_many(docs).unwrap()
+    } else {
+        docs.iter().map(|d| col.insert(d).unwrap()).collect()
+    };
+    if !declare_first {
+        declare_indexes(&col);
+    }
+    (col, ids)
 }
 
 proptest! {
@@ -77,49 +148,58 @@ proptest! {
         prop_assert_eq!(col.len(), docs.len() as u64);
     }
 
-    // Index maintenance across inserts, deletes and a late `create_index`
-    // backfill: every key's postings are exactly the ids a scan filter
-    // finds for that key.
+    // The reported index sizes and group-bys are sums over live
+    // (document, key) entries: declaring the indexes before or after the
+    // inserts, inserting in one batch or one at a time, and the memory or
+    // file backend all report the same, and after deletes every variant
+    // reports what a fresh collection of the survivors reports.
     #[test]
-    fn indexed_query_equals_scan(
-        keys in prop::collection::vec(0i64..5, 1..40),
-        delete_mask in prop::collection::vec(any::<bool>(), 40),
-        index_first in any::<bool>(),
+    fn index_stats_are_independent_of_history(
+        docs in prop::collection::vec(indexable_document(), 1..30),
+        delete_mask in prop::collection::vec(any::<bool>(), 30),
     ) {
-        let col = Collection::new(
-            "idx",
-            CollectionConfig { extent_size: 256, shards: 3, ..Default::default() },
-        ).unwrap();
-        if index_first {
-            col.create_index(IndexSpec::new("by_k", "k")).unwrap();
-        }
-        let docs: Vec<Document> = keys.iter().map(|k| {
-            let mut d = Document::new();
-            d.set("k", Value::Int(*k));
-            d
-        }).collect();
-        let ids = col.insert_many(&docs).unwrap();
-        for (id, del) in ids.iter().zip(&delete_mask) {
-            if *del {
-                col.delete(*id).unwrap();
+        let dir = std::env::temp_dir()
+            .join(format!("dt_props_index_stats_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let survivors: Vec<Document> = docs
+            .iter()
+            .zip(&delete_mask)
+            .filter(|(_, del)| !**del)
+            .map(|(d, _)| d.clone())
+            .collect();
+        let (reference, _) = indexed_collection(&docs, BackendConfig::Memory, true, true);
+        let want = index_report(&reference);
+        let (fresh, _) = indexed_collection(&survivors, BackendConfig::Memory, true, true);
+        let want_after = index_report(&fresh);
+        let mut variant = 0;
+        for file in [false, true] {
+            for declare_first in [true, false] {
+                for batched in [true, false] {
+                    variant += 1;
+                    let backend = if file {
+                        BackendConfig::File { dir: dir.join(variant.to_string()) }
+                    } else {
+                        BackendConfig::Memory
+                    };
+                    let (col, ids) = indexed_collection(&docs, backend, declare_first, batched);
+                    let case = (file, declare_first, batched);
+                    prop_assert_eq!(index_report(&col), want.clone(), "{:?}", case);
+                    for (id, del) in ids.iter().zip(&delete_mask) {
+                        if *del {
+                            prop_assert!(col.delete(*id).unwrap());
+                        }
+                    }
+                    prop_assert_eq!(
+                        index_report(&col), want_after.clone(), "{:?} after deletes", case
+                    );
+                }
             }
         }
-        if !index_first {
-            col.create_index(IndexSpec::new("by_k", "k")).unwrap();
-        }
-        for probe in 0i64..5 {
-            let key = Value::Int(probe);
-            let mut scan = col.parallel_scan(|id, d| (d.get("k") == Some(&key)).then_some(id))
-                .unwrap();
-            let mut via_index = col.with_index("by_k", |i| i.lookup(&key)).unwrap();
-            scan.sort_unstable();
-            via_index.sort_unstable();
-            prop_assert_eq!(scan, via_index, "key {}", probe);
-        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Batched inserts maintain each index in a task of its own; every
-    // index must end exactly as the same repeated single inserts leave it.
+    // A batch on an 8-thread pool places, stores and reports exactly what
+    // the same repeated single inserts do, on every indexed path.
     #[test]
     fn insert_many_equals_repeated_insert(
         docs in prop::collection::vec(
@@ -147,17 +227,13 @@ proptest! {
             .unwrap()
             .install(|| batched.insert_many(&docs).unwrap());
         prop_assert_eq!(&single_ids, &batch_ids);
-        for (i, path) in PATHS.iter().enumerate() {
-            let view = |col: &Collection| {
-                col.with_index(&format!("i{i}"), |idx| {
-                    let postings: Vec<_> = idx.keys().map(|k| (k.clone(), idx.lookup(k))).collect();
-                    (postings, idx.key_counts(), idx.size_bytes(), idx.len())
-                })
-                .unwrap()
-            };
-            prop_assert_eq!(view(&one_by_one), view(&batched), "index on {}", path);
+        for path in PATHS {
+            prop_assert_eq!(
+                one_by_one.count_by(path).unwrap(), batched.count_by(path).unwrap(),
+                "group-by on {}", path
+            );
         }
-        prop_assert_eq!(one_by_one.stats("dt"), batched.stats("dt"));
+        prop_assert_eq!(one_by_one.stats("dt").unwrap(), batched.stats("dt").unwrap());
     }
 
     #[test]
@@ -173,7 +249,7 @@ proptest! {
                 live -= 1;
             }
         }
-        let stats = col.stats("dt");
+        let stats = col.stats("dt").unwrap();
         prop_assert_eq!(stats.count, live);
         prop_assert_eq!(col.parallel_scan(|_, _| Some(())).unwrap().len() as u64, live);
     }

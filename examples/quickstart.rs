@@ -87,6 +87,6 @@ fn main() -> datatamer::model::Result<()> {
 
     // 5. Storage-engine statistics, paper Table I style.
     println!("\n> db.instance.stats();");
-    println!("{}", dt.collection_stats("instance").expect("instance collection"));
+    println!("{}", dt.collection_stats("instance")?.expect("instance collection"));
     Ok(())
 }

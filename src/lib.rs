@@ -77,8 +77,9 @@
 //! and scans across the rayon team. A backend has one append (a batch of
 //! encoded documents under one lock) and one scan (planned per shard, then
 //! visited one extent per rayon task), so every whole-collection read —
-//! index backfills and group-bys included — is the same extent-parallel
-//! `Collection::parallel_scan`. Documents are placed round robin; a batch
+//! group-bys and the measured index sizes of `Collection::stats` included
+//! — is the same extent-parallel `Collection::parallel_scan`. Documents
+//! are placed round robin; a batch
 //! reserves its whole window at once, so it lands exactly where the same
 //! documents inserted one by one would. The backend is
 //! pluggable ([`storage::BackendConfig`]): `Memory` keeps extents in

@@ -53,7 +53,9 @@ fn run_pipeline_fingerprint(config: DataTamerConfig) -> (String, Vec<String>) {
         .store()
         .collection_names()
         .into_iter()
-        .map(|name| format!("{:?}", dt.collection_stats(&name).expect("stats")))
+        .map(|name| {
+            format!("{:?}", dt.collection_stats(&name).expect("stats scan").expect("stats"))
+        })
         .collect();
     (fused_blob, stats)
 }

@@ -29,8 +29,8 @@ fn build(fragments: usize, background: usize) -> DataTamer {
 #[test]
 fn tables_i_ii_shape_holds() {
     let dt = build(800, 9);
-    let instance = dt.collection_stats("instance").expect("instance");
-    let entity = dt.collection_stats("entity").expect("entity");
+    let instance = dt.collection_stats("instance").unwrap().expect("instance");
+    let entity = dt.collection_stats("entity").unwrap().expect("entity");
 
     // Index layout matches the paper exactly.
     assert_eq!(instance.nindexes, 1, "Table I nindexes");
