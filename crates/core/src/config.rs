@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 
 use datatamer_schema::IntegrationConfig;
-use datatamer_storage::{BackendConfig, CollectionConfig, DEFAULT_EXTENT_CACHE_BUDGET};
+use datatamer_storage::{BackendConfig, CollectionConfig};
 
 use crate::fusion::{GroupingStrategy, RegistryConfig};
 
@@ -30,34 +30,6 @@ impl DeltaLogConfig {
     }
 }
 
-/// Where collections live — the system-level face of the storage crate's
-/// shard coordinator. The default (in-process memory) is byte-compatible
-/// with the pre-coordinator engine; switching to [`BackendConfig::File`]
-/// makes every collection out-of-core (tail extents resident,
-/// recently-read extents held by a byte-budget cache). Documents are
-/// always placed round robin across shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StorageConfig {
-    /// Shard substrate for every collection the pipeline creates.
-    pub backend: BackendConfig,
-    /// Per-shard extent-cache byte budget for file-backed collections:
-    /// `None` = unbounded, `Some(0)` = disabled (every read loads from
-    /// disk — byte-identical output, pre-cache performance), `Some(n)` =
-    /// at most `n` bytes of decoded flushed extents resident per shard.
-    /// Cache occupancy and hit/miss/eviction counters surface per shard in
-    /// the [`datatamer_storage::StorageReport`]s carried on stage reports.
-    pub extent_cache_budget: Option<usize>,
-}
-
-impl Default for StorageConfig {
-    fn default() -> Self {
-        StorageConfig {
-            backend: BackendConfig::default(),
-            extent_cache_budget: Some(DEFAULT_EXTENT_CACHE_BUDGET),
-        }
-    }
-}
-
 /// Configuration of a [`crate::DataTamer`] instance.
 #[derive(Debug, Clone)]
 pub struct DataTamerConfig {
@@ -69,9 +41,13 @@ pub struct DataTamerConfig {
     pub extent_size: usize,
     /// Shards per collection.
     pub shards: usize,
-    /// Shard backend and extent-cache budget for every collection (see
-    /// [`StorageConfig`]).
-    pub storage: StorageConfig,
+    /// Where every collection the pipeline creates stores its shards. The
+    /// default (in-process memory) is byte-compatible with the
+    /// pre-coordinator engine; [`BackendConfig::File`] makes every
+    /// collection out-of-core (one resident tail extent per shard, flushed
+    /// extents read from their files). Documents are always placed round
+    /// robin across shards.
+    pub backend: BackendConfig,
     /// Schema-integration thresholds.
     pub integration: IntegrationConfig,
     /// Threshold for fusing two show records as the same entity.
@@ -101,7 +77,7 @@ impl Default for DataTamerConfig {
             namespace: "dt".to_owned(),
             extent_size: 2 * 1024 * 1024,
             shards: 8,
-            storage: StorageConfig::default(),
+            backend: BackendConfig::default(),
             integration: IntegrationConfig::default(),
             fusion_threshold: 0.82,
             grouping: GroupingStrategy::CanonicalName,
@@ -117,8 +93,7 @@ impl DataTamerConfig {
         CollectionConfig {
             extent_size: self.extent_size,
             shards: self.shards,
-            backend: self.storage.backend.clone(),
-            extent_cache_budget: self.storage.extent_cache_budget,
+            backend: self.backend.clone(),
         }
     }
 }
@@ -144,14 +119,10 @@ mod tests {
     fn storage_config_travels_into_collection_config() {
         let dir = std::env::temp_dir().join("dt_cfg_test");
         let c = DataTamerConfig {
-            storage: StorageConfig {
-                backend: BackendConfig::File { dir: dir.clone() },
-                extent_cache_budget: Some(4096),
-            },
+            backend: BackendConfig::File { dir: dir.clone() },
             ..Default::default()
         };
         let cc = c.collection_config();
         assert_eq!(cc.backend, BackendConfig::File { dir });
-        assert_eq!(cc.extent_cache_budget, Some(4096));
     }
 }

@@ -38,7 +38,7 @@ mod resident;
 pub mod stage;
 
 pub use catalog::{Catalog, SourceInfo, SourceKind};
-pub use config::{DataTamerConfig, DeltaLogConfig, StorageConfig};
+pub use config::{DataTamerConfig, DeltaLogConfig};
 pub use expert_bridge::ExpertPanelResolver;
 pub use fusion::{
     fuse_records_with, ConflictPolicy, ProvenancedValue, RegistryConfig, Resolved, ResolverSpec,

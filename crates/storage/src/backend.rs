@@ -11,36 +11,27 @@
 //! * [`FileBackend`] — out-of-core shards: only the tail extent (the one
 //!   taking appends) stays in memory; a full extent is flushed to its own
 //!   file (the [`crate::extent::Extent::to_bytes`] encoding, one file
-//!   per extent) and served back
-//!   through a per-shard [`ExtentCache`] — a byte-budget LRU of decoded
-//!   extents, so repeated scans hit memory instead of disk. Resident
-//!   memory is O(extent_size + cache budget) per shard regardless of
-//!   collection size (budget 0 restores the pure load-per-read
-//!   behaviour), and reopening a backend over the same directory resumes
-//!   the chain.
+//!   per extent), and every later access to it reads that file. Resident
+//!   memory is one extent per shard regardless of collection size, and
+//!   reopening a backend over the same directory resumes the chain.
 //!
 //! Each operation has one entry point. Appends arrive as a batch
 //! ([`ShardBackend::append`]; a single insert is a one-element batch) and
-//! land under one lock acquisition. The one scan is extent-wise: it is
-//! prepared with [`ShardBackend::begin_extent_scan`] (which resolves cache
-//! hits deterministically, in extent order, before any fan-out) and each
-//! extent is then visited independently via [`ShardBackend::visit_extent`],
-//! so the coordinator can fan extents out across the rayon team. Both
+//! land under one lock acquisition. The one scan is extent-wise: each
+//! extent is visited independently via [`ShardBackend::visit_extent`], so
+//! the coordinator can fan extents out across the rayon team. Both
 //! backends produce byte-identical scan output for the same append
-//! sequence — the coordinator's equivalence contract, pinned by tests — at
-//! any cache budget.
+//! sequence — the coordinator's equivalence contract, pinned by tests.
 
 use std::fs;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use datatamer_model::{Document, DtError, Result};
 
-use crate::cache::{ExtentCache, ExtentCacheStats, ExtentScan, ScanSlot};
 use crate::encode::decode_document;
 use crate::extent::Extent;
 
@@ -108,37 +99,23 @@ pub trait ShardBackend: Send + Sync {
     /// a lost extent behind "deleted".
     fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>>;
 
-    /// Tombstone `(extent, slot)`; returns the document when it was live.
-    /// Like [`Self::get`], an unreadable extent is an error, and so is a
-    /// failed tombstone *write-back* — swallowing it would report a delete
-    /// that a reopen undoes, and aborting the process (the old behaviour)
-    /// turns one torn extent into an outage.
-    fn delete(&self, extent: u32, slot: u32) -> Result<Option<Document>>;
-
-    /// Prepare an extent-parallel scan over this shard. For cached
-    /// backends this resolves every extent's hit-or-miss **sequentially,
-    /// in extent order, before any fan-out** and pins the hits — so cache
-    /// counters and post-scan contents are identical at any rayon pool
-    /// width. The default covers backends whose extents are all resident.
-    fn begin_extent_scan(&self) -> ExtentScan {
-        ExtentScan::resident(self.extent_count())
-    }
+    /// Tombstone `(extent, slot)`; returns whether the slot was live. Only
+    /// slot liveness counts: a live slot whose bytes fail to decode is
+    /// deleted like any other. Like [`Self::get`], an unreadable extent is
+    /// an error, and so is a failed tombstone *write-back* — swallowing it
+    /// would report a delete that a reopen undoes, and aborting the
+    /// process (the old behaviour) turns one torn extent into an outage.
+    fn delete(&self, extent: u32, slot: u32) -> Result<bool>;
 
     /// Visit the live documents of one extent in slot order (`f` receives
-    /// `(slot, doc)`), as part of a scan prepared by
-    /// [`Self::begin_extent_scan`]. Visiting extents in index order gives
-    /// the `(extent, slot)` order every backend must share for
-    /// byte-identical results. Extents past the plan (or tombstoned away)
-    /// visit nothing. An unreadable extent is an error rather than being
-    /// skipped (a skip would silently drop every document in it);
-    /// individual documents that fail to decode are skipped but counted
+    /// `(slot, doc)`). Visiting extents in index order gives the
+    /// `(extent, slot)` order every backend must share for byte-identical
+    /// results. Extents past the chain (or tombstoned away) visit nothing.
+    /// An unreadable extent is an error rather than being skipped (a skip
+    /// would silently drop every document in it); individual documents
+    /// that fail to decode are skipped but counted
     /// ([`Self::decode_errors`]) — never silently dropped.
-    fn visit_extent(
-        &self,
-        scan: &ExtentScan,
-        extent: u32,
-        f: &mut dyn FnMut(u32, &Document),
-    ) -> Result<()>;
+    fn visit_extent(&self, extent: u32, f: &mut dyn FnMut(u32, &Document)) -> Result<()>;
 
     /// Live documents in this shard.
     fn len(&self) -> u64;
@@ -157,12 +134,15 @@ pub trait ShardBackend: Send + Sync {
     /// Capacity of the last extent, or 0 when the chain is empty.
     fn last_extent_capacity(&self) -> usize;
 
-    /// Flush volatile state to stable storage (no-op for memory).
+    /// Write resident state (the file backend's tail extent) to its files
+    /// so a reopen sees it; a no-op for memory. Nothing is fsynced: the
+    /// write survives the process, not a power loss (see the crate's
+    /// durability contract).
     fn sync(&self) -> Result<()> {
         Ok(())
     }
 
-    /// Extent writes to stable storage so far (0 for memory backends).
+    /// Extent files written so far (0 for memory backends).
     fn flushes(&self) -> u64 {
         0
     }
@@ -173,12 +153,6 @@ pub trait ShardBackend: Send + Sync {
     /// [`crate::coordinator::StorageReport`] instead of being swallowed.
     fn decode_errors(&self) -> u64 {
         0
-    }
-
-    /// Extent-cache counters, for backends that serve reads through an
-    /// [`ExtentCache`] (`None` for fully-resident backends).
-    fn cache_stats(&self) -> Option<ExtentCacheStats> {
-        None
     }
 }
 
@@ -263,21 +237,12 @@ impl ShardBackend for MemoryBackend {
         Ok(fold_decode(&self.decode_errors, e.get(slot)))
     }
 
-    fn delete(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
+    fn delete(&self, extent: u32, slot: u32) -> Result<bool> {
         let mut extents = self.extents.write();
-        let Some(e) = extents.get_mut(extent as usize) else { return Ok(None) };
-        let Some(doc) = fold_decode(&self.decode_errors, e.get(slot)) else {
-            return Ok(None);
-        };
-        Ok(e.delete(slot).then_some(doc))
+        Ok(extents.get_mut(extent as usize).is_some_and(|e| e.delete(slot)))
     }
 
-    fn visit_extent(
-        &self,
-        _scan: &ExtentScan,
-        extent: u32,
-        f: &mut dyn FnMut(u32, &Document),
-    ) -> Result<()> {
+    fn visit_extent(&self, extent: u32, f: &mut dyn FnMut(u32, &Document)) -> Result<()> {
         let extents = self.extents.read();
         if let Some(e) = extents.get(extent as usize) {
             visit_live(e, &self.decode_errors, f);
@@ -310,7 +275,8 @@ impl ShardBackend for MemoryBackend {
 // FileBackend
 // ---------------------------------------------------------------------------
 
-/// Cached shape of a flushed extent, so stats and routing never touch disk.
+/// Shape of a flushed extent, kept in memory so stats and routing never
+/// touch disk.
 #[derive(Debug, Clone, Copy)]
 struct ExtentMeta {
     live: usize,
@@ -325,7 +291,7 @@ impl ExtentMeta {
 }
 
 /// One link of a file-backed chain: either resident (the tail taking
-/// appends) or flushed to its file with only metadata cached.
+/// appends) or flushed to its file with only its metadata in memory.
 #[derive(Debug)]
 enum ExtentSlot {
     Loaded(Extent),
@@ -342,53 +308,30 @@ impl ExtentSlot {
 }
 
 /// Out-of-core shard: extents live as files under a directory, with only
-/// the tail extent resident in the slot chain and recently-read flushed
-/// extents held by a byte-budget [`ExtentCache`]. See the module docs for
-/// the layout contract.
+/// the tail extent resident in the slot chain; every access to a flushed
+/// extent reads its file. See the module docs for the layout contract.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
     extent_size: usize,
     slots: RwLock<Vec<ExtentSlot>>,
-    /// Residency layer for flushed extents; every read path goes through
-    /// it. Lock order: `slots` before `cache`, never the reverse.
-    cache: ExtentCache,
     flushes: AtomicU64,
-    /// Extent files actually read.
-    disk_loads: AtomicU64,
     decode_errors: AtomicU64,
 }
 
 impl FileBackend {
-    /// Open (or create) a file-backed shard at `dir` with the default
-    /// extent-cache budget ([`crate::cache::DEFAULT_EXTENT_CACHE_BUDGET`] —
-    /// see [`FileBackend::open_with_cache`] to choose one). An existing
-    /// chain — `ext000000`, `ext000001`, … — is adopted: all extents start
-    /// flushed and the tail is re-loaded on the first append. Each flushed
-    /// extent carries a small `.meta` sidecar (data length +
-    /// live/used/capacity), so adoption reads O(extent count) bytes, not
-    /// the whole collection; a missing, corrupt, or length-mismatched
-    /// sidecar falls back to decoding that one extent (the private
-    /// `read_meta_sidecar` documents the one crash window the length check
-    /// cannot cover).
+    /// Open (or create) a file-backed shard at `dir`. An existing chain —
+    /// `ext000000`, `ext000001`, … — is adopted: all extents start flushed
+    /// and the tail is re-loaded on the first append. Each flushed extent
+    /// carries a small `.meta` sidecar (data length + live/used/capacity),
+    /// so adoption reads O(extent count) bytes, not the whole collection;
+    /// a missing, corrupt, or length-mismatched sidecar falls back to
+    /// decoding that one extent (the private `read_meta_sidecar` documents
+    /// the one crash window the length check cannot cover).
     pub fn open(dir: impl Into<PathBuf>, extent_size: usize) -> Result<Self> {
-        Self::open_with_cache(dir, extent_size, Some(crate::cache::DEFAULT_EXTENT_CACHE_BUDGET))
-    }
-
-    /// [`FileBackend::open`] with an explicit extent-cache byte budget:
-    /// `None` = unbounded, `Some(0)` = disabled (byte-identical to
-    /// load-per-read), `Some(n)` = at most `n` bytes of decoded flushed
-    /// extents resident. Nothing is admitted at open — the cache warms on
-    /// first read.
-    pub fn open_with_cache(
-        dir: impl Into<PathBuf>,
-        extent_size: usize,
-        cache_budget: Option<usize>,
-    ) -> Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut slots = Vec::new();
-        let mut fallback_loads = 0u64;
         loop {
             let path = dir.join(extent_file(slots.len()));
             if !path.exists() {
@@ -397,10 +340,7 @@ impl FileBackend {
             let file_len = fs::metadata(&path)?.len();
             let meta = match read_meta_sidecar(&dir.join(meta_file(slots.len())), file_len) {
                 Some(meta) => meta,
-                None => {
-                    fallback_loads += 1;
-                    ExtentMeta::of(&read_extent(&path)?)
-                }
+                None => ExtentMeta::of(&read_extent(&path)?),
             };
             slots.push(ExtentSlot::Flushed(meta));
         }
@@ -408,9 +348,7 @@ impl FileBackend {
             dir,
             extent_size,
             slots: RwLock::new(slots),
-            cache: ExtentCache::new(cache_budget),
             flushes: AtomicU64::new(0),
-            disk_loads: AtomicU64::new(fallback_loads),
             decode_errors: AtomicU64::new(0),
         })
     }
@@ -431,40 +369,22 @@ impl FileBackend {
         Ok(())
     }
 
+    /// Read and decode a flushed extent's file. Every reader — point
+    /// read, delete, scan, tail reload — reports a failure the same way.
     fn load_extent(&self, index: usize) -> Result<Extent> {
-        self.disk_loads.fetch_add(1, Ordering::Relaxed);
         read_extent(&self.path_of(index))
+            .map_err(|e| DtError::Io(format!("shard extent {index} unreadable: {e}")))
     }
 
-    /// A flushed extent, through the cache: a hit returns the resident
-    /// copy; a miss loads the file, admits the decoded extent (evicting
-    /// under budget pressure), and returns it.
-    fn cached_extent(&self, index: u32) -> Result<Arc<Extent>> {
-        if let Some(shared) = self.cache.lookup(index) {
-            return Ok(shared);
-        }
-        let shared = Arc::new(self.load_extent(index as usize)?);
-        self.cache.admit(index, shared.clone());
-        Ok(shared)
-    }
-
-    /// Make the tail extent resident (taking it from the cache when it is
-    /// there — double residency would double-count memory — or loading it
-    /// from its file), appending an empty tail to an empty chain. Returns
-    /// the tail's index; `slots[index]` is `Loaded` on success.
+    /// Make the tail extent resident (loading it from its file when it was
+    /// flushed), appending an empty tail to an empty chain. Returns the
+    /// tail's index; `slots[index]` is `Loaded` on success.
     fn ensure_tail_loaded(&self, slots: &mut Vec<ExtentSlot>) -> Result<usize> {
         match slots.last() {
             None => slots.push(ExtentSlot::Loaded(Extent::new(self.extent_size))),
             Some(ExtentSlot::Flushed(_)) => {
                 let index = slots.len() - 1;
-                let tail = match self.cache.take(index as u32) {
-                    Some(shared) => match Arc::try_unwrap(shared) {
-                        Ok(extent) => extent,
-                        Err(shared) => (*shared).clone(),
-                    },
-                    None => self.load_extent(index)?,
-                };
-                slots[index] = ExtentSlot::Loaded(tail);
+                slots[index] = ExtentSlot::Loaded(self.load_extent(index)?);
             }
             Some(ExtentSlot::Loaded(_)) => {}
         }
@@ -472,9 +392,7 @@ impl FileBackend {
     }
 
     /// Append with flush-on-roll: a full tail is written to its file,
-    /// demoted to metadata, and a fresh resident tail opens. The rolled
-    /// extent moves into the cache — tail-adjacent data is the hottest —
-    /// rather than being dropped and re-read on the next scan.
+    /// demoted to metadata, and a fresh resident tail opens.
     fn append_locked(&self, slots: &mut Vec<ExtentSlot>, encoded: &[u8]) -> Result<(u32, u32)> {
         loop {
             let index = self.ensure_tail_loaded(slots)?;
@@ -489,10 +407,7 @@ impl FileBackend {
             }
             let meta = ExtentMeta::of(tail);
             self.write_extent(index, tail)?;
-            let rolled = std::mem::replace(&mut slots[index], ExtentSlot::Flushed(meta));
-            if let ExtentSlot::Loaded(extent) = rolled {
-                self.cache.admit(index as u32, Arc::new(extent));
-            }
+            slots[index] = ExtentSlot::Flushed(meta);
             slots.push(ExtentSlot::Loaded(Extent::new(self.extent_size)));
         }
     }
@@ -573,103 +488,52 @@ impl ShardBackend for FileBackend {
             None => Ok(None),
             Some(ExtentSlot::Loaded(e)) => Ok(fold_decode(&self.decode_errors, e.get(slot))),
             Some(ExtentSlot::Flushed(_)) => {
-                // Through the cache: a warm extent makes this a map probe
-                // instead of a whole-extent decode; a cold one loads once
-                // and stays resident for the next same-extent read. An
-                // unreadable extent propagates: "tombstoned" and "lost an
-                // extent" must stay distinguishable.
-                let shared = self.cached_extent(extent)?;
-                Ok(fold_decode(&self.decode_errors, shared.get(slot)))
+                // An unreadable extent propagates: "tombstoned" and "lost
+                // an extent" must stay distinguishable.
+                let e = self.load_extent(extent as usize)?;
+                Ok(fold_decode(&self.decode_errors, e.get(slot)))
             }
         }
     }
 
-    fn delete(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
+    fn delete(&self, extent: u32, slot: u32) -> Result<bool> {
         let mut slots = self.slots.write();
         let index = extent as usize;
         match slots.get_mut(index) {
-            None => Ok(None),
-            Some(ExtentSlot::Loaded(e)) => {
-                let Some(doc) = fold_decode(&self.decode_errors, e.get(slot)) else {
-                    return Ok(None);
-                };
-                Ok(e.delete(slot).then_some(doc))
-            }
+            None => Ok(false),
+            Some(ExtentSlot::Loaded(e)) => Ok(e.delete(slot)),
             Some(ExtentSlot::Flushed(_)) => {
                 // Read-modify-write: the tombstone must reach the file, or
                 // a reopen would resurrect the document. Both an
                 // unreadable extent (like `get`) and a failed write-back
                 // surface as errors — swallowing either would report a
-                // delete that a reopen undoes. The cached copy is replaced
-                // in place so cache and file never disagree.
-                let shared = self.cached_extent(extent)?;
-                let Some(doc) = fold_decode(&self.decode_errors, shared.get(slot)) else {
-                    return Ok(None);
-                };
-                let mut e = (*shared).clone();
+                // delete that a reopen undoes.
+                let mut e = self.load_extent(index)?;
                 if !e.delete(slot) {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 self.write_extent(index, &e).map_err(|err| {
                     DtError::Io(format!("tombstone write-back, extent {index}: {err}"))
                 })?;
-                let meta = ExtentMeta::of(&e);
-                self.cache.update(extent, Arc::new(e));
-                slots[index] = ExtentSlot::Flushed(meta);
-                Ok(Some(doc))
+                slots[index] = ExtentSlot::Flushed(ExtentMeta::of(&e));
+                Ok(true)
             }
         }
     }
 
-    fn begin_extent_scan(&self) -> ExtentScan {
+    fn visit_extent(&self, extent: u32, f: &mut dyn FnMut(u32, &Document)) -> Result<()> {
+        // The read lock is held across the file read, so a tombstone
+        // write-back (which takes the write lock) never rewrites the file
+        // under a reader.
         let slots = self.slots.read();
-        self.cache.plan_scan(slots.len(), |i| {
-            matches!(slots.get(i), Some(ExtentSlot::Flushed(_)))
-        })
-    }
-
-    fn visit_extent(
-        &self,
-        scan: &ExtentScan,
-        extent: u32,
-        f: &mut dyn FnMut(u32, &Document),
-    ) -> Result<()> {
-        let index = extent as usize;
-        match scan.plan.get(index) {
-            Some(ScanSlot::Pinned(shared)) => {
-                visit_live(shared, &self.decode_errors, f);
-                Ok(())
+        match slots.get(extent as usize) {
+            Some(ExtentSlot::Loaded(e)) => visit_live(e, &self.decode_errors, f),
+            Some(ExtentSlot::Flushed(_)) => {
+                visit_live(&self.load_extent(extent as usize)?, &self.decode_errors, f)
             }
-            Some(ScanSlot::Miss) => {
-                let shared = Arc::new(self.load_extent(index).map_err(|e| {
-                    DtError::Io(format!("shard extent {index} unreadable: {e}"))
-                })?);
-                self.cache.admit_scanned(scan, extent, shared.clone());
-                visit_live(&shared, &self.decode_errors, f);
-                Ok(())
-            }
-            // Resident at plan time (the loaded tail), or past the plan.
-            // Re-check the chain: an append racing the scan may have
-            // rolled the tail to Flushed since — fall back to the cache.
-            Some(ScanSlot::Resident) | None => {
-                let slots = self.slots.read();
-                match slots.get(index) {
-                    Some(ExtentSlot::Loaded(e)) => {
-                        visit_live(e, &self.decode_errors, f);
-                        Ok(())
-                    }
-                    Some(ExtentSlot::Flushed(_)) => {
-                        drop(slots);
-                        let shared = self.cached_extent(extent).map_err(|e| {
-                            DtError::Io(format!("shard extent {index} unreadable: {e}"))
-                        })?;
-                        visit_live(&shared, &self.decode_errors, f);
-                        Ok(())
-                    }
-                    None => Ok(()),
-                }
-            }
+            None => {}
         }
+        Ok(())
     }
 
     fn len(&self) -> u64 {
@@ -694,12 +558,7 @@ impl ShardBackend for FileBackend {
             if let ExtentSlot::Loaded(tail) = &slots[index] {
                 let meta = ExtentMeta::of(tail);
                 self.write_extent(index, tail)?;
-                // The demoted tail stays readable through the cache
-                // instead of being dropped and re-read on the next scan.
-                let demoted = std::mem::replace(&mut slots[index], ExtentSlot::Flushed(meta));
-                if let ExtentSlot::Loaded(extent) = demoted {
-                    self.cache.admit(index as u32, Arc::new(extent));
-                }
+                slots[index] = ExtentSlot::Flushed(meta);
             }
         }
         Ok(())
@@ -711,12 +570,6 @@ impl ShardBackend for FileBackend {
 
     fn decode_errors(&self) -> u64 {
         self.decode_errors.load(Ordering::Relaxed)
-    }
-
-    fn cache_stats(&self) -> Option<ExtentCacheStats> {
-        let mut stats = self.cache.stats();
-        stats.disk_loads = self.disk_loads.load(Ordering::Relaxed);
-        Some(stats)
     }
 }
 
@@ -742,12 +595,11 @@ mod tests {
     }
 
     /// Every live document in `(extent, slot)` order, through the one
-    /// scan: a plan, then each extent in index order.
+    /// scan: each extent in index order.
     fn scan(b: &dyn ShardBackend) -> Result<Vec<(u32, u32, Document)>> {
-        let plan = b.begin_extent_scan();
         let mut out = Vec::new();
-        for extent in 0..plan.extent_count() as u32 {
-            b.visit_extent(&plan, extent, &mut |slot, d| out.push((extent, slot, d.clone())))?;
+        for extent in 0..b.extent_count() as u32 {
+            b.visit_extent(extent, &mut |slot, d| out.push((extent, slot, d.clone())))?;
         }
         Ok(out)
     }
@@ -797,10 +649,10 @@ mod tests {
             (0..10i64).map(|i| append_one(&file, &encoded(i))).collect();
         // Delete one doc from a rolled (flushed) extent and one from the tail.
         let (fe, fs_) = spots[0];
-        assert!(file.delete(fe, fs_).unwrap().is_some());
-        assert!(file.delete(fe, fs_).unwrap().is_none(), "double delete is a no-op");
+        assert!(file.delete(fe, fs_).unwrap());
+        assert!(!file.delete(fe, fs_).unwrap(), "double delete is a no-op");
         let (te, ts) = *spots.last().unwrap();
-        assert!(file.delete(te, ts).unwrap().is_some());
+        assert!(file.delete(te, ts).unwrap());
         assert_eq!(file.len(), 8);
         file.sync().unwrap();
         let reopened = FileBackend::open(&dir, 96).unwrap();
@@ -831,99 +683,48 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_serves_repeated_scans_without_disk_reads() {
-        let dir = tempdir("warmscan");
-        {
-            let file = FileBackend::open(&dir, 96).unwrap();
-            for i in 0..12i64 {
-                append_one(&file, &encoded(i));
-            }
-            file.sync().unwrap();
-        }
-        // A cold (freshly-opened, unbounded-cache) backend: the first scan
-        // loads every extent from disk, the second and third load nothing.
-        let file = FileBackend::open_with_cache(&dir, 96, None).unwrap();
-        let count = |f: &FileBackend| scan(f).unwrap().len();
-        assert_eq!(count(&file), 12);
-        let loads_after_first = file.cache_stats().unwrap().disk_loads;
-        assert_eq!(loads_after_first, file.extent_count() as u64, "cold scan reads each extent once");
-        assert_eq!(count(&file), 12);
-        assert_eq!(count(&file), 12);
-        let stats = file.cache_stats().unwrap();
-        assert_eq!(
-            stats.disk_loads, loads_after_first,
-            "second and subsequent scans perform zero extent file reads"
-        );
-        assert!(stats.hits >= 2 * file.extent_count() as u64, "{stats:?}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn point_reads_load_each_extent_once() {
-        let dir = tempdir("pointget");
-        let spots: Vec<(u32, u32)> = {
-            let file = FileBackend::open(&dir, 96).unwrap();
-            let spots = (0..12i64).map(|i| append_one(&file, &encoded(i))).collect();
-            file.sync().unwrap();
-            spots
-        };
-        let file = FileBackend::open(&dir, 96).unwrap();
-        // N point reads into one flushed extent: exactly one disk read.
-        let first_extent: Vec<_> = spots.iter().filter(|(e, _)| *e == 0).collect();
-        assert!(first_extent.len() > 1, "need several docs in extent 0");
-        for _ in 0..5 {
-            for (e, s) in &first_extent {
-                assert!(file.get(*e, *s).unwrap().is_some());
-            }
-        }
-        assert_eq!(
-            file.cache_stats().unwrap().disk_loads,
-            1,
-            "same-extent gets share one load"
-        );
-        // Reads spanning every extent still load each at most once.
-        for _ in 0..3 {
-            for (e, s) in &spots {
-                assert!(file.get(*e, *s).unwrap().is_some());
-            }
-        }
-        assert_eq!(
-            file.cache_stats().unwrap().disk_loads,
-            file.extent_count() as u64,
-            "one disk read per extent across repeated gets"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn decode_errors_are_counted_not_silently_dropped() {
         let mem = MemoryBackend::new(256);
         let garbage: &[u8] = b"\xff\xffgarbage that is not a document";
-        mem.append(&[&encoded(1), garbage, &encoded(2)]).unwrap();
+        let spots = mem.append(&[&encoded(1), garbage, &encoded(2)]).unwrap();
         assert_eq!(scan(&mem).unwrap().len(), 2, "the two well-formed documents still scan");
         assert_eq!(mem.decode_errors(), 1, "the corrupt one is counted, not dropped");
+        // Delete tombstones on slot liveness, so the undecodable document
+        // can be deleted instead of staying in `len()` forever.
+        assert_eq!(mem.len(), 3);
+        let (e, s) = spots[1];
+        assert!(mem.delete(e, s).unwrap(), "a live slot that fails to decode is deleted");
+        assert_eq!(mem.len(), 2);
+        assert_eq!(scan(&mem).unwrap().len(), 2);
+        assert_eq!(mem.decode_errors(), 1, "the tombstoned slot is no longer read");
     }
 
     #[test]
     fn torn_extent_is_an_error_not_a_crash() {
         // Regression: an unreadable flushed extent used to panic! inside a
         // scan (and the tombstone write-back likewise aborted). Both now
-        // surface as Err so the pipeline can report them. A *warm* cache
-        // legitimately keeps serving its resident copy, so this backend
-        // runs with the cache disabled — every scan reads the real file.
+        // surface as Err so the pipeline can report them. The extent is
+        // read once before the tear, so no earlier read may mask the
+        // damage either.
         let dir = tempdir("torn");
-        let file = FileBackend::open_with_cache(&dir, 96, Some(0)).unwrap();
-        for i in 0..10i64 {
-            append_one(&file, &encoded(i));
-        }
+        let file = FileBackend::open(&dir, 96).unwrap();
+        let spots: Vec<(u32, u32)> =
+            (0..10i64).map(|i| append_one(&file, &encoded(i))).collect();
         file.sync().unwrap();
         assert!(file.extent_count() > 1, "need a flushed extent");
+        let (victim_extent, victim_slot) = spots[0];
+        assert_eq!(victim_extent, 0);
+        assert!(file.get(victim_extent, victim_slot).unwrap().is_some());
+        assert_eq!(scan(&file).unwrap().len(), 10);
         // Tear the first flushed extent (and its sidecar, so nothing masks
         // the damage).
         fs::write(dir.join("ext000000"), b"torn").unwrap();
         let _ = fs::remove_file(dir.join("ext000000.meta"));
         let err = scan(&file).unwrap_err();
         assert!(format!("{err}").contains("extent 0"), "{err}");
+        assert!(file.get(victim_extent, victim_slot).is_err(), "get reads the torn file");
+        assert!(file.delete(victim_extent, victim_slot).is_err(), "delete reads the torn file");
+        assert_eq!(file.len(), 10, "a failed delete changes nothing");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

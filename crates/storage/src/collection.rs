@@ -62,11 +62,6 @@ pub struct CollectionConfig {
     /// default, or one file per flushed extent for out-of-core
     /// collections).
     pub backend: BackendConfig,
-    /// Per-shard extent-cache byte budget for file-backed shards (`None` =
-    /// unbounded, `Some(0)` = disabled — load-per-read, byte-identical to
-    /// the uncached behaviour). Ignored by memory backends, whose extents
-    /// are all resident anyway.
-    pub extent_cache_budget: Option<usize>,
 }
 
 impl Default for CollectionConfig {
@@ -75,7 +70,6 @@ impl Default for CollectionConfig {
             extent_size: 2 * 1024 * 1024,
             shards: 8,
             backend: BackendConfig::Memory,
-            extent_cache_budget: Some(crate::cache::DEFAULT_EXTENT_CACHE_BUDGET),
         }
     }
 }
@@ -133,11 +127,7 @@ impl Collection {
                 BackendConfig::Memory => Box::new(MemoryBackend::new(config.extent_size)),
                 BackendConfig::File { dir } => {
                     let shard_dir = dir.join(&name).join(format!("shard{shard_no:03}"));
-                    Box::new(FileBackend::open_with_cache(
-                        shard_dir,
-                        config.extent_size,
-                        config.extent_cache_budget,
-                    )?)
+                    Box::new(FileBackend::open(shard_dir, config.extent_size)?)
                 }
             });
         }
@@ -212,7 +202,7 @@ impl Collection {
     /// unreadable extent or a failed tombstone write-back on a file shard
     /// is the error.
     pub fn delete(&self, id: DocId) -> Result<bool> {
-        Ok(self.coordinator.delete(id)?.is_some())
+        self.coordinator.delete(id)
     }
 
     /// Declare a secondary index. Nothing is built: [`Self::stats`]
@@ -244,9 +234,11 @@ impl Collection {
         self.coordinator.parallel_scan(f)
     }
 
-    /// Flush file-backed shards' resident tails to their extent files so a
+    /// Write file-backed shards' resident tails to their extent files so a
     /// reopen (a fresh [`Collection::new`] over the same directory) sees
-    /// the full chain. A no-op for memory backends.
+    /// the full chain. A no-op for memory backends. The files are not
+    /// fsynced: this survives a process crash, not a power loss (see the
+    /// crate's durability contract).
     pub fn sync(&self) -> Result<()> {
         self.coordinator.sync()
     }
@@ -281,8 +273,8 @@ impl Collection {
     /// `total_index_size` is measured, not maintained: one
     /// [`Self::parallel_scan`] per call sums every declared index's entries
     /// over the live documents (no scan when no index is declared). Like
-    /// any scan, on a file backend it reads extents through the extent
-    /// cache and moves its counters; an unreadable extent is the error.
+    /// any scan, on a file backend it reads every flushed extent's file;
+    /// an unreadable extent is the error.
     pub fn stats(&self, namespace: &str) -> Result<CollectionStats> {
         let indexes = self.indexes.read().clone();
         let total_index_size = if indexes.is_empty() {
@@ -575,7 +567,6 @@ mod tests {
             extent_size: 256,
             shards: 3,
             backend: BackendConfig::File { dir: dir.clone() },
-            ..Default::default()
         };
         let docs: Vec<Document> =
             (0..40i64).map(|i| doc! {"i" => i, "pad" => "z".repeat(20)}).collect();
@@ -603,7 +594,8 @@ mod tests {
     fn get_on_an_unreadable_extent_is_an_error() {
         // Regression: a point read used to fold an unreadable flushed
         // extent into `None`, indistinguishable from a deleted document.
-        // The cache is disabled so every read goes to the real file.
+        // The victim is read once before the tear, so no earlier read may
+        // mask the damage either.
         let dir = tempdir("torn_get");
         let col = Collection::new(
             "torn",
@@ -611,7 +603,6 @@ mod tests {
                 extent_size: 96,
                 shards: 1,
                 backend: BackendConfig::File { dir: dir.clone() },
-                extent_cache_budget: Some(0),
             },
         )
         .unwrap();
@@ -629,6 +620,7 @@ mod tests {
         let _ = std::fs::remove_file(shard_dir.join("ext000000.meta"));
         assert!(col.get(victim).is_err(), "a lost extent must not read as a deleted document");
         assert!(col.delete(victim).is_err(), "nor delete as one");
+        assert!(col.parallel_scan(|_, _| Some(())).is_err(), "nor scan as an empty extent");
         assert_eq!(col.len(), 10, "a failed delete changes nothing");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -649,7 +641,6 @@ mod tests {
                 extent_size: 512,
                 shards: 4,
                 backend: BackendConfig::File { dir: dir.clone() },
-                ..Default::default()
             },
         )
         .unwrap();

@@ -13,10 +13,7 @@
 //! * **Scan.** [`ShardCoordinator::parallel_scan`] fans out one rayon task
 //!   per **(shard, extent)** — flushed extents decode concurrently — and
 //!   stitches results back shard-major/extent-major, so output is
-//!   byte-identical at any thread count and under any backend mix. Cache
-//!   hit/miss resolution happens at plan time, sequentially, in shard order
-//!   ([`ShardBackend::begin_extent_scan`]), so the cache counters carried
-//!   on [`StorageReport`] are deterministic too.
+//!   byte-identical at any thread count and under any backend mix.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,7 +22,6 @@ use rayon::prelude::*;
 use datatamer_model::{Document, DtError, Result};
 
 use crate::backend::{BackendKind, ShardBackend};
-use crate::cache::{ExtentCacheStats, ExtentScan};
 use crate::collection::DocId;
 use crate::encode::encode_document;
 
@@ -41,9 +37,6 @@ pub struct ShardStorage {
     /// Documents skipped because their bytes failed to decode — a nonzero
     /// value means reads silently saw a smaller corpus than was stored.
     pub decode_errors: u64,
-    /// Extent-cache occupancy and counters, for shards that serve reads
-    /// through an [`crate::cache::ExtentCache`] (`None` on memory shards).
-    pub cache: Option<ExtentCacheStats>,
 }
 
 /// How one collection's data is distributed: per-shard doc/extent counts
@@ -55,7 +48,7 @@ pub struct StorageReport {
     pub collection: String,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardStorage>,
-    /// Extent writes to stable storage (0 for all-memory collections).
+    /// Extent files written (0 for all-memory collections).
     pub flushes: u64,
 }
 
@@ -75,31 +68,10 @@ impl StorageReport {
         self.shards.iter().map(|s| s.decode_errors).sum()
     }
 
-    /// Extent-cache counters summed across shards (`None` when no shard
-    /// serves reads through a cache — all-memory collections). `budget` is
-    /// the per-shard value (every shard gets the same configured budget).
-    pub fn cache_totals(&self) -> Option<ExtentCacheStats> {
-        let mut total: Option<ExtentCacheStats> = None;
-        for shard in &self.shards {
-            let Some(c) = shard.cache else { continue };
-            let t = total.get_or_insert(ExtentCacheStats {
-                budget: c.budget,
-                ..Default::default()
-            });
-            t.occupancy_bytes += c.occupancy_bytes;
-            t.cached_extents += c.cached_extents;
-            t.hits += c.hits;
-            t.misses += c.misses;
-            t.evictions += c.evictions;
-            t.disk_loads += c.disk_loads;
-        }
-        total
-    }
-
     /// Flatten the report into `(name, value)` counter pairs — the shape
     /// the serving layer's stats endpoint and logs consume.
     pub fn counter_pairs(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![
+        vec![
             ("storage.docs", self.docs()),
             ("storage.largest_shard_docs", self.largest_shard_docs()),
             ("storage.shards", self.shards.len() as u64),
@@ -109,15 +81,7 @@ impl StorageReport {
                 "storage.extents",
                 self.shards.iter().map(|s| s.extents as u64).sum(),
             ),
-        ];
-        if let Some(c) = self.cache_totals() {
-            out.push(("storage.cache_hits", c.hits));
-            out.push(("storage.cache_misses", c.misses));
-            out.push(("storage.cache_evictions", c.evictions));
-            out.push(("storage.cache_disk_loads", c.disk_loads));
-            out.push(("storage.cache_occupancy_bytes", c.occupancy_bytes as u64));
-        }
-        out
+        ]
     }
 }
 
@@ -234,12 +198,12 @@ impl ShardCoordinator {
         }
     }
 
-    /// Tombstone a document, returning it when it was live. An unreadable
+    /// Tombstone a document, returning whether it was live. An unreadable
     /// extent or a failed tombstone write-back on a file shard surfaces as
     /// the error.
-    pub fn delete(&self, id: DocId) -> Result<Option<Document>> {
+    pub fn delete(&self, id: DocId) -> Result<bool> {
         match self.backends.get(id.shard() as usize) {
-            None => Ok(None),
+            None => Ok(false),
             Some(b) => b.delete(id.extent(), id.slot()),
         }
     }
@@ -247,21 +211,18 @@ impl ShardCoordinator {
     /// Scatter/gather scan: one rayon task per **(shard, extent)** —
     /// flushed extents decode concurrently — with outputs stitched back
     /// shard-major then extent then slot, deterministic at any thread
-    /// count. Each shard's scan is planned sequentially up front
-    /// ([`ShardBackend::begin_extent_scan`]), so cache hits are pinned and
-    /// counted before any fan-out. Any extent's read failure fails the
-    /// scan (first error in (shard, extent) order, so the reported error
-    /// is thread-count-deterministic too).
+    /// count. Each shard's extent count is read before the fan-out, so an
+    /// append racing the scan cannot add a task. Any extent's read failure
+    /// fails the scan (first error in (shard, extent) order, so the
+    /// reported error is thread-count-deterministic too).
     pub fn parallel_scan<T, F>(&self, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(DocId, &Document) -> Option<T> + Sync,
     {
-        let plans: Vec<ExtentScan> =
-            self.backends.iter().map(|b| b.begin_extent_scan()).collect();
         let mut tasks: Vec<(usize, u32)> = Vec::new();
-        for (shard_no, plan) in plans.iter().enumerate() {
-            for extent in 0..plan.extent_count() as u32 {
+        for (shard_no, backend) in self.backends.iter().enumerate() {
+            for extent in 0..backend.extent_count() as u32 {
                 tasks.push((shard_no, extent));
             }
         }
@@ -269,16 +230,12 @@ impl ShardCoordinator {
             .par_iter()
             .map(|&(shard_no, extent)| {
                 let mut out = Vec::new();
-                self.backends[shard_no].visit_extent(
-                    &plans[shard_no],
-                    extent,
-                    &mut |slot, doc| {
-                        let id = DocId::pack(shard_no as u8, extent, slot);
-                        if let Some(t) = f(id, doc) {
-                            out.push(t);
-                        }
-                    },
-                )?;
+                self.backends[shard_no].visit_extent(extent, &mut |slot, doc| {
+                    let id = DocId::pack(shard_no as u8, extent, slot);
+                    if let Some(t) = f(id, doc) {
+                        out.push(t);
+                    }
+                })?;
                 Ok(out)
             })
             .collect();
@@ -310,7 +267,8 @@ impl ShardCoordinator {
             .unwrap_or(0)
     }
 
-    /// Flush every backend's volatile tail to stable storage.
+    /// Write every backend's resident tail to its files (not fsynced; see
+    /// the crate's durability contract).
     pub fn sync(&self) -> Result<()> {
         for backend in &self.backends {
             backend.sync()?;
@@ -330,7 +288,6 @@ impl ShardCoordinator {
                     docs: b.len(),
                     extents: b.extent_count(),
                     decode_errors: b.decode_errors(),
-                    cache: b.cache_stats(),
                 })
                 .collect(),
             flushes: self.backends.iter().map(|b| b.flushes()).sum(),

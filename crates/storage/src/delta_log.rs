@@ -229,8 +229,10 @@ impl DeltaLog {
     }
 
     /// Merge every frame into one, rewriting through a temp file + rename
-    /// so a crash mid-compaction leaves either the old log or the new one,
-    /// never a half-written file in between.
+    /// so a process killed mid-compaction leaves either the old log or the
+    /// new one, never a half-written file in between. Neither file is
+    /// synced before the rename, so after a power loss the renamed log may
+    /// be empty or torn (see the crate's durability contract).
     pub fn compact(&mut self) -> Result<()> {
         if self.frames <= 1 {
             return Ok(());

@@ -69,15 +69,6 @@ impl Extent {
         self.capacity
     }
 
-    /// Approximate resident heap footprint of this decoded extent: data
-    /// bytes plus the slot tables. This is what the extent-cache byte
-    /// budget meters ([`crate::cache::ExtentCache`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.dead.len()
-    }
-
     /// Raw encoded bytes of a slot, or `None` when out of range or dead.
     pub fn slot_bytes(&self, slot: u32) -> Option<&[u8]> {
         let i = slot as usize;

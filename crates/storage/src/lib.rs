@@ -13,13 +13,9 @@
 //! * [`backend`] — pluggable shard substrates behind the [`ShardBackend`]
 //!   trait: [`backend::MemoryBackend`] (in-process extents) and
 //!   [`backend::FileBackend`] (out-of-core: only the tail extent resident,
-//!   full extents flushed to one file each and served back through the
-//!   extent cache). The trait has one append (a batch; a single insert is
-//!   a one-element batch) and one scan (a plan, then one visit per
-//!   extent).
-//! * [`cache`] — the [`ExtentCache`]: a byte-budget LRU of decoded extents
-//!   with deterministic hit/miss/eviction accounting, so repeated scans of
-//!   a file-backed collection hit memory instead of disk.
+//!   full extents flushed to one file each, and every read of a flushed
+//!   extent reads its file). The trait has one append (a batch; a single
+//!   insert is a one-element batch) and one scan (one visit per extent).
 //! * [`coordinator`] — the [`ShardCoordinator`]: one backend per shard
 //!   plus a round-robin cursor (a batch reserves its whole window with one
 //!   atomic bump, so it places exactly like repeated single inserts),
@@ -44,9 +40,22 @@
 //! * [`delta_log`] — checksummed, torn-tail-tolerant append-only log of
 //!   accepted delta batches, so a restarted consolidation session replays
 //!   instead of re-consolidating.
+//!
+//! # Durability contract
+//!
+//! Storage survives the death of the process, not the loss of power. No
+//! storage path calls `sync_all` or `sync_data`: a write is complete once
+//! the operating system has it, which is all a restarted process needs to
+//! read it back. That covers [`FileBackend`]'s extent files and their
+//! `.meta` sidecars, and [`DeltaLog::append`] and [`DeltaLog::compact`]
+//! (whose temp file is renamed into place without being synced first).
+//! After a power loss or kernel crash, any write since the last time the
+//! operating system flushed its cache may be missing or torn. Reads
+//! report a torn extent file instead of treating it as empty, and
+//! [`DeltaLog::open`] truncates a torn log tail, but neither brings back
+//! what was lost.
 
 pub mod backend;
-pub mod cache;
 pub mod collection;
 pub mod coordinator;
 pub mod delta_log;
@@ -57,7 +66,6 @@ pub mod stats;
 pub mod store;
 
 pub use backend::{BackendConfig, BackendKind, FileBackend, MemoryBackend, ShardBackend};
-pub use cache::{ExtentCache, ExtentCacheStats, ExtentScan, DEFAULT_EXTENT_CACHE_BUDGET};
 pub use collection::{Collection, CollectionConfig, DocId};
 pub use delta_log::DeltaLog;
 pub use coordinator::{ShardCoordinator, ShardStorage, StorageReport};

@@ -1,7 +1,8 @@
 //! Property tests for the shard-coordinator subsystem: the file backend
-//! round-trips byte-identically through flush + reopen, memory- and
-//! file-backed collections are observationally equivalent, and the extent
-//! cache never changes a scanned byte at any budget or rayon pool width.
+//! round-trips byte-identically through flush + reopen and matches a
+//! memory reference, memory- and file-backed collections are
+//! observationally equivalent, and extent-parallel scans do not depend on
+//! the rayon pool width.
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -47,37 +48,50 @@ fn declared_index(col: &Collection) -> IndexImage {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // insert_many → sync → reopen: the reopened file-backed collection
-    // scans byte-identically to the original — nothing is lost at the
-    // flush boundary, nothing is resurrected past a tombstone.
+    // insert_many → delete → sync → reopen: at every step the
+    // file-backed collection scans byte-identically to a memory
+    // collection fed the same operations — nothing is lost at the flush
+    // boundary, nothing is resurrected past a tombstone — and an index
+    // declared over the reopened chain reports the memory collection's
+    // group-by and stats.
     #[test]
     fn file_backend_roundtrips_through_reopen(
         keys in prop::collection::vec("[abc]{1,3}", 1..60),
         delete_every in 2usize..9,
     ) {
         let dir = tempdir("roundtrip");
+        let memory = CollectionConfig { extent_size: 256, shards: 3, ..Default::default() };
         let config = CollectionConfig {
-            extent_size: 256,
-            shards: 3,
             backend: BackendConfig::File { dir: dir.clone() },
-            ..Default::default()
+            ..memory.clone()
         };
         let docs = documents(&keys);
-        let before = {
+        let (reference, reference_index) = {
+            let mem = Collection::new("c", memory).unwrap();
+            let ids = mem.insert_many(&docs).unwrap();
+            for id in ids.iter().step_by(delete_every) {
+                prop_assert!(mem.delete(*id).unwrap());
+            }
+            (fingerprint(&mem), declared_index(&mem))
+        };
+        {
             let col = Collection::new("c", config.clone()).unwrap();
             let ids = col.insert_many(&docs).unwrap();
             for id in ids.iter().step_by(delete_every) {
                 prop_assert!(col.delete(*id).unwrap());
             }
+            prop_assert_eq!(fingerprint(&col), reference.clone(),
+                "the scan through tombstones must match memory");
             col.sync().unwrap();
-            fingerprint(&col)
-        };
+            prop_assert_eq!(fingerprint(&col), reference.clone(),
+                "the scan after sync must match memory");
+        }
         let reopened = Collection::new("c", config).unwrap();
-        prop_assert_eq!(
-            fingerprint(&reopened), before,
-            "reopen must reproduce the scan byte for byte"
-        );
+        prop_assert_eq!(fingerprint(&reopened), reference,
+            "reopen must reproduce the scan byte for byte");
         prop_assert_eq!(reopened.len() as usize, docs.len() - docs.len().div_ceil(delete_every));
+        prop_assert_eq!(declared_index(&reopened), reference_index,
+            "the declared index over the reopened chain must match memory");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -99,7 +113,6 @@ proptest! {
             extent_size: 192,
             shards: 4,
             backend: BackendConfig::File { dir: dir.clone() },
-            ..Default::default()
         }).unwrap();
         let mem_ids = mem.insert_many(&docs).unwrap();
         let file_ids = file.insert_many(&docs).unwrap();
@@ -112,122 +125,10 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // Every extent-cache budget — disabled, one-extent-tight, unbounded —
-    // scans byte-identically to the in-memory backend and to every other
-    // budget, through tombstones and a flush + reopen, and an index
-    // declared over the reopened chain (measured through the cache's scan
-    // plan) reports the memory collection's group-by and stats. The budget is
-    // a pure performance knob; it must never be visible in any byte of
-    // output.
+    // Extent-parallel scans are pool-width invariant in both the output
+    // bytes and the per-shard decode-error counters.
     #[test]
-    fn cache_budget_never_changes_scan_bytes(
-        keys in prop::collection::vec("[abc]{1,3}", 1..60),
-        delete_every in 2usize..9,
-    ) {
-        let dir = tempdir("budgets");
-        let docs = documents(&keys);
-        let (reference, reference_index) = {
-            let mem = Collection::new("c", CollectionConfig {
-                extent_size: 256,
-                shards: 3,
-                ..Default::default()
-            }).unwrap();
-            let ids = mem.insert_many(&docs).unwrap();
-            for id in ids.iter().step_by(delete_every) {
-                prop_assert!(mem.delete(*id).unwrap());
-            }
-            (fingerprint(&mem), declared_index(&mem))
-        };
-        // Some(256) ≈ one extent: constant eviction pressure.
-        for (tag, budget) in [("zero", Some(0)), ("one", Some(256)), ("unbounded", None)] {
-            let config = CollectionConfig {
-                extent_size: 256,
-                shards: 3,
-                backend: BackendConfig::File { dir: dir.join(tag) },
-                extent_cache_budget: budget,
-            };
-            let before = {
-                let col = Collection::new("c", config.clone()).unwrap();
-                let ids = col.insert_many(&docs).unwrap();
-                for id in ids.iter().step_by(delete_every) {
-                    prop_assert!(col.delete(*id).unwrap());
-                }
-                // Scan twice so the second pass reads through whatever the
-                // budget retained from the first.
-                prop_assert_eq!(fingerprint(&col), reference.clone(),
-                    "budget {:?}: first scan must match memory", budget);
-                col.sync().unwrap();
-                fingerprint(&col)
-            };
-            prop_assert_eq!(&before, &reference,
-                "budget {:?}: warm scan must match memory", budget);
-            let reopened = Collection::new("c", config).unwrap();
-            prop_assert_eq!(fingerprint(&reopened), reference.clone(),
-                "budget {:?}: reopened scan must match memory", budget);
-            prop_assert_eq!(declared_index(&reopened), reference_index.clone(),
-                "budget {:?}: declared index must match memory", budget);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    // Counter sanity at every budget: hits + misses = lookups, every miss
-    // is one disk load, and evictions only fire when a bounded budget is
-    // actually exceeded.
-    #[test]
-    fn cache_counters_stay_sane(
-        keys in prop::collection::vec("[ab]{1,3}", 4..48),
-        scans in 1usize..4,
-    ) {
-        let dir = tempdir("counters");
-        for (tag, budget) in [("zero", Some(0)), ("tight", Some(512)), ("unbounded", None)] {
-            let col = Collection::new("c", CollectionConfig {
-                extent_size: 256,
-                shards: 2,
-                backend: BackendConfig::File { dir: dir.join(tag) },
-                extent_cache_budget: budget,
-            }).unwrap();
-            col.insert_many(&documents(&keys)).unwrap();
-            col.sync().unwrap();
-            for _ in 0..scans {
-                col.parallel_scan(|_, d| d.get("i").cloned()).unwrap();
-            }
-            let report = col.storage_report();
-            let cache = report.cache_totals().expect("file shards report a cache");
-            prop_assert_eq!(cache.budget, budget);
-            // Each scan plans exactly one lookup per flushed extent, and
-            // after sync every extent is flushed — nothing else in this
-            // sequence performs lookups, so the ledger must balance.
-            let extents: usize = report.shards.iter().map(|s| s.extents).sum();
-            prop_assert_eq!(cache.hits + cache.misses, (scans * extents) as u64,
-                "hits + misses = lookups: {:?}", cache);
-            prop_assert_eq!(cache.misses, cache.disk_loads,
-                "every miss is exactly one extent file read: {:?}", cache);
-            match budget {
-                Some(0) => {
-                    prop_assert_eq!(cache.hits, 0, "disabled cache never hits: {:?}", cache);
-                    prop_assert_eq!(cache.evictions, 0, "never admitted, never evicted");
-                    prop_assert_eq!(cache.occupancy_bytes, 0);
-                }
-                None => {
-                    prop_assert_eq!(cache.evictions, 0, "unbounded cache never evicts: {:?}", cache);
-                    if scans > 1 {
-                        prop_assert!(cache.hits > 0, "warm scans must hit: {:?}", cache);
-                    }
-                }
-                Some(b) => {
-                    prop_assert!(cache.occupancy_bytes <= b * 2,
-                        "per-shard budget bounds total occupancy over 2 shards: {:?}", cache);
-                }
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    // Extent-parallel scans are pool-width invariant in *both* the output
-    // bytes and the cache counters: plan-time hit/miss resolution makes
-    // the StorageReport deterministic, not just the data.
-    #[test]
-    fn parallel_scan_cache_counters_are_thread_count_invariant(
+    fn parallel_scan_is_thread_count_invariant(
         keys in prop::collection::vec("[abc]{1,3}", 4..48),
     ) {
         let dir = tempdir("threads");
@@ -237,7 +138,6 @@ proptest! {
                 extent_size: 256,
                 shards: 3,
                 backend: BackendConfig::File { dir: dir.join(tag) },
-                extent_cache_budget: Some(768),
             }).unwrap();
             col.insert_many(&docs).unwrap();
             col.sync().unwrap();
@@ -246,17 +146,15 @@ proptest! {
                 prints.push(fingerprint(&col));
             }
             let report = col.storage_report();
-            let shard_counters: Vec<_> = report.shards.iter()
-                .map(|s| (s.decode_errors, s.cache))
-                .collect();
-            (prints, shard_counters)
+            let decode_errors: Vec<u64> = report.shards.iter().map(|s| s.decode_errors).collect();
+            (prints, decode_errors)
         };
         let serial = ThreadPoolBuilder::new().num_threads(1).build().unwrap()
             .install(|| run("serial"));
         let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap()
             .install(|| run("wide"));
         prop_assert_eq!(serial.0, wide.0, "scan bytes must not depend on pool width");
-        prop_assert_eq!(serial.1, wide.1, "cache counters must not depend on pool width");
+        prop_assert_eq!(serial.1, wide.1, "decode errors must not depend on pool width");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

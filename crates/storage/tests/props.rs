@@ -93,7 +93,7 @@ fn indexed_collection(
 ) -> (Collection, Vec<DocId>) {
     let col = Collection::new(
         "x",
-        CollectionConfig { extent_size: 256, shards: 3, backend, ..Default::default() },
+        CollectionConfig { extent_size: 256, shards: 3, backend },
     )
     .unwrap();
     if declare_first {

@@ -75,8 +75,8 @@
 //! Collections are sharded: a `ShardCoordinator` ([`storage::coordinator`])
 //! owns one `ShardBackend` per shard and scatter/gathers batched inserts
 //! and scans across the rayon team. A backend has one append (a batch of
-//! encoded documents under one lock) and one scan (planned per shard, then
-//! visited one extent per rayon task), so every whole-collection read —
+//! encoded documents under one lock) and one scan (one extent per rayon
+//! task), so every whole-collection read —
 //! group-bys and the measured index sizes of `Collection::stats` included
 //! — is the same extent-parallel `Collection::parallel_scan`. Documents
 //! are placed round robin; a batch
@@ -89,9 +89,9 @@
 //! from their directory. Both backends produce **byte-identical** scan and
 //! fusion results for the same input at any thread count (pinned by
 //! proptest and the pipeline equivalence suite). System-wide selection
-//! sits on `DataTamerConfig::storage`, and each stage report carries a
+//! sits on `DataTamerConfig::backend`, and each stage report carries a
 //! `StorageReport` of per-shard doc/extent counts, backend kind, flush
-//! traffic, decode-error counts, and extent-cache counters.
+//! traffic and decode-error counts.
 //!
 //! ```
 //! use datatamer::model::doc;
@@ -103,7 +103,6 @@
 //!     extent_size: 8 * 1024,
 //!     shards: 4,
 //!     backend: BackendConfig::File { dir: dir.clone() },
-//!     ..Default::default()
 //! };
 //!
 //! let col = Collection::new("listings", config.clone()).unwrap();
@@ -129,19 +128,15 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!
-//! ### Out-of-core scans: the extent cache
+//! ### Out-of-core scans
 //!
-//! File-backed shards serve every read through an `ExtentCache`
-//! ([`storage::cache`]): a byte-budget LRU of decoded extents, so repeated
-//! stage passes (blocking, scoring, fusion) hit memory instead of
-//! re-reading every extent file per scan. `CollectionConfig::
-//! extent_cache_budget` (and system-wide, `StorageConfig::
-//! extent_cache_budget` in [`core::config`]) sets the per-shard budget:
-//! `None` is unbounded, `Some(0)` disables retention — byte-identical
-//! output either way, only the IO changes. Parallel scans fan out one
-//! rayon task per *(shard, extent)*, with cache hits resolved and pinned
-//! sequentially before the fan-out, so scan output **and** the cache
-//! counters on `StorageReport` are deterministic at any thread count:
+//! A file-backed shard keeps only its tail extent in memory; every scan,
+//! point read and delete of a flushed extent reads that extent's file.
+//! Parallel scans fan out one rayon task per *(shard, extent)*, so scan
+//! output is deterministic at any thread count, and a tombstone written
+//! back to its file survives a reopen. Writes are not fsynced: they
+//! survive a process crash, not a power loss (the storage crate's
+//! durability contract).
 //!
 //! ```
 //! use datatamer::model::doc;
@@ -149,29 +144,26 @@
 //!
 //! let dir = std::env::temp_dir().join(format!("dt_doctest_ooc_{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
-//! let col = Collection::new("events", CollectionConfig {
+//! let config = CollectionConfig {
 //!     extent_size: 4 * 1024,
 //!     shards: 2,
 //!     backend: BackendConfig::File { dir: dir.clone() },
-//!     extent_cache_budget: None, // unbounded: scans warm the whole corpus
-//!     ..Default::default()
-//! }).unwrap();
+//! };
+//! let col = Collection::new("events", config.clone()).unwrap();
 //! let docs: Vec<_> = (0..200i64)
 //!     .map(|i| doc! {"i" => i, "pad" => "x".repeat(64)})
 //!     .collect();
-//! col.insert_many(&docs).unwrap();
+//! let ids = col.insert_many(&docs).unwrap();
+//! assert!(col.delete(ids[3]).unwrap());
 //! col.sync().unwrap(); // flush tails; all extents now live on disk
 //!
-//! // First scan loads from disk; the second is served from the cache.
-//! for _ in 0..2 {
-//!     let seen = col.parallel_scan(|_, d| d.get("i").cloned()).unwrap();
-//!     assert_eq!(seen.len(), 200);
-//! }
-//! let cache = col.storage_report().cache_totals().expect("file shards are cached");
-//! assert!(cache.hits > 0, "second scan hits the cache");
-//! assert_eq!(cache.misses, cache.disk_loads, "every miss is one file read");
-//! assert!(cache.occupancy_bytes > 0);
-//! assert_eq!(col.storage_report().decode_errors(), 0);
+//! // Each scan reads the extent files; the tombstone is on disk too.
+//! let seen = col.parallel_scan(|_, d| d.get("i").cloned()).unwrap();
+//! assert_eq!(seen.len(), 199);
+//! let reopened = Collection::new("events", config).unwrap();
+//! assert_eq!(reopened.parallel_scan(|_, d| d.get("i").cloned()).unwrap(), seen);
+//! assert_eq!(reopened.get(ids[3]).unwrap(), None);
+//! assert_eq!(reopened.storage_report().decode_errors(), 0);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!

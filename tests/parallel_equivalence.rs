@@ -5,7 +5,6 @@
 //! The rayon shim honours `ThreadPool::install` thread-locally, so each
 //! closure below runs the entire pipeline at its pool's width.
 
-use datatamer::core::config::StorageConfig;
 use datatamer::core::fusion::{
     BlockedErConfig, GroupingStrategy, RegistryConfig, ResolverSpec,
 };
@@ -144,15 +143,11 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
     // byte-identical across pool widths. Collection stats (counts,
     // extents, data sizes) are backend-independent by construction, so
     // they participate in the comparison too.
-    let storage = |tag: &str| StorageConfig {
-        backend: BackendConfig::File {
-            dir: std::env::temp_dir()
-                .join(format!("dt_file_pipeline_{tag}_{}", std::process::id())),
-        },
-        ..Default::default()
+    let storage = |tag: &str| BackendConfig::File {
+        dir: std::env::temp_dir().join(format!("dt_file_pipeline_{tag}_{}", std::process::id())),
     };
-    let cleanup = |cfg: &StorageConfig| {
-        if let BackendConfig::File { dir } = &cfg.backend {
+    let cleanup = |cfg: &BackendConfig| {
+        if let BackendConfig::File { dir } = cfg {
             let _ = std::fs::remove_dir_all(dir);
         }
     };
@@ -161,14 +156,14 @@ fn file_backed_pipeline_matches_memory_at_any_thread_count() {
     cleanup(&serial_cfg);
     let serial_pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let (serial_fused, serial_stats) = serial_pool.install(|| {
-        run_pipeline_fingerprint(DataTamerConfig { storage: serial_cfg.clone(), ..config() })
+        run_pipeline_fingerprint(DataTamerConfig { backend: serial_cfg.clone(), ..config() })
     });
 
     let wide_cfg = storage("wide");
     cleanup(&wide_cfg);
     let wide_pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
     let (wide_fused, wide_stats) = wide_pool.install(|| {
-        run_pipeline_fingerprint(DataTamerConfig { storage: wide_cfg.clone(), ..config() })
+        run_pipeline_fingerprint(DataTamerConfig { backend: wide_cfg.clone(), ..config() })
     });
 
     assert_eq!(
