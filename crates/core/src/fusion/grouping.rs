@@ -21,6 +21,7 @@ use datatamer_model::Record;
 use datatamer_text::normalize::canonical_name;
 
 use super::{group_records, FusionGroup, SHOW_NAME};
+use crate::corpus::Corpus;
 
 /// Configuration of similarity-based blocked entity resolution: which
 /// attribute token blocking keys on, how pairs are scored, and the
@@ -99,47 +100,39 @@ impl GroupingStrategy {
     /// [`GroupingStrategy::CanonicalName`] (it is the system's
     /// `fusion_threshold`); blocked ER carries its own threshold.
     pub fn groups(&self, records: &[Record], fuzzy_threshold: f64) -> Vec<FusionGroup> {
-        self.groups_with_report(records, fuzzy_threshold).0
+        self.group(Corpus([records, &[], &[]]), fuzzy_threshold).0
     }
 
-    /// [`GroupingStrategy::groups`] plus the blocking-health counters.
-    pub fn groups_with_report(
+    /// Group `corpus` in place, with the blocking-health counters. Blocked
+    /// ER is one ingest of the whole corpus into a fresh resident
+    /// consolidator — the engine every delta extends — which is returned
+    /// so a staged run can leave it for the delta path to adopt. Every
+    /// step is deterministic at any thread count (candidates are sorted
+    /// and deduplicated, decisions are per pair, clusters are ordered by
+    /// smallest member), so the group list — and therefore the fused
+    /// output — is byte-identical across pool widths.
+    pub(crate) fn group(
         &self,
-        records: &[Record],
+        corpus: Corpus<'_>,
         fuzzy_threshold: f64,
-    ) -> (Vec<FusionGroup>, GroupingReport) {
+    ) -> (Vec<FusionGroup>, GroupingReport, Option<IncrementalConsolidator>) {
         match self {
             GroupingStrategy::CanonicalName => {
-                (group_records(records, fuzzy_threshold), GroupingReport::default())
+                (group_records(corpus.iter(), fuzzy_threshold), GroupingReport::default(), None)
             }
             GroupingStrategy::BlockedEr(config) => {
-                let (_, groups, report) = blocked_er(records, config);
-                (groups, report)
+                let mut consolidator = config.build_incremental();
+                let delta = consolidator.ingest(corpus.iter());
+                let groups = clusters_to_groups(corpus, consolidator.clusters(), config);
+                let report = GroupingReport {
+                    candidate_pairs: delta.candidate_pairs,
+                    accepted_pairs: delta.accepted_pairs,
+                    degraded_buckets: delta.degraded_buckets,
+                };
+                (groups, report, Some(consolidator))
             }
         }
     }
-}
-
-/// The blocked-ER grouping path: one ingest of the whole corpus into a
-/// fresh resident consolidator — the engine every delta extends, which is
-/// returned so a staged run can leave it for the delta path to adopt.
-/// Every step is deterministic at any thread count (candidates are sorted
-/// and deduplicated, decisions are per pair, clusters are ordered by
-/// smallest member), so the group list — and therefore the fused output —
-/// is byte-identical across pool widths.
-pub(crate) fn blocked_er(
-    records: &[Record],
-    config: &BlockedErConfig,
-) -> (IncrementalConsolidator, Vec<FusionGroup>, GroupingReport) {
-    let mut consolidator = config.build_incremental();
-    let delta = consolidator.ingest(records);
-    let groups = clusters_to_groups(records, consolidator.clusters(), config);
-    let report = GroupingReport {
-        candidate_pairs: delta.candidate_pairs,
-        accepted_pairs: delta.accepted_pairs,
-        degraded_buckets: delta.degraded_buckets,
-    };
-    (consolidator, groups, report)
 }
 
 /// Keep the FusionGroup contract of the canonical-name path: records
@@ -147,14 +140,14 @@ pub(crate) fn blocked_er(
 /// only be singletons here), and each group's key is the canonical form of
 /// its first member's key value.
 fn clusters_to_groups(
-    records: &[Record],
+    corpus: Corpus<'_>,
     clusters: &[Vec<usize>],
     config: &BlockedErConfig,
 ) -> Vec<FusionGroup> {
     clusters
         .iter()
         .filter_map(|cluster| {
-            let first = &records[*cluster.first()?];
+            let first = corpus.get(*cluster.first()?);
             Some((cluster_key(first, config)?, cluster.clone()))
         })
         .collect()
@@ -180,6 +173,15 @@ mod tests {
         )
     }
 
+    /// Group a plain slice, with the blocking-health counters.
+    fn groups_with_report(
+        strategy: &GroupingStrategy,
+        records: &[Record],
+    ) -> (Vec<FusionGroup>, GroupingReport) {
+        let (groups, report, _) = strategy.group(Corpus([records, &[], &[]]), 0.88);
+        (groups, report)
+    }
+
     #[test]
     fn canonical_name_matches_legacy_group_records() {
         let records = vec![
@@ -187,7 +189,7 @@ mod tests {
             rec(1, "matilda", "$27"),
             rec(2, "Wicked", "$99"),
         ];
-        let (groups, report) = GroupingStrategy::CanonicalName.groups_with_report(&records, 0.88);
+        let (groups, report) = groups_with_report(&GroupingStrategy::CanonicalName, &records);
         let legacy = group_records(&records, 0.88);
         assert_eq!(groups, legacy);
         assert_eq!(report, GroupingReport::default());
@@ -206,7 +208,7 @@ mod tests {
             rec(2, "Completely Unrelated", "$99"),
         ];
         let strategy = GroupingStrategy::BlockedEr(BlockedErConfig::default());
-        let (groups, report) = strategy.groups_with_report(&records, 0.88);
+        let (groups, report) = groups_with_report(&strategy, &records);
         assert_eq!(groups.len(), 2, "{groups:?}");
         assert_eq!(groups[0].1, vec![0, 1]);
         assert_eq!(groups[0].0, "walking dead");
@@ -238,7 +240,7 @@ mod tests {
             .map(|i| rec(i, &format!("common unique{i}"), "$1"))
             .collect();
         let strategy = GroupingStrategy::BlockedEr(BlockedErConfig::default());
-        let (_, report) = strategy.groups_with_report(&records, 0.88);
+        let (_, report) = groups_with_report(&strategy, &records);
         assert_eq!(report.degraded_buckets, 1, "the 'common' bucket blew the cap");
     }
 
@@ -257,7 +259,7 @@ mod tests {
         records.extend((3..300).map(|i| rec(i, &format!("common unique{i}"), "$1")));
         let config = BlockedErConfig::default();
         let (groups, report) =
-            GroupingStrategy::BlockedEr(config.clone()).groups_with_report(&records, 0.88);
+            groups_with_report(&GroupingStrategy::BlockedEr(config.clone()), &records);
 
         let prepared = config.scorer.prepare(&records);
         let outcome = config
@@ -265,7 +267,8 @@ mod tests {
             .candidates_with_report_keyed(&records, &|| prepared.sort_keys_from(&config.key_attr, 0));
         let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
         let clusters = datatamer_entity::cluster::cluster_pairs(records.len(), &accepted);
-        assert_eq!(clusters_to_groups(&records, &clusters, &config), groups);
+        let corpus = Corpus([&records, &[], &[]]);
+        assert_eq!(clusters_to_groups(corpus, &clusters, &config), groups);
         assert_eq!(
             (outcome.pairs.len(), accepted.len(), outcome.degraded_buckets),
             (report.candidate_pairs, report.accepted_pairs, report.degraded_buckets)

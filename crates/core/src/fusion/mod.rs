@@ -79,10 +79,13 @@ pub type FusionGroup = (String, Vec<usize>);
 /// The scan is inherently sequential (each record may attach to a group an
 /// earlier record created), but it is cheap: the quadratic part — merging
 /// — happens per group in [`merge_groups_with`].
-pub fn group_records(records: &[Record], threshold: f64) -> Vec<FusionGroup> {
+pub fn group_records<'a>(
+    records: impl IntoIterator<Item = &'a Record>,
+    threshold: f64,
+) -> Vec<FusionGroup> {
     let mut groups: Vec<FusionGroup> = Vec::new();
     let mut by_key: HashMap<String, usize> = HashMap::new();
-    for (i, r) in records.iter().enumerate() {
+    for (i, r) in records.into_iter().enumerate() {
         let Some(name) = r.get_text(SHOW_NAME) else { continue };
         let canon = canonical_name(&name);
         if canon.is_empty() {

@@ -29,6 +29,7 @@
 
 pub mod catalog;
 pub mod config;
+mod corpus;
 pub mod expert_bridge;
 pub mod fusion;
 pub mod ingest;

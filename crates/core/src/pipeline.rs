@@ -522,7 +522,7 @@ mod tests {
             ),
         ];
         ctx.fusion_groups = group_records(&records, 0.88);
-        ctx.fusion_input = records;
+        ctx.structured_records = records;
         let mut stages: Vec<Box<dyn crate::stage::PipelineStage + '_>> =
             vec![Box::<FusionStage>::default()];
         crate::stage::run_stages(&mut ctx, &mut stages).unwrap();
@@ -531,6 +531,37 @@ mod tests {
             Some("$99"),
             "configured routing (LatestWins), not the broadway default"
         );
+    }
+
+    #[test]
+    fn fusion_stage_runs_again_over_the_same_groups() {
+        // Fusion reads the corpus in place and consumes nothing: after a
+        // full stage list, running the fusion stage again over the same
+        // groups yields byte-identical composites, under either grouping.
+        let blocked = GroupingStrategy::BlockedEr(BlockedErConfig::default());
+        for grouping in [GroupingStrategy::CanonicalName, blocked] {
+            let rows = structured_rows(0, "show_name", "cheapest_price");
+            let mut ctx = PipelineContext::new(DataTamerConfig { grouping, ..small_config() });
+            let text = TextIngestJob {
+                parser: parser(),
+                fragments: vec![("Matilda grossed 960,998 in London previews", "news")],
+            };
+            let mut stages: Vec<Box<dyn PipelineStage + '_>> = vec![
+                Box::new(IngestStage::new(vec![("s1".to_owned(), rows)], Some(text))),
+                Box::new(SchemaIntegrationStage::auto()),
+                Box::new(CleaningStage),
+                Box::<EntityConsolidationStage>::default(),
+                Box::<FusionStage>::default(),
+            ];
+            run_stages(&mut ctx, &mut stages).unwrap();
+            let first = format!("{:?}", ctx.fused);
+            assert!(first.contains("960,998"), "the text record took part: {first}");
+
+            let mut again: Vec<Box<dyn PipelineStage + '_>> = vec![Box::<FusionStage>::default()];
+            run_stages(&mut ctx, &mut again).unwrap();
+            assert_eq!(format!("{:?}", ctx.fused), first);
+            assert_eq!(ctx.run_count(stage_names::FUSION), 2);
+        }
     }
 
     #[test]
@@ -709,7 +740,7 @@ mod tests {
         let mut dt = DataTamer::new(config);
         dt.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
         let staged = dt.ctx.staged_er.as_ref().expect("a blocked-ER run leaves its state");
-        assert_eq!((staged.structured, staged.text), (8, 0));
+        assert_eq!(staged.records, 8);
         assert_eq!(staged.installed_revision, Some(dt.ctx.fused_revision));
         assert_eq!(staged.consolidator.len(), 8);
 

@@ -2,9 +2,11 @@
 //! [`crate::DataTamer::consolidate_delta`] carries between calls.
 //!
 //! A [`ResidentSession`] holds the incremental consolidator, the accepted
-//! delta batches (the context's structured and text records are the rest
-//! of its corpus), the blocked-ER configuration it was built from, the
+//! delta batches, the blocked-ER configuration it was built from, the
 //! write-ahead [`Journal`], and the `fused_revision` it last installed.
+//! Its corpus is the one the stages read, in place: the context's
+//! structured records, then its text show records, then the accepted
+//! batches (a [`Corpus`] view). No record is copied out of the context.
 //! There is no fused-entity cache: the context's previous `fused` /
 //! `fusion_groups` vectors *are* the cache. Both are ordered by stable
 //! cluster id (smallest member), as are the consolidator's clusters, so
@@ -17,8 +19,10 @@
 //! has to track either: only corpus growth makes it stale.
 //!
 //! **One ER pass.** A staged blocked-ER run consolidates through the same
-//! resident engine and leaves its consolidator behind as a [`StagedEr`].
-//! Seeding adopts it instead of consolidating the corpus a second time,
+//! resident engine, in one ingest of the same corpus view, and leaves its
+//! consolidator behind as a [`StagedEr`]. Seeding adopts it instead of
+//! consolidating the corpus a second time (a seed with nothing to adopt
+//! makes that same single ingest, so both reach the same state),
 //! and when the staged run also installed the context's composites, the
 //! first delta reuses them. A restart therefore pays for the base run and
 //! the log tail, not for the base corpus twice.
@@ -29,6 +33,7 @@ use datatamer_storage::DeltaLog;
 use rayon::prelude::*;
 
 use crate::config::DeltaLogConfig;
+use crate::corpus::Corpus;
 use crate::fusion::grouping::cluster_key;
 use crate::fusion::{merge_group, BlockedErConfig, FusedEntity, FusionGroup, GroupingReport};
 use crate::stage::{PipelineContext, StageReport};
@@ -88,9 +93,8 @@ impl Journal {
 pub(crate) struct StagedEr {
     /// The consolidator after one ingest of the staged corpus.
     pub(crate) consolidator: IncrementalConsolidator,
-    /// Context record counts it consolidated (structured, then text).
-    pub(crate) structured: usize,
-    pub(crate) text: usize,
+    /// Length of the context corpus it consolidated.
+    pub(crate) records: usize,
     /// The `fused_revision` whose composites were resolved from exactly
     /// these clusters — set by [`crate::DataTamer::run`] once its fusion
     /// stage installed them.
@@ -100,20 +104,19 @@ pub(crate) struct StagedEr {
 /// Resident entity-resolution state between deltas (see the module docs).
 pub(crate) struct ResidentSession {
     consolidator: IncrementalConsolidator,
-    /// Every accepted delta batch (replayed or applied), in arrival order.
-    /// Cluster members index the context's first `seeded_structured`
-    /// structured records, then its first `seeded_text` text records, then
-    /// these. A replayed tail the consolidator has not ingested yet is
-    /// ingested by the next [`ResidentSession::apply`].
+    /// Every accepted delta batch (replayed or applied), in arrival order:
+    /// the last segment of the session's [`Corpus`]. A replayed tail the
+    /// consolidator has not ingested yet is ingested by the next
+    /// [`ResidentSession::apply`].
     accepted: Vec<Record>,
     /// The configured blocked-ER grouping the consolidator was built from
     /// (it keys the groups of new clusters).
     config: BlockedErConfig,
-    /// Context record counts at seed time — if a staged run grew them
-    /// since, the resident corpus is stale and the delta that run ends with
-    /// reseeds (replaying the accepted batches).
-    seeded_structured: usize,
-    seeded_text: usize,
+    /// Context corpus length at seed time (the corpus only grows, so its
+    /// length identifies it) — if a staged run grew it since, the resident
+    /// corpus is stale and the delta that run ends with reseeds (replaying
+    /// the accepted batches).
+    seeded: usize,
     journal: Journal,
     /// The `fused_revision` this session last installed (or adopted from
     /// a staged run); the context's `fused` is this session's previous
@@ -121,34 +124,10 @@ pub(crate) struct ResidentSession {
     installed_revision: Option<u64>,
 }
 
-/// The consolidator's corpus by member index: the context's seeded
-/// structured records, then its seeded text records, then the accepted
-/// batches.
-struct Corpus<'a> {
-    structured: &'a [Record],
-    text: &'a [Record],
-    accepted: &'a [Record],
-}
-
-impl<'a> Corpus<'a> {
-    fn get(&self, i: usize) -> &'a Record {
-        let text_at = self.structured.len();
-        let accepted_at = text_at + self.text.len();
-        if i < text_at {
-            &self.structured[i]
-        } else if i < accepted_at {
-            &self.text[i - text_at]
-        } else {
-            &self.accepted[i - accepted_at]
-        }
-    }
-}
-
 impl ResidentSession {
     /// True when the base corpus grew since seeding.
     pub(crate) fn is_stale(&self, ctx: &PipelineContext) -> bool {
-        self.seeded_structured != ctx.structured_records.len()
-            || self.seeded_text != ctx.text_show_records.len()
+        self.seeded != ctx.corpus().len()
     }
 
     /// What the session replacing this stale one carries over: the log
@@ -162,7 +141,8 @@ impl ResidentSession {
     /// batches queued on top — `carried` from the stale session being
     /// replaced, or, on the first seed of a process, whatever the
     /// configured log holds. `staged` is adopted when it was built over
-    /// exactly this corpus; otherwise the corpus is consolidated here under
+    /// exactly this corpus; otherwise the corpus is consolidated here, in
+    /// the staged run's single ingest of [`PipelineContext::corpus`], under
     /// `config`, the context's configured blocked-ER grouping. Replay never
     /// re-appends.
     pub(crate) fn seed(
@@ -179,18 +159,12 @@ impl ResidentSession {
                 (journal, accepted)
             }
         };
-        let (structured, text) = (&ctx.structured_records, &ctx.text_show_records);
+        let seeded = ctx.corpus().len();
         let (consolidator, installed_revision) = match staged {
-            Some(s) if (s.structured, s.text) == (structured.len(), text.len()) => {
-                (s.consolidator, s.installed_revision)
-            }
+            Some(s) if s.records == seeded => (s.consolidator, s.installed_revision),
             _ => {
                 let mut consolidator = config.build_incremental();
-                for part in [structured, text] {
-                    if !part.is_empty() {
-                        consolidator.ingest(part);
-                    }
-                }
+                consolidator.ingest(ctx.corpus().iter());
                 (consolidator, None)
             }
         };
@@ -198,8 +172,7 @@ impl ResidentSession {
             consolidator,
             accepted,
             config: config.clone(),
-            seeded_structured: structured.len(),
-            seeded_text: text.len(),
+            seeded,
             journal,
             installed_revision,
         })
@@ -217,10 +190,9 @@ impl ResidentSession {
         batch: &[Record],
     ) -> Result<DeltaReport> {
         let log_error = self.journal.accept(batch);
-        let base = self.seeded_structured + self.seeded_text;
-        let ingested = self.consolidator.len() - base;
         self.accepted.extend_from_slice(batch);
-        let delta = self.consolidator.ingest(&self.accepted[ingested..]);
+        let corpus = Corpus([&ctx.structured_records, &ctx.text_show_records, &self.accepted]);
+        let delta = self.consolidator.ingest(corpus.iter().skip(self.consolidator.len()));
 
         // Stale output is dropped before its replacement is built.
         let mut prev_groups = std::mem::take(&mut ctx.fusion_groups);
@@ -237,11 +209,6 @@ impl ResidentSession {
         // over exactly when it formed a group then. Comparing members (not
         // the last ingest's dirty flags) keeps this exact across a replayed
         // tail and any number of ingests since.
-        let corpus = Corpus {
-            structured: &ctx.structured_records[..self.seeded_structured],
-            text: &ctx.text_show_records[..self.seeded_text],
-            accepted: &self.accepted,
-        };
         let clusters = self.consolidator.clusters();
         let mut groups: Vec<FusionGroup> = Vec::with_capacity(clusters.len());
         let mut slots: Vec<Option<FusedEntity>> = Vec::with_capacity(clusters.len());

@@ -27,10 +27,10 @@ use rayon::prelude::*;
 
 use crate::catalog::{Catalog, SourceKind};
 use crate::config::DataTamerConfig;
-use crate::fusion::grouping::blocked_er;
+use crate::corpus::Corpus;
 use crate::fusion::{
-    merge_groups_with, FusedEntity, FusionGroup, GroupingReport, GroupingStrategy,
-    RegistryConfig, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
+    merge_group, FusedEntity, FusionGroup, GroupingReport, GroupingStrategy, RegistryConfig,
+    CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
 };
 use crate::ingest::{IngestStats, TextIngestor};
 use crate::pipeline::{record_to_doc, GLOBAL_RECORDS_COLLECTION};
@@ -154,6 +154,11 @@ pub struct StageRun {
 
 /// Everything the stages share: storage, catalog, schema state, the record
 /// sets flowing between stages, and the ordered log of stage runs.
+///
+/// The corpus entity consolidation groups and fusion merges is
+/// `structured_records` followed by `text_show_records`, read where they
+/// are: no stage copies it, and `fusion_groups` index it directly, so
+/// fusion can run again over the same groups at any time.
 pub struct PipelineContext {
     config: DataTamerConfig,
     /// The collection store (text collections + curated global records).
@@ -176,10 +181,9 @@ pub struct PipelineContext {
     pub cleaning_reports: Vec<(String, CleaningReport)>,
     /// Per-source integration reports, in integration order.
     pub integration_reports: Vec<(String, IntegrationReport)>,
-    /// The combined record snapshot consolidation grouped (fusion input;
-    /// drained by the fusion stage to keep the context lean).
-    pub fusion_input: Vec<Record>,
-    /// Candidate groups produced by entity consolidation.
+    /// Candidate groups produced by entity consolidation. Members index the
+    /// corpus in place: `structured_records`, then `text_show_records`
+    /// (then, after a delta, the resident session's accepted batches).
     pub fusion_groups: Vec<FusionGroup>,
     /// Fused composites from the most recent fusion stage.
     pub fused: Vec<FusedEntity>,
@@ -219,7 +223,6 @@ impl PipelineContext {
             text_stats: IngestStats::default(),
             cleaning_reports: Vec::new(),
             integration_reports: Vec::new(),
-            fusion_input: Vec::new(),
             fusion_groups: Vec::new(),
             fused: Vec::new(),
             fused_revision: 0,
@@ -232,6 +235,11 @@ impl PipelineContext {
     /// The configuration driving the pipeline.
     pub fn config(&self) -> &DataTamerConfig {
         &self.config
+    }
+
+    /// The corpus consolidation groups and fusion merges, read in place.
+    pub(crate) fn corpus(&self) -> Corpus<'_> {
+        Corpus([&self.structured_records, &self.text_show_records, &[]])
     }
 
     /// Every stage execution so far, in order.
@@ -586,8 +594,10 @@ impl PipelineStage for CleaningStage {
 /// Stage 4: group the curated structured records and the text-derived show
 /// records into candidate entities (the consolidation half of fusion).
 ///
-/// Structured records come first so source-priority conflict resolution
-/// favours the curated sources downstream.
+/// The stage reads the context's corpus in place — structured records
+/// first, so source-priority conflict resolution favours the curated
+/// sources downstream, then text show records — and leaves only
+/// [`PipelineContext::fusion_groups`], whose members index that corpus.
 ///
 /// Grouping dispatches on a [`GroupingStrategy`]: the classic
 /// canonical-name scan, or similarity-based blocked ER (blocking →
@@ -618,43 +628,22 @@ impl PipelineStage for EntityConsolidationStage {
     }
 
     fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
-        let mut input = Vec::with_capacity(
-            ctx.structured_records.len() + ctx.text_show_records.len(),
-        );
-        input.extend(ctx.structured_records.iter().cloned());
-        input.extend(ctx.text_show_records.iter().cloned());
-
-        let threshold = ctx.config().fusion_threshold;
+        let corpus = ctx.corpus();
         let strategy = self.strategy.as_ref().unwrap_or(&ctx.config.grouping);
-        let (groups, blocking) = match strategy {
-            GroupingStrategy::BlockedEr(config) => {
-                let (consolidator, groups, report) = blocked_er(&input, config);
-                ctx.staged_er = Some(StagedEr {
-                    consolidator,
-                    structured: ctx.structured_records.len(),
-                    text: ctx.text_show_records.len(),
-                    installed_revision: None,
-                });
-                (groups, report)
-            }
-            canonical => {
-                let grouped = canonical.groups_with_report(&input, threshold);
-                ctx.staged_er = None;
-                grouped
-            }
-        };
-
-        let multi = groups.iter().filter(|(_, m)| m.len() > 1).count();
-        let largest = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
+        let (groups, blocking, consolidator) = strategy.group(corpus, ctx.config.fusion_threshold);
         let report = StageReport::EntityConsolidation {
-            records: input.len(),
+            records: corpus.len(),
             groups: groups.len(),
-            multi_member_groups: multi,
-            largest_group: largest,
+            multi_member_groups: groups.iter().filter(|(_, m)| m.len() > 1).count(),
+            largest_group: groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0),
             blocking,
             delta: None,
         };
-        ctx.fusion_input = input;
+        ctx.staged_er = consolidator.map(|consolidator| StagedEr {
+            consolidator,
+            records: corpus.len(),
+            installed_revision: None,
+        });
         ctx.fusion_groups = groups;
         Ok(report)
     }
@@ -667,6 +656,10 @@ impl PipelineStage for EntityConsolidationStage {
 /// Stage 5: merge each candidate group into one composite entity through a
 /// resolver routing (groups merge in parallel; every resolver is
 /// deterministic, so output is byte-identical at any thread count).
+///
+/// Members are read from the context's corpus in place, where
+/// consolidation found them; the stage consumes nothing, so running it
+/// again over the same groups yields the same composites.
 ///
 /// The default stage borrows the context's configured routing
 /// ([`DataTamerConfig::fusion_resolvers`]), which is what
@@ -692,12 +685,12 @@ impl PipelineStage for FusionStage {
 
     fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let registry = self.registry.as_ref().unwrap_or(&ctx.config.fusion_resolvers);
-        // Consume the consolidation snapshot: it exists only to hand the
-        // grouped records from the previous stage to this one, and keeping
-        // a full record clone alive in the context would double resident
-        // memory at scale.
-        let input = std::mem::take(&mut ctx.fusion_input);
-        let fused = merge_groups_with(&input, &ctx.fusion_groups, registry);
+        let corpus = ctx.corpus();
+        let fused: Vec<FusedEntity> = ctx
+            .fusion_groups
+            .par_iter()
+            .map(|group| merge_group(|i| corpus.get(i), group, registry))
+            .collect();
         let members = fused.iter().map(|f| f.member_count).sum();
         let report = StageReport::Fusion { entities: fused.len(), members };
         ctx.fused = fused;

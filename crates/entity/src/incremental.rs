@@ -221,13 +221,16 @@ impl IncrementalConsolidator {
     /// Ingest a batch: extend the resident state, resolve the delta, and
     /// report what it cost. Candidate work is O(delta) outside oversized
     /// buckets; a touched oversized bucket re-windows its whole membership
-    /// (O(bucket) enumeration, still O(delta) scoring).
-    pub fn ingest(&mut self, batch: &[Record]) -> DeltaReport {
+    /// (O(bucket) enumeration, still O(delta) scoring). The batch is any
+    /// sequence of records — a slice, or segments chained where they live
+    /// — and one ingest of a chain is one ingest of its concatenation.
+    pub fn ingest<'a>(&mut self, batch: impl IntoIterator<Item = &'a Record>) -> DeltaReport {
+        let batch: Vec<&Record> = batch.into_iter().collect();
         let old_n = self.len();
         let n = old_n + batch.len();
 
         // 1. Grow the scoring context and the sort axis in place.
-        self.ctx.extend(batch);
+        self.ctx.extend(batch.iter().copied());
         self.sort_keys.extend(self.ctx.sort_keys_from(&self.blocker.key_attr, old_n));
         debug_assert_eq!(self.sort_keys.len(), n);
 
@@ -235,7 +238,7 @@ impl IncrementalConsolidator {
         //    first new position per touched bucket.
         let mut touched: HashMap<usize, usize> = HashMap::new();
         let mut ids: Vec<u32> = Vec::new();
-        for (i, record) in (old_n..).zip(batch) {
+        for (i, record) in (old_n..).zip(&batch) {
             if let Some(key) = record.get_text(&self.blocker.key_attr) {
                 distinct_token_ids(&mut self.token_ids, &key, &mut ids);
                 for &id in &ids {

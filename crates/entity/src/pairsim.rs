@@ -301,7 +301,9 @@ impl ScoringContext {
     /// concatenated stream), so `prepare(A)` followed by `extend(B)`
     /// scores bit-identically to `prepare(A∥B)` — the contract incremental
     /// consolidation rests on, pinned by the incremental equivalence suite.
-    pub fn extend(&mut self, new_records: &[Record]) {
+    /// The batch is any sequence of records, so segments held apart extend
+    /// in one call.
+    pub fn extend<'a>(&mut self, new_records: impl IntoIterator<Item = &'a Record>) {
         let mut tok_buf: Vec<u32> = Vec::new();
         for r in new_records {
             let field_start = self.fields.len();

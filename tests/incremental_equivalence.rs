@@ -19,11 +19,18 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use datatamer::core::fusion::{
-    BlockedErConfig, GroupingStrategy, CHEAPEST_PRICE, SHOW_NAME,
+    group_records, merge_groups_with, BlockedErConfig, FusedEntity, FusionGroup,
+    GroupingStrategy, RegistryConfig, CHEAPEST_PRICE, SHOW_NAME,
 };
-use datatamer::core::{DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan};
+use datatamer::core::{
+    fuse_records_with, DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan,
+};
+use datatamer::corpus::ftables::{self, FtablesConfig};
+use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer::entity::cluster::cluster_pairs;
 use datatamer::model::{Record, RecordId, SourceId, Value};
+use datatamer::text::normalize::canonical_name;
+use datatamer::text::DomainParser;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
@@ -554,4 +561,86 @@ fn a_staged_run_is_adopted_only_over_the_corpus_it_consolidated() {
         fingerprint(&dt)
     });
     assert_eq!(inc, full_run(&[s1, s2, b1].concat()));
+}
+
+// ---------------------------------------------------------------------
+// The text segment. Consolidation and fusion read the context's corpus in
+// place — structured records, then text show records, then accepted delta
+// batches — so a run over structured sources plus web text must equal an
+// oracle fed one explicit `structured ++ text` Vec, under either grouping.
+
+/// Fused composites and group membership, as [`fingerprint`] flattens them.
+fn blobs(fused: &[FusedEntity], groups: &[FusionGroup]) -> (String, String) {
+    let fused: String = fused
+        .iter()
+        .map(|f| format!("{}|{}|{:?}|{:?}\n", f.key, f.member_count, f.confidence, f.record))
+        .collect();
+    (fused, format!("{groups:?}"))
+}
+
+/// Blocked ER over `all` by hand: one ingest of a fresh consolidator, one
+/// group per cluster keyed by its first member's canonical key value.
+fn blocked_er_oracle(all: &[Record], config: &BlockedErConfig) -> (String, String) {
+    let mut consolidator = config.build_incremental();
+    consolidator.ingest(all);
+    let groups: Vec<FusionGroup> = consolidator
+        .clusters()
+        .iter()
+        .filter_map(|members| {
+            let key = canonical_name(&all[*members.first()?].get_text(&config.key_attr)?);
+            (!key.is_empty()).then(|| (key, members.clone()))
+        })
+        .collect();
+    blobs(&merge_groups_with(all, &groups, &RegistryConfig::broadway()), &groups)
+}
+
+#[test]
+fn structured_plus_text_runs_match_an_oracle_over_the_concatenation() {
+    let sources = ftables::generate(&FtablesConfig { num_sources: 4, ..Default::default() }, 0);
+    let web = WebTextCorpus::generate(&WebTextConfig { num_fragments: 120, ..Default::default() });
+    let fragments: Vec<(&str, &str)> =
+        web.fragments.iter().map(|f| (f.text.as_str(), f.kind.label())).collect();
+    let er = BlockedErConfig::default();
+
+    for grouping in [GroupingStrategy::CanonicalName, GroupingStrategy::BlockedEr(er.clone())] {
+        at_1_and_8_threads(|| {
+            let mut dt = DataTamer::new(DataTamerConfig { grouping: grouping.clone(), ..config() });
+            let mut plan = PipelinePlan::new()
+                .webtext(DomainParser::with_gazetteer(web.gazetteer.clone()), fragments.clone());
+            for s in &sources {
+                plan = plan.structured(&s.name, &s.records);
+            }
+            dt.run(plan).expect("run");
+            let (structured, text) = (dt.structured_records(), dt.text_show_records());
+            assert!(!structured.is_empty() && !text.is_empty(), "both segments take part");
+            let all: Vec<Record> = [structured, text].concat();
+            let threshold = dt.context().config().fusion_threshold;
+            let oracle = match &grouping {
+                GroupingStrategy::CanonicalName => {
+                    let groups = group_records(&all, threshold);
+                    let fused = fuse_records_with(&all, threshold, &RegistryConfig::broadway());
+                    blobs(&fused, &groups)
+                }
+                GroupingStrategy::BlockedEr(er) => blocked_er_oracle(&all, er),
+            };
+            assert_eq!(fingerprint(&dt), oracle, "{grouping:?}");
+            let text_at = structured.len();
+            let cross_segment = dt.context().fusion_groups.iter().any(|(_, members)| {
+                members.first() < Some(&text_at) && members.last() >= Some(&text_at)
+            });
+            assert!(cross_segment, "some group spans both segments");
+            if let GroupingStrategy::CanonicalName = grouping {
+                return fingerprint(&dt);
+            }
+
+            // A delta of exact duplicates from both segments extends the
+            // same view with its third segment.
+            let batch: Vec<Record> =
+                text.iter().take(4).chain(structured.iter().take(4)).cloned().collect();
+            let all: Vec<Record> = [&all[..], &batch].concat();
+            dt.consolidate_delta(&batch).expect("delta");
+            assert_eq!(fingerprint(&dt), blocked_er_oracle(&all, &er), "after one delta");
+            fingerprint(&dt)
+        });
+    }
 }
