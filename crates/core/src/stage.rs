@@ -429,13 +429,28 @@ fn decollide(target: String, occupied: impl Fn(&str) -> bool) -> (String, bool) 
 /// attribute's column identical across records; the in-record check here
 /// is the defensive net for direct calls and for attributes missing from
 /// the mapping entirely (counted per occurrence).
-fn map_record(r: &Record, mapping: &[(String, Option<String>)]) -> (Record, usize) {
+///
+/// The record is consumed: every value moves, and a mapped field's name
+/// buffer is rewritten in place. Records of one source almost always share
+/// a field order, so the mapping entry after the previous field's is tried
+/// before the mapping is searched.
+fn map_record(r: Record, mapping: &[(String, Option<String>)]) -> (Record, usize) {
     let mut out = Record::new(r.source, r.id);
     let mut collisions = 0;
-    for (attr, value) in r.iter() {
-        let target = match mapping.iter().find(|(a, _)| a == attr) {
-            Some((_, Some(target))) => target.clone(),
-            Some((_, None)) => continue,
+    let mut next = 0;
+    for (mut attr, value) in r.into_fields() {
+        let at = match mapping.get(next) {
+            Some((a, _)) if *a == attr => Some(next),
+            _ => mapping.iter().position(|(a, _)| *a == attr),
+        };
+        next = at.map_or(next, |at| at + 1);
+        let target = match at.map(|at| &mapping[at].1) {
+            Some(Some(target)) => {
+                attr.clear();
+                attr.push_str(target);
+                attr
+            }
+            Some(None) => continue,
             None => attr.to_uppercase(),
         };
         // Each source attribute appears once per record, so an occupied
@@ -443,7 +458,7 @@ fn map_record(r: &Record, mapping: &[(String, Option<String>)]) -> (Record, usiz
         // — distinct data that an overwrite would silently discard.
         let (target, collided) = decollide(target, |c| out.get(c).is_some());
         collisions += usize::from(collided);
-        out.set(target, value.clone());
+        out.set(target, value);
     }
     (out, collisions)
 }
@@ -495,9 +510,13 @@ impl PipelineStage for SchemaIntegrationStage {
                 *target = Some(t);
             }
 
-            // 3. Map records onto the global schema, in parallel.
-            let results: Vec<(Record, usize)> =
-                source.records.par_iter().map(|r| map_record(r, &mapping)).collect();
+            // 3. Map records onto the global schema, in parallel, moving
+            //    each record out of the source.
+            let mut records = source.records;
+            let results: Vec<(Record, usize)> = records
+                .par_iter_mut()
+                .map(|r| map_record(std::mem::replace(r, Record::new(r.source, r.id)), &mapping))
+                .collect();
             let mut mapped = Vec::with_capacity(results.len());
             for (record, collisions) in results {
                 case_collisions += collisions;
@@ -720,7 +739,7 @@ mod tests {
                 ("PRICE", Value::from("$45")),
             ],
         );
-        let (mapped, collisions) = map_record(&r, &[]);
+        let (mapped, collisions) = map_record(r, &[]);
         assert_eq!(collisions, 2);
         assert_eq!(mapped.get_text("PRICE").as_deref(), Some("$27"));
         assert_eq!(mapped.get_text("PRICE__2").as_deref(), Some("$30"));
@@ -738,12 +757,12 @@ mod tests {
             vec![("cost", Value::from("$10")), ("PRICE", Value::from("$20"))],
         );
         let mapping = vec![("cost".to_owned(), Some("PRICE".to_owned()))];
-        let (mapped, collisions) = map_record(&r, &mapping);
+        let (mapped, collisions) = map_record(r.clone(), &mapping);
         assert_eq!(collisions, 1);
         assert_eq!(mapped.get_text("PRICE").as_deref(), Some("$10"));
         assert_eq!(mapped.get_text("PRICE__2").as_deref(), Some("$20"));
 
-        let (dropped, collisions) = map_record(&r, &[("cost".to_owned(), None)]);
+        let (dropped, collisions) = map_record(r, &[("cost".to_owned(), None)]);
         assert_eq!(collisions, 0, "an ignored attribute vacates its target");
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped.get_text("PRICE").as_deref(), Some("$20"));
@@ -756,7 +775,7 @@ mod tests {
             RecordId(0),
             vec![("show", Value::from("Matilda")), ("price", Value::from("$27"))],
         );
-        let (mapped, collisions) = map_record(&r, &[]);
+        let (mapped, collisions) = map_record(r, &[]);
         assert_eq!(collisions, 0);
         assert_eq!(mapped.get_text("SHOW").as_deref(), Some("Matilda"));
         assert_eq!(mapped.get_text("PRICE").as_deref(), Some("$27"));

@@ -119,6 +119,11 @@ impl Record {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Consume the record, yielding its `(name, value)` pairs in field order.
+    pub fn into_fields(self) -> impl Iterator<Item = (String, Value)> {
+        self.fields.into_iter()
+    }
+
     /// Iterate field names.
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
         self.fields.iter().map(|(k, _)| k.as_str())

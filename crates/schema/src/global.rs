@@ -93,19 +93,6 @@ impl GlobalSchema {
     pub fn attribute_names(&self) -> Vec<&str> {
         self.attributes.iter().map(|a| a.name.as_str()).collect()
     }
-
-    /// Rename an attribute (used when promoting a curated display name,
-    /// e.g. `show_name` → `SHOW_NAME` for reports). Returns false when the
-    /// id is unknown.
-    pub fn rename(&mut self, id: AttrId, new_name: impl Into<String>) -> bool {
-        match self.attributes.iter_mut().find(|a| a.id == id) {
-            Some(a) => {
-                a.name = new_name.into();
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,15 +137,5 @@ mod tests {
         assert_eq!(attr.source_count(), 2);
         assert_eq!(attr.provenance.len(), 2);
         assert_eq!(attr.name, "price", "name stays with the seeding source");
-    }
-
-    #[test]
-    fn rename_for_display() {
-        let mut g = GlobalSchema::new();
-        let s = schema_from(1, vec![vec![("show_name", Value::from("Annie"))]]);
-        let id = g.add_attribute(SourceId(1), &s.attributes[0]);
-        assert!(g.rename(id, "SHOW_NAME"));
-        assert_eq!(g.attribute_names(), vec!["SHOW_NAME"]);
-        assert!(!g.rename(AttrId(99), "X"));
     }
 }

@@ -11,19 +11,22 @@
 //! * score < `escalate_threshold` → the Fig 2 "no counterpart" alert; the
 //!   attribute is added to the global schema as new.
 //!
-//! Each call prepares the matcher's features once: it fits IDF over the
-//! global schema as the call finds it and prepares every global attribute,
-//! then prepares each source attribute once as the loop reaches it.
+//! The integrator carries the matcher's fit of the global schema from call
+//! to call: the features of every global attribute and the document
+//! frequencies IDF is computed from. A call prepares each source attribute
+//! once against the fit as the call found it, and
 //! [`SchemaIntegrator::integrate_with`] and [`SchemaIntegrator::dry_run`]
-//! rank candidates through the same function. The features prepared at the
-//! start stay exact for the whole call: every global attribute the call
-//! maps onto or adds is claimed at once, and a claimed attribute is never a
-//! candidate again within that call.
+//! rank candidates through the same function. That fit stays exact for the
+//! whole call: every global attribute the call maps onto or adds is claimed
+//! at once, and a claimed attribute is never a candidate again within that
+//! call. When the call ends, the fit folds in exactly the claimed
+//! attributes and re-weights, so one more source costs what it adds rather
+//! than what the schema holds.
 
 use datatamer_model::{AttrId, AttributeDef, SourceSchema};
 
-use crate::global::GlobalSchema;
-use crate::matchers::{AttrFeatures, Matcher};
+use crate::global::{GlobalAttribute, GlobalSchema};
+use crate::matchers::{self, AttrFeatures, Fit};
 use crate::suggestion::{Decision, MatchCandidate, MatchSuggestion};
 use crate::synonyms::SynonymDict;
 
@@ -109,12 +112,13 @@ impl EscalationResolver for AcceptBest {
     }
 }
 
-/// The integrator: owns the growing global schema and the matcher's
-/// synonym dictionary.
+/// The integrator: owns the growing global schema, the matcher's synonym
+/// dictionary and the matcher's fit of the schema.
 pub struct SchemaIntegrator {
     global: GlobalSchema,
     synonyms: SynonymDict,
     config: IntegrationConfig,
+    fit: Fit,
 }
 
 impl SchemaIntegrator {
@@ -125,7 +129,12 @@ impl SchemaIntegrator {
             config.escalate_threshold <= config.accept_threshold,
             "escalate threshold must not exceed accept threshold"
         );
-        SchemaIntegrator { global: GlobalSchema::new(), synonyms: SynonymDict::broadway(), config }
+        SchemaIntegrator {
+            global: GlobalSchema::new(),
+            synonyms: SynonymDict::broadway(),
+            config,
+            fit: Fit::default(),
+        }
     }
 
     /// Default Broadway-domain integrator.
@@ -155,7 +164,51 @@ impl SchemaIntegrator {
         source: &SourceSchema,
         resolver: &mut dyn EscalationResolver,
     ) -> IntegrationReport {
-        let (matcher, prepared) = Matcher::fit(&self.synonyms, &self.global);
+        let fit = &self.fit;
+        let ranking =
+            Ranking { synonyms: &self.synonyms, config: &self.config, prepared: fit.features() };
+        let (report, claimed) =
+            ranking.integrate(&mut self.global, |attr| fit.prepare(attr), source, resolver);
+        self.fit.update(&self.global, &claimed);
+        report
+    }
+
+    /// Score one source against the current schema *without* mutating it
+    /// (powers threshold sweeps: same matching, different thresholds).
+    pub fn dry_run(&self, source: &SourceSchema) -> Vec<(String, Vec<MatchCandidate>)> {
+        let ranking =
+            Ranking { synonyms: &self.synonyms, config: &self.config, prepared: self.fit.features() };
+        source
+            .attributes
+            .iter()
+            .map(|attr| {
+                let features = self.fit.prepare(attr);
+                (attr.name.clone(), ranking.rank(&self.global, &features, &[]))
+            })
+            .collect()
+    }
+}
+
+/// What ranks a source attribute's candidates: the matcher's synonyms, the
+/// thresholds, and the prepared features of the global schema as the call
+/// found it.
+struct Ranking<'a> {
+    synonyms: &'a SynonymDict,
+    config: &'a IntegrationConfig,
+    prepared: &'a [AttrFeatures],
+}
+
+impl Ranking<'_> {
+    /// Decide every attribute of `source` and apply each decision to
+    /// `global`. Returns the report and the global attributes the call
+    /// mapped onto or added, in decision order.
+    fn integrate(
+        &self,
+        global: &mut GlobalSchema,
+        prepare: impl Fn(&AttributeDef) -> AttrFeatures,
+        source: &SourceSchema,
+        resolver: &mut dyn EscalationResolver,
+    ) -> (IntegrationReport, Vec<AttrId>) {
         let mut suggestions = Vec::with_capacity(source.attributes.len());
         // Attributes of one source are distinct by construction: a global
         // attribute already claimed by this source is excluded from the
@@ -163,8 +216,7 @@ impl SchemaIntegrator {
         // columns from collapsing onto each other).
         let mut claimed: Vec<AttrId> = Vec::new();
         for attr in &source.attributes {
-            let features = matcher.prepare(&attr.name, &attr.profile);
-            let candidates = self.rank(&matcher, &prepared, &features, &claimed);
+            let candidates = self.rank(global, &prepare(attr), &claimed);
 
             let best = candidates.first().map(|c| c.score).unwrap_or(0.0);
             let no_counterpart_alert = best < self.config.escalate_threshold;
@@ -179,15 +231,14 @@ impl SchemaIntegrator {
 
             // Apply the decision to the global schema. Every attribute this
             // changes or adds is claimed, so the features prepared before
-            // the loop stay exact for every attribute still ranked.
+            // the call stay exact for every attribute still ranked.
             match &decision {
                 Decision::AutoAccept { attr: id, .. } | Decision::ExpertAccept { attr: id, .. } => {
-                    self.global.map_attribute(*id, source.source, attr);
+                    global.map_attribute(*id, source.source, attr);
                     claimed.push(*id);
                 }
                 Decision::NewAttribute | Decision::ExpertNewAttribute => {
-                    let id = self.global.add_attribute(source.source, attr);
-                    claimed.push(id);
+                    claimed.push(global.add_attribute(source.source, attr));
                 }
                 Decision::Ignore => {}
             }
@@ -199,48 +250,31 @@ impl SchemaIntegrator {
                 decision,
             });
         }
-        IntegrationReport { source_name: source.name.clone(), suggestions }
-    }
-
-    /// Score one source against the current schema *without* mutating it
-    /// (powers threshold sweeps: same matching, different thresholds).
-    pub fn dry_run(&self, source: &SourceSchema) -> Vec<(String, Vec<MatchCandidate>)> {
-        let (matcher, prepared) = Matcher::fit(&self.synonyms, &self.global);
-        source
-            .attributes
-            .iter()
-            .map(|attr| {
-                let features = matcher.prepare(&attr.name, &attr.profile);
-                (attr.name.clone(), self.rank(&matcher, &prepared, &features, &[]))
-            })
-            .collect()
+        (IntegrationReport { source_name: source.name.clone(), suggestions }, claimed)
     }
 
     /// The best `max_candidates` unclaimed global attributes for one source
     /// attribute, best first (ties keep schema order). `prepared` covers the
-    /// schema as [`Matcher::fit`] found it; attributes added since are
-    /// appended after those and claimed, so zipping skips nothing ranked.
+    /// schema as the call found it; attributes added since are appended
+    /// after those and claimed, so zipping skips nothing ranked.
     fn rank(
         &self,
-        matcher: &Matcher,
-        prepared: &[AttrFeatures],
+        global: &GlobalSchema,
         attr: &AttrFeatures,
         claimed: &[AttrId],
     ) -> Vec<MatchCandidate> {
-        let mut candidates: Vec<MatchCandidate> = self
-            .global
+        let mut scored: Vec<(&GlobalAttribute, f64)> = global
             .iter()
-            .zip(prepared)
+            .zip(self.prepared)
             .filter(|(g, _)| !claimed.contains(&g.id))
-            .map(|(g, features)| MatchCandidate {
-                attr: g.id,
-                name: g.name.clone(),
-                score: matcher.score(attr, features),
-            })
+            .map(|(g, features)| (g, matchers::score(self.synonyms, attr, features)))
             .collect();
-        candidates.sort_by(|a, b| b.score.total_cmp(&a.score));
-        candidates.truncate(self.config.max_candidates);
-        candidates
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        scored.truncate(self.config.max_candidates);
+        scored
+            .into_iter()
+            .map(|(g, score)| MatchCandidate { attr: g.id, name: g.name.clone(), score })
+            .collect()
     }
 }
 
@@ -425,6 +459,20 @@ mod tests {
         // integrating ranks it exactly as the dry run did.
         let report = integ.integrate(&s2);
         assert_eq!(scored[0].1, report.suggestions[0].candidates);
+        // It stays one ranking as the carried fit grows, source by source.
+        let spellings = [
+            ("production", "ticket_price"),
+            ("show", "price"),
+            ("name", "from_price"),
+            ("venue", "seats"),
+            ("show_title", "lowest_price"),
+        ];
+        for (i, (show, price)) in spellings.iter().enumerate() {
+            let next = shows_source(3 + i as u32, &format!("s{}", 3 + i), show, price);
+            let scored = integ.dry_run(&next);
+            let report = integ.integrate(&next);
+            assert_eq!(scored[0].1, report.suggestions[0].candidates, "source {}", 3 + i);
+        }
     }
 
     #[test]
@@ -435,5 +483,170 @@ mod tests {
             escalate_threshold: 0.6,
             max_candidates: 5,
         });
+    }
+
+    // ---- The oracle property: the carried fit against a refit per call. ----
+
+    use crate::matchers::oracle::{bits, random_attr, Matcher, Rng};
+    use proptest::prelude::*;
+
+    /// The integrator as it was before the fit was carried: every call
+    /// refits IDF and prepares every global attribute from scratch.
+    struct Refitting {
+        global: GlobalSchema,
+        synonyms: SynonymDict,
+        config: IntegrationConfig,
+    }
+
+    impl Refitting {
+        fn integrate_with(
+            &mut self,
+            source: &SourceSchema,
+            resolver: &mut dyn EscalationResolver,
+        ) -> IntegrationReport {
+            let (matcher, prepared) = Matcher::fit(&self.global);
+            let ranking =
+                Ranking { synonyms: &self.synonyms, config: &self.config, prepared: &prepared };
+            let prepare = |attr: &AttributeDef| matcher.prepare(&attr.name, &attr.profile);
+            ranking.integrate(&mut self.global, prepare, source, resolver).0
+        }
+    }
+
+    /// Answers each escalation from its own stream: the best candidate, a
+    /// random candidate, a new attribute, or `Ignore`.
+    struct RandomResolver(Rng);
+
+    impl EscalationResolver for RandomResolver {
+        fn resolve(&mut self, _attr: &AttributeDef, candidates: &[MatchCandidate]) -> Decision {
+            let pick = &candidates[self.0.below(candidates.len())];
+            match self.0.below(4) {
+                0 => Decision::ExpertAccept { attr: candidates[0].attr, score: candidates[0].score },
+                1 => Decision::ExpertAccept { attr: pick.attr, score: pick.score },
+                2 => Decision::ExpertNewAttribute,
+                _ => Decision::Ignore,
+            }
+        }
+    }
+
+    /// A column of 200–400 distinct values, mostly new per source, so a
+    /// global sample fills past its cap of 256 over a few sources.
+    fn wide_attr(rng: &mut Rng) -> AttributeDef {
+        let mut profile = datatamer_model::AttributeProfile::default();
+        let offset = rng.below(600);
+        for i in 0..200 + rng.below(201) {
+            let n = offset + i;
+            let v = match n % 3 {
+                0 => format!("Show {n}"),
+                1 => format!("SHOW {}", n - 1),
+                _ => format!("{n}"),
+            };
+            profile.observe(&Value::from(v));
+        }
+        AttributeDef { name: ["listing", "Listing", "catalogue"][rng.below(3)].to_owned(), profile }
+    }
+
+    /// A source of 1–6 attributes with distinct names.
+    fn random_source(rng: &mut Rng, id: u32) -> SourceSchema {
+        let mut schema = SourceSchema::new(SourceId(id), format!("s{id}"));
+        for _ in 0..1 + rng.below(6) {
+            let attr = if rng.below(5) == 0 { wide_attr(rng) } else { random_attr(rng) };
+            if schema.attribute(&attr.name).is_none() {
+                schema.attributes.push(attr);
+            }
+        }
+        schema
+    }
+
+    /// What a sequence exercised, so the property can check its coverage.
+    #[derive(Default)]
+    struct Seen {
+        capped: bool,
+        later_collision: bool,
+        non_finite: bool,
+        tokenless: bool,
+        ignored: bool,
+        expert_accepted: bool,
+    }
+
+    /// Integrate a random source sequence through the carried fit and a
+    /// per-call refit, checking after every call that they agree bit for
+    /// bit.
+    fn run_sequence(seed: u64, seen: &mut Seen) {
+        let mut rng = Rng(seed | 1);
+        let config =
+            IntegrationConfig { accept_threshold: 0.85, escalate_threshold: 0.35, max_candidates: 4 };
+        let mut carried = SchemaIntegrator::new(config.clone());
+        let mut refitting =
+            Refitting { global: GlobalSchema::new(), synonyms: SynonymDict::broadway(), config };
+        let stream = rng.below(1 << 30) as u64 | 1;
+        let (mut ours, mut theirs) = (RandomResolver(Rng(stream)), RandomResolver(Rng(stream)));
+        for id in 0..2 + rng.below(14) as u32 {
+            let source = random_source(&mut rng, id);
+            for attr in &source.attributes {
+                let sample = attr.profile.sample_values();
+                seen.tokenless |= sample.iter().any(|v| datatamer_sim::tokenize(v).is_empty());
+                seen.non_finite |=
+                    sample.iter().any(|v| v.parse::<f64>().is_ok_and(|x| !x.is_finite()));
+            }
+            // Source attributes prepare alike under both fits.
+            let (matcher, _) = Matcher::fit(&refitting.global);
+            for attr in &source.attributes {
+                let want = matcher.prepare(&attr.name, &attr.profile);
+                assert_eq!(bits(&carried.fit.prepare(attr)), bits(&want), "source {:?}", attr.name);
+            }
+            let before: Vec<Vec<String>> = carried
+                .global()
+                .iter()
+                .map(|g| g.profile.sample_values().to_vec())
+                .collect();
+            let dry = carried.dry_run(&source);
+            let report = carried.integrate_with(&source, &mut ours);
+            let reference = refitting.integrate_with(&source, &mut theirs);
+            // `{:?}` prints each score's shortest round-trip form, which
+            // tells every finite bit pattern apart.
+            assert_eq!(format!("{report:?}"), format!("{reference:?}"), "source {id}");
+            if let (Some((_, ranked)), Some(first)) = (dry.first(), report.suggestions.first()) {
+                assert_eq!(ranked, &first.candidates, "dry run vs source {id}");
+            }
+            let (_, refit) = Matcher::fit(carried.global());
+            assert_eq!(carried.fit.features().len(), refit.len());
+            for (i, (got, want)) in carried.fit.features().iter().zip(&refit).enumerate() {
+                assert_eq!(bits(got), bits(want), "global attribute {i} after source {id}");
+            }
+            for s in &report.suggestions {
+                seen.ignored |= s.decision == Decision::Ignore;
+                seen.expert_accepted |= matches!(s.decision, Decision::ExpertAccept { .. });
+            }
+            for (g, old) in carried.global().iter().zip(&before) {
+                let sample = g.profile.sample_values();
+                seen.capped |= g.profile.sample_overflow && sample.len() > old.len();
+                seen.later_collision |= sample[old.len()..].iter().any(|v| {
+                    old.iter().any(|o| o != v && o.to_lowercase() == v.to_lowercase())
+                });
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn carried_fit_matches_a_refit_on_every_call(seed in any::<u64>()) {
+            run_sequence(seed, &mut Seen::default());
+        }
+    }
+
+    #[test]
+    fn the_oracle_property_covers_its_edge_cases() {
+        let mut seen = Seen::default();
+        for seed in 0..16 {
+            run_sequence(0x5eed_0000 + seed, &mut seen);
+        }
+        assert!(seen.capped, "a global sample filled past its cap");
+        assert!(seen.later_collision, "a lowercase collision arrived in a later source");
+        assert!(seen.non_finite, "NaN or infinite numerics were profiled");
+        assert!(seen.tokenless, "a value without tokens was sampled");
+        assert!(seen.ignored, "the resolver answered Ignore");
+        assert!(seen.expert_accepted, "the resolver answered ExpertAccept");
     }
 }

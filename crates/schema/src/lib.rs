@@ -12,14 +12,18 @@
 //! * [`synonyms`] — a domain synonym dictionary used by the name signal.
 //! * `matchers` (private) — the one attribute scorer (Data Tamer's
 //!   "experts"): name, value-overlap, distribution and TF-IDF signals over
-//!   features prepared once per attribute per integration call. IDF is
-//!   fitted over the global schema as the call finds it.
+//!   prepared features, and the fit of the global schema they are read
+//!   from. The fit is carried from call to call: when a call maps onto or
+//!   adds a global attribute, only the values new to that attribute's
+//!   sample are tokenised, and every TF-IDF vector is re-weighted from
+//!   carried term counts and document frequencies.
 //! * [`suggestion`] — match suggestions, scores, and decisions.
 //! * [`integrate`] — the integration loop with accept/escalate thresholds
-//!   and pluggable human resolution. Each call prepares every global and
-//!   source attribute once, and `integrate_with` and `dry_run` share one
-//!   ranking. This is exact because every global attribute a call changes
-//!   is claimed, so no later attribute of that call is scored against it.
+//!   and pluggable human resolution. Each call prepares each source
+//!   attribute once against the carried fit, and `integrate_with` and
+//!   `dry_run` share one ranking. This is exact because every global
+//!   attribute a call changes is claimed, so no later attribute of that
+//!   call is scored against it; the fit catches up when the call ends.
 
 pub mod global;
 pub mod integrate;

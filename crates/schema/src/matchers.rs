@@ -4,7 +4,7 @@
 //! `[0, 1]`: the names (Jaro-Winkler blended with synonym-aware token
 //! similarity), the overlap of the sampled values (weighted Jaccard), the
 //! value distribution (lexical type plus numeric or length shape) and the
-//! TF-IDF cosine of the value bags. [`Matcher::score`] blends them into the
+//! TF-IDF cosine of the value bags. [`score`] blends them into the
 //! "heuristic matching scores" the paper's Figs 2–3 display next to each
 //! suggested match target.
 //!
@@ -12,21 +12,36 @@
 //! attribute is prepared once into an [`AttrFeatures`]: the lowercased name
 //! and its tokens, the lowercased sampled values with their counts as a
 //! sorted vector, the TF-IDF vector of the value bag (the sampled values
-//! joined by spaces) as a sorted vector, whether that bag is empty, and the
-//! dominant type, numeric stats and mean length. [`Matcher::fit`] runs at
-//! the start of each integration call: it tokenises every global value bag
-//! once, fits IDF over those tokens (one document per global attribute)
-//! and prepares every global attribute. The call then prepares each source
-//! attribute once, and scoring a pair merge-walks sorted vectors.
+//! joined by spaces), whether that bag is empty, and the dominant type,
+//! numeric stats and mean length. The global side is a [`Fit`] that the
+//! integrator carries from call to call. A global attribute's sample is
+//! capped and append-only, so when a call maps onto or adds an attribute,
+//! [`Fit::update`] lowercases and tokenises only the values that newly
+//! entered its sample. Their tokens are added to the attribute's term
+//! counts and to one document-frequency table over the whole schema, and
+//! the attribute's value counts and distribution stats are refreshed. Name
+//! features are computed once, when an attribute is added. The update then
+//! re-weights every global TF-IDF vector from its carried counts under the
+//! new IDF. Each call prepares each source attribute once against the fit
+//! it found ([`Fit::prepare`]), and scoring a pair merge-walks sorted
+//! vectors.
 //!
-//! **Why it is exact.** Every signal accumulates over sorted keys, as the
-//! map-based computation it replaced did, and a product of two terms has
-//! the same bits in either operand order, so a prepared score has the same
-//! bits as one computed from the raw profiles (pinned by
-//! `tests::prepared_scores_are_bit_identical_to_the_profile_oracle`).
+//! **Why it is exact.** Tokenising the space-joined sample yields the
+//! concatenation of the per-value tokenisations (the space ends a token and
+//! resets the camel-case state), so the carried counts are the bag's token
+//! multiset. Tokens are interned, and TF-IDF vectors are keyed by a token's
+//! rank in the sorted vocabulary: they stay in token order, so norms and
+//! dot products accumulate in the order the string-keyed computation used.
+//! Every signal accumulates over sorted keys, and a product of two terms
+//! has the same bits in either operand order. Two oracles pin this:
+//! `oracle::Matcher::fit` refits everything from the schema as found, and
+//! the carried fit must equal it bit for bit after every call
+//! (`integrate::tests`); its scores must equal the map-based computation
+//! from the raw profiles
+//! (`tests::prepared_scores_are_bit_identical_to_the_profile_oracle`).
 
 use datatamer_model::schema::NumericStats;
-use datatamer_model::{AttributeProfile, LexicalType};
+use datatamer_model::{AttrId, AttributeDef, AttributeProfile, LexicalType};
 use datatamer_sim as sim;
 
 use crate::global::GlobalSchema;
@@ -48,8 +63,10 @@ pub(crate) struct AttrFeatures {
     /// Lowercased sampled value → its count, sorted by value. When two
     /// sampled values lowercase alike, the later one's count is kept.
     values: Vec<(String, f64)>,
-    /// TF-IDF vector of the value bag, sorted by token.
-    tfidf: Vec<(String, f64)>,
+    /// TF-IDF vector of the value bag, keyed by vocabulary rank (so in
+    /// token order). A token outside the vocabulary is in no global bag, so
+    /// it is left out; it still counts toward the norm.
+    tfidf: Vec<(u32, f64)>,
     /// The value bag is the empty string.
     empty_bag: bool,
     dominant: LexicalType,
@@ -57,45 +74,24 @@ pub(crate) struct AttrFeatures {
     mean_len: f64,
 }
 
-/// The matcher for one integration call: the synonym dictionary the name
-/// signal consults, and IDF fitted over the global schema as the call
-/// found it.
-pub(crate) struct Matcher<'a> {
-    synonyms: &'a SynonymDict,
-    idf: sim::CosineModel,
-}
-
-impl<'a> Matcher<'a> {
-    /// Fit IDF over the value bags of `global` and prepare every global
-    /// attribute, in schema order. Each bag is tokenised once, for both.
-    pub(crate) fn fit(
-        synonyms: &'a SynonymDict,
-        global: &GlobalSchema,
-    ) -> (Self, Vec<AttrFeatures>) {
-        let bags: Vec<(bool, Vec<String>)> = global.iter().map(|g| value_bag(&g.profile)).collect();
-        let weights = sim::TfIdfWeights::fit(
-            bags.iter().map(|(_, tokens)| tokens.iter().map(String::as_str)),
-        );
-        let matcher = Matcher { synonyms, idf: sim::CosineModel::new(weights) };
-        let prepared = global
-            .iter()
-            .zip(bags)
-            .map(|(g, bag)| matcher.prepare_bag(&g.name, &g.profile, bag))
-            .collect();
-        (matcher, prepared)
+impl AttrFeatures {
+    /// Features of an attribute with no profile read yet.
+    fn named(name: &str) -> Self {
+        AttrFeatures {
+            name: name.to_lowercase(),
+            name_tokens: sim::tokenize(name),
+            values: Vec::new(),
+            tfidf: Vec::new(),
+            empty_bag: true,
+            dominant: LexicalType::Null,
+            numeric: None,
+            mean_len: 0.0,
+        }
     }
 
-    /// Prepare one attribute under this call's IDF.
-    pub(crate) fn prepare(&self, name: &str, profile: &AttributeProfile) -> AttrFeatures {
-        self.prepare_bag(name, profile, value_bag(profile))
-    }
-
-    fn prepare_bag(
-        &self,
-        name: &str,
-        profile: &AttributeProfile,
-        (empty_bag, bag_tokens): (bool, Vec<String>),
-    ) -> AttrFeatures {
+    /// Features of an attribute read afresh from its profile, with the
+    /// given TF-IDF vector.
+    fn from_profile(name: &str, profile: &AttributeProfile, tfidf: Vec<(u32, f64)>) -> Self {
         let mut values: Vec<(String, f64)> = profile
             .sample_values()
             .iter()
@@ -111,49 +107,235 @@ impl<'a> Matcher<'a> {
             }
             collide
         });
-        AttrFeatures {
-            name: name.to_lowercase(),
-            name_tokens: sim::tokenize(name),
-            values,
-            tfidf: self.idf.vectorize(&bag_tokens),
-            empty_bag,
-            dominant: profile.dominant_type(),
-            numeric: profile.numeric_stats(),
-            mean_len: profile.mean_len(),
-        }
+        let mut features = AttrFeatures { values, tfidf, ..AttrFeatures::named(name) };
+        features.read_distribution(profile);
+        features
     }
 
-    /// The combined score of a source attribute against a global one. The
-    /// argument order matters: synonym matching is greedy from the source
-    /// side.
-    ///
-    /// A pair is credible when **either** the names agree strongly (synonym
-    /// dictionaries, abbreviations) **or** the contents overlap strongly
-    /// (shared value domains) — averaging the two starves both signals:
-    /// price columns have near-zero value overlap across sources even when
-    /// the names are exact synonyms. The composite therefore takes the max
-    /// of a name-led blend and a content-led blend, each seasoned with the
-    /// distribution signal, and the weaker blend contributes in proportion
-    /// to its share.
-    pub(crate) fn score(&self, source: &AttrFeatures, global: &AttrFeatures) -> f64 {
-        let name = name_signal(self.synonyms, source, global);
-        let value = value_overlap(source, global);
-        let dist = distribution(source, global);
-        let tfidf = tfidf(source, global);
-        let name_led = 0.80 * name + 0.20 * dist;
-        let content_led = 0.45 * value + 0.30 * tfidf + 0.25 * dist;
-        if name_led >= content_led {
-            name_led.max(name_led * NAME_SHARE + content_led * CONTENT_SHARE)
-        } else {
-            content_led.max(content_led * CONTENT_SHARE + name_led * NAME_SHARE)
+    /// Refresh what is read from the profile as a whole: whether the bag
+    /// is empty, and the distribution stats.
+    fn read_distribution(&mut self, profile: &AttributeProfile) {
+        // `join(" ")` is empty only for no values or one empty value.
+        self.empty_bag = match profile.sample_values() {
+            [] => true,
+            [only] => only.is_empty(),
+            _ => false,
+        };
+        self.dominant = profile.dominant_type();
+        self.numeric = profile.numeric_stats();
+        self.mean_len = profile.mean_len();
+    }
+}
+
+/// Every token of the global value bags: interned ids, how many bags hold
+/// each, and each one's rank in token order.
+#[derive(Debug)]
+struct Vocabulary {
+    ids: sim::TokenInterner,
+    /// Token text, by id.
+    text: Vec<String>,
+    /// Number of global value bags holding the token, by id.
+    df: Vec<usize>,
+    /// Ids in token order.
+    sorted: Vec<u32>,
+    /// Position in `sorted`, by id.
+    rank: Vec<u32>,
+    /// IDF by document frequency, for the current number of global
+    /// attributes (a token outside the vocabulary has frequency 0).
+    idf: Vec<f64>,
+}
+
+impl Default for Vocabulary {
+    fn default() -> Self {
+        Vocabulary {
+            ids: sim::TokenInterner::new(),
+            text: Vec::new(),
+            df: Vec::new(),
+            sorted: Vec::new(),
+            rank: Vec::new(),
+            idf: vec![sim::idf(0, 0)],
         }
     }
 }
 
-/// Whether the value bag is empty, and its tokens.
-fn value_bag(profile: &AttributeProfile) -> (bool, Vec<String>) {
-    let bag = profile.sample_values().join(" ");
-    (bag.is_empty(), sim::tokenize(&bag))
+impl Vocabulary {
+    fn intern(&mut self, token: &str) -> u32 {
+        let id = self.ids.intern_str(token);
+        if id as usize == self.text.len() {
+            self.text.push(token.to_owned());
+            self.df.push(0);
+        }
+        id
+    }
+
+    /// Rank the tokens interned since the last call. The old ids are
+    /// already in token order, so the stable sort merges two runs.
+    fn rank_new_tokens(&mut self) {
+        if self.sorted.len() == self.text.len() {
+            return;
+        }
+        let text = &self.text;
+        self.sorted.extend(self.sorted.len() as u32..text.len() as u32);
+        self.sorted.sort_by(|a, b| text[*a as usize].cmp(&text[*b as usize]));
+        self.rank.resize(text.len(), 0);
+        for (rank, &id) in self.sorted.iter().enumerate() {
+            self.rank[id as usize] = rank as u32;
+        }
+    }
+}
+
+/// How one global attribute's features were last brought up to date.
+#[derive(Debug, Default)]
+struct Carried {
+    /// Sample values already folded in.
+    folded: usize,
+    /// For each entry of the features' `values`, the sample index whose
+    /// count it carries: the latest value that lowercases to it.
+    value_src: Vec<usize>,
+    /// `(token id, occurrences)` over the value bag, in token order.
+    terms: Vec<(u32, usize)>,
+}
+
+/// The matcher's fit of the global schema, carried from call to call: the
+/// vocabulary of the global value bags and the features of every global
+/// attribute, in schema order.
+#[derive(Debug, Default)]
+pub(crate) struct Fit {
+    vocab: Vocabulary,
+    features: Vec<AttrFeatures>,
+    carried: Vec<Carried>,
+}
+
+impl Fit {
+    /// Features of every global attribute, in schema order.
+    pub(crate) fn features(&self) -> &[AttrFeatures] {
+        &self.features
+    }
+
+    /// Bring the fit up to date with `global` after a call that mapped onto
+    /// or added exactly the `changed` attributes.
+    pub(crate) fn update(&mut self, global: &GlobalSchema, changed: &[AttrId]) {
+        for g in global.iter().skip(self.features.len()) {
+            self.features.push(AttrFeatures::named(&g.name));
+            self.carried.push(Carried::default());
+        }
+        let mut new_tokens: Vec<(usize, Vec<u32>)> = Vec::with_capacity(changed.len());
+        for g in changed.iter().filter_map(|&id| global.get(id)) {
+            let i = g.id.0 as usize;
+            let (features, carried) = (&mut self.features[i], &mut self.carried[i]);
+            let tokens = fold_new_values(features, carried, &g.profile, &mut self.vocab);
+            features.read_distribution(&g.profile);
+            new_tokens.push((i, tokens));
+        }
+        self.vocab.rank_new_tokens();
+        for (i, mut tokens) in new_tokens {
+            let (vocab, terms) = (&mut self.vocab, &mut self.carried[i].terms);
+            tokens.sort_unstable_by_key(|&id| vocab.rank[id as usize]);
+            let mut added = Vec::new();
+            for run in tokens.chunk_by(|a, b| a == b) {
+                let id = run[0];
+                let rank = vocab.rank[id as usize];
+                if terms.binary_search_by_key(&rank, |&(t, _)| vocab.rank[t as usize]).is_err() {
+                    vocab.df[id as usize] += 1;
+                }
+                added.push((id, run.len()));
+            }
+            // The stable sort keeps each old entry before the new one for
+            // the same token, and the dedup folds the new count into it.
+            terms.extend(added);
+            terms.sort_by_key(|&(id, _)| vocab.rank[id as usize]);
+            terms.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+        }
+        let num_docs = self.features.len();
+        self.vocab.idf = (0..=num_docs).map(|df| sim::idf(num_docs, df)).collect();
+        let vocab = &self.vocab;
+        for (features, carried) in self.features.iter_mut().zip(&self.carried) {
+            features.tfidf.clear();
+            features.tfidf.extend(
+                carried.terms.iter().map(|&(id, n)| (vocab.rank[id as usize], sim::damp(n))),
+            );
+            sim::normalize_tfidf(&mut features.tfidf, |&rank| {
+                vocab.idf[vocab.df[vocab.sorted[rank as usize] as usize]]
+            });
+        }
+    }
+
+    /// Prepare a source attribute against the fit as it stands.
+    pub(crate) fn prepare(&self, attr: &AttributeDef) -> AttrFeatures {
+        let mut tokens = sim::tokenize(&attr.profile.sample_values().join(" "));
+        tokens.sort_unstable();
+        let vocab = &self.vocab;
+        let mut entries: Vec<(Option<u32>, f64)> = tokens
+            .chunk_by(|x, y| x == y)
+            .map(|run| (vocab.ids.get(&run[0]), sim::damp(run.len())))
+            .collect();
+        sim::normalize_tfidf(&mut entries, |id| vocab.idf[id.map_or(0, |id| vocab.df[id as usize])]);
+        let tfidf = entries
+            .into_iter()
+            .filter_map(|(id, w)| Some((vocab.rank[id? as usize], w)))
+            .collect();
+        AttrFeatures::from_profile(&attr.name, &attr.profile, tfidf)
+    }
+}
+
+/// Fold the values that entered `profile`'s sample since the last update
+/// into the attribute's value counts, refresh every value count, and
+/// return the new values' token ids (one per occurrence).
+fn fold_new_values(
+    features: &mut AttrFeatures,
+    carried: &mut Carried,
+    profile: &AttributeProfile,
+    vocab: &mut Vocabulary,
+) -> Vec<u32> {
+    let sample = profile.sample_values();
+    let mut tokens = Vec::new();
+    for (index, value) in sample.iter().enumerate().skip(carried.folded) {
+        let lower = value.to_lowercase();
+        match features.values.binary_search_by(|(v, _)| v.as_str().cmp(&lower)) {
+            // A later value that lowercases alike takes over the count.
+            Ok(at) => carried.value_src[at] = index,
+            Err(at) => {
+                features.values.insert(at, (lower, 0.0));
+                carried.value_src.insert(at, index);
+            }
+        }
+        sim::for_each_token(value, |t| tokens.push(vocab.intern(t)));
+    }
+    carried.folded = sample.len();
+    for ((_, count), &index) in features.values.iter_mut().zip(&carried.value_src) {
+        *count = profile.sample_frequency(&sample[index]) as f64;
+    }
+    tokens
+}
+
+/// The combined score of a source attribute against a global one. The
+/// argument order matters: synonym matching is greedy from the source side.
+///
+/// A pair is credible when **either** the names agree strongly (synonym
+/// dictionaries, abbreviations) **or** the contents overlap strongly
+/// (shared value domains) — averaging the two starves both signals: price
+/// columns have near-zero value overlap across sources even when the names
+/// are exact synonyms. The composite therefore takes the max of a name-led
+/// blend and a content-led blend, each seasoned with the distribution
+/// signal, and the weaker blend contributes in proportion to its share.
+pub(crate) fn score(synonyms: &SynonymDict, source: &AttrFeatures, global: &AttrFeatures) -> f64 {
+    let name = name_signal(synonyms, source, global);
+    let value = value_overlap(source, global);
+    let dist = distribution(source, global);
+    let tfidf = tfidf(source, global);
+    let name_led = 0.80 * name + 0.20 * dist;
+    let content_led = 0.45 * value + 0.30 * tfidf + 0.25 * dist;
+    if name_led >= content_led {
+        name_led.max(name_led * NAME_SHARE + content_led * CONTENT_SHARE)
+    } else {
+        content_led.max(content_led * CONTENT_SHARE + name_led * NAME_SHARE)
+    }
 }
 
 /// Jaro-Winkler on the lowercased names blended with synonym-aware
@@ -206,10 +388,139 @@ fn tfidf(a: &AttrFeatures, b: &AttrFeatures) -> f64 {
     sim::cosine(&a.tfidf, &b.tfidf)
 }
 
+/// The refit-everything path the carried [`Fit`] replaced, kept as its
+/// oracle: every call tokenised every global value bag, fitted IDF over
+/// those bags and vectorised every global attribute from scratch.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use datatamer_model::Value;
+
+    use super::*;
+
+    /// IDF fitted over the global schema as one call found it.
+    pub(crate) struct Matcher {
+        /// The distinct tokens of the global value bags, sorted: a token's
+        /// position is its rank.
+        vocab: Vec<String>,
+        model: sim::CosineModel,
+    }
+
+    impl Matcher {
+        /// Fit IDF over the value bags of `global` and prepare every global
+        /// attribute, in schema order.
+        pub(crate) fn fit(global: &GlobalSchema) -> (Self, Vec<AttrFeatures>) {
+            let bags: Vec<Vec<String>> = global.iter().map(|g| bag(&g.profile)).collect();
+            let weights =
+                sim::TfIdfWeights::fit(bags.iter().map(|tokens| tokens.iter().map(String::as_str)));
+            let mut vocab: Vec<String> = bags.iter().flatten().cloned().collect();
+            vocab.sort_unstable();
+            vocab.dedup();
+            let matcher = Matcher { vocab, model: sim::CosineModel::new(weights) };
+            let prepared = global
+                .iter()
+                .zip(&bags)
+                .map(|(g, bag)| matcher.features(&g.name, &g.profile, bag))
+                .collect();
+            (matcher, prepared)
+        }
+
+        /// Prepare one attribute under this fit.
+        pub(crate) fn prepare(&self, name: &str, profile: &AttributeProfile) -> AttrFeatures {
+            self.features(name, profile, &bag(profile))
+        }
+
+        fn features(&self, name: &str, profile: &AttributeProfile, bag: &[String]) -> AttrFeatures {
+            let tfidf = self
+                .model
+                .vectorize(bag)
+                .into_iter()
+                .filter_map(|(tok, w)| Some((self.vocab.binary_search(&tok).ok()? as u32, w)))
+                .collect();
+            AttrFeatures::from_profile(name, profile, tfidf)
+        }
+    }
+
+    /// The tokens of the sampled values joined by spaces.
+    fn bag(profile: &AttributeProfile) -> Vec<String> {
+        sim::tokenize(&profile.sample_values().join(" "))
+    }
+
+    /// Every field of `features`, floats as their bits.
+    pub(crate) fn bits(features: &AttrFeatures) -> impl PartialEq + std::fmt::Debug {
+        let f = features;
+        (
+            (f.name.clone(), f.name_tokens.clone()),
+            f.values.iter().map(|(v, n)| (v.clone(), n.to_bits())).collect::<Vec<_>>(),
+            f.tfidf.iter().map(|(rank, w)| (*rank, w.to_bits())).collect::<Vec<_>>(),
+            (f.empty_bag, f.dominant),
+            f.numeric.map(|n| (n.n, [n.min, n.max, n.mean, n.std].map(f64::to_bits))),
+            f.mean_len.to_bits(),
+        )
+    }
+
+    /// xorshift64*: a deterministic stream for the randomized profiles.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    const NAMES: &[&str] = &[
+        "show_name", "title", "Show Name", "showName", "cheapest_price", "cost", "PRICE",
+        "venue", "theatre", "Théâtre", "x", "", "runtime_min", "seats", "ticket price",
+    ];
+
+    /// Text values, with case variants that collide after lowercasing, a
+    /// value with no tokens, and values that never reach the sample (`""`,
+    /// blanks and `"null"` profile as nulls).
+    const TEXTS: &[&str] = &[
+        "Matilda", "MATILDA", "matilda", "Wicked", "wicked", "The Lion King", "the lion king",
+        "225 W. 44th St", "W 44th Street", "Shubert Theatre", "shubert", "---", "Straße",
+        "STRASSE", "ÉCOLE", "école", "a", "A", "", "  ", "null", "La La Land", "la la land",
+        "Hamilton at the Richard Rodgers", "the the the",
+    ];
+
+    fn numeric_value(rng: &mut Rng) -> Value {
+        match rng.below(9) {
+            0 => Value::Int(rng.below(3000) as i64 - 50),
+            1 => Value::Float(rng.below(1000) as f64 / 8.0),
+            2 => Value::from(format!("${}", rng.below(200))),
+            3 => Value::from(format!("{}.{}", rng.below(100), rng.below(100))),
+            4 => Value::from(format!("{}%", rng.below(101))),
+            5 => Value::from(format!("{}", 1990 + rng.below(40))),
+            6 => Value::Float(f64::INFINITY),
+            7 => Value::Float(f64::NEG_INFINITY),
+            _ => Value::Float(f64::NAN),
+        }
+    }
+
+    /// A numeric, text or mixed column of 0–11 values, repeats likely.
+    pub(crate) fn random_attr(rng: &mut Rng) -> AttributeDef {
+        let kind = rng.below(3);
+        let mut profile = AttributeProfile::default();
+        for _ in 0..rng.below(12) {
+            let numeric = kind == 0 || (kind == 2 && rng.below(2) == 0);
+            let v = if numeric {
+                numeric_value(rng)
+            } else {
+                Value::from(TEXTS[rng.below(TEXTS.len())])
+            };
+            profile.observe(&v);
+        }
+        AttributeDef { name: NAMES[rng.below(NAMES.len())].to_owned(), profile }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
 
+    use super::oracle::{random_attr, Matcher, Rng};
     use super::*;
     use crate::global::GlobalAttribute;
     use datatamer_model::{AttributeDef, Record, RecordId, SourceId, SourceSchema, Value};
@@ -226,19 +537,18 @@ mod tests {
     }
 
     /// Features of `attrs` with IDF fitted over all of them.
-    fn prepared(synonyms: &SynonymDict, attrs: &[&AttributeDef]) -> Vec<AttrFeatures> {
+    fn prepared(attrs: &[&AttributeDef]) -> Vec<AttrFeatures> {
         let mut g = GlobalSchema::new();
         for a in attrs {
             g.add_attribute(SourceId(0), a);
         }
-        Matcher::fit(synonyms, &g).1
+        Matcher::fit(&g).1
     }
 
     #[test]
     fn name_matcher_uses_synonyms() {
         let syn = SynonymDict::broadway();
         let f = prepared(
-            &syn,
             &[
                 &attr("price", &["$27"]),
                 &attr("cost", &["$30"]),
@@ -254,7 +564,6 @@ mod tests {
     #[test]
     fn value_overlap_detects_shared_domains() {
         let f = prepared(
-            &SynonymDict::new(),
             &[
                 &attr("show", &["Matilda", "Wicked", "Annie", "Pippin"]),
                 &attr("title", &["Matilda", "Wicked", "Chicago", "Annie"]),
@@ -269,7 +578,6 @@ mod tests {
     fn distribution_matcher_separates_types() {
         let empty = AttributeDef { name: "empty".into(), profile: AttributeProfile::default() };
         let f = prepared(
-            &SynonymDict::new(),
             &[
                 &attr("p1", &["$20", "$45", "$99"]),
                 &attr("p2", &["$25", "$50", "$110"]),
@@ -286,7 +594,6 @@ mod tests {
     fn distribution_matcher_separates_ranges() {
         // Same lexical type (integer) but disjoint ranges: years vs seats.
         let f = prepared(
-            &SynonymDict::new(),
             &[
                 &attr("year", &["2010", "2011", "2012", "2013"]),
                 &attr("seats", &["400", "900", "1500", "1800"]),
@@ -299,7 +606,6 @@ mod tests {
     #[test]
     fn tfidf_matcher_scores_content() {
         let f = prepared(
-            &SynonymDict::new(),
             &[
                 &attr("addr1", &["225 W. 44th St", "219 W. 49th St"]),
                 &attr("addr2", &["225 W. 44th St", "1634 Broadway"]),
@@ -315,11 +621,11 @@ mod tests {
         let mut g = GlobalSchema::new();
         g.add_attribute(SourceId(0), &attr("show_name", &["Matilda", "Wicked", "Annie"]));
         g.add_attribute(SourceId(0), &attr("cheapest_price", &["$27", "$45", "$99"]));
-        let (matcher, globals) = Matcher::fit(&syn, &g);
+        let (matcher, globals) = Matcher::fit(&g);
         let incoming = attr("title", &["Matilda", "Pippin", "Wicked"]);
         let title = matcher.prepare(&incoming.name, &incoming.profile);
-        let to_show = matcher.score(&title, &globals[0]);
-        let to_price = matcher.score(&title, &globals[1]);
+        let to_show = score(&syn, &title, &globals[0]);
+        let to_price = score(&syn, &title, &globals[1]);
         assert!(to_show > to_price, "title→show_name must beat title→price ({to_show} vs {to_price})");
         assert!(to_show > 0.5);
     }
@@ -460,61 +766,6 @@ mod tests {
         [name, value, dist, tfidf, composite]
     }
 
-    /// xorshift64*: a deterministic stream for the randomized profiles.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
-        }
-    }
-
-    const NAMES: &[&str] = &[
-        "show_name", "title", "Show Name", "showName", "cheapest_price", "cost", "PRICE",
-        "venue", "theatre", "Théâtre", "x", "", "runtime_min", "seats", "ticket price",
-    ];
-
-    /// Text values, with case variants that collide after lowercasing, a
-    /// value with no tokens, and values that never reach the sample (`""`,
-    /// blanks and `"null"` profile as nulls).
-    const TEXTS: &[&str] = &[
-        "Matilda", "MATILDA", "matilda", "Wicked", "wicked", "The Lion King", "the lion king",
-        "225 W. 44th St", "W 44th Street", "Shubert Theatre", "shubert", "---", "Straße",
-        "STRASSE", "ÉCOLE", "école", "a", "A", "", "  ", "null", "La La Land", "la la land",
-        "Hamilton at the Richard Rodgers", "the the the",
-    ];
-
-    fn numeric_value(rng: &mut Rng) -> Value {
-        match rng.below(7) {
-            0 => Value::Int(rng.below(3000) as i64 - 50),
-            1 => Value::Float(rng.below(1000) as f64 / 8.0),
-            2 => Value::from(format!("${}", rng.below(200))),
-            3 => Value::from(format!("{}.{}", rng.below(100), rng.below(100))),
-            4 => Value::from(format!("{}%", rng.below(101))),
-            5 => Value::from(format!("{}", 1990 + rng.below(40))),
-            _ => Value::Float(f64::NAN),
-        }
-    }
-
-    /// A numeric, text or mixed column of 0–11 values, repeats likely.
-    fn random_attr(rng: &mut Rng) -> AttributeDef {
-        let kind = rng.below(3);
-        let mut profile = AttributeProfile::default();
-        for _ in 0..rng.below(12) {
-            let numeric = kind == 0 || (kind == 2 && rng.below(2) == 0);
-            let v = if numeric {
-                numeric_value(rng)
-            } else {
-                Value::from(TEXTS[rng.below(TEXTS.len())])
-            };
-            profile.observe(&v);
-        }
-        AttributeDef { name: NAMES[rng.below(NAMES.len())].to_owned(), profile }
-    }
-
     #[test]
     fn prepared_scores_are_bit_identical_to_the_profile_oracle() {
         let synonyms = SynonymDict::broadway();
@@ -533,7 +784,7 @@ mod tests {
                 .map(|g| sim::tokenize(&g.profile.sample_values().join(" ")))
                 .collect();
             let idf = sim::TfIdfWeights::fit(bags.iter().map(|t| t.iter().map(String::as_str)));
-            let (matcher, prepared) = Matcher::fit(&synonyms, &global);
+            let (matcher, prepared) = Matcher::fit(&global);
             // Fresh source attributes, and each global attribute as a source
             // (identical bags: every token is shared).
             let mut sources: Vec<AttributeDef> = (0..3).map(|_| random_attr(&mut rng)).collect();
@@ -549,7 +800,7 @@ mod tests {
                         value_overlap(&features, gf),
                         distribution(&features, gf),
                         tfidf(&features, gf),
-                        matcher.score(&features, gf),
+                        score(&synonyms, &features, gf),
                     ];
                     let want = oracle(&synonyms, &idf, source, g);
                     assert_eq!(

@@ -23,24 +23,21 @@ impl TfIdfWeights {
     {
         let mut df: HashMap<String, usize> = HashMap::new();
         let mut num_docs = 0usize;
+        let mut distinct: Vec<&str> = Vec::new();
         for doc in docs {
             num_docs += 1;
-            let mut seen: Vec<&str> = Vec::new();
-            for tok in doc {
-                if !seen.contains(&tok) {
-                    seen.push(tok);
-                    *df.entry(tok.to_owned()).or_insert(0) += 1;
-                }
+            distinct.clear();
+            distinct.extend(doc);
+            distinct.sort_unstable();
+            distinct.dedup();
+            for tok in &distinct {
+                *df.entry((*tok).to_owned()).or_insert(0) += 1;
             }
         }
         let idf = df
             // dtlint::allow(map-iter, reason = "entry-wise map construction; no cross-entry accumulation depends on order")
             .into_iter()
-            .map(|(tok, d)| {
-                // Smoothed IDF, always positive.
-                let w = ((1.0 + num_docs as f64) / (1.0 + d as f64)).ln() + 1.0;
-                (tok, w)
-            })
+            .map(|(tok, d)| (tok, idf(num_docs, d)))
             .collect();
         TfIdfWeights { idf, num_docs }
     }
@@ -52,9 +49,38 @@ impl TfIdfWeights {
 
     /// IDF weight for a token; unseen tokens get the maximum-rarity weight.
     pub fn idf(&self, token: &str) -> f64 {
-        match self.idf.get(token) {
-            Some(w) => *w,
-            None => ((1.0 + self.num_docs as f64) / 1.0).ln() + 1.0,
+        self.idf.get(token).copied().unwrap_or_else(|| idf(self.num_docs, 0))
+    }
+}
+
+/// Smoothed IDF of a token found in `df` of `num_docs` documents, always
+/// positive. An unseen token (`df == 0`) gets the maximum-rarity weight.
+pub fn idf(num_docs: usize, df: usize) -> f64 {
+    ((1.0 + num_docs as f64) / (1.0 + df as f64)).ln() + 1.0
+}
+
+/// Sub-linear TF damping of a term that occurs `tf` times.
+pub fn damp(tf: usize) -> f64 {
+    1.0 + (tf as f64).ln()
+}
+
+/// Turn `(token, damped TF)` entries, in token order, into an L2-normalised
+/// TF-IDF vector in place: each damped TF is multiplied by `idf(token)`.
+///
+/// Every TF-IDF vector is built here. The norm is a float accumulation,
+/// and float addition is not associative: accumulating in token order
+/// makes the vector a function of the token multiset alone, whoever keys
+/// the entries.
+pub fn normalize_tfidf<K>(entries: &mut [(K, f64)], mut idf: impl FnMut(&K) -> f64) {
+    let mut norm = 0.0;
+    for (tok, f) in entries.iter_mut() {
+        *f *= idf(tok);
+        norm += *f * *f;
+    }
+    let norm = norm.sqrt();
+    if norm > 0.0 {
+        for (_, f) in entries.iter_mut() {
+            *f /= norm;
         }
     }
 }
@@ -71,39 +97,24 @@ impl CosineModel {
         CosineModel { weights }
     }
 
-    /// TF-IDF vector of a token slice (L2-normalised), as `(token, weight)`
-    /// entries sorted by token with no repeats.
-    ///
-    /// The norm is a float accumulation, and float addition is not
-    /// associative: damping and accumulating in token order makes the
-    /// vector a function of the token multiset alone.
+    /// TF-IDF vector of a token slice (L2-normalised, see [`normalize_tfidf`]), as
+    /// `(token, weight)` entries sorted by token with no repeats.
     pub fn vectorize(&self, tokens: &[String]) -> Vec<(String, f64)> {
         let mut sorted: Vec<&String> = tokens.iter().collect();
         sorted.sort_unstable();
-        let mut entries: Vec<(String, f64)> = sorted
-            .chunk_by(|x, y| x == y)
-            .map(|run| (run[0].clone(), run.len() as f64))
-            .collect();
-        let mut norm = 0.0;
-        for (tok, f) in entries.iter_mut() {
-            // Sub-linear TF damping.
-            *f = (1.0 + f.ln()) * self.weights.idf(tok);
-            norm += *f * *f;
-        }
-        let norm = norm.sqrt();
-        if norm > 0.0 {
-            for (_, f) in entries.iter_mut() {
-                *f /= norm;
-            }
-        }
+        let mut entries: Vec<(String, f64)> =
+            sorted.chunk_by(|x, y| x == y).map(|run| (run[0].clone(), damp(run.len()))).collect();
+        normalize_tfidf(&mut entries, |tok| self.weights.idf(tok));
         entries
     }
 }
 
-/// Cosine similarity of two [`CosineModel::vectorize`] outputs, clamped to
-/// `[0, 1]`: the dot product of the entries both share, merge-joined and
-/// summed in token order so the score repeats bit for bit.
-pub fn cosine(a: &[(String, f64)], b: &[(String, f64)]) -> f64 {
+/// Cosine similarity of two TF-IDF vectors sorted by key with no repeats
+/// (a [`CosineModel::vectorize`] output, or any keying that orders entries
+/// as their tokens do), clamped to `[0, 1]`: the dot product of the entries
+/// both share, merge-joined and summed in key order so the score repeats
+/// bit for bit.
+pub fn cosine<K: Ord>(a: &[(K, f64)], b: &[(K, f64)]) -> f64 {
     let (mut i, mut j) = (0, 0);
     let shared = std::iter::from_fn(|| loop {
         let ((ka, va), (kb, vb)) = (a.get(i)?, b.get(j)?);
