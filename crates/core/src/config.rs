@@ -42,11 +42,10 @@ pub struct DataTamerConfig {
     /// Shards per collection.
     pub shards: usize,
     /// Where every collection the pipeline creates stores its shards. The
-    /// default (in-process memory) is byte-compatible with the
-    /// pre-coordinator engine; [`BackendConfig::File`] makes every
-    /// collection out-of-core (one resident tail extent per shard, flushed
-    /// extents read from their files). Documents are always placed round
-    /// robin across shards.
+    /// default keeps every extent in process; [`BackendConfig::File`]
+    /// makes every collection out-of-core (one resident tail extent per
+    /// shard, flushed extents read from their files). Documents are
+    /// always placed round robin across shards.
     pub backend: BackendConfig,
     /// Schema-integration thresholds.
     pub integration: IntegrationConfig,

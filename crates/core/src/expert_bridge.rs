@@ -36,9 +36,9 @@ pub struct ExpertPanelResolver {
 
 impl ExpertPanelResolver {
     /// Build a panel. `truth(source_attr, candidate_name)` must return
-    /// whether the mapping is correct.
+    /// whether the mapping is correct. An empty panel casts no votes, so
+    /// it accepts nothing, like a zero-accuracy panel.
     pub fn new(experts: Vec<SimulatedExpert>, truth: TruthFn) -> Self {
-        assert!(!experts.is_empty(), "panel needs at least one expert");
         ExpertPanelResolver { experts, queue: ExpertQueue::new(), truth, stats: PanelStats::default() }
     }
 
@@ -172,8 +172,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one expert")]
-    fn empty_panel_panics() {
-        ExpertPanelResolver::new(vec![], truth_price_only());
+    fn empty_panel_creates_a_new_attribute_at_no_cost() {
+        let mut panel = ExpertPanelResolver::new(vec![], truth_price_only());
+        let d = panel.resolve(&attr("cost"), &candidates());
+        assert_eq!(d, Decision::ExpertNewAttribute);
+        let stats = panel.stats();
+        assert_eq!(stats.escalations, 1);
+        assert_eq!(stats.answers, 0);
+        assert_eq!(stats.cost, 0.0);
+        assert_eq!(stats.accepted, 0);
     }
 }

@@ -11,8 +11,10 @@
 //!   across thread counts, backends, and incremental-vs-rebuild runs;
 //!   every one of these constructs can silently break that.
 //! * **panic-freedom** — `panic-path` (`.unwrap()` / `.expect(` /
-//!   `panic!` / `unreachable!` / `todo!` / `unimplemented!` / indexing by
-//!   integer literal) in crates whose IO paths are `Result`-typed.
+//!   `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `assert!` /
+//!   `assert_eq!` / `assert_ne!` / indexing by integer literal) in crates
+//!   whose IO paths are `Result`-typed. `debug_assert*!` stays allowed: it
+//!   is compiled out of release builds.
 //! * **unsafe-audit** — `unsafe-block`: `unsafe` anywhere outside the
 //!   config allowlist (checked in test code too — an audit, not a style
 //!   rule).
@@ -56,7 +58,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("wall-clock", "Instant::now / SystemTime::now in a pipeline crate"),
     ("thread-spawn", "raw thread::spawn in a pipeline crate (use the rayon pool)"),
     ("env-read", "environment read (env::var*, env::temp_dir) in a pipeline crate"),
-    ("panic-path", "unwrap/expect/panic!/unreachable!/indexing-by-literal on a panic-free path"),
+    ("panic-path", "unwrap/expect/panic!/unreachable!/assert!/literal index on a panic-free path"),
     ("unsafe-block", "`unsafe` outside the dtlint.toml allowlist"),
     ("partial-cmp-equal", "partial_cmp(…).unwrap_or(Equal): no total order on NaN (use total_cmp)"),
     ("dead-pub", "pub fn under crates/ that nothing outside its own file's tests calls"),
@@ -238,8 +240,18 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config, names: &NameIndex) -> 
                     format!("`.{m}(…)` on a panic-free path — route the failure through DtError"),
                 );
             }
+            // `debug_assert*!` is a separate identifier, so it stays allowed.
             if t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
+                && matches!(
+                    t.text.as_str(),
+                    "panic"
+                        | "unreachable"
+                        | "todo"
+                        | "unimplemented"
+                        | "assert"
+                        | "assert_eq"
+                        | "assert_ne"
+                )
                 && matches!(toks.get(i + 1), Some(p) if p.is_punct('!'))
             {
                 push(

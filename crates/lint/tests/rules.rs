@@ -300,6 +300,32 @@ fn j(s: &[u32]) -> u32 { s[0] }
 }
 
 #[test]
+fn panic_path_fires_on_release_asserts() {
+    let src = r#"
+fn f(n: usize) {
+    assert!(n > 0, "empty");
+    assert_eq!(n % 2, 0);
+    assert_ne!(n, 3);
+}
+"#;
+    assert_eq!(active_lines("crates/storage/src/x.rs", src, "panic-path"), vec![3, 4, 5]);
+    assert!(active("crates/core/src/x.rs", src).is_empty(), "outside the family");
+}
+
+#[test]
+fn panic_path_allows_debug_asserts() {
+    let src = r#"
+fn f(n: usize) {
+    debug_assert!(n > 0, "empty");
+    debug_assert_eq!(n % 2, 0);
+    debug_assert_ne!(n, 3);
+    let assert = n; // an identifier, not a macro
+}
+"#;
+    assert!(active("crates/storage/src/x.rs", src).is_empty());
+}
+
+#[test]
 fn panic_path_quiet_in_storage_tests() {
     let src = r#"
 #[cfg(test)]

@@ -1,25 +1,38 @@
 //! Sharded collections of documents.
 //!
-//! A collection is a [`crate::coordinator::ShardCoordinator`] — round-robin
-//! placement over one [`crate::backend::ShardBackend`] per shard — wrapped
-//! with index declarations and stats. Each shard owns a chain of fixed-size
+//! A collection owns one shard per configured shard number and places
+//! documents on them round robin. Each shard owns a chain of fixed-size
 //! extents, in process ([`BackendConfig::Memory`]) or out of core on files
 //! ([`BackendConfig::File`]), so concurrent ingest scales with shard count
 //! — the in-process analogue of the paper's distributed 2 GB-extent
 //! collections. Document ids pack `(shard, extent, slot)` so point reads
-//! touch exactly one shard with no id→location map.
+//! touch exactly one shard with no id→location map. Each operation has
+//! one path:
 //!
-//! Every read of the whole collection is one [`Collection::parallel_scan`]
-//! — [`Collection::count_by`] and the index sizes of [`Collection::stats`]
+//! * **Append.** A single insert appends a one-element batch to the next
+//!   shard, inline on the caller. A batch scatters across shards (encode
+//!   in parallel, reserve the whole round-robin window with one atomic
+//!   bump, one append per shard, shards appending concurrently) and
+//!   gathers `DocId`s back in input order.
+//! * **Scan.** [`Collection::parallel_scan`] fans out one rayon task per
+//!   **(shard, extent)** — flushed extents decode concurrently — and
+//!   stitches results back shard-major/extent-major, so output is
+//!   byte-identical at any thread count and under either backend.
+//!
+//! Every read of the whole collection is that one scan —
+//! [`Collection::count_by`] and the index sizes of [`Collection::stats`]
 //! included — and every key a document contributes, to an index or to a
 //! group-by, comes from [`Document::path_values`].
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use parking_lot::RwLock;
+use rayon::prelude::*;
 
 use datatamer_model::{AttrKey, Document, DtError, Result, Value};
 
-use crate::backend::{BackendConfig, FileBackend, MemoryBackend, ShardBackend};
-use crate::coordinator::{ShardCoordinator, StorageReport};
+use crate::backend::{BackendConfig, BackendKind, Shard};
+use crate::encode::encode_document;
 use crate::index::IndexSpec;
 use crate::stats::CollectionStats;
 
@@ -74,6 +87,66 @@ impl Default for CollectionConfig {
     }
 }
 
+/// Per-shard shape of one collection — the unit of [`StorageReport`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardStorage {
+    /// Substrate the shard lives on.
+    pub backend: BackendKind,
+    /// Live documents on this shard.
+    pub docs: u64,
+    /// Extents in this shard's chain.
+    pub extents: usize,
+    /// Documents skipped because their bytes failed to decode — a nonzero
+    /// value means reads silently saw a smaller corpus than was stored.
+    pub decode_errors: u64,
+}
+
+/// How one collection's data is distributed: per-shard doc/extent counts
+/// and flush traffic. Threaded into the pipeline's stage reports so
+/// distribution skew and backend I/O are visible per run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StorageReport {
+    /// The collection reported on.
+    pub collection: String,
+    /// One entry per shard, in shard order.
+    pub shards: Vec<ShardStorage>,
+    /// Extent files written (0 for all-memory collections).
+    pub flushes: u64,
+}
+
+impl StorageReport {
+    /// Total live documents across shards.
+    pub fn docs(&self) -> u64 {
+        self.shards.iter().map(|s| s.docs).sum()
+    }
+
+    /// Largest shard's doc count — `max / mean` reads as placement skew.
+    pub fn largest_shard_docs(&self) -> u64 {
+        self.shards.iter().map(|s| s.docs).max().unwrap_or(0)
+    }
+
+    /// Documents skipped due to decode failures, summed across shards.
+    pub fn decode_errors(&self) -> u64 {
+        self.shards.iter().map(|s| s.decode_errors).sum()
+    }
+
+    /// Flatten the report into `(name, value)` counter pairs — the shape
+    /// the serving layer's stats endpoint and logs consume.
+    pub fn counter_pairs(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("storage.docs", self.docs()),
+            ("storage.largest_shard_docs", self.largest_shard_docs()),
+            ("storage.shards", self.shards.len() as u64),
+            ("storage.flushes", self.flushes),
+            ("storage.decode_errors", self.decode_errors()),
+            (
+                "storage.extents",
+                self.shards.iter().map(|s| s.extents as u64).sum(),
+            ),
+        ]
+    }
+}
+
 /// Reject collection names that would be unsafe as on-disk directory names
 /// (the file backend interpolates the name into a path) or that are plain
 /// nonsense as identifiers.
@@ -94,13 +167,18 @@ pub(crate) fn validate_collection_name(name: &str) -> Result<()> {
 pub struct Collection {
     name: String,
     config: CollectionConfig,
-    coordinator: ShardCoordinator,
+    /// One extent chain per shard (1–256: the `DocId` shard field is 8
+    /// bits).
+    shards: Vec<Shard>,
+    /// The round-robin cursor: position `p` lands on shard `p % shards`.
+    next: AtomicU64,
     indexes: RwLock<Vec<IndexSpec>>,
 }
 
 impl Collection {
     /// Create an empty collection (or, for a file backend, adopt whatever
-    /// extent chains already exist under its directory).
+    /// extent chains already exist under its directory; a torn extent or
+    /// a gap in a shard's chain is the error).
     pub fn new(name: impl Into<String>, config: CollectionConfig) -> Result<Self> {
         let name = name.into();
         validate_collection_name(&name)?;
@@ -121,20 +199,22 @@ impl Collection {
                 config.extent_size
             )));
         }
-        let mut backends: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(config.shards);
-        for shard_no in 0..config.shards {
-            backends.push(match &config.backend {
-                BackendConfig::Memory => Box::new(MemoryBackend::new(config.extent_size)),
-                BackendConfig::File { dir } => {
-                    let shard_dir = dir.join(&name).join(format!("shard{shard_no:03}"));
-                    Box::new(FileBackend::open(shard_dir, config.extent_size)?)
-                }
-            });
-        }
+        let shards = (0..config.shards)
+            .map(|shard_no| {
+                let dir = match &config.backend {
+                    BackendConfig::Memory => None,
+                    BackendConfig::File { dir } => {
+                        Some(dir.join(&name).join(format!("shard{shard_no:03}")))
+                    }
+                };
+                Shard::open(dir, config.extent_size)
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(Collection {
             name,
             config,
-            coordinator: ShardCoordinator::new(backends),
+            shards,
+            next: AtomicU64::new(0),
             indexes: RwLock::new(Vec::new()),
         })
     }
@@ -152,7 +232,7 @@ impl Collection {
     /// Number of live documents, counted from the shards (so a reopened
     /// file backend's documents count too).
     pub fn len(&self) -> u64 {
-        self.coordinator.len()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// True when no live documents exist.
@@ -160,26 +240,51 @@ impl Collection {
         self.len() == 0
     }
 
-    /// Insert a document, returning its id. Backend I/O failure
-    /// (file-backed shards only — the in-memory default never fails) is
-    /// the error; nothing was stored.
+    /// Reserve `n` consecutive round-robin positions with one atomic bump
+    /// and return the first. A batch reserving its window at once places
+    /// exactly like the same documents inserted one by one.
+    fn reserve(&self, n: usize) -> u64 {
+        self.next.fetch_add(n as u64, Ordering::Relaxed)
+    }
+
+    fn shard_at(&self, position: u64) -> usize {
+        (position % self.shards.len() as u64) as usize
+    }
+
+    /// Append encoded documents to shard `shard_no` under one lock
+    /// acquisition, returning their ids in order.
+    fn append_to(&self, shard_no: usize, batch: &[&[u8]]) -> Result<Vec<DocId>> {
+        let spots = self.shards[shard_no].append(batch)?;
+        Ok(spots
+            .into_iter()
+            .map(|(extent, slot)| DocId::pack(shard_no as u8, extent, slot))
+            .collect())
+    }
+
+    /// Insert a document on the next shard in round-robin order,
+    /// returning its id. Backend I/O failure (file-backed shards only —
+    /// the in-memory default never fails) is the error; nothing was
+    /// stored.
     pub fn insert(&self, doc: &Document) -> Result<DocId> {
-        self.coordinator.insert(doc)
+        let shard_no = self.shard_at(self.reserve(1));
+        let ids = self.append_to(shard_no, &[&encode_document(doc)])?;
+        ids.first()
+            .copied()
+            .ok_or_else(|| DtError::Io(format!("shard {shard_no} placed no document")))
     }
 
     /// Insert a batch, returning ids in input order.
     ///
-    /// The batch path is what makes ingest scale: the coordinator encodes
-    /// documents in parallel across the rayon team, places the batch in
-    /// input order (round robin reserves its window with one atomic bump),
-    /// and appends each shard's documents under a single lock acquisition
-    /// (shards proceed in parallel) instead of one lock round-trip per
-    /// document. Shard placement is identical to repeated [`Self::insert`]
-    /// calls. Backend I/O failure surfaces as the error; shards that
-    /// already appended keep their documents, and every reader — the
-    /// count, scans, group-bys and stats alike — sees them. Declared
-    /// indexes cost nothing here: their sizes are measured by
-    /// [`Self::stats`].
+    /// The batch path is what makes ingest scale: documents encode in
+    /// parallel across the rayon team, the batch is placed in input order
+    /// from one reserved round-robin window, and each shard's documents
+    /// append under a single lock acquisition (shards proceed in
+    /// parallel) instead of one lock round-trip per document. Shard
+    /// placement is identical to repeated [`Self::insert`] calls. Backend
+    /// I/O failure surfaces as the error; shards that already appended
+    /// keep their documents, and every reader — the count, scans,
+    /// group-bys and stats alike — sees them. Declared indexes cost
+    /// nothing here: their sizes are measured by [`Self::stats`].
     pub fn insert_many<'a, I: IntoIterator<Item = &'a Document>>(
         &self,
         docs: I,
@@ -188,21 +293,51 @@ impl Collection {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        self.coordinator.insert_many(&docs)
+        let encoded: Vec<Vec<u8>> = docs.par_iter().map(|d| encode_document(d)).collect();
+        let base = self.reserve(docs.len());
+        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for i in 0..docs.len() {
+            per_shard[self.shard_at(base + i as u64)].push(i);
+        }
+        let placed: Vec<Result<Vec<DocId>>> = (0..self.shards.len())
+            .into_par_iter()
+            .map(|shard_no| {
+                let batch: Vec<&[u8]> =
+                    per_shard[shard_no].iter().map(|&i| encoded[i].as_slice()).collect();
+                if batch.is_empty() {
+                    return Ok(Vec::new());
+                }
+                self.append_to(shard_no, &batch)
+            })
+            .collect();
+        let mut ids = vec![DocId(0); docs.len()];
+        for (doc_indexes, shard_ids) in per_shard.iter().zip(placed) {
+            for (&i, id) in doc_indexes.iter().zip(shard_ids?) {
+                ids[i] = id;
+            }
+        }
+        Ok(ids)
     }
 
-    /// Fetch a document by id. `Ok(None)` strictly means "no live
-    /// document at that id"; an unreadable extent is the error, so a
-    /// lookup cannot silently drop a document on a torn extent.
+    /// Fetch a document by id; exactly one shard is touched. `Ok(None)`
+    /// strictly means "no live document at that id"; an unreadable extent
+    /// is the error, so a lookup cannot silently drop a document on a
+    /// torn extent.
     pub fn get(&self, id: DocId) -> Result<Option<Document>> {
-        self.coordinator.get(id)
+        match self.shards.get(id.shard() as usize) {
+            None => Ok(None),
+            Some(shard) => shard.get(id.extent(), id.slot()),
+        }
     }
 
     /// Delete a document by id. Returns whether it was live; an
     /// unreadable extent or a failed tombstone write-back on a file shard
     /// is the error.
     pub fn delete(&self, id: DocId) -> Result<bool> {
-        self.coordinator.delete(id)
+        match self.shards.get(id.shard() as usize) {
+            None => Ok(false),
+            Some(shard) => shard.delete(id.extent(), id.slot()),
+        }
     }
 
     /// Declare a secondary index. Nothing is built: [`Self::stats`]
@@ -222,16 +357,40 @@ impl Collection {
         self.indexes.read().len()
     }
 
-    /// Scan all shards in parallel via rayon, collecting `f`'s non-`None`
-    /// outputs. Output order is deterministic regardless of thread count
-    /// and backend: shard-major, then extent, then slot. Any shard's read
-    /// failure fails the scan.
+    /// Scatter/gather scan, collecting `f`'s non-`None` outputs: one rayon
+    /// task per **(shard, extent)**, with outputs stitched back
+    /// shard-major, then extent, then slot — deterministic at any thread
+    /// count and under either backend. Each shard's extent count is read
+    /// before the fan-out, so an append racing the scan cannot add a
+    /// task. Any extent's read failure fails the scan (first error in
+    /// (shard, extent) order, so the reported error is
+    /// thread-count-deterministic too).
     pub fn parallel_scan<T, F>(&self, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(DocId, &Document) -> Option<T> + Sync,
     {
-        self.coordinator.parallel_scan(f)
+        let mut tasks: Vec<(usize, u32)> = Vec::new();
+        for (shard_no, shard) in self.shards.iter().enumerate() {
+            tasks.extend((0..shard.extent_count() as u32).map(|extent| (shard_no, extent)));
+        }
+        let per_extent: Vec<Result<Vec<T>>> = tasks
+            .par_iter()
+            .map(|&(shard_no, extent)| {
+                let mut out = Vec::new();
+                self.shards[shard_no].visit_extent(extent, |slot, doc| {
+                    if let Some(t) = f(DocId::pack(shard_no as u8, extent, slot), doc) {
+                        out.push(t);
+                    }
+                })?;
+                Ok(out)
+            })
+            .collect();
+        let mut all = Vec::new();
+        for chunk in per_extent {
+            all.extend(chunk?);
+        }
+        Ok(all)
     }
 
     /// Write file-backed shards' resident tails to their extent files so a
@@ -240,13 +399,26 @@ impl Collection {
     /// fsynced: this survives a process crash, not a power loss (see the
     /// crate's durability contract).
     pub fn sync(&self) -> Result<()> {
-        self.coordinator.sync()
+        self.shards.iter().try_for_each(Shard::sync)
     }
 
     /// Per-shard distribution report: backend kind, doc/extent counts,
     /// and flush traffic.
     pub fn storage_report(&self) -> StorageReport {
-        self.coordinator.report(&self.name)
+        StorageReport {
+            collection: self.name.clone(),
+            shards: self
+                .shards
+                .iter()
+                .map(|s| ShardStorage {
+                    backend: s.kind(),
+                    docs: s.len(),
+                    extents: s.extent_count(),
+                    decode_errors: s.decode_errors(),
+                })
+                .collect(),
+            flushes: self.shards.iter().map(Shard::flushes).sum(),
+        }
     }
 
     /// Group-by over a path: `(value, count)` in value order, from one
@@ -288,11 +460,17 @@ impl Collection {
             })?;
             per_doc.into_iter().sum()
         };
-        let num_extents = self.coordinator.extent_count();
-        let data_bytes = self.coordinator.used_bytes();
+        let num_extents = self.shards.iter().map(Shard::extent_count).sum();
+        let data_bytes: usize = self.shards.iter().map(Shard::used_bytes).sum();
         // The "last" extent convention: the byte size of the final extent
         // of the last shard that has one.
-        let last_extent_size = self.coordinator.last_extent_capacity();
+        let last_extent_size = self
+            .shards
+            .iter()
+            .rev()
+            .map(Shard::last_extent_capacity)
+            .find(|&c| c > 0)
+            .unwrap_or(0);
         let count = self.len();
         Ok(CollectionStats {
             ns: format!("{namespace}.{}", self.name),
@@ -312,7 +490,7 @@ impl std::fmt::Debug for Collection {
         f.debug_struct("Collection")
             .field("name", &self.name)
             .field("count", &self.len())
-            .field("shards", &self.coordinator.shard_count())
+            .field("shards", &self.shards.len())
             .field("backend", &self.config.backend.kind())
             .finish()
     }
@@ -322,7 +500,6 @@ impl std::fmt::Debug for Collection {
 mod tests {
     use super::*;
     use datatamer_model::doc;
-    use rayon::prelude::*;
 
     fn small() -> Collection {
         Collection::new(
@@ -330,6 +507,11 @@ mod tests {
             CollectionConfig { extent_size: 256, shards: 4, ..Default::default() },
         )
         .unwrap()
+    }
+
+    fn three_shards(name: &str) -> Collection {
+        let config = CollectionConfig { extent_size: 512, shards: 3, ..Default::default() };
+        Collection::new(name, config).unwrap()
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -516,6 +698,35 @@ mod tests {
     }
 
     #[test]
+    fn round_robin_cycles_and_batches_match_singles() {
+        let docs: Vec<_> = (0..7i64).map(|i| doc! {"i" => i}).collect();
+        let singles = three_shards("rr");
+        let one_by_one: Vec<DocId> = docs.iter().map(|d| singles.insert(d).unwrap()).collect();
+        // A batch continues the cursor where the single insert left it.
+        let mixed = three_shards("rr");
+        let mut ids = vec![mixed.insert(&docs[0]).unwrap()];
+        ids.extend(mixed.insert_many(&docs[1..]).unwrap());
+        assert_eq!(one_by_one, ids);
+        let shards: Vec<u8> = ids.iter().map(|id| id.shard()).collect();
+        assert_eq!(shards, vec![0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn report_shapes_the_distribution() {
+        let c = three_shards("things");
+        let docs: Vec<_> = (0..9i64).map(|i| doc! {"i" => i}).collect();
+        c.insert_many(&docs).unwrap();
+        let report = c.storage_report();
+        assert_eq!(report.collection, "things");
+        assert_eq!(report.shards.len(), 3);
+        assert!(report.shards.iter().all(|s| s.docs == 3), "{report:?}");
+        assert!(report.shards.iter().all(|s| s.backend == BackendKind::Memory));
+        assert_eq!(report.docs(), 9);
+        assert_eq!(report.largest_shard_docs(), 3);
+        assert_eq!(report.flushes, 0);
+    }
+
+    #[test]
     fn insert_many_maintains_indexes() {
         let docs = vec![doc! {"type" => "Person"}, doc! {"type" => "City"}, doc! {"type" => "Person"}];
         let (batched, one_by_one) = (small(), small());
@@ -586,7 +797,7 @@ mod tests {
         }
         let report = reopened.storage_report();
         assert_eq!(report.shards.len(), 3);
-        assert!(report.shards.iter().all(|s| s.backend == crate::backend::BackendKind::File));
+        assert!(report.shards.iter().all(|s| s.backend == BackendKind::File));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -617,7 +828,6 @@ mod tests {
 
         let shard_dir = dir.join("torn").join("shard000");
         std::fs::write(shard_dir.join("ext000000"), b"torn").unwrap();
-        let _ = std::fs::remove_file(shard_dir.join("ext000000.meta"));
         assert!(col.get(victim).is_err(), "a lost extent must not read as a deleted document");
         assert!(col.delete(victim).is_err(), "nor delete as one");
         assert!(col.parallel_scan(|_, _| Some(())).is_err(), "nor scan as an empty extent");

@@ -10,20 +10,19 @@
 //!   allocating new extents exactly as the paper's 2 GB extents do (the
 //!   extent size is configurable so experiments can run at reduced scale
 //!   while preserving the count : extent ratios).
-//! * [`backend`] — pluggable shard substrates behind the [`ShardBackend`]
-//!   trait: [`backend::MemoryBackend`] (in-process extents) and
-//!   [`backend::FileBackend`] (out-of-core: only the tail extent resident,
-//!   full extents flushed to one file each, and every read of a flushed
-//!   extent reads its file). The trait has one append (a batch; a single
-//!   insert is a one-element batch) and one scan (one visit per extent).
-//! * [`coordinator`] — the [`ShardCoordinator`]: one backend per shard
-//!   plus a round-robin cursor (a batch reserves its whole window with one
-//!   atomic bump, so it places exactly like repeated single inserts),
-//!   running rayon scatter/gather for batch inserts and the one scan, the
-//!   extent-parallel [`ShardCoordinator::parallel_scan`], and reporting
-//!   per-shard distribution ([`StorageReport`]).
-//! * [`collection`] — sharded collections: a coordinator wrapped with
-//!   declared secondary indexes, stats, and the packed
+//! * [`backend`] — where a shard's extent chain lives, chosen by
+//!   [`BackendConfig`]: in process (`Memory`), or out of core (`File`:
+//!   only the tail extent resident, full extents flushed to one file
+//!   each, and every read of a flushed extent reads its file). There is
+//!   one crate-private shard type; a memory shard is a shard with no
+//!   directory. A shard has one append (a batch; a single insert is a
+//!   one-element batch) and one scan (one visit per extent).
+//! * [`collection`] — sharded collections: one shard per shard number
+//!   plus a round-robin cursor (a batch reserves its whole window with
+//!   one atomic bump, so it places exactly like repeated single inserts),
+//!   rayon scatter/gather for batch inserts and the extent-parallel
+//!   [`Collection::parallel_scan`], declared secondary indexes, stats,
+//!   per-shard distribution ([`StorageReport`]), and the packed
 //!   `(shard, extent, slot)` [`DocId`] scheme.
 //! * [`index`] — secondary-index declarations ([`IndexSpec`]: a name and
 //!   a dotted path, optionally multikey). Nothing is maintained on the
@@ -46,18 +45,18 @@
 //! Storage survives the death of the process, not the loss of power. No
 //! storage path calls `sync_all` or `sync_data`: a write is complete once
 //! the operating system has it, which is all a restarted process needs to
-//! read it back. That covers [`FileBackend`]'s extent files and their
-//! `.meta` sidecars, and [`DeltaLog::append`] and [`DeltaLog::compact`]
+//! read it back. That covers a file-backed shard's extent files
+//! (a reopen decodes every one; nothing else is written beside them),
+//! and [`DeltaLog::append`] and [`DeltaLog::compact`]
 //! (whose temp file is renamed into place without being synced first).
 //! After a power loss or kernel crash, any write since the last time the
-//! operating system flushed its cache may be missing or torn. Reads
-//! report a torn extent file instead of treating it as empty, and
+//! operating system flushed its cache may be missing or torn. Reads and
+//! reopens report a torn extent file instead of treating it as empty, and
 //! [`DeltaLog::open`] truncates a torn log tail, but neither brings back
 //! what was lost.
 
 pub mod backend;
 pub mod collection;
-pub mod coordinator;
 pub mod delta_log;
 pub mod encode;
 pub mod extent;
@@ -65,10 +64,9 @@ pub mod index;
 pub mod stats;
 pub mod store;
 
-pub use backend::{BackendConfig, BackendKind, FileBackend, MemoryBackend, ShardBackend};
-pub use collection::{Collection, CollectionConfig, DocId};
+pub use backend::{BackendConfig, BackendKind};
+pub use collection::{Collection, CollectionConfig, DocId, ShardStorage, StorageReport};
 pub use delta_log::DeltaLog;
-pub use coordinator::{ShardCoordinator, ShardStorage, StorageReport};
 pub use index::IndexSpec;
 pub use stats::CollectionStats;
 pub use store::Store;

@@ -1,8 +1,9 @@
-//! Property tests for the shard-coordinator subsystem: the file backend
-//! round-trips byte-identically through flush + reopen and matches a
-//! memory reference, memory- and file-backed collections are
-//! observationally equivalent, and extent-parallel scans do not depend on
-//! the rayon pool width.
+//! Property tests for sharded collections under both backends: a
+//! file-backed collection round-trips byte-identically through flush +
+//! reopen and matches a memory reference, memory- and file-backed
+//! collections are observationally equivalent, extent-parallel scans do
+//! not depend on the rayon pool width, and a torn extent file fails every
+//! reader that needs it instead of shrinking the answer.
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -155,6 +156,54 @@ proptest! {
             .install(|| run("wide"));
         prop_assert_eq!(serial.0, wide.0, "scan bytes must not depend on pool width");
         prop_assert_eq!(serial.1, wide.1, "decode errors must not depend on pool width");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // After a sync, tear one flushed extent of a file-backed collection —
+    // truncate it, or overwrite it with garbage — and every reader that
+    // needs it fails: a point read and a delete of a document in it, the
+    // scan, the group-by, the measured stats and a reopen. None answers
+    // with a shorter corpus. The garbage is a varint that never
+    // terminates, so no prefix of it decodes: random bytes could spell a
+    // valid empty extent, which the unchecksummed format cannot tell from
+    // a real one.
+    #[test]
+    fn a_torn_extent_fails_every_reader(
+        keys in prop::collection::vec("[abc]{1,3}", 8..60),
+        victim in any::<u64>(),
+        truncate in any::<bool>(),
+        cut in any::<u64>(),
+    ) {
+        let dir = tempdir("torn");
+        let config = CollectionConfig {
+            extent_size: 128,
+            shards: 3,
+            backend: BackendConfig::File { dir: dir.clone() },
+        };
+        let col = Collection::new("c", config.clone()).unwrap();
+        let ids = col.insert_many(&documents(&keys)).unwrap();
+        col.sync().unwrap();
+        col.create_index(IndexSpec::new("by_k", "k")).unwrap();
+        // Every extent is flushed after the sync; tear the one holding a
+        // randomly chosen document.
+        let id = ids[(victim % ids.len() as u64) as usize];
+        let file = dir
+            .join("c")
+            .join(format!("shard{:03}", id.shard()))
+            .join(format!("ext{:06}", id.extent()));
+        let bytes = std::fs::read(&file).unwrap();
+        let torn = if truncate {
+            bytes[..(cut % bytes.len() as u64) as usize].to_vec()
+        } else {
+            vec![0xff; 1 + (cut % 64) as usize]
+        };
+        std::fs::write(&file, torn).unwrap();
+        prop_assert!(col.get(id).is_err(), "get must not read a torn extent as deleted");
+        prop_assert!(col.delete(id).is_err(), "nor delete as deleted");
+        prop_assert!(col.parallel_scan(|_, _| Some(())).is_err(), "nor scan it as empty");
+        prop_assert!(col.count_by("k").is_err(), "nor group it as empty");
+        prop_assert!(col.stats("dt").is_err(), "nor measure it as empty");
+        prop_assert!(Collection::new("c", config).is_err(), "nor adopt it on reopen");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

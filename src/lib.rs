@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | [`model`] | `datatamer-model` | values, documents, flattening, records, schema profiles |
 //! | [`sim`] | `datatamer-sim` | string/set/numeric similarity measures |
-//! | [`storage`] | `datatamer-storage` | sharded storage engine: round-robin shard coordinator over pluggable memory/file backends, extents, indexes, batched inserts, parallel scans (Tables I–II) |
+//! | [`storage`] | `datatamer-storage` | sharded storage engine: round-robin placement over in-memory or file-backed shards, extents, indexes, batched inserts, parallel scans (Tables I–II) |
 //! | [`text`] | `datatamer-text` | the domain-specific parser (Figure 1's user-defined module) |
 //! | [`corpus`] | `datatamer-corpus` | synthetic WEBINSTANCE / WEBENTITIES / FTABLES generators |
 //! | [`ml`] | `datatamer-ml` | hand-rolled classifiers + 10-fold cross-validation (§IV) |
@@ -70,23 +70,25 @@
 //! corpus. Record batches against resident entity-resolution state go
 //! through `DataTamer::consolidate_delta`, and a later run keeps them.
 //!
-//! ## Sharded storage: coordinator and backends
+//! ## Sharded storage: one shard type, two backends
 //!
-//! Collections are sharded: a `ShardCoordinator` ([`storage::coordinator`])
-//! owns one `ShardBackend` per shard and scatter/gathers batched inserts
-//! and scans across the rayon team. A backend has one append (a batch of
+//! Collections are sharded: a `Collection` ([`storage::collection`]) owns
+//! one extent chain per shard and scatter/gathers batched inserts and
+//! scans across the rayon team. A shard has one append (a batch of
 //! encoded documents under one lock) and one scan (one extent per rayon
 //! task), so every whole-collection read —
 //! group-bys and the measured index sizes of `Collection::stats` included
 //! — is the same extent-parallel `Collection::parallel_scan`. Documents
 //! are placed round robin; a batch
 //! reserves its whole window at once, so it lands exactly where the same
-//! documents inserted one by one would. The backend is
-//! pluggable ([`storage::BackendConfig`]): `Memory` keeps extents in
-//! process (the default), `File` keeps only each shard's tail extent
-//! resident and flushes full extents to one file each — out-of-core
-//! collections whose resident memory is O(extent) per shard, reopenable
-//! from their directory. Both backends produce **byte-identical** scan and
+//! documents inserted one by one would. The backend
+//! ([`storage::BackendConfig`]) is where a shard's extents live: `Memory`
+//! keeps them in process (the default); `File` gives the shard a
+//! directory, keeps only its tail extent resident and flushes full
+//! extents to one file each — out-of-core collections whose resident
+//! memory is O(extent) per shard, reopenable from their directory (a
+//! reopen decodes every extent file, and a torn file or a gap in the
+//! chain is an error). Both backends produce **byte-identical** scan and
 //! fusion results for the same input at any thread count (pinned by
 //! proptest and the pipeline equivalence suite). System-wide selection
 //! sits on `DataTamerConfig::backend`, and each stage report carries a
@@ -114,7 +116,7 @@
 //! // Round robin: consecutive documents take consecutive shards.
 //! assert_eq!(ids[0].shard(), ids[4].shard());
 //! assert_ne!(ids[0].shard(), ids[1].shard());
-//! // The coordinator reports the distribution per shard.
+//! // The collection reports the distribution per shard.
 //! let report = col.storage_report();
 //! assert_eq!(report.docs(), 60);
 //! assert!(report.shards.iter().all(|s| s.docs == 15));
