@@ -5,9 +5,9 @@
 //! [`PipelineContext`] that owns the store, the catalog, the growing
 //! global schema, and every stage's report. The facade
 //! ([`crate::DataTamer`]) assembles stage lists and runs them through
-//! [`run_stages`]; future scaling work (shard coordinators, async ingest,
-//! persistence-backed stages) plugs in at these boundaries instead of
-//! inside a monolith.
+//! [`run_stages`]; future scaling work (async ingest, persistence-backed
+//! stages) plugs in at these boundaries instead of inside a monolith.
+//! Sharding sits below them: each storage `Collection` owns its shards.
 //!
 //! ```text
 //! ingest → schema integration → cleaning → entity consolidation → fusion

@@ -122,9 +122,9 @@ fn flatten_array(
     opts: &FlattenOptions,
     rows: &mut Vec<Vec<(String, Value)>>,
 ) {
-    if items.is_empty() {
+    let Some(first) = items.first() else {
         return;
-    }
+    };
     let all_scalar = items.iter().all(Value::is_scalar);
     match opts.array_mode {
         ArrayMode::Index => {
@@ -140,7 +140,7 @@ fn flatten_array(
                     row.push((col.to_owned(), Value::Str(joined.clone())));
                 }
             } else {
-                flatten_value(&items[0], col, opts, rows);
+                flatten_value(first, col, opts, rows);
             }
         }
         ArrayMode::Explode => {

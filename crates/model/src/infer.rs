@@ -30,6 +30,21 @@ pub enum LexicalType {
 }
 
 impl LexicalType {
+    /// Every type in declaration order: `ALL[ty as usize] == ty`, so a
+    /// `[_; LexicalType::ALL.len()]` array is a histogram indexed by type.
+    pub const ALL: [LexicalType; 10] = [
+        LexicalType::Null,
+        LexicalType::Bool,
+        LexicalType::Integer,
+        LexicalType::Decimal,
+        LexicalType::Money,
+        LexicalType::Percent,
+        LexicalType::Date,
+        LexicalType::Time,
+        LexicalType::Url,
+        LexicalType::Text,
+    ];
+
     /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
@@ -67,7 +82,7 @@ pub fn infer_value(v: &Value) -> LexicalType {
     }
 }
 
-/// Infer the lexical type of a raw string.
+/// Infer the lexical type of a raw string. Nothing is allocated.
 pub fn infer_str(raw: &str) -> LexicalType {
     let s = raw.trim();
     if s.is_empty() || s.eq_ignore_ascii_case("null") || s.eq_ignore_ascii_case("n/a") || s == "-" {
@@ -79,10 +94,15 @@ pub fn infer_str(raw: &str) -> LexicalType {
     if is_url(s) {
         return LexicalType::Url;
     }
+    // Every detector below needs an ASCII digit: an amount, a day, an
+    // hour or a number. Most free text has none and stops here.
+    if !s.bytes().any(|b| b.is_ascii_digit()) {
+        return LexicalType::Text;
+    }
     if parse_money(s).is_some() {
         return LexicalType::Money;
     }
-    if is_percent(s) {
+    if parse_percent(s).is_some() {
         return LexicalType::Percent;
     }
     if parse_date(s).is_some() {
@@ -238,14 +258,12 @@ fn strip_suffix_ci<'a>(s: &'a str, suffix: &str) -> Option<&'a str> {
     }
 }
 
-fn is_percent(s: &str) -> bool {
-    if let Some(rest) = s.strip_suffix('%') {
-        return parse_decimal(rest.trim_end()).is_some();
-    }
-    if let Some(rest) = strip_suffix_ci(s, "percent") {
-        return parse_decimal(rest.trim_end()).is_some();
-    }
-    false
+/// Parse a percentage to its number: `93%` and `93 percent` (the word in
+/// any ASCII case) are both 93.
+pub fn parse_percent(s: &str) -> Option<f64> {
+    let s = s.trim();
+    let rest = s.strip_suffix('%').or_else(|| strip_suffix_ci(s, "percent"))?;
+    parse_decimal(rest.trim_end())
 }
 
 const MONTHS: &[&str] = &[
@@ -315,52 +333,54 @@ pub fn parse_date(s: &str) -> Option<SimpleDate> {
     let s = s.trim();
     // Numeric with separators.
     for sep in ['/', '-'] {
-        let parts: Vec<&str> = s.split(sep).collect();
-        if parts.len() == 3 && parts.iter().all(|p| p.bytes().all(|b| b.is_ascii_digit()) && !p.is_empty()) {
-            let nums: Vec<u32> = parts.iter().map(|p| p.parse().unwrap_or(0)).collect();
-            let (year, month, day) = if parts[0].len() == 4 {
-                (nums[0], nums[1], nums[2]) // YYYY-MM-DD
-            } else if parts[2].len() == 4 {
-                (nums[2], nums[0], nums[1]) // M/D/YYYY
-            } else {
-                return None;
-            };
-            // A month or day past 255 must not wrap into range.
-            return valid_date(
-                u16::try_from(year).ok()?,
-                u8::try_from(month).ok()?,
-                u8::try_from(day).ok()?,
-            );
+        let Some(parts) = three(s.split(sep)) else { continue };
+        if !parts.iter().all(|p| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit())) {
+            continue;
+        }
+        let [first, _, last] = parts;
+        let [a, b, c] = parts.map(|p| p.parse::<u32>().unwrap_or(0));
+        let (year, month, day) = if first.len() == 4 {
+            (a, b, c) // YYYY-MM-DD
+        } else if last.len() == 4 {
+            (c, a, b) // M/D/YYYY
+        } else {
+            return None;
+        };
+        // A month or day past 255 must not wrap into range.
+        return valid_date(
+            u16::try_from(year).ok()?,
+            u8::try_from(month).ok()?,
+            u8::try_from(day).ok()?,
+        );
+    }
+    // Month-name forms: commas separate words like whitespace does.
+    let [first, second, third] =
+        three(s.split(|c: char| c == ',' || c.is_whitespace()).filter(|t| !t.is_empty()))?;
+    // "March 4 2013"
+    if let Some(m) = month_from_name(first) {
+        if let (Ok(d), Ok(y)) = (second.parse::<u8>(), third.parse::<u16>()) {
+            return valid_date(y, m, d);
         }
     }
-    // Month-name forms.
-    let cleaned: String = s
-        .chars()
-        .map(|c| if c == ',' { ' ' } else { c })
-        .collect();
-    let tokens: Vec<&str> = cleaned.split_whitespace().collect();
-    if tokens.len() == 3 {
-        // "March 4 2013"
-        if let Some(m) = month_from_name(tokens[0]) {
-            if let (Ok(d), Ok(y)) = (tokens[1].parse::<u8>(), tokens[2].parse::<u16>()) {
-                return valid_date(y, m, d);
-            }
-        }
-        // "4 March 2013"
-        if let Some(m) = month_from_name(tokens[1]) {
-            if let (Ok(d), Ok(y)) = (tokens[0].parse::<u8>(), tokens[2].parse::<u16>()) {
-                return valid_date(y, m, d);
-            }
+    // "4 March 2013"
+    if let Some(m) = month_from_name(second) {
+        if let (Ok(d), Ok(y)) = (first.parse::<u8>(), third.parse::<u16>()) {
+            return valid_date(y, m, d);
         }
     }
     None
 }
 
+/// The items of an iterator that yields exactly three.
+fn three<'a>(mut it: impl Iterator<Item = &'a str>) -> Option<[&'a str; 3]> {
+    let items = [it.next()?, it.next()?, it.next()?];
+    it.next().is_none().then_some(items)
+}
+
 fn is_time(s: &str) -> bool {
-    let lower = s.to_ascii_lowercase();
     // "7pm", "7 pm", "11am"
     for suffix in ["am", "pm"] {
-        if let Some(rest) = lower.strip_suffix(suffix) {
+        if let Some(rest) = strip_suffix_ci(s, suffix) {
             let rest = rest.trim_end();
             if let Ok(h) = rest.parse::<u8>() {
                 return (1..=12).contains(&h);
@@ -373,22 +393,21 @@ fn is_time(s: &str) -> bool {
         }
     }
     // "19:30"
-    if let Some((h, m)) = lower.split_once(':') {
+    if let Some((h, m)) = s.split_once(':') {
         if let (Ok(h), Ok(m)) = (h.parse::<u8>(), m.parse::<u8>()) {
-            return h < 24 && m < 60 && !lower.contains(' ');
+            return h < 24 && m < 60 && !s.contains(' ');
         }
     }
     false
 }
 
 fn is_url(s: &str) -> bool {
-    let lower = s.to_ascii_lowercase();
     if s.contains(char::is_whitespace) {
         return false;
     }
-    (lower.starts_with("http://") || lower.starts_with("https://") || lower.starts_with("www."))
-        && lower.len() > 8
-        && lower.contains('.')
+    ["http://", "https://", "www."].iter().any(|p| strip_prefix_ci(s, p).is_some())
+        && s.len() > 8
+        && s.contains('.')
 }
 
 #[cfg(test)]
@@ -423,6 +442,17 @@ mod tests {
         assert!((x - 0.5556).abs() < 1e-4, "{x}");
         let x = parse_decimal(&format!("-12.{}", "9".repeat(400))).unwrap();
         assert!((x + 13.0).abs() < 1e-9, "{x}");
+    }
+
+    #[test]
+    fn percentages() {
+        assert_eq!(parse_percent("93%"), Some(93.0));
+        assert_eq!(parse_percent(" 12.5 % "), Some(12.5));
+        assert_eq!(parse_percent("5 Percent"), Some(5.0));
+        assert_eq!(parse_percent("-1,250PERCENT"), Some(-1250.0));
+        for bad in ["%", "percent", "5%%", "5 percents", "five percent", "5 per cent"] {
+            assert_eq!(parse_percent(bad), None, "{bad}");
+        }
     }
 
     #[test]
@@ -527,10 +557,229 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_the_types_in_discriminant_order() {
+        for (i, ty) in LexicalType::ALL.into_iter().enumerate() {
+            assert_eq!(ty as usize, i, "{ty:?}");
+        }
+    }
+
+    #[test]
     fn numeric_classification() {
         assert!(LexicalType::Money.is_numeric());
         assert!(LexicalType::Integer.is_numeric());
         assert!(!LexicalType::Date.is_numeric());
         assert!(!LexicalType::Text.is_numeric());
+    }
+}
+
+/// The detectors as they were before inference stopped allocating, kept as
+/// the test oracle for [`infer_str`], [`parse_date`] and [`parse_percent`]:
+/// `is_url` and `is_time` lowercase into a `String`, `parse_date` collects
+/// its parts and tokens into `Vec`s over a comma-cleaned copy, and every
+/// string runs every detector. The checks below assert the new scanners
+/// agree with these on random and adversarial strings, and
+/// `schema::oracle` profiles with them.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    pub(crate) fn infer_str(raw: &str) -> LexicalType {
+        let s = raw.trim();
+        if s.is_empty() || s.eq_ignore_ascii_case("null") || s.eq_ignore_ascii_case("n/a") || s == "-" {
+            return LexicalType::Null;
+        }
+        if s.eq_ignore_ascii_case("true") || s.eq_ignore_ascii_case("false") {
+            return LexicalType::Bool;
+        }
+        if is_url(s) {
+            return LexicalType::Url;
+        }
+        if parse_money(s).is_some() {
+            return LexicalType::Money;
+        }
+        if is_percent(s) {
+            return LexicalType::Percent;
+        }
+        if parse_date(s).is_some() {
+            return LexicalType::Date;
+        }
+        if is_time(s) {
+            return LexicalType::Time;
+        }
+        if parse_integer(s).is_some() {
+            return LexicalType::Integer;
+        }
+        if parse_decimal(s).is_some() {
+            return LexicalType::Decimal;
+        }
+        LexicalType::Text
+    }
+
+    fn is_percent(s: &str) -> bool {
+        if let Some(rest) = s.strip_suffix('%') {
+            return parse_decimal(rest.trim_end()).is_some();
+        }
+        if let Some(rest) = strip_suffix_ci(s, "percent") {
+            return parse_decimal(rest.trim_end()).is_some();
+        }
+        false
+    }
+
+    fn parse_date(s: &str) -> Option<SimpleDate> {
+        let s = s.trim();
+        for sep in ['/', '-'] {
+            let parts: Vec<&str> = s.split(sep).collect();
+            if parts.len() == 3 && parts.iter().all(|p| p.bytes().all(|b| b.is_ascii_digit()) && !p.is_empty()) {
+                let nums: Vec<u32> = parts.iter().map(|p| p.parse().unwrap_or(0)).collect();
+                let (year, month, day) = if parts[0].len() == 4 {
+                    (nums[0], nums[1], nums[2])
+                } else if parts[2].len() == 4 {
+                    (nums[2], nums[0], nums[1])
+                } else {
+                    return None;
+                };
+                return valid_date(
+                    u16::try_from(year).ok()?,
+                    u8::try_from(month).ok()?,
+                    u8::try_from(day).ok()?,
+                );
+            }
+        }
+        let cleaned: String = s.chars().map(|c| if c == ',' { ' ' } else { c }).collect();
+        let tokens: Vec<&str> = cleaned.split_whitespace().collect();
+        if tokens.len() == 3 {
+            if let Some(m) = month_from_name(tokens[0]) {
+                if let (Ok(d), Ok(y)) = (tokens[1].parse::<u8>(), tokens[2].parse::<u16>()) {
+                    return valid_date(y, m, d);
+                }
+            }
+            if let Some(m) = month_from_name(tokens[1]) {
+                if let (Ok(d), Ok(y)) = (tokens[0].parse::<u8>(), tokens[2].parse::<u16>()) {
+                    return valid_date(y, m, d);
+                }
+            }
+        }
+        None
+    }
+
+    fn is_time(s: &str) -> bool {
+        let lower = s.to_ascii_lowercase();
+        for suffix in ["am", "pm"] {
+            if let Some(rest) = lower.strip_suffix(suffix) {
+                let rest = rest.trim_end();
+                if let Ok(h) = rest.parse::<u8>() {
+                    return (1..=12).contains(&h);
+                }
+                if let Some((h, m)) = rest.split_once(':') {
+                    return h.parse::<u8>().map(|h| (1..=12).contains(&h)).unwrap_or(false)
+                        && m.parse::<u8>().map(|m| m < 60).unwrap_or(false);
+                }
+            }
+        }
+        if let Some((h, m)) = lower.split_once(':') {
+            if let (Ok(h), Ok(m)) = (h.parse::<u8>(), m.parse::<u8>()) {
+                return h < 24 && m < 60 && !lower.contains(' ');
+            }
+        }
+        false
+    }
+
+    fn is_url(s: &str) -> bool {
+        let lower = s.to_ascii_lowercase();
+        if s.contains(char::is_whitespace) {
+            return false;
+        }
+        (lower.starts_with("http://") || lower.starts_with("https://") || lower.starts_with("www."))
+            && lower.len() > 8
+            && lower.contains('.')
+    }
+
+    /// Pieces that sit on a detector's edge: month names in mixed case,
+    /// meridiems, percent signs and words, currency symbols and codes,
+    /// comma-grouped digits, lone signs and dots, URL prefixes, non-ASCII
+    /// letters and Unicode whitespace.
+    const PIECES: &[&str] = &[
+        "March", "MAR", "mAy", "sept", "Sep", "december", "Dec", "4", "31", "29", "2013", "2012",
+        "1900", "0", "007", "12", "13", "257", "19", "30", "60", "7", "am", "PM", "Am", "pM", ":",
+        "%", "percent", "PerCent", "PERCENT", "$", "€", "£", "¥", "USD", "usd", "Eur", "jpy",
+        "dollars", "Euros", "1,250", "960,998", "12,34", ",123", "-", "+", ".", "/", ",",
+        "http://", "HTTPS://", "www.", "WwW.", "x.com", "a", "null", "N/A", "true", "FALSE", "é",
+        "中", "Ж", "\u{212a}", "\u{2003}", "\u{a0}", "İ", "ǅ", "9.", ".5", "1e5", "--", "+-",
+        "3/4/2013", "2013-03-04", "12/31/1999", "2/30/2013", "March 4, 2013", "4 Mar 2013",
+        "7pm", "11 AM", "7:30pm", "19:30", "23:59", "24:00",
+    ];
+
+    /// Glue between pieces: nothing, spaces, a comma, a tab, an em space.
+    const GLUE: &[&str] = &["", " ", "  ", ", ", "\t", "\u{2003}", ","];
+
+    fn assert_same(s: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(super::infer_str(s), infer_str(s), "infer_str({:?})", s);
+        prop_assert_eq!(super::parse_date(s), parse_date(s), "parse_date({:?})", s);
+        prop_assert_eq!(super::parse_percent(s).is_some(), is_percent(s.trim()), "percent {:?}", s);
+        prop_assert_eq!(super::is_time(s.trim()), is_time(s.trim()), "is_time({:?})", s);
+        prop_assert_eq!(super::is_url(s.trim()), is_url(s.trim()), "is_url({:?})", s);
+        Ok(())
+    }
+
+    #[test]
+    fn fixed_edge_cases_infer_as_the_oracle_does() {
+        for s in [
+            "", " ", "-", "+", ".", "5 Percent", "5 PERCENT", "5percent", "5 %", "%", "percent",
+            "7PM", "7 Am", "12:59Pm", "0am", "13pm", "23:59", "24:00", "7 :30", "19:30 ",
+            "HTTP://A.B", "www.ab", "www.abcde", "Www.a.b c", "MARCH 4, 2013", "4 mar 2013",
+            "Mar\u{2003}4\u{2003}2013", "Mar,4,,2013", "2013-02-29", "2012/02/29", "02/29/2012",
+            "1/2/3/2013", "Kelvin 4 2013", "\u{212a}", "$1,250.50", "1,250 Dollars", "¥ 5",
+            "USD", "- 5", "+.5", "-.", "5%%", "中 4 2013",
+        ] {
+            if let Err(e) = assert_same(s) {
+                panic!("{e:?}");
+            }
+        }
+    }
+
+    /// Up to three pieces, each followed by its glue.
+    pub(crate) fn adversarial() -> impl Strategy<Value = String> {
+        (
+            prop::collection::vec(0..PIECES.len(), 0..4),
+            prop::collection::vec(0..GLUE.len(), 0..4),
+        )
+            .prop_map(|(picks, glue)| {
+                let mut s = String::new();
+                for (k, p) in picks.iter().enumerate() {
+                    s.push_str(PIECES[*p]);
+                    s.push_str(GLUE[glue.get(k).copied().unwrap_or(0)]);
+                }
+                s
+            })
+    }
+
+    #[test]
+    fn adversarial_strings_reach_every_type() {
+        let mut rng = proptest::TestRng::new(45);
+        let mut seen = [0; LexicalType::ALL.len()];
+        for _ in 0..2048 {
+            seen[super::infer_str(&adversarial().generate(&mut rng)) as usize] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn adversarial_strings_infer_as_the_oracle_does(s in adversarial()) {
+            assert_same(&s)?;
+        }
+
+        #[test]
+        fn random_strings_infer_as_the_oracle_does(
+            s in "[0-9a-zA-Z%$€£¥,.:/+ \u{2003}é\\-]{0,14}",
+            t in ".{0,10}",
+        ) {
+            assert_same(&s)?;
+            assert_same(&t)?;
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! lexical-type histogram, null fraction, value-length stats, numeric
 //! moments, and a bounded sample of distinct values for set-overlap and
 //! TF-IDF cosine matchers. [`AttributeProfile`] accumulates these in one
-//! streaming pass over a source.
+//! streaming pass over a source, allocating only when a value enters the
+//! sample.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::infer::{infer_value, LexicalType};
@@ -24,8 +24,9 @@ pub struct AttributeProfile {
     pub count: u64,
     /// Null observations.
     pub nulls: u64,
-    /// Histogram of lexical types over non-null observations.
-    pub type_counts: HashMap<LexicalType, u64>,
+    /// Histogram of lexical types over non-null observations, indexed by
+    /// `LexicalType as usize` (the `Null` slot stays 0).
+    pub type_counts: [u64; LexicalType::ALL.len()],
     /// First-seen distinct non-null values (text form), capped.
     sample: Vec<String>,
     sample_set: HashMap<String, u64>,
@@ -54,7 +55,7 @@ impl AttributeProfile {
         AttributeProfile {
             count: 0,
             nulls: 0,
-            type_counts: HashMap::new(),
+            type_counts: [0; LexicalType::ALL.len()],
             sample: Vec::new(),
             sample_set: HashMap::new(),
             sample_cap: cap.max(1),
@@ -76,8 +77,16 @@ impl AttributeProfile {
             self.nulls += 1;
             return;
         }
-        *self.type_counts.entry(ty).or_insert(0) += 1;
-        let text = v.to_text();
+        self.type_counts[ty as usize] += 1;
+        // A string is read in place; only other values are formatted.
+        let formatted;
+        let text = match v {
+            Value::Str(s) => s.as_str(),
+            other => {
+                formatted = other.to_text();
+                formatted.as_str()
+            }
+        };
         self.total_len += text.len() as u64;
         if let Some(x) = numeric_magnitude(v, ty) {
             self.num_n += 1;
@@ -87,16 +96,19 @@ impl AttributeProfile {
             self.num_mean += delta / self.num_n as f64;
             self.num_m2 += delta * (x - self.num_mean);
         }
-        match self.sample_set.entry(text) {
-            Entry::Occupied(mut e) => *e.get_mut() += 1,
-            Entry::Vacant(e) => {
-                if self.sample.len() < self.sample_cap {
-                    self.sample.push(e.key().clone());
-                    e.insert(1);
-                } else {
-                    self.sample_overflow = true;
-                }
-            }
+        self.add_to_sample(text, 1);
+    }
+
+    /// Count `freq` occurrences of `text`, admitting it to the sample while
+    /// there is room and flagging overflow once there is not.
+    fn add_to_sample(&mut self, text: &str, freq: u64) {
+        if let Some(n) = self.sample_set.get_mut(text) {
+            *n += freq;
+        } else if self.sample.len() < self.sample_cap {
+            self.sample.push(text.to_owned());
+            self.sample_set.insert(text.to_owned(), freq);
+        } else {
+            self.sample_overflow = true;
         }
     }
 
@@ -127,11 +139,12 @@ impl AttributeProfile {
     /// Dominant lexical type (ties break toward the more specific type via
     /// the enum ordering), or `Null` when no non-null value was seen.
     pub fn dominant_type(&self) -> LexicalType {
-        self.type_counts
-            .iter()
-            .max_by_key(|(ty, n)| (**n, std::cmp::Reverse(**ty)))
-            .map(|(ty, _)| *ty)
-            .unwrap_or(LexicalType::Null)
+        LexicalType::ALL
+            .into_iter()
+            .zip(self.type_counts)
+            .filter(|&(_, n)| n > 0)
+            .max_by_key(|&(ty, n)| (n, std::cmp::Reverse(ty)))
+            .map_or(LexicalType::Null, |(ty, _)| ty)
     }
 
     /// Mean text length of non-null values.
@@ -169,22 +182,11 @@ impl AttributeProfile {
         self.count += other.count;
         self.nulls += other.nulls;
         self.total_len += other.total_len;
-        for (ty, n) in &other.type_counts {
-            *self.type_counts.entry(*ty).or_insert(0) += n;
+        for (mine, theirs) in self.type_counts.iter_mut().zip(other.type_counts) {
+            *mine += theirs;
         }
         for v in &other.sample {
-            let freq = other.sample_frequency(v);
-            match self.sample_set.entry(v.clone()) {
-                Entry::Occupied(mut e) => *e.get_mut() += freq,
-                Entry::Vacant(e) => {
-                    if self.sample.len() < self.sample_cap {
-                        self.sample.push(e.key().clone());
-                        e.insert(freq);
-                    } else {
-                        self.sample_overflow = true;
-                    }
-                }
-            }
+            self.add_to_sample(v, other.sample_frequency(v));
         }
         self.sample_overflow |= other.sample_overflow;
         if other.num_n > 0 {
@@ -226,11 +228,7 @@ fn numeric_magnitude(v: &Value, ty: LexicalType) -> Option<f64> {
             LexicalType::Integer => crate::infer::parse_integer(s).map(|i| i as f64),
             LexicalType::Decimal => crate::infer::parse_decimal(s),
             LexicalType::Money => crate::infer::parse_money(s).map(|m| m.amount),
-            LexicalType::Percent => {
-                let t = s.trim().trim_end_matches('%');
-                let t = t.trim_end_matches("percent").trim_end_matches("PERCENT");
-                crate::infer::parse_decimal(t.trim())
-            }
+            LexicalType::Percent => crate::infer::parse_percent(s),
             _ => None,
         },
         _ => None,
@@ -277,22 +275,36 @@ impl SourceSchema {
 
     /// Observe one record: every field updates its attribute profile, and
     /// attributes absent from the record accrue an implicit null.
+    ///
+    /// Records of one source almost always share a field order, so the
+    /// attribute after the previous field's is tried before the list is
+    /// searched. Fields met at ascending attribute positions are distinct
+    /// attributes; when they are as many as the schema has, none is absent
+    /// and the implicit-null pass is skipped.
     pub fn observe(&mut self, record: &Record) {
         self.record_count += 1;
+        let mut next = 0;
+        let mut ascending = true;
         for (name, value) in record.iter() {
-            match self.attributes.iter_mut().find(|a| a.name == name) {
-                Some(attr) => attr.profile.observe(value),
-                None => {
-                    // Back-fill nulls for records seen before this attribute.
-                    let mut profile = AttributeProfile {
-                        count: self.record_count - 1,
-                        nulls: self.record_count - 1,
-                        ..Default::default()
-                    };
-                    profile.observe(value);
-                    self.attributes.push(AttributeDef { name: name.to_owned(), profile });
-                }
+            let found = match self.attributes.get(next) {
+                Some(a) if a.name == name => Some(next),
+                _ => self.attributes.iter().position(|a| a.name == name),
+            };
+            let at = found.unwrap_or_else(|| {
+                // Back-fill nulls for records seen before this attribute.
+                let seen = self.record_count - 1;
+                let profile = AttributeProfile { count: seen, nulls: seen, ..Default::default() };
+                self.attributes.push(AttributeDef { name: name.to_owned(), profile });
+                self.attributes.len() - 1
+            });
+            if let Some(attr) = self.attributes.get_mut(at) {
+                attr.profile.observe(value);
             }
+            ascending &= at >= next;
+            next = at + 1;
+        }
+        if ascending && record.len() == self.attributes.len() {
+            return;
         }
         for attr in &mut self.attributes {
             if record.get(&attr.name).is_none() {
@@ -314,6 +326,350 @@ impl SourceSchema {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.attributes.len()
+    }
+}
+
+/// Source profiling as it was before it stopped allocating, kept as the
+/// test oracle for [`SourceSchema::observe`] and [`AttributeProfile`]:
+/// every observation renders its text with `to_text`, types it with
+/// `infer::oracle`, counts it in a `HashMap` histogram and moves the text
+/// into the sample map's entry API; every field searches the attribute
+/// list by name, and every attribute is looked up in every record for its
+/// implicit null. It carries the `Percent` magnitude fix, so `"5 Percent"`
+/// adds 5 to the moments on both sides.
+#[cfg(test)]
+mod oracle {
+    use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
+    use super::{AttributeProfile, SourceSchema, DEFAULT_SAMPLE_CAP};
+    use crate::infer::{self, LexicalType};
+    use crate::record::{Record, RecordId, SourceId};
+    use crate::value::Value;
+
+    #[derive(Debug, Clone)]
+    struct Profile {
+        count: u64,
+        nulls: u64,
+        types: HashMap<LexicalType, u64>,
+        sample: Vec<String>,
+        sample_set: HashMap<String, u64>,
+        sample_cap: usize,
+        sample_overflow: bool,
+        total_len: u64,
+        num_n: u64,
+        num_mean: f64,
+        num_m2: f64,
+        num_min: f64,
+        num_max: f64,
+    }
+
+    impl Profile {
+        fn with_sample_cap(cap: usize) -> Self {
+            Profile {
+                count: 0,
+                nulls: 0,
+                types: HashMap::new(),
+                sample: Vec::new(),
+                sample_set: HashMap::new(),
+                sample_cap: cap.max(1),
+                sample_overflow: false,
+                total_len: 0,
+                num_n: 0,
+                num_mean: 0.0,
+                num_m2: 0.0,
+                num_min: f64::INFINITY,
+                num_max: f64::NEG_INFINITY,
+            }
+        }
+
+        fn observe(&mut self, v: &Value) {
+            self.count += 1;
+            let ty = match v {
+                Value::Null => LexicalType::Null,
+                Value::Bool(_) => LexicalType::Bool,
+                Value::Int(_) => LexicalType::Integer,
+                Value::Float(_) => LexicalType::Decimal,
+                Value::Str(s) => infer::oracle::infer_str(s),
+                Value::Array(_) | Value::Doc(_) => LexicalType::Text,
+            };
+            if ty == LexicalType::Null {
+                self.nulls += 1;
+                return;
+            }
+            *self.types.entry(ty).or_insert(0) += 1;
+            let text = v.to_text();
+            self.total_len += text.len() as u64;
+            if let Some(x) = numeric_magnitude(v, ty) {
+                self.num_n += 1;
+                self.num_min = self.num_min.min(x);
+                self.num_max = self.num_max.max(x);
+                let delta = x - self.num_mean;
+                self.num_mean += delta / self.num_n as f64;
+                self.num_m2 += delta * (x - self.num_mean);
+            }
+            match self.sample_set.entry(text) {
+                Entry::Occupied(mut e) => *e.get_mut() += 1,
+                Entry::Vacant(e) => {
+                    if self.sample.len() < self.sample_cap {
+                        self.sample.push(e.key().clone());
+                        e.insert(1);
+                    } else {
+                        self.sample_overflow = true;
+                    }
+                }
+            }
+        }
+
+        fn dominant_type(&self) -> LexicalType {
+            self.types
+                .iter()
+                .max_by_key(|(ty, n)| (**n, std::cmp::Reverse(**ty)))
+                .map(|(ty, _)| *ty)
+                .unwrap_or(LexicalType::Null)
+        }
+
+        fn merge(&mut self, other: &Profile) {
+            self.count += other.count;
+            self.nulls += other.nulls;
+            self.total_len += other.total_len;
+            for (ty, n) in &other.types {
+                *self.types.entry(*ty).or_insert(0) += n;
+            }
+            for v in &other.sample {
+                let freq = other.sample_set.get(v).copied().unwrap_or(0);
+                match self.sample_set.entry(v.clone()) {
+                    Entry::Occupied(mut e) => *e.get_mut() += freq,
+                    Entry::Vacant(e) => {
+                        if self.sample.len() < self.sample_cap {
+                            self.sample.push(e.key().clone());
+                            e.insert(freq);
+                        } else {
+                            self.sample_overflow = true;
+                        }
+                    }
+                }
+            }
+            self.sample_overflow |= other.sample_overflow;
+            if other.num_n > 0 {
+                let (na, nb) = (self.num_n as f64, other.num_n as f64);
+                let delta = other.num_mean - self.num_mean;
+                let n = na + nb;
+                if self.num_n == 0 {
+                    self.num_mean = other.num_mean;
+                    self.num_m2 = other.num_m2;
+                } else {
+                    self.num_mean += delta * nb / n;
+                    self.num_m2 += other.num_m2 + delta * delta * na * nb / n;
+                }
+                self.num_n += other.num_n;
+                self.num_min = self.num_min.min(other.num_min);
+                self.num_max = self.num_max.max(other.num_max);
+            }
+        }
+    }
+
+    fn numeric_magnitude(v: &Value, ty: LexicalType) -> Option<f64> {
+        let x = match v {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            Value::Str(s) => match ty {
+                LexicalType::Integer => infer::parse_integer(s).map(|i| i as f64),
+                LexicalType::Decimal => infer::parse_decimal(s),
+                LexicalType::Money => infer::parse_money(s).map(|m| m.amount),
+                LexicalType::Percent => {
+                    let t = s.trim().trim_end_matches('%');
+                    // The fix: the word in any ASCII case, not just two.
+                    let cut = t.len().saturating_sub("percent".len());
+                    let t = match t.get(cut..) {
+                        Some(w) if w.eq_ignore_ascii_case("percent") => t.get(..cut).unwrap_or(t),
+                        _ => t,
+                    };
+                    infer::parse_decimal(t.trim())
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        x.filter(|x| x.is_finite())
+    }
+
+    /// The old `SourceSchema`: attributes in first-seen order.
+    fn profile_records(records: &[Record]) -> (Vec<(String, Profile)>, u64) {
+        let mut attributes: Vec<(String, Profile)> = Vec::new();
+        let mut record_count = 0u64;
+        for record in records {
+            record_count += 1;
+            for (name, value) in record.iter() {
+                match attributes.iter_mut().find(|(a, _)| a == name) {
+                    Some((_, profile)) => profile.observe(value),
+                    None => {
+                        let mut profile = Profile::with_sample_cap(DEFAULT_SAMPLE_CAP);
+                        profile.count = record_count - 1;
+                        profile.nulls = record_count - 1;
+                        profile.observe(value);
+                        attributes.push((name.to_owned(), profile));
+                    }
+                }
+            }
+            for (name, profile) in &mut attributes {
+                if record.get(name).is_none() {
+                    profile.observe(&Value::Null);
+                }
+            }
+        }
+        (attributes, record_count)
+    }
+
+    /// Field for field, with the numeric moments compared bit for bit.
+    fn assert_same_profile(got: &AttributeProfile, want: &Profile) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.count, want.count);
+        prop_assert_eq!(got.nulls, want.nulls);
+        for ty in LexicalType::ALL {
+            let n = want.types.get(&ty).copied().unwrap_or(0);
+            prop_assert_eq!(got.type_counts[ty as usize], n, "{:?}", ty);
+        }
+        prop_assert_eq!(got.dominant_type(), want.dominant_type());
+        prop_assert_eq!(&got.sample, &want.sample);
+        prop_assert_eq!(got.sample_set.len(), want.sample_set.len());
+        for v in &want.sample {
+            prop_assert_eq!(got.sample_frequency(v), want.sample_set[v], "{:?}", v);
+        }
+        prop_assert_eq!(got.sample_cap, want.sample_cap);
+        prop_assert_eq!(got.sample_overflow, want.sample_overflow);
+        prop_assert_eq!(got.total_len, want.total_len);
+        prop_assert_eq!(got.num_n, want.num_n);
+        let bits = |p: [f64; 4]| p.map(f64::to_bits);
+        prop_assert_eq!(
+            bits([got.num_mean, got.num_m2, got.num_min, got.num_max]),
+            bits([want.num_mean, want.num_m2, want.num_min, want.num_max])
+        );
+        Ok(())
+    }
+
+    fn assert_same_schema(records: &[Record]) -> Result<(), TestCaseError> {
+        let got = SourceSchema::profile_records(SourceId(7), "s", records);
+        let (want, record_count) = profile_records(records);
+        prop_assert_eq!(got.record_count, record_count);
+        prop_assert_eq!(got.attributes.len(), want.len());
+        for (g, (name, w)) in got.attributes.iter().zip(&want) {
+            prop_assert_eq!(&g.name, name);
+            assert_same_profile(&g.profile, w)?;
+        }
+        Ok(())
+    }
+
+    /// Scalars of every kind: strings from the inference oracle's
+    /// adversarial pieces, non-finite floats, and a few repeats so samples
+    /// count frequencies.
+    fn value() -> impl Strategy<Value = Value> {
+        (0..10usize, any::<i64>(), infer::oracle::adversarial()).prop_map(|(kind, i, s)| {
+            match kind {
+                0 => Value::Null,
+                1 => Value::Bool(i & 1 == 1),
+                2 => Value::Int(i),
+                3 => Value::Int(i % 4),
+                4 => Value::Float(
+                    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.1, 1e300]
+                        [i.unsigned_abs() as usize % 6],
+                ),
+                5 => Value::Float(i as f64 / 7.0),
+                6 => Value::Array(vec![Value::Int(i % 3), Value::from("x")]),
+                _ => Value::Str(s),
+            }
+        })
+    }
+
+    const NAMES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+    /// A record over a subset of the names, in schema order unless `order`
+    /// says to rotate them; `order` can also rename one field onto
+    /// another's name, leaving the record with a duplicate.
+    fn record() -> impl Strategy<Value = Record> {
+        (0..64usize, 0..16usize, prop::collection::vec(value(), 6)).prop_map(
+            |(mask, order, values)| {
+                let mut pairs: Vec<(&str, Value)> = NAMES
+                    .iter()
+                    .zip(values)
+                    .enumerate()
+                    .filter(|(k, _)| mask & (1 << k) != 0 || mask == 0 && *k < 3)
+                    .map(|(_, (n, v))| (*n, v))
+                    .collect();
+                if order >= 12 {
+                    let by = order % pairs.len().max(1);
+                    pairs.rotate_left(by);
+                }
+                let mut r = Record::from_pairs(SourceId(7), RecordId(0), pairs);
+                if order == 11 {
+                    let names: Vec<String> = r.field_names().map(str::to_owned).collect();
+                    if let [from, to, ..] = names.as_slice() {
+                        r.rename(from, to.clone());
+                    }
+                }
+                r
+            },
+        )
+    }
+
+    #[test]
+    fn fixed_sequences_profile_as_the_oracle_does() {
+        let r = |pairs: Vec<(&str, Value)>| Record::from_pairs(SourceId(7), RecordId(0), pairs);
+        let percents: Vec<Record> = ["5 Percent", "7 PerCent", "9 percent", "11 PERCENT", "3%"]
+            .into_iter()
+            .map(|p| r(vec![("p", Value::from(p))]))
+            .collect();
+        // More distinct values than the sample holds.
+        let overflow: Vec<Record> =
+            (0..300).map(|i| r(vec![("id", Value::Int(i)), ("k", Value::Int(i % 5))])).collect();
+        // A late attribute, a missing one, a reordered record, a duplicate.
+        let mut dup = r(vec![("a", Value::Int(1)), ("b", Value::Int(2)), ("c", Value::Int(3))]);
+        dup.rename("a", "b");
+        let shapes = vec![
+            r(vec![("a", Value::Int(1)), ("b", Value::from("x"))]),
+            r(vec![("a", Value::Int(2)), ("b", Value::from("y")), ("c", Value::from("$5"))]),
+            r(vec![("a", Value::Int(3)), ("c", Value::from("7pm"))]),
+            r(vec![("c", Value::from("3/4/2013")), ("b", Value::Null), ("a", Value::Float(0.5))]),
+            dup,
+            r(vec![]),
+        ];
+        for records in [percents, overflow, shapes] {
+            if let Err(e) = assert_same_schema(&records) {
+                panic!("{e:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn profile_records_matches_the_oracle(records in prop::collection::vec(record(), 0..60)) {
+            assert_same_schema(&records)?;
+        }
+
+        #[test]
+        fn small_samples_observe_and_merge_as_the_oracle_does(
+            left in prop::collection::vec(value(), 0..12),
+            right in prop::collection::vec(value(), 0..12),
+            cap in 1..6usize,
+        ) {
+            let (mut got, mut want) = (AttributeProfile::with_sample_cap(cap), Profile::with_sample_cap(cap));
+            let (mut got_r, mut want_r) = (AttributeProfile::with_sample_cap(cap), Profile::with_sample_cap(cap));
+            for v in &left {
+                got.observe(v);
+                want.observe(v);
+            }
+            for v in &right {
+                got_r.observe(v);
+                want_r.observe(v);
+            }
+            assert_same_profile(&got_r, &want_r)?;
+            got.merge(&got_r);
+            want.merge(&want_r);
+            assert_same_profile(&got, &want)?;
+        }
     }
 }
 
@@ -349,7 +705,7 @@ mod tests {
         ]);
         assert_eq!(p.dominant_type(), LexicalType::Money);
         // Three of the four non-null values have the dominant type.
-        assert_eq!(p.type_counts.get(&LexicalType::Money), Some(&3));
+        assert_eq!(p.type_counts[LexicalType::Money as usize], 3);
     }
 
     #[test]
@@ -362,6 +718,19 @@ mod tests {
         assert!((s.mean - 30.0).abs() < 1e-12);
         let p = profile_of(&[Value::from("50%"), Value::from("100%")]);
         assert!((p.numeric_stats().unwrap().mean - 75.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn percent_words_in_any_case_add_their_magnitude() {
+        let p = profile_of(&[
+            Value::from("5 Percent"),
+            Value::from("7 PERCENT"),
+            Value::from("9 percent"),
+            Value::from("11 perCENT"),
+        ]);
+        assert_eq!(p.dominant_type(), LexicalType::Percent);
+        let s = p.numeric_stats().unwrap();
+        assert_eq!((s.n, s.min, s.max, s.mean), (4, 5.0, 11.0, 8.0));
     }
 
     #[test]
@@ -382,7 +751,7 @@ mod tests {
             Value::Float(f64::INFINITY),
             Value::Float(f64::NEG_INFINITY),
         ]);
-        assert_eq!(p.type_counts.get(&LexicalType::Decimal), Some(&4), "still typed");
+        assert_eq!(p.type_counts[LexicalType::Decimal as usize], 4, "still typed");
         let s = p.numeric_stats().unwrap();
         assert_eq!((s.n, s.min, s.max, s.mean, s.std), (1, 45.0, 45.0, 45.0, 0.0));
         let mut merged = profile_of(&[Value::Float(f64::NAN)]);

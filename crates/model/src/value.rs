@@ -118,10 +118,6 @@ impl Value {
     /// they denote, even beyond 2^53 where `i as f64` rounds; cross-type
     /// comparisons order by type rank.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        let (ra, rb) = (self.type_rank(), other.type_rank());
-        if ra != rb {
-            return ra.cmp(&rb);
-        }
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
@@ -148,7 +144,8 @@ impl Value {
                 }
                 a.len().cmp(&b.len())
             }
-            _ => unreachable!("same type rank implies comparable variants"),
+            // Different ranks: every pair of equal rank has an arm above.
+            _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
 }
