@@ -383,7 +383,9 @@ pub fn m1_dedup_crossval_at(
                     .into_iter()
                     .map(|p| (p.a, p.b, p.same))
                     .collect();
-            let m = crossval_dedup(&pairs, 10, 7, &LogRegConfig::default()).metrics();
+            let m = crossval_dedup(&pairs, 10, 7, &LogRegConfig::default())
+                .expect("at least 10 labelled pairs per type")
+                .metrics();
             (ty, m)
         })
         .collect()

@@ -6,9 +6,15 @@
 //! naive-Bayes filter that separates content fragments from web junk
 //! (ads, navigation chrome, cookie banners) so that only real prose reaches
 //! the domain parser.
+//!
+//! The text ingest asks [`TextCleaner::is_junk_words`] with the words the
+//! parser's tokeniser already split, so a fragment is tokenised once for
+//! both; [`TextCleaner::is_junk`] walks raw text itself and decides the
+//! same.
 
 use datatamer_ml::features::{SparseVec, Vocabulary};
 use datatamer_ml::NaiveBayes;
+use datatamer_model::{DtError, Result};
 
 /// Built-in junk exemplars (ad / chrome / boilerplate language).
 pub const JUNK_SEEDS: &[&str] = &[
@@ -49,9 +55,14 @@ const CLASS_JUNK: usize = 0;
 const CLASS_CONTENT: usize = 1;
 
 impl TextCleaner {
-    /// Train from explicit junk/content exemplars.
-    pub fn train(junk: &[&str], content: &[&str]) -> Self {
-        assert!(!junk.is_empty() && !content.is_empty(), "need both classes");
+    /// Train from explicit junk/content exemplars. An empty class is the
+    /// error.
+    pub fn train(junk: &[&str], content: &[&str]) -> Result<Self> {
+        if junk.is_empty() || content.is_empty() {
+            return Err(DtError::Invalid(
+                "the text cleaner needs exemplars of both classes".into(),
+            ));
+        }
         let mut vocab = Vocabulary::new();
         for t in junk.iter().chain(content.iter()) {
             vocab.fit_doc(t);
@@ -63,18 +74,28 @@ impl TextCleaner {
         for t in content {
             examples.push((vocab.counts(t), CLASS_CONTENT));
         }
-        let model = NaiveBayes::train(&examples, 2, vocab.len(), 0.5);
-        TextCleaner { vocab, model }
+        let model = NaiveBayes::train(&examples, 2, vocab.len(), 0.5)
+            .map_err(|e| DtError::Invalid(format!("text cleaner: {e}")))?;
+        Ok(TextCleaner { vocab, model })
     }
 
     /// Train from the built-in seed corpora.
-    pub fn with_builtin_seeds() -> Self {
+    pub fn with_builtin_seeds() -> Result<Self> {
         Self::train(JUNK_SEEDS, CONTENT_SEEDS)
     }
 
     /// True when the fragment looks like junk/boilerplate.
     pub fn is_junk(&self, fragment: &str) -> bool {
         self.model.predict(&self.vocab.counts(fragment)) == CLASS_JUNK
+    }
+
+    /// [`Self::is_junk`] of a fragment given as its words, each a word's
+    /// raw text and lowercase form in text order, as the word tokens of
+    /// `datatamer_text::tokenize` give them (see
+    /// [`Vocabulary::counts_words`]). The decision is the one `is_junk`
+    /// makes on the fragment's text.
+    pub fn is_junk_words<'w>(&self, words: impl IntoIterator<Item = (&'w str, &'w str)>) -> bool {
+        self.model.predict(&self.vocab.counts_words(words)) == CLASS_JUNK
     }
 
     /// Filter a fragment stream, keeping content. Returns `(kept, dropped)`.
@@ -95,10 +116,30 @@ impl TextCleaner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datatamer_text::Tokenized;
+    use proptest::prelude::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The words-based scores equal the raw-text scores bit for bit, and
+    /// the two junk checks agree.
+    fn assert_words_score_as_text(cleaner: &TextCleaner, fragment: &str) {
+        let tokenized = Tokenized::new(fragment);
+        let got = cleaner.model.scores(&cleaner.vocab.counts_words(tokenized.words().iter()));
+        let want = cleaner.model.scores(&cleaner.vocab.counts(fragment));
+        assert_eq!(bits(&got), bits(&want), "{fragment:?}");
+        assert_eq!(
+            cleaner.is_junk_words(tokenized.words().iter()),
+            cleaner.is_junk(fragment),
+            "{fragment:?}"
+        );
+    }
 
     #[test]
     fn builtin_cleaner_separates_obvious_cases() {
-        let cleaner = TextCleaner::with_builtin_seeds();
+        let cleaner = TextCleaner::with_builtin_seeds().unwrap();
         assert!(cleaner.is_junk("subscribe now and accept cookies for free shipping"));
         assert!(!cleaner.is_junk("the musical grossed 960,998 during previews on broadway"));
         assert!(!cleaner.is_junk("Matilda an award-winning import from London opened at the theatre"));
@@ -106,7 +147,7 @@ mod tests {
 
     #[test]
     fn filter_counts_drops() {
-        let cleaner = TextCleaner::with_builtin_seeds();
+        let cleaner = TextCleaner::with_builtin_seeds().unwrap();
         let fragments = [
             "the production opened to strong reviews at the theatre",
             "click here to subscribe and accept cookies now",
@@ -120,7 +161,7 @@ mod tests {
 
     #[test]
     fn unknown_vocabulary_defaults_reasonably() {
-        let cleaner = TextCleaner::with_builtin_seeds();
+        let cleaner = TextCleaner::with_builtin_seeds().unwrap();
         // With no vocabulary word the count vector is empty and the
         // balanced seed sets give equal priors: a tie, which
         // `NaiveBayes::predict` resolves to the last class, content.
@@ -144,7 +185,7 @@ mod tests {
     #[test]
     fn junk_decisions_are_bit_identical_to_the_tokenize_oracle() {
         use datatamer_corpus::{WebTextConfig, WebTextCorpus};
-        let cleaner = TextCleaner::with_builtin_seeds();
+        let cleaner = TextCleaner::with_builtin_seeds().unwrap();
         for seed in [0xDA7A_7A3E, 7] {
             let corpus = WebTextCorpus::generate(&WebTextConfig {
                 num_fragments: 250,
@@ -163,8 +204,8 @@ mod tests {
             for f in &fragments {
                 let got = cleaner.model.scores(&cleaner.vocab.counts(f));
                 let want = oracle_scores(&cleaner, f);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{f:?}");
+                assert_words_score_as_text(&cleaner, f);
                 junk += usize::from(cleaner.is_junk(f));
             }
             assert!(junk >= JUNK_SEEDS.len(), "seed {seed}: {junk} junk");
@@ -173,9 +214,76 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "both classes")]
-    fn empty_class_panics() {
-        TextCleaner::train(&[], &["x"]);
+    fn words_score_as_text_on_fixed_cases() {
+        let cleaner = TextCleaner::with_builtin_seeds().unwrap();
+        let mut fragments = vec![
+            "",
+            "camelCase clickHere acceptCookies",
+            "3D printing 3d 42Buy 7pm",
+            "grossed 960,998, or 93 percent",
+            "O'Brien's sign-up log-in",
+            "ΑΣ:Β ΑΣ σ",
+            "İstanbul \u{212a}elvin CAFÉ café ǅemal Straße",
+            "XMLHttpRequest SIGN UP NOW",
+            "click_here privacy.policy terms/of/service",
+        ];
+        let upper: Vec<String> = JUNK_SEEDS.iter().map(|j| j.to_uppercase()).collect();
+        fragments.extend(JUNK_SEEDS.iter().chain(CONTENT_SEEDS));
+        fragments.extend(upper.iter().map(String::as_str));
+        for f in fragments {
+            assert_words_score_as_text(&cleaner, f);
+        }
+    }
+
+    /// Pieces the proptest glues into fragments: the seeds' words in
+    /// several cases, camel case, digits before capitals, internal marks,
+    /// and non-ASCII letters whose lowercase differs in length or depends
+    /// on the next character (the final sigma).
+    const PIECES: &[&str] = &[
+        "click", "Click", "CLICK", "clickHere", "subscribe", "newsletter", "cookies", "Cookies",
+        "accept", "free", "shipping", "buy", "now", "the", "The", "theatre", "broadway", "musical",
+        "grossed", "3D", "3d", "42Buy", "960,998", "O'Brien", "sign-up", "U.S.", "W.", "ΑΣ:Β",
+        "ΑΣ", "Σ", "σ", "İstanbul", "\u{212a}elvin", "CAFÉ", "café", "ß", "ǅemal", "x\u{301}",
+        "Ⅻ", "🎭", "日本", "_", "-", ".", ",", "'", ":", "\"", "/",
+    ];
+
+    proptest! {
+        #[test]
+        fn words_score_as_text_on_generated_fragments(
+            picks in prop::collection::vec(0..PIECES.len(), 0..30),
+            glue in prop::collection::vec(0..3usize, 0..30),
+        ) {
+            let mut text = String::new();
+            for (k, p) in picks.iter().enumerate() {
+                text.push_str(PIECES[*p]);
+                text.push_str(["", " ", "  "][glue.get(k).copied().unwrap_or(0)]);
+            }
+            assert_words_score_as_text(&TextCleaner::with_builtin_seeds().unwrap(), &text);
+        }
+
+        #[test]
+        fn words_score_as_text_on_arbitrary_unicode(
+            code_points in prop::collection::vec((any::<bool>(), 0u32..0x11_0000), 0..40),
+        ) {
+            // Half ASCII, so words, marks and camel breaks form; half any
+            // scalar value.
+            let text: String = code_points
+                .iter()
+                .filter_map(|&(ascii, c)| char::from_u32(if ascii { c % 128 } else { c }))
+                .collect();
+            assert_words_score_as_text(&TextCleaner::with_builtin_seeds().unwrap(), &text);
+        }
+    }
+
+    #[test]
+    fn empty_class_is_an_error() {
+        for (junk, content) in [(&[][..], &["x"][..]), (&["x"][..], &[][..])] {
+            let err = TextCleaner::train(junk, content).err();
+            assert!(
+                matches!(&err, Some(DtError::Invalid(m)) if m.contains("both classes")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -183,7 +291,8 @@ mod tests {
         let cleaner = TextCleaner::train(
             &["lorem ipsum dolor sit amet"],
             &["real estate listings downtown"],
-        );
+        )
+        .unwrap();
         assert!(cleaner.is_junk("lorem ipsum dolor"));
         assert!(!cleaner.is_junk("downtown real estate"));
     }

@@ -1,4 +1,4 @@
-//! Text ingestion: clean → parse → store → extract fusion records.
+//! Text ingestion: tokenise → clean → parse → store → extract fusion records.
 //!
 //! Produces the paper's two text-side collections:
 //!
@@ -7,25 +7,43 @@
 //! * `entity` (WEBENTITIES): one flat document per extracted mention, with
 //!   **8 indexes** — exactly Table II's `nindexes: 8`.
 //!
-//! Fragments go through in chunks of `CHUNK` (256). Per chunk, the junk check,
-//! parse and instance-document build run in parallel in input order; the
-//! kept instances are stored with one [`Collection::insert_many`], the
-//! entity documents (which need their instance's id as `fragment_ref`) are
-//! built in parallel and stored with a second one, and the show records are
-//! numbered sequentially. `insert_many` places a batch exactly as repeated
-//! single inserts in input order would, so every document id, stored byte,
-//! reported stat and show record is the one a fragment-at-a-time loop
-//! produces, at any thread count. The indexes are declarations: storing a
-//! document does no index work, and `Collection::stats` measures them.
+//! Each fragment is read in one pass. It is tokenised once
+//! ([`Tokenized`]); the junk filter decides from those words
+//! ([`TextCleaner::is_junk_words`]), and only a kept fragment goes on to
+//! the parser ([`DomainParser::parse_tokenized`]), which reads the same
+//! tokens. Stored documents are never built as
+//! [`Document`](datatamer_model::Document)s: each is
+//! written once, field by field, into its storage encoding
+//! ([`Writer`]), straight from the parse, and placed with
+//! [`Collection::insert_encoded`]. A mention's canonical name is computed
+//! once and written into both its instance entry and its entity document.
+//!
+//! Fragments go through in chunks of `CHUNK` (256). Per chunk, the
+//! tokenise, junk check, parse and instance encoding run in parallel in
+//! input order, and the kept instances are placed in one batch. The entity
+//! documents, which need their instance's id as `fragment_ref`, are then
+//! encoded in parallel and placed in a second batch, and the show records
+//! are numbered sequentially. A batch is placed exactly as repeated single
+//! inserts in input order would be, so every document id, stored byte,
+//! reported stat and show record is the one a fragment-at-a-time loop over
+//! `Document`s produces, at any thread count. The `Document` forms
+//! ([`ParsedFragment::to_instance_doc`], [`ParsedFragment::entity_docs`])
+//! are the tests' oracle for the bytes written here. The indexes are
+//! declarations: storing a document does no index work, and
+//! `Collection::stats` measures them.
 
 use std::sync::Arc;
 
 use rayon::prelude::*;
 
 use datatamer_clean::TextCleaner;
-use datatamer_model::{Document, Record, RecordId, Result, SourceId, Value};
+use datatamer_model::{Record, RecordId, Result, SourceId, Value};
+use datatamer_storage::encode::{EncodedDoc, Writer};
 use datatamer_storage::{Collection, IndexSpec, Store};
-use datatamer_text::{DomainParser, EntityType, ParsedFragment};
+use datatamer_text::normalize::canonical_name;
+use datatamer_text::parser::SPAN_LISTS;
+use datatamer_text::scan::SpanKind;
+use datatamer_text::{DomainParser, EntityType, Mention, ParsedFragment, Tokenized};
 
 use crate::fusion::{SHOW_NAME, TEXT_FEED};
 
@@ -52,12 +70,102 @@ const ENTITY_INDEXES: [(&str, &str); 8] = [
 /// once while giving every parallel step enough work to spread.
 const CHUNK: usize = 256;
 
-/// A fragment that passed the cleaner, parsed, with its instance document.
+/// A fragment that passed the cleaner, parsed, with its instance document
+/// encoded.
 struct Kept<'a> {
     fragment: &'a str,
     label: &'a str,
     parsed: ParsedFragment,
-    instance_doc: Document,
+    /// `canonical_name` of each mention, in mention order.
+    canonicals: Vec<String>,
+    instance: EncodedDoc,
+}
+
+/// The WEBINSTANCE document of a parsed fragment, encoded: the fields and
+/// order of [`ParsedFragment::to_instance_doc`] with `source` (the
+/// fragment's label) appended. `canonicals` are the mentions' canonical
+/// names, in mention order.
+fn write_instance(parsed: &ParsedFragment, canonicals: &[String], label: &str) -> EncodedDoc {
+    let in_list = |kinds: &'static [SpanKind]| {
+        parsed.spans.iter().filter(move |s| kinds.contains(&s.kind))
+    };
+    let list_lens = SPAN_LISTS.map(|(_, kinds)| in_list(kinds).count());
+    let has_entities = !parsed.mentions.is_empty();
+    let fields = 3 + usize::from(has_entities) + list_lens.iter().filter(|&&n| n > 0).count();
+    let capacity = 64
+        + parsed.text.len()
+        + label.len()
+        + parsed.mentions.iter().map(|m| 2 * m.text.len() + 72).sum::<usize>()
+        + parsed.spans.iter().map(|s| s.text.len() + 2).sum::<usize>();
+    let mut w = Writer::document(fields, capacity);
+    w.field("fragment");
+    w.str(&parsed.text);
+    w.field("chars");
+    w.int(parsed.text.len() as i64);
+    if has_entities {
+        w.field("entities");
+        w.array(parsed.mentions.len());
+        for (m, canonical) in parsed.mentions.iter().zip(canonicals) {
+            w.sub_document(6);
+            w.field("type");
+            w.str(m.entity_type.name());
+            w.field("name");
+            w.str(&m.text);
+            w.field("canonical");
+            w.str(canonical);
+            w.field("start");
+            w.int(m.start as i64);
+            w.field("end");
+            w.int(m.end as i64);
+            w.field("confidence");
+            w.float(m.confidence);
+        }
+    }
+    for ((name, kinds), n) in SPAN_LISTS.iter().zip(list_lens) {
+        if n > 0 {
+            w.field(name);
+            w.array(n);
+            for s in in_list(kinds) {
+                w.str(&s.text);
+            }
+        }
+    }
+    w.field("source");
+    w.str(label);
+    w.finish()
+}
+
+/// The WEBENTITIES document of mention `m` of `parsed`, encoded: the
+/// fields and order of its [`ParsedFragment::entity_docs`] entry with
+/// `fragment_ref` (its instance's id), `source` (the fragment's label) and
+/// `chars` (the mention's byte length) appended.
+fn write_entity(
+    parsed: &ParsedFragment,
+    m: &Mention,
+    canonical: &str,
+    fragment_ref: i64,
+    label: &str,
+) -> EncodedDoc {
+    let context = parsed.context(m);
+    let capacity = 96 + m.text.len() + canonical.len() + context.len() + label.len();
+    let mut w = Writer::document(8, capacity);
+    w.field("type");
+    w.str(m.entity_type.name());
+    w.field("name");
+    w.str(&m.text);
+    w.field("canonical");
+    w.str(canonical);
+    w.field("confidence");
+    w.float(m.confidence);
+    w.field("context");
+    w.str(context);
+    w.field("fragment_ref");
+    w.int(fragment_ref);
+    w.field("source");
+    w.str(label);
+    w.field("chars");
+    w.int(m.text.len() as i64);
+    w.finish()
 }
 
 /// Outcome counts of a text ingestion run.
@@ -82,9 +190,10 @@ pub struct TextIngestor {
 }
 
 impl TextIngestor {
-    /// With a parser and the built-in ML cleaner.
-    pub fn new(parser: DomainParser) -> Self {
-        TextIngestor { parser, cleaner: TextCleaner::with_builtin_seeds() }
+    /// With a parser and the built-in ML cleaner (whose training is the
+    /// error, should it fail).
+    pub fn new(parser: DomainParser) -> Result<Self> {
+        Ok(TextIngestor { parser, cleaner: TextCleaner::with_builtin_seeds()? })
     }
 
     /// Ensure the `instance` and `entity` collections exist with the
@@ -131,40 +240,34 @@ impl TextIngestor {
             let kept: Vec<Kept> = chunk
                 .par_iter()
                 .filter_map(|&(fragment, label)| {
-                    if self.cleaner.is_junk(fragment) {
+                    let tokenized = Tokenized::new(fragment);
+                    if self.cleaner.is_junk_words(tokenized.words().iter()) {
                         return None;
                     }
-                    let parsed = self.parser.parse(fragment);
-                    let mut instance_doc = parsed.to_instance_doc();
-                    instance_doc.set("source", Value::from(label));
-                    Some(Kept { fragment, label, parsed, instance_doc })
+                    let parsed = self.parser.parse_tokenized(&tokenized);
+                    let canonicals: Vec<String> =
+                        parsed.mentions.iter().map(|m| canonical_name(&m.text)).collect();
+                    let instance = write_instance(&parsed, &canonicals, label);
+                    Some(Kept { fragment, label, parsed, canonicals, instance })
                 })
                 .collect();
             stats.fragments_seen += chunk.len();
             stats.fragments_dropped += chunk.len() - kept.len();
 
-            let instance_ids = instance_col.insert_many(kept.iter().map(|k| &k.instance_doc))?;
+            let instance_ids = instance_col.insert_encoded(kept.iter().map(|k| &k.instance))?;
             stats.instances += instance_ids.len() as u64;
 
-            let entity_docs: Vec<Document> = (0..kept.len())
+            let entity_docs: Vec<EncodedDoc> = (0..kept.len())
                 .into_par_iter()
                 .flat_map(|i| {
                     let k = &kept[i];
-                    let fragment_ref = Value::Int(instance_ids[i].0 as i64);
-                    k.parsed
-                        .mentions
-                        .iter()
-                        .zip(k.parsed.entity_docs())
-                        .map(|(mention, mut entity_doc)| {
-                            entity_doc.set("fragment_ref", fragment_ref.clone());
-                            entity_doc.set("source", Value::from(k.label));
-                            entity_doc.set("chars", Value::from(mention.text.len()));
-                            entity_doc
-                        })
-                        .collect::<Vec<_>>()
+                    let fragment_ref = instance_ids[i].0 as i64;
+                    k.parsed.mentions.iter().zip(&k.canonicals).map(move |(m, canonical)| {
+                        write_entity(&k.parsed, m, canonical, fragment_ref, k.label)
+                    })
                 })
                 .collect();
-            entity_col.insert_many(&entity_docs)?;
+            entity_col.insert_encoded(&entity_docs)?;
             stats.entities += entity_docs.len() as u64;
 
             // Movie mentions become fusion-ready show records.
@@ -188,15 +291,18 @@ impl TextIngestor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datatamer_model::Document;
+    use datatamer_storage::encode::encode_document;
     use datatamer_storage::{CollectionConfig, CollectionStats, DocId};
     use datatamer_text::Gazetteer;
+    use proptest::prelude::*;
 
     fn ingestor() -> TextIngestor {
         let mut g = Gazetteer::new();
         g.add("Matilda", EntityType::Movie, 0.95);
         g.add("London", EntityType::City, 0.9);
         g.add("Wicked", EntityType::Movie, 0.95);
-        TextIngestor::new(DomainParser::with_gazetteer(g))
+        TextIngestor::new(DomainParser::with_gazetteer(g)).unwrap()
     }
 
     fn cfg() -> CollectionConfig {
@@ -257,8 +363,10 @@ mod tests {
         assert_eq!(stats.instances, 1);
     }
 
-    /// The fragment-at-a-time loop the chunked path replaced: one insert
-    /// per instance and one per mention. The chunked path must leave
+    /// The fragment-at-a-time loop the chunked path replaced: the junk
+    /// filter over the raw text, the parse, `Document`s for the instance
+    /// and each mention, and one insert per document. The chunked path,
+    /// which tokenises once and encodes straight from the parse, must leave
     /// exactly what this leaves.
     fn ingest_sequential<'a>(
         ing: &TextIngestor,
@@ -357,7 +465,7 @@ mod tests {
         // 3 shards: a shard count that does not divide the chunk size.
         let config =
             CollectionConfig { extent_size: 16 * 1024, shards: 3, ..Default::default() };
-        let ing = TextIngestor::new(DomainParser::with_gazetteer(g));
+        let ing = TextIngestor::new(DomainParser::with_gazetteer(g)).unwrap();
         let want_store = Store::new("dt");
         let want =
             ingest_sequential(&ing, &want_store, config.clone(), SourceId(3), fragments()).unwrap();
@@ -379,6 +487,114 @@ mod tests {
             assert_eq!(got, want, "stats and show records at {threads} threads");
             assert!(image(&store, INSTANCE_COLLECTION) == want_instances, "{threads}");
             assert!(image(&store, ENTITY_COLLECTION) == want_entities, "{threads}");
+        }
+    }
+
+    /// The instance and entity documents of a parsed fragment, built as
+    /// `Document`s the way the ingest built them before it wrote their
+    /// encodings straight from the parse.
+    fn oracle_docs(parsed: &ParsedFragment, label: &str, fragment_ref: i64) -> (Document, Vec<Document>) {
+        let mut instance = parsed.to_instance_doc();
+        instance.set("source", Value::from(label));
+        let entities = parsed
+            .mentions
+            .iter()
+            .zip(parsed.entity_docs())
+            .map(|(m, mut d)| {
+                d.set("fragment_ref", Value::Int(fragment_ref));
+                d.set("source", Value::from(label));
+                d.set("chars", Value::from(m.text.len()));
+                d
+            })
+            .collect();
+        (instance, entities)
+    }
+
+    /// `write_instance` and `write_entity` give exactly the bytes
+    /// `encode_document` gives the oracle's documents. Returns the number
+    /// of entity documents compared.
+    fn assert_writes_as_the_oracle(
+        parser: &DomainParser,
+        text: &str,
+        label: &str,
+        fragment_ref: i64,
+    ) -> usize {
+        let parsed = parser.parse(text);
+        let canonicals: Vec<String> =
+            parsed.mentions.iter().map(|m| canonical_name(&m.text)).collect();
+        let (instance, entities) = oracle_docs(&parsed, label, fragment_ref);
+        assert_eq!(
+            write_instance(&parsed, &canonicals, label).as_bytes(),
+            encode_document(&instance),
+            "instance of {text:?}"
+        );
+        assert_eq!(entities.len(), parsed.mentions.len());
+        for ((m, canonical), want) in parsed.mentions.iter().zip(&canonicals).zip(&entities) {
+            assert_eq!(
+                write_entity(&parsed, m, canonical, fragment_ref, label).as_bytes(),
+                encode_document(want),
+                "entity {m:?} of {text:?}"
+            );
+        }
+        entities.len()
+    }
+
+    #[test]
+    fn writers_encode_corpus_fragments_as_the_document_oracle() {
+        use datatamer_corpus::{WebTextConfig, WebTextCorpus};
+        for (seed, padding_sentences) in [(0xDA7A_7A3E, 2), (7, 0)] {
+            let corpus = WebTextCorpus::generate(&WebTextConfig {
+                num_fragments: 300,
+                seed,
+                padding_sentences,
+                ..Default::default()
+            });
+            let parser = DomainParser::with_gazetteer(corpus.gazetteer.clone());
+            let mut entities = 0;
+            for (i, f) in corpus.fragments.iter().enumerate() {
+                // Ids of every varint width, negative ones included.
+                let refs = [0, 1, 63, 64, -65, i64::MAX, i64::MIN, (i as i64) << 40];
+                entities += assert_writes_as_the_oracle(
+                    &parser,
+                    &f.text,
+                    f.kind.label(),
+                    refs[i % refs.len()],
+                );
+            }
+            assert!(entities > 3 * corpus.fragments.len(), "seed {seed}: {entities} entities");
+        }
+        let parser = ingestor().parser;
+        for (text, label) in oracle_fragments() {
+            assert_writes_as_the_oracle(&parser, &text, label, 5);
+        }
+        assert_writes_as_the_oracle(&parser, "", "", 0);
+    }
+
+    /// Pieces the proptest glues into fragments: gazetteer names, quoted
+    /// titles, URLs, money, dates, times, percents, heuristic triggers and
+    /// non-ASCII text (the context window counts characters, not bytes).
+    const PIECES: &[&str] = &[
+        "Matilda", "Wicked", "London", "\"The Last Ship\"", "\u{201c}Kinky Boots\u{201d}",
+        "http://playbill.com/x", "www.broadway.org.", "$27", "960,998", "grossed", "percent",
+        "93 %", "March 4, 2013", "3/4/2013", "7pm", "Mr.", "Lloyd", "Webber", "said",
+        "Recorded", "Future", "Inc", "Shubert", "Theatre", "producer", "the", "café", "ΑΣ:Β",
+        "日本語のテキスト", "🎭", ",", ".", "'",
+    ];
+
+    proptest! {
+        #[test]
+        fn writers_encode_generated_fragments_as_the_document_oracle(
+            picks in prop::collection::vec(0..PIECES.len(), 0..40),
+            glue in prop::collection::vec(0..3usize, 0..40),
+            label in "[a-z\u{e9}]{0,8}",
+            fragment_ref in any::<i64>(),
+        ) {
+            let mut text = String::new();
+            for (k, p) in picks.iter().enumerate() {
+                text.push_str(PIECES[*p]);
+                text.push_str([" ", "", "  "][glue.get(k).copied().unwrap_or(0)]);
+            }
+            assert_writes_as_the_oracle(&ingestor().parser, &text, &label, fragment_ref);
         }
     }
 }

@@ -349,7 +349,7 @@ impl PipelineStage for IngestStage<'_> {
         let mut storage = Vec::new();
         if let Some(job) = self.text.take() {
             let source_id = ctx.catalog.register("webtext", SourceKind::Text);
-            let (stats, shows) = TextIngestor::new(job.parser).ingest(
+            let (stats, shows) = TextIngestor::new(job.parser)?.ingest(
                 &ctx.store,
                 ctx.config.collection_config(),
                 source_id,

@@ -15,6 +15,7 @@ use datatamer_sim as sim;
 
 use crate::crossval::{cross_validate, CrossValReport};
 use crate::logreg::{LogRegConfig, LogisticRegression};
+use crate::Result;
 
 /// Similarity feature extractor for name pairs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -106,17 +107,18 @@ pub struct DedupClassifier {
 }
 
 impl DedupClassifier {
-    /// Train on labelled string pairs.
-    pub fn train(pairs: &[(String, String, bool)], config: &LogRegConfig) -> Self {
+    /// Train on labelled string pairs; no pairs is the error.
+    pub fn train(pairs: &[(String, String, bool)], config: &LogRegConfig) -> Result<Self> {
         let xs: Vec<Vec<f64>> =
             pairs.iter().map(|(a, b, _)| PairFeatures::extract(a, b)).collect();
         let ys: Vec<bool> = pairs.iter().map(|(_, _, y)| *y).collect();
-        DedupClassifier { model: LogisticRegression::train(&xs, &ys, config) }
+        Ok(DedupClassifier { model: LogisticRegression::train(&xs, &ys, config)? })
     }
 
     /// Probability the pair is a duplicate.
     pub fn proba(&self, a: &str, b: &str) -> f64 {
-        self.model.predict_proba(&PairFeatures::extract(a, b))
+        // Training rows and this row come from the same extractor.
+        self.model.proba_of_row(&PairFeatures::extract(a, b))
     }
 
     /// Access the underlying linear model.
@@ -126,22 +128,24 @@ impl DedupClassifier {
 }
 
 /// Stratified k-fold cross-validation of the dedup classifier over labelled
-/// pairs — the paper's evaluation protocol (10-fold in the paper).
+/// pairs — the paper's evaluation protocol (10-fold in the paper). Fewer
+/// pairs than folds is the error.
 pub fn crossval_dedup(
     pairs: &[(String, String, bool)],
     k: usize,
     seed: u64,
     config: &LogRegConfig,
-) -> CrossValReport {
+) -> Result<CrossValReport> {
     let features: Vec<Vec<f64>> =
         pairs.iter().map(|(a, b, _)| PairFeatures::extract(a, b)).collect();
     let labels: Vec<bool> = pairs.iter().map(|(_, _, y)| *y).collect();
     cross_validate(&labels, k, seed, |train_idx| {
         let xs: Vec<Vec<f64>> = train_idx.iter().map(|&i| features[i].clone()).collect();
         let ys: Vec<bool> = train_idx.iter().map(|&i| labels[i]).collect();
-        let model = LogisticRegression::train(&xs, &ys, config);
+        let model = LogisticRegression::train(&xs, &ys, config)?;
         let features = features.clone();
-        move |i: usize| model.predict(&features[i])
+        // Every row comes from `PairFeatures::extract`, as the training rows.
+        Ok(move |i: usize| model.proba_of_row(&features[i]) >= 0.5)
     })
 }
 
@@ -218,7 +222,7 @@ mod tests {
     #[test]
     fn classifier_learns_toy_data() {
         let pairs = toy_pairs();
-        let clf = DedupClassifier::train(&pairs, &LogRegConfig::default());
+        let clf = DedupClassifier::train(&pairs, &LogRegConfig::default()).unwrap();
         assert!(clf.proba("Matilda", "matilda") >= 0.5);
         assert!(clf.proba("Trees Lounge", "Trees Lounge") >= 0.5);
         assert!(clf.proba("Matilda", "The Lion King") < 0.5);
@@ -230,7 +234,7 @@ mod tests {
     #[test]
     fn crossval_on_toy_data_is_strong() {
         let pairs = toy_pairs();
-        let report = crossval_dedup(&pairs, 4, 7, &LogRegConfig::default());
+        let report = crossval_dedup(&pairs, 4, 7, &LogRegConfig::default()).unwrap();
         let m = report.metrics();
         assert!(m.precision > 0.9, "{m}");
         assert!(m.recall > 0.9, "{m}");
@@ -240,8 +244,8 @@ mod tests {
     #[test]
     fn crossval_is_deterministic() {
         let pairs = toy_pairs();
-        let a = crossval_dedup(&pairs, 4, 7, &LogRegConfig::default()).metrics();
-        let b = crossval_dedup(&pairs, 4, 7, &LogRegConfig::default()).metrics();
+        let a = crossval_dedup(&pairs, 4, 7, &LogRegConfig::default()).unwrap().metrics();
+        let b = crossval_dedup(&pairs, 4, 7, &LogRegConfig::default()).unwrap().metrics();
         assert_eq!(a, b);
     }
 }

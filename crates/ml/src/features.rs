@@ -4,6 +4,8 @@ use std::collections::HashMap;
 
 use datatamer_sim::tokens::{for_each_token, tokenize, FnvBuildHasher};
 
+use crate::{invalid, Result};
+
 /// A sparse feature vector: sorted `(index, value)` pairs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVec(pub Vec<(u32, f64)>);
@@ -67,10 +69,13 @@ pub struct HashingVectorizer {
 }
 
 impl HashingVectorizer {
-    /// Create with the given dimensionality (buckets).
-    pub fn new(dim: u32) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        HashingVectorizer { dim }
+    /// Create with the given dimensionality (buckets); zero buckets is
+    /// the error.
+    pub fn new(dim: u32) -> Result<Self> {
+        if dim == 0 {
+            return invalid("dimension must be positive");
+        }
+        Ok(HashingVectorizer { dim })
     }
 
     /// Dimensionality.
@@ -166,6 +171,37 @@ impl Vocabulary {
         SparseVec::from_pairs(pairs)
     }
 
+    /// [`Self::counts`] of a text that is already split into words: each
+    /// item is one word's raw text and its lowercase form, in text order.
+    /// The result equals `counts` of the text when every boundary between
+    /// two words is also a [`for_each_token`] break, and the text between
+    /// words holds no letter or digit. That is so for the word tokens of
+    /// `datatamer_text::tokenize`: two letters or digits in a row are
+    /// always in one of its tokens.
+    ///
+    /// A word that [`for_each_token`] yields whole is probed by its
+    /// lowercase form, with no token walk: one made of ASCII letters and
+    /// digits only, with no lowercase letter or digit followed by an
+    /// uppercase letter (a camel-case break). Any other word (`O'Brien`,
+    /// `960,998`, `showName`, `café`) is walked with [`for_each_token`].
+    pub fn counts_words<'w>(&self, words: impl IntoIterator<Item = (&'w str, &'w str)>) -> SparseVec {
+        let mut pairs = Vec::new();
+        for (raw, lower) in words {
+            if is_one_ascii_token(raw) {
+                if let Some(id) = self.index.get(lower) {
+                    pairs.push((*id, 1.0));
+                }
+            } else {
+                for_each_token(raw, |t| {
+                    if let Some(id) = self.index.get(t) {
+                        pairs.push((*id, 1.0));
+                    }
+                });
+            }
+        }
+        SparseVec::from_pairs(pairs)
+    }
+
     /// TF-IDF vector (sub-linear TF, smoothed IDF, L2-normalised).
     pub fn tfidf(&self, text: &str) -> SparseVec {
         let mut v = self.counts(text);
@@ -180,6 +216,20 @@ impl Vocabulary {
         }
         v
     }
+}
+
+/// Whether [`for_each_token`] yields `word` as one token that is its ASCII
+/// lowercase: a non-empty run of ASCII letters and digits with no camel
+/// break.
+fn is_one_ascii_token(word: &str) -> bool {
+    let mut prev_lower = false;
+    for &c in word.as_bytes() {
+        if !c.is_ascii_alphanumeric() || (prev_lower && c.is_ascii_uppercase()) {
+            return false;
+        }
+        prev_lower = c.is_ascii_lowercase() || c.is_ascii_digit();
+    }
+    !word.is_empty()
 }
 
 #[cfg(test)]
@@ -268,7 +318,7 @@ mod tests {
 
     #[test]
     fn hashing_is_deterministic_and_bounded() {
-        let h = HashingVectorizer::new(64);
+        let h = HashingVectorizer::new(64).unwrap();
         let a = h.transform("matilda at the shubert");
         let b = h.transform("matilda at the shubert");
         assert_eq!(a, b);
@@ -278,16 +328,32 @@ mod tests {
 
     #[test]
     fn hashing_identical_tokens_accumulate() {
-        let h = HashingVectorizer::new(1024);
+        let h = HashingVectorizer::new(1024).unwrap();
         let v = h.transform("show show show");
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.0[0].1, 3.0);
     }
 
+    // The bad input is an `MlError`; `unwrap` turns it into the panic
+    // the test expects.
     #[test]
     #[should_panic(expected = "dimension")]
     fn zero_dim_panics() {
-        HashingVectorizer::new(0);
+        HashingVectorizer::new(0).unwrap();
+    }
+
+    #[test]
+    fn one_ascii_token_words() {
+        for word in ["show", "SHOW", "Show", "x", "3d", "3D", "mr", "XMLHttp"] {
+            let mut tokens = Vec::new();
+            for_each_token(word, |t| tokens.push(t.to_owned()));
+            let whole = tokens == [word.to_ascii_lowercase()];
+            assert_eq!(is_one_ascii_token(word), whole, "{word:?}: {tokens:?}");
+        }
+        // Camel breaks, internal marks and non-ASCII letters take the walk.
+        for word in ["showName", "x1Y", "O'Brien", "960,998", "café", "ΑΣ", ""] {
+            assert!(!is_one_ascii_token(word), "{word:?}");
+        }
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::{invalid, Result};
+
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
 pub struct LogRegConfig {
@@ -41,16 +43,20 @@ fn sigmoid(z: f64) -> f64 {
 }
 
 impl LogisticRegression {
-    /// Train on dense feature rows with boolean labels.
-    ///
-    /// # Panics
-    /// When `xs` is empty, rows have inconsistent dimensions, or label count
-    /// differs from row count.
-    pub fn train(xs: &[Vec<f64>], ys: &[bool], config: &LogRegConfig) -> Self {
-        assert!(!xs.is_empty(), "training set must be non-empty");
-        assert_eq!(xs.len(), ys.len(), "feature/label count mismatch");
-        let dim = xs[0].len();
-        assert!(xs.iter().all(|x| x.len() == dim), "inconsistent feature dimensions");
+    /// Train on dense feature rows with boolean labels. No rows, rows of
+    /// different dimensions, or a label count unequal to the row count is
+    /// the error.
+    pub fn train(xs: &[Vec<f64>], ys: &[bool], config: &LogRegConfig) -> Result<Self> {
+        let Some(first) = xs.first() else {
+            return invalid("training set must be non-empty");
+        };
+        if xs.len() != ys.len() {
+            return invalid("feature/label count mismatch");
+        }
+        let dim = first.len();
+        if xs.iter().any(|x| x.len() != dim) {
+            return invalid("inconsistent feature dimensions");
+        }
 
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut weights = vec![0.0; dim];
@@ -74,18 +80,28 @@ impl LogisticRegression {
                 bias -= lr * err;
             }
         }
-        LogisticRegression { weights, bias }
+        Ok(LogisticRegression { weights, bias })
     }
 
-    /// Probability that the label is positive.
-    pub fn predict_proba(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.weights.len(), "feature dimension mismatch");
+    /// Probability that the label is positive; a row of another dimension
+    /// than the training rows is the error.
+    pub fn predict_proba(&self, x: &[f64]) -> Result<f64> {
+        if x.len() != self.weights.len() {
+            return invalid("feature dimension mismatch");
+        }
+        Ok(self.proba_of_row(x))
+    }
+
+    /// Hard decision at threshold 0.5, for a row of the training dimension.
+    pub fn predict(&self, x: &[f64]) -> Result<bool> {
+        Ok(self.predict_proba(x)? >= 0.5)
+    }
+
+    /// [`Self::predict_proba`] for a row the caller built with the same
+    /// extractor as the training rows, so of their dimension.
+    pub(crate) fn proba_of_row(&self, x: &[f64]) -> f64 {
+        debug_assert_eq!(x.len(), self.weights.len(), "feature dimension mismatch");
         sigmoid(self.bias + dot_dense(&self.weights, x))
-    }
-
-    /// Hard decision at threshold 0.5.
-    pub fn predict(&self, x: &[f64]) -> bool {
-        self.predict_proba(x) >= 0.5
     }
 
     /// Learned weights (for ablation inspection).
@@ -124,11 +140,11 @@ mod tests {
     #[test]
     fn learns_separable_data() {
         let (xs, ys) = linearly_separable(400);
-        let model = LogisticRegression::train(&xs, &ys, &LogRegConfig::default());
+        let model = LogisticRegression::train(&xs, &ys, &LogRegConfig::default()).unwrap();
         let correct = xs
             .iter()
             .zip(&ys)
-            .filter(|(x, y)| model.predict(x) == **y)
+            .filter(|(x, y)| model.predict(x).unwrap() == **y)
             .count();
         assert!(correct >= 380, "train accuracy too low: {correct}/400");
     }
@@ -136,9 +152,9 @@ mod tests {
     #[test]
     fn probabilities_are_monotone_in_signal() {
         let (xs, ys) = linearly_separable(400);
-        let model = LogisticRegression::train(&xs, &ys, &LogRegConfig::default());
-        let low = model.predict_proba(&[0.0, 0.0]);
-        let high = model.predict_proba(&[2.0, 2.0]);
+        let model = LogisticRegression::train(&xs, &ys, &LogRegConfig::default()).unwrap();
+        let low = model.predict_proba(&[0.0, 0.0]).unwrap();
+        let high = model.predict_proba(&[2.0, 2.0]).unwrap();
         assert!(low < 0.5, "{low}");
         assert!(high > 0.5, "{high}");
         assert!((0.0..=1.0).contains(&low));
@@ -147,15 +163,16 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (xs, ys) = linearly_separable(100);
-        let m1 = LogisticRegression::train(&xs, &ys, &LogRegConfig::default());
-        let m2 = LogisticRegression::train(&xs, &ys, &LogRegConfig::default());
+        let m1 = LogisticRegression::train(&xs, &ys, &LogRegConfig::default()).unwrap();
+        let m2 = LogisticRegression::train(&xs, &ys, &LogRegConfig::default()).unwrap();
         assert_eq!(m1.weights(), m2.weights());
         assert_eq!(m1.bias(), m2.bias());
         let m3 = LogisticRegression::train(
             &xs,
             &ys,
             &LogRegConfig { seed: 99, ..Default::default() },
-        );
+        )
+        .unwrap();
         assert_ne!(m1.weights(), m3.weights());
     }
 
@@ -166,20 +183,24 @@ mod tests {
             &xs,
             &ys,
             &LogRegConfig { l2: 0.0, ..Default::default() },
-        );
+        )
+        .unwrap();
         let tight = LogisticRegression::train(
             &xs,
             &ys,
             &LogRegConfig { l2: 0.5, ..Default::default() },
-        );
+        )
+        .unwrap();
         let norm = |w: &[f64]| w.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!(norm(tight.weights()) < norm(loose.weights()));
     }
 
+    // The bad input is an `MlError`; `unwrap` turns it into the panic
+    // the test expects.
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_training_panics() {
-        LogisticRegression::train(&[], &[], &LogRegConfig::default());
+        LogisticRegression::train(&[], &[], &LogRegConfig::default()).unwrap();
     }
 
     #[test]
@@ -189,8 +210,20 @@ mod tests {
             &[vec![1.0, 2.0]],
             &[true],
             &LogRegConfig { epochs: 1, ..Default::default() },
-        );
-        model.predict(&[1.0]);
+        )
+        .unwrap();
+        model.predict(&[1.0]).unwrap();
+    }
+
+    #[test]
+    fn mismatched_training_rows_are_an_error() {
+        let config = LogRegConfig { epochs: 1, ..Default::default() };
+        let err = LogisticRegression::train(&[vec![1.0]], &[true, false], &config).unwrap_err();
+        assert_eq!(err.to_string(), "feature/label count mismatch");
+        let err =
+            LogisticRegression::train(&[vec![1.0], vec![1.0, 2.0]], &[true, false], &config)
+                .unwrap_err();
+        assert_eq!(err.to_string(), "inconsistent feature dimensions");
     }
 
     #[test]

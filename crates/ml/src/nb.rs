@@ -5,6 +5,7 @@
 //! deterministic.
 
 use crate::features::SparseVec;
+use crate::{invalid, Result};
 
 /// A trained multinomial naive Bayes model for `num_classes` classes.
 #[derive(Debug, Clone)]
@@ -13,32 +14,45 @@ pub struct NaiveBayes {
     log_prior: Vec<f64>,
     /// log P(term | class), dense per class: `[class][term]`.
     log_likelihood: Vec<Vec<f64>>,
-    vocab_size: usize,
 }
 
 impl NaiveBayes {
     /// Train from `(vector, class)` examples with Laplace smoothing `alpha`.
     ///
-    /// `vocab_size` bounds term indices; out-of-range indices panic.
+    /// `vocab_size` bounds term indices. Fewer than two classes, no
+    /// examples, a class index `>= num_classes` or a term index
+    /// `>= vocab_size` is the error.
     pub fn train(
         examples: &[(SparseVec, usize)],
         num_classes: usize,
         vocab_size: usize,
         alpha: f64,
-    ) -> Self {
-        assert!(num_classes >= 2, "need at least two classes");
-        assert!(!examples.is_empty(), "training set must be non-empty");
+    ) -> Result<Self> {
+        if num_classes < 2 {
+            return invalid("need at least two classes");
+        }
+        if examples.is_empty() {
+            return invalid("training set must be non-empty");
+        }
         let mut class_counts = vec![0u64; num_classes];
         let mut term_counts = vec![vec![0.0f64; vocab_size]; num_classes];
         let mut term_totals = vec![0.0f64; num_classes];
         for (vec, class) in examples {
-            assert!(*class < num_classes, "class index out of range");
-            class_counts[*class] += 1;
+            let (Some(class_count), Some(terms), Some(total)) = (
+                class_counts.get_mut(*class),
+                term_counts.get_mut(*class),
+                term_totals.get_mut(*class),
+            ) else {
+                return invalid("class index out of range");
+            };
+            *class_count += 1;
             for (idx, count) in &vec.0 {
                 let i = *idx as usize;
-                assert!(i < vocab_size, "term index {i} exceeds vocab size {vocab_size}");
-                term_counts[*class][i] += count;
-                term_totals[*class] += count;
+                let Some(term) = terms.get_mut(i) else {
+                    return invalid(format!("term index {i} exceeds vocab size {vocab_size}"));
+                };
+                *term += count;
+                *total += count;
             }
         }
         let n = examples.len() as f64;
@@ -46,46 +60,44 @@ impl NaiveBayes {
             .iter()
             .map(|c| ((*c as f64 + alpha) / (n + alpha * num_classes as f64)).ln())
             .collect();
-        let log_likelihood = (0..num_classes)
-            .map(|c| {
-                let denom = term_totals[c] + alpha * vocab_size as f64;
-                term_counts[c]
-                    .iter()
-                    .map(|tc| ((tc + alpha) / denom).ln())
-                    .collect()
+        let log_likelihood = term_counts
+            .iter()
+            .zip(&term_totals)
+            .map(|(counts, total)| {
+                let denom = total + alpha * vocab_size as f64;
+                counts.iter().map(|tc| ((tc + alpha) / denom).ln()).collect()
             })
             .collect();
-        NaiveBayes { log_prior, log_likelihood, vocab_size }
+        Ok(NaiveBayes { log_prior, log_likelihood })
     }
 
-    /// Log joint score per class.
+    /// Log joint score of each class, in class order.
     pub fn scores(&self, x: &SparseVec) -> Vec<f64> {
-        self.log_prior
-            .iter()
-            .enumerate()
-            .map(|(c, lp)| {
-                lp + x
-                    .0
-                    .iter()
-                    .map(|(idx, count)| {
-                        let i = *idx as usize;
-                        assert!(i < self.vocab_size, "term index out of range");
-                        count * self.log_likelihood[c][i]
-                    })
-                    .sum::<f64>()
-            })
-            .collect()
+        self.class_scores(x).collect()
     }
 
-    /// Most probable class.
+    /// The scores [`Self::scores`] returns, without collecting them. A term
+    /// index outside the training vocabulary adds nothing, like a word the
+    /// vocabulary never saw.
+    fn class_scores<'s>(&'s self, x: &'s SparseVec) -> impl Iterator<Item = f64> + 's {
+        self.log_prior.iter().zip(&self.log_likelihood).map(move |(lp, likelihood)| {
+            lp + x
+                .0
+                .iter()
+                .filter_map(|(idx, count)| likelihood.get(*idx as usize).map(|l| count * l))
+                .sum::<f64>()
+        })
+    }
+
+    /// Most probable class; of equal scores, the last class wins.
     pub fn predict(&self, x: &SparseVec) -> usize {
-        let scores = self.scores(x);
-        scores
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(i, _)| i)
-            .expect("at least two classes")
+        let mut best: Option<(usize, f64)> = None;
+        for (class, score) in self.class_scores(x).enumerate() {
+            if best.is_none_or(|(_, top)| score.total_cmp(&top).is_ge()) {
+                best = Some((class, score));
+            }
+        }
+        best.map_or(0, |(class, _)| class)
     }
 
     /// Number of classes.
@@ -123,7 +135,7 @@ mod tests {
         for t in content {
             examples.push((vocab.counts(t), 1usize));
         }
-        let nb = NaiveBayes::train(&examples, 2, vocab.len(), 1.0);
+        let nb = NaiveBayes::train(&examples, 2, vocab.len(), 1.0).unwrap();
         (nb, vocab)
     }
 
@@ -154,17 +166,48 @@ mod tests {
         }
     }
 
+    // The bad input is an `MlError`; `unwrap` turns it into the panic
+    // the test expects.
     #[test]
     #[should_panic(expected = "class index out of range")]
     fn bad_class_panics() {
         let v = SparseVec::from_pairs(vec![(0, 1.0)]);
-        NaiveBayes::train(&[(v, 5)], 2, 10, 1.0);
+        NaiveBayes::train(&[(v, 5)], 2, 10, 1.0).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_training_panics() {
-        NaiveBayes::train(&[], 2, 10, 1.0);
+        NaiveBayes::train(&[], 2, 10, 1.0).unwrap();
+    }
+
+    #[test]
+    fn out_of_shape_training_data_is_an_error() {
+        let v = |i: u32| SparseVec::from_pairs(vec![(i, 1.0)]);
+        assert!(NaiveBayes::train(&[(v(0), 0)], 1, 10, 1.0).is_err(), "one class");
+        let err = NaiveBayes::train(&[(v(10), 0)], 2, 10, 1.0).unwrap_err();
+        assert_eq!(err.to_string(), "term index 10 exceeds vocab size 10");
+    }
+
+    #[test]
+    fn predict_is_the_last_top_score() {
+        // Equal priors and no known term: every class ties, and the last
+        // wins, as `Iterator::max_by` over the scores picks it.
+        let v = |i: u32| SparseVec::from_pairs(vec![(i, 1.0)]);
+        let nb = NaiveBayes::train(&[(v(0), 0), (v(0), 1), (v(0), 2)], 3, 1, 1.0).unwrap();
+        assert_eq!(nb.predict(&SparseVec::default()), 2);
+        // An index past the vocabulary adds nothing.
+        assert_eq!(nb.scores(&v(7)), nb.scores(&SparseVec::default()));
+        for (i, x) in [v(0), SparseVec::default()].iter().enumerate() {
+            let scores = nb.scores(x);
+            let want = scores
+                .iter()
+                .enumerate()
+                .max_by(|(_, a), (_, b)| a.total_cmp(b))
+                .map(|(c, _)| c)
+                .unwrap();
+            assert_eq!(nb.predict(x), want, "case {i}");
+        }
     }
 
     #[test]
@@ -172,7 +215,7 @@ mod tests {
         let v = |i: u32| SparseVec::from_pairs(vec![(i, 1.0)]);
         // 3 examples of class 0, 1 of class 1, disjoint vocab.
         let examples = vec![(v(0), 0), (v(0), 0), (v(0), 0), (v(1), 1)];
-        let nb = NaiveBayes::train(&examples, 2, 2, 1.0);
+        let nb = NaiveBayes::train(&examples, 2, 2, 1.0).unwrap();
         let empty = SparseVec::default();
         let scores = nb.scores(&empty);
         assert!(scores[0] > scores[1], "majority class wins on empty input");

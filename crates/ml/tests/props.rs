@@ -17,7 +17,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         prop_assume!(labels.len() >= k);
-        let folds = stratified_kfold(&labels, k, seed);
+        let folds = stratified_kfold(&labels, k, seed).unwrap();
         prop_assert_eq!(folds.len(), k);
         let mut all: Vec<usize> = folds.iter().flatten().copied().collect();
         all.sort_unstable();

@@ -9,11 +9,12 @@
 //! touch exactly one shard with no id→location map. Each operation has
 //! one path:
 //!
-//! * **Append.** A single insert appends a one-element batch to the next
-//!   shard, inline on the caller. A batch scatters across shards (encode
-//!   in parallel, reserve the whole round-robin window with one atomic
-//!   bump, one append per shard, shards appending concurrently) and
-//!   gathers `DocId`s back in input order.
+//! * **Append.** Every insert is a batch of [`EncodedDoc`]s placed by
+//!   [`Collection::insert_encoded`]: reserve the whole round-robin window
+//!   with one atomic bump, one append per shard, shards appending
+//!   concurrently, `DocId`s gathered back in input order. A single insert
+//!   is a one-element batch and runs inline on the caller;
+//!   [`Collection::insert_many`] encodes its documents in parallel first.
 //! * **Scan.** [`Collection::parallel_scan`] fans out one rayon task per
 //!   **(shard, extent)** — flushed extents decode concurrently — and
 //!   stitches results back shard-major/extent-major, so output is
@@ -32,7 +33,7 @@ use rayon::prelude::*;
 use datatamer_model::{AttrKey, Document, DtError, Result, Value};
 
 use crate::backend::{BackendConfig, BackendKind, Shard};
-use crate::encode::encode_document;
+use crate::encode::EncodedDoc;
 use crate::index::IndexSpec;
 use crate::stats::CollectionStats;
 
@@ -266,53 +267,63 @@ impl Collection {
     /// the in-memory default never fails) is the error; nothing was
     /// stored.
     pub fn insert(&self, doc: &Document) -> Result<DocId> {
-        let shard_no = self.shard_at(self.reserve(1));
-        let ids = self.append_to(shard_no, &[&encode_document(doc)])?;
+        let ids = self.insert_encoded([&EncodedDoc::of(doc)])?;
         ids.first()
             .copied()
-            .ok_or_else(|| DtError::Io(format!("shard {shard_no} placed no document")))
+            .ok_or_else(|| DtError::Io(format!("collection {} placed no document", self.name)))
     }
 
-    /// Insert a batch, returning ids in input order.
-    ///
-    /// The batch path is what makes ingest scale: documents encode in
-    /// parallel across the rayon team, the batch is placed in input order
-    /// from one reserved round-robin window, and each shard's documents
-    /// append under a single lock acquisition (shards proceed in
-    /// parallel) instead of one lock round-trip per document. Shard
-    /// placement is identical to repeated [`Self::insert`] calls. Backend
-    /// I/O failure surfaces as the error; shards that already appended
-    /// keep their documents, and every reader — the count, scans,
-    /// group-bys and stats alike — sees them. Declared indexes cost
-    /// nothing here: their sizes are measured by [`Self::stats`].
+    /// Insert a batch, returning ids in input order: the documents encode
+    /// in parallel across the rayon team and are placed by
+    /// [`Self::insert_encoded`].
     pub fn insert_many<'a, I: IntoIterator<Item = &'a Document>>(
         &self,
         docs: I,
     ) -> Result<Vec<DocId>> {
         let docs: Vec<&Document> = docs.into_iter().collect();
+        let encoded: Vec<EncodedDoc> = docs.par_iter().map(|d| EncodedDoc::of(d)).collect();
+        self.insert_encoded(&encoded)
+    }
+
+    /// Place already-encoded documents, returning ids in input order. Every
+    /// insert comes through here.
+    ///
+    /// The batch is placed in input order from one reserved round-robin
+    /// window, and each shard's documents append under a single lock
+    /// acquisition (shards proceed in parallel) instead of one lock
+    /// round-trip per document. Shard placement is identical to repeated
+    /// single inserts. Backend I/O failure surfaces as the error (the
+    /// first failing shard's, in shard order); shards that already
+    /// appended keep their documents, and every reader — the count,
+    /// scans, group-bys and stats alike — sees them. Declared indexes cost
+    /// nothing here: their sizes are measured by [`Self::stats`].
+    pub fn insert_encoded<'a, I: IntoIterator<Item = &'a EncodedDoc>>(
+        &self,
+        docs: I,
+    ) -> Result<Vec<DocId>> {
+        let docs: Vec<&[u8]> = docs.into_iter().map(EncodedDoc::as_bytes).collect();
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        let encoded: Vec<Vec<u8>> = docs.par_iter().map(|d| encode_document(d)).collect();
         let base = self.reserve(docs.len());
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for i in 0..docs.len() {
             per_shard[self.shard_at(base + i as u64)].push(i);
         }
-        let placed: Vec<Result<Vec<DocId>>> = (0..self.shards.len())
-            .into_par_iter()
-            .map(|shard_no| {
-                let batch: Vec<&[u8]> =
-                    per_shard[shard_no].iter().map(|&i| encoded[i].as_slice()).collect();
-                if batch.is_empty() {
-                    return Ok(Vec::new());
-                }
+        // Only shards that get a document take part, so a one-document
+        // insert runs inline on the caller.
+        let busy: Vec<usize> =
+            (0..self.shards.len()).filter(|&shard_no| !per_shard[shard_no].is_empty()).collect();
+        let placed: Vec<Result<Vec<DocId>>> = busy
+            .par_iter()
+            .map(|&shard_no| {
+                let batch: Vec<&[u8]> = per_shard[shard_no].iter().map(|&i| docs[i]).collect();
                 self.append_to(shard_no, &batch)
             })
             .collect();
         let mut ids = vec![DocId(0); docs.len()];
-        for (doc_indexes, shard_ids) in per_shard.iter().zip(placed) {
-            for (&i, id) in doc_indexes.iter().zip(shard_ids?) {
+        for (&shard_no, shard_ids) in busy.iter().zip(placed) {
+            for (&i, id) in per_shard[shard_no].iter().zip(shard_ids?) {
                 ids[i] = id;
             }
         }
@@ -500,6 +511,7 @@ impl std::fmt::Debug for Collection {
 mod tests {
     use super::*;
     use datatamer_model::doc;
+    use proptest::prelude::*;
 
     fn small() -> Collection {
         Collection::new(
@@ -864,5 +876,44 @@ mod tests {
         assert_eq!(ms.count, fs.count);
         assert_eq!(ms.num_extents, fs.num_extents);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // `insert_many` is a parallel encode plus `insert_encoded`: the same
+    // ids, documents and stats, whatever was inserted before and however
+    // the batches split.
+    proptest! {
+        #[test]
+        fn insert_many_is_encode_then_insert_encoded(
+            sizes in prop::collection::vec(0..40usize, 1..5),
+            pad in 0..30usize,
+            shards in 1..6usize,
+            singles in 0..4usize,
+        ) {
+            let config = CollectionConfig { extent_size: 300, shards, ..Default::default() };
+            let (many, encoded) =
+                (Collection::new("m", config.clone()).unwrap(), Collection::new("m", config).unwrap());
+            for c in [&many, &encoded] {
+                c.create_index(IndexSpec::new("by_k", "k")).unwrap();
+                for i in 0..singles {
+                    c.insert(&doc! {"single" => i as i64}).unwrap();
+                }
+            }
+            let mut n = 0i64;
+            for size in sizes {
+                let docs: Vec<Document> = (0..size)
+                    .map(|_| {
+                        n += 1;
+                        doc! {"i" => n, "k" => format!("k{}", n % 7), "pad" => "p".repeat(pad)}
+                    })
+                    .collect();
+                let want = many.insert_many(&docs).unwrap();
+                let bytes: Vec<EncodedDoc> = docs.iter().map(EncodedDoc::of).collect();
+                prop_assert_eq!(encoded.insert_encoded(&bytes).unwrap(), want);
+            }
+            let scan = |c: &Collection| c.parallel_scan(|id, d| Some((id, d.clone()))).unwrap();
+            prop_assert_eq!(scan(&many), scan(&encoded));
+            prop_assert_eq!(many.stats("dt").unwrap(), encoded.stats("dt").unwrap());
+            prop_assert_eq!(many.storage_report(), encoded.storage_report());
+        }
     }
 }

@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 use datatamer_model::{DtError, Record, RecordId, Result, SourceId, Value};
 
-use crate::encode::{decode_value, encode_value, get_varint, put_varint};
+use crate::encode::{decode_value, get_varint, put_varint, Writer};
 
 const LOG_MAGIC: &[u8; 8] = b"DTDELTA1";
 
@@ -50,19 +50,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 fn encode_records(records: &[Record]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, records.len() as u64);
+    let mut w = Writer::frame();
+    w.varint(records.len() as u64);
     for r in records {
-        put_varint(&mut buf, u64::from(r.source.0));
-        put_varint(&mut buf, r.id.0);
-        put_varint(&mut buf, r.len() as u64);
+        w.varint(u64::from(r.source.0));
+        w.varint(r.id.0);
+        w.varint(r.len() as u64);
         for (name, value) in r.iter() {
-            put_varint(&mut buf, name.len() as u64);
-            buf.extend_from_slice(name.as_bytes());
-            encode_value(&mut buf, value);
+            w.field(name);
+            w.value(value);
         }
     }
-    buf
+    w.into_bytes()
 }
 
 fn decode_records(mut buf: &[u8]) -> Result<Vec<Record>> {

@@ -4,8 +4,14 @@
 //! LEB128 varints. Strings are UTF-8 bytes. Documents are sequences of
 //! `(name, value)` pairs. Sizes reported by the stats module are sizes of
 //! this encoding — extents store exactly these bytes.
+//!
+//! [`Writer`] is the only code that writes a tag byte. [`encode_document`]
+//! and [`EncodedDoc::of`] encode a [`Document`] through it, the delta log
+//! encodes its records' values through it, and a caller that has the
+//! fields of a stored document at hand (the text ingest) writes them
+//! straight into one, field by field, without building a `Document`.
 
-use bytes::{Buf, BufMut};
+use bytes::Buf;
 use datatamer_model::{Document, DtError, Result, Value};
 
 const TAG_NULL: u8 = 0x00;
@@ -18,15 +24,15 @@ const TAG_ARRAY: u8 = 0x06;
 const TAG_DOC: u8 = 0x07;
 
 /// Append a LEB128 varint.
-pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -69,44 +75,139 @@ pub fn varint_len(mut v: u64) -> usize {
     n
 }
 
-/// Append one value.
-pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Bool(false) => buf.put_u8(TAG_FALSE),
-        Value::Bool(true) => buf.put_u8(TAG_TRUE),
-        Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            put_varint(buf, zigzag(*i));
-        }
-        Value::Float(f) => {
-            buf.put_u8(TAG_FLOAT);
-            buf.put_f64(*f);
-        }
-        Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            put_varint(buf, s.len() as u64);
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            buf.put_u8(TAG_ARRAY);
-            put_varint(buf, items.len() as u64);
-            for item in items {
-                encode_value(buf, item);
+/// Writes values in this encoding. A stored document is started with
+/// [`Writer::document`], which writes its header, and ended with
+/// [`Writer::finish`]; in between, each field is a [`Writer::field`] name
+/// followed by one value. A value is a scalar (`int`, `float`, `str`), any
+/// [`Writer::value`], or an array or sub-document header (`array`,
+/// `sub_document`) followed by that many items or fields.
+/// The counts are the caller's to keep; a debug build checks on `finish`
+/// that the bytes are exactly one document.
+#[derive(Debug)]
+pub struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    /// Start a stored document of `fields` fields, with room for
+    /// `capacity` bytes.
+    pub fn document(fields: usize, capacity: usize) -> Writer {
+        let mut w = Writer { buf: Vec::with_capacity(capacity) };
+        w.sub_document(fields);
+        w
+    }
+
+    /// A writer with no header, for a crate-internal frame that embeds
+    /// values (the delta log's records).
+    pub(crate) fn frame() -> Writer {
+        Writer { buf: Vec::new() }
+    }
+
+    /// The bytes written, for a [`Writer::frame`].
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// A bare varint (a frame's counts and ids).
+    pub(crate) fn varint(&mut self, v: u64) {
+        put_varint(&mut self.buf, v);
+    }
+
+    /// A field name: the next value written is that field's.
+    pub fn field(&mut self, name: &str) {
+        put_varint(&mut self.buf, name.len() as u64);
+        self.buf.extend_from_slice(name.as_bytes());
+    }
+
+    /// An integer.
+    pub fn int(&mut self, i: i64) {
+        self.buf.push(TAG_INT);
+        put_varint(&mut self.buf, zigzag(i));
+    }
+
+    /// A float, bit for bit.
+    pub fn float(&mut self, f: f64) {
+        self.buf.push(TAG_FLOAT);
+        self.buf.extend_from_slice(&f.to_be_bytes());
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) {
+        self.buf.push(TAG_STR);
+        put_varint(&mut self.buf, s.len() as u64);
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// An array header: the next `items` values written are its items.
+    pub fn array(&mut self, items: usize) {
+        self.buf.push(TAG_ARRAY);
+        put_varint(&mut self.buf, items as u64);
+    }
+
+    /// A sub-document header: the next `fields` field/value pairs written
+    /// are its fields.
+    pub fn sub_document(&mut self, fields: usize) {
+        self.buf.push(TAG_DOC);
+        put_varint(&mut self.buf, fields as u64);
+    }
+
+    /// Any value.
+    pub fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.buf.push(TAG_NULL),
+            Value::Bool(b) => self.buf.push(if *b { TAG_TRUE } else { TAG_FALSE }),
+            Value::Int(i) => self.int(*i),
+            Value::Float(f) => self.float(*f),
+            Value::Str(s) => self.str(s),
+            Value::Array(items) => {
+                self.array(items.len());
+                for item in items {
+                    self.value(item);
+                }
             }
+            Value::Doc(d) => self.fields_of(d),
         }
-        Value::Doc(d) => encode_doc(buf, d),
+    }
+
+    /// A sub-document header and every field of `d`.
+    fn fields_of(&mut self, d: &Document) {
+        self.sub_document(d.len());
+        for (k, val) in d.iter() {
+            self.field(k);
+            self.value(val);
+        }
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> EncodedDoc {
+        debug_assert!(is_one_document(&self.buf), "a Writer must write exactly one document");
+        EncodedDoc(self.buf)
     }
 }
 
-/// Append one `Doc`-tagged document (the `Doc` arm of [`encode_value`]).
-fn encode_doc(buf: &mut impl BufMut, d: &Document) {
-    buf.put_u8(TAG_DOC);
-    put_varint(buf, d.len() as u64);
-    for (k, val) in d.iter() {
-        put_varint(buf, k.len() as u64);
-        buf.put_slice(k.as_bytes());
-        encode_value(buf, val);
+/// Whether `bytes` decode as one document with nothing left over.
+fn is_one_document(mut bytes: &[u8]) -> bool {
+    matches!(decode_value(&mut bytes), Ok(Value::Doc(_))) && bytes.is_empty()
+}
+
+/// One document in this encoding, ready to store. Only this module makes
+/// one, through a [`Writer`], so a collection's encoded-placement path
+/// (`Collection::insert_encoded`) can only be handed a whole encoding,
+/// never arbitrary bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedDoc(Vec<u8>);
+
+impl EncodedDoc {
+    /// Encode `doc`.
+    pub fn of(doc: &Document) -> EncodedDoc {
+        let mut w = Writer { buf: Vec::with_capacity(encoded_doc_len(doc)) };
+        w.fields_of(doc);
+        w.finish()
+    }
+
+    /// The encoded bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
     }
 }
 
@@ -167,9 +268,7 @@ fn get_string(buf: &mut impl Buf) -> Result<String> {
 
 /// Encode a document to a fresh byte vector of exactly its encoded length.
 pub fn encode_document(doc: &Document) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(encoded_doc_len(doc));
-    encode_doc(&mut buf, doc);
-    buf
+    EncodedDoc::of(doc).0
 }
 
 /// Decode a document from bytes (must be a `Doc`-tagged value).
@@ -208,9 +307,14 @@ mod tests {
     use super::*;
     use datatamer_model::doc;
 
+    fn encode_value(v: &Value) -> Vec<u8> {
+        let mut w = Writer::frame();
+        w.value(v);
+        w.into_bytes()
+    }
+
     fn roundtrip(v: Value) -> Value {
-        let mut buf = Vec::new();
-        encode_value(&mut buf, &v);
+        let buf = encode_value(&v);
         assert_eq!(buf.len(), encoded_len(&v), "encoded_len must be exact for {v}");
         let mut slice = buf.as_slice();
         let out = decode_value(&mut slice).unwrap();
@@ -303,8 +407,7 @@ mod tests {
 
     #[test]
     fn non_doc_top_level_rejected_by_decode_document() {
-        let mut buf = Vec::new();
-        encode_value(&mut buf, &Value::Int(5));
+        let buf = encode_value(&Value::Int(5));
         assert!(matches!(decode_document(&buf), Err(DtError::Type { .. })));
     }
 }

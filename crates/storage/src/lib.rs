@@ -5,7 +5,9 @@
 //! (`count`, `numExtents`, `nindexes`, `lastExtentSize`, `totalIndexSize`,
 //! Tables I–II). This crate is that substrate, built from scratch:
 //!
-//! * [`encode`] — compact binary document encoding (BSON-like) on [`bytes`].
+//! * [`encode`] — compact binary document encoding (BSON-like). One
+//!   [`encode::Writer`] writes every tag byte; an [`EncodedDoc`] is a
+//!   whole document's encoding, the only thing a collection stores.
 //! * [`extent`] — fixed-size append-only extents; a collection grows by
 //!   allocating new extents exactly as the paper's 2 GB extents do (the
 //!   extent size is configurable so experiments can run at reduced scale
@@ -67,6 +69,7 @@ pub mod store;
 pub use backend::{BackendConfig, BackendKind};
 pub use collection::{Collection, CollectionConfig, DocId, ShardStorage, StorageReport};
 pub use delta_log::DeltaLog;
+pub use encode::EncodedDoc;
 pub use index::IndexSpec;
 pub use stats::CollectionStats;
 pub use store::Store;

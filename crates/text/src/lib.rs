@@ -14,12 +14,15 @@
 //!   entity documents ready for ingestion and flattening.
 //! * [`mention`] — typed entity mentions with spans and confidences.
 //!
-//! Parsing a fragment is one pass of token work. [`DomainParser::parse`]
-//! tokenises the fragment once and hands that token stream to the
-//! scanners ([`scan::scan_tokens`]); it lowercases each word token once,
-//! into one buffer ([`tokenize::Words`]), which the gazetteer's trie walk
-//! ([`Gazetteer::find_words`]) and the contextual heuristics both read.
-//! No extractor tokenises again or allocates a `String` per token.
+//! Parsing a fragment is one pass of token work. [`Tokenized::new`]
+//! tokenises the fragment once and lowercases each word token once, into
+//! one buffer ([`tokenize::Words`]). The text ingest reads those words first,
+//! for the junk filter, and hands the same [`Tokenized`] to
+//! [`DomainParser::parse_tokenized`] only when the fragment is kept. The
+//! scanners read its token stream ([`scan::scan_tokens`]); the gazetteer's
+//! trie walk ([`Gazetteer::find_words`]) and the contextual heuristics read
+//! its words. No extractor tokenises again or allocates a `String` per
+//! token. [`DomainParser::parse`] is the same parse of a raw `&str`.
 
 pub mod gazetteer;
 pub mod mention;
@@ -31,3 +34,4 @@ pub mod tokenize;
 pub use gazetteer::Gazetteer;
 pub use mention::{EntityType, Mention};
 pub use parser::{DomainParser, ParsedFragment};
+pub use tokenize::Tokenized;

@@ -12,7 +12,8 @@ pub fn is_stopword(token: &str) -> bool {
     STOPWORDS.binary_search(&token).is_ok()
 }
 
-/// Lowercase and collapse internal whitespace runs to single spaces.
+/// Collapse whitespace runs to single spaces and drop leading and trailing
+/// whitespace. Case is kept: [`canonical_name`] lowercases after.
 pub fn clean_whitespace(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut last_space = true;

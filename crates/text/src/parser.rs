@@ -8,11 +8,13 @@
 //!   fragment text plus its extracted entity array and scanned attributes;
 //! * one flat **entity document** per mention (the WEBENTITIES rows).
 //!
-//! A fragment is parsed in one pass of token work: it is tokenised once,
-//! the scanners read that token stream, and its word tokens are lowercased
-//! once into a shared [`Words`] buffer that both the gazetteer walk and
-//! the heuristics read. No extractor re-tokenises or allocates a `String`
-//! per token.
+//! A fragment is parsed in one pass of token work: it is tokenised once
+//! ([`Tokenized`]), the scanners read that token stream, and its word tokens
+//! are lowercased once into a shared [`Words`] buffer that both the
+//! gazetteer walk and the heuristics read. No extractor re-tokenises or
+//! allocates a `String` per token. [`DomainParser::parse_tokenized`] takes
+//! a fragment already tokenised, so a caller that reads the words first
+//! (the text ingest's junk filter) shares the one tokenisation.
 
 use datatamer_model::{doc, Document, Value};
 
@@ -20,7 +22,7 @@ use crate::gazetteer::Gazetteer;
 use crate::mention::{EntityType, Mention};
 use crate::normalize::canonical_name;
 use crate::scan::{scan_tokens, Span, SpanKind};
-use crate::tokenize::{tokenize, Words};
+use crate::tokenize::{Tokenized, Words};
 
 /// Honorifics that mark the next capitalised run as a person.
 const HONORIFICS: &[&str] = &["mr", "mrs", "ms", "dr", "prof", "sen", "rep"];
@@ -36,6 +38,15 @@ const POSITIONS: &[&str] = &[
 /// Speech verbs: a capitalised run right before one is probably a person.
 const SPEECH_VERBS: &[&str] = &["said", "told", "announced", "stated", "added", "wrote", "argued"];
 
+/// The instance document's lists of scanned spans, `(field, span kinds)`,
+/// in field order after `entities`. A list with no span is left out.
+pub const SPAN_LISTS: [(&str, &[SpanKind]); 4] = [
+    ("amounts", &[SpanKind::Money, SpanKind::Gross]),
+    ("dates", &[SpanKind::Date]),
+    ("times", &[SpanKind::Time]),
+    ("percents", &[SpanKind::Percent]),
+];
+
 /// A fully parsed fragment.
 #[derive(Debug, Clone)]
 pub struct ParsedFragment {
@@ -48,11 +59,13 @@ pub struct ParsedFragment {
 }
 
 impl ParsedFragment {
-    /// Convert to the hierarchical WEBINSTANCE document.
+    /// Convert to the hierarchical WEBINSTANCE document. The text ingest
+    /// writes this document's encoding straight from the parse instead;
+    /// this form is what its bytes are checked against.
     ///
     /// Shape: `{ fragment, chars, entities: [{type, name, canonical,
     /// start, end, confidence}...], amounts: [...], dates: [...],
-    /// times: [...] }`.
+    /// times: [...], percents: [...] }`.
     pub fn to_instance_doc(&self) -> Document {
         let entities: Vec<Value> = self
             .mentions
@@ -68,13 +81,6 @@ impl ParsedFragment {
                 })
             })
             .collect();
-        let collect_kind = |kinds: &[SpanKind]| -> Vec<Value> {
-            self.spans
-                .iter()
-                .filter(|s| kinds.contains(&s.kind))
-                .map(|s| Value::Str(s.text.clone()))
-                .collect()
-        };
         let mut d = doc! {
             "fragment" => self.text.clone(),
             "chars" => self.text.len()
@@ -82,51 +88,50 @@ impl ParsedFragment {
         if !entities.is_empty() {
             d.set("entities", Value::Array(entities));
         }
-        let amounts = collect_kind(&[SpanKind::Money, SpanKind::Gross]);
-        if !amounts.is_empty() {
-            d.set("amounts", Value::Array(amounts));
-        }
-        let dates = collect_kind(&[SpanKind::Date]);
-        if !dates.is_empty() {
-            d.set("dates", Value::Array(dates));
-        }
-        let times = collect_kind(&[SpanKind::Time]);
-        if !times.is_empty() {
-            d.set("times", Value::Array(times));
-        }
-        let percents = collect_kind(&[SpanKind::Percent]);
-        if !percents.is_empty() {
-            d.set("percents", Value::Array(percents));
+        for (name, kinds) in SPAN_LISTS {
+            let items: Vec<Value> = self
+                .spans
+                .iter()
+                .filter(|s| kinds.contains(&s.kind))
+                .map(|s| Value::Str(s.text.clone()))
+                .collect();
+            if !items.is_empty() {
+                d.set(name, Value::Array(items));
+            }
         }
         d
     }
 
     /// Flat entity documents (WEBENTITIES rows), one per mention, each
-    /// carrying a context window of the surrounding fragment.
+    /// carrying a context window of the surrounding fragment. Like
+    /// [`Self::to_instance_doc`], the form the text ingest's encoded bytes
+    /// are checked against.
     pub fn entity_docs(&self) -> Vec<Document> {
         self.mentions
             .iter()
             .map(|m| {
-                let ctx_start = self.text[..m.start]
-                    .char_indices()
-                    .rev()
-                    .nth(30)
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                let ctx_end = self.text[m.end..]
-                    .char_indices()
-                    .nth(30)
-                    .map(|(i, _)| m.end + i)
-                    .unwrap_or(self.text.len());
                 doc! {
                     "type" => m.entity_type.name(),
                     "name" => m.text.clone(),
                     "canonical" => canonical_name(&m.text),
                     "confidence" => m.confidence,
-                    "context" => self.text[ctx_start..ctx_end].to_owned()
+                    "context" => self.context(m)
                 }
             })
             .collect()
+    }
+
+    /// The context window an entity document carries for mention `m`: up to
+    /// 31 characters of the fragment before the mention, the mention, and
+    /// up to 30 after (`""` for a span that is not the fragment's).
+    pub fn context(&self, m: &Mention) -> &str {
+        let (Some(before), Some(after)) = (self.text.get(..m.start), self.text.get(m.end..))
+        else {
+            return "";
+        };
+        let ctx_start = before.char_indices().rev().nth(30).map_or(0, |(i, _)| i);
+        let ctx_end = after.char_indices().nth(30).map_or(self.text.len(), |(i, _)| m.end + i);
+        self.text.get(ctx_start..ctx_end).unwrap_or("")
     }
 }
 
@@ -149,10 +154,15 @@ impl DomainParser {
 
     /// Parse one fragment.
     pub fn parse(&self, text: &str) -> ParsedFragment {
-        let tokens = tokenize(text);
-        let spans = scan_tokens(text, &tokens);
-        let words = Words::new(&tokens);
-        let mut mentions = self.gazetteer.find_words(text, &words);
+        self.parse_tokenized(&Tokenized::new(text))
+    }
+
+    /// Parse a fragment that is already tokenised: the same result as
+    /// [`Self::parse`] of its text, without tokenising it again.
+    pub fn parse_tokenized(&self, fragment: &Tokenized) -> ParsedFragment {
+        let (text, words) = (fragment.text(), fragment.words());
+        let spans = scan_tokens(text, fragment.tokens());
+        let mut mentions = self.gazetteer.find_words(text, words);
 
         // URLs from the scanner are entity mentions of type URL.
         for s in &spans {
@@ -171,7 +181,7 @@ impl DomainParser {
                 }
             }
         }
-        heuristic_mentions(text, &words, &mut mentions);
+        heuristic_mentions(text, words, &mut mentions);
         let mentions = resolve_overlaps(mentions);
         let spans = spans
             .into_iter()

@@ -142,6 +142,49 @@ impl<'a> Words<'a> {
             .and_then(|&(from, to)| self.lower.get(from..to))
             .unwrap_or("")
     }
+
+    /// Each word's raw text and lowercase form, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &str)> + '_ {
+        self.tokens
+            .iter()
+            .zip(&self.ranges)
+            .map(|(t, &(from, to))| (t.text, self.lower.get(from..to).unwrap_or("")))
+    }
+}
+
+/// A fragment tokenised once: its [`tokenize`] stream and the [`Words`] of
+/// that stream. Whatever reads a fragment's tokens or words — the junk
+/// filter, the scanners, the gazetteer, the heuristics — reads them from
+/// here, so a fragment is never tokenised twice.
+#[derive(Debug, Clone)]
+pub struct Tokenized<'a> {
+    text: &'a str,
+    tokens: Vec<Token<'a>>,
+    words: Words<'a>,
+}
+
+impl<'a> Tokenized<'a> {
+    /// Tokenise `text`.
+    pub fn new(text: &'a str) -> Self {
+        let tokens = tokenize(text);
+        let words = Words::new(&tokens);
+        Tokenized { text, tokens, words }
+    }
+
+    /// The text that was tokenised.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
+    /// Every token, words and punctuation, in order.
+    pub fn tokens(&self) -> &[Token<'a>] {
+        &self.tokens
+    }
+
+    /// The word tokens with their lowercase forms.
+    pub fn words(&self) -> &Words<'a> {
+        &self.words
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +245,13 @@ mod tests {
         let got: Vec<&str> = (0..words.len()).map(|i| words.lower(i)).collect();
         assert_eq!(got, expected);
         assert_eq!(got[1], "ας", "final sigma is decided within the token");
+        let pairs: Vec<(&str, &str)> = words.iter().collect();
+        let want: Vec<(&str, &str)> =
+            words.tokens().iter().enumerate().map(|(i, t)| (t.text, words.lower(i))).collect();
+        assert_eq!(pairs, want);
+        let once = Tokenized::new(text);
+        assert_eq!((once.text(), once.tokens()), (text, &tokens[..]));
+        assert_eq!(once.words().iter().collect::<Vec<_>>(), pairs);
         assert_eq!(words.tokens().len(), words.len());
         assert_eq!(words.lower(words.len()), "");
         assert!(Words::new(&tokenize("\" , .")).is_empty());

@@ -28,7 +28,9 @@ fn main() {
                 .into_iter()
                 .map(|p| (p.a, p.b, p.same))
                 .collect();
-        let metrics = crossval_dedup(&pairs, 10, 7, &LogRegConfig::default()).metrics();
+        let metrics = crossval_dedup(&pairs, 10, 7, &LogRegConfig::default())
+            .expect("1,000 pairs fill 10 folds")
+            .metrics();
         println!("  {:<14} {metrics}", format!("{ty:?}:"));
     }
 
@@ -39,7 +41,7 @@ fn main() {
             .into_iter()
             .map(|p| (p.a, p.b, p.same))
             .collect();
-    let model = DedupClassifier::train(&train, &LogRegConfig::default());
+    let model = DedupClassifier::train(&train, &LogRegConfig::default()).expect("2,000 pairs");
 
     let dirty = [
         "James Smith",

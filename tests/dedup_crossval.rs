@@ -21,7 +21,7 @@ fn ten_fold_crossval_lands_in_paper_band_per_type() {
                 .into_iter()
                 .map(|p| (p.a, p.b, p.same))
                 .collect();
-        let report = crossval_dedup(&pairs, 10, 7, &LogRegConfig::default());
+        let report = crossval_dedup(&pairs, 10, 7, &LogRegConfig::default()).unwrap();
         let m = report.metrics();
         assert!(
             m.precision >= 0.80,
@@ -51,8 +51,8 @@ fn harder_dirt_degrades_but_does_not_collapse() {
         .into_iter()
         .map(|p| (p.a, p.b, p.same))
         .collect();
-    let m_clean = crossval_dedup(&clean, 10, 3, &LogRegConfig::default()).metrics();
-    let m_dirty = crossval_dedup(&dirty, 10, 3, &LogRegConfig::default()).metrics();
+    let m_clean = crossval_dedup(&clean, 10, 3, &LogRegConfig::default()).unwrap().metrics();
+    let m_dirty = crossval_dedup(&dirty, 10, 3, &LogRegConfig::default()).unwrap().metrics();
     // At this calibration both settings land near 0.98 F1 and the gap sits
     // inside cross-validation noise (±0.005 across seeds), so the claim is
     // one-sided with a noise margin: dirt must never *help* beyond noise.
