@@ -204,7 +204,8 @@ pub fn f2_bootstrap_trajectory(
                     .and_then(|id| canon_snapshot.get(id))
                     .is_some_and(|c| *c == truth_canon)
             });
-            let mut panel = ExpertPanelResolver::homogeneous(3, acc, 1.0, 17, truth);
+            let mut panel = ExpertPanelResolver::homogeneous(3, acc, 1.0, 17, truth)
+                .expect("expert accuracy is a probability");
             integrator.integrate_with(&schema, &mut panel)
         } else {
             integrator.integrate(&schema)

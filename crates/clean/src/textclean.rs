@@ -97,20 +97,6 @@ impl TextCleaner {
     pub fn is_junk_words<'w>(&self, words: impl IntoIterator<Item = (&'w str, &'w str)>) -> bool {
         self.model.predict(&self.vocab.counts_words(words)) == CLASS_JUNK
     }
-
-    /// Filter a fragment stream, keeping content. Returns `(kept, dropped)`.
-    pub fn filter<'a>(&self, fragments: &[&'a str]) -> (Vec<&'a str>, usize) {
-        let mut kept = Vec::with_capacity(fragments.len());
-        let mut dropped = 0;
-        for f in fragments {
-            if self.is_junk(f) {
-                dropped += 1;
-            } else {
-                kept.push(*f);
-            }
-        }
-        (kept, dropped)
-    }
 }
 
 #[cfg(test)]
@@ -143,20 +129,9 @@ mod tests {
         assert!(cleaner.is_junk("subscribe now and accept cookies for free shipping"));
         assert!(!cleaner.is_junk("the musical grossed 960,998 during previews on broadway"));
         assert!(!cleaner.is_junk("Matilda an award-winning import from London opened at the theatre"));
-    }
-
-    #[test]
-    fn filter_counts_drops() {
-        let cleaner = TextCleaner::with_builtin_seeds().unwrap();
-        let fragments = [
-            "the production opened to strong reviews at the theatre",
-            "click here to subscribe and accept cookies now",
-            "tickets for the performance sold out during previews",
-        ];
-        let (kept, dropped) = cleaner.filter(&fragments);
-        assert_eq!(dropped, 1);
-        assert_eq!(kept.len(), 2);
-        assert!(kept.iter().all(|f| !f.contains("subscribe")));
+        assert!(!cleaner.is_junk("the production opened to strong reviews at the theatre"));
+        assert!(cleaner.is_junk("click here to subscribe and accept cookies now"));
+        assert!(!cleaner.is_junk("tickets for the performance sold out during previews"));
     }
 
     #[test]

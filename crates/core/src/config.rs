@@ -7,7 +7,7 @@ use datatamer_storage::{BackendConfig, CollectionConfig};
 
 use crate::fusion::{GroupingStrategy, RegistryConfig};
 
-/// Persistence of the resident consolidation session: every accepted delta
+/// Persistence of the accepted delta batches: every accepted delta
 /// batch appends to a checksummed log
 /// ([`datatamer_storage::DeltaLog`]), so a restarted
 /// [`crate::DataTamer`] over the same path replays the batches instead of
@@ -66,7 +66,7 @@ pub struct DataTamerConfig {
     pub fusion_resolvers: RegistryConfig,
     /// Append accepted delta batches to a persistent log so a restarted
     /// system replays them (see [`DeltaLogConfig`]). `None` keeps the
-    /// session memory-only.
+    /// accepted batches in memory only.
     pub delta_log: Option<DeltaLogConfig>,
 }
 

@@ -1,11 +1,13 @@
 //! [`Corpus`]: the records consolidation groups and fusion merges, read
-//! where they live.
+//! where they live. The context's corpus has three segments: its
+//! structured records, its text show records and the delta batches it
+//! accepted. A run's stages and every delta read the same view, so one
+//! member index names one record everywhere.
 
 use datatamer_model::Record;
 
 /// The corpus by member index: the context's structured records, then its
-/// text show records, then (for the resident delta session only) the
-/// accepted delta batches. No stage copies it.
+/// text show records, then the accepted delta batches. No stage copies it.
 #[derive(Clone, Copy)]
 pub(crate) struct Corpus<'a>(pub(crate) [&'a [Record]; 3]);
 

@@ -6,7 +6,7 @@
 //! generator's ground truth).
 
 use datatamer_expert::{resolve_votes, ExpertQueue, SimulatedExpert, TaskKind, Vote};
-use datatamer_model::AttributeDef;
+use datatamer_model::{AttributeDef, DtError, Result};
 use datatamer_schema::integrate::EscalationResolver;
 use datatamer_schema::{Decision, MatchCandidate};
 
@@ -42,8 +42,15 @@ impl ExpertPanelResolver {
         ExpertPanelResolver { experts, queue: ExpertQueue::new(), truth, stats: PanelStats::default() }
     }
 
-    /// A panel of `n` homogeneous experts.
-    pub fn homogeneous(n: usize, accuracy: f64, cost: f64, seed: u64, truth: TruthFn) -> Self {
+    /// A panel of `n` homogeneous experts; a [`DtError::Invalid`] unless
+    /// `accuracy` is a probability.
+    pub fn homogeneous(
+        n: usize,
+        accuracy: f64,
+        cost: f64,
+        seed: u64,
+        truth: TruthFn,
+    ) -> Result<Self> {
         let experts = (0..n)
             .map(|i| {
                 SimulatedExpert::new(
@@ -53,9 +60,12 @@ impl ExpertPanelResolver {
                     cost,
                     seed.wrapping_add(i as u64),
                 )
+                .ok_or_else(|| {
+                    DtError::Invalid(format!("expert accuracy {accuracy} is not a probability"))
+                })
             })
-            .collect();
-        Self::new(experts, truth)
+            .collect::<Result<_>>()?;
+        Ok(Self::new(experts, truth))
     }
 
     /// Activity statistics so far.
@@ -127,7 +137,7 @@ mod tests {
 
     #[test]
     fn perfect_panel_accepts_true_candidate() {
-        let mut panel = ExpertPanelResolver::homogeneous(3, 1.0, 2.0, 1, truth_price_only());
+        let mut panel = ExpertPanelResolver::homogeneous(3, 1.0, 2.0, 1, truth_price_only()).unwrap();
         let d = panel.resolve(&attr("cost"), &candidates());
         assert_eq!(d, Decision::ExpertAccept { attr: AttrId(0), score: 0.6 });
         let stats = panel.stats();
@@ -139,7 +149,7 @@ mod tests {
 
     #[test]
     fn perfect_panel_rejects_all_wrong_candidates() {
-        let mut panel = ExpertPanelResolver::homogeneous(3, 1.0, 1.0, 2, truth_price_only());
+        let mut panel = ExpertPanelResolver::homogeneous(3, 1.0, 1.0, 2, truth_price_only()).unwrap();
         let d = panel.resolve(&attr("venue"), &candidates());
         assert_eq!(d, Decision::ExpertNewAttribute);
         // Both candidates were asked about.
@@ -151,7 +161,7 @@ mod tests {
     fn zero_accuracy_panel_carries_no_weight() {
         // An always-wrong expert gets vote weight 0 (log-odds clamp), so the
         // panel can never accept anything — curation refuses by default.
-        let mut panel = ExpertPanelResolver::homogeneous(3, 0.0, 1.0, 3, truth_price_only());
+        let mut panel = ExpertPanelResolver::homogeneous(3, 0.0, 1.0, 3, truth_price_only()).unwrap();
         let d = panel.resolve(&attr("cost"), &candidates());
         assert_eq!(d, Decision::ExpertNewAttribute);
     }
@@ -159,7 +169,7 @@ mod tests {
     #[test]
     fn majority_overrides_minority_noise() {
         // 5 experts at 95%: wrong answers are outvoted almost surely.
-        let mut panel = ExpertPanelResolver::homogeneous(5, 0.95, 1.0, 4, truth_price_only());
+        let mut panel = ExpertPanelResolver::homogeneous(5, 0.95, 1.0, 4, truth_price_only()).unwrap();
         let mut accepted = 0;
         for _ in 0..50 {
             if panel.resolve(&attr("cost"), &candidates())

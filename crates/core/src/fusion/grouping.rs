@@ -106,7 +106,7 @@ impl GroupingStrategy {
     /// Group `corpus` in place, with the blocking-health counters. Blocked
     /// ER is one ingest of the whole corpus into a fresh resident
     /// consolidator — the engine every delta extends — which is returned
-    /// so a staged run can leave it for the delta path to adopt. Every
+    /// so a staged run can leave it as the context's resident ER state. Every
     /// step is deterministic at any thread count (candidates are sorted
     /// and deduplicated, decisions are per pair, clusters are ordered by
     /// smallest member), so the group list — and therefore the fused

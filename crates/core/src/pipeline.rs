@@ -15,7 +15,8 @@
 //! entry point: it executes the whole canonical sequence over a
 //! [`PipelinePlan`], and sources that arrive over time are further runs
 //! over the same context. [`DataTamer::consolidate_delta`] consolidates
-//! record batches against the resident ER state that runs leave behind.
+//! record batches into the context's one resident ER state, and the
+//! batches it accepts join the context's corpus.
 //! Hot paths — record mapping, per-source cleaning, batched shard
 //! inserts, group merging — are rayon-parallel with deterministic output
 //! at any thread count.
@@ -24,17 +25,17 @@ use std::sync::Arc;
 
 use datatamer_clean::CleaningReport;
 use datatamer_entity::incremental::DeltaReport;
-use datatamer_model::{doc, DtError, Record, Value};
+use datatamer_model::{doc, Record, Value};
 use datatamer_storage::{Collection, CollectionStats, Store};
 use datatamer_text::normalize::canonical_name;
 use datatamer_text::DomainParser;
 
 use crate::catalog::Catalog;
 use crate::config::DataTamerConfig;
-use crate::fusion::{FusedEntity, GroupingStrategy};
+use crate::fusion::FusedEntity;
 use crate::ingest::IngestStats;
 use crate::query::{entity_type_histogram, top_discussed_award_winning, DiscussedShow};
-use crate::resident::ResidentSession;
+use crate::resident::{self, Journal};
 use crate::stage::{
     run_stages, CleaningStage, EntityConsolidationStage, FusionStage, IngestStage,
     PipelineContext, PipelineStage, SchemaIntegrationStage, TextIngestJob,
@@ -76,14 +77,15 @@ impl<'a> PipelinePlan<'a> {
 /// The Data Tamer system: a [`PipelineContext`] plus stage assembly.
 pub struct DataTamer {
     ctx: PipelineContext,
-    /// Resident ER state between [`DataTamer::consolidate_delta`] calls.
-    resident: Option<ResidentSession>,
+    /// The accepted-batch write-ahead log, opened by the first
+    /// [`DataTamer::consolidate_delta`].
+    journal: Option<Journal>,
 }
 
 impl DataTamer {
     /// Build a system from a configuration.
     pub fn new(config: DataTamerConfig) -> Self {
-        DataTamer { ctx: PipelineContext::new(config), resident: None }
+        DataTamer { ctx: PipelineContext::new(config), journal: None }
     }
 
     /// The staged-pipeline context (stage reports, run log, record state).
@@ -131,12 +133,13 @@ impl DataTamer {
     /// the fused entities. Each stage's report lands in the context
     /// ([`PipelineContext::report_of`]).
     ///
-    /// This is the only way data enters the system. Sources that arrive
+    /// This is the only way sources enter the system. Sources that arrive
     /// over time are further runs: sources from earlier runs stay in the
-    /// global schema and take part in consolidation and fusion. When a
-    /// [`DataTamer::consolidate_delta`] session is live, the run ends by
-    /// re-installing through it, so `fused` keeps every accepted delta
-    /// batch on top of the grown corpus.
+    /// global schema and take part in consolidation and fusion, as do the
+    /// delta batches [`DataTamer::consolidate_delta`] accepted, which are
+    /// the last segment of the corpus. A run consolidates and fuses that
+    /// whole corpus once; under blocked ER its consolidation stage leaves
+    /// the resident ER state the next delta extends.
     pub fn run(&mut self, plan: PipelinePlan<'_>) -> datatamer_model::Result<&[FusedEntity]> {
         let mut stages: Vec<Box<dyn PipelineStage + '_>> = vec![
             Box::new(IngestStage::new(plan.structured, plan.text)),
@@ -146,14 +149,10 @@ impl DataTamer {
             Box::<FusionStage>::default(),
         ];
         run_stages(&mut self.ctx, &mut stages)?;
-        // The fusion stage just resolved `fused` from the staged ER state's
-        // clusters, so a delta session that adopts the state may reuse
-        // those composites.
-        if let Some(staged) = &mut self.ctx.staged_er {
-            staged.installed_revision = Some(self.ctx.fused_revision);
-        }
-        if self.resident.is_some() {
-            self.consolidate_delta(&[])?;
+        // The fusion stage just resolved `fused` from the resident ER
+        // state's clusters, so the next delta may reuse those composites.
+        if let Some(er) = &mut self.ctx.er {
+            er.installed_revision = Some(self.ctx.fused_revision);
         }
         Ok(&self.ctx.fused)
     }
@@ -162,63 +161,43 @@ impl DataTamer {
     /// with the batch, not the corpus.
     ///
     /// Requires the configured grouping strategy
-    /// ([`DataTamerConfig::grouping`]) to be [`GroupingStrategy::BlockedEr`]
+    /// ([`DataTamerConfig::grouping`]) to be
+    /// [`GroupingStrategy::BlockedEr`](crate::fusion::GroupingStrategy::BlockedEr)
     /// (the canonical-name scan has no resident pairwise state to be
-    /// incremental against); anything else is a [`DtError::Config`].
+    /// incremental against); anything else is a
+    /// [`DtError::Config`](datatamer_model::DtError::Config).
     ///
-    /// The first call seeds the resident session over the current corpus
-    /// (integrated structured records, then text show records). When the
-    /// latest staged [`DataTamer::run`] consolidated exactly that corpus,
-    /// the seed adopts that run's ER state instead of consolidating again,
-    /// and the composites the run installed count as this session's own.
-    /// Each call then ingests `batch` (after any log tail the seed replayed)
-    /// through the [`datatamer_entity::incremental::IncrementalConsolidator`]
-    /// — only buckets the batch touched are probed, never old-vs-old — and
-    /// fused entities re-resolve **only for clusters whose membership
-    /// changed** since the installed composites: the others are moved over
-    /// from the context's previous `fused` vector, the only copy kept.
-    /// Routing and grouping come from the configuration, which is fixed for
-    /// the life of the system, so a composite never predates them.
-    /// `fusion_groups` / `fused` are replaced, and the delta is logged as a
-    /// consolidation + fusion stage run pair carrying the [`DeltaReport`]
-    /// (consecutive deltas overwrite each other's pair, so the run log does
-    /// not grow with them).
+    /// The batch joins the context's corpus as its last segment and is
+    /// ingested into the resident ER state the latest blocked-ER run (or
+    /// delta) left, through the
+    /// [`datatamer_entity::incremental::IncrementalConsolidator`] — only
+    /// buckets the batch touched are probed, never old-vs-old. When that
+    /// state does not hold the whole corpus (no run consolidated it yet,
+    /// or records joined it since without being consolidated), a fresh
+    /// consolidator ingests the whole corpus first. Fused entities then
+    /// re-resolve **only for clusters whose membership changed** since the
+    /// installed composites: the others are moved over from the context's
+    /// previous `fused` vector, the only copy kept. Routing and grouping
+    /// come from the configuration, which is fixed for the life of the
+    /// system, so a composite never predates them. `fusion_groups` /
+    /// `fused` are replaced, and the delta is logged as a consolidation +
+    /// fusion stage run pair carrying the [`DeltaReport`] (consecutive
+    /// deltas overwrite each other's pair, so the run log does not grow
+    /// with them).
     ///
     /// Correctness pin (`tests/incremental_equivalence.rs`, any thread
     /// count): after any interleaving of runs and delta batches, `ctx.fused`
     /// is byte-identical to a from-scratch run over the concatenated corpus.
     ///
-    /// A [`DataTamer::run`] after the session exists ends with an empty
-    /// delta. When the run grew the base corpus, that delta reseeds from it
-    /// (adopting the run's ER state) and replays all prior delta batches —
-    /// an O(corpus) catch-up. A run that added no record keeps the session,
-    /// and its empty delta re-resolves every cluster once.
+    /// A later [`DataTamer::run`] consolidates the accepted batches with
+    /// everything else in its one ingest; nothing is replayed.
     ///
     /// With a [`crate::DeltaLogConfig`] the batch is logged before it is
-    /// consolidated; a persistence failure is returned as `Err` *after*
+    /// consolidated, and the first call of a process replays the log ahead
+    /// of its batch; a persistence failure is returned as `Err` *after*
     /// the batch is consolidated and installed — do not re-submit it.
     pub fn consolidate_delta(&mut self, batch: &[Record]) -> datatamer_model::Result<DeltaReport> {
-        // The latest staged run's ER state is adopted by a (re)seed, or
-        // dropped: a live session already holds everything it has.
-        let staged = self.ctx.staged_er.take();
-        let GroupingStrategy::BlockedEr(config) = &self.ctx.config().grouping else {
-            return Err(DtError::Config(
-                "consolidate_delta requires GroupingStrategy::BlockedEr; the \
-                 canonical-name scan has no resident ER state to be incremental against"
-                    .to_owned(),
-            ));
-        };
-        // (Re)seed when there is no session or the base corpus grew behind
-        // its back; the accepted-batch journal carries over and replays on
-        // top of the rebuilt corpus.
-        let session = match self.resident.take() {
-            Some(session) if !session.is_stale(&self.ctx) => session,
-            stale => {
-                let journal = stale.map(ResidentSession::into_journal);
-                ResidentSession::seed(&self.ctx, config, staged, journal)?
-            }
-        };
-        self.resident.insert(session).apply(&mut self.ctx, batch)
+        resident::consolidate_delta(&mut self.ctx, &mut self.journal, batch)
     }
 
     /// Look up one show in a fused entity set by (canonicalised) name.
@@ -277,7 +256,9 @@ pub fn record_to_doc(r: &Record) -> datatamer_model::Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::{BlockedErConfig, GroupingReport, CHEAPEST_PRICE, SHOW_NAME, TEXT_FEED};
+    use crate::fusion::{
+        BlockedErConfig, GroupingReport, GroupingStrategy, CHEAPEST_PRICE, SHOW_NAME, TEXT_FEED,
+    };
     use crate::stage::{stage_names, StageReport};
     use datatamer_model::{RecordId, SourceId};
     use datatamer_text::{EntityType, Gazetteer};
@@ -658,6 +639,18 @@ mod tests {
         assert!(matches!(err, datatamer_model::DtError::Config(_)), "{err:?}");
     }
 
+    #[test]
+    fn inverted_integration_thresholds_fail_the_run() {
+        let mut config = small_config();
+        config.integration.accept_threshold = 0.3;
+        config.integration.escalate_threshold = 0.6;
+        let mut dt = DataTamer::new(config);
+        let rows = structured_rows(0, "show_name", "cheapest_price");
+        let err = dt.run(PipelinePlan::new().structured("s1", &rows)).unwrap_err();
+        assert!(matches!(err, datatamer_model::DtError::Config(_)), "{err:?}");
+        assert!(dt.structured_records().is_empty(), "nothing was integrated");
+    }
+
     /// A record already in canonical shape: schema mapping and cleaning are
     /// identities for it, so raw delta batches and staged registration
     /// produce byte-identical corpus records.
@@ -726,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn the_first_delta_adopts_the_staged_er_state() {
+    fn the_first_delta_extends_the_runs_er_state() {
         let mut config = small_config();
         let corpus: Vec<Record> =
             (0..8).map(|i| show(i, &format!("Unique{i} Show{i}"), "$10")).collect();
@@ -734,20 +727,21 @@ mod tests {
         // A canonical-name run leaves no ER state behind.
         let mut dt = DataTamer::new(config.clone());
         dt.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
-        assert!(dt.ctx.staged_er.is_none());
+        assert!(dt.ctx.er.is_none());
 
         config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
         let mut dt = DataTamer::new(config);
         dt.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
-        let staged = dt.ctx.staged_er.as_ref().expect("a blocked-ER run leaves its state");
-        assert_eq!(staged.records, 8);
-        assert_eq!(staged.installed_revision, Some(dt.ctx.fused_revision));
-        assert_eq!(staged.consolidator.len(), 8);
+        let er = dt.ctx.er.as_ref().expect("a blocked-ER run leaves its state");
+        assert_eq!(er.installed_revision, Some(dt.ctx.fused_revision));
+        assert_eq!(er.consolidator.len(), 8);
 
-        // The seed takes it over: nothing is consolidated again, and every
+        // The delta extends it: nothing is consolidated again, and every
         // composite the run installed is carried over unresolved.
         let d = dt.consolidate_delta(&[]).unwrap();
-        assert!(dt.ctx.staged_er.is_none());
+        let er = dt.ctx.er.as_ref().expect("the delta keeps the state");
+        assert_eq!(er.installed_revision, Some(dt.ctx.fused_revision));
+        assert_eq!(er.consolidator.len(), 8);
         assert_eq!((d.batch_records, d.total_records, d.candidate_pairs), (0, 8, 0));
         assert_eq!(dt.ctx.fused_changed, Some(vec![false; 8]));
     }
@@ -771,7 +765,7 @@ mod tests {
     }
 
     #[test]
-    fn consolidate_delta_reseeds_after_the_base_corpus_grows() {
+    fn a_run_after_a_delta_consolidates_its_batch_with_the_new_source() {
         let mut config = small_config();
         config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
 
@@ -784,10 +778,16 @@ mod tests {
         let mut inc = DataTamer::new(config.clone());
         inc.run(PipelinePlan::new().structured("s1", &s1)).unwrap();
         inc.consolidate_delta(&batch).unwrap();
-        // A new structured source arrives mid-stream: the resident corpus
-        // is stale, so the run ends by reseeding and replaying the prior
-        // batch.
+        // A new structured source arrives mid-stream: the accepted batch
+        // is part of the context's corpus, so the run consolidates it with
+        // both sources in one ingest.
         inc.run(PipelinePlan::new().structured("s2", &s2)).unwrap();
+        match inc.context().report_of(stage_names::ENTITY_CONSOLIDATION).unwrap() {
+            StageReport::EntityConsolidation { records, delta, .. } => {
+                assert_eq!((*records, delta.is_none()), (11, true), "s1 + s2 + the delta");
+            }
+            other => panic!("wrong report variant: {other:?}"),
+        }
         let batch2 = vec![show(101, "Betashow1 Two1", "$20")];
         let d = inc.consolidate_delta(&batch2).unwrap();
         assert_eq!(d.total_records, 12, "s1 + s2 + both deltas");
@@ -802,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn a_seed_adopts_no_er_state_over_a_corpus_grown_since() {
+    fn a_delta_over_a_corpus_grown_since_the_run_starts_a_fresh_consolidator() {
         let mut config = small_config();
         config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
         let s1: Vec<Record> =
@@ -815,8 +815,9 @@ mod tests {
         dt.run(PipelinePlan::new().structured("s1", &s1)).unwrap();
         // The corpus grows through the stage prefix after the run, as a run
         // whose cleaning-stage storage write fails part way would leave it:
-        // the run's ER state and composites cover s1 only, so the seed
-        // consolidates s1 + s2 itself and re-resolves every cluster.
+        // the run's ER state and composites cover s1 only, so the delta
+        // consolidates s1 + s2 in a fresh consolidator and re-resolves
+        // every cluster.
         let mut prefix: Vec<Box<dyn PipelineStage + '_>> = vec![
             Box::new(IngestStage::new(vec![("s2".to_owned(), s2.clone())], None)),
             Box::new(SchemaIntegrationStage),

@@ -34,7 +34,7 @@ use crate::fusion::{
 };
 use crate::ingest::{IngestStats, TextIngestor};
 use crate::pipeline::{record_to_doc, GLOBAL_RECORDS_COLLECTION};
-use crate::resident::StagedEr;
+use crate::resident::ResidentEr;
 
 /// Canonical stage names, in canonical order.
 pub mod stage_names {
@@ -153,14 +153,16 @@ pub struct StageRun {
 }
 
 /// Everything the stages share: storage, catalog, schema state, the record
-/// sets flowing between stages, and the ordered log of stage runs.
+/// sets flowing between stages, the one resident ER state, and the ordered
+/// log of stage runs.
 ///
 /// The corpus entity consolidation groups and fusion merges is
-/// `structured_records` followed by `text_show_records`, read where they
-/// are: no stage copies it, and `fusion_groups` index it directly, so
-/// fusion can run again over the same groups at any time.
+/// `structured_records`, then `text_show_records`, then every delta batch
+/// [`crate::DataTamer::consolidate_delta`] accepted, read where they are:
+/// no stage copies it, and `fusion_groups` index it directly, so fusion
+/// can run again over the same groups at any time. It only grows.
 pub struct PipelineContext {
-    config: DataTamerConfig,
+    pub(crate) config: DataTamerConfig,
     /// The collection store (text collections + curated global records).
     pub store: Store,
     /// Source registry.
@@ -182,8 +184,8 @@ pub struct PipelineContext {
     /// Per-source integration reports, in integration order.
     pub integration_reports: Vec<(String, IntegrationReport)>,
     /// Candidate groups produced by entity consolidation. Members index the
-    /// corpus in place: `structured_records`, then `text_show_records`
-    /// (then, after a delta, the resident session's accepted batches).
+    /// corpus in place: `structured_records`, then `text_show_records`,
+    /// then the accepted delta batches.
     pub fusion_groups: Vec<FusionGroup>,
     /// Fused composites from the most recent fusion stage.
     pub fused: Vec<FusedEntity>,
@@ -200,10 +202,13 @@ pub struct PipelineContext {
     /// skipped a revision must rebuild (a group dirtied by the skipped
     /// delta reads clean here).
     pub fused_changed: Option<Vec<bool>>,
-    /// The resident ER state the most recent staged blocked-ER
-    /// consolidation left for [`crate::DataTamer::consolidate_delta`] to
-    /// adopt; taken by the next delta, cleared by any other consolidation.
-    pub(crate) staged_er: Option<StagedEr>,
+    /// Every delta batch [`crate::DataTamer::consolidate_delta`] accepted
+    /// (logged batches an earlier process replayed first), in arrival
+    /// order: the last corpus segment.
+    pub(crate) accepted: Vec<Record>,
+    /// The resident ER state: left by a blocked-ER consolidation stage,
+    /// extended by every delta, cleared by any other consolidation.
+    pub(crate) er: Option<ResidentEr>,
     runs: Vec<StageRun>,
 }
 
@@ -227,7 +232,8 @@ impl PipelineContext {
             fused: Vec::new(),
             fused_revision: 0,
             fused_changed: None,
-            staged_er: None,
+            accepted: Vec::new(),
+            er: None,
             runs: Vec::new(),
         }
     }
@@ -239,7 +245,7 @@ impl PipelineContext {
 
     /// The corpus consolidation groups and fusion merges, read in place.
     pub(crate) fn corpus(&self) -> Corpus<'_> {
-        Corpus([&self.structured_records, &self.text_show_records, &[]])
+        Corpus([&self.structured_records, &self.text_show_records, &self.accepted])
     }
 
     /// Every stage execution so far, in order.
@@ -469,6 +475,7 @@ impl PipelineStage for SchemaIntegrationStage {
     }
 
     fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
+        ctx.integrator.config().validate()?;
         let (mut sources, mut auto_accepted, mut human, mut new_attrs) = (0, 0, 0, 0);
         let mut case_collisions = 0;
         for source in std::mem::take(&mut ctx.pending_sources) {
@@ -615,8 +622,9 @@ impl PipelineStage for CleaningStage {
 ///
 /// The stage reads the context's corpus in place — structured records
 /// first, so source-priority conflict resolution favours the curated
-/// sources downstream, then text show records — and leaves only
-/// [`PipelineContext::fusion_groups`], whose members index that corpus.
+/// sources downstream, then text show records, then the accepted delta
+/// batches — and leaves [`PipelineContext::fusion_groups`], whose members
+/// index that corpus.
 ///
 /// Grouping dispatches on a [`GroupingStrategy`]: the classic
 /// canonical-name scan, or similarity-based blocked ER (blocking →
@@ -625,9 +633,10 @@ impl PipelineStage for CleaningStage {
 /// configured strategy ([`DataTamerConfig::grouping`]), which is what
 /// [`crate::DataTamer::run`] uses; [`EntityConsolidationStage::with_strategy`]
 /// names one explicitly for a hand-assembled stage list. Blocked ER is
-/// one ingest of the resident engine, which the stage leaves in the
-/// context for the next [`crate::DataTamer::consolidate_delta`] to adopt
-/// instead of consolidating the same corpus again.
+/// one ingest of the whole corpus into a fresh resident engine, which the
+/// stage leaves in the context as its one resident ER state: the next
+/// [`crate::DataTamer::consolidate_delta`] extends it instead of
+/// consolidating the same corpus again.
 #[derive(Default)]
 pub struct EntityConsolidationStage {
     strategy: Option<GroupingStrategy>,
@@ -658,11 +667,8 @@ impl PipelineStage for EntityConsolidationStage {
             blocking,
             delta: None,
         };
-        ctx.staged_er = consolidator.map(|consolidator| StagedEr {
-            consolidator,
-            records: corpus.len(),
-            installed_revision: None,
-        });
+        ctx.er = consolidator
+            .map(|consolidator| ResidentEr { consolidator, installed_revision: None });
         ctx.fusion_groups = groups;
         Ok(report)
     }

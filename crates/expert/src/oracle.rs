@@ -25,23 +25,23 @@ pub struct SimulatedExpert {
 }
 
 impl SimulatedExpert {
-    /// Create an expert.
+    /// Create an expert; `None` unless `accuracy` is a probability (in
+    /// `[0, 1]`).
     pub fn new(
         name: impl Into<String>,
         domain: impl Into<String>,
         accuracy: f64,
         cost_per_task: f64,
         seed: u64,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&accuracy), "accuracy must be a probability");
-        SimulatedExpert {
+    ) -> Option<Self> {
+        (0.0..=1.0).contains(&accuracy).then(|| SimulatedExpert {
             name: name.into(),
             domain: domain.into(),
             accuracy,
             cost_per_task,
             rng: StdRng::seed_from_u64(seed),
             answered: 0,
-        }
+        })
     }
 
     /// Answer a yes/no task whose true answer is `truth`.
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn perfect_expert_always_right() {
-        let mut e = SimulatedExpert::new("alice", "schema", 1.0, 2.0, 1);
+        let mut e = SimulatedExpert::new("alice", "schema", 1.0, 2.0, 1).unwrap();
         for truth in [true, false, true] {
             assert_eq!(e.answer(truth), truth);
         }
@@ -82,14 +82,14 @@ mod tests {
 
     #[test]
     fn adversarial_expert_always_wrong() {
-        let mut e = SimulatedExpert::new("mallory", "dedup", 0.0, 1.0, 2);
+        let mut e = SimulatedExpert::new("mallory", "dedup", 0.0, 1.0, 2).unwrap();
         assert!(!e.answer(true));
         assert!(e.answer(false));
     }
 
     #[test]
     fn noisy_expert_error_rate_converges() {
-        let mut e = SimulatedExpert::new("bob", "schema", 0.8, 1.0, 3);
+        let mut e = SimulatedExpert::new("bob", "schema", 0.8, 1.0, 3).unwrap();
         let n = 5_000;
         let correct = (0..n).filter(|_| e.answer(true)).count();
         let rate = correct as f64 / n as f64;
@@ -98,9 +98,9 @@ mod tests {
 
     #[test]
     fn vote_weights_order_by_accuracy() {
-        let strong = SimulatedExpert::new("s", "d", 0.95, 1.0, 4).vote_weight();
-        let weak = SimulatedExpert::new("w", "d", 0.6, 1.0, 5).vote_weight();
-        let coin = SimulatedExpert::new("c", "d", 0.5, 1.0, 6).vote_weight();
+        let strong = SimulatedExpert::new("s", "d", 0.95, 1.0, 4).unwrap().vote_weight();
+        let weak = SimulatedExpert::new("w", "d", 0.6, 1.0, 5).unwrap().vote_weight();
+        let coin = SimulatedExpert::new("c", "d", 0.5, 1.0, 6).unwrap().vote_weight();
         assert!(strong > weak);
         assert!(weak > coin);
         assert_eq!(coin, 0.0);
@@ -108,16 +108,18 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = SimulatedExpert::new("a", "d", 0.7, 1.0, 9);
-        let mut b = SimulatedExpert::new("b", "d", 0.7, 1.0, 9);
+        let mut a = SimulatedExpert::new("a", "d", 0.7, 1.0, 9).unwrap();
+        let mut b = SimulatedExpert::new("b", "d", 0.7, 1.0, 9).unwrap();
         let va: Vec<bool> = (0..50).map(|_| a.answer(true)).collect();
         let vb: Vec<bool> = (0..50).map(|_| b.answer(true)).collect();
         assert_eq!(va, vb);
     }
 
+    // An accuracy outside `[0, 1]` yields `None`; `expect` turns it into
+    // the panic the test expects.
     #[test]
     #[should_panic(expected = "probability")]
     fn bad_accuracy_panics() {
-        SimulatedExpert::new("x", "d", 1.5, 1.0, 0);
+        SimulatedExpert::new("x", "d", 1.5, 1.0, 0).expect("accuracy must be a probability");
     }
 }

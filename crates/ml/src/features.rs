@@ -1,10 +1,8 @@
-//! Feature extraction: bag-of-words, hashing vectoriser, TF-IDF.
+//! Feature extraction: sparse vectors and a bag-of-words vocabulary.
 
 use std::collections::HashMap;
 
 use datatamer_sim::tokens::{for_each_token, tokenize, FnvBuildHasher};
-
-use crate::{invalid, Result};
 
 /// A sparse feature vector: sorted `(index, value)` pairs.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -48,70 +46,19 @@ impl SparseVec {
         self.0.iter().map(|(_, v)| v * v).sum::<f64>().sqrt()
     }
 
-    /// Scale in place.
-    pub fn scale(&mut self, k: f64) {
-        for (_, v) in &mut self.0 {
-            *v *= k;
-        }
-    }
-
     /// Number of non-zero entries.
     pub fn nnz(&self) -> usize {
         self.0.len()
     }
 }
 
-/// Feature-hashing vectoriser: token → bucket in `[0, dim)` by FNV-1a.
-/// Stateless and training-free, so train/test featurisation can never skew.
-#[derive(Debug, Clone, Copy)]
-pub struct HashingVectorizer {
-    dim: u32,
-}
-
-impl HashingVectorizer {
-    /// Create with the given dimensionality (buckets); zero buckets is
-    /// the error.
-    pub fn new(dim: u32) -> Result<Self> {
-        if dim == 0 {
-            return invalid("dimension must be positive");
-        }
-        Ok(HashingVectorizer { dim })
-    }
-
-    /// Dimensionality.
-    pub fn dim(&self) -> u32 {
-        self.dim
-    }
-
-    fn bucket(&self, token: &str) -> u32 {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in token.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h % u64::from(self.dim)) as u32
-    }
-
-    /// Term-count vector of a text.
-    pub fn transform(&self, text: &str) -> SparseVec {
-        let pairs = tokenize(text)
-            .into_iter()
-            .map(|t| (self.bucket(&t), 1.0))
-            .collect();
-        SparseVec::from_pairs(pairs)
-    }
-}
-
-/// Vocabulary-based bag-of-words with document-frequency tracking (backs
-/// both naive Bayes and TF-IDF weighting).
+/// Vocabulary-based bag-of-words (backs the naive Bayes text cleaner).
 ///
 /// Term ids are dense and first-seen ordered, and the index is never
 /// iterated, so its FNV hasher cannot reach any output.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     index: HashMap<String, u32, FnvBuildHasher>,
-    doc_freq: Vec<u32>,
-    num_docs: u32,
 }
 
 impl Vocabulary {
@@ -130,25 +77,11 @@ impl Vocabulary {
         self.index.is_empty()
     }
 
-    /// Number of documents observed.
-    pub fn num_docs(&self) -> u32 {
-        self.num_docs
-    }
-
     /// Observe a document during fitting (expands the vocabulary).
     pub fn fit_doc(&mut self, text: &str) {
-        self.num_docs += 1;
-        let mut seen: Vec<u32> = Vec::new();
         for tok in tokenize(text) {
             let next_id = self.index.len() as u32;
-            let id = *self.index.entry(tok).or_insert(next_id);
-            if id as usize >= self.doc_freq.len() {
-                self.doc_freq.push(0);
-            }
-            if !seen.contains(&id) {
-                seen.push(id);
-                self.doc_freq[id as usize] += 1;
-            }
+            self.index.entry(tok).or_insert(next_id);
         }
     }
 
@@ -200,21 +133,6 @@ impl Vocabulary {
             }
         }
         SparseVec::from_pairs(pairs)
-    }
-
-    /// TF-IDF vector (sub-linear TF, smoothed IDF, L2-normalised).
-    pub fn tfidf(&self, text: &str) -> SparseVec {
-        let mut v = self.counts(text);
-        for (id, val) in &mut v.0 {
-            let df = self.doc_freq[*id as usize];
-            let idf = ((1.0 + f64::from(self.num_docs)) / (1.0 + f64::from(df))).ln() + 1.0;
-            *val = (1.0 + val.ln()) * idf;
-        }
-        let n = v.norm();
-        if n > 0.0 {
-            v.scale(1.0 / n);
-        }
-        v
     }
 }
 
@@ -317,32 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn hashing_is_deterministic_and_bounded() {
-        let h = HashingVectorizer::new(64).unwrap();
-        let a = h.transform("matilda at the shubert");
-        let b = h.transform("matilda at the shubert");
-        assert_eq!(a, b);
-        assert!(a.0.iter().all(|(i, _)| *i < 64));
-        assert!(a.nnz() >= 3);
-    }
-
-    #[test]
-    fn hashing_identical_tokens_accumulate() {
-        let h = HashingVectorizer::new(1024).unwrap();
-        let v = h.transform("show show show");
-        assert_eq!(v.nnz(), 1);
-        assert_eq!(v.0[0].1, 3.0);
-    }
-
-    // The bad input is an `MlError`; `unwrap` turns it into the panic
-    // the test expects.
-    #[test]
-    #[should_panic(expected = "dimension")]
-    fn zero_dim_panics() {
-        HashingVectorizer::new(0).unwrap();
-    }
-
-    #[test]
     fn one_ascii_token_words() {
         for word in ["show", "SHOW", "Show", "x", "3d", "3D", "mr", "XMLHttp"] {
             let mut tokens = Vec::new();
@@ -361,23 +253,9 @@ mod tests {
         let mut v = Vocabulary::new();
         v.fit_doc("the show grossed well");
         v.fit_doc("the show closed early");
-        assert_eq!(v.num_docs(), 2);
         assert!(v.len() >= 6);
         let c = v.counts("show show unknown");
         let show_id = v.id_of("show").unwrap();
         assert_eq!(c.0, vec![(show_id, 2.0)]);
-    }
-
-    #[test]
-    fn tfidf_downweights_ubiquitous_terms() {
-        let mut v = Vocabulary::new();
-        for t in ["the shubert theatre", "the gershwin theatre", "the matilda show"] {
-            v.fit_doc(t);
-        }
-        let vec = v.tfidf("the matilda");
-        let the_w = vec.0.iter().find(|(i, _)| *i == v.id_of("the").unwrap()).unwrap().1;
-        let mat_w = vec.0.iter().find(|(i, _)| *i == v.id_of("matilda").unwrap()).unwrap().1;
-        assert!(mat_w > the_w, "rare term must outweigh common: {mat_w} vs {the_w}");
-        assert!((vec.norm() - 1.0).abs() < 1e-9, "tfidf is L2-normalised");
     }
 }

@@ -5,7 +5,7 @@
 //! precision/recall by 10-fold cross-validation. The reproduction bands note
 //! Rust's ML tooling is thin — everything here is implemented from scratch:
 //!
-//! * [`features`] — bag-of-words counting, hashing vectoriser, TF-IDF.
+//! * [`features`] — sparse vectors and bag-of-words counting.
 //! * [`nb`] — multinomial naive Bayes (text cleaning classifier).
 //! * [`logreg`] — L2-regularised logistic regression trained by SGD
 //!   (the dedup pair classifier's engine).

@@ -1,6 +1,6 @@
 //! The bottom-up global schema.
 
-use datatamer_model::{AttrId, AttributeDef, AttributeProfile, SourceId};
+use datatamer_model::{AttrId, AttributeDef, AttributeProfile, DtError, Result, SourceId};
 
 /// One attribute of the global schema.
 #[derive(Debug, Clone)]
@@ -77,16 +77,22 @@ impl GlobalSchema {
     }
 
     /// Map a source attribute onto an existing global attribute: profiles
-    /// merge and provenance extends. Panics on unknown id (callers hold ids
-    /// handed out by this schema).
-    pub fn map_attribute(&mut self, id: AttrId, source: SourceId, attr: &AttributeDef) {
+    /// merge and provenance extends. An id this schema never handed out is
+    /// a [`DtError::NotFound`], and nothing changes.
+    pub fn map_attribute(
+        &mut self,
+        id: AttrId,
+        source: SourceId,
+        attr: &AttributeDef,
+    ) -> Result<()> {
         let slot = self
             .attributes
             .iter_mut()
             .find(|a| a.id == id)
-            .expect("global attribute id must exist");
+            .ok_or_else(|| DtError::NotFound(format!("global attribute {id}")))?;
         slot.profile.merge(&attr.profile);
         slot.provenance.push((source, attr.name.clone()));
+        Ok(())
     }
 
     /// Canonical names in creation order.
@@ -131,7 +137,7 @@ mod tests {
             2,
             vec![vec![("cost", Value::from("$99"))], vec![("cost", Value::from("$45"))]],
         );
-        g.map_attribute(id, SourceId(2), &s2.attributes[0]);
+        g.map_attribute(id, SourceId(2), &s2.attributes[0]).unwrap();
         let attr = g.get(id).unwrap();
         assert_eq!(attr.profile.count, 3);
         assert_eq!(attr.source_count(), 2);

@@ -23,7 +23,7 @@
 //! attributes and re-weights, so one more source costs what it adds rather
 //! than what the schema holds.
 
-use datatamer_model::{AttrId, AttributeDef, SourceSchema};
+use datatamer_model::{AttrId, AttributeDef, DtError, Result, SourceSchema};
 
 use crate::global::{GlobalAttribute, GlobalSchema};
 use crate::matchers::{self, AttrFeatures, Fit};
@@ -44,6 +44,21 @@ pub struct IntegrationConfig {
 impl Default for IntegrationConfig {
     fn default() -> Self {
         IntegrationConfig { accept_threshold: 0.8, escalate_threshold: 0.55, max_candidates: 5 }
+    }
+}
+
+impl IntegrationConfig {
+    /// Check the thresholds: the escalation band must not start above the
+    /// acceptance threshold. An integrator runs under any configuration
+    /// (inverted thresholds leave it no escalation band); the pipeline's
+    /// schema-integration stage refuses one that fails this check.
+    pub fn validate(&self) -> Result<()> {
+        if self.escalate_threshold > self.accept_threshold {
+            return Err(DtError::Config(
+                "escalate threshold must not exceed accept threshold".to_owned(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -123,12 +138,9 @@ pub struct SchemaIntegrator {
 
 impl SchemaIntegrator {
     /// Start with an empty global schema (Fig 2's initial state), matching
-    /// with the Broadway synonym dictionary.
+    /// with the Broadway synonym dictionary. See
+    /// [`IntegrationConfig::validate`] for the thresholds' invariant.
     pub fn new(config: IntegrationConfig) -> Self {
-        assert!(
-            config.escalate_threshold <= config.accept_threshold,
-            "escalate threshold must not exceed accept threshold"
-        );
         SchemaIntegrator {
             global: GlobalSchema::new(),
             synonyms: SynonymDict::broadway(),
@@ -218,15 +230,15 @@ impl Ranking<'_> {
         for attr in &source.attributes {
             let candidates = self.rank(global, &prepare(attr), &claimed);
 
-            let best = candidates.first().map(|c| c.score).unwrap_or(0.0);
+            let top = candidates.first();
+            let best = top.map(|c| c.score).unwrap_or(0.0);
             let no_counterpart_alert = best < self.config.escalate_threshold;
-            let decision = if best >= self.config.accept_threshold {
-                let c = &candidates[0];
-                Decision::AutoAccept { attr: c.attr, score: c.score }
-            } else if best >= self.config.escalate_threshold {
-                resolver.resolve(attr, &candidates)
-            } else {
-                Decision::NewAttribute
+            let decision = match top {
+                Some(c) if best >= self.config.accept_threshold => {
+                    Decision::AutoAccept { attr: c.attr, score: c.score }
+                }
+                _ if best >= self.config.escalate_threshold => resolver.resolve(attr, &candidates),
+                _ => Decision::NewAttribute,
             };
 
             // Apply the decision to the global schema. Every attribute this
@@ -234,8 +246,14 @@ impl Ranking<'_> {
             // the call stay exact for every attribute still ranked.
             match &decision {
                 Decision::AutoAccept { attr: id, .. } | Decision::ExpertAccept { attr: id, .. } => {
-                    global.map_attribute(*id, source.source, attr);
-                    claimed.push(*id);
+                    // A resolver may name an attribute the schema does not
+                    // have: the source attribute then starts a new one
+                    // instead of being lost.
+                    let id = match global.map_attribute(*id, source.source, attr) {
+                        Ok(()) => *id,
+                        Err(_) => global.add_attribute(source.source, attr),
+                    };
+                    claimed.push(id);
                 }
                 Decision::NewAttribute | Decision::ExpertNewAttribute => {
                     claimed.push(global.add_attribute(source.source, attr));
@@ -419,6 +437,38 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_attribute_from_the_resolver_starts_a_new_one() {
+        struct Bogus;
+        impl EscalationResolver for Bogus {
+            fn resolve(&mut self, _a: &AttributeDef, _c: &[MatchCandidate]) -> Decision {
+                Decision::ExpertAccept { attr: AttrId(999), score: 0.5 }
+            }
+        }
+        let mut integ = SchemaIntegrator::new(
+            // Every score below 1.0 escalates.
+            IntegrationConfig { accept_threshold: 1.01, escalate_threshold: 0.0, max_candidates: 3 },
+        );
+        integ.integrate(&shows_source(1, "s1", "show_name", "cheapest_price"));
+        integ.integrate_with(&shows_source(2, "s2", "title", "cost"), &mut Bogus);
+        assert_eq!(integ.global().attribute_names(), ["show_name", "cheapest_price", "title", "cost"]);
+        assert!(integ.global().get(AttrId(999)).is_none());
+    }
+
+    #[test]
+    fn zero_thresholds_over_an_empty_schema_add_attributes() {
+        // No candidate scores 0.0 >= 0.0: the decision must not read a
+        // first candidate that is not there.
+        let mut integ = SchemaIntegrator::new(IntegrationConfig {
+            accept_threshold: 0.0,
+            escalate_threshold: 0.0,
+            max_candidates: 3,
+        });
+        let report = integ.integrate(&shows_source(1, "s1", "show_name", "cheapest_price"));
+        assert_eq!(integ.global().len(), 2);
+        assert!(report.suggestions.iter().all(|s| s.decision == Decision::ExpertNewAttribute));
+    }
+
+    #[test]
     fn human_intervention_drops_as_schema_matures() {
         // Fig 2's narrative: early stages need more intervention.
         let mut integ =
@@ -475,14 +525,14 @@ mod tests {
         }
     }
 
+    // Inverted thresholds are a `DtError`; `unwrap` turns it into the
+    // panic the test expects.
     #[test]
     #[should_panic(expected = "escalate threshold")]
     fn inverted_thresholds_panic() {
-        SchemaIntegrator::new(IntegrationConfig {
-            accept_threshold: 0.3,
-            escalate_threshold: 0.6,
-            max_candidates: 5,
-        });
+        IntegrationConfig { accept_threshold: 0.3, escalate_threshold: 0.6, max_candidates: 5 }
+            .validate()
+            .unwrap();
     }
 
     // ---- The oracle property: the carried fit against a refit per call. ----

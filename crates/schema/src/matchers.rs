@@ -233,7 +233,7 @@ impl Fit {
             tokens.sort_unstable_by_key(|&id| vocab.rank[id as usize]);
             let mut added = Vec::new();
             for run in tokens.chunk_by(|a, b| a == b) {
-                let id = run[0];
+                let Some(&id) = run.first() else { continue };
                 let rank = vocab.rank[id as usize];
                 if terms.binary_search_by_key(&rank, |&(t, _)| vocab.rank[t as usize]).is_err() {
                     vocab.df[id as usize] += 1;
@@ -273,7 +273,7 @@ impl Fit {
         let vocab = &self.vocab;
         let mut entries: Vec<(Option<u32>, f64)> = tokens
             .chunk_by(|x, y| x == y)
-            .map(|run| (vocab.ids.get(&run[0]), sim::damp(run.len())))
+            .filter_map(|run| Some((vocab.ids.get(run.first()?), sim::damp(run.len()))))
             .collect();
         sim::normalize_tfidf(&mut entries, |id| vocab.idf[id.map_or(0, |id| vocab.df[id as usize])]);
         let tfidf = entries
@@ -776,7 +776,7 @@ mod tests {
             for _ in 0..rng.below(7) {
                 let id = global.add_attribute(SourceId(0), &random_attr(&mut rng));
                 if rng.below(3) == 0 {
-                    global.map_attribute(id, SourceId(1), &random_attr(&mut rng));
+                    global.map_attribute(id, SourceId(1), &random_attr(&mut rng)).unwrap();
                 }
             }
             let bags: Vec<Vec<String>> = global

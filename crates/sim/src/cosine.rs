@@ -102,8 +102,10 @@ impl CosineModel {
     pub fn vectorize(&self, tokens: &[String]) -> Vec<(String, f64)> {
         let mut sorted: Vec<&String> = tokens.iter().collect();
         sorted.sort_unstable();
-        let mut entries: Vec<(String, f64)> =
-            sorted.chunk_by(|x, y| x == y).map(|run| (run[0].clone(), damp(run.len()))).collect();
+        let mut entries: Vec<(String, f64)> = sorted
+            .chunk_by(|x, y| x == y)
+            .filter_map(|run| Some(((*run.first()?).clone(), damp(run.len()))))
+            .collect();
         normalize_tfidf(&mut entries, |tok| self.weights.idf(tok));
         entries
     }

@@ -23,8 +23,8 @@ pub fn jaccard<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
 /// key** (checked only in debug builds). The sums accumulate in key order,
 /// since float addition is not associative.
 pub fn weighted_jaccard<T: Ord>(a: &[(T, f64)], b: &[(T, f64)]) -> f64 {
-    debug_assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "lhs not sorted/deduped");
-    debug_assert!(b.windows(2).all(|w| w[0].0 < w[1].0), "rhs not sorted/deduped");
+    debug_assert!(a.is_sorted_by(|x, y| x.0 < y.0), "lhs not sorted/deduped");
+    debug_assert!(b.is_sorted_by(|x, y| x.0 < y.0), "rhs not sorted/deduped");
     let (mut i, mut j) = (0usize, 0usize);
     let mut num = 0.0;
     let mut den = 0.0;
@@ -61,8 +61,8 @@ pub fn weighted_jaccard<T: Ord>(a: &[(T, f64)], b: &[(T, f64)]) -> f64 {
 /// The caller owns the sorted/deduplicated invariant (it is checked only in
 /// debug builds); violating it undercounts the intersection.
 pub fn jaccard_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "lhs not sorted/deduped");
-    debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "rhs not sorted/deduped");
+    debug_assert!(a.is_sorted_by(|x, y| x < y), "lhs not sorted/deduped");
+    debug_assert!(b.is_sorted_by(|x, y| x < y), "rhs not sorted/deduped");
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }

@@ -14,12 +14,13 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     // Keep the inner loop over the shorter string for cache friendliness.
     let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
     let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
+    let mut cur: Vec<usize> = Vec::with_capacity(short.len() + 1);
     for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
+        cur.clear();
+        cur.push(i + 1);
         for (j, sc) in short.iter().enumerate() {
             let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
         }
         std::mem::swap(&mut prev, &mut cur);
     }
@@ -43,14 +44,16 @@ pub fn bounded_levenshtein(a: &str, b: &str, max: usize) -> Option<usize> {
     }
     let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
     let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
+    let mut cur: Vec<usize> = Vec::with_capacity(short.len() + 1);
     for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        let mut row_min = cur[0];
+        cur.clear();
+        cur.push(i + 1);
+        let mut row_min = i + 1;
         for (j, sc) in short.iter().enumerate() {
             let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-            row_min = row_min.min(cur[j + 1]);
+            let d = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            cur.push(d);
+            row_min = row_min.min(d);
         }
         if row_min > max {
             return None;

@@ -82,7 +82,8 @@ fn main() {
                 .any(|((_, a), c)| a == &name_of(candidate) && c == truth_canon)
         }
     });
-    let mut panel = ExpertPanelResolver::homogeneous(3, 0.9, 1.5, 7, truth);
+    let mut panel =
+        ExpertPanelResolver::homogeneous(3, 0.9, 1.5, 7, truth).expect("0.9 is a probability");
     let report = integrator.integrate_with(&schema, &mut panel);
     println!(
         "\nintegration outcome: {} auto-accepted, {} expert-resolved, {} new attributes",

@@ -64,11 +64,12 @@
 //! assert_eq!(dt.context().run_count(stage_names::FUSION), 1);
 //! ```
 //!
-//! `run` is the only way data enters the system. Sources that arrive over
+//! `run` is the only way sources enter the system. Sources that arrive over
 //! time are further runs over the same context: each integrates its new
 //! sources into the global schema built so far and re-fuses the whole
 //! corpus. Record batches against resident entity-resolution state go
-//! through `DataTamer::consolidate_delta`, and a later run keeps them.
+//! through `DataTamer::consolidate_delta`; they join the context's corpus,
+//! so a later run consolidates them with everything else.
 //!
 //! ## Sharded storage: one shard type, two backends
 //!
@@ -380,8 +381,9 @@
 //!     )
 //! }
 //!
-//! // The staged run is one pass of the resident engine; the first delta
-//! // adopts its state instead of consolidating the corpus again.
+//! // The staged run is one pass of the resident engine, and it leaves that
+//! // engine in the context: the first delta extends it instead of
+//! // consolidating the corpus again.
 //! let mut dt = DataTamer::new(DataTamerConfig {
 //!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
 //!     ..Default::default()
@@ -404,17 +406,21 @@
 //!
 //! ### What stays resident, and restart
 //!
-//! Between deltas one `ResidentSession` (in `core`) owns the consolidator
+//! The pipeline context holds one resident ER state: the consolidator
 //! (prepared features, bucket lists, accepted-pair ledgers, the window
-//! decision memo), the accepted delta batches (the base records stay in
-//! the context), and the journal. A staged blocked-ER run leaves its
-//! consolidator behind, and the first delta's seed adopts it together
-//! with the composites the run installed, so a restart consolidates only
-//! the log tail. There is no fused-entity cache beside it: the context's
-//! previous `fused` vector is the cache, and the next delta *moves* every
-//! unchanged cluster's composite out of it into the new vector. None of this is
-//! budgeted: every store is the same order as the corpus it derives from,
-//! so a cap would bound nothing the records do not already occupy.
+//! decision memo) and the revision of the composites resolved from it.
+//! A staged blocked-ER run's consolidation stage leaves it, and every
+//! delta extends it, reusing the composites the run installed, so a
+//! restart consolidates only the log tail. The accepted delta batches are
+//! the last segment of the context's corpus, after the structured records
+//! and the text show records: a later run consolidates and fuses them
+//! with everything else, once, and nothing is replayed but the log, by
+//! the first delta of a process. There is no fused-entity cache beside
+//! it: the context's previous `fused` vector is the cache, and the next
+//! delta *moves* every unchanged cluster's composite out of it into the
+//! new vector. None of this is budgeted: every store is the same order as
+//! the corpus it derives from, so a cap would bound nothing the records
+//! do not already occupy.
 //!
 //! Durability comes from [`core::DeltaLogConfig`]: every accepted batch
 //! appends to a checksummed write-ahead log
@@ -423,7 +429,7 @@
 //! path replays the logged batches and converges on the same bytes. The
 //! log compacts once replay would cross `compact_after_frames`, and a
 //! failed append freezes the log (the error surfaces to the caller) while
-//! the session's journal falls back to keeping later batches in memory.
+//! later batches are kept in memory only, in the context's corpus.
 //!
 //! ```
 //! use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy};
@@ -449,21 +455,21 @@
 //! let corpus: Vec<Record> =
 //!     (0..40).map(|i| show(i, &format!("Unique{i} Show{i}"))).collect();
 //!
-//! // First life: seed, then land a delta batch — logged before it fuses.
+//! // First life: a run, then a delta batch — logged before it fuses.
 //! {
 //!     let mut dt = DataTamer::new(config.clone());
-//!     dt.run(PipelinePlan::new().structured("listings", &corpus)).expect("seed");
+//!     dt.run(PipelinePlan::new().structured("listings", &corpus)).expect("run");
 //!     let delta = dt.consolidate_delta(&[show(100, "Unique7 Show7")]).expect("delta");
 //!     assert_eq!(delta.dirty_clusters, 1);
 //! } // killed here — only the log survives
 //!
-//! // Second life: same log, same corpus seed; the batch replays and the
-//! // fused output is byte-identical to never having crashed.
+//! // Second life: same log, same corpus; the first delta replays the
+//! // batch and the fused output is byte-identical to never having crashed.
 //! let mut dt = DataTamer::new(config);
-//! dt.run(PipelinePlan::new().structured("listings", &corpus)).expect("reseed");
+//! dt.run(PipelinePlan::new().structured("listings", &corpus)).expect("run after the restart");
 //! dt.consolidate_delta(&[]).expect("replay surfaces the logged batch");
 //! let merged = DataTamer::lookup(&dt.context().fused, "Unique7 Show7").expect("merged");
-//! assert_eq!(merged.member_count, 2, "the killed session's delta survived");
+//! assert_eq!(merged.member_count, 2, "the killed process's delta survived");
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!

@@ -54,8 +54,9 @@ impl ServeSession {
     /// instead, because `fused_changed` only covers the last revision —
     /// either way only clusters whose entries changed are rewritten, and
     /// the snapshot shares everything else with the one it replaces. The
-    /// snapshot carries `delta.*` / `storage.*` counters from the run's
-    /// reports for the stats endpoint.
+    /// snapshot carries `storage.*` counters from the run's reports for the
+    /// stats endpoint, and `delta.*` counters when the latest
+    /// consolidation was a delta (not a run's consolidation stage).
     pub fn publish(&mut self, name: &str, dt: &DataTamer, spec: IndexSpec) {
         let ctx = dt.context();
         let (view, synced) = self

@@ -10,11 +10,14 @@
 //!
 //! The resident state this guards: the scoring context and blocking
 //! indices extend in place, only touched buckets are probed (never
-//! old-vs-old), accepted pairs merge into a persistent union-find, a seed
-//! adopts the ER state of the staged run it follows, and fused entities
-//! re-resolve only for clusters whose membership changed — the others are
-//! moved over from the previous fused vector, which the reuse-safety tests
-//! at the bottom guard against every way that vector can go stale.
+//! old-vs-old), accepted pairs merge into a persistent union-find, and
+//! there is one resident ER state: the one a staged run's consolidation
+//! leaves in the context, which every delta extends. Accepted batches are
+//! the last segment of the context's corpus, so a later run consolidates
+//! them with everything else, once. Fused entities re-resolve only for
+//! clusters whose membership changed — the others are moved over from the
+//! previous fused vector, which the reuse-safety tests at the bottom guard
+//! against every way that vector can go stale.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -22,8 +25,10 @@ use datatamer::core::fusion::{
     group_records, merge_groups_with, BlockedErConfig, FusedEntity, FusionGroup,
     GroupingStrategy, RegistryConfig, CHEAPEST_PRICE, SHOW_NAME,
 };
+use datatamer::core::stage::stage_names;
 use datatamer::core::{
     fuse_records_with, DataTamer, DataTamerConfig, DeltaLogConfig, DeltaReport, PipelinePlan,
+    StageReport,
 };
 use datatamer::corpus::ftables::{self, FtablesConfig};
 use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
@@ -124,11 +129,11 @@ fn staged_clusters(corpus: &[Record]) -> Vec<Vec<usize>> {
     dt.context().fusion_groups.iter().map(|(_, members)| members.clone()).collect()
 }
 
-/// Seed with `prefix`, consolidate `batches[..kill_after]`, then *drop the
-/// whole system* — the kill. Reopen over the same delta log, reseed from
-/// the same prefix, consolidate the remaining batches, and return the
-/// final fingerprint. Only the log survives the kill; the resident session
-/// is lost with the first instance.
+/// Run over `prefix`, consolidate `batches[..kill_after]`, then *drop the
+/// whole system* — the kill. Reopen over the same delta log, run over the
+/// same prefix, consolidate the remaining batches, and return the final
+/// fingerprint. Only the log survives the kill; the resident ER state is
+/// lost with the first instance.
 fn restarted_run(
     prefix: &[Record],
     batches: &[&[Record]],
@@ -162,13 +167,13 @@ fn restarted_run(
     if !prefix.is_empty() {
         plan = plan.structured("s1", prefix);
     }
-    dt.run(plan).expect("staged reseed run");
+    dt.run(plan).expect("staged run after the restart");
     for b in &batches[kill_after..] {
         dt.consolidate_delta(b).expect("delta ingest after restart");
     }
-    // Force the seed + log replay even when the kill came after the last
-    // batch (an empty delta must surface the replayed state and change
-    // nothing else).
+    // Force the log replay even when the kill came after the last batch
+    // (an empty delta must surface the replayed state and change nothing
+    // else).
     dt.consolidate_delta(&[]).expect("no-op delta after restart");
     let fp = fingerprint(&dt);
     std::fs::remove_dir_all(&dir).ok();
@@ -338,8 +343,8 @@ fn only_dirty_clusters_reresolve() {
         (0..30).map(|i| show(i, &format!("Unique{i} Show{i}"), "$10")).collect();
     let mut dt = DataTamer::new(config());
     dt.run(PipelinePlan::new().structured("s1", &corpus)).expect("seed run");
-    let seed = dt.consolidate_delta(&[]).expect("seeding no-op delta");
-    assert_eq!(seed.total_records, 30);
+    let noop = dt.consolidate_delta(&[]).expect("no-op delta");
+    assert_eq!(noop.total_records, 30);
 
     let d = dt.consolidate_delta(&[show(100, "Unique7 Show7", "$10")]).expect("delta");
     assert_eq!(d.dirty_clusters, 1, "{d:?}");
@@ -369,12 +374,8 @@ fn at_1_and_8_threads<T: PartialEq + std::fmt::Debug>(scenario: impl Fn() -> T +
     out
 }
 
-fn all_changed(dt: &DataTamer) -> bool {
-    dt.context().fused_changed.as_ref().is_some_and(|c| c.iter().all(|&d| d))
-}
-
 #[test]
-fn staged_run_between_deltas_reseeds_and_replays() {
+fn a_run_between_deltas_consolidates_the_accepted_batch() {
     let s1: Vec<Record> =
         (0..12).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
     let s2: Vec<Record> =
@@ -386,19 +387,18 @@ fn staged_run_between_deltas_reseeds_and_replays() {
         let mut dt = DataTamer::new(config());
         dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
         dt.consolidate_delta(&b1).expect("first delta");
-        // The staged run grows the corpus behind the session, so it ends by
-        // reseeding and replaying the first delta: its `fused` already
-        // holds every accepted record. The reseed adopts the run's ER
-        // state, and the run's composites are reused for every cluster the
-        // replay leaves alone: only Alphashow2's re-resolves.
+        // The first delta is part of the context's corpus, so the staged
+        // run consolidates and fuses it with both sources, once: its
+        // `fused` holds every accepted record and comes from the batch
+        // fusion stage, not from a delta.
         dt.run(PipelinePlan::new().structured("s2", &s2)).expect("second source");
         assert_eq!(fingerprint(&dt), full_run(&[&s1[..], &s2, &b1].concat()));
-        let changed = dt.context().fused_changed.clone().expect("the run ends on the delta path");
-        assert_eq!((changed.len(), changed.iter().filter(|&&c| c).count()), (18, 1));
+        assert_eq!(dt.context().fused_changed, None, "the run ends on its fusion stage");
         let d = dt.consolidate_delta(&b2).expect("delta after the run");
-        assert_eq!(d.total_records, 21, "s1 + s2 + the replayed first delta + this one");
-        assert_eq!(d.batch_records, 2, "the run already replayed the first delta");
-        // Only Alphashow2's and Betashow1's clusters re-resolve.
+        assert_eq!(d.total_records, 21, "s1 + s2 + the first delta + this one");
+        assert_eq!(d.batch_records, 2, "the run already consolidated the first delta");
+        // The delta extends the run's ER state and reuses its composites:
+        // only Alphashow2's and Betashow1's clusters re-resolve.
         let changed = dt.context().fused_changed.clone().expect("delta path sets it");
         assert_eq!((changed.len(), changed.iter().filter(|&&c| c).count()), (18, 2));
         fingerprint(&dt)
@@ -415,18 +415,18 @@ fn staged_run_over_the_same_corpus_invalidates_reuse() {
     let b2 = vec![show(101, "Alphashow7 One7", "$10")];
     let all: Vec<Record> = [s1.clone(), b1.clone(), b2.clone()].concat();
 
-    // No new source, so the session survives the run — but the run's own
-    // fusion stage installed composites that lack the delta records, so the
-    // run ends by re-resolving every cluster through the session.
+    // No new source, but the run consolidates and fuses the whole corpus,
+    // the accepted batch included, so none of the delta's composites is
+    // reused: the run's fusion stage resolves every cluster.
     let inc = at_1_and_8_threads(|| {
         let mut dt = DataTamer::new(config());
         dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
         dt.consolidate_delta(&b1).expect("first delta");
         dt.run(PipelinePlan::new()).expect("staged run between the deltas");
-        assert!(all_changed(&dt), "no composite in the context may be reused");
+        assert_eq!(dt.context().fused_changed, None, "no composite in the context is reused");
         assert_eq!(fingerprint(&dt), full_run(&[&s1[..], &b1].concat()));
         let d = dt.consolidate_delta(&b2).expect("delta after the run");
-        assert_eq!(d.dirty_clusters, 1, "the consolidator itself was kept: {d:?}");
+        assert_eq!(d.dirty_clusters, 1, "the run's consolidator was kept: {d:?}");
         fingerprint(&dt)
     });
     assert_eq!(inc, full_run(&all));
@@ -447,15 +447,14 @@ fn a_failed_log_append_keeps_the_batch_through_a_reseed() {
     let mut dt = DataTamer::new(config_with(Some(DeltaLogConfig::at(&path))));
     dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
     dt.consolidate_delta(&b1).expect("logged delta");
-    // Break the log under the session: a directory where the file was.
+    // Break the log under the live system: a directory where the file was.
     std::fs::remove_file(&path).unwrap();
     std::fs::create_dir(&path).unwrap();
     dt.consolidate_delta(&b2).expect_err("the append fails and is reported");
     assert_eq!(fingerprint(&dt), full_run(&[s1.clone(), b1.clone(), b2.clone()].concat()));
 
-    // The base corpus grows: the reseed the run ends with must replay both
-    // accepted batches, the one the log never got included, and the frozen
-    // log stays quiet.
+    // The base corpus grows: the run consolidates both accepted batches,
+    // the one the log never got included, and the frozen log stays quiet.
     dt.run(PipelinePlan::new().structured("s2", &s2)).expect("second source");
     assert_eq!(fingerprint(&dt), full_run(&[&s1[..], &s2, &b1, &b2].concat()));
     dt.consolidate_delta(&b3).expect("no further appends are attempted");
@@ -477,7 +476,7 @@ fn merging_two_clean_clusters_then_an_empty_delta() {
     let inc = at_1_and_8_threads(|| {
         let mut dt = DataTamer::new(config());
         dt.run(PipelinePlan::new().structured("s1", &corpus)).expect("seed run");
-        dt.consolidate_delta(&[]).expect("seeding delta");
+        dt.consolidate_delta(&[]).expect("no-op delta");
         assert_eq!(dt.context().fused.len(), 12);
 
         dt.consolidate_delta(&bridge).expect("bridging delta");
@@ -497,9 +496,12 @@ fn merging_two_clean_clusters_then_an_empty_delta() {
 }
 
 // ---------------------------------------------------------------------
-// One ER pass. A seed adopts the ER state of the staged run it follows,
-// so a restart consolidates the log tail, not the base corpus again, and
-// reuses the run's composites for every cluster the tail leaves alone.
+// One ER pass. There is one resident ER state: a staged run leaves it and
+// every delta extends it, so a restart consolidates the log tail, not the
+// base corpus again, and reuses the run's composites for every cluster
+// the tail leaves alone. A run on a live delta system consolidates and
+// fuses once, the accepted batches included, and the log is replayed once
+// per process.
 
 #[test]
 fn a_restart_consolidates_only_the_log_tail() {
@@ -538,7 +540,7 @@ fn a_restart_consolidates_only_the_log_tail() {
 }
 
 #[test]
-fn a_staged_run_is_adopted_only_over_the_corpus_it_consolidated() {
+fn a_delta_extends_the_er_state_of_the_latest_run() {
     let s1: Vec<Record> =
         (0..10).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
     let s2: Vec<Record> =
@@ -549,10 +551,10 @@ fn a_staged_run_is_adopted_only_over_the_corpus_it_consolidated() {
         let mut dt = DataTamer::new(config());
         dt.run(PipelinePlan::new().structured("s1", &s1)).expect("seed run");
         // A second run grows the corpus: the first run's ER state covers s1
-        // only and is replaced by the second's, which the seed adopts with
-        // its composites — only the cluster the delta touches re-resolves.
-        // (A corpus grown behind a run's state is not adopted; see
-        // `pipeline::tests::a_seed_adopts_no_er_state_over_a_corpus_grown_since`.)
+        // only and is replaced by the second's, which the delta extends
+        // with its composites — only the cluster the delta touches
+        // re-resolves. (A corpus grown behind a run's state is consolidated
+        // afresh; see `pipeline::tests::a_delta_over_a_corpus_grown_since_the_run_starts_a_fresh_consolidator`.)
         dt.run(PipelinePlan::new().structured("s2", &s2)).expect("second source");
         let d = dt.consolidate_delta(&b1).expect("delta");
         assert_eq!(d.total_records, 16, "{d:?}");
@@ -561,6 +563,68 @@ fn a_staged_run_is_adopted_only_over_the_corpus_it_consolidated() {
         fingerprint(&dt)
     });
     assert_eq!(inc, full_run(&[s1, s2, b1].concat()));
+}
+
+#[test]
+fn a_run_on_a_live_delta_system_consolidates_once() {
+    let s1: Vec<Record> =
+        (0..10).map(|i| show(i, &format!("Alphashow{i} One{i}"), "$10")).collect();
+    let s2: Vec<Record> =
+        (0..5).map(|i| show(50 + i, &format!("Betashow{i} Two{i}"), "$20")).collect();
+    let b1 = vec![show(100, "Alphashow2 One2", "$9"), show(101, "Betashow3 Two3", "$20")];
+
+    let inc = at_1_and_8_threads(|| {
+        let mut dt = DataTamer::new(config());
+        dt.run(PipelinePlan::new().structured("s1", &s1)).expect("first run");
+        dt.consolidate_delta(&b1).expect("delta");
+        let runs = dt.context().runs().len();
+        dt.run(PipelinePlan::new().structured("s2", &s2)).expect("run on the live system");
+        assert_eq!(dt.context().runs().len(), runs + 5, "one stage run per stage, no delta pair");
+        match dt.context().report_of(stage_names::ENTITY_CONSOLIDATION) {
+            Some(StageReport::EntityConsolidation { records, delta, .. }) => {
+                assert_eq!(*records, s1.len() + s2.len() + b1.len());
+                assert_eq!(*delta, None, "the stage consolidated the accepted batch");
+            }
+            other => panic!("wrong report variant: {other:?}"),
+        }
+        assert_eq!(dt.context().fused_changed, None, "fused once, by the fusion stage");
+        fingerprint(&dt)
+    });
+    assert_eq!(inc, full_run(&[s1, s2, b1].concat()));
+}
+
+#[test]
+fn a_restart_replays_the_log_exactly_once() {
+    let seq = LOG_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dt_once_{}_{seq}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = config_with(Some(DeltaLogConfig::at(dir.join("delta.log"))));
+    let base: Vec<Record> =
+        (0..12).map(|i| show(i, &format!("Unique{i} Show{i}"), "$10")).collect();
+    let b1 = vec![show(100, "Unique3 Show3", "$9"), show(101, "Brand New", "$12")];
+    {
+        let mut dt = DataTamer::new(cfg.clone());
+        dt.run(PipelinePlan::new().structured("s1", &base)).expect("run before the kill");
+        dt.consolidate_delta(&b1).expect("logged delta");
+    }
+
+    let want = base.len() + b1.len();
+    let fp = at_1_and_8_threads(|| {
+        let mut dt = DataTamer::new(cfg.clone());
+        dt.run(PipelinePlan::new().structured("s1", &base)).expect("run after the restart");
+        let d = dt.consolidate_delta(&[]).expect("replaying delta");
+        assert_eq!((d.batch_records, d.total_records), (b1.len(), want), "{d:?}");
+        dt.run(PipelinePlan::new()).expect("run on the live system");
+        match dt.context().report_of(stage_names::ENTITY_CONSOLIDATION) {
+            Some(StageReport::EntityConsolidation { records, .. }) => assert_eq!(*records, want),
+            other => panic!("wrong report variant: {other:?}"),
+        }
+        let d = dt.consolidate_delta(&[]).expect("second empty delta");
+        assert_eq!((d.batch_records, d.total_records), (0, want), "{d:?}");
+        fingerprint(&dt)
+    });
+    assert_eq!(fp, full_run(&[base, b1].concat()));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

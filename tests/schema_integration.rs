@@ -94,7 +94,7 @@ fn perfect_experts_beat_threshold_only_on_wrong_mappings() {
             _ => false,
         }
     });
-    let mut panel = ExpertPanelResolver::homogeneous(3, 1.0, 1.0, 5, truth);
+    let mut panel = ExpertPanelResolver::homogeneous(3, 1.0, 1.0, 5, truth).unwrap();
     let mut assisted = SchemaIntegrator::broadway();
     let (_, wrong_assisted, _) = run_and_grade(&mut assisted, &srcs, Some(&mut panel));
 
