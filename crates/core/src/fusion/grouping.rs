@@ -20,12 +20,21 @@ use datatamer_entity::pairsim::RecordSimilarity;
 use datatamer_model::Record;
 use datatamer_text::normalize::canonical_name;
 
-use super::{group_records, FusionGroup, SHOW_NAME};
+use super::{group_records, FusionGroup, SHOW_NAME, TEXT_FEED};
 use crate::corpus::Corpus;
 
 /// Configuration of similarity-based blocked entity resolution: which
 /// attribute token blocking keys on, how pairs are scored, and the
 /// acceptance threshold.
+///
+/// The default scorer weighs every attribute 1.0 except `TEXT_FEED`,
+/// which weighs 0. A web-text show record carries its whole fragment
+/// there, and a fragment is evidence about a show, not its identity: two
+/// fragments about the same show share little prose. Comparing them was
+/// most of the scoring time (a Jaro-Winkler over two long texts for every
+/// text–text candidate pair), and dropping the term changed no group on
+/// the repository's corpora. An attribute of weight 0 is never prepared,
+/// so the resident ER state holds no copy of the fragments either.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockedErConfig {
     /// The attribute driving blocking (canonical spelling — records are
@@ -45,7 +54,7 @@ impl Default for BlockedErConfig {
     fn default() -> Self {
         BlockedErConfig {
             key_attr: SHOW_NAME.to_owned(),
-            scorer: RecordSimilarity::default(),
+            scorer: RecordSimilarity::with_weights(vec![(TEXT_FEED.to_owned(), 0.0)], 1.0),
             accept_threshold: 0.75,
             incremental: false,
         }

@@ -165,12 +165,14 @@ pub struct IncrementalConsolidator {
 
 impl IncrementalConsolidator {
     /// An empty consolidator; `threshold` is the pair-acceptance score
-    /// bound, as in the batch path.
+    /// bound, as in the batch path. The scoring context prepares the
+    /// blocker's key attribute even if `scorer` weighs it 0, since the
+    /// progressive windows sort on it.
     pub fn new(blocker: Blocker, scorer: RecordSimilarity, threshold: f64) -> Self {
         IncrementalConsolidator {
+            ctx: scorer.keyed_context(Some(&blocker.key_attr)),
             blocker,
             threshold,
-            ctx: scorer.prepare(&[]),
             sort_keys: Vec::new(),
             token_ids: TokenInterner::new(),
             token_buckets: Vec::new(),
@@ -523,6 +525,52 @@ mod tests {
             // A regenerated window re-proposes its old-old pairs; the memo
             // answers them, so only a single-batch run never hits it.
             assert_eq!(memo_hits > 0, batch < records.len(), "batch size {batch}");
+        }
+    }
+
+    #[test]
+    fn a_weight_zero_blocking_key_still_orders_the_windows() {
+        // The key `name` weighs 0; only `venue` is scored. All 40 names
+        // share the token "show", one bucket over a cap of 8, so windows
+        // sort on the key. Records k and k+1 of the name order share a
+        // venue, and lie 17 or 23 apart in insertion order: beyond the
+        // window, so an axis that lost the key (every entry `None`, hence
+        // insertion order) would miss those pairs.
+        let records: Vec<Record> = (0..40u64)
+            .map(|i| {
+                let k = (i * 7) % 40;
+                Record::from_pairs(
+                    SourceId(0),
+                    RecordId(i),
+                    vec![
+                        ("name", Value::from(format!("show {k:02}"))),
+                        ("venue", Value::from(format!("house {}", k / 2))),
+                    ],
+                )
+            })
+            .collect();
+        let scorer = RecordSimilarity::with_weights(vec![("name".into(), 0.0)], 1.0);
+        let blocker = Blocker::new("name").with_bucket_cap(8);
+
+        let keys: Vec<Option<String>> =
+            records.iter().map(|r| r.get_text("name").map(|k| k.to_lowercase())).collect();
+        let outcome = blocker.candidates_with_report_keyed(&records, &|| keys.clone());
+        let accepted = scorer.prepare(&records).accepted_pairs(&outcome.pairs, 0.85);
+        let clusters = crate::cluster::cluster_pairs(records.len(), &accepted);
+        assert_eq!(clusters.len(), 20, "every venue pair is found: {clusters:?}");
+
+        for batch in [7, 40] {
+            let mut inc = IncrementalConsolidator::new(blocker.clone(), scorer.clone(), 0.85);
+            let mut candidate_pairs = 0;
+            for chunk in records.chunks(batch) {
+                candidate_pairs = inc.ingest(chunk).candidate_pairs;
+            }
+            if batch == records.len() {
+                assert_eq!(candidate_pairs, outcome.pairs.len());
+            }
+            assert_eq!(inc.accepted_pairs(), accepted, "batch size {batch}");
+            assert_eq!(inc.clusters(), clusters.as_slice(), "batch size {batch}");
+            assert_eq!(inc.context().sort_keys("name"), Some(keys.clone()));
         }
     }
 

@@ -14,10 +14,10 @@
 //!   definition* of pair similarity and the test oracle.
 //! * **Prepared scoring** — [`RecordSimilarity::prepare`] runs one pass over the
 //!   records and builds a [`ScoringContext`] holding, per record and per
-//!   non-null attribute: the interned attribute id, the `as_float` /
-//!   numeric-ish parses, the lowercased text (one shared arena), and the
-//!   token set as a sorted, deduplicated `Vec<u32>` of ids from a global
-//!   [`sim::TokenInterner`]. [`ScoringContext::score_pair`] then does no
+//!   non-null attribute of nonzero weight: the interned attribute id, the
+//!   `as_float` / numeric-ish parses, the lowercased text (one shared
+//!   arena), and the token set as a sorted, deduplicated `Vec<u32>` of ids
+//!   from a global [`sim::TokenInterner`]. [`ScoringContext::score_pair`] then does no
 //!   per-value normalisation: Jaccard by sorted-slice merge
 //!   ([`sim::jaccard_sorted`]), O(1) attribute-weight lookup through a
 //!   vector indexed by attribute id, and string work reduced to arena
@@ -39,13 +39,18 @@
 //! are rejected. [`ScoringContext::accepts`] (what
 //! [`ScoringContext::accepted_pairs`] runs) walks the shared fields in
 //! the score's order and computes every cheap similarity exactly: numeric
-//! fields, equal texts, and texts whose longer side fits one 64-bit word.
-//! For each longer text it uses `0.6·1.0 + 0.4·jaccard` in place of
-//! `0.6·jaro_winkler + 0.4·jaccard` (the Jaccard term is exact and cheap
-//! from the prepared token ids). If that weighted bound is below the
-//! threshold the pair is rejected without running Jaro; otherwise the
-//! deferred Jaro-Winkler terms are computed and the score is accumulated
-//! from the cached per-field values, so no field is scored twice.
+//! fields and equal texts. For two distinct texts it uses
+//! `0.6·1.0 + 0.4·jaccard` in place of `0.6·jaro_winkler + 0.4·jaccard`
+//! (the Jaccard term is exact and cheap from the prepared token ids). If
+//! that weighted bound is below the threshold the pair is rejected
+//! without running Jaro. Otherwise the deferred Jaro-Winkler terms are
+//! computed one at a time, in field order, and the bound is summed again
+//! after each with that term exact, so the pair is rejected as soon as
+//! the bound falls below the threshold. No field is scored twice, and once
+//! every term is exact the bound is the score. Short texts are deferred
+//! too: a structured record shares half a dozen short fields (theatre,
+//! schedule, phone, website) with another, and the bound rejects most
+//! such pairs before the first Jaro.
 //!
 //! The bound needs no epsilon. It is summed in the same order as the
 //! score, over the same weights, from termwise `>=` values. With weights
@@ -56,6 +61,23 @@
 //! stack buffer of cached terms. The decision is therefore exactly
 //! `score_pair(i, j) >= threshold`, which `tests/prepared_equivalence.rs`
 //! pins, including thresholds equal to a pair's score.
+//!
+//! ## Weight-0 attributes are never prepared
+//!
+//! An attribute of weight exactly `0.0` contributes nothing to any score
+//! (the naive walk skips it, and so does [`ScoringContext::score_pair`]),
+//! so preparation skips its values too: the name is interned, keeping the
+//! weights vector indexed by attribute id, but the value is not parsed,
+//! lowercased into the arena or tokenised, and no prepared field is kept
+//! for it. Scores are unchanged bit for bit. A text feed weighed 0 thus
+//! costs the resident state nothing beyond its interned name.
+//!
+//! The one exception is the blocking key. The incremental consolidator
+//! reads its progressive-window sort axis from the context
+//! ([`ScoringContext::sort_keys_from`]), so the context it builds keeps
+//! the key attribute's values whatever the key weighs. A context from
+//! [`RecordSimilarity::prepare`] has no key, and
+//! [`ScoringContext::sort_keys`] answers `None` for an attribute it skipped.
 //!
 //! The context is **growable**: [`ScoringContext::extend`] appends a batch
 //! of new records in place — interners, arenas, and weights extend without
@@ -107,8 +129,18 @@ impl RecordSimilarity {
     /// score without re-deriving features. The context owns a clone of
     /// this configuration, so it can stay resident across incremental runs.
     pub fn prepare(&self, records: &[Record]) -> ScoringContext {
-        let mut ctx = ScoringContext {
+        let mut ctx = self.keyed_context(None);
+        ctx.extend(records);
+        ctx
+    }
+
+    /// An empty [`ScoringContext`] that prepares `key_attr`'s values even
+    /// when that attribute weighs 0, so the blocking sort axis can be read
+    /// from it (see the module docs).
+    pub(crate) fn keyed_context(&self, key_attr: Option<&str>) -> ScoringContext {
+        ScoringContext {
             rs: self.clone(),
+            key_attr: key_attr.map(str::to_owned),
             attr_ids: sim::TokenInterner::new(),
             tokens: sim::TokenInterner::new(),
             weights: Vec::new(),
@@ -119,9 +151,7 @@ impl RecordSimilarity {
             token_arena: Vec::new(),
             text_arena: String::new(),
             stats: PrepareStats::default(),
-        };
-        ctx.extend(records);
-        ctx
+        }
     }
 
     fn weight_of(&self, attr: &str) -> f64 {
@@ -168,7 +198,9 @@ impl RecordSimilarity {
 pub struct PrepareStats {
     /// Records visited (always the full input length).
     pub records: usize,
-    /// Non-null values normalised.
+    /// Non-null values normalised: those of attributes of nonzero weight,
+    /// plus the blocking key's in a consolidator's context. A weight-0
+    /// attribute's values are skipped (see the module docs).
     pub values: usize,
     /// Distinct attribute names interned.
     pub distinct_attrs: usize,
@@ -233,18 +265,6 @@ impl FieldSim<'_> {
             FieldSim::Text { jaccard, .. } => 0.6 * 1.0 + 0.4 * jaccard,
         }
     }
-
-    /// Resolve now when the longer text fits one 64-bit word: the
-    /// bit-parallel Jaro then costs one word operation per symbol, too
-    /// little to be worth deferring.
-    fn resolve_if_short(self) -> Self {
-        match self {
-            FieldSim::Text { la, lb, .. } if la.len().max(lb.len()) <= 64 => {
-                FieldSim::Exact(self.resolve())
-            }
-            other => other,
-        }
-    }
 }
 
 /// Shared weighted fields [`ScoringContext::accepts`] holds on the stack;
@@ -262,6 +282,9 @@ pub struct ScoringContext {
     /// The scorer configuration, kept so extension can weight attributes
     /// first seen in a later batch.
     rs: RecordSimilarity,
+    /// The blocking key attribute, prepared even at weight 0; `None` for a
+    /// context from [`RecordSimilarity::prepare`].
+    key_attr: Option<String>,
     /// Attribute-name interner (ids index [`ScoringContext::weights`]).
     attr_ids: sim::TokenInterner,
     /// Value-token interner (ids fill the token arena).
@@ -315,6 +338,9 @@ impl ScoringContext {
                 if attr_id as usize == self.weights.len() {
                     self.weights.push(self.rs.weight_of(attr));
                 }
+                if self.weights[attr_id as usize] == 0.0 && !self.is_key(attr) {
+                    continue;
+                }
                 let float = v.as_float();
                 let text = v.to_text();
                 let numericish = parse_numericish(&text);
@@ -348,6 +374,10 @@ impl ScoringContext {
         self.stats.distinct_tokens = self.tokens.len();
     }
 
+    fn is_key(&self, attr: &str) -> bool {
+        self.key_attr.as_deref() == Some(attr)
+    }
+
     fn fields_of(&self, i: usize) -> &[PreparedField] {
         let r = self.records[i];
         &self.fields[r.field_start..r.field_start + r.field_len as usize]
@@ -364,16 +394,19 @@ impl ScoringContext {
     /// The blocking sort axis for `attr` — each record's lowercased value,
     /// byte-identical to `Record::get_text(attr).to_lowercase()` but read
     /// from the prepared text arena instead of re-rendering and
-    /// re-lowercasing every record. Always `Some`: the `Option` remains
-    /// only because the `dtbench` benchmark unwraps it.
+    /// re-lowercasing every record. `None` when the context skipped `attr`:
+    /// it weighs 0 and is not the context's blocking key, so its values
+    /// were never prepared.
     pub fn sort_keys(&self, attr: &str) -> Option<Vec<Option<String>>> {
-        Some(self.sort_keys_from(attr, 0))
+        let prepared = self.rs.weight_of(attr) != 0.0 || self.is_key(attr);
+        prepared.then(|| self.sort_keys_from(attr, 0))
     }
 
     /// [`ScoringContext::sort_keys`] restricted to records `start..len` —
     /// the incremental consolidator calls this with the previous corpus
     /// length after an [`ScoringContext::extend`], so growing its resident
-    /// sort axis costs O(delta), not O(corpus).
+    /// sort axis costs O(delta), not O(corpus). For an attribute the
+    /// context skipped, every key is `None`.
     pub fn sort_keys_from(&self, attr: &str, start: usize) -> Vec<Option<String>> {
         let id = self.attr_ids.get(attr);
         (start..self.records.len())
@@ -434,9 +467,9 @@ impl ScoringContext {
     }
 
     /// Whether pair `(i, j)` is accepted at `threshold` — always equal to
-    /// `score_pair(i, j) >= threshold`, but a pair whose float-exact score
-    /// upper bound is already below `threshold` is rejected without running
-    /// Jaro-Winkler on its long texts (see the module docs).
+    /// `score_pair(i, j) >= threshold`, but Jaro-Winkler terms run one at
+    /// a time, and the pair is rejected as soon as its float-exact score
+    /// upper bound falls below `threshold` (see the module docs).
     pub fn accepts(&self, i: usize, j: usize, threshold: f64) -> bool {
         if !self.nonnegative_weights || self.records[i].field_len as usize > MAX_TERMS {
             return self.score_pair(i, j) >= threshold;
@@ -444,22 +477,33 @@ impl ScoringContext {
         let mut terms = [(0.0, FieldSim::Exact(0.0)); MAX_TERMS];
         let mut n = 0;
         let mut total_weight = 0.0;
-        let mut bound = 0.0;
         for (w, s) in self.shared_fields(i, j) {
-            let s = s.resolve_if_short();
-            bound += w * s.upper();
             total_weight += w;
             terms[n] = (w, s);
             n += 1;
         }
-        if weighted_mean(bound, total_weight) < threshold {
+        let terms = &mut terms[..n];
+        // The weighted mean with every unresolved term at its upper bound.
+        let bound = |terms: &[(f64, FieldSim<'_>)]| {
+            let mut acc = 0.0;
+            for &(w, s) in terms {
+                acc += w * s.upper();
+            }
+            weighted_mean(acc, total_weight)
+        };
+        if bound(terms) < threshold {
             return false;
         }
-        let mut acc = 0.0;
-        for &(w, s) in &terms[..n] {
-            acc += w * s.resolve();
+        for k in 0..n {
+            let (_, s) = terms[k];
+            if let FieldSim::Text { .. } = s {
+                terms[k].1 = FieldSim::Exact(s.resolve());
+                if bound(terms) < threshold {
+                    return false;
+                }
+            }
         }
-        weighted_mean(acc, total_weight) >= threshold
+        true
     }
 
     /// Decide candidate pairs in parallel and keep the accepted ones, in
@@ -635,6 +679,57 @@ mod tests {
                 for t in [0.5, score, score.next_up()] {
                     assert_eq!(ctx.accepts(i, j, t), score >= t, "pair ({i},{j}) at {t}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_weight_zero_attribute_is_never_prepared() {
+        // Every record gains a weight-0 `feed` whose tokens appear nowhere
+        // else: preparing it would intern new tokens and count its values.
+        let records = vec![
+            rec(vec![("name", "Matilda"), ("price", "$27")]),
+            rec(vec![("name", "matilda"), ("price", "27 USD"), ("venue", "Shubert")]),
+            rec(vec![("name", "Wicked"), ("venue", "Gershwin")]),
+            rec(vec![]),
+        ];
+        let with_feed: Vec<Record> = records
+            .iter()
+            .enumerate()
+            .map(|(k, r)| {
+                let mut r = r.clone();
+                r.set("feed", Value::from(format!("zq{k}a zq{k}b grossed 960,998")));
+                r
+            })
+            .collect();
+        let scorer = RecordSimilarity::with_weights(vec![("feed".into(), 0.0)], 1.0);
+        let plain = scorer.prepare(&records);
+        let ctx = scorer.prepare(&with_feed);
+
+        assert_eq!(ctx.stats().distinct_tokens, plain.stats().distinct_tokens);
+        assert_eq!(ctx.stats().values, plain.stats().values, "feed values are not counted");
+        let interned = plain.stats().distinct_attrs + 1;
+        assert_eq!(ctx.stats().distinct_attrs, interned, "the name is interned");
+        for i in 0..records.len() {
+            for j in 0..records.len() {
+                let score = ctx.score_pair(i, j);
+                assert_eq!(score.to_bits(), plain.score_pair(i, j).to_bits(), "pair ({i},{j})");
+                assert_eq!(score.to_bits(), scorer.score(&with_feed[i], &with_feed[j]).to_bits());
+            }
+        }
+        assert_eq!(ctx.sort_keys("feed"), None, "a skipped attribute has no sort axis");
+        assert!(ctx.sort_keys("name").is_some());
+
+        // As a blocking key, the same attribute is prepared.
+        let mut keyed = scorer.keyed_context(Some("feed"));
+        keyed.extend(&with_feed);
+        let expected: Vec<Option<String>> =
+            with_feed.iter().map(|r| r.get_text("feed").map(|k| k.to_lowercase())).collect();
+        assert_eq!(keyed.sort_keys("feed"), Some(expected));
+        assert_eq!(keyed.stats().values, plain.stats().values + with_feed.len());
+        for i in 0..records.len() {
+            for j in 0..records.len() {
+                assert_eq!(keyed.score_pair(i, j).to_bits(), plain.score_pair(i, j).to_bits());
             }
         }
     }

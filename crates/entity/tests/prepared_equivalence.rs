@@ -4,8 +4,9 @@
 //! hoists work, it never moves a float — accept decisions equal the naive
 //! `score >= threshold` even where the bound skips Jaro, preparation
 //! visits each record exactly once no matter how many pairs are scored
-//! afterwards, and the blocking sort axis read from the context is
-//! byte-identical to the one derived from the raw records.
+//! afterwards, an attribute of weight 0 is never prepared, and the
+//! blocking sort axis read from the context is byte-identical to the one
+//! derived from the raw records.
 
 use proptest::prelude::*;
 
@@ -102,6 +103,11 @@ fn weights_strategy() -> impl Strategy<Value = RecordSimilarity> {
                 default_weight,
             )
         })
+}
+
+/// `scorer`'s weight for `attr`: the first listed entry, else the default.
+fn weight_of(scorer: &RecordSimilarity, attr: &str) -> f64 {
+    scorer.weights.iter().find(|(a, _)| a == attr).map_or(scorer.default_weight, |(_, w)| *w)
 }
 
 proptest! {
@@ -211,6 +217,37 @@ proptest! {
             for k in 0..=n {
                 prop_assert_eq!(ctx.sort_keys_from(attr, k), expected[k..].to_vec(), "attr {} from {}", attr, k);
             }
+        }
+    }
+
+    #[test]
+    fn preparation_skips_every_weight_zero_value(
+        raw in prop::collection::vec(record_strategy(), 1..10),
+        scorer in weights_strategy(),
+        split in 0usize..10,
+    ) {
+        let records = build_records(raw);
+        let n = records.len();
+        let split = split.min(n);
+        let mut ctx = scorer.prepare(&records[..split]);
+        ctx.extend(&records[split..]);
+
+        // One prepared value per non-null field of nonzero weight: a value
+        // of weight 0 is skipped, not normalised.
+        let weighted: usize = records
+            .iter()
+            .map(|r| r.iter().filter(|(a, v)| !v.is_null() && weight_of(&scorer, a) != 0.0).count())
+            .sum();
+        prop_assert_eq!(ctx.stats().records, n);
+        prop_assert_eq!(ctx.stats().values, weighted);
+
+        // A skipped attribute has no sort axis; any other reads as the
+        // raw records' lowercased text.
+        for attr in ATTRS.iter().copied().chain(["absent"]) {
+            let expected: Vec<Option<String>> =
+                records.iter().map(|r| r.get_text(attr).map(|k| k.to_lowercase())).collect();
+            let want = (weight_of(&scorer, attr) != 0.0).then_some(expected);
+            prop_assert_eq!(ctx.sort_keys(attr), want, "attr {}", attr);
         }
     }
 }

@@ -16,8 +16,9 @@ pub struct SimulatedExpert {
     pub name: String,
     /// Domain the expert answers ("schema", "dedup", ...).
     pub domain: String,
-    /// Probability an answer is correct.
-    pub accuracy: f64,
+    /// Probability an answer is correct; checked by [`SimulatedExpert::new`]
+    /// and private so no later write can take it out of `[0, 1]`.
+    accuracy: f64,
     /// Cost charged per answered task (abstract units; benches sum it).
     pub cost_per_task: f64,
     rng: StdRng,
@@ -42,6 +43,11 @@ impl SimulatedExpert {
             rng: StdRng::seed_from_u64(seed),
             answered: 0,
         })
+    }
+
+    /// Probability an answer is correct, in `[0, 1]`.
+    pub fn accuracy(&self) -> f64 {
+        self.accuracy
     }
 
     /// Answer a yes/no task whose true answer is `truth`.
@@ -113,6 +119,21 @@ mod tests {
         let va: Vec<bool> = (0..50).map(|_| a.answer(true)).collect();
         let vb: Vec<bool> = (0..50).map(|_| b.answer(true)).collect();
         assert_eq!(va, vb);
+    }
+
+    #[test]
+    fn only_probabilities_make_an_expert_and_its_bounds_answer() {
+        for bad in [f64::NAN, -0.01, 1.01] {
+            assert!(SimulatedExpert::new("x", "d", bad, 1.0, 0).is_none(), "accuracy {bad}");
+        }
+        for (accuracy, right) in [(0.0, false), (1.0, true)] {
+            let mut e = SimulatedExpert::new("x", "d", accuracy, 1.0, 11).unwrap();
+            assert_eq!(e.accuracy(), accuracy);
+            for k in 0..200 {
+                let truth = k % 3 == 0;
+                assert_eq!(e.answer(truth), if right { truth } else { !truth });
+            }
+        }
     }
 
     // An accuracy outside `[0, 1]` yields `None`; `expect` turns it into

@@ -3,11 +3,14 @@
 //! pair scoring → union-find), with blocking health surfaced in the stage
 //! report and progressive blocking keeping oversized buckets connected.
 
-use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy};
+use datatamer::core::fusion::{BlockedErConfig, FusionGroup, GroupingStrategy};
 use datatamer::core::stage::{stage_names, StageReport};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
+use datatamer::corpus::ftables::{self, FtablesConfig};
+use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer::entity::RecordSimilarity;
 use datatamer::model::{Record, RecordId, SourceId, Value};
+use datatamer::text::DomainParser;
 
 fn config_with(grouping: GroupingStrategy) -> DataTamerConfig {
     DataTamerConfig {
@@ -158,4 +161,56 @@ fn oversized_bucket_stays_connected_through_the_staged_pipeline() {
         }
         other => panic!("wrong report variant: {other:?}"),
     }
+}
+
+/// The FTABLES sources and the web-text corpus that `examples/staged_run.rs`
+/// builds, at `seed`, run through blocked ER with `scorer`: the fusion
+/// groups and the fused entities' `Debug` bytes.
+fn staged_run_groups(seed: u64, scorer: RecordSimilarity) -> (Vec<FusionGroup>, String) {
+    let corpus = WebTextCorpus::generate(&WebTextConfig {
+        num_fragments: 1_000,
+        seed,
+        ..Default::default()
+    });
+    let sources = ftables::generate(&FtablesConfig { seed, ..Default::default() }, 1000);
+    let mut plan = PipelinePlan::new();
+    for s in &sources {
+        plan = plan.structured(&s.name, &s.records);
+    }
+    let frags: Vec<(&str, &str)> =
+        corpus.fragments.iter().map(|f| (f.text.as_str(), f.kind.label())).collect();
+    plan = plan.webtext(DomainParser::with_gazetteer(corpus.gazetteer.clone()), frags);
+    let grouping = GroupingStrategy::BlockedEr(BlockedErConfig { scorer, ..Default::default() });
+    let mut dt = DataTamer::new(DataTamerConfig { grouping, ..Default::default() });
+    dt.run(plan).unwrap();
+    let ctx = dt.context();
+    (ctx.fusion_groups.clone(), format!("{:?}", ctx.fused))
+}
+
+/// The default blocked-ER scorer weighs `TEXT_FEED` 0. On the repository's
+/// own corpora that must group exactly as the all-1.0 scorer does. This
+/// stands in for a recall measurement until ROADMAP item 3(a)'s `q1`
+/// quality corpus exists; `q1` then replaces it as the judge of recall.
+fn default_scorer_groups_like_the_all_one_scorer(seed: u64) {
+    let default = BlockedErConfig::default().scorer;
+    assert_ne!(default, RecordSimilarity::default(), "the default drops TEXT_FEED");
+    let (groups, fused) = staged_run_groups(seed, default);
+    let (all_groups, all_fused) = staged_run_groups(seed, RecordSimilarity::default());
+    assert!(groups == all_groups, "seed {seed}: the fusion groups differ");
+    assert!(fused == all_fused, "seed {seed}: the fused bytes differ");
+}
+
+#[test]
+fn default_scorer_groups_like_the_all_one_scorer_at_the_default_seed() {
+    default_scorer_groups_like_the_all_one_scorer(0xDA7A);
+}
+
+#[test]
+fn default_scorer_groups_like_the_all_one_scorer_at_seed_7() {
+    default_scorer_groups_like_the_all_one_scorer(7);
+}
+
+#[test]
+fn default_scorer_groups_like_the_all_one_scorer_at_seed_42() {
+    default_scorer_groups_like_the_all_one_scorer(42);
 }
