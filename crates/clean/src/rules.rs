@@ -121,15 +121,16 @@ impl CleaningEngine {
     }
 }
 
-/// Clean many sources concurrently: each `(name, records)` job runs the
-/// engine built by `engine_for` over its records, in parallel across
-/// sources (the paper's per-source curation step). Reports come back in
-/// job order.
+/// Clean many sources: each `(name, records)` job runs the engine built by
+/// `engine_for` over its records (the paper's per-source curation step).
+/// Reports come back in job order.
 ///
-/// Each job's records clean through [`CleaningEngine::clean_all_parallel`],
-/// so a single oversized source still spreads across the thread team (the
-/// rayon shim runs a lone job inline, leaving the full width to the
-/// per-record fan-out).
+/// The jobs fan out across the thread team only when there are at least
+/// 64 of them; fewer run one after another on the caller, as the rayon shim
+/// runs any call of fewer than 64 items inline. Each job's records clean
+/// through [`CleaningEngine::clean_all_parallel`], so a source of 64 or
+/// more records still spreads across the team, whichever way the jobs ran
+/// (a call made inside another call's work runs inline).
 pub fn clean_sources_parallel(
     jobs: &mut [(String, Vec<Record>)],
     engine_for: impl Fn(&str) -> CleaningEngine + Sync,

@@ -555,9 +555,12 @@ impl PipelineStage for SchemaIntegrationStage {
 /// normalisation, null canonicalisation), then persist the curated records
 /// into the global-records collection.
 ///
-/// Sources clean concurrently across the rayon team (per-source engines,
-/// no shared mutable state) and each source's batch lands in storage
-/// through the shard-batched `insert_many` path.
+/// Sources clean through per-source engines with no shared mutable state,
+/// so the cleaned records do not depend on the thread width. Each source's
+/// batch lands in storage through the shard-batched `insert_many` path.
+/// The rayon shim runs a call of fewer than 64 items inline, so a typical
+/// run's sources, and the records of each source smaller than that, clean
+/// and encode on the calling thread; only larger ones use the team.
 #[derive(Debug, Default)]
 pub struct CleaningStage;
 

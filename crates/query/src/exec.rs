@@ -38,8 +38,9 @@
 //! Either way [`Executed::candidates`] counts the rows actually
 //! re-checked.
 //!
-//! Determinism: scans fan out with rayon over row ranges (the shim's
-//! order-preserving fork-join keeps positions ascending), while
+//! Determinism: scans fan out with rayon over row ranges (the shim
+//! concatenates chunk outputs in chunk order, so positions stay
+//! ascending; a served request's scan runs on its worker alone), while
 //! everything order-sensitive — aggregation folds, sorting, projection —
 //! runs sequentially over the already-ordered position list. Every plan
 //! funnels into one `finish` routine, which is also the entire body of

@@ -165,8 +165,7 @@ impl QueryServer {
                 stop: Arc::clone(&stop),
                 waiting: Arc::clone(&waiting),
             };
-            // dtlint::allow(thread-spawn, reason = "serving worker pool; request handling is read-only over immutable snapshots and never feeds back into pipeline output")
-            threads.push(std::thread::spawn(move || loop {
+            let serve = move || loop {
                 let next = rx.lock().recv();
                 match next {
                     Ok(stream) => {
@@ -175,6 +174,16 @@ impl QueryServer {
                     }
                     Err(_) => break,
                 }
+            };
+            // Workers already serve connections side by side, so a request's
+            // own parallel calls (a full scan) run at width 1 on its worker:
+            // fanning one out would only take cores from the other workers
+            // and from the pipeline writing beside them.
+            let width_one = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+            // dtlint::allow(thread-spawn, reason = "serving worker pool; request handling is read-only over immutable snapshots and never feeds back into pipeline output")
+            threads.push(std::thread::spawn(move || match width_one {
+                Ok(pool) => pool.install(serve),
+                Err(_) => serve(),
             }));
         }
         let accept_stop = Arc::clone(&stop);

@@ -1,8 +1,8 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no registry access, so this crate provides the
-//! slice of rayon's API the workspace uses, executed as order-preserving
-//! chunked fork-join on `std::thread::scope`:
+//! slice of rayon's API the workspace uses, executed on one persistent team
+//! of helper threads (`team.rs`):
 //!
 //! * `slice.par_iter()` / `vec.into_par_iter()` / `(a..b).into_par_iter()`
 //!   with `map`, `filter_map`, `filter`, `flat_map`, `for_each`, `sum`,
@@ -14,12 +14,25 @@
 //!   the serial-vs-parallel determinism tests rely on;
 //! * `current_num_threads()`.
 //!
+//! **Execution.** A call over fewer than 64 items, a call at width 1, and a
+//! call made inside another call's work run inline on the calling thread.
+//! Any other call cuts its index space into fixed-size chunks of about
+//! `len / (8 · width)` items and hands them to the team: the caller and up
+//! to `width − 1` helpers claim chunks one at a time, so costly items
+//! bunched at one end of the input no longer leave a worker idle. The
+//! caller allocates every chunk's output buffer. A caller that finds the
+//! team busy with another thread's call runs its own inline.
+//!
 //! **Determinism contract:** every combinator preserves input order exactly
-//! — worker outputs are concatenated in chunk order — so a 1-thread and an
-//! N-thread run of the same pipeline produce identical output. Side-effect
-//! order in `for_each` is *not* specified, matching real rayon.
+//! — chunk outputs are concatenated in chunk order, whichever thread ran
+//! each chunk — so a 1-thread and an N-thread run of the same pipeline
+//! produce identical output. Side-effect order in `for_each` is *not*
+//! specified, matching real rayon.
 
 use std::cell::Cell;
+use std::sync::{Mutex, OnceLock};
+
+mod team;
 
 pub mod prelude {
     //! One-stop imports, mirroring `rayon::prelude`.
@@ -41,18 +54,24 @@ thread_local! {
 
 /// Number of worker threads parallel calls on this thread will use.
 pub fn current_num_threads() -> usize {
-    let installed = INSTALLED_WIDTH.with(Cell::get);
-    if installed > 0 {
-        return installed;
+    match INSTALLED_WIDTH.with(Cell::get) {
+        0 => default_width(),
+        installed => installed,
     }
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+}
+
+/// The width with no pool installed: `RAYON_NUM_THREADS` if it is a
+/// positive integer, else the available parallelism. Read once, at first
+/// use, as real rayon reads it when its global pool starts.
+fn default_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    })
 }
 
 /// Error type for [`ThreadPoolBuilder::build`] (construction cannot fail
@@ -86,12 +105,11 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Build the pool.
+    /// Build the pool. Width 0 or unset means the default width, which
+    /// honours `RAYON_NUM_THREADS` as real rayon's does.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let width = match self.num_threads {
-            Some(0) | None => {
-                std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-            }
+            Some(0) | None => default_width(),
             Some(n) => n,
         };
         Ok(ThreadPool { width })
@@ -100,9 +118,10 @@ impl ThreadPoolBuilder {
 
 /// A "pool" fixing the parallel width for closures run via [`Self::install`].
 ///
-/// Threads are spawned per parallel call (scoped, one fewer than the width:
-/// the caller works a chunk too), not kept warm; what the pool really
-/// carries is the width.
+/// What the pool carries is the width alone. Every pool shares the one
+/// process-wide team of helper threads, which grows to the widest width
+/// any call has run at, minus one (the caller works chunks too); a call at
+/// width `n` wakes at most `n − 1` of its helpers.
 #[derive(Debug)]
 pub struct ThreadPool {
     width: usize,
@@ -128,56 +147,84 @@ impl ThreadPool {
     }
 }
 
-/// Run the pipeline `p` over its index space: one contiguous chunk per
-/// worker, outputs concatenated in chunk order (order-preserving). The
-/// calling thread is worker 0 — it takes the first chunk instead of idling
-/// in `join`, so a width-`n` call spawns `n - 1` threads, and its share of
-/// the output is allocated on the caller's own allocator arena rather than
-/// a short-lived thread's.
+/// A call over fewer items than this runs inline on the caller: waking
+/// the team costs more than such a call saves.
+const INLINE_BELOW: usize = 64;
+
+/// Whether a call over `len` items at the current width goes to the team;
+/// `Some(width)` when it does.
+fn team_width(len: usize) -> Option<usize> {
+    let width = current_num_threads();
+    (width > 1 && len >= INLINE_BELOW).then_some(width)
+}
+
+/// The fixed chunk length of a team call: about eight chunks per thread,
+/// so a costly chunk holds up one thread for an eighth of its share.
+fn chunk_len(len: usize, width: usize) -> usize {
+    (len / (8 * width)).max(1)
+}
+
+/// Run `fill` on every part on the team, each part with its own output
+/// buffer (allocated here, on the caller, with the part's `capacity`), and
+/// concatenate the outputs in part order: the result does not depend on
+/// which thread ran which part.
+fn run_parts<S: Send, R: Send>(
+    width: usize,
+    parts: impl Iterator<Item = (S, usize)>,
+    fill: impl Fn(S, &mut Vec<R>) + Sync,
+) -> Vec<R> {
+    let slots: Vec<Mutex<(Option<S>, Vec<R>)>> = parts
+        .map(|(part, capacity)| Mutex::new((Some(part), Vec::with_capacity(capacity))))
+        .collect();
+    let lock = |k: usize| slots[k].lock().expect("a part's slot is never locked while filling");
+    team::run(width, slots.len(), &|k| {
+        // Fill through a header on this thread's stack: neighbouring slots
+        // share cache lines, and threads fill neighbouring parts at once.
+        let (part, mut out) = {
+            let mut slot = lock(k);
+            (slot.0.take(), std::mem::take(&mut slot.1))
+        };
+        if let Some(part) = part {
+            fill(part, &mut out);
+        }
+        lock(k).1 = out;
+    });
+    let outs: Vec<Vec<R>> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("a part's slot is never locked while filling").1)
+        .collect();
+    let mut out = Vec::with_capacity(outs.iter().map(Vec::len).sum());
+    for mut part in outs {
+        out.append(&mut part);
+    }
+    out
+}
+
+/// Run the pipeline `p` over its index space, outputs in index order.
 fn execute<P: ParallelIterator>(p: P) -> Vec<P::Item> {
     let len = p.pipeline_len();
-    let threads = current_num_threads().max(1);
-    if threads == 1 || len <= 1 {
+    let Some(width) = team_width(len) else {
         let mut out = Vec::with_capacity(len);
         for i in 0..len {
             p.produce(i, &mut out);
         }
         return out;
-    }
-    let workers = threads.min(len);
-    let chunk = len.div_ceil(workers);
-    let p = &p;
-    let run = move |w: usize, out: &mut Vec<P::Item>| {
-        for i in w * chunk..((w + 1) * chunk).min(len) {
+    };
+    let chunk = chunk_len(len, width);
+    let ranges = (0..len).step_by(chunk).map(|lo| {
+        let hi = (lo + chunk).min(len);
+        (lo..hi, hi - lo)
+    });
+    run_parts(width, ranges, |range, out| {
+        for i in range {
             p.produce(i, out);
         }
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    // Nested parallel calls inside a worker run inline —
-                    // the team is already saturated (real rayon shares one
-                    // pool; spawning width² threads would oversubscribe).
-                    INSTALLED_WIDTH.with(|width| width.set(1));
-                    let mut out = Vec::new();
-                    run(w, &mut out);
-                    out
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(len);
-        ThreadPool { width: 1 }.install(|| run(0, &mut out));
-        for h in handles {
-            out.extend(h.join().expect("parallel worker panicked"));
-        }
-        out
     })
 }
 
 /// The parallel-iterator surface (rayon's `ParallelIterator`), modelled as
 /// an indexed pipeline: stages compose per-index producers, terminals
-/// execute the composition once across a scoped thread team.
+/// execute the composition once across the thread team.
 pub trait ParallelIterator: Sized + Sync {
     /// Item type flowing out of this stage.
     type Item: Send;
@@ -505,8 +552,9 @@ impl IntoParallelIterator for std::ops::Range<usize> {
 ///
 /// Mutable iteration cannot go through the shared index-based pipeline, so
 /// it gets its own two-stage chain (`MutRoot` → optional `map` → terminal):
-/// the slice splits into one disjoint chunk per worker via `chunks_mut`,
-/// and map outputs concatenate in chunk order (order-preserving).
+/// the slice splits into disjoint chunks via `chunks_mut`, each claimed by
+/// one thread, and map outputs concatenate in chunk order
+/// (order-preserving).
 pub trait IntoParallelRefMutIterator<'a> {
     /// Item handed to closures.
     type Item: Send + 'a;
@@ -540,43 +588,25 @@ pub struct MutRoot<'a, T> {
 /// `per_chunk` on each; per-chunk outputs come back in chunk order.
 fn execute_mut<T: Send, R: Send>(
     items: &mut [T],
-    per_chunk: impl Fn(&mut [T]) -> Vec<R> + Sync,
+    per_chunk: impl Fn(&mut [T], &mut Vec<R>) + Sync,
 ) -> Vec<R> {
     let len = items.len();
-    let threads = current_num_threads().max(1);
-    if threads == 1 || len <= 1 {
-        return per_chunk(items);
-    }
-    let chunk = len.div_ceil(threads.min(len));
-    let per_chunk = &per_chunk;
-    std::thread::scope(|scope| {
-        // As in execute(): the caller works the first chunk itself.
-        let mut parts = items.chunks_mut(chunk);
-        let first = parts.next().expect("len > 1, so there is a first chunk");
-        let handles: Vec<_> = parts
-            .map(|part| {
-                scope.spawn(move || {
-                    // See execute(): nested calls in workers run inline.
-                    INSTALLED_WIDTH.with(|width| width.set(1));
-                    per_chunk(part)
-                })
-            })
-            .collect();
-        let mut out = ThreadPool { width: 1 }.install(|| per_chunk(first));
-        for h in handles {
-            out.extend(h.join().expect("parallel worker panicked"));
-        }
-        out
-    })
+    let Some(width) = team_width(len) else {
+        let mut out = Vec::with_capacity(len);
+        per_chunk(items, &mut out);
+        return out;
+    };
+    let parts = items.chunks_mut(chunk_len(len, width)).map(|part| {
+        let n = part.len();
+        (part, n)
+    });
+    run_parts(width, parts, per_chunk)
 }
 
 impl<'a, T: Send> MutRoot<'a, T> {
     /// Run `f` on every element.
     pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
-        execute_mut(self.items, |part| {
-            part.iter_mut().for_each(&f);
-            Vec::<()>::new()
-        });
+        execute_mut(self.items, |part, _: &mut Vec<()>| part.iter_mut().for_each(&f));
     }
 
     /// Transform each element (by mutable reference) into an output.
@@ -600,7 +630,7 @@ impl<'a, T: Send, F> MutMap<'a, T, F> {
         C: FromParallelIterator<R>,
     {
         let f = self.f;
-        C::from_ordered(execute_mut(self.items, |part| part.iter_mut().map(&f).collect()))
+        C::from_ordered(execute_mut(self.items, |part, out| out.extend(part.iter_mut().map(&f))))
     }
 }
 
@@ -621,8 +651,19 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::team::Team;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::{BTreeMap, HashSet};
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::thread::{self, ThreadId};
+
+    /// A team of its own, so that tests running at the same time cannot
+    /// share its helpers or keep it busy.
+    fn own_team() -> &'static Team {
+        Box::leak(Box::new(Team::new()))
+    }
 
     #[test]
     fn map_collect_preserves_order() {
@@ -646,16 +687,237 @@ mod tests {
     }
 
     #[test]
-    fn the_caller_works_the_first_chunk_and_keeps_its_width() {
+    fn the_caller_takes_part_and_gets_its_width_back() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let me = std::thread::current().id();
+        let me = thread::current().id();
         pool.install(|| {
-            let ran_on: Vec<_> =
-                (0..8).into_par_iter().map(|_| std::thread::current().id()).collect();
-            assert_eq!(ran_on[..2], [me, me]);
-            assert!(ran_on[2..].iter().all(|&t| t != me), "{ran_on:?}");
-            assert_eq!(current_num_threads(), 4, "the inline chunk's width 1 was restored");
+            let widths: Vec<usize> =
+                (0..256).into_par_iter().map(|_| current_num_threads()).collect();
+            // 1 inside a job; 4 when the team was busy and the call ran inline.
+            assert!(widths.iter().all(|&w| w == 1 || w == 4), "{widths:?}");
+            assert_eq!(current_num_threads(), 4, "the caller's width 1 inside the job was undone");
+            let short: Vec<ThreadId> =
+                (0..INLINE_BELOW - 1).into_par_iter().map(|_| thread::current().id()).collect();
+            assert!(short.iter().all(|&t| t == me), "a call under the floor runs inline");
         });
+
+        // Each of two chunks waits for the other's thread, so the caller
+        // cannot run both: it runs one, and a helper the other.
+        let team = own_team();
+        let both = Barrier::new(2);
+        let ran_on = Mutex::new(Vec::new());
+        team.run(2, 2, &|_| {
+            both.wait();
+            ran_on.lock().unwrap().push(thread::current().id());
+        });
+        let ran_on = ran_on.into_inner().unwrap();
+        assert_eq!(ran_on.len(), 2);
+        assert!(ran_on.contains(&me) && ran_on.iter().any(|&t| t != me), "{ran_on:?}");
+    }
+
+    #[test]
+    fn every_combinator_matches_the_sequential_fold() {
+        for width in 1..=4usize {
+            let pool = ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            let mut lens = vec![0, 1, INLINE_BELOW - 1, INLINE_BELOW, INLINE_BELOW + 1];
+            // Lengths at which the chunk length steps up, and either side.
+            for chunks in [9, 40] {
+                let boundary = 8 * width * chunks;
+                lens.extend([boundary - 1, boundary, boundary + 1]);
+            }
+            for len in lens {
+                let xs: Vec<u64> = (0..len as u64).map(|x| x * 7919 % 1009).collect();
+                let case = format!("width {width}, len {len}");
+                pool.install(|| {
+                    let got: Vec<u64> = xs.par_iter().map(|x| x * 3).collect();
+                    assert_eq!(got, xs.iter().map(|x| x * 3).collect::<Vec<_>>(), "map, {case}");
+                    let got: Vec<u64> =
+                        xs.par_iter().filter_map(|&x| (x % 3 != 0).then_some(x + 1)).collect();
+                    let want: Vec<u64> =
+                        xs.iter().filter_map(|&x| (x % 3 != 0).then_some(x + 1)).collect();
+                    assert_eq!(got, want, "filter_map, {case}");
+                    let got: Vec<&u64> = xs.par_iter().filter(|x| **x % 2 == 0).collect();
+                    let want: Vec<&u64> = xs.iter().filter(|x| **x % 2 == 0).collect();
+                    assert_eq!(got, want, "filter, {case}");
+                    let got: Vec<u64> = xs.par_iter().flat_map(|&x| 0..x % 4).collect();
+                    let want: Vec<u64> = xs.iter().flat_map(|&x| 0..x % 4).collect();
+                    assert_eq!(got, want, "flat_map, {case}");
+                    let got: u64 = xs.par_iter().map(|&x| x).sum();
+                    assert_eq!(got, xs.iter().sum::<u64>(), "sum, {case}");
+                    // Not associative, so only an in-order fold gives the
+                    // sequential answer.
+                    let fold = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
+                    let got = xs.par_iter().map(|&x| x).reduce(|| 1, fold);
+                    assert_eq!(got, xs.iter().copied().fold(1, fold), "reduce, {case}");
+                    assert_eq!(xs.par_iter().max(), xs.iter().max(), "max, {case}");
+                    assert_eq!(xs.par_iter().count(), len, "count, {case}");
+                    let got: Vec<u64> = xs.clone().into_par_iter().map(|x| x + 1).collect();
+                    let want: Vec<u64> = xs.iter().map(|x| x + 1).collect();
+                    assert_eq!(got, want, "into_par_iter, {case}");
+                    let got: BTreeMap<usize, u64> =
+                        (0..len).into_par_iter().map(|i| (i, xs[i])).collect();
+                    assert_eq!(got, xs.iter().copied().enumerate().collect(), "range, {case}");
+                    let got: HashSet<u64> = xs.par_iter().map(|&x| x).collect();
+                    assert_eq!(got, xs.iter().copied().collect(), "HashSet, {case}");
+                    for size in [1, 5, 64] {
+                        let got: Vec<u64> = xs.par_chunks(size).map(|c| c.iter().sum()).collect();
+                        let want: Vec<u64> = xs.chunks(size).map(|c| c.iter().sum()).collect();
+                        assert_eq!(got, want, "par_chunks({size}), {case}");
+                    }
+                    let mut ys = xs.clone();
+                    ys.par_iter_mut().for_each(|y| *y = *y * 2 + 1);
+                    let want: Vec<u64> = xs.iter().map(|y| y * 2 + 1).collect();
+                    assert_eq!(ys, want, "par_iter_mut for_each, {case}");
+                    let got: Vec<u64> = ys
+                        .par_iter_mut()
+                        .map(|y| {
+                            *y += 1;
+                            *y * 10
+                        })
+                        .collect();
+                    let want: Vec<u64> = xs.iter().map(|y| (y * 2 + 2) * 10).collect();
+                    assert_eq!(got, want, "par_iter_mut map, {case}");
+                    let want: Vec<u64> = xs.iter().map(|y| y * 2 + 2).collect();
+                    assert_eq!(ys, want, "par_iter_mut map writes, {case}");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn the_team_grows_to_the_widest_call_and_a_call_uses_at_most_its_width() {
+        let team = own_team();
+        let threads_of = |width: usize| {
+            let seen = Mutex::new(HashSet::new());
+            team.run(width, 64, &|_| {
+                seen.lock().unwrap().insert(thread::current().id());
+            });
+            seen.into_inner().unwrap().len()
+        };
+        assert_eq!(team.helpers(), 0, "helpers start lazily");
+        assert!(threads_of(3) <= 3);
+        assert_eq!(team.helpers(), 2);
+        assert!(threads_of(2) <= 2);
+        assert_eq!(team.helpers(), 2, "a narrower call spawns none");
+        assert!(threads_of(5) <= 5);
+        assert_eq!(team.helpers(), 4);
+        assert!(threads_of(2) <= 2, "a width-2 call wakes one of four helpers");
+        assert!(threads_of(4) <= 4);
+        assert_eq!(team.helpers(), 4);
+        team.run(8, 3, &|_| {});
+        assert_eq!(team.helpers(), 4, "a 3-chunk call needs two helpers at most");
+    }
+
+    #[test]
+    fn a_helpers_panic_reaches_the_caller_and_the_team_still_works() {
+        let team = own_team();
+        let me = thread::current().id();
+        let both = Barrier::new(2);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            team.run(2, 2, &|_| {
+                both.wait();
+                if thread::current().id() != me {
+                    panic!("helper failed");
+                }
+            });
+        }));
+        let payload = caught.expect_err("the helper's panic is re-raised on the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper failed"));
+        let done = AtomicUsize::new(0);
+        team.run(2, 100, &|_| {
+            done.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(done.into_inner(), 100);
+    }
+
+    #[test]
+    fn the_callers_panic_waits_for_every_helper_to_leave() {
+        let team = own_team();
+        let me = thread::current().id();
+        let both = Barrier::new(2);
+        let (tx, rx) = mpsc::channel::<()>();
+        let (tx, rx) = (Mutex::new(Some(tx)), Mutex::new(rx));
+        let helper_left = AtomicBool::new(false);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            team.run(2, 2, &|_| {
+                both.wait();
+                if thread::current().id() == me {
+                    // Dropped while unwinding, which releases the helper.
+                    let _tx = tx.lock().unwrap().take();
+                    panic!("caller failed");
+                }
+                assert!(rx.lock().unwrap().recv().is_err(), "nothing is ever sent");
+                helper_left.store(true, Ordering::SeqCst);
+            });
+        }));
+        let payload = caught.expect_err("the caller's panic is re-raised");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller failed"));
+        assert!(helper_left.load(Ordering::SeqCst), "the panic waited for the helper");
+        let done = AtomicUsize::new(0);
+        team.run(2, 100, &|_| {
+            done.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(done.into_inner(), 100);
+    }
+
+    #[test]
+    fn a_caller_that_finds_the_team_busy_runs_inline() {
+        let team = own_team();
+        let started = Barrier::new(3);
+        let release = Barrier::new(3);
+        thread::scope(|s| {
+            s.spawn(|| {
+                team.run(2, 2, &|_| {
+                    started.wait();
+                    release.wait();
+                });
+            });
+            started.wait();
+            let me = thread::current().id();
+            let ran_on = Mutex::new(Vec::new());
+            team.run(4, 8, &|k| ran_on.lock().unwrap().push((k, thread::current().id())));
+            let ran_on = ran_on.into_inner().unwrap();
+            assert_eq!(ran_on, (0..8).map(|k| (k, me)).collect::<Vec<_>>());
+            assert_eq!(team.helpers(), 1, "a busy team does not grow");
+            release.wait();
+        });
+    }
+
+    #[test]
+    fn two_threads_calling_at_once_both_get_ordered_output() {
+        let start = Barrier::new(2);
+        let want: Vec<u64> = (0..5000u64).map(|x| x * x).collect();
+        thread::scope(|s| {
+            for width in [2, 4] {
+                let (start, want) = (&start, &want);
+                s.spawn(move || {
+                    let pool = ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                    start.wait();
+                    for _ in 0..50 {
+                        let got: Vec<u64> = pool.install(|| {
+                            (0..5000usize).into_par_iter().map(|x| (x * x) as u64).collect()
+                        });
+                        assert_eq!(&got, want);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_nested_call_runs_inline() {
+        let team = own_team();
+        let inline = AtomicUsize::new(0);
+        team.run(3, 16, &|_| {
+            let me = thread::current().id();
+            assert_eq!(current_num_threads(), 1);
+            let ran_on: Vec<ThreadId> =
+                (0..256).into_par_iter().map(|_| thread::current().id()).collect();
+            if ran_on.iter().all(|&t| t == me) {
+                inline.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(inline.into_inner(), 16);
     }
 
     #[test]
