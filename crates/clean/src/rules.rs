@@ -125,12 +125,11 @@ impl CleaningEngine {
 /// `engine_for` over its records (the paper's per-source curation step).
 /// Reports come back in job order.
 ///
-/// The jobs fan out across the thread team only when there are at least
-/// 64 of them; fewer run one after another on the caller, as the rayon shim
-/// runs any call of fewer than 64 items inline. Each job's records clean
-/// through [`CleaningEngine::clean_all_parallel`], so a source of 64 or
-/// more records still spreads across the team, whichever way the jobs ran
-/// (a call made inside another call's work runs inline).
+/// The jobs fan out across the thread team, and each job's records clean
+/// through [`CleaningEngine::clean_all_parallel`]. When several jobs fan
+/// out, each cleans its records inline, since a call made inside another
+/// call's work runs inline; a lone job runs on the caller at the full
+/// width, so its records spread across the team.
 pub fn clean_sources_parallel(
     jobs: &mut [(String, Vec<Record>)],
     engine_for: impl Fn(&str) -> CleaningEngine + Sync,

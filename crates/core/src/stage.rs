@@ -21,7 +21,7 @@
 use datatamer_clean::{clean_sources_parallel, CleaningEngine, CleaningReport};
 use datatamer_model::{Record, Result, SourceId, SourceSchema};
 use datatamer_schema::{IntegrationReport, SchemaIntegrator};
-use datatamer_storage::{StorageReport, Store};
+use datatamer_storage::{EncodedDoc, StorageReport, Store};
 use datatamer_text::DomainParser;
 use rayon::prelude::*;
 
@@ -555,12 +555,10 @@ impl PipelineStage for SchemaIntegrationStage {
 /// normalisation, null canonicalisation), then persist the curated records
 /// into the global-records collection.
 ///
-/// Sources clean through per-source engines with no shared mutable state,
-/// so the cleaned records do not depend on the thread width. Each source's
-/// batch lands in storage through the shard-batched `insert_many` path.
-/// The rayon shim runs a call of fewer than 64 items inline, so a typical
-/// run's sources, and the records of each source smaller than that, clean
-/// and encode on the calling thread; only larger ones use the team.
+/// Sources clean across the rayon team through per-source engines with no
+/// shared mutable state, so the cleaned records do not depend on the
+/// thread width. Each source's records are encoded across the team and
+/// land in storage through the shard-batched `insert_encoded` path.
 #[derive(Debug, Default)]
 pub struct CleaningStage;
 
@@ -598,9 +596,12 @@ impl PipelineStage for CleaningStage {
                 .store
                 .collection_or_create(GLOBAL_RECORDS_COLLECTION, ctx.config.collection_config())?;
             for (_, cleaned) in jobs {
-                let docs: Vec<datatamer_model::Document> =
-                    cleaned.par_iter().map(record_to_doc).collect();
-                col.insert_many(docs.iter())?;
+                // Each record's document is built, encoded and dropped on
+                // the thread that built it; only the encoded bytes cross
+                // threads.
+                let docs: Vec<EncodedDoc> =
+                    cleaned.par_iter().map(|r| EncodedDoc::of(&record_to_doc(r))).collect();
+                col.insert_encoded(&docs)?;
                 ctx.structured_records.extend(cleaned);
             }
             storage = Some(col.storage_report());

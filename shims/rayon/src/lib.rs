@@ -14,14 +14,14 @@
 //!   the serial-vs-parallel determinism tests rely on;
 //! * `current_num_threads()`.
 //!
-//! **Execution.** A call over fewer than 64 items, a call at width 1, and a
+//! **Execution.** A call over at most one item, a call at width 1, and a
 //! call made inside another call's work run inline on the calling thread.
 //! Any other call cuts its index space into fixed-size chunks of about
-//! `len / (8 · width)` items and hands them to the team: the caller and up
-//! to `width − 1` helpers claim chunks one at a time, so costly items
-//! bunched at one end of the input no longer leave a worker idle. The
-//! caller allocates every chunk's output buffer. A caller that finds the
-//! team busy with another thread's call runs its own inline.
+//! `len / (8 · width)` items (at least one) and hands them to the team: the
+//! caller and up to `width − 1` helpers claim chunks one at a time, so
+//! costly items bunched at one end of the input no longer leave a worker
+//! idle. The caller allocates every chunk's output buffer. A caller that
+//! finds the team busy with another thread's call runs its own inline.
 //!
 //! **Determinism contract:** every combinator preserves input order exactly
 //! — chunk outputs are concatenated in chunk order, whichever thread ran
@@ -147,15 +147,14 @@ impl ThreadPool {
     }
 }
 
-/// A call over fewer items than this runs inline on the caller: waking
-/// the team costs more than such a call saves.
-const INLINE_BELOW: usize = 64;
-
 /// Whether a call over `len` items at the current width goes to the team;
-/// `Some(width)` when it does.
+/// `Some(width)` when it does. A call at width 1 or over at most one item
+/// runs inline on the caller. Every other call goes to the team, however
+/// few its items: an item count says nothing of an item's cost, and a
+/// call of eight shard appends or a few extent scans is worth spreading.
 fn team_width(len: usize) -> Option<usize> {
     let width = current_num_threads();
-    (width > 1 && len >= INLINE_BELOW).then_some(width)
+    (width > 1 && len > 1).then_some(width)
 }
 
 /// The fixed chunk length of a team call: about eight chunks per thread,
@@ -696,9 +695,9 @@ mod tests {
             // 1 inside a job; 4 when the team was busy and the call ran inline.
             assert!(widths.iter().all(|&w| w == 1 || w == 4), "{widths:?}");
             assert_eq!(current_num_threads(), 4, "the caller's width 1 inside the job was undone");
-            let short: Vec<ThreadId> =
-                (0..INLINE_BELOW - 1).into_par_iter().map(|_| thread::current().id()).collect();
-            assert!(short.iter().all(|&t| t == me), "a call under the floor runs inline");
+            let one: Vec<ThreadId> =
+                (0..1).into_par_iter().map(|_| thread::current().id()).collect();
+            assert_eq!(one, [me], "a one-item call runs inline");
         });
 
         // Each of two chunks waits for the other's thread, so the caller
@@ -719,7 +718,7 @@ mod tests {
     fn every_combinator_matches_the_sequential_fold() {
         for width in 1..=4usize {
             let pool = ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-            let mut lens = vec![0, 1, INLINE_BELOW - 1, INLINE_BELOW, INLINE_BELOW + 1];
+            let mut lens = vec![0, 1, 2, 3, 63, 64, 65];
             // Lengths at which the chunk length steps up, and either side.
             for chunks in [9, 40] {
                 let boundary = 8 * width * chunks;
