@@ -20,6 +20,6 @@ pub mod rules;
 pub mod textclean;
 pub mod transforms;
 
-pub use rules::{clean_sources_parallel, CleaningEngine, CleaningReport, Rule};
+pub use rules::{CleaningEngine, CleaningReport, Rule};
 pub use textclean::TextCleaner;
 pub use transforms::Transform;

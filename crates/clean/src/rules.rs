@@ -121,28 +121,6 @@ impl CleaningEngine {
     }
 }
 
-/// Clean many sources: each `(name, records)` job runs the engine built by
-/// `engine_for` over its records (the paper's per-source curation step).
-/// Reports come back in job order.
-///
-/// The jobs fan out across the thread team, and each job's records clean
-/// through [`CleaningEngine::clean_all_parallel`]. When several jobs fan
-/// out, each cleans its records inline, since a call made inside another
-/// call's work runs inline; a lone job runs on the caller at the full
-/// width, so its records spread across the team.
-pub fn clean_sources_parallel(
-    jobs: &mut [(String, Vec<Record>)],
-    engine_for: impl Fn(&str) -> CleaningEngine + Sync,
-) -> Vec<(String, CleaningReport)> {
-    jobs.par_iter_mut()
-        .map(|(name, records)| {
-            let engine = engine_for(name);
-            let report = engine.clean_all_parallel(records);
-            (name.clone(), report)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //!         (Store · Catalog · SchemaIntegrator · stage reports)
 //! ```
 
-use datatamer_clean::{clean_sources_parallel, CleaningEngine, CleaningReport};
+use datatamer_clean::{CleaningEngine, CleaningReport};
 use datatamer_model::{Record, Result, SourceId, SourceSchema};
 use datatamer_schema::{IntegrationReport, SchemaIntegrator};
 use datatamer_storage::{EncodedDoc, StorageReport, Store};
@@ -388,9 +388,16 @@ impl PipelineStage for IngestStage<'_> {
 /// Stage 2: integrate every pending source into the global schema and map
 /// its records onto canonical attribute spellings.
 ///
-/// Integration itself is sequential (the global schema grows source by
-/// source — that ordering *is* the paper's bottom-up bootstrap); the
-/// per-record rename mapping fans out across the rayon team. Escalations
+/// The per-source work runs in two parallel calls over the sources: one
+/// profiles every pending source, one maps every source's records onto
+/// canonical attribute spellings. Between them, integration is
+/// sequential (the global schema grows source by source — that ordering
+/// *is* the paper's bottom-up bootstrap): every source is integrated and
+/// given its rename mapping in turn. A lone source runs on the caller at
+/// the full width, so its records spread across the rayon team; with
+/// several, each source maps its records inline, since a call made inside
+/// another call's work runs inline. A profile is one source's sequential
+/// pass, so nothing here depends on the thread width. Escalations
 /// resolve by thresholds only ([`SchemaIntegrator::integrate`]); routing
 /// them to experts is [`SchemaIntegrator::integrate_with`] with an
 /// [`crate::ExpertPanelResolver`], outside the pipeline.
@@ -436,12 +443,14 @@ fn decollide(target: String, occupied: impl Fn(&str) -> bool) -> (String, bool) 
 /// is the defensive net for direct calls and for attributes missing from
 /// the mapping entirely (counted per occurrence).
 ///
-/// The record is consumed: every value moves, and a mapped field's name
-/// buffer is rewritten in place. Records of one source almost always share
+/// The record is consumed: every value moves, a mapped field's name buffer
+/// is rewritten in place, and the mapped record is allocated at its final
+/// size (growing it field by field made two threads mapping at once each
+/// several times slower). Records of one source almost always share
 /// a field order, so the mapping entry after the previous field's is tried
 /// before the mapping is searched.
 fn map_record(r: Record, mapping: &[(String, Option<String>)]) -> (Record, usize) {
-    let mut out = Record::new(r.source, r.id);
+    let mut out = Record::with_capacity(r.source, r.id, r.len());
     let mut collisions = 0;
     let mut next = 0;
     for (mut attr, value) in r.into_fields() {
@@ -478,13 +487,18 @@ impl PipelineStage for SchemaIntegrationStage {
         ctx.integrator.config().validate()?;
         let (mut sources, mut auto_accepted, mut human, mut new_attrs) = (0, 0, 0, 0);
         let mut case_collisions = 0;
-        for source in std::mem::take(&mut ctx.pending_sources) {
-            // 1. Profile and integrate the schema.
-            let schema =
-                SourceSchema::profile_records(source.id, &source.name, &source.records);
+        let pending = std::mem::take(&mut ctx.pending_sources);
+        // 1. Profile every source.
+        let schemas: Vec<SourceSchema> = pending
+            .par_iter()
+            .map(|s| SourceSchema::profile_records(s.id, &s.name, &s.records))
+            .collect();
+        let mut decided = Vec::with_capacity(pending.len());
+        for (source, schema) in pending.into_iter().zip(schemas) {
+            // 2. Integrate the schema.
             let report = ctx.integrator.integrate(&schema);
 
-            // 2. Build the source-attr → canonical-name mapping from the
+            // 3. Build the source-attr → canonical-name mapping from the
             //    decisions.
             let mut mapping: Vec<(String, Option<String>)> = Vec::new();
             for s in &report.suggestions {
@@ -517,24 +531,33 @@ impl PipelineStage for SchemaIntegrationStage {
                 *target = Some(t);
             }
 
-            // 3. Map records onto the global schema, in parallel, moving
-            //    each record out of the source.
-            let mut records = source.records;
-            let results: Vec<(Record, usize)> = records
-                .par_iter_mut()
-                .map(|r| map_record(std::mem::replace(r, Record::new(r.source, r.id)), &mapping))
-                .collect();
-            let mut mapped = Vec::with_capacity(results.len());
-            for (record, collisions) in results {
-                case_collisions += collisions;
-                mapped.push(record);
-            }
-
             sources += 1;
             auto_accepted += report.auto_accepted();
             human += report.human_interventions();
             new_attrs += report.new_attributes();
             ctx.integration_reports.push((source.name.clone(), report));
+            decided.push((source, mapping));
+        }
+
+        // 4. Map every source's records onto the global schema, moving
+        //    each record out of its source.
+        let results: Vec<Vec<(Record, usize)>> = decided
+            .par_iter_mut()
+            .map(|(source, mapping)| {
+                let mapping = &*mapping;
+                source
+                    .records
+                    .par_iter_mut()
+                    .map(|r| map_record(std::mem::replace(r, Record::new(r.source, r.id)), mapping))
+                    .collect()
+            })
+            .collect();
+        for ((source, _), results) in decided.into_iter().zip(results) {
+            let mut mapped = Vec::with_capacity(results.len());
+            for (record, collisions) in results {
+                case_collisions += collisions;
+                mapped.push(record);
+            }
             ctx.mapped_sources.push((source.name, mapped));
         }
         Ok(StageReport::SchemaIntegration {
@@ -555,10 +578,13 @@ impl PipelineStage for SchemaIntegrationStage {
 /// normalisation, null canonicalisation), then persist the curated records
 /// into the global-records collection.
 ///
-/// Sources clean across the rayon team through per-source engines with no
-/// shared mutable state, so the cleaned records do not depend on the
-/// thread width. Each source's records are encoded across the team and
-/// land in storage through the shard-batched `insert_encoded` path.
+/// Each source is one job of a parallel call over the sources: it cleans
+/// its records and encodes each record's document. The engine holds no
+/// mutable state, so the cleaned records do not depend on the thread
+/// width. A lone source runs on the caller at the full width, so its
+/// records spread across the rayon team; with several, each job runs
+/// inline. The encoded sources then land in storage in source order,
+/// through the shard-batched `insert_encoded` path.
 #[derive(Debug, Default)]
 pub struct CleaningStage;
 
@@ -569,22 +595,29 @@ impl PipelineStage for CleaningStage {
 
     fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut jobs = std::mem::take(&mut ctx.mapped_sources);
-        let reports = clean_sources_parallel(&mut jobs, |_| {
-            CleaningEngine::broadway(
-                CHEAPEST_PRICE,
-                FIRST,
-                &[SHOW_NAME, THEATER, PERFORMANCE],
-            )
-        });
+        let engine =
+            CleaningEngine::broadway(CHEAPEST_PRICE, FIRST, &[SHOW_NAME, THEATER, PERFORMANCE]);
+        // Each record's document is built, encoded and dropped on the
+        // thread that built it; only the encoded bytes cross threads.
+        let cleaned: Vec<(CleaningReport, Vec<EncodedDoc>)> = jobs
+            .par_iter_mut()
+            .map(|(_, records)| {
+                let report = engine.clean_all_parallel(records);
+                let docs = records.par_iter().map(|r| EncodedDoc::of(&record_to_doc(r))).collect();
+                (report, docs)
+            })
+            .collect();
 
+        let (reports, encoded): (Vec<CleaningReport>, Vec<Vec<EncodedDoc>>) =
+            cleaned.into_iter().unzip();
         let (mut records, mut nulls, mut transformed) = (0, 0, 0);
-        for (_, r) in &reports {
+        for ((name, _), r) in jobs.iter().zip(reports) {
             records += r.records;
             nulls += r.nulls_canonicalized;
             transformed += r.values_transformed;
+            ctx.cleaning_reports.push((name.clone(), r));
         }
-        let sources = reports.len();
-        ctx.cleaning_reports.extend(reports);
+        let sources = jobs.len();
 
         // Persist into the global-records collection, batched per source.
         // Text-only runs clean nothing — leave the collection uncreated so
@@ -595,14 +628,9 @@ impl PipelineStage for CleaningStage {
             let col = ctx
                 .store
                 .collection_or_create(GLOBAL_RECORDS_COLLECTION, ctx.config.collection_config())?;
-            for (_, cleaned) in jobs {
-                // Each record's document is built, encoded and dropped on
-                // the thread that built it; only the encoded bytes cross
-                // threads.
-                let docs: Vec<EncodedDoc> =
-                    cleaned.par_iter().map(|r| EncodedDoc::of(&record_to_doc(r))).collect();
+            for ((_, records), docs) in jobs.into_iter().zip(encoded) {
                 col.insert_encoded(&docs)?;
-                ctx.structured_records.extend(cleaned);
+                ctx.structured_records.extend(records);
             }
             storage = Some(col.storage_report());
         }

@@ -51,6 +51,11 @@ impl Record {
         Record { source, id, fields: Vec::new() }
     }
 
+    /// Create an empty record with room for `fields` fields.
+    pub fn with_capacity(source: SourceId, id: RecordId, fields: usize) -> Self {
+        Record { source, id, fields: Vec::with_capacity(fields) }
+    }
+
     /// Build from `(name, value)` pairs; later duplicates overwrite.
     pub fn from_pairs<K: Into<String>, V: Into<Value>>(
         source: SourceId,

@@ -29,7 +29,10 @@ pub struct AttributeProfile {
     pub type_counts: [u64; LexicalType::ALL.len()],
     /// First-seen distinct non-null values (text form), capped.
     sample: Vec<String>,
-    sample_set: HashMap<String, u64>,
+    /// Occurrences of each sampled value, parallel to `sample`.
+    counts: Vec<u64>,
+    /// Position in `sample`, by value.
+    sample_set: HashMap<String, usize>,
     sample_cap: usize,
     /// True once more distinct values were seen than the sample holds.
     pub sample_overflow: bool,
@@ -57,6 +60,7 @@ impl AttributeProfile {
             nulls: 0,
             type_counts: [0; LexicalType::ALL.len()],
             sample: Vec::new(),
+            counts: Vec::new(),
             sample_set: HashMap::new(),
             sample_cap: cap.max(1),
             sample_overflow: false,
@@ -102,11 +106,14 @@ impl AttributeProfile {
     /// Count `freq` occurrences of `text`, admitting it to the sample while
     /// there is room and flagging overflow once there is not.
     fn add_to_sample(&mut self, text: &str, freq: u64) {
-        if let Some(n) = self.sample_set.get_mut(text) {
-            *n += freq;
+        if let Some(&at) = self.sample_set.get(text) {
+            if let Some(n) = self.counts.get_mut(at) {
+                *n += freq;
+            }
         } else if self.sample.len() < self.sample_cap {
+            self.sample_set.insert(text.to_owned(), self.sample.len());
             self.sample.push(text.to_owned());
-            self.sample_set.insert(text.to_owned(), freq);
+            self.counts.push(freq);
         } else {
             self.sample_overflow = true;
         }
@@ -131,9 +138,15 @@ impl AttributeProfile {
         &self.sample
     }
 
+    /// Occurrence count of each sampled value, parallel to
+    /// [`AttributeProfile::sample_values`].
+    pub fn sample_counts(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Occurrence count of a sampled value.
     pub fn sample_frequency(&self, value: &str) -> u64 {
-        self.sample_set.get(value).copied().unwrap_or(0)
+        self.sample_set.get(value).and_then(|&at| self.counts.get(at)).copied().unwrap_or(0)
     }
 
     /// Dominant lexical type (ties break toward the more specific type via
@@ -185,8 +198,8 @@ impl AttributeProfile {
         for (mine, theirs) in self.type_counts.iter_mut().zip(other.type_counts) {
             *mine += theirs;
         }
-        for v in &other.sample {
-            self.add_to_sample(v, other.sample_frequency(v));
+        for (v, &freq) in other.sample.iter().zip(&other.counts) {
+            self.add_to_sample(v, freq);
         }
         self.sample_overflow |= other.sample_overflow;
         if other.num_n > 0 {
@@ -537,6 +550,10 @@ mod oracle {
         for v in &want.sample {
             prop_assert_eq!(got.sample_frequency(v), want.sample_set[v], "{:?}", v);
         }
+        prop_assert_eq!(got.sample_counts().len(), got.sample_values().len());
+        for (v, n) in got.sample_values().iter().zip(got.sample_counts()) {
+            prop_assert_eq!(*n, want.sample_set[v], "count of {:?}", v);
+        }
         prop_assert_eq!(got.sample_cap, want.sample_cap);
         prop_assert_eq!(got.sample_overflow, want.sample_overflow);
         prop_assert_eq!(got.total_len, want.total_len);
@@ -639,6 +656,33 @@ mod oracle {
                 panic!("{e:?}");
             }
         }
+    }
+
+    #[test]
+    fn merging_into_a_full_sample_counts_as_the_oracle_does() {
+        let values = |xs: &[&str]| -> Vec<Value> { xs.iter().map(|x| Value::from(*x)).collect() };
+        // The left sample is at its cap of 3; the right one repeats two of
+        // its values, in another order, and brings two it has no room for.
+        let left = values(&["a", "b", "a", "c", "b", "a"]);
+        let right = values(&["c", "d", "a", "e", "c"]);
+        let (mut got, mut want) = (AttributeProfile::with_sample_cap(3), Profile::with_sample_cap(3));
+        let (mut got_r, mut want_r) = (AttributeProfile::with_sample_cap(3), Profile::with_sample_cap(3));
+        for v in &left {
+            got.observe(v);
+            want.observe(v);
+        }
+        for v in &right {
+            got_r.observe(v);
+            want_r.observe(v);
+        }
+        assert_eq!(got.sample_values().len(), 3);
+        got.merge(&got_r);
+        want.merge(&want_r);
+        if let Err(e) = assert_same_profile(&got, &want) {
+            panic!("{e:?}");
+        }
+        assert_eq!(got.sample_counts(), [4, 2, 3]);
+        assert!(got.sample_overflow);
     }
 
     proptest! {

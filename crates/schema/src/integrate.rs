@@ -12,21 +12,24 @@
 //!   attribute is added to the global schema as new.
 //!
 //! The integrator carries the matcher's fit of the global schema from call
-//! to call: the features of every global attribute and the document
-//! frequencies IDF is computed from. A call prepares each source attribute
-//! once against the fit as the call found it, and
+//! to call: the features of every global attribute, the vocabulary with
+//! the document frequencies IDF is computed from, and the name signal of
+//! every pair of attribute names scored so far. A call reads its source
+//! once: each sampled value is tokenised once, and each source attribute is
+//! prepared against the fit as the call found it.
 //! [`SchemaIntegrator::integrate_with`] and [`SchemaIntegrator::dry_run`]
 //! rank candidates through the same function. That fit stays exact for the
 //! whole call: every global attribute the call maps onto or adds is claimed
 //! at once, and a claimed attribute is never a candidate again within that
 //! call. When the call ends, the fit folds in exactly the claimed
-//! attributes and re-weights, so one more source costs what it adds rather
+//! attributes, taking their new values' tokens from the call's read of the
+//! source, and re-weights, so one more source costs what it adds rather
 //! than what the schema holds.
 
 use datatamer_model::{AttrId, AttributeDef, DtError, Result, SourceSchema};
 
 use crate::global::{GlobalAttribute, GlobalSchema};
-use crate::matchers::{self, AttrFeatures, Fit};
+use crate::matchers::{self, AttrFeatures, Fit, NameSignals};
 use crate::suggestion::{Decision, MatchCandidate, MatchSuggestion};
 use crate::synonyms::SynonymDict;
 
@@ -128,12 +131,14 @@ impl EscalationResolver for AcceptBest {
 }
 
 /// The integrator: owns the growing global schema, the matcher's synonym
-/// dictionary and the matcher's fit of the schema.
+/// dictionary, the matcher's fit of the schema and its memo of name
+/// signals.
 pub struct SchemaIntegrator {
     global: GlobalSchema,
     synonyms: SynonymDict,
     config: IntegrationConfig,
     fit: Fit,
+    names: NameSignals,
 }
 
 impl SchemaIntegrator {
@@ -146,6 +151,7 @@ impl SchemaIntegrator {
             synonyms: SynonymDict::broadway(),
             config,
             fit: Fit::default(),
+            names: NameSignals::default(),
         }
     }
 
@@ -176,59 +182,70 @@ impl SchemaIntegrator {
         source: &SourceSchema,
         resolver: &mut dyn EscalationResolver,
     ) -> IntegrationReport {
-        let fit = &self.fit;
-        let ranking =
-            Ranking { synonyms: &self.synonyms, config: &self.config, prepared: fit.features() };
-        let (report, claimed) =
-            ranking.integrate(&mut self.global, |attr| fit.prepare(attr), source, resolver);
-        self.fit.update(&self.global, &claimed);
+        let (tokens, features) = self.fit.read_source(source);
+        let mut ranking = Ranking {
+            synonyms: &self.synonyms,
+            config: &self.config,
+            prepared: self.fit.features(),
+            names: &mut self.names,
+        };
+        let (report, claimed) = ranking.integrate(&mut self.global, &features, source, resolver);
+        self.fit.update(&self.global, &claimed, source, &tokens);
         report
     }
 
-    /// Score one source against the current schema *without* mutating it
-    /// (powers threshold sweeps: same matching, different thresholds).
-    pub fn dry_run(&self, source: &SourceSchema) -> Vec<(String, Vec<MatchCandidate>)> {
-        let ranking =
-            Ranking { synonyms: &self.synonyms, config: &self.config, prepared: self.fit.features() };
+    /// Score one source against the current schema *without* changing it
+    /// (powers threshold sweeps: same matching, different thresholds). It
+    /// takes `&mut self` because reading the source admits its tokens to
+    /// the fit's vocabulary and memoises its name signals; neither changes
+    /// the schema or any score.
+    pub fn dry_run(&mut self, source: &SourceSchema) -> Vec<(String, Vec<MatchCandidate>)> {
+        let (_, features) = self.fit.read_source(source);
+        let mut ranking = Ranking {
+            synonyms: &self.synonyms,
+            config: &self.config,
+            prepared: self.fit.features(),
+            names: &mut self.names,
+        };
         source
             .attributes
             .iter()
-            .map(|attr| {
-                let features = self.fit.prepare(attr);
-                (attr.name.clone(), ranking.rank(&self.global, &features, &[]))
-            })
+            .zip(&features)
+            .map(|(attr, features)| (attr.name.clone(), ranking.rank(&self.global, features, &[])))
             .collect()
     }
 }
 
 /// What ranks a source attribute's candidates: the matcher's synonyms, the
-/// thresholds, and the prepared features of the global schema as the call
-/// found it.
+/// thresholds, the prepared features of the global schema as the call
+/// found it, and the memo of name signals.
 struct Ranking<'a> {
     synonyms: &'a SynonymDict,
     config: &'a IntegrationConfig,
     prepared: &'a [AttrFeatures],
+    names: &'a mut NameSignals,
 }
 
 impl Ranking<'_> {
-    /// Decide every attribute of `source` and apply each decision to
-    /// `global`. Returns the report and the global attributes the call
-    /// mapped onto or added, in decision order.
+    /// Decide every attribute of `source`, prepared as `features`, and
+    /// apply each decision to `global`. Returns the report and the global
+    /// attributes the call mapped onto or added, each with the index of the
+    /// source attribute it took, in decision order.
     fn integrate(
-        &self,
+        &mut self,
         global: &mut GlobalSchema,
-        prepare: impl Fn(&AttributeDef) -> AttrFeatures,
+        features: &[AttrFeatures],
         source: &SourceSchema,
         resolver: &mut dyn EscalationResolver,
-    ) -> (IntegrationReport, Vec<AttrId>) {
+    ) -> (IntegrationReport, Vec<(AttrId, usize)>) {
         let mut suggestions = Vec::with_capacity(source.attributes.len());
         // Attributes of one source are distinct by construction: a global
         // attribute already claimed by this source is excluded from the
         // candidates of its remaining attributes (prevents a source's own
         // columns from collapsing onto each other).
-        let mut claimed: Vec<AttrId> = Vec::new();
-        for attr in &source.attributes {
-            let candidates = self.rank(global, &prepare(attr), &claimed);
+        let mut claimed: Vec<(AttrId, usize)> = Vec::new();
+        for (at, (attr, features)) in source.attributes.iter().zip(features).enumerate() {
+            let candidates = self.rank(global, features, &claimed);
 
             let top = candidates.first();
             let best = top.map(|c| c.score).unwrap_or(0.0);
@@ -253,10 +270,10 @@ impl Ranking<'_> {
                         Ok(()) => *id,
                         Err(_) => global.add_attribute(source.source, attr),
                     };
-                    claimed.push(id);
+                    claimed.push((id, at));
                 }
                 Decision::NewAttribute | Decision::ExpertNewAttribute => {
-                    claimed.push(global.add_attribute(source.source, attr));
+                    claimed.push((global.add_attribute(source.source, attr), at));
                 }
                 Decision::Ignore => {}
             }
@@ -276,16 +293,19 @@ impl Ranking<'_> {
     /// schema as the call found it; attributes added since are appended
     /// after those and claimed, so zipping skips nothing ranked.
     fn rank(
-        &self,
+        &mut self,
         global: &GlobalSchema,
         attr: &AttrFeatures,
-        claimed: &[AttrId],
+        claimed: &[(AttrId, usize)],
     ) -> Vec<MatchCandidate> {
         let mut scored: Vec<(&GlobalAttribute, f64)> = global
             .iter()
             .zip(self.prepared)
-            .filter(|(g, _)| !claimed.contains(&g.id))
-            .map(|(g, features)| (g, matchers::score(self.synonyms, attr, features)))
+            .filter(|(g, _)| !claimed.iter().any(|&(id, _)| id == g.id))
+            .map(|(g, features)| {
+                let name = self.names.get(self.synonyms, attr, features);
+                (g, matchers::score(name, attr, features))
+            })
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         scored.truncate(self.config.max_candidates);
@@ -549,16 +569,39 @@ mod tests {
     }
 
     impl Refitting {
+        /// Refit, prepare `source`, and rank under a fresh name memo.
+        fn with_ranking<T>(
+            &mut self,
+            source: &SourceSchema,
+            f: impl FnOnce(&mut Ranking, &mut GlobalSchema, &[AttrFeatures]) -> T,
+        ) -> T {
+            let (mut matcher, prepared) = Matcher::fit(&self.global);
+            let features: Vec<AttrFeatures> =
+                source.attributes.iter().map(|a| matcher.prepare(&a.name, &a.profile)).collect();
+            let mut ranking = Ranking {
+                synonyms: &self.synonyms,
+                config: &self.config,
+                prepared: &prepared,
+                names: &mut NameSignals::default(),
+            };
+            f(&mut ranking, &mut self.global, &features)
+        }
+
         fn integrate_with(
             &mut self,
             source: &SourceSchema,
             resolver: &mut dyn EscalationResolver,
         ) -> IntegrationReport {
-            let (matcher, prepared) = Matcher::fit(&self.global);
-            let ranking =
-                Ranking { synonyms: &self.synonyms, config: &self.config, prepared: &prepared };
-            let prepare = |attr: &AttributeDef| matcher.prepare(&attr.name, &attr.profile);
-            ranking.integrate(&mut self.global, prepare, source, resolver).0
+            self.with_ranking(source, |ranking, global, features| {
+                ranking.integrate(global, features, source, resolver).0
+            })
+        }
+
+        fn dry_run(&mut self, source: &SourceSchema) -> Vec<(String, Vec<MatchCandidate>)> {
+            self.with_ranking(source, |ranking, global, features| {
+                let ranked = features.iter().map(|f| ranking.rank(global, f, &[]));
+                source.attributes.iter().map(|a| a.name.clone()).zip(ranked).collect()
+            })
         }
     }
 
@@ -595,11 +638,27 @@ mod tests {
         AttributeDef { name: ["listing", "Listing", "catalogue"][rng.below(3)].to_owned(), profile }
     }
 
+    /// A column whose values lead with a run of zeros that shortens as
+    /// `id` grows: a token that sorts before every token of the earlier
+    /// sources' leading columns.
+    fn leading_attr(rng: &mut Rng, id: u32) -> AttributeDef {
+        let mut profile = datatamer_model::AttributeProfile::default();
+        let zeros = "0".repeat(16usize.saturating_sub(id as usize).max(1));
+        for _ in 0..1 + rng.below(4) {
+            profile.observe(&Value::from(format!("{zeros} {}", ["Aa", "Zz", "Wicked"][rng.below(3)])));
+        }
+        AttributeDef { name: ["code", "Code", "ref"][rng.below(3)].to_owned(), profile }
+    }
+
     /// A source of 1–6 attributes with distinct names.
     fn random_source(rng: &mut Rng, id: u32) -> SourceSchema {
         let mut schema = SourceSchema::new(SourceId(id), format!("s{id}"));
         for _ in 0..1 + rng.below(6) {
-            let attr = if rng.below(5) == 0 { wide_attr(rng) } else { random_attr(rng) };
+            let attr = match rng.below(10) {
+                0 | 1 => wide_attr(rng),
+                2 => leading_attr(rng, id),
+                _ => random_attr(rng),
+            };
             if schema.attribute(&attr.name).is_none() {
                 schema.attributes.push(attr);
             }
@@ -616,6 +675,7 @@ mod tests {
         tokenless: bool,
         ignored: bool,
         expert_accepted: bool,
+        new_token_first: bool,
     }
 
     /// Integrate a random source sequence through the carried fit and a
@@ -638,11 +698,28 @@ mod tests {
                 seen.non_finite |=
                     sample.iter().any(|v| v.parse::<f64>().is_ok_and(|x| !x.is_finite()));
             }
+            // A source that is only dry-run: its tokens enter the
+            // vocabulary but no global bag.
+            if rng.below(2) == 0 {
+                let discarded = random_source(&mut rng, 100 + id);
+                let vocab = carried.fit.vocabulary();
+                let dry = carried.dry_run(&discarded);
+                assert_eq!(dry, refitting.dry_run(&discarded), "discarded source {id}");
+                seen.new_token_first |= ranked_first(&vocab, &carried.fit.vocabulary());
+            }
             // Source attributes prepare alike under both fits.
-            let (matcher, _) = Matcher::fit(&refitting.global);
-            for attr in &source.attributes {
+            let vocab = carried.fit.vocabulary();
+            let (_, prepared) = carried.fit.read_source(&source);
+            seen.new_token_first |= ranked_first(&vocab, &carried.fit.vocabulary());
+            let (mut matcher, _) = Matcher::fit(&refitting.global);
+            for (attr, got) in source.attributes.iter().zip(&prepared) {
                 let want = matcher.prepare(&attr.name, &attr.profile);
-                assert_eq!(bits(&carried.fit.prepare(attr)), bits(&want), "source {:?}", attr.name);
+                assert_eq!(
+                    bits(got, &carried.fit.vocabulary()),
+                    bits(&want, &matcher.vocab),
+                    "source {:?}",
+                    attr.name
+                );
             }
             let before: Vec<Vec<String>> = carried
                 .global()
@@ -658,10 +735,15 @@ mod tests {
             if let (Some((_, ranked)), Some(first)) = (dry.first(), report.suggestions.first()) {
                 assert_eq!(ranked, &first.candidates, "dry run vs source {id}");
             }
-            let (_, refit) = Matcher::fit(carried.global());
+            let (matcher, refit) = Matcher::fit(carried.global());
+            let vocab = carried.fit.vocabulary();
             assert_eq!(carried.fit.features().len(), refit.len());
             for (i, (got, want)) in carried.fit.features().iter().zip(&refit).enumerate() {
-                assert_eq!(bits(got), bits(want), "global attribute {i} after source {id}");
+                assert_eq!(
+                    bits(got, &vocab),
+                    bits(want, &matcher.vocab),
+                    "global attribute {i} after source {id}"
+                );
             }
             for s in &report.suggestions {
                 seen.ignored |= s.decision == Decision::Ignore;
@@ -675,6 +757,13 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// Whether `after`, a vocabulary in rank order, ranks a token missing
+    /// from `before` ahead of one `before` held.
+    fn ranked_first(before: &[String], after: &[String]) -> bool {
+        let Some(last) = before.last() else { return false };
+        after.iter().any(|t| t < last && before.binary_search(t).is_err())
     }
 
     proptest! {
@@ -698,5 +787,6 @@ mod tests {
         assert!(seen.tokenless, "a value without tokens was sampled");
         assert!(seen.ignored, "the resolver answered Ignore");
         assert!(seen.expert_accepted, "the resolver answered ExpertAccept");
+        assert!(seen.new_token_first, "a call ranked a new token before an old one");
     }
 }

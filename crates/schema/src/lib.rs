@@ -13,10 +13,13 @@
 //! * `matchers` (private) — the one attribute scorer (Data Tamer's
 //!   "experts"): name, value-overlap, distribution and TF-IDF signals over
 //!   prepared features, and the fit of the global schema they are read
-//!   from. The fit is carried from call to call: when a call maps onto or
-//!   adds a global attribute, only the values new to that attribute's
-//!   sample are tokenised, and every TF-IDF vector is re-weighted from
-//!   carried term counts and document frequencies.
+//!   from. The fit is carried from call to call. A call tokenises each
+//!   sampled value of its source once, into token ids that both preparing
+//!   the source's attributes and folding them into the fit read; a global
+//!   attribute the call maps onto or adds takes its new values' ids from
+//!   there, and every TF-IDF vector is re-weighted from carried term
+//!   counts and document frequencies. The name signal of each pair of
+//!   attribute names is computed once per integrator.
 //! * [`suggestion`] — match suggestions, scores, and decisions.
 //! * [`integrate`] — the integration loop with accept/escalate thresholds
 //!   and pluggable human resolution. Each call prepares each source

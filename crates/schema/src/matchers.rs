@@ -9,39 +9,59 @@
 //! suggested match target.
 //!
 //! **What is prepared, and when.** Everything a signal reads from one
-//! attribute is prepared once into an [`AttrFeatures`]: the lowercased name
-//! and its tokens, the lowercased sampled values with their counts as a
-//! sorted vector, the TF-IDF vector of the value bag (the sampled values
-//! joined by spaces), whether that bag is empty, and the dominant type,
-//! numeric stats and mean length. The global side is a [`Fit`] that the
-//! integrator carries from call to call. A global attribute's sample is
-//! capped and append-only, so when a call maps onto or adds an attribute,
-//! [`Fit::update`] lowercases and tokenises only the values that newly
-//! entered its sample. Their tokens are added to the attribute's term
-//! counts and to one document-frequency table over the whole schema, and
-//! the attribute's value counts and distribution stats are refreshed. Name
-//! features are computed once, when an attribute is added. The update then
+//! attribute is prepared once into an [`AttrFeatures`]: the name as written
+//! (interned), lowercased and split into tokens, the lowercased sampled
+//! values with their counts as a sorted vector, the TF-IDF vector of the
+//! value bag (the sampled values joined by spaces), whether that bag is
+//! empty, and the dominant type, numeric stats and mean length. The global
+//! side is a [`Fit`] that the integrator carries from call to call.
+//!
+//! A call reads its source once ([`Fit::read_source`]): each sampled value
+//! is tokenised once and its tokens are interned into the fit's vocabulary,
+//! and each value's token ids are kept in per-call scratch
+//! ([`SourceTokens`]). Tokens new to the vocabulary are sorted among
+//! themselves and merged into the token order, and every global TF-IDF
+//! vector is re-keyed to the new ranks (the remap keeps its order).
+//! Each source attribute is then prepared from its ids: its TF-IDF vector
+//! sorts ranks, not strings. A token in no global bag has document
+//! frequency 0: it weighs in the norm and is left out of the vector.
+//!
+//! When the call ends, [`Fit::update`] folds in the global attributes it
+//! mapped onto or added. A global sample is capped and append-only, and the
+//! values a merge appends are a subsequence of the claimed source
+//! attribute's sample, so the new values take that attribute's token ids
+//! from the scratch instead of being tokenised again. Their tokens are
+//! merged into the attribute's term counts and into one document-frequency
+//! table over the whole schema, and the attribute's value counts (read by
+//! sample index) and distribution stats are refreshed. The update then
 //! re-weights every global TF-IDF vector from its carried counts under the
-//! new IDF. Each call prepares each source attribute once against the fit
-//! it found ([`Fit::prepare`]), and scoring a pair merge-walks sorted
-//! vectors.
+//! new IDF. The name signal is a function of the two names as written, so
+//! [`NameSignals`] computes it once per pair of interned names; scoring a
+//! pair otherwise merge-walks sorted vectors.
 //!
 //! **Why it is exact.** Tokenising the space-joined sample yields the
 //! concatenation of the per-value tokenisations (the space ends a token and
-//! resets the camel-case state), so the carried counts are the bag's token
-//! multiset. Tokens are interned, and TF-IDF vectors are keyed by a token's
-//! rank in the sorted vocabulary: they stay in token order, so norms and
-//! dot products accumulate in the order the string-keyed computation used.
-//! Every signal accumulates over sorted keys, and a product of two terms
-//! has the same bits in either operand order. Two oracles pin this:
-//! `oracle::Matcher::fit` refits everything from the schema as found, and
-//! the carried fit must equal it bit for bit after every call
-//! (`integrate::tests`); its scores must equal the map-based computation
-//! from the raw profiles
+//! resets the camel-case state), so the carried counts and a source
+//! attribute's ids are the bag's token multiset. TF-IDF vectors are keyed
+//! by a token's rank in the sorted vocabulary: they stay in token order, so
+//! norms and dot products accumulate in the order the string-keyed
+//! computation used, whatever else the vocabulary holds. Every signal
+//! accumulates over sorted keys, and a product of two terms has the same
+//! bits in either operand order. The name memo is keyed by the names as
+//! written, not lowercased: `showName` and `showname` lowercase alike but
+//! tokenise differently. Two oracles pin this: `oracle::Matcher::fit`
+//! refits everything from the schema as found, and the carried fit must
+//! equal it bit for bit after every call, with TF-IDF entries compared by
+//! token text (`integrate::tests`); its scores must equal the map-based
+//! computation from the raw profiles
 //! (`tests::prepared_scores_are_bit_identical_to_the_profile_oracle`).
 
+use std::collections::HashMap;
+use std::hash::Hasher;
+use std::ops::Range;
+
 use datatamer_model::schema::NumericStats;
-use datatamer_model::{AttrId, AttributeDef, AttributeProfile, LexicalType};
+use datatamer_model::{AttrId, AttributeDef, AttributeProfile, LexicalType, SourceSchema};
 use datatamer_sim as sim;
 
 use crate::global::GlobalSchema;
@@ -56,16 +76,18 @@ const CONTENT_SHARE: f64 = 1.0 - NAME_SHARE;
 /// One attribute as the four signals read it.
 #[derive(Debug)]
 pub(crate) struct AttrFeatures {
+    /// The name as written, interned: what [`NameSignals`] is keyed by.
+    name_id: u32,
     /// The name, lowercased.
     name: String,
     /// The name's word tokens.
     name_tokens: Vec<String>,
-    /// Lowercased sampled value → its count, sorted by value. When two
-    /// sampled values lowercase alike, the later one's count is kept.
-    values: Vec<(String, f64)>,
+    /// Lowercased sampled value → its count, sorted by [`ValueKey`]. When
+    /// two sampled values lowercase alike, the later one's count is kept.
+    values: Vec<(ValueKey, f64)>,
     /// TF-IDF vector of the value bag, keyed by vocabulary rank (so in
-    /// token order). A token outside the vocabulary is in no global bag, so
-    /// it is left out; it still counts toward the norm.
+    /// token order). A token in no global bag is left out; it still counts
+    /// toward the norm.
     tfidf: Vec<(u32, f64)>,
     /// The value bag is the empty string.
     empty_bag: bool,
@@ -76,8 +98,9 @@ pub(crate) struct AttrFeatures {
 
 impl AttrFeatures {
     /// Features of an attribute with no profile read yet.
-    fn named(name: &str) -> Self {
+    fn named(name: &str, name_id: u32) -> Self {
         AttrFeatures {
+            name_id,
             name: name.to_lowercase(),
             name_tokens: sim::tokenize(name),
             values: Vec::new(),
@@ -91,11 +114,17 @@ impl AttrFeatures {
 
     /// Features of an attribute read afresh from its profile, with the
     /// given TF-IDF vector.
-    fn from_profile(name: &str, profile: &AttributeProfile, tfidf: Vec<(u32, f64)>) -> Self {
-        let mut values: Vec<(String, f64)> = profile
+    fn from_profile(
+        name: &str,
+        name_id: u32,
+        profile: &AttributeProfile,
+        tfidf: Vec<(u32, f64)>,
+    ) -> Self {
+        let mut values: Vec<(ValueKey, f64)> = profile
             .sample_values()
             .iter()
-            .map(|v| (v.to_lowercase(), profile.sample_frequency(v) as f64))
+            .zip(profile.sample_counts())
+            .map(|(v, &n)| (value_key(v), n as f64))
             .collect();
         // A stable sort keeps lowercase collisions in sample order, so the
         // later one's count survives, as a later map insert would.
@@ -107,7 +136,7 @@ impl AttrFeatures {
             }
             collide
         });
-        let mut features = AttrFeatures { values, tfidf, ..AttrFeatures::named(name) };
+        let mut features = AttrFeatures { values, tfidf, ..AttrFeatures::named(name, name_id) };
         features.read_distribution(profile);
         features
     }
@@ -127,8 +156,21 @@ impl AttrFeatures {
     }
 }
 
-/// Every token of the global value bags: interned ids, how many bags hold
-/// each, and each one's rank in token order.
+/// A lowercased sampled value as value overlap orders it: by the FNV hash
+/// of its text first, so a comparison rarely reads the text, then by the
+/// text.
+type ValueKey = (u64, String);
+
+fn value_key(value: &str) -> ValueKey {
+    let lower = value.to_lowercase();
+    let mut hasher = sim::FnvHasher::default();
+    hasher.write(lower.as_bytes());
+    (hasher.finish(), lower)
+}
+
+/// Every token the fit has read: interned ids, how many global value bags
+/// hold each (0 for a token only sources held), and each one's rank in
+/// token order.
 #[derive(Debug)]
 struct Vocabulary {
     ids: sim::TokenInterner,
@@ -141,7 +183,7 @@ struct Vocabulary {
     /// Position in `sorted`, by id.
     rank: Vec<u32>,
     /// IDF by document frequency, for the current number of global
-    /// attributes (a token outside the vocabulary has frequency 0).
+    /// attributes.
     idf: Vec<f64>,
 }
 
@@ -168,19 +210,77 @@ impl Vocabulary {
         id
     }
 
-    /// Rank the tokens interned since the last call. The old ids are
-    /// already in token order, so the stable sort merges two runs.
-    fn rank_new_tokens(&mut self) {
-        if self.sorted.len() == self.text.len() {
-            return;
+    /// Document frequency of the token at `rank`.
+    fn df_at(&self, rank: u32) -> usize {
+        self.df[self.sorted[rank as usize] as usize]
+    }
+
+    /// Rank the tokens interned since the last call: sort only those, and
+    /// merge them into the ranked ones. Returns whether there were any.
+    fn rank_new_tokens(&mut self) -> bool {
+        let ranked = self.sorted.len();
+        if ranked == self.text.len() {
+            return false;
         }
         let text = &self.text;
-        self.sorted.extend(self.sorted.len() as u32..text.len() as u32);
-        self.sorted.sort_by(|a, b| text[*a as usize].cmp(&text[*b as usize]));
+        let mut new: Vec<u32> = (ranked as u32..text.len() as u32).collect();
+        new.sort_unstable_by(|a, b| text[*a as usize].cmp(&text[*b as usize]));
+        let mut merged = Vec::with_capacity(text.len());
+        let mut old = std::mem::take(&mut self.sorted).into_iter().peekable();
+        let mut new = new.into_iter().peekable();
+        // Interned tokens are distinct, so no two compare equal.
+        while let (Some(&a), Some(&b)) = (old.peek(), new.peek()) {
+            if text[b as usize] < text[a as usize] {
+                merged.push(b);
+                new.next();
+            } else {
+                merged.push(a);
+                old.next();
+            }
+        }
+        merged.extend(old);
+        merged.extend(new);
+        self.sorted = merged;
         self.rank.resize(text.len(), 0);
         for (rank, &id) in self.sorted.iter().enumerate() {
             self.rank[id as usize] = rank as u32;
         }
+        true
+    }
+}
+
+/// One source's sampled values as token ids, read once per call and
+/// dropped with it: what preparing its attributes and folding them into
+/// the fit both read.
+#[derive(Debug, Default)]
+pub(crate) struct SourceTokens {
+    /// Token ids of every sampled value, value after value, attribute after
+    /// attribute.
+    ids: Vec<u32>,
+    /// Each sampled value's span of `ids`.
+    values: Vec<Range<usize>>,
+    /// Each attribute's span of `values`.
+    attrs: Vec<Range<usize>>,
+}
+
+impl SourceTokens {
+    /// The token ids of attribute `attr`'s sampled values, in sample order.
+    fn values_of(&self, attr: usize) -> impl Iterator<Item = &[u32]> {
+        let spans = self.attrs.get(attr).and_then(|a| self.values.get(a.clone()));
+        spans
+            .unwrap_or_default()
+            .iter()
+            .map(|span| self.ids.get(span.clone()).unwrap_or_default())
+    }
+
+    /// Every token id of attribute `attr`'s value bag.
+    fn bag_of(&self, attr: usize) -> &[u32] {
+        let span = self.attrs.get(attr).and_then(|a| {
+            let first = self.values.get(a.start)?;
+            let last = self.values.get(a.end.checked_sub(1)?)?;
+            Some(first.start..last.end)
+        });
+        span.and_then(|span| self.ids.get(span)).unwrap_or_default()
     }
 }
 
@@ -192,16 +292,19 @@ struct Carried {
     /// For each entry of the features' `values`, the sample index whose
     /// count it carries: the latest value that lowercases to it.
     value_src: Vec<usize>,
-    /// `(token id, occurrences)` over the value bag, in token order.
+    /// `(token id, occurrences)` over the value bag, in token order. The
+    /// features' TF-IDF vector has one entry per term, in the same order.
     terms: Vec<(u32, usize)>,
 }
 
 /// The matcher's fit of the global schema, carried from call to call: the
-/// vocabulary of the global value bags and the features of every global
-/// attribute, in schema order.
+/// vocabulary of every value the fit has read, the interned attribute
+/// names, and the features of every global attribute, in schema order.
 #[derive(Debug, Default)]
 pub(crate) struct Fit {
     vocab: Vocabulary,
+    /// Attribute names as written, global and source alike.
+    names: sim::TokenInterner,
     features: Vec<AttrFeatures>,
     carried: Vec<Carried>,
 }
@@ -212,45 +315,100 @@ impl Fit {
         &self.features
     }
 
-    /// Bring the fit up to date with `global` after a call that mapped onto
-    /// or added exactly the `changed` attributes.
-    pub(crate) fn update(&mut self, global: &GlobalSchema, changed: &[AttrId]) {
+    /// Read `source` against the fit as it stands: tokenise each sampled
+    /// value once, admit its tokens to the vocabulary (in no global bag
+    /// yet), re-key the global TF-IDF vectors to the new ranks, and prepare
+    /// every attribute. Admitting tokens changes no score.
+    pub(crate) fn read_source(
+        &mut self,
+        source: &SourceSchema,
+    ) -> (SourceTokens, Vec<AttrFeatures>) {
+        let mut tokens = SourceTokens::default();
+        for attr in &source.attributes {
+            let first = tokens.values.len();
+            for value in attr.profile.sample_values() {
+                let start = tokens.ids.len();
+                sim::for_each_token(value, |t| tokens.ids.push(self.vocab.intern(t)));
+                tokens.values.push(start..tokens.ids.len());
+            }
+            tokens.attrs.push(first..tokens.values.len());
+        }
+        if self.vocab.rank_new_tokens() {
+            let rank = &self.vocab.rank;
+            for (features, carried) in self.features.iter_mut().zip(&self.carried) {
+                for (entry, &(id, _)) in features.tfidf.iter_mut().zip(&carried.terms) {
+                    entry.0 = rank[id as usize];
+                }
+            }
+        }
+        let mut prepared = Vec::with_capacity(source.attributes.len());
+        for (i, attr) in source.attributes.iter().enumerate() {
+            prepared.push(self.prepare(attr, tokens.bag_of(i)));
+        }
+        (tokens, prepared)
+    }
+
+    /// Prepare a source attribute whose value bag is `bag`, every token of
+    /// it ranked.
+    fn prepare(&mut self, attr: &AttributeDef, bag: &[u32]) -> AttrFeatures {
+        let vocab = &self.vocab;
+        let mut ranks: Vec<u32> = bag.iter().map(|&id| vocab.rank[id as usize]).collect();
+        ranks.sort_unstable();
+        let mut tfidf: Vec<(u32, f64)> = ranks
+            .chunk_by(|x, y| x == y)
+            .filter_map(|run| Some((*run.first()?, sim::damp(run.len()))))
+            .collect();
+        sim::normalize_tfidf(&mut tfidf, |&rank| vocab.idf[vocab.df_at(rank)]);
+        tfidf.retain(|&(rank, _)| vocab.df_at(rank) > 0);
+        let name_id = self.names.intern_str(&attr.name);
+        AttrFeatures::from_profile(&attr.name, name_id, &attr.profile, tfidf)
+    }
+
+    /// Bring the fit up to date with `global` after a call over `source`
+    /// that mapped onto or added exactly the `claimed` attributes:
+    /// `(global attribute, index of the source attribute it took)` pairs,
+    /// in decision order. `tokens` is what [`Fit::read_source`] read from
+    /// `source`.
+    pub(crate) fn update(
+        &mut self,
+        global: &GlobalSchema,
+        claimed: &[(AttrId, usize)],
+        source: &SourceSchema,
+        tokens: &SourceTokens,
+    ) {
         for g in global.iter().skip(self.features.len()) {
-            self.features.push(AttrFeatures::named(&g.name));
+            let name_id = self.names.intern_str(&g.name);
+            self.features.push(AttrFeatures::named(&g.name, name_id));
             self.carried.push(Carried::default());
         }
-        let mut new_tokens: Vec<(usize, Vec<u32>)> = Vec::with_capacity(changed.len());
-        for g in changed.iter().filter_map(|&id| global.get(id)) {
-            let i = g.id.0 as usize;
-            let (features, carried) = (&mut self.features[i], &mut self.carried[i]);
-            let tokens = fold_new_values(features, carried, &g.profile, &mut self.vocab);
-            features.read_distribution(&g.profile);
-            new_tokens.push((i, tokens));
-        }
-        self.vocab.rank_new_tokens();
-        for (i, mut tokens) in new_tokens {
-            let (vocab, terms) = (&mut self.vocab, &mut self.carried[i].terms);
-            tokens.sort_unstable_by_key(|&id| vocab.rank[id as usize]);
-            let mut added = Vec::new();
-            for run in tokens.chunk_by(|a, b| a == b) {
-                let Some(&id) = run.first() else { continue };
-                let rank = vocab.rank[id as usize];
-                if terms.binary_search_by_key(&rank, |&(t, _)| vocab.rank[t as usize]).is_err() {
-                    vocab.df[id as usize] += 1;
-                }
-                added.push((id, run.len()));
+        let mut new_tokens: Vec<(usize, Vec<u32>)> = Vec::with_capacity(claimed.len());
+        for (k, &(id, _)) in claimed.iter().enumerate() {
+            let Some(g) = global.get(id) else { continue };
+            if claimed[..k].iter().any(|&(earlier, _)| earlier == id) {
+                continue;
             }
-            // The stable sort keeps each old entry before the new one for
-            // the same token, and the dedup folds the new count into it.
-            terms.extend(added);
-            terms.sort_by_key(|&(id, _)| vocab.rank[id as usize]);
-            terms.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    kept.1 += later.1;
-                }
-                same
+            // The source attributes merged into `g`, in merge order, each
+            // sampled value with its token ids.
+            let from = claimed.iter().filter(|&&(c, _)| c == id).flat_map(|&(_, a)| {
+                let sample = source.attributes.get(a).map(|attr| attr.profile.sample_values());
+                sample.unwrap_or_default().iter().map(String::as_str).zip(tokens.values_of(a))
             });
+            let i = id.0 as usize;
+            let (features, carried) = (&mut self.features[i], &mut self.carried[i]);
+            let ids = fold_new_values(features, carried, &g.profile, from, &mut self.vocab);
+            features.read_distribution(&g.profile);
+            new_tokens.push((i, ids));
+        }
+        // Ranks what a value missing from the claimed samples interned in
+        // `fold_new_values`; a merge never appends such a value.
+        self.vocab.rank_new_tokens();
+        for (i, mut ids) in new_tokens {
+            let (vocab, carried) = (&mut self.vocab, &mut self.carried[i]);
+            ids.sort_unstable_by_key(|&id| vocab.rank[id as usize]);
+            let added = ids
+                .chunk_by(|a, b| a == b)
+                .filter_map(|run| Some((*run.first()?, run.len())));
+            carried.terms = merge_terms(std::mem::take(&mut carried.terms), added, vocab);
         }
         let num_docs = self.features.len();
         self.vocab.idf = (0..=num_docs).map(|df| sim::idf(num_docs, df)).collect();
@@ -260,62 +418,103 @@ impl Fit {
             features.tfidf.extend(
                 carried.terms.iter().map(|&(id, n)| (vocab.rank[id as usize], sim::damp(n))),
             );
-            sim::normalize_tfidf(&mut features.tfidf, |&rank| {
-                vocab.idf[vocab.df[vocab.sorted[rank as usize] as usize]]
-            });
+            sim::normalize_tfidf(&mut features.tfidf, |&rank| vocab.idf[vocab.df_at(rank)]);
         }
     }
 
-    /// Prepare a source attribute against the fit as it stands.
-    pub(crate) fn prepare(&self, attr: &AttributeDef) -> AttrFeatures {
-        let mut tokens = sim::tokenize(&attr.profile.sample_values().join(" "));
-        tokens.sort_unstable();
-        let vocab = &self.vocab;
-        let mut entries: Vec<(Option<u32>, f64)> = tokens
-            .chunk_by(|x, y| x == y)
-            .filter_map(|run| Some((vocab.ids.get(run.first()?), sim::damp(run.len()))))
-            .collect();
-        sim::normalize_tfidf(&mut entries, |id| vocab.idf[id.map_or(0, |id| vocab.df[id as usize])]);
-        let tfidf = entries
-            .into_iter()
-            .filter_map(|(id, w)| Some((vocab.rank[id? as usize], w)))
-            .collect();
-        AttrFeatures::from_profile(&attr.name, &attr.profile, tfidf)
+    /// Every token of the vocabulary, in rank order.
+    #[cfg(test)]
+    pub(crate) fn vocabulary(&self) -> Vec<String> {
+        self.vocab.sorted.iter().map(|&id| self.vocab.text[id as usize].clone()).collect()
     }
+}
+
+/// Merge `added` term counts into `terms`, both in token order, counting
+/// each token new to the bag in its document frequency.
+fn merge_terms(
+    terms: Vec<(u32, usize)>,
+    added: impl Iterator<Item = (u32, usize)>,
+    vocab: &mut Vocabulary,
+) -> Vec<(u32, usize)> {
+    let mut merged = Vec::with_capacity(terms.len());
+    let mut old = terms.into_iter().peekable();
+    for (id, n) in added {
+        let rank = vocab.rank[id as usize];
+        while let Some(term) = old.next_if(|&(t, _)| vocab.rank[t as usize] < rank) {
+            merged.push(term);
+        }
+        match old.next_if(|&(t, _)| t == id) {
+            Some((_, m)) => merged.push((id, m + n)),
+            None => {
+                vocab.df[id as usize] += 1;
+                merged.push((id, n));
+            }
+        }
+    }
+    merged.extend(old);
+    merged
 }
 
 /// Fold the values that entered `profile`'s sample since the last update
 /// into the attribute's value counts, refresh every value count, and
-/// return the new values' token ids (one per occurrence).
-fn fold_new_values(
+/// return the new values' token ids (one per occurrence). `from` yields
+/// the sampled values of the source attributes merged in since, with
+/// their token ids: a merge appends a subsequence of them, so each new
+/// value is found by walking on. A value not found is tokenised afresh.
+fn fold_new_values<'a>(
     features: &mut AttrFeatures,
     carried: &mut Carried,
     profile: &AttributeProfile,
+    mut from: impl Iterator<Item = (&'a str, &'a [u32])>,
     vocab: &mut Vocabulary,
 ) -> Vec<u32> {
     let sample = profile.sample_values();
     let mut tokens = Vec::new();
     for (index, value) in sample.iter().enumerate().skip(carried.folded) {
-        let lower = value.to_lowercase();
-        match features.values.binary_search_by(|(v, _)| v.as_str().cmp(&lower)) {
+        let key = value_key(value);
+        match features.values.binary_search_by(|(v, _)| v.cmp(&key)) {
             // A later value that lowercases alike takes over the count.
             Ok(at) => carried.value_src[at] = index,
             Err(at) => {
-                features.values.insert(at, (lower, 0.0));
+                features.values.insert(at, (key, 0.0));
                 carried.value_src.insert(at, index);
             }
         }
-        sim::for_each_token(value, |t| tokens.push(vocab.intern(t)));
+        match from.find(|&(v, _)| v == value) {
+            Some((_, ids)) => tokens.extend_from_slice(ids),
+            None => sim::for_each_token(value, |t| tokens.push(vocab.intern(t))),
+        }
     }
     carried.folded = sample.len();
+    let counts = profile.sample_counts();
     for ((_, count), &index) in features.values.iter_mut().zip(&carried.value_src) {
-        *count = profile.sample_frequency(&sample[index]) as f64;
+        *count = counts.get(index).copied().unwrap_or(0) as f64;
     }
     tokens
 }
 
-/// The combined score of a source attribute against a global one. The
-/// argument order matters: synonym matching is greedy from the source side.
+/// The name signal of every `(source name, global name)` pair scored so
+/// far, keyed by the names' interned ids.
+#[derive(Debug, Default)]
+pub(crate) struct NameSignals(HashMap<(u32, u32), f64, sim::FnvBuildHasher>);
+
+impl NameSignals {
+    /// [`name_signal`] of the pair, computed on its first request.
+    pub(crate) fn get(
+        &mut self,
+        synonyms: &SynonymDict,
+        source: &AttrFeatures,
+        global: &AttrFeatures,
+    ) -> f64 {
+        *self
+            .0
+            .entry((source.name_id, global.name_id))
+            .or_insert_with(|| name_signal(synonyms, source, global))
+    }
+}
+
+/// The combined score of a source attribute against a global one, given
+/// their name signal.
 ///
 /// A pair is credible when **either** the names agree strongly (synonym
 /// dictionaries, abbreviations) **or** the contents overlap strongly
@@ -324,8 +523,7 @@ fn fold_new_values(
 /// are exact synonyms. The composite therefore takes the max of a name-led
 /// blend and a content-led blend, each seasoned with the distribution
 /// signal, and the weaker blend contributes in proportion to its share.
-pub(crate) fn score(synonyms: &SynonymDict, source: &AttrFeatures, global: &AttrFeatures) -> f64 {
-    let name = name_signal(synonyms, source, global);
+pub(crate) fn score(name: f64, source: &AttrFeatures, global: &AttrFeatures) -> f64 {
     let value = value_overlap(source, global);
     let dist = distribution(source, global);
     let tfidf = tfidf(source, global);
@@ -339,7 +537,8 @@ pub(crate) fn score(synonyms: &SynonymDict, source: &AttrFeatures, global: &Attr
 }
 
 /// Jaro-Winkler on the lowercased names blended with synonym-aware
-/// token-set similarity.
+/// token-set similarity. The argument order matters: synonym matching is
+/// greedy from the source side.
 fn name_signal(synonyms: &SynonymDict, a: &AttrFeatures, b: &AttrFeatures) -> f64 {
     let jw = sim::jaro_winkler(&a.name, &b.name);
     let syn = synonyms.token_similarity(&a.name_tokens, &b.name_tokens);
@@ -347,7 +546,9 @@ fn name_signal(synonyms: &SynonymDict, a: &AttrFeatures, b: &AttrFeatures) -> f6
 }
 
 /// Weighted Jaccard between the sampled value multisets; 0 when either
-/// side has no sample.
+/// side has no sample. Its sums are of whole counts, which float addition
+/// sums exactly in any order, so the score does not depend on the order
+/// [`ValueKey`] walks the values in.
 fn value_overlap(a: &AttrFeatures, b: &AttrFeatures) -> f64 {
     if a.values.is_empty() || b.values.is_empty() {
         return 0.0;
@@ -393,16 +594,54 @@ fn tfidf(a: &AttrFeatures, b: &AttrFeatures) -> f64 {
 /// those bags and vectorised every global attribute from scratch.
 #[cfg(test)]
 pub(crate) mod oracle {
+    use std::collections::HashMap;
+
     use datatamer_model::Value;
 
     use super::*;
+
+    /// Inverse document frequencies learned from a corpus of token bags.
+    #[derive(Debug, Default)]
+    pub(crate) struct TfIdfWeights {
+        df: HashMap<String, usize>,
+        num_docs: usize,
+    }
+
+    impl TfIdfWeights {
+        /// Count, for each token, the documents holding it.
+        pub(crate) fn fit<'a, I, D>(docs: I) -> Self
+        where
+            I: IntoIterator<Item = D>,
+            D: IntoIterator<Item = &'a str>,
+        {
+            let mut weights = TfIdfWeights::default();
+            let mut distinct: Vec<&str> = Vec::new();
+            for doc in docs {
+                weights.num_docs += 1;
+                distinct.clear();
+                distinct.extend(doc);
+                distinct.sort_unstable();
+                distinct.dedup();
+                for tok in &distinct {
+                    *weights.df.entry((*tok).to_owned()).or_insert(0) += 1;
+                }
+            }
+            weights
+        }
+
+        /// IDF of a token; an unseen token gets the maximum-rarity weight.
+        pub(crate) fn idf(&self, token: &str) -> f64 {
+            sim::idf(self.num_docs, self.df.get(token).copied().unwrap_or(0))
+        }
+    }
 
     /// IDF fitted over the global schema as one call found it.
     pub(crate) struct Matcher {
         /// The distinct tokens of the global value bags, sorted: a token's
         /// position is its rank.
-        vocab: Vec<String>,
-        model: sim::CosineModel,
+        pub(crate) vocab: Vec<String>,
+        weights: TfIdfWeights,
+        names: sim::TokenInterner,
     }
 
     impl Matcher {
@@ -411,11 +650,11 @@ pub(crate) mod oracle {
         pub(crate) fn fit(global: &GlobalSchema) -> (Self, Vec<AttrFeatures>) {
             let bags: Vec<Vec<String>> = global.iter().map(|g| bag(&g.profile)).collect();
             let weights =
-                sim::TfIdfWeights::fit(bags.iter().map(|tokens| tokens.iter().map(String::as_str)));
+                TfIdfWeights::fit(bags.iter().map(|tokens| tokens.iter().map(String::as_str)));
             let mut vocab: Vec<String> = bags.iter().flatten().cloned().collect();
             vocab.sort_unstable();
             vocab.dedup();
-            let matcher = Matcher { vocab, model: sim::CosineModel::new(weights) };
+            let mut matcher = Matcher { vocab, weights, names: sim::TokenInterner::new() };
             let prepared = global
                 .iter()
                 .zip(&bags)
@@ -425,18 +664,31 @@ pub(crate) mod oracle {
         }
 
         /// Prepare one attribute under this fit.
-        pub(crate) fn prepare(&self, name: &str, profile: &AttributeProfile) -> AttrFeatures {
+        pub(crate) fn prepare(&mut self, name: &str, profile: &AttributeProfile) -> AttrFeatures {
             self.features(name, profile, &bag(profile))
         }
 
-        fn features(&self, name: &str, profile: &AttributeProfile, bag: &[String]) -> AttrFeatures {
+        fn features(&mut self, name: &str, profile: &AttributeProfile, bag: &[String]) -> AttrFeatures {
             let tfidf = self
-                .model
                 .vectorize(bag)
                 .into_iter()
                 .filter_map(|(tok, w)| Some((self.vocab.binary_search(&tok).ok()? as u32, w)))
                 .collect();
-            AttrFeatures::from_profile(name, profile, tfidf)
+            let name_id = self.names.intern_str(name);
+            AttrFeatures::from_profile(name, name_id, profile, tfidf)
+        }
+
+        /// TF-IDF vector of a token bag, as `(token, weight)` entries sorted
+        /// by token with no repeats.
+        fn vectorize(&self, tokens: &[String]) -> Vec<(String, f64)> {
+            let mut sorted: Vec<&String> = tokens.iter().collect();
+            sorted.sort_unstable();
+            let mut entries: Vec<(String, f64)> = sorted
+                .chunk_by(|x, y| x == y)
+                .filter_map(|run| Some(((*run.first()?).clone(), sim::damp(run.len()))))
+                .collect();
+            sim::normalize_tfidf(&mut entries, |tok| self.weights.idf(tok));
+            entries
         }
     }
 
@@ -445,13 +697,15 @@ pub(crate) mod oracle {
         sim::tokenize(&profile.sample_values().join(" "))
     }
 
-    /// Every field of `features`, floats as their bits.
-    pub(crate) fn bits(features: &AttrFeatures) -> impl PartialEq + std::fmt::Debug {
+    /// Every field of `features` but the name id, floats as their bits and
+    /// TF-IDF entries keyed by token text: `vocab` holds the tokens in rank
+    /// order of the fit that prepared them.
+    pub(crate) fn bits(features: &AttrFeatures, vocab: &[String]) -> impl PartialEq + std::fmt::Debug {
         let f = features;
         (
             (f.name.clone(), f.name_tokens.clone()),
-            f.values.iter().map(|(v, n)| (v.clone(), n.to_bits())).collect::<Vec<_>>(),
-            f.tfidf.iter().map(|(rank, w)| (*rank, w.to_bits())).collect::<Vec<_>>(),
+            f.values.iter().map(|((_, v), n)| (v.clone(), n.to_bits())).collect::<Vec<_>>(),
+            f.tfidf.iter().map(|(rank, w)| (vocab[*rank as usize].clone(), w.to_bits())).collect::<Vec<_>>(),
             (f.empty_bag, f.dominant),
             f.numeric.map(|n| (n.n, [n.min, n.max, n.mean, n.std].map(f64::to_bits))),
             f.mean_len.to_bits(),
@@ -471,7 +725,7 @@ pub(crate) mod oracle {
     }
 
     const NAMES: &[&str] = &[
-        "show_name", "title", "Show Name", "showName", "cheapest_price", "cost", "PRICE",
+        "show_name", "title", "Show Name", "showName", "showname", "cheapest_price", "cost", "PRICE",
         "venue", "theatre", "Théâtre", "x", "", "runtime_min", "seats", "ticket price",
     ];
 
@@ -520,7 +774,7 @@ pub(crate) mod oracle {
 mod tests {
     use std::collections::HashMap;
 
-    use super::oracle::{random_attr, Matcher, Rng};
+    use super::oracle::{random_attr, Matcher, Rng, TfIdfWeights};
     use super::*;
     use crate::global::GlobalAttribute;
     use datatamer_model::{AttributeDef, Record, RecordId, SourceId, SourceSchema, Value};
@@ -621,11 +875,11 @@ mod tests {
         let mut g = GlobalSchema::new();
         g.add_attribute(SourceId(0), &attr("show_name", &["Matilda", "Wicked", "Annie"]));
         g.add_attribute(SourceId(0), &attr("cheapest_price", &["$27", "$45", "$99"]));
-        let (matcher, globals) = Matcher::fit(&g);
+        let (mut matcher, globals) = Matcher::fit(&g);
         let incoming = attr("title", &["Matilda", "Pippin", "Wicked"]);
         let title = matcher.prepare(&incoming.name, &incoming.profile);
-        let to_show = score(&syn, &title, &globals[0]);
-        let to_price = score(&syn, &title, &globals[1]);
+        let to_show = score(name_signal(&syn, &title, &globals[0]), &title, &globals[0]);
+        let to_price = score(name_signal(&syn, &title, &globals[1]), &title, &globals[1]);
         assert!(to_show > to_price, "title→show_name must beat title→price ({to_show} vs {to_price})");
         assert!(to_show > 0.5);
     }
@@ -655,7 +909,7 @@ mod tests {
         num / den
     }
 
-    fn oracle_vectorize(idf: &sim::TfIdfWeights, tokens: &[String]) -> HashMap<String, f64> {
+    fn oracle_vectorize(idf: &TfIdfWeights, tokens: &[String]) -> HashMap<String, f64> {
         let mut tf: HashMap<String, f64> = HashMap::new();
         for t in tokens {
             *tf.entry(t.clone()).or_insert(0.0) += 1.0;
@@ -686,7 +940,7 @@ mod tests {
     /// `[name, value overlap, distribution, tfidf, composite]`.
     fn oracle(
         synonyms: &SynonymDict,
-        idf: &sim::TfIdfWeights,
+        idf: &TfIdfWeights,
         source: &AttributeDef,
         global: &GlobalAttribute,
     ) -> [f64; 5] {
@@ -783,8 +1037,8 @@ mod tests {
                 .iter()
                 .map(|g| sim::tokenize(&g.profile.sample_values().join(" ")))
                 .collect();
-            let idf = sim::TfIdfWeights::fit(bags.iter().map(|t| t.iter().map(String::as_str)));
-            let (matcher, prepared) = Matcher::fit(&global);
+            let idf = TfIdfWeights::fit(bags.iter().map(|t| t.iter().map(String::as_str)));
+            let (mut matcher, prepared) = Matcher::fit(&global);
             // Fresh source attributes, and each global attribute as a source
             // (identical bags: every token is shared).
             let mut sources: Vec<AttributeDef> = (0..3).map(|_| random_attr(&mut rng)).collect();
@@ -800,7 +1054,7 @@ mod tests {
                         value_overlap(&features, gf),
                         distribution(&features, gf),
                         tfidf(&features, gf),
-                        score(&synonyms, &features, gf),
+                        score(name_signal(&synonyms, &features, gf), &features, gf),
                     ];
                     let want = oracle(&synonyms, &idf, source, g);
                     assert_eq!(

@@ -4,55 +4,6 @@
 //! form a token bag; IDF weights are learned over the corpus of attributes so
 //! that ubiquitous tokens ("the", "st", "new") stop dominating scores.
 
-use std::collections::HashMap;
-
-/// Inverse document frequency weights learned from a corpus of documents
-/// (each document = one token bag).
-#[derive(Debug, Clone, Default)]
-pub struct TfIdfWeights {
-    idf: HashMap<String, f64>,
-    num_docs: usize,
-}
-
-impl TfIdfWeights {
-    /// Fit IDF weights on an iterator of documents (token slices).
-    pub fn fit<'a, I, D>(docs: I) -> Self
-    where
-        I: IntoIterator<Item = D>,
-        D: IntoIterator<Item = &'a str>,
-    {
-        let mut df: HashMap<String, usize> = HashMap::new();
-        let mut num_docs = 0usize;
-        let mut distinct: Vec<&str> = Vec::new();
-        for doc in docs {
-            num_docs += 1;
-            distinct.clear();
-            distinct.extend(doc);
-            distinct.sort_unstable();
-            distinct.dedup();
-            for tok in &distinct {
-                *df.entry((*tok).to_owned()).or_insert(0) += 1;
-            }
-        }
-        let idf = df
-            // dtlint::allow(map-iter, reason = "entry-wise map construction; no cross-entry accumulation depends on order")
-            .into_iter()
-            .map(|(tok, d)| (tok, idf(num_docs, d)))
-            .collect();
-        TfIdfWeights { idf, num_docs }
-    }
-
-    /// Number of documents the weights were fitted on.
-    pub fn num_docs(&self) -> usize {
-        self.num_docs
-    }
-
-    /// IDF weight for a token; unseen tokens get the maximum-rarity weight.
-    pub fn idf(&self, token: &str) -> f64 {
-        self.idf.get(token).copied().unwrap_or_else(|| idf(self.num_docs, 0))
-    }
-}
-
 /// Smoothed IDF of a token found in `df` of `num_docs` documents, always
 /// positive. An unseen token (`df == 0`) gets the maximum-rarity weight.
 pub fn idf(num_docs: usize, df: usize) -> f64 {
@@ -85,37 +36,10 @@ pub fn normalize_tfidf<K>(entries: &mut [(K, f64)], mut idf: impl FnMut(&K) -> f
     }
 }
 
-/// A reusable TF-IDF vectoriser + cosine scorer.
-#[derive(Debug, Clone, Default)]
-pub struct CosineModel {
-    weights: TfIdfWeights,
-}
-
-impl CosineModel {
-    /// Build from pre-fitted weights.
-    pub fn new(weights: TfIdfWeights) -> Self {
-        CosineModel { weights }
-    }
-
-    /// TF-IDF vector of a token slice (L2-normalised, see [`normalize_tfidf`]), as
-    /// `(token, weight)` entries sorted by token with no repeats.
-    pub fn vectorize(&self, tokens: &[String]) -> Vec<(String, f64)> {
-        let mut sorted: Vec<&String> = tokens.iter().collect();
-        sorted.sort_unstable();
-        let mut entries: Vec<(String, f64)> = sorted
-            .chunk_by(|x, y| x == y)
-            .filter_map(|run| Some(((*run.first()?).clone(), damp(run.len()))))
-            .collect();
-        normalize_tfidf(&mut entries, |tok| self.weights.idf(tok));
-        entries
-    }
-}
-
 /// Cosine similarity of two TF-IDF vectors sorted by key with no repeats
-/// (a [`CosineModel::vectorize`] output, or any keying that orders entries
-/// as their tokens do), clamped to `[0, 1]`: the dot product of the entries
-/// both share, merge-joined and summed in key order so the score repeats
-/// bit for bit.
+/// (keyed by token, or by anything that orders entries as their tokens
+/// do), clamped to `[0, 1]`: the dot product of the entries both share,
+/// merge-joined and summed in key order so the score repeats bit for bit.
 pub fn cosine<K: Ord>(a: &[(K, f64)], b: &[(K, f64)]) -> f64 {
     let (mut i, mut j) = (0, 0);
     let shared = std::iter::from_fn(|| loop {
@@ -138,66 +62,74 @@ mod tests {
     use super::*;
     use crate::tokens::tokenize;
 
-    /// A model whose IDF weights are fitted over the tokens of `texts`.
-    fn fitted(texts: &[&str]) -> CosineModel {
-        let docs: Vec<Vec<String>> = texts.iter().map(|t| tokenize(t)).collect();
-        CosineModel::new(TfIdfWeights::fit(docs.iter().map(|d| d.iter().map(String::as_str))))
+    /// The TF-IDF vector of `text`, keyed by token, with every token's
+    /// document frequency looked up in `docs`.
+    fn vector(docs: &[&str], text: &str) -> Vec<(String, f64)> {
+        let docs: Vec<Vec<String>> = docs.iter().map(|d| tokenize(d)).collect();
+        let mut tokens = tokenize(text);
+        tokens.sort_unstable();
+        let mut entries: Vec<(String, f64)> = tokens
+            .chunk_by(|x, y| x == y)
+            .map(|run| (run[0].clone(), damp(run.len())))
+            .collect();
+        normalize_tfidf(&mut entries, |tok| {
+            idf(docs.len(), docs.iter().filter(|d| d.contains(tok)).count())
+        });
+        entries
     }
 
-    /// Cosine similarity of two raw texts under `m`'s fitted weights.
-    fn similarity(m: &CosineModel, a: &str, b: &str) -> f64 {
-        cosine(&m.vectorize(&tokenize(a)), &m.vectorize(&tokenize(b)))
+    fn similarity(docs: &[&str], a: &str, b: &str) -> f64 {
+        cosine(&vector(docs, a), &vector(docs, b))
     }
 
     #[test]
     fn identical_texts_score_one() {
-        let m = fitted(&["the shubert theatre", "broadway shows"]);
-        assert!((similarity(&m, "Matilda at the Shubert", "Matilda at the Shubert") - 1.0).abs() < 1e-9);
+        let docs = ["the shubert theatre", "broadway shows"];
+        let s = similarity(&docs, "Matilda at the Shubert", "Matilda at the Shubert");
+        assert!((s - 1.0).abs() < 1e-9);
+        let norm: f64 = vector(&docs, "Matilda at the the Shubert").iter().map(|(_, w)| w * w).sum();
+        assert!((norm - 1.0).abs() < 1e-12, "normalised to unit length");
     }
 
     #[test]
     fn disjoint_texts_score_zero() {
-        let m = CosineModel::default();
-        assert_eq!(similarity(&m, "alpha beta", "gamma delta"), 0.0);
+        assert_eq!(similarity(&[], "alpha beta", "gamma delta"), 0.0);
     }
 
     #[test]
     fn empty_inputs() {
-        let m = CosineModel::default();
-        assert_eq!(similarity(&m, "", ""), 0.0);
-        assert_eq!(similarity(&m, "x", ""), 0.0);
+        assert_eq!(similarity(&[], "", ""), 0.0);
+        assert_eq!(similarity(&[], "x", ""), 0.0);
+        let mut none: Vec<(u32, f64)> = Vec::new();
+        normalize_tfidf(&mut none, |_| 1.0);
+        assert!(none.is_empty());
     }
 
     #[test]
     fn idf_downweights_common_tokens() {
         // "theatre" appears in every doc; "matilda" in one.
-        let docs = vec![
-            "shubert theatre",
-            "ambassador theatre",
-            "gershwin theatre",
-            "matilda theatre",
-        ];
-        let m = fitted(&docs);
+        let docs = ["shubert theatre", "ambassador theatre", "gershwin theatre", "matilda theatre"];
+        assert!(idf(4, 4) < idf(4, 1));
         // Sharing only the common token scores below sharing the rare one.
-        let common_only = similarity(&m, "shubert theatre", "gershwin theatre");
-        let rare_shared = similarity(&m, "matilda musical", "matilda show");
+        let common_only = similarity(&docs, "shubert theatre", "gershwin theatre");
+        let rare_shared = similarity(&docs, "matilda musical", "matilda show");
         assert!(rare_shared > common_only, "{rare_shared} vs {common_only}");
+        assert!(damp(1) == 1.0 && damp(4) > damp(2), "repeats are damped, not ignored");
     }
 
     #[test]
     fn unseen_tokens_get_max_idf() {
-        let m = fitted(&["a b", "a c"]);
-        let w = m.weights.idf("zzz");
-        assert!(w >= m.weights.idf("a"));
-        assert_eq!(m.weights.num_docs(), 2);
+        assert!(idf(2, 0) > idf(2, 1));
+        assert!(idf(2, 1) > idf(2, 2));
+        assert!(idf(2, 2) > 0.0, "always positive");
     }
 
     #[test]
     fn symmetry_and_bounds() {
-        let m = fitted(&["w 44th st", "b'way and 53rd"]);
-        let s1 = similarity(&m, "225 W. 44th St", "W 44th Street");
-        let s2 = similarity(&m, "W 44th Street", "225 W. 44th St");
-        assert!((s1 - s2).abs() < 1e-12);
+        let docs = ["w 44th st", "b'way and 53rd"];
+        let s1 = similarity(&docs, "225 W. 44th St", "W 44th Street");
+        let s2 = similarity(&docs, "W 44th Street", "225 W. 44th St");
+        assert_eq!(s1.to_bits(), s2.to_bits());
         assert!((0.0..=1.0).contains(&s1));
     }
 }

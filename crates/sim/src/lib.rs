@@ -15,7 +15,7 @@ pub mod numeric;
 pub mod soundex;
 pub mod tokens;
 
-pub use cosine::{cosine, damp, idf, normalize_tfidf, CosineModel, TfIdfWeights};
+pub use cosine::{cosine, damp, idf, normalize_tfidf};
 pub use jaccard::{jaccard, jaccard_sorted, weighted_jaccard};
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{bounded_levenshtein, levenshtein, levenshtein_similarity};
