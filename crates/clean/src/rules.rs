@@ -74,25 +74,25 @@ impl CleaningEngine {
         e
     }
 
-    /// Clean one record in place; counts land in `report`.
+    /// Clean one record in place; counts land in `report`. The null pass
+    /// walks the fields once, and each rule rewrites its attribute where
+    /// it stands; a record's names are unique, so each rule meets at most
+    /// one field.
     pub fn clean_record(&self, record: &mut Record, report: &mut CleaningReport) {
         report.records += 1;
         // Pass 1: null canonicalisation over all fields.
-        let names: Vec<String> = record.field_names().map(str::to_owned).collect();
-        for name in &names {
-            if let Some(v) = record.get(name) {
-                if let Some(replacement) = nulls::canonicalize(v) {
-                    record.set(name.clone(), replacement);
-                    report.nulls_canonicalized += 1;
-                }
+        for v in record.values_mut() {
+            if let Some(replacement) = nulls::canonicalize(v) {
+                *v = replacement;
+                report.nulls_canonicalized += 1;
             }
         }
         // Pass 2: rules in order.
         for rule in &self.rules {
-            if let Some(v) = record.get(&rule.attribute) {
+            if let Some(v) = record.get_mut(&rule.attribute) {
                 if let Some(new_value) = rule.transform.apply(v) {
                     if *v != new_value {
-                        record.set(rule.attribute.clone(), new_value);
+                        *v = new_value;
                         report.values_transformed += 1;
                     }
                 }

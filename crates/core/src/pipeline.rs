@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use datatamer_clean::CleaningReport;
 use datatamer_entity::incremental::DeltaReport;
-use datatamer_model::{doc, Record, Value};
+use datatamer_model::Record;
 use datatamer_storage::{Collection, CollectionStats, Store};
 use datatamer_text::normalize::canonical_name;
 use datatamer_text::DomainParser;
@@ -241,18 +241,6 @@ impl DataTamer {
     }
 }
 
-/// Convert a flat record to a storable document (field order preserved).
-pub fn record_to_doc(r: &Record) -> datatamer_model::Document {
-    let mut d = doc! {
-        "_source" => Value::Int(i64::from(r.source.0)),
-        "_id" => Value::Int(r.id.0 as i64)
-    };
-    for (k, v) in r.iter() {
-        d.set(k, v.clone());
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +248,7 @@ mod tests {
         BlockedErConfig, GroupingReport, GroupingStrategy, CHEAPEST_PRICE, SHOW_NAME, TEXT_FEED,
     };
     use crate::stage::{stage_names, StageReport};
-    use datatamer_model::{RecordId, SourceId};
+    use datatamer_model::{RecordId, SourceId, Value};
     use datatamer_text::{EntityType, Gazetteer};
 
     fn small_config() -> DataTamerConfig {
@@ -919,9 +907,10 @@ mod tests {
 
     #[test]
     fn case_variant_attributes_survive_schema_integration() {
-        // "price" and "PRICE" are distinct source attributes that collapse
-        // to one spelling after upper-casing; both values must survive and
-        // the collision must be counted, not swallowed.
+        // "price", "Price" and "PRICE" are distinct source attributes that
+        // collapse to one spelling after upper-casing; every value must
+        // survive, in field order, and each collision must be counted, not
+        // swallowed.
         let rows: Vec<Record> = (0..3u64)
             .map(|i| {
                 Record::from_pairs(
@@ -930,6 +919,7 @@ mod tests {
                     vec![
                         ("show_name", Value::from(format!("Show Number{i}"))),
                         ("price", Value::from("$10")),
+                        ("Price", Value::from("$30")),
                         ("PRICE", Value::from("$99")),
                     ],
                 )
@@ -939,17 +929,22 @@ mod tests {
         dt.run(PipelinePlan::new().structured("s1", &rows)).unwrap();
         match dt.context().report_of(stage_names::SCHEMA_INTEGRATION).unwrap() {
             StageReport::SchemaIntegration { case_collisions, .. } => {
-                assert_eq!(*case_collisions, 1, "one colliding attribute in the source")
+                assert_eq!(*case_collisions, 2, "two colliding attributes in the source")
             }
             other => panic!("wrong report variant: {other:?}"),
         }
         let recs = dt.structured_records();
         assert_eq!(recs.len(), 3);
         for r in recs {
-            let spellings: Vec<&str> = r.field_names().collect();
-            assert!(
-                r.get("PRICE").is_some() && r.get("PRICE__2").is_some(),
-                "both case variants must survive mapping: {spellings:?}"
+            let prices: Vec<(&str, String)> = r
+                .iter()
+                .filter(|(k, _)| k.starts_with("PRICE"))
+                .map(|(k, v)| (k, v.to_text()))
+                .collect();
+            assert_eq!(
+                prices,
+                [("PRICE", "$10".into()), ("PRICE__2", "$30".into()), ("PRICE__3", "$99".into())],
+                "every case variant must survive mapping"
             );
         }
     }
@@ -986,19 +981,5 @@ mod tests {
         let estats = dt.collection_stats("entity").unwrap().unwrap();
         assert_eq!(estats.nindexes, 8);
         assert_eq!(dt.text_stats().instances, 1);
-    }
-
-    #[test]
-    fn record_to_doc_preserves_fields() {
-        let r = Record::from_pairs(
-            SourceId(3),
-            RecordId(9),
-            vec![("A", Value::from("x")), ("B", Value::Int(2))],
-        );
-        let d = record_to_doc(&r);
-        assert_eq!(d.get("_source"), Some(&Value::Int(3)));
-        assert_eq!(d.get("_id"), Some(&Value::Int(9)));
-        assert_eq!(d.get("A"), Some(&Value::from("x")));
-        assert_eq!(d.get("B"), Some(&Value::Int(2)));
     }
 }

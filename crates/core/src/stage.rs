@@ -19,8 +19,9 @@
 //! ```
 
 use datatamer_clean::{CleaningEngine, CleaningReport};
-use datatamer_model::{Record, Result, SourceId, SourceSchema};
+use datatamer_model::{Record, Result, SourceId, SourceSchema, Value};
 use datatamer_schema::{IntegrationReport, SchemaIntegrator};
+use datatamer_storage::encode::{encoded_len, varint_len, Writer};
 use datatamer_storage::{EncodedDoc, StorageReport, Store};
 use datatamer_text::DomainParser;
 use rayon::prelude::*;
@@ -33,7 +34,7 @@ use crate::fusion::{
     CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
 };
 use crate::ingest::{IngestStats, TextIngestor};
-use crate::pipeline::{record_to_doc, GLOBAL_RECORDS_COLLECTION};
+use crate::pipeline::GLOBAL_RECORDS_COLLECTION;
 use crate::resident::ResidentEr;
 
 /// Canonical stage names, in canonical order.
@@ -171,7 +172,10 @@ pub struct PipelineContext {
     pub integrator: SchemaIntegrator,
     /// Ingested structured sources awaiting schema integration.
     pub pending_sources: Vec<PendingSource>,
-    /// Schema-mapped sources awaiting cleaning.
+    /// Schema-mapped sources awaiting cleaning. Every field name of a
+    /// mapped record is upper-case (a canonical spelling, perhaps with a
+    /// `__N` suffix), so none is `_source` or `_id`, the two fields the
+    /// cleaning stage writes ahead of a record's own when it stores it.
     pub mapped_sources: Vec<(String, Vec<Record>)>,
     /// Integrated + cleaned records (canonical attribute spellings).
     pub structured_records: Vec<Record>,
@@ -393,13 +397,19 @@ impl PipelineStage for IngestStage<'_> {
 /// canonical attribute spellings. Between them, integration is
 /// sequential (the global schema grows source by source — that ordering
 /// *is* the paper's bottom-up bootstrap): every source is integrated and
-/// given its rename mapping in turn. A lone source runs on the caller at
-/// the full width, so its records spread across the rayon team; with
-/// several, each source maps its records inline, since a call made inside
-/// another call's work runs inline. A profile is one source's sequential
-/// pass, so nothing here depends on the thread width. Escalations
-/// resolve by thresholds only ([`SchemaIntegrator::integrate`]); routing
-/// them to experts is [`SchemaIntegrator::integrate_with`] with an
+/// given its rename mapping in turn. The profile gives every field of
+/// every record a source attribute, and the integrator gives every source
+/// attribute one decision, so the mapping names every field; its targets
+/// are made distinct once per source (`decollide_targets`), so a mapped
+/// record's names are distinct without a per-record check.
+///
+/// A lone source runs on the caller at the full width, so its records
+/// spread across the rayon team; with several, each source maps its
+/// records inline, since a call made inside another call's work runs
+/// inline. A profile is one source's sequential pass, so nothing here
+/// depends on the thread width. Escalations resolve by thresholds only
+/// ([`SchemaIntegrator::integrate`]); routing them to experts is
+/// [`SchemaIntegrator::integrate_with`] with an
 /// [`crate::ExpertPanelResolver`], outside the pipeline.
 #[derive(Debug, Default)]
 pub struct SchemaIntegrationStage;
@@ -429,19 +439,32 @@ fn decollide(target: String, occupied: impl Fn(&str) -> bool) -> (String, bool) 
     }
 }
 
-/// Map one record onto the global schema given `(source_attr, target)`
-/// decisions: renamed when mapped, dropped when ignored, upper-cased when
-/// unknown. Returns the mapped record plus the number of case collisions.
-///
-/// Distinct source attributes can collide after upper-casing ("price" and
-/// "PRICE" on one record). Overwriting would silently drop the earlier
-/// value with no trace; instead the first occupant keeps the canonical
-/// spelling and later arrivals land under a deterministic `__N` suffix.
-/// On the staged-pipeline path the mapping is already de-collided once
-/// per source (see [`SchemaIntegrationStage`]), which keeps each source
-/// attribute's column identical across records; the in-record check here
-/// is the defensive net for direct calls and for attributes missing from
-/// the mapping entirely (counted per occurrence).
+/// Make a source's mapping targets distinct, returning how many needed a
+/// suffix. Every record of the source must send a given source attribute
+/// to the same global column, or downstream truth discovery would vote
+/// over columns mixing two semantically different attributes; and
+/// distinct source attributes can collide once upper-cased ("price" and
+/// "PRICE"). Overwriting would silently drop the later value, so the first
+/// mapping entry keeps the canonical spelling and later colliders get
+/// deterministic `__N` suffixes.
+fn decollide_targets(mapping: &mut [(String, Option<String>)]) -> usize {
+    let mut collisions = 0;
+    let mut used: Vec<String> = Vec::new();
+    for (_, target) in mapping.iter_mut() {
+        let Some(t) = target.take() else { continue };
+        let (t, collided) = decollide(t, |c| used.iter().any(|u| u == c));
+        collisions += usize::from(collided);
+        used.push(t.clone());
+        *target = Some(t);
+    }
+    collisions
+}
+
+/// Map one record onto the global schema through its source's
+/// `(source_attr, target)` mapping: renamed when mapped, dropped when
+/// ignored. The mapping names every field of the record and its targets
+/// are distinct ([`decollide_targets`]), so the mapped record's names are
+/// too.
 ///
 /// The record is consumed: every value moves, a mapped field's name buffer
 /// is rewritten in place, and the mapped record is allocated at its final
@@ -449,33 +472,24 @@ fn decollide(target: String, occupied: impl Fn(&str) -> bool) -> (String, bool) 
 /// several times slower). Records of one source almost always share
 /// a field order, so the mapping entry after the previous field's is tried
 /// before the mapping is searched.
-fn map_record(r: Record, mapping: &[(String, Option<String>)]) -> (Record, usize) {
+fn map_record(r: Record, mapping: &[(String, Option<String>)]) -> Record {
     let mut out = Record::with_capacity(r.source, r.id, r.len());
-    let mut collisions = 0;
     let mut next = 0;
     for (mut attr, value) in r.into_fields() {
         let at = match mapping.get(next) {
             Some((a, _)) if *a == attr => Some(next),
             _ => mapping.iter().position(|(a, _)| *a == attr),
         };
-        next = at.map_or(next, |at| at + 1);
-        let target = match at.map(|at| &mapping[at].1) {
-            Some(Some(target)) => {
-                attr.clear();
-                attr.push_str(target);
-                attr
-            }
-            Some(None) => continue,
-            None => attr.to_uppercase(),
-        };
-        // Each source attribute appears once per record, so an occupied
-        // target means a *different* source attribute already landed there
-        // — distinct data that an overwrite would silently discard.
-        let (target, collided) = decollide(target, |c| out.get(c).is_some());
-        collisions += usize::from(collided);
-        out.set(target, value);
+        debug_assert!(at.is_some(), "the mapping names every field: {attr}");
+        let Some(at) = at else { continue };
+        next = at + 1;
+        if let Some((_, Some(target))) = mapping.get(at) {
+            attr.clear();
+            attr.push_str(target);
+            out.set(attr, value);
+        }
     }
-    (out, collisions)
+    out
 }
 
 impl PipelineStage for SchemaIntegrationStage {
@@ -516,20 +530,7 @@ impl PipelineStage for SchemaIntegrationStage {
                 mapping.push((s.source_attr.clone(), target));
             }
 
-            // De-collide targets once per *source*, not per record: every
-            // record of the source must send a given source attribute to
-            // the same global column, or downstream truth discovery would
-            // vote over columns mixing two semantically different
-            // attributes. First mapping entry keeps the canonical
-            // spelling; later colliders get deterministic `__N` suffixes.
-            let mut used: Vec<String> = Vec::new();
-            for (_, target) in mapping.iter_mut() {
-                let Some(t) = target.take() else { continue };
-                let (t, collided) = decollide(t, |c| used.iter().any(|u| u == c));
-                case_collisions += usize::from(collided);
-                used.push(t.clone());
-                *target = Some(t);
-            }
+            case_collisions += decollide_targets(&mut mapping);
 
             sources += 1;
             auto_accepted += report.auto_accepted();
@@ -541,7 +542,7 @@ impl PipelineStage for SchemaIntegrationStage {
 
         // 4. Map every source's records onto the global schema, moving
         //    each record out of its source.
-        let results: Vec<Vec<(Record, usize)>> = decided
+        let results: Vec<Vec<Record>> = decided
             .par_iter_mut()
             .map(|(source, mapping)| {
                 let mapping = &*mapping;
@@ -552,12 +553,7 @@ impl PipelineStage for SchemaIntegrationStage {
                     .collect()
             })
             .collect();
-        for ((source, _), results) in decided.into_iter().zip(results) {
-            let mut mapped = Vec::with_capacity(results.len());
-            for (record, collisions) in results {
-                case_collisions += collisions;
-                mapped.push(record);
-            }
+        for ((source, _), mapped) in decided.into_iter().zip(results) {
             ctx.mapped_sources.push((source.name, mapped));
         }
         Ok(StageReport::SchemaIntegration {
@@ -579,14 +575,39 @@ impl PipelineStage for SchemaIntegrationStage {
 /// into the global-records collection.
 ///
 /// Each source is one job of a parallel call over the sources: it cleans
-/// its records and encodes each record's document. The engine holds no
-/// mutable state, so the cleaned records do not depend on the thread
-/// width. A lone source runs on the caller at the full width, so its
-/// records spread across the rayon team; with several, each job runs
-/// inline. The encoded sources then land in storage in source order,
-/// through the shard-batched `insert_encoded` path.
+/// its records in place and writes each record's stored document straight
+/// into its storage encoding (`write_record`); no `Document` is built.
+/// The engine holds no mutable state, so the cleaned records do not
+/// depend on the thread width. A lone source runs on the caller at the
+/// full width, so its records spread across the rayon team; with several,
+/// each job runs inline. The encoded sources then land in storage in
+/// source order, through the shard-batched `insert_encoded` path.
 #[derive(Debug, Default)]
 pub struct CleaningStage;
+
+/// The stored document of a cleaned record, encoded: `_source` and `_id`,
+/// then every field in order, into a buffer of exactly its length. A
+/// mapped record's names are upper-case and distinct
+/// ([`PipelineContext::mapped_sources`]), so the document has one entry
+/// per field and the two ids are not overwritten.
+fn write_record(r: &Record) -> EncodedDoc {
+    debug_assert!(
+        r.get("_source").is_none() && r.get("_id").is_none(),
+        "a mapped record's names are upper-case"
+    );
+    let (source, id) = (Value::Int(i64::from(r.source.0)), Value::Int(r.id.0 as i64));
+    let fields = || [("_source", &source), ("_id", &id)].into_iter().chain(r.iter());
+    let n = 2 + r.len();
+    let capacity = 1
+        + varint_len(n as u64)
+        + fields().map(|(k, v)| varint_len(k.len() as u64) + k.len() + encoded_len(v)).sum::<usize>();
+    let mut w = Writer::document(n, capacity);
+    for (k, v) in fields() {
+        w.field(k);
+        w.value(v);
+    }
+    w.finish()
+}
 
 impl PipelineStage for CleaningStage {
     fn name(&self) -> &'static str {
@@ -597,14 +618,11 @@ impl PipelineStage for CleaningStage {
         let mut jobs = std::mem::take(&mut ctx.mapped_sources);
         let engine =
             CleaningEngine::broadway(CHEAPEST_PRICE, FIRST, &[SHOW_NAME, THEATER, PERFORMANCE]);
-        // Each record's document is built, encoded and dropped on the
-        // thread that built it; only the encoded bytes cross threads.
         let cleaned: Vec<(CleaningReport, Vec<EncodedDoc>)> = jobs
             .par_iter_mut()
             .map(|(_, records)| {
                 let report = engine.clean_all_parallel(records);
-                let docs = records.par_iter().map(|r| EncodedDoc::of(&record_to_doc(r))).collect();
-                (report, docs)
+                (report, records.par_iter().map(write_record).collect())
             })
             .collect();
 
@@ -761,13 +779,36 @@ impl PipelineStage for FusionStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datatamer_model::{RecordId, SourceId, Value};
+    use datatamer_clean::CleaningReport;
+    use datatamer_model::{Document, RecordId};
+    use proptest::prelude::*;
+
+    /// The stored document the cleaning stage built, before it wrote
+    /// records straight into their encoding: `_source`, `_id`, then every
+    /// field, each `set` in turn.
+    fn record_to_doc(r: &Record) -> Document {
+        let mut d = Document::new();
+        d.set("_source", Value::Int(i64::from(r.source.0)));
+        d.set("_id", Value::Int(r.id.0 as i64));
+        for (k, v) in r.iter() {
+            d.set(k, v.clone());
+        }
+        d
+    }
+
+    /// A mapping as the stage builds it, targets made distinct.
+    fn decollided(pairs: &[(&str, Option<&str>)]) -> (Vec<(String, Option<String>)>, usize) {
+        let mut mapping: Vec<(String, Option<String>)> =
+            pairs.iter().map(|(a, t)| ((*a).to_owned(), t.map(str::to_owned))).collect();
+        let collisions = decollide_targets(&mut mapping);
+        (mapping, collisions)
+    }
 
     #[test]
     fn map_record_preserves_case_colliding_unmapped_attributes() {
-        // Three distinct source attributes collapsing to one upper-cased
-        // spelling: first-wins keeps the canonical name, later arrivals
-        // get deterministic suffixes, and every value survives.
+        // Three distinct new source attributes collapsing to one
+        // upper-cased spelling: first-wins keeps the canonical name, later
+        // ones get deterministic suffixes, and every value survives.
         let r = Record::from_pairs(
             SourceId(0),
             RecordId(0),
@@ -777,8 +818,13 @@ mod tests {
                 ("PRICE", Value::from("$45")),
             ],
         );
-        let (mapped, collisions) = map_record(r, &[]);
+        let (mapping, collisions) = decollided(&[
+            ("price", Some("PRICE")),
+            ("Price", Some("PRICE")),
+            ("PRICE", Some("PRICE")),
+        ]);
         assert_eq!(collisions, 2);
+        let mapped = map_record(r, &mapping);
         assert_eq!(mapped.get_text("PRICE").as_deref(), Some("$27"));
         assert_eq!(mapped.get_text("PRICE__2").as_deref(), Some("$30"));
         assert_eq!(mapped.get_text("PRICE__3").as_deref(), Some("$45"));
@@ -787,21 +833,23 @@ mod tests {
 
     #[test]
     fn map_record_suffixes_mapped_target_collisions_and_drops_ignored() {
-        // A mapped attribute and an unmapped case-variant landing on the
-        // same canonical target must both survive, in record field order.
+        // A mapped attribute and a case-variant landing on the same
+        // canonical target must both survive, in record field order.
         let r = Record::from_pairs(
             SourceId(0),
             RecordId(0),
             vec![("cost", Value::from("$10")), ("PRICE", Value::from("$20"))],
         );
-        let mapping = vec![("cost".to_owned(), Some("PRICE".to_owned()))];
-        let (mapped, collisions) = map_record(r.clone(), &mapping);
+        let (mapping, collisions) =
+            decollided(&[("cost", Some("PRICE")), ("PRICE", Some("PRICE"))]);
         assert_eq!(collisions, 1);
+        let mapped = map_record(r.clone(), &mapping);
         assert_eq!(mapped.get_text("PRICE").as_deref(), Some("$10"));
         assert_eq!(mapped.get_text("PRICE__2").as_deref(), Some("$20"));
 
-        let (dropped, collisions) = map_record(r, &[("cost".to_owned(), None)]);
+        let (mapping, collisions) = decollided(&[("cost", None), ("PRICE", Some("PRICE"))]);
         assert_eq!(collisions, 0, "an ignored attribute vacates its target");
+        let dropped = map_record(r, &mapping);
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped.get_text("PRICE").as_deref(), Some("$20"));
     }
@@ -813,9 +861,122 @@ mod tests {
             RecordId(0),
             vec![("show", Value::from("Matilda")), ("price", Value::from("$27"))],
         );
-        let (mapped, collisions) = map_record(r, &[]);
+        let (mapping, collisions) = decollided(&[("show", Some("SHOW")), ("price", Some("PRICE"))]);
         assert_eq!(collisions, 0);
+        let mapped = map_record(r, &mapping);
         assert_eq!(mapped.get_text("SHOW").as_deref(), Some("Matilda"));
         assert_eq!(mapped.get_text("PRICE").as_deref(), Some("$27"));
+    }
+
+    #[test]
+    fn write_record_preserves_fields() {
+        let r = Record::from_pairs(
+            SourceId(3),
+            RecordId(9),
+            vec![("A", Value::from("x")), ("B", Value::Int(2))],
+        );
+        let d = datatamer_storage::encode::decode_document(write_record(&r).as_bytes()).unwrap();
+        let fields: Vec<(&str, &Value)> = d.iter().collect();
+        assert_eq!(
+            fields,
+            [
+                ("_source", &Value::Int(3)),
+                ("_id", &Value::Int(9)),
+                ("A", &Value::from("x")),
+                ("B", &Value::Int(2)),
+            ]
+        );
+    }
+
+    /// Source attribute names: the stored document's own `_source` and
+    /// `_id`, case variants of one another, and plain names.
+    const NAMES: [&str; 9] =
+        ["_id", "_source", "price", "Price", "PRICE", "show", "SHOW", "first", "x"];
+
+    /// Dirty cells: euro and dollar prices, null spellings, an ISO date,
+    /// untidy text, and values of other types.
+    fn cell(i: usize) -> Value {
+        match i {
+            0 => Value::from("€30"),
+            1 => Value::from("$27"),
+            2 => Value::from("N/A"),
+            3 => Value::from("-"),
+            4 => Value::from("2013-03-04"),
+            5 => Value::from("  Shubert  Theatre "),
+            6 => Value::Int(5),
+            7 => Value::Float(-0.5),
+            _ => Value::Null,
+        }
+    }
+
+    /// One source: a mapping with one decision per name (ignore, the
+    /// name's own upper-cased spelling, or a global attribute's), in a
+    /// rotated order, and records over subsets of the names in rotated
+    /// field orders.
+    fn source() -> impl Strategy<Value = (Vec<(String, Option<String>)>, Vec<Record>)> {
+        let rows = prop::collection::vec(
+            (0..512usize, 0..9usize, prop::collection::vec(0..9usize, NAMES.len())),
+            1..8,
+        );
+        (prop::collection::vec(0..6usize, NAMES.len()), 0..9usize, rows).prop_map(
+            |(decisions, turn, rows)| {
+                let mut mapping: Vec<(String, Option<String>)> = NAMES
+                    .iter()
+                    .zip(decisions)
+                    .map(|(name, d)| {
+                        let target = match d {
+                            0 => None,
+                            1 | 2 => Some(name.to_uppercase()),
+                            d => Some([CHEAPEST_PRICE, SHOW_NAME, FIRST][d - 3].to_owned()),
+                        };
+                        ((*name).to_owned(), target)
+                    })
+                    .collect();
+                mapping.rotate_left(turn);
+                let records = rows
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (mask, turn, cells))| {
+                        let mut pairs: Vec<(&str, Value)> = NAMES
+                            .iter()
+                            .zip(cells)
+                            .enumerate()
+                            .filter(|(k, _)| mask & (1 << k) != 0)
+                            .map(|(_, (name, c))| (*name, cell(c)))
+                            .collect();
+                        let by = turn % pairs.len().max(1);
+                        pairs.rotate_left(by);
+                        Record::from_pairs(SourceId(4), RecordId(i as u64), pairs)
+                    })
+                    .collect();
+                (mapping, records)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn written_records_encode_as_the_document_oracle(source in source()) {
+            let (mut mapping, records) = source;
+            decollide_targets(&mut mapping);
+            let engine =
+                CleaningEngine::broadway(CHEAPEST_PRICE, FIRST, &[SHOW_NAME, THEATER, PERFORMANCE]);
+            for r in records {
+                let kept = r
+                    .field_names()
+                    .filter(|n| mapping.iter().any(|(a, t)| a == n && t.is_some()))
+                    .count();
+                let mut mapped = map_record(r, &mapping);
+                let mut names: Vec<&str> = mapped.field_names().collect();
+                names.sort_unstable();
+                names.dedup();
+                prop_assert_eq!(names.len(), kept, "every kept field lands under its own name");
+                prop_assert_eq!(mapped.len(), kept);
+                engine.clean_record(&mut mapped, &mut CleaningReport::default());
+                prop_assert_eq!(write_record(&mapped), EncodedDoc::of(&record_to_doc(&mapped)));
+            }
+        }
     }
 }

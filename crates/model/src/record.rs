@@ -34,8 +34,13 @@ impl fmt::Display for AttrId {
 
 /// A flat record: named scalar fields from one source.
 ///
-/// Records come out of the flattener (for hierarchical text-derived data) or
-/// directly from structured sources. Field order matches the source layout.
+/// Records come directly from structured sources, or are built from the
+/// text parser's show mentions. Field order matches the source layout.
+///
+/// A record's field names are unique: nothing but [`Record::set`] adds a
+/// field, and `set` overwrites a name that is already there. The stages
+/// rely on it: mapping, profiling and cleaning treat each name as one
+/// field, and a stored record's document has one entry per field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Which source this record came from.
@@ -108,20 +113,19 @@ impl Record {
         Some(self.fields.remove(idx).1)
     }
 
-    /// Rename a field, keeping its position. Returns false when absent.
-    pub fn rename(&mut self, from: &str, to: impl Into<String>) -> bool {
-        match self.fields.iter_mut().find(|(k, _)| k == from) {
-            Some((k, _)) => {
-                *k = to.into();
-                true
-            }
-            None => false,
-        }
+    /// Look up a field by name, for rewriting its value in place.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
+        self.fields.iter_mut().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
     /// Iterate `(name, value)` pairs in field order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Iterate the field values in field order, for rewriting them in place.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.fields.iter_mut().map(|(_, v)| v)
     }
 
     /// Consume the record, yielding its `(name, value)` pairs in field order.
@@ -193,11 +197,15 @@ mod tests {
     }
 
     #[test]
-    fn rename_preserves_position() {
+    fn in_place_accessors_keep_names_and_order() {
         let mut r = rec();
-        assert!(r.rename("name", "show_name"));
-        assert!(!r.rename("name", "x"));
-        assert_eq!(r.field_names().collect::<Vec<_>>(), vec!["show_name", "price"]);
+        *r.get_mut("price").unwrap() = Value::Int(30);
+        assert!(r.get_mut("missing").is_none());
+        for v in r.values_mut() {
+            *v = Value::from(v.to_text());
+        }
+        assert_eq!(r.field_names().collect::<Vec<_>>(), vec!["name", "price"]);
+        assert_eq!(r.get("price"), Some(&Value::from("30")));
     }
 
     #[test]

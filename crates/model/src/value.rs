@@ -1,7 +1,7 @@
 //! Dynamic value type for semi-structured data.
 //!
 //! [`Value`] is the leaf-to-root value representation used by the storage
-//! engine, the flattener, and every downstream module. It intentionally
+//! engine, flat records, and every downstream module. It intentionally
 //! mirrors the value systems of document stores (null / bool / int / float /
 //! string / array / document) since the paper's text-side substrate is a
 //! MongoDB-style sharded document store.
@@ -60,11 +60,6 @@ impl Value {
     /// True when the value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-
-    /// True when the value is a scalar (not array/doc).
-    pub fn is_scalar(&self) -> bool {
-        !matches!(self, Value::Array(_) | Value::Doc(_))
     }
 
     /// Borrow as `&str`, if the value is a string.

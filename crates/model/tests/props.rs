@@ -1,13 +1,10 @@
-//! Property tests for the data model: flattening preserves leaves, value
-//! ordering is a total order, documents behave like ordered maps, and the
-//! attribute profile's streaming moments match batch computation.
+//! Property tests for the data model: value ordering is a total order,
+//! documents behave like ordered maps, a record's field names stay unique,
+//! and the attribute profile's streaming moments match batch computation.
 
 use proptest::prelude::*;
 
-use datatamer_model::{
-    flatten, ArrayMode, AttributeProfile, Document, FlattenOptions, Record, RecordId, SourceId,
-    Value,
-};
+use datatamer_model::{AttributeProfile, Document, Record, RecordId, SourceId, Value};
 
 fn scalar() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -35,20 +32,6 @@ fn document() -> impl Strategy<Value = Document> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
-
-    #[test]
-    fn index_mode_flatten_preserves_scalar_leaves(doc in document()) {
-        let opts = FlattenOptions { array_mode: ArrayMode::Index, ..Default::default() };
-        let records = flatten(&doc, SourceId(0), RecordId(0), &opts);
-        prop_assert_eq!(records.len(), 1, "index mode never multiplies records");
-        let record = &records[0];
-        // Every scalar leaf appears exactly once, under its dotted path.
-        let leaves = doc.leaves();
-        prop_assert_eq!(record.len(), leaves.len());
-        for (path, leaf) in leaves {
-            prop_assert_eq!(record.get(&path), Some(leaf), "missing {}", path);
-        }
-    }
 
     #[test]
     fn total_cmp_is_a_total_order(a in value(), b in value(), c in value()) {
@@ -146,18 +129,21 @@ proptest! {
     }
 
     #[test]
-    fn record_rename_preserves_everything_else(
-        fields in prop::collection::vec(("[a-z]{1,5}", 0i64..10), 1..8),
+    fn record_field_names_stay_unique(
+        fields in prop::collection::vec(("[a-c]{1,2}", 0i64..10), 0..12),
+        later in prop::collection::vec(("[a-c]{1,2}", 0i64..10), 0..6),
     ) {
-        let mut record = Record::from_pairs(
-            SourceId(0),
-            RecordId(0),
-            fields.clone(),
-        );
-        let original_len = record.len();
-        let first_name = record.field_names().next().unwrap().to_owned();
-        record.rename(&first_name, "renamed_attr");
-        prop_assert_eq!(record.len(), original_len);
-        prop_assert!(record.get("renamed_attr").is_some());
+        let mut record = Record::from_pairs(SourceId(0), RecordId(0), fields);
+        for (name, v) in later {
+            if v % 3 == 0 {
+                record.remove(&name);
+            } else {
+                record.set(name, v);
+            }
+        }
+        let mut names: Vec<&str> = record.field_names().collect();
+        names.sort_unstable();
+        names.dedup();
+        prop_assert_eq!(names.len(), record.len());
     }
 }

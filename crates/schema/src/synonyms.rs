@@ -4,6 +4,7 @@
 //! "cost" / "fare"); a synonym dictionary lets the name matcher credit these
 //! as matches. Sets are symmetric and transitive within a group.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A token-level synonym dictionary (union-find-free: small fixed groups).
@@ -57,13 +58,14 @@ impl SynonymDict {
         }
     }
 
-    /// True when two tokens are the same or registered synonyms.
+    /// True when two tokens are the same or registered synonyms, in any
+    /// case. A token already in lowercase is looked up as it is.
     pub fn are_synonyms(&self, a: &str, b: &str) -> bool {
-        let (a, b) = (a.to_lowercase(), b.to_lowercase());
+        let (a, b) = (lowercase(a), lowercase(b));
         if a == b {
             return true;
         }
-        match (self.groups.get(&a), self.groups.get(&b)) {
+        match (self.groups.get(a.as_ref()), self.groups.get(b.as_ref())) {
             (Some(x), Some(y)) => x == y,
             _ => false,
         }
@@ -74,6 +76,8 @@ impl SynonymDict {
     /// with a containment bias — `"cost"` fully contained in
     /// `"cheapest_price"`'s synonym set should score high even though the
     /// token counts differ (attribute names are routinely abbreviated).
+    /// Lowercase tokens, as `sim::tokenize` returns them, are compared
+    /// without copying.
     pub fn token_similarity(&self, a_tokens: &[String], b_tokens: &[String]) -> f64 {
         if a_tokens.is_empty() && b_tokens.is_empty() {
             return 1.0;
@@ -99,6 +103,20 @@ impl SynonymDict {
     }
 }
 
+/// `t.to_lowercase()`, borrowing `t` when lowercasing leaves every
+/// character as it is.
+fn lowercase(t: &str) -> Cow<'_, str> {
+    let unchanged = |c: char| {
+        let mut lower = c.to_lowercase();
+        lower.next() == Some(c) && lower.next().is_none()
+    };
+    if t.chars().all(unchanged) {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(t.to_lowercase())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +130,17 @@ mod tests {
         assert!(!d.are_synonyms("price", "theater"));
         assert!(d.are_synonyms("xyzzy", "xyzzy"), "identity without registration");
         assert!(!d.are_synonyms("xyzzy", "plugh"));
+    }
+
+    #[test]
+    fn lowercase_borrows_only_what_lowercasing_leaves_alone() {
+        for t in ["price", "", "a1_b", "σς", "ǆ", "ı"] {
+            assert!(matches!(lowercase(t), Cow::Borrowed(_)), "{t}");
+        }
+        for t in ["Price", "PRICE", "ΟΔΟΣ", "ǅ", "İ"] {
+            assert_eq!(lowercase(t), t.to_lowercase(), "{t}");
+            assert!(matches!(lowercase(t), Cow::Owned(_)), "{t}");
+        }
     }
 
     #[test]

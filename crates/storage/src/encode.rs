@@ -8,8 +8,10 @@
 //! [`Writer`] is the only code that writes a tag byte. [`encode_document`]
 //! and [`EncodedDoc::of`] encode a [`Document`] through it, the delta log
 //! encodes its records' values through it, and a caller that has the
-//! fields of a stored document at hand (the text ingest) writes them
-//! straight into one, field by field, without building a `Document`.
+//! fields of a stored document at hand writes them straight into one,
+//! field by field, without building a `Document`: the text ingest (its
+//! instance and entity documents) and the cleaning stage (its curated
+//! records).
 
 use bytes::Buf;
 use datatamer_model::{Document, DtError, Result, Value};

@@ -11,7 +11,7 @@
 //! * [`gazetteer`] — multi-word dictionary matching per entity type.
 //! * [`parser`] — the [`parser::DomainParser`]: combines gazetteers,
 //!   scanners, and contextual heuristics to emit hierarchical instance and
-//!   entity documents ready for ingestion and flattening.
+//!   entity documents ready for ingestion.
 //! * [`mention`] — typed entity mentions with spans and confidences.
 //!
 //! Parsing a fragment is one pass of token work. [`Tokenized::new`]

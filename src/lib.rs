@@ -16,7 +16,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`model`] | `datatamer-model` | values, documents, flattening, records, schema profiles |
+//! | [`model`] | `datatamer-model` | values, documents, flat records with unique field names, schema profiles |
 //! | [`sim`] | `datatamer-sim` | string/set/numeric similarity measures |
 //! | [`storage`] | `datatamer-storage` | sharded storage engine: round-robin placement over in-memory or file-backed shards, extents, indexes, batched inserts, parallel scans (Tables I–II) |
 //! | [`text`] | `datatamer-text` | the domain-specific parser (Figure 1's user-defined module) |
