@@ -113,11 +113,11 @@ mod tests {
     /// the two junk checks agree.
     fn assert_words_score_as_text(cleaner: &TextCleaner, fragment: &str) {
         let tokenized = Tokenized::new(fragment);
-        let got = cleaner.model.scores(&cleaner.vocab.counts_words(tokenized.words().iter()));
+        let got = cleaner.model.scores(&cleaner.vocab.counts_words(tokenized.words()));
         let want = cleaner.model.scores(&cleaner.vocab.counts(fragment));
         assert_eq!(bits(&got), bits(&want), "{fragment:?}");
         assert_eq!(
-            cleaner.is_junk_words(tokenized.words().iter()),
+            cleaner.is_junk_words(tokenized.words()),
             cleaner.is_junk(fragment),
             "{fragment:?}"
         );
@@ -186,6 +186,28 @@ mod tests {
             assert!(junk >= JUNK_SEEDS.len(), "seed {seed}: {junk} junk");
             assert!(junk < fragments.len() / 2, "seed {seed}: {junk} junk");
         }
+    }
+
+    #[test]
+    fn words_score_as_text_on_a_batch_text_shaped_corpus() {
+        // The benchmark's `batch_text` sizing: 1,200 fragments, each padded
+        // with 24 filler sentences and ~9 background mentions.
+        use datatamer_corpus::{WebTextConfig, WebTextCorpus};
+        let cleaner = TextCleaner::with_builtin_seeds().unwrap();
+        let corpus = WebTextCorpus::generate(&WebTextConfig {
+            num_fragments: 1_200,
+            seed: 0xDA7A,
+            zipf_exponent: 0.7,
+            background_mentions: 9,
+            padding_sentences: 24,
+        });
+        assert_eq!(corpus.fragments.len(), 1_200);
+        let mut junk = 0;
+        for f in &corpus.fragments {
+            assert_words_score_as_text(&cleaner, &f.text);
+            junk += usize::from(cleaner.is_junk(&f.text));
+        }
+        assert!(junk < corpus.fragments.len() / 2, "{junk} junk");
     }
 
     #[test]

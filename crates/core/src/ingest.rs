@@ -7,14 +7,17 @@
 //! * `entity` (WEBENTITIES): one flat document per extracted mention, with
 //!   **8 indexes** — exactly Table II's `nindexes: 8`.
 //!
-//! Each fragment is read in one pass. It is tokenised once
-//! ([`Tokenized`]); the junk filter decides from those words
-//! ([`TextCleaner::is_junk_words`]), and only a kept fragment goes on to
-//! the parser ([`DomainParser::parse_tokenized`]), which reads the same
-//! tokens. Stored documents are never built as
-//! [`Document`](datatamer_model::Document)s: each is
-//! written once, field by field, into its storage encoding
-//! ([`Writer`]), straight from the parse, and placed with
+//! Each fragment is read in one pass. It is lexed once ([`Tokenized`]):
+//! its tokens carry their class flags, and its words their lowercase forms
+//! in one buffer. The junk filter decides from those words
+//! ([`TextCleaner::is_junk_words`], which counts the vocabulary's ids into a
+//! dense vector), and only a kept fragment goes on to the parser
+//! ([`DomainParser::parse_tokenized`]). The parser probes its lexicon (the
+//! gazetteer's words and its own keywords) once per word, and every
+//! extractor reads the same tokens and probes. Stored documents are never
+//! built as [`Document`](datatamer_model::Document)s: each is written once,
+//! field by field, into its storage encoding ([`Writer`]), straight from
+//! the parse, and placed with
 //! [`Collection::insert_encoded`]. A mention's canonical name is computed
 //! once and written into both its instance entry and its entity document.
 //!
@@ -241,7 +244,7 @@ impl TextIngestor {
                 .par_iter()
                 .filter_map(|&(fragment, label)| {
                     let tokenized = Tokenized::new(fragment);
-                    if self.cleaner.is_junk_words(tokenized.words().iter()) {
+                    if self.cleaner.is_junk_words(tokenized.words()) {
                         return None;
                     }
                     let parsed = self.parser.parse_tokenized(&tokenized);

@@ -56,6 +56,12 @@ impl SparseVec {
 ///
 /// Term ids are dense and first-seen ordered, and the index is never
 /// iterated, so its FNV hasher cannot reach any output.
+///
+/// A count vector is counted into a dense per-id vector and read back in
+/// ascending id order, so it needs no sort. The vocabulary is small (the
+/// text cleaner's is a few hundred seed words), and the result equals
+/// [`SparseVec::from_pairs`] of one `(id, 1.0)` pair per known token: each
+/// count is a whole number below 2^53, exact in an `f64`.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     index: HashMap<String, u32, FnvBuildHasher>,
@@ -92,16 +98,18 @@ impl Vocabulary {
 
     /// Count vector (unknown terms dropped). Tokens stream through
     /// [`for_each_token`] — exactly [`tokenize`]'s tokens, without a
-    /// `String` per token — so this is the junk filter's allocation-light
-    /// path: one `Vec` of the known terms' ids.
+    /// `String` per token — into the dense per-id counts.
     pub fn counts(&self, text: &str) -> SparseVec {
-        let mut pairs = Vec::new();
-        for_each_token(text, |t| {
-            if let Some(id) = self.index.get(t) {
-                pairs.push((*id, 1.0));
-            }
-        });
-        SparseVec::from_pairs(pairs)
+        let mut counts = vec![0u32; self.index.len()];
+        for_each_token(text, |t| self.count(&mut counts, t));
+        counted(&counts)
+    }
+
+    /// Count `token` into `counts` when it is a known term.
+    fn count(&self, counts: &mut [u32], token: &str) {
+        if let Some(c) = self.index.get(token).and_then(|&id| counts.get_mut(id as usize)) {
+            *c += 1;
+        }
     }
 
     /// [`Self::counts`] of a text that is already split into words: each
@@ -118,22 +126,23 @@ impl Vocabulary {
     /// uppercase letter (a camel-case break). Any other word (`O'Brien`,
     /// `960,998`, `showName`, `café`) is walked with [`for_each_token`].
     pub fn counts_words<'w>(&self, words: impl IntoIterator<Item = (&'w str, &'w str)>) -> SparseVec {
-        let mut pairs = Vec::new();
+        let mut counts = vec![0u32; self.index.len()];
         for (raw, lower) in words {
             if is_one_ascii_token(raw) {
-                if let Some(id) = self.index.get(lower) {
-                    pairs.push((*id, 1.0));
-                }
+                self.count(&mut counts, lower);
             } else {
-                for_each_token(raw, |t| {
-                    if let Some(id) = self.index.get(t) {
-                        pairs.push((*id, 1.0));
-                    }
-                });
+                for_each_token(raw, |t| self.count(&mut counts, t));
             }
         }
-        SparseVec::from_pairs(pairs)
+        counted(&counts)
     }
+}
+
+/// The count vector of dense per-id counts: each non-zero id, ascending.
+fn counted(counts: &[u32]) -> SparseVec {
+    SparseVec(
+        (0u32..).zip(counts).filter(|&(_, &c)| c > 0).map(|(id, &c)| (id, f64::from(c))).collect(),
+    )
 }
 
 /// Whether [`for_each_token`] yields `word` as one token that is its ASCII

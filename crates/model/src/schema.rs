@@ -9,6 +9,7 @@
 //! sample.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::infer::{infer_value, LexicalType};
 use crate::record::{Record, SourceId};
@@ -31,8 +32,10 @@ pub struct AttributeProfile {
     sample: Vec<String>,
     /// Occurrences of each sampled value, parallel to `sample`.
     counts: Vec<u64>,
-    /// Position in `sample`, by value.
-    sample_set: HashMap<String, usize>,
+    /// Position in `sample`, keyed by the FNV-1a hash of the value's text
+    /// ([`Self::find_in_sample`]): one hash and no key allocation per
+    /// observation.
+    sample_set: HashMap<u64, usize, BuildHasherDefault<Prehashed>>,
     sample_cap: usize,
     /// True once more distinct values were seen than the sample holds.
     pub sample_overflow: bool,
@@ -61,7 +64,7 @@ impl AttributeProfile {
             type_counts: [0; LexicalType::ALL.len()],
             sample: Vec::new(),
             counts: Vec::new(),
-            sample_set: HashMap::new(),
+            sample_set: HashMap::default(),
             sample_cap: cap.max(1),
             sample_overflow: false,
             total_len: 0,
@@ -106,16 +109,36 @@ impl AttributeProfile {
     /// Count `freq` occurrences of `text`, admitting it to the sample while
     /// there is room and flagging overflow once there is not.
     fn add_to_sample(&mut self, text: &str, freq: u64) {
-        if let Some(&at) = self.sample_set.get(text) {
-            if let Some(n) = self.counts.get_mut(at) {
-                *n += freq;
+        match self.find_in_sample(text) {
+            Ok(at) => {
+                if let Some(n) = self.counts.get_mut(at) {
+                    *n += freq;
+                }
             }
-        } else if self.sample.len() < self.sample_cap {
-            self.sample_set.insert(text.to_owned(), self.sample.len());
-            self.sample.push(text.to_owned());
-            self.counts.push(freq);
-        } else {
-            self.sample_overflow = true;
+            Err(key) if self.sample.len() < self.sample_cap => {
+                self.sample_set.insert(key, self.sample.len());
+                self.sample.push(text.to_owned());
+                self.counts.push(freq);
+            }
+            Err(_) => self.sample_overflow = true,
+        }
+    }
+
+    /// The position of `text` in the sample, or the free key it would be
+    /// indexed under. A value is keyed by the FNV-1a hash of its text; when
+    /// another sampled value already holds that key it takes the next free
+    /// one (`hash + 1`, ...). Nothing leaves the sample, so a lookup that
+    /// probes keys from the hash meets its value before any free key. The
+    /// sample is capped, so even values crafted to collide cost at most
+    /// `sample_cap` probes each.
+    fn find_in_sample(&self, text: &str) -> Result<usize, u64> {
+        let mut key = fnv1a(text.as_bytes());
+        loop {
+            match self.sample_set.get(&key) {
+                None => return Err(key),
+                Some(&at) if self.sample.get(at).is_some_and(|s| s == text) => return Ok(at),
+                Some(_) => key = key.wrapping_add(1),
+            }
         }
     }
 
@@ -146,7 +169,7 @@ impl AttributeProfile {
 
     /// Occurrence count of a sampled value.
     pub fn sample_frequency(&self, value: &str) -> u64 {
-        self.sample_set.get(value).and_then(|&at| self.counts.get(at)).copied().unwrap_or(0)
+        self.find_in_sample(value).ok().and_then(|at| self.counts.get(at)).copied().unwrap_or(0)
     }
 
     /// Dominant lexical type (ties break toward the more specific type via
@@ -217,6 +240,33 @@ impl AttributeProfile {
             self.num_min = self.num_min.min(other.num_min);
             self.num_max = self.num_max.max(other.num_max);
         }
+    }
+}
+
+/// FNV-1a of `bytes`: the key of a sampled value.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The hasher of a map keyed by a hash already computed ([`fnv1a`]): it
+/// passes the key through. The map is never iterated, so its layout cannot
+/// reach any output.
+#[derive(Debug, Clone, Copy, Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
     }
 }
 
@@ -715,6 +765,26 @@ mod tests {
             p.observe(v);
         }
         p
+    }
+
+    #[test]
+    fn a_value_whose_hash_is_taken_gets_the_next_free_key() {
+        // Put "x" under the key of "b", as a hash collision would.
+        let mut p = AttributeProfile::with_sample_cap(3);
+        let key = fnv1a(b"b");
+        p.sample.push("x".into());
+        p.counts.push(1);
+        p.sample_set.insert(key, 0);
+        p.add_to_sample("b", 2);
+        p.add_to_sample("b", 3);
+        assert_eq!(p.sample_values(), ["x", "b"]);
+        assert_eq!(p.sample_counts(), [1, 5]);
+        assert_eq!(p.sample_set.get(&key.wrapping_add(1)), Some(&1));
+        assert_eq!(p.sample_frequency("b"), 5);
+        p.add_to_sample("c", 1);
+        p.add_to_sample("d", 1);
+        assert_eq!(p.sample_values(), ["x", "b", "c"]);
+        assert!(p.sample_overflow);
     }
 
     #[test]

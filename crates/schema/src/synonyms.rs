@@ -7,11 +7,14 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
+use datatamer_sim as sim;
+
 /// A token-level synonym dictionary (union-find-free: small fixed groups).
 #[derive(Debug, Clone, Default)]
 pub struct SynonymDict {
-    /// token → group id
-    groups: HashMap<String, u32>,
+    /// token → group id. Only probed, never iterated, so its FNV hasher
+    /// cannot reach any output.
+    groups: HashMap<String, u32, sim::FnvBuildHasher>,
     next_group: u32,
 }
 
@@ -85,21 +88,58 @@ impl SynonymDict {
         if a_tokens.is_empty() || b_tokens.is_empty() {
             return 0.0;
         }
-        let mut used = vec![false; b_tokens.len()];
+        let mut used = Used::for_len(b_tokens.len());
         let mut matched = 0usize;
         for ta in a_tokens {
             if let Some(pos) = b_tokens
                 .iter()
                 .enumerate()
-                .position(|(j, tb)| !used[j] && self.are_synonyms(ta, tb))
+                .position(|(j, tb)| !used.get(j) && self.are_synonyms(ta, tb))
             {
-                used[pos] = true;
+                used.set(pos);
                 matched += 1;
             }
         }
         let small = a_tokens.len().min(b_tokens.len()) as f64;
         let large = a_tokens.len().max(b_tokens.len()) as f64;
         0.75 * (matched as f64 / small) + 0.25 * (matched as f64 / large)
+    }
+}
+
+/// The tokens of `b` that [`SynonymDict::token_similarity`] has matched:
+/// a bitmask for up to 64 tokens (every attribute name in practice), so a
+/// call allocates nothing, and a flag per token beyond that.
+enum Used {
+    Bits(u64),
+    Flags(Vec<bool>),
+}
+
+impl Used {
+    fn for_len(len: usize) -> Self {
+        if len <= 64 {
+            Used::Bits(0)
+        } else {
+            Used::Flags(vec![false; len])
+        }
+    }
+
+    fn get(&self, j: usize) -> bool {
+        match self {
+            Used::Bits(bits) => j < 64 && bits & (1 << j) != 0,
+            Used::Flags(flags) => flags.get(j).copied().unwrap_or(false),
+        }
+    }
+
+    fn set(&mut self, j: usize) {
+        match self {
+            Used::Bits(bits) if j < 64 => *bits |= 1 << j,
+            Used::Bits(_) => {}
+            Used::Flags(flags) => {
+                if let Some(flag) = flags.get_mut(j) {
+                    *flag = true;
+                }
+            }
+        }
     }
 }
 
@@ -167,5 +207,40 @@ mod tests {
         assert_eq!(d.token_similarity(&toks("price"), &toks("venue")), 0.0);
         assert_eq!(d.token_similarity(&[], &[]), 1.0);
         assert_eq!(d.token_similarity(&toks("x"), &[]), 0.0);
+    }
+
+    /// The greedy match with a flag per token of `b`, as it was before the
+    /// bitmask.
+    fn oracle_similarity(d: &SynonymDict, a: &[String], b: &[String]) -> f64 {
+        if a.is_empty() || b.is_empty() {
+            return if a.is_empty() && b.is_empty() { 1.0 } else { 0.0 };
+        }
+        let mut used = vec![false; b.len()];
+        let mut matched = 0usize;
+        for ta in a {
+            if let Some(pos) = (0..b.len()).find(|&j| !used[j] && d.are_synonyms(ta, &b[j])) {
+                used[pos] = true;
+                matched += 1;
+            }
+        }
+        let small = a.len().min(b.len()) as f64;
+        let large = a.len().max(b.len()) as f64;
+        0.75 * (matched as f64 / small) + 0.25 * (matched as f64 / large)
+    }
+
+    #[test]
+    fn token_similarity_matches_the_flag_oracle_on_either_side_of_64_tokens() {
+        let d = SynonymDict::broadway();
+        let words = ["price", "cost", "fare", "venue", "theatre", "show", "title", "x", "date"];
+        for len in [1, 2, 63, 64, 65, 130] {
+            let b: Vec<String> =
+                (0..len).map(|k| words[(k * 7 + 3) % words.len()].to_owned()).collect();
+            for a_len in [1, 5, 64, 70] {
+                let a: Vec<String> =
+                    (0..a_len).map(|k| words[(k * 5 + 1) % words.len()].to_owned()).collect();
+                let (got, want) = (d.token_similarity(&a, &b), oracle_similarity(&d, &a, &b));
+                assert_eq!(got.to_bits(), want.to_bits(), "{a_len} x {len}");
+            }
+        }
     }
 }

@@ -1,33 +1,96 @@
-//! Multi-word gazetteer matching.
+//! Multi-word gazetteer matching, and the parser's lexicon.
 //!
 //! A gazetteer maps known phrases to an entity type. Matching is greedy
 //! longest-first over the token stream, case-insensitive, and returns byte
 //! spans. The corpus generator seeds gazetteers with its name pools, so the
 //! parser's dictionaries play the role of Recorded Future's curated ones.
 //!
-//! The phrases form a token trie: every distinct lowercase phrase token
-//! gets a dense id, and a trie edge is a `(node, token id)` key. Matching
-//! walks the trie once from each position and keeps the deepest node that
-//! ends a phrase, so the longest phrase wins. All of it is flat maps and
+//! The phrases form a word trie. A phrase's first word leads from the root
+//! to the node its lexicon entry names; every later step is an edge keyed
+//! by `(node, token id)`, where each distinct lowercase word that follows
+//! another in some phrase gets a dense token id. Matching walks the trie
+//! once from each position and keeps the deepest node that ends a phrase,
+//! so the longest phrase wins. All of it is flat maps and
 //! vectors, which keeps `clone` to a handful of allocations plus one per
-//! distinct token.
+//! distinct word.
+//!
+//! The map from a lowercase word to its trie entries is also the parser's
+//! lexicon: each entry is the word's root child and token id (where phrases
+//! use it) and its keyword bits (positions, honorifics, company and
+//! facility suffixes, speech verbs, stopwords, money context and suffix
+//! words, `percent`). The parser adds its keywords once, when it is built, and
+//! probes the lexicon once per word of a fragment. The trie walk then reads
+//! only `(node, token)` edges, and the heuristics and scanners test bits.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::mention::{EntityType, Mention};
-use crate::tokenize::{tokenize, Words};
+use crate::tokenize::Tokenized;
 
 /// The trie root's node id.
 const ROOT: u32 = 0;
 
-/// A phrase dictionary for one or more entity types.
+/// The keyword classes a [`Lexeme`] can carry, one bit each.
+pub(crate) mod keys {
+    /// A position title (`parser::POSITIONS`).
+    pub const POSITION: u16 = 1;
+    /// An honorific (`parser::HONORIFICS`).
+    pub const HONORIFIC: u16 = 1 << 1;
+    /// A company designator (`parser::COMPANY_SUFFIXES`).
+    pub const COMPANY_SUFFIX: u16 = 1 << 2;
+    /// A facility designator (`parser::FACILITY_SUFFIXES`).
+    pub const FACILITY_SUFFIX: u16 = 1 << 3;
+    /// A speech verb (`parser::SPEECH_VERBS`).
+    pub const SPEECH_VERB: u16 = 1 << 4;
+    /// A stopword (`normalize::STOPWORDS`).
+    pub const STOPWORD: u16 = 1 << 5;
+    /// A money context word (`scan::MONEY_CONTEXT`).
+    pub const MONEY_CONTEXT: u16 = 1 << 6;
+    /// A currency word (`scan::MONEY_SUFFIXES`).
+    pub const MONEY_SUFFIX: u16 = 1 << 7;
+    /// The word `percent`.
+    pub const PERCENT: u16 = 1 << 8;
+}
+
+/// What the lexicon knows of one lowercase word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Lexeme {
+    /// The word's token id, or [`Lexeme::NO_TOKEN`] when no phrase uses it
+    /// after another word.
+    token: u32,
+    /// The trie node a phrase starting with this word leads to, or [`ROOT`]
+    /// (never a child) when no phrase starts with it. The walk's first step
+    /// reads it here instead of probing the edge map.
+    first: u32,
+    /// The word's keyword bits ([`keys`]).
+    keys: u16,
+}
+
+impl Lexeme {
+    /// The token id of a word no phrase uses after another word.
+    const NO_TOKEN: u32 = u32::MAX;
+
+    /// A word the lexicon does not hold.
+    pub(crate) const UNKNOWN: Lexeme = Lexeme { token: Lexeme::NO_TOKEN, first: ROOT, keys: 0 };
+
+    /// True when the word carries keyword bit `key`.
+    pub(crate) fn is(self, key: u16) -> bool {
+        self.keys & key != 0
+    }
+}
+
+/// A phrase dictionary for one or more entity types, and the lexicon of
+/// its words and the parser's keywords.
 #[derive(Debug, Clone)]
 pub struct Gazetteer {
-    /// Lowercase phrase token -> dense token id.
-    token_ids: HashMap<Box<str>, u32, FnvBuild>,
-    /// `(node, token id)` -> child node.
-    edges: HashMap<(u32, u32), u32, FnvBuild>,
+    /// Lowercase word -> its trie entries and keyword bits.
+    lexicon: HashMap<Box<str>, Lexeme, WordHashBuild>,
+    /// Token ids handed out so far.
+    tokens: u32,
+    /// `(node, token id)` -> child node, for every node but the root (a
+    /// root edge is its word's [`Lexeme::first`]).
+    edges: HashMap<(u32, u32), u32, WordHashBuild>,
     /// Per trie node, indexed by node id.
     nodes: Vec<Node>,
     len: usize,
@@ -47,7 +110,8 @@ struct Node {
 impl Default for Gazetteer {
     fn default() -> Self {
         Gazetteer {
-            token_ids: HashMap::default(),
+            lexicon: HashMap::default(),
+            tokens: 0,
             edges: HashMap::default(),
             nodes: vec![Node::default()],
             len: 0,
@@ -77,18 +141,26 @@ impl Gazetteer {
     /// new type it counts as a phrase, but matches keep reporting the type
     /// the key was first added with.
     pub fn add(&mut self, phrase: &str, entity_type: EntityType, confidence: f64) {
-        let tokens = tokenize(phrase);
-        let words = Words::new(&tokens);
-        if words.is_empty() {
+        let phrase = Tokenized::new(phrase);
+        if phrase.word_count() == 0 {
             return;
         }
         let mut node = ROOT;
-        for i in 0..words.len() {
-            let token = words.lower(i);
-            let next_token = self.token_ids.len() as u32;
-            let token = *self.token_ids.entry(token.into()).or_insert(next_token);
+        for (_, lower) in phrase.words() {
             let next_node = self.nodes.len() as u32;
-            node = *self.edges.entry((node, token)).or_insert(next_node);
+            let lexeme = self.lexicon.entry(lower.into()).or_insert(Lexeme::UNKNOWN);
+            node = if node == ROOT {
+                if lexeme.first == ROOT {
+                    lexeme.first = next_node;
+                }
+                lexeme.first
+            } else {
+                if lexeme.token == Lexeme::NO_TOKEN {
+                    lexeme.token = self.tokens;
+                    self.tokens += 1;
+                }
+                *self.edges.entry((node, lexeme.token)).or_insert(next_node)
+            };
             if node == next_node {
                 self.nodes.push(Node::default());
             }
@@ -103,31 +175,52 @@ impl Gazetteer {
         self.len += 1;
     }
 
+    /// Give each of `words` (lowercase) keyword bit `key` in the lexicon.
+    /// A keyword is not a phrase: matching and [`Self::len`] ignore it.
+    pub(crate) fn add_keywords(&mut self, words: &[&str], key: u16) {
+        for word in words {
+            self.lexicon.entry((*word).into()).or_insert(Lexeme::UNKNOWN).keys |= key;
+        }
+    }
+
+    /// The lexicon's entry for a lowercase word.
+    pub(crate) fn probe(&self, lower: &str) -> Lexeme {
+        self.lexicon.get(lower).copied().unwrap_or(Lexeme::UNKNOWN)
+    }
+
     /// Find all gazetteer mentions in `text` (greedy, non-overlapping,
     /// longest-match-first at each position).
     pub fn find(&self, text: &str) -> Vec<Mention> {
-        self.find_words(text, &Words::new(&tokenize(text)))
+        let fragment = Tokenized::new(text);
+        let lexemes: Vec<Lexeme> = fragment.words().map(|(_, lower)| self.probe(lower)).collect();
+        self.find_lexed(&fragment, &lexemes)
     }
 
-    /// [`Gazetteer::find`] over word tokens the caller already has: the
-    /// parser tokenises and lowercases a fragment once and shares the
-    /// result with every extractor.
-    pub fn find_words(&self, text: &str, words: &Words) -> Vec<Mention> {
-        let tokens = words.tokens();
+    /// [`Gazetteer::find`] over a fragment the caller has lexed, with each
+    /// word's [`Self::probe`] in `lexemes`: the parser probes a fragment's
+    /// words once and shares the result with every extractor.
+    pub(crate) fn find_lexed(&self, fragment: &Tokenized, lexemes: &[Lexeme]) -> Vec<Mention> {
+        let text = fragment.text();
+        let child = |node: u32, k: usize| {
+            let lexeme = lexemes.get(k)?;
+            if node == ROOT {
+                Some(lexeme.first).filter(|&first| first != ROOT)
+            } else if lexeme.token == Lexeme::NO_TOKEN {
+                None
+            } else {
+                self.edges.get(&(node, lexeme.token)).copied()
+            }
+        };
         let mut out = Vec::new();
         let mut i = 0usize;
-        while i < tokens.len() {
+        while let Some(first) = fragment.word(i) {
             // Walk as deep as the trie follows, remembering the deepest
             // node that ends a phrase.
             let mut node = ROOT;
             let mut best = None;
             let mut k = i;
-            while let Some(&child) = self
-                .token_ids
-                .get(words.lower(k))
-                .and_then(|token| self.edges.get(&(node, *token)))
-            {
-                node = child;
+            while let Some(next) = child(node, k) {
+                node = next;
                 k += 1;
                 if let Some(hit) = self.nodes.get(node as usize).and_then(|n| n.terminal) {
                     best = Some((k, hit));
@@ -135,7 +228,9 @@ impl Gazetteer {
             }
             match best {
                 Some((k, (ty, conf))) => {
-                    let (start, end) = (tokens[i].start, tokens[k - 1].end);
+                    // The match's last word is word `k - 1`.
+                    let last = fragment.word(k - 1).unwrap_or(first);
+                    let (start, end) = (first.start, last.end);
                     out.push(Mention::new(ty, &text[start..end], start, end, conf));
                     i = k;
                 }
@@ -146,36 +241,53 @@ impl Gazetteer {
     }
 }
 
-/// FNV-1a (the hasher `datatamer-sim` uses for its token interner; this
-/// crate does not depend on that one): one multiply per byte, far cheaper
-/// than SipHash on short token keys. Neither map is ever iterated — ids
-/// and nodes are dense and assigned in insertion order — so the hash
-/// cannot reach any output. Only the gazetteer's own phrases are keys;
-/// fragment text only probes, and a probe cannot lengthen a collision
-/// chain.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+/// The lexicon's and the trie's hasher: eight bytes per folded multiply
+/// (the high and low halves of a 128-bit product, xored, so every output
+/// bit depends on every input bit), far cheaper than SipHash, or than a
+/// multiply per byte, on short word keys and `(node, token)` pairs. Neither map is ever
+/// iterated — ids and nodes are dense and assigned in insertion order — so
+/// the hash cannot reach any output. Only the gazetteer's own phrase words
+/// and the parser's keywords are keys; fragment text only probes, and a
+/// probe cannot lengthen a collision chain.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHash(u64);
 
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+impl WordHash {
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 }
 
-impl Hasher for Fnv {
+impl Hasher for WordHash {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
         }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let word = rest.iter().rev().fold(0u64, |word, &b| word << 8 | u64::from(b));
+            self.mix(word);
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
     }
 }
 
-type FnvBuild = BuildHasherDefault<Fnv>;
+type WordHashBuild = BuildHasherDefault<WordHash>;
 
 #[cfg(test)]
 mod tests {
@@ -269,6 +381,29 @@ mod tests {
         assert_eq!(
             got,
             vec![("New York", EntityType::City), ("New York Times", EntityType::Company)]
+        );
+    }
+
+    #[test]
+    fn keywords_share_the_lexicon_without_becoming_phrases() {
+        let mut g = Gazetteer::new();
+        g.add("Shubert Theatre", EntityType::Facility, 0.6);
+        g.add_keywords(&["theatre", "hall"], keys::FACILITY_SUFFIX);
+        g.add_keywords(&["the"], keys::STOPWORD);
+        // A phrase added after a keyword gives the keyword a token too.
+        g.add("Theatre Row", EntityType::GeoEntity, 0.7);
+        assert_eq!(g.len(), 2, "keywords are not phrases");
+        for (word, key) in [("theatre", keys::FACILITY_SUFFIX), ("hall", keys::FACILITY_SUFFIX)] {
+            assert!(g.probe(word).is(key), "{word}");
+        }
+        assert!(!g.probe("shubert").is(keys::FACILITY_SUFFIX));
+        assert_eq!(g.probe("Theatre"), Lexeme::UNKNOWN, "the lexicon is probed in lowercase");
+        let ms = g.find("the Shubert Theatre faces Theatre Row, not the hall");
+        let got: Vec<(&str, EntityType)> =
+            ms.iter().map(|m| (m.text.as_str(), m.entity_type)).collect();
+        assert_eq!(
+            got,
+            vec![("Shubert Theatre", EntityType::Facility), ("Theatre Row", EntityType::GeoEntity)]
         );
     }
 

@@ -4,24 +4,32 @@
 //! domain-specific parser to turn ~1 TB of raw web text into hierarchical
 //! entity/instance data. This crate is that module, built from scratch:
 //!
-//! * [`tokenize`] — word tokenisation with byte spans.
+//! * [`tokenize`] — one-pass lexing: tokens with byte spans and class
+//!   flags, and each word's lowercase form.
 //! * [`normalize`] — case folding, stopword filtering, whitespace cleanup.
 //! * [`scan`] — hand-rolled pattern scanners (money, percentages, dates,
 //!   times, URLs, quoted titles). No regex engine anywhere.
-//! * [`gazetteer`] — multi-word dictionary matching per entity type.
+//! * [`gazetteer`] — multi-word dictionary matching per entity type, over
+//!   the lexicon the parser shares with its keywords.
 //! * [`parser`] — the [`parser::DomainParser`]: combines gazetteers,
 //!   scanners, and contextual heuristics to emit hierarchical instance and
 //!   entity documents ready for ingestion.
 //! * [`mention`] — typed entity mentions with spans and confidences.
 //!
-//! Parsing a fragment is one pass of token work. [`Tokenized::new`]
-//! tokenises the fragment once and lowercases each word token once, into
-//! one buffer ([`tokenize::Words`]). The text ingest reads those words first,
-//! for the junk filter, and hands the same [`Tokenized`] to
-//! [`DomainParser::parse_tokenized`] only when the fragment is kept. The
-//! scanners read its token stream ([`scan::scan_tokens`]); the gazetteer's
-//! trie walk ([`Gazetteer::find_words`]) and the contextual heuristics read
-//! its words. No extractor tokenises again or allocates a `String` per
+//! A fragment is read once. [`Tokenized::new`] lexes it in one pass: an
+//! all-ASCII fragment byte by byte, any other char by char. Each token
+//! carries its class flags (word, capitalised, numeric, digit-led), and
+//! each word its lowercase form in one buffer sized from the text. The text
+//! ingest reads those words first, for the junk filter, and hands the same
+//! [`Tokenized`] to [`DomainParser::parse_tokenized`] only when the fragment
+//! is kept. The parser probes its lexicon once per word: the gazetteer's
+//! word map, which also holds every keyword of the heuristics and scanners
+//! (positions, honorifics, company and facility suffixes, speech verbs,
+//! stopwords, money words, `percent`) as bits. The trie walk then follows
+//! only `(node, token)` edges, the heuristics test bits, the token scanners
+//! run as one walk over the flagged tokens, and the URL and quoted-title
+//! scanners each read the raw bytes once. No extractor tokenises again,
+//! compares a word against a keyword list, or allocates a `String` per
 //! token. [`DomainParser::parse`] is the same parse of a raw `&str`.
 
 pub mod gazetteer;

@@ -8,21 +8,27 @@
 //!   fragment text plus its extracted entity array and scanned attributes;
 //! * one flat **entity document** per mention (the WEBENTITIES rows).
 //!
-//! A fragment is parsed in one pass of token work: it is tokenised once
-//! ([`Tokenized`]), the scanners read that token stream, and its word tokens
-//! are lowercased once into a shared [`Words`] buffer that both the
-//! gazetteer walk and the heuristics read. No extractor re-tokenises or
-//! allocates a `String` per token. [`DomainParser::parse_tokenized`] takes
-//! a fragment already tokenised, so a caller that reads the words first
-//! (the text ingest's junk filter) shares the one tokenisation.
+//! A fragment is read once. It is lexed in one pass ([`Tokenized`]): each
+//! token carries its class flags, and each word its lowercase form in one
+//! shared buffer. The parser then probes its lexicon once per word. The
+//! lexicon is the gazetteer's word map, which also holds the heuristics'
+//! and scanners' keywords, added once when the parser is built
+//! ([`DomainParser::with_gazetteer`]); a probe gives the word's phrase-token
+//! id and its keyword bits. Every extractor reads that result: the trie
+//! walk follows only `(node, token)` edges, the heuristics test bits, and
+//! the token scanners run as one walk over the flagged tokens. No extractor
+//! re-tokenises, compares a word against a keyword list, or allocates a
+//! `String` per token. [`DomainParser::parse_tokenized`] takes a fragment
+//! already lexed, so a caller that reads the words first (the text ingest's
+//! junk filter) shares the one pass.
 
 use datatamer_model::{doc, Document, Value};
 
-use crate::gazetteer::Gazetteer;
+use crate::gazetteer::{keys, Gazetteer, Lexeme};
 use crate::mention::{EntityType, Mention};
-use crate::normalize::canonical_name;
-use crate::scan::{scan_tokens, Span, SpanKind};
-use crate::tokenize::{Tokenized, Words};
+use crate::normalize::{canonical_name, STOPWORDS};
+use crate::scan::{scan, Span, SpanKind, MONEY_CONTEXT, MONEY_SUFFIXES};
+use crate::tokenize::Tokenized;
 
 /// Honorifics that mark the next capitalised run as a person.
 const HONORIFICS: &[&str] = &["mr", "mrs", "ms", "dr", "prof", "sen", "rep"];
@@ -37,6 +43,21 @@ const POSITIONS: &[&str] = &[
 ];
 /// Speech verbs: a capitalised run right before one is probably a person.
 const SPEECH_VERBS: &[&str] = &["said", "told", "announced", "stated", "added", "wrote", "argued"];
+
+/// Every keyword list with its lexicon bit. A word token never ends in
+/// `.` (a mark is internal only before an alphanumeric), so the honorific
+/// and company-suffix lists need no trimmed forms.
+const KEYWORDS: [(&[&str], u16); 9] = [
+    (POSITIONS, keys::POSITION),
+    (HONORIFICS, keys::HONORIFIC),
+    (COMPANY_SUFFIXES, keys::COMPANY_SUFFIX),
+    (FACILITY_SUFFIXES, keys::FACILITY_SUFFIX),
+    (SPEECH_VERBS, keys::SPEECH_VERB),
+    (STOPWORDS, keys::STOPWORD),
+    (MONEY_CONTEXT, keys::MONEY_CONTEXT),
+    (MONEY_SUFFIXES, keys::MONEY_SUFFIX),
+    (&["percent"], keys::PERCENT),
+];
 
 /// The instance document's lists of scanned spans, `(field, span kinds)`,
 /// in field order after `entities`. A list with no span is left out.
@@ -136,9 +157,16 @@ impl ParsedFragment {
 }
 
 /// The domain-specific parser.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct DomainParser {
+    /// The phrases, and the lexicon of their words and every keyword.
     gazetteer: Gazetteer,
+}
+
+impl Default for DomainParser {
+    fn default() -> Self {
+        Self::with_gazetteer(Gazetteer::new())
+    }
 }
 
 impl DomainParser {
@@ -147,9 +175,19 @@ impl DomainParser {
         Self::default()
     }
 
-    /// A parser seeded with a gazetteer.
-    pub fn with_gazetteer(gazetteer: Gazetteer) -> Self {
+    /// A parser seeded with a gazetteer. The heuristics' and scanners'
+    /// keywords join the gazetteer's lexicon here, once.
+    pub fn with_gazetteer(mut gazetteer: Gazetteer) -> Self {
+        for (words, key) in KEYWORDS {
+            gazetteer.add_keywords(words, key);
+        }
         DomainParser { gazetteer }
+    }
+
+    /// Each word's lexicon entry, in word order: the one probe per word
+    /// that every extractor reads.
+    pub(crate) fn lexemes(&self, fragment: &Tokenized) -> Vec<Lexeme> {
+        fragment.words().map(|(_, lower)| self.gazetteer.probe(lower)).collect()
     }
 
     /// Parse one fragment.
@@ -160,9 +198,10 @@ impl DomainParser {
     /// Parse a fragment that is already tokenised: the same result as
     /// [`Self::parse`] of its text, without tokenising it again.
     pub fn parse_tokenized(&self, fragment: &Tokenized) -> ParsedFragment {
-        let (text, words) = (fragment.text(), fragment.words());
-        let spans = scan_tokens(text, fragment.tokens());
-        let mut mentions = self.gazetteer.find_words(text, words);
+        let text = fragment.text();
+        let lexemes = self.lexemes(fragment);
+        let spans = scan(fragment, &lexemes);
+        let mut mentions = self.gazetteer.find_lexed(fragment, &lexemes);
 
         // URLs from the scanner are entity mentions of type URL.
         for s in &spans {
@@ -181,7 +220,7 @@ impl DomainParser {
                 }
             }
         }
-        heuristic_mentions(text, words, &mut mentions);
+        heuristic_mentions(fragment, &lexemes, &mut mentions);
         let mentions = resolve_overlaps(mentions);
         let spans = spans
             .into_iter()
@@ -191,13 +230,17 @@ impl DomainParser {
     }
 }
 
-/// Contextual heuristics over capitalised runs of word tokens.
-fn heuristic_mentions(text: &str, words: &Words, out: &mut Vec<Mention>) {
-    let tokens = words.tokens();
+/// Contextual heuristics over capitalised runs of word tokens; `lexemes`
+/// holds each word's lexicon entry.
+fn heuristic_mentions(fragment: &Tokenized, lexemes: &[Lexeme], out: &mut Vec<Mention>) {
+    let text = fragment.text();
+    // A word past the end carries no keyword and is not capitalised.
+    let is = |i: usize, key: u16| lexemes.get(i).is_some_and(|l| l.is(key));
+    let capitalized = |i: usize| fragment.word(i).is_some_and(|t| t.is_capitalized());
 
     // Position titles are direct dictionary hits.
-    for (i, t) in tokens.iter().enumerate() {
-        if POSITIONS.contains(&words.lower(i)) {
+    for i in (0..fragment.word_count()).filter(|&i| is(i, keys::POSITION)) {
+        if let Some(t) = fragment.word(i) {
             out.push(Mention::new(EntityType::Position, t.text, t.start, t.end, 0.8));
         }
     }
@@ -205,48 +248,43 @@ fn heuristic_mentions(text: &str, words: &Words, out: &mut Vec<Mention>) {
     // Capitalised runs (2+ letters, not sentence-initial-only heuristic:
     // we accept all runs and let context decide the type).
     let mut i = 0usize;
-    while i < tokens.len() {
-        if !run_starts_here(words, i) {
+    while let Some(first) = fragment.word(i) {
+        if !run_starts_here(fragment, lexemes, i) {
             i += 1;
             continue;
         }
         let mut j = i;
-        while j < tokens.len() && tokens[j].is_capitalized() && j - i < 4 {
+        while capitalized(j) && j - i < 4 {
             j += 1;
         }
         let run_len = j - i;
-        let start = tokens[i].start;
-        let end = tokens[j - 1].end;
+        let start = first.start;
+        let end = fragment.word(j - 1).map_or(first.end, |t| t.end);
         let surface = &text[start..end];
-        // `words.lower` is "" past the end, which no list below contains.
-        let last = words.lower(j - 1);
-        let after = words.lower(j);
 
         // Company: run ending in (or followed by) a company designator,
         // e.g. "Recorded Future Inc" / "Recorded Future inc".
-        let run_ends_in_suffix =
-            run_len >= 2 && COMPANY_SUFFIXES.contains(&last.trim_end_matches('.'));
-        let followed_by_suffix = COMPANY_SUFFIXES.contains(&after.trim_end_matches('.'));
+        let run_ends_in_suffix = run_len >= 2 && is(j - 1, keys::COMPANY_SUFFIX);
         if run_ends_in_suffix {
             out.push(Mention::new(EntityType::Company, surface, start, end, 0.85));
             i = j;
             continue;
         }
-        if let Some(suffix) = tokens.get(j).filter(|_| followed_by_suffix) {
+        if let Some(suffix) = fragment.word(j).filter(|_| is(j, keys::COMPANY_SUFFIX)) {
             let end2 = suffix.end;
             out.push(Mention::new(EntityType::Company, &text[start..end2], start, end2, 0.85));
             i = j + 1;
             continue;
         }
         // Facility: run whose last token is a facility designator.
-        if FACILITY_SUFFIXES.contains(&last) && run_len >= 2 {
+        if is(j - 1, keys::FACILITY_SUFFIX) && run_len >= 2 {
             out.push(Mention::new(EntityType::Facility, surface, start, end, 0.8));
             i = j;
             continue;
         }
         // Person: honorific before, or speech verb after, 2-3 token run.
-        let honorific_before = i > 0 && HONORIFICS.contains(&words.lower(i - 1).trim_end_matches('.'));
-        let speech_after = SPEECH_VERBS.contains(&after);
+        let honorific_before = i > 0 && is(i - 1, keys::HONORIFIC);
+        let speech_after = is(j, keys::SPEECH_VERB);
         if (honorific_before || speech_after) && (1..=3).contains(&run_len) {
             out.push(Mention::new(EntityType::Person, surface, start, end, 0.75));
             i = j;
@@ -258,15 +296,15 @@ fn heuristic_mentions(text: &str, words: &Words, out: &mut Vec<Mention>) {
 
 /// Whether a capitalised run may begin at word `i` — skip obviously
 /// sentence-initial lone stopword-ish words ("The", "And").
-fn run_starts_here(words: &Words, i: usize) -> bool {
-    let tokens = words.tokens();
-    if !tokens.get(i).is_some_and(|t| t.is_capitalized()) {
+fn run_starts_here(fragment: &Tokenized, lexemes: &[Lexeme], i: usize) -> bool {
+    let capitalized = |i: usize| fragment.word(i).is_some_and(|t| t.is_capitalized());
+    if !capitalized(i) {
         return false;
     }
-    let next_cap = tokens.get(i + 1).is_some_and(|t| t.is_capitalized());
+    let next_cap = capitalized(i + 1);
     // A lone capitalised stopword is not a run start unless followed by
     // another capitalised token ("The Walking Dead").
-    !crate::normalize::is_stopword(words.lower(i)) || next_cap
+    !lexemes.get(i).is_some_and(|l| l.is(keys::STOPWORD)) || next_cap
 }
 
 /// Drop overlapping mentions: higher confidence wins, then longer span.
@@ -904,6 +942,36 @@ mod oracle {
             }
             assert!(mentions > 3 * corpus.fragments.len(), "seed {seed}: {mentions} mentions");
         }
+    }
+
+    #[test]
+    fn a_phrase_word_that_is_also_a_keyword_keeps_both_roles() {
+        use crate::gazetteer::keys;
+        // "Theatre" is a phrase word and a facility suffix; "The" is a
+        // whole phrase and a stopword.
+        let adds =
+            [("Shubert Theatre", EntityType::Facility, 0.6), ("The", EntityType::Movie, 0.1)];
+        let (parser, oracle) = pair(&adds);
+        assert!(parser.gazetteer.probe("theatre").is(keys::FACILITY_SUFFIX));
+        assert!(parser.gazetteer.probe("the").is(keys::STOPWORD));
+        assert_eq!(parser.gazetteer.len(), 2);
+        for text in [
+            "playing at the Shubert Theatre nightly",
+            "The Majestic Theatre and The Shubert Theatre",
+            "THE SHUBERT THEATRE, The said",
+            "Shubert Theatre Inc said the Theatre was full",
+        ] {
+            assert_same(&parser, &oracle, text);
+        }
+        let f = parser.parse("playing at the Shubert Theatre nightly");
+        let got: Vec<(&str, EntityType, f64)> =
+            f.mentions.iter().map(|m| (m.text.as_str(), m.entity_type, m.confidence)).collect();
+        // The heuristic facility (0.8) outranks the gazetteer's (0.6); the
+        // lone stopword "the" still matches its phrase.
+        assert_eq!(
+            got,
+            vec![("the", EntityType::Movie, 0.1), ("Shubert Theatre", EntityType::Facility, 0.8)]
+        );
     }
 
     /// Pieces the proptest glues into adversarial fragments.

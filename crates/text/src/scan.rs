@@ -1,21 +1,25 @@
-//! Hand-rolled pattern scanners over token streams.
+//! Hand-rolled pattern scanners over the raw text and the token stream.
 //!
-//! Each scanner walks the token stream produced by [`crate::tokenize`] and
-//! emits spans: money amounts, percentages, dates, clock times, URLs, and
-//! quoted titles. These power both entity extraction (URLs, titles) and the
-//! instance-level attributes (grosses, prices, dates) the demo queries use.
+//! The scanners emit spans: money amounts, percentages, dates, clock times,
+//! URLs, and quoted titles. These power both entity extraction (URLs,
+//! titles) and the instance-level attributes (grosses, prices, dates) the
+//! demo queries use.
 //!
-//! The scanners take the token stream as an argument ([`scan_tokens`]) so
-//! the parser tokenises a fragment once for them and for its other
-//! extractors. Each scanner does real work only on tokens that can start a
-//! match: money suffixes and context words compare ASCII
-//! case-insensitively in place, a month-name date is tried only where the
-//! first word is a month name, and a clock time only at a token that
-//! starts with a digit.
+//! Each reads the fragment once. URLs and quoted titles cross token
+//! boundaries, so each of those two scans the raw bytes once, resuming
+//! after every match. Money, percentages, dates and times are found in one
+//! walk over the flagged tokens of the parser's single lexing pass
+//! ([`crate::Tokenized`]): the numeric, capitalised and digit-led classes
+//! are flag reads, and the money context, currency and `percent` words are
+//! bits of the lexicon entry the parser probed for each word. A month-name
+//! date is tried only where the first word is a month name, and a clock
+//! time only at a token that starts with a digit.
 
 use datatamer_model::infer;
 
-use crate::tokenize::{tokenize, Token};
+use crate::gazetteer::{keys, Lexeme};
+use crate::parser::DomainParser;
+use crate::tokenize::{Token, Tokenized};
 
 /// A scanned span with a classification.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,50 +57,93 @@ pub enum SpanKind {
 
 /// Words that signal an adjacent bare number is a money amount.
 ///
-/// This list and [`MONEY_SUFFIXES`] are lowercase ASCII without a `k`, so
-/// `eq_ignore_ascii_case` against a token is exactly "the token's
-/// `to_lowercase` equals the word": the only non-ASCII char whose
+/// This list, [`MONEY_SUFFIXES`] and `percent` are lowercase ASCII without
+/// a `k`. A token's lexicon probe reads its lowercase form, and for such a
+/// word "the token's `to_lowercase` equals the word" is exactly "the token
+/// equals the word ASCII case-insensitively": the only non-ASCII char whose
 /// lowercase is all ASCII is the Kelvin sign (to `k`).
-const MONEY_CONTEXT: &[&str] = &["grossed", "gross", "earned", "made", "cost", "costs", "price", "priced"];
+pub(crate) const MONEY_CONTEXT: &[&str] =
+    &["grossed", "gross", "earned", "made", "cost", "costs", "price", "priced"];
 
 /// Currency words that make the number before them a money amount.
-const MONEY_SUFFIXES: &[&str] = &["usd", "eur", "gbp", "dollars", "euros", "pounds"];
+pub(crate) const MONEY_SUFFIXES: &[&str] = &["usd", "eur", "gbp", "dollars", "euros", "pounds"];
 
-/// Run all scanners and return spans sorted by start offset.
+/// Run all scanners over `text` and return spans sorted by start offset.
+/// Lexes the text and builds the parser's keyword lexicon on every call;
+/// the parser keeps one lexicon and scans the fragment it already lexed.
 pub fn scan_all(text: &str) -> Vec<Span> {
-    scan_tokens(text, &tokenize(text))
+    let fragment = Tokenized::new(text);
+    let lexemes = DomainParser::new().lexemes(&fragment);
+    scan(&fragment, &lexemes)
 }
 
-/// [`scan_all`] over `tokenize(text)` the caller already has.
-pub fn scan_tokens(text: &str, tokens: &[Token]) -> Vec<Span> {
+/// Every scanner over a lexed fragment whose words' lexicon entries are
+/// `lexemes` (one per word): spans sorted by `(start, end)`. The sort is
+/// stable. No two spans of the token walk share a `(start, end)` (their
+/// first and last tokens differ in class), so spans with equal offsets keep
+/// the order of the scanners that pushed them: URL, quoted title, then the
+/// token walk.
+pub(crate) fn scan(fragment: &Tokenized, lexemes: &[Lexeme]) -> Vec<Span> {
     let mut spans = Vec::new();
-    scan_urls(text, &mut spans);
-    scan_quoted_titles(text, &mut spans);
-    scan_money(text, tokens, &mut spans);
-    scan_percent(text, tokens, &mut spans);
-    scan_dates(text, tokens, &mut spans);
-    scan_times(tokens, &mut spans);
+    scan_urls(fragment.text(), &mut spans);
+    scan_quoted_titles(fragment.text(), &mut spans);
+    scan_tokens(fragment, lexemes, &mut spans);
     spans.sort_by_key(|s| (s.start, s.end));
     spans
 }
 
-/// True when `word` equals one of `list` ASCII case-insensitively.
-fn is_one_of(word: &str, list: &[&str]) -> bool {
-    list.iter().any(|w| word.eq_ignore_ascii_case(w))
+/// A span of `kind` over `text[start..end]`.
+fn span(kind: SpanKind, text: &str, start: usize, end: usize) -> Span {
+    Span { kind, text: text.get(start..end).unwrap_or("").to_owned(), start, end }
+}
+
+/// The first byte at or after `from` for which `hit` holds. Sixteen bytes
+/// are tested at a time, without an early exit, so the test vectorises; a
+/// chunk with a hit is then searched byte by byte.
+fn find_byte(bytes: &[u8], from: usize, hit: impl Fn(u8) -> bool) -> Option<usize> {
+    let rest = bytes.get(from..)?;
+    let mut chunks = rest.chunks_exact(16);
+    let mut base = from;
+    for chunk in &mut chunks {
+        if chunk.iter().fold(false, |any, &b| any | hit(b)) {
+            return chunk.iter().position(|&b| hit(b)).map(|p| base + p);
+        }
+        base += 16;
+    }
+    chunks.remainder().iter().position(|&b| hit(b)).map(|p| base + p)
+}
+
+/// Where a URL starts: the first `http://`, `https://` or `www.` at or
+/// after byte `from`. The scan stops only at a `:` or `.` (the fourth or
+/// fifth byte of a scheme, the fourth of `www.`) and looks back for a
+/// marker ending there. Markers cannot overlap one another, so the first
+/// stop that completes a marker gives the first marker. Every marker
+/// starts with an ASCII byte, so a match is at a char boundary.
+fn next_url_start(raw: &[u8], from: usize) -> Option<usize> {
+    let mut q = from;
+    loop {
+        q = find_byte(raw, q, |b| b == b':' || b == b'.')?;
+        let marker = |back: usize, marker: &[u8]| {
+            q.checked_sub(back)
+                .filter(|&s| s >= from)
+                .filter(|&s| raw.get(s..).is_some_and(|r| r.starts_with(marker)))
+        };
+        let start = match raw.get(q) {
+            Some(b':') => marker(4, b"http://").or_else(|| marker(5, b"https://")),
+            _ => marker(3, b"www."),
+        };
+        if start.is_some() {
+            return start;
+        }
+        q += 1;
+    }
 }
 
 fn scan_urls(raw: &str, out: &mut Vec<Span>) {
     // The tokenizer splits at "://", so scan the raw text for scheme
     // markers and take each URL forward to the next whitespace.
     let mut search = 0usize;
-    while search < raw.len() {
-        let rest = &raw[search..];
-        let rel = ["http://", "https://", "www."]
-            .iter()
-            .filter_map(|m| rest.find(m))
-            .min();
-        let Some(rel) = rel else { break };
-        let start = search + rel;
+    while let Some(start) = next_url_start(raw.as_bytes(), search) {
         let end = raw[start..]
             .find(char::is_whitespace)
             .map(|i| start + i)
@@ -112,136 +159,110 @@ fn scan_urls(raw: &str, out: &mut Vec<Span>) {
         }
         let candidate = &raw[start..end];
         if candidate.len() > 8 && candidate.contains('.') {
-            out.push(Span {
-                kind: SpanKind::Url,
-                text: candidate.to_owned(),
-                start,
-                end,
-            });
+            out.push(span(SpanKind::Url, raw, start, end));
         }
         search = end.max(start + 1);
     }
 }
 
+/// The UTF-8 bytes of the curly quotes `\u{201c}` and `\u{201d}`.
+const CURLY_OPEN: &[u8] = "\u{201c}".as_bytes();
+const CURLY_CLOSE: &[u8] = "\u{201d}".as_bytes();
+
+/// The first quote at or after byte `from` that is `"` or `curly`, with
+/// its byte length. A match starts with `"` or a UTF-8 lead byte, so it is
+/// at a char boundary.
+fn next_quote(text: &[u8], from: usize, curly: &[u8]) -> Option<(usize, usize)> {
+    let mut p = from;
+    loop {
+        p = find_byte(text, p, |b| b == b'"' || b == 0xE2)?;
+        let rest = text.get(p..)?;
+        if rest.starts_with(b"\"") {
+            return Some((p, 1));
+        }
+        if rest.starts_with(curly) {
+            return Some((p, curly.len()));
+        }
+        p += 1;
+    }
+}
+
 fn scan_quoted_titles(text: &str, out: &mut Vec<Span>) {
     // Both straight and curly double quotes.
-    let opens: &[char] = &['"', '\u{201c}'];
-    let closes: &[char] = &['"', '\u{201d}'];
+    let bytes = text.as_bytes();
     let mut idx = 0usize;
-    while idx < text.len() {
-        let Some((open_rel, open)) = text[idx..].char_indices().find(|(_, c)| opens.contains(c))
-        else {
+    while let Some((open, open_len)) = next_quote(bytes, idx, CURLY_OPEN) {
+        let inner_start = open + open_len;
+        let Some((close_abs, close_len)) = next_quote(bytes, inner_start, CURLY_CLOSE) else {
             break;
         };
-        let inner_start = idx + open_rel + open.len_utf8();
-        let Some((close_rel, close)) =
-            text[inner_start..].char_indices().find(|(_, c)| closes.contains(c))
-        else {
-            break;
-        };
-        let close_abs = inner_start + close_rel;
         let inner = &text[inner_start..close_abs];
         // A plausible title: 1..=8 words, at least one capitalised word,
         // no sentence punctuation inside.
-        let words: Vec<&str> = inner.split_whitespace().collect();
-        let ok = !words.is_empty()
-            && words.len() <= 8
-            && words.iter().any(|w| w.chars().next().is_some_and(char::is_uppercase))
-            && !inner.contains(['.', ';', '!', '?']);
-        if ok {
-            out.push(Span {
-                kind: SpanKind::QuotedTitle,
-                text: inner.to_owned(),
-                start: inner_start,
-                end: close_abs,
-            });
+        let (mut words, mut capitalized) = (0usize, false);
+        for w in inner.split_whitespace() {
+            words += 1;
+            capitalized |= w.chars().next().is_some_and(char::is_uppercase);
         }
-        idx = close_abs + close.len_utf8();
+        let ok = (1..=8).contains(&words) && capitalized && !inner.contains(['.', ';', '!', '?']);
+        if ok {
+            out.push(span(SpanKind::QuotedTitle, text, inner_start, close_abs));
+        }
+        idx = close_abs + close_len;
     }
 }
 
-fn scan_money(text: &str, tokens: &[Token], out: &mut Vec<Span>) {
-    let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        // Symbol-prefixed: "$" "960,998" (tokenizer splits the symbol off).
-        if matches!(t.text, "$" | "€" | "£" | "¥") {
-            if let Some(next) = tokens.get(i + 1) {
-                if next.is_numeric() {
-                    out.push(Span {
-                        kind: SpanKind::Money,
-                        text: text[t.start..next.end].to_owned(),
-                        start: t.start,
-                        end: next.end,
-                    });
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-        // Suffix code: "27 USD" / "27 dollars" / "27 euros".
-        if t.is_numeric() {
-            if let Some(next) = tokens.get(i + 1) {
-                if is_one_of(next.text, MONEY_SUFFIXES) {
-                    out.push(Span {
-                        kind: SpanKind::Money,
-                        text: text[t.start..next.end].to_owned(),
-                        start: t.start,
-                        end: next.end,
-                    });
-                    i += 2;
-                    continue;
-                }
-            }
-            // Context-word gross: "grossed 960,998".
-            if let Some(prev) = i.checked_sub(1).and_then(|p| tokens.get(p)) {
-                if is_one_of(prev.text, MONEY_CONTEXT)
+/// Money, percentages, dates and clock times in one walk over the tokens.
+fn scan_tokens(fragment: &Tokenized, lexemes: &[Lexeme], out: &mut Vec<Span>) {
+    let (text, tokens) = (fragment.text(), fragment.tokens());
+    // `word` counts the word tokens before token `i`, so a word at `i` is
+    // word `word`, and one just before it is word `word - 1`.
+    let mut word = 0usize;
+    // A money match covers two tokens, and the money scan resumes after it.
+    let mut money_from = 0usize;
+    for (i, t) in tokens.iter().enumerate() {
+        let (prev, next) = (i.checked_sub(1).and_then(|p| tokens.get(p)), tokens.get(i + 1));
+        // Whether the token before or after this one is a word with `key`.
+        let prev_is = |key: u16| {
+            prev.is_some_and(Token::is_word)
+                && word.checked_sub(1).and_then(|w| lexemes.get(w)).is_some_and(|l| l.is(key))
+        };
+        let next_is = |key: u16| {
+            next.is_some_and(Token::is_word)
+                && lexemes.get(word + usize::from(t.is_word())).is_some_and(|l| l.is(key))
+        };
+        if i >= money_from {
+            let symbol = !t.is_word() && matches!(t.text, "$" | "€" | "£" | "¥");
+            if let Some(next) = next.filter(|n| symbol && n.is_numeric()) {
+                // Symbol-prefixed: "$" "960,998" (the tokenizer splits the
+                // symbol off).
+                out.push(span(SpanKind::Money, text, t.start, next.end));
+                money_from = i + 2;
+            } else if t.is_numeric() {
+                if let Some(next) = next.filter(|_| next_is(keys::MONEY_SUFFIX)) {
+                    // Suffix code: "27 USD" / "27 dollars" / "27 euros".
+                    out.push(span(SpanKind::Money, text, t.start, next.end));
+                    money_from = i + 2;
+                } else if prev_is(keys::MONEY_CONTEXT)
                     && infer::parse_integer(t.text).is_some_and(|v| v >= 1000)
                 {
-                    out.push(Span {
-                        kind: SpanKind::Gross,
-                        text: t.text.to_owned(),
-                        start: t.start,
-                        end: t.end,
-                    });
+                    // Context-word gross: "grossed 960,998".
+                    out.push(span(SpanKind::Gross, text, t.start, t.end));
                 }
             }
         }
-        i += 1;
-    }
-}
-
-fn scan_percent(text: &str, tokens: &[Token], out: &mut Vec<Span>) {
-    for (num, next) in tokens.iter().zip(tokens.iter().skip(1)) {
-        let is_pct = next.text == "%" || next.text.eq_ignore_ascii_case("percent");
-        if is_pct && num.is_numeric() {
-            out.push(Span {
-                kind: SpanKind::Percent,
-                text: text[num.start..next.end].to_owned(),
-                start: num.start,
-                end: next.end,
-            });
-        }
-    }
-}
-
-fn scan_dates(text: &str, tokens: &[Token], out: &mut Vec<Span>) {
-    for (i, t) in tokens.iter().enumerate() {
-        // Slash-numeric dates arrive as one token? '/' is not internal punct,
-        // so "3/4/2013" tokenizes as 3 / 4 / 2013 — stitch a 5-token window.
-        if tokens.get(i + 1).is_some_and(|x| x.text == "/") && t.is_numeric() {
-            if let (Some(b), Some(s2), Some(c)) =
-                (tokens.get(i + 2), tokens.get(i + 3), tokens.get(i + 4))
-            {
-                if b.is_numeric() && s2.text == "/" && c.is_numeric() {
+        if t.is_numeric() {
+            // Percent: "93%" / "93 percent".
+            if let Some(next) = next.filter(|n| n.text == "%" || next_is(keys::PERCENT)) {
+                out.push(span(SpanKind::Percent, text, t.start, next.end));
+            }
+            // Slash-numeric dates: '/' is not internal punct, so "3/4/2013"
+            // tokenizes as 3 / 4 / 2013 — stitch a 5-token window.
+            if let [_, slash, b, slash2, c, ..] = tokens.get(i..).unwrap_or(&[]) {
+                if slash.text == "/" && b.is_numeric() && slash2.text == "/" && c.is_numeric() {
                     let candidate = &text[t.start..c.end];
                     if infer::parse_date(candidate).is_some() {
-                        out.push(Span {
-                            kind: SpanKind::Date,
-                            text: candidate.to_owned(),
-                            start: t.start,
-                            end: c.end,
-                        });
+                        out.push(span(SpanKind::Date, text, t.start, c.end));
                     }
                 }
             }
@@ -250,21 +271,36 @@ fn scan_dates(text: &str, tokens: &[Token], out: &mut Vec<Span>) {
         // A candidate starting with a capital can match neither
         // `parse_date`'s numeric form nor its "4 March 2013" form, so only
         // a month name as its first whitespace- or comma-delimited word can
-        // make it a date; anywhere else the window is skipped unparsed.
-        if t.is_capitalized() && infer::is_month_name(first_word(&text[t.start..])) {
+        // make it a date; anywhere else the window is skipped unparsed. A
+        // month name is ASCII, so a capitalised one starts with one of
+        // these bytes.
+        let month_initial = matches!(
+            t.text.as_bytes().first(),
+            Some(b'J' | b'F' | b'M' | b'A' | b'S' | b'O' | b'N' | b'D')
+        );
+        if month_initial && t.is_capitalized() && infer::is_month_name(first_word(&text[t.start..]))
+        {
             let window_end = (i + 4).min(tokens.len());
             for j in (i + 2)..=window_end.saturating_sub(1) {
                 let candidate = &text[t.start..tokens[j].end];
                 if infer::parse_date(candidate).is_some() {
-                    out.push(Span {
-                        kind: SpanKind::Date,
-                        text: candidate.to_owned(),
-                        start: t.start,
-                        end: tokens[j].end,
-                    });
+                    out.push(span(SpanKind::Date, text, t.start, tokens[j].end));
                     break;
                 }
             }
+        }
+        // Clock times: lowercasing never turns a non-digit into a digit,
+        // so only a token starting with one can be a time. Such a token is
+        // a word, and its lowercase form is the words' own.
+        if t.starts_with_digit() {
+            let lower = fragment.lower(word);
+            let looks_like_time = lower.ends_with("am") || lower.ends_with("pm");
+            if looks_like_time && infer::infer_str(lower) == infer::LexicalType::Time {
+                out.push(span(SpanKind::Time, text, t.start, t.end));
+            }
+        }
+        if t.is_word() {
+            word += 1;
         }
     }
 }
@@ -273,18 +309,6 @@ fn scan_dates(text: &str, tokens: &[Token], out: &mut Vec<Span>) {
 /// `parse_date` sees in a candidate starting here.
 fn first_word(text: &str) -> &str {
     text.split(|c: char| c.is_whitespace() || c == ',').next().unwrap_or(text)
-}
-
-fn scan_times(tokens: &[Token], out: &mut Vec<Span>) {
-    // Lowercasing never turns a non-digit into a digit, so only a token
-    // starting with one can be a time.
-    for t in tokens.iter().filter(|t| t.text.starts_with(|c: char| c.is_ascii_digit())) {
-        let lower = t.text.to_lowercase();
-        let looks_like_time = lower.ends_with("am") || lower.ends_with("pm");
-        if looks_like_time && infer::infer_str(&lower) == infer::LexicalType::Time {
-            out.push(Span { kind: SpanKind::Time, text: t.text.to_owned(), start: t.start, end: t.end });
-        }
-    }
 }
 
 #[cfg(test)]
