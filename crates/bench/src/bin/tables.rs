@@ -5,10 +5,11 @@
 //! cargo run --release -p datatamer-bench --bin tables -- t1 t4 m1 --scale 0.0005
 //! ```
 //!
-//! Experiment ids (DESIGN.md §4): t1 t2 t3 t4 t5 t6 f1 f2 f3 m1 m2, or
-//! `all`. Options: `--scale <f64>` (fraction of paper volume, finite and
-//! positive, default 1/5000), `--seed <u64>`. A bad argument prints the
-//! usage line to stderr and exits with status 2.
+//! Experiment ids, one per function in `datatamer_bench::experiments`:
+//! t1 t2 t3 t4 t5 t6 f1 f2 f3 m1 m2, or `all`. Options: `--scale <f64>`
+//! (fraction of paper volume, finite and positive, default 1/5000),
+//! `--seed <u64>`. A bad argument prints the usage line to stderr and
+//! exits with status 2.
 
 use std::collections::HashSet;
 

@@ -1,4 +1,5 @@
-//! One function per paper table/figure (experiment index in DESIGN.md §4).
+//! One function per paper table/figure; the `tables` binary runs them by
+//! experiment id.
 
 use std::time::{Duration, Instant};
 

@@ -11,6 +11,7 @@
 
 use datatamer_core::fusion::FusedEntity;
 use datatamer_model::{Document, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Pseudo-attribute resolving to a fused entity's canonical key.
@@ -53,39 +54,42 @@ pub enum Predicate {
 
 /// A source of attribute values: fused entities and documents.
 ///
-/// `attr_values` pushes every value reachable at `attr` — array values
-/// contribute each element (multikey), scalars contribute themselves. A
-/// fused entity resolves `attr` as one record field (or a pseudo-attribute
-/// such as [`KEY_ATTR`]); a document resolves it as a dotted path through
+/// `any_value` calls `f` with every value reachable at `attr`, in order,
+/// until `f` returns `true`, and says whether it did — array values
+/// contribute each element (multikey), scalars contribute themselves.
+/// Values the source holds (a record field, an array element) are lent
+/// as [`Cow::Borrowed`], so a predicate or an aggregate reads them in
+/// place and clones only what it keeps; a value computed per call (a
+/// pseudo-attribute such as [`KEY_ATTR`]) comes as [`Cow::Owned`]. A
+/// fused entity resolves `attr` as one record field or a
+/// pseudo-attribute; a document resolves it as a dotted path through
 /// [`Document::path_values`], the one walk the storage indexes also use.
 pub trait AttrSource {
-    /// Append the values at `attr` to `out` (cleared by the caller).
-    fn attr_values(&self, attr: &str, out: &mut Vec<Value>);
+    /// Call `f` on each value at `attr` until it returns `true`; return
+    /// whether it did.
+    fn any_value<'a>(&'a self, attr: &str, f: impl FnMut(Cow<'a, Value>) -> bool) -> bool;
 }
 
-/// Flatten one level of arrays into leaf values (multikey semantics, as
-/// the storage engine's secondary indexes extract keys).
-fn push_leaves(v: &Value, out: &mut Vec<Value>) {
-    match v {
-        Value::Array(items) => out.extend(items.iter().cloned()),
-        other => out.push(other.clone()),
-    }
+/// The value of a pseudo-attribute of `e`, or `None` when `attr` names a
+/// record field.
+pub(crate) fn pseudo_value(e: &FusedEntity, attr: &str) -> Option<Value> {
+    Some(match attr {
+        KEY_ATTR => Value::Str(e.key.clone()),
+        MEMBERS_ATTR => Value::Int(e.member_count as i64),
+        CONFIDENCE_ATTR => e.confidence.map_or(Value::Null, Value::Float),
+        _ => return None,
+    })
 }
 
 impl AttrSource for FusedEntity {
-    fn attr_values(&self, attr: &str, out: &mut Vec<Value>) {
-        match attr {
-            KEY_ATTR => out.push(Value::Str(self.key.clone())),
-            MEMBERS_ATTR => out.push(Value::Int(self.member_count as i64)),
-            CONFIDENCE_ATTR => out.push(match self.confidence {
-                Some(c) => Value::Float(c),
-                None => Value::Null,
-            }),
-            _ => {
-                if let Some(v) = self.record.get(attr) {
-                    push_leaves(v, out);
-                }
-            }
+    fn any_value<'a>(&'a self, attr: &str, mut f: impl FnMut(Cow<'a, Value>) -> bool) -> bool {
+        if let Some(v) = pseudo_value(self, attr) {
+            return f(Cow::Owned(v));
+        }
+        match self.record.get(attr) {
+            Some(Value::Array(items)) => items.iter().any(|v| f(Cow::Borrowed(v))),
+            Some(v) => f(Cow::Borrowed(v)),
+            None => false,
         }
     }
 }
@@ -94,8 +98,10 @@ impl AttrSource for Document {
     /// [`Document::path_values`]: the storage indexes' own key walk, so a
     /// predicate over a stored document sees exactly the values an index
     /// on the same path holds.
-    fn attr_values(&self, attr: &str, out: &mut Vec<Value>) {
-        self.path_values(attr, out);
+    fn any_value<'a>(&'a self, attr: &str, mut f: impl FnMut(Cow<'a, Value>) -> bool) -> bool {
+        let mut vals = Vec::new();
+        self.path_values(attr, &mut vals);
+        vals.into_iter().any(|v| f(Cow::Owned(v)))
     }
 }
 
@@ -110,98 +116,59 @@ fn same_family(a: &Value, b: &Value) -> bool {
     )
 }
 
-impl Predicate {
-    /// Evaluate against a row.
-    pub fn matches<S: AttrSource + ?Sized>(&self, src: &S) -> bool {
-        let mut scratch = Vec::new();
-        self.matches_with(src, &mut scratch)
+/// `s.to_lowercase().contains(folded)` for a needle already lowercased.
+/// An ASCII `s` is matched in place: its lowercase is its ASCII
+/// lowercase, which holds no non-ASCII needle, and a lowercased needle
+/// holds no upper-case ASCII. Other text keeps `to_lowercase`, which may
+/// fold non-ASCII into ASCII (KELVIN SIGN to `k`).
+fn contains_folded(s: &str, folded: &str) -> bool {
+    if !s.is_ascii() {
+        return s.to_lowercase().contains(folded);
     }
+    let needle = folded.as_bytes();
+    folded.is_ascii()
+        && (needle.is_empty()
+            || s.as_bytes().windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle)))
+}
 
-    fn matches_with<S: AttrSource + ?Sized>(&self, src: &S, scratch: &mut Vec<Value>) -> bool {
-        let vals = |attr: &str, scratch: &mut Vec<Value>| {
-            scratch.clear();
-            src.attr_values(attr, scratch);
-        };
+impl Predicate {
+    /// Evaluate against a row. A `Contains` lowercases its needle on every
+    /// call; the executor prepares the predicate once per query instead.
+    pub fn matches<S: AttrSource + ?Sized>(&self, src: &S) -> bool {
         match self {
             Predicate::True => true,
-            Predicate::Eq(attr, v) => {
-                vals(attr, scratch);
-                scratch.iter().any(|x| x.total_cmp(v) == Ordering::Equal)
-            }
-            Predicate::Ne(attr, v) => {
-                vals(attr, scratch);
-                !scratch.iter().any(|x| x.total_cmp(v) == Ordering::Equal)
-            }
+            Predicate::Eq(attr, v) => src.any_value(attr, |x| x.total_cmp(v) == Ordering::Equal),
+            Predicate::Ne(attr, v) => !src.any_value(attr, |x| x.total_cmp(v) == Ordering::Equal),
             Predicate::Gt(attr, v) => {
-                vals(attr, scratch);
-                scratch.iter().any(|x| same_family(x, v) && x.total_cmp(v) == Ordering::Greater)
+                src.any_value(attr, |x| same_family(&x, v) && x.total_cmp(v) == Ordering::Greater)
             }
             Predicate::Gte(attr, v) => {
-                vals(attr, scratch);
-                scratch.iter().any(|x| same_family(x, v) && x.total_cmp(v) != Ordering::Less)
+                src.any_value(attr, |x| same_family(&x, v) && x.total_cmp(v) != Ordering::Less)
             }
             Predicate::Lt(attr, v) => {
-                vals(attr, scratch);
-                scratch.iter().any(|x| same_family(x, v) && x.total_cmp(v) == Ordering::Less)
+                src.any_value(attr, |x| same_family(&x, v) && x.total_cmp(v) == Ordering::Less)
             }
             Predicate::Lte(attr, v) => {
-                vals(attr, scratch);
-                scratch.iter().any(|x| same_family(x, v) && x.total_cmp(v) != Ordering::Greater)
+                src.any_value(attr, |x| same_family(&x, v) && x.total_cmp(v) != Ordering::Greater)
             }
             Predicate::In(attr, options) => {
-                vals(attr, scratch);
-                scratch
-                    .iter()
-                    .any(|x| options.iter().any(|v| x.total_cmp(v) == Ordering::Equal))
+                src.any_value(attr, |x| options.iter().any(|v| x.total_cmp(v) == Ordering::Equal))
             }
-            Predicate::Contains(attr, needle) => {
-                vals(attr, scratch);
-                let needle = needle.to_lowercase();
-                scratch.iter().any(|x| match x {
-                    Value::Str(s) => s.to_lowercase().contains(&needle),
-                    _ => false,
-                })
-            }
-            Predicate::Exists(attr) => {
-                vals(attr, scratch);
-                scratch.iter().any(|v| !v.is_null())
-            }
-            Predicate::And(ps) => ps.iter().all(|p| p.matches(src)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.matches(src)),
-            Predicate::Not(p) => !p.matches(src),
+            Predicate::Exists(attr) => src.any_value(attr, |v| !v.is_null()),
+            compound => compound.prepare().matches(src),
         }
     }
 
-    /// Every attribute the predicate reads, in first-mention order.
-    pub fn attrs(&self) -> Vec<&str> {
-        fn walk<'a>(p: &'a Predicate, out: &mut Vec<&'a str>) {
-            let mut push = |a: &'a str| {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            };
-            match p {
-                Predicate::True => {}
-                Predicate::Eq(a, _)
-                | Predicate::Ne(a, _)
-                | Predicate::Gt(a, _)
-                | Predicate::Gte(a, _)
-                | Predicate::Lt(a, _)
-                | Predicate::Lte(a, _)
-                | Predicate::In(a, _)
-                | Predicate::Contains(a, _)
-                | Predicate::Exists(a) => push(a),
-                Predicate::And(ps) | Predicate::Or(ps) => {
-                    for p in ps {
-                        walk(p, out);
-                    }
-                }
-                Predicate::Not(p) => walk(p, out),
-            }
+    /// The predicate with every `Contains` needle lowercased once, to test
+    /// row after row.
+    pub(crate) fn prepare(&self) -> Prepared<'_> {
+        match self {
+            Predicate::Contains(attr, needle) => Prepared::Contains(attr, needle.to_lowercase()),
+            Predicate::And(ps) => Prepared::And(ps.iter().map(Predicate::prepare).collect()),
+            Predicate::Or(ps) => Prepared::Or(ps.iter().map(Predicate::prepare).collect()),
+            Predicate::Not(p) => Prepared::Not(Box::new(p.prepare())),
+            leaf => Prepared::Leaf(leaf),
         }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
     }
 
     /// The top-level conjuncts: `And` flattens one level, everything else
@@ -210,6 +177,33 @@ impl Predicate {
         match self {
             Predicate::And(ps) => ps.iter().collect(),
             other => vec![other],
+        }
+    }
+}
+
+/// A [`Predicate`] made ready to test many rows: the connectives mirror
+/// it, and each `Contains` holds its needle already lowercased.
+pub(crate) enum Prepared<'p> {
+    /// Any operator but `Contains` and the connectives, tested as written.
+    Leaf(&'p Predicate),
+    /// `Contains(attr, needle)` with the needle lowercased.
+    Contains(&'p str, String),
+    And(Vec<Prepared<'p>>),
+    Or(Vec<Prepared<'p>>),
+    Not(Box<Prepared<'p>>),
+}
+
+impl Prepared<'_> {
+    /// [`Predicate::matches`] of the predicate this was prepared from.
+    pub(crate) fn matches<S: AttrSource + ?Sized>(&self, src: &S) -> bool {
+        match self {
+            Prepared::Leaf(p) => p.matches(src),
+            Prepared::Contains(attr, folded) => {
+                src.any_value(attr, |v| matches!(&*v, Value::Str(s) if contains_folded(s, folded)))
+            }
+            Prepared::And(ps) => ps.iter().all(|p| p.matches(src)),
+            Prepared::Or(ps) => ps.iter().any(|p| p.matches(src)),
+            Prepared::Not(p) => !p.matches(src),
         }
     }
 }
@@ -396,7 +390,6 @@ mod tests {
             Predicate::Gt("B".into(), Value::Int(2)),
             Predicate::Eq("A".into(), Value::Int(3)),
         ]);
-        assert_eq!(p.attrs(), vec!["A", "B"]);
         assert_eq!(p.conjuncts().len(), 3);
         assert_eq!(Predicate::True.conjuncts().len(), 1);
     }

@@ -42,7 +42,11 @@
 //! concatenates chunk outputs in chunk order, so positions stay
 //! ascending; a served request's scan runs on its worker alone), while
 //! everything order-sensitive — aggregation folds, sorting, projection —
-//! runs sequentially over the already-ordered position list. Every plan
+//! runs sequentially over the already-ordered position list. Group-by
+//! keys come out in `total_cmp` order whatever the map that counted them:
+//! string keys are counted in a hash map that is only probed, never
+//! iterated, the rest in a sorted map, and one sort of the distinct keys
+//! orders them; each group keeps the first value seen of its key. Every plan
 //! funnels into one `finish` routine, which is also the entire body of
 //! [`execute_oracle`]: the oracle and the planned paths cannot drift.
 
@@ -50,14 +54,15 @@ use datatamer_core::fusion::FusedEntity;
 use datatamer_model::{AttrKey, Value};
 use datatamer_sim::FnvBuildHasher;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::ast::{
-    Aggregate, AttrSource, Order, Predicate, Query, QueryResult, Row, CONFIDENCE_ATTR, KEY_ATTR,
-    MEMBERS_ATTR,
+    pseudo_value, Aggregate, AttrSource, Order, Predicate, Prepared, Query, QueryResult, Row,
+    KEY_ATTR,
 };
 use crate::index::{EntityIndexes, IndexMaintenance, OrderedIndex};
 
@@ -189,6 +194,7 @@ impl CollectionSnapshot {
     /// Plan and run `q`: an index probe when a conjunct allows one, else
     /// a row-parallel full scan.
     pub fn execute(&self, q: &Query) -> Executed {
+        let filter = q.filter.prepare();
         let (plan, rows, candidates) = match self.plan_probe(q) {
             Some(Probe::Candidates(plan, cids)) => {
                 // Translate stable cluster ids to row positions, then
@@ -212,22 +218,20 @@ impl CollectionSnapshot {
                         break;
                     }
                     checked += 1;
-                    if q.filter.matches(&self.entities[row]) {
+                    if filter.matches(&self.entities[row]) {
                         matched.push(row);
                     }
                 }
                 (plan, matched, checked)
             }
             Some(Probe::TopK(walk)) => {
-                let (rows, checked) = self.top_k(q, walk);
+                let (rows, checked) = self.top_k(&filter, walk);
                 (PlanKind::OrderedProbe, rows, checked)
             }
             None => {
                 let n = self.entities.len();
-                let positions: Vec<usize> = (0..n)
-                    .into_par_iter()
-                    .filter(|&i| q.filter.matches(&self.entities[i]))
-                    .collect();
+                let positions: Vec<usize> =
+                    (0..n).into_par_iter().filter(|&i| filter.matches(&self.entities[i])).collect();
                 (PlanKind::FullScan, positions, n)
             }
         };
@@ -284,12 +288,12 @@ impl CollectionSnapshot {
     /// the end the order starts at, re-check each row once, and stop once
     /// `k` matched rows sort at least as well as the current key. Returns
     /// the matched rows in ascending order and how many rows were checked.
-    fn top_k(&self, q: &Query, walk: TopKWalk<'_>) -> (Vec<usize>, usize) {
+    fn top_k(&self, filter: &Prepared<'_>, walk: TopKWalk<'_>) -> (Vec<usize>, usize) {
         let TopKWalk { index, attr, lo, hi, order, k } = walk;
         // `cmp_opt(sort_key, Some(key))` — `finish`'s comparator — so "at
         // least as good" here is exactly "not sorted after" there.
-        let at_least_as_good = |sort_key: &Option<Value>, key: &Value| {
-            let cmp = sort_key.as_ref().map_or(Ordering::Less, |v| v.total_cmp(key));
+        let at_least_as_good = |sort_key: &Option<Cow<'_, Value>>, key: &Value| {
+            let cmp = sort_key.as_deref().map_or(Ordering::Less, |v| v.total_cmp(key));
             match order {
                 Order::Asc => cmp != Ordering::Greater,
                 Order::Desc => cmp != Ordering::Less,
@@ -299,7 +303,7 @@ impl CollectionSnapshot {
         let mut matched = Vec::new();
         // Sort keys of matched rows that a not-yet-visited row could still
         // beat: rows reached through a value other than their first.
-        let mut unsettled: Vec<Option<Value>> = Vec::new();
+        let mut unsettled: Vec<Option<Cow<'_, Value>>> = Vec::new();
         let mut settled = 0;
         for (key, postings) in index.groups(lo, hi, order) {
             if settled >= k {
@@ -308,7 +312,7 @@ impl CollectionSnapshot {
             for cid in postings {
                 let Some(&row) = self.pos.get(cid) else { continue };
                 let row = row as usize;
-                if checked.insert(row) && q.filter.matches(&self.entities[row]) {
+                if checked.insert(row) && filter.matches(&self.entities[row]) {
                     matched.push(row);
                     unsettled.push(first_value(&self.entities[row], attr));
                 }
@@ -358,8 +362,9 @@ fn range_of(c: &Predicate) -> Option<(&str, Bound<&Value>, Bound<&Value>)> {
 /// Execute `q` the dumb way: sequential filter over every entity, then the
 /// same shared `finish`. This is the oracle every plan is pinned against.
 pub fn execute_oracle(entities: &[FusedEntity], q: &Query) -> QueryResult {
+    let filter = q.filter.prepare();
     let positions: Vec<usize> =
-        (0..entities.len()).filter(|&i| q.filter.matches(&entities[i])).collect();
+        (0..entities.len()).filter(|&i| filter.matches(&entities[i])).collect();
     finish(q, &positions, entities)
 }
 
@@ -371,17 +376,16 @@ fn finish(q: &Query, positions: &[usize], entities: &[FusedEntity]) -> QueryResu
     }
     let mut rows: Vec<usize> = positions.to_vec();
     if let Some((attr, order)) = &q.order_by {
-        let keys: Vec<Option<Value>> =
-            rows.iter().map(|&i| first_value(&entities[i], attr)).collect();
-        let mut tagged: Vec<(usize, usize)> = (0..rows.len()).map(|k| (k, rows[k])).collect();
-        tagged.sort_by(|(ka, _), (kb, _)| {
-            let cmp = cmp_opt(&keys[*ka], &keys[*kb]);
+        let mut keyed: Vec<(Option<Cow<'_, Value>>, usize)> =
+            rows.iter().map(|&i| (first_value(&entities[i], attr), i)).collect();
+        keyed.sort_by(|(a, _), (b, _)| {
+            let cmp = cmp_opt(a.as_deref(), b.as_deref());
             match order {
                 Order::Asc => cmp,
                 Order::Desc => cmp.reverse(),
             }
         });
-        rows = tagged.into_iter().map(|(_, row)| row).collect();
+        rows = keyed.into_iter().map(|(_, row)| row).collect();
     }
     if let Some(limit) = q.limit {
         rows.truncate(limit);
@@ -391,7 +395,7 @@ fn finish(q: &Query, positions: &[usize], entities: &[FusedEntity]) -> QueryResu
 }
 
 /// `None` (attribute absent) sorts before every value.
-fn cmp_opt(a: &Option<Value>, b: &Option<Value>) -> Ordering {
+fn cmp_opt(a: Option<&Value>, b: Option<&Value>) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
@@ -400,10 +404,13 @@ fn cmp_opt(a: &Option<Value>, b: &Option<Value>) -> Ordering {
     }
 }
 
-fn first_value(e: &FusedEntity, attr: &str) -> Option<Value> {
-    let mut vals = Vec::new();
-    e.attr_values(attr, &mut vals);
-    vals.into_iter().next()
+fn first_value<'a>(e: &'a FusedEntity, attr: &str) -> Option<Cow<'a, Value>> {
+    let mut first = None;
+    e.any_value(attr, |v| {
+        first = Some(v);
+        true
+    });
+    first
 }
 
 fn project(e: &FusedEntity, attrs: &[String]) -> Row {
@@ -412,16 +419,7 @@ fn project(e: &FusedEntity, attrs: &[String]) -> Row {
     } else {
         let mut out = Vec::with_capacity(attrs.len());
         for attr in attrs {
-            let v = match attr.as_str() {
-                KEY_ATTR => Some(Value::Str(e.key.clone())),
-                MEMBERS_ATTR => Some(Value::Int(e.member_count as i64)),
-                CONFIDENCE_ATTR => Some(match e.confidence {
-                    Some(c) => Value::Float(c),
-                    None => Value::Null,
-                }),
-                other => e.record.get(other).cloned(),
-            };
-            if let Some(v) = v {
+            if let Some(v) = pseudo_value(e, attr).or_else(|| e.record.get(attr).cloned()) {
                 out.push((attr.clone(), v));
             }
         }
@@ -431,82 +429,81 @@ fn project(e: &FusedEntity, attrs: &[String]) -> Row {
 }
 
 fn aggregate(agg: &Aggregate, positions: &[usize], entities: &[FusedEntity]) -> QueryResult {
-    let mut vals = Vec::new();
     match agg {
         Aggregate::Count => QueryResult::Count(positions.len() as u64),
         Aggregate::Sum(attr) => {
-            // Collect every numeric value in row order, then fold once:
-            // exact i64 while all ints, f64 as soon as any float appears.
-            let mut nums: Vec<Value> = Vec::new();
+            // Exact i64 while all values are ints; else the f64 fold of
+            // every numeric value in row order, kept beside it.
+            let (mut ints, mut floats, mut any, mut any_float) = (0i64, 0.0f64, false, false);
             for &i in positions {
-                vals.clear();
-                entities[i].attr_values(attr, &mut vals);
-                nums.extend(
-                    vals.drain(..).filter(|v| matches!(v, Value::Int(_) | Value::Float(_))),
-                );
-            }
-            if nums.is_empty() {
-                return QueryResult::Value(None);
-            }
-            if nums.iter().any(|v| matches!(v, Value::Float(_))) {
-                let mut total = 0.0f64;
-                for v in &nums {
-                    total += match v {
-                        Value::Int(i) => *i as f64,
-                        Value::Float(f) => *f,
-                        _ => 0.0,
-                    };
-                }
-                QueryResult::Value(Some(Value::Float(total)))
-            } else {
-                let mut total = 0i64;
-                for v in &nums {
-                    if let Value::Int(i) = v {
-                        total = total.wrapping_add(*i);
+                entities[i].any_value(attr, |v| {
+                    match *v {
+                        Value::Int(x) => {
+                            ints = ints.wrapping_add(x);
+                            floats += x as f64;
+                        }
+                        Value::Float(x) => {
+                            floats += x;
+                            any_float = true;
+                        }
+                        _ => return false,
                     }
-                }
-                QueryResult::Value(Some(Value::Int(total)))
+                    any = true;
+                    false
+                });
             }
+            let total = if any_float { Value::Float(floats) } else { Value::Int(ints) };
+            QueryResult::Value(any.then_some(total))
         }
         Aggregate::Min(attr) | Aggregate::Max(attr) => {
             let want_min = matches!(agg, Aggregate::Min(_));
-            let mut best: Option<Value> = None;
+            let mut best: Option<Cow<'_, Value>> = None;
             for &i in positions {
-                vals.clear();
-                entities[i].attr_values(attr, &mut vals);
-                for v in vals.drain(..) {
-                    if v.is_null() {
-                        continue;
+                entities[i].any_value(attr, |v| {
+                    let keep_new = !v.is_null()
+                        && best.as_deref().is_none_or(|b| match v.total_cmp(b) {
+                            Ordering::Less => want_min,
+                            Ordering::Greater => !want_min,
+                            Ordering::Equal => false,
+                        });
+                    if keep_new {
+                        best = Some(v);
                     }
-                    best = Some(match best.take() {
-                        None => v,
-                        Some(b) => {
-                            let keep_new = match v.total_cmp(&b) {
-                                Ordering::Less => want_min,
-                                Ordering::Greater => !want_min,
-                                Ordering::Equal => false,
-                            };
-                            if keep_new {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
+                    false
+                });
             }
-            QueryResult::Value(best)
+            QueryResult::Value(best.map(Cow::into_owned))
         }
         Aggregate::GroupBy(attr) => {
-            let mut groups: BTreeMap<AttrKey, u64> = BTreeMap::new();
+            // Two strings are `total_cmp`-equal exactly when their bytes
+            // are, so string keys are counted by their text, cloned on
+            // first sight only; `slots` only finds a key's place in
+            // `groups` and is never iterated. Every other key is counted
+            // in `others`, and one sort restores `total_cmp` order.
+            let mut groups: Vec<(Value, u64)> = Vec::new();
+            let mut slots: HashMap<Cow<'_, str>, usize, FnvBuildHasher> = HashMap::default();
+            let mut others: BTreeMap<AttrKey, u64> = BTreeMap::new();
             for &i in positions {
-                vals.clear();
-                entities[i].attr_values(attr, &mut vals);
-                for v in vals.drain(..) {
-                    *groups.entry(AttrKey(v)).or_insert(0) += 1;
-                }
+                entities[i].any_value(attr, |v| {
+                    let text = match v {
+                        Cow::Borrowed(Value::Str(s)) => Cow::Borrowed(s.as_str()),
+                        Cow::Owned(Value::Str(s)) => Cow::Owned(s),
+                        other => {
+                            *others.entry(AttrKey(other.into_owned())).or_insert(0) += 1;
+                            return false;
+                        }
+                    };
+                    let slot = *slots.entry(text).or_insert_with_key(|text| {
+                        groups.push((Value::Str(text.to_string()), 0));
+                        groups.len() - 1
+                    });
+                    groups[slot].1 += 1;
+                    false
+                });
             }
-            QueryResult::Groups(groups.into_iter().map(|(k, n)| (k.0, n)).collect())
+            groups.extend(others.into_iter().map(|(k, n)| (k.0, n)));
+            groups.sort_unstable_by(|(a, _), (b, _)| a.total_cmp(b));
+            QueryResult::Groups(groups)
         }
     }
 }

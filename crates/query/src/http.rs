@@ -48,6 +48,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -56,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use datatamer_model::Value;
 
-use crate::ast::{Aggregate, Order, Predicate, Query, QueryResult};
+use crate::ast::{Aggregate, Order, Predicate, Query, QueryResult, Row};
 use crate::exec::CollectionSnapshot;
 
 /// Tunables for [`QueryServer`].
@@ -375,7 +376,7 @@ fn route(target: &str, views: &SharedViews) -> Reply {
         None => (target, ""),
     };
     let segs: Vec<String> =
-        path.split('/').filter(|s| !s.is_empty()).map(percent_decode).collect();
+        path.split('/').filter(|s| !s.is_empty()).map(|s| percent_decode(s, false)).collect();
     match segs.as_slice() {
         [] => Reply::ok(render_collections(views)),
         [c] if c == "collections" => Reply::ok(render_collections(views)),
@@ -405,13 +406,15 @@ fn route(target: &str, views: &SharedViews) -> Reply {
 
 // ---------------------------------------------------------------- parsing
 
-fn percent_decode(s: &str) -> String {
+/// Decode `%XX` escapes. `+` means a space only in a form-encoded query
+/// string (`form`); a path segment keeps it literal (RFC 3986).
+fn percent_decode(s: &str, form: bool) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'+' => out.push(b' '),
+            b'+' if form => out.push(b' '),
             b'%' if i + 2 < bytes.len() => {
                 let hex = |b: u8| -> Option<u8> {
                     match b {
@@ -444,14 +447,14 @@ fn query_params(qs: &str) -> Vec<(String, &str)> {
         .filter(|p| !p.is_empty())
         .map(|p| {
             let (k, v) = p.split_once('=').unwrap_or((p, ""));
-            (percent_decode(k), v)
+            (percent_decode(k, true), v)
         })
         .collect()
 }
 
 /// The non-blank items of a raw comma-separated parameter, each decoded.
 fn decoded_items(raw: &str) -> impl Iterator<Item = String> + '_ {
-    raw.split(',').map(percent_decode).filter(|item| !item.trim().is_empty())
+    raw.split(',').map(|item| percent_decode(item, true)).filter(|item| !item.trim().is_empty())
 }
 
 /// Parse a scalar operand: `null`, booleans, integers, finite floats, else
@@ -516,7 +519,7 @@ fn parse_clause(clause: &str) -> Result<Predicate, String> {
 fn parse_query(qs: &str) -> Result<Query, String> {
     let mut q = Query::default();
     for (k, raw) in query_params(qs) {
-        let v = percent_decode(raw);
+        let v = percent_decode(raw, true);
         match k.as_str() {
             "where" => {
                 let mut clauses = Vec::new();
@@ -565,133 +568,140 @@ fn parse_query(qs: &str) -> Result<Query, String> {
 }
 
 // -------------------------------------------------------------- rendering
+//
+// A body is written into one `String`: each part below is a `Display` that
+// writes straight into the output, so no field or item is rendered into a
+// string of its own to be joined.
 
-/// Deterministic JSON string escape.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// A closure that writes into the output, as a `Display`.
+struct Fmt<F>(F);
+
+impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> fmt::Display for Fmt<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (self.0)(f)
     }
-    out
 }
 
-/// Deterministic JSON rendering of a [`Value`]. Non-finite floats have no
-/// JSON encoding; they render as tagged strings.
+/// A string as JSON: quoted, escaped deterministically.
+fn json_str(s: &str) -> impl fmt::Display + '_ {
+    Fmt(move |f: &mut fmt::Formatter<'_>| {
+        f.write_char('"')?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    })
+}
+
+/// A [`Value`] as deterministic JSON. Non-finite floats have no JSON
+/// encoding; they render as tagged strings.
+fn json(v: &Value) -> impl fmt::Display + '_ {
+    Fmt(move |f: &mut fmt::Formatter<'_>| match v {
+        Value::Null => f.write_str("null"),
+        Value::Bool(b) => write!(f, "{b}"),
+        Value::Int(i) => write!(f, "{i}"),
+        Value::Float(x) if x.is_finite() => write!(f, "{x}"),
+        Value::Float(x) => write!(f, "\"{x}\""),
+        Value::Str(s) => write!(f, "{}", json_str(s)),
+        Value::Array(items) => write!(f, "[{}]", joined(|| items, |f, v| write!(f, "{}", json(v)))),
+        Value::Doc(d) => write!(f, "{{{}}}", members(|| d.iter())),
+    })
+}
+
+/// The items `items()` yields, each written by `each`, separated by commas.
+fn joined<I: IntoIterator>(
+    items: impl Fn() -> I,
+    each: impl Fn(&mut fmt::Formatter<'_>, I::Item) -> fmt::Result,
+) -> impl fmt::Display {
+    Fmt(move |f: &mut fmt::Formatter<'_>| {
+        for (i, item) in items().into_iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            each(f, item)?;
+        }
+        Ok(())
+    })
+}
+
+/// The `"name":value` members of a JSON object.
+fn members<'a, I>(fields: impl Fn() -> I + 'a) -> impl fmt::Display + 'a
+where
+    I: IntoIterator<Item = (&'a str, &'a Value)> + 'a,
+{
+    joined(fields, |f, (k, v)| write!(f, "{}:{}", json_str(k), json(v)))
+}
+
+/// Deterministic JSON rendering of a [`Value`].
 pub fn json_value(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) if f.is_finite() => format!("{f}"),
-        Value::Float(f) => format!("\"{f}\""),
-        Value::Str(s) => format!("\"{}\"", json_escape(s)),
-        Value::Array(items) => {
-            let inner: Vec<String> = items.iter().map(json_value).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Value::Doc(d) => {
-            let inner: Vec<String> = d
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_value(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
+    json(v).to_string()
 }
 
 fn render_collections(views: &SharedViews) -> String {
-    let names: Vec<String> =
-        views.names().iter().map(|n| format!("\"{}\"", json_escape(n))).collect();
-    format!("{{\"collections\":[{}]}}", names.join(","))
+    let names = views.names();
+    format!("{{\"collections\":[{}]}}", joined(|| &names, |f, n| write!(f, "{}", json_str(n))))
 }
 
 fn render_stats(name: &str, snap: &CollectionSnapshot) -> String {
     let s = snap.stats();
-    let mut counters: Vec<String> = s
-        .index
-        .counter_pairs()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
-    counters.extend(s.counters.iter().map(|(k, v)| format!("\"{}\":{v}", json_escape(k))));
+    let index = s.index.counter_pairs();
+    let counters = || {
+        let extra = s.counters.iter().map(|(k, v)| (k.as_str(), *v));
+        index.iter().copied().chain(extra)
+    };
     format!(
-        "{{\"collection\":\"{}\",\"entities\":{},\"revision\":{},\"counters\":{{{}}}}}",
-        json_escape(name),
+        "{{\"collection\":{},\"entities\":{},\"revision\":{},\"counters\":{{{}}}}}",
+        json_str(name),
         s.entities,
         s.revision,
-        counters.join(","),
+        joined(counters, |f, (k, v)| write!(f, "{}:{v}", json_str(k))),
     )
 }
 
 fn render_entity(e: &datatamer_core::fusion::FusedEntity) -> String {
-    let fields: Vec<String> = e
-        .record
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_value(v)))
-        .collect();
-    let confidence = match e.confidence {
-        Some(c) => json_value(&Value::Float(c)),
-        None => "null".to_string(),
-    };
     format!(
-        "{{\"key\":\"{}\",\"member_count\":{},\"confidence\":{},\"record\":{{{}}}}}",
-        json_escape(&e.key),
+        "{{\"key\":{},\"member_count\":{},\"confidence\":{},\"record\":{{{}}}}}",
+        json_str(&e.key),
         e.member_count,
-        confidence,
-        fields.join(","),
+        json(&e.confidence.map_or(Value::Null, Value::Float)),
+        members(|| e.record.iter()),
     )
 }
 
 /// Render an executed result. Equal [`QueryResult`]s render to byte-equal
 /// bodies (the serving test's no-torn-reads pin relies on this).
 pub fn render_result(result: &QueryResult, plan: &str, candidates: usize) -> String {
-    let head = format!("\"plan\":\"{plan}\",\"candidates\":{candidates}");
-    match result {
-        QueryResult::Count(n) => format!("{{{head},\"count\":{n}}}"),
+    let row = |f: &mut fmt::Formatter<'_>, r: &Row| {
+        write!(
+            f,
+            "{{\"key\":{},\"member_count\":{},\"fields\":{{{}}}}}",
+            json_str(&r.key),
+            r.member_count,
+            members(|| r.fields.iter().map(|(k, v)| (k.as_str(), v))),
+        )
+    };
+    let tail = Fmt(|f: &mut fmt::Formatter<'_>| match result {
+        QueryResult::Count(n) => write!(f, "\"count\":{n}"),
         QueryResult::Value(v) => {
-            let rendered = match v {
-                Some(v) => json_value(v),
-                None => "null".to_string(),
-            };
-            format!("{{{head},\"value\":{rendered}}}")
+            write!(f, "\"value\":{}", json(v.as_ref().unwrap_or(&Value::Null)))
         }
         QueryResult::Groups(groups) => {
-            let inner: Vec<String> = groups
-                .iter()
-                .map(|(v, n)| format!("{{\"value\":{},\"count\":{n}}}", json_value(v)))
-                .collect();
-            format!("{{{head},\"groups\":[{}]}}", inner.join(","))
+            let group = |f: &mut fmt::Formatter<'_>, (v, n): &(Value, u64)| {
+                write!(f, "{{\"value\":{},\"count\":{n}}}", json(v))
+            };
+            write!(f, "\"groups\":[{}]", joined(|| groups, group))
         }
-        QueryResult::Rows(rows) => {
-            let inner: Vec<String> = rows
-                .iter()
-                .map(|r| {
-                    let fields: Vec<String> = r
-                        .fields
-                        .iter()
-                        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_value(v)))
-                        .collect();
-                    format!(
-                        "{{\"key\":\"{}\",\"member_count\":{},\"fields\":{{{}}}}}",
-                        json_escape(&r.key),
-                        r.member_count,
-                        fields.join(","),
-                    )
-                })
-                .collect();
-            format!("{{{head},\"rows\":[{}]}}", inner.join(","))
-        }
-    }
+        QueryResult::Rows(rows) => write!(f, "\"rows\":[{}]", joined(|| rows, row)),
+    });
+    format!("{{\"plan\":\"{plan}\",\"candidates\":{candidates},{tail}}}")
 }
 
 /// A response before its head is rendered: whether the connection stays
@@ -707,7 +717,7 @@ impl Reply {
     }
 
     fn error(status: u16, message: &str) -> Reply {
-        Reply { status, body: format!("{{\"error\":\"{}\"}}", json_escape(message)) }
+        Reply { status, body: format!("{{\"error\":{}}}", json_str(message)) }
     }
 
     /// The bytes on the wire; `Connection` says truthfully whether the
@@ -723,13 +733,12 @@ impl Reply {
         };
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut out = Vec::with_capacity(self.body.len() + 128);
-        out.extend_from_slice(
-            format!(
-                "HTTP/1.1 {} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
-                self.status,
-                self.body.len(),
-            )
-            .as_bytes(),
+        // Writing to a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+            self.status,
+            self.body.len(),
         );
         out.extend_from_slice(self.body.as_bytes());
         out
@@ -739,6 +748,7 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn operand_and_clause_parsing() {
@@ -850,6 +860,222 @@ mod tests {
         assert!(reply.windows(19).any(|w| w == b"Connection: close\r\n"));
     }
 
+    /// The renderer as it was before it wrote into one buffer: a `format!`
+    /// string per field, joined. The bytes it produced are the contract.
+    mod reference {
+        use super::super::*;
+
+        pub fn json_escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len() + 2);
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        pub fn json_value(v: &Value) -> String {
+            match v {
+                Value::Null => "null".to_string(),
+                Value::Bool(b) => b.to_string(),
+                Value::Int(i) => i.to_string(),
+                Value::Float(f) if f.is_finite() => format!("{f}"),
+                Value::Float(f) => format!("\"{f}\""),
+                Value::Str(s) => format!("\"{}\"", json_escape(s)),
+                Value::Array(items) => {
+                    let inner: Vec<String> = items.iter().map(json_value).collect();
+                    format!("[{}]", inner.join(","))
+                }
+                Value::Doc(d) => {
+                    let inner: Vec<String> = d
+                        .iter()
+                        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_value(v)))
+                        .collect();
+                    format!("{{{}}}", inner.join(","))
+                }
+            }
+        }
+
+        pub fn render_entity(e: &datatamer_core::fusion::FusedEntity) -> String {
+            let fields: Vec<String> = e
+                .record
+                .iter()
+                .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_value(v)))
+                .collect();
+            let confidence = match e.confidence {
+                Some(c) => json_value(&Value::Float(c)),
+                None => "null".to_string(),
+            };
+            format!(
+                "{{\"key\":\"{}\",\"member_count\":{},\"confidence\":{},\"record\":{{{}}}}}",
+                json_escape(&e.key),
+                e.member_count,
+                confidence,
+                fields.join(","),
+            )
+        }
+
+        pub fn render_result(result: &QueryResult, plan: &str, candidates: usize) -> String {
+            let head = format!("\"plan\":\"{plan}\",\"candidates\":{candidates}");
+            match result {
+                QueryResult::Count(n) => format!("{{{head},\"count\":{n}}}"),
+                QueryResult::Value(v) => {
+                    let rendered = match v {
+                        Some(v) => json_value(v),
+                        None => "null".to_string(),
+                    };
+                    format!("{{{head},\"value\":{rendered}}}")
+                }
+                QueryResult::Groups(groups) => {
+                    let inner: Vec<String> = groups
+                        .iter()
+                        .map(|(v, n)| format!("{{\"value\":{},\"count\":{n}}}", json_value(v)))
+                        .collect();
+                    format!("{{{head},\"groups\":[{}]}}", inner.join(","))
+                }
+                QueryResult::Rows(rows) => {
+                    let inner: Vec<String> = rows
+                        .iter()
+                        .map(|r| {
+                            let fields: Vec<String> = r
+                                .fields
+                                .iter()
+                                .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_value(v)))
+                                .collect();
+                            format!(
+                                "{{\"key\":\"{}\",\"member_count\":{},\"fields\":{{{}}}}}",
+                                json_escape(&r.key),
+                                r.member_count,
+                                fields.join(","),
+                            )
+                        })
+                        .collect();
+                    format!("{{{head},\"rows\":[{}]}}", inner.join(","))
+                }
+            }
+        }
+
+        pub fn to_bytes(status: u16, reason: &str, body: &str, connection: &str) -> Vec<u8> {
+            let mut out = Vec::with_capacity(body.len() + 128);
+            out.extend_from_slice(
+                format!(
+                    "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+                    body.len(),
+                )
+                .as_bytes(),
+            );
+            out.extend_from_slice(body.as_bytes());
+            out
+        }
+    }
+
+    /// Text that meets every escape: quotes, backslashes, the named control
+    /// characters and the `\u00XX` ones, non-ASCII and astral characters.
+    const TEXTS: [&str; 8] = [
+        "",
+        "plain",
+        "he said \"hi\"\n",
+        "a\\b\tc\r",
+        "\u{0}\u{1f}\u{7f}",
+        "Σίσυφος",
+        "😀 ok",
+        "\u{212A}",
+    ];
+
+    fn value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            prop_oneof![
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(-0.0),
+                Just(1e300),
+                Just(5e-324),
+                any::<i32>().prop_map(|i| f64::from(i) / 8.0),
+            ]
+            .prop_map(Value::Float),
+            (0usize..TEXTS.len()).prop_map(|i| Value::from(TEXTS[i])),
+        ];
+        leaf.prop_recursive(3, 16, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                prop::collection::vec((0usize..TEXTS.len(), inner), 0..4).prop_map(|fields| {
+                    let pairs = fields.into_iter().map(|(k, v)| (TEXTS[k], v)).collect();
+                    Value::Doc(datatamer_model::Document::from_pairs(pairs))
+                }),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rendering_writes_the_reference_bytes(
+            vals in prop::collection::vec(value(), 0..6),
+            key in 0usize..TEXTS.len(),
+            members in any::<u32>(),
+            confidence in prop_oneof![Just(None), any::<i32>().prop_map(|c| Some(f64::from(c) / 3.0))],
+        ) {
+            for v in &vals {
+                prop_assert_eq!(json_value(v), reference::json_value(v));
+            }
+            let named: Vec<(&str, Value)> =
+                vals.iter().enumerate().map(|(i, v)| (TEXTS[i % TEXTS.len()], v.clone())).collect();
+            let entity = datatamer_core::fusion::FusedEntity {
+                key: TEXTS[key].to_string(),
+                record: datatamer_model::Record::from_pairs(
+                    datatamer_model::SourceId(0),
+                    datatamer_model::RecordId(0),
+                    named.clone(),
+                ),
+                member_count: members as usize,
+                confidence,
+            };
+            prop_assert_eq!(render_entity(&entity), reference::render_entity(&entity));
+            let row = crate::ast::Row {
+                key: TEXTS[key].to_string(),
+                member_count: members as usize,
+                fields: named.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+            };
+            let results = [
+                QueryResult::Count(u64::from(members)),
+                QueryResult::Value(None),
+                QueryResult::Value(vals.first().cloned()),
+                QueryResult::Groups(vals.iter().cloned().zip(0u64..).collect()),
+                QueryResult::Rows(Vec::new()),
+                QueryResult::Rows(vec![row.clone(), row]),
+            ];
+            for r in &results {
+                let (body, want) = (render_result(r, "full_scan", 7), reference::render_result(r, "full_scan", 7));
+                prop_assert_eq!(&body, &want);
+                for (keep, connection) in [(true, "keep-alive"), (false, "close")] {
+                    prop_assert_eq!(
+                        Reply::ok(body.clone()).to_bytes(keep),
+                        reference::to_bytes(200, "OK", &want, connection)
+                    );
+                }
+            }
+            let message = TEXTS[key];
+            prop_assert_eq!(
+                Reply::error(404, message).body,
+                format!("{{\"error\":\"{}\"}}", reference::json_escape(message))
+            );
+        }
+    }
+
     #[test]
     fn json_rendering_is_escaped() {
         let v = Value::Array(vec![
@@ -863,7 +1089,8 @@ mod tests {
 
     #[test]
     fn percent_decoding() {
-        assert_eq!(percent_decode("a%20b+c%3D"), "a b c=");
-        assert_eq!(percent_decode("100%"), "100%");
+        assert_eq!(percent_decode("a%20b+c%3D", true), "a b c=");
+        assert_eq!(percent_decode("a%20b+c%3D", false), "a b+c=");
+        assert_eq!(percent_decode("100%", true), "100%");
     }
 }

@@ -258,11 +258,11 @@ impl EntityIndexes {
     /// rayon-parallel across entities before inserting sequentially.
     pub(crate) fn extract(&self, entity: &FusedEntity) -> Vec<IndexEntry> {
         let mut out = Vec::new();
-        let mut vals = Vec::new();
         for (i, attr) in self.hash_attrs.iter().chain(&self.ordered_attrs).enumerate() {
-            vals.clear();
-            entity.attr_values(attr, &mut vals);
-            out.extend(vals.drain(..).map(|v| (i as u32, AttrKey(v))));
+            entity.any_value(attr, |v| {
+                out.push((i as u32, AttrKey(v.into_owned())));
+                false
+            });
         }
         out
     }

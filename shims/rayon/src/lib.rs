@@ -367,10 +367,19 @@ where
         self.base.pipeline_len()
     }
 
+    /// Filters in place: the base's items land in `out` and those that
+    /// fail are compacted away, so a filtered index costs no allocation.
     fn produce(&self, i: usize, out: &mut Vec<I::Item>) {
-        let mut tmp = Vec::new();
-        self.base.produce(i, &mut tmp);
-        out.extend(tmp.into_iter().filter(|t| (self.f)(t)));
+        let start = out.len();
+        self.base.produce(i, out);
+        let mut kept = start;
+        for j in start..out.len() {
+            if (self.f)(&out[j]) {
+                out.swap(kept, j);
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 }
 
@@ -669,6 +678,18 @@ mod tests {
         let xs: Vec<i64> = (0..1000).collect();
         let doubled: Vec<i64> = xs.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn filter_after_a_many_item_stage_keeps_order() {
+        let got: Vec<u64> = (0..300usize)
+            .into_par_iter()
+            .flat_map(|x| vec![x as u64, x as u64 + 1, x as u64 * 7])
+            .filter(|v| v % 3 != 1)
+            .collect();
+        let want: Vec<u64> =
+            (0..300u64).flat_map(|x| [x, x + 1, x * 7]).filter(|v| v % 3 != 1).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

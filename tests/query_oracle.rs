@@ -515,3 +515,269 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Part C: the evaluator every plan shares, against an independent
+// reference. `execute_oracle` and the planned paths all call
+// `Predicate::matches` and one aggregation routine, so Parts A and B
+// cannot see a slip in either. The reference below reads every value by
+// cloning it and lowercases both sides of a `Contains` on every row, as
+// the evaluator once did.
+// ---------------------------------------------------------------------
+
+mod reference {
+    use super::*;
+    use std::cmp::Ordering;
+    use std::collections::BTreeMap;
+
+    /// Every value at `attr`, cloned: a pseudo-attribute, or one record
+    /// field with arrays flattened one level (multikey).
+    fn values(e: &FusedEntity, attr: &str) -> Vec<Value> {
+        match attr {
+            "_key" => vec![Value::Str(e.key.clone())],
+            "_members" => vec![Value::Int(e.member_count as i64)],
+            "_confidence" => vec![e.confidence.map_or(Value::Null, Value::Float)],
+            _ => match e.record.get(attr) {
+                Some(Value::Array(items)) => items.clone(),
+                Some(v) => vec![v.clone()],
+                None => Vec::new(),
+            },
+        }
+    }
+
+    fn same_family(a: &Value, b: &Value) -> bool {
+        matches!(
+            (a, b),
+            (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_))
+                | (Value::Str(_), Value::Str(_))
+                | (Value::Bool(_), Value::Bool(_))
+        )
+    }
+
+    pub fn matches(p: &Predicate, e: &FusedEntity) -> bool {
+        let any = |attr: &str, test: &dyn Fn(&Value) -> bool| values(e, attr).iter().any(test);
+        let cmp = |x: &Value, v: &Value| x.total_cmp(v);
+        match p {
+            Predicate::True => true,
+            Predicate::Eq(a, v) => any(a, &|x| cmp(x, v) == Ordering::Equal),
+            Predicate::Ne(a, v) => !any(a, &|x| cmp(x, v) == Ordering::Equal),
+            Predicate::Gt(a, v) => any(a, &|x| same_family(x, v) && cmp(x, v) == Ordering::Greater),
+            Predicate::Gte(a, v) => any(a, &|x| same_family(x, v) && cmp(x, v) != Ordering::Less),
+            Predicate::Lt(a, v) => any(a, &|x| same_family(x, v) && cmp(x, v) == Ordering::Less),
+            Predicate::Lte(a, v) => {
+                any(a, &|x| same_family(x, v) && cmp(x, v) != Ordering::Greater)
+            }
+            Predicate::In(a, vs) => any(a, &|x| vs.iter().any(|v| cmp(x, v) == Ordering::Equal)),
+            Predicate::Contains(a, needle) => {
+                let needle = needle.to_lowercase();
+                any(a, &|x| matches!(x, Value::Str(s) if s.to_lowercase().contains(&needle)))
+            }
+            Predicate::Exists(a) => any(a, &|x| !x.is_null()),
+            Predicate::And(ps) => ps.iter().all(|p| matches(p, e)),
+            Predicate::Or(ps) => ps.iter().any(|p| matches(p, e)),
+            Predicate::Not(p) => !matches(p, e),
+        }
+    }
+
+    /// The aggregate over `rows`, folding cloned values; group keys are
+    /// counted in a map sorted by `total_cmp` that keeps each key's first
+    /// value seen.
+    pub fn aggregate(agg: &Aggregate, rows: &[&FusedEntity]) -> QueryResult {
+        let all = |attr: &str| rows.iter().flat_map(|e| values(e, attr)).collect::<Vec<_>>();
+        match agg {
+            Aggregate::Count => QueryResult::Count(rows.len() as u64),
+            Aggregate::Sum(attr) => {
+                let nums: Vec<Value> = all(attr)
+                    .into_iter()
+                    .filter(|v| matches!(v, Value::Int(_) | Value::Float(_)))
+                    .collect();
+                if nums.is_empty() {
+                    return QueryResult::Value(None);
+                }
+                if nums.iter().any(|v| matches!(v, Value::Float(_))) {
+                    let mut total = 0.0f64;
+                    for v in &nums {
+                        total += match v {
+                            Value::Int(i) => *i as f64,
+                            Value::Float(f) => *f,
+                            _ => 0.0,
+                        };
+                    }
+                    QueryResult::Value(Some(Value::Float(total)))
+                } else {
+                    let mut total = 0i64;
+                    for v in &nums {
+                        if let Value::Int(i) = v {
+                            total = total.wrapping_add(*i);
+                        }
+                    }
+                    QueryResult::Value(Some(Value::Int(total)))
+                }
+            }
+            Aggregate::Min(attr) | Aggregate::Max(attr) => {
+                let want_min = matches!(agg, Aggregate::Min(_));
+                let mut best: Option<Value> = None;
+                for v in all(attr).into_iter().filter(|v| !v.is_null()) {
+                    let keep_new = best.as_ref().is_none_or(|b| match v.total_cmp(b) {
+                        Ordering::Less => want_min,
+                        Ordering::Greater => !want_min,
+                        Ordering::Equal => false,
+                    });
+                    if keep_new {
+                        best = Some(v);
+                    }
+                }
+                QueryResult::Value(best)
+            }
+            Aggregate::GroupBy(attr) => {
+                let mut groups: BTreeMap<AttrKey, u64> = BTreeMap::new();
+                for v in all(attr) {
+                    *groups.entry(AttrKey(v)).or_insert(0) += 1;
+                }
+                QueryResult::Groups(groups.into_iter().map(|(k, n)| (k.0, n)).collect())
+            }
+        }
+    }
+}
+
+/// Strings whose lowercase changes their bytes or their length, or turns
+/// non-ASCII into ASCII: KELVIN SIGN lowercases to `k`, `İ` to `i` plus a
+/// combining dot, a capital sigma to a final or medial sigma.
+const TEXTS: [&str; 10] = [
+    "",
+    "Kelvin",
+    "\u{212A}ELVIN",
+    "İstanbul",
+    "ΟΔΟΣ",
+    "Σίσυφος",
+    "straße",
+    "MiXeD case",
+    "a",
+    "Matilda",
+];
+
+const NEEDLES: [&str; 14] =
+    ["", "k", "K", "kelvin", "\u{212A}", "i", "i\u{307}", "İ", "ς", "σ", "ΟΣ", "SS", "ed c", "A"];
+
+/// One value from a pool that holds every edge the evaluator must agree
+/// on: arrays, `Null`, NaN, ±0.0, `Int(3)` beside `Float(3.0)`, booleans
+/// and the strings of [`TEXTS`].
+fn edge_value(sel: u8) -> Value {
+    match sel {
+        0 => Value::Null,
+        1 => Value::Float(f64::NAN),
+        2 => Value::Float(0.0),
+        3 => Value::Float(-0.0),
+        4 => Value::Int(0),
+        5 => Value::Int(3),
+        6 => Value::Float(3.0),
+        7 => Value::Int(-2),
+        8 => Value::Bool(true),
+        9 => Value::Array(vec![Value::Int(3), Value::from("Kelvin"), Value::Null]),
+        10 => Value::Array(vec![Value::Float(-0.0), Value::from("\u{212A}ELVIN")]),
+        11 => Value::Array(Vec::new()),
+        12 => Value::Array(vec![Value::Array(vec![Value::Int(1)]), Value::Float(3.0)]),
+        n => Value::from(TEXTS[usize::from(n - 13) % TEXTS.len()]),
+    }
+}
+
+const EDGE_ATTRS: [&str; 5] = ["A", "B", "_key", "_members", "_confidence"];
+
+fn edge_entity(i: usize, (key, a, b, members, conf): (u8, u8, u8, u8, u8)) -> FusedEntity {
+    let mut pairs = Vec::new();
+    if a < 23 {
+        pairs.push(("A", edge_value(a)));
+    }
+    if b < 23 {
+        pairs.push(("B", edge_value(b)));
+    }
+    FusedEntity {
+        key: TEXTS[usize::from(key) % TEXTS.len()].to_string(),
+        record: Record::from_pairs(SourceId(0), RecordId(i as u64), pairs),
+        member_count: usize::from(members),
+        confidence: match conf {
+            0 => None,
+            1 => Some(f64::NAN),
+            2 => Some(-0.0),
+            c => Some(f64::from(c) / 2.0),
+        },
+    }
+}
+
+fn edge_leaf((attr, op, operand): (u8, u8, u8)) -> Predicate {
+    let a = EDGE_ATTRS[usize::from(attr) % EDGE_ATTRS.len()].to_string();
+    let v = edge_value(operand);
+    match op {
+        0 => Predicate::Eq(a, v),
+        1 => Predicate::Ne(a, v),
+        2 => Predicate::Gt(a, v),
+        3 => Predicate::Gte(a, v),
+        4 => Predicate::Lt(a, v),
+        5 => Predicate::Lte(a, v),
+        6 => Predicate::In(a, vec![v, edge_value(operand.wrapping_add(7) % 23)]),
+        7 | 8 => Predicate::Contains(a, NEEDLES[usize::from(operand) % NEEDLES.len()].into()),
+        _ => Predicate::Exists(a),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_shared_evaluator_matches_the_clone_based_reference(
+        specs in prop::collection::vec((0u8..10, 0u8..26, 0u8..26, 0u8..4, 0u8..5), 0..12),
+        leaves in prop::collection::vec((0u8..5, 0u8..10, 0u8..23), 1..4),
+        shape in 0u8..5,
+        agg_attr in 0u8..5,
+    ) {
+        let entities: Vec<FusedEntity> =
+            specs.into_iter().enumerate().map(|(i, s)| edge_entity(i, s)).collect();
+        let ps: Vec<Predicate> = leaves.iter().map(|&l| edge_leaf(l)).collect();
+        let filter = match shape {
+            0 => ps[0].clone(),
+            1 => Predicate::And(ps),
+            2 => Predicate::Or(ps),
+            3 => Predicate::Not(Box::new(ps[0].clone())),
+            _ => Predicate::Not(Box::new(Predicate::Or(ps))),
+        };
+        let mut kept = Vec::new();
+        for e in &entities {
+            let want = reference::matches(&filter, e);
+            prop_assert_eq!(filter.matches(e), want, "{:?} on {:?}", filter, e);
+            if want {
+                kept.push(e);
+            }
+        }
+        let attr = EDGE_ATTRS[usize::from(agg_attr)].to_string();
+        let snap = CollectionSnapshot::from_entities(entities.clone(), IndexSpec::default());
+        for agg in [
+            Aggregate::Count,
+            Aggregate::Sum(attr.clone()),
+            Aggregate::Min(attr.clone()),
+            Aggregate::Max(attr.clone()),
+            Aggregate::GroupBy(attr.clone()),
+        ] {
+            let q = Query::filtered(filter.clone()).aggregate(agg);
+            let want = fp(&reference::aggregate(q.aggregate.as_ref().unwrap(), &kept));
+            prop_assert_eq!(fp(&execute_oracle(&entities, &q)), want.clone(), "{:?}", q);
+            prop_assert_eq!(fp(&snap.execute(&q).result), want, "{:?}", q);
+        }
+    }
+}
+
+/// The generated cases above reach the edges the evaluator must agree on.
+/// Each pair here is one of them, checked directly.
+#[test]
+fn contains_keeps_full_unicode_lowercasing() {
+    let e = edge_entity(0, (2, 13 + 2, 13 + 3, 1, 0));
+    let holds = |attr: &str, needle: &str| {
+        let p = Predicate::Contains(attr.into(), needle.into());
+        assert_eq!(p.matches(&e), reference::matches(&p, &e), "{p:?}");
+        p.matches(&e)
+    };
+    // "\u{212A}ELVIN" lowercases to the ASCII "kelvin".
+    assert!(holds("A", "k") && holds("A", "KELVIN") && holds("_key", "\u{212A}"));
+    // "İstanbul" lowercases to "i\u{307}stanbul": the dotted I is not an ASCII i.
+    assert!(holds("B", "i\u{307}s") && holds("B", "İ") && !holds("B", "ist"));
+    assert!(holds("A", "") && !holds("_members", ""));
+}

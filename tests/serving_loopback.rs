@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use datatamer::core::fusion::{BlockedErConfig, GroupingStrategy};
+use datatamer::core::fusion::{BlockedErConfig, FusedEntity, GroupingStrategy};
 use datatamer::core::{DataTamer, DataTamerConfig, PipelinePlan};
 use datatamer::model::{Record, RecordId, SourceId, Value};
 use datatamer::query::http::render_result;
@@ -377,4 +377,26 @@ fn idle_keep_alive_connections_never_pin_workers() {
     let stopping = started.elapsed();
     assert!(stopping < Duration::from_secs(1), "stop took {stopping:?}");
     drop(idle);
+}
+
+/// `+` is a literal byte in a URL path (RFC 3986): only a form-encoded
+/// query string reads it as a space, so `C++` and `C  ` are two keys.
+#[test]
+fn a_plus_in_an_entity_path_is_literal() {
+    let entity = |key: &str, n: i64| FusedEntity {
+        key: key.to_string(),
+        record: Record::from_pairs(SourceId(0), RecordId(n as u64), vec![("N", Value::Int(n))]),
+        member_count: 1,
+        confidence: None,
+    };
+    let views = SharedViews::new();
+    let entities = vec![entity("C++", 1), entity("C  ", 2)];
+    views.publish("langs", CollectionSnapshot::from_entities(entities, IndexSpec::default()));
+    let server = QueryServer::bind("127.0.0.1:0", views, ServerConfig::default()).expect("bind");
+    for (path, key) in [("C++", "C++"), ("C%2B%2B", "C++"), ("C%20%20", "C  ")] {
+        let (status, body) = http_get(server.addr(), &format!("/collections/langs/entity/{path}"));
+        assert!(status.ends_with("200 OK"), "{path}: {status}");
+        assert!(body.starts_with(&format!("{{\"key\":\"{key}\",")), "{path}: {body}");
+    }
+    server.stop();
 }
