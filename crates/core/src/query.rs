@@ -1,6 +1,6 @@
 //! Demo queries over the ingested and fused data.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use datatamer_model::{Result, Value};
 use datatamer_storage::Collection;
@@ -26,7 +26,7 @@ pub fn top_discussed_award_winning(
     instance: &Collection,
     k: usize,
 ) -> Result<Vec<DiscussedShow>> {
-    let mut counts: HashMap<String, DiscussedShow> = HashMap::new();
+    let mut counts: BTreeMap<String, DiscussedShow> = BTreeMap::new();
     // Scan instances; each doc contributes one mention per distinct show.
     let rows: Vec<(Vec<(String, String)>, bool)> = instance.parallel_scan(|_, doc| {
         let fragment = doc.get("fragment").and_then(Value::as_str).unwrap_or("");
@@ -69,7 +69,6 @@ pub fn top_discussed_award_winning(
         }
     }
     // Display title = most frequent surface (ties to lexicographically first).
-    // dtlint::allow(map-iter, reason = "per-entry title fixup; no cross-entry state depends on visit order")
     for (canonical, show) in counts.iter_mut() {
         if let Some(votes) = surface_votes.get(canonical) {
             let mut best: Vec<(&String, &u64)> = votes.iter().collect();
@@ -79,9 +78,7 @@ pub fn top_discussed_award_winning(
             }
         }
     }
-    let mut ranked: Vec<DiscussedShow> =
-        // dtlint::allow(map-iter, reason = "ranking is fully ordered by the (mentions, title) sort below")
-        counts.into_values().filter(|s| s.award_winning).collect();
+    let mut ranked: Vec<DiscussedShow> = counts.into_values().filter(|s| s.award_winning).collect();
     ranked.sort_by(|a, b| b.mentions.cmp(&a.mentions).then_with(|| a.title.cmp(&b.title)));
     ranked.truncate(k);
     Ok(ranked)
@@ -89,9 +86,6 @@ pub fn top_discussed_award_winning(
 
 /// Count entity documents per type (Table III), descending.
 pub fn entity_type_histogram(entity: &Collection) -> Result<Vec<(String, u64)>> {
-    // Named `by_type`, not `counts`: dtlint's map-iter pass is file-scoped
-    // and `counts` is a HashMap in `top_discussed_award_winning` above —
-    // this one is the sorted Vec from `count_by`.
     let mut by_type = entity.count_by("type")?;
     by_type.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
     Ok(by_type

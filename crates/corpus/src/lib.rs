@@ -4,7 +4,7 @@
 //! (WEBINSTANCE / WEBENTITIES) and (b) 20 Google Fusion Tables sources about
 //! Broadway shows (FTABLES). Neither is publicly available, so this crate
 //! generates deterministic synthetic equivalents that exercise the same code
-//! paths (DESIGN.md §2 documents the substitution):
+//! paths:
 //!
 //! * [`names`] — name pools: the award-winning shows of Table IV, Broadway
 //!   theatres, person/company/city/... pools per Table III's type inventory.

@@ -27,43 +27,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     prev[short.len()]
 }
 
-/// Levenshtein distance with an early-exit bound: returns `None` as soon as
-/// the distance is guaranteed to exceed `max`. Much faster for blocking-time
-/// filtering where most pairs are far apart.
-pub fn bounded_levenshtein(a: &str, b: &str, max: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.len().abs_diff(b.len()) > max {
-        return None;
-    }
-    if a.is_empty() {
-        return Some(b.len());
-    }
-    if b.is_empty() {
-        return Some(a.len());
-    }
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur: Vec<usize> = Vec::with_capacity(short.len() + 1);
-    for (i, lc) in long.iter().enumerate() {
-        cur.clear();
-        cur.push(i + 1);
-        let mut row_min = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let sub = prev[j] + usize::from(lc != sc);
-            let d = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-            cur.push(d);
-            row_min = row_min.min(d);
-        }
-        if row_min > max {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[short.len()];
-    (d <= max).then_some(d)
-}
-
 /// Normalised Levenshtein similarity: `1 - distance / max_len`, and `1.0`
 /// when both strings are empty.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
@@ -97,15 +60,6 @@ mod tests {
     #[test]
     fn symmetric() {
         assert_eq!(levenshtein("theater", "theatre"), levenshtein("theatre", "theater"));
-    }
-
-    #[test]
-    fn bounded_matches_exact_within_bound() {
-        assert_eq!(bounded_levenshtein("kitten", "sitting", 3), Some(3));
-        assert_eq!(bounded_levenshtein("kitten", "sitting", 2), None);
-        assert_eq!(bounded_levenshtein("abc", "xyzabc", 2), None); // length gap
-        assert_eq!(bounded_levenshtein("", "ab", 2), Some(2));
-        assert_eq!(bounded_levenshtein("same", "same", 0), Some(0));
     }
 
     #[test]

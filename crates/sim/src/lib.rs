@@ -18,7 +18,7 @@ pub mod tokens;
 pub use cosine::{cosine, damp, idf, normalize_tfidf};
 pub use jaccard::{jaccard, jaccard_sorted, weighted_jaccard};
 pub use jaro::{jaro, jaro_winkler};
-pub use levenshtein::{bounded_levenshtein, levenshtein, levenshtein_similarity};
+pub use levenshtein::{levenshtein, levenshtein_similarity};
 pub use ngram::{char_ngrams, ngram_similarity};
 pub use numeric::{overlap_fraction, relative_diff_similarity, stats_similarity};
 pub use soundex::soundex;

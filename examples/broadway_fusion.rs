@@ -17,7 +17,7 @@ use datatamer::corpus::webtext::{WebTextConfig, WebTextCorpus};
 use datatamer::text::DomainParser;
 
 fn main() -> datatamer::model::Result<()> {
-    // Generate the datasets (synthetic stand-ins; see DESIGN.md §2).
+    // Generate the datasets (synthetic stand-ins; see the `datatamer_corpus` crate docs).
     let corpus = WebTextCorpus::generate(&WebTextConfig {
         num_fragments: 3_000,
         ..Default::default()

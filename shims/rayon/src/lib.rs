@@ -1,18 +1,22 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no registry access, so this crate provides the
-//! slice of rayon's API the workspace uses, executed on one persistent team
+//! slice of rayon's API the workspace calls, executed on one persistent team
 //! of helper threads (`team.rs`):
 //!
-//! * `slice.par_iter()` / `vec.into_par_iter()` / `(a..b).into_par_iter()`
-//!   with `map`, `filter_map`, `filter`, `flat_map`, `for_each`, `sum`,
-//!   `count`, `max`, and `collect::<Vec<_>>()`;
-//! * `slice.par_chunks(n)`;
+//! * `slice.par_iter()` and `(a..b).into_par_iter()` with `map`,
+//!   `filter_map`, `filter`, `flat_map`, `for_each` and
+//!   `collect::<Vec<_>>()`;
+//! * `slice.par_iter_mut().map(..).collect::<Vec<_>>()`;
 //! * `ThreadPoolBuilder::new().num_threads(n).build()` and
 //!   `ThreadPool::install(..)` — the installed width applies to every
 //!   parallel call made inside the closure (thread-local), which is what
 //!   the serial-vs-parallel determinism tests rely on;
 //! * `current_num_threads()`.
+//!
+//! There is no `sum`, `reduce` or `max`. A reduction would add its grouping
+//! to what output bytes depend on (a float sum is not associative), so a
+//! caller folds after `collect`, in source order.
 //!
 //! **Execution.** A call over at most one item, a call at width 1, and a
 //! call made inside another call's work run inline on the calling thread.
@@ -20,8 +24,10 @@
 //! `len / (8 · width)` items (at least one) and hands them to the team: the
 //! caller and up to `width − 1` helpers claim chunks one at a time, so
 //! costly items bunched at one end of the input no longer leave a worker
-//! idle. The caller allocates every chunk's output buffer. A caller that
-//! finds the team busy with another thread's call runs its own inline.
+//! idle. The caller allocates every chunk's output buffer, and each stage
+//! hands an index's items straight on to the next stage, the last into that
+//! buffer, so no stage allocates. A caller that finds the team busy with
+//! another thread's call runs its own inline.
 //!
 //! **Determinism contract:** every combinator preserves input order exactly
 //! — chunk outputs are concatenated in chunk order, whichever thread ran
@@ -37,14 +43,8 @@ mod team;
 pub mod prelude {
     //! One-stop imports, mirroring `rayon::prelude`.
     pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelIterator, ParallelSlice,
+        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator,
     };
-}
-
-pub mod iter {
-    //! Namespace compatibility with `rayon::iter`.
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
 }
 
 thread_local! {
@@ -140,11 +140,6 @@ impl ThreadPool {
         let _restore = Restore(prev);
         f()
     }
-
-    /// This pool's width.
-    pub fn current_num_threads(&self) -> usize {
-        self.width
-    }
 }
 
 /// Whether a call over `len` items at the current width goes to the team;
@@ -205,7 +200,7 @@ fn execute<P: ParallelIterator>(p: P) -> Vec<P::Item> {
     let Some(width) = team_width(len) else {
         let mut out = Vec::with_capacity(len);
         for i in 0..len {
-            p.produce(i, &mut out);
+            p.produce(i, &mut |item| out.push(item));
         }
         return out;
     };
@@ -216,7 +211,7 @@ fn execute<P: ParallelIterator>(p: P) -> Vec<P::Item> {
     });
     run_parts(width, ranges, |range, out| {
         for i in range {
-            p.produce(i, out);
+            p.produce(i, &mut |item| out.push(item));
         }
     })
 }
@@ -231,8 +226,8 @@ pub trait ParallelIterator: Sized + Sync {
     /// Number of source indexes driving the pipeline.
     fn pipeline_len(&self) -> usize;
 
-    /// Produce the outputs for source index `i` into `out`.
-    fn produce(&self, i: usize, out: &mut Vec<Self::Item>);
+    /// Hand the outputs for source index `i` to `sink`, in order.
+    fn produce(&self, i: usize, sink: &mut impl FnMut(Self::Item));
 
     /// Transform each item.
     fn map<R: Send, F: Fn(Self::Item) -> R + Sync>(self, f: F) -> Map<Self, F> {
@@ -269,35 +264,6 @@ pub trait ParallelIterator: Sized + Sync {
     fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
         C::from_ordered(execute(self))
     }
-
-    /// Sum the items in source order.
-    fn sum<S: std::iter::Sum<Self::Item>>(self) -> S {
-        execute(self).into_iter().sum()
-    }
-
-    /// Count the items.
-    fn count(self) -> usize {
-        execute(self).len()
-    }
-
-    /// Maximum item, if any.
-    fn max(self) -> Option<Self::Item>
-    where
-        Self::Item: Ord,
-    {
-        execute(self).into_iter().max()
-    }
-
-    /// Left-fold the ordered items from `identity()` (the shim keeps
-    /// rayon's signature but reduces in source order, which is a valid
-    /// refinement of rayon's unspecified grouping).
-    fn reduce<F: Fn(Self::Item, Self::Item) -> Self::Item + Sync>(
-        self,
-        identity: impl Fn() -> Self::Item,
-        op: F,
-    ) -> Self::Item {
-        execute(self).into_iter().fold(identity(), &op)
-    }
 }
 
 /// `map` stage.
@@ -318,10 +284,8 @@ where
         self.base.pipeline_len()
     }
 
-    fn produce(&self, i: usize, out: &mut Vec<R>) {
-        let mut tmp = Vec::new();
-        self.base.produce(i, &mut tmp);
-        out.extend(tmp.into_iter().map(&self.f));
+    fn produce(&self, i: usize, sink: &mut impl FnMut(R)) {
+        self.base.produce(i, &mut |item| sink((self.f)(item)));
     }
 }
 
@@ -343,10 +307,8 @@ where
         self.base.pipeline_len()
     }
 
-    fn produce(&self, i: usize, out: &mut Vec<R>) {
-        let mut tmp = Vec::new();
-        self.base.produce(i, &mut tmp);
-        out.extend(tmp.into_iter().filter_map(&self.f));
+    fn produce(&self, i: usize, sink: &mut impl FnMut(R)) {
+        self.base.produce(i, &mut |item| (self.f)(item).into_iter().for_each(&mut *sink));
     }
 }
 
@@ -367,19 +329,12 @@ where
         self.base.pipeline_len()
     }
 
-    /// Filters in place: the base's items land in `out` and those that
-    /// fail are compacted away, so a filtered index costs no allocation.
-    fn produce(&self, i: usize, out: &mut Vec<I::Item>) {
-        let start = out.len();
-        self.base.produce(i, out);
-        let mut kept = start;
-        for j in start..out.len() {
-            if (self.f)(&out[j]) {
-                out.swap(kept, j);
-                kept += 1;
+    fn produce(&self, i: usize, sink: &mut impl FnMut(I::Item)) {
+        self.base.produce(i, &mut |item| {
+            if (self.f)(&item) {
+                sink(item);
             }
-        }
-        out.truncate(kept);
+        });
     }
 }
 
@@ -402,10 +357,8 @@ where
         self.base.pipeline_len()
     }
 
-    fn produce(&self, i: usize, out: &mut Vec<R>) {
-        let mut tmp = Vec::new();
-        self.base.produce(i, &mut tmp);
-        out.extend(tmp.into_iter().flat_map(&self.f));
+    fn produce(&self, i: usize, sink: &mut impl FnMut(R)) {
+        self.base.produce(i, &mut |item| (self.f)(item).into_iter().for_each(&mut *sink));
     }
 }
 
@@ -421,18 +374,6 @@ impl<T> FromParallelIterator<T> for Vec<T> {
     }
 }
 
-impl<T: std::hash::Hash + Eq> FromParallelIterator<T> for std::collections::HashSet<T> {
-    fn from_ordered(items: Vec<T>) -> Self {
-        items.into_iter().collect()
-    }
-}
-
-impl<K: Ord, V> FromParallelIterator<(K, V)> for std::collections::BTreeMap<K, V> {
-    fn from_ordered(items: Vec<(K, V)>) -> Self {
-        items.into_iter().collect()
-    }
-}
-
 /// Borrowing root over a slice.
 pub struct SliceIter<'a, T> {
     items: &'a [T],
@@ -445,46 +386,8 @@ impl<'a, T: Sync> ParallelIterator for SliceIter<'a, T> {
         self.items.len()
     }
 
-    fn produce(&self, i: usize, out: &mut Vec<&'a T>) {
-        out.push(&self.items[i]);
-    }
-}
-
-/// Chunking root over a slice ([`ParallelSlice::par_chunks`]).
-pub struct ChunksIter<'a, T> {
-    items: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for ChunksIter<'a, T> {
-    type Item = &'a [T];
-
-    fn pipeline_len(&self) -> usize {
-        self.items.len().div_ceil(self.size)
-    }
-
-    fn produce(&self, i: usize, out: &mut Vec<&'a [T]>) {
-        let lo = i * self.size;
-        let hi = (lo + self.size).min(self.items.len());
-        out.push(&self.items[lo..hi]);
-    }
-}
-
-/// Owning root over a `Vec` (items clone out per index so workers can share
-/// the buffer; use `par_iter()` when borrowing suffices).
-pub struct VecIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Clone + Send + Sync> ParallelIterator for VecIter<T> {
-    type Item = T;
-
-    fn pipeline_len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn produce(&self, i: usize, out: &mut Vec<T>) {
-        out.push(self.items[i].clone());
+    fn produce(&self, i: usize, sink: &mut impl FnMut(&'a T)) {
+        sink(&self.items[i]);
     }
 }
 
@@ -501,8 +404,8 @@ impl ParallelIterator for RangeIter {
         self.len
     }
 
-    fn produce(&self, i: usize, out: &mut Vec<usize>) {
-        out.push(self.start + i);
+    fn produce(&self, i: usize, sink: &mut impl FnMut(usize)) {
+        sink(self.start + i);
     }
 }
 
@@ -531,21 +434,13 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// `.into_par_iter()` on owned collections and ranges.
+/// `.into_par_iter()` on ranges.
 pub trait IntoParallelIterator {
     /// The root stage type produced.
     type Iter: ParallelIterator;
 
     /// Owning parallel iterator.
     fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<T: Clone + Send + Sync> IntoParallelIterator for Vec<T> {
-    type Iter = VecIter<T>;
-
-    fn into_par_iter(self) -> Self::Iter {
-        VecIter { items: self }
-    }
 }
 
 impl IntoParallelIterator for std::ops::Range<usize> {
@@ -559,10 +454,9 @@ impl IntoParallelIterator for std::ops::Range<usize> {
 /// `.par_iter_mut()` on mutable collections.
 ///
 /// Mutable iteration cannot go through the shared index-based pipeline, so
-/// it gets its own two-stage chain (`MutRoot` → optional `map` → terminal):
-/// the slice splits into disjoint chunks via `chunks_mut`, each claimed by
-/// one thread, and map outputs concatenate in chunk order
-/// (order-preserving).
+/// it gets its own chain (`MutRoot` → `map` → `collect`): the slice splits
+/// into disjoint chunks via `chunks_mut`, each claimed by one thread, and
+/// map outputs concatenate in chunk order (order-preserving).
 pub trait IntoParallelRefMutIterator<'a> {
     /// Item handed to closures.
     type Item: Send + 'a;
@@ -612,11 +506,6 @@ fn execute_mut<T: Send, R: Send>(
 }
 
 impl<'a, T: Send> MutRoot<'a, T> {
-    /// Run `f` on every element.
-    pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
-        execute_mut(self.items, |part, _: &mut Vec<()>| part.iter_mut().for_each(&f));
-    }
-
     /// Transform each element (by mutable reference) into an output.
     pub fn map<R: Send, F: Fn(&mut T) -> R + Sync>(self, f: F) -> MutMap<'a, T, F> {
         MutMap { items: self.items, f }
@@ -642,26 +531,12 @@ impl<'a, T: Send, F> MutMap<'a, T, F> {
     }
 }
 
-/// `.par_chunks(n)` on slices.
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel iterator over contiguous chunks of length `n` (last may be
-    /// shorter).
-    fn par_chunks(&self, n: usize) -> ChunksIter<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, n: usize) -> ChunksIter<'_, T> {
-        assert!(n > 0, "chunk size must be positive");
-        ChunksIter { items: self, size: n }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
     use super::team::Team;
     use super::*;
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::HashSet;
     use std::panic::{self, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{mpsc, Barrier};
@@ -762,42 +637,34 @@ mod tests {
                     let got: Vec<u64> = xs.par_iter().flat_map(|&x| 0..x % 4).collect();
                     let want: Vec<u64> = xs.iter().flat_map(|&x| 0..x % 4).collect();
                     assert_eq!(got, want, "flat_map, {case}");
-                    let got: u64 = xs.par_iter().map(|&x| x).sum();
-                    assert_eq!(got, xs.iter().sum::<u64>(), "sum, {case}");
-                    // Not associative, so only an in-order fold gives the
-                    // sequential answer.
-                    let fold = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
-                    let got = xs.par_iter().map(|&x| x).reduce(|| 1, fold);
-                    assert_eq!(got, xs.iter().copied().fold(1, fold), "reduce, {case}");
-                    assert_eq!(xs.par_iter().max(), xs.iter().max(), "max, {case}");
-                    assert_eq!(xs.par_iter().count(), len, "count, {case}");
-                    let got: Vec<u64> = xs.clone().into_par_iter().map(|x| x + 1).collect();
-                    let want: Vec<u64> = xs.iter().map(|x| x + 1).collect();
-                    assert_eq!(got, want, "into_par_iter, {case}");
-                    let got: BTreeMap<usize, u64> =
+                    let got: Vec<u64> = xs
+                        .par_iter()
+                        .filter_map(|&x| (x % 5 != 0).then_some(x))
+                        .flat_map(|x| x..x + x % 3)
+                        .filter(|v| v % 2 == 1)
+                        .collect();
+                    let want: Vec<u64> = xs
+                        .iter()
+                        .filter_map(|&x| (x % 5 != 0).then_some(x))
+                        .flat_map(|x| x..x + x % 3)
+                        .filter(|v| v % 2 == 1)
+                        .collect();
+                    assert_eq!(got, want, "filter_map, flat_map, filter, {case}");
+                    let got: Vec<(usize, u64)> =
                         (0..len).into_par_iter().map(|i| (i, xs[i])).collect();
-                    assert_eq!(got, xs.iter().copied().enumerate().collect(), "range, {case}");
-                    let got: HashSet<u64> = xs.par_iter().map(|&x| x).collect();
-                    assert_eq!(got, xs.iter().copied().collect(), "HashSet, {case}");
-                    for size in [1, 5, 64] {
-                        let got: Vec<u64> = xs.par_chunks(size).map(|c| c.iter().sum()).collect();
-                        let want: Vec<u64> = xs.chunks(size).map(|c| c.iter().sum()).collect();
-                        assert_eq!(got, want, "par_chunks({size}), {case}");
-                    }
+                    let want: Vec<(usize, u64)> = xs.iter().copied().enumerate().collect();
+                    assert_eq!(got, want, "range, {case}");
                     let mut ys = xs.clone();
-                    ys.par_iter_mut().for_each(|y| *y = *y * 2 + 1);
-                    let want: Vec<u64> = xs.iter().map(|y| y * 2 + 1).collect();
-                    assert_eq!(ys, want, "par_iter_mut for_each, {case}");
                     let got: Vec<u64> = ys
                         .par_iter_mut()
                         .map(|y| {
-                            *y += 1;
+                            *y = *y * 2 + 1;
                             *y * 10
                         })
                         .collect();
-                    let want: Vec<u64> = xs.iter().map(|y| (y * 2 + 2) * 10).collect();
+                    let want: Vec<u64> = xs.iter().map(|y| (y * 2 + 1) * 10).collect();
                     assert_eq!(got, want, "par_iter_mut map, {case}");
-                    let want: Vec<u64> = xs.iter().map(|y| y * 2 + 2).collect();
+                    let want: Vec<u64> = xs.iter().map(|y| y * 2 + 1).collect();
                     assert_eq!(ys, want, "par_iter_mut map writes, {case}");
                 });
             }
@@ -949,26 +816,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_and_sum() {
-        let xs = vec![1usize, 2, 3];
-        let total: usize = xs.par_iter().flat_map(|&x| 0..x).sum();
-        assert_eq!(total, 4, "0..1, 0..2, 0..3 summed");
-    }
-
-    #[test]
     fn for_each_visits_everything() {
         let n = AtomicUsize::new(0);
         (0..997usize).into_par_iter().for_each(|_| {
             n.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(n.load(Ordering::Relaxed), 997);
-    }
-
-    #[test]
-    fn par_chunks_sees_every_chunk() {
-        let xs: Vec<i32> = (0..256).collect();
-        let sizes: Vec<usize> = xs.par_chunks(100).map(|c| c.len()).collect();
-        assert_eq!(sizes, vec![100, 100, 56]);
     }
 
     #[test]
@@ -983,16 +836,15 @@ mod tests {
     #[test]
     fn par_iter_mut_mutates_and_maps_in_order() {
         let mut xs: Vec<i64> = (0..1000).collect();
-        xs.par_iter_mut().for_each(|x| *x *= 2);
-        assert_eq!(xs[999], 1998);
         let reports: Vec<i64> = xs
             .par_iter_mut()
             .map(|x| {
-                *x += 1;
+                *x = *x * 2 + 1;
                 *x
             })
             .collect();
         assert_eq!(reports, (0..1000).map(|x| x * 2 + 1).collect::<Vec<_>>());
+        assert_eq!(xs, reports);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! use datatamer::corpus::{ftables, webtext};
 //! use datatamer::text::DomainParser;
 //!
-//! // Generate the paper's datasets (synthetic; DESIGN.md §2).
+//! // Generate the paper's datasets (synthetic; see the `datatamer_corpus` crate docs).
 //! let sources = ftables::generate(&ftables::FtablesConfig::default(), 0);
 //! let corpus = webtext::WebTextCorpus::generate(&webtext::WebTextConfig {
 //!     num_fragments: 50,

@@ -4,8 +4,8 @@
 //! types of entities from the web-text dataset").
 //!
 //! The paper's absolute numbers came from Recorded Future's corpus; our dirt
-//! model is calibrated so the measured band is comparable (see DESIGN.md §2
-//! and EXPERIMENTS.md for paper-vs-measured values).
+//! model is calibrated so the measured band is comparable (the crate docs of
+//! `datatamer_corpus` describe the synthetic stand-ins).
 
 use datatamer::corpus::truth::{labeled_pairs, labeled_pairs_with, PairDifficulty, DEDUP_EVAL_TYPES};
 use datatamer::ml::dedup::crossval_dedup;
