@@ -1,8 +1,8 @@
 //! Where one shard's extent chain lives.
 //!
 //! A shard is a chain of fixed-size extents behind one lock. Each link is
-//! either resident or flushed to its own file with only its shape (live
-//! count, used bytes, capacity) kept in memory. A collection's
+//! either resident or flushed to its own file with only its shape
+//! (document count, used bytes, capacity) kept in memory. A collection's
 //! [`BackendConfig`] decides which links may be flushed:
 //!
 //! * `Memory` — the shard has no directory. A full tail stays resident,
@@ -16,12 +16,13 @@
 //!   reopening a shard over the same directory resumes the chain. The
 //!   extent files are the only authority: a reopen decodes each one.
 //!
-//! Each operation has one entry point. Appends arrive as a batch (a
+//! A shard is append-only, so a document, once stored, never changes or
+//! goes. Each operation has one entry point. Appends arrive as a batch (a
 //! single insert is a one-element batch) and land under one lock
-//! acquisition. The one scan is extent-wise: each extent is visited
-//! independently, so the collection can fan extents out across the rayon
-//! team. Both placements produce byte-identical scan output for the same
-//! append sequence, pinned by tests.
+//! acquisition. The one read is an extent-wise scan: each extent is
+//! visited independently, so the collection can fan extents out across
+//! the rayon team. Both placements produce byte-identical scan output for
+//! the same append sequence, pinned by tests.
 
 use std::fs;
 use std::io::{Read, Write};
@@ -83,14 +84,14 @@ impl BackendConfig {
 /// routing never touch disk.
 #[derive(Debug, Clone, Copy)]
 struct ExtentMeta {
-    live: usize,
+    docs: usize,
     used: usize,
     capacity: usize,
 }
 
 impl ExtentMeta {
     fn of(e: &Extent) -> Self {
-        ExtentMeta { live: e.live_count(), used: e.used_bytes(), capacity: e.capacity() }
+        ExtentMeta { docs: e.doc_count(), used: e.used_bytes(), capacity: e.capacity() }
     }
 }
 
@@ -165,21 +166,21 @@ impl Shard {
             .ok_or_else(|| DtError::Io("an in-memory shard has no extent files".into()))
     }
 
+    /// Write an extent's file: to `extNNNNNN.tmp`, then renamed over
+    /// `extNNNNNN`, so a failed or interrupted rewrite of a synced tail
+    /// leaves the previous file whole.
     fn write_extent(&self, index: usize, extent: &Extent) -> Result<()> {
-        fs::File::create(self.dir()?.join(extent_file(index)))?.write_all(&extent.to_bytes())?;
+        let dir = self.dir()?;
+        let tmp = dir.join(format!("{}.tmp", extent_file(index)));
+        fs::File::create(&tmp)?.write_all(&extent.to_bytes())?;
+        fs::rename(&tmp, dir.join(extent_file(index)))?;
         self.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Read and decode a flushed extent's file. Every reader — open,
-    /// point read, delete, scan, tail reload — reports a failure the same
-    /// way.
-    fn load_extent(&self, index: usize) -> Result<Extent> {
-        load_extent(self.dir()?, index)
-    }
-
     /// Write the resident extent at `index` to its file and keep only its
-    /// shape in memory.
+    /// shape in memory; a flushed extent or one past the chain is left
+    /// as it is.
     fn flush(&self, slots: &mut [ExtentSlot], index: usize) -> Result<()> {
         if let Some(ExtentSlot::Loaded(e)) = slots.get(index) {
             let meta = ExtentMeta::of(e);
@@ -197,7 +198,7 @@ impl Shard {
             None => slots.push(ExtentSlot::Loaded(Extent::new(self.extent_size))),
             Some(ExtentSlot::Flushed(_)) => {
                 let index = slots.len() - 1;
-                slots[index] = ExtentSlot::Loaded(self.load_extent(index)?);
+                slots[index] = ExtentSlot::Loaded(load_extent(self.dir()?, index)?);
             }
             Some(ExtentSlot::Loaded(_)) => {}
         }
@@ -233,91 +234,43 @@ impl Shard {
         encoded.iter().map(|e| self.append_locked(&mut slots, e)).collect()
     }
 
-    /// Run `f` over extent `index` — a resident one in place, a flushed
-    /// one read from its file — or return `None` past the chain. The read
-    /// lock is held across the file read, so a tombstone write-back
-    /// (which takes the write lock) never rewrites the file under a
-    /// reader. An unreadable extent is the error.
-    fn with_extent<R>(&self, index: u32, f: impl FnOnce(&Extent) -> R) -> Result<Option<R>> {
-        let slots = self.slots.read();
-        match slots.get(index as usize) {
-            None => Ok(None),
-            Some(ExtentSlot::Loaded(e)) => Ok(Some(f(e))),
-            Some(ExtentSlot::Flushed(_)) => Ok(Some(f(&self.load_extent(index as usize)?))),
-        }
-    }
-
-    /// Decode the live document at `(extent, slot)`. `Ok(None)` strictly
-    /// means "no live document there"; an unreadable extent is an error,
-    /// exactly as for scans — a `None` would hide a lost extent behind
-    /// "deleted". A document whose bytes fail to decode is counted and
-    /// reads as `None`.
-    pub(crate) fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
-        let read = self.with_extent(extent, |e| match e.get(slot)? {
-            Ok(doc) => Some(doc),
-            Err(_) => {
-                self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        })?;
-        Ok(read.flatten())
-    }
-
-    /// Tombstone `(extent, slot)`; returns whether the slot was live. Only
-    /// slot liveness counts: a live slot whose bytes fail to decode is
-    /// deleted like any other. Like [`Self::get`], an unreadable extent is
-    /// an error, and so is a failed tombstone *write-back* — swallowing it
-    /// would report a delete that a reopen undoes.
-    pub(crate) fn delete(&self, extent: u32, slot: u32) -> Result<bool> {
-        let mut slots = self.slots.write();
-        let index = extent as usize;
-        match slots.get_mut(index) {
-            None => Ok(false),
-            Some(ExtentSlot::Loaded(e)) => Ok(e.delete(slot)),
-            Some(ExtentSlot::Flushed(_)) => {
-                // Read-modify-write: the tombstone must reach the file, or
-                // a reopen would resurrect the document.
-                let mut e = self.load_extent(index)?;
-                if !e.delete(slot) {
-                    return Ok(false);
-                }
-                self.write_extent(index, &e).map_err(|err| {
-                    DtError::Io(format!("tombstone write-back, extent {index}: {err}"))
-                })?;
-                slots[index] = ExtentSlot::Flushed(ExtentMeta::of(&e));
-                Ok(true)
-            }
-        }
-    }
-
-    /// Visit the live documents of one extent in slot order (`f` receives
-    /// `(slot, doc)`). Visiting extents in index order gives the
-    /// `(extent, slot)` order both placements share. Extents past the
+    /// Visit the documents of one extent in slot order (`f` receives
+    /// `(slot, doc)`): a resident extent in place, a flushed one read from
+    /// its file. Visiting extents in index order gives the
+    /// `(extent, slot)` order both placements share; extents past the
     /// chain visit nothing. An unreadable extent is an error rather than
     /// being skipped (a skip would silently drop every document in it);
-    /// individual documents that fail to decode are skipped but counted
-    /// ([`Self::decode_errors`]) — never silently dropped.
+    /// documents that fail to decode are skipped but counted
+    /// ([`Self::decode_errors`]).
     pub(crate) fn visit_extent(
         &self,
         extent: u32,
         mut f: impl FnMut(u32, &Document),
     ) -> Result<()> {
-        self.with_extent(extent, |e| {
-            for (slot, bytes) in e.iter_live() {
-                match decode_document(bytes) {
-                    Ok(doc) => f(slot, &doc),
-                    Err(_) => {
-                        self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+        let slots = self.slots.read();
+        let loaded;
+        let e = match slots.get(extent as usize) {
+            None => return Ok(()),
+            Some(ExtentSlot::Loaded(e)) => e,
+            Some(ExtentSlot::Flushed(_)) => {
+                loaded = load_extent(self.dir()?, extent as usize)?;
+                &loaded
+            }
+        };
+        for (slot, bytes) in e.iter() {
+            match decode_document(bytes) {
+                Ok(doc) => f(slot, &doc),
+                Err(_) => {
+                    self.decode_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        })?;
+        }
         Ok(())
     }
 
-    /// Live documents in this shard.
+    /// Documents stored in this shard (one per slot, decodable or not).
     pub(crate) fn len(&self) -> u64 {
-        self.slots.read().iter().map(|s| s.meta().live as u64).sum()
+        self.slots.read().iter().map(|s| s.meta().docs as u64).sum()
     }
 
     /// Extents in the chain.
@@ -344,10 +297,8 @@ impl Shard {
             return Ok(());
         }
         let mut slots = self.slots.write();
-        match slots.len().checked_sub(1) {
-            Some(tail) => self.flush(&mut slots, tail),
-            None => Ok(()),
-        }
+        let tail = slots.len().saturating_sub(1);
+        self.flush(&mut slots, tail)
     }
 
     /// Extent files written so far (0 in memory).
@@ -375,6 +326,8 @@ fn extent_index(name: &str) -> Option<usize> {
     (extent_file(index) == name).then_some(index)
 }
 
+/// Read and decode a flushed extent's file. Every reader — open, scan,
+/// tail reload — reports a failure the same way.
 fn load_extent(dir: &Path, index: usize) -> Result<Extent> {
     let read = || -> Result<Extent> {
         let mut bytes = Vec::new();
@@ -441,7 +394,7 @@ mod tests {
         s.append(&[encoded]).unwrap()[0]
     }
 
-    /// Every live document in `(extent, slot)` order, through the one
+    /// Every document in `(extent, slot)` order, through the one
     /// scan: each extent in index order.
     fn scan(s: &Shard) -> Result<Vec<(u32, u32, Document)>> {
         let mut out = Vec::new();
@@ -512,66 +465,61 @@ mod tests {
     }
 
     #[test]
-    fn file_delete_reaches_flushed_extents() {
-        let dir = tempdir("del");
-        let file = file(&dir, 96);
-        let spots: Vec<(u32, u32)> =
-            (0..10i64).map(|i| append_one(&file, &encoded(i))).collect();
-        // Delete one doc from a rolled (flushed) extent and one from the tail.
-        let (fe, fs_) = spots[0];
-        assert!(file.delete(fe, fs_).unwrap());
-        assert!(!file.delete(fe, fs_).unwrap(), "double delete is a no-op");
-        let (te, ts) = *spots.last().unwrap();
-        assert!(file.delete(te, ts).unwrap());
-        assert_eq!(file.len(), 8);
-        file.sync().unwrap();
-        let reopened = Shard::open(Some(dir.clone()), 96).unwrap();
-        assert_eq!(reopened.len(), 8, "tombstones survive reopen");
-        assert!(reopened.get(fe, fs_).unwrap().is_none());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn decode_errors_are_counted_not_silently_dropped() {
         let mem = memory(256);
         let garbage: &[u8] = b"\xff\xffgarbage that is not a document";
-        let spots = mem.append(&[&encoded(1), garbage, &encoded(2)]).unwrap();
+        mem.append(&[&encoded(1), garbage, &encoded(2)]).unwrap();
         assert_eq!(scan(&mem).unwrap().len(), 2, "the two well-formed documents still scan");
         assert_eq!(mem.decode_errors(), 1, "the corrupt one is counted, not dropped");
-        // Delete tombstones on slot liveness, so the undecodable document
-        // can be deleted instead of staying in `len()` forever.
+        // The undecodable document stays stored, so every scan counts it.
         assert_eq!(mem.len(), 3);
-        let (e, s) = spots[1];
-        assert!(mem.delete(e, s).unwrap(), "a live slot that fails to decode is deleted");
-        assert_eq!(mem.len(), 2);
         assert_eq!(scan(&mem).unwrap().len(), 2);
-        assert_eq!(mem.decode_errors(), 1, "the tombstoned slot is no longer read");
+        assert_eq!(mem.decode_errors(), 2, "each scan counts it again");
     }
 
     #[test]
     fn torn_extent_is_an_error_not_a_crash() {
         // Regression: an unreadable flushed extent used to panic! inside a
-        // scan (and the tombstone write-back likewise aborted). Both now
-        // surface as Err so the pipeline can report them. The extent is
-        // read once before the tear, so no earlier read may mask the
-        // damage either.
+        // scan. It now surfaces as Err so the pipeline can report it. The
+        // extent is read once before the tear, so no earlier read may mask
+        // the damage either.
         let dir = tempdir("torn");
         let file = file(&dir, 96);
         let spots: Vec<(u32, u32)> =
             (0..10i64).map(|i| append_one(&file, &encoded(i))).collect();
         file.sync().unwrap();
         assert!(file.extent_count() > 1, "need a flushed extent");
-        let (victim_extent, victim_slot) = spots[0];
-        assert_eq!(victim_extent, 0);
-        assert!(file.get(victim_extent, victim_slot).unwrap().is_some());
+        assert_eq!(spots[0].0, 0);
         assert_eq!(scan(&file).unwrap().len(), 10);
         fs::write(dir.join("ext000000"), b"torn").unwrap();
         let err = scan(&file).unwrap_err();
         assert!(format!("{err}").contains("extent 0"), "{err}");
-        assert!(file.get(victim_extent, victim_slot).is_err(), "get reads the torn file");
-        assert!(file.delete(victim_extent, victim_slot).is_err(), "delete reads the torn file");
-        assert_eq!(file.len(), 10, "a failed delete changes nothing");
+        assert_eq!(file.len(), 10, "a failed read changes nothing");
         assert!(Shard::open(Some(dir.clone()), 96).is_err(), "nor does a reopen adopt it");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_tail_rewrite_keeps_the_synced_file() {
+        // A synced tail that takes more appends is written again on the
+        // next sync. That write goes to a temp file renamed over the old
+        // one: when it fails, the old file still holds every synced
+        // document.
+        let dir = tempdir("rewrite");
+        let file = file(&dir, 4096);
+        for i in 0..3i64 {
+            append_one(&file, &encoded(i));
+        }
+        file.sync().unwrap();
+        assert_eq!(append_one(&file, &encoded(3)), (0, 3), "the tail takes the 4th document");
+        fs::create_dir(dir.join("ext000000.tmp")).unwrap();
+        assert!(file.sync().is_err(), "the temp file cannot be created");
+        assert_eq!(file.len(), 4, "the resident tail keeps the unsynced document");
+        let reopened = Shard::open(Some(dir.clone()), 4096).unwrap();
+        let docs: Vec<Document> = scan(&reopened).unwrap().into_iter().map(|(_, _, d)| d).collect();
+        let synced: Vec<Document> =
+            (0..3i64).map(|i| doc! {"i" => i, "pad" => "x".repeat(24)}).collect();
+        assert_eq!(docs, synced, "a reopen reads the three synced documents");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,9 +5,8 @@
 //! extents, in process ([`BackendConfig::Memory`]) or out of core on files
 //! ([`BackendConfig::File`]), so concurrent ingest scales with shard count
 //! — the in-process analogue of the paper's distributed 2 GB-extent
-//! collections. Document ids pack `(shard, extent, slot)` so point reads
-//! touch exactly one shard with no id→location map. Each operation has
-//! one path:
+//! collections. Document ids pack `(shard, extent, slot)`. A collection
+//! is append-only and read only by scan. Each operation has one path:
 //!
 //! * **Append.** Every insert is a batch of [`EncodedDoc`]s placed by
 //!   [`Collection::insert_encoded`]: reserve the whole round-robin window
@@ -93,7 +92,7 @@ impl Default for CollectionConfig {
 pub struct ShardStorage {
     /// Substrate the shard lives on.
     pub backend: BackendKind,
-    /// Live documents on this shard.
+    /// Documents stored on this shard.
     pub docs: u64,
     /// Extents in this shard's chain.
     pub extents: usize,
@@ -116,7 +115,7 @@ pub struct StorageReport {
 }
 
 impl StorageReport {
-    /// Total live documents across shards.
+    /// Total documents stored across shards.
     pub fn docs(&self) -> u64 {
         self.shards.iter().map(|s| s.docs).sum()
     }
@@ -172,6 +171,7 @@ pub struct Collection {
     /// bits).
     shards: Vec<Shard>,
     /// The round-robin cursor: position `p` lands on shard `p % shards`.
+    /// A reopened collection resumes it at its stored document count.
     next: AtomicU64,
     indexes: RwLock<Vec<IndexSpec>>,
 }
@@ -211,11 +211,12 @@ impl Collection {
                 Shard::open(dir, config.extent_size)
             })
             .collect::<Result<Vec<_>>>()?;
+        let stored = shards.iter().map(Shard::len).sum();
         Ok(Collection {
             name,
             config,
             shards,
-            next: AtomicU64::new(0),
+            next: AtomicU64::new(stored),
             indexes: RwLock::new(Vec::new()),
         })
     }
@@ -230,13 +231,13 @@ impl Collection {
         &self.config
     }
 
-    /// Number of live documents, counted from the shards (so a reopened
+    /// Number of stored documents, counted from the shards (so a reopened
     /// file backend's documents count too).
     pub fn len(&self) -> u64 {
         self.shards.iter().map(Shard::len).sum()
     }
 
-    /// True when no live documents exist.
+    /// True when no documents are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -328,27 +329,6 @@ impl Collection {
             }
         }
         Ok(ids)
-    }
-
-    /// Fetch a document by id; exactly one shard is touched. `Ok(None)`
-    /// strictly means "no live document at that id"; an unreadable extent
-    /// is the error, so a lookup cannot silently drop a document on a
-    /// torn extent.
-    pub fn get(&self, id: DocId) -> Result<Option<Document>> {
-        match self.shards.get(id.shard() as usize) {
-            None => Ok(None),
-            Some(shard) => shard.get(id.extent(), id.slot()),
-        }
-    }
-
-    /// Delete a document by id. Returns whether it was live; an
-    /// unreadable extent or a failed tombstone write-back on a file shard
-    /// is the error.
-    pub fn delete(&self, id: DocId) -> Result<bool> {
-        match self.shards.get(id.shard() as usize) {
-            None => Ok(false),
-            Some(shard) => shard.delete(id.extent(), id.slot()),
-        }
     }
 
     /// Declare a secondary index. Nothing is built: [`Self::stats`]
@@ -455,7 +435,7 @@ impl Collection {
     ///
     /// `total_index_size` is measured, not maintained: one
     /// [`Self::parallel_scan`] per call sums every declared index's entries
-    /// over the live documents (no scan when no index is declared). Like
+    /// over the stored documents (no scan when no index is declared). Like
     /// any scan, on a file backend it reads every flushed extent's file;
     /// an unreadable extent is the error.
     pub fn stats(&self, namespace: &str) -> Result<CollectionStats> {
@@ -526,6 +506,11 @@ mod tests {
         Collection::new(name, config).unwrap()
     }
 
+    /// Every stored document with its id, in scan order.
+    fn docs_by_id(c: &Collection) -> Vec<(DocId, Document)> {
+        c.parallel_scan(|id, d| Some((id, d.clone()))).unwrap()
+    }
+
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("dt_collection_{tag}_{}", std::process::id()));
@@ -548,9 +533,8 @@ mod tests {
         let c = small();
         let d = doc! {"show" => "Matilda", "price" => 27i64};
         let id = c.insert(&d).unwrap();
-        assert_eq!(c.get(id).unwrap(), Some(d));
+        assert_eq!(docs_by_id(&c), vec![(id, d)]);
         assert_eq!(c.len(), 1);
-        assert!(c.get(DocId::pack(0, 9, 9)).unwrap().is_none());
     }
 
     #[test]
@@ -567,21 +551,11 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes_and_updates_count() {
-        let c = small();
-        let id = c.insert(&doc! {"a" => 1i64}).unwrap();
-        assert!(c.delete(id).unwrap());
-        assert!(!c.delete(id).unwrap());
-        assert_eq!(c.len(), 0);
-        assert!(c.get(id).unwrap().is_none());
-    }
-
-    #[test]
     fn index_backfills_and_maintains() {
-        // An index declared after a document counts it; later inserts and
-        // deletes are reflected without any index maintenance.
+        // An index declared after a document counts it; later inserts are
+        // reflected without any index maintenance.
         let c = small();
-        let id1 = c.insert(&doc! {"type" => "Person"}).unwrap();
+        c.insert(&doc! {"type" => "Person"}).unwrap();
         c.create_index(IndexSpec::new("by_type", "type")).unwrap();
         let person = c.stats("dt").unwrap().total_index_size;
         assert!(person > 0);
@@ -589,9 +563,6 @@ mod tests {
         assert_eq!(c.count_by("type").unwrap().len(), 2);
         let both = c.stats("dt").unwrap().total_index_size;
         assert!(both > person);
-        c.delete(id1).unwrap();
-        assert_eq!(c.count_by("type").unwrap(), vec![(Value::from("City"), 1)]);
-        assert_eq!(c.stats("dt").unwrap().total_index_size, both - person);
         assert!(c.create_index(IndexSpec::new("by_type", "type")).is_err());
         assert_eq!(c.index_count(), 1, "a rejected duplicate declares nothing");
     }
@@ -619,17 +590,17 @@ mod tests {
     #[test]
     fn parallel_scan_sees_all_live_docs() {
         let c = small();
-        let ids: Vec<DocId> =
-            (0..50i64).map(|i| c.insert(&doc! {"i" => i}).unwrap()).collect();
-        c.delete(ids[10]).unwrap();
-        let seen = c
+        for i in 0..50i64 {
+            c.insert(&doc! {"i" => i}).unwrap();
+        }
+        let mut seen = c
             .parallel_scan(|_, d| match d.get("i") {
                 Some(Value::Int(i)) => Some(*i),
                 _ => None,
             })
             .unwrap();
-        assert_eq!(seen.len(), 49);
-        assert!(!seen.contains(&10));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..50).collect::<Vec<i64>>());
     }
 
     #[test]
@@ -704,9 +675,11 @@ mod tests {
         let batched = b.insert_many(&docs).unwrap();
         assert_eq!(one_by_one, batched, "batch routing must match repeated inserts");
         assert_eq!(b.len(), 37);
-        for (id, d) in batched.iter().zip(&docs) {
-            assert_eq!(b.get(*id).unwrap().as_ref(), Some(d));
-        }
+        let mut stored = docs_by_id(&b);
+        stored.sort_by_key(|(id, _)| *id);
+        let mut want: Vec<(DocId, Document)> = batched.into_iter().zip(docs).collect();
+        want.sort_by_key(|(id, _)| *id);
+        assert_eq!(stored, want);
     }
 
     #[test]
@@ -793,20 +766,19 @@ mod tests {
         };
         let docs: Vec<Document> =
             (0..40i64).map(|i| doc! {"i" => i, "pad" => "z".repeat(20)}).collect();
-        let ids = {
+        let stored = {
             let col = Collection::new("shows", config.clone()).unwrap();
             let ids = col.insert_many(&docs).unwrap();
             assert_eq!(col.len(), 40);
-            assert_eq!(col.get(ids[7]).unwrap().as_ref(), Some(&docs[7]));
+            let stored = docs_by_id(&col);
+            assert!(stored.contains(&(ids[7], docs[7].clone())));
             col.sync().unwrap();
-            ids
+            stored
         };
         // Reopen over the same directory: same chain, same documents.
         let reopened = Collection::new("shows", config).unwrap();
         assert_eq!(reopened.len(), 40);
-        for (id, d) in ids.iter().zip(&docs) {
-            assert_eq!(reopened.get(*id).unwrap().as_ref(), Some(d));
-        }
+        assert_eq!(docs_by_id(&reopened), stored);
         let report = reopened.storage_report();
         assert_eq!(report.shards.len(), 3);
         assert!(report.shards.iter().all(|s| s.backend == BackendKind::File));
@@ -815,10 +787,9 @@ mod tests {
 
     #[test]
     fn get_on_an_unreadable_extent_is_an_error() {
-        // Regression: a point read used to fold an unreadable flushed
-        // extent into `None`, indistinguishable from a deleted document.
-        // The victim is read once before the tear, so no earlier read may
-        // mask the damage either.
+        // Every read of a torn flushed extent is an error, never a
+        // shorter answer. The victim is read once before the tear, so no
+        // earlier read may mask the damage either.
         let dir = tempdir("torn_get");
         let col = Collection::new(
             "torn",
@@ -836,14 +807,13 @@ mod tests {
         let victim = ids[0];
         assert_eq!(victim.extent(), 0);
         assert!(ids.iter().any(|id| id.extent() > 0), "extent 0 must be flushed");
-        assert_eq!(col.get(victim).unwrap().as_ref(), Some(&docs[0]));
+        assert!(docs_by_id(&col).contains(&(victim, docs[0].clone())));
 
         let shard_dir = dir.join("torn").join("shard000");
         std::fs::write(shard_dir.join("ext000000"), b"torn").unwrap();
-        assert!(col.get(victim).is_err(), "a lost extent must not read as a deleted document");
-        assert!(col.delete(victim).is_err(), "nor delete as one");
-        assert!(col.parallel_scan(|_, _| Some(())).is_err(), "nor scan as an empty extent");
-        assert_eq!(col.len(), 10, "a failed delete changes nothing");
+        assert!(col.parallel_scan(|_, _| Some(())).is_err(), "a lost extent must not scan as empty");
+        assert!(col.count_by("i").is_err(), "nor group as empty");
+        assert_eq!(col.len(), 10, "a failed read changes nothing");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,11 +4,10 @@
 //! contiguous byte arena of fixed capacity holding encoded documents plus a
 //! slot table. When an insert does not fit, a new extent is allocated — this
 //! is precisely the `numExtents` / `lastExtentSize` bookkeeping the paper's
-//! Tables I–II report (242 and 56 extents of 2 GB at paper scale).
+//! Tables I–II report (242 and 56 extents of 2 GB at paper scale). Nothing
+//! is ever removed from an extent: its document count is its slot count.
 
-use datatamer_model::{Document, Result};
-
-use crate::encode::decode_document;
+use datatamer_model::Result;
 
 /// One fixed-capacity extent.
 #[derive(Debug, Clone)]
@@ -17,23 +16,14 @@ pub struct Extent {
     data: Vec<u8>,
     /// Byte offset of each slot's document in `data`.
     offsets: Vec<u32>,
-    /// Tombstones; `true` means the slot was deleted.
-    dead: Vec<bool>,
     /// Capacity in bytes.
     capacity: usize,
-    live: usize,
 }
 
 impl Extent {
     /// Allocate an extent with the given byte capacity.
     pub fn new(capacity: usize) -> Self {
-        Extent {
-            data: Vec::new(),
-            offsets: Vec::new(),
-            dead: Vec::new(),
-            capacity,
-            live: 0,
-        }
+        Extent { data: Vec::new(), offsets: Vec::new(), capacity }
     }
 
     /// Try to append an encoded document; returns the slot number, or `None`
@@ -48,15 +38,13 @@ impl Extent {
         }
         let slot = self.offsets.len() as u32;
         self.offsets.push(self.data.len() as u32);
-        self.dead.push(false);
         self.data.extend_from_slice(encoded);
-        self.live += 1;
         Some(slot)
     }
 
-    /// Number of live documents.
-    pub fn live_count(&self) -> usize {
-        self.live
+    /// Number of documents (one per slot).
+    pub fn doc_count(&self) -> usize {
+        self.offsets.len()
     }
 
     /// Bytes used by encoded documents.
@@ -69,41 +57,15 @@ impl Extent {
         self.capacity
     }
 
-    /// Raw encoded bytes of a slot, or `None` when out of range or dead.
-    pub fn slot_bytes(&self, slot: u32) -> Option<&[u8]> {
-        let i = slot as usize;
-        if i >= self.offsets.len() || self.dead[i] {
-            return None;
-        }
-        let start = self.offsets[i] as usize;
-        let end = if i + 1 < self.offsets.len() {
-            self.offsets[i + 1] as usize
-        } else {
-            self.data.len()
-        };
-        Some(&self.data[start..end])
-    }
-
-    /// Decode the document in a slot.
-    pub fn get(&self, slot: u32) -> Option<Result<Document>> {
-        self.slot_bytes(slot).map(decode_document)
-    }
-
-    /// Mark a slot deleted. Returns whether it was live.
-    pub fn delete(&mut self, slot: u32) -> bool {
-        let i = slot as usize;
-        if i < self.dead.len() && !self.dead[i] {
-            self.dead[i] = true;
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Iterate `(slot, encoded bytes)` of live documents.
-    pub fn iter_live(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        (0..self.offsets.len() as u32).filter_map(move |s| self.slot_bytes(s).map(|b| (s, b)))
+    /// Iterate `(slot, encoded bytes)` in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        let ends = self.offsets.iter().skip(1).map(|&o| o as usize);
+        let ends = ends.chain(std::iter::once(self.data.len()));
+        self.offsets
+            .iter()
+            .zip(ends)
+            .enumerate()
+            .map(|(slot, (&start, end))| (slot as u32, &self.data[start as usize..end]))
     }
 
     /// Serialise the extent for its file (capacity, slot table, data).
@@ -112,9 +74,8 @@ impl Extent {
         let mut out = Vec::with_capacity(self.data.len() + self.offsets.len() * 5 + 32);
         put_varint(&mut out, self.capacity as u64);
         put_varint(&mut out, self.offsets.len() as u64);
-        for (i, off) in self.offsets.iter().enumerate() {
+        for off in &self.offsets {
             put_varint(&mut out, u64::from(*off));
-            out.push(u8::from(self.dead[i]));
         }
         put_varint(&mut out, self.data.len() as u64);
         out.extend_from_slice(&self.data);
@@ -126,22 +87,15 @@ impl Extent {
     /// corrupt file can never make a later slot read slice out of range.
     pub fn from_bytes(mut bytes: &[u8]) -> Result<Self> {
         use crate::encode::get_varint;
-        use bytes::Buf;
         use datatamer_model::DtError;
         let capacity = get_varint(&mut bytes)? as usize;
         let n = get_varint(&mut bytes)? as usize;
         if n > bytes.len() {
             return Err(DtError::Decode("extent: slot table exceeds input".into()));
         }
-        let mut offsets = Vec::with_capacity(n);
-        let mut dead = Vec::with_capacity(n);
-        for _ in 0..n {
-            offsets.push(get_varint(&mut bytes)? as u32);
-            if !bytes.has_remaining() {
-                return Err(DtError::Decode("extent: truncated slot table".into()));
-            }
-            dead.push(bytes.get_u8() != 0);
-        }
+        let offsets = (0..n)
+            .map(|_| get_varint(&mut bytes).map(|off| off as u32))
+            .collect::<Result<Vec<u32>>>()?;
         let dlen = get_varint(&mut bytes)? as usize;
         if bytes.len() < dlen {
             return Err(DtError::Decode("extent: truncated data".into()));
@@ -156,16 +110,20 @@ impl Extent {
             prev = off;
         }
         let data = bytes[..dlen].to_vec();
-        let live = dead.iter().filter(|d| !**d).count();
-        Ok(Extent { data, offsets, dead, capacity, live })
+        Ok(Extent { data, offsets, capacity })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::encode_document;
-    use datatamer_model::doc;
+    use crate::encode::{decode_document, encode_document};
+    use datatamer_model::{doc, Document};
+
+    /// Every document in slot order, decoded.
+    fn docs(e: &Extent) -> Vec<(u32, Document)> {
+        e.iter().map(|(slot, bytes)| (slot, decode_document(bytes).unwrap())).collect()
+    }
 
     #[test]
     fn append_get_roundtrip() {
@@ -174,10 +132,9 @@ mod tests {
         let d2 = doc! {"b" => "two"};
         let s1 = e.append(&encode_document(&d1)).unwrap();
         let s2 = e.append(&encode_document(&d2)).unwrap();
-        assert_eq!(e.get(s1).unwrap().unwrap(), d1);
-        assert_eq!(e.get(s2).unwrap().unwrap(), d2);
+        assert_eq!(docs(&e), vec![(s1, d1), (s2, d2)]);
         assert_eq!(e.offsets.len(), 2);
-        assert_eq!(e.live_count(), 2);
+        assert_eq!(e.doc_count(), 2);
     }
 
     #[test]
@@ -200,45 +157,18 @@ mod tests {
     }
 
     #[test]
-    fn delete_tombstones() {
-        let mut e = Extent::new(1024);
-        let s = e.append(&encode_document(&doc! {"a" => 1i64})).unwrap();
-        assert!(e.delete(s));
-        assert!(!e.delete(s), "double delete is a no-op");
-        assert!(e.get(s).is_none());
-        assert_eq!(e.live_count(), 0);
-        assert_eq!(e.offsets.len(), 1);
-        assert!(!e.delete(99), "unknown slot");
-    }
-
-    #[test]
-    fn iter_live_skips_dead() {
-        let mut e = Extent::new(4096);
-        let docs: Vec<_> = (0..5i64).map(|i| doc! {"i" => i}).collect();
-        let slots: Vec<u32> = docs.iter().map(|d| e.append(&encode_document(d)).unwrap()).collect();
-        e.delete(slots[1]);
-        e.delete(slots[3]);
-        let live: Vec<u32> = e.iter_live().map(|(s, _)| s).collect();
-        assert_eq!(live, vec![0, 2, 4]);
-    }
-
-    #[test]
     fn persistence_roundtrip() {
         let mut e = Extent::new(512);
         for i in 0..4i64 {
             e.append(&encode_document(&doc! {"i" => i, "s" => format!("row{i}")})).unwrap();
         }
-        e.delete(2);
         let bytes = e.to_bytes();
         let restored = Extent::from_bytes(&bytes).unwrap();
         assert_eq!(restored.capacity(), 512);
         assert_eq!(restored.offsets.len(), 4);
-        assert_eq!(restored.live_count(), 3);
-        assert!(restored.get(2).is_none());
-        assert_eq!(
-            restored.get(3).unwrap().unwrap(),
-            doc! {"i" => 3i64, "s" => "row3"}
-        );
+        assert_eq!(restored.doc_count(), 4);
+        assert_eq!(docs(&restored), docs(&e));
+        assert_eq!(docs(&restored)[3], (3, doc! {"i" => 3i64, "s" => "row3"}));
     }
 
     #[test]
@@ -252,12 +182,12 @@ mod tests {
         // A slot offset past the data or below its predecessor used to
         // decode fine and then panic on the first read of the slot. Every
         // header field is a one-byte varint here: the first offset is byte
-        // 2 and the second byte 4.
-        assert_eq!((bytes[2], u32::from(bytes[4])), (0, e.offsets[1]));
+        // 2 and the second byte 3.
+        assert_eq!((bytes[2], u32::from(bytes[3])), (0, e.offsets[1]));
         let mut past_end = bytes.clone();
-        past_end[4] = 100;
+        past_end[3] = 100;
         let mut decreasing = bytes;
-        decreasing.swap(2, 4);
+        decreasing.swap(2, 3);
         for bad in [past_end, decreasing] {
             let err = Extent::from_bytes(&bad).unwrap_err();
             assert!(matches!(err, datatamer_model::DtError::Decode(_)), "{err}");

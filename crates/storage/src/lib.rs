@@ -19,9 +19,11 @@
 //!   one crate-private shard type; a memory shard is a shard with no
 //!   directory. A shard has one append (a batch; a single insert is a
 //!   one-element batch) and one scan (one visit per extent).
-//! * [`collection`] — sharded collections: one shard per shard number
-//!   plus a round-robin cursor (a batch reserves its whole window with
-//!   one atomic bump, so it places exactly like repeated single inserts),
+//! * [`collection`] — append-only sharded collections, read by scan (no
+//!   document is updated, deleted or fetched by id): one shard per shard
+//!   number plus a round-robin cursor (a batch reserves its whole window
+//!   with one atomic bump, so it places exactly like repeated single
+//!   inserts; a reopen resumes the cursor),
 //!   rayon scatter/gather for batch inserts and the extent-parallel
 //!   [`Collection::parallel_scan`], declared secondary indexes, stats,
 //!   per-shard distribution ([`StorageReport`]), and the packed
@@ -51,6 +53,10 @@
 //! (a reopen decodes every one; nothing else is written beside them),
 //! and [`DeltaLog::append`] and [`DeltaLog::compact`]
 //! (whose temp file is renamed into place without being synced first).
+//! No file is truncated in place. A full extent is written once; the only
+//! extent file written again is a synced tail's, after more appends, and
+//! every extent write goes to a temp file renamed over the old one, so a
+//! process that dies mid-write leaves the previous file whole.
 //! After a power loss or kernel crash, any write since the last time the
 //! operating system flushed its cache may be missing or torn. Reads and
 //! reopens report a torn extent file instead of treating it as empty, and

@@ -12,7 +12,7 @@ use std::fmt;
 pub struct CollectionStats {
     /// Namespace, e.g. `dt.instance`.
     pub ns: String,
-    /// Total live entries.
+    /// Total stored documents.
     pub count: u64,
     /// Number of allocated extents.
     pub num_extents: usize,

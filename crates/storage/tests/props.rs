@@ -1,6 +1,6 @@
 //! Property tests for the storage engine: encode/decode roundtrips over
 //! arbitrary documents, extent persistence, and measured index stats and
-//! group-bys that no insert, delete or declaration history can change.
+//! group-bys that no insert or declaration history can change.
 
 use proptest::prelude::*;
 
@@ -63,7 +63,7 @@ fn indexable_document() -> impl Strategy<Value = Document> {
     prop::collection::vec(("[abc]", value), 0..4).prop_map(Document::from_pairs)
 }
 
-/// What a collection reports of its indexes: live count, `nindexes`,
+/// What a collection reports of its indexes: document count, `nindexes`,
 /// `total_index_size`, and the group-by on every indexed path (keys
 /// compared under `total_cmp`, so NaN equals itself).
 type IndexReport = (u64, usize, usize, Vec<Vec<(AttrKey, u64)>>);
@@ -90,7 +90,7 @@ fn indexed_collection(
     backend: BackendConfig,
     declare_first: bool,
     batched: bool,
-) -> (Collection, Vec<DocId>) {
+) -> Collection {
     let col = Collection::new(
         "x",
         CollectionConfig { extent_size: 256, shards: 3, backend },
@@ -99,15 +99,17 @@ fn indexed_collection(
     if declare_first {
         declare_indexes(&col);
     }
-    let ids = if batched {
-        col.insert_many(docs).unwrap()
+    if batched {
+        col.insert_many(docs).unwrap();
     } else {
-        docs.iter().map(|d| col.insert(d).unwrap()).collect()
-    };
+        for d in docs {
+            col.insert(d).unwrap();
+        }
+    }
     if !declare_first {
         declare_indexes(&col);
     }
-    (col, ids)
+    col
 }
 
 proptest! {
@@ -134,43 +136,36 @@ proptest! {
         }
     }
 
+    // Every inserted document scans back under the id its insert
+    // returned, and nothing else does.
     #[test]
     fn insert_then_get_returns_same_document(docs in prop::collection::vec(document(), 1..20)) {
         let col = Collection::new(
             "p",
             CollectionConfig { extent_size: 512, shards: 3, ..Default::default() },
         ).unwrap();
-        let ids: Vec<_> = docs.iter().map(|d| col.insert(d).unwrap()).collect();
-        for (id, doc) in ids.iter().zip(&docs) {
-            let fetched = col.get(*id).unwrap();
-            prop_assert_eq!(fetched.as_ref(), Some(doc));
-        }
+        let ids: Vec<DocId> = docs.iter().map(|d| col.insert(d).unwrap()).collect();
+        let mut scanned = col.parallel_scan(|id, d| Some((id, d.clone()))).unwrap();
+        scanned.sort_by_key(|(id, _)| *id);
+        let mut inserted: Vec<(DocId, Document)> = ids.into_iter().zip(docs.iter().cloned()).collect();
+        inserted.sort_by_key(|(id, _)| *id);
+        prop_assert_eq!(scanned, inserted);
         prop_assert_eq!(col.len(), docs.len() as u64);
     }
 
-    // The reported index sizes and group-bys are sums over live
+    // The reported index sizes and group-bys are sums over stored
     // (document, key) entries: declaring the indexes before or after the
     // inserts, inserting in one batch or one at a time, and the memory or
-    // file backend all report the same, and after deletes every variant
-    // reports what a fresh collection of the survivors reports.
+    // file backend all report the same.
     #[test]
     fn index_stats_are_independent_of_history(
         docs in prop::collection::vec(indexable_document(), 1..30),
-        delete_mask in prop::collection::vec(any::<bool>(), 30),
     ) {
         let dir = std::env::temp_dir()
             .join(format!("dt_props_index_stats_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let survivors: Vec<Document> = docs
-            .iter()
-            .zip(&delete_mask)
-            .filter(|(_, del)| !**del)
-            .map(|(d, _)| d.clone())
-            .collect();
-        let (reference, _) = indexed_collection(&docs, BackendConfig::Memory, true, true);
+        let reference = indexed_collection(&docs, BackendConfig::Memory, true, true);
         let want = index_report(&reference);
-        let (fresh, _) = indexed_collection(&survivors, BackendConfig::Memory, true, true);
-        let want_after = index_report(&fresh);
         let mut variant = 0;
         for file in [false, true] {
             for declare_first in [true, false] {
@@ -181,17 +176,9 @@ proptest! {
                     } else {
                         BackendConfig::Memory
                     };
-                    let (col, ids) = indexed_collection(&docs, backend, declare_first, batched);
+                    let col = indexed_collection(&docs, backend, declare_first, batched);
                     let case = (file, declare_first, batched);
                     prop_assert_eq!(index_report(&col), want.clone(), "{:?}", case);
-                    for (id, del) in ids.iter().zip(&delete_mask) {
-                        if *del {
-                            prop_assert!(col.delete(*id).unwrap());
-                        }
-                    }
-                    prop_assert_eq!(
-                        index_report(&col), want_after.clone(), "{:?} after deletes", case
-                    );
                 }
             }
         }
@@ -237,21 +224,14 @@ proptest! {
     }
 
     #[test]
-    fn stats_count_tracks_inserts_and_deletes(
-        docs in prop::collection::vec(document(), 1..15),
-        delete_mask in prop::collection::vec(any::<bool>(), 15),
-    ) {
+    fn stats_count_tracks_inserts_and_deletes(docs in prop::collection::vec(document(), 1..15)) {
         let col = Collection::new("s", CollectionConfig::default()).unwrap();
-        let ids: Vec<_> = docs.iter().map(|d| col.insert(d).unwrap()).collect();
-        let mut live = docs.len() as u64;
-        for (id, del) in ids.iter().zip(&delete_mask) {
-            if *del && col.delete(*id).unwrap() {
-                live -= 1;
-            }
+        for d in &docs {
+            col.insert(d).unwrap();
         }
         let stats = col.stats("dt").unwrap();
-        prop_assert_eq!(stats.count, live);
-        prop_assert_eq!(col.parallel_scan(|_, _| Some(())).unwrap().len() as u64, live);
+        prop_assert_eq!(stats.count, docs.len() as u64);
+        prop_assert_eq!(col.parallel_scan(|_, _| Some(())).unwrap().len(), docs.len());
     }
 
     #[test]

@@ -82,7 +82,8 @@
 //! — is the same extent-parallel `Collection::parallel_scan`. Documents
 //! are placed round robin; a batch
 //! reserves its whole window at once, so it lands exactly where the same
-//! documents inserted one by one would. The backend
+//! documents inserted one by one would, and a reopened collection resumes
+//! the round robin where it stopped. The backend
 //! ([`storage::BackendConfig`]) is where a shard's extents live: `Memory`
 //! keeps them in process (the default); `File` gives the shard a
 //! directory, keeps only its tail extent resident and flushes full
@@ -127,19 +128,25 @@
 //! col.sync().unwrap();
 //! let reopened = Collection::new("listings", config).unwrap();
 //! assert_eq!(reopened.len(), 60);
-//! assert_eq!(reopened.get(ids[7]).unwrap(), Some(docs[7].clone()));
+//! let seventh = reopened.parallel_scan(|id, d| (id == ids[7]).then(|| d.clone())).unwrap();
+//! assert_eq!(seventh, vec![docs[7].clone()]);
+//! // The next document lands where it would have without the reopen.
+//! let next = reopened.insert(&doc! {"show" => "Show 0", "seat" => 60i64}).unwrap();
+//! assert_eq!(next.shard(), ids[0].shard());
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!
 //! ### Out-of-core scans
 //!
-//! A file-backed shard keeps only its tail extent in memory; every scan,
-//! point read and delete of a flushed extent reads that extent's file.
-//! Parallel scans fan out one rayon task per *(shard, extent)*, so scan
-//! output is deterministic at any thread count, and a tombstone written
-//! back to its file survives a reopen. Writes are not fsynced: they
-//! survive a process crash, not a power loss (the storage crate's
-//! durability contract).
+//! A file-backed shard keeps only its tail extent in memory, and every
+//! scan of a flushed extent reads that extent's file. Parallel scans fan
+//! out one rayon task per *(shard, extent)*, so scan output is
+//! deterministic at any thread count. Collections are append-only: no
+//! document is updated or deleted, a full extent's file is written once,
+//! and the only file ever rewritten is a synced tail's, through a temp
+//! file renamed over it, never truncated in place. Writes are not
+//! fsynced: they survive a process crash, not a power loss (the storage
+//! crate's durability contract).
 //!
 //! ```
 //! use datatamer::model::doc;
@@ -156,16 +163,16 @@
 //! let docs: Vec<_> = (0..200i64)
 //!     .map(|i| doc! {"i" => i, "pad" => "x".repeat(64)})
 //!     .collect();
-//! let ids = col.insert_many(&docs).unwrap();
-//! assert!(col.delete(ids[3]).unwrap());
+//! col.insert_many(&docs[..150]).unwrap();
 //! col.sync().unwrap(); // flush tails; all extents now live on disk
+//! col.insert_many(&docs[150..]).unwrap();
+//! col.sync().unwrap(); // the synced tails are written again, by rename
 //!
-//! // Each scan reads the extent files; the tombstone is on disk too.
+//! // Each scan reads the extent files.
 //! let seen = col.parallel_scan(|_, d| d.get("i").cloned()).unwrap();
-//! assert_eq!(seen.len(), 199);
+//! assert_eq!(seen.len(), 200);
 //! let reopened = Collection::new("events", config).unwrap();
 //! assert_eq!(reopened.parallel_scan(|_, d| d.get("i").cloned()).unwrap(), seen);
-//! assert_eq!(reopened.get(ids[3]).unwrap(), None);
 //! assert_eq!(reopened.storage_report().decode_errors(), 0);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
