@@ -164,7 +164,7 @@ impl Blocker {
                 // find; the windowed pass over the full-key sort order is
                 // what recovers beyond-cap duplicates.
                 let mut local = quadratic_pairs(&members[..cap]);
-                local.extend(window_pairs(members, &sort_keys));
+                local.extend(window_pairs(members, |i| sort_keys[i].as_deref()));
                 local
             })
             .collect();
@@ -188,11 +188,15 @@ pub(crate) fn distinct_token_ids(interner: &mut TokenInterner, key: &str, ids: &
 
 /// The progressive window over one oversized bucket: sort the members by
 /// `(full key, index)` and pair each with the next
-/// `PROGRESSIVE_WINDOW - 1` members of that order. Both engines call it;
-/// the resident one regenerates a touched bucket's window every batch.
-pub(crate) fn window_pairs(members: &[usize], sort_keys: &[Option<String>]) -> Vec<u64> {
+/// `PROGRESSIVE_WINDOW - 1` members of that order; `key(i)` is record
+/// `i`'s lowercased full key. Both engines call it; the resident one
+/// regenerates a touched bucket's window every batch.
+pub(crate) fn window_pairs<'k>(
+    members: &[usize],
+    key: impl Fn(usize) -> Option<&'k str>,
+) -> Vec<u64> {
     let mut sorted = members.to_vec();
-    sorted.sort_unstable_by(|&a, &b| sort_keys[a].cmp(&sort_keys[b]).then(a.cmp(&b)));
+    sorted.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)).then(a.cmp(&b)));
     let mut pairs = Vec::with_capacity(sorted.len() * (PROGRESSIVE_WINDOW - 1));
     for i in 0..sorted.len() {
         for j in (i + 1)..(i + PROGRESSIVE_WINDOW).min(sorted.len()) {

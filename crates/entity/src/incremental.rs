@@ -4,14 +4,15 @@
 //! so steady-state ingest cost grows with corpus size. This module keeps
 //! the expensive state **resident between runs** — the prepared
 //! [`ScoringContext`], the token blocking index (interned token-id
-//! buckets plus the full-key sort axis their progressive windows read), a
-//! memo of every decision a progressive window asked for, and a persistent
-//! [`UnionFind`]
+//! buckets; their progressive windows sort on the key text the context
+//! holds), a memo of every decision a progressive window asked for, and a
+//! persistent [`UnionFind`]
 //! — so ingesting a delta batch costs O(delta), not O(corpus):
 //!
 //! 1. the batch extends the scoring context in place
 //!    ([`ScoringContext::extend`]: interners and arenas grow append-only,
-//!    existing ids and features untouched);
+//!    existing ids and features untouched); the same pass tokenises each
+//!    new record's blocking key;
 //! 2. candidate generation probes only the buckets the batch's own
 //!    records touch — new-vs-new and new-vs-old pairs, never old-vs-old;
 //! 3. accepted pairs merge into the persistent union-find, and only
@@ -50,7 +51,10 @@
 //!
 //! Everything above stays resident for the life of the consolidator: the
 //! records' prepared features (the records themselves stay with the
-//! caller, so the corpus exists once), the bucket membership lists, the
+//! caller, so the corpus exists once), the bucket membership lists (the
+//! sort axis is no list of its own: each prepared record keeps the offset
+//! of its key field, so a window reads each key's lowercased bytes in
+//! place from the context's text arena, never a second copy), the
 //! core ledger and per-bucket window sets (one entry per *accepted*
 //! pair), and the decision memo (one accept/reject `bool` per pair a
 //! progressive window ever proposed — what lets a regenerated window skip
@@ -74,10 +78,9 @@
 use std::collections::HashMap;
 
 use datatamer_model::Record;
-use datatamer_sim::TokenInterner;
 use rayon::prelude::*;
 
-use crate::blocking::{distinct_token_ids, pack_pair, unpack_pair, window_pairs, Blocker};
+use crate::blocking::{pack_pair, unpack_pair, window_pairs, Blocker};
 use crate::cluster::UnionFind;
 use crate::pairsim::{RecordSimilarity, ScoringContext};
 
@@ -129,15 +132,14 @@ pub struct IncrementalConsolidator {
     blocker: Blocker,
     threshold: f64,
 
-    /// Prepared scoring features, grown in place per batch.
+    /// Prepared scoring features, grown in place per batch. The
+    /// progressive-window sort axis is read from it
+    /// ([`ScoringContext::key_text`]).
     ctx: ScoringContext,
-    /// Lowercased blocking keys per record — the progressive-window sort
-    /// axis, extended from the context per batch.
-    sort_keys: Vec<Option<String>>,
 
     /// Resident token blocking index: bucket `id` lists, in insertion
-    /// order, the records whose key contains interned token `id`.
-    token_ids: TokenInterner,
+    /// order, the records whose key contains the token the context interned
+    /// as key token `id`.
     token_buckets: Vec<Vec<usize>>,
 
     /// Memoized accept decisions ([`ScoringContext::accepts`] at
@@ -173,8 +175,6 @@ impl IncrementalConsolidator {
             ctx: scorer.keyed_context(Some(&blocker.key_attr)),
             blocker,
             threshold,
-            sort_keys: Vec::new(),
-            token_ids: TokenInterner::new(),
             token_buckets: Vec::new(),
             decisions: HashMap::new(),
             core_accepted: Vec::new(),
@@ -188,12 +188,12 @@ impl IncrementalConsolidator {
 
     /// Number of records ingested so far.
     pub fn len(&self) -> usize {
-        self.sort_keys.len()
+        self.ctx.len()
     }
 
     /// True before the first batch.
     pub fn is_empty(&self) -> bool {
-        self.sort_keys.is_empty()
+        self.ctx.is_empty()
     }
 
     /// The resident scoring context (grows with every batch).
@@ -231,35 +231,33 @@ impl IncrementalConsolidator {
         let old_n = self.len();
         let n = old_n + batch.len();
 
-        // 1. Grow the scoring context and the sort axis in place.
-        self.ctx.extend(batch.iter().copied());
-        self.sort_keys.extend(self.ctx.sort_keys_from(&self.blocker.key_attr, old_n));
-        debug_assert_eq!(self.sort_keys.len(), n);
+        // 1. Grow the scoring context in place, which also tokenises the
+        //    new records' blocking keys.
+        let keys = self.ctx.extend_keyed(&batch);
 
         // 2. Probe the token buckets with the new records only, noting the
-        //    first new position per touched bucket.
-        let mut touched: HashMap<usize, usize> = HashMap::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for (i, record) in (old_n..).zip(&batch) {
-            if let Some(key) = record.get_text(&self.blocker.key_attr) {
-                distinct_token_ids(&mut self.token_ids, &key, &mut ids);
-                for &id in &ids {
-                    let id = id as usize;
-                    while self.token_buckets.len() <= id {
-                        self.token_buckets.push(Vec::new());
-                    }
-                    touched.entry(id).or_insert(self.token_buckets[id].len());
-                    self.token_buckets[id].push(i);
+        //    first new position per touched bucket: records arrive in
+        //    index order, so a bucket is new to this batch while its last
+        //    member predates it.
+        let mut touched: Vec<(usize, usize)> = Vec::new();
+        for (i, ids) in (old_n..).zip(keys.iter()) {
+            for &id in ids {
+                let id = id as usize;
+                while self.token_buckets.len() <= id {
+                    self.token_buckets.push(Vec::new());
                 }
+                let members = &mut self.token_buckets[id];
+                if members.last().is_none_or(|&m| m < old_n) {
+                    touched.push((id, members.len()));
+                }
+                members.push(i);
             }
         }
         let probed_buckets = touched.len();
-        // dtlint::allow(map-iter, reason = "collected into a Vec and sort_unstable'd on the next line")
-        let mut touched_sorted: Vec<(usize, usize)> = touched.into_iter().collect();
-        touched_sorted.sort_unstable();
+        touched.sort_unstable();
         let mut new_core: Vec<u64> = Vec::new();
         let mut window_updates: Vec<(usize, Vec<u64>)> = Vec::new();
-        for (id, first_new) in touched_sorted {
+        for (id, first_new) in touched {
             self.bucket_delta(id, first_new, &mut new_core, &mut window_updates);
         }
         new_core.sort_unstable();
@@ -393,10 +391,16 @@ impl IncrementalConsolidator {
         if members.len() <= cap {
             return;
         }
-        let mut pairs = window_pairs(members, &self.sort_keys);
+        let mut pairs = window_pairs(members, |i| self.ctx.key_text(i));
         pairs.sort_unstable();
         pairs.dedup();
         window_updates.push((id, pairs));
+    }
+
+    /// The token buckets, by interned key-token id.
+    #[cfg(test)]
+    pub(crate) fn buckets(&self) -> &[Vec<usize>] {
+        &self.token_buckets
     }
 
     fn degraded_buckets(&self) -> usize {

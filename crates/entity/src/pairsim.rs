@@ -73,11 +73,32 @@
 //! costs the resident state nothing beyond its interned name.
 //!
 //! The one exception is the blocking key. The incremental consolidator
-//! reads its progressive-window sort axis from the context
-//! ([`ScoringContext::sort_keys_from`]), so the context it builds keeps
-//! the key attribute's values whatever the key weighs. A context from
-//! [`RecordSimilarity::prepare`] has no key, and
-//! [`ScoringContext::sort_keys`] answers `None` for an attribute it skipped.
+//! reads its progressive-window sort axis from the context (each record
+//! keeps the offset of its key field, so the axis is a range into the
+//! text arena), so the context it builds keeps the key attribute's values
+//! whatever the key weighs. A context from [`RecordSimilarity::prepare`]
+//! has no key, and [`ScoringContext::sort_keys`] answers `None` for an
+//! attribute it skipped.
+//!
+//! ## One pass per record
+//!
+//! [`ScoringContext::extend`] normalises each record once, in two halves:
+//!
+//! * **In parallel**, over chunks of records on the rayon team, each value
+//!   is rendered (a string is borrowed, not cloned) and gets its float,
+//!   its numeric-ish parse (skipped for a text with no ASCII digit, which
+//!   `parse_numericish` never accepts; read off the integer for an `Int`),
+//!   its lowercase text and that text's tokens (an ASCII text byte by
+//!   byte, any other through `to_lowercase` and [`sim::for_each_token`]).
+//!   For a consolidator the key value's raw text is tokenised too: those
+//!   tokens keep their camelCase splits, so they are a list of their own.
+//!   A string or integer that repeats within the chunk (a genre, a
+//!   theatre, a price) takes its first occurrence's features. Each chunk writes into buffers it
+//!   owns, so no per-value `String` crosses threads.
+//! * **In sequence**, chunk after chunk in record order, the attribute
+//!   names and both token streams are interned and the arenas appended,
+//!   so every id, arena byte and [`PrepareStats`] count is what a
+//!   per-value loop gives at any width.
 //!
 //! The context is **growable**: [`ScoringContext::extend`] appends a batch
 //! of new records in place — interners, arenas, and weights extend without
@@ -86,6 +107,10 @@
 //! identical to `prepare(A∥B)`. This is what lets the incremental
 //! consolidator ([`crate::incremental`]) keep one context resident across
 //! delta batches instead of re-preparing the corpus per run.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::fmt::Write;
 
 use datatamer_model::{Record, Value};
 use datatamer_sim as sim;
@@ -142,7 +167,7 @@ impl RecordSimilarity {
             rs: self.clone(),
             key_attr: key_attr.map(str::to_owned),
             attr_ids: sim::TokenInterner::new(),
-            tokens: sim::TokenInterner::new(),
+            tokens: TokenIds::default(),
             weights: Vec::new(),
             nonnegative_weights: self.default_weight >= 0.0
                 && self.weights.iter().all(|(_, w)| *w >= 0.0),
@@ -218,7 +243,14 @@ pub struct PrepareStats {
 struct PreparedRecord {
     field_start: usize,
     field_len: u32,
+    /// The blocking key's field, as an offset into the record's fields, or
+    /// [`NO_KEY`]: the sort axis is a range into the text arena, not a
+    /// second copy. It fills what would be padding.
+    key_field: u32,
 }
+
+/// [`PreparedRecord::key_field`] of a record with no key value.
+const NO_KEY: u32 = u32::MAX;
 
 /// One non-null attribute value, fully normalised at prepare time.
 #[derive(Debug, Clone, Copy)]
@@ -235,6 +267,302 @@ struct PreparedField {
     /// Sorted, deduplicated interned token ids: range into the token arena.
     tok_start: usize,
     tok_len: u32,
+}
+
+/// Records one task of [`ScoringContext::extend`]'s parallel pass
+/// normalises; a delta batch of at most this many records runs inline.
+const NORMALISE_CHUNK: usize = 256;
+
+/// The scoring-token and blocking-key-token interners in one map. Each
+/// stream gets dense ids in first-seen order of its own, and a key token
+/// that is a scoring token too (only camelCase splits tell the streams
+/// apart) takes one probe for both ids.
+#[derive(Debug, Clone, Default)]
+struct TokenIds {
+    ids: HashMap<Box<str>, [u32; 2], sim::FnvBuildHasher>,
+    /// Ids handed out, per stream.
+    len: [u32; 2],
+}
+
+/// The streams of [`TokenIds`].
+const SCORING: usize = 0;
+const KEY: usize = 1;
+
+/// A [`TokenIds`] slot of a stream that has not seen the token.
+const UNSEEN: u32 = u32::MAX;
+
+impl TokenIds {
+    /// `tok`'s id in each of `streams`, the next id of a stream that has
+    /// not seen it.
+    fn intern<const N: usize>(&mut self, tok: &str, streams: [usize; N]) -> [u32; N] {
+        let len = &mut self.len;
+        let mut assign = |slot: &mut [u32; 2]| {
+            streams.map(|s| {
+                if slot[s] == UNSEEN {
+                    slot[s] = len[s];
+                    len[s] += 1;
+                }
+                slot[s]
+            })
+        };
+        if let Some(slot) = self.ids.get_mut(tok) {
+            return assign(slot);
+        }
+        assign(self.ids.entry(tok.into()).or_insert([UNSEEN; 2]))
+    }
+}
+
+/// Each record's distinct blocking-key token ids from one
+/// [`ScoringContext::extend_keyed`], ascending: the ids
+/// `blocking::distinct_token_ids` interns from `record.get_text(key)`.
+/// They come from the raw text, which keeps the camelCase splits the
+/// lowercased scoring tokens lose, so they are a stream of their own.
+#[derive(Debug, Default)]
+pub(crate) struct KeyTokens {
+    ids: Vec<u32>,
+    /// One past each record's last id in `ids`.
+    ends: Vec<usize>,
+}
+
+impl KeyTokens {
+    /// Each record's ids, in batch order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| &self.ids[a..b])
+    }
+}
+
+/// One chunk of records normalised by one task, into buffers the chunk
+/// owns, so no per-value `String` crosses threads.
+#[derive(Debug, Default)]
+struct Normalised<'r> {
+    /// The distinct names of the chunk's non-null fields in first-seen
+    /// order (interning them in this order assigns the ids interning every
+    /// field's name would), each with whether its values are prepared: a
+    /// weight-0 attribute other than the key is only interned.
+    attrs: Vec<(&'r str, bool)>,
+    /// Each record's number of prepared fields.
+    record_fields: Vec<u32>,
+    /// Every prepared field, in record order.
+    fields: Vec<NormalisedField>,
+    /// The prepared fields' lowercased texts, concatenated.
+    lower: String,
+    /// Every token, concatenated: each prepared field's scoring tokens,
+    /// then, for a key field whose key tokens differ, its key tokens.
+    token_text: String,
+    /// One past each token's last byte in `token_text`.
+    token_ends: Vec<usize>,
+}
+
+/// A value whose features a chunk computes once: a string's depend on
+/// its text alone, an integer's on the integer.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Repeatable<'r> {
+    Str(&'r str),
+    Int(i64),
+}
+
+/// One prepared field's features before interning.
+#[derive(Debug)]
+struct NormalisedField {
+    /// Index into [`Normalised::attrs`].
+    attr: u32,
+    key: bool,
+    /// The field of the chunk whose value this one repeats: its tokens
+    /// are that field's, so none are kept for this one.
+    repeats: Option<u32>,
+    float: Option<f64>,
+    numericish: Option<f64>,
+    /// Byte range in [`Normalised::lower`].
+    lo_start: usize,
+    lo_len: u32,
+    /// How many scoring tokens the field added to
+    /// [`Normalised::token_ends`], and, for a key field, how many key
+    /// tokens after them; `None` when those are the scoring tokens.
+    tokens: u32,
+    key_tokens: Option<u32>,
+}
+
+impl<'r> Normalised<'r> {
+    fn of(records: &[&'r Record], rs: &RecordSimilarity, key_attr: Option<&str>) -> Self {
+        let mut out = Normalised::default();
+        let mut attr_ids: HashMap<&str, u32, sim::FnvBuildHasher> = HashMap::default();
+        let mut seen: HashMap<Repeatable<'_>, u32, sim::FnvBuildHasher> = HashMap::default();
+        let mut rendered = String::new();
+        for r in records {
+            let before = out.fields.len();
+            for (attr, v) in r.iter() {
+                if v.is_null() {
+                    continue;
+                }
+                let is_key = key_attr == Some(attr);
+                let local = *attr_ids.entry(attr).or_insert_with(|| {
+                    out.attrs.push((attr, is_key || rs.weight_of(attr) != 0.0));
+                    (out.attrs.len() - 1) as u32
+                });
+                if !out.attrs[local as usize].1 {
+                    continue;
+                }
+                // A repeated string or integer has the features of its
+                // first occurrence in the chunk, whose tokens the sequential
+                // half will have interned already.
+                let repeatable = match v {
+                    Value::Str(s) if !is_key => Some(Repeatable::Str(s)),
+                    Value::Int(i) if !is_key => Some(Repeatable::Int(*i)),
+                    _ => None,
+                };
+                if let Some(value) = repeatable {
+                    match seen.entry(value) {
+                        Entry::Occupied(first) => {
+                            out.repeat(local, *first.get());
+                            continue;
+                        }
+                        Entry::Vacant(slot) => {
+                            slot.insert(out.fields.len() as u32);
+                        }
+                    }
+                }
+                let text = match v {
+                    Value::Str(s) => s.as_str(),
+                    other => {
+                        rendered.clear();
+                        let _ = write!(rendered, "{other}");
+                        rendered.as_str()
+                    }
+                };
+                let numericish = match *v {
+                    // What `parse_numericish` reads from an integer's
+                    // digits; the one it cannot, `i64::MIN`, overflows.
+                    Value::Int(i) => (i != i64::MIN).then_some(i as f64),
+                    // It accepts nothing without an ASCII digit.
+                    _ if !text.bytes().any(|b| b.is_ascii_digit()) => None,
+                    _ => parse_numericish(text),
+                };
+                let (lo_start, tokens) = (out.lower.len(), out.token_ends.len());
+                let raw_differs = out.lower_and_tokens(text);
+                let scoring = out.token_ends.len() - tokens;
+                let key_tokens = if is_key && raw_differs {
+                    out.key_tokens(text, lo_start, tokens)
+                } else {
+                    None
+                };
+                out.fields.push(NormalisedField {
+                    attr: local,
+                    key: is_key,
+                    repeats: None,
+                    float: v.as_float(),
+                    numericish,
+                    lo_start,
+                    lo_len: (out.lower.len() - lo_start) as u32,
+                    tokens: scoring as u32,
+                    key_tokens,
+                });
+            }
+            out.record_fields.push((out.fields.len() - before) as u32);
+        }
+        out
+    }
+
+    /// Appends a field of attribute `attr` whose value repeats that of
+    /// field `k` of the chunk, a non-key field too.
+    fn repeat(&mut self, attr: u32, k: u32) {
+        let first = &self.fields[k as usize];
+        let (lo_len, float, numericish) = (first.lo_len, first.float, first.numericish);
+        let lo_start = self.lower.len();
+        self.lower.extend_from_within(first.lo_start..first.lo_start + lo_len as usize);
+        self.fields.push(NormalisedField {
+            attr,
+            key: false,
+            repeats: Some(k),
+            float,
+            numericish,
+            lo_start,
+            lo_len,
+            tokens: 0,
+            key_tokens: None,
+        });
+    }
+
+    /// Appends the tokens of the key value `text`, whose lowercase form
+    /// starts at `lo_start` and whose scoring tokens at token `tokens`, and
+    /// returns how many; `None`, appending nothing, when they are its
+    /// scoring tokens.
+    fn key_tokens(&mut self, text: &str, lo_start: usize, tokens: usize) -> Option<u32> {
+        let (token_text, ends) = (&mut self.token_text, &mut self.token_ends);
+        let (text_at, key_start) = (token_text.len(), ends.len());
+        let push = |tok: &str| {
+            token_text.push_str(tok);
+            ends.push(token_text.len());
+        };
+        if text.is_ascii() {
+            ascii_tokens(text, &self.lower[lo_start..], true, push);
+        } else {
+            sim::for_each_token(text, push);
+        }
+        let n = ends.len() - key_start;
+        let same = (0..n).all(|k| self.token(tokens + k) == self.token(key_start + k));
+        if n == key_start - tokens && same {
+            self.token_text.truncate(text_at);
+            self.token_ends.truncate(key_start);
+            return None;
+        }
+        Some(n as u32)
+    }
+
+    /// Appends `text.to_lowercase()` and its tokens, as
+    /// [`sim::for_each_token`] splits it. Returns whether `text` itself
+    /// may split into other tokens: it has a camelCase break, or is not
+    /// ASCII.
+    fn lower_and_tokens(&mut self, text: &str) -> bool {
+        let (token_text, ends) = (&mut self.token_text, &mut self.token_ends);
+        let push = |tok: &str| {
+            token_text.push_str(tok);
+            ends.push(token_text.len());
+        };
+        if text.is_ascii() {
+            let start = self.lower.len();
+            self.lower.push_str(text);
+            self.lower[start..].make_ascii_lowercase();
+            // A lowercase text has no camelCase break.
+            ascii_tokens(text, &self.lower[start..], false, push)
+        } else {
+            let lower = text.to_lowercase();
+            sim::for_each_token(&lower, push);
+            self.lower.push_str(&lower);
+            true
+        }
+    }
+
+    /// Token `k` of the chunk.
+    fn token(&self, k: usize) -> &str {
+        let start = if k == 0 { 0 } else { self.token_ends[k - 1] };
+        &self.token_text[start..self.token_ends[k]]
+    }
+}
+
+/// The tokens [`sim::for_each_token`] lends for the ASCII text `raw`,
+/// sliced from `lower`, its lowercase form (ASCII lowercases byte for
+/// byte), and split at camelCase breaks only when `camel`. Returns whether
+/// `raw` has such a break.
+fn ascii_tokens(raw: &str, lower: &str, camel: bool, mut f: impl FnMut(&str)) -> bool {
+    let (mut open, mut prev_lower, mut saw_break) = (None, false, false);
+    for (k, b) in raw.bytes().enumerate() {
+        let is_word = b.is_ascii_alphanumeric();
+        let camel_break = b.is_ascii_uppercase() && prev_lower;
+        saw_break |= camel_break;
+        if let Some(start) = open.filter(|_| !is_word || (camel && camel_break)) {
+            f(&lower[start..k]);
+            open = None;
+        }
+        if is_word && open.is_none() {
+            open = Some(k);
+        }
+        prev_lower = b.is_ascii_lowercase() || b.is_ascii_digit();
+    }
+    if let Some(start) = open {
+        f(&lower[start..]);
+    }
+    saw_break
 }
 
 /// One field pair's similarity, held back before the Jaro-Winkler term
@@ -287,8 +615,9 @@ pub struct ScoringContext {
     key_attr: Option<String>,
     /// Attribute-name interner (ids index [`ScoringContext::weights`]).
     attr_ids: sim::TokenInterner,
-    /// Value-token interner (ids fill the token arena).
-    tokens: sim::TokenInterner,
+    /// Value-token interner (scoring ids fill the token arena; key ids
+    /// name a consolidator's blocking buckets).
+    tokens: TokenIds,
     /// Attribute weight by interned attribute id — replaces the per-pair
     /// linear scan of `RecordSimilarity::weight_of` with one indexed load.
     weights: Vec<f64>,
@@ -327,51 +656,112 @@ impl ScoringContext {
     /// The batch is any sequence of records, so segments held apart extend
     /// in one call.
     pub fn extend<'a>(&mut self, new_records: impl IntoIterator<Item = &'a Record>) {
-        let mut tok_buf: Vec<u32> = Vec::new();
-        for r in new_records {
-            let field_start = self.fields.len();
-            for (attr, v) in r.iter() {
-                if v.is_null() {
-                    continue;
-                }
-                let attr_id = self.attr_ids.intern_str(attr);
-                if attr_id as usize == self.weights.len() {
+        let records: Vec<&Record> = new_records.into_iter().collect();
+        self.extend_keyed(&records);
+    }
+
+    /// [`ScoringContext::extend`], returning each new record's
+    /// blocking-key token ids (see [`KeyTokens`]; none without a key).
+    /// This is the one pass (see the module docs): every record is
+    /// normalised in parallel chunks, then the chunks' tokens are interned
+    /// and their features appended in record order.
+    pub(crate) fn extend_keyed(&mut self, records: &[&Record]) -> KeyTokens {
+        let key_attr = self.key_attr.as_deref();
+        let chunks: Vec<Normalised<'_>> = (0..records.len().div_ceil(NORMALISE_CHUNK))
+            .into_par_iter()
+            .map(|c| {
+                let end = records.len().min((c + 1) * NORMALISE_CHUNK);
+                Normalised::of(&records[c * NORMALISE_CHUNK..end], &self.rs, key_attr)
+            })
+            .collect();
+        self.records.reserve(records.len());
+        self.fields.reserve(chunks.iter().map(|c| c.fields.len()).sum());
+        self.text_arena.reserve(chunks.iter().map(|c| c.lower.len()).sum());
+        self.token_arena.reserve(chunks.iter().map(|c| c.token_ends.len()).sum());
+        let mut keys = KeyTokens::default();
+        for chunk in &chunks {
+            self.append(chunk, &mut keys);
+        }
+        self.stats.records = self.records.len();
+        self.stats.distinct_attrs = self.attr_ids.len();
+        self.stats.distinct_tokens = self.tokens.len[SCORING] as usize;
+        keys
+    }
+
+    /// The sequential half of the pass: interns one chunk's attribute
+    /// names and both token streams in record order, and appends its
+    /// features.
+    fn append(&mut self, chunk: &Normalised<'_>, keys: &mut KeyTokens) {
+        let attrs: Vec<u32> = chunk
+            .attrs
+            .iter()
+            .map(|&(attr, _)| {
+                let id = self.attr_ids.intern_str(attr);
+                if id as usize == self.weights.len() {
                     self.weights.push(self.rs.weight_of(attr));
                 }
-                if self.weights[attr_id as usize] == 0.0 && !self.is_key(attr) {
-                    continue;
-                }
-                let float = v.as_float();
-                let text = v.to_text();
-                let numericish = parse_numericish(&text);
-                let lower = text.to_lowercase();
-                tok_buf.clear();
-                sim::for_each_token(&lower, |tok| tok_buf.push(self.tokens.intern_str(tok)));
-                tok_buf.sort_unstable();
-                tok_buf.dedup();
+                id
+            })
+            .collect();
+        let (lower_at, chunk_fields) = (self.text_arena.len(), self.fields.len());
+        self.text_arena.push_str(&chunk.lower);
+        let (mut tok_buf, mut key_buf): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        let (mut fields, mut token) = (chunk.fields.iter(), 0);
+        for &n in &chunk.record_fields {
+            let field_start = self.fields.len();
+            let mut key_field = NO_KEY;
+            for f in fields.by_ref().take(n as usize) {
                 let tok_start = self.token_arena.len();
-                self.token_arena.extend_from_slice(&tok_buf);
-                let lo_start = self.text_arena.len();
-                self.text_arena.push_str(&lower);
+                if let Some(k) = f.repeats {
+                    let first = self.fields[chunk_fields + k as usize];
+                    let first_tokens = first.tok_start..first.tok_start + first.tok_len as usize;
+                    self.token_arena.extend_from_within(first_tokens);
+                } else {
+                    tok_buf.clear();
+                    key_buf.clear();
+                    let both = f.key && f.key_tokens.is_none();
+                    for k in token..token + f.tokens as usize {
+                        if both {
+                            let [id, key_id] = self.tokens.intern(chunk.token(k), [SCORING, KEY]);
+                            tok_buf.push(id);
+                            key_buf.push(key_id);
+                        } else {
+                            tok_buf.extend(self.tokens.intern(chunk.token(k), [SCORING]));
+                        }
+                    }
+                    token += f.tokens as usize;
+                    for k in token..token + f.key_tokens.unwrap_or(0) as usize {
+                        key_buf.extend(self.tokens.intern(chunk.token(k), [KEY]));
+                    }
+                    token += f.key_tokens.unwrap_or(0) as usize;
+                    tok_buf.sort_unstable();
+                    tok_buf.dedup();
+                    self.token_arena.extend_from_slice(&tok_buf);
+                }
+                if f.key {
+                    key_field = (self.fields.len() - field_start) as u32;
+                    key_buf.sort_unstable();
+                    key_buf.dedup();
+                    keys.ids.extend_from_slice(&key_buf);
+                }
                 self.fields.push(PreparedField {
-                    attr: attr_id,
-                    float,
-                    numericish,
-                    lo_start,
-                    lo_len: lower.len() as u32,
+                    attr: attrs[f.attr as usize],
+                    float: f.float,
+                    numericish: f.numericish,
+                    lo_start: lower_at + f.lo_start,
+                    lo_len: f.lo_len,
                     tok_start,
-                    tok_len: tok_buf.len() as u32,
+                    tok_len: (self.token_arena.len() - tok_start) as u32,
                 });
                 self.stats.values += 1;
             }
             self.records.push(PreparedRecord {
                 field_start,
                 field_len: (self.fields.len() - field_start) as u32,
+                key_field,
             });
+            keys.ends.push(keys.ids.len());
         }
-        self.stats.records = self.records.len();
-        self.stats.distinct_attrs = self.attr_ids.len();
-        self.stats.distinct_tokens = self.tokens.len();
     }
 
     fn is_key(&self, attr: &str) -> bool {
@@ -381,6 +771,15 @@ impl ScoringContext {
     fn fields_of(&self, i: usize) -> &[PreparedField] {
         let r = self.records[i];
         &self.fields[r.field_start..r.field_start + r.field_len as usize]
+    }
+
+    /// Record `i`'s lowercased blocking key, read in place from the text
+    /// arena: the progressive windows' sort axis. `None` when the record
+    /// has no key value or the context no key.
+    pub(crate) fn key_text(&self, i: usize) -> Option<&str> {
+        let r = self.records[i];
+        let field = self.fields.get(r.field_start + r.key_field as usize);
+        field.filter(|_| r.key_field != NO_KEY).map(|f| self.lower_of(f))
     }
 
     fn lower_of(&self, f: &PreparedField) -> &str {
@@ -402,11 +801,9 @@ impl ScoringContext {
         prepared.then(|| self.sort_keys_from(attr, 0))
     }
 
-    /// [`ScoringContext::sort_keys`] restricted to records `start..len` —
-    /// the incremental consolidator calls this with the previous corpus
-    /// length after an [`ScoringContext::extend`], so growing its resident
-    /// sort axis costs O(delta), not O(corpus). For an attribute the
-    /// context skipped, every key is `None`.
+    /// [`ScoringContext::sort_keys`] restricted to records `start..len`,
+    /// copied out of the text arena. For an attribute the context skipped,
+    /// every key is `None`.
     pub fn sort_keys_from(&self, attr: &str, start: usize) -> Vec<Option<String>> {
         let id = self.attr_ids.get(attr);
         (start..self.records.len())
@@ -555,6 +952,9 @@ fn parse_numericish(s: &str) -> Option<f64> {
     }
     infer::parse_decimal(s)
 }
+
+#[cfg(test)]
+mod one_pass_tests;
 
 #[cfg(test)]
 mod tests {

@@ -251,7 +251,8 @@ impl CollectionSnapshot {
             match c {
                 Predicate::Eq(attr, v) => {
                     if let Some(ix) = self.indexes.hash_index(attr) {
-                        return Some(Probe::Candidates(PlanKind::HashProbe, ix.lookup(v).to_vec()));
+                        let cids = Cow::Borrowed(ix.lookup(v));
+                        return Some(Probe::Candidates(PlanKind::HashProbe, cids));
                     }
                 }
                 Predicate::In(attr, options) => {
@@ -260,7 +261,7 @@ impl CollectionSnapshot {
                         for v in options {
                             cids.extend_from_slice(ix.lookup(v));
                         }
-                        return Some(Probe::Candidates(PlanKind::HashProbe, cids));
+                        return Some(Probe::Candidates(PlanKind::HashProbe, Cow::Owned(cids)));
                     }
                 }
                 _ => {}
@@ -281,7 +282,7 @@ impl CollectionSnapshot {
                 return Some(Probe::TopK(TopKWalk { index, attr, lo, hi, order: *order, k }));
             }
         }
-        Some(Probe::Candidates(PlanKind::OrderedProbe, index.range(lo, hi)))
+        Some(Probe::Candidates(PlanKind::OrderedProbe, Cow::Owned(index.range(lo, hi))))
     }
 
     /// Rule (b) of the module doc: walk the ordered index's key groups from
@@ -330,8 +331,9 @@ impl CollectionSnapshot {
 
 /// What [`CollectionSnapshot::plan_probe`] chose.
 enum Probe<'q> {
-    /// Candidate cluster ids to re-check: a superset of the matches.
-    Candidates(PlanKind, Vec<usize>),
+    /// Candidate cluster ids to re-check: a superset of the matches. A
+    /// single-value hash probe lends the index's posting list.
+    Candidates(PlanKind, Cow<'q, [usize]>),
     /// An ordered top-k walk over one index.
     TopK(TopKWalk<'q>),
 }

@@ -257,12 +257,28 @@ mod tests {
     use super::*;
     use datatamer_model::Value;
 
-    fn tempfile(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dt_delta_log_{}", std::process::id()));
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join(format!("{tag}.dlog"));
-        let _ = fs::remove_file(&path);
-        path
+    /// A log path in a directory of its own, which is removed with
+    /// everything in it when the guard drops, whether the test passed or
+    /// panicked.
+    struct TempLog {
+        dir: PathBuf,
+        path: PathBuf,
+    }
+
+    impl TempLog {
+        fn new(tag: &str) -> TempLog {
+            let name = format!("dt_delta_log_{}_{tag}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            TempLog { path: dir.join(format!("{tag}.dlog")), dir }
+        }
+    }
+
+    impl Drop for TempLog {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.dir);
+        }
     }
 
     fn rec(i: u64) -> Record {
@@ -279,89 +295,89 @@ mod tests {
 
     #[test]
     fn append_replay_roundtrips_across_reopen() {
-        let path = tempfile("roundtrip");
+        let log_file = TempLog::new("roundtrip");
+        let path = &log_file.path;
         let batches: Vec<Vec<Record>> =
             vec![(0..5).map(rec).collect(), vec![], (5..7).map(rec).collect()];
         {
-            let mut log = DeltaLog::open(&path).unwrap();
+            let mut log = DeltaLog::open(path).unwrap();
             for b in &batches {
                 log.append(b).unwrap();
             }
             assert_eq!(log.frames(), 2, "empty batches write no frame");
             assert_eq!(log.replay_records().unwrap().len(), 7);
         }
-        let log = DeltaLog::open(&path).unwrap();
+        let log = DeltaLog::open(path).unwrap();
         assert_eq!(log.frames(), 2);
         let replayed = log.replay().unwrap();
         assert_eq!(replayed, vec![batches[0].clone(), batches[2].clone()]);
         assert_eq!(log.replay_records().unwrap().len(), 7);
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
-        let path = tempfile("torn");
+        let log_file = TempLog::new("torn");
+        let path = &log_file.path;
         {
-            let mut log = DeltaLog::open(&path).unwrap();
+            let mut log = DeltaLog::open(path).unwrap();
             log.append(&(0..4).map(rec).collect::<Vec<_>>()).unwrap();
             log.append(&(4..6).map(rec).collect::<Vec<_>>()).unwrap();
         }
         // Simulate a crash mid-append: chop bytes off the final frame.
-        let len = fs::metadata(&path).unwrap().len();
-        fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 3).unwrap();
-        let mut log = DeltaLog::open(&path).unwrap();
+        let len = fs::metadata(path).unwrap().len();
+        fs::OpenOptions::new().write(true).open(path).unwrap().set_len(len - 3).unwrap();
+        let mut log = DeltaLog::open(path).unwrap();
         assert_eq!(log.frames(), 1, "the torn frame is gone, the complete one kept");
         assert_eq!(log.replay_records().unwrap().len(), 4);
         // The log keeps taking appends from the truncation point.
         log.append(&(6..9).map(rec).collect::<Vec<_>>()).unwrap();
-        let log = DeltaLog::open(&path).unwrap();
+        let log = DeltaLog::open(path).unwrap();
         assert_eq!(log.frames(), 2);
         assert_eq!(log.replay_records().unwrap().len(), 7);
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn corrupt_payload_fails_the_checksum_and_is_dropped() {
-        let path = tempfile("corrupt");
+        let log_file = TempLog::new("corrupt");
+        let path = &log_file.path;
         {
-            let mut log = DeltaLog::open(&path).unwrap();
+            let mut log = DeltaLog::open(path).unwrap();
             log.append(&(0..3).map(rec).collect::<Vec<_>>()).unwrap();
         }
         // Flip a byte inside the payload (past magic + frame header).
-        let mut bytes = fs::read(&path).unwrap();
+        let mut bytes = fs::read(path).unwrap();
         let at = bytes.len() - 5;
         bytes[at] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        let log = DeltaLog::open(&path).unwrap();
+        fs::write(path, &bytes).unwrap();
+        let log = DeltaLog::open(path).unwrap();
         assert_eq!(log.frames(), 0, "checksum failure drops the frame");
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn compaction_preserves_record_order() {
-        let path = tempfile("compact");
-        let mut log = DeltaLog::open(&path).unwrap();
+        let log_file = TempLog::new("compact");
+        let path = &log_file.path;
+        let mut log = DeltaLog::open(path).unwrap();
         for chunk in [0..3u64, 3..4, 4..9] {
             log.append(&chunk.map(rec).collect::<Vec<_>>()).unwrap();
         }
         let before = log.replay_records().unwrap();
-        let size_before = fs::metadata(&path).unwrap().len();
+        let size_before = fs::metadata(path).unwrap().len();
         log.compact().unwrap();
         assert_eq!(log.frames(), 1);
         assert_eq!(log.replay_records().unwrap(), before);
-        assert!(fs::metadata(&path).unwrap().len() <= size_before);
+        assert!(fs::metadata(path).unwrap().len() <= size_before);
         // Reopen agrees.
-        let reopened = DeltaLog::open(&path).unwrap();
+        let reopened = DeltaLog::open(path).unwrap();
         assert_eq!(reopened.frames(), 1);
         assert_eq!(reopened.replay_records().unwrap(), before);
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn non_log_file_is_rejected() {
-        let path = tempfile("badmagic");
-        fs::write(&path, b"definitely not a delta log").unwrap();
-        assert!(DeltaLog::open(&path).is_err());
-        fs::remove_file(&path).unwrap();
+        let log_file = TempLog::new("badmagic");
+        let path = &log_file.path;
+        fs::write(path, b"definitely not a delta log").unwrap();
+        assert!(DeltaLog::open(path).is_err());
     }
 }
